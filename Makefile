@@ -1,8 +1,25 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-node bench-write bench-durability alloc-regression profile fuzz-smoke examples serve-smoke crash-smoke
+.PHONY: ci fmt vet lint build test race bench bench-node bench-write bench-durability alloc-regression profile fuzz-smoke examples serve-smoke crash-smoke benchmark benchmark-compare benchmark-test
 
-ci: fmt vet lint build race examples alloc-regression bench-write fuzz-smoke serve-smoke crash-smoke
+ci: fmt vet lint build race benchmark-test examples alloc-regression bench-write fuzz-smoke serve-smoke crash-smoke
+
+# The end-to-end benchmark every "faster" is judged by (BENCHMARK.json,
+# benchmark/README.md): four workloads through the full serve stack, each
+# untraced and traced, ~4 min. It builds into the git-ignored .bench_build/.
+benchmark:
+	bash benchmark/run.sh
+
+# Metric-by-metric deltas between two result files of `make benchmark`:
+#   make benchmark-compare OLD=old.json NEW=new.json
+benchmark-compare:
+	bash benchmark/run.sh -compare $(OLD) $(NEW)
+
+# The benchmark is a nested module (txcache/benchmark, replace txcache =>
+# ../) that the root module's ./... cannot see, so its vet and tests — which
+# compile it against this tree — are their own step.
+benchmark-test:
+	cd benchmark && $(GO) vet . && $(GO) test -race .
 
 # Repo-invariant static analysis (cmd/txcache-lint): lock order, context
 # threading, deterministic time, bounded dials/writes, atomic-field
@@ -60,12 +77,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the wire codec and the cache server's opcode
-# handlers: malformed frames must error, never panic. (`go test -fuzz`
-# accepts one target per invocation, hence three runs.)
+# Short fuzz passes over the wire codec, the cache server's opcode
+# handlers and the WAL record decoder: malformed input must error, never
+# panic. (`go test -fuzz` accepts one target per invocation, hence one run
+# each.)
 fuzz-smoke:
 	$(GO) test ./internal/wire -run xxx -fuzz FuzzReadFrame -fuzztime=10s
+	$(GO) test ./internal/wire -run xxx -fuzz FuzzFrameReader -fuzztime=10s
 	$(GO) test ./internal/wire -run xxx -fuzz FuzzDecoder -fuzztime=10s
+	$(GO) test ./internal/wal -run xxx -fuzz FuzzWALDecode -fuzztime=10s
 	$(GO) test ./internal/cacheserver -run xxx -fuzz FuzzHandle -fuzztime=10s
 	$(GO) test ./internal/cacheserver -run xxx -fuzz FuzzShardRouting -fuzztime=10s
 

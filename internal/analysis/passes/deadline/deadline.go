@@ -7,8 +7,10 @@
 //
 //  1. net.Dial is forbidden: connect through net.DialTimeout or
 //     (*net.Dialer).DialContext so a dead host fails fast.
-//  2. A write to a deadline-capable connection must be preceded, in the
-//     same function, by a SetDeadline/SetWriteDeadline call. Functions
+//  2. A write to a deadline-capable connection — conn.Write, or a framed
+//     write (wire.WriteFrame, (*wire.Buffer).WriteFrame) handed the conn —
+//     must be preceded, in the same function, by a
+//     SetDeadline/SetWriteDeadline call. Functions
 //     that write on connections whose deadline a caller already set carry
 //     a //lint:allow deadline directive naming that caller.
 //
@@ -74,14 +76,16 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, sawDeadline *bool) {
 			"unbounded net.Dial; use net.DialTimeout or (*net.Dialer).DialContext so a blackholed host cannot wedge the caller")
 		return
 	}
+	// wire.WriteFrame(conn, ...) and (*wire.Buffer).WriteFrame(conn): a
+	// framed write, function or method, whose first argument is a
+	// deadline-capable conn is a conn write.
+	if fn.Name() == "WriteFrame" && len(call.Args) > 0 &&
+		isConnType(pass.TypesInfo.TypeOf(call.Args[0])) {
+		reportUnboundedWrite(pass, call, sawDeadline)
+		return
+	}
 	sig, _ := fn.Type().(*types.Signature)
 	if sig == nil || sig.Recv() == nil {
-		// wire.WriteFrame(conn, ...) style: a package function whose first
-		// argument is a deadline-capable conn is a conn write.
-		if fn.Name() == "WriteFrame" && len(call.Args) > 0 &&
-			isConnType(pass.TypesInfo.TypeOf(call.Args[0])) {
-			reportUnboundedWrite(pass, call, sawDeadline)
-		}
 		return
 	}
 	recv := ast.Unparen(call.Fun)

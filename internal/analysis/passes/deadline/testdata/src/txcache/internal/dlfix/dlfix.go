@@ -64,3 +64,27 @@ func exchange(conn net.Conn, frame []byte) error {
 	//lint:allow deadline the only caller sets the conn deadline before exchange runs
 	return WriteFrame(conn, frame)
 }
+
+// Buffer mirrors wire.Buffer: the message carries its own frame header and
+// sends itself in one write, so the conn is the argument, not the receiver.
+type Buffer struct{ b []byte }
+
+func (e *Buffer) WriteFrame(w io.Writer) error {
+	_, err := w.Write(e.b)
+	return err
+}
+
+func sendFramed(conn net.Conn, e *Buffer) error {
+	return e.WriteFrame(conn) // want "conn write with no preceding"
+}
+
+// Clean: the caller bounded the framed write.
+func sendFramedBounded(conn net.Conn, e *Buffer) error {
+	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
+	return e.WriteFrame(conn)
+}
+
+// Clean: a framed write into something with no deadline to set.
+func encodeFramed(w io.Writer, e *Buffer) error {
+	return e.WriteFrame(w)
+}

@@ -110,7 +110,7 @@ func TestLookupBatchCancelReclaimsPendingAndCountsLateFrame(t *testing.T) {
 	if resp == nil {
 		t.Fatal("stub could not compute a response frame")
 	}
-	if err := wire.WriteFrame(h.conn, resp); err != nil {
+	if err := resp.WriteFrame(h.conn); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

@@ -48,10 +48,11 @@ func FuzzHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		s := New(Config{HistoryLen: 8})
 		s.Put("seeded", []byte("v"), interval.Interval{Lo: 2, Hi: 5}, false, 0, nil)
-		resp := s.handle(frame)
-		if resp == nil {
+		reply := s.handle(frame)
+		if reply == nil {
 			return
 		}
+		resp := reply.Bytes()
 		d := wire.NewDecoder(resp)
 		op := d.Op()
 		id := d.U32()

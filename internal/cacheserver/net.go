@@ -93,15 +93,16 @@ func (s *Server) Serve(l net.Listener) error {
 // from serving many connections.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	fr := wire.NewFrameReader(conn)
 	for {
-		req, err := wire.ReadFrame(conn)
+		req, err := fr.ReadFrame()
 		if err != nil {
 			return
 		}
 		resp := s.handle(req)
 		if resp != nil {
 			_ = conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-			if err := wire.WriteFrame(conn, resp); err != nil {
+			if err := resp.WriteFrame(conn); err != nil {
 				return
 			}
 		}
@@ -112,14 +113,14 @@ func (s *Server) serveConn(conn net.Conn) {
 // fire-and-forget frames). It must never panic on malformed input: every
 // decode is checked and every count prefix is bounded by the bytes that
 // actually remain in the payload.
-func (s *Server) handle(req []byte) []byte {
+func (s *Server) handle(req []byte) *wire.Buffer {
 	d := wire.NewDecoder(req)
 	op := d.Op()
 	id := d.U32()
 	if d.Err() != nil {
 		return nil // too short to even address a reply
 	}
-	fail := func(err error) []byte {
+	fail := func(err error) *wire.Buffer {
 		if id == 0 {
 			return nil
 		}
@@ -150,7 +151,7 @@ func (s *Server) handle(req []byte) []byte {
 		e := wire.NewBuffer(opLookupResp)
 		e.U32(id)
 		encodeLookupResult(e, r)
-		return e.Bytes()
+		return e
 	case opLookupBatch:
 		n := d.U32()
 		// Each probe is at least a 4-byte key length plus four timestamps.
@@ -185,7 +186,7 @@ func (s *Server) handle(req []byte) []byte {
 			}
 			encodeLookupResult(e, r)
 		}
-		return e.Bytes()
+		return e
 	case opPut:
 		key := d.Str()
 		lo := interval.Timestamp(d.U64())
@@ -207,7 +208,7 @@ func (s *Server) handle(req []byte) []byte {
 		if id == 0 {
 			return nil // async put: no ack
 		}
-		return wire.NewBuffer(opAck).U32(id).Bytes()
+		return wire.NewBuffer(opAck).U32(id)
 	case opStats:
 		reset := d.Bool()
 		if d.Err() != nil {
@@ -215,7 +216,7 @@ func (s *Server) handle(req []byte) []byte {
 		}
 		if reset {
 			s.ResetStats()
-			return wire.NewBuffer(opAck).U32(id).Bytes()
+			return wire.NewBuffer(opAck).U32(id)
 		}
 		st := s.Stats()
 		e := wire.NewBuffer(opStatsResp)
@@ -226,7 +227,7 @@ func (s *Server) handle(req []byte) []byte {
 		e.U64(st.EvictedCapacity).U64(st.EvictedStale)
 		e.I64(st.BytesUsed).I64(int64(st.Versions)).I64(int64(st.Keys))
 		e.U64(uint64(st.Horizon))
-		return e.Bytes()
+		return e
 	case opWarmBoot:
 		ts := interval.Timestamp(d.U64())
 		wallNano := d.I64()
@@ -237,7 +238,7 @@ func (s *Server) handle(req []byte) []byte {
 		if id == 0 {
 			return nil
 		}
-		return wire.NewBuffer(opAck).U32(id).Bytes()
+		return wire.NewBuffer(opAck).U32(id)
 	case opInval:
 		m, err := invalidation.DecodeMessage(d)
 		if err != nil {
@@ -250,7 +251,7 @@ func (s *Server) handle(req []byte) []byte {
 		// Acked push: the stream owner retries until it sees the ack, which
 		// is what makes its at-least-once delivery gapless (duplicates are
 		// deduplicated here by timestamp).
-		return wire.NewBuffer(opAck).U32(id).Bytes()
+		return wire.NewBuffer(opAck).U32(id)
 	default:
 		return fail(fmt.Errorf("cacheserver: unknown opcode %d", op))
 	}
@@ -301,8 +302,8 @@ func decodeLookupResult(d *wire.Decoder) (LookupResult, error) {
 	return r, d.Err()
 }
 
-func errFrame(id uint32, err error) []byte {
-	return wire.NewBuffer(opErr).U32(id).Str(err.Error()).Bytes()
+func errFrame(id uint32, err error) *wire.Buffer {
+	return wire.NewBuffer(opErr).U32(id).Str(err.Error())
 }
 
 // Client errors.
@@ -386,7 +387,7 @@ type Client struct {
 }
 
 type putItem struct {
-	frame []byte
+	frame *wire.Buffer
 	ack   chan struct{} // Flush marker when non-nil; frame is ignored
 }
 
@@ -511,6 +512,8 @@ func newReq(op byte) *wire.Buffer {
 func (m *mconn) run() {
 	defer m.cl.wg.Done()
 	backoff := 10 * time.Millisecond
+	var fr *wire.FrameReader // on frConn; replaced when a redial replaces the connection
+	var frConn net.Conn
 	for {
 		m.mu.Lock()
 		conn := m.conn
@@ -547,7 +550,10 @@ func (m *mconn) run() {
 			backoff = 10 * time.Millisecond
 			continue
 		}
-		payload, err := wire.ReadFrame(conn)
+		if conn != frConn {
+			fr, frConn = wire.NewFrameReader(conn), conn
+		}
+		payload, err := fr.ReadFrame()
 		if err != nil {
 			select {
 			case <-m.cl.closed:
@@ -621,7 +627,7 @@ func putTimer(t *time.Timer) {
 // pending-table entry is reclaimed immediately so the request ID can never
 // be answered late into someone else's hands (a late frame is counted in
 // ClientStats.LateDrops by the reader and dropped).
-func (m *mconn) call(ctx context.Context, frame []byte) ([]byte, error) {
+func (m *mconn) call(ctx context.Context, frame *wire.Buffer) ([]byte, error) {
 	timeout, ctxBound := m.cl.timeout, false
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -647,7 +653,7 @@ func (m *mconn) call(ctx context.Context, frame []byte) ([]byte, error) {
 	id := m.nextID
 	ch := make(chan []byte, 1)
 	m.pending[id] = ch
-	binary.LittleEndian.PutUint32(frame[1:5], id)
+	binary.LittleEndian.PutUint32(frame.Bytes()[1:5], id)
 	// The write happens under m.mu, so it must be bounded: without a
 	// deadline, a peer that stops reading while the TCP window fills would
 	// wedge every request on this connection with no timeout (the call
@@ -656,7 +662,7 @@ func (m *mconn) call(ctx context.Context, frame []byte) ([]byte, error) {
 	// request cannot block the connection (and the writers queued behind
 	// it) for the full transport timeout.
 	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
-	err := wire.WriteFrame(conn, frame)
+	err := frame.WriteFrame(conn)
 	if err != nil {
 		delete(m.pending, id)
 		m.mu.Unlock()
@@ -710,7 +716,7 @@ func (m *mconn) call(ctx context.Context, frame []byte) ([]byte, error) {
 // roundTrip issues the request on a connection chosen round-robin, trying
 // each pool member once while connections are down. Context errors are
 // terminal: a cancelled request is not retried on another connection.
-func (c *Client) roundTrip(ctx context.Context, frame []byte) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, frame *wire.Buffer) ([]byte, error) {
 	start := int(c.rr.Add(1))
 	var lastErr error = errNotConnected
 	for i := 0; i < len(c.conns); i++ {
@@ -740,7 +746,7 @@ func (c *Client) Lookup(ctx context.Context, key string, lo, hi, origLo, origHi 
 	c.counters.lookups.Add(1)
 	e := newReq(opLookup)
 	e.Str(key).U64(uint64(lo)).U64(uint64(hi)).U64(uint64(origLo)).U64(uint64(origHi))
-	resp, err := c.roundTrip(ctx, e.Bytes())
+	resp, err := c.roundTrip(ctx, e)
 	if err != nil {
 		c.counters.lookupErrors.Add(1)
 		return LookupResult{Miss: MissCompulsory}
@@ -793,7 +799,7 @@ func (c *Client) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupRe
 		}
 		return out
 	}
-	resp, err := c.roundTrip(ctx, e.Bytes())
+	resp, err := c.roundTrip(ctx, e)
 	if err != nil {
 		return miss()
 	}
@@ -832,7 +838,7 @@ func (c *Client) Put(key string, data []byte, iv interval.Interval, still bool, 
 	}
 	e.Blob(data)
 	select {
-	case c.putq <- putItem{frame: e.Bytes()}:
+	case c.putq <- putItem{frame: e}:
 		c.counters.putsQueued.Add(1)
 	default:
 		c.counters.putsDropped.Add(1)
@@ -890,7 +896,7 @@ func (c *Client) putSender() {
 }
 
 // sendAsync writes a fire-and-forget frame on the first healthy connection.
-func (c *Client) sendAsync(frame []byte) error {
+func (c *Client) sendAsync(frame *wire.Buffer) error {
 	start := int(c.rr.Add(1))
 	for i := 0; i < len(c.conns); i++ {
 		m := c.conns[(start+i)%len(c.conns)]
@@ -901,7 +907,7 @@ func (c *Client) sendAsync(frame []byte) error {
 			continue
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
-		err := wire.WriteFrame(conn, frame)
+		err := frame.WriteFrame(conn)
 		m.mu.Unlock()
 		if err != nil {
 			conn.Close() // reader notices and redials
@@ -919,7 +925,7 @@ func (c *Client) Stats() Stats {
 	// here: a wedged node must not hang a monitoring poll forever.
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
 	defer cancel()
-	resp, err := c.roundTrip(ctx, newReq(opStats).Bool(false).Bytes())
+	resp, err := c.roundTrip(ctx, newReq(opStats).Bool(false))
 	if err != nil {
 		c.counters.callErrors.Add(1)
 		return Stats{}
@@ -957,7 +963,7 @@ func (c *Client) Stats() Stats {
 func (c *Client) WarmBoot(ctx context.Context, ts interval.Timestamp, wall time.Time) error {
 	e := newReq(opWarmBoot)
 	e.U64(uint64(ts)).I64(wall.UnixNano())
-	resp, err := c.roundTrip(ctx, e.Bytes())
+	resp, err := c.roundTrip(ctx, e)
 	if err != nil {
 		return err
 	}
@@ -972,7 +978,7 @@ func (c *Client) WarmBoot(ctx context.Context, ts interval.Timestamp, wall time.
 func (c *Client) ResetStats() {
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
 	defer cancel()
-	if _, err := c.roundTrip(ctx, newReq(opStats).Bool(true).Bytes()); err != nil {
+	if _, err := c.roundTrip(ctx, newReq(opStats).Bool(true)); err != nil {
 		c.counters.callErrors.Add(1)
 	}
 }
@@ -988,11 +994,8 @@ func (c *Client) ResetStats() {
 // Pushes always use the first pool connection and the caller is expected
 // to be a single goroutine per node, which preserves send order.
 func (c *Client) PushInvalidation(ctx context.Context, m invalidation.Message) error {
-	frame := m.Encode(opInval)
 	// Splice a request-ID placeholder in after the opcode; call assigns it.
-	tagged := make([]byte, 0, len(frame)+4)
-	tagged = append(tagged, frame[0], 0, 0, 0, 0)
-	tagged = append(tagged, frame[1:]...)
+	tagged := newReq(opInval).Raw(m.Encode(opInval)[1:])
 	resp, err := c.conns[0].call(ctx, tagged)
 	if err != nil {
 		return err

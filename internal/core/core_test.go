@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -609,4 +610,53 @@ func TestUsingFinishedTx(t *testing.T) {
 		t.Fatalf("double commit: %v", err)
 	}
 	tx.Abort() // no panic
+}
+
+// TestWriteFreeDeploymentKeepsItsCache: with no commits at all the latest
+// snapshot never changes, so every re-pin returns the same timestamp with a
+// later wall time. The pincushion must take the later time — the snapshot
+// was still the latest then — or the only pin ages out of the staleness
+// window, GetPins returns nothing, and no lookup is ever attempted again.
+func TestWriteFreeDeploymentKeepsItsCache(t *testing.T) {
+	const staleness = 10 * time.Second
+	r := newRig(t, 1, nil)
+	setupAccounts(t, r, 4, 100)
+	get := getBalanceFn(r)
+
+	// Each transaction asks the database something directly before it reads
+	// through the cache: a transaction that has seen nothing yet may still
+	// run in the present, and that is where the library re-pins once the
+	// newest pin is older than FreshPinThreshold.
+	run := func(step int) {
+		t.Helper()
+		tx, err := r.client.Begin(context.Background(), WithStaleness(staleness))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step > 0 && tx.PinSetSize() == 0 {
+			t.Fatalf("%ds after the last commit no pinned snapshot is fresh", step)
+		}
+		if _, err := tx.Query("SELECT balance FROM accounts WHERE id = ?", int64(0)); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := get(tx, int64(step%4)); err != nil || v != 100 {
+			t.Fatalf("step %d: get = %d, %v", step, v, err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(0) // the first transaction finds an empty pincushion and pins
+	base := r.client.Stats().MissNoPins.Load()
+	for step := 1; step <= 3*int(staleness/time.Second); step++ {
+		r.clk.Advance(time.Second)
+		r.pc.Sweep()
+		run(step)
+	}
+	if got := r.client.Stats().MissNoPins.Load(); got != base {
+		t.Fatalf("MissNoPins grew from %d to %d with no commits", base, got)
+	}
+	if r.client.Stats().CacheHits.Load() == 0 {
+		t.Fatal("the cache was never hit")
+	}
 }

@@ -54,6 +54,7 @@ type Tx struct {
 	origLo interval.Timestamp
 
 	toRelease []interval.Timestamp // pins to release at the pincushion
+	ownPin    interval.Timestamp   // ★ pin placed with no pincushion to track it; 0 is never a snapshot
 
 	dbtx   DBTx
 	dbSnap interval.Timestamp // snapshot the DB transaction runs at
@@ -254,6 +255,9 @@ func (tx *Tx) releasePins() {
 	if tx.c.pc != nil && len(tx.toRelease) > 0 {
 		tx.c.pc.Release(tx.toRelease)
 	}
+	if tx.ownPin != 0 {
+		tx.c.db.Unpin(tx.ownPin)
+	}
 }
 
 // Query runs a "bare" SELECT (outside or inside a cacheable function). In a
@@ -319,7 +323,10 @@ func (tx *Tx) ensureDBTx() error {
 			tx.c.pc.Register(ts, wall)
 			tx.toRelease = append(tx.toRelease, ts)
 		} else {
-			defer tx.c.db.Unpin(ts) // nothing tracks it; release after Begin pins it again
+			// Nothing tracks it, so the transaction holds it to its end: a
+			// remote Begin reaches the database only with the first query,
+			// and the snapshot must still be pinned when it does.
+			tx.ownPin = ts
 		}
 		tx.insertPin(pincushion.Pin{TS: ts, Wall: wall})
 		tx.star = false // reified

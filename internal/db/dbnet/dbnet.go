@@ -26,7 +26,14 @@ import (
 	"txcache/internal/wire"
 )
 
-// Protocol opcodes.
+// Protocol opcodes. Every request is answered by exactly one frame except
+// opAbort, which is one-way: the server ends the transaction and says
+// nothing, so releasing a transaction costs its caller a write, not a round
+// trip. The client also ends a read-only transaction's Commit with it — a
+// read-only commit publishes nothing and has nothing to report. opQueryAt
+// is opQuery for a read-only transaction whose Begin has not been sent: it
+// carries the snapshot, and the server begins the transaction under the
+// client-chosen id before running the statement.
 const (
 	opBegin      byte = 1
 	opBeginResp  byte = 2
@@ -44,7 +51,12 @@ const (
 	opErr        byte = 14
 	opStats      byte = 15
 	opStatsResp  byte = 16
+	opQueryAt    byte = 17
 )
+
+// lazyIDBit marks transaction ids chosen by the client for piggybacked
+// begins, keeping them apart from the ids the server counts up from 1.
+const lazyIDBit = 1 << 63
 
 // ServerStats is the daemon-side counter snapshot carried by opStatsResp,
 // JSON-encoded on the wire so operators (and /statsz) get it verbatim.
@@ -92,20 +104,25 @@ func (s *Server) serveConn(conn net.Conn) {
 			tx.Abort()
 		}
 	}()
+	fr := wire.NewFrameReader(conn)
 	for {
-		req, err := wire.ReadFrame(conn)
+		req, err := fr.ReadFrame()
 		if err != nil {
 			return
 		}
 		resp := s.handle(req, txs, &nextID)
+		if resp == nil {
+			continue // one-way frame
+		}
 		_ = conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-		if err := wire.WriteFrame(conn, resp); err != nil {
+		if err := resp.WriteFrame(conn); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(req []byte, txs map[uint64]*db.Tx, nextID *uint64) []byte {
+// handle executes one request frame and returns the reply, nil for opAbort.
+func (s *Server) handle(req []byte, txs map[uint64]*db.Tx, nextID *uint64) *wire.Buffer {
 	d := wire.NewDecoder(req)
 	switch op := d.Op(); op {
 	case opBegin:
@@ -120,15 +137,27 @@ func (s *Server) handle(req []byte, txs map[uint64]*db.Tx, nextID *uint64) []byt
 		}
 		*nextID++
 		txs[*nextID] = tx
-		return wire.NewBuffer(opBeginResp).U64(*nextID).U64(uint64(tx.Snapshot())).Bytes()
-	case opQuery:
+		return wire.NewBuffer(opBeginResp).U64(*nextID).U64(uint64(tx.Snapshot()))
+	case opQuery, opQueryAt:
 		id := d.U64()
+		var snap interval.Timestamp
+		if op == opQueryAt {
+			snap = interval.Timestamp(d.U64())
+		}
 		src := d.Str()
 		args, err := decodeArgs(d)
 		if err != nil {
 			return errFrame(err)
 		}
 		tx := txs[id]
+		if tx == nil && op == opQueryAt {
+			// The piggybacked Begin: a failure (an unpinned snapshot) is the
+			// statement's error, and no transaction exists afterwards.
+			if tx, err = s.Engine.Begin(true, snap); err != nil {
+				return errFrame(err)
+			}
+			txs[id] = tx
+		}
 		if tx == nil {
 			return errFrame(fmt.Errorf("dbnet: no transaction %d", id))
 		}
@@ -152,7 +181,7 @@ func (s *Server) handle(req []byte, txs map[uint64]*db.Tx, nextID *uint64) []byt
 		if err != nil {
 			return errFrame(err)
 		}
-		return wire.NewBuffer(opExecResp).U64(uint64(n)).Bytes()
+		return wire.NewBuffer(opExecResp).U64(uint64(n))
 	case opCommit:
 		id := d.U64()
 		tx := txs[id]
@@ -164,20 +193,20 @@ func (s *Server) handle(req []byte, txs map[uint64]*db.Tx, nextID *uint64) []byt
 		if err != nil {
 			return errFrame(err)
 		}
-		return wire.NewBuffer(opCommitResp).U64(uint64(ts)).Bytes()
+		return wire.NewBuffer(opCommitResp).U64(uint64(ts))
 	case opAbort:
 		id := d.U64()
 		if tx := txs[id]; tx != nil {
 			tx.Abort()
 			delete(txs, id)
 		}
-		return wire.NewBuffer(opAck).Bytes()
+		return nil
 	case opPin:
 		ts, wall := s.Engine.PinLatest()
-		return wire.NewBuffer(opPinResp).U64(uint64(ts)).I64(wall.UnixNano()).Bytes()
+		return wire.NewBuffer(opPinResp).U64(uint64(ts)).I64(wall.UnixNano())
 	case opUnpin:
 		s.Engine.Unpin(interval.Timestamp(d.U64()))
-		return wire.NewBuffer(opAck).Bytes()
+		return wire.NewBuffer(opAck)
 	case opStats:
 		blob, err := json.Marshal(ServerStats{
 			DB:         s.Engine.Stats(),
@@ -186,7 +215,7 @@ func (s *Server) handle(req []byte, txs map[uint64]*db.Tx, nextID *uint64) []byt
 		if err != nil {
 			return errFrame(err)
 		}
-		return wire.NewBuffer(opStatsResp).Str(string(blob)).Bytes()
+		return wire.NewBuffer(opStatsResp).Str(string(blob))
 	default:
 		return errFrame(fmt.Errorf("dbnet: unknown opcode %d", op))
 	}
@@ -208,7 +237,7 @@ func decodeArgs(d *wire.Decoder) ([]sql.Value, error) {
 	return args, nil
 }
 
-func encodeResult(r *db.Result) []byte {
+func encodeResult(r *db.Result) *wire.Buffer {
 	e := wire.NewBuffer(opQueryResp)
 	e.U32(uint32(len(r.Cols)))
 	for _, c := range r.Cols {
@@ -226,16 +255,16 @@ func encodeResult(r *db.Result) []byte {
 		t := invalidation.TagOf(id)
 		e.Str(t.Table).Str(t.Key).Bool(t.Wildcard)
 	}
-	return e.Bytes()
+	return e
 }
 
-func errFrame(err error) []byte {
+func errFrame(err error) *wire.Buffer {
 	msg := err.Error()
 	// Mark retryable conflicts so clients can reconstruct the sentinel.
 	if errors.Is(err, db.ErrSerialization) {
 		msg = "SERIALIZATION:" + msg
 	}
-	return wire.NewBuffer(opErr).Str(msg).Bytes()
+	return wire.NewBuffer(opErr).Str(msg)
 }
 
 // Client implements core.DB over TCP. Each database transaction leases one
@@ -244,7 +273,9 @@ func errFrame(err error) []byte {
 // onto connection deadlines: every round trip of a transaction begun with
 // a deadline is bounded by it, and a round trip that fails (deadline
 // included) tears down and redials the session so a half-exchanged frame
-// can never poison the next lease.
+// can never poison the next lease. Frames nobody answers (see opAbort) keep
+// a session in sync by construction: the next lease's reply is the next
+// frame the server writes.
 type Client struct {
 	addr string
 	pool chan *conn
@@ -254,6 +285,12 @@ type conn struct {
 	addr string
 	mu   sync.Mutex
 	c    net.Conn
+	fr   *wire.FrameReader
+	lazy uint64 // piggybacked begins issued on this session; owned by its lessee
+}
+
+func newConn(addr string, c net.Conn) *conn {
+	return &conn{addr: addr, c: c, fr: wire.NewFrameReader(c)}
 }
 
 var _ core.DB = (*Client)(nil)
@@ -270,7 +307,7 @@ func Dial(addr string, poolSize int) (*Client, error) {
 			cl.Close()
 			return nil, err
 		}
-		cl.pool <- &conn{addr: addr, c: c}
+		cl.pool <- newConn(addr, c)
 	}
 	return cl, nil
 }
@@ -287,11 +324,12 @@ func (cl *Client) Close() {
 	}
 }
 
-// roundTripCtx is one request/response exchange bounded by ctx's deadline.
-// A transport failure (including a deadline expiry mid-exchange) leaves
-// the session desynchronized, so the connection is closed and redialed
-// before the error returns — the next lease of this slot starts clean.
-func (c *conn) roundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
+// exchange is one request/response exchange bounded by ctx's deadline; the
+// reply may be an opErr frame. A transport failure (including a deadline
+// expiry mid-exchange) leaves the session desynchronized, so the connection
+// is closed and redialed before the error returns — the next lease of this
+// slot starts clean.
+func (c *conn) exchange(ctx context.Context, req *wire.Buffer) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -302,43 +340,78 @@ func (c *conn) roundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
 	} else {
 		_ = c.c.SetDeadline(time.Time{})
 	}
-	resp, err := c.exchange(req)
-	if err != nil {
-		c.c.Close()
-		// The redial is bounded too: an unbounded net.Dial here (held
-		// under c.mu) would let a blackholed host re-wedge the very
-		// release paths opTimeout exists to bound, for the kernel's
-		// ~2-minute connect timeout.
-		if nc, derr := net.DialTimeout("tcp", c.addr, opTimeout); derr == nil {
-			c.c = nc
-		}
-		return nil, err
+	err := req.WriteFrame(c.c)
+	var resp []byte
+	if err == nil {
+		resp, err = c.fr.ReadFrame()
 	}
-	if len(resp) > 0 && resp[0] == opErr {
-		d := wire.NewDecoder(resp)
-		d.Op()
-		msg := d.Str()
-		if strings.HasPrefix(msg, "SERIALIZATION:") {
-			return nil, fmt.Errorf("%w (%s)", db.ErrSerialization, strings.TrimPrefix(msg, "SERIALIZATION:"))
-		}
-		return nil, errors.New(msg)
+	if err != nil {
+		c.reset()
+		return nil, err
 	}
 	return resp, nil
 }
 
-// exchange writes one frame and reads one frame; c.mu must be held.
-func (c *conn) exchange(req []byte) ([]byte, error) {
-	//lint:allow deadline roundTripCtx, the only caller, sets the conn deadline before exchange runs under c.mu
-	if err := wire.WriteFrame(c.c, req); err != nil {
+// send writes a frame nobody answers, bounded by opTimeout. A failed write
+// resets the session, which ends every transaction on it server-side — all
+// the lost frame asked for.
+func (c *conn) send(req *wire.Buffer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_ = c.c.SetWriteDeadline(time.Now().Add(opTimeout))
+	if err := req.WriteFrame(c.c); err != nil {
+		c.reset()
+	}
+}
+
+// reset replaces a failed session; c.mu must be held. The redial is
+// bounded: an unbounded net.Dial here would let a blackholed host re-wedge
+// the very release paths opTimeout exists to bound, for the kernel's
+// ~2-minute connect timeout.
+func (c *conn) reset() {
+	c.c.Close()
+	if nc, err := net.DialTimeout("tcp", c.addr, opTimeout); err == nil {
+		c.c, c.fr = nc, wire.NewFrameReader(nc)
+	}
+}
+
+// replyErr decodes an opErr reply into the error it carries.
+func replyErr(resp []byte) error {
+	if len(resp) == 0 || resp[0] != opErr {
+		return nil
+	}
+	d := wire.NewDecoder(resp)
+	d.Op()
+	msg := d.Str()
+	if strings.HasPrefix(msg, "SERIALIZATION:") {
+		return fmt.Errorf("%w (%s)", db.ErrSerialization, strings.TrimPrefix(msg, "SERIALIZATION:"))
+	}
+	return errors.New(msg)
+}
+
+// roundTripCtx is exchange with an opErr reply turned into its error.
+func (c *conn) roundTripCtx(ctx context.Context, req *wire.Buffer) ([]byte, error) {
+	resp, err := c.exchange(ctx, req)
+	if err == nil {
+		err = replyErr(resp)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return wire.ReadFrame(c.c)
+	return resp, nil
 }
 
 // Begin starts a remote transaction bound to ctx, leasing a session from
 // the pool until Commit or Abort. ctx's deadline bounds the begin round
 // trip and every later statement of the transaction; waiting for a free
 // session also respects cancellation.
+//
+// A read-only transaction at a given snapshot needs nothing from the
+// server to begin — its snapshot is the one asked for — so its Begin costs
+// no round trip: the first Query carries it (opQueryAt), and a snapshot
+// that turns out not to be pinned is that Query's error. The caller must
+// therefore keep snap pinned until that Query returns, not merely until
+// Begin does.
 func (cl *Client) Begin(ctx context.Context, readOnly bool, snap interval.Timestamp) (core.DBTx, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -349,7 +422,11 @@ func (cl *Client) Begin(ctx context.Context, readOnly bool, snap interval.Timest
 	case <-ctx.Done():
 		return nil, fmt.Errorf("dbnet: begin: %w", ctx.Err())
 	}
-	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opBegin).Bool(readOnly).U64(uint64(snap)).Bytes())
+	if readOnly && snap != 0 {
+		c.lazy++
+		return &clientTx{cl: cl, c: c, ctx: ctx, id: lazyIDBit | c.lazy, snap: snap, ro: true, pending: true}, nil
+	}
+	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opBegin).Bool(readOnly).U64(uint64(snap)))
 	if err != nil {
 		cl.pool <- c
 		return nil, err
@@ -362,7 +439,7 @@ func (cl *Client) Begin(ctx context.Context, readOnly bool, snap interval.Timest
 		cl.pool <- c
 		return nil, d.Err()
 	}
-	return &clientTx{cl: cl, c: c, ctx: ctx, id: id, snap: got}, nil
+	return &clientTx{cl: cl, c: c, ctx: ctx, id: id, snap: got, ro: readOnly}, nil
 }
 
 // PinLatest pins the latest snapshot on the daemon.
@@ -371,7 +448,7 @@ func (cl *Client) PinLatest() (interval.Timestamp, time.Time) {
 	defer func() { cl.pool <- c }()
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opPin).Bytes())
+	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opPin))
 	if err != nil {
 		return 0, time.Time{}
 	}
@@ -394,7 +471,7 @@ func (cl *Client) ServerStats(ctx context.Context) (json.RawMessage, error) {
 		return nil, fmt.Errorf("dbnet: stats: %w", ctx.Err())
 	}
 	defer func() { cl.pool <- c }()
-	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opStats).Bytes())
+	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opStats))
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +490,7 @@ func (cl *Client) Unpin(ts interval.Timestamp) {
 	defer func() { cl.pool <- c }()
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	_, _ = c.roundTripCtx(ctx, wire.NewBuffer(opUnpin).U64(uint64(ts)).Bytes())
+	_, _ = c.roundTripCtx(ctx, wire.NewBuffer(opUnpin).U64(uint64(ts)))
 }
 
 // clientTx is a remote transaction bound to one pooled session.
@@ -423,7 +500,12 @@ type clientTx struct {
 	ctx  context.Context
 	id   uint64
 	snap interval.Timestamp
-	done atomic.Bool
+	ro   bool
+	// pending is set while the server has not heard of this transaction:
+	// its Begin travels with the first Query, and until a reply arrives
+	// there is nothing server-side to end.
+	pending bool
+	done    atomic.Bool
 }
 
 // Snapshot returns the transaction's snapshot timestamp.
@@ -431,10 +513,22 @@ func (t *clientTx) Snapshot() interval.Timestamp { return t.snap }
 
 // Query runs a remote SELECT, bounded by the transaction's context.
 func (t *clientTx) Query(src string, args ...sql.Value) (*db.Result, error) {
-	e := wire.NewBuffer(opQuery).U64(t.id).Str(src)
+	var e *wire.Buffer
+	if t.pending {
+		e = wire.NewBuffer(opQueryAt).U64(t.id).U64(uint64(t.snap))
+	} else {
+		e = wire.NewBuffer(opQuery).U64(t.id)
+	}
+	e.Str(src)
 	encodeArgs(e, args)
-	resp, err := t.c.roundTripCtx(t.ctx, e.Bytes())
+	resp, err := t.c.exchange(t.ctx, e)
 	if err != nil {
+		return nil, err
+	}
+	// Any reply means the server ran the Begin. If it failed there is no
+	// transaction to end, and ending one that does not exist is harmless.
+	t.pending = false
+	if err := replyErr(resp); err != nil {
 		return nil, err
 	}
 	return decodeResult(resp)
@@ -443,9 +537,12 @@ func (t *clientTx) Query(src string, args ...sql.Value) (*db.Result, error) {
 // Exec runs a remote INSERT/UPDATE/DELETE, bounded by the transaction's
 // context.
 func (t *clientTx) Exec(src string, args ...sql.Value) (int, error) {
+	if t.pending {
+		return 0, db.ErrReadOnly // only read-only transactions begin lazily
+	}
 	e := wire.NewBuffer(opExec).U64(t.id).Str(src)
 	encodeArgs(e, args)
-	resp, err := t.c.roundTripCtx(t.ctx, e.Bytes())
+	resp, err := t.c.roundTripCtx(t.ctx, e)
 	if err != nil {
 		return 0, err
 	}
@@ -456,7 +553,9 @@ func (t *clientTx) Exec(src string, args ...sql.Value) (int, error) {
 
 // Commit commits the remote transaction and releases the session. On a
 // cancelled context it aborts instead: the daemon must not publish work
-// the caller has already walked away from.
+// the caller has already walked away from. A read-only transaction has
+// nothing to publish and nothing to learn from a reply — its timestamp is
+// its snapshot — so its Commit is the same one-way frame as Abort.
 func (t *clientTx) Commit() (interval.Timestamp, error) {
 	if err := t.ctx.Err(); err != nil {
 		t.Abort()
@@ -465,8 +564,12 @@ func (t *clientTx) Commit() (interval.Timestamp, error) {
 	if !t.done.CompareAndSwap(false, true) {
 		return 0, db.ErrTxDone
 	}
+	if t.ro {
+		t.end()
+		return t.snap, nil
+	}
 	defer func() { t.cl.pool <- t.c }()
-	resp, err := t.c.roundTripCtx(t.ctx, wire.NewBuffer(opCommit).U64(t.id).Bytes())
+	resp, err := t.c.roundTripCtx(t.ctx, wire.NewBuffer(opCommit).U64(t.id))
 	if err != nil {
 		return 0, err
 	}
@@ -477,18 +580,24 @@ func (t *clientTx) Commit() (interval.Timestamp, error) {
 
 // Abort rolls back the remote transaction and releases the session. It
 // deliberately ignores the transaction's (possibly cancelled) context —
-// rollback must always be attempted so the daemon session is freed — but
-// the exchange is still bounded by opTimeout: "Abort never blocks on the
-// context" must not become "Abort blocks forever on a wedged daemon". If
-// the exchange fails or times out, roundTripCtx's redial drops the
-// server-side session, which aborts the transaction anyway.
+// rollback must always be attempted so the daemon session is freed — and
+// waits for nothing: the frame is written under opTimeout, so "Abort never
+// blocks on the context" does not become "Abort blocks on a wedged
+// daemon", and a write that fails resets the session, which aborts the
+// transaction server-side anyway.
 func (t *clientTx) Abort() {
-	if !t.done.CompareAndSwap(false, true) {
-		return
+	if t.done.CompareAndSwap(false, true) {
+		t.end()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-	defer cancel()
-	_, _ = t.c.roundTripCtx(ctx, wire.NewBuffer(opAbort).U64(t.id).Bytes())
+}
+
+// end tells the server to drop the transaction, if it ever heard of it, and
+// returns the session to the pool. The next lease of the session is ordered
+// behind the frame on the same connection.
+func (t *clientTx) end() {
+	if !t.pending {
+		t.c.send(wire.NewBuffer(opAbort).U64(t.id))
+	}
 	t.cl.pool <- t.c
 }
 

@@ -19,18 +19,25 @@ func startServer(t *testing.T) (*db.Engine, *Client) {
 	if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
+	cl, err := Dial(serve(t, engine), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return engine, cl
+}
+
+// serve serves engine on a loopback listener for the test's lifetime and
+// returns the address.
+func serve(t *testing.T, engine *db.Engine) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
 	go (&Server{Engine: engine}).Serve(l)
-	cl, err := Dial(l.Addr().String(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	return engine, cl
+	return l.Addr().String()
 }
 
 func TestRemoteExecQueryCommit(t *testing.T) {

@@ -289,6 +289,13 @@ func TestCheckpointCommitLatency(t *testing.T) {
 const durableCommitAllocCeiling = 6
 
 func TestAllocBudgetDurableCommit(t *testing.T) {
+	if raceAllocSlack > 0 {
+		// Under the race detector sync.Pool drops a quarter of its Puts, and
+		// this path leans on five pools: 12-13 objects/op against a ceiling
+		// of 6, on every run. `make alloc-regression` enforces the ceiling
+		// without the detector.
+		t.Skip("pooled path: the budget binds only without -race")
+	}
 	dir := t.TempDir()
 	e, _ := openDurable(t, dir)
 	defer e.Close()
@@ -302,9 +309,8 @@ func TestAllocBudgetDurableCommit(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		commit() // warm scratch pool, plan cache, WAL buffers
 	}
-	budget := float64(durableCommitAllocCeiling + raceAllocSlack)
-	if avg := testing.AllocsPerRun(200, commit); avg > budget {
-		t.Fatalf("durable commit allocates %.1f objects/op, budget is %.0f", avg, budget)
+	if avg := testing.AllocsPerRun(200, commit); avg > durableCommitAllocCeiling {
+		t.Fatalf("durable commit allocates %.1f objects/op, budget is %d", avg, durableCommitAllocCeiling)
 	}
 }
 

@@ -1,0 +1,318 @@
+package pincushion
+
+import (
+	"context"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"txcache/internal/clock"
+	"txcache/internal/interval"
+	"txcache/internal/wire"
+	"txcache/internal/wire/wiretest"
+)
+
+// daemon is a pincushion served on a loopback listener the test can take
+// down and bring back, connections included.
+type daemon struct {
+	t    *testing.T
+	p    *Pincushion
+	addr string
+
+	mu    sync.Mutex
+	l     net.Listener
+	down  bool
+	conns []net.Conn
+}
+
+func startDaemon(t *testing.T, p *Pincushion) *daemon {
+	d := &daemon{t: t, p: p}
+	d.listen("127.0.0.1:0")
+	t.Cleanup(d.stop)
+	return d
+}
+
+func (d *daemon) listen(addr string) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	d.mu.Lock()
+	d.l, d.addr, d.down = l, l.Addr().String(), false
+	d.mu.Unlock()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			d.mu.Lock()
+			if d.down { // accepted as the daemon went down: it goes down too
+				conn.Close()
+			} else {
+				d.conns = append(d.conns, conn)
+				go d.p.serveConn(conn)
+			}
+			d.mu.Unlock()
+		}
+	}()
+}
+
+// dropConns closes every accepted connection from the daemon's side.
+func (d *daemon) dropConns() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, c := range d.conns {
+		c.Close()
+	}
+	d.conns = nil
+}
+
+// stop closes the listener and every connection; restart undoes it.
+func (d *daemon) stop() {
+	d.mu.Lock()
+	d.down = true
+	d.l.Close()
+	d.mu.Unlock()
+	d.dropConns()
+}
+
+func (d *daemon) restart() { d.listen(d.addr) }
+
+// eventually polls cond until it holds, failing the test after 5 seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestOverTCP(t *testing.T) {
+	clk := &clock.Virtual{}
+	p := New(Config{Clock: clk})
+	c, err := Dial(startDaemon(t, p).addr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Register is one-way: it has landed when the daemon tracks the pin, not
+	// when the call returns.
+	c.Register(42, clk.Now())
+	eventually(t, "the Register to land", func() bool { return p.Len() == 1 })
+	pins := c.GetPins(context.Background(), time.Minute)
+	if len(pins) != 1 || pins[0].TS != 42 {
+		t.Fatalf("pins = %+v", pins)
+	}
+	c.Release([]interval.Timestamp{42, 42}) // one from Register, one from GetPins
+	clk.Advance(2 * time.Minute)
+	eventually(t, "the released pin to be swept", func() bool { p.Sweep(); return p.Len() == 0 })
+	if st := p.Stats(); st.Leaked != 0 {
+		t.Fatalf("pin swept as leaked (%d): the Release was lost", st.Leaked)
+	}
+}
+
+// TestOneWritePerFrame drives both pincushion endpoints over counted pipes:
+// every frame either side sends is one Write, a frame that arrives in one
+// piece is one Read, and the one-way opcodes draw no reply.
+func TestOneWritePerFrame(t *testing.T) {
+	p := New(Config{})
+	p.Register(7, time.Now())
+
+	t.Run("server", func(t *testing.T) {
+		srv, cl := wiretest.Pipe()
+		defer cl.Close()
+		go p.serveConn(srv)
+		fr := wire.NewFrameReader(cl)
+		for i := 0; i < 3; i++ {
+			if err := wire.NewBuffer(opGetPins).I64(int64(time.Minute)).WriteFrame(cl); err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := fr.ReadFrame(); err != nil || resp[0] != opPins {
+				t.Fatalf("reply %x, %v", resp, err)
+			}
+		}
+		if err := wire.NewBuffer(opRegister).U64(8).I64(1).WriteFrame(cl); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.NewBuffer(opRelease).U32(1).U64(8).WriteFrame(cl); err != nil {
+			t.Fatal(err)
+		}
+		// A reply after the one-way frames proves they were consumed first.
+		if err := wire.NewBuffer(opGetPins).I64(int64(time.Minute)).WriteFrame(cl); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fr.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if r, w := srv.Reads.Load(), srv.Writes.Load(); r != 6 || w != 4 {
+			t.Fatalf("server made %d reads and %d writes for 6 frames in, 4 out", r, w)
+		}
+	})
+
+	t.Run("client", func(t *testing.T) {
+		pooled, srv1 := wiretest.Pipe()
+		oneWay, srv2 := wiretest.Pipe()
+		go p.serveConn(srv1)
+		go p.serveConn(srv2)
+		c := &Client{pool: make(chan *pconn, 1), done: make(chan struct{}), ow: oneWay}
+		c.pool <- &pconn{c: pooled, fr: wire.NewFrameReader(pooled)}
+		defer c.Close()
+
+		for i := 0; i < 3; i++ {
+			if pins := c.GetPins(context.Background(), time.Minute); len(pins) == 0 {
+				t.Fatal("no pins over the pipe")
+			}
+		}
+		if r, w := pooled.Reads.Load(), pooled.Writes.Load(); r != 3 || w != 3 {
+			t.Fatalf("3 GetPins made %d reads and %d writes", r, w)
+		}
+		c.Register(9, time.Now())
+		c.Release([]interval.Timestamp{9, 7, 7, 7})
+		if r, w := oneWay.Reads.Load(), oneWay.Writes.Load(); r != 0 || w != 2 {
+			t.Fatalf("Register+Release made %d reads and %d writes on the one-way connection", r, w)
+		}
+	})
+}
+
+// TestRegisterNeverOvertakenByRelease: whatever the interleaving across
+// goroutines, each transaction's Register reaches the daemon before its
+// Release, so every use-count returns to zero and nothing is swept as
+// leaked. Callers reuse the slice they passed to Release straight away, as
+// core does.
+func TestRegisterNeverOvertakenByRelease(t *testing.T) {
+	clk := &clock.Virtual{}
+	p := New(Config{Clock: clk, Retention: time.Minute})
+	c, err := Dial(startDaemon(t, p).addr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tss := make([]interval.Timestamp, 1)
+			for i := 0; i < 200; i++ {
+				ts := interval.Timestamp(1 + (g*200+i)%37)
+				c.Register(ts, clk.Now())
+				tss[0] = ts
+				c.Release(tss)
+				tss[0] = 1 << 40 // Release must not be looking at this any more
+			}
+		}(g)
+	}
+	wg.Wait()
+	clk.Advance(2 * time.Minute) // past retention, far short of the leak cutoff
+	eventually(t, "every pin to be released and swept", func() bool { p.Sweep(); return p.Len() == 0 })
+	if st := p.Stats(); st.Leaked != 0 {
+		t.Fatalf("%d pins swept as leaked", st.Leaked)
+	}
+}
+
+// TestDroppedOneWayConnection: when the daemon's end of the one-way
+// connection dies, frames written into it are lost without an error. What
+// that leaks is use-counts, which Sweep's leak cutoff reclaims; the client
+// notices on a later write, redials, and is in order again.
+func TestDroppedOneWayConnection(t *testing.T) {
+	clk := &clock.Virtual{}
+	db := &fakeDB{}
+	p := New(Config{Clock: clk, Retention: time.Minute, DB: db})
+	d := startDaemon(t, p)
+	c, err := Dial(d.addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	c.Register(5, clk.Now())
+	eventually(t, "the Register to land", func() bool { return p.Len() == 1 })
+	d.dropConns()
+	c.Release([]interval.Timestamp{5}) // written into a dead connection: lost
+
+	// Keep sending until the client has noticed and a pair gets through on
+	// the replacement connection.
+	eventually(t, "the one-way connection to be replaced", func() bool {
+		c.Register(6, clk.Now())
+		c.Release([]interval.Timestamp{6})
+		return p.Len() == 2
+	})
+
+	// Past retention pin 6 goes, its uses balanced; pin 5 still counts the
+	// use whose Release was lost, until the leak cutoff.
+	clk.Advance(2 * time.Minute)
+	eventually(t, "the balanced pin to be swept", func() bool { p.Sweep(); return p.Len() == 1 })
+	if st := p.Stats(); st.Leaked != 0 {
+		t.Fatalf("Leaked = %d before the leak cutoff", st.Leaked)
+	}
+	clk.Advance(leakFactor * time.Minute)
+	if n := p.Sweep(); n != 1 || p.Len() != 0 || p.Stats().Leaked != 1 {
+		t.Fatalf("leak cutoff swept %d pins, %d left, Leaked = %d; want the one lost Release reclaimed",
+			n, p.Len(), p.Stats().Leaked)
+	}
+}
+
+// TestPoolSurvivesOutage: an outage fails every pooled connection while
+// the daemon cannot be redialed. No slot is lost for good — redials keep
+// trying until the daemon is back — and Close stops the ones still trying.
+func TestPoolSurvivesOutage(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const poolSize = 3
+	p := New(Config{})
+	p.Register(11, time.Now())
+	d := startDaemon(t, p)
+	c, err := Dial(d.addr, poolSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	failAll := func() {
+		d.stop()
+		for i := 0; i < poolSize; i++ {
+			if pins := c.GetPins(context.Background(), time.Hour); pins != nil {
+				t.Fatalf("GetPins on a dead connection returned %v", pins)
+			}
+		}
+	}
+	failAll()
+	// Every slot is out being redialed, and the redials are failing.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	if pins := c.GetPins(ctx, time.Hour); pins != nil {
+		t.Fatalf("GetPins with the daemon down returned %v", pins)
+	}
+	cancel()
+
+	d.restart()
+	eventually(t, "every pool slot to be redialed", func() bool { return len(c.pool) == poolSize })
+	var wg sync.WaitGroup
+	for i := 0; i < 2*poolSize; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if pins := c.GetPins(context.Background(), time.Hour); len(pins) != 1 {
+				t.Errorf("after the outage GetPins = %v", pins)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Second outage, and Close while the redials are still failing.
+	failAll()
+	start := time.Now()
+	c.Close()
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Close took %v with redials pending", took)
+	}
+	if n := len(c.pool); n != 0 {
+		t.Fatalf("%d connections left in the pool after Close", n)
+	}
+	eventually(t, "goroutines to exit after Close", func() bool { return runtime.NumGoroutine() <= before })
+}

@@ -114,7 +114,11 @@ func (p *Pincushion) GetPins(ctx context.Context, staleness time.Duration) []Pin
 
 // Register records a snapshot the caller just pinned on the database,
 // marking it in use by the caller's transaction. Re-registering an existing
-// snapshot adds a use.
+// snapshot adds a use and keeps the later wall time: the database handing
+// out the same timestamp again means that snapshot was still the latest
+// then, so it is as fresh as that later moment. (Keeping the first time
+// instead let a deployment with no commits age its only snapshot past the
+// staleness bound, after which no transaction could use the cache again.)
 func (p *Pincushion) Register(ts interval.Timestamp, wall time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -122,6 +126,8 @@ func (p *Pincushion) Register(ts interval.Timestamp, wall time.Time) {
 	if st == nil {
 		st = &pinState{wall: wall}
 		p.pins[ts] = st
+	} else if wall.After(st.wall) {
+		st.wall = wall
 	}
 	st.active++
 	st.placed++

@@ -2,7 +2,6 @@ package pincushion
 
 import (
 	"context"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -105,34 +104,6 @@ func TestNewest(t *testing.T) {
 	pin, ok := p.Newest()
 	if !ok || pin.TS != 9 {
 		t.Fatalf("newest = %+v", pin)
-	}
-}
-
-func TestOverTCP(t *testing.T) {
-	clk := &clock.Virtual{}
-	p := New(Config{Clock: clk})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go p.Serve(l)
-
-	c, err := Dial(l.Addr().String(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	c.Register(42, clk.Now())
-	pins := c.GetPins(context.Background(), time.Minute)
-	if len(pins) != 1 || pins[0].TS != 42 {
-		t.Fatalf("pins = %+v", pins)
-	}
-	c.Release([]interval.Timestamp{42, 42}) // one from Register, one from GetPins
-	clk.Advance(2 * time.Minute)
-	if n := p.Sweep(); n != 1 {
-		t.Fatalf("sweep after release = %d", n)
 	}
 }
 

@@ -199,7 +199,7 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // HandleFunc mounts an extra handler behind the same admission control as
 // the application routes. Tests use it to inject controllable handlers;
-// call it before Serve.
+// the mux synchronizes registration, so a serving Server may be extended.
 func (s *Server) HandleFunc(pattern string, h Handler) { s.handle(pattern, h) }
 
 // logf logs through the configured sink.

@@ -6,9 +6,16 @@
 // The first payload byte is a message opcode defined by each protocol; the
 // rest is encoded with the Buffer/Decoder helpers here (little-endian fixed
 // integers and length-prefixed byte strings).
+//
+// Frame I/O contract, shared by every endpoint of the three transports: a
+// frame leaves in one Write (Buffer.WriteFrame — the Buffer reserves its
+// header, so the encoded message is the frame) and arrives through a
+// FrameReader, whose small per-connection buffer takes the header and the
+// payload of a frame that came in one segment with one Read.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,7 +33,9 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 // ErrTruncated is returned when a decoder runs out of bytes.
 var ErrTruncated = errors.New("wire: truncated message")
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame whose payload was built
+// elsewhere, as two writes. Connection endpoints build their messages in a
+// Buffer and send them with Buffer.WriteFrame, which is one.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
@@ -40,7 +49,8 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame with two reads of r; see
+// FrameReader for connections.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -57,16 +67,82 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// Buffer builds a message payload.
-type Buffer struct {
-	b []byte
+// readBufSize is a FrameReader's buffer: room for the header and payload of
+// every request and of most replies, small enough that a connection's
+// buffer does not show in the process's resident set.
+const readBufSize = 4096
+
+// FrameReader reads frames from one connection through a readBufSize
+// buffer: a frame that arrived whole costs one Read of the connection, and
+// frames that arrived together cost one between them. A payload larger than
+// the buffer is read straight into its own slice.
+type FrameReader struct {
+	br *bufio.Reader
 }
 
-// NewBuffer returns a Buffer whose first byte is the opcode.
-func NewBuffer(op byte) *Buffer { return &Buffer{b: []byte{op}} }
+// NewFrameReader returns a FrameReader on r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{br: bufio.NewReaderSize(r, readBufSize)}
+}
+
+// ReadFrame reads one frame; the payload is the caller's to keep. Errors
+// are ReadFrame's: io.EOF only between frames, ErrFrameTooLarge before any
+// allocation, a wrapped io.ErrUnexpectedEOF for a short body.
+func (fr *FrameReader) ReadFrame() ([]byte, error) {
+	hdr, err := fr.br.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > MaxFrame {
+		return nil, ErrFrameTooLarge
+	}
+	_, _ = fr.br.Discard(frameHeader) // cannot fail: Peek just buffered these bytes
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(fr.br, payload); err != nil {
+		return nil, fmt.Errorf("wire: short frame body: %w", err)
+	}
+	return payload, nil
+}
+
+// frameHeader is the length prefix every Buffer reserves ahead of its
+// payload.
+const frameHeader = 4
+
+// Buffer builds a message payload behind a reserved frame header, so that
+// sending the message never copies it or writes the header on its own.
+type Buffer struct {
+	b []byte // b[:frameHeader] is the header, stamped by WriteFrame
+}
+
+// NewBuffer returns a Buffer whose first payload byte is the opcode.
+func NewBuffer(op byte) *Buffer {
+	b := make([]byte, frameHeader+1, 64)
+	b[frameHeader] = op
+	return &Buffer{b: b}
+}
 
 // Bytes returns the encoded payload.
-func (e *Buffer) Bytes() []byte { return e.b }
+func (e *Buffer) Bytes() []byte { return e.b[frameHeader:] }
+
+// WriteFrame sends the message as one frame in a single Write. A Buffer may
+// be sent again (a retry on another connection) or have fixed-width fields
+// of Bytes patched between sends.
+func (e *Buffer) WriteFrame(w io.Writer) error {
+	n := len(e.b) - frameHeader
+	if n > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(e.b, uint32(n))
+	_, err := w.Write(e.b)
+	return err
+}
+
+// Raw appends already-encoded bytes.
+func (e *Buffer) Raw(v []byte) *Buffer { e.b = append(e.b, v...); return e }
 
 // U8 appends a byte.
 func (e *Buffer) U8(v byte) *Buffer { e.b = append(e.b, v); return e }
@@ -102,7 +178,11 @@ func (e *Buffer) Blob(v []byte) *Buffer {
 }
 
 // Str appends a length-prefixed string.
-func (e *Buffer) Str(v string) *Buffer { return e.Blob([]byte(v)) }
+func (e *Buffer) Str(v string) *Buffer {
+	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(len(v)))
+	e.b = append(e.b, v...)
+	return e
+}
 
 // Decoder reads a message payload produced by Buffer.
 type Decoder struct {

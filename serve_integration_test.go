@@ -2,8 +2,12 @@ package txcache_test
 
 import (
 	"context"
+	"io"
 	"math/rand"
+	"net/http"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,13 +122,20 @@ func TestServeOpenLoopEndToEnd(t *testing.T) {
 // TestServeDrainUnderFire overloads a deliberately tiny server (2 in-flight
 // slots, 8 queue slots) and drains it mid-storm. The contract: drain
 // completes within its bound, every queued request is shed, the server's
-// Shed and Canceled counters agree exactly, and every shed surfaces at the
-// load generator as a 503 or a connection error — no request just vanishes.
+// Shed and Canceled counters agree exactly, and every shed surfaces at a
+// client as a 503 or a connection error — no request just vanishes.
+//
+// Saturation is deliberate, not hoped for: at ~0.2 ms per request two slots
+// clear 3000 req/s with an empty queue most of the time, so two gate
+// requests park in both slots until the drain has emptied the queue. With
+// the slots held the storm fills the queue within milliseconds and nothing
+// but the drain can empty it again.
 func TestServeDrainUnderFire(t *testing.T) {
+	const maxInFlight, maxQueue = 2, 8
 	st, err := bench.StartServeStack(bench.ServeStackConfig{
 		Scale:          rubis.TestScale,
-		MaxInFlight:    2,
-		MaxQueue:       8,
+		MaxInFlight:    maxInFlight,
+		MaxQueue:       maxQueue,
 		RequestTimeout: 5 * time.Second,
 		Seed:           7,
 	})
@@ -139,6 +150,19 @@ func TestServeDrainUnderFire(t *testing.T) {
 		}
 	}()
 
+	entered := make(chan struct{}, maxInFlight)
+	release := make(chan struct{})
+	st.Srv.HandleFunc("/gate", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+		entered <- struct{}{}
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		_, err := io.WriteString(w, "ok")
+		return err
+	})
+
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	ranges, err := loadgen.ProbeRanges(ctx, st.URL)
 	cancel()
@@ -146,11 +170,10 @@ func TestServeDrainUnderFire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Open-loop fire hose at ~3000/s nominal against a server whose capacity
-	// is two requests at a time: the backlog saturates and stays saturated.
-	// The client-side timeout (8s) exceeds the server's request timeout (5s),
-	// so every response the server writes — including every shed 503 — is
-	// read and accounted by the load generator, never abandoned first.
+	// Open-loop fire hose at ~3000/s nominal. The client-side timeout (8s)
+	// exceeds the server's request timeout (5s), so every response the server
+	// writes — including every shed 503 — is read and accounted by the load
+	// generator, never abandoned first.
 	target := loadgen.NewHTTPTarget(st.URL, ranges, 128, 0)
 	defer target.Close()
 	lctx, lcancel := context.WithCancel(context.Background())
@@ -167,7 +190,7 @@ func TestServeDrainUnderFire(t *testing.T) {
 		})
 	}()
 
-	// Let the storm establish itself.
+	// Let the storm establish itself (and complete some requests) first.
 	stats := st.Srv.Stats()
 	deadline := time.Now().Add(20 * time.Second)
 	for stats.Requests.Load() < 300 {
@@ -177,17 +200,69 @@ func TestServeDrainUnderFire(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	// Park a gate request in every slot. A gate request that loses the race
+	// for the queue is shed like any other; it counts on the client side of
+	// the shed accounting below and tries again.
+	var gateSheds atomic.Uint64
+	var gates sync.WaitGroup
+	for i := 0; i < maxInFlight; i++ {
+		gates.Add(1)
+		go func() {
+			defer gates.Done()
+			for {
+				resp, err := http.Get(st.URL + "/gate")
+				if err != nil {
+					t.Errorf("gate request: %v", err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.Header.Get("X-Txcache-Shed") == "" {
+					return
+				}
+				gateSheds.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < maxInFlight; i++ {
+		select {
+		case <-entered:
+		case <-time.After(20 * time.Second):
+			t.Fatal("gate requests never reached their slots")
+		}
+	}
+	for st.Srv.Queued() < maxQueue {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never filled behind the gates: %d waiting", st.Srv.Queued())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Drain with both slots held and the queue full: Drain cannot return
+	// before the gates do, so it runs beside the test, which opens the gates
+	// once the drain has shed every waiter.
 	preShed := stats.Shed.Load()
-	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	start := time.Now()
-	err = st.Srv.Drain(dctx)
-	dcancel()
-	if err != nil {
+	drained := make(chan error, 1)
+	go func() {
+		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		drained <- st.Srv.Drain(dctx)
+	}()
+	for st.Srv.Queued() > 0 {
+		if time.Since(start) > 3*time.Second {
+			t.Fatalf("drain left %d requests queued behind held slots", st.Srv.Queued())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-drained; err != nil {
 		t.Fatalf("drain under fire: %v", err)
 	}
+	gates.Wait()
 	t.Logf("drained in %v (%d shed before, %d after)", time.Since(start), preShed, stats.Shed.Load())
-	if stats.Shed.Load() <= preShed {
-		t.Fatal("drain shed nothing: the saturated queue should have been rejected")
+	if got := stats.Shed.Load() - preShed; got < maxQueue {
+		t.Fatalf("drain shed %d requests, want at least the %d that were queued", got, maxQueue)
 	}
 
 	// Give workers a beat to read any already-written responses, then stop
@@ -202,17 +277,18 @@ func TestServeDrainUnderFire(t *testing.T) {
 	if shed != canceled {
 		t.Fatalf("accounting broken: server shed %d but canceled %d", shed, canceled)
 	}
-	// Every server-side shed must surface on the client as either the 503 or
+	// Every server-side shed must surface on a client as either the 503 or
 	// a broken connection — during shutdown a RST can beat a buffered 503 to
 	// the client — and never as a silent hang: a shed whose client saw
 	// nothing would show up as a timeout (client patience far exceeds every
 	// server bound here).
-	if res.Sheds == 0 || res.Sheds > shed {
-		t.Fatalf("shed accounting: server shed %d, load generator observed %d", shed, res.Sheds)
+	seen := res.Sheds + gateSheds.Load()
+	if res.Sheds == 0 || seen > shed {
+		t.Fatalf("shed accounting: server shed %d, clients observed %d", shed, seen)
 	}
-	if lost := shed - res.Sheds; lost > res.Errors {
-		t.Fatalf("%d sheds unaccounted for: server shed %d, client saw %d sheds and %d errors",
-			lost, shed, res.Sheds, res.Errors)
+	if lost := shed - seen; lost > res.Errors {
+		t.Fatalf("%d sheds unaccounted for: server shed %d, clients saw %d sheds and %d errors",
+			lost, shed, seen, res.Errors)
 	}
 	if res.Timeouts != 0 {
 		t.Fatalf("requests timed out client-side (shed responses went missing): %v", res)

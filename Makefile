@@ -98,16 +98,20 @@ bench:
 
 # Allocation-budget regression: the hot paths (point select, cacheable hit,
 # invalidation apply, single-row commit, vacuum pass) must stay under their
-# pinned allocs/op ceilings.
+# pinned allocs/op ceilings, and a cache node's first sight of a tag under
+# its bytes ceiling.
 alloc-regression:
 	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core ./internal/cacheserver
 
 # In-process cache-node contention sweep: mixed lookup/put/invalidate/stats
 # against one Server from parallel goroutines, across -cpu counts. On a
 # multi-core host the sharded node should scale with -cpu; on a single-core
-# host compare mutex profiles instead (see EXPERIMENTS.md).
+# host compare mutex profiles instead (see EXPERIMENTS.md). Then the fill
+# path: still-valid puts under tags the node has never seen, with 100k tags
+# interned (a fixed iteration count, because every iteration interns a tag).
 bench-node:
 	$(GO) test -run xxx -bench BenchmarkNodeContention -benchtime=2s -cpu 1,2,4 ./internal/cacheserver
+	$(GO) test -run xxx -bench BenchmarkPutFirstSightTags -benchtime=20000x -benchmem ./internal/cacheserver
 
 # Write-path smoke: a short pass over the commit-pipeline and vacuum
 # benchmarks (the instruments for the storage write-path refactor; see

@@ -51,6 +51,8 @@ type status struct {
 	Recovery   db.RecoveryInfo    `json:"recovery"`
 	LastCommit uint64             `json:"lastCommit"`
 	Durability db.DurabilityStats `json:"durability"`
+	// Tags is the tag interner every commit and query result draws from.
+	Tags invalidation.InternerStats `json:"tags"`
 }
 
 // writeStatus publishes one status snapshot. Plain JSON (no WAL framing):
@@ -250,6 +252,7 @@ func main() {
 			PID: os.Getpid(), Addr: l.Addr().String(), Durable: durable,
 			Recovery: info, LastCommit: uint64(engine.LastCommit()),
 			Durability: engine.DurabilityStats(),
+			Tags:       invalidation.InternerSnapshot(),
 		}
 	}
 	if *statusFile != "" {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"txcache/internal/cacheserver"
+	"txcache/internal/invalidation"
 )
 
 func main() {
@@ -44,8 +45,10 @@ func main() {
 	go func() {
 		for range time.Tick(10 * time.Second) {
 			st := srv.Stats()
-			log.Printf("txcached: lookups=%d hit%%=%.1f puts=%d inval=%d bytes=%d keys=%d",
-				st.Lookups, 100*st.HitRate(), st.Puts, st.Invalidations, st.BytesUsed, st.Keys)
+			tags := invalidation.InternerSnapshot()
+			log.Printf("txcached: lookups=%d hit%%=%.1f puts=%d inval=%d bytes=%d keys=%d tags=%d/%d degraded=%d",
+				st.Lookups, 100*st.HitRate(), st.Puts, st.Invalidations, st.BytesUsed, st.Keys,
+				tags.Interned, tags.Limit, tags.Degraded)
 		}
 	}()
 	if err := srv.Serve(l); err != nil {

@@ -3,6 +3,7 @@ package cacheserver
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -121,5 +122,81 @@ func TestAllocBudgetInvalidate(t *testing.T) {
 	const putCost = 5
 	if avg > invalidateAllocCeiling+putCost {
 		t.Fatalf("invalidate+reinstall allocates %.1f objects/op, budget is %d", avg, invalidateAllocCeiling+putCost)
+	}
+}
+
+// internFresh interns n key tags no earlier caller has seen (the interner is
+// process-global, so names carry a package-level sequence number).
+func internFresh(n int) []invalidation.TagID {
+	tags := make([]invalidation.TagID, n)
+	for i := range tags {
+		freshTagSeq++
+		tags[i] = invalidation.Intern(invalidation.KeyTag("fresh", "id", fmt.Sprint(freshTagSeq)))
+	}
+	return tags
+}
+
+var freshTagSeq int
+
+// putFirstSight installs one still-valid version per tag, each under a tag
+// the node has never seen.
+func putFirstSight(s *Server, keys []string, tags []invalidation.TagID) {
+	payload := []byte("v")
+	for i := range tags {
+		s.Put(keys[i], payload, interval.Interval{Lo: 1, Hi: interval.Infinity}, true, 1, tags[i:i+1])
+	}
+}
+
+func freshKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("fresh-%d", i)
+	}
+	return keys
+}
+
+// BenchmarkPutFirstSightTags is the cache-fill path on a long-lived
+// deployment: a still-valid put whose tag this node has never seen, in a
+// process whose interner already holds 100,000 tags. What it costs is what
+// first sight of a TagID costs the fan-out table (depCounts). Run it with a
+// fixed -benchtime=Nx: every iteration interns a new tag, and the interner
+// is capped.
+func BenchmarkPutFirstSightTags(b *testing.B) {
+	if have := invalidation.InternedCount(); have < 100_000 {
+		internFresh(100_000 - have)
+	}
+	s := New(Config{})
+	s.SetHorizon(1, time.Unix(0, 0))
+	tags, keys := internFresh(b.N), freshKeys(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	putFirstSight(s, keys, tags)
+}
+
+// firstSightBytesCeiling bounds the heap bytes one first-sight put may
+// allocate, averaged over a run: the version, its entry and index sets, the
+// tag's counter block, and 1/512th of a 4 KiB page. It is far below what any
+// design that copies or regrows a per-TagID table on first sight can meet
+// with 200,000 tags interned (1.6 MB per put for one pointer per tag).
+const firstSightBytesCeiling = 16 << 10
+
+func TestAllocBudgetFirstSightTag(t *testing.T) {
+	if have := invalidation.InternedCount(); have < 200_000 {
+		internFresh(200_000 - have)
+	}
+	const n = 256
+	s := New(Config{})
+	s.SetHorizon(1, time.Unix(0, 0))
+	tags, keys := internFresh(n), freshKeys(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	putFirstSight(s, keys, tags)
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > firstSightBytesCeiling {
+		t.Fatalf("a put under a never-seen tag allocates %d bytes with %d tags interned, budget is %d",
+			per, invalidation.InternedCount(), firstSightBytesCeiling)
+	}
+	if st := s.Stats(); st.Versions != n {
+		t.Fatalf("%d versions stored, want %d", st.Versions, n)
 	}
 }

@@ -250,7 +250,6 @@ func New(cfg Config) *Server {
 		s.shards[i].init()
 	}
 	s.hist.init(cfg.HistoryLen)
-	s.deps.init()
 	return s
 }
 

@@ -143,10 +143,11 @@ func (sh *shard) lookupLocked(key string, lo, hi, origLo, origHi, lastInval inte
 }
 
 // putLocked installs a version in this shard, mirroring the pre-shard Put
-// logic, and returns it (nil if the put was suppressed). It charges the
-// version's size to the server's global budget but does not evict — the
-// caller runs budget enforcement after releasing the shard lock, so the
-// critical section stays small. Caller holds sh.mu.
+// logic, and returns it (nil if the put was suppressed or only widened a
+// stored version). It charges the version's size to the server's global
+// budget but does not evict — the caller runs budget enforcement after
+// releasing the shard lock, so the critical section stays small. Caller
+// holds sh.mu.
 func (sh *shard) putLocked(s *Server, key string, data []byte, iv interval.Interval, still bool, genSnap interval.Timestamp, tags []invalidation.TagID) *version {
 	sh.stats.puts.Add(1)
 
@@ -159,62 +160,30 @@ func (sh *shard) putLocked(s *Server, key string, data []byte, iv interval.Inter
 	ent.everPut = true
 	ent.capacityE = false
 
-	// Duplicate suppression: another application server may have raced us
-	// computing the same value. Versions of one key have disjoint true
-	// validity intervals, so an equal Lo means the same version.
+	// Versions of one key have disjoint true validity intervals, so an equal
+	// Lo means the same version: another application server raced us
+	// computing it, or it was recomputed after the stored copy was closed
+	// early. Nothing new is stored; the offer can only prove the stored
+	// copy valid for longer.
 	pos := sort.Search(len(ent.versions), func(i int) bool { return ent.versions[i].iv.Lo >= iv.Lo })
 	if pos < len(ent.versions) && ent.versions[pos].iv.Lo == iv.Lo {
+		sh.widenLocked(s, ent.versions[pos], iv.Hi, still, genSnap, tags)
 		return nil
 	}
 
 	v := &version{
-		key:   key,
-		iv:    iv,
-		still: still,
-		tags:  tags,
-		data:  data,
-		size:  int64(len(key)+len(data)) + perVersionOverhead,
+		key:  key,
+		iv:   iv,
+		tags: tags,
+		data: data,
+		size: int64(len(key)+len(data)) + perVersionOverhead,
 	}
 	if still {
-		v.iv.Hi = interval.Infinity
-		if len(tags) == 0 {
-			// A pure function of its arguments: no database dependencies,
-			// nothing can ever invalidate it.
-		} else {
-			// Count the registration in the fan-out table BEFORE consulting
-			// the history: ApplyInvalidation reads the counters inside the
-			// history lock, so either it sees this shard as matchable, or
-			// our replay (below, also under the history lock) sees its
-			// message — there is no interleaving where both miss (see the
-			// ordering note on histIndex in server.go).
-			s.deps.add(sh, tags)
-			ts, wall, belowFloor := s.hist.firstMatch(tags, genSnap)
-			switch {
-			case belowFloor:
-				// History cannot prove no invalidation hit it in
-				// (genSnap, lastInval]; close it at the last timestamp the
-				// generating transaction proved it valid.
-				s.deps.remove(sh, tags)
-				v.still = false
-				v.iv.Hi = genSnap + 1
-			case ts != interval.Infinity:
-				// Retroactive replay: the earliest retained message after
-				// genSnap matching any of the entry's tags truncates it.
-				s.deps.remove(sh, tags)
-				v.still = false
-				v.iv.Hi = ts
-				v.hiWall = wall
-				if s.cfg.MaxStaleness > 0 {
-					sh.staleQ = append(sh.staleQ, v)
-				}
-			}
-		}
+		v.still, v.iv.Hi, v.hiWall = sh.settleStillLocked(s, tags, genSnap)
 		if v.iv.Empty() {
 			return nil
 		}
-		if v.still {
-			sh.registerTags(v)
-		}
+		sh.enlistLocked(s, v)
 	}
 	ent.versions = append(ent.versions, nil)
 	copy(ent.versions[pos+1:], ent.versions[pos:])
@@ -223,6 +192,78 @@ func (sh *shard) putLocked(s *Server, key string, data []byte, iv interval.Inter
 	sh.stats.versions.Add(1)
 	s.used.Add(v.size)
 	return v
+}
+
+// settleStillLocked decides what a still-valid offer generated at snapshot
+// genSnap is worth on this node now: still valid (hi = Infinity), or closed
+// at hi by an invalidation the node has already processed. On a still
+// outcome the tags stay counted in the fan-out table and the caller must
+// enlist the version they belong to. Caller holds sh.mu.
+func (sh *shard) settleStillLocked(s *Server, tags []invalidation.TagID, genSnap interval.Timestamp) (still bool, hi interval.Timestamp, wall time.Time) {
+	if len(tags) == 0 {
+		// A pure function of its arguments: no database dependencies,
+		// nothing can ever invalidate it.
+		return true, interval.Infinity, time.Time{}
+	}
+	// Count the registration in the fan-out table BEFORE consulting the
+	// history: ApplyInvalidation reads the counters inside the history lock,
+	// so either it sees this shard as matchable, or our replay (below, also
+	// under the history lock) sees its message — there is no interleaving
+	// where both miss (see the ordering note on histIndex in server.go).
+	s.deps.add(sh, tags)
+	ts, wall, belowFloor := s.hist.firstMatch(tags, genSnap)
+	switch {
+	case belowFloor:
+		// History cannot prove no invalidation hit it in (genSnap,
+		// lastInval]; close it at the last timestamp the generating
+		// transaction proved it valid.
+		s.deps.remove(sh, tags)
+		return false, genSnap + 1, time.Time{}
+	case ts != interval.Infinity:
+		// Retroactive replay: the earliest retained message after genSnap
+		// matching any of the entry's tags truncates it.
+		s.deps.remove(sh, tags)
+		return false, ts, wall
+	}
+	return true, interval.Infinity, time.Time{}
+}
+
+// enlistLocked puts a version whose bound settleStillLocked just decided
+// where the invalidation machinery will find it: the tag indexes while it is
+// still valid, the staleness queue once a message with a wall time closed
+// it. Caller holds sh.mu.
+func (sh *shard) enlistLocked(s *Server, v *version) {
+	switch {
+	case v.still:
+		sh.registerTags(v)
+	case !v.hiWall.IsZero() && s.cfg.MaxStaleness > 0:
+		sh.staleQ = append(sh.staleQ, v)
+	}
+}
+
+// widenLocked handles a put whose Lo equals stored version v's: when the
+// offer proves v valid for longer than v says — v was closed conservatively
+// (history floor, WarmBoot) or installed bounded — v's bound moves out in
+// place. A still-valid offer goes through the same registration and history
+// replay as a fresh insert, so one generated before an invalidation the
+// node has processed still ends at that invalidation. The payload is not
+// replaced (same version, same value) and nothing is charged. Identical or
+// narrower offers change nothing. Caller holds sh.mu.
+func (sh *shard) widenLocked(s *Server, v *version, hi interval.Timestamp, still bool, genSnap interval.Timestamp, tags []invalidation.TagID) {
+	if v.still {
+		return
+	}
+	var wall time.Time
+	if still {
+		still, hi, wall = sh.settleStillLocked(s, tags, genSnap)
+	}
+	if !still && hi <= v.iv.Hi {
+		return
+	}
+	// A queued v keeps its place in the staleness queue; the sweep skips it
+	// while hiWall is zero and judges it by the new wall time otherwise.
+	v.still, v.iv.Hi, v.hiWall, v.tags = still, hi, wall, tags
+	sh.enlistLocked(s, v)
 }
 
 // evictLocked removes a version from this shard; capacity marks the reason.
@@ -409,10 +450,13 @@ func delDep(m map[invalidation.TagID]map[*version]struct{}, k invalidation.TagID
 // versions.
 //
 // TagIDs are dense small integers (the interner assigns them sequentially),
-// so the table is a grow-only slice indexed by TagID, published through an
-// atomic pointer exactly like the interner's own entry table: readers are
-// lock-free, growth copies under a mutex. Each tag's counters are two
-// atomic counts per shard:
+// so the table is a two-level array indexed by TagID: a directory of
+// fixed-size pages whose slots are atomic pointers. Readers are lock-free
+// (one directory load, one slot load). First sight of a tag is one slot
+// CompareAndSwap into a page that is never copied; only a TagID beyond every
+// existing page takes the mutex, to allocate that one page and — rarer still
+// — republish the directory, which holds one pointer per depPageSlots tags.
+// Each tag's counters are two atomic counts per shard:
 //
 //	direct — versions registered under the tag itself: the exact index
 //	         for key tags, the wildDeps index for wildcard tags;
@@ -425,9 +469,14 @@ func delDep(m map[invalidation.TagID]map[*version]struct{}, k invalidation.TagID
 // counts optimistically before its history replay decides), which only
 // costs a spurious shard visit — never a missed one.
 type depCounts struct {
-	mu   sync.Mutex
-	tabs atomic.Pointer[[]*tagCounts]
+	mu  sync.Mutex // serializes page allocation and directory growth
+	dir atomic.Pointer[[]*depPage]
 }
+
+// depPageSlots is the number of TagIDs one page covers (4 KiB of slots).
+const depPageSlots = 512
+
+type depPage [depPageSlots]atomic.Pointer[tagCounts]
 
 // tagCounts holds one tag's per-shard counters: c[2*shard] is direct,
 // c[2*shard+1] is table.
@@ -435,46 +484,65 @@ type tagCounts struct {
 	c []atomic.Int32
 }
 
-func (d *depCounts) init() {
-	empty := make([]*tagCounts, 0, 256)
-	d.tabs.Store(&empty)
-}
-
-// slot returns the counter block for tag t, allocating it (and growing the
-// table) on first sight. The miss path lives in slotSlow so the hot path's
-// slice header stays on the stack (publishing the table takes its address,
-// which would otherwise force a heap allocation per call).
-func (d *depCounts) slot(t invalidation.TagID, nShards int) *tagCounts {
-	tabs := *d.tabs.Load()
-	if int(t) <= len(tabs) {
-		if tc := tabs[t-1]; tc != nil {
-			return tc
-		}
+// page returns the page holding tag t's slot (t != 0), or nil if no tag in
+// its range was ever registered.
+func (d *depCounts) page(t invalidation.TagID) *depPage {
+	dir := d.dir.Load()
+	if pi := int(t-1) / depPageSlots; dir != nil && pi < len(*dir) {
+		return (*dir)[pi]
 	}
-	return d.slotSlow(t, nShards)
+	return nil
 }
 
-func (d *depCounts) slotSlow(t invalidation.TagID, nShards int) *tagCounts {
+// get returns tag t's counter block, or nil if t was never registered
+// anywhere (or is the zero TagID).
+func (d *depCounts) get(t invalidation.TagID) *tagCounts {
+	if t == 0 {
+		return nil
+	}
+	if pg := d.page(t); pg != nil {
+		return pg[int(t-1)%depPageSlots].Load()
+	}
+	return nil
+}
+
+// slot returns the counter block for tag t (t != 0), allocating it on first
+// sight.
+func (d *depCounts) slot(t invalidation.TagID, nShards int) *tagCounts {
+	if tc := d.get(t); tc != nil {
+		return tc
+	}
+	pg := d.page(t)
+	if pg == nil {
+		pg = d.newPage(t)
+	}
+	// Two shards may see the tag first at once; the loser adopts the
+	// winner's block, so no count is ever made on an unpublished one.
+	s := &pg[int(t-1)%depPageSlots]
+	s.CompareAndSwap(nil, &tagCounts{c: make([]atomic.Int32, 2*nShards)})
+	return s.Load()
+}
+
+// newPage allocates the page for tag t. A published directory is immutable
+// (a page appears only in a fresh copy), and published pages are shared by
+// every copy, so readers holding an old directory miss nothing but pages
+// whose tags did not exist when they loaded it.
+func (d *depCounts) newPage(t invalidation.TagID) *depPage {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	tabs := *d.tabs.Load()
-	if int(t) > len(tabs) {
-		grown := make([]*tagCounts, int(t)+int(t)/2)
-		copy(grown, tabs)
-		tabs = grown
-	} else {
-		// Copy-on-write even for in-place slot fills: readers hold the old
-		// slice header and must never observe a torn pointer. (Pointer
-		// stores are atomic in practice, but publishing a fresh slice keeps
-		// the invariant trivially true.)
-		tabs = append([]*tagCounts(nil), tabs...)
+	if pg := d.page(t); pg != nil {
+		return pg
 	}
-	if tabs[t-1] == nil {
-		tabs[t-1] = &tagCounts{c: make([]atomic.Int32, 2*nShards)}
+	var dir []*depPage
+	if cur := d.dir.Load(); cur != nil {
+		dir = *cur
 	}
-	tc := tabs[t-1]
-	d.tabs.Store(&tabs)
-	return tc
+	pi := int(t-1) / depPageSlots
+	grown := make([]*depPage, max(pi+1, len(dir)))
+	copy(grown, dir)
+	grown[pi] = new(depPage)
+	d.dir.Store(&grown)
+	return grown[pi]
 }
 
 // add counts a registration of tags in shard sh (direct under each tag,
@@ -500,11 +568,7 @@ func (d *depCounts) remove(sh *shard, tags []invalidation.TagID) {
 // chosen by off) for tag t is nonzero. Missing slots mean the tag was never
 // registered anywhere.
 func (d *depCounts) orShards(bm []uint64, t invalidation.TagID, off int, nShards int) {
-	tabs := *d.tabs.Load()
-	if int(t) > len(tabs) || t == 0 {
-		return
-	}
-	tc := tabs[t-1]
+	tc := d.get(t)
 	if tc == nil {
 		return
 	}

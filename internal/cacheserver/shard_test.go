@@ -3,7 +3,9 @@ package cacheserver
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"txcache/internal/interval"
@@ -254,5 +256,87 @@ func TestStatsDuringLoad(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.Versions < 0 || st.Keys != 1 {
 		t.Fatalf("gauges after reset: %+v", st)
+	}
+}
+
+// TestDepCountsConcurrent hammers the fan-out table from several shards at
+// once over TagIDs that span many pages (and collide inside pages): every
+// add is matched by a remove, readers run throughout, and at the end no tag
+// may still name a shard. Run under -race, it is also the proof that first
+// sight of a tag, page allocation and directory growth need no reader lock.
+func TestDepCountsConcurrent(t *testing.T) {
+	const (
+		nShards = 4
+		span    = 6 * depPageSlots
+		rounds  = 400
+	)
+	// The wildcard of every tag below must exist for WildOf; interning the
+	// tags for real keeps this honest about how IDs are laid out.
+	tags := make([]invalidation.TagID, 0, 64)
+	for i := 0; i < 64; i++ {
+		tags = append(tags, invalidation.Intern(invalidation.KeyTag("depcounts", "id", fmt.Sprint(i))))
+	}
+	// Far-apart synthetic IDs exercise page allocation out of order; they
+	// are only ever passed to slot/orShards, which never dereference the
+	// interner.
+	sparse := make([]invalidation.TagID, 0, 64)
+	base := invalidation.TagID(invalidation.InternedCount() + 1)
+	for i := 0; i < 64; i++ {
+		sparse = append(sparse, base+invalidation.TagID((i*7919)%span))
+	}
+
+	var d depCounts
+	shards := make([]shard, nShards)
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for i := range shards {
+		shards[i].idx, shards[i].nShards = i, nShards
+		wg.Add(1)
+		go func(sh *shard, seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for r := 0; r < rounds; r++ {
+				k := rng.Intn(len(tags) - 3)
+				d.add(sh, tags[k:k+3])
+				for _, t := range sparse[k : k+3] {
+					d.slot(t, nShards).c[2*sh.idx].Add(1)
+				}
+				d.remove(sh, tags[k:k+3])
+				for _, t := range sparse[k : k+3] {
+					d.slot(t, nShards).c[2*sh.idx].Add(-1)
+				}
+			}
+		}(&shards[i], int64(i+1))
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			bm := make([]uint64, 1)
+			for !stop.Load() {
+				for i := range tags {
+					d.orShards(bm, tags[i], 0, nShards)
+					d.orShards(bm, invalidation.WildOf(tags[i]), 1, nShards)
+					d.orShards(bm, sparse[i], 0, nShards)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	readers.Wait()
+
+	bm := make([]uint64, 1)
+	for i := range tags {
+		d.orShards(bm, tags[i], 0, nShards)
+		d.orShards(bm, invalidation.WildOf(tags[i]), 1, nShards)
+		d.orShards(bm, sparse[i], 0, nShards)
+	}
+	if bm[0] != 0 {
+		t.Fatalf("balanced adds and removes left shards %b registered", bm[0])
+	}
+	if pages := len(*d.dir.Load()); pages < span/depPageSlots {
+		t.Fatalf("directory has %d pages; the run never grew it", pages)
 	}
 }

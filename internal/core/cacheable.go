@@ -18,8 +18,10 @@ type Cacheable[T any] func(tx *Tx, args ...sql.Value) (T, error)
 // MakeCacheable wraps fn (paper Figure 2): the wrapper first consults the
 // cache for the result of a prior call with the same arguments consistent
 // with the transaction's pin set; on a miss it runs fn, accumulating the
-// validity intervals and invalidation tags of every query fn makes, and
-// installs the result. name must uniquely identify the function across the
+// validity intervals and invalidation tags of every query fn makes and of
+// every cache hit its nested cacheable calls return (§6.3), and installs the
+// result — still-valid, under the union of those tags, when nothing fn saw
+// was bounded. name must uniquely identify the function across the
 // application (it is the cache-key prefix).
 //
 // Results are serialized with the fast binary codec (see codec.go) when T
@@ -183,7 +185,7 @@ func (tx *Tx) accept(r cacheserver.LookupResult) ([]byte, bool) {
 		}
 	}
 	tx.c.stats.CacheHits.Add(1)
-	tx.observe(r.Validity, r.Tags)
+	tx.observe(r.Validity, r.Tags, r.Still)
 	return r.Data, true
 }
 
@@ -239,10 +241,13 @@ func (tx *Tx) Prefetch(keys ...string) int {
 }
 
 // put installs a computed result. Still-valid results (unbounded validity)
-// carry their tag set so the invalidation stream can truncate them; bounded
-// results are immutable history and need no tags. The generating snapshot
-// (the timestamp the transaction's queries ran at) lets the node order the
-// insert against invalidations it has already processed.
+// carry their tag set — the tags of every query the function made and of
+// every still-valid cache hit it used, nested cacheable calls included
+// (§6.3) — so the invalidation stream can truncate them; bounded results
+// are immutable history and need no tags. The generating snapshot tells the
+// node which invalidations it must replay against those tags: everything
+// after the snapshot the transaction's queries ran at, or after the oldest
+// horizon a still-valid hit was served under, whichever is earlier.
 // The responsible node is resolved at install time, not lookup time, so
 // after a membership change the entry lands on the key's current owner.
 func (tx *Tx) put(key string, data []byte, f *frame) {
@@ -261,8 +266,12 @@ func (tx *Tx) put(key string, data []byte, f *frame) {
 			tags = append(tags, t)
 		}
 	}
+	genSnap := f.through
+	if tx.dbSnap != 0 {
+		genSnap = min(genSnap, tx.dbSnap)
+	}
 	tx.c.stats.CachePuts.Add(1)
-	node.Put(key, data, f.validity, still, tx.dbSnap, tags)
+	node.Put(key, data, f.validity, still, genSnap, tags)
 }
 
 // String renders a human-readable description of the transaction state for

@@ -1,0 +1,602 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"txcache/internal/cacheserver"
+	"txcache/internal/clock"
+	"txcache/internal/db"
+	"txcache/internal/interval"
+	"txcache/internal/invalidation"
+	"txcache/internal/pincushion"
+	"txcache/internal/sql"
+)
+
+// compose_test.go covers still-valid composition (paper §6.3, DESIGN.md
+// "Still-valid composition"): a cacheable result built from still-valid
+// cache HITS is itself installed still-valid, under the union of the hits'
+// tags, with a generating snapshot no node that served a hit had moved past.
+
+// heldRig is a deployment whose invalidation stream the test delivers by
+// hand, node by node, so every interleaving of lookup, commit, delivery and
+// put is chosen rather than raced.
+type heldRig struct {
+	rig
+	subs []*invalidation.Subscription
+
+	get, sum, sumPlus Cacheable[int64]
+	// hook, when set, runs inside sum after its inner calls returned and
+	// before its result is installed.
+	hook func()
+}
+
+const composeAccounts = 3
+
+// newHeldRig boots one node per config over an accounts table of
+// composeAccounts rows worth 10 each and a table other (row 0 is read by
+// sumPlus, row 1 is there to be written), everything delivered.
+func newHeldRig(t *testing.T, nodeCfgs []cacheserver.Config, cfgMod func(*Config)) *heldRig {
+	t.Helper()
+	clk := &clock.Virtual{}
+	bus := invalidation.NewBus(true)
+	engine := db.New(db.Options{Clock: clk, Bus: bus})
+	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Retention: time.Minute})
+	r := &heldRig{rig: rig{clk: clk, engine: engine, bus: bus, pc: pc}}
+	nodeMap := make(map[string]cacheserver.Node, len(nodeCfgs))
+	for i, nc := range nodeCfgs {
+		nc.Clock = clk
+		n := cacheserver.New(nc)
+		sub := bus.Subscribe()
+		t.Cleanup(sub.Close)
+		r.nodes = append(r.nodes, n)
+		r.subs = append(r.subs, sub)
+		nodeMap[fmt.Sprintf("node%d", i)] = n
+	}
+	cfg := Config{DB: EngineDB{engine}, Nodes: nodeMap, Pincushion: pc, Bus: bus, Clock: clk}
+	if cfgMod != nil {
+		cfgMod(&cfg)
+	}
+	r.client = NewClient(cfg)
+
+	for _, ddl := range []string{
+		`CREATE TABLE accounts (id BIGINT PRIMARY KEY, balance BIGINT)`,
+		`CREATE TABLE other (id BIGINT PRIMARY KEY, v BIGINT)`,
+	} {
+		if err := engine.DDL(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < composeAccounts; i++ {
+		r.commit(t, "INSERT INTO accounts (id, balance) VALUES (?, 10)", int64(i))
+	}
+	r.commit(t, "INSERT INTO other (id, v) VALUES (0, 0)")
+	r.commit(t, "INSERT INTO other (id, v) VALUES (1, 0)")
+	r.deliverAll(t)
+
+	r.get = MakeCacheable(r.client, "bal", func(tx *Tx, args ...sql.Value) (int64, error) {
+		res, err := tx.Query("SELECT balance FROM accounts WHERE id = ?", args...)
+		if err != nil || len(res.Rows) == 0 {
+			return 0, fmt.Errorf("bal%v: %d rows, %v", args, len(res.Rows), err)
+		}
+		return res.Rows[0][0].(int64), nil
+	})
+	// sum adds up accounts args[1:]; args[0] only varies the cache key, so a
+	// test can choose the node the result lands on.
+	r.sum = MakeCacheable(r.client, "sum", func(tx *Tx, args ...sql.Value) (int64, error) {
+		var total int64
+		for _, id := range args[1:] {
+			v, err := r.get(tx, id)
+			if err != nil {
+				return 0, err
+			}
+			total += v
+		}
+		if r.hook != nil {
+			r.hook()
+		}
+		return total, nil
+	})
+	// sumPlus also reads the database itself, inside its own frame.
+	r.sumPlus = MakeCacheable(r.client, "sumPlus", func(tx *Tx, args ...sql.Value) (int64, error) {
+		res, err := tx.Query("SELECT v FROM other WHERE id = 0")
+		if err != nil || len(res.Rows) == 0 {
+			return 0, fmt.Errorf("other: %d rows, %v", len(res.Rows), err)
+		}
+		total := res.Rows[0][0].(int64)
+		for _, id := range args {
+			v, err := r.get(tx, id)
+			if err != nil {
+				return 0, err
+			}
+			total += v
+		}
+		return total, nil
+	})
+	return r
+}
+
+// commit runs one write statement in its own transaction; no node hears of
+// it until the test delivers.
+func (r *heldRig) commit(t *testing.T, src string, args ...sql.Value) interval.Timestamp {
+	t.Helper()
+	tx, err := r.client.Begin(context.Background(), WithReadWrite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(src, args...); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
+// deliver applies node i's pending stream up to the database's last commit.
+func (r *heldRig) deliver(t *testing.T, i int) {
+	t.Helper()
+	want := r.engine.LastCommit()
+	for r.nodes[i].LastInvalidation() < want {
+		select {
+		case m := <-r.subs[i].C:
+			r.nodes[i].ApplyInvalidation(m)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("node %d: stream dry at %d, want %d", i, r.nodes[i].LastInvalidation(), want)
+		}
+	}
+}
+
+func (r *heldRig) deliverAll(t *testing.T) {
+	t.Helper()
+	for i := range r.nodes {
+		r.deliver(t, i)
+	}
+}
+
+// ro runs fn in a read-only transaction at the given staleness bound.
+func (r *heldRig) ro(t *testing.T, staleness time.Duration, fn func(tx *Tx)) interval.Timestamp {
+	t.Helper()
+	tx, err := r.client.Begin(context.Background(), WithStaleness(staleness))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn(tx)
+	ts, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
+// warm fills the inner entries from the database and returns the snapshot
+// the filling transaction pinned.
+func (r *heldRig) warm(t *testing.T) interval.Timestamp {
+	t.Helper()
+	return r.ro(t, time.Minute, func(tx *Tx) {
+		for i := int64(0); i < composeAccounts; i++ {
+			if v, err := r.get(tx, i); err != nil || v != 10 {
+				t.Fatalf("bal(%d) = %d, %v", i, v, err)
+			}
+		}
+	})
+}
+
+// moveOn makes every existing pin too old for any staleness bound used here
+// (and for FreshPinThreshold), commits to an unrelated table a few times,
+// delivers, and pins a fresh snapshot — the state of a busy site a minute
+// later.
+func (r *heldRig) moveOn(t *testing.T) {
+	t.Helper()
+	r.clk.Advance(2 * time.Minute)
+	for i := 0; i < 3; i++ {
+		r.commit(t, "UPDATE other SET v = ? WHERE id = 1", int64(i))
+	}
+	r.deliverAll(t)
+	r.ro(t, 30*time.Second, func(tx *Tx) {
+		if _, err := tx.Query("SELECT v FROM other WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// args builds sum's argument vector: a salt that places the result on node,
+// then every account.
+func (r *heldRig) sumArgs(t *testing.T, node int) []sql.Value {
+	t.Helper()
+	for salt := int64(0); salt < 1000; salt++ {
+		args := []sql.Value{salt}
+		for i := int64(0); i < composeAccounts; i++ {
+			args = append(args, i)
+		}
+		if r.nodeOf(cacheKey("sum", args)) == node {
+			return args
+		}
+	}
+	t.Fatalf("no salt places sum on node %d", node)
+	return nil
+}
+
+// nodeOf returns the index of the node responsible for key.
+func (r *heldRig) nodeOf(key string) int {
+	for i, n := range r.nodes {
+		if r.client.node(key) == cacheserver.Node(n) {
+			return i
+		}
+	}
+	return -1
+}
+
+// peek asks the key's node what it holds at timestamp at.
+func (r *heldRig) peek(key string, at interval.Timestamp) cacheserver.LookupResult {
+	return r.client.node(key).Lookup(context.Background(), key, at, at, 0, interval.Infinity)
+}
+
+func tagNames(ids []invalidation.TagID) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = invalidation.TagOf(id).String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+var accountTags = []string{"accounts:id=0", "accounts:id=1", "accounts:id=2"}
+
+// wantStill checks that the node holds key still-valid at its horizon under
+// exactly the given tags.
+func (r *heldRig) wantStill(t *testing.T, key string, tags []string) {
+	t.Helper()
+	hz := r.client.node(key).(*cacheserver.Server).LastInvalidation()
+	got := r.peek(key, hz)
+	if !got.Found || !got.Still || got.Validity.Hi != hz+1 {
+		t.Fatalf("at horizon %d: found=%v still=%v validity=%v, want still-valid through the horizon", hz, got.Found, got.Still, got.Validity)
+	}
+	if names := tagNames(got.Tags); fmt.Sprint(names) != fmt.Sprint(tags) {
+		t.Fatalf("tags %v, want %v", names, tags)
+	}
+}
+
+// wantClosedAt checks that the node holds key valid up to, and not at, hi.
+func (r *heldRig) wantClosedAt(t *testing.T, key string, hi interval.Timestamp) {
+	t.Helper()
+	got := r.peek(key, hi-1)
+	if !got.Found || got.Still || got.Validity.Hi != hi || got.Tags != nil {
+		t.Fatalf("at %d: found=%v still=%v validity=%v tags=%v, want bounded at %d", hi-1, got.Found, got.Still, got.Validity, got.Tags, hi)
+	}
+	if got := r.peek(key, hi); got.Found {
+		t.Fatalf("still served at %d: %v still=%v", hi, got.Validity, got.Still)
+	}
+}
+
+func TestStillValidComposition(t *testing.T) {
+	one := []cacheserver.Config{{}}
+
+	// compose runs sum in its own transaction and checks it was built from
+	// cache hits alone: no query, one put.
+	compose := func(t *testing.T, r *heldRig, args []sql.Value, prep func(tx *Tx)) {
+		t.Helper()
+		st := r.client.Stats()
+		q0, p0 := st.DBQueries.Load(), st.CachePuts.Load()
+		r.ro(t, time.Minute, func(tx *Tx) {
+			if prep != nil {
+				prep(tx)
+			}
+			if v, err := r.sum(tx, args...); err != nil || v != 10*composeAccounts {
+				t.Fatalf("sum = %d, %v", v, err)
+			}
+			if tx.dbSnap != 0 {
+				t.Fatalf("composing from hits reached the database (snapshot %d)", tx.dbSnap)
+			}
+		})
+		if q, p := st.DBQueries.Load()-q0, st.CachePuts.Load()-p0; q != 0 || p != 1 {
+			t.Fatalf("composition made %d queries and %d puts, want 0 and 1", q, p)
+		}
+	}
+
+	t.Run("ValidFlow", func(t *testing.T) {
+		t.Run("HitsOnlyInstallsStillValidAndOutlivesItsPins", func(t *testing.T) {
+			r := newHeldRig(t, one, nil)
+			r.warm(t)
+			args := r.sumArgs(t, 0)
+			compose(t, r, args, nil)
+			key := cacheKey("sum", args)
+			r.wantStill(t, key, accountTags)
+
+			r.moveOn(t)
+			st := r.client.Stats()
+			h0, p0, q0 := st.CacheHits.Load(), st.CachePuts.Load(), st.DBQueries.Load()
+			ts := r.ro(t, 30*time.Second, func(tx *Tx) {
+				if v, err := r.sum(tx, args...); err != nil || v != 30 {
+					t.Fatalf("sum after the pins moved on = %d, %v", v, err)
+				}
+			})
+			if h, p, q := st.CacheHits.Load()-h0, st.CachePuts.Load()-p0, st.DBQueries.Load()-q0; h != 1 || p != 0 || q != 0 {
+				t.Fatalf("a minute later: %d hits, %d puts, %d queries; want the one outer hit and no recomputation", h, p, q)
+			}
+			if ts != r.engine.LastCommit() {
+				t.Fatalf("served at %d, want the fresh pin %d", ts, r.engine.LastCommit())
+			}
+			r.wantStill(t, key, accountTags)
+		})
+
+		t.Run("PrefetchedInners", func(t *testing.T) {
+			r := newHeldRig(t, one, nil)
+			r.warm(t)
+			args := r.sumArgs(t, 0)
+			compose(t, r, args, func(tx *Tx) {
+				var keys []string
+				for i := int64(0); i < composeAccounts; i++ {
+					keys = append(keys, CacheKey("bal", i))
+				}
+				if n := tx.Prefetch(keys...); n != composeAccounts {
+					t.Fatalf("prefetch found %d of %d", n, composeAccounts)
+				}
+			})
+			if got := r.client.Stats().PrefetchHits.Load(); got != composeAccounts {
+				t.Fatalf("PrefetchHits = %d, want %d", got, composeAccounts)
+			}
+			r.wantStill(t, cacheKey("sum", args), accountTags)
+		})
+
+		t.Run("OwnQueryPlusHitsUnitesTheTags", func(t *testing.T) {
+			r := newHeldRig(t, one, nil)
+			r.warm(t)
+			ids := []sql.Value{int64(0), int64(1), int64(2)}
+			r.ro(t, time.Minute, func(tx *Tx) {
+				if v, err := r.sumPlus(tx, ids...); err != nil || v != 30 {
+					t.Fatalf("sumPlus = %d, %v", v, err)
+				}
+				if tx.dbSnap == 0 {
+					t.Fatal("sumPlus never reached the database")
+				}
+			})
+			key := cacheKey("sumPlus", ids)
+			r.wantStill(t, key, append(append([]string(nil), accountTags...), "other:id=0"))
+			upd := r.commit(t, "UPDATE other SET v = 5 WHERE id = 0")
+			r.deliverAll(t)
+			r.wantClosedAt(t, key, upd)
+		})
+
+		t.Run("TwoNodesTheOutersNodeAhead", func(t *testing.T) {
+			r := newHeldRig(t, []cacheserver.Config{{}, {}}, nil)
+			r.warm(t)
+			// The result goes to the node that does not hold bal(0), and only
+			// that node hears of the next two commits.
+			outer := 1 - r.nodeOf(CacheKey("bal", int64(0)))
+			args := r.sumArgs(t, outer)
+			r.commit(t, "UPDATE other SET v = 1 WHERE id = 1")
+			r.commit(t, "UPDATE other SET v = 2 WHERE id = 1")
+			r.deliver(t, outer) // the other node stays two commits behind
+			compose(t, r, args, nil)
+			// The outer's node replayed the two commits the inners' node has
+			// not seen against the inherited tags, found nothing, and serves
+			// the result through its own, later horizon.
+			r.wantStill(t, cacheKey("sum", args), accountTags)
+		})
+
+		t.Run("NoConsistencyMode", func(t *testing.T) {
+			r := newHeldRig(t, one, func(c *Config) { c.NoConsistency = true })
+			r.warm(t)
+			args := r.sumArgs(t, 0)
+			compose(t, r, args, nil)
+			key := cacheKey("sum", args)
+			r.wantStill(t, key, accountTags)
+			upd := r.commit(t, "UPDATE accounts SET balance = 11 WHERE id = 2")
+			r.deliverAll(t)
+			r.wantClosedAt(t, key, upd)
+		})
+	})
+
+	t.Run("RejectionFlow", func(t *testing.T) {
+		t.Run("BoundedInnerBoundsTheOuter", func(t *testing.T) {
+			r := newHeldRig(t, one, nil)
+			pin := r.warm(t)
+			upd := r.commit(t, "UPDATE accounts SET balance = 11 WHERE id = 1")
+			r.deliverAll(t)
+			// The only fresh pin predates the update, so bal(1) hits its
+			// closed version and the sum is history: bounded, no tags.
+			args := r.sumArgs(t, 0)
+			compose(t, r, args, nil)
+			if got := r.peek(cacheKey("sum", args), pin); !got.Found || got.Still {
+				t.Fatalf("at the old pin %d: found=%v still=%v", pin, got.Found, got.Still)
+			}
+			r.wantClosedAt(t, cacheKey("sum", args), upd)
+		})
+
+		t.Run("HistoryFloorAboveTheGeneratingSnapshot", func(t *testing.T) {
+			// Each node keeps one message of history. The node holding
+			// bal(0) is held back; the result goes to the other one.
+			r := newHeldRig(t, []cacheserver.Config{{HistoryLen: 1}, {HistoryLen: 1}}, nil)
+			r.warm(t)
+			held := r.nodeOf(CacheKey("bal", int64(0)))
+			behind := r.nodes[held].LastInvalidation()
+			for i := 0; i < 4; i++ {
+				r.commit(t, "UPDATE other SET v = ? WHERE id = 1", int64(i))
+			}
+			r.deliver(t, 1-held)
+			args := r.sumArgs(t, 1-held)
+			compose(t, r, args, nil)
+			// The outer's node cannot prove the inherited tags untouched
+			// since the held node's horizon, so it keeps only what the
+			// transaction proved.
+			r.wantClosedAt(t, cacheKey("sum", args), behind+1)
+		})
+
+		t.Run("TwoNodesTheOutersNodeSawAnInnersUpdate", func(t *testing.T) {
+			r := newHeldRig(t, []cacheserver.Config{{}, {}}, nil)
+			r.warm(t)
+			// Update row 0, tell only the node that does NOT hold bal(0),
+			// and put the composed result there.
+			held := r.nodeOf(CacheKey("bal", int64(0)))
+			upd := r.commit(t, "UPDATE accounts SET balance = 99 WHERE id = 0")
+			r.deliver(t, 1-held)
+			args := r.sumArgs(t, 1-held)
+			// The held node still serves bal(0) = 10 as still-valid —
+			// correct at the old pin, which is all the transaction can run
+			// at. The outer's node must not let a sum built on it outlive
+			// the update it has itself seen.
+			compose(t, r, args, nil)
+			r.wantClosedAt(t, cacheKey("sum", args), upd)
+		})
+	})
+
+	t.Run("Table", func(t *testing.T) {
+		// Every inner in turn changes, at every point relative to the
+		// outer's lookups and put; the outer always ends exactly at the
+		// change.
+		timings := []struct {
+			name                          string
+			duringCompose, deliverBeforeP bool
+		}{
+			{"AfterThePutByTheStream", false, false},
+			{"BetweenLookupAndPutByHistoryReplay", true, true},
+			{"BetweenLookupAndPutDeliveredAfter", true, false},
+		}
+		for _, tm := range timings {
+			for id := int64(0); id < composeAccounts; id++ {
+				t.Run(fmt.Sprintf("%s/Inner%d", tm.name, id), func(t *testing.T) {
+					r := newHeldRig(t, one, nil)
+					r.warm(t)
+					args := r.sumArgs(t, 0)
+					var upd interval.Timestamp
+					change := func() {
+						upd = r.commit(t, "UPDATE accounts SET balance = 11 WHERE id = ?", id)
+					}
+					if tm.duringCompose {
+						r.hook = func() {
+							change()
+							if tm.deliverBeforeP {
+								r.deliverAll(t)
+							}
+						}
+					}
+					compose(t, r, args, nil)
+					r.hook = nil
+					if !tm.duringCompose {
+						r.wantStill(t, cacheKey("sum", args), accountTags)
+						change()
+					}
+					r.deliverAll(t)
+					r.wantClosedAt(t, cacheKey("sum", args), upd)
+
+					r.moveOn(t)
+					r.ro(t, 30*time.Second, func(tx *Tx) {
+						if v, err := r.sum(tx, args...); err != nil || v != 31 {
+							t.Fatalf("sum after the change = %d, %v; want 31", v, err)
+						}
+					})
+				})
+			}
+		}
+	})
+
+	t.Run("ConcurrentFlow", func(t *testing.T) {
+		// Writers change single balances; readers take the whole vector
+		// through a composed entry and each balance on its own in the same
+		// transaction. One snapshot means the two always agree; a composed
+		// entry that outlived an inner's invalidation would not.
+		r := newRig(t, 2, nil)
+		const nAcct = 6
+		setupAccounts(t, r, nAcct, 100)
+		get := getBalanceFn(r)
+		all := MakeCacheable(r.client, "allBalances", func(tx *Tx, _ ...sql.Value) ([]int64, error) {
+			out := make([]int64, nAcct)
+			for i := range out {
+				v, err := get(tx, int64(i))
+				if err != nil {
+					return nil, err
+				}
+				out[i] = v
+			}
+			return out, nil
+		})
+
+		stop := make(chan struct{})
+		errs := make(chan error, 16)
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					_, err := r.client.ReadWrite(context.Background(), func(tx *Tx) error {
+						_, err := tx.Exec("UPDATE accounts SET balance = ? WHERE id = ?", int64(rng.Intn(1000)), int64(rng.Intn(nAcct)))
+						return err
+					})
+					if err != nil {
+						errs <- err
+						return
+					}
+					time.Sleep(200 * time.Microsecond)
+				}
+			}(int64(w + 1))
+		}
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed * 31))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					tx, err := r.client.Begin(context.Background(), WithStaleness(time.Duration(rng.Intn(20))*time.Second))
+					if err != nil {
+						errs <- err
+						return
+					}
+					vec, err := all(tx)
+					for i := 0; err == nil && i < nAcct; i++ {
+						var v int64
+						if v, err = get(tx, int64(i)); err == nil && v != vec[i] {
+							err = fmt.Errorf("%v: composed balance[%d] = %d but bal(%d) = %d in the same transaction", tx, i, vec[i], i, v)
+						}
+					}
+					tx.Commit()
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(int64(g + 1))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.clk.Advance(time.Second)
+				time.Sleep(5 * time.Millisecond)
+			}
+		}()
+		time.Sleep(time.Second)
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if st := r.client.Stats(); st.CacheHits.Load() == 0 || st.CachePuts.Load() == 0 {
+			t.Fatal("vacuous run: the cache was never used")
+		}
+	})
+}

@@ -1,5 +1,7 @@
 package core
 
+import "txcache/internal/invalidation"
+
 // StatsSnapshot is a plain-value copy of ClientStats, shaped for JSON
 // reporting endpoints (txcache-serve's /statsz) and log lines. Counters are
 // read individually without a lock; the snapshot is consistent enough for
@@ -28,6 +30,9 @@ type StatsSnapshot struct {
 
 	NodesAdded   uint64 `json:"nodesAdded"`
 	NodesRemoved uint64 `json:"nodesRemoved"`
+
+	// Tags is this process's tag interner (shared by every client in it).
+	Tags invalidation.InternerStats `json:"tags"`
 }
 
 // Snapshot copies the counters into a plain value.
@@ -56,5 +61,7 @@ func (s *ClientStats) Snapshot() StatsSnapshot {
 
 		NodesAdded:   s.NodesAdded.Load(),
 		NodesRemoved: s.NodesRemoved.Load(),
+
+		Tags: invalidation.InternerSnapshot(),
 	}
 }

@@ -73,10 +73,29 @@ type Tx struct {
 type frame struct {
 	validity interval.Interval
 	tags     map[invalidation.TagID]struct{}
+	// through is the newest timestamp every still-valid cache hit the frame
+	// used is known valid through: the smallest horizon among the nodes that
+	// served them (Infinity with no such hit). No invalidation at or below it
+	// matches any tag inherited from a hit, which is what lets put offer the
+	// composed result still-valid (DESIGN.md "Still-valid composition").
+	through interval.Timestamp
 }
 
 func newFrame() *frame {
-	return &frame{validity: interval.All}
+	return &frame{validity: interval.All, through: interval.Infinity}
+}
+
+// absorb merges one observed dependency into the frame: a database result
+// with its true validity interval, or a cache hit with its effective one.
+// A still-valid hit (still set; iv.Hi is the serving node's horizon + 1)
+// bounds the frame only from below — its upper bound is the tags' job.
+func (f *frame) absorb(iv interval.Interval, tags []invalidation.TagID, still bool) {
+	if still {
+		f.through = min(f.through, iv.Hi-1)
+		iv.Hi = interval.Infinity
+	}
+	f.validity = f.validity.Intersect(iv)
+	f.addTags(tags)
 }
 
 // addTags merges interned tags into the frame's dependency set.
@@ -279,7 +298,7 @@ func (tx *Tx) Query(src string, args ...sql.Value) (*db.Result, error) {
 		return nil, err
 	}
 	if !tx.rw {
-		tx.observe(r.Validity, r.Tags)
+		tx.observe(r.Validity, r.Tags, false)
 	}
 	return r, nil
 }
@@ -363,29 +382,26 @@ func (tx *Tx) insertPin(p pincushion.Pin) {
 
 // observe narrows the transaction's pin set to the timestamps consistent
 // with a value it just saw (invariant 1 of §6.2.1), removes ★ once any data
-// has been observed, and intersects the validity interval (and merges the
-// tags) into every open cacheable-function frame (§6.3).
-func (tx *Tx) observe(iv interval.Interval, tags []invalidation.TagID) {
-	if tx.c.noCon {
-		// §8.3 comparator: no consistency maintained; frames still
-		// accumulate validity so entries carry honest intervals.
-		for _, f := range tx.frames {
-			f.validity = f.validity.Intersect(iv)
-			f.addTags(tags)
+// has been observed, and merges the value's validity and tags into every
+// open cacheable-function frame (§6.3). still marks a still-valid cache hit,
+// whose iv is the effective interval [Lo, horizon+1): the pin set narrows by
+// exactly that — the transaction has proof of nothing later — while frames
+// keep the result open-ended under the hit's tags (frame.absorb).
+func (tx *Tx) observe(iv interval.Interval, tags []invalidation.TagID, still bool) {
+	// In the §8.3 no-consistency comparator the pin set is left alone;
+	// frames still accumulate so entries carry honest intervals.
+	if !tx.c.noCon {
+		kept := tx.pinSet[:0]
+		for _, p := range tx.pinSet {
+			if iv.Contains(p.TS) {
+				kept = append(kept, p)
+			}
 		}
-		return
+		tx.pinSet = kept
+		tx.star = false
 	}
-	kept := tx.pinSet[:0]
-	for _, p := range tx.pinSet {
-		if iv.Contains(p.TS) {
-			kept = append(kept, p)
-		}
-	}
-	tx.pinSet = kept
-	tx.star = false
 	for _, f := range tx.frames {
-		f.validity = f.validity.Intersect(iv)
-		f.addTags(tags)
+		f.absorb(iv, tags, still)
 	}
 }
 

@@ -276,7 +276,7 @@ func (x *execCtx) scanTableInto(dst []scanRow, t *Table, conds []localCond) []sc
 				continue
 			}
 			if x.track {
-				x.tags.addKey(t.name, eqIdx.column, v)
+				x.tags.addKey(t, eqIdx.column, v)
 			}
 			x.sc.keyBuf = sql.EncodeKey(x.sc.keyBuf[:0], v)
 			ids := eqIdx.tree.Get(x.sc.keyBuf)

@@ -486,15 +486,33 @@ func (s *tagSet) reset(limit int) {
 // addRow emits one key tag per index of t for the row's indexed values.
 func (s *tagSet) addRow(t *Table, row []sql.Value) {
 	for _, idx := range t.indexes {
-		s.addKey(t.name, idx.column, row[idx.colPos])
+		s.addKey(t, idx.column, row[idx.colPos])
 	}
 }
 
-// addKey interns and adds the tag table:column=value.
-func (s *tagSet) addKey(table, column string, v sql.Value) {
+// addKey adds the tag table:column=value, interning it only if the set will
+// keep it: a bulk change collapses to the table's wildcard after limit key
+// tags (§5.3), and a tag interned just to be thrown away by that collapse
+// would still occupy the process-global table — and a TagID in every
+// per-TagID table downstream — forever.
+func (s *tagSet) addKey(t *Table, column string, v sql.Value) {
+	if _, covered := s.wildcard[t.wildTag]; covered {
+		return
+	}
 	s.vbuf = sql.AppendFormat(s.vbuf[:0], v)
+	if s.perTable[t.wildTag] >= s.limit {
+		// The table is at its limit, so anything but a repeat of a tag the
+		// set already holds collapses it — and a repeat is already interned.
+		// (An unknown tag looks up as the zero ID, which no set holds.)
+		var id invalidation.TagID
+		id, s.kbuf, _ = invalidation.LookupKeyBytes(s.kbuf, t.name, column, s.vbuf)
+		if _, dup := s.ids[id]; !dup {
+			s.add(t.wildTag)
+		}
+		return
+	}
 	var id invalidation.TagID
-	id, s.kbuf = invalidation.InternKeyBytes(s.kbuf, table, column, s.vbuf)
+	id, s.kbuf = invalidation.InternKeyBytes(s.kbuf, t.name, column, s.vbuf)
 	s.add(id)
 }
 

@@ -177,7 +177,13 @@ func TestAllocBudgetCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	commit() // warm scratch, parse cache, slabs, pending arenas
+	// Warm scratch, parse cache, slabs, pending arenas — and the interner:
+	// each of the 97 values of a is a tag some commit interns first (the
+	// bulk load that built the table collapsed to a wildcard and interned
+	// almost none of them).
+	for w := 0; w < 97; w++ {
+		commit()
+	}
 	if avg := testing.AllocsPerRun(200, commit); avg > commitAllocCeiling+raceAllocSlack {
 		t.Fatalf("single-row update commit allocates %.1f objects/op, budget is %d", avg, commitAllocCeiling+raceAllocSlack)
 	}

@@ -224,14 +224,8 @@ func InternParts(scratch []byte, table, key string, wildcard bool) (TagID, []byt
 // call allocates nothing, which is what keeps the executor's per-scan tag
 // accounting off the heap.
 func InternKeyBytes(scratch []byte, table, column string, value []byte) (TagID, []byte) {
-	scratch = scratch[:0]
-	scratch = append(scratch, 'k')
-	scratch = append(scratch, table...)
-	scratch = append(scratch, 0)
-	scratch = append(scratch, column...)
-	scratch = append(scratch, '=')
-	scratch = append(scratch, value...)
-	if id, ok := global.lookup(scratch); ok {
+	id, scratch, ok := LookupKeyBytes(scratch, table, column, value)
+	if ok {
 		return id, scratch
 	}
 	key := make([]byte, 0, len(column)+1+len(value))
@@ -239,6 +233,21 @@ func InternKeyBytes(scratch []byte, table, column string, value []byte) (TagID, 
 	key = append(key, '=')
 	key = append(key, value...)
 	return global.intern(scratch, Tag{Table: table, Key: string(key)}), scratch
+}
+
+// LookupKeyBytes is InternKeyBytes without the interning: ok is false, and
+// the table untouched, when the tag has never been interned. A caller that
+// would discard a brand-new tag uses it to avoid creating one.
+func LookupKeyBytes(scratch []byte, table, column string, value []byte) (id TagID, _ []byte, ok bool) {
+	scratch = scratch[:0]
+	scratch = append(scratch, 'k')
+	scratch = append(scratch, table...)
+	scratch = append(scratch, 0)
+	scratch = append(scratch, column...)
+	scratch = append(scratch, '=')
+	scratch = append(scratch, value...)
+	id, ok = global.lookup(scratch)
+	return id, scratch, ok
 }
 
 // InternWildcard interns the table-granularity tag for table.
@@ -284,6 +293,21 @@ func Affects(mt, vt TagID) bool {
 	}
 	wm, wv := WildOf(mt), WildOf(vt)
 	return wm == wv && (mt == wm || vt == wv)
+}
+
+// InternerStats is the operator's view of the process-global tag table:
+// how full it is, and how many interns it has already answered with a
+// coarser tag because it was full (each one widens what an invalidation
+// hits). The daemons publish it wherever they publish their own counters.
+type InternerStats struct {
+	Interned int    `json:"interned"`
+	Limit    int    `json:"limit"`
+	Degraded uint64 `json:"degraded"`
+}
+
+// InternerSnapshot reads the process-global interner's InternerStats.
+func InternerSnapshot() InternerStats {
+	return InternerStats{Interned: InternedCount(), Limit: InternLimit(), Degraded: DegradedCount()}
 }
 
 // InternedCount returns the number of distinct tags interned so far

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -319,6 +320,75 @@ func TestDrainDeadlineHardCancels(t *testing.T) {
 	}, "hard-cancelled request accounted as Shed=1 Canceled=1")
 }
 
+// TestDrainClosesUnusedConnections opens connections that never send a byte
+// — what a client's connection pool or a load balancer's health probe leaves
+// behind — and drains: http.Server.Shutdown alone would count each as busy
+// for five seconds. One request is in flight meanwhile, so the drain still
+// has something real to wait for and the accounting invariant something to
+// hold over.
+func TestDrainClosesUnusedConnections(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{})
+	f := startFixture(t, nil)
+	f.srv.HandleFunc("GET /held", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+		close(started)
+		<-release
+		_, err := io.WriteString(w, "done")
+		return err
+	})
+	addr := strings.TrimPrefix(f.url, "http://")
+	var idle []net.Conn
+	for i := 0; i < 3; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		idle = append(idle, c)
+	}
+	waitFor(t, time.Second, func() bool {
+		f.srv.freshMu.Lock()
+		defer f.srv.freshMu.Unlock()
+		return len(f.srv.fresh) == len(idle)
+	}, "the server has accepted every unused connection")
+
+	held := make(chan string, 1)
+	go func() {
+		resp, err := http.Get(f.url + "/held")
+		if err != nil {
+			held <- err.Error()
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		held <- string(body)
+	}()
+	<-started
+	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := f.srv.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Drain took %v with only unused connections and a 50 ms request outstanding", took)
+	}
+	if got := <-held; got != "done" {
+		t.Fatalf("in-flight request got %q, want it to finish", got)
+	}
+	for i, c := range idle {
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+			t.Errorf("unused connection %d: read = %v, want closed by the drain", i, err)
+		}
+	}
+	if st := f.srv.Stats().Snapshot(); st.Shed != st.Canceled {
+		t.Fatalf("Shed %d != Canceled %d", st.Shed, st.Canceled)
+	}
+}
+
 // TestBacklogShedding overloads a 1-slot, 2-queue server and checks that
 // every client-observed marked 503 is matched by the Shed and Canceled
 // counters — the cross-layer accounting invariant under real concurrency.
@@ -430,6 +500,7 @@ func TestStatszRanges(t *testing.T) {
 		fmt.Sprintf(`"items":%d`, rubis.TestScale.ActiveItems+rubis.TestScale.OldItems),
 		fmt.Sprintf(`"categories":%d`, rubis.TestScale.Categories),
 		`"wikiPages":5`,
+		`"tags":{"interned":`, // the interner's fill, beside the client counters
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/statsz missing %s:\n%s", want, body)

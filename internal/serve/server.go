@@ -119,6 +119,12 @@ type Server struct {
 	drainOnce sync.Once
 	drainCh   chan struct{} // closed when drain begins; sheds queued waiters
 
+	// fresh holds connections accepted but yet to deliver a request
+	// (http.StateNew). http.Server.Shutdown counts such a connection as busy
+	// for five seconds; Drain closes them instead (closeFresh).
+	freshMu sync.Mutex
+	fresh   map[net.Conn]struct{}
+
 	// hardCtx is cancelled when the drain deadline expires: every request
 	// context has an AfterFunc hanging off it, so one cancel reaches every
 	// in-flight transaction in every layer below.
@@ -146,10 +152,11 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		slots:   make(chan struct{}, cfg.MaxInFlight),
 		drainCh: make(chan struct{}),
+		fresh:   make(map[net.Conn]struct{}),
 	}
 	//lint:allow ctxflow process-lifetime root: hardCtx must outlive any one request and is cancelled only by Drain's force-close
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
-	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
+	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second, ConnState: s.trackFresh}
 	s.routes()
 	return s
 }
@@ -179,6 +186,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
 		close(s.drainCh)
+		s.closeFresh()
 	})
 	err := s.hs.Shutdown(ctx)
 	if err != nil {
@@ -195,6 +203,39 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	return err
+}
+
+// trackFresh is the http.Server.ConnState hook: it keeps s.fresh equal to the
+// set of connections in StateNew. One accepted after the drain began is
+// closed on the spot — draining is set before closeFresh takes freshMu, so
+// every new connection is either in the map when the sweep runs or sees the
+// flag here.
+func (s *Server) trackFresh(c net.Conn, st http.ConnState) {
+	if st == http.StateIdle {
+		return // only reached from StateActive: a keep-alive connection between requests
+	}
+	s.freshMu.Lock()
+	defer s.freshMu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(s.fresh, c)
+	case s.draining.Load():
+		c.Close()
+	default:
+		s.fresh[c] = struct{}{}
+	}
+}
+
+// closeFresh closes every connection that has not sent a request byte: it
+// has nothing to finish, and a request it sends from now on would only be
+// shed.
+func (s *Server) closeFresh() {
+	s.freshMu.Lock()
+	defer s.freshMu.Unlock()
+	for c := range s.fresh {
+		c.Close()
+	}
+	clear(s.fresh)
 }
 
 // HandleFunc mounts an extra handler behind the same admission control as

@@ -77,9 +77,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the wire codec, the cache server's opcode
-# handlers and the WAL record decoder: malformed input must error, never
-# panic. (`go test -fuzz` accepts one target per invocation, hence one run
+# Short fuzz passes over the wire codec, the cache server's and the
+# pincushion's opcode handlers and the WAL record decoder: malformed input
+# must error, never panic. (`go test -fuzz` accepts one target per invocation, hence one run
 # each.)
 fuzz-smoke:
 	$(GO) test ./internal/wire -run xxx -fuzz FuzzReadFrame -fuzztime=10s
@@ -88,17 +88,18 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run xxx -fuzz FuzzWALDecode -fuzztime=10s
 	$(GO) test ./internal/cacheserver -run xxx -fuzz FuzzHandle -fuzztime=10s
 	$(GO) test ./internal/cacheserver -run xxx -fuzz FuzzShardRouting -fuzztime=10s
+	$(GO) test ./internal/pincushion -run xxx -fuzz FuzzPincushionHandle -fuzztime=10s
 
 # Concurrent-engine and cache-wire benchmarks (the CHANGES.md perf
 # trajectory).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallelCommit|BenchmarkReadersDuringCommits' -benchtime=2s .
 	$(GO) test -run xxx -bench BenchmarkCacheLookupTCP -benchtime=2s ./internal/cacheserver
-	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkMakeCacheable|BenchmarkInvalidateApply' -benchtime=2s ./internal/db ./internal/core ./internal/cacheserver
+	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver
 
 # Allocation-budget regression: the hot paths (point select, cacheable hit,
-# invalidation apply, single-row commit, vacuum pass) must stay under their
-# pinned allocs/op ceilings, and a cache node's first sight of a tag under
+# leased Begin+Commit, invalidation apply, single-row commit, vacuum pass)
+# must stay under their pinned allocs/op ceilings, and a cache node's first sight of a tag under
 # its bytes ceiling.
 alloc-regression:
 	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core ./internal/cacheserver

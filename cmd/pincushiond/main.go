@@ -45,5 +45,18 @@ func main() {
 		log.Fatalf("pincushiond: %v", err)
 	}
 	log.Printf("pincushiond: serving on %s (retention %v)", l.Addr(), *retention)
+
+	// Periodic stats line, handy when watching an experiment: a library
+	// holding a pin-set lease asks about twice a second per client, not twice
+	// per transaction, and an expired class that stays populated means the
+	// sweeper runs too rarely.
+	go func() {
+		for range time.Tick(10 * time.Second) {
+			st := pc.Stats()
+			log.Printf("pincushiond: requests=%d pins=%d/%d/%d (active/idle/expired) leaked=%d sweeps=%d",
+				st.Requests, st.InClass(pincushion.PinActive), st.InClass(pincushion.PinIdle),
+				st.InClass(pincushion.PinExpired), st.Leaked, st.Sweeps)
+		}
+	}()
 	log.Fatal(pc.Serve(l))
 }

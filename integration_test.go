@@ -98,7 +98,7 @@ func TestDistributedConsistencyOverTCP(t *testing.T) {
 	if err := cl.engine.DDL(`CREATE TABLE accounts (id BIGINT PRIMARY KEY, balance BIGINT)`); err != nil {
 		t.Fatal(err)
 	}
-	rw, err := cl.client.BeginRW()
+	rw, err := cl.client.Begin(context.Background(), txcache.WithReadWrite())
 	if err != nil {
 		t.Fatal(err)
 	}

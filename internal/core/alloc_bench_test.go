@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -93,7 +95,7 @@ func BenchmarkMakeCacheableHit(b *testing.B) {
 	b.Run("struct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tx := client.BeginRO(time.Minute)
+			tx := beginRO(client, WithStaleness(time.Minute))
 			if _, err := user(tx, int64(i%64)); err != nil {
 				b.Fatal(err)
 			}
@@ -103,7 +105,7 @@ func BenchmarkMakeCacheableHit(b *testing.B) {
 	b.Run("string", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tx := client.BeginRO(time.Minute)
+			tx := beginRO(client, WithStaleness(time.Minute))
 			if _, err := page(tx, int64(i%64)); err != nil {
 				b.Fatal(err)
 			}
@@ -120,7 +122,7 @@ func BenchmarkMakeCacheableMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := client.BeginRO(time.Minute)
+		tx := beginRO(client, WithStaleness(time.Minute))
 		// Vary an extra argument so every key is new to the cache.
 		if _, err := user(tx, int64(i%64), int64(i)); err != nil {
 			b.Fatal(err)
@@ -138,7 +140,7 @@ func TestAllocBudgetMakeCacheableHit(t *testing.T) {
 	client, _, _ := benchSite(t)
 	user, _ := benchFns(client)
 	call := func() {
-		tx := client.BeginRO(time.Minute)
+		tx := beginRO(client, WithStaleness(time.Minute))
 		if _, err := user(tx, int64(5)); err != nil {
 			t.Fatal(err)
 		}
@@ -261,3 +263,81 @@ func TestCodecFingerprintMismatch(t *testing.T) {
 }
 
 func fmtv(v any) string { return fmt.Sprintf("%#v", v) }
+
+// benchPins is how many fresh pins the begin benchmarks keep registered:
+// what a deployment placing one every FreshPinThreshold (5 s) holds inside a
+// 30 s staleness window.
+const benchPins = 8
+
+// beginSite is a client over a pincushion holding benchPins fresh pins,
+// reached in-process or through pincushion.Dial over loopback.
+func beginSite(tb testing.TB, tcp bool) *Client {
+	tb.Helper()
+	pc := pincushion.New(pincushion.Config{})
+	now := time.Now()
+	for i := 0; i < benchPins; i++ {
+		pc.Register(interval.Timestamp(i+1), now)
+	}
+	var svc pincushion.Service = pc
+	if tcp {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { l.Close() })
+		go pc.Serve(l)
+		cl, err := pincushion.Dial(l.Addr().String(), 4)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(cl.Close)
+		svc = cl
+	}
+	return NewClient(Config{DB: EngineDB{Engine: db.New(db.Options{})}, Pincushion: svc})
+}
+
+// beginCommit is one read-only transaction that begins, finds its pins and
+// ends: the pincushion's whole share of a cached page.
+func beginCommit(tb testing.TB, c *Client) {
+	tx, err := c.Begin(context.Background(), WithStaleness(time.Minute))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if tx.PinSetSize() != benchPins {
+		tb.Fatalf("pin set holds %d pins, want %d", tx.PinSetSize(), benchPins)
+	}
+	if _, err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkBeginCommitRO measures Begin + Commit of a read-only transaction
+// (EXPERIMENTS.md "PR 14" has the numbers from before the pin-set lease).
+func BenchmarkBeginCommitRO(b *testing.B) {
+	for _, mode := range []string{"inproc", "tcp"} {
+		b.Run(mode, func(b *testing.B) {
+			c := beginSite(b, mode == "tcp")
+			defer c.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				beginCommit(b, c)
+			}
+		})
+	}
+}
+
+// A leased Begin + Commit allocates the Tx, the WithStaleness closure and
+// the transaction's copy of the leased pins. Before the lease it was 13
+// in-process (the GetPins result grown by append, its reflective sort, the
+// release list) and 25 over TCP.
+const beginLeasedAllocCeiling = 3
+
+func TestAllocBudgetBeginLeased(t *testing.T) {
+	c := beginSite(t, false)
+	defer c.Close()
+	beginCommit(t, c) // fetches the lease
+	if avg := testing.AllocsPerRun(200, func() { beginCommit(t, c) }); avg > beginLeasedAllocCeiling {
+		t.Fatalf("leased Begin+Commit allocates %.1f objects/op, budget is %d", avg, beginLeasedAllocCeiling)
+	}
+}

@@ -104,6 +104,13 @@ type Client struct {
 	nodes map[string]cacheserver.Node
 	subs  map[string]*invalidation.Subscription // subscriptions AddNode created
 
+	// The pin-set lease (lease.go): read-only transactions begin on the
+	// current lease instead of each asking the pincushion.
+	leaseTerm time.Duration
+	leaseMu   sync.Mutex
+	lease     *pinLease     // current lease; nil until a Begin fetches one
+	fetching  chan struct{} // non-nil while a GetPins is in flight; closed when it returns
+
 	stats ClientStats
 }
 
@@ -145,6 +152,16 @@ type ClientStats struct {
 	DBQueries  atomic.Uint64
 	CachePuts  atomic.Uint64
 	PinsPlaced atomic.Uint64
+
+	// LeaseFetches counts GetPins calls that came back with pins and became
+	// a lease; LeasedBegins counts read-only transactions begun on a lease
+	// already held, with no pincushion traffic at all. PinFetchEmpty counts
+	// GetPins calls that returned nothing — no fresh pins yet, or the
+	// pincushion is unreachable, which otherwise looks like a cold cache
+	// (every lookup of such a transaction is a MissNoPins).
+	LeaseFetches  atomic.Uint64
+	LeasedBegins  atomic.Uint64
+	PinFetchEmpty atomic.Uint64
 
 	// EncodeErrors counts cacheable results that could not be serialized
 	// (the result was returned to the caller but never cached);
@@ -212,6 +229,7 @@ func NewClient(cfg Config) *Client {
 		nodes:     make(map[string]cacheserver.Node, len(cfg.Nodes)),
 		subs:      make(map[string]*invalidation.Subscription),
 		fresh:     cfg.FreshPinThreshold,
+		leaseTerm: cfg.FreshPinThreshold / leaseTermDivisor,
 		defStale:  cfg.DefaultStaleness,
 		rwRetries: cfg.RWRetries,
 		noCon:     cfg.NoConsistency,
@@ -307,9 +325,12 @@ func (c *Client) RemoveNode(name string) bool {
 	return true
 }
 
-// Close removes every cache node, draining connections and stream
-// subscriptions the client owns. The database handle is not touched.
+// Close gives the pin-set lease back to the pincushion (at once, or when the
+// last transaction still running on it ends) and removes every cache node,
+// draining connections and stream subscriptions the client owns. The
+// database handle is not touched.
 func (c *Client) Close() {
+	c.endLease(nil)
 	for _, name := range c.NodeNames() {
 		c.RemoveNode(name)
 	}

@@ -126,8 +126,9 @@ func TestCancelAbortsAndReleasesPins(t *testing.T) {
 		t.Fatalf("Aborted = %d, want 1 (Commit on cancelled ctx aborts)", got)
 	}
 
-	// The transaction's uses are released; once retention passes, a sweep
-	// unpins everything on the database.
+	// The transaction's uses are released and Close gives back the lease's;
+	// once retention passes, a sweep unpins everything on the database.
+	r.client.Close()
 	r.clk.Advance(5 * time.Minute)
 	r.pc.Sweep()
 	if n := r.engine.PinnedCount(); n != 0 {
@@ -322,6 +323,7 @@ func TestReadOnlyRunnerReleasesOnPanic(t *testing.T) {
 	if got := r.client.Stats().Aborted.Load(); got != 1 {
 		t.Fatalf("Aborted = %d, want 1 (panic path must abort)", got)
 	}
+	r.client.Close() // the transaction's own uses are back; this returns the lease's
 	r.clk.Advance(5 * time.Minute)
 	r.pc.Sweep()
 	if n := r.engine.PinnedCount(); n != 0 {
@@ -395,14 +397,15 @@ func TestCancelDuringBatchedWireLookup(t *testing.T) {
 		t.Fatal("transport never counted the cancelled request")
 	}
 
-	// No pins survive the abort (after the retention sweep)...
+	// Close gives the lease back and tears the slow node down. No pins
+	// survive it (after the retention sweep)...
+	r.client.Close()
 	r.clk.Advance(5 * time.Minute)
 	r.pc.Sweep()
 	if n := r.engine.PinnedCount(); n != 0 {
 		t.Fatalf("engine still holds %d pins", n)
 	}
 	// ...and no goroutines survive the node teardown.
-	r.client.RemoveNode("slow")
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {

@@ -58,6 +58,16 @@ func newRig(t *testing.T, numNodes int, cfgMod func(*Config)) *rig {
 	return &rig{clk: clk, engine: engine, bus: bus, nodes: nodes, pc: pc, client: NewClient(cfg)}
 }
 
+// beginRO begins a read-only transaction on a context that is never
+// cancelled, which cannot fail.
+func beginRO(c *Client, opts ...TxOption) *Tx {
+	tx, err := c.Begin(context.Background(), opts...)
+	if err != nil {
+		panic(err)
+	}
+	return tx
+}
+
 // settle waits until every cache node has processed the invalidation stream
 // up to the engine's last commit.
 func (r *rig) settle(t *testing.T) {
@@ -76,7 +86,7 @@ func (r *rig) settle(t *testing.T) {
 
 func (r *rig) exec(t *testing.T, src string, args ...sql.Value) interval.Timestamp {
 	t.Helper()
-	tx, err := r.client.BeginRW()
+	tx, err := r.client.Begin(context.Background(), WithReadWrite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func setupAccounts(t *testing.T, r *rig, n int, each int64) {
 	if err := r.engine.DDL(`CREATE TABLE accounts (id BIGINT PRIMARY KEY, balance BIGINT)`); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := r.client.BeginRW()
+	tx, err := r.client.Begin(context.Background(), WithReadWrite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +139,7 @@ func TestMemoization(t *testing.T) {
 	setupAccounts(t, r, 4, 100)
 	get := getBalanceFn(r)
 
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	v, err := get(tx, int64(1))
 	if err != nil || v != 100 {
 		t.Fatalf("get = %d, %v", v, err)
@@ -137,7 +147,7 @@ func TestMemoization(t *testing.T) {
 	tx.Commit()
 
 	q0 := r.client.Stats().DBQueries.Load()
-	tx = r.client.BeginRO(time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute))
 	if v, err = get(tx, int64(1)); err != nil || v != 100 {
 		t.Fatalf("second get = %d, %v", v, err)
 	}
@@ -149,7 +159,7 @@ func TestMemoization(t *testing.T) {
 		t.Fatal("no cache hit recorded")
 	}
 	// Distinct arguments are distinct cache keys.
-	tx = r.client.BeginRO(time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute))
 	if v, _ := get(tx, int64(2)); v != 100 {
 		t.Fatalf("get(2) = %d", v)
 	}
@@ -168,14 +178,14 @@ func TestDeterministicConsistency(t *testing.T) {
 		get := getBalanceFn(r)
 
 		// Warm the cache with A's balance at the initial snapshot.
-		tx := r.client.BeginRO(time.Minute)
+		tx := beginRO(r.client, WithStaleness(time.Minute))
 		if _, err := get(tx, int64(0)); err != nil {
 			t.Fatal(err)
 		}
 		tx.Commit()
 
 		// Transfer 10 from A to B.
-		rw, _ := r.client.BeginRW()
+		rw, _ := r.client.Begin(context.Background(), WithReadWrite())
 		if _, err := rw.Exec("UPDATE accounts SET balance = 40 WHERE id = 0"); err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +200,7 @@ func TestDeterministicConsistency(t *testing.T) {
 		// Warm the cache with B's balance at the new snapshot. Advance the
 		// clock past the fresh-pin threshold so a new snapshot is pinned.
 		r.clk.Advance(10 * time.Second)
-		tx = r.client.BeginRO(time.Minute)
+		tx = beginRO(r.client, WithStaleness(time.Minute))
 		if _, err := get(tx, int64(1)); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +209,7 @@ func TestDeterministicConsistency(t *testing.T) {
 		// Now both versions are cached: A at the old snapshot (validity
 		// closed by the transfer), B at the new one (still valid). A
 		// transaction reading both must see a consistent sum.
-		tx = r.client.BeginRO(time.Minute)
+		tx = beginRO(r.client, WithStaleness(time.Minute))
 		a, err := get(tx, int64(0))
 		if err != nil {
 			t.Fatal(err)
@@ -229,12 +239,12 @@ func TestRWBypassesCache(t *testing.T) {
 	get := getBalanceFn(r)
 
 	// Warm cache.
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	get(tx, int64(0))
 	tx.Commit()
 	l0 := r.nodes[0].Stats().Lookups
 
-	rw, _ := r.client.BeginRW()
+	rw, _ := r.client.Begin(context.Background(), WithReadWrite())
 	v, err := get(rw, int64(0))
 	if err != nil || v != 50 {
 		t.Fatalf("get in RW = %d, %v", v, err)
@@ -246,7 +256,7 @@ func TestRWBypassesCache(t *testing.T) {
 		t.Fatal("read/write transaction must not touch the cache")
 	}
 	// RW sees its own uncommitted writes through cacheable functions.
-	rw, _ = r.client.BeginRW()
+	rw, _ = r.client.Begin(context.Background(), WithReadWrite())
 	rw.Exec("UPDATE accounts SET balance = 77 WHERE id = 0")
 	if v, _ := get(rw, int64(0)); v != 77 {
 		t.Fatalf("RW read own write through cacheable fn: %d", v)
@@ -259,7 +269,7 @@ func TestInvalidationClosesEntry(t *testing.T) {
 	setupAccounts(t, r, 1, 50)
 	get := getBalanceFn(r)
 
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	get(tx, int64(0))
 	tx.Commit()
 
@@ -268,7 +278,7 @@ func TestInvalidationClosesEntry(t *testing.T) {
 
 	// A staleness limit tighter than the pin's age excludes the old
 	// snapshot, so the invalidated entry cannot satisfy this transaction.
-	tx = r.client.BeginRO(5 * time.Second)
+	tx = beginRO(r.client, WithStaleness(5*time.Second))
 	v, err := get(tx, int64(0))
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +294,7 @@ func TestStaleReadWithinLimit(t *testing.T) {
 	setupAccounts(t, r, 1, 50)
 	get := getBalanceFn(r)
 
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	get(tx, int64(0))
 	tx.Commit()
 
@@ -293,7 +303,7 @@ func TestStaleReadWithinLimit(t *testing.T) {
 	// Within the staleness limit the invalidated entry is still usable:
 	// the old pin is fresh, so the transaction serializes in the past.
 	q0 := r.client.Stats().DBQueries.Load()
-	tx = r.client.BeginRO(time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute))
 	v, err := get(tx, int64(0))
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +318,7 @@ func TestStaleReadWithinLimit(t *testing.T) {
 
 	// Once wall time passes, a zero staleness limit excludes the old pin.
 	r.clk.Advance(time.Second)
-	tx = r.client.BeginRO(0)
+	tx = beginRO(r.client, WithStaleness(0))
 	v, _ = get(tx, int64(0))
 	tx.Commit()
 	if v != 99 {
@@ -332,7 +342,7 @@ func TestNestedCacheableCalls(t *testing.T) {
 		return total, nil
 	})
 
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	total, err := sumAll(tx)
 	if err != nil || total != 30 {
 		t.Fatalf("sumAll = %d, %v", total, err)
@@ -342,7 +352,7 @@ func TestNestedCacheableCalls(t *testing.T) {
 	// The outer result and each inner result are cached under separate
 	// keys; a second transaction hits the outer one directly.
 	q0 := r.client.Stats().DBQueries.Load()
-	tx = r.client.BeginRO(time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute))
 	if total, _ = sumAll(tx); total != 30 {
 		t.Fatalf("sumAll second = %d", total)
 	}
@@ -351,7 +361,7 @@ func TestNestedCacheableCalls(t *testing.T) {
 		t.Fatal("outer hit should answer without the database")
 	}
 	// An inner value is reusable on its own.
-	tx = r.client.BeginRO(time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute))
 	if v, _ := get(tx, int64(1)); v != 10 {
 		t.Fatalf("inner reuse = %d", v)
 	}
@@ -364,7 +374,7 @@ func TestNestedCacheableCalls(t *testing.T) {
 	// entry (the outer function inherited the inner tags, §6.3).
 	r.exec(t, "UPDATE accounts SET balance = 20 WHERE id = 1")
 	r.clk.Advance(10 * time.Second)
-	tx = r.client.BeginRO(0) // force freshness
+	tx = beginRO(r.client, WithStaleness(0)) // force freshness
 	if total, err = sumAll(tx); err != nil || total != 40 {
 		t.Fatalf("sumAll after update = %d, %v", total, err)
 	}
@@ -377,11 +387,11 @@ func TestCommitTimestampCausality(t *testing.T) {
 	get := getBalanceFn(r)
 
 	// Warm cache at the old state.
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	get(tx, int64(0))
 	tx.Commit()
 
-	rw, _ := r.client.BeginRW()
+	rw, _ := r.client.Begin(context.Background(), WithReadWrite())
 	rw.Exec("UPDATE accounts SET balance = 99 WHERE id = 0")
 	wts, err := rw.Commit()
 	if err != nil {
@@ -391,7 +401,7 @@ func TestCommitTimestampCausality(t *testing.T) {
 
 	// A plain stale-tolerant transaction may still see 50, but one bounded
 	// by the write's timestamp must see 99.
-	tx = r.client.BeginROSince(wts, time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute), WithMinTimestamp(wts))
 	v, err := get(tx, int64(0))
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +430,7 @@ func TestPinSetInvariants(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			r.clk.Advance(time.Duration(rng.Intn(7)) * time.Second)
 		}
-		tx := r.client.BeginRO(30 * time.Second)
+		tx := beginRO(r.client, WithStaleness(30*time.Second))
 		reads := rng.Intn(5) + 1
 		for i := 0; i < reads; i++ {
 			if _, err := get(tx, int64(rng.Intn(8))); err != nil {
@@ -473,7 +483,7 @@ func TestConcurrentConsistencyStress(t *testing.T) {
 					continue
 				}
 				amt := int64(rng.Intn(20))
-				rw, err := r.client.BeginRW()
+				rw, err := r.client.Begin(context.Background(), WithReadWrite())
 				if err != nil {
 					errs <- err
 					return
@@ -515,7 +525,7 @@ func TestConcurrentConsistencyStress(t *testing.T) {
 					return
 				default:
 				}
-				tx := r.client.BeginRO(time.Duration(rng.Intn(30)) * time.Second)
+				tx := beginRO(r.client, WithStaleness(time.Duration(rng.Intn(30))*time.Second))
 				var sum int64
 				ok := true
 				for id := int64(0); id < nAcct; id++ {
@@ -567,7 +577,7 @@ func TestBaselineNoCacheNodes(t *testing.T) {
 	r := newRig(t, 0, nil)
 	setupAccounts(t, r, 2, 5)
 	get := getBalanceFn(r)
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	v, err := get(tx, int64(0))
 	if err != nil || v != 5 {
 		t.Fatalf("baseline get = %d, %v", v, err)
@@ -587,7 +597,7 @@ func TestErrorsFromCacheableFunctionsAreNotCached(t *testing.T) {
 		return 0, errors.New("boom")
 	})
 	for i := 0; i < 2; i++ {
-		tx := r.client.BeginRO(time.Minute)
+		tx := beginRO(r.client, WithStaleness(time.Minute))
 		if _, err := failing(tx); err == nil {
 			t.Fatal("expected error")
 		}
@@ -601,7 +611,7 @@ func TestErrorsFromCacheableFunctionsAreNotCached(t *testing.T) {
 func TestUsingFinishedTx(t *testing.T) {
 	r := newRig(t, 1, nil)
 	setupAccounts(t, r, 1, 5)
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	tx.Commit()
 	if _, err := tx.Query("SELECT balance FROM accounts WHERE id = 0"); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("want ErrTxDone, got %v", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -20,7 +21,7 @@ func TestAddNodeJoinsLiveCluster(t *testing.T) {
 
 	warm := func() {
 		for i := 0; i < 16; i++ {
-			tx := r.client.BeginRO(time.Minute)
+			tx := beginRO(r.client, WithStaleness(time.Minute))
 			if v, err := get(tx, int64(i)); err != nil || v != 100 {
 				t.Fatalf("get(%d) = %d, %v", i, v, err)
 			}
@@ -67,7 +68,7 @@ func TestRemoveNodeDrains(t *testing.T) {
 
 	check := func() {
 		for i := 0; i < 8; i++ {
-			tx := r.client.BeginRO(time.Minute)
+			tx := beginRO(r.client, WithStaleness(time.Minute))
 			if v, err := get(tx, int64(i)); err != nil || v != 100 {
 				t.Fatalf("get(%d) = %d, %v", i, v, err)
 			}
@@ -115,7 +116,7 @@ func TestMembershipChurnUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			tx, err := r.client.BeginRW()
+			tx, err := r.client.Begin(context.Background(), WithReadWrite())
 			if err != nil {
 				t.Error(err)
 				return
@@ -143,7 +144,7 @@ func TestMembershipChurnUnderLoad(t *testing.T) {
 				default:
 				}
 				id := int64(rng.Intn(8) + 1)
-				tx := r.client.BeginRO(time.Minute)
+				tx := beginRO(r.client, WithStaleness(time.Minute))
 				v, err := get(tx, id)
 				tx.Commit()
 				if err != nil || v != 100 {
@@ -187,7 +188,7 @@ func TestPrefetchBatchesProbes(t *testing.T) {
 	get := getBalanceFn(r)
 
 	for i := 0; i < 4; i++ {
-		tx := r.client.BeginRO(time.Minute)
+		tx := beginRO(r.client, WithStaleness(time.Minute))
 		if _, err := get(tx, int64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func TestPrefetchBatchesProbes(t *testing.T) {
 		keys = append(keys, CacheKey("getBalance", int64(i)))
 	}
 	q0 := r.client.Stats().DBQueries.Load()
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	if found := tx.Prefetch(keys...); found != 4 {
 		t.Fatalf("Prefetch found %d of 4 warm keys", found)
 	}
@@ -222,7 +223,7 @@ func TestPrefetchBatchesProbes(t *testing.T) {
 	}
 
 	// A prefetched miss is consumed as a miss; the call recomputes.
-	tx = r.client.BeginRO(time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute))
 	if found := tx.Prefetch(CacheKey("getBalance", int64(5))); found != 0 {
 		t.Fatalf("cold key reported found=%d", found)
 	}

@@ -16,14 +16,14 @@ func TestNoConsistencyNeverNarrowsPinSet(t *testing.T) {
 	get := getBalanceFn(r)
 
 	// Warm two entries at different snapshots.
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	if _, err := get(tx, int64(0)); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
 	r.exec(t, "UPDATE accounts SET balance = 11 WHERE id = 1")
 	r.clk.Advance(10 * time.Second)
-	tx = r.client.BeginRO(time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute))
 	if _, err := get(tx, int64(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestNoConsistencyNeverNarrowsPinSet(t *testing.T) {
 
 	// A no-consistency transaction reads both cached values and keeps its
 	// full pin set: nothing constrains it.
-	tx = r.client.BeginRO(time.Minute)
+	tx = beginRO(r.client, WithStaleness(time.Minute))
 	sizeBefore := tx.PinSetSize()
 	if _, err := get(tx, int64(0)); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestMissNoPinsAccounting(t *testing.T) {
 
 	// First-ever transaction: the pincushion is empty, so the cacheable
 	// call cannot even consult the cache (no bounds to send).
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	if _, err := get(tx, int64(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestBeginROSinceFutureTimestamp(t *testing.T) {
 	// A minTS newer than every pin empties the candidate set; ★ remains
 	// and the first query pins a fresh snapshot satisfying the floor.
 	minTS := r.engine.LastCommit() // == newest possible
-	tx := r.client.BeginROSince(minTS, time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute), WithMinTimestamp(minTS))
 	v, err := get(tx, int64(0))
 	if err != nil || v != 5 {
 		t.Fatalf("get = %d, %v", v, err)
@@ -93,7 +93,7 @@ func TestCommitWithoutObservationsReturnsZero(t *testing.T) {
 	// Fresh client state: drop all pins by sweeping with a huge clock jump.
 	r.clk.Advance(time.Hour)
 	r.pc.Sweep()
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	ts, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestCachedFunctionWithMultipleArgs(t *testing.T) {
 		}
 		return sum, nil
 	})
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	a, err := pair(tx, int64(0), int64(1))
 	if err != nil || a != 14 {
 		t.Fatalf("pair(0,1) = %d, %v", a, err)
@@ -137,7 +137,7 @@ func TestCachedFunctionWithMultipleArgs(t *testing.T) {
 func TestStringTxDebugRendering(t *testing.T) {
 	r := newRig(t, 1, nil)
 	setupAccounts(t, r, 1, 5)
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	if s := tx.String(); s == "" {
 		t.Fatal("empty debug rendering")
 	}

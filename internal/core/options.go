@@ -32,7 +32,7 @@ func WithStaleness(d time.Duration) TxOption {
 // WithMinTimestamp additionally guarantees the snapshot is no older than
 // ts. Applications thread the timestamp returned by a Commit into the next
 // transaction so a user session never observes time moving backwards
-// (paper §2.2's session causality; the old BeginROSince).
+// (paper §2.2's session causality).
 func WithMinTimestamp(ts interval.Timestamp) TxOption {
 	return func(o *txOptions) { o.minTS, o.hasMinTS = ts, true }
 }

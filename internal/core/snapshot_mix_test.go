@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func TestNoSnapshotMixAfterSelection(t *testing.T) {
 
 	// Commit a transfer at ts2 > ts1: account 1 -> 90, account 2 -> 110.
 	// Account 0 is untouched.
-	rw, err := r.client.BeginRW()
+	rw, err := r.client.Begin(context.Background(), WithReadWrite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestNoSnapshotMixAfterSelection(t *testing.T) {
 	// contains pin ts1, so the pre-fix library accepted it, evicting ts2
 	// (the database snapshot!) from the pin set. get(2) misses and reads
 	// the database at ts2 — and the transaction has summed two snapshots.
-	tx := r.client.BeginRO(time.Minute)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
 	v0, err := get(tx, int64(0))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +97,7 @@ func TestNoSnapshotMixAfterSelection(t *testing.T) {
 	// The stale version must still be servable by a transaction that never
 	// touches the database and holds only the ts1 pin — the rejection above
 	// is about snapshot mixing, not staleness.
-	tx2 := r.client.BeginRO(time.Minute)
+	tx2 := beginRO(r.client, WithStaleness(time.Minute))
 	kept := tx2.pinSet[:0]
 	for _, p := range tx2.pinSet {
 		if p.TS == ts1 {

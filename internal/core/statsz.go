@@ -25,6 +25,10 @@ type StatsSnapshot struct {
 	CachePuts  uint64 `json:"cachePuts"`
 	PinsPlaced uint64 `json:"pinsPlaced"`
 
+	LeaseFetches  uint64 `json:"leaseFetches"`
+	LeasedBegins  uint64 `json:"leasedBegins"`
+	PinFetchEmpty uint64 `json:"pinFetchEmpty"`
+
 	Prefetches   uint64 `json:"prefetches"`
 	PrefetchHits uint64 `json:"prefetchHits"`
 
@@ -55,6 +59,10 @@ func (s *ClientStats) Snapshot() StatsSnapshot {
 		DBQueries:  s.DBQueries.Load(),
 		CachePuts:  s.CachePuts.Load(),
 		PinsPlaced: s.PinsPlaced.Load(),
+
+		LeaseFetches:  s.LeaseFetches.Load(),
+		LeasedBegins:  s.LeasedBegins.Load(),
+		PinFetchEmpty: s.PinFetchEmpty.Load(),
 
 		Prefetches:   s.Prefetches.Load(),
 		PrefetchHits: s.PrefetchHits.Load(),

@@ -53,8 +53,11 @@ type Tx struct {
 	star   bool             // ★: "can still run in the present"
 	origLo interval.Timestamp
 
-	toRelease []interval.Timestamp // pins to release at the pincushion
-	ownPin    interval.Timestamp   // ★ pin placed with no pincushion to track it; 0 is never a snapshot
+	lease *pinLease // holds the pin set's snapshots in use at the pincushion; nil when it offered none
+	// starPin is the ★ snapshot this transaction pinned, held to its end: a
+	// use registered at the pincushion, or with no pincushion the database
+	// pin itself. 0 is never a snapshot.
+	starPin interval.Timestamp
 
 	dbtx   DBTx
 	dbSnap interval.Timestamp // snapshot the DB transaction runs at
@@ -114,8 +117,12 @@ func (f *frame) addTags(tags []invalidation.TagID) {
 // Begin starts a transaction bound to ctx. Without options it is a
 // read-only transaction at the client's default staleness limit, reading
 // through the cache; WithStaleness, WithMinTimestamp, WithReadWrite, and
-// WithoutCache adjust that. Begin is the single entry point the three
-// deprecated variants (BeginRO, BeginROSince, BeginRW) now wrap.
+// WithoutCache adjust that.
+//
+// A read-only transaction takes its pin set from the client's pin-set lease
+// (lease.go) — the pinned snapshots no older than its staleness bound by the
+// client clock — so beginning and ending it costs the pincushion nothing
+// while the lease is current.
 //
 // The context governs the whole transaction: every Query, Exec, Prefetch,
 // and cacheable call observes its cancellation, and a deadline bounds the
@@ -143,19 +150,18 @@ func (c *Client) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 	c.stats.ROBegun.Add(1)
 	tx := &Tx{c: c, ctx: ctx, noCache: o.noCache, staleness: o.staleness, star: true}
 	if c.pc != nil {
-		tx.pinSet = c.pc.GetPins(ctx, o.staleness)
-		for _, p := range tx.pinSet {
-			tx.toRelease = append(tx.toRelease, p.TS)
-		}
-	}
-	if o.hasMinTS {
-		kept := tx.pinSet[:0]
-		for _, p := range tx.pinSet {
-			if p.TS >= o.minTS {
-				kept = append(kept, p)
+		var now time.Time
+		if tx.lease, now = c.acquireLease(ctx, o.staleness); tx.lease != nil {
+			// The lease may be up to one term old and fetched with a larger
+			// bound, so the staleness limit is applied here, per transaction.
+			oldest := now.Add(-o.staleness)
+			tx.pinSet = make([]pincushion.Pin, 0, len(tx.lease.pins))
+			for _, p := range tx.lease.pins {
+				if !p.Wall.Before(oldest) && (!o.hasMinTS || p.TS >= o.minTS) {
+					tx.pinSet = append(tx.pinSet, p)
+				}
 			}
 		}
-		tx.pinSet = kept
 	}
 	switch {
 	case len(tx.pinSet) > 0:
@@ -166,34 +172,6 @@ func (c *Client) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 		tx.origLo = interval.Infinity // no fresh pins: nothing in cache is acceptable
 	}
 	return tx, nil
-}
-
-// BeginRO starts a read-only transaction that sees a consistent snapshot at
-// most staleness old.
-//
-// Deprecated: use Begin(ctx, WithStaleness(staleness)).
-func (c *Client) BeginRO(staleness time.Duration) *Tx {
-	//lint:allow ctxflow deprecated pre-context wrapper kept for compatibility; Begin(ctx, ...) is the real API
-	tx, _ := c.Begin(context.Background(), WithStaleness(staleness)) // cannot fail: Background is never cancelled
-	return tx
-}
-
-// BeginROSince starts a read-only transaction like BeginRO but additionally
-// guarantees the snapshot is no older than minTS.
-//
-// Deprecated: use Begin(ctx, WithStaleness(staleness), WithMinTimestamp(minTS)).
-func (c *Client) BeginROSince(minTS interval.Timestamp, staleness time.Duration) *Tx {
-	//lint:allow ctxflow deprecated pre-context wrapper kept for compatibility; Begin(ctx, ...) is the real API
-	tx, _ := c.Begin(context.Background(), WithStaleness(staleness), WithMinTimestamp(minTS))
-	return tx
-}
-
-// BeginRW starts a read/write transaction on the latest database state.
-//
-// Deprecated: use Begin(ctx, WithReadWrite()).
-func (c *Client) BeginRW() (*Tx, error) {
-	//lint:allow ctxflow deprecated pre-context wrapper kept for compatibility; Begin(ctx, ...) is the real API
-	return c.Begin(context.Background(), WithReadWrite())
 }
 
 // Context returns the context the transaction was begun with.
@@ -271,11 +249,16 @@ func (tx *Tx) Abort() {
 }
 
 func (tx *Tx) releasePins() {
-	if tx.c.pc != nil && len(tx.toRelease) > 0 {
-		tx.c.pc.Release(tx.toRelease)
+	if tx.lease != nil {
+		tx.c.dropLease(tx.lease)
 	}
-	if tx.ownPin != 0 {
-		tx.c.db.Unpin(tx.ownPin)
+	if tx.starPin == 0 {
+		return
+	}
+	if tx.c.pc != nil {
+		tx.c.pc.Release([]interval.Timestamp{tx.starPin})
+	} else {
+		tx.c.db.Unpin(tx.starPin)
 	}
 }
 
@@ -338,14 +321,17 @@ func (tx *Tx) ensureDBTx() error {
 	if useStar {
 		ts, wall := tx.c.db.PinLatest()
 		tx.c.stats.PinsPlaced.Add(1)
+		// The transaction holds the pin to its end — with no pincushion to
+		// track it, the database pin itself: a remote Begin reaches the
+		// database only with the first query, and the snapshot must still be
+		// pinned when it does.
+		tx.starPin = ts
 		if tx.c.pc != nil {
 			tx.c.pc.Register(ts, wall)
-			tx.toRelease = append(tx.toRelease, ts)
-		} else {
-			// Nothing tracks it, so the transaction holds it to its end: a
-			// remote Begin reaches the database only with the first query,
-			// and the snapshot must still be pinned when it does.
-			tx.ownPin = ts
+			// The current lease cannot contain this pin. Left in place, every
+			// transaction in the rest of its term would also find its newest
+			// pin too old and place one of its own.
+			tx.c.endLease(nil)
 		}
 		tx.insertPin(pincushion.Pin{TS: ts, Wall: wall})
 		tx.star = false // reified

@@ -1,0 +1,86 @@
+package pincushion
+
+import (
+	"testing"
+	"time"
+
+	"txcache/internal/clock"
+	"txcache/internal/interval"
+	"txcache/internal/wire"
+)
+
+// FuzzPincushionHandle feeds arbitrary request frames to the daemon's
+// dispatcher: it must never panic, must believe no length prefix beyond the
+// bytes that actually arrived (the opRelease guard; opPins is its mirror in
+// the client), must answer only the opcode that has a reply, and must leave
+// the registry's use-counts sane.
+func FuzzPincushionHandle(f *testing.F) {
+	now := time.Unix(0, int64(time.Hour))
+	f.Add(wire.NewBuffer(opGetPins).I64(int64(30 * time.Second)).Bytes())
+	f.Add(wire.NewBuffer(opGetPins).Bytes()) // truncated
+	f.Add(wire.NewBuffer(opRegister).U64(9).I64(now.UnixNano()).Bytes())
+	f.Add(wire.NewBuffer(opRegister).U64(9).Bytes()) // truncated
+	f.Add(wire.NewBuffer(opRelease).U32(2).U64(3).U64(4).Bytes())
+	f.Add(wire.NewBuffer(opRelease).U32(0xFFFFFFFF).U64(3).Bytes()) // claims 4Gi timestamps, carries one
+	f.Add(wire.NewBuffer(opRelease).Bytes())
+	f.Add(wire.NewBuffer(opErr).Str("not a request").Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 1, 2, 3})
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		clk := &clock.Virtual{}
+		p := New(Config{Clock: clk})
+		p.Register(3, clk.Now())
+		p.Register(4, clk.Now())
+
+		reply := p.handle(frame)
+
+		var op byte
+		if len(frame) > 0 {
+			op = frame[0]
+		}
+		switch {
+		case op == opRegister || op == opRelease:
+			if reply != nil {
+				t.Fatalf("one-way opcode %d was answered: %x", op, reply.Bytes())
+			}
+		case reply == nil:
+			t.Fatalf("opcode %d got no reply", op)
+		default:
+			d := wire.NewDecoder(reply.Bytes())
+			switch got := d.Op(); {
+			case got == opErr:
+				if d.Str(); d.Err() != nil {
+					t.Fatalf("malformed error reply: %x", reply.Bytes())
+				}
+			case got == opPins && op == opGetPins:
+				n := d.U32()
+				if int(n) != d.Len()/16 || d.Len()%16 != 0 {
+					t.Fatalf("pins reply claims %d pins in %d bytes", n, d.Len())
+				}
+				for i := uint32(0); i < n; i++ {
+					if ts := interval.Timestamp(d.U64()); ts != 3 && ts != 4 {
+						t.Fatalf("pins reply names snapshot %d, which nobody registered", ts)
+					}
+					d.I64()
+				}
+			default:
+				t.Fatalf("opcode %d answered with opcode %d", op, got)
+			}
+		}
+
+		// Each seeded pin has one use; one frame moves a pin's count by at
+		// most one use per timestamp it names, never below zero, and only a
+		// well-formed Register adds a pin.
+		if st := p.Stats(); st.Pins < 2 || st.Pins > 3 {
+			t.Fatalf("%d pins tracked after one frame", st.Pins)
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for ts, ps := range p.pins {
+			if ps.active < 0 || ps.placed < 1 {
+				t.Fatalf("pin %d: %d uses, %d placements", ts, ps.active, ps.placed)
+			}
+		}
+	})
+}

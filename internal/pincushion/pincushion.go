@@ -7,8 +7,9 @@
 package pincushion
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,7 +109,7 @@ func (p *Pincushion) GetPins(ctx context.Context, staleness time.Duration) []Pin
 			out = append(out, Pin{TS: ts, Wall: st.wall})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TS < out[j].TS })
+	slices.SortFunc(out, func(a, b Pin) int { return cmp.Compare(a.TS, b.TS) })
 	return out
 }
 
@@ -298,6 +299,15 @@ type Stats struct {
 	// edge; the last column is the overflow. Observability only: Stats
 	// takes the same snapshot lock as GetPins but mutates nothing.
 	Horizon [numPinClasses][len(horizonBuckets) + 1]int
+}
+
+// InClass returns how many tracked pins are in class c, whatever their age.
+func (s Stats) InClass(c PinClass) int {
+	n := 0
+	for _, b := range s.Horizon[c] {
+		n += b
+	}
+	return n
 }
 
 // Stats returns a snapshot of counters and the per-class horizon histogram.

@@ -229,6 +229,9 @@ func TestStatsHorizonHistogram(t *testing.T) {
 	if st.Horizon != want.Horizon {
 		t.Fatalf("Horizon = %v, want %v", st.Horizon, want.Horizon)
 	}
+	if a, i, e := st.InClass(PinActive), st.InClass(PinIdle), st.InClass(PinExpired); a != 1 || i != 2 || e != 1 {
+		t.Fatalf("InClass active/idle/expired = %d/%d/%d, want 1/2/1", a, i, e)
+	}
 
 	// Stats observes, never mutates: a sweep after polling behaves exactly
 	// as if Stats had not been called (expired pin unpinned, active kept).
@@ -352,11 +355,7 @@ func TestStatsClassifiesByTrimThreshold(t *testing.T) {
 	clk.Advance(15 * time.Second)
 
 	st := p.Stats()
-	total := 0
-	for _, n := range st.Horizon[PinExpired] {
-		total += n
-	}
-	if total != 1 {
+	if total := st.InClass(PinExpired); total != 1 {
 		t.Fatalf("expired class = %d pins, want 1 (histogram %+v)", total, st.Horizon)
 	}
 }

@@ -105,9 +105,19 @@ func TestLoadCounts(t *testing.T) {
 	}
 }
 
+// beginRO begins a read-only transaction on a context that is never
+// cancelled, which cannot fail.
+func beginRO(c *core.Client, opts ...core.TxOption) *core.Tx {
+	tx, err := c.Begin(context.Background(), opts...)
+	if err != nil {
+		panic(err)
+	}
+	return tx
+}
+
 func TestPagesRender(t *testing.T) {
 	app, _, _ := testSite(t, true)
-	tx := app.C.BeginRO(time.Minute)
+	tx := beginRO(app.C, core.WithStaleness(time.Minute))
 	defer tx.Abort()
 
 	home, err := app.Home(tx)
@@ -141,7 +151,7 @@ func TestPagesRender(t *testing.T) {
 
 func TestAuth(t *testing.T) {
 	app, _, _ := testSite(t, true)
-	tx := app.C.BeginRO(time.Minute)
+	tx := beginRO(app.C, core.WithStaleness(time.Minute))
 	defer tx.Abort()
 	page, err := app.PutBidAuth(tx, "user5", "password5", 0)
 	if err != nil || strings.Contains(page, "failed") {
@@ -158,7 +168,7 @@ func TestStoreBidUpdatesItemAndInvalidates(t *testing.T) {
 	app, engine, clk := testSite(t, true)
 
 	// Warm the item page into the cache.
-	tx := app.C.BeginRO(time.Minute)
+	tx := beginRO(app.C, core.WithStaleness(time.Minute))
 	before, err := app.ViewItem(tx, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +182,7 @@ func TestStoreBidUpdatesItemAndInvalidates(t *testing.T) {
 	clk.Advance(10 * time.Second)
 
 	// A freshness-bounded transaction must see the new maximum bid.
-	tx = app.C.BeginRO(time.Second)
+	tx = beginRO(app.C, core.WithStaleness(time.Second))
 	after, err := app.ViewItem(tx, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +225,7 @@ func TestRegisterUserThenLogin(t *testing.T) {
 	}
 	settle(app, engine)
 	clk.Advance(10 * time.Second)
-	tx := app.C.BeginRO(time.Second)
+	tx := beginRO(app.C, core.WithStaleness(time.Second))
 	page, err := app.PutBidAuth(tx, "brandnew", "s3cret", 0)
 	tx.Commit()
 	if err != nil || strings.Contains(page, "failed") {

@@ -2,10 +2,7 @@
 
 package wal
 
-import (
-	"os"
-	"syscall"
-)
+import "syscall"
 
 // odsyncFlag is O_DSYNC for opening segments in SyncODsync mode.
 const odsyncFlag = syscall.O_DSYNC
@@ -15,6 +12,6 @@ const odsyncReal = true
 
 // fdatasync flushes f's data (and its size) without forcing a metadata
 // (timestamp) update, which is all log durability needs.
-func fdatasync(f *os.File) error {
+func fdatasync(f segmentFile) error {
 	return syscall.Fdatasync(int(f.Fd()))
 }

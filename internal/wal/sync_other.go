@@ -2,8 +2,6 @@
 
 package wal
 
-import "os"
-
 // Portable fallbacks: O_DSYNC and fdatasync degrade to full fsync where
 // the platform-specific fast paths are unavailable.
 const odsyncFlag = 0
@@ -12,6 +10,6 @@ const odsyncFlag = 0
 // append (see Writer.syncLocked).
 const odsyncReal = false
 
-func fdatasync(f *os.File) error {
+func fdatasync(f segmentFile) error {
 	return f.Sync()
 }

@@ -157,17 +157,30 @@ type Writer struct {
 	mode SyncMode
 
 	mu     sync.Mutex
-	f      *os.File
+	f      segmentFile
 	seq    uint64 // current (unsealed) segment
 	sealed []sealedSeg
 	lastTS uint64 // largest timestamp appended to the current segment
-	hdr    [headerSize]byte
+	frame  []byte // header + payload of the record being appended, reused
 
 	statRecords uint64
 	statBytes   uint64
 	statSyncs   uint64
 	statRotates uint64
 }
+
+// segmentFile is what the writer needs of its open segment: *os.File, or a
+// test's wrapper around one.
+type segmentFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+	Fd() uintptr
+}
+
+// frameKeep bounds the frame buffer a writer holds on to between appends;
+// one oversized record must not pin its size for the life of the log.
+const frameKeep = 1 << 20
 
 // OpenWriter opens dir for appending. It never appends to an existing
 // segment: recovery may have truncated a torn tail, and reusing a file a
@@ -236,12 +249,17 @@ func (w *Writer) Append(payload []byte, ts uint64) error {
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
-	binary.LittleEndian.PutUint32(w.hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.hdr[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := w.f.Write(w.hdr[:]); err != nil {
-		return err
+	// Header and payload go out in one write: one syscall before the sync,
+	// and under a real O_DSYNC one synchronous write instead of two.
+	frame := binary.LittleEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	frame = append(frame, payload...)
+	if cap(frame) <= frameKeep {
+		w.frame = frame
+	} else {
+		w.frame = nil
 	}
-	if _, err := w.f.Write(payload); err != nil {
+	if _, err := w.f.Write(frame); err != nil {
 		return err
 	}
 	if ts > w.lastTS {

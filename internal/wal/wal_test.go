@@ -365,3 +365,58 @@ func FuzzWALDecode(f *testing.F) {
 		}
 	})
 }
+
+// countingFile counts the writes a segment receives.
+type countingFile struct {
+	*os.File
+	writes int
+}
+
+func (c *countingFile) Write(p []byte) (int, error) {
+	c.writes++
+	return c.File.Write(p)
+}
+
+// TestOneWritePerRecord: Append hands header and payload to the file in one
+// write — one syscall ahead of the sync, and under O_DSYNC one synchronous
+// write, not two — from a buffer it reuses, whatever the sizes of the
+// records before it, and the records read back intact.
+func TestOneWritePerRecord(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWriter(dir, SyncFdatasync, nil)
+	if err != nil {
+		t.Fatalf("OpenWriter: %v", err)
+	}
+	cf := &countingFile{File: w.f.(*os.File)}
+	w.f = cf
+	var want [][]byte
+	for i, n := range []int{0, 1, 7, 4096, frameKeep + 1, 300, 0, 65536, 12} {
+		p := bytes.Repeat([]byte{byte('a' + i)}, n)
+		want = append(want, p)
+		if err := w.Append(p, uint64(i+1)); err != nil {
+			t.Fatalf("Append of %d bytes: %v", n, err)
+		}
+		if cf.writes != i+1 {
+			t.Fatalf("record %d (%d bytes) took %d writes, want 1", i, n, cf.writes-i)
+		}
+		if cap(w.frame) > frameKeep {
+			t.Fatalf("writer kept a %d-byte buffer after a %d-byte record", cap(w.frame), n)
+		}
+	}
+	if st := w.Stats(); st.Records != uint64(len(want)) || st.Syncs != uint64(len(want)) {
+		t.Fatalf("stats %+v, want %d records and as many syncs", st, len(want))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	got, r := readAll(t, dir)
+	defer r.Close()
+	if _, _, torn := r.Torn(); torn || r.Err() != nil || len(got) != len(want) {
+		t.Fatalf("read back %d of %d records (torn=%v, err=%v)", len(got), len(want), torn, r.Err())
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d mismatch", i)
+		}
+	}
+}

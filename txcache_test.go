@@ -81,51 +81,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDeprecatedBeginWrappers is the compatibility suite for the old
-// BeginRO/BeginROSince/BeginRW entry points: they must keep working as
-// thin wrappers over Begin(ctx, opts...) with identical semantics.
-func TestDeprecatedBeginWrappers(t *testing.T) {
-	engine := txcache.NewEngine(txcache.EngineOptions{})
-	pc := txcache.NewPincushion(txcache.PincushionConfig{DB: engine})
-	client := txcache.NewClient(txcache.Config{
-		DB:         txcache.WrapEngine(engine),
-		Pincushion: pc,
-	})
-	if err := engine.DDL(`CREATE TABLE t (id BIGINT PRIMARY KEY, v TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-
-	rw, err := client.BeginRW()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rw.Exec("INSERT INTO t (id, v) VALUES (1, 'hello')"); err != nil {
-		t.Fatal(err)
-	}
-	wts, err := rw.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tx := client.BeginRO(30 * time.Second)
-	r, err := tx.Query("SELECT v FROM t WHERE id = 1")
-	if err != nil || len(r.Rows) != 1 {
-		t.Fatalf("BeginRO query: %v %v", r, err)
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	tx = client.BeginROSince(wts, 30*time.Second)
-	r, err = tx.Query("SELECT v FROM t WHERE id = 1")
-	if err != nil || len(r.Rows) != 1 || r.Rows[0][0].(string) != "hello" {
-		t.Fatalf("BeginROSince query: %v %v", r, err)
-	}
-	if ts, err := tx.Commit(); err != nil || ts < wts {
-		t.Fatalf("BeginROSince commit ts = %v (%v), want >= %v", ts, err, wts)
-	}
-}
-
 func waitForHorizon(t *testing.T, node *txcache.CacheServer, engine *txcache.Engine) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

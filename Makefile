@@ -25,8 +25,16 @@ benchmark-test:
 # threading, deterministic time, bounded dials/writes, atomic-field
 # discipline, pool hygiene. Suppressions are //lint:allow <analyzer>
 # <reason>; an undocumented or unused suppression is itself a finding.
+# Then the one-transport guard: dialing, accepting, reading frames off a
+# connection and setting its deadlines happen in internal/rpc and nowhere
+# else in non-test code, so a fourth transport cannot grow back beside it.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
+	@out="$$(grep -rnE '\bnet\.Dial(Timeout)?\(|\.Set(Read|Write)?Deadline\(|wire\.NewFrameReader\(|\.Accept\(\)' \
+		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=rpc \
+		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
+		echo "connection handling outside internal/rpc; go through rpc.Dial, Call, Send and Serve:"; \
+		echo "$$out"; exit 1; fi
 
 # Kill-9 crash-recovery property test: build the real txcache-dbd, drive
 # writers over the wire, SIGKILL it repeatedly, and check on every reboot
@@ -77,9 +85,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the wire codec, the cache server's and the
-# pincushion's opcode handlers and the WAL record decoder: malformed input
-# must error, never panic. (`go test -fuzz` accepts one target per invocation, hence one run
+# Short fuzz passes over the wire codec, the opcode handlers of all three
+# wire services and the WAL record decoder: malformed input must error,
+# never panic. (`go test -fuzz` accepts one target per invocation, hence one run
 # each.)
 fuzz-smoke:
 	$(GO) test ./internal/wire -run xxx -fuzz FuzzReadFrame -fuzztime=10s
@@ -89,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cacheserver -run xxx -fuzz FuzzHandle -fuzztime=10s
 	$(GO) test ./internal/cacheserver -run xxx -fuzz FuzzShardRouting -fuzztime=10s
 	$(GO) test ./internal/pincushion -run xxx -fuzz FuzzPincushionHandle -fuzztime=10s
+	$(GO) test ./internal/db/dbnet -run xxx -fuzz FuzzDBNetHandle -fuzztime=10s
 
 # Concurrent-engine and cache-wire benchmarks (the CHANGES.md perf
 # trajectory).

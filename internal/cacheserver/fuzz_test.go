@@ -6,6 +6,7 @@ import (
 
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
+	"txcache/internal/rpc"
 	"txcache/internal/wire"
 )
 
@@ -37,10 +38,11 @@ func fuzzSeedFrames() [][]byte {
 	}
 }
 
-// FuzzHandle drives the server's frame handler — every opcode arm — with
-// arbitrary payloads. Malformed or truncated frames must produce an error
-// frame (or be dropped, for fire-and-forget IDs), never a panic, and every
-// response must be addressed to the request's ID.
+// FuzzHandle drives the server's frame handler — every opcode arm, behind
+// the transport's dispatch — with arbitrary payloads. Malformed or truncated
+// frames must produce an error frame (or be dropped, for fire-and-forget
+// IDs), never a panic, and every response must be addressed to the
+// request's ID.
 func FuzzHandle(f *testing.F) {
 	for _, frame := range fuzzSeedFrames() {
 		f.Add(frame)
@@ -48,7 +50,7 @@ func FuzzHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		s := New(Config{HistoryLen: 8})
 		s.Put("seeded", []byte("v"), interval.Interval{Lo: 2, Hi: 5}, false, 0, nil)
-		reply := s.handle(frame)
+		reply := rpc.Dispatch(s.handle, frame)
 		if reply == nil {
 			return
 		}
@@ -60,7 +62,7 @@ func FuzzHandle(f *testing.F) {
 			t.Fatalf("response frame shorter than its own header: %x", resp)
 		}
 		switch op {
-		case opLookupResp, opLookupBatchResp, opAck, opStatsResp, opErr:
+		case opLookupResp, opLookupBatchResp, opStatsResp, rpc.OpAck, rpc.OpErr:
 		default:
 			t.Fatalf("unknown response opcode %d", op)
 		}

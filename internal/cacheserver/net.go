@@ -2,10 +2,8 @@ package cacheserver
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,6 +11,7 @@ import (
 
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
+	"txcache/internal/rpc"
 	"txcache/internal/wire"
 )
 
@@ -44,22 +43,17 @@ type BatchLookup struct {
 	Lo, Hi, OrigLo, OrigHi interval.Timestamp
 }
 
-// Protocol opcodes. Every frame payload is [op:1][reqID:4 LE][body]. A
-// request carrying a nonzero reqID receives exactly one response frame
-// tagged with the same reqID; reqID 0 marks fire-and-forget frames (async
-// puts, invalidation pushes) that are never answered. Responses may be
-// interleaved arbitrarily with other requests' responses, which is what
-// lets a client pipeline many requests over one connection.
+// Protocol opcodes; the frame header, the request IDs that let a client
+// pipeline many requests over one connection, and the ack and error replies
+// are internal/rpc's. A frame sent one-way (async puts, unacked invalidation
+// pushes) is applied and never answered.
 const (
 	opLookup          byte = 1
 	opLookupResp      byte = 2
 	opPut             byte = 3
-	opAck             byte = 4
 	opStats           byte = 5
 	opStatsResp       byte = 6
 	opInval           byte = 7
-	opResetStats      byte = 8
-	opErr             byte = 9
 	opLookupBatch     byte = 10
 	opLookupBatchResp byte = 11
 	opWarmBoot        byte = 12
@@ -72,70 +66,18 @@ const (
 const MaxBatchLookup = 4096
 
 // Serve accepts request connections on l until l is closed. A connection
-// carrying invalidation messages (opInval) is the stream from the database;
-// any connection may mix request types.
+// carrying invalidation messages (opInval) is the stream from the database,
+// applied in send order; any connection may mix request types.
 func (s *Server) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go s.serveConn(conn)
-	}
+	return rpc.Serve(l, func() (rpc.Handler, func()) { return s.handle, nil })
 }
 
-// serveConn processes frames in arrival order. Handling is deliberately
-// serial per connection: invalidation-stream messages must be applied in
-// send order, and request handlers only ever take the server mutex briefly,
-// so per-frame goroutines would buy reordering hazards without concurrency.
-// Pipelining still eliminates round-trip stalls — the client does not wait
-// for a response before sending the next request — and concurrency comes
-// from serving many connections.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	fr := wire.NewFrameReader(conn)
-	for {
-		req, err := fr.ReadFrame()
-		if err != nil {
-			return
-		}
-		resp := s.handle(req)
-		if resp != nil {
-			_ = conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-			if err := resp.WriteFrame(conn); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// handle processes one request frame, returning the response frame (nil for
-// fire-and-forget frames). It must never panic on malformed input: every
-// decode is checked and every count prefix is bounded by the bytes that
-// actually remain in the payload.
-func (s *Server) handle(req []byte) *wire.Buffer {
-	d := wire.NewDecoder(req)
-	op := d.Op()
-	id := d.U32()
-	if d.Err() != nil {
-		return nil // too short to even address a reply
-	}
-	fail := func(err error) *wire.Buffer {
-		if id == 0 {
-			return nil
-		}
-		return errFrame(id, err)
-	}
-	switch op {
-	case opLookup, opLookupBatch, opStats:
-		// Response-bearing requests need an address; with reqID 0 the reply
-		// could never be matched to a caller, so the frame is dropped
-		// unexecuted rather than answered in violation of the
-		// fire-and-forget rule.
-		if id == 0 {
-			return nil
-		}
-	}
+// handle is the node's rpc.Handler: it processes one request, returning the
+// response frame, or nil for a bare ack.
+func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
+	d := wire.NewDecoder(body)
+	//lint:allow ctxflow the wire protocol carries no context, and one made by the serve loop could only end after the handler it was passed to had returned; lookups are in-memory and non-blocking
+	ctx := context.Background()
 	switch op {
 	case opLookup:
 		key := d.Str()
@@ -144,19 +86,16 @@ func (s *Server) handle(req []byte) *wire.Buffer {
 		origLo := interval.Timestamp(d.U64())
 		origHi := interval.Timestamp(d.U64())
 		if d.Err() != nil {
-			return fail(d.Err())
+			return nil, d.Err()
 		}
-		//lint:allow ctxflow the wire protocol carries no context; lookups are in-memory and non-blocking
-		r := s.Lookup(context.Background(), key, lo, hi, origLo, origHi)
-		e := wire.NewBuffer(opLookupResp)
-		e.U32(id)
-		encodeLookupResult(e, r)
-		return e
+		e := rpc.NewFrame(opLookupResp)
+		encodeLookupResult(e, s.Lookup(ctx, key, lo, hi, origLo, origHi))
+		return e, nil
 	case opLookupBatch:
 		n := d.U32()
 		// Each probe is at least a 4-byte key length plus four timestamps.
 		if n > MaxBatchLookup || int(n) > d.Len()/(4+32)+1 {
-			return fail(fmt.Errorf("cacheserver: unreasonable batch size %d", n))
+			return nil, fmt.Errorf("cacheserver: unreasonable batch size %d", n)
 		}
 		reqs := make([]BatchLookup, 0, n)
 		for i := uint32(0); i < n; i++ {
@@ -169,12 +108,10 @@ func (s *Server) handle(req []byte) *wire.Buffer {
 			})
 		}
 		if d.Err() != nil {
-			return fail(d.Err())
+			return nil, d.Err()
 		}
-		//lint:allow ctxflow the wire protocol carries no context; lookups are in-memory and non-blocking
-		rs := s.LookupBatch(context.Background(), reqs)
-		e := wire.NewBuffer(opLookupBatchResp)
-		e.U32(id).U32(uint32(len(rs)))
+		rs := s.LookupBatch(ctx, reqs)
+		e := rpc.NewFrame(opLookupBatchResp).U32(uint32(len(rs)))
 		// The response must stay under MaxFrame no matter how large the hit
 		// payloads are; results that would overflow the budget degrade to
 		// capacity misses (always safe — the caller just recomputes).
@@ -186,7 +123,7 @@ func (s *Server) handle(req []byte) *wire.Buffer {
 			}
 			encodeLookupResult(e, r)
 		}
-		return e
+		return e, nil
 	case opPut:
 		key := d.Str()
 		lo := interval.Timestamp(d.U64())
@@ -196,64 +133,55 @@ func (s *Server) handle(req []byte) *wire.Buffer {
 		n := d.U32()
 		// Each tag is at least two length prefixes and a wildcard byte.
 		if int(n) > d.Len()/9+1 {
-			return fail(fmt.Errorf("cacheserver: unreasonable tag count %d", n))
+			return nil, fmt.Errorf("cacheserver: unreasonable tag count %d", n)
 		}
 		tags, _ := invalidation.DecodeTags(d, n) // d.Err() re-checked below
 		data := d.Blob()
 		if d.Err() != nil {
-			return fail(d.Err())
+			return nil, d.Err()
 		}
 		// Copy data out of the request buffer before it is reused.
 		s.Put(key, append([]byte(nil), data...), interval.Interval{Lo: lo, Hi: hi}, still, genSnap, tags)
-		if id == 0 {
-			return nil // async put: no ack
-		}
-		return wire.NewBuffer(opAck).U32(id)
+		return nil, nil
 	case opStats:
 		reset := d.Bool()
 		if d.Err() != nil {
-			return fail(d.Err())
+			return nil, d.Err()
 		}
 		if reset {
 			s.ResetStats()
-			return wire.NewBuffer(opAck).U32(id)
+			return nil, nil
 		}
 		st := s.Stats()
-		e := wire.NewBuffer(opStatsResp)
-		e.U32(id)
+		e := rpc.NewFrame(opStatsResp)
 		e.U64(st.Lookups).U64(st.Hits)
 		e.U64(st.MissCompulsory).U64(st.MissConsistency).U64(st.MissStaleness).U64(st.MissCapacity)
 		e.U64(st.Puts).U64(st.Invalidations).U64(st.Invalidated)
 		e.U64(st.EvictedCapacity).U64(st.EvictedStale)
 		e.I64(st.BytesUsed).I64(int64(st.Versions)).I64(int64(st.Keys))
 		e.U64(uint64(st.Horizon))
-		return e
+		return e, nil
 	case opWarmBoot:
 		ts := interval.Timestamp(d.U64())
 		wallNano := d.I64()
 		if d.Err() != nil {
-			return fail(d.Err())
+			return nil, d.Err()
 		}
 		s.WarmBoot(ts, time.Unix(0, wallNano))
-		if id == 0 {
-			return nil
-		}
-		return wire.NewBuffer(opAck).U32(id)
+		return nil, nil
 	case opInval:
 		m, err := invalidation.DecodeMessage(d)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
+		// Sent as a request, the push is acked: the stream owner retries until
+		// it sees the ack, which is what makes its at-least-once delivery
+		// gapless (duplicates are deduplicated here by timestamp). Sent
+		// one-way (tests, local streams) it is applied in order all the same.
 		s.ApplyInvalidation(m)
-		if id == 0 {
-			return nil // in-order fire-and-forget push (tests, local streams)
-		}
-		// Acked push: the stream owner retries until it sees the ack, which
-		// is what makes its at-least-once delivery gapless (duplicates are
-		// deduplicated here by timestamp).
-		return wire.NewBuffer(opAck).U32(id)
+		return nil, nil
 	default:
-		return fail(fmt.Errorf("cacheserver: unknown opcode %d", op))
+		return nil, fmt.Errorf("cacheserver: unknown opcode %d", op)
 	}
 }
 
@@ -278,8 +206,7 @@ func encodeLookupResult(e *wire.Buffer, r LookupResult) {
 	e.Blob(r.Data)
 }
 
-// decodeLookupResult parses one LookupResult positioned after op and reqID,
-// interning tags as it goes.
+// decodeLookupResult parses one LookupResult, interning tags as it goes.
 func decodeLookupResult(d *wire.Decoder) (LookupResult, error) {
 	var r LookupResult
 	r.Found = d.Bool()
@@ -302,17 +229,8 @@ func decodeLookupResult(d *wire.Decoder) (LookupResult, error) {
 	return r, d.Err()
 }
 
-func errFrame(id uint32, err error) *wire.Buffer {
-	return wire.NewBuffer(opErr).U32(id).Str(err.Error())
-}
-
-// Client errors.
-var (
-	errNotConnected = errors.New("cacheserver: not connected")
-	errConnLost     = errors.New("cacheserver: connection lost")
-	errTimeout      = errors.New("cacheserver: request timed out")
-	errClosed       = errors.New("cacheserver: client closed")
-)
+// errClosed is what a flush of a closed client's put queue reports.
+var errClosed = errors.New("cacheserver: client closed")
 
 // Client defaults.
 const (
@@ -331,14 +249,6 @@ const (
 	// queue to drain before tearing connections down; CloseContext lets the
 	// caller pick a different bound.
 	DefaultDrainTimeout = time.Second
-	// DefaultDialTimeout bounds connection establishment (initial pool fill
-	// and reconnects). A blackholed node must fail fast, not hold the dialer
-	// for the kernel's multi-minute connect timeout.
-	DefaultDialTimeout = 5 * time.Second
-	// serverWriteTimeout bounds one response-frame write in the serve loop. A
-	// client that stops reading wedges only its own connection goroutine, and
-	// only this long.
-	serverWriteTimeout = 10 * time.Second
 )
 
 // ClientStats are client-side transport counters: how the multiplexed
@@ -359,29 +269,25 @@ type ClientStats struct {
 	Reconnects   uint64 // connections re-established after a failure
 }
 
-// clientCounters is the atomic backing store for ClientStats.
+// clientCounters is the atomic backing store for the counters of
+// ClientStats that the transport does not keep itself.
 type clientCounters struct {
 	lookups, lookupErrors, batchLookups, batchKeys atomic.Uint64
 	putsQueued, putsSent, putsDropped, putErrors   atomic.Uint64
-	callErrors, timeouts, reconnects               atomic.Uint64
-	canceled, lateDrops                            atomic.Uint64
+	callErrors                                     atomic.Uint64
 }
 
 // Client is a TCP client for a cache node. It is safe for concurrent use:
-// requests are tagged with IDs and multiplexed over a small pool of
-// connections, so any number of lookups can be in flight at once, and puts
-// are queued and written asynchronously.
+// requests are multiplexed over a small pool of connections (internal/rpc),
+// so any number of lookups can be in flight at once, and puts are queued and
+// written asynchronously.
 type Client struct {
-	addr    string
-	timeout time.Duration
-
-	conns []*mconn
-	rr    atomic.Uint32 // round-robin connection cursor
+	rpc *rpc.Client
 
 	putq      chan putItem
 	closed    chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // the put sender
 
 	counters clientCounters
 }
@@ -391,45 +297,24 @@ type putItem struct {
 	ack   chan struct{} // Flush marker when non-nil; frame is ignored
 }
 
-// mconn is one multiplexed connection: a writer-side mutex, a pending table
-// mapping request IDs to response channels, and a reader goroutine that
-// dispatches responses and redials after failures.
-type mconn struct {
-	cl      *Client
-	mu      sync.Mutex // guards conn, pending, nextID, and frame writes
-	conn    net.Conn   // nil while disconnected
-	pending map[uint32]chan []byte
-	nextID  uint32
-}
-
 // Dial connects to a cache node. poolSize <= 0 selects DefaultPoolSize.
 func Dial(addr string, poolSize int) (*Client, error) {
 	if poolSize <= 0 {
 		poolSize = DefaultPoolSize
 	}
-	c := &Client{
-		addr:    addr,
-		timeout: DefaultCallTimeout,
-		putq:    make(chan putItem, DefaultPutQueue),
-		closed:  make(chan struct{}),
+	rc, err := rpc.Dial("cacheserver", addr, poolSize, DefaultCallTimeout)
+	if err != nil {
+		return nil, err
 	}
-	// The put sender starts before dialing so the drain step of Close works
-	// (and returns immediately) even on a partially constructed client.
+	return newClient(rc), nil
+}
+
+// newClient starts the put sender of a client on rc.
+func newClient(rc *rpc.Client) *Client {
+	c := &Client{rpc: rc, putq: make(chan putItem, DefaultPutQueue), closed: make(chan struct{})}
 	c.wg.Add(1)
 	go c.putSender()
-	for i := 0; i < poolSize; i++ {
-		conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.conns = append(c.conns, &mconn{cl: c, conn: conn, pending: make(map[uint32]chan []byte)})
-	}
-	for _, m := range c.conns {
-		c.wg.Add(1)
-		go m.run()
-	}
-	return c, nil
+	return c
 }
 
 // Close drains queued puts for up to DefaultDrainTimeout, then tears down
@@ -447,40 +332,16 @@ func (c *Client) Close() {
 // regardless.
 func (c *Client) CloseContext(ctx context.Context) {
 	c.closeOnce.Do(func() {
-		c.drain(ctx)
+		_ = c.FlushContext(ctx) // whatever the deadline leaves behind is discarded
 		close(c.closed)
-		for _, m := range c.conns {
-			m.mu.Lock()
-			if m.conn != nil {
-				m.conn.Close()
-				m.conn = nil
-			}
-			for id, ch := range m.pending {
-				delete(m.pending, id)
-				close(ch)
-			}
-			m.mu.Unlock()
-		}
 	})
+	c.rpc.Close()
 	c.wg.Wait()
-}
-
-// drain waits for the put queue to empty, giving up when ctx ends.
-func (c *Client) drain(ctx context.Context) {
-	ack := make(chan struct{})
-	select {
-	case c.putq <- putItem{ack: ack}:
-	case <-ctx.Done():
-		return
-	}
-	select {
-	case <-ack:
-	case <-ctx.Done():
-	}
 }
 
 // ClientStats snapshots the transport counters.
 func (c *Client) ClientStats() ClientStats {
+	t := c.rpc.Stats()
 	return ClientStats{
 		Lookups:      c.counters.lookups.Load(),
 		LookupErrors: c.counters.lookupErrors.Load(),
@@ -491,252 +352,11 @@ func (c *Client) ClientStats() ClientStats {
 		PutsDropped:  c.counters.putsDropped.Load(),
 		PutErrors:    c.counters.putErrors.Load(),
 		CallErrors:   c.counters.callErrors.Load(),
-		Timeouts:     c.counters.timeouts.Load(),
-		Canceled:     c.counters.canceled.Load(),
-		LateDrops:    c.counters.lateDrops.Load(),
-		Reconnects:   c.counters.reconnects.Load(),
+		Timeouts:     t.Timeouts,
+		Canceled:     t.Canceled,
+		LateDrops:    t.LateDrops,
+		Reconnects:   t.Reconnects,
 	}
-}
-
-// newReq starts a request frame with a placeholder request ID that call
-// patches once an ID is assigned.
-func newReq(op byte) *wire.Buffer {
-	e := wire.NewBuffer(op)
-	e.U32(0)
-	return e
-}
-
-// run is the per-connection reader: it dispatches response frames to the
-// pending table and owns redialing after a failure. Connection loss is
-// logged once per event, not once per affected request.
-func (m *mconn) run() {
-	defer m.cl.wg.Done()
-	backoff := 10 * time.Millisecond
-	var fr *wire.FrameReader // on frConn; replaced when a redial replaces the connection
-	var frConn net.Conn
-	for {
-		m.mu.Lock()
-		conn := m.conn
-		m.mu.Unlock()
-		if conn == nil {
-			select {
-			case <-m.cl.closed:
-				return
-			case <-time.After(backoff):
-			}
-			nc, err := net.DialTimeout("tcp", m.cl.addr, DefaultDialTimeout)
-			if err != nil {
-				if backoff *= 2; backoff > time.Second {
-					backoff = time.Second
-				}
-				continue
-			}
-			m.mu.Lock()
-			select {
-			case <-m.cl.closed:
-				// Close ran while we were dialing; installing the new
-				// connection now would leak it and block this reader (and
-				// Close's wg.Wait) forever.
-				m.mu.Unlock()
-				nc.Close()
-				return
-			default:
-			}
-			m.conn = nc
-			m.mu.Unlock()
-			m.cl.counters.reconnects.Add(1)
-			log.Printf("cacheserver: reconnected to %s (%d puts dropped, %d put errors so far)",
-				m.cl.addr, m.cl.counters.putsDropped.Load(), m.cl.counters.putErrors.Load())
-			backoff = 10 * time.Millisecond
-			continue
-		}
-		if conn != frConn {
-			fr, frConn = wire.NewFrameReader(conn), conn
-		}
-		payload, err := fr.ReadFrame()
-		if err != nil {
-			select {
-			case <-m.cl.closed:
-				return
-			default:
-			}
-			m.fail(conn, err)
-			continue
-		}
-		if len(payload) >= 5 {
-			id := binary.LittleEndian.Uint32(payload[1:5])
-			m.mu.Lock()
-			ch := m.pending[id]
-			delete(m.pending, id)
-			m.mu.Unlock()
-			if ch != nil {
-				ch <- payload
-			} else if id != 0 {
-				// A response for a request nobody is waiting on: the caller
-				// timed out or its context was cancelled and the pending
-				// entry was reclaimed. Count it and drop it — delivering it
-				// to a reused ID would cross-wire two requests.
-				m.cl.counters.lateDrops.Add(1)
-			}
-		}
-	}
-}
-
-// fail tears down a broken connection and fails every request pending on
-// it; the reader loop will redial.
-func (m *mconn) fail(conn net.Conn, err error) {
-	conn.Close()
-	m.mu.Lock()
-	if m.conn == conn {
-		m.conn = nil
-	}
-	for id, ch := range m.pending {
-		delete(m.pending, id)
-		close(ch)
-	}
-	m.mu.Unlock()
-	log.Printf("cacheserver: connection to %s lost: %v", m.cl.addr, err)
-}
-
-// timerPool recycles timeout timers: one per in-flight call would
-// otherwise be the hot path's only steady allocation besides frames.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
-// call sends one request frame and waits for its tagged response. The
-// caller's context is honored with per-request granularity: its deadline
-// tightens the request timer (never the connection — other requests
-// multiplexed on this conn are unaffected), and on cancellation the
-// pending-table entry is reclaimed immediately so the request ID can never
-// be answered late into someone else's hands (a late frame is counted in
-// ClientStats.LateDrops by the reader and dropped).
-func (m *mconn) call(ctx context.Context, frame *wire.Buffer) ([]byte, error) {
-	timeout, ctxBound := m.cl.timeout, false
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			m.cl.counters.canceled.Add(1)
-			return nil, err
-		}
-		if dl, ok := ctx.Deadline(); ok {
-			if rem := time.Until(dl); rem < timeout {
-				timeout, ctxBound = rem, true
-			}
-		}
-	}
-	m.mu.Lock()
-	conn := m.conn
-	if conn == nil {
-		m.mu.Unlock()
-		return nil, errNotConnected
-	}
-	m.nextID++
-	if m.nextID == 0 {
-		m.nextID = 1
-	}
-	id := m.nextID
-	ch := make(chan []byte, 1)
-	m.pending[id] = ch
-	binary.LittleEndian.PutUint32(frame.Bytes()[1:5], id)
-	// The write happens under m.mu, so it must be bounded: without a
-	// deadline, a peer that stops reading while the TCP window fills would
-	// wedge every request on this connection with no timeout (the call
-	// timer is only armed after the write). The bound is the effective
-	// timeout — clamped by the caller's deadline — so a short-deadline
-	// request cannot block the connection (and the writers queued behind
-	// it) for the full transport timeout.
-	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
-	err := frame.WriteFrame(conn)
-	if err != nil {
-		delete(m.pending, id)
-		m.mu.Unlock()
-		conn.Close() // reader notices and redials
-		return nil, err
-	}
-	m.mu.Unlock()
-
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	t := getTimer(timeout)
-	defer putTimer(t)
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, errConnLost
-		}
-		return resp, nil
-	case <-t.C:
-		m.mu.Lock()
-		delete(m.pending, id)
-		m.mu.Unlock()
-		// When the caller's deadline tightened the timer, this is the
-		// context's expiry, not the transport's: attribute it to the
-		// context so Canceled counts it and errors.Is(err,
-		// context.DeadlineExceeded) holds for the caller. (Checked via
-		// ctxBound, not ctx.Err(): the pooled timer can fire a beat
-		// before the context's own deadline timer flips Err.)
-		if ctxBound {
-			m.cl.counters.canceled.Add(1)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.DeadlineExceeded
-		}
-		m.cl.counters.timeouts.Add(1)
-		return nil, errTimeout
-	case <-done:
-		m.mu.Lock()
-		delete(m.pending, id)
-		m.mu.Unlock()
-		m.cl.counters.canceled.Add(1)
-		return nil, ctx.Err()
-	case <-m.cl.closed:
-		return nil, errClosed
-	}
-}
-
-// roundTrip issues the request on a connection chosen round-robin, trying
-// each pool member once while connections are down. Context errors are
-// terminal: a cancelled request is not retried on another connection.
-func (c *Client) roundTrip(ctx context.Context, frame *wire.Buffer) ([]byte, error) {
-	start := int(c.rr.Add(1))
-	var lastErr error = errNotConnected
-	for i := 0; i < len(c.conns); i++ {
-		m := c.conns[(start+i)%len(c.conns)]
-		resp, err := m.call(ctx, frame)
-		if err == nil {
-			if len(resp) > 0 && resp[0] == opErr {
-				d := wire.NewDecoder(resp)
-				d.Op()
-				d.U32()
-				return nil, errors.New(d.Str())
-			}
-			return resp, nil
-		}
-		lastErr = err
-		if err == errClosed || err == errTimeout || (ctx != nil && ctx.Err() != nil) {
-			break // no point retrying elsewhere
-		}
-	}
-	return nil, lastErr
 }
 
 // Lookup implements Node over TCP. Network errors (and cancellation)
@@ -744,25 +364,15 @@ func (c *Client) roundTrip(ctx context.Context, frame *wire.Buffer) ([]byte, err
 // required for correctness.
 func (c *Client) Lookup(ctx context.Context, key string, lo, hi, origLo, origHi interval.Timestamp) LookupResult {
 	c.counters.lookups.Add(1)
-	e := newReq(opLookup)
+	e := rpc.NewFrame(opLookup)
 	e.Str(key).U64(uint64(lo)).U64(uint64(hi)).U64(uint64(origLo)).U64(uint64(origHi))
-	resp, err := c.roundTrip(ctx, e)
-	if err != nil {
-		c.counters.lookupErrors.Add(1)
-		return LookupResult{Miss: MissCompulsory}
+	if op, body, err := c.rpc.Call(ctx, e); err == nil && op == opLookupResp {
+		if r, err := decodeLookupResult(wire.NewDecoder(body)); err == nil {
+			return r
+		}
 	}
-	d := wire.NewDecoder(resp)
-	if d.Op() != opLookupResp {
-		c.counters.lookupErrors.Add(1)
-		return LookupResult{Miss: MissCompulsory}
-	}
-	d.U32() // request ID, already matched by the reader
-	r, err := decodeLookupResult(d)
-	if err != nil {
-		c.counters.lookupErrors.Add(1)
-		return LookupResult{Miss: MissCompulsory}
-	}
-	return r
+	c.counters.lookupErrors.Add(1)
+	return LookupResult{Miss: MissCompulsory}
 }
 
 // LookupBatch implements Node over TCP: all probes travel in one frame and
@@ -786,8 +396,7 @@ func (c *Client) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupRe
 	}
 	c.counters.batchLookups.Add(1)
 	c.counters.batchKeys.Add(uint64(len(reqs)))
-	e := newReq(opLookupBatch)
-	e.U32(uint32(len(reqs)))
+	e := rpc.NewFrame(opLookupBatch).U32(uint32(len(reqs)))
 	for _, q := range reqs {
 		e.Str(q.Key).U64(uint64(q.Lo)).U64(uint64(q.Hi)).U64(uint64(q.OrigLo)).U64(uint64(q.OrigHi))
 	}
@@ -799,15 +408,11 @@ func (c *Client) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupRe
 		}
 		return out
 	}
-	resp, err := c.roundTrip(ctx, e)
-	if err != nil {
+	op, body, err := c.rpc.Call(ctx, e)
+	if err != nil || op != opLookupBatchResp {
 		return miss()
 	}
-	d := wire.NewDecoder(resp)
-	if d.Op() != opLookupBatchResp {
-		return miss()
-	}
-	d.U32() // request ID
+	d := wire.NewDecoder(body)
 	n := d.U32()
 	if d.Err() != nil || int(n) != len(reqs) {
 		return miss()
@@ -829,7 +434,7 @@ func (c *Client) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupRe
 // failures on every connection count as PutErrors. Use Flush to wait for
 // the queue to drain.
 func (c *Client) Put(key string, data []byte, iv interval.Interval, still bool, genSnap interval.Timestamp, tags []invalidation.TagID) {
-	e := newReq(opPut) // request ID stays 0: fire-and-forget
+	e := rpc.NewFrame(opPut)
 	e.Str(key).U64(uint64(iv.Lo)).U64(uint64(iv.Hi)).Bool(still).U64(uint64(genSnap))
 	e.U32(uint32(len(tags)))
 	for _, id := range tags {
@@ -874,7 +479,8 @@ func (c *Client) FlushContext(ctx context.Context) error {
 	}
 }
 
-// putSender drains the async put queue in order.
+// putSender drains the async put queue in order, sending each put one-way
+// on the first healthy connection.
 func (c *Client) putSender() {
 	defer c.wg.Done()
 	for {
@@ -886,36 +492,13 @@ func (c *Client) putSender() {
 				close(it.ack)
 				continue
 			}
-			if err := c.sendAsync(it.frame); err != nil {
+			if err := c.rpc.Send(it.frame); err != nil {
 				c.counters.putErrors.Add(1)
 			} else {
 				c.counters.putsSent.Add(1)
 			}
 		}
 	}
-}
-
-// sendAsync writes a fire-and-forget frame on the first healthy connection.
-func (c *Client) sendAsync(frame *wire.Buffer) error {
-	start := int(c.rr.Add(1))
-	for i := 0; i < len(c.conns); i++ {
-		m := c.conns[(start+i)%len(c.conns)]
-		m.mu.Lock()
-		conn := m.conn
-		if conn == nil {
-			m.mu.Unlock()
-			continue
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
-		err := frame.WriteFrame(conn)
-		m.mu.Unlock()
-		if err != nil {
-			conn.Close() // reader notices and redials
-			continue
-		}
-		return nil
-	}
-	return errNotConnected
 }
 
 // Stats implements Node over TCP. Transport errors return zero stats and
@@ -925,17 +508,12 @@ func (c *Client) Stats() Stats {
 	// here: a wedged node must not hang a monitoring poll forever.
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
 	defer cancel()
-	resp, err := c.roundTrip(ctx, newReq(opStats).Bool(false))
-	if err != nil {
+	op, body, err := c.rpc.Call(ctx, rpc.NewFrame(opStats).Bool(false))
+	if err != nil || op != opStatsResp {
 		c.counters.callErrors.Add(1)
 		return Stats{}
 	}
-	d := wire.NewDecoder(resp)
-	if d.Op() != opStatsResp {
-		c.counters.callErrors.Add(1)
-		return Stats{}
-	}
-	d.U32() // request ID
+	d := wire.NewDecoder(body)
 	var st Stats
 	st.Lookups = d.U64()
 	st.Hits = d.U64()
@@ -961,16 +539,8 @@ func (c *Client) Stats() Stats {
 // horizon seed is not enough after a crash). Acked like an invalidation
 // push — a nil return means the node applied it.
 func (c *Client) WarmBoot(ctx context.Context, ts interval.Timestamp, wall time.Time) error {
-	e := newReq(opWarmBoot)
-	e.U64(uint64(ts)).I64(wall.UnixNano())
-	resp, err := c.roundTrip(ctx, e)
-	if err != nil {
-		return err
-	}
-	if len(resp) == 0 || resp[0] != opAck {
-		return fmt.Errorf("cacheserver: unexpected warm-boot response opcode %d", resp[0])
-	}
-	return nil
+	_, _, err := c.rpc.Call(ctx, rpc.NewFrame(opWarmBoot).U64(uint64(ts)).I64(wall.UnixNano()))
+	return err
 }
 
 // ResetStats implements Node over TCP. Failures are counted in
@@ -978,7 +548,7 @@ func (c *Client) WarmBoot(ctx context.Context, ts interval.Timestamp, wall time.
 func (c *Client) ResetStats() {
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
 	defer cancel()
-	if _, err := c.roundTrip(ctx, newReq(opStats).Bool(true)); err != nil {
+	if _, _, err := c.rpc.Call(ctx, rpc.NewFrame(opStats).Bool(true)); err != nil {
 		c.counters.callErrors.Add(1)
 	}
 }
@@ -994,20 +564,6 @@ func (c *Client) ResetStats() {
 // Pushes always use the first pool connection and the caller is expected
 // to be a single goroutine per node, which preserves send order.
 func (c *Client) PushInvalidation(ctx context.Context, m invalidation.Message) error {
-	// Splice a request-ID placeholder in after the opcode; call assigns it.
-	tagged := newReq(opInval).Raw(m.Encode(opInval)[1:])
-	resp, err := c.conns[0].call(ctx, tagged)
-	if err != nil {
-		return err
-	}
-	if len(resp) == 0 || resp[0] != opAck {
-		if len(resp) > 0 && resp[0] == opErr {
-			d := wire.NewDecoder(resp)
-			d.Op()
-			d.U32()
-			return errors.New(d.Str())
-		}
-		return fmt.Errorf("cacheserver: unexpected push response opcode %d", resp[0])
-	}
-	return nil
+	_, _, err := c.rpc.Conn(0).Call(ctx, rpc.NewFrame(opInval).Raw(m.Encode(opInval)[1:]))
+	return err
 }

@@ -2,63 +2,13 @@ package cacheserver
 
 import (
 	"context"
-	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
 )
-
-// flakyProxy forwards TCP connections to a backend and can sever them all,
-// simulating a cache node crashing and coming back.
-type flakyProxy struct {
-	l       net.Listener
-	backend string
-	mu      sync.Mutex
-	conns   []net.Conn
-}
-
-func newFlakyProxy(t *testing.T, backend string) *flakyProxy {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &flakyProxy{l: l, backend: backend}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			b, err := net.Dial("tcp", backend)
-			if err != nil {
-				c.Close()
-				continue
-			}
-			p.mu.Lock()
-			p.conns = append(p.conns, c, b)
-			p.mu.Unlock()
-			go func() { _, _ = io.Copy(b, c); _ = b.Close() }()
-			go func() { _, _ = io.Copy(c, b); _ = c.Close() }()
-		}
-	}()
-	t.Cleanup(func() { l.Close(); p.sever() })
-	return p
-}
-
-// sever kills every live proxied connection (new dials still succeed).
-func (p *flakyProxy) sever() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.conns {
-		c.Close()
-	}
-	p.conns = nil
-}
 
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
@@ -160,77 +110,6 @@ func TestBatchLookupTCP(t *testing.T) {
 	}
 	if sst := s.Stats(); sst.Lookups != 3 {
 		t.Fatalf("server saw %d lookups, want 3", sst.Lookups)
-	}
-}
-
-// TestPipelinedLookupsShareConnections issues many concurrent lookups over
-// a single-connection client: multiplexing must keep them all correct.
-func TestPipelinedLookupsShareConnections(t *testing.T) {
-	s, addr := startServer(t)
-	s.ApplyInvalidation(invalidation.Message{TS: 1000, WallTime: time.Now()})
-	for i := 0; i < 64; i++ {
-		s.Put(string(rune('a'+i%26))+string(rune('0'+i/26)), []byte{byte(i)}, iv(interval.Timestamp(i+1), interval.Infinity), true, interval.Timestamp(i+1), nil)
-	}
-	c, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := (g*7 + i) % 64
-				key := string(rune('a'+k%26)) + string(rune('0'+k/26))
-				r := c.Lookup(context.Background(), key, 1, 2000, 0, interval.Infinity)
-				if !r.Found || len(r.Data) != 1 || r.Data[0] != byte(k) {
-					t.Errorf("g%d i%d: wrong response for %q: %+v", g, i, key, r)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-func TestClientReconnectAndErrorCounting(t *testing.T) {
-	s, addr := startServer(t)
-	s.ApplyInvalidation(invalidation.Message{TS: 10, WallTime: time.Now()})
-	s.Put("k", []byte("v"), iv(5, interval.Infinity), true, 10, nil)
-	proxy := newFlakyProxy(t, addr)
-	c, err := Dial(proxy.l.Addr().String(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if r := c.Lookup(context.Background(), "k", 5, 50, 5, 50); !r.Found {
-		t.Fatalf("warm lookup missed: %+v", r)
-	}
-
-	proxy.sever()
-	// Until the pool redials, lookups degrade to misses and puts fail —
-	// both counted, neither blocking.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.Put("k2", []byte("v2"), iv(5, interval.Infinity), true, 10, nil)
-		c.Flush()
-		if r := c.Lookup(context.Background(), "k", 5, 50, 5, 50); r.Found {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client never recovered after sever")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	st := c.ClientStats()
-	if st.Reconnects == 0 {
-		t.Fatalf("no reconnects counted: %+v", st)
-	}
-	if st.LookupErrors == 0 && st.PutErrors == 0 {
-		t.Fatalf("outage left no error trace: %+v", st)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,18 +21,20 @@ import (
 	"txcache/internal/db"
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
+	"txcache/internal/rpc"
 	"txcache/internal/sql"
 	"txcache/internal/wire"
 )
 
-// Protocol opcodes. Every request is answered by exactly one frame except
-// opAbort, which is one-way: the server ends the transaction and says
-// nothing, so releasing a transaction costs its caller a write, not a round
-// trip. The client also ends a read-only transaction's Commit with it — a
-// read-only commit publishes nothing and has nothing to report. opQueryAt
-// is opQuery for a read-only transaction whose Begin has not been sent: it
-// carries the snapshot, and the server begins the transaction under the
-// client-chosen id before running the statement.
+// Protocol opcodes. The client numbers its transactions, per connection:
+// whoever sent a Begin can end the transaction whether or not the reply
+// ever arrived. Nothing is owed for opAbort, so the client sends it one-way:
+// releasing a transaction costs its caller a write, not a round trip. It
+// also ends a read-only transaction's Commit with it — a read-only commit
+// publishes nothing and has nothing to report. opQueryAt is opQuery for a
+// read-only transaction whose Begin has not been sent: it carries the
+// snapshot, and the server begins the transaction before running the
+// statement.
 const (
 	opBegin      byte = 1
 	opBeginResp  byte = 2
@@ -47,16 +48,10 @@ const (
 	opPin        byte = 10
 	opPinResp    byte = 11
 	opUnpin      byte = 12
-	opAck        byte = 13
-	opErr        byte = 14
 	opStats      byte = 15
 	opStatsResp  byte = 16
 	opQueryAt    byte = 17
 )
-
-// lazyIDBit marks transaction ids chosen by the client for piggybacked
-// begins, keeping them apart from the ids the server counts up from 1.
-const lazyIDBit = 1 << 63
 
 // ServerStats is the daemon-side counter snapshot carried by opStatsResp,
 // JSON-encoded on the wire so operators (and /statsz) get it verbatim.
@@ -73,73 +68,91 @@ type Server struct {
 }
 
 // opTimeout bounds round trips that run outside any caller context — the
-// release half of resource bookkeeping (Abort, Unpin) and pin acquisition
-// (PinLatest). Without it a wedged daemon would hang those paths forever,
-// exactly when cancelled requests are trying to shed load; with it the
-// exchange fails, the session redials, and the daemon aborts the orphaned
-// transaction with the dropped connection.
+// release half of pin bookkeeping (Unpin) and pin acquisition (PinLatest).
+// Without it a wedged daemon would hang those paths forever, exactly when
+// cancelled requests are trying to shed load.
 const opTimeout = 5 * time.Second
-
-// serverWriteTimeout bounds one response write in the serve loop: a client
-// that stops reading wedges only its own connection goroutine, briefly.
-const serverWriteTimeout = 10 * time.Second
 
 // Serve accepts connections until l closes.
 func (s *Server) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go s.serveConn(conn)
+	return rpc.Serve(l, func() (rpc.Handler, func()) {
+		ss := &session{engine: s.Engine, txs: make(map[uint64]*db.Tx)}
+		return ss.handle, ss.close
+	})
+}
+
+// session is one connection's server-side state: its open transactions.
+type session struct {
+	engine *db.Engine
+	txs    map[uint64]*db.Tx
+}
+
+// close aborts what the dropped connection left open.
+func (ss *session) close() {
+	for _, tx := range ss.txs {
+		tx.Abort()
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	txs := make(map[uint64]*db.Tx)
-	var nextID uint64
+// begin starts transaction id, which must not be open already.
+func (ss *session) begin(id uint64, readOnly bool, snap interval.Timestamp) (*db.Tx, error) {
+	if ss.txs[id] != nil {
+		return nil, fmt.Errorf("dbnet: transaction %d already open", id)
+	}
+	tx, err := ss.engine.Begin(readOnly, snap)
+	if err == nil {
+		ss.txs[id] = tx
+	}
+	return tx, err
+}
+
+// handle is the session's rpc.Handler.
+func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
 	defer func() {
-		for _, tx := range txs {
-			tx.Abort()
+		// Mark retryable conflicts so clients can reconstruct the sentinel.
+		if errors.Is(err, db.ErrSerialization) {
+			err = fmt.Errorf("%s%w", serializationMark, err)
 		}
 	}()
-	fr := wire.NewFrameReader(conn)
-	for {
-		req, err := fr.ReadFrame()
+	d := wire.NewDecoder(body)
+	switch op {
+	case opPin:
+		ts, wall := ss.engine.PinLatest()
+		return rpc.NewFrame(opPinResp).U64(uint64(ts)).I64(wall.UnixNano()), nil
+	case opUnpin:
+		ts := interval.Timestamp(d.U64())
+		if d.Err() == nil {
+			ss.engine.Unpin(ts)
+		}
+		return nil, d.Err()
+	case opStats:
+		blob, err := json.Marshal(ServerStats{
+			DB:         ss.engine.Stats(),
+			Durability: ss.engine.DurabilityStats(),
+		})
 		if err != nil {
-			return
+			return nil, err
 		}
-		resp := s.handle(req, txs, &nextID)
-		if resp == nil {
-			continue // one-way frame
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-		if err := resp.WriteFrame(conn); err != nil {
-			return
-		}
+		return rpc.NewFrame(opStatsResp).Str(string(blob)), nil
 	}
-}
-
-// handle executes one request frame and returns the reply, nil for opAbort.
-func (s *Server) handle(req []byte, txs map[uint64]*db.Tx, nextID *uint64) *wire.Buffer {
-	d := wire.NewDecoder(req)
-	switch op := d.Op(); op {
+	// Every other opcode addresses a transaction.
+	id := d.U64()
+	tx := ss.txs[id]
+	if tx == nil && (op == opQuery || op == opExec || op == opCommit) {
+		return nil, fmt.Errorf("dbnet: no transaction %d", id)
+	}
+	switch op {
 	case opBegin:
 		ro := d.Bool()
 		snap := interval.Timestamp(d.U64())
 		if d.Err() != nil {
-			return errFrame(d.Err())
+			return nil, d.Err()
 		}
-		tx, err := s.Engine.Begin(ro, snap)
-		if err != nil {
-			return errFrame(err)
+		if tx, err = ss.begin(id, ro, snap); err != nil {
+			return nil, err
 		}
-		*nextID++
-		txs[*nextID] = tx
-		return wire.NewBuffer(opBeginResp).U64(*nextID).U64(uint64(tx.Snapshot()))
+		return rpc.NewFrame(opBeginResp).U64(uint64(tx.Snapshot())), nil
 	case opQuery, opQueryAt:
-		id := d.U64()
 		var snap interval.Timestamp
 		if op == opQueryAt {
 			snap = interval.Timestamp(d.U64())
@@ -147,84 +160,59 @@ func (s *Server) handle(req []byte, txs map[uint64]*db.Tx, nextID *uint64) *wire
 		src := d.Str()
 		args, err := decodeArgs(d)
 		if err != nil {
-			return errFrame(err)
-		}
-		tx := txs[id]
-		if tx == nil && op == opQueryAt {
-			// The piggybacked Begin: a failure (an unpinned snapshot) is the
-			// statement's error, and no transaction exists afterwards.
-			if tx, err = s.Engine.Begin(true, snap); err != nil {
-				return errFrame(err)
-			}
-			txs[id] = tx
+			return nil, err
 		}
 		if tx == nil {
-			return errFrame(fmt.Errorf("dbnet: no transaction %d", id))
+			// The piggybacked Begin: a failure (an unpinned snapshot) is the
+			// statement's error, and no transaction exists afterwards.
+			if tx, err = ss.begin(id, true, snap); err != nil {
+				return nil, err
+			}
 		}
 		r, err := tx.Query(src, args...)
 		if err != nil {
-			return errFrame(err)
+			return nil, err
 		}
-		return encodeResult(r)
+		return encodeResult(r), nil
 	case opExec:
-		id := d.U64()
 		src := d.Str()
 		args, err := decodeArgs(d)
 		if err != nil {
-			return errFrame(err)
-		}
-		tx := txs[id]
-		if tx == nil {
-			return errFrame(fmt.Errorf("dbnet: no transaction %d", id))
+			return nil, err
 		}
 		n, err := tx.Exec(src, args...)
 		if err != nil {
-			return errFrame(err)
+			return nil, err
 		}
-		return wire.NewBuffer(opExecResp).U64(uint64(n))
+		return rpc.NewFrame(opExecResp).U64(uint64(n)), nil
 	case opCommit:
-		id := d.U64()
-		tx := txs[id]
-		if tx == nil {
-			return errFrame(fmt.Errorf("dbnet: no transaction %d", id))
-		}
-		delete(txs, id)
+		delete(ss.txs, id)
 		ts, err := tx.Commit()
 		if err != nil {
-			return errFrame(err)
+			return nil, err
 		}
-		return wire.NewBuffer(opCommitResp).U64(uint64(ts))
+		return rpc.NewFrame(opCommitResp).U64(uint64(ts)), nil
 	case opAbort:
-		id := d.U64()
-		if tx := txs[id]; tx != nil {
+		if tx != nil {
 			tx.Abort()
-			delete(txs, id)
+			delete(ss.txs, id)
 		}
-		return nil
-	case opPin:
-		ts, wall := s.Engine.PinLatest()
-		return wire.NewBuffer(opPinResp).U64(uint64(ts)).I64(wall.UnixNano())
-	case opUnpin:
-		s.Engine.Unpin(interval.Timestamp(d.U64()))
-		return wire.NewBuffer(opAck)
-	case opStats:
-		blob, err := json.Marshal(ServerStats{
-			DB:         s.Engine.Stats(),
-			Durability: s.Engine.DurabilityStats(),
-		})
-		if err != nil {
-			return errFrame(err)
-		}
-		return wire.NewBuffer(opStatsResp).Str(string(blob))
+		return nil, nil
 	default:
-		return errFrame(fmt.Errorf("dbnet: unknown opcode %d", op))
+		return nil, fmt.Errorf("dbnet: unknown opcode %d", op)
 	}
 }
 
+// decodeArgs reads a statement's arguments. The count is bounded by the
+// bytes that remain — every value is at least its one-byte kind — before
+// anything is allocated for it.
 func decodeArgs(d *wire.Decoder) ([]sql.Value, error) {
 	n := d.U32()
 	if d.Err() != nil {
 		return nil, d.Err()
+	}
+	if int(n) > d.Len() {
+		return nil, fmt.Errorf("dbnet: unreasonable argument count %d", n)
 	}
 	args := make([]sql.Value, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -238,7 +226,7 @@ func decodeArgs(d *wire.Decoder) ([]sql.Value, error) {
 }
 
 func encodeResult(r *db.Result) *wire.Buffer {
-	e := wire.NewBuffer(opQueryResp)
+	e := rpc.NewFrame(opQueryResp)
 	e.U32(uint32(len(r.Cols)))
 	for _, c := range r.Cols {
 		e.Str(c)
@@ -258,39 +246,37 @@ func encodeResult(r *db.Result) *wire.Buffer {
 	return e
 }
 
-func errFrame(err error) *wire.Buffer {
-	msg := err.Error()
-	// Mark retryable conflicts so clients can reconstruct the sentinel.
-	if errors.Is(err, db.ErrSerialization) {
-		msg = "SERIALIZATION:" + msg
+// serializationMark prefixes the text of an error that is a
+// db.ErrSerialization on the wire, where errors travel as text.
+const serializationMark = "SERIALIZATION:"
+
+// remoteErr undoes serializationMark on an error a Call returned.
+func remoteErr(err error) error {
+	var remote rpc.RemoteError
+	if errors.As(err, &remote) {
+		if msg, ok := strings.CutPrefix(string(remote), serializationMark); ok {
+			return fmt.Errorf("%w (%s)", db.ErrSerialization, msg)
+		}
 	}
-	return wire.NewBuffer(opErr).Str(msg)
+	return err
 }
 
 // Client implements core.DB over TCP. Each database transaction leases one
-// pooled connection for its lifetime (the protocol is stateful per
-// connection, like PostgreSQL sessions). The transaction's context maps
-// onto connection deadlines: every round trip of a transaction begun with
-// a deadline is bounded by it, and a round trip that fails (deadline
-// included) tears down and redials the session so a half-exchanged frame
-// can never poison the next lease. Frames nobody answers (see opAbort) keep
-// a session in sync by construction: the next lease's reply is the next
-// frame the server writes.
+// connection exclusively for its lifetime, and not only because the
+// protocol is stateful per connection, like PostgreSQL sessions: a serve
+// loop handles a connection's frames serially and a commit sits in the
+// WAL's fdatasync, so two transactions sharing a connection would serialise
+// their commits and shrink the commit group. The transaction's context maps
+// onto a per-request timer: every round trip of a transaction begun with a
+// deadline is bounded by it. Replies are matched to requests by ID, so a
+// round trip that is abandoned cannot poison the next lease, and the frame
+// that ends a transaction is ordered ahead of the next lease's first
+// request on the same connection. PinLatest, Unpin and ServerStats address
+// no session and go out on any connection without leasing one.
 type Client struct {
-	addr string
-	pool chan *conn
-}
-
-type conn struct {
-	addr string
-	mu   sync.Mutex
-	c    net.Conn
-	fr   *wire.FrameReader
-	lazy uint64 // piggybacked begins issued on this session; owned by its lessee
-}
-
-func newConn(addr string, c net.Conn) *conn {
-	return &conn{addr: addr, c: c, fr: wire.NewFrameReader(c)}
+	rpc    *rpc.Client
+	free   chan *rpc.Conn // the connections, a session each, that no transaction holds
+	lastID atomic.Uint64  // of a transaction
 }
 
 var _ core.DB = (*Client)(nil)
@@ -300,106 +286,27 @@ func Dial(addr string, poolSize int) (*Client, error) {
 	if poolSize <= 0 {
 		poolSize = 8
 	}
-	cl := &Client{addr: addr, pool: make(chan *conn, poolSize)}
-	for i := 0; i < poolSize; i++ {
-		c, err := net.DialTimeout("tcp", addr, opTimeout)
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-		cl.pool <- newConn(addr, c)
-	}
-	return cl, nil
-}
-
-// Close tears down the session pool.
-func (cl *Client) Close() {
-	for {
-		select {
-		case c := <-cl.pool:
-			c.c.Close()
-		default:
-			return
-		}
-	}
-}
-
-// exchange is one request/response exchange bounded by ctx's deadline; the
-// reply may be an opErr frame. A transport failure (including a deadline
-// expiry mid-exchange) leaves the session desynchronized, so the connection
-// is closed and redialed before the error returns — the next lease of this
-// slot starts clean.
-func (c *conn) exchange(ctx context.Context, req *wire.Buffer) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.c.SetDeadline(dl)
-	} else {
-		_ = c.c.SetDeadline(time.Time{})
-	}
-	err := req.WriteFrame(c.c)
-	var resp []byte
-	if err == nil {
-		resp, err = c.fr.ReadFrame()
-	}
-	if err != nil {
-		c.reset()
-		return nil, err
-	}
-	return resp, nil
-}
-
-// send writes a frame nobody answers, bounded by opTimeout. A failed write
-// resets the session, which ends every transaction on it server-side — all
-// the lost frame asked for.
-func (c *conn) send(req *wire.Buffer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_ = c.c.SetWriteDeadline(time.Now().Add(opTimeout))
-	if err := req.WriteFrame(c.c); err != nil {
-		c.reset()
-	}
-}
-
-// reset replaces a failed session; c.mu must be held. The redial is
-// bounded: an unbounded net.Dial here would let a blackholed host re-wedge
-// the very release paths opTimeout exists to bound, for the kernel's
-// ~2-minute connect timeout.
-func (c *conn) reset() {
-	c.c.Close()
-	if nc, err := net.DialTimeout("tcp", c.addr, opTimeout); err == nil {
-		c.c, c.fr = nc, wire.NewFrameReader(nc)
-	}
-}
-
-// replyErr decodes an opErr reply into the error it carries.
-func replyErr(resp []byte) error {
-	if len(resp) == 0 || resp[0] != opErr {
-		return nil
-	}
-	d := wire.NewDecoder(resp)
-	d.Op()
-	msg := d.Str()
-	if strings.HasPrefix(msg, "SERIALIZATION:") {
-		return fmt.Errorf("%w (%s)", db.ErrSerialization, strings.TrimPrefix(msg, "SERIALIZATION:"))
-	}
-	return errors.New(msg)
-}
-
-// roundTripCtx is exchange with an opErr reply turned into its error.
-func (c *conn) roundTripCtx(ctx context.Context, req *wire.Buffer) ([]byte, error) {
-	resp, err := c.exchange(ctx, req)
-	if err == nil {
-		err = replyErr(resp)
-	}
+	// Statements and commits take as long as they take: a transaction's
+	// round trips are bounded by its context alone.
+	rc, err := rpc.Dial("dbnet", addr, poolSize, 0)
 	if err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return newClient(rc, poolSize), nil
 }
+
+func newClient(rc *rpc.Client, n int) *Client {
+	cl := &Client{rpc: rc, free: make(chan *rpc.Conn, n)}
+	for i := 0; i < n; i++ {
+		cl.free <- rc.Conn(i)
+	}
+	return cl
+}
+
+// Close tears down every session, leased ones included: a transaction still
+// open fails its next round trip, and the daemon aborts it with the
+// connection.
+func (cl *Client) Close() { cl.rpc.Close() }
 
 // Begin starts a remote transaction bound to ctx, leasing a session from
 // the pool until Commit or Abort. ctx's deadline bounds the begin round
@@ -416,44 +323,54 @@ func (cl *Client) Begin(ctx context.Context, readOnly bool, snap interval.Timest
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var c *conn
+	t := &clientTx{cl: cl, ctx: ctx, id: cl.lastID.Add(1), snap: snap, ro: readOnly}
 	select {
-	case c = <-cl.pool:
+	case t.conn = <-cl.free:
 	case <-ctx.Done():
 		return nil, fmt.Errorf("dbnet: begin: %w", ctx.Err())
 	}
 	if readOnly && snap != 0 {
-		c.lazy++
-		return &clientTx{cl: cl, c: c, ctx: ctx, id: lazyIDBit | c.lazy, snap: snap, ro: true, pending: true}, nil
+		t.pending = true
+		return t, nil
 	}
-	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opBegin).Bool(readOnly).U64(uint64(snap)))
+	d, err := roundTrip(ctx, t.conn, rpc.NewFrame(opBegin).U64(t.id).Bool(readOnly).U64(uint64(snap)), opBeginResp)
+	if err == nil {
+		t.snap, err = interval.Timestamp(d.U64()), d.Err()
+	}
 	if err != nil {
-		cl.pool <- c
+		t.Abort() // whatever went wrong, the server may have begun the transaction
 		return nil, err
 	}
-	d := wire.NewDecoder(resp)
-	d.Op()
-	id := d.U64()
-	got := interval.Timestamp(d.U64())
-	if d.Err() != nil {
-		cl.pool <- c
-		return nil, d.Err()
+	return t, nil
+}
+
+// caller is what a round trip goes out on: the whole pool, for one that
+// addresses no session, or a transaction's leased connection.
+type caller interface {
+	Call(ctx context.Context, frame *wire.Buffer) (byte, []byte, error)
+}
+
+// roundTrip is one exchange whose reply must be opcode want; it returns a
+// decoder on the reply's body (by value: it stays on the caller's stack).
+func roundTrip(ctx context.Context, c caller, req *wire.Buffer, want byte) (wire.Decoder, error) {
+	op, body, err := c.Call(ctx, req)
+	if err == nil && op != want {
+		err = errors.New("dbnet: unexpected response opcode")
 	}
-	return &clientTx{cl: cl, c: c, ctx: ctx, id: id, snap: got, ro: readOnly}, nil
+	if err != nil {
+		err = remoteErr(err)
+	}
+	return *wire.NewDecoder(body), err
 }
 
 // PinLatest pins the latest snapshot on the daemon.
 func (cl *Client) PinLatest() (interval.Timestamp, time.Time) {
-	c := <-cl.pool
-	defer func() { cl.pool <- c }()
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opPin))
+	d, err := roundTrip(ctx, cl.rpc, rpc.NewFrame(opPin), opPinResp)
 	if err != nil {
 		return 0, time.Time{}
 	}
-	d := wire.NewDecoder(resp)
-	d.Op()
 	return interval.Timestamp(d.U64()), time.Unix(0, d.I64())
 }
 
@@ -461,23 +378,9 @@ func (cl *Client) PinLatest() (interval.Timestamp, time.Time) {
 // JSON the daemon encoded (see the ServerStats type), so callers can embed
 // it in their own status payloads without re-marshalling.
 func (cl *Client) ServerStats(ctx context.Context) (json.RawMessage, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var c *conn
-	select {
-	case c = <-cl.pool:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("dbnet: stats: %w", ctx.Err())
-	}
-	defer func() { cl.pool <- c }()
-	resp, err := c.roundTripCtx(ctx, wire.NewBuffer(opStats))
+	d, err := roundTrip(ctx, cl.rpc, rpc.NewFrame(opStats), opStatsResp)
 	if err != nil {
 		return nil, err
-	}
-	d := wire.NewDecoder(resp)
-	if d.Op() != opStatsResp {
-		return nil, errors.New("dbnet: unexpected stats response opcode")
 	}
 	blob := d.Str()
 	return json.RawMessage(blob), d.Err()
@@ -486,17 +389,15 @@ func (cl *Client) ServerStats(ctx context.Context) (json.RawMessage, error) {
 // Unpin releases a pinned snapshot on the daemon; the exchange is bounded
 // by opTimeout so a wedged daemon cannot hang the release path.
 func (cl *Client) Unpin(ts interval.Timestamp) {
-	c := <-cl.pool
-	defer func() { cl.pool <- c }()
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	_, _ = c.roundTripCtx(ctx, wire.NewBuffer(opUnpin).U64(uint64(ts)))
+	_, _ = roundTrip(ctx, cl.rpc, rpc.NewFrame(opUnpin).U64(uint64(ts)), rpc.OpAck)
 }
 
-// clientTx is a remote transaction bound to one pooled session.
+// clientTx is a remote transaction bound to one leased session.
 type clientTx struct {
 	cl   *Client
-	c    *conn
+	conn *rpc.Conn
 	ctx  context.Context
 	id   uint64
 	snap interval.Timestamp
@@ -515,23 +416,21 @@ func (t *clientTx) Snapshot() interval.Timestamp { return t.snap }
 func (t *clientTx) Query(src string, args ...sql.Value) (*db.Result, error) {
 	var e *wire.Buffer
 	if t.pending {
-		e = wire.NewBuffer(opQueryAt).U64(t.id).U64(uint64(t.snap))
+		e = rpc.NewFrame(opQueryAt).U64(t.id).U64(uint64(t.snap))
 	} else {
-		e = wire.NewBuffer(opQuery).U64(t.id)
+		e = rpc.NewFrame(opQuery).U64(t.id)
 	}
 	e.Str(src)
 	encodeArgs(e, args)
-	resp, err := t.c.exchange(t.ctx, e)
+	d, err := roundTrip(t.ctx, t.conn, e, opQueryResp)
+	// Reply or none, the server may have run the Begin. If it did not there
+	// is no transaction to end, and ending one that does not exist is
+	// harmless.
+	t.pending = false
 	if err != nil {
 		return nil, err
 	}
-	// Any reply means the server ran the Begin. If it failed there is no
-	// transaction to end, and ending one that does not exist is harmless.
-	t.pending = false
-	if err := replyErr(resp); err != nil {
-		return nil, err
-	}
-	return decodeResult(resp)
+	return decodeResult(&d)
 }
 
 // Exec runs a remote INSERT/UPDATE/DELETE, bounded by the transaction's
@@ -540,14 +439,12 @@ func (t *clientTx) Exec(src string, args ...sql.Value) (int, error) {
 	if t.pending {
 		return 0, db.ErrReadOnly // only read-only transactions begin lazily
 	}
-	e := wire.NewBuffer(opExec).U64(t.id).Str(src)
+	e := rpc.NewFrame(opExec).U64(t.id).Str(src)
 	encodeArgs(e, args)
-	resp, err := t.c.roundTripCtx(t.ctx, e)
+	d, err := roundTrip(t.ctx, t.conn, e, opExecResp)
 	if err != nil {
 		return 0, err
 	}
-	d := wire.NewDecoder(resp)
-	d.Op()
 	return int(d.U64()), d.Err()
 }
 
@@ -568,22 +465,20 @@ func (t *clientTx) Commit() (interval.Timestamp, error) {
 		t.end()
 		return t.snap, nil
 	}
-	defer func() { t.cl.pool <- t.c }()
-	resp, err := t.c.roundTripCtx(t.ctx, wire.NewBuffer(opCommit).U64(t.id))
+	defer func() { t.cl.free <- t.conn }()
+	d, err := roundTrip(t.ctx, t.conn, rpc.NewFrame(opCommit).U64(t.id), opCommitResp)
 	if err != nil {
 		return 0, err
 	}
-	d := wire.NewDecoder(resp)
-	d.Op()
 	return interval.Timestamp(d.U64()), d.Err()
 }
 
 // Abort rolls back the remote transaction and releases the session. It
 // deliberately ignores the transaction's (possibly cancelled) context —
 // rollback must always be attempted so the daemon session is freed — and
-// waits for nothing: the frame is written under opTimeout, so "Abort never
-// blocks on the context" does not become "Abort blocks on a wedged
-// daemon", and a write that fails resets the session, which aborts the
+// waits for nothing: the transport bounds the frame's write, so "Abort
+// never blocks on the context" does not become "Abort blocks on a wedged
+// daemon", and a write that fails drops the connection, which aborts the
 // transaction server-side anyway.
 func (t *clientTx) Abort() {
 	if t.done.CompareAndSwap(false, true) {
@@ -591,14 +486,14 @@ func (t *clientTx) Abort() {
 	}
 }
 
-// end tells the server to drop the transaction, if it ever heard of it, and
-// returns the session to the pool. The next lease of the session is ordered
-// behind the frame on the same connection.
+// end tells the server to drop the transaction, if it may have heard of
+// it, and returns the session to the pool. The next lease of the session is
+// ordered behind the frame on the same connection.
 func (t *clientTx) end() {
 	if !t.pending {
-		t.c.send(wire.NewBuffer(opAbort).U64(t.id))
+		_ = t.conn.Send(rpc.NewFrame(opAbort).U64(t.id)) // a failed write drops the connection, and the transaction with it
 	}
-	t.cl.pool <- t.c
+	t.cl.free <- t.conn
 }
 
 func encodeArgs(e *wire.Buffer, args []sql.Value) {
@@ -608,19 +503,24 @@ func encodeArgs(e *wire.Buffer, args []sql.Value) {
 	}
 }
 
-func decodeResult(resp []byte) (*db.Result, error) {
-	d := wire.NewDecoder(resp)
-	if d.Op() != opQueryResp {
-		return nil, errors.New("dbnet: unexpected response opcode")
-	}
+// decodeResult reads an opQueryResp body. Every count is bounded by the
+// bytes that remain — a column name is at least its length prefix, a value
+// its kind byte, a tag nine bytes — before anything is allocated for it.
+func decodeResult(d *wire.Decoder) (*db.Result, error) {
 	r := &db.Result{}
 	nc := d.U32()
+	if int(nc) > d.Len()/4 {
+		return nil, fmt.Errorf("dbnet: unreasonable column count %d", nc)
+	}
 	for i := uint32(0); i < nc; i++ {
 		r.Cols = append(r.Cols, d.Str())
 	}
 	nr := d.U32()
 	if d.Err() != nil {
 		return nil, d.Err()
+	}
+	if uint64(nr)*uint64(max(nc, 1)) > uint64(d.Len()) {
+		return nil, fmt.Errorf("dbnet: unreasonable row count %d", nr)
 	}
 	r.Rows = make([][]sql.Value, 0, nr)
 	for i := uint32(0); i < nr; i++ {
@@ -639,6 +539,9 @@ func decodeResult(resp []byte) (*db.Result, error) {
 	nt := d.U32()
 	if d.Err() != nil {
 		return r, d.Err()
+	}
+	if int(nt) > d.Len()/9 {
+		return r, fmt.Errorf("dbnet: unreasonable tag count %d", nt)
 	}
 	r.Tags, _ = invalidation.DecodeTags(d, nt)
 	return r, d.Err()

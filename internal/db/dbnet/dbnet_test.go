@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,7 +139,8 @@ func TestConnectionDropAbortsTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(raw, wire.NewBuffer(1 /* opBegin */).Bool(false).U64(0).Bytes()); err != nil {
+	// Request 1: begin transaction 1, read/write, at the latest snapshot.
+	if err := wire.WriteFrame(raw, wire.NewBuffer(opBegin).U32(1).U64(1).Bool(false).U64(0).Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := wire.ReadFrame(raw); err != nil {
@@ -155,6 +158,99 @@ func TestConnectionDropAbortsTx(t *testing.T) {
 	}
 	if got := engine.PinnedCount(); got != 0 {
 		t.Fatalf("orphaned transaction still pins %d snapshots", got)
+	}
+}
+
+// openConns is a listener that counts the connections its server has
+// accepted and not yet closed.
+type openConns struct {
+	net.Listener
+	n atomic.Int64
+}
+
+func (l *openConns) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.n.Add(1)
+	return &countedConn{Conn: c, l: l}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	l    *openConns
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.l.n.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestCloseClosesLeasedSessions: Close takes down the sessions transactions
+// hold as well as the free ones, and a transaction that ends afterwards
+// parks nothing: the daemon is left with no connection, and so no goroutine,
+// of this client's.
+func TestCloseClosesLeasedSessions(t *testing.T) {
+	engine := db.New(db.Options{})
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &openConns{Listener: tcp}
+	defer l.Close()
+	go (&Server{Engine: engine}).Serve(l)
+	cl, err := Dial(l.Addr().String(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := cl.Begin(context.Background(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	tx.Abort() // its lease comes back to a closed client
+	deadline := time.Now().Add(2 * time.Second)
+	for l.n.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the daemon still holds %d connections after Close", l.n.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if engine.PinnedCount() != 0 {
+		t.Fatalf("the dropped transaction still pins %d snapshots", engine.PinnedCount())
+	}
+}
+
+// TestSessionlessOpsNeedNoLease: PinLatest and Unpin address no session, so
+// they go through while transactions hold every one — the release path must
+// not wait on the very transactions it is cleaning up after.
+func TestSessionlessOpsNeedNoLease(t *testing.T) {
+	engine := db.New(db.Options{})
+	cl, err := Dial(serve(t, engine), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tx, err := cl.Begin(context.Background(), false, 0) // holds the only session
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ts, wall := cl.PinLatest()
+		if wall.IsZero() {
+			t.Error("PinLatest failed")
+		}
+		cl.Unpin(ts)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("PinLatest and Unpin waited for a session to come free")
 	}
 }
 

@@ -2,6 +2,7 @@ package dbnet
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,8 +10,8 @@ import (
 	"txcache/internal/core"
 	"txcache/internal/db"
 	"txcache/internal/interval"
+	"txcache/internal/rpc/rpctest"
 	"txcache/internal/wire"
-	"txcache/internal/wire/wiretest"
 )
 
 // eventuallyUnpinned waits for the engine to hold no pins: transactions end
@@ -27,101 +28,98 @@ func eventuallyUnpinned(t *testing.T, engine *db.Engine) {
 	}
 }
 
-// TestOneWritePerFrame drives both dbnet endpoints over counted pipes:
+// TestOneWritePerFrame joins the two dbnet endpoints by a counted pipe:
 // every frame either side sends is one Write, a frame that arrives in one
-// piece is one Read, opAbort draws no reply, and a read-only transaction at
-// a given snapshot costs one exchange per statement and nothing else.
+// piece is one Read, a one-way opAbort draws no reply, and a read-only
+// transaction at a given snapshot costs one exchange per statement and
+// nothing else.
 func TestOneWritePerFrame(t *testing.T) {
 	engine := db.New(db.Options{})
 	if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
+	ss := &session{engine: engine, txs: make(map[uint64]*db.Tx)}
+	rc, client, server := rpctest.Pipe(t, ss.handle, 0)
+	cl := newClient(rc, 1)
+	defer cl.Close()
 
-	t.Run("server", func(t *testing.T) {
-		srv, cl := wiretest.Pipe()
-		defer cl.Close()
-		go (&Server{Engine: engine}).serveConn(srv)
-		fr := wire.NewFrameReader(cl)
-		exchange := func(e *wire.Buffer, want byte) []byte {
-			t.Helper()
-			if err := e.WriteFrame(cl); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := fr.ReadFrame()
-			if err != nil || resp[0] != want {
-				t.Fatalf("reply %x, %v; want opcode %d", resp, err, want)
-			}
-			return resp
-		}
-		d := wire.NewDecoder(exchange(wire.NewBuffer(opPin), opPinResp))
-		d.Op()
-		snap := d.U64()
-		q := wire.NewBuffer(opQueryAt).U64(lazyIDBit | 1).U64(snap).Str("SELECT v FROM kv WHERE k = ?")
-		encodeArgs(q, nil)
-		exchange(q, opErr) // wrong argument count: the statement fails, the begin stands
-		if err := wire.NewBuffer(opAbort).U64(lazyIDBit | 1).WriteFrame(cl); err != nil {
+	snap, _ := cl.PinLatest()
+	client.Expect(t, "PinLatest", 1, 1)
+	ro, err := cl.Begin(context.Background(), true, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Expect(t, "a read-only Begin at a snapshot", 1, 1)
+	for i := 0; i < 2; i++ {
+		if _, err := ro.Query("SELECT v FROM kv WHERE k = ?", int64(1)); err != nil {
 			t.Fatal(err)
 		}
-		exchange(wire.NewBuffer(opUnpin).U64(snap), opAck)
-		if r, w := srv.Reads.Load(), srv.Writes.Load(); r != 4 || w != 3 {
-			t.Fatalf("server made %d reads and %d writes for 4 frames in, 3 out", r, w)
-		}
-		eventuallyUnpinned(t, engine)
-	})
+	}
+	client.Expect(t, "two queries", 3, 3)
+	if ts, err := ro.Commit(); err != nil || ts != snap {
+		t.Fatalf("read-only commit: %d, %v", ts, err)
+	}
+	client.Expect(t, "a read-only Commit", 3, 4)
 
-	t.Run("client", func(t *testing.T) {
-		session, srv := wiretest.Pipe()
-		go (&Server{Engine: engine}).serveConn(srv)
-		cl := &Client{pool: make(chan *conn, 1)}
-		cl.pool <- newConn("", session)
-		defer cl.Close()
-		expect := func(what string, reads, writes int64) {
-			t.Helper()
-			if r, w := session.Reads.Load(), session.Writes.Load(); r != reads || w != writes {
-				t.Fatalf("after %s: %d reads and %d writes, want %d and %d", what, r, w, reads, writes)
-			}
-		}
+	rw, err := cl.Begin(context.Background(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rw.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", int64(1), "one"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	client.Expect(t, "a read/write Begin, Exec, Commit", 6, 7)
 
-		snap, _ := cl.PinLatest()
-		expect("PinLatest", 1, 1)
-		ro, err := cl.Begin(context.Background(), true, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		expect("a read-only Begin at a snapshot", 1, 1)
-		for i := 0; i < 2; i++ {
-			if _, err := ro.Query("SELECT v FROM kv WHERE k = ?", int64(1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		expect("two queries", 3, 3)
-		if ts, err := ro.Commit(); err != nil || ts != snap {
-			t.Fatalf("read-only commit: %d, %v", ts, err)
-		}
-		expect("a read-only Commit", 3, 4)
+	rw, err = cl.Begin(context.Background(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw.Abort()
+	client.Expect(t, "Begin and Abort", 7, 9)
+	cl.Unpin(snap)
+	client.Expect(t, "Unpin", 8, 10)
+	server.Expect(t, "10 frames in, 8 out", 10, 8)
+	if n := engine.PinnedCount(); n != 0 {
+		t.Fatalf("%d snapshots still pinned", n)
+	}
+}
 
-		rw, err := cl.Begin(context.Background(), false, 0)
-		if err != nil {
-			t.Fatal(err)
+// TestAbandonedBeginIsAborted: a read/write Begin whose caller gives up
+// before the reply arrives leaves nothing behind. The client chose the
+// transaction's id, so the one-way abort it sends behind the Begin ends the
+// transaction the server went on to begin, and the session stays usable.
+func TestAbandonedBeginIsAborted(t *testing.T) {
+	engine := db.New(db.Options{})
+	ss := &session{engine: engine, txs: make(map[uint64]*db.Tx)}
+	slowBegin := func(op byte, body []byte) (*wire.Buffer, error) {
+		if op == opBegin {
+			time.Sleep(50 * time.Millisecond)
 		}
-		if _, err := rw.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", int64(1), "one"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rw.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		expect("a read/write Begin, Exec, Commit", 6, 7)
+		return ss.handle(op, body)
+	}
+	rc, _, _ := rpctest.Pipe(t, slowBegin, 0)
+	cl := newClient(rc, 1)
+	defer cl.Close()
 
-		rw, err = cl.Begin(context.Background(), false, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw.Abort()
-		expect("Begin and Abort", 7, 9)
-		cl.Unpin(snap)
-		expect("Unpin", 8, 10)
-		eventuallyUnpinned(t, engine)
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if tx, err := cl.Begin(ctx, false, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Begin = %v, %v; want the deadline's error", tx, err)
+	}
+	// The next lease of the same session is ordered behind both frames; once
+	// it has ended too, nothing pins the snapshot the two shared.
+	tx, err := cl.Begin(context.Background(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+	eventuallyUnpinned(t, engine)
+	if st := rc.Stats(); st.LateDrops != 1 || st.Reconnects != 0 {
+		t.Fatalf("the abandoned reply should have been dropped on a connection left alone: %+v", st)
+	}
 }
 
 // TestOneWayEndKeepsSessionInSync leases one session over and over, ending

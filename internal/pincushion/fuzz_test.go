@@ -6,24 +6,29 @@ import (
 
 	"txcache/internal/clock"
 	"txcache/internal/interval"
+	"txcache/internal/rpc"
 	"txcache/internal/wire"
 )
 
 // FuzzPincushionHandle feeds arbitrary request frames to the daemon's
-// dispatcher: it must never panic, must believe no length prefix beyond the
-// bytes that actually arrived (the opRelease guard; opPins is its mirror in
-// the client), must answer only the opcode that has a reply, and must leave
-// the registry's use-counts sane.
+// handler, behind the transport's dispatch: it must never panic, must
+// believe no length prefix beyond the bytes that actually arrived (the
+// opRelease guard; opPins is its mirror in the client), must answer a
+// request with pins, an ack or an error and a one-way frame with nothing,
+// and must leave the registry's use-counts sane.
 func FuzzPincushionHandle(f *testing.F) {
 	now := time.Unix(0, int64(time.Hour))
-	f.Add(wire.NewBuffer(opGetPins).I64(int64(30 * time.Second)).Bytes())
-	f.Add(wire.NewBuffer(opGetPins).Bytes()) // truncated
-	f.Add(wire.NewBuffer(opRegister).U64(9).I64(now.UnixNano()).Bytes())
-	f.Add(wire.NewBuffer(opRegister).U64(9).Bytes()) // truncated
-	f.Add(wire.NewBuffer(opRelease).U32(2).U64(3).U64(4).Bytes())
-	f.Add(wire.NewBuffer(opRelease).U32(0xFFFFFFFF).U64(3).Bytes()) // claims 4Gi timestamps, carries one
-	f.Add(wire.NewBuffer(opRelease).Bytes())
-	f.Add(wire.NewBuffer(opErr).Str("not a request").Bytes())
+	for _, id := range []uint32{0, 7} { // one-way, and as a request
+		frame := func(op byte) *wire.Buffer { return wire.NewBuffer(op).U32(id) }
+		f.Add(frame(opGetPins).I64(int64(30 * time.Second)).Bytes())
+		f.Add(frame(opGetPins).Bytes()) // truncated
+		f.Add(frame(opRegister).U64(9).I64(now.UnixNano()).Bytes())
+		f.Add(frame(opRegister).U64(9).Bytes()) // truncated
+		f.Add(frame(opRelease).U32(2).U64(3).U64(4).Bytes())
+		f.Add(frame(opRelease).U32(0xFFFFFFFF).U64(3).Bytes()) // claims 4Gi timestamps, carries one
+		f.Add(frame(opRelease).Bytes())
+		f.Add(frame(rpc.OpErr).Str("not a request").Bytes())
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 1, 2, 3})
 
@@ -33,26 +38,27 @@ func FuzzPincushionHandle(f *testing.F) {
 		p.Register(3, clk.Now())
 		p.Register(4, clk.Now())
 
-		reply := p.handle(frame)
+		reply := rpc.Dispatch(p.handle, frame)
 
-		var op byte
-		if len(frame) > 0 {
-			op = frame[0]
-		}
+		oneWay := len(frame) < 5 || frame[1]|frame[2]|frame[3]|frame[4] == 0
 		switch {
-		case op == opRegister || op == opRelease:
+		case oneWay:
 			if reply != nil {
-				t.Fatalf("one-way opcode %d was answered: %x", op, reply.Bytes())
+				t.Fatalf("one-way frame %x was answered: %x", frame, reply.Bytes())
 			}
 		case reply == nil:
-			t.Fatalf("opcode %d got no reply", op)
+			t.Fatalf("request %x got no reply", frame)
 		default:
+			op := frame[0]
 			d := wire.NewDecoder(reply.Bytes())
-			switch got := d.Op(); {
-			case got == opErr:
+			got := d.Op()
+			d.U32() // the request ID
+			switch {
+			case got == rpc.OpErr:
 				if d.Str(); d.Err() != nil {
 					t.Fatalf("malformed error reply: %x", reply.Bytes())
 				}
+			case got == rpc.OpAck && (op == opRegister || op == opRelease):
 			case got == opPins && op == opGetPins:
 				n := d.U32()
 				if int(n) != d.Len()/16 || d.Len()%16 != 0 {

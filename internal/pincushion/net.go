@@ -2,13 +2,12 @@ package pincushion
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"txcache/internal/interval"
+	"txcache/internal/rpc"
 	"txcache/internal/wire"
 )
 
@@ -31,290 +30,104 @@ var (
 	_ Service = (*Client)(nil)
 )
 
-// Protocol opcodes. GetPins is answered with Pins (or Err); Register and
-// Release are one-way: the daemon applies them in arrival order and never
-// replies, so a transaction's bookkeeping costs its caller a write, not a
-// round trip.
+// Protocol opcodes. GetPins is answered with Pins. Register and Release
+// have nothing to report; the client sends them one-way, so a
+// transaction's bookkeeping costs its caller a write, not a round trip.
 const (
 	opGetPins  byte = 1
 	opPins     byte = 2
 	opRegister byte = 3
 	opRelease  byte = 4
-	opErr      byte = 6
 )
 
-// Serve accepts connections on l until it is closed.
+// opTimeout bounds a GetPins round trip whose caller set no tighter
+// deadline: on expiry, as on any error, the library pins a fresh snapshot.
+const opTimeout = 5 * time.Second
+
+// Serve accepts connections on l until it is closed. A connection's frames
+// are handled in arrival order, which is what keeps a client's Register
+// ahead of the Release that follows it.
 func (p *Pincushion) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go p.serveConn(conn)
-	}
+	return rpc.Serve(l, func() (rpc.Handler, func()) { return p.handle, nil })
 }
 
-// serveConn handles one connection's frames in arrival order, which is what
-// keeps a client's Register ahead of the Release that follows it.
-func (p *Pincushion) serveConn(conn net.Conn) {
-	defer conn.Close()
-	fr := wire.NewFrameReader(conn)
-	for {
-		req, err := fr.ReadFrame()
-		if err != nil {
-			return
-		}
-		resp := p.handle(req)
-		if resp == nil {
-			continue
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-		if err := resp.WriteFrame(conn); err != nil {
-			return
-		}
-	}
-}
-
-// handle applies one request frame and returns the reply, nil for the
-// one-way opcodes (a malformed one-way frame is dropped: nobody is waiting
-// for an error).
-func (p *Pincushion) handle(req []byte) *wire.Buffer {
-	d := wire.NewDecoder(req)
-	switch op := d.Op(); op {
+// handle is the daemon's rpc.Handler. A malformed Register or Release is
+// dropped: sent one-way, nobody is waiting for an error.
+func (p *Pincushion) handle(op byte, body []byte) (*wire.Buffer, error) {
+	d := wire.NewDecoder(body)
+	switch op {
 	case opGetPins:
 		staleness := time.Duration(d.I64())
 		if d.Err() != nil {
-			return errFrame(d.Err())
+			return nil, d.Err()
 		}
 		//lint:allow ctxflow the wire protocol carries no context; server-side GetPins is in-memory and non-blocking
 		pins := p.GetPins(context.Background(), staleness)
-		e := wire.NewBuffer(opPins)
-		e.U32(uint32(len(pins)))
+		e := rpc.NewFrame(opPins).U32(uint32(len(pins)))
 		for _, pin := range pins {
 			e.U64(uint64(pin.TS)).I64(pin.Wall.UnixNano())
 		}
-		return e
+		return e, nil
 	case opRegister:
 		ts := interval.Timestamp(d.U64())
 		wall := time.Unix(0, d.I64())
 		if d.Err() == nil {
 			p.Register(ts, wall)
 		}
-		return nil
+		return nil, d.Err()
 	case opRelease:
 		n := d.U32()
 		if int(n) > d.Len()/8 {
-			return nil
+			return nil, fmt.Errorf("pincushion: unreasonable release count %d", n)
 		}
 		tss := make([]interval.Timestamp, 0, n)
 		for i := uint32(0); i < n; i++ {
 			tss = append(tss, interval.Timestamp(d.U64()))
 		}
 		p.Release(tss)
-		return nil
+		return nil, nil
 	default:
-		return errFrame(fmt.Errorf("pincushion: unknown opcode %d", op))
+		return nil, fmt.Errorf("pincushion: unknown opcode %d", op)
 	}
 }
 
-func errFrame(err error) *wire.Buffer {
-	return wire.NewBuffer(opErr).Str(err.Error())
-}
-
 // Client is a TCP client for a pincushion daemon, usable concurrently.
-// GetPins round-trips on a pool of connections; Register and Release are
-// written, unanswered, to one further connection that carries them in
-// order. Ordering is per connection, so one is all it takes for a
-// transaction's Register to land before its Release; when that connection
-// breaks, frames already written may be lost and the next frame, sent on
-// its replacement, may overtake them. Either way a use-count leaks at the
-// daemon until Sweep's leak cutoff reclaims it, which is what a Release
+// GetPins round-trips on any of its connections; Register and Release are
+// written, unanswered, to the first, which carries them in order. Ordering
+// is per connection, so one is all it takes for a transaction's Register to
+// land before its Release; while that connection is down, and for frames
+// already written when it broke, they are lost, and the next frame, sent on
+// its replacement, may overtake stragglers. Either way a use-count leaks at
+// the daemon until Sweep's leak cutoff reclaims it, which is what a Release
 // that failed cost before it was one-way.
 type Client struct {
-	addr string
-	pool chan *pconn
-
-	owMu sync.Mutex // guards ow and orders the frames written to it
-	ow   net.Conn   // nil until the first send, and after a failed write until the next
-
-	mu   sync.Mutex    // orders put and redial against Close
-	done chan struct{} // closed by Close
-	wg   sync.WaitGroup
+	rpc *rpc.Client
 }
 
-// pconn is one pooled request/reply connection.
-type pconn struct {
-	c  net.Conn
-	fr *wire.FrameReader
-}
-
-var errClosed = errors.New("pincushion: client closed")
-
-// Dial connects to a pincushion daemon with poolSize connections for
-// GetPins; the connection for the one-way frames is dialed by the first of
-// them.
+// Dial connects to a pincushion daemon with poolSize connections.
 func Dial(addr string, poolSize int) (*Client, error) {
 	if poolSize <= 0 {
 		poolSize = 4
 	}
-	c := &Client{addr: addr, pool: make(chan *pconn, poolSize), done: make(chan struct{})}
-	for i := 0; i < poolSize; i++ {
-		conn, err := net.DialTimeout("tcp", addr, opTimeout)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.pool <- &pconn{c: conn, fr: wire.NewFrameReader(conn)}
-	}
-	return c, nil
-}
-
-// Close tears down the connections and waits for pending redials to stop;
-// a redial that connects after Close closes what it dialed.
-func (c *Client) Close() {
-	c.mu.Lock()
-	select {
-	case <-c.done:
-	default:
-		close(c.done)
-	}
-	for len(c.pool) > 0 {
-		(<-c.pool).c.Close()
-	}
-	c.mu.Unlock()
-	c.owMu.Lock()
-	if c.ow != nil {
-		c.ow.Close()
-		c.ow = nil
-	}
-	c.owMu.Unlock()
-	c.wg.Wait()
-}
-
-// put returns a healthy connection to the pool, or closes it if the client
-// closed while it was out.
-func (c *Client) put(conn *pconn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case <-c.done:
-		conn.c.Close()
-	default:
-		c.pool <- conn // never blocks: the pool has a slot per connection
-	}
-}
-
-func (c *Client) roundTrip(ctx context.Context, req *wire.Buffer) ([]byte, error) {
-	var conn *pconn
-	select {
-	case conn = <-c.pool:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-c.done:
-		return nil, errClosed
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.c.SetDeadline(dl)
-	} else {
-		_ = conn.c.SetDeadline(time.Time{})
-	}
-	err := req.WriteFrame(conn.c)
-	var resp []byte
-	if err == nil {
-		resp, err = conn.fr.ReadFrame()
-	}
+	rc, err := rpc.Dial("pincushion", addr, poolSize, opTimeout)
 	if err != nil {
-		conn.c.Close()
-		c.redial()
 		return nil, err
 	}
-	c.put(conn)
-	if len(resp) > 0 && resp[0] == opErr {
-		d := wire.NewDecoder(resp)
-		d.Op()
-		return nil, errors.New(d.Str())
-	}
-	return resp, nil
+	return &Client{rpc: rc}, nil
 }
 
-// Redial backoff bounds: a daemon that is down is retried from a few
-// milliseconds apart up to once a second, until it is back or the client
-// closes, so an outage costs the pool no slot for good.
-const (
-	redialMin = 10 * time.Millisecond
-	redialMax = time.Second
-)
-
-// redial replaces a failed pool connection in the background.
-func (c *Client) redial() {
-	c.mu.Lock()
-	select {
-	case <-c.done:
-		c.mu.Unlock()
-		return
-	default:
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	go func() {
-		defer c.wg.Done()
-		for backoff := redialMin; ; backoff = min(2*backoff, redialMax) {
-			if conn, err := net.DialTimeout("tcp", c.addr, opTimeout); err == nil {
-				c.put(&pconn{c: conn, fr: wire.NewFrameReader(conn)})
-				return
-			}
-			select {
-			case <-c.done:
-				return
-			case <-time.After(backoff):
-			}
-		}
-	}()
-}
-
-// send writes one one-way frame on the ordered connection, dialing it if
-// need be and once more if the write fails; see Client for what a lost
-// frame costs.
-func (c *Client) send(req *wire.Buffer) {
-	c.owMu.Lock()
-	defer c.owMu.Unlock()
-	for attempt := 0; attempt < 2; attempt++ {
-		if c.ow == nil {
-			select {
-			case <-c.done:
-				return
-			default:
-			}
-			conn, err := net.DialTimeout("tcp", c.addr, opTimeout)
-			if err != nil {
-				return
-			}
-			c.ow = conn
-		}
-		_ = c.ow.SetWriteDeadline(time.Now().Add(opTimeout))
-		if err := req.WriteFrame(c.ow); err == nil {
-			return
-		}
-		c.ow.Close()
-		c.ow = nil
-	}
-}
+// Close tears down the connections and waits for pending redials to stop.
+func (c *Client) Close() { c.rpc.Close() }
 
 // GetPins implements Service over TCP; on error (or a cancelled ctx,
 // whose deadline bounds the round trip) it returns no pins, which the
 // library treats as "pin a fresh snapshot".
 func (c *Client) GetPins(ctx context.Context, staleness time.Duration) []Pin {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	resp, err := c.roundTrip(ctx, wire.NewBuffer(opGetPins).I64(int64(staleness)))
-	if err != nil {
+	op, body, err := c.rpc.Call(ctx, rpc.NewFrame(opGetPins).I64(int64(staleness)))
+	if err != nil || op != opPins {
 		return nil
 	}
-	d := wire.NewDecoder(resp)
-	if d.Op() != opPins {
-		return nil
-	}
+	d := wire.NewDecoder(body)
 	n := d.U32()
 	if int(n) > d.Len()/16 {
 		return nil
@@ -329,29 +142,21 @@ func (c *Client) GetPins(ctx context.Context, staleness time.Duration) []Pin {
 	return pins
 }
 
-// opTimeout bounds dials and the one-way writes: Register and Release
-// deliberately ignore the (possibly cancelled) transaction context because
-// pin bookkeeping must survive cancellation, but a wedged daemon must not
-// hang the release path forever either.
-const opTimeout = 5 * time.Second
-
-// serverWriteTimeout bounds one response write in the serve loop: a client
-// that stops reading wedges only its own connection goroutine, briefly.
-const serverWriteTimeout = 10 * time.Second
-
-// Register implements Service over TCP as a one-way frame.
+// Register implements Service over TCP as a one-way frame. Like Release it
+// deliberately ignores the (possibly cancelled) transaction context — pin
+// bookkeeping must survive cancellation — and the transport bounds the
+// write, so a wedged daemon cannot hang the release path either.
 func (c *Client) Register(ts interval.Timestamp, wall time.Time) {
-	c.send(wire.NewBuffer(opRegister).U64(uint64(ts)).I64(wall.UnixNano()))
+	_ = c.rpc.Conn(0).Send(rpc.NewFrame(opRegister).U64(uint64(ts)).I64(wall.UnixNano())) // a lost frame is a leaked use-count; see Client
 }
 
 // Release implements Service over TCP as a one-way frame, ordered after
 // any Register the same goroutine sent before it. tss is encoded before
 // Release returns and not retained.
 func (c *Client) Release(tss []interval.Timestamp) {
-	e := wire.NewBuffer(opRelease)
-	e.U32(uint32(len(tss)))
+	e := rpc.NewFrame(opRelease).U32(uint32(len(tss)))
 	for _, ts := range tss {
 		e.U64(uint64(ts))
 	}
-	c.send(e)
+	_ = c.rpc.Conn(0).Send(e) // as in Register
 }

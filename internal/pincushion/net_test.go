@@ -3,15 +3,14 @@ package pincushion
 import (
 	"context"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"txcache/internal/clock"
 	"txcache/internal/interval"
-	"txcache/internal/wire"
-	"txcache/internal/wire/wiretest"
+	"txcache/internal/rpc"
+	"txcache/internal/rpc/rpctest"
 )
 
 // daemon is a pincushion served on a loopback listener the test can take
@@ -53,7 +52,7 @@ func (d *daemon) listen(addr string) {
 				conn.Close()
 			} else {
 				d.conns = append(d.conns, conn)
-				go d.p.serveConn(conn)
+				go rpc.ServeConn(conn, d.p.handle)
 			}
 			d.mu.Unlock()
 		}
@@ -70,7 +69,7 @@ func (d *daemon) dropConns() {
 	d.conns = nil
 }
 
-// stop closes the listener and every connection; restart undoes it.
+// stop closes the listener and every connection.
 func (d *daemon) stop() {
 	d.mu.Lock()
 	d.down = true
@@ -78,8 +77,6 @@ func (d *daemon) stop() {
 	d.mu.Unlock()
 	d.dropConns()
 }
-
-func (d *daemon) restart() { d.listen(d.addr) }
 
 // eventually polls cond until it holds, failing the test after 5 seconds.
 func eventually(t *testing.T, what string, cond func() bool) {
@@ -118,67 +115,31 @@ func TestOverTCP(t *testing.T) {
 	}
 }
 
-// TestOneWritePerFrame drives both pincushion endpoints over counted pipes:
-// every frame either side sends is one Write, a frame that arrives in one
-// piece is one Read, and the one-way opcodes draw no reply.
+// TestOneWritePerFrame joins the two pincushion endpoints by a counted
+// pipe: every frame either side sends is one Write, a frame that arrives in
+// one piece is one Read, and the one-way frames draw no reply.
 func TestOneWritePerFrame(t *testing.T) {
 	p := New(Config{})
 	p.Register(7, time.Now())
+	rc, client, server := rpctest.Pipe(t, p.handle, opTimeout)
+	c := &Client{rpc: rc}
+	defer c.Close()
 
-	t.Run("server", func(t *testing.T) {
-		srv, cl := wiretest.Pipe()
-		defer cl.Close()
-		go p.serveConn(srv)
-		fr := wire.NewFrameReader(cl)
-		for i := 0; i < 3; i++ {
-			if err := wire.NewBuffer(opGetPins).I64(int64(time.Minute)).WriteFrame(cl); err != nil {
-				t.Fatal(err)
-			}
-			if resp, err := fr.ReadFrame(); err != nil || resp[0] != opPins {
-				t.Fatalf("reply %x, %v", resp, err)
-			}
+	getPins := func(want int) {
+		t.Helper()
+		if pins := c.GetPins(context.Background(), time.Minute); len(pins) != want {
+			t.Fatalf("%d pins over the pipe, want %d", len(pins), want)
 		}
-		if err := wire.NewBuffer(opRegister).U64(8).I64(1).WriteFrame(cl); err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.NewBuffer(opRelease).U32(1).U64(8).WriteFrame(cl); err != nil {
-			t.Fatal(err)
-		}
-		// A reply after the one-way frames proves they were consumed first.
-		if err := wire.NewBuffer(opGetPins).I64(int64(time.Minute)).WriteFrame(cl); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fr.ReadFrame(); err != nil {
-			t.Fatal(err)
-		}
-		if r, w := srv.Reads.Load(), srv.Writes.Load(); r != 6 || w != 4 {
-			t.Fatalf("server made %d reads and %d writes for 6 frames in, 4 out", r, w)
-		}
-	})
-
-	t.Run("client", func(t *testing.T) {
-		pooled, srv1 := wiretest.Pipe()
-		oneWay, srv2 := wiretest.Pipe()
-		go p.serveConn(srv1)
-		go p.serveConn(srv2)
-		c := &Client{pool: make(chan *pconn, 1), done: make(chan struct{}), ow: oneWay}
-		c.pool <- &pconn{c: pooled, fr: wire.NewFrameReader(pooled)}
-		defer c.Close()
-
-		for i := 0; i < 3; i++ {
-			if pins := c.GetPins(context.Background(), time.Minute); len(pins) == 0 {
-				t.Fatal("no pins over the pipe")
-			}
-		}
-		if r, w := pooled.Reads.Load(), pooled.Writes.Load(); r != 3 || w != 3 {
-			t.Fatalf("3 GetPins made %d reads and %d writes", r, w)
-		}
-		c.Register(9, time.Now())
-		c.Release([]interval.Timestamp{9, 7, 7, 7})
-		if r, w := oneWay.Reads.Load(), oneWay.Writes.Load(); r != 0 || w != 2 {
-			t.Fatalf("Register+Release made %d reads and %d writes on the one-way connection", r, w)
-		}
-	})
+	}
+	for i := 0; i < 3; i++ {
+		getPins(1)
+	}
+	client.Expect(t, "3 GetPins", 3, 3)
+	c.Register(9, time.Now())
+	c.Release([]interval.Timestamp{9, 7, 7, 7})
+	client.Expect(t, "Register+Release", 3, 5)
+	getPins(2) // a reply after the one-way frames proves they were consumed first
+	server.Expect(t, "6 frames in, 4 out", 6, 4)
 }
 
 // TestRegisterNeverOvertakenByRelease: whatever the interleaving across
@@ -258,61 +219,4 @@ func TestDroppedOneWayConnection(t *testing.T) {
 		t.Fatalf("leak cutoff swept %d pins, %d left, Leaked = %d; want the one lost Release reclaimed",
 			n, p.Len(), p.Stats().Leaked)
 	}
-}
-
-// TestPoolSurvivesOutage: an outage fails every pooled connection while
-// the daemon cannot be redialed. No slot is lost for good — redials keep
-// trying until the daemon is back — and Close stops the ones still trying.
-func TestPoolSurvivesOutage(t *testing.T) {
-	before := runtime.NumGoroutine()
-	const poolSize = 3
-	p := New(Config{})
-	p.Register(11, time.Now())
-	d := startDaemon(t, p)
-	c, err := Dial(d.addr, poolSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	failAll := func() {
-		d.stop()
-		for i := 0; i < poolSize; i++ {
-			if pins := c.GetPins(context.Background(), time.Hour); pins != nil {
-				t.Fatalf("GetPins on a dead connection returned %v", pins)
-			}
-		}
-	}
-	failAll()
-	// Every slot is out being redialed, and the redials are failing.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	if pins := c.GetPins(ctx, time.Hour); pins != nil {
-		t.Fatalf("GetPins with the daemon down returned %v", pins)
-	}
-	cancel()
-
-	d.restart()
-	eventually(t, "every pool slot to be redialed", func() bool { return len(c.pool) == poolSize })
-	var wg sync.WaitGroup
-	for i := 0; i < 2*poolSize; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if pins := c.GetPins(context.Background(), time.Hour); len(pins) != 1 {
-				t.Errorf("after the outage GetPins = %v", pins)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Second outage, and Close while the redials are still failing.
-	failAll()
-	start := time.Now()
-	c.Close()
-	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("Close took %v with redials pending", took)
-	}
-	if n := len(c.pool); n != 0 {
-		t.Fatalf("%d connections left in the pool after Close", n)
-	}
-	eventually(t, "goroutines to exit after Close", func() bool { return runtime.NumGoroutine() <= before })
 }

@@ -28,12 +28,23 @@ benchmark-test:
 # Then the one-transport guard: dialing, accepting, reading frames off a
 # connection and setting its deadlines happen in internal/rpc and nowhere
 # else in non-test code, so a fourth transport cannot grow back beside it.
+# Then the one-decoder guard: the reads that need a bounds check (fixed-width
+# integers and uvarints out of a byte slice) happen in wire.Decoder — and in
+# the three packages below it that frame bytes themselves — and nothing
+# imports encoding/gob, so a fifth hand-written reader or a second encoding
+# of a value cannot grow back either.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
 	@out="$$(grep -rnE '\bnet\.Dial(Timeout)?\(|\.Set(Read|Write)?Deadline\(|wire\.NewFrameReader\(|\.Accept\(\)' \
 		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=rpc \
 		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
 		echo "connection handling outside internal/rpc; go through rpc.Dial, Call, Send and Serve:"; \
+		echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'binary\.[A-Za-z]*Endian\.Uint(16|32|64)\(|binary\.Uvarint\(|"encoding/gob"' \
+		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
+		--exclude-dir=wire --exclude-dir=wal --exclude-dir=rpc --exclude-dir=ordenc \
+		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
+		echo "unchecked byte reads or gob outside internal/wire; decode through wire.Decoder (sql.DecodeValue for a value):"; \
 		echo "$$out"; exit 1; fi
 
 # Kill-9 crash-recovery property test: build the real txcache-dbd, drive
@@ -86,9 +97,12 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the wire codec, the opcode handlers of all three
-# wire services and the WAL record decoder: malformed input must error,
-# never panic. (`go test -fuzz` accepts one target per invocation, hence one run
-# each.)
+# wire services, the WAL record framing, what recovery decodes inside it
+# (snapshot sections, log records) and the cached-payload decoder: malformed
+# input must error, never panic. (`go test -fuzz` accepts one target per
+# invocation, hence one run each; FuzzDecodeCacheable decodes every input as
+# twenty types, so the default minute of minimising each new input would eat
+# its whole run.)
 fuzz-smoke:
 	$(GO) test ./internal/wire -run xxx -fuzz FuzzReadFrame -fuzztime=10s
 	$(GO) test ./internal/wire -run xxx -fuzz FuzzFrameReader -fuzztime=10s
@@ -98,6 +112,9 @@ fuzz-smoke:
 	$(GO) test ./internal/cacheserver -run xxx -fuzz FuzzShardRouting -fuzztime=10s
 	$(GO) test ./internal/pincushion -run xxx -fuzz FuzzPincushionHandle -fuzztime=10s
 	$(GO) test ./internal/db/dbnet -run xxx -fuzz FuzzDBNetHandle -fuzztime=10s
+	$(GO) test ./internal/db -run xxx -fuzz FuzzSnapshotSection -fuzztime=10s
+	$(GO) test ./internal/db -run xxx -fuzz FuzzReplayRecord -fuzztime=10s
+	$(GO) test ./internal/core -run xxx -fuzz FuzzDecodeCacheable -fuzztime=10s -fuzzminimizetime=1s
 
 # Concurrent-engine and cache-wire benchmarks (the CHANGES.md perf
 # trajectory).

@@ -234,7 +234,7 @@ func BenchmarkValidityTrackingOverhead(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tx, err := engine.Begin(true, 0)
+				tx, err := engine.BeginTx(context.Background(), true, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -319,7 +319,7 @@ func BenchmarkParallelCommit(b *testing.B) {
 		src := fmt.Sprintf("INSERT INTO shard%d (id, v) VALUES (?, ?)", worker.Add(1)%tables)
 		for pb.Next() {
 			id := nextID.Add(1)
-			tx, err := e.Begin(false, 0)
+			tx, err := e.BeginTx(context.Background(), false, 0)
 			if err != nil {
 				b.Error(err)
 				return
@@ -356,7 +356,7 @@ func BenchmarkReadersDuringCommits(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func BenchmarkReadersDuringCommits(b *testing.B) {
 				return
 			default:
 			}
-			tx, err := e.Begin(false, 0)
+			tx, err := e.BeginTx(context.Background(), false, 0)
 			if err != nil {
 				writerErr <- err
 				return
@@ -409,7 +409,7 @@ func BenchmarkReadersDuringCommits(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			id := probe.Add(1) % seedRows
-			tx, err := e.Begin(true, 0)
+			tx, err := e.BeginTx(context.Background(), true, 0)
 			if err != nil {
 				b.Error(err)
 				return

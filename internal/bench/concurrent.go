@@ -51,7 +51,7 @@ func concurrencyPoint(writers, readers int, measure time.Duration) (ConcurrencyR
 	if err := e.DDL(`CREATE TABLE hot (id BIGINT PRIMARY KEY, v BIGINT)`); err != nil {
 		return ConcurrencyResult{}, err
 	}
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(nil, false, 0)
 	if err != nil {
 		return ConcurrencyResult{}, err
 	}
@@ -87,7 +87,7 @@ func concurrencyPoint(writers, readers int, measure time.Duration) (ConcurrencyR
 					return
 				default:
 				}
-				tx, err := e.Begin(false, 0)
+				tx, err := e.BeginTx(nil, false, 0)
 				if err != nil {
 					fail(err)
 					return
@@ -115,7 +115,7 @@ func concurrencyPoint(writers, readers int, measure time.Duration) (ConcurrencyR
 					return
 				default:
 				}
-				tx, err := e.Begin(true, 0)
+				tx, err := e.BeginTx(nil, true, 0)
 				if err != nil {
 					fail(err)
 					return

@@ -66,7 +66,7 @@ func Durability(o Opts, logMB int, jsonPath string) (DurabilityResult, error) {
 	const ckptRows = 60000
 	res.CheckpointRows = ckptRows
 	pad := strings.Repeat("x", 100)
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(nil, false, 0)
 	if err != nil {
 		return res, err
 	}
@@ -98,7 +98,7 @@ func Durability(o Opts, logMB int, jsonPath string) (DurabilityResult, error) {
 		default:
 		}
 		start := time.Now()
-		tx, err := e.Begin(false, 0)
+		tx, err := e.BeginTx(nil, false, 0)
 		if err != nil {
 			return res, err
 		}
@@ -120,7 +120,7 @@ func Durability(o Opts, logMB int, jsonPath string) (DurabilityResult, error) {
 
 	// --- Axis 3 (same engine): allocations per warmed-up durable commit. ---
 	commit := func() {
-		tx, err := e.Begin(false, 0)
+		tx, err := e.BeginTx(nil, false, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -202,7 +202,7 @@ func buildDurabilityLog(dir string, targetBytes int64) (int64, error) {
 	pk := int64(0)
 	var size int64
 	for size < targetBytes {
-		tx, err := e.Begin(false, 0)
+		tx, err := e.BeginTx(nil, false, 0)
 		if err != nil {
 			return 0, err
 		}

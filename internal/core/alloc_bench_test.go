@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,7 +42,7 @@ func benchSite(tb testing.TB) (*Client, *cacheserver.Server, func() interval.Tim
 			tb.Fatal(err)
 		}
 	}
-	tx, err := engine.Begin(false, 0)
+	tx, err := engine.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -152,90 +154,181 @@ func TestAllocBudgetMakeCacheableHit(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip pins the fast codec's correctness over the shapes it
-// claims: scalars, flat structs, slices, row data, and the gob fallback.
-func TestCodecRoundTrip(t *testing.T) {
-	check := func(name string, encode func() ([]byte, error), decode func(data []byte) (any, error), want any) {
-		t.Helper()
-		data, err := encode()
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		got, err := decode(data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if fmtv(got) != fmtv(want) {
-			t.Fatalf("%s: round trip %#v != %#v", name, got, want)
-		}
+// encodeAs and decodeAs run the codec the way MakeCacheable[T] does.
+func encodeAs[T any](v T) ([]byte, error) {
+	p, err := planOf(reflect.TypeFor[T]())
+	if err != nil {
+		return nil, err
 	}
-
-	s := "hello\x00world"
-	check("string",
-		func() ([]byte, error) { return encodeCacheable(&s) },
-		func(d []byte) (any, error) { var v string; err := decodeCacheable(d, &v); return v, err }, s)
-
-	n := int64(-42)
-	check("int64",
-		func() ([]byte, error) { return encodeCacheable(&n) },
-		func(d []byte) (any, error) { var v int64; err := decodeCacheable(d, &v); return v, err }, n)
-
-	u := benchUser{ID: 7, Name: "alice", Rating: 9, Active: true}
-	check("struct",
-		func() ([]byte, error) { return encodeCacheable(&u) },
-		func(d []byte) (any, error) { var v benchUser; err := decodeCacheable(d, &v); return v, err }, u)
-
-	us := []benchUser{{ID: 1, Name: "a"}, {ID: 2, Name: "b", Active: true}}
-	check("struct-slice",
-		func() ([]byte, error) { return encodeCacheable(&us) },
-		func(d []byte) (any, error) { var v []benchUser; err := decodeCacheable(d, &v); return v, err }, us)
-
-	ss := []string{"x", "", "z"}
-	check("string-slice",
-		func() ([]byte, error) { return encodeCacheable(&ss) },
-		func(d []byte) (any, error) { var v []string; err := decodeCacheable(d, &v); return v, err }, ss)
-
-	vals := []sql.Value{nil, int64(3), "s", 2.5, true}
-	check("values",
-		func() ([]byte, error) { return encodeCacheable(&vals) },
-		func(d []byte) (any, error) { var v []sql.Value; err := decodeCacheable(d, &v); return v, err }, vals)
-
-	rows := [][]sql.Value{{int64(1), "a"}, {nil, false}}
-	check("rows",
-		func() ([]byte, error) { return encodeCacheable(&rows) },
-		func(d []byte) (any, error) { var v [][]sql.Value; err := decodeCacheable(d, &v); return v, err }, rows)
-
-	res := db.Result{Cols: []string{"id", "name"}, Rows: rows, Validity: interval.Interval{Lo: 1, Hi: 5}}
-	check("result",
-		func() ([]byte, error) { return encodeCacheable(&res) },
-		func(d []byte) (any, error) {
-			var v db.Result
-			err := decodeCacheable(d, &v)
-			// Validity/Tags are intentionally not round-tripped.
-			v.Validity = res.Validity
-			return v, err
-		}, res)
-
-	// Gob fallback: a map is outside the fast format.
-	m := map[string]int64{"a": 1}
-	check("gob-map",
-		func() ([]byte, error) { return encodeCacheable(&m) },
-		func(d []byte) (any, error) { var v map[string]int64; err := decodeCacheable(d, &v); return v, err }, m)
+	return p.encode(reflect.ValueOf(&v).Elem())
 }
 
-// TestCodecForeignValueNoPanic: a []sql.Value holding a type outside the
-// SQL scalar domain must yield an encode error (or a successful gob
-// fallback), never a panic — the install is skipped and counted, exactly
-// like the old gob path's failure mode.
-func TestCodecForeignValueNoPanic(t *testing.T) {
+func decodeAs[T any](data []byte) (T, error) {
+	var v T
+	p, err := planOf(reflect.TypeFor[T]())
+	if err != nil {
+		return v, err
+	}
+	return v, p.decode(data, reflect.ValueOf(&v).Elem())
+}
+
+// codecCase is one row of TestCodecRoundTrip; FuzzDecodeCacheable seeds its
+// corpus from the same rows.
+type codecCase struct {
+	name string
+	run  func(t *testing.T)
+	// decode feeds arbitrary bytes to the row's type; payload is what the
+	// row's value encodes to (nil for a refused type).
+	decode  func(data []byte) error
+	payload []byte
+}
+
+// roundTrips is a row whose value must come back as want.
+func roundTrips[T any](name string, in, want T) codecCase {
+	payload, encErr := encodeAs(in)
+	return codecCase{name: name, payload: payload,
+		decode: func(data []byte) error { _, err := decodeAs[T](data); return err },
+		run: func(t *testing.T) {
+			if encErr != nil {
+				t.Fatalf("encode: %v", encErr)
+			}
+			got, err := decodeAs[T](payload)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round trip %#v != %#v", got, want)
+			}
+			// A payload is exactly its value: one byte more or less is refused.
+			if _, err := decodeAs[T](append(payload[:len(payload):len(payload)], 0)); err == nil {
+				t.Fatal("a trailing byte decoded")
+			}
+			if _, err := decodeAs[T](payload[:len(payload)-1]); err == nil {
+				t.Fatal("a truncated payload decoded")
+			}
+		}}
+}
+
+func roundTrip[T any](name string, v T) codecCase { return roundTrips(name, v, v) }
+
+// refused is a row whose type the plan cannot express: MakeCacheable must
+// panic at registration, naming the type.
+func refused[T any](name, typeName string) codecCase {
+	return codecCase{name: name, run: func(t *testing.T) {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, typeName) || !strings.Contains(msg, `"refused.`+name+`"`) {
+				t.Fatalf("MakeCacheable panicked with %q; want the function's name and %q", msg, typeName)
+			}
+		}()
+		MakeCacheable(nil, "refused."+name, func(*Tx, ...sql.Value) (T, error) { var zero T; return zero, nil })
+		t.Fatal("MakeCacheable registered a type the codec cannot express")
+	}}
+}
+
+type codecInner struct {
+	Tags  []string
+	Score float64
+}
+
+type codecOuter struct {
+	ID    int64
+	Inner codecInner
+	Hist  []codecInner
+	Next  *codecInner
+}
+
+type codecSelfRef struct {
+	Name string
+	Next *codecSelfRef
+}
+
+func codecCases() []codecCase {
+	rows := [][]sql.Value{{int64(1), "a"}, {nil, false}}
+	res := db.Result{Cols: []string{"id", "name"}, Rows: rows, Validity: interval.Interval{Lo: 1, Hi: 5}}
+	// Validity and Tags are intentionally not round-tripped.
+	bare := db.Result{Cols: res.Cols, Rows: rows}
+	return []codecCase{
+		roundTrip("string", "hello\x00world"),
+		roundTrip("int64", int64(-42)),
+		roundTrip("int", -7),
+		roundTrip("float64", 2.5),
+		roundTrip("bool", true),
+		roundTrip("struct", benchUser{ID: 7, Name: "alice", Rating: 9, Active: true}),
+		roundTrip("struct-slice", []benchUser{{ID: 1, Name: "a"}, {ID: 2, Name: "b", Active: true}}),
+		roundTrip("string-slice", []string{"x", "", "z"}),
+		roundTrip("values", []sql.Value{nil, int64(3), "s", 2.5, true}),
+		roundTrip("rows", rows),
+		roundTrips("result", res, bare),
+		roundTrips("result-pointer", &res, &bare),
+		roundTrip("nested-slice", [][]string{{"a"}, {}, {"b", "c"}}),
+		roundTrip("struct-in-struct", codecOuter{
+			ID:    3,
+			Inner: codecInner{Tags: []string{"t"}, Score: 0.5},
+			Hist:  []codecInner{{Tags: []string{}, Score: 1}, {Tags: []string{"u", "v"}}},
+			Next:  &codecInner{Tags: []string{}, Score: -1},
+		}),
+		refused[map[string]int]("map", "map[string]int"),
+		refused[struct {
+			A int64
+			b string
+		}]("unexported-field", "unexported field b"),
+		refused[[]float32]("float32-slice", "[]float32"),
+		refused[codecSelfRef]("self-reference", "codecSelfRef contains itself"),
+		refused[[]struct{}]("empty-struct", "has no fields"),
+	}
+}
+
+// TestCodecRoundTrip pins the codec's correctness over the shapes it
+// claims — scalars, structs, slices, pointers and row data, nested any way
+// — and that every other type is refused when the function is registered.
+func TestCodecRoundTrip(t *testing.T) {
+	for _, c := range codecCases() {
+		t.Run(c.name, c.run)
+	}
+}
+
+// parentPayloads are cached payloads as the build before this codec wrote
+// them: a plan-encoded string ('F', fingerprint 0) and a gob stream ('G').
+var parentPayloads = []string{
+	"F\x01\x00\x00\x00\x00\x04page",
+	"G\r\x7f\x04\x01\x02\xff\x80\x00\x01\f\x01\x04\x00\x00\a\xff\x80\x00\x01\x01a\x02",
+}
+
+// TestCodecErrorsCounted: what the codec cannot do shows up on /statsz and
+// nowhere else. A result holding a type outside the SQL scalar domain is
+// returned to the caller, not installed, and counted as an encode error; a
+// hit whose bytes an earlier build wrote (a cache node outlives a deploy)
+// is recomputed, never decoded into a value, and counted as a decode error.
+func TestCodecErrorsCounted(t *testing.T) {
+	client, srv, last := benchSite(t)
 	type odd struct{ X int }
-	for _, v := range []any{
-		&[]sql.Value{odd{1}},
-		&[][]sql.Value{{odd{2}}},
-		&db.Result{Cols: []string{"c"}, Rows: [][]sql.Value{{odd{3}}}},
-	} {
-		if data, err := encodeCacheable(v); err == nil && len(data) == 0 {
-			t.Fatalf("%T: empty payload without error", v)
+	foreign := MakeCacheable(client, "test.foreign", func(tx *Tx, args ...sql.Value) ([]sql.Value, error) {
+		return []sql.Value{int64(1), odd{2}}, nil
+	})
+	_, page := benchFns(client)
+
+	tx := beginRO(client, WithStaleness(time.Minute))
+	defer tx.Commit()
+	if got, err := foreign(tx); err != nil || len(got) != 2 {
+		t.Fatalf("foreign() = %v, %v; want the computed value", got, err)
+	}
+	if st := client.Stats().Snapshot(); st.EncodeErrors != 1 || st.DecodeErrors != 0 || st.CachePuts != 0 {
+		t.Fatalf("after an unencodable result: encodeErrors=%d decodeErrors=%d cachePuts=%d, want 1 0 0",
+			st.EncodeErrors, st.DecodeErrors, st.CachePuts)
+	}
+
+	for i, payload := range parentPayloads {
+		id := int64(i)
+		srv.Put(CacheKey("bench.page", id), []byte(payload),
+			interval.Interval{Lo: last(), Hi: interval.Infinity}, true, last(), nil)
+		if got, err := page(tx, id); err != nil || got != "u" {
+			t.Fatalf("page(%d) over parent-format bytes = %q, %v; want the database's %q", id, got, err, "u")
+		}
+		st := client.Stats().Snapshot()
+		if st.DecodeErrors != uint64(i+1) || st.CacheHits != uint64(i+1) {
+			t.Fatalf("after parent payload %d: decodeErrors=%d cacheHits=%d, want both %d",
+				i, st.DecodeErrors, st.CacheHits, i+1)
 		}
 	}
 }
@@ -251,18 +344,17 @@ func TestCodecFingerprintMismatch(t *testing.T) {
 		A int64
 		C string
 	}
-	src := v1{A: 1, B: "x"}
-	data, err := encodeCacheable(&src)
+	data, err := encodeAs(v1{A: 1, B: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dst v2
-	if err := decodeCacheable(data, &dst); err == nil {
+	if _, err := decodeAs[v2](data); err == nil {
 		t.Fatal("decode across relayout must fail, not misread")
 	}
+	if _, err := decodeAs[v1](data); err != nil {
+		t.Fatalf("decode under the same layout: %v", err)
+	}
 }
-
-func fmtv(v any) string { return fmt.Sprintf("%#v", v) }
 
 // benchPins is how many fresh pins the begin benchmarks keep registered:
 // what a deployment placing one every FreshPinThreshold (5 s) holds inside a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"txcache/internal/cacheserver"
@@ -24,14 +25,21 @@ type Cacheable[T any] func(tx *Tx, args ...sql.Value) (T, error)
 // was bounded. name must uniquely identify the function across the
 // application (it is the cache-key prefix).
 //
-// Results are serialized with the fast binary codec (see codec.go) when T
-// is a scalar, a flat struct of scalar fields, a slice of either, or row
-// data ([]sql.Value / [][]sql.Value / db.Result); other types fall back to
-// gob, so T must then be gob-encodable. Encode failures skip the install
-// and undecodable hits recompute — both silently for the caller, but
-// counted in ClientStats.EncodeErrors / DecodeErrors so a misconfigured
-// type shows up in monitoring instead of as a mutely cold cache.
+// Results are serialized by a codec compiled from T here, once (see
+// codec.go): T must be a string, int64, int, float64, bool or sql.Value, or
+// a struct of exported fields, a slice or a pointer built from those
+// (db.Result included). MakeCacheable panics on any other T — a type that
+// can never be cached is a programming error, reported at registration
+// rather than paid for on every call. A value that cannot be encoded (a nil
+// pointer, a foreign type inside a sql.Value) skips the install, and an
+// undecodable hit (bytes written under another layout of T) recomputes —
+// both silently for the caller, but counted in ClientStats.EncodeErrors /
+// DecodeErrors so a cache that stays cold shows up in monitoring.
 func MakeCacheable[T any](c *Client, name string, fn Cacheable[T]) Cacheable[T] {
+	codec, err := planOf(reflect.TypeFor[T]())
+	if err != nil {
+		panic(fmt.Sprintf("core: MakeCacheable(%q): %v", name, err))
+	}
 	return func(tx *Tx, args ...sql.Value) (T, error) {
 		var zero T
 		if tx == nil || tx.done {
@@ -52,7 +60,7 @@ func MakeCacheable[T any](c *Client, name string, fn Cacheable[T]) Cacheable[T] 
 
 		if data, ok := tx.lookup(key); ok {
 			var out T
-			if err := decodeCacheable(data, &out); err == nil {
+			if err := codec.decode(data, reflect.ValueOf(&out).Elem()); err == nil {
 				return out, nil
 			}
 			// Undecodable cached bytes (e.g. the type changed across a
@@ -71,7 +79,7 @@ func MakeCacheable[T any](c *Client, name string, fn Cacheable[T]) Cacheable[T] 
 
 		// Install the result tagged with the accumulated validity interval
 		// and dependency set.
-		if data, encErr := encodeCacheable(&out); encErr == nil {
+		if data, encErr := codec.encode(reflect.ValueOf(&out).Elem()); encErr == nil {
 			tx.put(key, data, f)
 		} else {
 			tx.c.stats.EncodeErrors.Add(1)

@@ -1,51 +1,51 @@
 package core
 
-// The cacheable-result codec. The seed implementation ran a fresh
-// gob.Encoder/Decoder per call, which re-emits the full type description
-// on every cache install and re-parses it on every hit — in CPU profiles
-// of the RUBiS mix, gob decoding alone was ~24% of cycles and its garbage
-// kept the collector running continuously. This codec replaces it with a
-// self-describing binary format for the shapes applications actually
-// memoize:
+// The cacheable-result codec. MakeCacheable compiles its result type T once,
+// at registration, into a plan — a tree with one node per type, where a
+// struct's field and a slice's element are plans themselves — and every
+// call replays the plan: no type description travels with a value (the
+// seed's gob stream re-emitted one per install and re-parsed it per hit,
+// ~24% of the RUBiS mix's cycles) and no type is re-reflected on the hot
+// path. What a plan can express:
 //
-//   - scalars: string, int64, int, float64, bool
-//   - []sql.Value and [][]sql.Value rows, and db.Result (via the ordenc
-//     order-preserving encoding, which is already self-delimiting)
-//   - flat structs whose fields are all scalars, and slices of scalars or
-//     of such structs (via a reflection-compiled per-type plan, cached per
-//     type; the hot path replays the plan without re-reflection)
+//   - string, int64, int, float64, bool, and sql.Value (the dynamically
+//     typed SQL scalar, written by sql.AppendValue)
+//   - structs whose fields are all exported and expressible, slices and
+//     non-nil pointers of anything expressible — so []sql.Value,
+//     [][]sql.Value, nested structs and slices of slices all follow
+//   - db.Result, as its Cols and Rows
 //
-// Anything else falls back to gob, so MakeCacheable keeps its "T must be
-// encodable" contract. Every fast payload starts with a format tag and a
-// fingerprint of the compiled plan, so a hit decoded by a binary with a
-// different layout of T (a rolling deploy) fails cleanly and is recomputed
-// rather than misread.
+// Anything else — a map, a channel, an unexported field, a float32 — is
+// refused by planOf, and MakeCacheable panics at registration: a type that
+// cannot be cached is a programming error found at start-up, not a cost
+// paid silently on every call.
 //
-// Encoding scratch comes from a sync.Pool; the bytes handed to the cache
-// are a single exact-size copy, because in-process cache servers retain
-// the slice.
+// A payload is [fmtPlan][root kind][u32 LE fingerprint][body] (DESIGN.md
+// "Encodings"). The fingerprint hashes the whole plan, field names
+// included: a cache node outlives an application deploy, and a hit written
+// under another layout of T — or by a binary from before this format —
+// fails to decode, is counted, and is recomputed rather than misread.
+// Bytes from a cache node are another process's output: they are read
+// through a wire.Decoder and every count is bounded by the bytes that
+// remain before anything is allocated for it.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 
 	"txcache/internal/db"
-	"txcache/internal/interval"
-	"txcache/internal/ordenc"
 	"txcache/internal/sql"
+	"txcache/internal/wire"
 )
 
-// Format tags (first payload byte).
-const (
-	fmtGob  byte = 'G' // gob stream follows
-	fmtFast byte = 'F' // fingerprint + plan-encoded body
-)
+// fmtPlan is a payload's first byte. 'F' and 'G' were the previous
+// format's plan and gob payloads; a node may still hold some.
+const fmtPlan byte = 'P'
 
 // Plan kinds.
 const (
@@ -54,11 +54,10 @@ const (
 	pInt
 	pFloat64
 	pBool
-	pValues // []sql.Value
-	pRows   // [][]sql.Value
-	pResult // db.Result / *db.Result (Cols+Rows only)
-	pStruct // flat struct of scalar fields
-	pSlice  // slice of scalar/struct elements
+	pValue  // sql.Value
+	pStruct // fields in declaration order
+	pSlice  // uvarint count, elements
+	pPtr    // the pointee; nil is not encodable
 )
 
 var errCodecMismatch = errors.New("core: cached bytes do not match the type's codec fingerprint")
@@ -66,583 +65,226 @@ var errCodecMismatch = errors.New("core: cached bytes do not match the type's co
 // plan is the compiled codec for one Go type.
 type plan struct {
 	kind   byte
-	fp     uint32  // fingerprint covering the full plan shape
-	fields []field // pStruct
-	elem   *plan   // pSlice
 	typ    reflect.Type
+	elem   *plan   // pSlice, pPtr
+	fields []field // pStruct
+	fp     uint32  // of the whole tree; set on the root only
 }
 
-// field is one scalar field of a flat struct.
+// field is one encoded field of a struct.
 type field struct {
 	idx  int
-	kind byte
+	name string
+	plan *plan
 }
 
-var planCache sync.Map // reflect.Type -> *plan (nil entry: unsupported)
+var (
+	valueType  = reflect.TypeFor[sql.Value]()
+	resultType = reflect.TypeFor[db.Result]()
+)
 
-// planFor compiles (or fetches) the codec plan for t, or nil when t needs
-// the gob fallback.
-func planFor(t reflect.Type) *plan {
-	if p, ok := planCache.Load(t); ok {
-		pl, _ := p.(*plan)
-		return pl
+// planOf compiles the plan for t, or reports why t cannot be cached.
+func planOf(t reflect.Type) (*plan, error) {
+	p, err := compilePlan(t, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: %v cannot be cached: %w", t, err)
 	}
-	pl := compilePlan(t, true)
-	if pl != nil {
-		pl.finalize()
-	}
-	planCache.Store(t, pl)
-	return pl
+	p.fp = 2166136261 // FNV-1a
+	p.mix(&p.fp)
+	return p, nil
 }
 
-func compilePlan(t reflect.Type, top bool) *plan {
-	switch t {
-	case reflect.TypeOf((*sql.Value)(nil)).Elem():
-		// A bare sql.Value (interface) element: encode via ordenc.
-		return &plan{kind: pValues, typ: t}
+// compilePlan builds t's plan; outer holds the types being compiled around
+// it, so a type that contains itself is refused instead of recursed into.
+func compilePlan(t reflect.Type, outer []reflect.Type) (*plan, error) {
+	if t == valueType {
+		return &plan{kind: pValue, typ: t}, nil
 	}
+	if slices.Contains(outer, t) {
+		return nil, fmt.Errorf("%v contains itself", t)
+	}
+	outer = append(outer, t)
+	p := &plan{typ: t}
+	var err error
 	switch t.Kind() {
 	case reflect.String:
-		return &plan{kind: pString, typ: t}
+		p.kind = pString
 	case reflect.Int64:
-		return &plan{kind: pInt64, typ: t}
+		p.kind = pInt64
 	case reflect.Int:
-		return &plan{kind: pInt, typ: t}
+		p.kind = pInt
 	case reflect.Float64:
-		return &plan{kind: pFloat64, typ: t}
+		p.kind = pFloat64
 	case reflect.Bool:
-		return &plan{kind: pBool, typ: t}
-	case reflect.Struct:
-		fields := make([]field, 0, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				return nil // gob would skip it; don't silently diverge
-			}
-			var k byte
-			switch f.Type.Kind() {
-			case reflect.String:
-				k = pString
-			case reflect.Int64:
-				k = pInt64
-			case reflect.Int:
-				k = pInt
-			case reflect.Float64:
-				k = pFloat64
-			case reflect.Bool:
-				k = pBool
-			default:
-				return nil // not flat: fall back to gob
-			}
-			fields = append(fields, field{idx: i, kind: k})
-		}
-		return &plan{kind: pStruct, fields: fields, typ: t}
+		p.kind = pBool
 	case reflect.Slice:
-		if !top {
-			return nil // no nested slices in the fast format
+		p.kind = pSlice
+		p.elem, err = compilePlan(t.Elem(), outer)
+	case reflect.Pointer:
+		p.kind = pPtr
+		p.elem, err = compilePlan(t.Elem(), outer)
+	case reflect.Struct:
+		p.kind = pStruct
+		for i := 0; i < t.NumField() && err == nil; i++ {
+			f := t.Field(i)
+			if t == resultType && f.Name != "Cols" && f.Name != "Rows" {
+				// Validity and Tags describe the generating transaction; the
+				// cache entry carries its own, and TagIDs are process-local.
+				continue
+			}
+			if !f.IsExported() {
+				return nil, fmt.Errorf("%v has unexported field %s", t, f.Name)
+			}
+			var fp *plan
+			fp, err = compilePlan(f.Type, outer)
+			p.fields = append(p.fields, field{idx: i, name: f.Name, plan: fp})
 		}
-		el := compilePlan(t.Elem(), false)
-		if el == nil {
-			return nil
+		if len(p.fields) == 0 && err == nil {
+			// Every plan encodes to at least one byte, which is what bounds
+			// a slice's count by the bytes that remain.
+			err = fmt.Errorf("%v has no fields", t)
 		}
-		return &plan{kind: pSlice, elem: el, typ: t}
 	default:
-		return nil
+		err = fmt.Errorf("%v is not a string, int64, int, float64, bool, sql.Value, or a struct, slice or pointer of those", t)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// finalize computes the plan fingerprint: an FNV-1a hash over the plan
-// shape and (for structs) the field names, so any relayout of T changes it.
-func (p *plan) finalize() {
-	h := uint32(2166136261)
-	var mix func(p *plan)
-	add := func(b byte) {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	addStr := func(s string) {
-		for i := 0; i < len(s); i++ {
-			add(s[i])
-		}
-		add(0)
-	}
-	mix = func(p *plan) {
-		add(p.kind)
-		switch p.kind {
-		case pStruct:
-			for _, f := range p.fields {
-				addStr(p.typ.Field(f.idx).Name)
-				add(f.kind)
+// mix folds the plan's shape — and, for structs, the field names, so any
+// relayout of T changes it — into the FNV-1a hash h.
+func (p *plan) mix(h *uint32) {
+	add := func(b byte) { *h = (*h ^ uint32(b)) * 16777619 }
+	add(p.kind)
+	switch p.kind {
+	case pStruct:
+		add(byte(len(p.fields)))
+		for _, f := range p.fields {
+			for i := 0; i < len(f.name); i++ {
+				add(f.name[i])
 			}
-		case pSlice:
-			mix(p.elem)
+			add(0)
+			f.plan.mix(h)
 		}
+	case pSlice, pPtr:
+		p.elem.mix(h)
 	}
-	mix(p)
-	p.fp = h
 }
 
 // Pooled encode scratch.
 var encPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// encodeCacheable serializes *ptr (ptr is a *T) into a fresh exact-size
-// byte slice the cache may retain. Fast-path types use the plan codec;
-// everything else uses gob.
-func encodeCacheable(ptr any) ([]byte, error) {
+// encode serializes rv (a T) into a fresh exact-size byte slice the cache
+// may retain — in-process cache servers keep the slice, so the pooled
+// scratch is copied out of, never handed over.
+func (p *plan) encode(rv reflect.Value) ([]byte, error) {
 	bp := encPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	defer func() {
-		*bp = buf[:0]
-		encPool.Put(bp)
-	}()
-
-	var err error
-	switch v := ptr.(type) {
-	case *string:
-		buf = appendHeader(buf, pString, 0)
-		buf = appendString(buf, *v)
-	case *int64:
-		buf = appendHeader(buf, pInt64, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(*v))
-	case *int:
-		buf = appendHeader(buf, pInt, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(*v))
-	case *float64:
-		buf = appendHeader(buf, pFloat64, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*v))
-	case *bool:
-		buf = appendHeader(buf, pBool, 0)
-		buf = appendBool(buf, *v)
-	case *[]sql.Value:
-		buf = appendHeader(buf, pValues, 0)
-		if buf, err = appendValues(buf, *v); err != nil {
-			return encodeGob(ptr)
-		}
-	case *[][]sql.Value:
-		buf = appendHeader(buf, pRows, 0)
-		if buf, err = appendRows(buf, *v); err != nil {
-			return encodeGob(ptr)
-		}
-	case *db.Result:
-		buf = appendHeader(buf, pResult, 0)
-		if buf, err = appendResult(buf, v); err != nil {
-			return encodeGob(ptr)
-		}
-	case **db.Result:
-		if *v == nil {
-			return nil, errors.New("core: cannot cache a nil *db.Result")
-		}
-		buf = appendHeader(buf, pResult, 0)
-		if buf, err = appendResult(buf, *v); err != nil {
-			return encodeGob(ptr)
-		}
-	default:
-		rv := reflect.ValueOf(ptr).Elem()
-		pl := planFor(rv.Type())
-		if pl == nil {
-			return encodeGob(ptr)
-		}
-		buf = appendHeader(buf, pl.kind, pl.fp)
-		buf, err = pl.append(buf, rv)
-		if err != nil {
-			// A value outside the fast format slipped through the type plan
-			// (e.g. an interface element holding a foreign type): let gob
-			// try before declaring the value uncacheable.
-			return encodeGob(ptr)
-		}
+	buf := append((*bp)[:0], fmtPlan, p.kind)
+	buf = binary.LittleEndian.AppendUint32(buf, p.fp)
+	buf, err := p.append(buf, rv)
+	var out []byte
+	if err == nil {
+		out = make([]byte, len(buf))
+		copy(out, buf)
 	}
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	return out, nil
+	*bp = buf[:0]
+	encPool.Put(bp)
+	return out, err
 }
 
-// decodeCacheable parses data (produced by encodeCacheable, possibly by an
-// older binary) into *ptr.
-func decodeCacheable(data []byte, ptr any) error {
-	if len(data) == 0 {
-		return errors.New("core: empty cached payload")
+// decode parses data (a payload from a cache node, possibly written by
+// another build of the application) into rv, a settable zero T.
+func (p *plan) decode(data []byte, rv reflect.Value) error {
+	d := wire.NewDecoder(data)
+	if tag := d.U8(); tag != fmtPlan {
+		return fmt.Errorf("core: unknown cached payload format %#x", tag)
 	}
-	if data[0] == fmtGob {
-		return gob.NewDecoder(bytes.NewReader(data[1:])).Decode(ptr)
-	}
-	if data[0] != fmtFast || len(data) < 6 {
-		return fmt.Errorf("core: unknown cached payload format %#x", data[0])
-	}
-	kind := data[1]
-	fp := binary.LittleEndian.Uint32(data[2:6])
-	body := data[6:]
-
-	switch v := ptr.(type) {
-	case *string:
-		return decodeScalarString(kind, body, v)
-	case *int64:
-		if kind != pInt64 || len(body) != 8 {
-			return errCodecMismatch
-		}
-		*v = int64(binary.LittleEndian.Uint64(body))
-		return nil
-	case *int:
-		if kind != pInt || len(body) != 8 {
-			return errCodecMismatch
-		}
-		*v = int(binary.LittleEndian.Uint64(body))
-		return nil
-	case *float64:
-		if kind != pFloat64 || len(body) != 8 {
-			return errCodecMismatch
-		}
-		*v = math.Float64frombits(binary.LittleEndian.Uint64(body))
-		return nil
-	case *bool:
-		if kind != pBool || len(body) != 1 {
-			return errCodecMismatch
-		}
-		*v = body[0] != 0
-		return nil
-	case *[]sql.Value:
-		if kind != pValues {
-			return errCodecMismatch
-		}
-		vals, _, err := readValues(body)
-		*v = vals
-		return err
-	case *[][]sql.Value:
-		if kind != pRows {
-			return errCodecMismatch
-		}
-		rows, _, err := readRows(body)
-		*v = rows
-		return err
-	case *db.Result:
-		if kind != pResult {
-			return errCodecMismatch
-		}
-		return readResult(body, v)
-	case **db.Result:
-		if kind != pResult {
-			return errCodecMismatch
-		}
-		r := new(db.Result)
-		if err := readResult(body, r); err != nil {
-			return err
-		}
-		*v = r
-		return nil
-	default:
-		rv := reflect.ValueOf(ptr).Elem()
-		pl := planFor(rv.Type())
-		if pl == nil || pl.kind != kind || pl.fp != fp {
-			return errCodecMismatch
-		}
-		rest, err := pl.read(body, rv)
-		if err != nil {
-			return err
-		}
-		if len(rest) != 0 {
-			return errCodecMismatch
-		}
-		return nil
-	}
-}
-
-func decodeScalarString(kind byte, body []byte, v *string) error {
-	if kind != pString {
+	if kind, fp := d.U8(), d.U32(); kind != p.kind || fp != p.fp {
 		return errCodecMismatch
 	}
-	s, rest, err := readString(body)
-	if err != nil || len(rest) != 0 {
+	p.read(d, rv)
+	if d.Err() != nil {
+		return d.Err()
+	}
+	if d.Len() != 0 {
 		return errCodecMismatch
 	}
-	*v = s
 	return nil
 }
 
-// append encodes rv per the plan.
+// append encodes rv per the plan; on an error buf comes back as it stood.
 func (p *plan) append(buf []byte, rv reflect.Value) ([]byte, error) {
+	var err error
 	switch p.kind {
 	case pString:
-		return appendString(buf, rv.String()), nil
+		s := rv.String()
+		return append(binary.AppendUvarint(buf, uint64(len(s))), s...), nil
 	case pInt64, pInt:
 		return binary.LittleEndian.AppendUint64(buf, uint64(rv.Int())), nil
 	case pFloat64:
 		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(rv.Float())), nil
 	case pBool:
-		return appendBool(buf, rv.Bool()), nil
-	case pValues:
-		v, ok := rv.Interface().(sql.Value)
-		if !ok {
-			return nil, errCodecMismatch
+		if rv.Bool() {
+			return append(buf, 1), nil
 		}
-		return appendSQLValue(buf, v)
-	case pStruct:
-		for _, f := range p.fields {
-			fv := rv.Field(f.idx)
-			switch f.kind {
-			case pString:
-				buf = appendString(buf, fv.String())
-			case pInt64, pInt:
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(fv.Int()))
-			case pFloat64:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(fv.Float()))
-			case pBool:
-				buf = appendBool(buf, fv.Bool())
-			}
+		return append(buf, 0), nil
+	case pValue:
+		// The engine's rows hold SQL scalars only, but a value the
+		// application built may hold anything.
+		return sql.AppendValue(buf, rv.Interface())
+	case pPtr:
+		if rv.IsNil() {
+			return buf, fmt.Errorf("core: cannot cache a nil %v", p.typ)
 		}
-		return buf, nil
+		return p.elem.append(buf, rv.Elem())
 	case pSlice:
 		n := rv.Len()
 		buf = binary.AppendUvarint(buf, uint64(n))
-		var err error
-		for i := 0; i < n; i++ {
-			if buf, err = p.elem.append(buf, rv.Index(i)); err != nil {
-				return nil, err
-			}
+		for i := 0; i < n && err == nil; i++ {
+			buf, err = p.elem.append(buf, rv.Index(i))
 		}
-		return buf, nil
-	default:
-		return nil, errCodecMismatch
+	default: // pStruct
+		for i := 0; i < len(p.fields) && err == nil; i++ {
+			buf, err = p.fields[i].plan.append(buf, rv.Field(p.fields[i].idx))
+		}
 	}
+	return buf, err
 }
 
-// read decodes into rv per the plan, returning unconsumed bytes.
-func (p *plan) read(b []byte, rv reflect.Value) ([]byte, error) {
+// read decodes into rv per the plan. A slip poisons d, which the caller
+// checks once; every read after it sees zeros and an empty payload.
+func (p *plan) read(d *wire.Decoder, rv reflect.Value) {
 	switch p.kind {
 	case pString:
-		s, rest, err := readString(b)
-		if err != nil {
-			return nil, err
-		}
-		rv.SetString(s)
-		return rest, nil
+		rv.SetString(string(d.Take(int(d.Uvarint()))))
 	case pInt64, pInt:
-		if len(b) < 8 {
-			return nil, errCodecMismatch
-		}
-		rv.SetInt(int64(binary.LittleEndian.Uint64(b)))
-		return b[8:], nil
+		rv.SetInt(d.I64())
 	case pFloat64:
-		if len(b) < 8 {
-			return nil, errCodecMismatch
-		}
-		rv.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
-		return b[8:], nil
+		rv.SetFloat(math.Float64frombits(d.U64()))
 	case pBool:
-		if len(b) < 1 {
-			return nil, errCodecMismatch
-		}
-		rv.SetBool(b[0] != 0)
-		return b[1:], nil
-	case pValues:
-		v, rest, err := ordenc.DecodeNext(b)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			rv.SetZero()
-		} else {
+		rv.SetBool(d.Bool())
+	case pValue:
+		if v := sql.DecodeValue(d); v != nil {
 			rv.Set(reflect.ValueOf(v))
 		}
-		return rest, nil
-	case pStruct:
-		for _, f := range p.fields {
-			fv := rv.Field(f.idx)
-			switch f.kind {
-			case pString:
-				s, rest, err := readString(b)
-				if err != nil {
-					return nil, err
-				}
-				fv.SetString(s)
-				b = rest
-			case pInt64, pInt:
-				if len(b) < 8 {
-					return nil, errCodecMismatch
-				}
-				fv.SetInt(int64(binary.LittleEndian.Uint64(b)))
-				b = b[8:]
-			case pFloat64:
-				if len(b) < 8 {
-					return nil, errCodecMismatch
-				}
-				fv.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
-				b = b[8:]
-			case pBool:
-				if len(b) < 1 {
-					return nil, errCodecMismatch
-				}
-				fv.SetBool(b[0] != 0)
-				b = b[1:]
-			}
-		}
-		return b, nil
+	case pPtr:
+		rv.Set(reflect.New(p.typ.Elem()))
+		p.elem.read(d, rv.Elem())
 	case pSlice:
-		n, w := binary.Uvarint(b)
-		if w <= 0 || n > uint64(len(b)) {
-			return nil, errCodecMismatch
+		n := d.Uvarint()
+		if n > uint64(d.Len()) { // an element is at least one byte
+			d.Fail(errCodecMismatch)
+			return
 		}
-		b = b[w:]
-		sl := reflect.MakeSlice(p.typ, int(n), int(n))
-		var err error
-		for i := 0; i < int(n); i++ {
-			if b, err = p.elem.read(b, sl.Index(i)); err != nil {
-				return nil, err
-			}
+		rv.Set(reflect.MakeSlice(p.typ, int(n), int(n)))
+		for i := 0; i < int(n) && d.Err() == nil; i++ {
+			p.elem.read(d, rv.Index(i))
 		}
-		rv.Set(sl)
-		return b, nil
-	default:
-		return nil, errCodecMismatch
-	}
-}
-
-// --- primitive encoders -------------------------------------------------
-
-func appendHeader(buf []byte, kind byte, fp uint32) []byte {
-	buf = append(buf, fmtFast, kind)
-	return binary.LittleEndian.AppendUint32(buf, fp)
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)-w) {
-		return "", nil, errCodecMismatch
-	}
-	return string(b[w : w+int(n)]), b[w+int(n):], nil
-}
-
-// appendSQLValue encodes one dynamically-typed SQL value using the ordenc
-// self-delimiting encoding the index layer already uses.
-func appendSQLValue(buf []byte, v sql.Value) ([]byte, error) {
-	switch v.(type) {
-	case nil, bool, int64, float64, string:
-		return sql.EncodeKey(buf, v), nil
-	default:
-		return nil, fmt.Errorf("core: unsupported sql.Value type %T", v)
-	}
-}
-
-func appendValues(buf []byte, vals []sql.Value) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(vals)))
-	var err error
-	for _, v := range vals {
-		// Row values coming out of the engine are always scalar, but a
-		// caller-constructed slice may hold anything — route through the
-		// checked encoder so a foreign type falls back to gob instead of
-		// panicking in ordenc.
-		if buf, err = appendSQLValue(buf, v); err != nil {
-			return nil, err
+	default: // pStruct
+		for _, f := range p.fields {
+			f.plan.read(d, rv.Field(f.idx))
 		}
 	}
-	return buf, nil
-}
-
-func readValues(b []byte) ([]sql.Value, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)) {
-		return nil, nil, errCodecMismatch
-	}
-	b = b[w:]
-	vals := make([]sql.Value, n)
-	for i := range vals {
-		v, rest, err := ordenc.DecodeNext(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals[i] = v
-		b = rest
-	}
-	return vals, b, nil
-}
-
-func appendRows(buf []byte, rows [][]sql.Value) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	var err error
-	for _, r := range rows {
-		if buf, err = appendValues(buf, r); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func readRows(b []byte) ([][]sql.Value, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)) {
-		return nil, nil, errCodecMismatch
-	}
-	b = b[w:]
-	rows := make([][]sql.Value, n)
-	for i := range rows {
-		r, rest, err := readValues(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows[i] = r
-		b = rest
-	}
-	return rows, b, nil
-}
-
-// appendResult encodes a db.Result's data (Cols and Rows). Validity and
-// Tags are deliberately dropped: they describe the generating transaction,
-// and the cache layer carries its own validity interval and tag set for
-// the entry. TagIDs in particular are process-local and must never be
-// persisted into payloads another application server may read.
-func appendResult(buf []byte, r *db.Result) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(r.Cols)))
-	for _, c := range r.Cols {
-		buf = appendString(buf, c)
-	}
-	return appendRows(buf, r.Rows)
-}
-
-func readResult(b []byte, r *db.Result) error {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)) {
-		return errCodecMismatch
-	}
-	b = b[w:]
-	cols := make([]string, n)
-	for i := range cols {
-		s, rest, err := readString(b)
-		if err != nil {
-			return err
-		}
-		cols[i] = s
-		b = rest
-	}
-	rows, rest, err := readRows(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return errCodecMismatch
-	}
-	r.Cols = cols
-	r.Rows = rows
-	r.Validity = interval.Interval{}
-	r.Tags = nil
-	return nil
-}
-
-// encodeGob is the fallback for types outside the fast format.
-func encodeGob(ptr any) ([]byte, error) {
-	var out bytes.Buffer
-	out.WriteByte(fmtGob)
-	if err := gob.NewEncoder(&out).Encode(ptr); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
 }

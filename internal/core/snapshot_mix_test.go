@@ -50,8 +50,7 @@ func TestNoSnapshotMixAfterSelection(t *testing.T) {
 
 	// Install account 1's OLD balance as a bounded cache version valid
 	// exactly [ts1, ts2): the state of the world the ts1 pin still accepts.
-	old := int64(100)
-	data, err := encodeCacheable(&old)
+	data, err := encodeAs(int64(100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,11 @@ type StatsSnapshot struct {
 	CachePuts  uint64 `json:"cachePuts"`
 	PinsPlaced uint64 `json:"pinsPlaced"`
 
+	// EncodeErrors are results computed but not installed, DecodeErrors hits
+	// recomputed because their bytes did not decode (see MakeCacheable).
+	EncodeErrors uint64 `json:"encodeErrors"`
+	DecodeErrors uint64 `json:"decodeErrors"`
+
 	LeaseFetches  uint64 `json:"leaseFetches"`
 	LeasedBegins  uint64 `json:"leasedBegins"`
 	PinFetchEmpty uint64 `json:"pinFetchEmpty"`
@@ -59,6 +64,9 @@ func (s *ClientStats) Snapshot() StatsSnapshot {
 		DBQueries:  s.DBQueries.Load(),
 		CachePuts:  s.CachePuts.Load(),
 		PinsPlaced: s.PinsPlaced.Load(),
+
+		EncodeErrors: s.EncodeErrors.Load(),
+		DecodeErrors: s.DecodeErrors.Load(),
 
 		LeaseFetches:  s.LeaseFetches.Load(),
 		LeasedBegins:  s.LeasedBegins.Load(),

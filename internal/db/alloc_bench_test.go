@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func benchEngine(tb testing.TB) *Engine {
 			tb.Fatal(err)
 		}
 	}
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func benchEngine(tb testing.TB) *Engine {
 // budget on an indexed point select inside one long transaction.
 func BenchmarkQueryPointSelect(b *testing.B) {
 	e := benchEngine(b)
-	tx, err := e.Begin(true, 0)
+	tx, err := e.BeginTx(context.Background(), true, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func BenchmarkQueryPointSelectPerTx(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx, err := e.Begin(true, 0)
+		tx, err := e.BeginTx(context.Background(), true, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +87,7 @@ const pointSelectAllocCeiling = 6
 
 func TestAllocBudgetPointSelect(t *testing.T) {
 	e := benchEngine(t)
-	tx, err := e.Begin(true, 0)
+	tx, err := e.BeginTx(context.Background(), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -48,7 +49,7 @@ func TestParallelCommitsDisjointTables(t *testing.T) {
 			defer wg.Done()
 			src := fmt.Sprintf("INSERT INTO shard%d (id, v) VALUES (?, ?)", w)
 			for i := 0; i < perW; i++ {
-				tx, err := e.Begin(false, 0)
+				tx, err := e.BeginTx(context.Background(), false, 0)
 				if err != nil {
 					errs <- err
 					return
@@ -124,7 +125,7 @@ func TestParallelCommitsOverlappingTables(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				// First-committer-wins: retry until our increment lands.
 				for {
-					tx, err := e.Begin(false, 0)
+					tx, err := e.BeginTx(context.Background(), false, 0)
 					if err != nil {
 						errs <- err
 						return
@@ -191,7 +192,7 @@ func TestSnapshotAtomicAcrossTables(t *testing.T) {
 				return
 			default:
 			}
-			tx, err := e.Begin(false, 0)
+			tx, err := e.BeginTx(context.Background(), false, 0)
 			if err != nil {
 				writerDone <- err
 				return
@@ -214,7 +215,7 @@ func TestSnapshotAtomicAcrossTables(t *testing.T) {
 	}()
 	go func() {
 		for i := 0; i < 300; i++ {
-			tx, err := e.Begin(true, 0)
+			tx, err := e.BeginTx(context.Background(), true, 0)
 			if err != nil {
 				readerDone <- err
 				return
@@ -266,7 +267,7 @@ func TestReadersDuringVacuumAndCommits(t *testing.T) {
 				return
 			default:
 			}
-			tx, err := e.Begin(false, 0)
+			tx, err := e.BeginTx(context.Background(), false, 0)
 			if err != nil {
 				bgErrs <- err
 				return
@@ -299,7 +300,7 @@ func TestReadersDuringVacuumAndCommits(t *testing.T) {
 				// Pin a snapshot the way the cache library does, query at
 				// it, then release.
 				snap, _ := e.PinLatest()
-				tx, err := e.Begin(true, snap)
+				tx, err := e.BeginTx(context.Background(), true, snap)
 				if err != nil {
 					e.Unpin(snap)
 					readerErrs <- err
@@ -359,7 +360,7 @@ func TestCreateIndexDuringTraffic(t *testing.T) {
 				return
 			default:
 			}
-			tx, err := e.Begin(false, 0)
+			tx, err := e.BeginTx(context.Background(), false, 0)
 			if err != nil {
 				errs <- err
 				return
@@ -383,7 +384,7 @@ func TestCreateIndexDuringTraffic(t *testing.T) {
 				return
 			default:
 			}
-			tx, err := e.Begin(true, 0)
+			tx, err := e.BeginTx(context.Background(), true, 0)
 			if err != nil {
 				errs <- err
 				return
@@ -432,7 +433,7 @@ func TestSequencerGroupsUnderBurst(t *testing.T) {
 			defer wg.Done()
 			src := fmt.Sprintf("INSERT INTO shard%d (id, v) VALUES (?, 0)", w)
 			for i := 0; i < 25; i++ {
-				tx, err := e.Begin(false, 0)
+				tx, err := e.BeginTx(context.Background(), false, 0)
 				if err != nil {
 					t.Error(err)
 					return

@@ -48,7 +48,7 @@ func TestTxObservesCancellation(t *testing.T) {
 		t.Fatalf("aborted tx leaked %d pins", n)
 	}
 
-	ro, err := e.Begin(true, 0)
+	ro, err := e.BeginTx(context.Background(), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -29,9 +30,9 @@ func newTestEngine(t *testing.T) *Engine {
 	return e
 }
 
-func mustExec(t *testing.T, e *Engine, src string, args ...sql.Value) interval.Timestamp {
+func mustExec(t testing.TB, e *Engine, src string, args ...sql.Value) interval.Timestamp {
 	t.Helper()
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func queryAt(t *testing.T, e *Engine, snap interval.Timestamp, src string, args 
 	if snap != 0 {
 		defer e.Unpin(snap)
 	}
-	tx, err := e.Begin(true, snap)
+	tx, err := e.BeginTx(context.Background(), true, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +228,8 @@ func TestSerializationConflict(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (1, 'alice', 10, 3)")
 
-	tx1, _ := e.Begin(false, 0)
-	tx2, _ := e.Begin(false, 0)
+	tx1, _ := e.BeginTx(context.Background(), false, 0)
+	tx2, _ := e.BeginTx(context.Background(), false, 0)
 	if _, err := tx1.Exec("UPDATE users SET rating = 11 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestSerializationConflict(t *testing.T) {
 
 func TestReadOnlyRejectsWrites(t *testing.T) {
 	e := newTestEngine(t)
-	tx, _ := e.Begin(true, 0)
+	tx, _ := e.BeginTx(context.Background(), true, 0)
 	defer tx.Abort()
 	if _, err := tx.Exec("INSERT INTO users (id, name, rating, region) VALUES (1, 'x', 1, 1)"); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("want ErrReadOnly, got %v", err)
@@ -259,7 +260,7 @@ func TestOwnWritesVisible(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (1, 'alice', 10, 3)")
 
-	tx, _ := e.Begin(false, 0)
+	tx, _ := e.BeginTx(context.Background(), false, 0)
 	if _, err := tx.Exec("INSERT INTO users (id, name, rating, region) VALUES (2, 'bob', 5, 3)"); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestOwnWritesVisible(t *testing.T) {
 func TestUniqueViolation(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (1, 'alice', 10, 3)")
-	tx, _ := e.Begin(false, 0)
+	tx, _ := e.BeginTx(context.Background(), false, 0)
 	if _, err := tx.Exec("INSERT INTO users (id, name, rating, region) VALUES (1, 'dup', 1, 1)"); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestUniqueViolation(t *testing.T) {
 	}
 	// An update moving a row onto an existing key also violates.
 	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (2, 'bob', 1, 1)")
-	tx, _ = e.Begin(false, 0)
+	tx, _ = e.BeginTx(context.Background(), false, 0)
 	if _, err := tx.Exec("UPDATE users SET id = 1 WHERE id = 2"); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestWildcardAggregation(t *testing.T) {
 	sub := bus.Subscribe()
 	defer sub.Close()
 
-	tx, _ := e.Begin(false, 0)
+	tx, _ := e.BeginTx(context.Background(), false, 0)
 	for i := 0; i < 10; i++ {
 		if _, err := tx.Exec("INSERT INTO t (id, v) VALUES (?, ?)", int64(i), int64(i)); err != nil {
 			t.Fatal(err)
@@ -421,7 +422,7 @@ func TestBeginAtUnpinnedSnapshotFails(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (1, 'a', 0, 1)")
 	mustExec(t, e, "UPDATE users SET rating = 1 WHERE id = 1")
-	if _, err := e.Begin(true, 2); !errors.Is(err, ErrNotPinned) {
+	if _, err := e.BeginTx(context.Background(), true, 2); !errors.Is(err, ErrNotPinned) {
 		t.Fatalf("want ErrNotPinned, got %v", err)
 	}
 }

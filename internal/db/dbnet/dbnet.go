@@ -99,7 +99,9 @@ func (ss *session) begin(id uint64, readOnly bool, snap interval.Timestamp) (*db
 	if ss.txs[id] != nil {
 		return nil, fmt.Errorf("dbnet: transaction %d already open", id)
 	}
-	tx, err := ss.engine.Begin(readOnly, snap)
+	// The wire protocol carries no context (hence nil): what ends a
+	// transaction its client walked away from is the connection dropping.
+	tx, err := ss.engine.BeginTx(nil, readOnly, snap)
 	if err == nil {
 		ss.txs[id] = tx
 	}
@@ -173,7 +175,7 @@ func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeResult(r), nil
+		return encodeResult(r)
 	case opExec:
 		src := d.Str()
 		args, err := decodeArgs(d)
@@ -204,7 +206,7 @@ func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
 }
 
 // decodeArgs reads a statement's arguments. The count is bounded by the
-// bytes that remain — every value is at least its one-byte kind — before
+// bytes that remain — every value is at least its one-byte tag — before
 // anything is allocated for it.
 func decodeArgs(d *wire.Decoder) ([]sql.Value, error) {
 	n := d.U32()
@@ -214,18 +216,28 @@ func decodeArgs(d *wire.Decoder) ([]sql.Value, error) {
 	if int(n) > d.Len() {
 		return nil, fmt.Errorf("dbnet: unreasonable argument count %d", n)
 	}
-	args := make([]sql.Value, 0, n)
-	for i := uint32(0); i < n; i++ {
-		v, err := sql.DecodeValue(d)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, v)
+	args := make([]sql.Value, n)
+	for i := range args {
+		args[i] = sql.DecodeValue(d)
 	}
-	return args, nil
+	return args, d.Err()
 }
 
-func encodeResult(r *db.Result) *wire.Buffer {
+// appendValues writes vals into a frame, uncounted: the reader knows how
+// many to expect.
+func appendValues(e *wire.Buffer, vals []sql.Value) (err error) {
+	e.Append(func(b []byte) []byte {
+		for _, v := range vals {
+			if b, err = sql.AppendValue(b, v); err != nil {
+				break
+			}
+		}
+		return b
+	})
+	return err
+}
+
+func encodeResult(r *db.Result) (*wire.Buffer, error) {
 	e := rpc.NewFrame(opQueryResp)
 	e.U32(uint32(len(r.Cols)))
 	for _, c := range r.Cols {
@@ -233,8 +245,8 @@ func encodeResult(r *db.Result) *wire.Buffer {
 	}
 	e.U32(uint32(len(r.Rows)))
 	for _, row := range r.Rows {
-		for _, v := range row {
-			sql.EncodeValue(e, v)
+		if err := appendValues(e, row); err != nil {
+			return nil, err
 		}
 	}
 	e.U64(uint64(r.Validity.Lo)).U64(uint64(r.Validity.Hi))
@@ -243,7 +255,7 @@ func encodeResult(r *db.Result) *wire.Buffer {
 		t := invalidation.TagOf(id)
 		e.Str(t.Table).Str(t.Key).Bool(t.Wildcard)
 	}
-	return e
+	return e, nil
 }
 
 // serializationMark prefixes the text of an error that is a
@@ -420,8 +432,9 @@ func (t *clientTx) Query(src string, args ...sql.Value) (*db.Result, error) {
 	} else {
 		e = rpc.NewFrame(opQuery).U64(t.id)
 	}
-	e.Str(src)
-	encodeArgs(e, args)
+	if err := encodeArgs(e.Str(src), args); err != nil {
+		return nil, err
+	}
 	d, err := roundTrip(t.ctx, t.conn, e, opQueryResp)
 	// Reply or none, the server may have run the Begin. If it did not there
 	// is no transaction to end, and ending one that does not exist is
@@ -440,7 +453,9 @@ func (t *clientTx) Exec(src string, args ...sql.Value) (int, error) {
 		return 0, db.ErrReadOnly // only read-only transactions begin lazily
 	}
 	e := rpc.NewFrame(opExec).U64(t.id).Str(src)
-	encodeArgs(e, args)
+	if err := encodeArgs(e, args); err != nil {
+		return 0, err
+	}
 	d, err := roundTrip(t.ctx, t.conn, e, opExecResp)
 	if err != nil {
 		return 0, err
@@ -496,16 +511,14 @@ func (t *clientTx) end() {
 	t.cl.free <- t.conn
 }
 
-func encodeArgs(e *wire.Buffer, args []sql.Value) {
-	e.U32(uint32(len(args)))
-	for _, a := range args {
-		sql.EncodeValue(e, a)
-	}
+func encodeArgs(e *wire.Buffer, args []sql.Value) error {
+	return appendValues(e.U32(uint32(len(args))), args)
 }
 
 // decodeResult reads an opQueryResp body. Every count is bounded by the
 // bytes that remain — a column name is at least its length prefix, a value
-// its kind byte, a tag nine bytes — before anything is allocated for it.
+// its tag byte, an invalidation tag nine bytes — before anything is
+// allocated for it.
 func decodeResult(d *wire.Decoder) (*db.Result, error) {
 	r := &db.Result{}
 	nc := d.U32()
@@ -526,11 +539,7 @@ func decodeResult(d *wire.Decoder) (*db.Result, error) {
 	for i := uint32(0); i < nr; i++ {
 		row := make([]sql.Value, nc)
 		for j := range row {
-			v, err := sql.DecodeValue(d)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
+			row[j] = sql.DecodeValue(d)
 		}
 		r.Rows = append(r.Rows, row)
 	}

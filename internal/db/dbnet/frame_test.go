@@ -249,7 +249,7 @@ func (d *commitAfterBegin) Begin(ctx context.Context, readOnly bool, snap interv
 	tx, err := d.Client.Begin(ctx, readOnly, snap)
 	if readOnly {
 		d.n++
-		w, werr := d.engine.Begin(false, 0)
+		w, werr := d.engine.BeginTx(context.Background(), false, 0)
 		if werr != nil {
 			d.t.Fatal(werr)
 		}

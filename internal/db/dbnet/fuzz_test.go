@@ -21,9 +21,8 @@ func FuzzDBNetHandle(f *testing.F) {
 		if op == opQueryAt {
 			e.U64(2)
 		}
-		e.Str("SELECT v FROM kv WHERE k = ?").U32(n)
-		for _, a := range args {
-			sql.EncodeValue(e, a)
+		if err := appendValues(e.Str("SELECT v FROM kv WHERE k = ?").U32(n), args); err != nil {
+			f.Fatal(err)
 		}
 		return e.Bytes()
 	}

@@ -27,7 +27,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,6 +39,7 @@ import (
 	"txcache/internal/mvcc"
 	"txcache/internal/sql"
 	"txcache/internal/wal"
+	"txcache/internal/wire"
 )
 
 // DurabilityOptions configures the engine's write-ahead logging. Zero
@@ -221,168 +221,49 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codec. Little-endian, append-based; the decoder mirrors it.
+// Payload encoding. Little-endian and append-based; wire.Decoder reads it
+// back, sql.AppendValue / sql.DecodeValue spell the values (DESIGN.md
+// "Encodings").
 // ---------------------------------------------------------------------------
 
-func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// Value tags.
-const (
-	valNil    byte = 0
-	valInt    byte = 1
-	valFloat  byte = 2
-	valString byte = 3
-	valTrue   byte = 4
-	valFalse  byte = 5
-)
-
-func appendValue(b []byte, v sql.Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, valNil)
-	case int64:
-		return appendU64(append(b, valInt), uint64(x))
-	case float64:
-		return appendU64(append(b, valFloat), math.Float64bits(x))
-	case string:
-		return appendStr(append(b, valString), x)
-	case bool:
-		if x {
-			return append(b, valTrue)
-		}
-		return append(b, valFalse)
-	default:
-		panic(fmt.Sprintf("db: unloggable value type %T", v))
-	}
-}
-
+// appendRow appends a row as [u16 n][n values], in commit payloads and
+// snapshot sections alike.
 func appendRow(b []byte, row []sql.Value) []byte {
-	b = appendU16(b, uint16(len(row)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(row)))
 	for _, v := range row {
-		b = appendValue(b, v)
+		var err error
+		if b, err = sql.AppendValue(b, v); err != nil {
+			// The executor coerced every stored value to its column's type.
+			panic(fmt.Sprintf("db: unloggable row: %v", err))
+		}
 	}
 	return b
 }
 
-// payloadDec decodes what the append helpers produced. A decoding slip
-// sets err and poisons every later read, so call sites check once.
-type payloadDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-var errShortPayload = errors.New("db: wal payload truncated")
-
-func (d *payloadDec) fail() {
-	if d.err == nil {
-		d.err = errShortPayload
-	}
-}
-
-func (d *payloadDec) take(n int) []byte {
-	if d.err != nil || len(d.b)-d.off < n {
-		d.fail()
+// decodeRow reads a row appendRow wrote. The count is bounded by the bytes
+// that remain — a value is at least its tag — before the row is allocated.
+func decodeRow(d *wire.Decoder) []sql.Value {
+	n := int(d.U16())
+	if n > d.Len() {
+		d.Fail(wire.ErrTruncated)
 		return nil
 	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *payloadDec) u8() byte {
-	if b := d.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (d *payloadDec) u16() uint16 {
-	if b := d.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (d *payloadDec) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *payloadDec) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (d *payloadDec) str() string {
-	n := d.u32()
-	if d.err != nil || uint64(n) > uint64(len(d.b)-d.off) {
-		d.fail()
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-func (d *payloadDec) value() sql.Value {
-	switch tag := d.u8(); tag {
-	case valNil:
-		return nil
-	case valInt:
-		return int64(d.u64())
-	case valFloat:
-		return math.Float64frombits(d.u64())
-	case valString:
-		return d.str()
-	case valTrue:
-		return true
-	case valFalse:
-		return false
-	default:
-		d.fail()
-		return nil
-	}
-}
-
-func (d *payloadDec) row() []sql.Value {
-	n := int(d.u16())
-	if d.err != nil || n > len(d.b)-d.off {
-		d.fail()
-		return nil
-	}
-	row := make([]sql.Value, 0, n)
-	for i := 0; i < n; i++ {
-		row = append(row, d.value())
+	row := make([]sql.Value, n)
+	for i := range row {
+		row[i] = sql.DecodeValue(d)
 	}
 	return row
 }
 
-func (d *payloadDec) done() bool { return d.err != nil || d.off >= len(d.b) }
-
-// ---------------------------------------------------------------------------
-// Commit-payload encoding (called from Tx.Commit's apply loop).
-// ---------------------------------------------------------------------------
-
 // walSectionStart opens a per-table section in the transaction's commit
-// payload, reserving the byte-length and op-count slots; walSectionEnd
-// patches both. The byte length is what lets recovery slice a commit into
-// per-table op streams in O(1) and hand them to replay workers without
-// decoding ops on the dispatch path.
+// payload (called from Tx.Commit's apply loop), reserving the byte-length
+// and op-count slots; walSectionEnd patches both. The byte length is what
+// lets recovery slice a commit into per-table op streams in O(1) and hand
+// them to replay workers without decoding ops on the dispatch path.
 func walSectionStart(b []byte, table string) ([]byte, int) {
-	b = appendStr(b, table)
+	b = wire.AppendStr(b, table)
 	fix := len(b)
-	b = appendU32(b, 0) // section byte length (ops only)
-	return appendU32(b, 0), fix
+	return append(b, 0, 0, 0, 0, 0, 0, 0, 0), fix // u32 byte length of the ops, u32 op count
 }
 
 func walSectionEnd(b []byte, fix int, n int) []byte {
@@ -391,21 +272,14 @@ func walSectionEnd(b []byte, fix int, n int) []byte {
 	return b
 }
 
-func walInsert(b []byte, id mvcc.RowID, row []sql.Value) []byte {
-	b = append(b, walOpInsert)
-	b = appendU64(b, uint64(id))
-	return appendRow(b, row)
-}
-
-func walUpdate(b []byte, id mvcc.RowID, row []sql.Value) []byte {
-	b = append(b, walOpUpdate)
-	b = appendU64(b, uint64(id))
-	return appendRow(b, row)
-}
-
-func walDelete(b []byte, id mvcc.RowID) []byte {
-	b = append(b, walOpDelete)
-	return appendU64(b, uint64(id))
+// walOp appends one op of a section: its kind, the row id and, unless it is
+// a delete, the row.
+func walOp(b []byte, op byte, id mvcc.RowID, row []sql.Value) []byte {
+	b = binary.LittleEndian.AppendUint64(append(b, op), uint64(id))
+	if op != walOpDelete {
+		b = appendRow(b, row)
+	}
+	return b
 }
 
 // walAppendGroup appends one commit-group record (assembled by the head
@@ -437,7 +311,7 @@ func (e *Engine) walAppendGroup(rec []byte, w uint64, n int) {
 // after the statement applied; commits against the new table cannot start
 // (name resolution needs catMu) until this record is durable.
 func (e *Engine) walAppendDDL(src string) error {
-	rec := appendStr([]byte{recDDL}, src)
+	rec := wire.AppendStr([]byte{recDDL}, src)
 	if err := e.dur.w.Append(rec, uint64(e.LastCommit())); err != nil {
 		return fmt.Errorf("db: WAL append of DDL failed: %w", err)
 	}
@@ -537,8 +411,8 @@ func (e *Engine) writeSnapshot(path string, ts interval.Timestamp) error {
 
 	b := e.dur.ckptBuf[:0]
 	b = append(b, snapVersion)
-	b = appendU64(b, uint64(ts))
-	b = appendU32(b, uint32(len(tabs)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(ts))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(tabs)))
 	if _, err := fw.Write(b); err != nil {
 		return err
 	}
@@ -552,7 +426,7 @@ func (e *Engine) writeSnapshot(path string, ts interval.Timestamp) error {
 	}
 	b = e.dur.ckptBuf[:0]
 	for _, n := range secLens {
-		b = appendU64(b, n)
+		b = binary.LittleEndian.AppendUint64(b, n)
 	}
 	e.dur.ckptBuf = b
 	if _, err := fw.Write(b); err != nil {
@@ -572,10 +446,10 @@ func (e *Engine) writeTableSection(fw *wal.FileWriter, t *Table, ts interval.Tim
 	start := fw.Count()
 	b := e.dur.ckptBuf[:0]
 	t.mu.RLock()
-	b = appendStr(b, t.name)
-	b = appendU32(b, uint32(len(t.cols)))
+	b = wire.AppendStr(b, t.name)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.cols)))
 	for _, c := range t.cols {
-		b = appendStr(b, c.Name)
+		b = wire.AppendStr(b, c.Name)
 		b = append(b, byte(c.Type))
 		var flags byte
 		if c.Primary {
@@ -589,14 +463,14 @@ func (e *Engine) writeTableSection(fw *wal.FileWriter, t *Table, ts interval.Tim
 	// Secondary indexes; the primary-key index is implied by the
 	// schema and re-attached by newTable on restore.
 	fixIdx := len(b)
-	b = appendU32(b, 0)
+	b = append(b, 0, 0, 0, 0) // u32 index count, patched below
 	nIdx := 0
 	for _, idx := range t.idxList {
 		if t.primary != "" && idx.column == t.primary {
 			continue
 		}
-		b = appendStr(b, idx.name)
-		b = appendStr(b, idx.column)
+		b = wire.AppendStr(b, idx.name)
+		b = wire.AppendStr(b, idx.column)
 		if idx.unique {
 			b = append(b, 1)
 		} else {
@@ -605,15 +479,15 @@ func (e *Engine) writeTableSection(fw *wal.FileWriter, t *Table, ts interval.Tim
 		nIdx++
 	}
 	binary.LittleEndian.PutUint32(b[fixIdx:fixIdx+4], uint32(nIdx))
-	b = appendU64(b, uint64(t.store.NextID()))
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.store.NextID()))
 	ids := t.store.AppendIDs(e.dur.ckptIDs[:0])
 	e.dur.ckptIDs = ids
 	i := 0
 	for {
 		for i < len(ids) && len(b) < ckptBatchBytes {
 			if v, ok := t.store.VisibleAt(ids[i], ts); ok {
-				b = appendU64(b, uint64(ids[i]))
-				b = appendU64(b, uint64(v.Created))
+				b = binary.LittleEndian.AppendUint64(b, uint64(ids[i]))
+				b = binary.LittleEndian.AppendUint64(b, uint64(v.Created))
 				b = appendRow(b, v.Data.([]sql.Value))
 			}
 			i++
@@ -638,62 +512,15 @@ func (e *Engine) writeTableSection(fw *wal.FileWriter, t *Table, ts interval.Tim
 // decoding table sections across workers goroutines when workers > 1.
 // Recovery-only: runs before the engine serves traffic.
 func (e *Engine) restoreSnapshot(payload []byte, workers int) (interval.Timestamp, error) {
-	d := &payloadDec{b: payload}
-	if v := d.u8(); v != snapVersion {
-		return 0, fmt.Errorf("db: snapshot version %d unsupported", v)
+	ts, secs, err := splitSnapshot(payload)
+	if err != nil {
+		return 0, fmt.Errorf("db: snapshot decode: %w", err)
 	}
-	ts := interval.Timestamp(d.u64())
-	nTables := int(d.u32())
-	if d.err != nil {
-		return 0, fmt.Errorf("db: snapshot decode: %w", d.err)
-	}
-	if nTables < 0 || len(payload)-d.off < nTables*8 {
-		return 0, fmt.Errorf("db: snapshot decode: %w", errShortPayload)
-	}
-	// Slice the payload into per-table sections via the length footer.
-	foot := len(payload) - nTables*8
-	fd := &payloadDec{b: payload[foot:]}
-	secs := make([][]byte, nTables)
-	off := d.off
-	for i := range secs {
-		n := fd.u64()
-		if n > uint64(foot-off) {
-			return 0, fmt.Errorf("db: snapshot decode: %w", errShortPayload)
-		}
-		secs[i] = payload[off : off+int(n)]
-		off += int(n)
-	}
-	if off != foot {
-		return 0, fmt.Errorf("db: snapshot decode: %d trailing bytes", foot-off)
-	}
-
-	tables := make([]*Table, nTables)
-	errs := make([]error, nTables)
-	if workers > nTables {
-		workers = nTables
-	}
-	if workers <= 1 {
-		for i, sec := range secs {
-			tables[i], errs[i] = decodeTableSection(sec)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= nTables {
-						return
-					}
-					tables[i], errs[i] = decodeTableSection(secs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	tables := make([]*Table, len(secs))
+	errs := make([]error, len(secs))
+	forEachParallel(len(secs), workers, func(i int) {
+		tables[i], errs[i] = decodeTableSection(secs[i])
+	})
 	for i, t := range tables {
 		if errs[i] != nil {
 			return 0, errs[i]
@@ -703,50 +530,103 @@ func (e *Engine) restoreSnapshot(payload []byte, workers int) (interval.Timestam
 	return ts, nil
 }
 
+// splitSnapshot slices a snapshot payload into its timestamp and per-table
+// sections via the length footer: what lies between the header and the
+// footer is the sections back to back.
+func splitSnapshot(payload []byte) (interval.Timestamp, [][]byte, error) {
+	d := wire.NewDecoder(payload)
+	if v := d.U8(); v != snapVersion {
+		return 0, nil, fmt.Errorf("version %d unsupported", v)
+	}
+	ts := interval.Timestamp(d.U64())
+	nTables := int(d.U32())
+	// Take refuses a length that is negative or past the end, so a table
+	// count or a section length the payload cannot back fails here.
+	sd := wire.NewDecoder(d.Take(d.Len() - nTables*8))
+	if d.Err() != nil {
+		return 0, nil, d.Err()
+	}
+	secs := make([][]byte, nTables)
+	for i := range secs {
+		secs[i] = sd.Take(int(d.U64()))
+	}
+	if sd.Err() != nil {
+		return 0, nil, sd.Err()
+	}
+	if sd.Len() != 0 {
+		return 0, nil, fmt.Errorf("%d trailing bytes", sd.Len())
+	}
+	return ts, secs, nil
+}
+
+// forEachParallel calls fn(0..n-1), spread over up to workers goroutines
+// (inline when that is one), and returns when every call has.
+func forEachParallel(n, workers int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // decodeTableSection rebuilds one table from its snapshot section. Rows
 // run to the end of the section.
 func decodeTableSection(sec []byte) (*Table, error) {
-	d := &payloadDec{b: sec}
-	ct := &sql.CreateTable{Name: d.str()}
-	nCols := int(d.u32())
-	for c := 0; c < nCols && d.err == nil; c++ {
-		col := sql.ColDef{Name: d.str(), Type: sql.ColType(d.u8())}
-		flags := d.u8()
+	d := wire.NewDecoder(sec)
+	ct := &sql.CreateTable{Name: d.Str()}
+	nCols := int(d.U32())
+	for c := 0; c < nCols && d.Err() == nil; c++ {
+		col := sql.ColDef{Name: d.Str(), Type: sql.ColType(d.U8())}
+		flags := d.U8()
 		col.Primary = flags&1 != 0
 		col.NotNull = flags&2 != 0
 		ct.Cols = append(ct.Cols, col)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("db: snapshot decode: %w", d.err)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("db: snapshot decode: %w", d.Err())
 	}
 	t, err := newTable(ct)
 	if err != nil {
 		return nil, fmt.Errorf("db: snapshot table %q: %w", ct.Name, err)
 	}
-	nIdx := int(d.u32())
-	for x := 0; x < nIdx && d.err == nil; x++ {
-		ci := &sql.CreateIndex{Name: d.str(), Table: ct.Name, Column: d.str(), Unique: d.u8() == 1}
-		if d.err != nil {
+	nIdx := int(d.U32())
+	for x := 0; x < nIdx && d.Err() == nil; x++ {
+		ci := &sql.CreateIndex{Name: d.Str(), Table: ct.Name, Column: d.Str(), Unique: d.U8() == 1}
+		if d.Err() != nil {
 			break
 		}
 		if err := t.addIndex(ci); err != nil {
 			return nil, fmt.Errorf("db: snapshot index %q: %w", ci.Name, err)
 		}
 	}
-	t.store.EnsureNextID(mvcc.RowID(d.u64()))
-	for !d.done() {
-		id := mvcc.RowID(d.u64())
-		created := interval.Timestamp(d.u64())
-		row := d.row()
-		if d.err != nil {
+	t.store.EnsureNextID(mvcc.RowID(d.U64()))
+	for d.Err() == nil && d.Len() > 0 {
+		id := mvcc.RowID(d.U64())
+		created := interval.Timestamp(d.U64())
+		row := decodeRow(d)
+		if d.Err() != nil {
 			break
 		}
 		if !t.store.RestoreInsert(id, row, created) {
 			return nil, fmt.Errorf("db: snapshot row %d of %q duplicated", id, ct.Name)
 		}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("db: snapshot decode: %w", d.err)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("db: snapshot decode: %w", d.Err())
 	}
 	return t, nil
 }
@@ -814,7 +694,7 @@ func (e *Engine) recover(dir string, workers int) (RecoveryInfo, map[uint64]uint
 	var markerTS interval.Timestamp
 	markerSeen := false
 	if b, err := wal.ReadFileChecked(filepath.Join(dir, cleanMarker)); err == nil && len(b) == 8 {
-		markerTS = interval.Timestamp(binary.LittleEndian.Uint64(b))
+		markerTS = interval.Timestamp(wire.NewDecoder(b).U64())
 		markerSeen = true
 	}
 	os.Remove(filepath.Join(dir, cleanMarker))
@@ -1015,17 +895,12 @@ func (rp *walReplayer) close() error {
 // DDL statements were applied. Commits at or below the checkpoint are
 // decoded but skipped (the snapshot already reflects them).
 func (rp *walReplayer) replayRecord(payload []byte) (maxTS interval.Timestamp, commits, ddl int, err error) {
-	if len(payload) == 0 {
-		// A zero-length payload is framed like any record but has no type
-		// byte; refuse it like any other corruption instead of crashing.
-		return 0, 0, 0, errors.New("db: empty WAL record payload")
-	}
-	switch payload[0] {
+	d := wire.NewDecoder(payload)
+	switch typ := d.U8(); typ {
 	case recDDL:
-		d := &payloadDec{b: payload, off: 1}
-		src := d.str()
-		if d.err != nil {
-			return 0, 0, 0, d.err
+		src := d.Str()
+		if d.Err() != nil {
+			return 0, 0, 0, d.Err()
 		}
 		if err := rp.barrier(); err != nil {
 			return 0, 0, 0, err
@@ -1035,41 +910,42 @@ func (rp *walReplayer) replayRecord(payload []byte) (maxTS interval.Timestamp, c
 		}
 		return 0, 0, 1, nil
 	case recCommitGroup:
-		d := &payloadDec{b: payload, off: 1}
 		var stable []byte // one copy per record in parallel mode; tasks alias it
-		n := int(d.u32())
-		for i := 0; i < n && d.err == nil; i++ {
-			ts := interval.Timestamp(d.u64())
-			plen := int(d.u32())
-			if d.err != nil || plen > len(d.b)-d.off {
-				d.fail()
+		n := int(d.U32())
+		for i := 0; i < n; i++ {
+			ts := interval.Timestamp(d.U64())
+			body := d.Blob()
+			if d.Err() != nil {
 				break
 			}
-			bodyStart := d.off
-			d.off += plen
 			if ts > maxTS {
 				maxTS = ts
 			}
 			if ts <= rp.ckptTS {
 				continue
 			}
-			body := payload[bodyStart : bodyStart+plen]
 			if rp.chans != nil {
 				// The reader's record buffer is reused by the next Next();
 				// queued tasks must outlive it.
 				if stable == nil {
 					stable = append([]byte(nil), payload...)
 				}
-				body = stable[bodyStart : bodyStart+plen]
+				end := len(payload) - d.Len()
+				body = stable[end-len(body) : end]
 			}
 			if err := rp.dispatchCommit(body, ts); err != nil {
 				return maxTS, commits, ddl, err
 			}
 			commits++
 		}
-		return maxTS, commits, ddl, d.err
+		return maxTS, commits, ddl, d.Err()
 	default:
-		return 0, 0, 0, fmt.Errorf("db: unknown WAL record type %d", payload[0])
+		if d.Err() != nil {
+			// A zero-length payload is framed like any record but has no
+			// type byte; refuse it like any other corruption.
+			return 0, 0, 0, errors.New("db: empty WAL record payload")
+		}
+		return 0, 0, 0, fmt.Errorf("db: unknown WAL record type %d", typ)
 	}
 }
 
@@ -1077,19 +953,15 @@ func (rp *walReplayer) replayRecord(payload []byte) (maxTS interval.Timestamp, c
 // section via the logged byte length) and applies each inline (serial) or
 // queues it on the table's worker (parallel).
 func (rp *walReplayer) dispatchCommit(body []byte, ts interval.Timestamp) error {
-	d := &payloadDec{b: body}
-	for !d.done() {
-		tname := d.str()
-		blen := int(d.u32())
-		nOps := int(d.u32())
-		if d.err != nil {
-			return d.err
+	d := wire.NewDecoder(body)
+	for d.Len() > 0 {
+		tname := d.Str()
+		blen := int(d.U32())
+		nOps := int(d.U32())
+		ops := d.Take(blen)
+		if d.Err() != nil {
+			return fmt.Errorf("commit %d: %w", ts, d.Err())
 		}
-		if blen > len(d.b)-d.off {
-			return fmt.Errorf("commit %d: %w", ts, errShortPayload)
-		}
-		ops := d.b[d.off : d.off+blen]
-		d.off += blen
 		t, ok := rp.e.tables[tname]
 		if !ok {
 			return fmt.Errorf("commit %d: db: log references unknown table %q", ts, tname)
@@ -1111,7 +983,7 @@ func (rp *walReplayer) dispatchCommit(body []byte, ts interval.Timestamp) error 
 		}
 		rp.chans[w] <- replayTask{t: t, ts: ts, ops: ops, nOps: nOps}
 	}
-	return d.err
+	return nil
 }
 
 // replayDDL re-executes a logged DDL statement. ErrAlreadyExists is
@@ -1131,44 +1003,37 @@ func (e *Engine) replayDDL(src string) error {
 // own mutex covers the replay workers) and index trees are rebuilt
 // afterwards in one bulk pass.
 func applyTableOps(t *Table, ops []byte, nOps int, ts interval.Timestamp) error {
-	d := &payloadDec{b: ops}
-	for i := 0; i < nOps && d.err == nil; i++ {
-		switch op := d.u8(); op {
+	d := wire.NewDecoder(ops)
+	for i := 0; i < nOps; i++ {
+		op := d.U8()
+		id := mvcc.RowID(d.U64())
+		var row []sql.Value
+		if op != walOpDelete {
+			row = decodeRow(d)
+		}
+		if d.Err() != nil {
+			return d.Err()
+		}
+		switch op {
 		case walOpInsert:
-			id := mvcc.RowID(d.u64())
-			row := d.row()
-			if d.err != nil {
-				return d.err
-			}
 			if !t.store.RestoreInsert(id, row, ts) {
 				return fmt.Errorf("db: replayed insert of existing row %d in %q", id, t.name)
 			}
-		case walOpUpdate:
-			id := mvcc.RowID(d.u64())
-			row := d.row()
-			if d.err != nil {
-				return d.err
-			}
+		case walOpUpdate, walOpDelete:
 			latest, ok := t.store.Latest(id)
 			if !ok || latest.Deleted != interval.Infinity {
-				return fmt.Errorf("db: replayed update of missing row %d in %q", id, t.name)
+				return fmt.Errorf("db: replayed %c of missing row %d in %q", op, id, t.name)
 			}
-			t.store.Update(id, row, ts)
-		case walOpDelete:
-			id := mvcc.RowID(d.u64())
-			if d.err != nil {
-				return d.err
+			if op == walOpUpdate {
+				t.store.Update(id, row, ts)
+			} else {
+				t.store.Delete(id, ts)
 			}
-			latest, ok := t.store.Latest(id)
-			if !ok || latest.Deleted != interval.Infinity {
-				return fmt.Errorf("db: replayed delete of missing row %d in %q", id, t.name)
-			}
-			t.store.Delete(id, ts)
 		default:
 			return fmt.Errorf("db: unknown WAL op %q", op)
 		}
 	}
-	return d.err
+	return nil
 }
 
 // rebuildDerivedAll regenerates every table's derived state (index trees,
@@ -1178,31 +1043,7 @@ func (e *Engine) rebuildDerivedAll(workers int) {
 	for _, t := range e.tables {
 		tabs = append(tabs, t)
 	}
-	if workers > len(tabs) {
-		workers = len(tabs)
-	}
-	if workers <= 1 {
-		for _, t := range tabs {
-			t.rebuildDerived()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tabs) {
-					return
-				}
-				tabs[i].rebuildDerived()
-			}
-		}()
-	}
-	wg.Wait()
+	forEachParallel(len(tabs), workers, func(i int) { tabs[i].rebuildDerived() })
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 package db
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"txcache/internal/mvcc"
+	"txcache/internal/sql"
 	"txcache/internal/wal"
 )
 
@@ -104,7 +107,7 @@ func TestReplayEquivalence(t *testing.T) {
 
 	workload := func(txCount int) {
 		for i := 0; i < txCount; i++ {
-			tx, err := e.Begin(false, 0)
+			tx, err := e.BeginTx(context.Background(), false, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,6 +177,67 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestRecoversParentFormat opens a data directory written by the commit
+// before the value encoding moved into sql.AppendValue and the readers onto
+// wire.Decoder (testdata/parent-format: a checkpoint at ts 5 holding every
+// value kind, then a log segment with two inserts, an update, a delete, a
+// CREATE TABLE record and an insert into the new table; no clean shutdown)
+// and compares every row. On-disk compatibility is this test, not a claim:
+// snapVersion is still 2 and the WAL bytes are still the parent's.
+func TestRecoversParentFormat(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		dir := t.TempDir()
+		ents, err := os.ReadDir(filepath.Join("testdata", "parent-format"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents { // recovery writes to the directory it opens
+			b, err := os.ReadFile(filepath.Join("testdata", "parent-format", ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ent.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := reopenWithWorkers(t, dir, workers)
+		info := e.DurabilityStats().Recovery
+		want := RecoveryInfo{CheckpointTS: 5, RecoveredTS: 10, Records: 6, CommitsReplayed: 5, DDLReplayed: 1}
+		if info != want {
+			t.Fatalf("workers=%d: recovery = %+v, want %+v", workers, info, want)
+		}
+		tx, err := e.BeginTx(context.Background(), true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			query string
+			rows  [][]sql.Value
+		}{
+			{"SELECT id, name, score, ok, n FROM kinds ORDER BY id", [][]sql.Value{
+				{int64(1), "in the checkpoint", 1.5, true, int64(10)},
+				{int64(2), "updated", -2.25, false, int64(21)},
+				{int64(4), nil, nil, nil, nil},
+				{int64(5), "logged \x00 bytes \xff", 3.25, false, int64(-50)},
+				{int64(6), nil, nil, true, nil},
+			}},
+			// Through the secondary index the checkpoint carried.
+			{"SELECT id FROM kinds WHERE n = 21", [][]sql.Value{{int64(2)}}},
+			{"SELECT id FROM kinds WHERE n = 20", nil},
+			{"SELECT id, v FROM late", [][]sql.Value{{int64(1), "after the DDL record"}}},
+		} {
+			res, err := tx.Query(c.query)
+			if err != nil {
+				t.Fatalf("workers=%d: %s: %v", workers, c.query, err)
+			}
+			if len(res.Rows) != len(c.rows) || (len(c.rows) > 0 && !reflect.DeepEqual(res.Rows, c.rows)) {
+				t.Fatalf("workers=%d: %s = %#v, want %#v", workers, c.query, res.Rows, c.rows)
+			}
+		}
+		tx.Abort()
+	}
+}
+
 // TestRecoverRejectsEmptyWALRecord pins the empty-payload fix: a framed
 // record with a zero-length payload must fail replay with a decode error,
 // not crash indexing payload[0].
@@ -229,7 +293,7 @@ func TestCheckpointCommitLatency(t *testing.T) {
 	defer e.Close()
 	mustDDL(t, e, durSchema)
 	pad := strings.Repeat("x", 100)
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +437,7 @@ func buildRecoveryLog(b *testing.B, dir string, targetBytes int64) int64 {
 	pad := strings.Repeat("p", 64)
 	pk := int64(0)
 	for e.dur.w.Stats().Bytes < uint64(targetBytes) {
-		tx, err := e.Begin(false, 0)
+		tx, err := e.BeginTx(context.Background(), false, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

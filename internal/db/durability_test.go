@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -35,7 +36,7 @@ func openDurable(t *testing.T, dir string) (*Engine, RecoveryInfo) {
 	return e, info
 }
 
-func mustDDL(t *testing.T, e *Engine, stmts ...string) {
+func mustDDL(t testing.TB, e *Engine, stmts ...string) {
 	t.Helper()
 	for _, s := range stmts {
 		if err := e.DDL(s); err != nil {
@@ -49,7 +50,7 @@ func mustDDL(t *testing.T, e *Engine, stmts ...string) {
 // queryInts runs a single-int-column SELECT and returns the values.
 func queryInts(t *testing.T, e *Engine, src string, args ...sql.Value) []int64 {
 	t.Helper()
-	tx, err := e.Begin(true, 0)
+	tx, err := e.BeginTx(context.Background(), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestDurableCommitSurvivesReopen(t *testing.T) {
 	// Post-recovery commits must keep working: the id allocator is past
 	// every recovered id, and unique constraints still hold.
 	mustExec(t, e2, "INSERT INTO items (id, name, qty) VALUES (?, ?, ?)", int64(100), "post", int64(1))
-	tx, _ := e2.Begin(false, 0)
+	tx, _ := e2.BeginTx(context.Background(), false, 0)
 	if _, err := tx.Exec("INSERT INTO items (id, name, qty) VALUES (?, ?, ?)", int64(3), "dup", int64(0)); err == nil {
 		if _, err := tx.Commit(); err == nil {
 			t.Fatal("duplicate primary key accepted after recovery")
@@ -316,7 +317,7 @@ func BenchmarkCommitDurable(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id++
-				tx, _ := e.Begin(false, 0)
+				tx, _ := e.BeginTx(context.Background(), false, 0)
 				if _, err := tx.Exec("INSERT INTO items (id, name, qty) VALUES (?, ?, ?)", id, "bench", id); err != nil {
 					b.Fatal(err)
 				}
@@ -338,7 +339,7 @@ func BenchmarkCommitDurable(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					n := id.Add(1)
-					tx, _ := e.Begin(false, 0)
+					tx, _ := e.BeginTx(context.Background(), false, 0)
 					if _, err := tx.Exec("INSERT INTO items (id, name, qty) VALUES (?, ?, ?)", n, "bench", n); err != nil {
 						b.Fatal(err)
 					}
@@ -367,7 +368,7 @@ func TestWriteAfterCloseFails(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

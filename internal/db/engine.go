@@ -496,12 +496,6 @@ func (e *Engine) BeginTx(ctx context.Context, readOnly bool, snap interval.Times
 	}, nil
 }
 
-// Begin starts a transaction on the background context; see BeginTx.
-func (e *Engine) Begin(readOnly bool, snap interval.Timestamp) (*Tx, error) {
-	//lint:allow ctxflow pre-context compatibility entry point; BeginTx is the ctx-threading API
-	return e.BeginTx(context.Background(), readOnly, snap)
-}
-
 // Stats is a snapshot of engine counters.
 type Stats struct {
 	Queries       uint64

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestAmbiguousAndUnknownColumns(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (1, 'a', 5, 1)")
 	mustExec(t, e, "INSERT INTO items (id, seller, price, category) VALUES (10, 1, 5.0, 1)")
-	tx, _ := e.Begin(true, 0)
+	tx, _ := e.BeginTx(context.Background(), true, 0)
 	defer tx.Abort()
 	if _, err := tx.Query(`SELECT id FROM items i JOIN users u ON i.seller = u.id`); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
@@ -68,7 +69,7 @@ func TestAmbiguousAndUnknownColumns(t *testing.T) {
 
 func TestMissingParams(t *testing.T) {
 	e := newTestEngine(t)
-	tx, _ := e.Begin(true, 0)
+	tx, _ := e.BeginTx(context.Background(), true, 0)
 	defer tx.Abort()
 	if _, err := tx.Query("SELECT id FROM users WHERE id = ?"); err == nil ||
 		!strings.Contains(err.Error(), "parameters") {
@@ -105,7 +106,7 @@ func TestNullComparisons(t *testing.T) {
 
 func TestIndexRangeScan(t *testing.T) {
 	e := newTestEngine(t)
-	tx, _ := e.Begin(false, 0)
+	tx, _ := e.BeginTx(context.Background(), false, 0)
 	for i := 1; i <= 50; i++ {
 		if _, err := tx.Exec("INSERT INTO items (id, seller, price, category) VALUES (?, ?, ?, ?)",
 			int64(i), int64(i%5), float64(i), int64(1)); err != nil {
@@ -149,7 +150,7 @@ func TestFloatWidening(t *testing.T) {
 
 func TestTypeChecking(t *testing.T) {
 	e := newTestEngine(t)
-	tx, _ := e.Begin(false, 0)
+	tx, _ := e.BeginTx(context.Background(), false, 0)
 	defer tx.Abort()
 	if _, err := tx.Exec("INSERT INTO users (id, name, rating, region) VALUES ('nope', 'a', 1, 1)"); err == nil {
 		t.Fatal("string into BIGINT should fail")
@@ -213,7 +214,7 @@ func TestTagLimitCollapsesQueryTags(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tx, _ := e.Begin(false, 0)
+	tx, _ := e.BeginTx(context.Background(), false, 0)
 	for i := 0; i < 10; i++ {
 		tx.Exec("INSERT INTO t (id, v) VALUES (?, ?)", int64(i), int64(i))
 	}
@@ -263,7 +264,7 @@ func TestConcurrentReadersDuringCommits(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 200; i++ {
-				tx, err := e.Begin(true, 0)
+				tx, err := e.BeginTx(context.Background(), true, 0)
 				if err != nil {
 					done <- err
 					return
@@ -280,7 +281,7 @@ func TestConcurrentReadersDuringCommits(t *testing.T) {
 	}
 	go func() {
 		for i := 0; i < 100; i++ {
-			tx, err := e.Begin(false, 0)
+			tx, err := e.BeginTx(context.Background(), false, 0)
 			if err != nil {
 				done <- err
 				return

@@ -124,7 +124,7 @@ func (e *Engine) finishCommit(ts interval.Timestamp, tags []invalidation.TagID, 
 	rec := s.walBuf[:0]
 	if e.dur != nil {
 		rec = append(rec, recCommitGroup)
-		rec = appendU32(rec, 0) // commit count, patched after the drain
+		rec = append(rec, 0, 0, 0, 0) // u32 commit count, patched after the drain
 	}
 	now := e.clk.Now()
 	w := s.published
@@ -141,8 +141,8 @@ func (e *Engine) finishCommit(ts interval.Timestamp, tags []invalidation.TagID, 
 			// Copy the commit's payload into the group record here, under
 			// the mutex, while its owner is still parked in the wait loop
 			// above — the pooled buffer it aliases is guaranteed live.
-			rec = appendU64(rec, w)
-			rec = appendU32(rec, uint32(len(cr.wal)))
+			rec = binary.LittleEndian.AppendUint64(rec, w)
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(len(cr.wal)))
 			rec = append(rec, cr.wal...)
 		}
 		if e.bus != nil {

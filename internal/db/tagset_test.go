@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -202,7 +203,7 @@ func TestBulkCommitInternsAtMostTheLimitPerTable(t *testing.T) {
 	limit := e.wcLim
 
 	before := invalidation.InternedCount() // the wildcards are in: DDL interned them
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestBulkCommitInternsAtMostTheLimitPerTable(t *testing.T) {
 		}
 		in += "?"
 	}
-	rtx, err := e.Begin(true, 0)
+	rtx, err := e.BeginTx(context.Background(), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

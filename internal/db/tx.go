@@ -317,7 +317,7 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 				tags.addRow(t, oldRow)
 				tags.addRow(t, w.data)
 				if durable {
-					walRec = walUpdate(walRec, mvcc.RowID(id), w.data)
+					walRec = walOp(walRec, walOpUpdate, mvcc.RowID(id), w.data)
 					nOps++
 				}
 			case opDelete:
@@ -325,7 +325,7 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 				t.rowCount--
 				tags.addRow(t, oldRow)
 				if durable {
-					walRec = walDelete(walRec, mvcc.RowID(id))
+					walRec = walOp(walRec, walOpDelete, mvcc.RowID(id), nil)
 					nOps++
 				}
 			}
@@ -350,7 +350,7 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 			t.rowCount++
 			tags.addRow(t, ins.data)
 			if durable {
-				walRec = walInsert(walRec, id, ins.data)
+				walRec = walOp(walRec, walOpInsert, id, ins.data)
 				nOps++
 			}
 		}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,7 +30,7 @@ func TestVacuumNeverReclaimsPinnedVisible(t *testing.T) {
 	if err := e.DDL(`CREATE INDEX acct_v ON acct (v)`); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestVacuumNeverReclaimsPinnedVisible(t *testing.T) {
 					return
 				default:
 				}
-				tx, err := e.Begin(false, 0)
+				tx, err := e.BeginTx(context.Background(), false, 0)
 				if err != nil {
 					fail("writer begin: %v", err)
 					return
@@ -101,7 +102,7 @@ func TestVacuumNeverReclaimsPinnedVisible(t *testing.T) {
 
 	// Pinners: pin, snapshot the table, re-read at the pin repeatedly.
 	readAt := func(snap interval.Timestamp) ([][]sql.Value, error) {
-		tx, err := e.Begin(true, snap)
+		tx, err := e.BeginTx(context.Background(), true, snap)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,7 @@ func writeBenchEngine(tb testing.TB, nIdx, rows int) *Engine {
 			tb.Fatal(err)
 		}
 	}
-	tx, err := e.Begin(false, 0)
+	tx, err := e.BeginTx(context.Background(), false, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func writeBenchEngine(tb testing.TB, nIdx, rows int) *Engine {
 			if _, err := tx.Commit(); err != nil {
 				tb.Fatal(err)
 			}
-			if tx, err = e.Begin(false, 0); err != nil {
+			if tx, err = e.BeginTx(context.Background(), false, 0); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -83,7 +84,7 @@ func BenchmarkCommitPipeline(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					i := next.Add(1)
-					tx, err := e.Begin(false, 0)
+					tx, err := e.BeginTx(context.Background(), false, 0)
 					if err != nil {
 						b.Error(err)
 						return
@@ -130,7 +131,7 @@ func BenchmarkVacuum(b *testing.B) {
 	vacuumed := uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx, err := e.Begin(false, 0)
+		tx, err := e.BeginTx(context.Background(), false, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestAllocBudgetCommit(t *testing.T) {
 	i := int64(0)
 	commit := func() {
 		i++
-		tx, err := e.Begin(false, 0)
+		tx, err := e.BeginTx(context.Background(), false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func TestAllocBudgetVacuum(t *testing.T) {
 	i := int64(0)
 	churnAndVacuum := func() {
 		i++
-		tx, err := e.Begin(false, 0)
+		tx, err := e.BeginTx(context.Background(), false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,9 @@ package ordenc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -189,5 +192,74 @@ func TestDecodeCorrupt(t *testing.T) {
 		if _, _, err := DecodeNext(c); err == nil {
 			t.Errorf("DecodeNext(%v) should fail", c)
 		}
+	}
+}
+
+var errCorrupt = errors.New("ordenc: corrupt encoding")
+
+// DecodeNext decodes the first element of b and returns the value (nil,
+// bool, int64, float64, or string) and the remaining bytes. Nothing outside
+// these tests decodes a key — an index stores the row id beside it — so the
+// decoder lives here, as the reference the encoders round-trip against.
+func DecodeNext(b []byte) (any, []byte, error) {
+	if len(b) == 0 {
+		return nil, nil, errCorrupt
+	}
+	switch b[0] {
+	case tagNull:
+		return nil, b[1:], nil
+	case tagBool:
+		if len(b) < 2 {
+			return nil, nil, errCorrupt
+		}
+		return b[1] != 0, b[2:], nil
+	case tagInt:
+		if len(b) < 9 {
+			return nil, nil, errCorrupt
+		}
+		u := binary.BigEndian.Uint64(b[1:9]) ^ (1 << 63)
+		return int64(u), b[9:], nil
+	case tagFloat:
+		if len(b) < 9 {
+			return nil, nil, errCorrupt
+		}
+		bits := binary.BigEndian.Uint64(b[1:9])
+		if bits == 0 {
+			return math.NaN(), b[9:], nil
+		}
+		if bits&(1<<63) != 0 {
+			bits &^= 1 << 63
+		} else {
+			bits = ^bits
+		}
+		return math.Float64frombits(bits), b[9:], nil
+	case tagString:
+		var out []byte
+		i := 1
+		for {
+			if i >= len(b) {
+				return nil, nil, errCorrupt
+			}
+			c := b[i]
+			if c != strEsc {
+				out = append(out, c)
+				i++
+				continue
+			}
+			if i+1 >= len(b) {
+				return nil, nil, errCorrupt
+			}
+			switch b[i+1] {
+			case strTerm:
+				return string(out), b[i+2:], nil
+			case strPad:
+				out = append(out, strEsc)
+				i += 2
+			default:
+				return nil, nil, errCorrupt
+			}
+		}
+	default:
+		return nil, nil, fmt.Errorf("ordenc: unknown tag %#x", b[0])
 	}
 }

@@ -62,8 +62,8 @@ func TestLoadDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "SELECT COUNT(*), MAX(max_bid), MIN(start_date) FROM items WHERE category = 3"
-	tx1, _ := e1.Begin(true, 0)
-	tx2, _ := e2.Begin(true, 0)
+	tx1, _ := e1.BeginTx(context.Background(), true, 0)
+	tx2, _ := e2.BeginTx(context.Background(), true, 0)
 	defer tx1.Abort()
 	defer tx2.Abort()
 	r1, err := tx1.Query(q)
@@ -83,7 +83,7 @@ func TestLoadCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, _ := e.Begin(true, 0)
+	tx, _ := e.BeginTx(context.Background(), true, 0)
 	defer tx.Abort()
 	check := func(q string, want int64) {
 		t.Helper()
@@ -198,7 +198,7 @@ func TestStoreBidUpdatesItemAndInvalidates(t *testing.T) {
 
 func TestStoreBuyNowDecrementsQuantity(t *testing.T) {
 	app, engine, clk := testSite(t, true)
-	tx, _ := engine.Begin(true, 0)
+	tx, _ := engine.BeginTx(context.Background(), true, 0)
 	r, err := tx.Query("SELECT quantity FROM items WHERE id = 2")
 	if err != nil || len(r.Rows) == 0 {
 		t.Fatalf("setup: %v", err)
@@ -209,7 +209,7 @@ func TestStoreBuyNowDecrementsQuantity(t *testing.T) {
 	if _, err := app.StoreBuyNow(context.Background(), 3, 2, 1, clk.Now().Unix()); err != nil {
 		t.Fatal(err)
 	}
-	tx, _ = engine.Begin(true, 0)
+	tx, _ = engine.BeginTx(context.Background(), true, 0)
 	r, _ = tx.Query("SELECT quantity FROM items WHERE id = 2")
 	tx.Abort()
 	if got := r.Rows[0][0].(int64); got != q0-1 {

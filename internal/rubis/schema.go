@@ -153,7 +153,7 @@ func Load(engine *db.Engine, sc Scale, seed int64) (*Dataset, error) {
 	var inBatch int
 	begin := func() error {
 		var err error
-		tx, err = engine.Begin(false, 0)
+		tx, err = engine.BeginTx(nil, false, 0)
 		inBatch = 0
 		return err
 	}

@@ -36,7 +36,7 @@ func LoadWiki(engine *db.Engine, pages int, now int64) error {
 			return fmt.Errorf("serve: wiki schema: %w", err)
 		}
 	}
-	tx, err := engine.Begin(false, 0)
+	tx, err := engine.BeginTx(nil, false, 0)
 	if err != nil {
 		return err
 	}

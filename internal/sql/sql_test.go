@@ -227,21 +227,55 @@ func TestEqualNullSemantics(t *testing.T) {
 	}
 }
 
-func TestValueWireRoundTrip(t *testing.T) {
-	vals := []Value{nil, true, false, int64(-9), 3.75, "héllo\x00world", ""}
-	e := wire.NewBuffer(1)
-	for _, v := range vals {
-		EncodeValue(e, v)
+// TestAppendValueGolden pins the value encoding byte for byte: data
+// directories written by earlier builds hold exactly these bytes (WAL
+// records and snapshots), so a tag or a width that moves here is an on-disk
+// format break, not a refactor.
+func TestAppendValueGolden(t *testing.T) {
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{nil, "\x00"},
+		{int64(1), "\x01\x01\x00\x00\x00\x00\x00\x00\x00"},
+		{int64(-9), "\x01\xf7\xff\xff\xff\xff\xff\xff\xff"},
+		{3.75, "\x02\x00\x00\x00\x00\x00\x00\x0e\x40"},
+		{"", "\x03\x00\x00\x00\x00"},
+		{"h\x00\xc3\xa9", "\x03\x04\x00\x00\x00h\x00\xc3\xa9"},
+		{true, "\x04"},
+		{false, "\x05"},
 	}
-	d := wire.NewDecoder(e.Bytes())
-	d.Op()
-	for i, want := range vals {
-		got, err := DecodeValue(d)
-		if err != nil {
-			t.Fatalf("value %d: %v", i, err)
+	var all []byte
+	for _, c := range cases {
+		got, err := AppendValue(nil, c.v)
+		if err != nil || string(got) != c.want {
+			t.Errorf("AppendValue(%#v) = %q, %v; want %q", c.v, got, err, c.want)
 		}
-		if got != want {
-			t.Fatalf("value %d: got %v want %v", i, got, want)
+		all = append(all, got...)
+	}
+	// Values are self-delimiting: back to back, they decode in order.
+	d := wire.NewDecoder(all)
+	for i, c := range cases {
+		if got := DecodeValue(d); got != c.v || d.Err() != nil {
+			t.Fatalf("value %d: got %#v (err %v), want %#v", i, got, d.Err(), c.v)
+		}
+	}
+	if d.Len() != 0 {
+		t.Fatalf("%d bytes left over", d.Len())
+	}
+}
+
+// TestValueRejections: a value outside the domain is an encode error that
+// leaves dst alone; an unknown tag or a short value poisons the decoder.
+func TestValueRejections(t *testing.T) {
+	dst := []byte("kept")
+	if got, err := AppendValue(dst, int32(1)); err == nil || string(got) != "kept" {
+		t.Fatalf("AppendValue(int32) = %q, %v; want an error and dst unchanged", got, err)
+	}
+	for _, bad := range []string{"\x06", "\xff", "\x01\x00\x00", "\x03\x05\x00\x00\x00abc", "\x03\xff\xff\xff\xffabc"} {
+		d := wire.NewDecoder([]byte(bad))
+		if v := DecodeValue(d); d.Err() == nil {
+			t.Errorf("DecodeValue(%q) = %#v, want an error", bad, v)
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package sql
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -168,66 +169,59 @@ func EncodeKey(dst []byte, v Value) []byte {
 	}
 }
 
-// Value wire kinds for EncodeValue/DecodeValue.
+// Value tags: the first byte of a value wherever one is written off an
+// index key — WAL records, snapshots, dbnet frames, cached payloads. Data
+// directories hold them, so a tag is never renumbered.
 const (
-	kindNull   byte = 0
-	kindBool   byte = 1
-	kindInt    byte = 2
-	kindFloat  byte = 3
-	kindString byte = 4
+	valNil    byte = 0
+	valInt    byte = 1 // u64 LE
+	valFloat  byte = 2 // IEEE-754 bits, u64 LE
+	valString byte = 3 // u32 LE length, bytes
+	valTrue   byte = 4
+	valFalse  byte = 5
 )
 
-// EncodeValue appends a wire encoding of v to e.
-func EncodeValue(e *wire.Buffer, v Value) {
+// AppendValue appends the encoding of v to dst. A v outside the Value
+// domain is an error (dst comes back unchanged): callers hand it values an
+// application built as well as rows the engine type-checked.
+func AppendValue(dst []byte, v Value) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		e.U8(kindNull)
-	case bool:
-		e.U8(kindBool).Bool(x)
+		return append(dst, valNil), nil
 	case int64:
-		e.U8(kindInt).I64(x)
+		return binary.LittleEndian.AppendUint64(append(dst, valInt), uint64(x)), nil
 	case float64:
-		e.U8(kindFloat).U64(floatBits(x))
+		return binary.LittleEndian.AppendUint64(append(dst, valFloat), math.Float64bits(x)), nil
 	case string:
-		e.U8(kindString).Str(x)
-	default:
-		panic(fmt.Sprintf("sql: unsupported value type %T", v))
-	}
-}
-
-// DecodeValue reads one value written by EncodeValue.
-func DecodeValue(d *wire.Decoder) (Value, error) {
-	switch k := d.U8(); k {
-	case kindNull:
-		return nil, d.Err()
-	case kindBool:
-		return d.Bool(), d.Err()
-	case kindInt:
-		return d.I64(), d.Err()
-	case kindFloat:
-		return floatFrom(d.U64()), d.Err()
-	case kindString:
-		return d.Str(), d.Err()
-	default:
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		return nil, fmt.Errorf("sql: unknown value kind %d", k)
-	}
-}
-
-// TruthValue interprets a value as a boolean condition result.
-func TruthValue(v Value) bool {
-	switch x := v.(type) {
+		return wire.AppendStr(append(dst, valString), x), nil
 	case bool:
-		return x
-	case nil:
+		if x {
+			return append(dst, valTrue), nil
+		}
+		return append(dst, valFalse), nil
+	default:
+		return dst, fmt.Errorf("sql: unsupported value type %T", v)
+	}
+}
+
+// DecodeValue reads one value written by AppendValue. An unknown tag fails
+// d, like a short read does; the caller checks d.Err.
+func DecodeValue(d *wire.Decoder) Value {
+	switch tag := d.U8(); tag {
+	case valNil:
+		return nil
+	case valInt:
+		return d.I64()
+	case valFloat:
+		return math.Float64frombits(d.U64())
+	case valString:
+		return d.Str()
+	case valTrue:
+		return true
+	case valFalse:
 		return false
 	default:
-		return true
+		d.Fail(fmt.Errorf("sql: unknown value tag %d", tag))
+		return nil
 	}
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFrom(b uint64) float64 { return math.Float64frombits(b) }

@@ -43,12 +43,13 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6}, NewBuffer(9).U64(7).Str("x").Blob([]byte{1}).Bytes())
 	f.Add([]byte{5, 5, 5}, []byte{0xFF, 0xFF, 0xFF, 0x7F}) // blob length far past end
+	f.Add([]byte{7, 8, 9, 10}, []byte{1, 0, 0x85, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 9})
 	f.Fuzz(func(t *testing.T, schedule, payload []byte) {
 		d := NewDecoder(payload)
 		for _, op := range schedule {
 			hadErr := d.Err() != nil
 			var zero bool
-			switch op % 7 {
+			switch op % 11 {
 			case 0:
 				zero = d.U8() == 0
 			case 1:
@@ -63,6 +64,17 @@ func FuzzDecoder(f *testing.F) {
 				zero = d.Blob() == nil
 			case 6:
 				zero = d.Str() == ""
+			case 7:
+				zero = d.U16() == 0
+			case 8:
+				zero = d.Uvarint() == 0
+			case 9:
+				// A length as a caller converts it from an unsigned prefix:
+				// possibly negative, possibly past the end.
+				zero = d.Take(int(int8(op))) == nil
+			case 10:
+				d.Fail(ErrFrameTooLarge)
+				zero = d.Err() != nil
 			}
 			if hadErr && !zero {
 				t.Fatalf("op %d returned non-zero after error %v", op, d.Err())

@@ -178,13 +178,25 @@ func (e *Buffer) Blob(v []byte) *Buffer {
 }
 
 // Str appends a length-prefixed string.
-func (e *Buffer) Str(v string) *Buffer {
-	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(len(v)))
-	e.b = append(e.b, v...)
-	return e
+func (e *Buffer) Str(v string) *Buffer { e.b = AppendStr(e.b, v); return e }
+
+// Append lets an append-style encoder (sql.AppendValue) write straight into
+// the message.
+func (e *Buffer) Append(f func(dst []byte) []byte) *Buffer { e.b = f(e.b); return e }
+
+// AppendStr appends a length-prefixed string to dst: the one spelling of a
+// string in frames, WAL records and snapshots, read back by Decoder.Str.
+func AppendStr(dst []byte, v string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
+	return append(dst, v...)
 }
 
-// Decoder reads a message payload produced by Buffer.
+// Decoder reads a message payload produced by Buffer, or any other bytes in
+// the same little-endian, length-prefixed style (WAL records, snapshot
+// sections, cached payloads): it is the one place that checks a read
+// against the bytes that remain. The first slip — a short read, or whatever
+// the caller reports through Fail — poisons every later read, which then
+// returns zero, so a caller decodes a whole message and checks Err once.
 type Decoder struct {
 	b   []byte
 	err error
@@ -205,11 +217,23 @@ func (d *Decoder) Err() error { return d.err }
 // bytes than remain in the payload is corrupt.
 func (d *Decoder) Len() int { return len(d.b) }
 
-func (d *Decoder) take(n int) []byte {
+// Fail records a decoding error the Decoder cannot see for itself — an
+// unknown tag, a count that implies more bytes than remain — unless an
+// earlier one is already recorded.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// Take consumes the next n bytes. The returned slice aliases the payload
+// buffer; it is nil when fewer than n remain (or n is negative, as a
+// length converted from a corrupt unsigned prefix can be).
+func (d *Decoder) Take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if len(d.b) < n {
+	if n < 0 || len(d.b) < n {
 		d.err = ErrTruncated
 		return nil
 	}
@@ -220,11 +244,20 @@ func (d *Decoder) take(n int) []byte {
 
 // U8 consumes one byte.
 func (d *Decoder) U8() byte {
-	v := d.take(1)
+	v := d.Take(1)
 	if v == nil {
 		return 0
 	}
 	return v[0]
+}
+
+// U16 consumes a fixed 16-bit integer.
+func (d *Decoder) U16() uint16 {
+	v := d.Take(2)
+	if v == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint16(v)
 }
 
 // Bool consumes one boolean byte.
@@ -232,7 +265,7 @@ func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
 // U32 consumes a fixed 32-bit integer.
 func (d *Decoder) U32() uint32 {
-	v := d.take(4)
+	v := d.Take(4)
 	if v == nil {
 		return 0
 	}
@@ -241,7 +274,7 @@ func (d *Decoder) U32() uint32 {
 
 // U64 consumes a fixed 64-bit integer.
 func (d *Decoder) U64() uint64 {
-	v := d.take(8)
+	v := d.Take(8)
 	if v == nil {
 		return 0
 	}
@@ -251,19 +284,24 @@ func (d *Decoder) U64() uint64 {
 // I64 consumes a signed 64-bit integer.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
+// Uvarint consumes a variable-length unsigned integer (encoding/binary's
+// uvarint).
+func (d *Decoder) Uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.err = ErrTruncated
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
 // Blob consumes a length-prefixed byte string. The returned slice aliases
 // the payload buffer.
-func (d *Decoder) Blob() []byte {
-	n := d.U32()
-	if d.err != nil {
-		return nil
-	}
-	if uint32(len(d.b)) < n {
-		d.err = ErrTruncated
-		return nil
-	}
-	return d.take(int(n))
-}
+func (d *Decoder) Blob() []byte { return d.Take(int(d.U32())) }
 
 // Str consumes a length-prefixed string.
 func (d *Decoder) Str() string { return string(d.Blob()) }

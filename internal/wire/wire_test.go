@@ -104,6 +104,43 @@ func TestDecoderTruncatedBlob(t *testing.T) {
 	}
 }
 
+// TestDecoderBoundedReads covers the reads the WAL, the snapshot and the
+// cached-payload codec brought with them when they moved onto the Decoder:
+// U16, Uvarint, Take and Fail follow the same rule as the rest — a slip
+// poisons every later read.
+func TestDecoderBoundedReads(t *testing.T) {
+	b := AppendStr([]byte{0x34, 0x12, 0xAC, 0x02}, "tail") // u16 0x1234, uvarint 300, "tail"
+	d := NewDecoder(b)
+	if v := d.U16(); v != 0x1234 {
+		t.Fatalf("U16 = %#x", v)
+	}
+	if v := d.Uvarint(); v != 300 {
+		t.Fatalf("Uvarint = %d", v)
+	}
+	if s := d.Str(); s != "tail" || d.Len() != 0 || d.Err() != nil {
+		t.Fatalf("Str = %q, %d left, err %v", s, d.Len(), d.Err())
+	}
+
+	for name, slip := range map[string]func(d *Decoder){
+		"short U16":         func(d *Decoder) { d.Take(3); d.U16() },
+		"unfinished varint": func(d *Decoder) { d.Take(2); d.Uvarint() },
+		"Take past the end": func(d *Decoder) { d.Take(5) },
+		"negative Take":     func(d *Decoder) { d.Take(-1) },
+		"Fail":              func(d *Decoder) { d.Fail(io.ErrUnexpectedEOF) },
+	} {
+		d := NewDecoder([]byte{0x34, 0x12, 0xAC, 0x80})
+		slip(d)
+		if d.Err() == nil {
+			t.Fatalf("%s: no error", name)
+		}
+		first := d.Err()
+		d.Fail(ErrFrameTooLarge) // the first error stands
+		if d.U8() != 0 || d.U16() != 0 || d.Uvarint() != 0 || d.Take(0) != nil || d.Err() != first {
+			t.Fatalf("%s: reads after the slip are not all zero with the first error kept", name)
+		}
+	}
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	f := func(a uint64, b int64, s string, blob []byte, flag bool) bool {
 		e := NewBuffer(9).U64(a).I64(b).Str(s).Blob(blob).Bool(flag)

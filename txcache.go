@@ -135,7 +135,10 @@ type ClientStats = core.ClientStats
 func NewClient(cfg Config) *Client { return core.NewClient(cfg) }
 
 // MakeCacheable wraps a pure function of (arguments, database state) into a
-// memoized cacheable function (paper Figure 2). T must be gob-encodable.
+// memoized cacheable function (paper Figure 2). T must be built from string,
+// int64, int, float64, bool, sql.Value, structs of exported fields, slices
+// and pointers (db.Result included); MakeCacheable panics, naming the type,
+// on anything else — see core.MakeCacheable.
 func MakeCacheable[T any](c *Client, name string, fn core.Cacheable[T]) core.Cacheable[T] {
 	return core.MakeCacheable(c, name, fn)
 }

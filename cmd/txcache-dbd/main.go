@@ -154,30 +154,13 @@ func main() {
 			log.Printf("txcache-dbd: cache %s warm-booted to ts %d", addr, info.RecoveredTS)
 		}
 		sub := bus.Subscribe()
+		// The stream must be gapless and ordered: PushStream retries every
+		// message until the node acks having applied it (at-least-once, in
+		// order), and the node's timestamp dedup makes that exactly-once. It
+		// runs for the life of the process.
 		go func(addr string) {
-			for m := range sub.C {
-				// The stream must be gapless and ordered. PushInvalidation
-				// is acked — nil means the node applied the message, not
-				// merely that bytes reached a socket buffer — so retrying
-				// every non-nil result until the ack arrives gives
-				// at-least-once in-order delivery, and the node's
-				// timestamp dedup makes that exactly-once.
-				for attempt := 0; ; attempt++ {
-					// Each delivery attempt is individually bounded so a hung
-					// node cannot wedge the retry loop past its own timeout;
-					// the loop itself retries until the ack arrives.
-					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					err := cl.PushInvalidation(ctx, m)
-					cancel()
-					if err == nil {
-						break
-					}
-					if attempt == 0 {
-						log.Printf("txcache-dbd: invalidation push to %s failed (retrying): %v", addr, err)
-					}
-					time.Sleep(50 * time.Millisecond)
-				}
-			}
+			err := cl.PushStream(context.Background(), sub)
+			log.Printf("txcache-dbd: invalidation stream to %s ended: %v", addr, err)
 		}(addr)
 	}
 

@@ -48,7 +48,7 @@ func (g *gauge) set(n int64) { g.v.Store(n) }
 func (g *gauge) get() int64  { return g.v.Load() }
 
 // Clean: a &local handed to a typed atomic's Store is being published, not
-// turned into an atomic cell (the cacheserver depCounts copy-on-write shape).
+// turned into an atomic cell (the copy-on-write table shape).
 var table atomic.Pointer[[]int]
 
 func publish() {

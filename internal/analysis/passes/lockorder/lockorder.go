@@ -9,12 +9,12 @@
 //
 //   - internal/cacheserver: streamMu → shard.mu → hist.mu
 //     (internal/cacheserver/server.go documents streamMu → hist.mu and
-//     shard.mu → hist.mu; ApplyInvalidation fans out shard visits under
+//     shard.mu → hist.mu; ApplyInvalidation visits every shard under
 //     streamMu, fixing stream before shard). hist.mu is innermost:
 //     acquiring anything while holding it is a finding.
 //
 // The scan is intra-procedural and source-ordered: helper functions that
-// acquire a class internally (tableLockSet.lock, histIndex.addAndFanout,
+// acquire a class internally (tableLockSet.lock, histIndex.add,
 // ...) are modelled from the table below, so "holds table, calls something
 // that takes the catalog lock" is caught even though the Lock call is in
 // the callee. Branch-dependent unlock patterns can defeat the linear scan
@@ -86,14 +86,15 @@ var helpers = map[[3]string]struct {
 	class class
 	kind  helperKind
 }{
-	{"txcache/internal/db", "Engine", "lockSetFor"}:               {catalog, selfContained},
-	{"txcache/internal/db", "tableLockSet", "rlock"}:              {table, acquires},
-	{"txcache/internal/db", "tableLockSet", "lock"}:               {table, acquires},
-	{"txcache/internal/db", "tableLockSet", "runlock"}:            {table, releases},
-	{"txcache/internal/db", "tableLockSet", "unlock"}:             {table, releases},
-	{"txcache/internal/cacheserver", "histIndex", "addAndFanout"}: {hist, selfContained},
-	{"txcache/internal/cacheserver", "histIndex", "firstMatch"}:   {hist, selfContained},
-	{"txcache/internal/cacheserver", "histIndex", "raiseFloor"}:   {hist, selfContained},
+	{"txcache/internal/db", "Engine", "lockSetFor"}:             {catalog, selfContained},
+	{"txcache/internal/db", "tableLockSet", "rlock"}:            {table, acquires},
+	{"txcache/internal/db", "tableLockSet", "lock"}:             {table, acquires},
+	{"txcache/internal/db", "tableLockSet", "runlock"}:          {table, releases},
+	{"txcache/internal/db", "tableLockSet", "unlock"}:           {table, releases},
+	{"txcache/internal/cacheserver", "Server", "eachShard"}:     {shard, selfContained},
+	{"txcache/internal/cacheserver", "histIndex", "add"}:        {hist, selfContained},
+	{"txcache/internal/cacheserver", "histIndex", "firstMatch"}: {hist, selfContained},
+	{"txcache/internal/cacheserver", "histIndex", "raiseFloor"}: {hist, selfContained},
 }
 
 func run(pass *analysis.Pass) error {

@@ -14,7 +14,7 @@ type histIndex struct {
 	floor int64
 }
 
-func (h *histIndex) addAndFanout(ts int64) {
+func (h *histIndex) add(ts int64) {
 	h.mu.Lock()
 	h.floor = ts
 	h.mu.Unlock()
@@ -40,17 +40,29 @@ type Server struct {
 	hist     *histIndex
 }
 
-// Clean: the ApplyInvalidation shape — shard visits and the hist helper
-// both run under streamMu, in the documented order.
-func (s *Server) fanout(ts int64) {
-	s.streamMu.Lock()
+func (s *Server) eachShard(f func(sh *shard)) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		delete(sh.data, "k")
+		f(sh)
 		sh.mu.Unlock()
 	}
-	s.hist.addAndFanout(ts)
+}
+
+// Clean: the ApplyInvalidation shape — the hist helper and the modelled
+// shard walk both run under streamMu, in the documented order.
+func (s *Server) apply(ts int64) {
+	s.streamMu.Lock()
+	s.hist.add(ts)
+	s.eachShard(func(sh *shard) { delete(sh.data, "k") })
 	s.streamMu.Unlock()
+}
+
+// The walk takes shard locks inside the helper: running it while holding
+// hist.mu inverts the order even though no Lock call is in sight.
+func (s *Server) walkUnderHist() {
+	s.hist.mu.Lock()
+	s.eachShard(func(sh *shard) {}) // want "violates the documented lock order"
+	s.hist.mu.Unlock()
 }
 
 // hist.mu is innermost: acquiring a shard while holding it inverts the

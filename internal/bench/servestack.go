@@ -109,22 +109,16 @@ func StartServeStack(cfg ServeStackConfig) (st *ServeStack, err error) {
 			return nil, derr
 		}
 		sub := bus.Subscribe()
+		pushed := make(chan struct{})
 		go func() {
-			for m := range sub.C {
-				for {
-					pctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					perr := pushCl.PushInvalidation(pctx, m)
-					cancel()
-					if perr == nil {
-						break
-					}
-					time.Sleep(20 * time.Millisecond)
-				}
-			}
+			defer close(pushed)
+			// No context to pass: the stream lives as long as the stack and
+			// ends, with an error that says so, when teardown closes pushCl.
+			_ = pushCl.PushStream(nil, sub)
 		}()
-		// Close the subscription before the push client so the fan-out
-		// goroutine drains and exits rather than retrying into a closed pool.
-		st.closers = append(st.closers, pushCl.Close, sub.Close)
+		// Teardown closes the subscription, then the push client under
+		// whatever the stream still had to deliver, and waits for it to go.
+		st.closers = append(st.closers, func() { <-pushed }, pushCl.Close, sub.Close)
 
 		cn, derr := cacheserver.Dial(l.Addr().String(), 4)
 		if derr != nil {

@@ -16,10 +16,11 @@ import (
 // versions without allocating — the per-message "affected" set is server
 // scratch, tag comparisons are integer compares, and no strings are built.
 
-// benchInvalServer seeds a node with still-valid versions, one per key tag.
-func benchInvalServer(tb testing.TB, n int) (*Server, []invalidation.TagID) {
+// benchInvalServer seeds a node of the given shard count (0: the default)
+// with still-valid versions, one per key tag.
+func benchInvalServer(tb testing.TB, n, shards int) (*Server, []invalidation.TagID) {
 	tb.Helper()
-	s := New(Config{})
+	s := New(Config{Shards: shards})
 	payload := make([]byte, 256)
 	tags := make([]invalidation.TagID, n)
 	for i := 0; i < n; i++ {
@@ -33,10 +34,29 @@ func benchInvalServer(tb testing.TB, n int) (*Server, []invalidation.TagID) {
 
 // BenchmarkInvalidateApply measures one stream message that invalidates
 // one subscribed version (the version is re-installed each iteration so
-// the index never empties).
+// the index never empties), priced across what the every-shard walk scales
+// with. shards: 8 is the default up to two cores, 64 the default at sixteen.
+// tags: a single-row commit carries one; 64 is the most one table
+// contributes before the database collapses them into its wildcard — here one
+// tag with a subscriber and 63 key tags of the same table nobody depends on,
+// so the extra cost is the walk's probes, not extra truncations.
 func BenchmarkInvalidateApply(b *testing.B) {
+	for _, shards := range []int{8, 64} {
+		for _, nTags := range []int{1, 64} {
+			b.Run(fmt.Sprintf("shards=%d/tags=%d", shards, nTags), func(b *testing.B) {
+				benchInvalidateApply(b, shards, nTags)
+			})
+		}
+	}
+}
+
+func benchInvalidateApply(b *testing.B, shards, nTags int) {
 	const n = 4096
-	s, tags := benchInvalServer(b, n)
+	s, tags := benchInvalServer(b, n, shards)
+	msgTags := make([]invalidation.TagID, nTags)
+	for i := 1; i < nTags; i++ {
+		msgTags[i] = invalidation.Intern(invalidation.KeyTag("items", "id", fmt.Sprint(n+i)))
+	}
 	payload := make([]byte, 256)
 	wall := time.Unix(0, 0)
 	base := interval.Timestamp(1 << 20)
@@ -45,7 +65,8 @@ func BenchmarkInvalidateApply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ts := base + interval.Timestamp(i)
 		k := i % n
-		s.ApplyInvalidation(invalidation.Message{TS: ts, WallTime: wall, Tags: tags[k : k+1]})
+		msgTags[0] = tags[k]
+		s.ApplyInvalidation(invalidation.Message{TS: ts, WallTime: wall, Tags: msgTags})
 		s.Put(fmt.Sprintf("key-%d", k), payload,
 			interval.Interval{Lo: ts, Hi: interval.Infinity}, true, ts, tags[k:k+1])
 	}
@@ -62,7 +83,7 @@ const invalidateAllocCeiling = 3
 // returns the version's own data and tag slices (zero-copy). Any allocation
 // here is a regression — the pre-shard node was allocation-free too.
 func TestAllocBudgetLookup(t *testing.T) {
-	s, _ := benchInvalServer(t, 64)
+	s, _ := benchInvalServer(t, 64, 0)
 	// Advance the horizon so still-valid entries have non-empty effective
 	// intervals (a fresh node serves nothing still-valid, see SetHorizon).
 	s.SetHorizon(1<<20, time.Unix(0, 0))
@@ -102,7 +123,7 @@ func TestAllocBudgetLookup(t *testing.T) {
 
 func TestAllocBudgetInvalidate(t *testing.T) {
 	const n = 1024
-	s, tags := benchInvalServer(t, n)
+	s, tags := benchInvalServer(t, n, 0)
 	payload := make([]byte, 64)
 	wall := time.Unix(0, 0)
 	ts := interval.Timestamp(1 << 20)
@@ -155,29 +176,12 @@ func freshKeys(n int) []string {
 	return keys
 }
 
-// BenchmarkPutFirstSightTags is the cache-fill path on a long-lived
-// deployment: a still-valid put whose tag this node has never seen, in a
-// process whose interner already holds 100,000 tags. What it costs is what
-// first sight of a TagID costs the fan-out table (depCounts). Run it with a
-// fixed -benchtime=Nx: every iteration interns a new tag, and the interner
-// is capped.
-func BenchmarkPutFirstSightTags(b *testing.B) {
-	if have := invalidation.InternedCount(); have < 100_000 {
-		internFresh(100_000 - have)
-	}
-	s := New(Config{})
-	s.SetHorizon(1, time.Unix(0, 0))
-	tags, keys := internFresh(b.N), freshKeys(b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	putFirstSight(s, keys, tags)
-}
-
 // firstSightBytesCeiling bounds the heap bytes one first-sight put may
-// allocate, averaged over a run: the version, its entry and index sets, the
-// tag's counter block, and 1/512th of a 4 KiB page. It is far below what any
-// design that copies or regrows a per-TagID table on first sight can meet
-// with 200,000 tags interned (1.6 MB per put for one pointer per tag).
+// allocate, averaged over a run: the version, its entry and its index sets.
+// The node keeps nothing per TagID outside its shards, so this holds by
+// construction; it is far below what any design that copies or regrows a
+// per-TagID table on first sight can meet with 200,000 tags interned (1.6 MB
+// per put for one pointer per tag), and is here to keep one from growing back.
 const firstSightBytesCeiling = 16 << 10
 
 func TestAllocBudgetFirstSightTag(t *testing.T) {

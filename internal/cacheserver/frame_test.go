@@ -23,7 +23,9 @@ func TestOneWritePerFrame(t *testing.T) {
 	ctx := context.Background()
 	iv := interval.Interval{Lo: 2, Hi: 100} // closed: visible whatever the node's horizon
 	c.Put("k", []byte("value"), iv, false, 2, nil)
-	c.Flush()
+	if err := c.FlushContext(ctx); err != nil {
+		t.Fatal(err)
+	}
 	client.Expect(t, "an async put", 0, 1)
 	// The put and the lookups share the connection, so the node sees them
 	// in order.

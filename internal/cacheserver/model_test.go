@@ -421,7 +421,7 @@ func (cs *churnSet) add(name string, c *Client) {
 
 func TestConcurrentPipelinedModel(t *testing.T) {
 	const (
-		nodes    = 3
+		nodes    = 4
 		keyCount = 16
 		maxTS    = 1500 // < default HistoryLen, so replay never falls back to conservative closing
 		// budgetBytes caps node 1 so the run exercises capacity eviction
@@ -442,12 +442,15 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 	set := &churnSet{ring: consistent.New(64), m: make(map[string]*Client)}
 	// Shard-count diversity: node 0 is the default sharded node, node 1 the
 	// single-lock degenerate case (plus the byte budget), node 2 heavily
-	// sharded so most shards hold at most one key and wildcard invalidations
-	// really fan out. The oracle holds all three to the same facts.
+	// sharded so most shards hold at most one key and a wildcard invalidation
+	// finds its versions one per shard, node 3 with four shards per key, so
+	// most of every walk visits shards with nothing to match. The oracle
+	// holds all four to the same facts.
 	cfgs := [nodes]Config{
 		{},
 		{Shards: 1, CapacityBytes: budgetBytes},
 		{Shards: 32},
+		{Shards: 64},
 	}
 	for i := 0; i < nodes; i++ {
 		servers[i] = New(cfgs[i])
@@ -604,7 +607,7 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 			i := rng.Intn(nodes)
 			name := fmt.Sprintf("n%d", i)
 			if c := set.remove(name); c != nil {
-				c.Flush()
+				_ = c.FlushContext(context.Background())
 				c.Close()
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -623,7 +626,7 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 	// final sentinel timestamp so still-valid bounds are deterministic.
 	set.mu.Lock()
 	for _, c := range set.m {
-		c.Flush()
+		_ = c.FlushContext(context.Background())
 		c.Close()
 	}
 	set.mu.Unlock()

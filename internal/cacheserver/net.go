@@ -92,13 +92,13 @@ func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
 		encodeLookupResult(e, s.Lookup(ctx, key, lo, hi, origLo, origHi))
 		return e, nil
 	case opLookupBatch:
-		n := d.U32()
 		// Each probe is at least a 4-byte key length plus four timestamps.
-		if n > MaxBatchLookup || int(n) > d.Len()/(4+32)+1 {
+		n := d.Count(4 + 32)
+		if n > MaxBatchLookup {
 			return nil, fmt.Errorf("cacheserver: unreasonable batch size %d", n)
 		}
 		reqs := make([]BatchLookup, 0, n)
-		for i := uint32(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			reqs = append(reqs, BatchLookup{
 				Key:    d.Str(),
 				Lo:     interval.Timestamp(d.U64()),
@@ -130,12 +130,7 @@ func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
 		hi := interval.Timestamp(d.U64())
 		still := d.Bool()
 		genSnap := interval.Timestamp(d.U64())
-		n := d.U32()
-		// Each tag is at least two length prefixes and a wildcard byte.
-		if int(n) > d.Len()/9+1 {
-			return nil, fmt.Errorf("cacheserver: unreasonable tag count %d", n)
-		}
-		tags, _ := invalidation.DecodeTags(d, n) // d.Err() re-checked below
+		tags, _ := invalidation.DecodeTags(d) // d.Err() re-checked below
 		data := d.Blob()
 		if d.Err() != nil {
 			return nil, d.Err()
@@ -214,22 +209,16 @@ func decodeLookupResult(d *wire.Decoder) (LookupResult, error) {
 	r.Validity.Lo = interval.Timestamp(d.U64())
 	r.Validity.Hi = interval.Timestamp(d.U64())
 	r.Still = d.Bool()
-	n := d.U32()
-	if d.Err() != nil {
-		return r, d.Err()
-	}
-	if int(n) > d.Len()/9+1 {
-		return r, fmt.Errorf("cacheserver: unreasonable tag count %d", n)
-	}
 	var err error
-	if r.Tags, err = invalidation.DecodeTags(d, n); err != nil {
+	if r.Tags, err = invalidation.DecodeTags(d); err != nil {
 		return r, err
 	}
 	r.Data = append([]byte(nil), d.Blob()...)
 	return r, d.Err()
 }
 
-// errClosed is what a flush of a closed client's put queue reports.
+// errClosed is what a flush of a closed client's put queue, or a stream
+// pushed through one, reports.
 var errClosed = errors.New("cacheserver: client closed")
 
 // Client defaults.
@@ -294,7 +283,7 @@ type Client struct {
 
 type putItem struct {
 	frame *wire.Buffer
-	ack   chan struct{} // Flush marker when non-nil; frame is ignored
+	ack   chan struct{} // FlushContext marker when non-nil; frame is ignored
 }
 
 // Dial connects to a cache node. poolSize <= 0 selects DefaultPoolSize.
@@ -431,8 +420,8 @@ func (c *Client) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupRe
 // Put implements Node over TCP. The put is asynchronous: the frame enters a
 // bounded queue drained by a background sender, so the caller never blocks
 // on the network. Queue overflow drops the put (PutsDropped); write
-// failures on every connection count as PutErrors. Use Flush to wait for
-// the queue to drain.
+// failures on every connection count as PutErrors. Use FlushContext to wait
+// for the queue to drain.
 func (c *Client) Put(key string, data []byte, iv interval.Interval, still bool, genSnap interval.Timestamp, tags []invalidation.TagID) {
 	e := rpc.NewFrame(opPut)
 	e.Str(key).U64(uint64(iv.Lo)).U64(uint64(iv.Hi)).Bool(still).U64(uint64(genSnap))
@@ -450,16 +439,11 @@ func (c *Client) Put(key string, data []byte, iv interval.Interval, still bool, 
 	}
 }
 
-// Flush blocks until every put queued before the call has been written (or
-// failed and been counted). It returns early if the client is closed.
-//
-//lint:allow ctxflow compatibility wrapper; the drain is bounded by client Close, and FlushContext is the ctx-threading API
-func (c *Client) Flush() { _ = c.FlushContext(context.Background()) }
-
-// FlushContext is Flush with a drain deadline: it waits for the queue to
-// drain until ctx ends, returning the context error if the deadline cut
-// the drain short (queued puts are not discarded — the sender keeps
-// working; the caller just stops waiting).
+// FlushContext blocks until every put queued before the call has been
+// written (or failed and been counted), the client is closed, or ctx ends —
+// returning the context error if the deadline cut the drain short (queued
+// puts are not discarded — the sender keeps working; the caller just stops
+// waiting).
 func (c *Client) FlushContext(ctx context.Context) error {
 	ack := make(chan struct{})
 	select {
@@ -559,11 +543,53 @@ func (c *Client) ResetStats() {
 // kernel-buffered write is not delivery, so an unacked push must be
 // assumed lost — the stream owner retries it until acked; the node
 // deduplicates by timestamp, so at-least-once in-order delivery is exactly
-// the stream contract. ctx bounds one delivery attempt (the fan-out's
-// retry loop passes its shutdown context so a dead node cannot wedge it).
-// Pushes always use the first pool connection and the caller is expected
-// to be a single goroutine per node, which preserves send order.
+// the stream contract, and PushStream is that owner. ctx bounds one
+// delivery attempt. Pushes always use the first pool connection and the
+// caller is expected to be a single goroutine per node, which preserves
+// send order.
 func (c *Client) PushInvalidation(ctx context.Context, m invalidation.Message) error {
 	_, _, err := c.rpc.Conn(0).Call(ctx, rpc.NewFrame(opInval).Raw(m.Encode(opInval)[1:]))
 	return err
+}
+
+// PushStream is the database side of one node's invalidation stream: it
+// delivers every message of sub in order, retrying each until the node acks
+// it, and returns nil once sub is closed and drained. Each attempt is
+// bounded on its own, so a hung node costs an attempt, not the stream.
+// Waiting and retrying also end when ctx does (its error is returned) or the
+// client is closed — without those exits a message still buffered at
+// teardown would be retried against the closed client forever. A nil ctx is
+// treated as context.Background(). Run one per node.
+func (c *Client) PushStream(ctx context.Context, sub *invalidation.Subscription) error {
+	const attemptTimeout, retryDelay = 5 * time.Second, 20 * time.Millisecond
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Exactly one of in and retry is live: in while the last message is
+	// acked, retry while m is waiting for another attempt.
+	in := sub.C
+	var retry <-chan time.Time
+	var m invalidation.Message
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-c.closed:
+			return errClosed
+		case <-retry:
+		case msg, ok := <-in:
+			if !ok {
+				return nil
+			}
+			m = msg
+		}
+		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
+		err := c.PushInvalidation(actx, m)
+		cancel()
+		if err == nil {
+			in, retry = sub.C, nil
+		} else {
+			in, retry = nil, time.After(retryDelay)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package cacheserver
 import (
 	"context"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -60,7 +61,9 @@ func TestAsyncPutFlushAndStats(t *testing.T) {
 	defer c.Close()
 
 	c.Put("k", []byte("v"), iv(5, interval.Infinity), true, 10, nil)
-	c.Flush()
+	if err := c.FlushContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	st := c.ClientStats()
 	if st.PutsQueued != 1 || st.PutsSent != 1 || st.PutsDropped != 0 {
 		t.Fatalf("put stats after flush: %+v", st)
@@ -128,5 +131,92 @@ func TestPutAfterCloseDropsSafely(t *testing.T) {
 	if st := c.ClientStats(); st.PutsDropped == 0 {
 		t.Fatalf("expected drops after close: %+v", st)
 	}
-	c.Flush() // must return immediately on a closed client
+	// A flush of a closed client must return at once, saying so.
+	if err := c.FlushContext(context.Background()); err != errClosed {
+		t.Fatalf("FlushContext on a closed client = %v, want %v", err, errClosed)
+	}
+}
+
+// TestPushStreamEnds pins the three ways a node's invalidation stream ends.
+// The middle one is the teardown the serve stack used to get wrong: the
+// subscription is closed, then the client, with one push unacked and one
+// message still buffered — a loop that only retries until acked spins
+// against the closed client forever.
+func TestPushStreamEnds(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		end  func(c *Client, sub *invalidation.Subscription, cancel context.CancelFunc)
+		want error
+	}{
+		{"context ended", func(_ *Client, _ *invalidation.Subscription, cancel context.CancelFunc) { cancel() }, context.Canceled},
+		{"client closed, a message buffered", func(c *Client, sub *invalidation.Subscription, _ context.CancelFunc) { sub.Close(); c.Close() }, errClosed},
+	} {
+		addr, held := holdServer(t) // reads pushes, never acks them
+		c, err := Dial(addr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus := invalidation.NewBus(false)
+		sub := bus.Subscribe()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- c.PushStream(ctx, sub) }()
+		bus.Publish(invalidation.Message{TS: 1})
+		bus.Publish(invalidation.Message{TS: 2})
+		select {
+		case <-held: // the first push is in flight, the second waits behind it
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: no push reached the node", tc.name)
+		}
+		tc.end(c, sub, cancel)
+		select {
+		case err := <-done:
+			if err != tc.want {
+				t.Errorf("%s: PushStream = %v, want %v", tc.name, err, tc.want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: PushStream still running a second later", tc.name)
+		}
+		cancel()
+		sub.Close()
+		c.Close()
+	}
+
+	// A closed subscription ends the stream once what it delivered is acked.
+	s, addr := startServer(t)
+	c, err := Dial(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bus := invalidation.NewBus(false)
+	sub := bus.Subscribe()
+	done := make(chan error, 1)
+	go func() { done <- c.PushStream(context.Background(), sub) }()
+	for ts := interval.Timestamp(1); ts <= 3; ts++ {
+		bus.Publish(invalidation.Message{TS: ts, WallTime: time.Now()})
+	}
+	for deadline := time.Now().Add(2 * time.Second); s.LastInvalidation() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node at horizon %d, want 3", s.LastInvalidation())
+		}
+	}
+	sub.Close()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("PushStream after its subscription closed = %v, want nil", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("PushStream outlived its subscription")
+	}
+	c.Close()
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before+3; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after every stream ended\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+	}
 }

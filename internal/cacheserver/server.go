@@ -133,7 +133,6 @@ type Config struct {
 // holding hist.mu, and nothing acquires two shard locks at once.
 type Server struct {
 	cfg Config
-	clk clock.Clock
 
 	shards    []shard
 	shardMask uint64
@@ -144,17 +143,16 @@ type Server struct {
 
 	// lastInval is the node's consistency horizon: the timestamp of the
 	// newest stream message fully applied (or seeded via SetHorizon).
-	// It is advanced only after every affected shard has been visited,
-	// so a lookup that reads it can never extend a still-valid entry
-	// past an invalidation its shard has not yet absorbed.
+	// It is advanced only after every shard has been visited, so a lookup
+	// that reads it can never extend a still-valid entry past an
+	// invalidation its shard has not yet absorbed.
 	lastInval atomic.Uint64
 
 	// streamMu serializes ordered stream application (ApplyInvalidation,
-	// SetHorizon) and guards the stream-side scratch below.
+	// SetHorizon, WarmBoot) and guards the stream-side state below.
 	streamMu      sync.Mutex
 	lastInvalWall time.Time
 	msgCount      uint64
-	fanoutScratch []uint64 // shard bitmap, one bit per shard
 
 	invalidations atomic.Uint64 // stream messages processed
 
@@ -162,11 +160,6 @@ type Server struct {
 	// arrives after a matching invalidation was already processed can be
 	// truncated retroactively (§4.2's ordering argument).
 	hist histIndex
-
-	// deps counts, per tag and per shard, the still-valid versions
-	// registered under that tag, so ApplyInvalidation visits only shards
-	// that can match (shard.go).
-	deps depCounts
 }
 
 // Stats are cumulative cache-node counters.
@@ -238,15 +231,12 @@ func New(cfg Config) *Server {
 	}
 	n = ceilPow2(n)
 	s := &Server{
-		cfg:           cfg,
-		clk:           cfg.Clock,
-		shards:        make([]shard, n),
-		shardMask:     uint64(n - 1),
-		fanoutScratch: make([]uint64, (n+63)/64),
+		cfg:       cfg,
+		shards:    make([]shard, n),
+		shardMask: uint64(n - 1),
 	}
 	for i := range s.shards {
 		s.shards[i].idx = i
-		s.shards[i].nShards = n
 		s.shards[i].init()
 	}
 	s.hist.init(cfg.HistoryLen)
@@ -452,18 +442,25 @@ func (s *Server) enforceBudget(home *shard, except *version) {
 	}
 }
 
+// eachShard runs f on every shard in turn, under that shard's lock and no
+// other shard's: the one walk the stream (ApplyInvalidation, WarmBoot) and
+// the staleness sweep share.
+func (s *Server) eachShard(f func(sh *shard)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		f(sh)
+		sh.mu.Unlock()
+	}
+}
+
 // ApplyInvalidation processes one invalidation-stream message. Messages
 // must be applied in timestamp order; stale or duplicate messages are
 // ignored. For every affected still-valid version, the validity interval is
 // truncated at the message's timestamp — atomically for all tags of the
 // message within each shard, and the node's horizon only advances after
-// every affected shard has been visited, so no lookup can see the new
-// horizon before its shard reflects the message (paper §4.2).
-//
-// The fan-out is targeted: the message is recorded in the shared history,
-// the per-tag registration counters say which shards can possibly hold a
-// matching version, and only those shards are locked (a table-wildcard tag
-// visits every shard holding any still-valid version of that table).
+// every shard has been visited, so no lookup can see the new horizon before
+// its shard reflects the message (paper §4.2).
 func (s *Server) ApplyInvalidation(m invalidation.Message) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
@@ -472,26 +469,15 @@ func (s *Server) ApplyInvalidation(m invalidation.Message) {
 	}
 	s.invalidations.Add(1)
 
-	// Retaining the message and reading the fan-out counters happen in ONE
-	// history critical section. A racing still-valid Put counts its tags
-	// (depCounts.add) before replaying the history under the read lock, so
-	// whichever of the two orders the history lock serializes us into, the
-	// insert is caught: if the Put's replay ran first, its counters are
-	// visible here and its shard gets visited (the visit serializes behind
-	// the Put's shard lock); if it ran second, the replay sees this
-	// message. There is no interleaving where both miss.
-	bm := s.fanoutScratch
-	s.hist.addAndFanout(m, &s.deps, bm, len(s.shards))
-
-	for i := range s.shards {
-		if bm[i>>6]&(1<<(uint(i)&63)) == 0 {
-			continue
-		}
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.applyLocked(s, m)
-		sh.mu.Unlock()
-	}
+	// The message enters the history BEFORE the shard visits, and every
+	// shard is visited — which shards hold a matching version is not tracked
+	// anywhere. A racing still-valid Put replays the history and registers
+	// its version in one shard critical section, so either our visit to that
+	// shard serializes behind the Put and finds the version registered, or
+	// the Put's critical section came after this append and its replay finds
+	// the message. There is no interleaving where both miss.
+	s.hist.add(m)
+	s.eachShard(func(sh *shard) { sh.applyLocked(s, m) })
 
 	s.lastInval.Store(uint64(m.TS))
 	s.lastInvalWall = m.WallTime
@@ -499,25 +485,15 @@ func (s *Server) ApplyInvalidation(m invalidation.Message) {
 	// Periodic eager staleness sweep (§4.1).
 	s.msgCount++
 	if s.cfg.MaxStaleness > 0 && s.msgCount%64 == 0 {
-		s.sweepStale()
+		s.SweepStale()
 	}
 }
 
-// sweepStale drops versions invalidated longer than MaxStaleness ago,
-// shard by shard.
-func (s *Server) sweepStale() {
-	cutoff := s.clk.Now().Add(-s.cfg.MaxStaleness)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.sweepStaleLocked(s, cutoff)
-		sh.mu.Unlock()
-	}
-}
-
-// SweepStale runs the eager staleness sweep immediately.
+// SweepStale runs the eager staleness sweep immediately: it drops versions
+// invalidated longer than MaxStaleness ago, shard by shard.
 func (s *Server) SweepStale() {
-	s.sweepStale()
+	cutoff := s.cfg.Clock.Now().Add(-s.cfg.MaxStaleness)
+	s.eachShard(func(sh *shard) { sh.sweepStaleLocked(s, cutoff) })
 }
 
 // SetHorizon advances the node's consistency horizon (the timestamp of the
@@ -584,12 +560,7 @@ func (s *Server) WarmBoot(ts interval.Timestamp, wall time.Time) {
 	// visits it (closed at L+1). Either way nothing stays open across the
 	// gap before the horizon rises.
 	s.hist.raiseFloor(ts)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.closeStillLocked(s, old, wall)
-		sh.mu.Unlock()
-	}
+	s.eachShard(func(sh *shard) { sh.closeStillLocked(s, old, wall) })
 	s.lastInval.Store(uint64(ts))
 	s.lastInvalWall = wall
 }
@@ -662,26 +633,22 @@ type histIndex struct {
 	// checked and are closed conservatively.
 	floor interval.Timestamp
 
-	// Posting lists are ascending timestamps (messages arrive in order):
-	// exact posts each message's key tags, wild posts wildcard tags, and
-	// table posts every tag under its table's wildcard ID.
-	exact map[invalidation.TagID][]interval.Timestamp
-	wild  map[invalidation.TagID][]interval.Timestamp
+	// Posting lists are ascending timestamps (messages arrive in order),
+	// filed the way meets reads them: byTag posts each message tag under its
+	// own ID, table posts it under its table's wildcard ID.
+	byTag map[invalidation.TagID][]interval.Timestamp
 	table map[invalidation.TagID][]interval.Timestamp
 }
 
 func (h *histIndex) init(maxLen int) {
 	h.maxLen = maxLen
-	h.exact = make(map[invalidation.TagID][]interval.Timestamp)
-	h.wild = make(map[invalidation.TagID][]interval.Timestamp)
+	h.byTag = make(map[invalidation.TagID][]interval.Timestamp)
 	h.table = make(map[invalidation.TagID][]interval.Timestamp)
 }
 
-// addAndFanout retains m and, in the same critical section, computes the
-// set of shards ApplyInvalidation must visit (bits in bm) from the
-// registration counters. Compaction is deferred until the slice doubles so
-// its cost (including the index rebuild) amortizes to O(1) per message.
-func (h *histIndex) addAndFanout(m invalidation.Message, deps *depCounts, bm []uint64, nShards int) {
+// add retains m. Compaction is deferred until the slice doubles so its cost
+// (including the index rebuild) amortizes to O(1) per message.
+func (h *histIndex) add(m invalidation.Message) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.msgs = append(h.msgs, m)
@@ -690,28 +657,19 @@ func (h *histIndex) addAndFanout(m invalidation.Message, deps *depCounts, bm []u
 		drop := len(h.msgs) - h.maxLen
 		h.floor = h.msgs[drop-1].TS
 		h.msgs = append(h.msgs[:0:0], h.msgs[drop:]...)
-		h.rebuildIndex()
-	}
-	for i := range bm {
-		bm[i] = 0
-	}
-	for _, t := range m.Tags {
-		w := invalidation.WildOf(t)
-		if t == w {
-			deps.orShards(bm, w, 1, nShards)
-			continue
+		clear(h.byTag)
+		clear(h.table)
+		for _, m := range h.msgs {
+			h.indexMessage(m)
 		}
-		deps.orShards(bm, t, 0, nShards)
-		deps.orShards(bm, w, 0, nShards)
 	}
 }
 
 // firstMatch returns the timestamp (and wall time) of the earliest
-// retained message after genSnap whose tags affect an entry carrying tags,
-// honoring dual granularity in both directions (a key tag is hit by its
-// exact tag or its table's wildcard; a wildcard tag is hit by any tag of
-// its table). ts == Infinity means no match. belowFloor reports that the
-// history no longer reaches back to genSnap, so no proof is possible.
+// retained message after genSnap whose tags affect an entry carrying tags
+// (dual granularity: see meets). ts == Infinity means no match. belowFloor
+// reports that the history no longer reaches back to genSnap, so no proof
+// is possible.
 func (h *histIndex) firstMatch(tags []invalidation.TagID, genSnap interval.Timestamp) (ts interval.Timestamp, wall time.Time, belowFloor bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -720,13 +678,8 @@ func (h *histIndex) firstMatch(tags []invalidation.TagID, genSnap interval.Times
 	}
 	best := interval.Infinity
 	for _, vt := range tags {
-		w := invalidation.WildOf(vt)
-		if vt == w {
-			best = minTS(best, firstAfter(h.table[w], genSnap))
-			continue
-		}
-		best = minTS(best, firstAfter(h.exact[vt], genSnap))
-		best = minTS(best, firstAfter(h.wild[w], genSnap))
+		a, b := meets(h.byTag, h.table, vt)
+		best = min(best, firstAfter(a, genSnap), firstAfter(b, genSnap))
 	}
 	if best == interval.Infinity {
 		return interval.Infinity, time.Time{}, false
@@ -751,27 +704,12 @@ func (h *histIndex) raiseFloor(ts interval.Timestamp) {
 // Caller holds h.mu.
 func (h *histIndex) indexMessage(m invalidation.Message) {
 	for _, t := range m.Tags {
-		w := invalidation.WildOf(t)
-		if t == w {
-			h.wild[w] = append(h.wild[w], m.TS)
-		} else {
-			h.exact[t] = append(h.exact[t], m.TS)
-		}
+		h.byTag[t] = append(h.byTag[t], m.TS)
 		// Dedup per message: several tags of one table post one entry.
+		w := invalidation.WildOf(t)
 		if tp := h.table[w]; len(tp) == 0 || tp[len(tp)-1] != m.TS {
-			h.table[w] = append(h.table[w], m.TS)
+			h.table[w] = append(tp, m.TS)
 		}
-	}
-}
-
-// rebuildIndex reindexes the retained window after compaction. Caller
-// holds h.mu.
-func (h *histIndex) rebuildIndex() {
-	clear(h.exact)
-	clear(h.wild)
-	clear(h.table)
-	for _, m := range h.msgs {
-		h.indexMessage(m)
 	}
 }
 
@@ -783,11 +721,4 @@ func firstAfter(posts []interval.Timestamp, ts interval.Timestamp) interval.Time
 		return interval.Infinity
 	}
 	return posts[i]
-}
-
-func minTS(a, b interval.Timestamp) interval.Timestamp {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,22 +19,19 @@ import (
 // server's global byte budget, invalidation history, and horizon, all of
 // which are atomics or read-mostly structures (see server.go).
 type shard struct {
-	idx     int // this shard's index in Server.shards
-	nShards int // total shard count (for depCounts slot sizing)
+	idx int // this shard's index in Server.shards
 
 	mu      sync.Mutex
 	entries map[string]*entry
 	lruList *list.List // *version; front = most recently used
 
 	// Inverted tag→versions indexes over this shard's still-valid
-	// versions, keyed by interned TagIDs exactly as the pre-shard server's
-	// were (tableDeps and wildDeps by the table's wildcard TagID). A
-	// version appears here iff it is still valid and stored in this shard;
-	// the server's fan-out counters (depCounts) mirror non-emptiness so
-	// ApplyInvalidation can skip shards with nothing to match.
-	exact     map[invalidation.TagID]map[*version]struct{}
+	// versions, filed the way meets reads them: byTag holds a version under
+	// each of its tags' own IDs, tableDeps under each tag's table's wildcard
+	// ID. A version appears here iff it is still valid and stored in this
+	// shard.
+	byTag     map[invalidation.TagID]map[*version]struct{}
 	tableDeps map[invalidation.TagID]map[*version]struct{}
-	wildDeps  map[invalidation.TagID]map[*version]struct{}
 	affected  map[*version]struct{} // per-message scratch, cleared after use
 
 	// staleQ holds this shard's invalidated versions in (approximate)
@@ -83,9 +80,8 @@ func (c *shardCounters) reset() {
 func (sh *shard) init() {
 	sh.entries = make(map[string]*entry)
 	sh.lruList = list.New()
-	sh.exact = make(map[invalidation.TagID]map[*version]struct{})
+	sh.byTag = make(map[invalidation.TagID]map[*version]struct{})
 	sh.tableDeps = make(map[invalidation.TagID]map[*version]struct{})
-	sh.wildDeps = make(map[invalidation.TagID]map[*version]struct{})
 	sh.affected = make(map[*version]struct{})
 }
 
@@ -197,32 +193,26 @@ func (sh *shard) putLocked(s *Server, key string, data []byte, iv interval.Inter
 // settleStillLocked decides what a still-valid offer generated at snapshot
 // genSnap is worth on this node now: still valid (hi = Infinity), or closed
 // at hi by an invalidation the node has already processed. On a still
-// outcome the tags stay counted in the fan-out table and the caller must
-// enlist the version they belong to. Caller holds sh.mu.
+// outcome the caller must enlist the version the tags belong to before it
+// releases the shard lock: the replay here and that registration being one
+// critical section is what orders a Put against ApplyInvalidation's visit
+// (see the note there). Caller holds sh.mu.
 func (sh *shard) settleStillLocked(s *Server, tags []invalidation.TagID, genSnap interval.Timestamp) (still bool, hi interval.Timestamp, wall time.Time) {
 	if len(tags) == 0 {
 		// A pure function of its arguments: no database dependencies,
 		// nothing can ever invalidate it.
 		return true, interval.Infinity, time.Time{}
 	}
-	// Count the registration in the fan-out table BEFORE consulting the
-	// history: ApplyInvalidation reads the counters inside the history lock,
-	// so either it sees this shard as matchable, or our replay (below, also
-	// under the history lock) sees its message — there is no interleaving
-	// where both miss (see the ordering note on histIndex in server.go).
-	s.deps.add(sh, tags)
 	ts, wall, belowFloor := s.hist.firstMatch(tags, genSnap)
 	switch {
 	case belowFloor:
 		// History cannot prove no invalidation hit it in (genSnap,
 		// lastInval]; close it at the last timestamp the generating
 		// transaction proved it valid.
-		s.deps.remove(sh, tags)
 		return false, genSnap + 1, time.Time{}
 	case ts != interval.Infinity:
 		// Retroactive replay: the earliest retained message after genSnap
 		// matching any of the entry's tags truncates it.
-		s.deps.remove(sh, tags)
 		return false, ts, wall
 	}
 	return true, interval.Infinity, time.Time{}
@@ -288,7 +278,6 @@ func (sh *shard) evictLocked(s *Server, v *version, capacity bool) {
 	s.used.Add(-v.size)
 	if v.still {
 		sh.unregisterTags(v)
-		s.deps.remove(sh, v.tags)
 	}
 	// Drop the payload now: the staleness queue may keep the version
 	// header reachable until the sweep passes it, and a dead header must
@@ -306,39 +295,16 @@ func (sh *shard) applyLocked(s *Server, m invalidation.Message) {
 	// The scratch set dedupes versions reached through several of the
 	// message's tags; it is cleared after use so steady-state invalidation
 	// processing allocates nothing.
-	affected := sh.affected
 	for _, t := range m.Tags {
-		w := invalidation.WildOf(t)
-		if t == w {
-			for v := range sh.tableDeps[w] {
-				affected[v] = struct{}{}
-			}
-			continue
+		a, b := meets(sh.byTag, sh.tableDeps, t)
+		for v := range a {
+			sh.affected[v] = struct{}{}
 		}
-		for v := range sh.exact[t] {
-			affected[v] = struct{}{}
-		}
-		// A cached value that depends on a scan of the table is affected by
-		// any change to the table (dual granularity).
-		for v := range sh.wildDeps[w] {
-			affected[v] = struct{}{}
+		for v := range b {
+			sh.affected[v] = struct{}{}
 		}
 	}
-	for v := range affected {
-		v.iv.Hi = m.TS
-		v.still = false
-		v.hiWall = m.WallTime
-		sh.unregisterTags(v)
-		s.deps.remove(sh, v.tags)
-		// The staleness queue exists only for the sweep; without a
-		// MaxStaleness bound the sweep never runs and the queue would just
-		// pin evicted payloads forever.
-		if s.cfg.MaxStaleness > 0 {
-			sh.staleQ = append(sh.staleQ, v)
-		}
-		sh.stats.invalidated.Add(1)
-	}
-	clear(affected)
+	sh.closeAffectedLocked(s, m.TS, m.WallTime)
 }
 
 // closeStillLocked bounds every tag-registered still-valid version of this
@@ -347,48 +313,45 @@ func (sh *shard) applyLocked(s *Server, m invalidation.Message) {
 // still-valid versions are untouched: nothing in the database can ever
 // invalidate them. Caller holds sh.mu.
 func (sh *shard) closeStillLocked(s *Server, hi interval.Timestamp, wall time.Time) {
-	// Collect first: unregisterTags mutates the very maps being iterated.
-	affected := sh.affected
 	for _, set := range sh.tableDeps {
 		for v := range set {
-			affected[v] = struct{}{}
+			sh.affected[v] = struct{}{}
 		}
 	}
-	for v := range affected {
-		v.iv.Hi = hi + 1
+	sh.closeAffectedLocked(s, hi+1, wall)
+}
+
+// closeAffectedLocked ends every version collected in sh.affected at hi and
+// empties the set. (Collected first because unregisterTags mutates the very
+// maps the collecting loops iterate.) Caller holds sh.mu.
+func (sh *shard) closeAffectedLocked(s *Server, hi interval.Timestamp, wall time.Time) {
+	for v := range sh.affected {
+		v.iv.Hi = hi
 		v.still = false
 		v.hiWall = wall
 		sh.unregisterTags(v)
-		s.deps.remove(sh, v.tags)
+		// The staleness queue exists only for the sweep; without a
+		// MaxStaleness bound the sweep never runs and the queue would just
+		// pin evicted payloads forever.
 		if s.cfg.MaxStaleness > 0 {
 			sh.staleQ = append(sh.staleQ, v)
 		}
 		sh.stats.invalidated.Add(1)
 	}
-	clear(affected)
+	clear(sh.affected)
 }
 
 func (sh *shard) registerTags(v *version) {
 	for _, t := range v.tags {
-		w := invalidation.WildOf(t)
-		if t == w {
-			addDep(sh.wildDeps, w, v)
-		} else {
-			addDep(sh.exact, t, v)
-		}
-		addDep(sh.tableDeps, w, v)
+		addDep(sh.byTag, t, v)
+		addDep(sh.tableDeps, invalidation.WildOf(t), v)
 	}
 }
 
 func (sh *shard) unregisterTags(v *version) {
 	for _, t := range v.tags {
-		w := invalidation.WildOf(t)
-		if t == w {
-			delDep(sh.wildDeps, w, v)
-		} else {
-			delDep(sh.exact, t, v)
-		}
-		delDep(sh.tableDeps, w, v)
+		delDep(sh.byTag, t, v)
+		delDep(sh.tableDeps, invalidation.WildOf(t), v)
 	}
 }
 
@@ -438,143 +401,21 @@ func delDep(m map[invalidation.TagID]map[*version]struct{}, k invalidation.TagID
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Fan-out counters.
-// ---------------------------------------------------------------------------
-
-// depCounts tells ApplyInvalidation which shards can possibly hold a
-// version matching a message tag, so the fan-out visits only those shards
-// (and a lookup-heavy shard is never stalled by an invalidation it cannot
-// match). It is a per-TagID table of per-shard registration counts,
-// maintained by the shards as they register and unregister still-valid
-// versions.
-//
-// TagIDs are dense small integers (the interner assigns them sequentially),
-// so the table is a two-level array indexed by TagID: a directory of
-// fixed-size pages whose slots are atomic pointers. Readers are lock-free
-// (one directory load, one slot load). First sight of a tag is one slot
-// CompareAndSwap into a page that is never copied; only a TagID beyond every
-// existing page takes the mutex, to allocate that one page and — rarer still
-// — republish the directory, which holds one pointer per depPageSlots tags.
-// Each tag's counters are two atomic counts per shard:
-//
-//	direct — versions registered under the tag itself: the exact index
-//	         for key tags, the wildDeps index for wildcard tags;
-//	table  — versions registered under the tag's table (the tableDeps
-//	         index; meaningful only for wildcard TagIDs).
-//
-// A message key tag t must visit shards where direct(t) or direct(wild(t))
-// is nonzero; a message wildcard tag w must visit shards where table(w) is
-// nonzero. Counts may transiently exceed the registered population (Put
-// counts optimistically before its history replay decides), which only
-// costs a spurious shard visit — never a missed one.
-type depCounts struct {
-	mu  sync.Mutex // serializes page allocation and directory growth
-	dir atomic.Pointer[[]*depPage]
-}
-
-// depPageSlots is the number of TagIDs one page covers (4 KiB of slots).
-const depPageSlots = 512
-
-type depPage [depPageSlots]atomic.Pointer[tagCounts]
-
-// tagCounts holds one tag's per-shard counters: c[2*shard] is direct,
-// c[2*shard+1] is table.
-type tagCounts struct {
-	c []atomic.Int32
-}
-
-// page returns the page holding tag t's slot (t != 0), or nil if no tag in
-// its range was ever registered.
-func (d *depCounts) page(t invalidation.TagID) *depPage {
-	dir := d.dir.Load()
-	if pi := int(t-1) / depPageSlots; dir != nil && pi < len(*dir) {
-		return (*dir)[pi]
+// meets is dual-granularity matching (paper §4.2), stated once for the two
+// inverted indexes the node keeps: a shard's tag → still-valid versions,
+// probed with a message's tags, and the history's tag → message timestamps,
+// probed with a version's. Both file every tag twice — in byTag under its own
+// TagID (key and wildcard TagIDs are disjoint, so one map holds both kinds)
+// and in table under its table's wildcard TagID — and the rule is the same in
+// either direction: a key tag meets its twin and its table's wildcard, both in
+// byTag; a wildcard meets every tag of its table. The second posting is the
+// zero P for a wildcard probe. invalidation.Affects is the pairwise form of
+// the same rule, kept as the reference the tests compare against.
+func meets[P any](byTag, table map[invalidation.TagID]P, t invalidation.TagID) (P, P) {
+	w := invalidation.WildOf(t)
+	if t == w {
+		var none P
+		return table[w], none
 	}
-	return nil
-}
-
-// get returns tag t's counter block, or nil if t was never registered
-// anywhere (or is the zero TagID).
-func (d *depCounts) get(t invalidation.TagID) *tagCounts {
-	if t == 0 {
-		return nil
-	}
-	if pg := d.page(t); pg != nil {
-		return pg[int(t-1)%depPageSlots].Load()
-	}
-	return nil
-}
-
-// slot returns the counter block for tag t (t != 0), allocating it on first
-// sight.
-func (d *depCounts) slot(t invalidation.TagID, nShards int) *tagCounts {
-	if tc := d.get(t); tc != nil {
-		return tc
-	}
-	pg := d.page(t)
-	if pg == nil {
-		pg = d.newPage(t)
-	}
-	// Two shards may see the tag first at once; the loser adopts the
-	// winner's block, so no count is ever made on an unpublished one.
-	s := &pg[int(t-1)%depPageSlots]
-	s.CompareAndSwap(nil, &tagCounts{c: make([]atomic.Int32, 2*nShards)})
-	return s.Load()
-}
-
-// newPage allocates the page for tag t. A published directory is immutable
-// (a page appears only in a fresh copy), and published pages are shared by
-// every copy, so readers holding an old directory miss nothing but pages
-// whose tags did not exist when they loaded it.
-func (d *depCounts) newPage(t invalidation.TagID) *depPage {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if pg := d.page(t); pg != nil {
-		return pg
-	}
-	var dir []*depPage
-	if cur := d.dir.Load(); cur != nil {
-		dir = *cur
-	}
-	pi := int(t-1) / depPageSlots
-	grown := make([]*depPage, max(pi+1, len(dir)))
-	copy(grown, dir)
-	grown[pi] = new(depPage)
-	d.dir.Store(&grown)
-	return grown[pi]
-}
-
-// add counts a registration of tags in shard sh (direct under each tag,
-// table under each tag's wildcard).
-func (d *depCounts) add(sh *shard, tags []invalidation.TagID) {
-	for _, t := range tags {
-		w := invalidation.WildOf(t)
-		d.slot(t, sh.nShards).c[2*sh.idx].Add(1)
-		d.slot(w, sh.nShards).c[2*sh.idx+1].Add(1)
-	}
-}
-
-// remove undoes add.
-func (d *depCounts) remove(sh *shard, tags []invalidation.TagID) {
-	for _, t := range tags {
-		w := invalidation.WildOf(t)
-		d.slot(t, sh.nShards).c[2*sh.idx].Add(-1)
-		d.slot(w, sh.nShards).c[2*sh.idx+1].Add(-1)
-	}
-}
-
-// orShards sets bm's bit for every shard whose counter (direct or table,
-// chosen by off) for tag t is nonzero. Missing slots mean the tag was never
-// registered anywhere.
-func (d *depCounts) orShards(bm []uint64, t invalidation.TagID, off int, nShards int) {
-	tc := d.get(t)
-	if tc == nil {
-		return
-	}
-	for i := 0; i < nShards; i++ {
-		if tc.c[2*i+off].Load() > 0 {
-			bm[i>>6] |= 1 << (i & 63)
-		}
-	}
+	return byTag[t], byTag[w]
 }

@@ -3,9 +3,7 @@ package cacheserver
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"txcache/internal/interval"
@@ -59,73 +57,82 @@ func TestShardDefaults(t *testing.T) {
 	}
 }
 
+// crossShardCounts are the shard counts the cross-shard invalidation tests
+// run at: the default on a small host, and the default of a 16-core one,
+// where most shards of a walk hold nothing the message matches.
+var crossShardCounts = []int{8, 64}
+
 // TestCrossShardWildcardInvalidation spreads still-valid versions of one
 // table across every shard and invalidates them with a single
 // table-wildcard message: all must be truncated at the message timestamp,
 // wherever they live.
 func TestCrossShardWildcardInvalidation(t *testing.T) {
-	s := New(Config{Shards: 8})
-	const n = 64 // 64 hashed keys cover all 8 shards with overwhelming probability
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("wide-%d", i)
-		tag := []invalidation.TagID{invalidation.Intern(invalidation.KeyTag("wide", "id", fmt.Sprint(i)))}
-		s.Put(keys[i], []byte("v"), interval.Interval{Lo: 10, Hi: interval.Infinity}, true, 10, tag)
-	}
-	covered := map[uint32]bool{}
-	for _, k := range keys {
-		covered[s.shardIndex(k)] = true
-	}
-	if len(covered) != 8 {
-		t.Fatalf("keys covered only %d of 8 shards; test would be vacuous", len(covered))
-	}
-
-	s.ApplyInvalidation(invalidation.Message{TS: 50,
-		Tags: []invalidation.TagID{invalidation.Intern(invalidation.WildcardTag("wide"))}})
-
-	for _, k := range keys {
-		r := s.Lookup(context.Background(), k, 10, 100, 0, interval.Infinity)
-		if !r.Found || r.Still || r.Validity.Hi != 50 {
-			t.Fatalf("%s after wildcard: %+v, want truncated at 50", k, r)
+	for _, shards := range crossShardCounts {
+		s := New(Config{Shards: shards})
+		n := 16 * shards // that many hashed keys cover every shard with overwhelming probability
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("wide-%d", i)
+			tag := []invalidation.TagID{invalidation.Intern(invalidation.KeyTag("wide", "id", fmt.Sprint(i)))}
+			s.Put(keys[i], []byte("v"), interval.Interval{Lo: 10, Hi: interval.Infinity}, true, 10, tag)
 		}
-	}
-	if st := s.Stats(); st.Invalidated != n {
-		t.Fatalf("Invalidated = %d, want %d", st.Invalidated, n)
+		covered := map[uint32]bool{}
+		for _, k := range keys {
+			covered[s.shardIndex(k)] = true
+		}
+		if len(covered) != shards {
+			t.Fatalf("keys covered only %d of %d shards; test would be vacuous", len(covered), shards)
+		}
+
+		s.ApplyInvalidation(invalidation.Message{TS: 50,
+			Tags: []invalidation.TagID{invalidation.Intern(invalidation.WildcardTag("wide"))}})
+
+		for _, k := range keys {
+			r := s.Lookup(context.Background(), k, 10, 100, 0, interval.Infinity)
+			if !r.Found || r.Still || r.Validity.Hi != 50 {
+				t.Fatalf("shards=%d: %s after wildcard: %+v, want truncated at 50", shards, k, r)
+			}
+		}
+		if st := s.Stats(); st.Invalidated != uint64(n) {
+			t.Fatalf("shards=%d: Invalidated = %d, want %d", shards, st.Invalidated, n)
+		}
 	}
 }
 
-// TestCrossShardExactInvalidation pins the targeted fan-out path: a
-// message with key tags touching two shards truncates exactly those
-// versions and leaves every other shard's versions alone.
+// TestCrossShardExactInvalidation: a message with key tags touching two
+// shards truncates exactly those versions and leaves every other shard's
+// versions alone, though the walk visits them all.
 func TestCrossShardExactInvalidation(t *testing.T) {
-	s := New(Config{Shards: 8})
-	const n = 64
-	keys := make([]string, n)
-	tags := make([]invalidation.TagID, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("pick-%d", i)
-		tags[i] = invalidation.Intern(invalidation.KeyTag("pick", "id", fmt.Sprint(i)))
-		s.Put(keys[i], []byte("v"), interval.Interval{Lo: 10, Hi: interval.Infinity}, true, 10, tags[i:i+1])
-	}
-	// Choose two keys routed to different shards.
-	a := 0
-	b := 1
-	for b < n && s.shardIndex(keys[b]) == s.shardIndex(keys[a]) {
-		b++
-	}
-	if b == n {
-		t.Fatal("all keys in one shard; hash degenerate")
-	}
-	s.ApplyInvalidation(invalidation.Message{TS: 50, Tags: []invalidation.TagID{tags[a], tags[b]}})
+	for _, shards := range crossShardCounts {
+		s := New(Config{Shards: shards})
+		const n = 64
+		keys := make([]string, n)
+		tags := make([]invalidation.TagID, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("pick-%d", i)
+			tags[i] = invalidation.Intern(invalidation.KeyTag("pick", "id", fmt.Sprint(i)))
+			s.Put(keys[i], []byte("v"), interval.Interval{Lo: 10, Hi: interval.Infinity}, true, 10, tags[i:i+1])
+		}
+		// Choose two keys routed to different shards.
+		a := 0
+		b := 1
+		for b < n && s.shardIndex(keys[b]) == s.shardIndex(keys[a]) {
+			b++
+		}
+		if b == n {
+			t.Fatal("all keys in one shard; hash degenerate")
+		}
+		s.ApplyInvalidation(invalidation.Message{TS: 50, Tags: []invalidation.TagID{tags[a], tags[b]}})
 
-	for i, k := range keys {
-		r := s.Lookup(context.Background(), k, 10, 100, 0, interval.Infinity)
-		if i == a || i == b {
-			if !r.Found || r.Still || r.Validity.Hi != 50 {
-				t.Fatalf("%s: %+v, want truncated at 50", k, r)
+		for i, k := range keys {
+			r := s.Lookup(context.Background(), k, 10, 100, 0, interval.Infinity)
+			if i == a || i == b {
+				if !r.Found || r.Still || r.Validity.Hi != 50 {
+					t.Fatalf("shards=%d: %s: %+v, want truncated at 50", shards, k, r)
+				}
+			} else if !r.Found || !r.Still {
+				t.Fatalf("shards=%d: %s: %+v, want untouched still-valid hit", shards, k, r)
 			}
-		} else if !r.Found || !r.Still {
-			t.Fatalf("%s: %+v, want untouched still-valid hit", k, r)
 		}
 	}
 }
@@ -256,87 +263,5 @@ func TestStatsDuringLoad(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.Versions < 0 || st.Keys != 1 {
 		t.Fatalf("gauges after reset: %+v", st)
-	}
-}
-
-// TestDepCountsConcurrent hammers the fan-out table from several shards at
-// once over TagIDs that span many pages (and collide inside pages): every
-// add is matched by a remove, readers run throughout, and at the end no tag
-// may still name a shard. Run under -race, it is also the proof that first
-// sight of a tag, page allocation and directory growth need no reader lock.
-func TestDepCountsConcurrent(t *testing.T) {
-	const (
-		nShards = 4
-		span    = 6 * depPageSlots
-		rounds  = 400
-	)
-	// The wildcard of every tag below must exist for WildOf; interning the
-	// tags for real keeps this honest about how IDs are laid out.
-	tags := make([]invalidation.TagID, 0, 64)
-	for i := 0; i < 64; i++ {
-		tags = append(tags, invalidation.Intern(invalidation.KeyTag("depcounts", "id", fmt.Sprint(i))))
-	}
-	// Far-apart synthetic IDs exercise page allocation out of order; they
-	// are only ever passed to slot/orShards, which never dereference the
-	// interner.
-	sparse := make([]invalidation.TagID, 0, 64)
-	base := invalidation.TagID(invalidation.InternedCount() + 1)
-	for i := 0; i < 64; i++ {
-		sparse = append(sparse, base+invalidation.TagID((i*7919)%span))
-	}
-
-	var d depCounts
-	shards := make([]shard, nShards)
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for i := range shards {
-		shards[i].idx, shards[i].nShards = i, nShards
-		wg.Add(1)
-		go func(sh *shard, seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for r := 0; r < rounds; r++ {
-				k := rng.Intn(len(tags) - 3)
-				d.add(sh, tags[k:k+3])
-				for _, t := range sparse[k : k+3] {
-					d.slot(t, nShards).c[2*sh.idx].Add(1)
-				}
-				d.remove(sh, tags[k:k+3])
-				for _, t := range sparse[k : k+3] {
-					d.slot(t, nShards).c[2*sh.idx].Add(-1)
-				}
-			}
-		}(&shards[i], int64(i+1))
-	}
-	var readers sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			bm := make([]uint64, 1)
-			for !stop.Load() {
-				for i := range tags {
-					d.orShards(bm, tags[i], 0, nShards)
-					d.orShards(bm, invalidation.WildOf(tags[i]), 1, nShards)
-					d.orShards(bm, sparse[i], 0, nShards)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	stop.Store(true)
-	readers.Wait()
-
-	bm := make([]uint64, 1)
-	for i := range tags {
-		d.orShards(bm, tags[i], 0, nShards)
-		d.orShards(bm, invalidation.WildOf(tags[i]), 1, nShards)
-		d.orShards(bm, sparse[i], 0, nShards)
-	}
-	if bm[0] != 0 {
-		t.Fatalf("balanced adds and removes left shards %b registered", bm[0])
-	}
-	if pages := len(*d.dir.Load()); pages < span/depPageSlots {
-		t.Fatalf("directory has %d pages; the run never grew it", pages)
 	}
 }

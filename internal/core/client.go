@@ -120,12 +120,9 @@ type streamConsumer interface {
 	ConsumeStream(*invalidation.Subscription)
 }
 
-// drainable is the interface of nodes with buffered asynchronous writes
-// (*cacheserver.Client's put queue).
-type drainable interface{ Flush() }
-
 // closable is the interface of nodes holding network resources
-// (*cacheserver.Client's connection pool).
+// (*cacheserver.Client's connection pool, whose Close first drains its
+// queue of asynchronous puts, for a bounded time).
 type closable interface{ Close() }
 
 // ClientStats aggregates library-side counters across transactions.
@@ -298,9 +295,10 @@ func (c *Client) AddNode(name string, node cacheserver.Node) {
 
 // RemoveNode drains a cache node out of the running cluster (idempotent):
 // the ring stops routing new lookups to it, its stream subscription (if
-// AddNode created one) is closed, queued asynchronous puts are flushed, and
-// its connections are torn down. In-flight lookups against the node degrade
-// to misses. Reports whether the node was a member.
+// AddNode created one) is closed, and its connections are torn down once
+// its queued asynchronous puts have been written or its drain time is up.
+// In-flight lookups against the node degrade to misses. Reports whether
+// the node was a member.
 func (c *Client) RemoveNode(name string) bool {
 	c.ring.Remove(name)
 	c.mu.Lock()
@@ -314,9 +312,6 @@ func (c *Client) RemoveNode(name string) bool {
 	}
 	if sub != nil {
 		sub.Close()
-	}
-	if d, ok := node.(drainable); ok {
-		d.Flush()
 	}
 	if cl, ok := node.(closable); ok {
 		cl.Close()

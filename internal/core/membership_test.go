@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"txcache/internal/cacheserver"
+	"txcache/internal/interval"
 )
 
 // TestAddNodeJoinsLiveCluster: a node added to a running client must join
@@ -92,6 +94,43 @@ func TestRemoveNodeDrains(t *testing.T) {
 	check() // no-cache baseline path
 	if got := r.client.Stats().NodesRemoved.Load(); got != 2 {
 		t.Fatalf("NodesRemoved = %d", got)
+	}
+
+	// A node whose server stopped reading: its queued puts can never be
+	// written, and removing it must give up on them when the client's drain
+	// time is up, not wait out a write timeout for each.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept() // accepted, never read
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+		}
+	}()
+	stuck, err := cacheserver.Dial(ln.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.client.AddNode("stuck", stuck)
+	payload := make([]byte, 1<<20)
+	for i := 0; i < 64; i++ { // far more than loopback socket buffers hold
+		stuck.Put(fmt.Sprint("k", i), payload, interval.Interval{Lo: 1, Hi: 2}, false, 0, nil)
+	}
+	start := time.Now()
+	if !r.client.RemoveNode("stuck") {
+		t.Fatal("stuck was a member")
+	}
+	if took := time.Since(start); took > cacheserver.DefaultDrainTimeout+2*time.Second {
+		t.Fatalf("RemoveNode of a node that stopped reading took %v, want about DefaultDrainTimeout (%v)", took, cacheserver.DefaultDrainTimeout)
+	}
+	if st := stuck.ClientStats(); st.PutsSent == st.PutsQueued {
+		t.Fatalf("every put was written (%+v): the server read after all and this case tested nothing", st)
 	}
 }
 

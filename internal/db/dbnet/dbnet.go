@@ -209,14 +209,7 @@ func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
 // bytes that remain — every value is at least its one-byte tag — before
 // anything is allocated for it.
 func decodeArgs(d *wire.Decoder) ([]sql.Value, error) {
-	n := d.U32()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if int(n) > d.Len() {
-		return nil, fmt.Errorf("dbnet: unreasonable argument count %d", n)
-	}
-	args := make([]sql.Value, n)
+	args := make([]sql.Value, d.Count(1))
 	for i := range args {
 		args[i] = sql.DecodeValue(d)
 	}
@@ -521,22 +514,16 @@ func encodeArgs(e *wire.Buffer, args []sql.Value) error {
 // allocated for it.
 func decodeResult(d *wire.Decoder) (*db.Result, error) {
 	r := &db.Result{}
-	nc := d.U32()
-	if int(nc) > d.Len()/4 {
-		return nil, fmt.Errorf("dbnet: unreasonable column count %d", nc)
-	}
-	for i := uint32(0); i < nc; i++ {
+	nc := d.Count(4)
+	for i := 0; i < nc; i++ {
 		r.Cols = append(r.Cols, d.Str())
 	}
-	nr := d.U32()
+	nr := d.Count(max(nc, 1))
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if uint64(nr)*uint64(max(nc, 1)) > uint64(d.Len()) {
-		return nil, fmt.Errorf("dbnet: unreasonable row count %d", nr)
-	}
 	r.Rows = make([][]sql.Value, 0, nr)
-	for i := uint32(0); i < nr; i++ {
+	for i := 0; i < nr; i++ {
 		row := make([]sql.Value, nc)
 		for j := range row {
 			row[j] = sql.DecodeValue(d)
@@ -545,13 +532,6 @@ func decodeResult(d *wire.Decoder) (*db.Result, error) {
 	}
 	r.Validity.Lo = interval.Timestamp(d.U64())
 	r.Validity.Hi = interval.Timestamp(d.U64())
-	nt := d.U32()
-	if d.Err() != nil {
-		return r, d.Err()
-	}
-	if int(nt) > d.Len()/9 {
-		return r, fmt.Errorf("dbnet: unreasonable tag count %d", nt)
-	}
-	r.Tags, _ = invalidation.DecodeTags(d, nt)
+	r.Tags, _ = invalidation.DecodeTags(d)
 	return r, d.Err()
 }

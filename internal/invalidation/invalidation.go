@@ -11,7 +11,6 @@
 package invalidation
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -78,21 +77,21 @@ func (m Message) Encode(op byte) []byte {
 	return e.Bytes()
 }
 
-// DecodeTags reads n wire-form (table, key, wildcard) tag triples from d,
-// interning each. It is the shared inner loop of every protocol that
-// carries tags (invalidation messages, cache puts and lookup results,
-// dbnet query results). On a decode error the tags read so far and the
-// error are returned.
-func DecodeTags(d *wire.Decoder, n uint32) ([]TagID, error) {
+// DecodeTags reads a count-prefixed list of wire-form (table, key, wildcard)
+// tag triples from d, interning each. It is the shared inner loop of every
+// protocol that carries tags (invalidation messages, cache puts and lookup
+// results, dbnet query results). On a decode error the tags read so far and
+// the error are returned.
+func DecodeTags(d *wire.Decoder) ([]TagID, error) {
+	// A triple is at least two length prefixes and the wildcard byte.
+	n := d.Count(4 + 4 + 1)
 	if n == 0 {
 		return nil, d.Err()
 	}
-	// Pre-size from the count but cap the initial allocation: a corrupt
-	// count prefix must fail on decode, not on a giant make.
-	tags := make([]TagID, 0, min(n, 4096))
+	tags := make([]TagID, 0, n)
 	var scratch [64]byte
 	buf := scratch[:0]
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		table := d.Str()
 		key := d.Str()
 		wild := d.Bool()
@@ -112,15 +111,8 @@ func DecodeMessage(d *wire.Decoder) (Message, error) {
 	var m Message
 	m.TS = interval.Timestamp(d.U64())
 	m.WallTime = time.Unix(0, d.I64())
-	n := d.U32()
-	if d.Err() != nil {
-		return m, d.Err()
-	}
-	if n > 1<<20 {
-		return m, fmt.Errorf("invalidation: unreasonable tag count %d", n)
-	}
 	var err error
-	m.Tags, err = DecodeTags(d, n)
+	m.Tags, err = DecodeTags(d)
 	return m, err
 }
 
@@ -150,6 +142,7 @@ type Subscription struct {
 	queue  []Message
 	closed bool
 	wake   chan struct{}
+	done   chan struct{} // closed by Close, so a pump whose reader has gone does not wait for it
 }
 
 // Subscribe registers a new subscriber. Replays history first when the bus
@@ -158,6 +151,7 @@ func (b *Bus) Subscribe() *Subscription {
 	s := &Subscription{
 		c:    make(chan Message, 64),
 		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	s.C = s.c
 	go s.pump()
@@ -227,7 +221,10 @@ func (s *Subscription) pump() {
 			m := s.queue[0]
 			s.queue = s.queue[1:]
 			s.mu.Unlock()
-			s.c <- m
+			select {
+			case s.c <- m:
+			case <-s.done:
+			}
 		}
 	}
 }
@@ -235,7 +232,10 @@ func (s *Subscription) pump() {
 // Close stops delivery. Pending messages may be dropped.
 func (s *Subscription) Close() {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.done)
+	}
 	s.mu.Unlock()
 	select {
 	case s.wake <- struct{}{}:

@@ -1,6 +1,7 @@
 package invalidation
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -107,8 +108,9 @@ func TestBusHistoryReplay(t *testing.T) {
 }
 
 func TestBusSlowSubscriberDoesNotBlockPublish(t *testing.T) {
+	before := runtime.NumGoroutine()
 	bus := NewBus(false)
-	_ = bus.Subscribe() // never drained
+	sub := bus.Subscribe() // never drained
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 10000; i++ {
@@ -120,5 +122,13 @@ func TestBusSlowSubscriberDoesNotBlockPublish(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("publish blocked on slow subscriber")
+	}
+	// Its pump is by now stuck offering a message nobody will take; Close
+	// must end it all the same.
+	sub.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before, %d after Close: the pump outlived its subscription", before, runtime.NumGoroutine())
+		}
 	}
 }

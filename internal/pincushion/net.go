@@ -76,12 +76,12 @@ func (p *Pincushion) handle(op byte, body []byte) (*wire.Buffer, error) {
 		}
 		return nil, d.Err()
 	case opRelease:
-		n := d.U32()
-		if int(n) > d.Len()/8 {
-			return nil, fmt.Errorf("pincushion: unreasonable release count %d", n)
+		n := d.Count(8)
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		tss := make([]interval.Timestamp, 0, n)
-		for i := uint32(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			tss = append(tss, interval.Timestamp(d.U64()))
 		}
 		p.Release(tss)
@@ -128,12 +128,9 @@ func (c *Client) GetPins(ctx context.Context, staleness time.Duration) []Pin {
 		return nil
 	}
 	d := wire.NewDecoder(body)
-	n := d.U32()
-	if int(n) > d.Len()/16 {
-		return nil
-	}
+	n := d.Count(16)
 	pins := make([]Pin, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		pins = append(pins, Pin{TS: interval.Timestamp(d.U64()), Wall: time.Unix(0, d.I64())})
 	}
 	if d.Err() != nil {

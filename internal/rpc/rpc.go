@@ -184,6 +184,10 @@ type Conn struct {
 	conn    net.Conn   // nil while disconnected
 	pending map[uint32]chan []byte
 	nextID  uint32
+	// live mirrors conn for Close alone: a write to a peer that stopped
+	// reading holds mu until its deadline, and Close must be able to fail
+	// that write rather than queue behind it.
+	live atomic.Pointer[net.Conn]
 }
 
 // Dial connects n times to the service at addr. timeout is the service's
@@ -203,7 +207,9 @@ func NewClient(name string, n int, timeout time.Duration, dial func() (net.Conn,
 			c.Close()
 			return nil, err
 		}
-		c.conns = append(c.conns, &Conn{cl: c, conn: conn, pending: make(map[uint32]chan []byte)})
+		m := &Conn{cl: c, conn: conn, pending: make(map[uint32]chan []byte)}
+		m.live.Store(&conn)
+		c.conns = append(c.conns, m)
 	}
 	for _, m := range c.conns {
 		c.wg.Add(1)
@@ -218,6 +224,9 @@ func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closed)
 		for _, m := range c.conns {
+			if nc := m.live.Load(); nc != nil {
+				(*nc).Close()
+			}
 			m.drop()
 		}
 	})
@@ -272,6 +281,7 @@ func (m *Conn) run() {
 			default:
 			}
 			m.conn = nc
+			m.live.Store(&nc)
 			m.mu.Unlock()
 			m.cl.reconnects.Add(1)
 			log.Printf("rpc: %s: reconnected", m.cl.name)
@@ -319,6 +329,7 @@ func (m *Conn) drop() {
 	if m.conn != nil {
 		m.conn.Close()
 		m.conn = nil
+		m.live.Store(nil)
 	}
 	for id, ch := range m.pending {
 		delete(m.pending, id)

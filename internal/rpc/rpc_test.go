@@ -440,6 +440,37 @@ func TestRPC(t *testing.T) {
 			}
 		})
 
+		t.Run("CloseFailsAWriteToAPeerThatStoppedReading", func(t *testing.T) {
+			addr, _ := holdServer(t) // parks sixteen frames, then reads no more
+			c := dial(t, addr, 1, time.Second)
+			var sends atomic.Int64
+			stopped := make(chan error, 1)
+			go func() {
+				big := make([]byte, 1<<20)
+				for {
+					if err := c.Send(NewFrame(opNote).Raw(big)); err != nil {
+						stopped <- err
+						return
+					}
+					sends.Add(1)
+				}
+			}()
+			// The writer is stuck once the socket buffers are full too.
+			for n := int64(-1); n != sends.Load(); time.Sleep(200 * time.Millisecond) {
+				n = sends.Load()
+			}
+			start := time.Now()
+			c.Close()
+			if took := time.Since(start); took > writeTimeout/2 {
+				t.Fatalf("Close waited %v behind a write that could not finish", took)
+			}
+			select {
+			case <-stopped:
+			case <-time.After(time.Second):
+				t.Fatal("the stuck Send outlived Close")
+			}
+		})
+
 		t.Run("DialFailure", func(t *testing.T) {
 			d := startDaemon(t, (&service{}).handle)
 			d.stop()

@@ -43,13 +43,15 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6}, NewBuffer(9).U64(7).Str("x").Blob([]byte{1}).Bytes())
 	f.Add([]byte{5, 5, 5}, []byte{0xFF, 0xFF, 0xFF, 0x7F}) // blob length far past end
+	// Counts: one that fits, one that does not at 9 bytes an item, one far past the end.
+	f.Add([]byte{11, 107, 11}, []byte{2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 0})
 	f.Add([]byte{7, 8, 9, 10}, []byte{1, 0, 0x85, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 9})
 	f.Fuzz(func(t *testing.T, schedule, payload []byte) {
 		d := NewDecoder(payload)
 		for _, op := range schedule {
 			hadErr := d.Err() != nil
 			var zero bool
-			switch op % 11 {
+			switch op % 12 {
 			case 0:
 				zero = d.U8() == 0
 			case 1:
@@ -75,6 +77,14 @@ func FuzzDecoder(f *testing.F) {
 			case 10:
 				d.Fail(ErrFrameTooLarge)
 				zero = d.Err() != nil
+			case 11:
+				// The item size as a handler passes it: a small constant.
+				item := int(op)/12 + 1
+				n := d.Count(item)
+				zero = n == 0
+				if n*item > d.Len() {
+					t.Fatalf("Count(%d) = %d with %d bytes left", item, n, d.Len())
+				}
 			}
 			if hadErr && !zero {
 				t.Fatalf("op %d returned non-zero after error %v", op, d.Err())

@@ -212,10 +212,21 @@ func (d *Decoder) Op() byte { return d.U8() }
 // Err returns the first decoding error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Len returns the number of unconsumed payload bytes. Handlers use it to
-// sanity-check count prefixes before allocating: a count that implies more
-// bytes than remain in the payload is corrupt.
+// Len returns the number of unconsumed payload bytes.
 func (d *Decoder) Len() int { return len(d.b) }
+
+// Count consumes a 32-bit count of items that each occupy at least
+// minItemBytes (>= 1) of what follows. A count the remaining bytes cannot
+// hold is corrupt: it fails the Decoder and returns 0, so a caller sizes an
+// allocation from the result without a check of its own.
+func (d *Decoder) Count(minItemBytes int) int {
+	n := d.U32()
+	if uint64(n)*uint64(minItemBytes) > uint64(len(d.b)) {
+		d.Fail(ErrTruncated)
+		return 0
+	}
+	return int(n)
+}
 
 // Fail records a decoding error the Decoder cannot see for itself — an
 // unknown tag, a count that implies more bytes than remain — unless an

@@ -106,8 +106,8 @@ func TestDecoderTruncatedBlob(t *testing.T) {
 
 // TestDecoderBoundedReads covers the reads the WAL, the snapshot and the
 // cached-payload codec brought with them when they moved onto the Decoder:
-// U16, Uvarint, Take and Fail follow the same rule as the rest — a slip
-// poisons every later read.
+// U16, Uvarint, Take, Count and Fail follow the same rule as the rest — a
+// slip poisons every later read.
 func TestDecoderBoundedReads(t *testing.T) {
 	b := AppendStr([]byte{0x34, 0x12, 0xAC, 0x02}, "tail") // u16 0x1234, uvarint 300, "tail"
 	d := NewDecoder(b)
@@ -121,12 +121,19 @@ func TestDecoderBoundedReads(t *testing.T) {
 		t.Fatalf("Str = %q, %d left, err %v", s, d.Len(), d.Err())
 	}
 
+	// A count is good while the bytes after it can hold that many items.
+	d = NewDecoder(NewBuffer(2).U32(2).U64(1).U64(2).Bytes()[1:])
+	if n := d.Count(8); n != 2 || d.Err() != nil || d.Len() != 16 {
+		t.Fatalf("Count(8) of two u64s = %d, %d left, err %v", n, d.Len(), d.Err())
+	}
+
 	for name, slip := range map[string]func(d *Decoder){
-		"short U16":         func(d *Decoder) { d.Take(3); d.U16() },
-		"unfinished varint": func(d *Decoder) { d.Take(2); d.Uvarint() },
-		"Take past the end": func(d *Decoder) { d.Take(5) },
-		"negative Take":     func(d *Decoder) { d.Take(-1) },
-		"Fail":              func(d *Decoder) { d.Fail(io.ErrUnexpectedEOF) },
+		"Count past the end": func(d *Decoder) { d.Count(1) },
+		"short U16":          func(d *Decoder) { d.Take(3); d.U16() },
+		"unfinished varint":  func(d *Decoder) { d.Take(2); d.Uvarint() },
+		"Take past the end":  func(d *Decoder) { d.Take(5) },
+		"negative Take":      func(d *Decoder) { d.Take(-1) },
+		"Fail":               func(d *Decoder) { d.Fail(io.ErrUnexpectedEOF) },
 	} {
 		d := NewDecoder([]byte{0x34, 0x12, 0xAC, 0x80})
 		slip(d)

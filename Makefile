@@ -112,7 +112,9 @@ model-soak:
 # Short fuzz passes over the wire codec, the opcode handlers of all three
 # wire services, the WAL record framing, what recovery decodes inside it
 # (snapshot sections, log records) and the cached-payload decoder: malformed
-# input must error, never panic. (`go test -fuzz` accepts one target per
+# input must error, never panic. FuzzTreeOps is the odd one out: its input is
+# a run of index operations, and the tree must agree with a map after them.
+# (`go test -fuzz` accepts one target per
 # invocation, hence one run each; FuzzDecodeCacheable decodes every input as
 # twenty types, so the default minute of minimising each new input would eat
 # its whole run.)
@@ -128,6 +130,7 @@ fuzz-smoke:
 	$(GO) test ./internal/db -run xxx -fuzz FuzzSnapshotSection -fuzztime=10s
 	$(GO) test ./internal/db -run xxx -fuzz FuzzReplayRecord -fuzztime=10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzDecodeCacheable -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/btree -run xxx -fuzz FuzzTreeOps -fuzztime=10s
 
 # Concurrent-engine and cache-wire benchmarks (the CHANGES.md perf
 # trajectory).
@@ -135,13 +138,17 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallelCommit|BenchmarkReadersDuringCommits' -benchtime=2s .
 	$(GO) test -run xxx -bench BenchmarkCacheLookupTCP -benchtime=2s ./internal/cacheserver
 	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver
+	$(GO) test -run xxx -bench 'BenchmarkGet|BenchmarkApplyBatch|BenchmarkInsert' -benchtime=2s -benchmem ./internal/btree
 
 # Allocation-budget regression: the hot paths (point select, cacheable hit,
 # leased Begin+Commit, invalidation apply, single-row commit, vacuum pass)
 # must stay under their pinned allocs/op ceilings, and a cache node's first sight of a tag under
-# its bytes ceiling.
+# its bytes ceiling. An index entry must stay under its bytes ceiling too
+# (TestBytesPerEntry: live heap per key in four build orders), and an insert
+# that finds room in its leaf must not allocate.
 alloc-regression:
 	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core ./internal/cacheserver
+	$(GO) test -run 'TestBytesPerEntry|TestInsertAllocs' ./internal/btree
 
 # In-process cache-node contention sweep: mixed lookup/put/invalidate/stats
 # against one Server from parallel goroutines, across -cpu counts. On a

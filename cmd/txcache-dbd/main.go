@@ -53,6 +53,10 @@ type status struct {
 	Durability db.DurabilityStats `json:"durability"`
 	// Tags is the tag interner every commit and query result draws from.
 	Tags invalidation.InternerStats `json:"tags"`
+	// IndexEntries and IndexBytes are db.Stats' index account: what the
+	// versions retained for the staleness window cost in index memory.
+	IndexEntries int `json:"indexEntries"`
+	IndexBytes   int `json:"indexBytes"`
 }
 
 // writeStatus publishes one status snapshot. Plain JSON (no WAL framing):
@@ -231,11 +235,14 @@ func main() {
 	log.Printf("txcache-dbd: serving on %s (durable=%v)", l.Addr(), durable)
 
 	statusSnap := func() status {
+		st := engine.Stats()
 		return status{
 			PID: os.Getpid(), Addr: l.Addr().String(), Durable: durable,
-			Recovery: info, LastCommit: uint64(engine.LastCommit()),
-			Durability: engine.DurabilityStats(),
-			Tags:       invalidation.InternerSnapshot(),
+			Recovery: info, LastCommit: uint64(st.LastCommitTS),
+			Durability:   engine.DurabilityStats(),
+			Tags:         invalidation.InternerSnapshot(),
+			IndexEntries: st.IndexEntries,
+			IndexBytes:   st.IndexBytes,
 		}
 	}
 	if *statusFile != "" {

@@ -418,6 +418,50 @@ func TestVacuumRespectsPins(t *testing.T) {
 	}
 }
 
+// TestIndexShrinksAfterVacuum: an index entry goes when vacuum reclaims the
+// last version carrying its key, and the leaf goes with its last entry, so a
+// table emptied behind the horizon costs what an empty table costs.
+func TestIndexShrinksAfterVacuum(t *testing.T) {
+	e := newTestEngine(t)
+	base := e.Stats()
+	if base.IndexEntries != 0 || base.IndexBytes <= 0 {
+		t.Fatalf("empty engine: %d index entries, %d index bytes", base.IndexEntries, base.IndexBytes)
+	}
+	const rows = 3000
+	var last interval.Timestamp
+	for i := 0; i < rows; i++ {
+		last = mustExec(t, e, "INSERT INTO items (id, seller, price, category) VALUES (?, ?, 1.0, ?)",
+			int64(i), int64(i%100), int64(i%7))
+	}
+	full := e.Stats()
+	// rows primary keys, 100 sellers, 7 categories.
+	if want := rows + 100 + 7; full.IndexEntries != want || full.IndexBytes <= base.IndexBytes {
+		t.Fatalf("loaded: %d index entries (want %d), %d index bytes (empty: %d)",
+			full.IndexEntries, want, full.IndexBytes, base.IndexBytes)
+	}
+	if err := e.Pin(last); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "DELETE FROM items WHERE id >= 0")
+	e.Vacuum()
+	if got := e.Stats(); got.IndexEntries != full.IndexEntries {
+		t.Fatalf("a pinned snapshot still reads the rows: %d index entries, want %d", got.IndexEntries, full.IndexEntries)
+	}
+	e.Unpin(last) // the horizon advances past the deletes
+	if n := e.Vacuum(); n != rows {
+		t.Fatalf("vacuumed %d versions, want %d", n, rows)
+	}
+	if got := e.Stats(); got.IndexEntries != 0 || got.IndexBytes != base.IndexBytes || got.TotalVersions != 0 {
+		t.Fatalf("after vacuum: %d index entries, %d index bytes (empty: %d), %d versions",
+			got.IndexEntries, got.IndexBytes, base.IndexBytes, got.TotalVersions)
+	}
+	// The emptied trees still work.
+	mustExec(t, e, "INSERT INTO items (id, seller, price, category) VALUES (1, 2, 1.0, 3)")
+	if r := queryAt(t, e, 0, "SELECT id FROM items WHERE seller = 2"); len(r.Rows) != 1 {
+		t.Fatalf("rows = %v", r.Rows)
+	}
+}
+
 func TestBeginAtUnpinnedSnapshotFails(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (1, 'a', 0, 1)")

@@ -507,6 +507,12 @@ type Stats struct {
 	PinnedSnaps   int
 	LastCommitTS  interval.Timestamp
 	TotalVersions int
+	// IndexEntries and IndexBytes sum every index tree's own account of its
+	// leaf level (btree.Stats): distinct keys, and the heap they hold. With
+	// TotalVersions they say what the retained versions of the staleness
+	// window cost in index memory.
+	IndexEntries int
+	IndexBytes   int
 }
 
 // Stats returns current engine counters.
@@ -525,6 +531,13 @@ func (e *Engine) Stats() Stats {
 	e.catMu.RLock()
 	for _, t := range e.tables {
 		s.TotalVersions += t.store.VersionCount()
+		t.mu.RLock()
+		for _, idx := range t.idxList {
+			is := idx.tree.Stats()
+			s.IndexEntries += is.Entries
+			s.IndexBytes += is.Bytes
+		}
+		t.mu.RUnlock()
 	}
 	e.catMu.RUnlock()
 	return s

@@ -291,3 +291,52 @@ func TestVacuumPreservesVisibility(t *testing.T) {
 		}
 	}
 }
+
+// TestVersionCountMatchesScan: VersionCount is kept, not computed; after a
+// random insert/update/delete/restore/vacuum history it must equal what a
+// scan of every chain counts, at every step where it is read.
+func TestVersionCountMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := NewStore()
+	var live []RowID
+	scan := func() int {
+		n := 0
+		s.Scan(func(_ RowID, chain []Version) bool { n += len(chain); return true })
+		return n
+	}
+	ts := interval.Timestamp(1)
+	for op := 0; op < 20000; op++ {
+		ts++
+		switch k := rng.Intn(10); {
+		case k < 3 || len(live) == 0:
+			live = append(live, s.Insert(op, ts))
+		case k < 7:
+			s.Update(live[rng.Intn(len(live))], op, ts)
+		case k < 8:
+			i := rng.Intn(len(live))
+			s.Delete(live[i], ts)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case k < 9:
+			id := s.NextID() + RowID(rng.Intn(3))
+			if !s.RestoreInsert(id, op, ts) {
+				t.Fatalf("RestoreInsert(%d) refused a fresh id", id)
+			}
+			if s.RestoreInsert(id, op, ts) {
+				t.Fatalf("RestoreInsert(%d) accepted a duplicate", id)
+			}
+			live = append(live, id)
+		default:
+			s.Vacuum(ts-interval.Timestamp(rng.Intn(200)), nil)
+		}
+		if op%97 == 0 || op == 19999 {
+			if got, want := s.VersionCount(), scan(); got != want {
+				t.Fatalf("op %d: VersionCount = %d, a scan counts %d", op, got, want)
+			}
+		}
+	}
+	s.Vacuum(ts, nil)
+	if got, want := s.VersionCount(), scan(); got != want || got != len(live) {
+		t.Fatalf("after a full vacuum: VersionCount = %d, scan %d, live rows %d", got, want, len(live))
+	}
+}

@@ -36,6 +36,10 @@ benchmark-test:
 # Then the no-routing-table guard: an invalidation visits every shard of a
 # cache node (DESIGN.md "Cache-node sharding"); the per-TagID table that said
 # which shards to skip was measured as no gain and is refused by name.
+# Then the no-tag-table guard: a TagID is a hash of its tag (DESIGN.md "Memory
+# discipline" item 2), so nothing maps a tag's name to its ID or an ID back
+# to its name; the table that did, its cap and its reverse lookup are refused
+# by name and by shape, so one cannot grow back beside the hash.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
 	@out="$$(grep -rnE '\bnet\.Dial(Timeout)?\(|\.Set(Read|Write)?Deadline\(|wire\.NewFrameReader\(|\.Accept\(\)' \
@@ -51,6 +55,11 @@ lint:
 		echo "$$out"; exit 1; fi
 	@out="$$(grep -rn 'depCounts' --include='*.go' --exclude='*_test.go' internal || true)"; if [ -n "$$out" ]; then \
 		echo "depCounts is back; ApplyInvalidation walks every shard and skips none:"; \
+		echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'TagOf\(|SetInternLimit|map\[string\](invalidation\.)?TagID' \
+		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
+		cmd internal *.go || true)"; if [ -n "$$out" ]; then \
+		echo "a tag table is back; a TagID is computed from its tag (invalidation.Intern), never looked up:"; \
 		echo "$$out"; exit 1; fi
 
 # Kill-9 crash-recovery property test: build the real txcache-dbd, drive
@@ -111,8 +120,8 @@ model-soak:
 
 # Short fuzz passes over the wire codec, the opcode handlers of all three
 # wire services, the WAL record framing, what recovery decodes inside it
-# (snapshot sections, log records) and the cached-payload decoder: malformed
-# input must error, never panic. FuzzTreeOps is the odd one out: its input is
+# (snapshot sections, log records), the cached-payload decoder and the SQL
+# lexer and parser: malformed input must error, never panic. FuzzTreeOps is the odd one out: its input is
 # a run of index operations, and the tree must agree with a map after them.
 # (`go test -fuzz` accepts one target per
 # invocation, hence one run each; FuzzDecodeCacheable decodes every input as
@@ -131,6 +140,7 @@ fuzz-smoke:
 	$(GO) test ./internal/db -run xxx -fuzz FuzzReplayRecord -fuzztime=10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzDecodeCacheable -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/btree -run xxx -fuzz FuzzTreeOps -fuzztime=10s
+	$(GO) test ./internal/sql -run xxx -fuzz FuzzParse -fuzztime=10s
 
 # Concurrent-engine and cache-wire benchmarks (the CHANGES.md perf
 # trajectory).

@@ -51,8 +51,6 @@ type status struct {
 	Recovery   db.RecoveryInfo    `json:"recovery"`
 	LastCommit uint64             `json:"lastCommit"`
 	Durability db.DurabilityStats `json:"durability"`
-	// Tags is the tag interner every commit and query result draws from.
-	Tags invalidation.InternerStats `json:"tags"`
 	// IndexEntries and IndexBytes are db.Stats' index account: what the
 	// versions retained for the staleness window cost in index memory.
 	IndexEntries int `json:"indexEntries"`
@@ -240,7 +238,6 @@ func main() {
 			PID: os.Getpid(), Addr: l.Addr().String(), Durable: durable,
 			Recovery: info, LastCommit: uint64(st.LastCommitTS),
 			Durability:   engine.DurabilityStats(),
-			Tags:         invalidation.InternerSnapshot(),
 			IndexEntries: st.IndexEntries,
 			IndexBytes:   st.IndexBytes,
 		}

@@ -30,7 +30,6 @@ import (
 	"txcache/internal/core"
 	"txcache/internal/db"
 	"txcache/internal/db/dbnet"
-	"txcache/internal/invalidation"
 	"txcache/internal/sql"
 )
 
@@ -163,9 +162,5 @@ func printResult(r *db.Result) {
 	if r.StillValid() {
 		extra = " still-valid"
 	}
-	tags := make([]string, 0, len(r.Tags))
-	for _, t := range r.Tags {
-		tags = append(tags, invalidation.TagOf(t).String())
-	}
-	fmt.Printf("(%d row(s); validity %v%s; tags %v)\n", len(r.Rows), r.Validity, extra, tags)
+	fmt.Printf("(%d row(s); validity %v%s; tags %v)\n", len(r.Rows), r.Validity, extra, r.Tags)
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"txcache/internal/cacheserver"
-	"txcache/internal/invalidation"
 )
 
 func main() {
@@ -45,10 +44,8 @@ func main() {
 	go func() {
 		for range time.Tick(10 * time.Second) {
 			st := srv.Stats()
-			tags := invalidation.InternerSnapshot()
-			log.Printf("txcached: lookups=%d hit%%=%.1f puts=%d inval=%d bytes=%d keys=%d tags=%d/%d degraded=%d",
-				st.Lookups, 100*st.HitRate(), st.Puts, st.Invalidations, st.BytesUsed, st.Keys,
-				tags.Interned, tags.Limit, tags.Degraded)
+			log.Printf("txcached: lookups=%d hit%%=%.1f puts=%d inval=%d bytes=%d keys=%d",
+				st.Lookups, 100*st.HitRate(), st.Puts, st.Invalidations, st.BytesUsed, st.Keys)
 		}
 	}()
 	if err := srv.Serve(l); err != nil {

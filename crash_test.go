@@ -63,10 +63,6 @@ type dbdStatus struct {
 	Durable    bool            `json:"durable"`
 	Recovery   db.RecoveryInfo `json:"recovery"`
 	LastCommit uint64          `json:"lastCommit"`
-	Tags       struct {
-		Interned int `json:"interned"`
-		Limit    int `json:"limit"`
-	} `json:"tags"`
 }
 
 const crashSchema = `
@@ -364,10 +360,6 @@ func TestCrashRecovery(t *testing.T) {
 		st := d.status
 		if !st.Durable {
 			t.Fatal("daemon did not open the data directory durably")
-		}
-		// The schema's wildcard tags are interned at DDL time, replayed or not.
-		if st.Tags.Interned == 0 || st.Tags.Limit < st.Tags.Interned {
-			t.Fatalf("status file does not report the tag interner: %+v", st.Tags)
 		}
 		if cycle > 0 {
 			if st.Recovery.RecoveredTS < lastStatus.Recovery.RecoveredTS {

@@ -146,18 +146,14 @@ func TestAllocBudgetInvalidate(t *testing.T) {
 	}
 }
 
-// internFresh interns n key tags no earlier caller has seen (the interner is
-// process-global, so names carry a package-level sequence number).
-func internFresh(n int) []invalidation.TagID {
+// freshTags returns n distinct key tags, each new to a node just built.
+func freshTags(n int) []invalidation.TagID {
 	tags := make([]invalidation.TagID, n)
 	for i := range tags {
-		freshTagSeq++
-		tags[i] = invalidation.Intern(invalidation.KeyTag("fresh", "id", fmt.Sprint(freshTagSeq)))
+		tags[i] = invalidation.Intern(invalidation.KeyTag("fresh", "id", fmt.Sprint(i)))
 	}
 	return tags
 }
-
-var freshTagSeq int
 
 // putFirstSight installs one still-valid version per tag, each under a tag
 // the node has never seen.
@@ -179,26 +175,23 @@ func freshKeys(n int) []string {
 // firstSightBytesCeiling bounds the heap bytes one first-sight put may
 // allocate, averaged over a run: the version, its entry and its index sets.
 // The node keeps nothing per TagID outside its shards, so this holds by
-// construction; it is far below what any design that copies or regrows a
-// per-TagID table on first sight can meet with 200,000 tags interned (1.6 MB
-// per put for one pointer per tag), and is here to keep one from growing back.
+// construction; it is far below what a design that copies or regrows a
+// per-TagID table on first sight costs once the table is large (1.6 MB per
+// put for one pointer per tag at 200,000 tags), and is here to keep one from
+// growing back.
 const firstSightBytesCeiling = 16 << 10
 
 func TestAllocBudgetFirstSightTag(t *testing.T) {
-	if have := invalidation.InternedCount(); have < 200_000 {
-		internFresh(200_000 - have)
-	}
 	const n = 256
 	s := New(Config{})
 	s.SetHorizon(1, time.Unix(0, 0))
-	tags, keys := internFresh(n), freshKeys(n)
+	tags, keys := freshTags(n), freshKeys(n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	putFirstSight(s, keys, tags)
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > firstSightBytesCeiling {
-		t.Fatalf("a put under a never-seen tag allocates %d bytes with %d tags interned, budget is %d",
-			per, invalidation.InternedCount(), firstSightBytesCeiling)
+		t.Fatalf("a put under a never-seen tag allocates %d bytes, budget is %d", per, firstSightBytesCeiling)
 	}
 	if st := s.Stats(); st.Versions != n {
 		t.Fatalf("%d versions stored, want %d", st.Versions, n)

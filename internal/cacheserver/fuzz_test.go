@@ -14,26 +14,33 @@ import (
 // fuzzer starts from inputs that reach every handler arm and mutates from
 // there into the interesting malformed neighborhood.
 func fuzzSeedFrames() [][]byte {
-	tag := invalidation.KeyTag("users", "id", "7")
+	tags := []invalidation.TagID{invalidation.Intern(invalidation.KeyTag("users", "id", "7"))}
 	lookup := wire.NewBuffer(opLookup)
 	lookup.U32(1).Str("k").U64(1).U64(10).U64(0).U64(100)
 	batch := wire.NewBuffer(opLookupBatch)
 	batch.U32(2).U32(2)
 	batch.Str("a").U64(1).U64(10).U64(0).U64(100)
 	batch.Str("b").U64(2).U64(20).U64(0).U64(100)
-	put := wire.NewBuffer(opPut)
-	put.U32(3).Str("k").U64(1).U64(uint64(interval.Infinity)).Bool(true).U64(1)
-	put.U32(1).Str(tag.Table).Str(tag.Key).Bool(tag.Wildcard)
+	putHead := func() *wire.Buffer {
+		return wire.NewBuffer(opPut).U32(3).Str("k").U64(1).U64(uint64(interval.Infinity)).Bool(true).U64(1)
+	}
+	put := putHead()
+	invalidation.AppendTags(put, tags)
 	put.Blob([]byte("value"))
+	// The two tag lists DecodeTags must refuse: the zero ID ("no tag"), and a
+	// count the frame cannot hold.
+	putZeroTag := putHead().U32(1).U64(0).Blob([]byte("value"))
+	putHugeCount := putHead().U32(1 << 30).U64(uint64(tags[0])).Blob([]byte("value"))
 	stats := wire.NewBuffer(opStats)
 	stats.U32(4).Bool(false)
 	reset := wire.NewBuffer(opStats)
 	reset.U32(5).Bool(true)
-	msg := invalidation.Message{TS: 9, WallTime: time.Unix(1, 0), Tags: []invalidation.TagID{invalidation.Intern(tag)}}
+	msg := invalidation.Message{TS: 9, WallTime: time.Unix(1, 0), Tags: tags}
 	raw := msg.Encode(opInval)
 	inval := append([]byte{raw[0], 0, 0, 0, 0}, raw[1:]...)
 	return [][]byte{
 		lookup.Bytes(), batch.Bytes(), put.Bytes(), stats.Bytes(), reset.Bytes(), inval,
+		putZeroTag.Bytes(), putHugeCount.Bytes(),
 		{}, {opLookup}, {opPut, 1, 0, 0, 0}, {opLookupBatch, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
 	}
 }

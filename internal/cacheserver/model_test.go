@@ -33,7 +33,14 @@ type model struct {
 	versions  []*modelVersion
 	widened   int // equal-Lo puts that moved a stored version's bound out
 	lastInval interval.Timestamp
-	msgs      []invalidation.Message // full history (the model never forgets)
+	msgs      []modelMsg // full history (the model never forgets)
+}
+
+// modelMsg is an invalidation as the model keeps it: tags by name, never by
+// ID, so the rule it applies owes nothing to the hash under test.
+type modelMsg struct {
+	ts   interval.Timestamp
+	tags []invalidation.Tag
 }
 
 func (m *model) put(key string, lo interval.Timestamp, hi interval.Timestamp, still bool, genSnap interval.Timestamp, tags []invalidation.Tag) {
@@ -41,8 +48,8 @@ func (m *model) put(key string, lo interval.Timestamp, hi interval.Timestamp, st
 		// Retroactive replay: an invalidation processed before this insert
 		// but after its generating snapshot truncates it.
 		for _, msg := range m.msgs {
-			if msg.TS > genSnap && matches(msg, tags) {
-				still, hi = false, msg.TS
+			if msg.ts > genSnap && matches(msg, tags) {
+				still, hi = false, msg.ts
 				break
 			}
 		}
@@ -64,9 +71,8 @@ func (m *model) put(key string, lo interval.Timestamp, hi interval.Timestamp, st
 	m.versions = append(m.versions, &modelVersion{key: key, lo: lo, hi: hi, still: still, tags: tags})
 }
 
-func matches(msg invalidation.Message, tags []invalidation.Tag) bool {
-	for _, mtID := range msg.Tags {
-		mt := invalidation.TagOf(mtID)
+func matches(msg modelMsg, tags []invalidation.Tag) bool {
+	for _, mt := range msg.tags {
 		for _, vt := range tags {
 			if mt.Wildcard && mt.Table == vt.Table {
 				return true
@@ -82,8 +88,8 @@ func matches(msg invalidation.Message, tags []invalidation.Tag) bool {
 	return false
 }
 
-func (m *model) invalidate(msg invalidation.Message) {
-	if msg.TS <= m.lastInval {
+func (m *model) invalidate(msg modelMsg) {
+	if msg.ts <= m.lastInval {
 		return
 	}
 	m.msgs = append(m.msgs, msg)
@@ -93,10 +99,10 @@ func (m *model) invalidate(msg invalidation.Message) {
 		}
 		if matches(msg, v.tags) {
 			v.still = false
-			v.hi = msg.TS
+			v.hi = msg.ts
 		}
 	}
-	m.lastInval = msg.TS
+	m.lastInval = msg.ts
 }
 
 // lookup returns the newest version whose effective interval intersects
@@ -171,9 +177,9 @@ func TestServerMatchesModel(t *testing.T) {
 			}
 		case 3, 4: // invalidation (a committed update transaction)
 			ts++
-			msg := invalidation.Message{TS: ts, Tags: ids(randTags())}
-			s.ApplyInvalidation(msg)
-			m.invalidate(msg)
+			tags := randTags()
+			s.ApplyInvalidation(invalidation.Message{TS: ts, Tags: ids(tags)})
+			m.invalidate(modelMsg{ts, tags})
 		default: // lookup
 			key := keys[rng.Intn(len(keys))]
 			lo := interval.Timestamp(rng.Intn(int(ts)) + 1)
@@ -699,9 +705,9 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 	}
 }
 
-// ids interns struct-form tags for the server API; the oracle itself keeps
+// ids hashes struct-form tags for the server API; the oracle itself keeps
 // the struct form, so these tests double as an equivalence check between
-// interned-ID matching and the paper's string-form tag semantics.
+// ID matching and the paper's string-form tag semantics.
 func ids(tags []invalidation.Tag) []invalidation.TagID {
 	out := make([]invalidation.TagID, len(tags))
 	for i, t := range tags {

@@ -182,26 +182,17 @@ func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
 
 // encodedResultSize bounds encodeLookupResult's output for r.
 func encodedResultSize(r LookupResult) int {
-	n := 2 + 8 + 8 + 1 + 4 + 4 + len(r.Data)
-	for _, id := range r.Tags {
-		t := invalidation.TagOf(id)
-		n += 9 + len(t.Table) + len(t.Key)
-	}
-	return n
+	return 2 + 8 + 8 + 1 + 4 + 8*len(r.Tags) + 4 + len(r.Data)
 }
 
 func encodeLookupResult(e *wire.Buffer, r LookupResult) {
 	e.Bool(r.Found).U8(byte(r.Miss))
 	e.U64(uint64(r.Validity.Lo)).U64(uint64(r.Validity.Hi)).Bool(r.Still)
-	e.U32(uint32(len(r.Tags)))
-	for _, id := range r.Tags {
-		t := invalidation.TagOf(id)
-		e.Str(t.Table).Str(t.Key).Bool(t.Wildcard)
-	}
+	invalidation.AppendTags(e, r.Tags)
 	e.Blob(r.Data)
 }
 
-// decodeLookupResult parses one LookupResult, interning tags as it goes.
+// decodeLookupResult parses one LookupResult.
 func decodeLookupResult(d *wire.Decoder) (LookupResult, error) {
 	var r LookupResult
 	r.Found = d.Bool()
@@ -425,11 +416,7 @@ func (c *Client) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupRe
 func (c *Client) Put(key string, data []byte, iv interval.Interval, still bool, genSnap interval.Timestamp, tags []invalidation.TagID) {
 	e := rpc.NewFrame(opPut)
 	e.Str(key).U64(uint64(iv.Lo)).U64(uint64(iv.Hi)).Bool(still).U64(uint64(genSnap))
-	e.U32(uint32(len(tags)))
-	for _, id := range tags {
-		t := invalidation.TagOf(id)
-		e.Str(t.Table).Str(t.Key).Bool(t.Wildcard)
-	}
+	invalidation.AppendTags(e, tags)
 	e.Blob(data)
 	select {
 	case c.putq <- putItem{frame: e}:

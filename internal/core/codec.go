@@ -129,7 +129,7 @@ func compilePlan(t reflect.Type, outer []reflect.Type) (*plan, error) {
 			f := t.Field(i)
 			if t == resultType && f.Name != "Cols" && f.Name != "Rows" {
 				// Validity and Tags describe the generating transaction; the
-				// cache entry carries its own, and TagIDs are process-local.
+				// cache entry carries its own.
 				continue
 			}
 			if !f.IsExported() {

@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,12 +239,15 @@ func (r *heldRig) peek(key string, at interval.Timestamp) cacheserver.LookupResu
 	return r.client.node(key).Lookup(context.Background(), key, at, at, 0, interval.Infinity)
 }
 
-func tagNames(ids []invalidation.TagID) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = invalidation.TagOf(id).String()
+// tagIDs hashes key tags written "table:column=value" — an ID has no way
+// back to its name, so the expectation goes to the IDs — in sorted order.
+func tagIDs(names []string) []invalidation.TagID {
+	out := make([]invalidation.TagID, len(names))
+	for i, name := range names {
+		table, key, _ := strings.Cut(name, ":")
+		out[i] = invalidation.Intern(invalidation.Tag{Table: table, Key: key})
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -258,8 +262,8 @@ func (r *heldRig) wantStill(t *testing.T, key string, tags []string) {
 	if !got.Found || !got.Still || got.Validity.Hi != hz+1 {
 		t.Fatalf("at horizon %d: found=%v still=%v validity=%v, want still-valid through the horizon", hz, got.Found, got.Still, got.Validity)
 	}
-	if names := tagNames(got.Tags); fmt.Sprint(names) != fmt.Sprint(tags) {
-		t.Fatalf("tags %v, want %v", names, tags)
+	if ids := slices.Sorted(slices.Values(got.Tags)); !slices.Equal(ids, tagIDs(tags)) {
+		t.Fatalf("tags %v, want %v = %v", ids, tags, tagIDs(tags))
 	}
 }
 

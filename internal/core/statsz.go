@@ -1,7 +1,5 @@
 package core
 
-import "txcache/internal/invalidation"
-
 // StatsSnapshot is a plain-value copy of ClientStats, shaped for JSON
 // reporting endpoints (txcache-serve's /statsz) and log lines. Counters are
 // read individually without a lock; the snapshot is consistent enough for
@@ -39,9 +37,6 @@ type StatsSnapshot struct {
 
 	NodesAdded   uint64 `json:"nodesAdded"`
 	NodesRemoved uint64 `json:"nodesRemoved"`
-
-	// Tags is this process's tag interner (shared by every client in it).
-	Tags invalidation.InternerStats `json:"tags"`
 }
 
 // Snapshot copies the counters into a plain value.
@@ -77,7 +72,5 @@ func (s *ClientStats) Snapshot() StatsSnapshot {
 
 		NodesAdded:   s.NodesAdded.Load(),
 		NodesRemoved: s.NodesRemoved.Load(),
-
-		Tags: invalidation.InternerSnapshot(),
 	}
 }

@@ -70,7 +70,7 @@ type Tx struct {
 }
 
 // frame accumulates the validity interval and invalidation tags of one
-// in-flight cacheable function (paper §6.1, §6.3). Tags are interned IDs,
+// in-flight cacheable function (paper §6.1, §6.3). Tags are TagIDs,
 // so merging a dependency is an integer map insert; the map itself is
 // allocated on the first tag.
 type frame struct {
@@ -101,7 +101,7 @@ func (f *frame) absorb(iv interval.Interval, tags []invalidation.TagID, still bo
 	f.addTags(tags)
 }
 
-// addTags merges interned tags into the frame's dependency set.
+// addTags merges tags into the frame's dependency set.
 func (f *frame) addTags(tags []invalidation.TagID) {
 	if len(tags) == 0 {
 		return

@@ -7,7 +7,7 @@ import (
 
 // Allocation-budget coverage for the executor's hot path. The point-select
 // benchmark is the database half of the "zero-allocation read path": after
-// the scratch pooling, interned tags, cached projection plans, and the
+// the scratch pooling, hashed tags, cached projection plans, and the
 // generation-stamped duplicate filter, a warmed-up indexed point SELECT
 // performs a handful of allocations — only the objects that escape to the
 // caller (the Result, its row, and the boxed argument).
@@ -97,7 +97,7 @@ func TestAllocBudgetPointSelect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	query() // warm scratch, plan cache, and tag interner
+	query() // warm scratch and plan cache
 	if avg := testing.AllocsPerRun(200, query); avg > pointSelectAllocCeiling {
 		t.Fatalf("point select allocates %.1f objects/op, budget is %d", avg, pointSelectAllocCeiling)
 	}

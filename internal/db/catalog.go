@@ -35,8 +35,8 @@ type Table struct {
 	// (see flushIndexOps). Guarded by mu.
 	pend indexPending
 
-	// wildTag is the table's interned wildcard invalidation tag, resolved
-	// once at creation so scans never re-intern it.
+	// wildTag is the table's wildcard invalidation tag, hashed once at
+	// creation; a key tag of the table is wildTag | invalidation.KeyHash.
 	wildTag invalidation.TagID
 
 	// mu orders access to the table's data (version store, index trees,

@@ -243,11 +243,7 @@ func encodeResult(r *db.Result) (*wire.Buffer, error) {
 		}
 	}
 	e.U64(uint64(r.Validity.Lo)).U64(uint64(r.Validity.Hi))
-	e.U32(uint32(len(r.Tags)))
-	for _, id := range r.Tags {
-		t := invalidation.TagOf(id)
-		e.Str(t.Table).Str(t.Key).Bool(t.Wildcard)
-	}
+	invalidation.AppendTags(e, r.Tags)
 	return e, nil
 }
 
@@ -510,7 +506,7 @@ func encodeArgs(e *wire.Buffer, args []sql.Value) error {
 
 // decodeResult reads an opQueryResp body. Every count is bounded by the
 // bytes that remain — a column name is at least its length prefix, a value
-// its tag byte, an invalidation tag nine bytes — before anything is
+// its tag byte, an invalidation tag eight bytes — before anything is
 // allocated for it.
 func decodeResult(d *wire.Decoder) (*db.Result, error) {
 	r := &db.Result{}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"txcache/internal/db"
+	"txcache/internal/invalidation"
 	"txcache/internal/rpc"
 	"txcache/internal/sql"
 	"txcache/internal/wire"
@@ -91,4 +92,27 @@ func FuzzDBNetHandle(f *testing.F) {
 			t.Fatalf("%d snapshots still pinned after the connection dropped", n)
 		}
 	})
+}
+
+// TestDecodeResultRejectsBadTags: the frames above are requests, which carry
+// no tags; the tag list a client decodes is in the daemon's reply. A reply
+// whose list holds the zero ID ("no tag": the cache would file a dependency
+// under it) or claims more tags than it has bytes is refused, not believed.
+func TestDecodeResultRejectsBadTags(t *testing.T) {
+	head := func() *wire.Buffer { return wire.NewBuffer(opQueryResp).U32(0).U32(0).U64(1).U64(2) }
+	good := head().U32(1).U64(uint64(invalidation.Intern(invalidation.WildcardTag("kv"))))
+	for name, c := range map[string]struct {
+		reply *wire.Buffer
+		ok    bool
+	}{
+		"well-formed": {good, true},
+		"zero ID":     {head().U32(1).U64(0), false},
+		"huge count":  {head().U32(1 << 30).U64(1 << 40), false},
+	} {
+		d := wire.NewDecoder(c.reply.Bytes())
+		d.Op()
+		if r, err := decodeResult(d); (err == nil) != c.ok {
+			t.Errorf("%s: decodeResult = %+v, %v", name, r, err)
+		}
+	}
 }

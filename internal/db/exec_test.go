@@ -124,7 +124,7 @@ func TestIndexRangeScan(t *testing.T) {
 	}
 	hasWildcard := false
 	for _, tag := range r.Tags {
-		if invalidation.TagOf(tag).String() == "items:?" {
+		if tag == tagID("items:?") {
 			hasWildcard = true
 		}
 	}

@@ -50,7 +50,8 @@ type Result struct {
 	// containing the snapshot over which re-running the query yields the
 	// same rows. Unbounded (Hi == Infinity) means still valid, in which
 	// case Tags carry the dependency set for future invalidations, as
-	// interned tag IDs (invalidation.TagOf recovers the string form).
+	// TagIDs (hashes of the tags: the same IDs in every process, and nothing
+	// recovers the string form from one).
 	Validity interval.Interval
 	Tags     []invalidation.TagID
 }
@@ -459,7 +460,7 @@ func (tx *Tx) checkUniqueCand(t *Table, idx *Index, v sql.Value, cand, selfID ui
 	return nil
 }
 
-// tagSet accumulates interned invalidation tags for one query or one
+// tagSet accumulates invalidation tags for one query or one
 // commit, collapsing a table's tags into its wildcard once the per-table
 // limit is exceeded (paper §5.3). The maps are allocated lazily on first
 // use and, because tag sets live in the pooled transaction scratch, are
@@ -472,7 +473,6 @@ type tagSet struct {
 	perTable map[invalidation.TagID]int      // key-tag count, by table wildcard ID
 	wildcard map[invalidation.TagID]struct{} // wildcard IDs emitted
 	vbuf     []byte                          // FormatValue scratch
-	kbuf     []byte                          // interner lookup-key scratch
 }
 
 // reset prepares the set for a new statement or commit, keeping its maps.
@@ -490,30 +490,14 @@ func (s *tagSet) addRow(t *Table, row []sql.Value) {
 	}
 }
 
-// addKey adds the tag table:column=value, interning it only if the set will
-// keep it: a bulk change collapses to the table's wildcard after limit key
-// tags (§5.3), and a tag interned just to be thrown away by that collapse
-// would still occupy the process-global table — and a TagID in every
-// per-TagID table downstream — forever.
+// addKey adds the tag table:column=value: the table's wildcard ID with the
+// key's hash in its low half.
 func (s *tagSet) addKey(t *Table, column string, v sql.Value) {
 	if _, covered := s.wildcard[t.wildTag]; covered {
 		return
 	}
 	s.vbuf = sql.AppendFormat(s.vbuf[:0], v)
-	if s.perTable[t.wildTag] >= s.limit {
-		// The table is at its limit, so anything but a repeat of a tag the
-		// set already holds collapses it — and a repeat is already interned.
-		// (An unknown tag looks up as the zero ID, which no set holds.)
-		var id invalidation.TagID
-		id, s.kbuf, _ = invalidation.LookupKeyBytes(s.kbuf, t.name, column, s.vbuf)
-		if _, dup := s.ids[id]; !dup {
-			s.add(t.wildTag)
-		}
-		return
-	}
-	var id invalidation.TagID
-	id, s.kbuf = invalidation.InternKeyBytes(s.kbuf, t.name, column, s.vbuf)
-	s.add(id)
+	s.add(t.wildTag | invalidation.KeyHash(column, s.vbuf))
 }
 
 func (s *tagSet) add(id invalidation.TagID) {

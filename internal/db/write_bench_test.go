@@ -179,10 +179,7 @@ func TestAllocBudgetCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm scratch, parse cache, slabs, pending arenas — and the interner:
-	// each of the 97 values of a is a tag some commit interns first (the
-	// bulk load that built the table collapsed to a wildcard and interned
-	// almost none of them).
+	// Warm scratch, parse cache, slabs, pending arenas.
 	for w := 0; w < 97; w++ {
 		commit()
 	}

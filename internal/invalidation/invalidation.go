@@ -11,6 +11,7 @@
 package invalidation
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -42,71 +43,57 @@ func (t Tag) String() string {
 }
 
 // Message is one entry of the invalidation stream: the timestamp of a
-// committed read/write transaction and every tag it affected, as interned
-// TagIDs. Messages are produced for every update transaction even if their
-// tag set is empty, so that cache nodes' notion of "now" (the last
-// invalidation processed) advances with the database.
+// committed read/write transaction and every tag it affected, as TagIDs.
+// Messages are produced for every update transaction even if their tag set
+// is empty, so that cache nodes' notion of "now" (the last invalidation
+// processed) advances with the database.
 type Message struct {
 	TS       interval.Timestamp
 	WallTime time.Time
 	Tags     []TagID
 }
 
-// TagList materializes the message's tags in struct form (debugging,
-// logging); the hot paths stay on the IDs.
-func (m Message) TagList() []Tag {
-	out := make([]Tag, len(m.Tags))
-	for i, id := range m.Tags {
-		out[i] = TagOf(id)
-	}
-	return out
-}
-
-// Encode serializes the message for the wire using the given opcode. TagIDs
-// are process-local, so the wire carries the string form; the receiving
-// process re-interns at decode.
+// Encode serializes the message for the wire using the given opcode.
 func (m Message) Encode(op byte) []byte {
 	e := wire.NewBuffer(op)
 	e.U64(uint64(m.TS))
 	e.I64(m.WallTime.UnixNano())
-	e.U32(uint32(len(m.Tags)))
-	for _, id := range m.Tags {
-		t := TagOf(id)
-		e.Str(t.Table).Str(t.Key).Bool(t.Wildcard)
-	}
+	AppendTags(e, m.Tags)
 	return e.Bytes()
 }
 
-// DecodeTags reads a count-prefixed list of wire-form (table, key, wildcard)
-// tag triples from d, interning each. It is the shared inner loop of every
-// protocol that carries tags (invalidation messages, cache puts and lookup
-// results, dbnet query results). On a decode error the tags read so far and
-// the error are returned.
+// AppendTags writes tags as a count and eight bytes each: the one encoding
+// of a tag list, in every protocol that carries one (invalidation messages,
+// cache puts and lookup results, dbnet query results). A TagID means the
+// same in every process, so there is nothing to translate.
+func AppendTags(e *wire.Buffer, tags []TagID) {
+	e.U32(uint32(len(tags)))
+	for _, id := range tags {
+		e.U64(uint64(id))
+	}
+}
+
+// DecodeTags reads what AppendTags wrote. An ID without a table half — the
+// zero ID above all — is one no Intern produces, and would register a
+// dependency under "no tag": it fails the decoder.
 func DecodeTags(d *wire.Decoder) ([]TagID, error) {
-	// A triple is at least two length prefixes and the wildcard byte.
-	n := d.Count(4 + 4 + 1)
+	n := d.Count(8)
 	if n == 0 {
 		return nil, d.Err()
 	}
-	tags := make([]TagID, 0, n)
-	var scratch [64]byte
-	buf := scratch[:0]
-	for i := 0; i < n; i++ {
-		table := d.Str()
-		key := d.Str()
-		wild := d.Bool()
-		if d.Err() != nil {
-			return tags, d.Err()
+	tags := make([]TagID, n)
+	for i := range tags {
+		tags[i] = TagID(d.U64())
+		if WildOf(tags[i]) == 0 {
+			d.Fail(errBadTag)
 		}
-		var id TagID
-		id, buf = InternParts(buf, table, key, wild)
-		tags = append(tags, id)
 	}
 	return tags, d.Err()
 }
 
-// DecodeMessage parses a message payload positioned after the opcode,
-// interning the tags as it goes.
+var errBadTag = errors.New("invalidation: tag ID without a table half")
+
+// DecodeMessage parses a message payload positioned after the opcode.
 func DecodeMessage(d *wire.Decoder) (Message, error) {
 	var m Message
 	m.TS = interval.Timestamp(d.U64())
@@ -171,9 +158,7 @@ func (b *Bus) Publish(m Message) {
 	if b.keep {
 		b.log = append(b.log, m)
 	}
-	for _, s := range b.subs {
-		s.enqueue(m)
-	}
+	b.deliver(m)
 }
 
 // PublishBatch delivers ms to all subscribers as one atomic, ordered
@@ -188,19 +173,38 @@ func (b *Bus) PublishBatch(ms []Message) {
 	if b.keep {
 		b.log = append(b.log, ms...)
 	}
-	for _, s := range b.subs {
-		s.enqueue(ms...)
-	}
+	b.deliver(ms...)
 }
 
-func (s *Subscription) enqueue(ms ...Message) {
+// deliver enqueues ms at every open subscription and forgets the closed
+// ones: a node that left (core.Client.RemoveNode, a PushStream that ended)
+// must not keep a queue that every later commit appends to and nothing
+// drains. Caller holds b.mu.
+func (b *Bus) deliver(ms ...Message) {
+	open := b.subs[:0]
+	for _, s := range b.subs {
+		if s.enqueue(ms...) {
+			open = append(open, s)
+		}
+	}
+	clear(b.subs[len(open):])
+	b.subs = open
+}
+
+// enqueue reports false, and keeps nothing, once s is closed.
+func (s *Subscription) enqueue(ms ...Message) bool {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
 	s.queue = append(s.queue, ms...)
 	s.mu.Unlock()
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
+	return true
 }
 
 // pump moves messages from the unbounded queue to the delivery channel,
@@ -234,6 +238,7 @@ func (s *Subscription) Close() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
+		s.queue = nil
 		close(s.done)
 	}
 	s.mu.Unlock()

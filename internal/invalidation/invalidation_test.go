@@ -57,6 +57,63 @@ func TestMessageDecodeTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeTagsRejects: a count the frame cannot hold, and an ID no Intern
+// produces — the zero ID would register a dependency under "no tag" — are
+// decode errors, not tags.
+func TestDecodeTagsRejects(t *testing.T) {
+	good := Intern(KeyTag("t", "c", "v"))
+	for name, body := range map[string]*wire.Buffer{
+		"zero ID":        wire.NewBuffer(1).U32(2).U64(uint64(good)).U64(0),
+		"no table half":  wire.NewBuffer(1).U32(1).U64(7),
+		"count too big":  wire.NewBuffer(1).U32(1 << 30).U64(uint64(good)),
+		"short last tag": wire.NewBuffer(1).U32(2).U64(uint64(good)).U32(1),
+	} {
+		d := wire.NewDecoder(body.Bytes())
+		d.Op()
+		if tags, err := DecodeTags(d); err == nil {
+			t.Errorf("%s: decoded %v, want an error", name, tags)
+		}
+	}
+}
+
+// TestBusForgetsClosedSubscription: a subscription that was closed (a cache
+// node removed, a push stream that ended) leaves the bus at the next publish
+// and keeps nothing — before, every later commit appended to a queue whose
+// pump had already returned.
+func TestBusForgetsClosedSubscription(t *testing.T) {
+	bus := NewBus(false)
+	sub, live := bus.Subscribe(), bus.Subscribe()
+	bus.Publish(Message{TS: 1})
+	sub.Close()
+	for i := 2; i <= 10_000; i++ {
+		if i%2 == 0 {
+			bus.Publish(Message{TS: interval.Timestamp(i)})
+		} else {
+			bus.PublishBatch([]Message{{TS: interval.Timestamp(i)}})
+		}
+	}
+	if len(bus.subs) != 1 { // every Publish is this goroutine's: no lock needed
+		t.Fatalf("%d subscriptions on the bus after one of two closed, want 1", len(bus.subs))
+	}
+	sub.mu.Lock()
+	queued := len(sub.queue)
+	sub.mu.Unlock()
+	if queued != 0 {
+		t.Fatalf("closed subscription holds %d queued messages", queued)
+	}
+	// The open one still gets everything, in order.
+	for i := 1; i <= 10_000; i++ {
+		if m := <-live.C; m.TS != interval.Timestamp(i) {
+			t.Fatalf("live subscriber got ts %d, want %d", m.TS, i)
+		}
+	}
+	live.Close()
+	bus.Publish(Message{TS: 10_001})
+	if len(bus.subs) != 0 {
+		t.Fatalf("%d subscriptions left after all closed", len(bus.subs))
+	}
+}
+
 func TestBusOrderedDelivery(t *testing.T) {
 	bus := NewBus(false)
 	sub := bus.Subscribe()

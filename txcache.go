@@ -227,15 +227,14 @@ type Bus = invalidation.Bus
 // InvalidationTag is a dependency tag ("table:column=key" or "table:?").
 type InvalidationTag = invalidation.Tag
 
-// TagID is an interned invalidation tag (the compact form the hot paths
-// carry; see invalidation.TagID).
+// TagID is a tag's hash: the form results, cache entries and the
+// invalidation stream carry (see invalidation.TagID). It prints as
+// "%08x:%08x", or "%08x:?" for a wildcard.
 type TagID = invalidation.TagID
 
-// InternTag returns the TagID for a tag, assigning one on first sight.
+// InternTag returns the TagID of a tag — the same in every process, so it
+// is also how to find a tag you know by name in output that prints IDs.
 func InternTag(t InvalidationTag) TagID { return invalidation.Intern(t) }
-
-// TagOf recovers the struct form of an interned tag.
-func TagOf(id TagID) InvalidationTag { return invalidation.TagOf(id) }
 
 // NewBus creates an invalidation bus; keepHistory replays messages to late
 // subscribers.

@@ -40,6 +40,12 @@ benchmark-test:
 # discipline" item 2), so nothing maps a tag's name to its ID or an ID back
 # to its name; the table that did, its cap and its reverse lookup are refused
 # by name and by shape, so one cannot grow back beside the hash.
+# Then the one-lock guard: Table.mu is the only lock over a table's data, and
+# a commit writes that data in one critical section (DESIGN.md "The pipelined
+# commit path"). The publish-stage index flush is refused by name, the
+# sequencer may not name the table lock or call a flush, and internal/mvcc
+# may not import sync, so neither a second critical section nor a second lock
+# can grow back.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
 	@out="$$(grep -rnE '\bnet\.Dial(Timeout)?\(|\.Set(Read|Write)?Deadline\(|wire\.NewFrameReader\(|\.Accept\(\)' \
@@ -60,6 +66,11 @@ lint:
 		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
 		cmd internal *.go || true)"; if [ -n "$$out" ]; then \
 		echo "a tag table is back; a TagID is computed from its tag (invalidation.Intern), never looked up:"; \
+		echo "$$out"; exit 1; fi
+	@out="$$( { grep -rnE 'flushIndexOps\(\)|containsTable|tabBuf' --include='*.go' --exclude='*_test.go' internal/db; \
+		grep -nE 'Table\.mu|\.flush[A-Za-z]*\(' internal/db/sequencer.go; \
+		grep -n '"sync' --exclude='*_test.go' internal/mvcc/*.go; } || true)"; if [ -n "$$out" ]; then \
+		echo "a second critical section or a second lock over a table's data is back; a commit installs its index entries at apply, under Table.mu, and mvcc.Store relies on that lock:"; \
 		echo "$$out"; exit 1; fi
 
 # Kill-9 crash-recovery property test: build the real txcache-dbd, drive

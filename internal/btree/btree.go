@@ -147,7 +147,7 @@ type Op struct {
 }
 
 // ApplyBatch applies ops in order. The batch is the tree's commit-path API:
-// the database coalesces a commit group's index maintenance into one sorted
+// the database coalesces a commit's index maintenance into one sorted
 // batch per index, so consecutive ops landing in the same leaf reuse the
 // position from the previous op instead of paying a root descent each.
 // Unsorted batches are correct but descend per op. Inserted keys are

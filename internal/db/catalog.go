@@ -28,23 +28,25 @@ type Table struct {
 	colPos  map[string]int
 	store   *mvcc.Store
 	indexes map[string]*Index // by column name (planner lookups)
-	idxList []*Index          // same indexes in slot order (maintenance walks)
+	idxList []*Index          // same indexes in creation order (maintenance walks)
 	primary string            // primary key column, "" if none
 
-	// pend buffers the index mutations of applied-but-unpublished commits
-	// (see flushIndexOps). Guarded by mu.
+	// pend is the index batch of whoever holds mu exclusively right now
+	// (see indexPending); empty whenever nobody does.
 	pend indexPending
 
 	// wildTag is the table's wildcard invalidation tag, hashed once at
 	// creation; a key tag of the table is wildTag | invalidation.KeyHash.
 	wildTag invalidation.TagID
 
-	// mu orders access to the table's data (version store, index trees,
-	// rowCount): statements reading the table hold it shared; commits whose
-	// write set includes the table, CREATE INDEX, and vacuum hold it
-	// exclusive. Lock sets are always acquired in ascending table-name
-	// order (see tableLockSet), and the catalog lock is never acquired
-	// while holding mu, so catalog → table is the global lock order.
+	// mu is the only lock that guards the table's data (version store,
+	// index trees, rowCount): statements reading the table hold it shared;
+	// commits whose write set includes the table, CREATE INDEX, and vacuum
+	// hold it exclusive. A commit writes the table once — versions and index
+	// entries in one critical section — so nothing outside an exclusive hold
+	// ever sees the two disagree. Lock sets are always acquired in ascending
+	// table-name order (see tableLockSet), and the catalog lock is never
+	// acquired while holding mu, so catalog → table is the global lock order.
 	mu sync.RWMutex
 
 	// rowCount tracks live (latest-version-not-deleted) rows, maintained at
@@ -53,84 +55,82 @@ type Table struct {
 }
 
 // Index is a single-column secondary index. Its tree is guarded by the
-// owning table's lock: scans hold Table.mu shared, mutations (batch flush,
-// vacuum pruning, backfill) hold it exclusive.
+// owning table's lock: scans hold Table.mu shared, mutations (a commit's
+// batch, vacuum pruning, backfill) hold it exclusive.
 type Index struct {
 	name   string
 	column string
 	colPos int
-	slot   int // position in Table.idxList and indexPending.ops
 	unique bool
 	tree   *btree.Tree
 }
 
-// indexPending is the per-table index-maintenance stage of the commit
-// pipeline. Commits apply their MVCC versions under the table lock but only
-// *queue* the btree mutations here (encoded keys in a shared arena, one op
-// list per index slot); the sequencer's head committer flushes the whole
-// commit group's queue as one sorted ApplyBatch per index before advancing
-// the visibility watermark. Readers derive snapshots from the published
-// watermark, so an unflushed entry always belongs to an invisible version —
-// the one tree consumer that must see unpublished state, the unique-index
-// check, scans the queue explicitly (checkUniqueRow). All buffers are
-// retained across groups, so steady-state queueing allocates nothing.
+// indexPending is the one path by which a table's index entries change
+// after backfill: a batch, filled and flushed inside one exclusive hold of
+// t.mu. A commit queues the versions it installs and ends its apply stage by
+// flushing; a vacuum pass queues the versions it reclaimed. The flush is one
+// sorted ApplyBatch per index, so a multi-row commit pays one leaf descent
+// per run of neighbouring keys instead of one per row. The buffers are
+// retained across flushes: steady-state batching allocates nothing.
 type indexPending struct {
-	arena []byte     // EncodeKey output, shared by all slots
-	ops   [][]pendOp // one list per index slot
-	batch []btree.Op // flush scratch, reused
-	n     int        // total queued ops
+	rows  []pendRow  // queued versions
+	arena []byte     // their encoded keys on the index being flushed
+	batch []btree.Op // that index's batch
 }
 
-// pendOp is one queued insertion: arena[off:end] is the encoded key.
-type pendOp struct {
-	off, end uint32
-	id       uint64
+// pendRow is one row version whose index entries are to be installed or,
+// for a version vacuum reclaimed (del), dropped.
+type pendRow struct {
+	id  mvcc.RowID
+	row []sql.Value
+	del bool
 }
 
-// queueIndexOps records row's keys for every index of the table; the
-// entries are installed at group flush. Called with t.mu held exclusively.
-func (t *Table) queueIndexOps(id mvcc.RowID, row []sql.Value) {
-	p := &t.pend
-	for i, idx := range t.idxList {
-		off := uint32(len(p.arena))
-		p.arena = sql.EncodeKey(p.arena, row[idx.colPos])
-		p.ops[i] = append(p.ops[i], pendOp{off: off, end: uint32(len(p.arena)), id: uint64(id)})
-	}
-	p.n += len(t.idxList)
+// queueIndexOps queues a version of row id for the next flush. Called with
+// t.mu held exclusively, by a caller that flushes before it unlocks.
+func (t *Table) queueIndexOps(id mvcc.RowID, row []sql.Value, del bool) {
+	t.pend.rows = append(t.pend.rows, pendRow{id, row, del})
 }
 
-// flushIndexOps takes the table lock and installs every queued mutation.
-// Called by the commit sequencer's head committer once per group per table.
-func (t *Table) flushIndexOps() {
-	t.mu.Lock()
-	t.flushIndexOpsLocked()
-	t.mu.Unlock()
-}
-
-// flushIndexOpsLocked installs the queued mutations as one sorted batch per
-// index. Caller holds t.mu exclusively. Keys handed to ApplyBatch alias the
-// pending arena; the tree copies any key it retains.
+// flushIndexOpsLocked applies the queued versions' keys as one sorted batch
+// per index. Caller holds t.mu exclusively. The tree copies any key it
+// retains.
 func (t *Table) flushIndexOpsLocked() {
 	p := &t.pend
-	if p.n == 0 {
+	if len(p.rows) == 0 {
 		return
 	}
-	for i, idx := range t.idxList {
-		ops := p.ops[i]
-		if len(ops) == 0 {
-			continue
-		}
-		batch := p.batch[:0]
-		for _, o := range ops {
-			batch = append(batch, btree.Op{Key: p.arena[o.off:o.end], ID: o.id})
+	for _, idx := range t.idxList {
+		arena, batch := p.arena[:0], p.batch[:0]
+		for _, r := range p.rows {
+			v := r.row[idx.colPos]
+			// Postings are per row: a reclaimed version's goes only when no
+			// surviving version of the row still carries the key.
+			if r.del && chainCarries(t.store.Chain(r.id), idx.colPos, v) {
+				continue
+			}
+			// A key stays where it was encoded: when append outgrows the
+			// arena it copies, and the bytes behind earlier keys stay put.
+			off := len(arena)
+			arena = sql.EncodeKey(arena, v)
+			batch = append(batch, btree.Op{Key: arena[off:], ID: uint64(r.id), Del: r.del})
 		}
 		slices.SortFunc(batch, func(a, b btree.Op) int { return bytes.Compare(a.Key, b.Key) })
 		idx.tree.ApplyBatch(batch)
-		p.batch = batch
-		p.ops[i] = ops[:0]
+		p.arena, p.batch = arena, batch
 	}
-	p.arena = p.arena[:0]
-	p.n = 0
+	clear(p.rows) // the scratch must not keep reclaimed rows alive
+	p.rows = p.rows[:0]
+}
+
+// chainCarries reports whether any version in chain has v in column pos.
+func chainCarries(chain []mvcc.Version, pos int, v sql.Value) bool {
+	for _, sv := range chain {
+		if sql.Equal(sv.Data.([]sql.Value)[pos], v) {
+			return true
+		}
+	}
+	return false
 }
 
 func newTable(ct *sql.CreateTable) (*Table, error) {
@@ -166,13 +166,10 @@ func newTable(ct *sql.CreateTable) (*Table, error) {
 	return t, nil
 }
 
-// attachIndex wires an index into the lookup map, the slot-ordered list,
-// and the pending queue.
+// attachIndex wires an index into the lookup map and the ordered list.
 func (t *Table) attachIndex(idx *Index) {
-	idx.slot = len(t.idxList)
 	t.indexes[idx.column] = idx
 	t.idxList = append(t.idxList, idx)
-	t.pend.ops = append(t.pend.ops, nil)
 }
 
 func (t *Table) addIndex(ci *sql.CreateIndex) error {

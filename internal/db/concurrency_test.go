@@ -470,3 +470,111 @@ func TestSequencerGroupsUnderBurst(t *testing.T) {
 		prev, prevWall = m.TS, m.WallTime
 	}
 }
+
+// TestPublishNeverWaitsForATableLock holds the sequencer's head open with a
+// hand-stamped slot, parks a real commit on table shard0 behind it, and
+// then holds shard0's lock shared, as a long scan would, while the slot
+// finishes and a commit on shard1 follows. Publish takes no table lock —
+// shard0's index entries went in at apply — so both commits become visible
+// with the reader still in place.
+func TestPublishNeverWaitsForATableLock(t *testing.T) {
+	e := newShardedEngine(t, 2, nil)
+	head := e.seq.allocate()
+
+	commit := func(table string, done chan<- error) {
+		tx, err := e.BeginTx(context.Background(), false, 0)
+		if err == nil {
+			if _, err = tx.Exec("INSERT INTO " + table + " (id, v) VALUES (1, 1)"); err == nil {
+				_, err = tx.Commit()
+			}
+		}
+		done <- err
+	}
+	doneT, doneU := make(chan error, 1), make(chan error, 1)
+	go commit("shard0", doneT)
+	for e.seq.last.Load() != uint64(head)+1 {
+		time.Sleep(time.Millisecond) // not stamped yet
+	}
+	// Stamping happens under the table lock, so once this is granted the
+	// commit has applied, unlocked, and is parked behind the head slot.
+	e.tables["shard0"].mu.RLock()
+	defer e.tables["shard0"].mu.RUnlock()
+
+	go e.finishCommit(head, nil, nil)
+	go commit("shard1", doneU)
+	for name, done := range map[string]chan error{"shard0": doneT, "shard1": doneU} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("commit on %s: %v", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("commit on %s is not visible after 1s with a reader holding shard0: "+
+				"publish waited for a table lock (watermark %d, head slot %d)", name, e.LastCommit(), head)
+		}
+	}
+	if got, want := e.LastCommit(), head+2; got != want {
+		t.Fatalf("watermark = %d, want %d", got, want)
+	}
+}
+
+// TestUniqueUnderConcurrentCommits races 16 committers on one unique key,
+// round after round, on an engine with a synced WAL: a committer that
+// applied sits unpublished for the length of a sync while the others
+// validate, and what they validate against is the tree alone. Exactly one
+// commit per key succeeds and the index ends with one posting for it.
+func TestUniqueUnderConcurrentCommits(t *testing.T) {
+	const (
+		committers = 16
+		rounds     = 12
+	)
+	e, _, err := Open(Options{VacuumEvery: -1, Durability: &DurabilityOptions{Dir: t.TempDir(), CheckpointBytes: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustDDL(t, e, `CREATE TABLE u (id BIGINT PRIMARY KEY, who BIGINT)`)
+
+	for key := int64(0); key < rounds; key++ {
+		var wg sync.WaitGroup
+		var won atomic.Int64
+		start := make(chan struct{})
+		for g := 0; g < committers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				tx, err := e.BeginTx(context.Background(), false, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := tx.Exec("INSERT INTO u (id, who) VALUES (?, ?)", key, int64(g)); err != nil {
+					t.Error(err)
+					return
+				}
+				<-start
+				switch _, err := tx.Commit(); {
+				case err == nil:
+					won.Add(1)
+				case !errors.Is(err, ErrUnique):
+					t.Errorf("key %d: want nil or ErrUnique, got %v", key, err)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if n := won.Load(); n != 1 {
+			t.Fatalf("key %d: %d commits succeeded, want exactly 1", key, n)
+		}
+		if rows := queryInts(t, e, "SELECT who FROM u WHERE id = ?", key); len(rows) != 1 {
+			t.Fatalf("key %d: rows %v, want one", key, rows)
+		}
+		tb := e.tables["u"]
+		tb.mu.RLock()
+		posts := len(tb.indexes["id"].tree.Get(sql.EncodeKey(nil, key)))
+		tb.mu.RUnlock()
+		if posts != 1 {
+			t.Fatalf("key %d: index holds %d postings, want 1", key, posts)
+		}
+	}
+}

@@ -316,6 +316,72 @@ func TestUniqueViolation(t *testing.T) {
 	if _, err := tx.Commit(); !errors.Is(err, ErrUnique) {
 		t.Fatalf("want ErrUnique on update, got %v", err)
 	}
+
+	// A transaction's staged rows are checked against each other, not only
+	// against committed rows.
+	commit := func(stmts ...string) error {
+		t.Helper()
+		tx, _ := e.BeginTx(context.Background(), false, 0)
+		for _, s := range stmts {
+			if _, err := tx.Exec(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := tx.Commit()
+		return err
+	}
+	if err := commit(
+		"INSERT INTO users (id, name, rating, region) VALUES (7, 'a', 1, 1)",
+		"INSERT INTO users (id, name, rating, region) VALUES (7, 'b', 1, 1)",
+	); !errors.Is(err, ErrUnique) {
+		t.Fatalf("two inserts of one key in one transaction: want ErrUnique, got %v", err)
+	}
+	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (5, 'eve', 1, 1)")
+	mustExec(t, e, "INSERT INTO users (id, name, rating, region) VALUES (6, 'fay', 1, 1)")
+	if err := commit(
+		"UPDATE users SET id = 9 WHERE id = 5",
+		"UPDATE users SET id = 9 WHERE id = 6",
+	); !errors.Is(err, ErrUnique) {
+		t.Fatalf("two updates onto one key in one transaction: want ErrUnique, got %v", err)
+	}
+	if err := commit(
+		"UPDATE users SET id = 9 WHERE id = 5",
+		"INSERT INTO users (id, name, rating, region) VALUES (9, 'gus', 1, 1)",
+	); !errors.Is(err, ErrUnique) {
+		t.Fatalf("an update and an insert onto one key: want ErrUnique, got %v", err)
+	}
+	for _, id := range []int64{7, 9} {
+		if r := queryAt(t, e, 0, "SELECT name FROM users WHERE id = ?", id); len(r.Rows) != 0 {
+			t.Fatalf("id %d: a refused commit left rows %v", id, r.Rows)
+		}
+	}
+	// A key freed earlier in the same transaction is free: by a delete of
+	// the committed holder, by re-keying it, or by deleting a staged insert.
+	if err := commit(
+		"DELETE FROM users WHERE id = 5",
+		"INSERT INTO users (id, name, rating, region) VALUES (5, 'eve2', 1, 1)",
+	); err != nil {
+		t.Fatalf("delete then insert of the same key: %v", err)
+	}
+	if err := commit(
+		"UPDATE users SET id = 8 WHERE id = 6",
+		"INSERT INTO users (id, name, rating, region) VALUES (6, 'fay2', 1, 1)",
+	); err != nil {
+		t.Fatalf("re-key then insert of the old key: %v", err)
+	}
+	if err := commit(
+		"INSERT INTO users (id, name, rating, region) VALUES (10, 'x', 1, 1)",
+		"DELETE FROM users WHERE id = 10",
+		"INSERT INTO users (id, name, rating, region) VALUES (10, 'y', 1, 1)",
+	); err != nil {
+		t.Fatalf("insert, delete, insert of one key: %v", err)
+	}
+	for id, want := range map[int64]string{5: "eve2", 6: "fay2", 8: "fay", 10: "y"} {
+		r := queryAt(t, e, 0, "SELECT name FROM users WHERE id = ?", id)
+		if len(r.Rows) != 1 || r.Rows[0][0] != want {
+			t.Fatalf("id %d: rows %v, want one row %q", id, r.Rows, want)
+		}
+	}
 }
 
 func TestInvalidationMessages(t *testing.T) {

@@ -999,9 +999,11 @@ func (e *Engine) replayDDL(src string) error {
 }
 
 // applyTableOps re-applies one table section of a logged commit at its
-// original timestamp. Boot-time only; the store is mutated directly (its
-// own mutex covers the replay workers) and index trees are rebuilt
-// afterwards in one bulk pass.
+// original timestamp. Boot-time only, and it takes no lock: the store is
+// mutated directly, and what keeps that race-free under parallel replay is
+// the walReplayer's table→worker affinity alone — one worker owns a table's
+// store for the whole replay, and DDL waits out a barrier. Index trees are
+// rebuilt afterwards in one bulk pass.
 func applyTableOps(t *Table, ops []byte, nOps int, ts interval.Timestamp) error {
 	d := wire.NewDecoder(ops)
 	for i := 0; i < nOps; i++ {

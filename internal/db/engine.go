@@ -1,16 +1,13 @@
 package db
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"txcache/internal/btree"
 	"txcache/internal/clock"
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
@@ -136,9 +133,6 @@ type Engine struct {
 	vacMu    sync.Mutex
 	vacBuf   []mvcc.Reclaimed
 	vacTabs  []*Table
-	vacKeys  []byte
-	vacOps   []vacOp
-	vacBatch []btree.Op
 
 	// Statistics.
 	statQueries  atomic.Uint64
@@ -335,14 +329,6 @@ func (e *Engine) maybeAutoVacuum() {
 	go e.Vacuum()
 }
 
-// vacOp is one pending index deletion of a vacuum pass: the reclaimed
-// version's encoded key (in the pass's key arena) for one index slot.
-type vacOp struct {
-	slot     int32
-	off, end uint32
-	id       uint64
-}
-
 // Vacuum reclaims row versions invisible to every pinned snapshot,
 // returning the number of versions removed. It mirrors Postgres's
 // asynchronous vacuum cleaner (paper §5.1), but scheduling is driven by
@@ -351,11 +337,12 @@ type vacOp struct {
 // death-ordered dead queue (no full Scan), so the cost is proportional to
 // the versions reclaimed, with a shared reusable buffer instead of a
 // per-call result map. Index postings whose keys no longer appear among a
-// row's surviving versions are dropped as one sorted delete batch per
-// index. Tables are vacuumed one at a time under their own locks, so a
-// pass never freezes the engine: readers and commits on other tables
-// proceed throughout. The horizon is computed once up front; commits that
-// stamp later only create versions above it, so it stays conservative.
+// row's surviving versions are dropped in the same critical section, as one
+// sorted delete batch per index (the batch path commits use:
+// flushIndexOpsLocked). Tables are vacuumed one at a time under their own
+// locks, so a pass never freezes the engine: readers and commits on other
+// tables proceed throughout. The horizon is computed once up front; commits
+// that stamp later only create versions above it, so it stays conservative.
 func (e *Engine) Vacuum() int {
 	e.vacMu.Lock()
 	defer e.vacMu.Unlock()
@@ -369,17 +356,21 @@ func (e *Engine) Vacuum() int {
 	e.catMu.RUnlock()
 	total := 0
 	for _, t := range tabs {
-		// Cheap shared-lock peek: skip tables with nothing reclaimable so
-		// an idle pass takes no exclusive locks at all.
-		if !t.store.ReclaimableBelow(horizon) {
+		// Shared-lock peek: skip tables with nothing reclaimable, so an
+		// idle pass takes no exclusive lock and stalls no reader.
+		t.mu.RLock()
+		reclaimable := t.store.ReclaimableBelow(horizon)
+		t.mu.RUnlock()
+		if !reclaimable {
 			continue
 		}
 		t.mu.Lock()
 		buf := t.store.Vacuum(horizon, e.vacBuf[:0])
-		if len(buf) > 0 {
-			e.dropIndexBatch(t, buf)
-			total += len(buf)
+		for _, r := range buf {
+			t.queueIndexOps(r.ID, r.Ver.Data.([]sql.Value), true)
 		}
+		t.flushIndexOpsLocked()
+		total += len(buf)
 		clear(buf) // release row payload references until the next pass
 		e.vacBuf = buf[:0]
 		t.mu.Unlock()
@@ -389,66 +380,6 @@ func (e *Engine) Vacuum() int {
 	}
 	e.vacHGate.Store(uint64(horizon))
 	return total
-}
-
-// dropIndexBatch removes the index postings of reclaimed versions, unless
-// another surviving version of the same row still carries the same key.
-// Deletions are coalesced into one sorted ApplyBatch per index. Called
-// with t.mu held exclusively and vacMu held (the scratch owner).
-func (e *Engine) dropIndexBatch(t *Table, rec []mvcc.Reclaimed) {
-	if len(t.idxList) == 0 {
-		return
-	}
-	keys := e.vacKeys[:0]
-	ops := e.vacOps[:0]
-	for _, r := range rec {
-		row := r.Ver.Data.([]sql.Value)
-		for _, idx := range t.idxList {
-			v := row[idx.colPos]
-			keep := false
-			t.store.Versions(r.ID, func(sv mvcc.Version) bool {
-				if sql.Equal(sv.Data.([]sql.Value)[idx.colPos], v) {
-					keep = true
-					return false
-				}
-				return true
-			})
-			if keep {
-				continue
-			}
-			off := uint32(len(keys))
-			keys = sql.EncodeKey(keys, v)
-			ops = append(ops, vacOp{slot: int32(idx.slot), off: off, end: uint32(len(keys)), id: uint64(r.ID)})
-		}
-	}
-	e.vacKeys = keys
-	e.vacOps = ops
-	if len(ops) == 0 {
-		return
-	}
-	slices.SortFunc(ops, func(a, b vacOp) int {
-		if a.slot != b.slot {
-			return int(a.slot) - int(b.slot)
-		}
-		return bytes.Compare(keys[a.off:a.end], keys[b.off:b.end])
-	})
-	batch := e.vacBatch[:0]
-	slot := ops[0].slot
-	flush := func() {
-		if len(batch) > 0 {
-			t.idxList[slot].tree.ApplyBatch(batch)
-			batch = batch[:0]
-		}
-	}
-	for _, o := range ops {
-		if o.slot != slot {
-			flush()
-			slot = o.slot
-		}
-		batch = append(batch, btree.Op{Key: keys[o.off:o.end], ID: o.id, Del: true})
-	}
-	flush()
-	e.vacBatch = batch[:0]
 }
 
 // BeginTx starts a transaction bound to ctx. Read-only transactions run at
@@ -530,8 +461,8 @@ func (e *Engine) Stats() Stats {
 	}
 	e.catMu.RLock()
 	for _, t := range e.tables {
-		s.TotalVersions += t.store.VersionCount()
 		t.mu.RLock()
+		s.TotalVersions += t.store.VersionCount()
 		for _, idx := range t.idxList {
 			is := idx.tree.Stats()
 			s.IndexEntries += is.Entries

@@ -282,7 +282,7 @@ func (x *execCtx) scanTableInto(dst []scanRow, t *Table, conds []localCond) []sc
 			ids := eqIdx.tree.Get(x.sc.keyBuf)
 			for _, id := range ids {
 				if x.sc.seen.insert(id) {
-					x.withChain(t, id)
+					x.emit(id, t.store.Chain(mvcc.RowID(id)))
 				}
 			}
 		}
@@ -301,7 +301,7 @@ func (x *execCtx) scanTableInto(dst []scanRow, t *Table, conds []localCond) []sc
 		x.sc.seen.reset()
 		for _, id := range ids {
 			if x.sc.seen.insert(id) {
-				x.withChain(t, id)
+				x.emit(id, t.store.Chain(mvcc.RowID(id)))
 			}
 		}
 	default:
@@ -326,7 +326,10 @@ func (x *execCtx) scanTableInto(dst []scanRow, t *Table, conds []localCond) []sc
 }
 
 // emit filters one row's version chain into the scan output (see
-// scanTableInto). It is a method rather than a closure so per-scan setup
+// scanTableInto). The chain is the store's own memory (mvcc.Store.Chain,
+// Scan), good while the statement holds the table's lock; a posting always
+// has one, since a row's versions and its index entries come and go in one
+// critical section. It is a method rather than a closure so per-scan setup
 // stays off the heap.
 func (x *execCtx) emit(id uint64, chain []mvcc.Version) {
 	t, conds := x.emitTable, x.emitConds
@@ -362,20 +365,6 @@ func (x *execCtx) emit(id uint64, chain []mvcc.Version) {
 		} else {
 			x.observeInvisible(v.Interval())
 		}
-	}
-}
-
-// withChain stages a row's version chain in scratch and emits it. Index
-// scans may reference rows concurrently vacuumed away; those are skipped.
-func (x *execCtx) withChain(t *Table, id uint64) {
-	chain := x.sc.chainBuf[:0]
-	t.store.Versions(mvcc.RowID(id), func(v mvcc.Version) bool {
-		chain = append(chain, v)
-		return true
-	})
-	x.sc.chainBuf = chain
-	if len(chain) > 0 {
-		x.emit(id, chain)
 	}
 }
 

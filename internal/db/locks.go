@@ -50,17 +50,6 @@ func (ls tableLockSet) get(name string) (*Table, error) {
 	return nil, fmt.Errorf("db: no table %q", name)
 }
 
-// mustGet returns a member table; the caller has already resolved name
-// through the same lock set, so absence is impossible.
-func (ls tableLockSet) mustGet(name string) *Table {
-	for _, t := range ls.tables {
-		if t.name == name {
-			return t
-		}
-	}
-	panic("db: table " + name + " not in lock set")
-}
-
 // rlock takes every table's lock shared, for statement execution.
 func (ls tableLockSet) rlock() {
 	for _, t := range ls.tables {

@@ -2,21 +2,19 @@ package db
 
 // Per-transaction execution scratch (the "starve the GC" machinery of the
 // read path). Every buffer the executor needs repeatedly — scan outputs,
-// version chains, duplicate-row filters, index-probe keys, tag sets, the
-// execCtx itself — lives in one pooled struct borrowed at Begin and
-// returned when the transaction finishes. A warmed-up point select touches
-// none of the allocator: statement state is reset in place, never
-// reallocated.
+// duplicate-row filters, index-probe keys, tag sets, the execCtx itself —
+// lives in one pooled struct borrowed at Begin and returned when the
+// transaction finishes. A warmed-up point select touches none of the
+// allocator: statement state is reset in place, never reallocated.
 
 import (
 	"sync"
 
-	"txcache/internal/mvcc"
 	"txcache/internal/sql"
 )
 
 // txScratch is the reusable state. Fields referencing row data (rowBuf,
-// chainBuf, rows, arena) may briefly retain version payloads between
+// staged, rows, arena) may briefly retain version payloads between
 // transactions; versions are immutable, so this is a memory footnote, not
 // a correctness hazard.
 type txScratch struct {
@@ -26,12 +24,12 @@ type txScratch struct {
 	names []string // statement table names
 	tbls  []*Table // lock-set resolution
 
-	rowBuf   []scanRow      // base-scan output
-	joinBuf  []scanRow      // join-probe output, reused per outer row
-	chainBuf []mvcc.Version // version-chain staging for index probes
-	probeBuf []localCond    // join-probe condition vector
-	idBuf    []uint64       // range-scan posting staging
-	keyBuf   []byte         // index-probe key encoding
+	rowBuf   []scanRow   // base-scan output
+	joinBuf  []scanRow   // join-probe output, reused per outer row
+	probeBuf []localCond // join-probe condition vector
+	idBuf    []uint64    // range-scan posting staging
+	keyBuf   []byte      // index-probe key encoding
+	staged   []stagedKey // commit-time unique check (see checkUnique)
 
 	walBuf []byte // commit WAL-payload encoding (durable engines)
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
@@ -258,13 +259,12 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 	// version, the version visible to our snapshot (first-committer-wins).
 	// The exclusive table locks exclude every other commit that could
 	// touch these tables, so the check cannot race with a concurrent apply.
-	for tname, rows := range tx.sc.writes {
-		t := ls.mustGet(tname)
-		for id := range rows {
+	for _, t := range ls.tables {
+		for id := range tx.sc.writes[t.name] {
 			latest, ok := t.store.Latest(mvcc.RowID(id))
 			if !ok {
 				ls.unlock()
-				return 0, fmt.Errorf("db: written row %d of %q vanished", id, tname)
+				return 0, fmt.Errorf("db: written row %d of %q vanished", id, t.name)
 			}
 			if latest.Created > tx.snap || latest.Deleted != interval.Infinity {
 				ls.unlock()
@@ -285,36 +285,28 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 	tags := &tx.sc.commitTags
 	tags.reset(e.wcLim)
 
-	// With no published backlog ahead of this commit, it will almost
-	// certainly head the next publish group itself — flush its index ops
-	// inline under the table locks it already holds instead of paying a
-	// second exclusive acquisition at publish. With a backlog, leave the
-	// ops queued so the head committer installs the whole group's batches
-	// at once. (Purely a heuristic: both paths are correct either way.)
-	inline := interval.Timestamp(e.lastCommit.Load()) == ts-1
-
-	// Apply updates and deletes. New versions go to the store now; index
-	// mutations are queued on each table's pending batch (the sequencer's
-	// index-maintenance stage installs them before ts becomes visible).
-	// On a durable engine the same loop encodes the commit's WAL payload
-	// (one section per table) into the pooled scratch buffer; the head
-	// committer copies it into the group record before this transaction is
-	// released, so the buffer's reuse is safe.
+	// Apply, one table at a time: updates and deletes, then inserts. New
+	// versions go to the store one by one; their index entries are queued
+	// on the table's batch and installed, as one sorted run per index,
+	// before the loop leaves the table. On a durable engine the same loop
+	// encodes the commit's WAL payload (one section per table) into the
+	// pooled scratch buffer; the head committer copies it into the group
+	// record before this transaction is released, so the buffer's reuse is
+	// safe.
 	durable := e.dur != nil
 	walRec := tx.sc.walBuf[:0]
-	for tname, rows := range tx.sc.writes {
-		t := ls.mustGet(tname)
+	for _, t := range ls.tables {
 		var fix, nOps int
 		if durable {
-			walRec, fix = walSectionStart(walRec, tname)
+			walRec, fix = walSectionStart(walRec, t.name)
 		}
-		for id, w := range rows {
+		for id, w := range tx.sc.writes[t.name] {
 			old, _ := t.store.VisibleAt(mvcc.RowID(id), tx.snap)
 			oldRow := old.Data.([]sql.Value)
 			switch w.op {
 			case opUpdate:
 				t.store.Update(mvcc.RowID(id), w.data, ts)
-				t.queueIndexOps(mvcc.RowID(id), w.data)
+				t.queueIndexOps(mvcc.RowID(id), w.data, false)
 				tags.addRow(t, oldRow)
 				tags.addRow(t, w.data)
 				if durable {
@@ -331,23 +323,12 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 				}
 			}
 		}
-		if durable {
-			walRec = walSectionEnd(walRec, fix, nOps)
-		}
-	}
-	// Apply inserts.
-	for tname, rows := range tx.sc.inserted {
-		t := ls.mustGet(tname)
-		var fix, nOps int
-		if durable {
-			walRec, fix = walSectionStart(walRec, tname)
-		}
-		for _, ins := range rows {
+		for _, ins := range tx.sc.inserted[t.name] {
 			if ins.deleted {
 				continue
 			}
 			id := t.store.Insert(ins.data, ts)
-			t.queueIndexOps(id, ins.data)
+			t.queueIndexOps(id, ins.data, false)
 			t.rowCount++
 			tags.addRow(t, ins.data)
 			if durable {
@@ -358,16 +339,13 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 		if durable {
 			walRec = walSectionEnd(walRec, fix, nOps)
 		}
+		t.flushIndexOpsLocked()
 	}
 	tx.sc.walBuf = walRec
-	if inline {
-		for _, t := range ls.tables {
-			t.flushIndexOpsLocked()
-		}
-	}
-	// The new versions carry a timestamp above every reachable snapshot,
-	// so they stay invisible until the sequencer publishes ts; the table
-	// locks can drop before the (serialized) publish step.
+	// Everything this commit writes to a table is now written. The new
+	// versions carry a timestamp above every reachable snapshot, so they
+	// stay invisible until the sequencer publishes ts; the table locks can
+	// drop before the (serialized) publish step, which takes none.
 	ls.unlock()
 
 	e.statCommits.Add(1)
@@ -375,66 +353,82 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 	if e.bus != nil {
 		tagList = tags.tags()
 	}
-	e.finishCommit(ts, tagList, ls.tables, walRec)
+	e.finishCommit(ts, tagList, walRec)
 	return ts, nil
 }
 
-// checkUnique enforces unique indexes against committed data and the write
-// set itself. Called with the write set's table locks held exclusively.
-func (tx *Tx) checkUnique(ls tableLockSet) error {
-	for tname, rows := range tx.sc.inserted {
-		t := ls.mustGet(tname)
-		for _, ins := range rows {
-			if ins.deleted {
-				continue
-			}
-			if err := tx.checkUniqueRow(t, ins.data, 0); err != nil {
-				return err
-			}
-		}
-	}
-	for tname, rows := range tx.sc.writes {
-		t := ls.mustGet(tname)
-		for id, w := range rows {
-			if w.op != opUpdate {
-				continue
-			}
-			if err := tx.checkUniqueRow(t, w.data, id); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// stagedKey is one staged row's value on the unique index being checked.
+type stagedKey struct {
+	key []byte // encoded, in keyBuf (which only appends, so it stays put)
+	v   sql.Value
 }
 
-func (tx *Tx) checkUniqueRow(t *Table, row []sql.Value, selfID uint64) error {
-	for _, idx := range t.idxList {
-		if !idx.unique {
-			continue
-		}
-		v := row[idx.colPos]
-		if v == nil {
-			continue // NULLs never collide
-		}
-		tx.sc.keyBuf = sql.EncodeKey(tx.sc.keyBuf[:0], v)
-		key := tx.sc.keyBuf
-		for _, cand := range idx.tree.Get(key) {
-			if err := tx.checkUniqueCand(t, idx, v, cand, selfID); err != nil {
-				return err
+// checkUnique enforces unique indexes: a staged row (an insert, or an
+// update's replacement) may collide neither with a committed live row nor
+// with another staged row. What counts is the write set as it stands at
+// commit, so a key the transaction freed earlier, by a delete or a re-key,
+// is free. Called with the write set's table locks held exclusively.
+func (tx *Tx) checkUnique(ls tableLockSet) error {
+	sc := tx.sc
+	for _, t := range ls.tables {
+		for _, idx := range t.idxList {
+			if !idx.unique {
+				continue
 			}
-		}
-		// An applied-but-unpublished commit's index entries may still sit
-		// in the pending queue rather than the tree; its versions are
-		// already in the store, so the same candidate check applies.
-		for _, o := range t.pend.ops[idx.slot] {
-			if bytes.Equal(t.pend.arena[o.off:o.end], key) {
-				if err := tx.checkUniqueCand(t, idx, v, o.id, selfID); err != nil {
+			sc.keyBuf, sc.staged = sc.keyBuf[:0], sc.staged[:0]
+			for _, ins := range sc.inserted[t.name] {
+				if ins.deleted {
+					continue
+				}
+				if err := tx.checkUniqueRow(t, idx, ins.data, 0); err != nil {
 					return err
+				}
+			}
+			for id, w := range sc.writes[t.name] {
+				if w.op != opUpdate {
+					continue
+				}
+				if err := tx.checkUniqueRow(t, idx, w.data, id); err != nil {
+					return err
+				}
+			}
+			// Staged rows collide iff their keys are equal; sorted, equal
+			// keys are neighbours.
+			slices.SortFunc(sc.staged, func(a, b stagedKey) int { return bytes.Compare(a.key, b.key) })
+			for i := 1; i < len(sc.staged); i++ {
+				if bytes.Equal(sc.staged[i-1].key, sc.staged[i].key) {
+					return uniqueErr(t, idx, sc.staged[i].v)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// checkUniqueRow stages row's key on idx and checks it against the rows the
+// tree holds under that key. Every applied commit's entries are there,
+// published or not: a commit installs them before it releases the table
+// lock this one now holds.
+func (tx *Tx) checkUniqueRow(t *Table, idx *Index, row []sql.Value, selfID uint64) error {
+	v := row[idx.colPos]
+	if v == nil {
+		return nil // NULLs never collide
+	}
+	sc := tx.sc
+	off := len(sc.keyBuf)
+	sc.keyBuf = sql.EncodeKey(sc.keyBuf, v)
+	key := sc.keyBuf[off:]
+	sc.staged = append(sc.staged, stagedKey{key, v})
+	for _, cand := range idx.tree.Get(key) {
+		if err := tx.checkUniqueCand(t, idx, v, cand, selfID); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func uniqueErr(t *Table, idx *Index, v sql.Value) error {
+	return fmt.Errorf("%w: %s.%s = %s", ErrUnique, t.name, idx.column, sql.FormatValue(v))
 }
 
 // checkUniqueCand tests one candidate row id for a live collision on
@@ -455,7 +449,7 @@ func (tx *Tx) checkUniqueCand(t *Table, idx *Index, v sql.Value, cand, selfID ui
 		}
 	}
 	if sql.Equal(latest.Data.([]sql.Value)[idx.colPos], v) {
-		return fmt.Errorf("%w: %s.%s = %s", ErrUnique, t.name, idx.column, sql.FormatValue(v))
+		return uniqueErr(t, idx, v)
 	}
 	return nil
 }

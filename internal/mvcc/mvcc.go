@@ -17,11 +17,17 @@
 // scans the live store: it pops whole slabs (and the boundary slab's
 // prefix) at or below the horizon and unlinks exactly those versions from
 // their chains, so a pass costs O(reclaimed), not O(rows).
+//
+// A Store has no lock of its own; the caller's lock is the contract. Every
+// mutation (Insert, Update, Delete, Vacuum, the restore calls) excludes
+// every other call, and reads may run alongside each other. The database
+// engine holds the owning table's lock for this — commits and vacuum
+// exclusive, scans shared — so a table's versions and its index entries
+// change in one critical section, under one lock.
 package mvcc
 
 import (
 	"fmt"
-	"sync"
 
 	"txcache/internal/interval"
 )
@@ -157,14 +163,9 @@ func (q *deadQueue) reclaimableBelow(horizon interval.Timestamp) bool {
 	return q.head < len(s.entries) && s.entries[q.head].Ver.Deleted <= horizon
 }
 
-// Store holds the version chains of one table. The caller (the database
-// engine) is responsible for serializing mutations; concurrent readers are
-// safe alongside each other but not alongside writers. The engine enforces
-// this with the owning table's lock: commits and vacuum hold it exclusive,
-// scans hold it shared. The Store's own mutex only keeps the package
-// safe when used standalone.
+// Store holds the version chains of one table. It is not safe for
+// concurrent use without the caller's lock (see the package doc).
 type Store struct {
-	mu     sync.RWMutex
 	nextID RowID
 	rows   map[RowID][]Version // chains ordered by Created ascending
 	nVers  int                 // versions across all chains
@@ -179,8 +180,6 @@ func NewStore() *Store {
 // Insert creates a new row whose first version is valid from ts, returning
 // its RowID.
 func (s *Store) Insert(data any, ts interval.Timestamp) RowID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	id := s.nextID
 	s.nextID++
 	s.rows[id] = []Version{{Created: ts, Deleted: interval.Infinity, Data: data}}
@@ -192,8 +191,6 @@ func (s *Store) Insert(data any, ts interval.Timestamp) RowID {
 // the row does not exist or its latest version is already deleted: the
 // engine validates writes before applying them.
 func (s *Store) Update(id RowID, data any, ts interval.Timestamp) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	chain := s.rows[id]
 	if len(chain) == 0 {
 		panic(fmt.Sprintf("mvcc: update of missing row %d", id))
@@ -210,8 +207,6 @@ func (s *Store) Update(id RowID, data any, ts interval.Timestamp) {
 
 // Delete terminates the current version of id at ts.
 func (s *Store) Delete(id RowID, ts interval.Timestamp) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	chain := s.rows[id]
 	if len(chain) == 0 {
 		panic(fmt.Sprintf("mvcc: delete of missing row %d", id))
@@ -231,8 +226,6 @@ func (s *Store) Delete(id RowID, ts interval.Timestamp) {
 // comes from the log, and nextID is raised past it so post-recovery inserts
 // never collide. Returns false if the id is already present (corrupt log).
 func (s *Store) RestoreInsert(id RowID, data any, ts interval.Timestamp) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.rows[id]; dup {
 		return false
 	}
@@ -249,8 +242,6 @@ func (s *Store) RestoreInsert(id RowID, data any, ts interval.Timestamp) bool {
 // that were inserted and fully vacuumed before the checkpoint are still
 // never reused.
 func (s *Store) EnsureNextID(next RowID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if next > s.nextID {
 		s.nextID = next
 	}
@@ -258,16 +249,12 @@ func (s *Store) EnsureNextID(next RowID) {
 
 // NextID returns the current id allocator value (checkpoint serialization).
 func (s *Store) NextID() RowID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.nextID
 }
 
 // Latest returns the newest version of id and whether the row exists (it may
 // still be a deleted version).
 func (s *Store) Latest(id RowID) (Version, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	chain := s.rows[id]
 	if len(chain) == 0 {
 		return Version{}, false
@@ -277,8 +264,6 @@ func (s *Store) Latest(id RowID) (Version, bool) {
 
 // VisibleAt returns the version of id visible to snapshot ts.
 func (s *Store) VisibleAt(id RowID, ts interval.Timestamp) (Version, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	chain := s.rows[id]
 	// Chains are short (bounded by vacuum); linear scan from the newest end.
 	for i := len(chain) - 1; i >= 0; i-- {
@@ -289,24 +274,17 @@ func (s *Store) VisibleAt(id RowID, ts interval.Timestamp) (Version, bool) {
 	return Version{}, false
 }
 
-// Versions calls fn with every version of id, oldest first. fn must not
-// retain the slice.
-func (s *Store) Versions(id RowID, fn func(Version) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, v := range s.rows[id] {
-		if !fn(v) {
-			return
-		}
-	}
+// Chain returns every version of id, oldest first: a view of the store's
+// own memory, valid until the next mutation of the store and not to be
+// modified. A row that never existed or was vacuumed away has none.
+func (s *Store) Chain(id RowID) []Version {
+	return s.rows[id]
 }
 
 // Scan calls fn with every row's chain. Iteration order is unspecified.
 // fn must not retain the chain slice. Scan is for bulk operations (index
 // backfill, debugging); the steady-state reclamation path never uses it.
 func (s *Store) Scan(fn func(id RowID, chain []Version) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for id, chain := range s.rows {
 		if !fn(id, chain) {
 			return
@@ -323,8 +301,6 @@ func (s *Store) Scan(fn func(id RowID, chain []Version) bool) {
 // snapshot by construction, and a row vacuumed away simply resolves to no
 // visible version.
 func (s *Store) AppendIDs(buf []RowID) []RowID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for id := range s.rows {
 		buf = append(buf, id)
 	}
@@ -334,8 +310,6 @@ func (s *Store) AppendIDs(buf []RowID) []RowID {
 // Len returns the number of logical rows (including fully-deleted rows not
 // yet vacuumed).
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return len(s.rows)
 }
 
@@ -343,23 +317,17 @@ func (s *Store) Len() int {
 // accounting and tests. The count is kept as chains change, so a stats
 // scrape costs the same on any table size.
 func (s *Store) VersionCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.nVers
 }
 
 // DeadCount returns the number of dead versions awaiting reclamation.
 func (s *Store) DeadCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.dead.pending()
 }
 
 // ReclaimableBelow reports whether a Vacuum at horizon would reclaim
-// anything, without taking the write lock or touching chains.
+// anything. It is a read: a peek at the front of the dead queue.
 func (s *Store) ReclaimableBelow(horizon interval.Timestamp) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.dead.reclaimableBelow(horizon)
 }
 
@@ -372,8 +340,6 @@ func (s *Store) ReclaimableBelow(horizon interval.Timestamp) bool {
 // reclaimed: the dead queue is popped by death timestamp, and only the
 // chains of reclaimed rows are touched.
 func (s *Store) Vacuum(horizon interval.Timestamp, buf []Reclaimed) []Reclaimed {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n0 := len(buf)
 	buf = s.dead.popInto(horizon, buf)
 	for i := n0; i < len(buf); i++ {

@@ -44,7 +44,9 @@ func TestUpdateChain(t *testing.T) {
 	}
 	// Version intervals partition [10, inf).
 	var ivs []interval.Interval
-	s.Versions(id, func(v Version) bool { ivs = append(ivs, v.Interval()); return true })
+	for _, v := range s.Chain(id) {
+		ivs = append(ivs, v.Interval())
+	}
 	if len(ivs) != 3 || ivs[0] != (interval.Interval{Lo: 10, Hi: 20}) ||
 		ivs[1] != (interval.Interval{Lo: 20, Hi: 30}) || ivs[2] != (interval.Interval{Lo: 30, Hi: interval.Infinity}) {
 		t.Fatalf("version intervals = %v", ivs)

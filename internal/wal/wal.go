@@ -149,7 +149,7 @@ type sealedSeg struct {
 
 // Writer appends records to the log. Appends must be externally
 // serialized per the engine's publish path (the commit sequencer's
-// flushing flag already guarantees one head committer at a time); the
+// syncing flag already guarantees one head committer at a time); the
 // Writer's own mutex additionally serializes appends against Rotate and
 // TruncateThrough so checkpoints can run concurrently with commits.
 type Writer struct {

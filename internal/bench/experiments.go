@@ -373,11 +373,11 @@ type ChurnResult struct {
 // Churn measures how live cluster membership changes affect TxCache: the
 // same workload runs against a stable three-node cache cluster and against
 // one where a node is drained and replaced with a cold node every period.
-// Consistency is never at risk — the ring remaps keys and the joining
-// node's conservative horizon makes it serve nothing it cannot prove fresh
-// — so churn shows up purely as extra compulsory misses while the new node
-// warms. This is the cache-tier elasticity claim of paper §4 exercised
-// mid-workload, not a paper figure.
+// Consistency is never at risk — the ring remaps keys and the joining node
+// serves nothing still-valid before its first stream message — so churn
+// shows up purely as extra compulsory misses while the new node warms. This
+// is the cache-tier elasticity claim of paper §4 exercised mid-workload, not
+// a paper figure.
 func Churn(o Opts, period time.Duration) ([]ChurnResult, error) {
 	o.fill()
 	if period <= 0 {

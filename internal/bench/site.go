@@ -191,13 +191,6 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 			}
 		}
 	}
-	// Seed each node's consistency horizon so still-valid entries are
-	// servable from the start (nodes subscribed before load, so they have
-	// replayed the stream; this is belt and braces for empty streams).
-	for _, n := range s.Nodes() {
-		n.SetHorizon(engine.LastCommit(), clk.Now())
-	}
-
 	s.App = rubis.NewApp(s.Client, ds)
 
 	// Background maintenance: the pincushion sweeper (§5.4). Engine vacuum
@@ -220,7 +213,7 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 
 // addCacheNode creates one cache server and joins it to the client's ring;
 // core.Client.AddNode subscribes it to the invalidation stream.
-func (s *Site) addCacheNode(name string) *cacheserver.Server {
+func (s *Site) addCacheNode(name string) {
 	per := s.Cfg.CacheBytes
 	if per > 0 {
 		per /= int64(s.Cfg.CacheNodes)
@@ -234,7 +227,6 @@ func (s *Site) addCacheNode(name string) *cacheserver.Server {
 	s.mu.Lock()
 	s.nodes = append(s.nodes, n)
 	s.mu.Unlock()
-	return n
 }
 
 // StartChurn exercises live membership: every period, the most recently
@@ -260,10 +252,7 @@ func (s *Site) StartChurn(period time.Duration) (stop func()) {
 			s.churn++
 			current = fmt.Sprintf("churn%d", s.churn)
 			s.mu.Unlock()
-			n := s.addCacheNode(current)
-			// A joining node cannot replay history it never saw; seed its
-			// consistency horizon like an operator bootstrapping a node.
-			n.SetHorizon(s.Engine.LastCommit(), time.Now())
+			s.addCacheNode(current)
 		}
 	}()
 	return func() { close(stopc); <-done }

@@ -85,8 +85,8 @@ const invalidateAllocCeiling = 3
 func TestAllocBudgetLookup(t *testing.T) {
 	s, _ := benchInvalServer(t, 64, 0)
 	// Advance the horizon so still-valid entries have non-empty effective
-	// intervals (a fresh node serves nothing still-valid, see SetHorizon).
-	s.SetHorizon(1<<20, time.Unix(0, 0))
+	// intervals (a fresh node serves nothing still-valid).
+	s.ApplyInvalidation(invalidation.Message{TS: 1 << 20, WallTime: time.Unix(0, 0)})
 	ctx := context.Background()
 	// Both flavors of hit: a still-valid version (tags returned, shared)
 	// and a bounded historical version.
@@ -184,7 +184,7 @@ const firstSightBytesCeiling = 16 << 10
 func TestAllocBudgetFirstSightTag(t *testing.T) {
 	const n = 256
 	s := New(Config{})
-	s.SetHorizon(1, time.Unix(0, 0))
+	s.WarmBoot(1, time.Unix(0, 0))
 	tags, keys := freshTags(n), freshKeys(n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

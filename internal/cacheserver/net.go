@@ -173,7 +173,7 @@ func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
 		// it sees the ack, which is what makes its at-least-once delivery
 		// gapless (duplicates are deduplicated here by timestamp). Sent
 		// one-way (tests, local streams) it is applied in order all the same.
-		s.ApplyInvalidation(m)
+		s.apply(m, true)
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("cacheserver: unknown opcode %d", op)

@@ -116,6 +116,15 @@ type Config struct {
 
 // Server is one cache node. All methods are safe for concurrent use.
 //
+// A node vouches only for the stretch of the invalidation stream it has
+// seen. Its horizon (lastInval) is the newest message applied, and a
+// still-valid entry is served through it and no further; its history floor
+// is where that stretch begins, and a still-valid insert generated below it
+// is kept only as far as its own transaction proved it. Both come from the
+// stream itself — the first message it delivers puts the floor just below
+// that message (apply), a warm boot moves both across a gap — so a node needs
+// no seeding to be safe.
+//
 // Synchronization layers, from hottest to coldest:
 //
 //   - shard mutexes (shard.go): all per-key state. Lookups, puts, and
@@ -125,7 +134,7 @@ type Config struct {
 //     still-valid Puts replaying their ordering window.
 //   - lastInval, used, per-shard stat counters: atomics. Lookups read the
 //     horizon with one load; Stats()/ResetStats() never touch a lock.
-//   - streamMu: serializes ApplyInvalidation/SetHorizon so stream
+//   - streamMu: serializes ApplyInvalidation/WarmBoot so stream
 //     messages apply in timestamp order across shard visits.
 //
 // Lock order: streamMu → hist.mu, and shard.mu → hist.mu (a Put replays
@@ -142,14 +151,15 @@ type Server struct {
 	used atomic.Int64
 
 	// lastInval is the node's consistency horizon: the timestamp of the
-	// newest stream message fully applied (or seeded via SetHorizon).
+	// newest stream message fully applied (or the timestamp a warm boot
+	// brought the node to).
 	// It is advanced only after every shard has been visited, so a lookup
 	// that reads it can never extend a still-valid entry past an
 	// invalidation its shard has not yet absorbed.
 	lastInval atomic.Uint64
 
 	// streamMu serializes ordered stream application (ApplyInvalidation,
-	// SetHorizon, WarmBoot) and guards the stream-side state below.
+	// WarmBoot) and guards the stream-side state below.
 	streamMu      sync.Mutex
 	lastInvalWall time.Time
 	msgCount      uint64
@@ -461,11 +471,27 @@ func (s *Server) eachShard(f func(sh *shard)) {
 // message within each shard, and the node's horizon only advances after
 // every shard has been visited, so no lookup can see the new horizon before
 // its shard reflects the message (paper §4.2).
-func (s *Server) ApplyInvalidation(m invalidation.Message) {
+//
+// It takes the caller's word that the node has missed no message below m,
+// which code that builds a node's history by hand can give (tests,
+// benchmark/probes.go). A stream cannot, and delivers through apply.
+func (s *Server) ApplyInvalidation(m invalidation.Message) { s.apply(m, false) }
+
+// apply is ApplyInvalidation for a message that may have arrived on the
+// node's stream (fromStream: ConsumeStream, the TCP push). A node joins its
+// stream wherever the first delivery finds it and holds nothing that says
+// what happened below that message, so the first one it is delivered brings
+// it there the way a warm boot would, and only then is applied. The join
+// needs no other step, and none from an operator.
+func (s *Server) apply(m invalidation.Message, fromStream bool) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
-	if m.TS <= interval.Timestamp(s.lastInval.Load()) {
+	old := interval.Timestamp(s.lastInval.Load())
+	if m.TS <= old {
 		return
+	}
+	if fromStream && old == 0 {
+		s.warmBootLocked(m.TS-1, m.WallTime)
 	}
 	s.invalidations.Add(1)
 
@@ -496,36 +522,6 @@ func (s *Server) SweepStale() {
 	s.eachShard(func(sh *shard) { sh.sweepStaleLocked(s, cutoff) })
 }
 
-// SetHorizon advances the node's consistency horizon (the timestamp of the
-// last known invalidation) without a stream message. It is used to
-// bootstrap a node that joins after history it will never replay: until the
-// horizon is seeded from the database's current commit timestamp, the node
-// refuses to serve still-valid entries (their effective validity intervals
-// are empty), which is safe but useless. Regressions are ignored.
-//
-// Seeding the horizon also raises the history floor first: the node has no
-// history below the seeded timestamp, so a still-valid insert generated at
-// an older snapshot cannot be checked against invalidations the node never
-// saw and must be conservatively closed at genSnap+1 (Put's floor path)
-// rather than served as valid through the horizon. A node that actually
-// replayed the stream has lastInval at the seed point already, making the
-// call a no-op that leaves its replayable history intact.
-func (s *Server) SetHorizon(ts interval.Timestamp, wall time.Time) {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	if ts <= interval.Timestamp(s.lastInval.Load()) {
-		return
-	}
-	// Floor before horizon: a Put that replays after this call must see
-	// the raised floor before any lookup can serve it through the raised
-	// horizon. (A Put fully concurrent with SetHorizon behaves like one
-	// that completed just before it — the same contract the single-lock
-	// node had.)
-	s.hist.raiseFloor(ts)
-	s.lastInval.Store(uint64(ts))
-	s.lastInvalWall = wall
-}
-
 // WarmBoot transitions the node across a database crash-recovery gap: the
 // database recovered to ts (its replayed WAL watermark) and is about to
 // resume publishing invalidations from there. The cached data itself is
@@ -534,24 +530,30 @@ func (s *Server) SetHorizon(ts interval.Timestamp, wall time.Time) {
 // published and not yet delivered when the daemon died are gone forever,
 // so a still-valid entry must NOT be carried across the gap: the next
 // message to arrive would advance the horizon and silently extend entries
-// whose invalidation fell into the gap. SetHorizon alone is therefore
-// wrong after a crash.
-//
-// WarmBoot closes every tag-registered still-valid version at the node's
-// old horizon L — bounding it at L+1, exactly the effective validity
-// (effHi) it already served, so no lookup result changes — then raises the
-// history floor and seeds the horizon to ts, exactly like SetHorizon.
-// Tagless still-valid entries (pure functions of their arguments) have no
-// database dependencies and survive open. Bounded versions keep serving
-// reads at pinned past snapshots throughout: a warm boot loses freshness,
-// never the cache.
+// whose invalidation fell into the gap.
 func (s *Server) WarmBoot(ts interval.Timestamp, wall time.Time) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
+	s.warmBootLocked(ts, wall)
+}
+
+// warmBootLocked moves the node's horizon to ts across a stretch of the
+// stream it will never see: the crash-recovery gap (WarmBoot), or everything
+// before the first message of a node that joined the stream late (apply). It
+// closes every tag-registered still-valid version at the old horizon L —
+// bounding it at L+1, exactly the effective validity (effHi) it already
+// served, so no lookup result changes — then raises the history floor and the
+// horizon to ts, so a still-valid insert generated at an older snapshot is
+// closed at genSnap+1 (Put's floor path) rather than served through a horizon
+// the node cannot vouch for. Tagless still-valid entries (pure functions of
+// their arguments) have no database dependencies and survive open. Bounded
+// versions keep serving reads at pinned past snapshots throughout: the node
+// loses freshness, never the cache. Caller holds streamMu.
+func (s *Server) warmBootLocked(ts interval.Timestamp, wall time.Time) {
 	old := interval.Timestamp(s.lastInval.Load())
 	if ts <= old {
-		// No gap to bridge: the node is already at or past the recovered
-		// timestamp (e.g. recovery replayed everything the node ever saw).
+		// No gap to bridge: the node is already at or past ts (e.g. recovery
+		// replayed everything the node ever saw).
 		return
 	}
 	// Floor before the shard sweep, sweep before the horizon store: a Put
@@ -609,7 +611,7 @@ func (s *Server) ResetStats() {
 // goroutine per cache node.
 func (s *Server) ConsumeStream(sub *invalidation.Subscription) {
 	for m := range sub.C {
-		s.ApplyInvalidation(m)
+		s.apply(m, true)
 	}
 }
 
@@ -628,9 +630,9 @@ type histIndex struct {
 	mu     sync.RWMutex
 	maxLen int
 	msgs   []invalidation.Message
-	// floor is the newest timestamp dropped from the ring (or seeded via
-	// SetHorizon): inserts generated at snapshots older than it cannot be
-	// checked and are closed conservatively.
+	// floor is the newest timestamp dropped from the ring (or the one a warm
+	// boot brought the node to): inserts generated at snapshots older than
+	// it cannot be checked and are closed conservatively.
 	floor interval.Timestamp
 
 	// Posting lists are ascending timestamps (messages arrive in order),
@@ -691,7 +693,7 @@ func (h *histIndex) firstMatch(tags []invalidation.TagID, genSnap interval.Times
 	return best, wall, false
 }
 
-// raiseFloor lifts the history floor to ts (SetHorizon bootstrap).
+// raiseFloor lifts the history floor to ts (warmBootLocked).
 func (h *histIndex) raiseFloor(ts interval.Timestamp) {
 	h.mu.Lock()
 	if ts > h.floor {

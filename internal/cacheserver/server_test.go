@@ -363,14 +363,79 @@ func TestLateInsertAfterMatchingInvalidation(t *testing.T) {
 	}
 }
 
-// TestSetHorizonBoundsUncheckableInserts is the regression test for the
-// node-join hole: a node bootstrapped with SetHorizon has no history below
-// the seeded timestamp, so a still-valid insert generated at an older
-// snapshot cannot be proven uninvalidated and must be conservatively
-// closed at genSnap+1 — never served as valid through the seeded horizon.
-func TestSetHorizonBoundsUncheckableInserts(t *testing.T) {
-	s := New(Config{})
-	s.SetHorizon(20, time.Unix(20, 0)) // operator bootstrap of a joining node
+// streams are the two ways an invalidation stream reaches a node: an
+// in-process subscription, and the database's acked push over TCP. Each
+// starts a node on its own stream and returns how to deliver one message to
+// it, applied on return.
+var streams = map[string]func(t *testing.T) (*Server, func(invalidation.Message)){
+	"ConsumeStream": func(t *testing.T) (*Server, func(invalidation.Message)) {
+		s := New(Config{})
+		bus := invalidation.NewBus(false)
+		sub := bus.Subscribe()
+		t.Cleanup(sub.Close)
+		go s.ConsumeStream(sub)
+		return s, func(m invalidation.Message) {
+			bus.Publish(m)
+			for deadline := time.Now().Add(5 * time.Second); s.LastInvalidation() < m.TS; time.Sleep(50 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("message %d never applied (at %d)", m.TS, s.LastInvalidation())
+				}
+			}
+		}
+	},
+	"TCPPush": func(t *testing.T) (*Server, func(invalidation.Message)) {
+		s, addr := startServer(t)
+		c, err := Dial(addr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return s, func(m invalidation.Message) {
+			if err := c.PushInvalidation(context.Background(), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	},
+}
+
+// TestFreshNodeMidStream: a node whose stream starts at 50 (a restarted
+// daemon, a joiner) knows nothing of what happened below 50. What it was
+// given before that message it cannot keep open across it, and a still-valid
+// insert generated at 20 that arrives afterwards is worth [10, 21) — what its
+// transaction proved — not [10, 51).
+func TestFreshNodeMidStream(t *testing.T) {
+	for name, start := range streams {
+		t.Run(name, func(t *testing.T) {
+			s, deliver := start(t)
+			tags := ids([]invalidation.Tag{invalidation.KeyTag("t", "id", "1")})
+			s.Put("early", []byte("v"), iv(10, interval.Infinity), true, 20, tags)
+			deliver(invalidation.Message{TS: 50, WallTime: time.Unix(50, 0)})
+			s.Put("late", []byte("v"), iv(10, interval.Infinity), true, 20, tags)
+			for _, k := range []string{"early", "late"} {
+				if r := s.Lookup(context.Background(), k, 50, 50, 0, interval.Infinity); r.Found {
+					t.Errorf("%s served at 50 by a node that saw nothing of (20, 50): %+v", k, r)
+				}
+			}
+			if r := s.Lookup(context.Background(), "late", 10, 50, 0, interval.Infinity); !r.Found || r.Still || r.Validity != iv(10, 21) {
+				t.Fatalf("late insert must close at genSnap+1 = 21: %+v", r)
+			}
+			// From its first message on the node has seen everything.
+			s.Put("k", []byte("v"), iv(10, interval.Infinity), true, 50, tags)
+			if r := s.Lookup(context.Background(), "k", 50, 50, 0, interval.Infinity); !r.Found || !r.Still || r.Validity != iv(10, 51) {
+				t.Fatalf("insert generated at the first message should stay still-valid: %+v", r)
+			}
+		})
+	}
+}
+
+// TestFirstMessageBoundsUncheckableInserts is the regression test for the
+// node-join hole: a node that joins the stream at timestamp 20 has no
+// history below it, so a still-valid insert generated at an older snapshot
+// cannot be proven uninvalidated and must be conservatively closed at
+// genSnap+1 — never served as valid through the node's horizon.
+func TestFirstMessageBoundsUncheckableInserts(t *testing.T) {
+	s, deliver := streams["ConsumeStream"](t)
+	deliver(invalidation.Message{TS: 20, WallTime: time.Unix(20, 0)}) // the joining node's first message
 	tag := invalidation.KeyTag("t", "id", "1")
 	s.Put("k", []byte("v"), iv(5, interval.Infinity), true, 5, ids([]invalidation.Tag{tag}))
 	r := s.Lookup(context.Background(), "k", 5, 50, 5, 50)
@@ -381,8 +446,8 @@ func TestSetHorizonBoundsUncheckableInserts(t *testing.T) {
 	if r := s.Lookup(context.Background(), "k", 25, 30, 5, 50); r.Found {
 		t.Fatalf("pre-join insert served to fresh reader: %+v", r)
 	}
-	// Inserts generated at or after the seeded horizon stay still-valid:
-	// the node will see every later invalidation on its stream.
+	// Inserts generated at or after the first message stay still-valid: the
+	// node will see every later invalidation on its stream.
 	s.Put("k2", []byte("v"), iv(20, interval.Infinity), true, 20, ids([]invalidation.Tag{tag}))
 	if r := s.Lookup(context.Background(), "k2", 20, 50, 5, 50); !r.Found || !r.Still {
 		t.Fatalf("post-join insert should stay still-valid: %+v", r)

@@ -69,7 +69,7 @@ func TestEqualLoPutWidens(t *testing.T) {
 		{
 			name: "ClosedAtTheHistoryFloorThenReprovedAboveIt",
 			setup: func(s *Server) {
-				s.SetHorizon(70, time.Unix(70, 0))
+				s.WarmBoot(70, time.Unix(70, 0))
 				s.Put("k", []byte("v"), iv(2, inf), true, 20, tag) // below the floor: closed at 21
 				advanceTo(s, 80)
 			},
@@ -79,7 +79,7 @@ func TestEqualLoPutWidens(t *testing.T) {
 		{
 			name: "StillBelowTheFloorWidensOnlyToItsOwnSnapshot",
 			setup: func(s *Server) {
-				s.SetHorizon(70, time.Unix(70, 0))
+				s.WarmBoot(70, time.Unix(70, 0))
 				s.Put("k", []byte("v"), iv(2, inf), true, 20, tag)
 				advanceTo(s, 80)
 			},

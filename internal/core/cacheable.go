@@ -69,7 +69,7 @@ func MakeCacheable[T any](c *Client, name string, fn Cacheable[T]) Cacheable[T] 
 		}
 
 		// Miss: execute the implementation under a fresh frame.
-		f := newFrame()
+		f := &frame{proven: interval.All, open: true}
 		tx.frames = append(tx.frames, f)
 		out, err := fn(tx, args...)
 		tx.frames = tx.frames[:len(tx.frames)-1]
@@ -248,38 +248,36 @@ func (tx *Tx) Prefetch(keys ...string) int {
 	return found
 }
 
-// put installs a computed result. Still-valid results (unbounded validity)
-// carry their tag set — the tags of every query the function made and of
-// every still-valid cache hit it used, nested cacheable calls included
-// (§6.3) — so the invalidation stream can truncate them; bounded results
-// are immutable history and need no tags. The generating snapshot tells the
-// node which invalidations it must replay against those tags: everything
-// after the snapshot the transaction's queries ran at, or after the oldest
-// horizon a still-valid hit was served under, whichever is earlier.
+// put installs a computed result as far as it was proven. An open frame —
+// nothing the function saw had ended — becomes a still-valid entry from
+// proven.Lo on, under the tags of every query the function made and of every
+// still-valid cache hit it used, nested cacheable calls included (§6.3), and
+// genSnap = proven.Hi-1 is the promise that goes with them: no invalidation
+// at or below it matches any of the tags, so the node replays everything
+// after it. A frame that is not open is history exactly on proven — a
+// dependency that had ended bounds it, and so does the last timestamp any
+// other dependency was checked at — and history needs no tags.
 // The responsible node is resolved at install time, not lookup time, so
 // after a membership change the entry lands on the key's current owner.
 func (tx *Tx) put(key string, data []byte, f *frame) {
-	if f.validity.Empty() {
+	if f.proven.Empty() {
 		return // conservative tracking produced nothing usable
 	}
 	node := tx.c.node(key)
 	if node == nil {
 		return // cluster emptied while we computed
 	}
-	still := f.validity.Unbounded()
+	iv := f.proven
 	var tags []invalidation.TagID
-	if still && len(f.tags) > 0 {
+	if f.open {
+		iv.Hi = interval.Infinity
 		tags = make([]invalidation.TagID, 0, len(f.tags))
 		for t := range f.tags {
 			tags = append(tags, t)
 		}
 	}
-	genSnap := f.through
-	if tx.dbSnap != 0 {
-		genSnap = min(genSnap, tx.dbSnap)
-	}
 	tx.c.stats.CachePuts.Add(1)
-	node.Put(key, data, f.validity, still, genSnap, tags)
+	node.Put(key, data, iv, f.open, f.proven.Hi-1, tags)
 }
 
 // String renders a human-readable description of the transaction state for

@@ -271,9 +271,10 @@ func (c *Client) NodeNames() []string { return c.ring.Nodes() }
 // AddNode joins a cache node to the running cluster (idempotent): the node
 // is registered before the ring remaps keys onto it, so no lookup can route
 // to an unknown name. When Config.Bus is set and the node consumes the
-// stream in-process, AddNode subscribes it; the node serves conservatively
-// (still-valid entries unservable) until its consistency horizon advances,
-// which is safe.
+// stream in-process, AddNode subscribes it. The join needs no other step: a
+// node serves no still-valid entry before its first stream message, and that
+// message closes whatever it was given earlier (it cannot know what those
+// entries missed), so it is cold until then and exact afterwards.
 func (c *Client) AddNode(name string, node cacheserver.Node) {
 	c.mu.Lock()
 	if _, ok := c.nodes[name]; ok {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -279,6 +281,60 @@ func (r *heldRig) wantClosedAt(t *testing.T, key string, hi interval.Timestamp) 
 	}
 }
 
+// recordingNode keeps every Put the library makes, so a test can hold each
+// installed interval against what the database did, whether or not a reader
+// ever came by to trip over it.
+type recordingNode struct {
+	cacheserver.Node
+	mu   sync.Mutex
+	puts []recordedPut
+}
+
+type recordedPut struct {
+	key     string
+	data    []byte
+	iv      interval.Interval
+	still   bool
+	genSnap interval.Timestamp
+}
+
+func (n *recordingNode) Put(key string, data []byte, iv interval.Interval, still bool, genSnap interval.Timestamp, tags []invalidation.TagID) {
+	n.mu.Lock()
+	n.puts = append(n.puts, recordedPut{key, slices.Clone(data), iv, still, genSnap})
+	n.mu.Unlock()
+	n.Node.Put(key, data, iv, still, genSnap, tags)
+}
+
+// balanceChange is one committed write of ConcurrentFlow: account id was
+// set to balance at commit timestamp ts.
+type balanceChange struct {
+	ts      interval.Timestamp
+	id, bal int64
+}
+
+// wrongSince looks for a timestamp in [lo, hi] at which account id — worth
+// initial before any logged change — was not worth want, and reports the
+// first one and what the account was worth there. changes is in commit order.
+func wrongSince(changes []balanceChange, initial, id, want int64, lo, hi interval.Timestamp) (interval.Timestamp, int64, bool) {
+	cur, since := initial, lo
+	for _, c := range changes {
+		if c.id != id {
+			continue
+		}
+		if c.ts > hi {
+			break
+		}
+		if c.ts > lo {
+			if cur != want {
+				break
+			}
+			since = c.ts
+		}
+		cur = c.bal
+	}
+	return since, cur, cur != want
+}
+
 func TestStillValidComposition(t *testing.T) {
 	one := []cacheserver.Config{{}}
 
@@ -449,6 +505,73 @@ func TestStillValidComposition(t *testing.T) {
 			compose(t, r, args, nil)
 			r.wantClosedAt(t, cacheKey("sum", args), upd)
 		})
+
+		t.Run("ALaterCommitCannotVouchForAnEarlierRead", func(t *testing.T) {
+			r := newHeldRig(t, one, nil)
+			// both reads other row 0 — unbounded when it is read — then, after
+			// the hook, account 0 at the same snapshot.
+			var hook func()
+			both := MakeCacheable(r.client, "both", func(tx *Tx, _ ...sql.Value) (int64, error) {
+				res, err := tx.Query("SELECT v FROM other WHERE id = 0")
+				if err != nil || len(res.Rows) == 0 {
+					return 0, fmt.Errorf("other: %d rows, %v", len(res.Rows), err)
+				}
+				if hook != nil {
+					hook()
+				}
+				bal, err := r.get(tx, int64(0))
+				return res.Rows[0][0].(int64) + bal, err
+			})
+			// Between the two reads other row 0 changes at T, a reader pins T
+			// (every older pin has aged out, so it takes ★), and account 0
+			// changes at T+1: the second read comes back bounded at T+1.
+			var T interval.Timestamp
+			hook = func() {
+				T = r.commit(t, "UPDATE other SET v = 7 WHERE id = 0")
+				r.clk.Advance(2 * time.Minute)
+				if at := r.ro(t, 30*time.Second, func(tx *Tx) {
+					if _, err := tx.Query("SELECT v FROM other WHERE id = 1"); err != nil {
+						t.Fatal(err)
+					}
+				}); at != T {
+					t.Fatalf("the reader pinned %d, want T = %d", at, T)
+				}
+				if upd := r.commit(t, "UPDATE accounts SET balance = 11 WHERE id = 0"); upd != T+1 {
+					t.Fatalf("account 0 changed at %d, want T+1 = %d", upd, T+1)
+				}
+			}
+			snap := r.ro(t, time.Minute, func(tx *Tx) {
+				if v, err := both(tx); err != nil || v != 10 {
+					t.Fatalf("both = %d, %v", v, err)
+				}
+			})
+			hook = nil
+			r.deliverAll(t)
+			// The first read was checked at the transaction's snapshot and no
+			// later; the bound the second read brought back says nothing
+			// about other row 0 in between.
+			key := cacheKey("both", nil)
+			r.wantClosedAt(t, key, snap+1)
+			if got := r.peek(key, T); got.Found {
+				t.Fatalf("served at T = %d, where other row 0 had changed: %v still=%v", T, got.Validity, got.Still)
+			}
+			if at := r.ro(t, 30*time.Second, func(tx *Tx) {
+				v, err := both(tx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := tx.Query("SELECT v FROM other WHERE id = 0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				bal, err := r.get(tx, int64(0))
+				if o := res.Rows[0][0].(int64); err != nil || v != o+bal {
+					t.Fatalf("%v: both = %d but other row 0 = %d and bal(0) = %d (%v) in the same transaction", tx, v, o, bal, err)
+				}
+			}); at != T {
+				t.Fatalf("the reader ran at %d, want the pin at T = %d", at, T)
+			}
+		})
 	})
 
 	t.Run("Table", func(t *testing.T) {
@@ -506,9 +629,22 @@ func TestStillValidComposition(t *testing.T) {
 		// through a composed entry and each balance on its own in the same
 		// transaction. One snapshot means the two always agree; a composed
 		// entry that outlived an inner's invalidation would not.
-		r := newRig(t, 2, nil)
-		const nAcct = 6
-		setupAccounts(t, r, nAcct, 100)
+		//
+		// That catches a bad entry only if a reader meets it in time, so the
+		// nodes also record every put and the writers every change: afterwards
+		// each installed interval is held against the whole history.
+		var recs []*recordingNode
+		r := newRig(t, 2, func(c *Config) {
+			for name, n := range c.Nodes {
+				rec := &recordingNode{Node: n}
+				recs = append(recs, rec)
+				c.Nodes[name] = rec
+			}
+		})
+		const nAcct, initial = 6, 100
+		setupAccounts(t, r, nAcct, initial)
+		var logMu sync.Mutex
+		var changes []balanceChange
 		get := getBalanceFn(r)
 		all := MakeCacheable(r.client, "allBalances", func(tx *Tx, _ ...sql.Value) ([]int64, error) {
 			out := make([]int64, nAcct)
@@ -536,14 +672,20 @@ func TestStillValidComposition(t *testing.T) {
 						return
 					default:
 					}
-					_, err := r.client.ReadWrite(context.Background(), func(tx *Tx) error {
-						_, err := tx.Exec("UPDATE accounts SET balance = ? WHERE id = ?", int64(rng.Intn(1000)), int64(rng.Intn(nAcct)))
+					var c balanceChange
+					ts, err := r.client.ReadWrite(context.Background(), func(tx *Tx) error {
+						c.bal, c.id = int64(rng.Intn(1000)), int64(rng.Intn(nAcct))
+						_, err := tx.Exec("UPDATE accounts SET balance = ? WHERE id = ?", c.bal, c.id)
 						return err
 					})
 					if err != nil {
 						errs <- err
 						return
 					}
+					c.ts = ts
+					logMu.Lock()
+					changes = append(changes, c)
+					logMu.Unlock()
 					time.Sleep(200 * time.Microsecond)
 				}
 			}(int64(w + 1))
@@ -602,5 +744,56 @@ func TestStillValidComposition(t *testing.T) {
 		if st := r.client.Stats(); st.CacheHits.Load() == 0 || st.CachePuts.Load() == 0 {
 			t.Fatal("vacuous run: the cache was never used")
 		}
+
+		// A bounded [Lo, Hi) claims its value at every timestamp in it; a
+		// still-valid one at every timestamp from Lo to its generating
+		// snapshot (what happens after that is the node's to decide).
+		slices.SortFunc(changes, func(a, b balanceChange) int { return cmp.Compare(a.ts, b.ts) })
+		scalar, vector := mustPlan[int64](t), mustPlan[[]int64](t)
+		account := map[string]int64{} // getBalance's keys
+		for id := int64(0); id < nAcct; id++ {
+			account[cacheKey("getBalance", []sql.Value{id})] = id
+		}
+		checked := 0
+		for _, rec := range recs {
+			for _, p := range rec.puts {
+				// vals[j] is what the put says account first+j was worth.
+				first, single := account[p.key]
+				vals := make([]int64, 1)
+				var err error
+				if single {
+					err = scalar.decode(p.data, reflect.ValueOf(&vals[0]).Elem())
+				} else {
+					err = vector.decode(p.data, reflect.ValueOf(&vals).Elem())
+				}
+				if err != nil || !single && (p.key != cacheKey("allBalances", nil) || len(vals) != nAcct) {
+					t.Fatalf("put of %q: %v, %v", p.key, vals, err)
+				}
+				last := p.iv.Hi - 1
+				if p.still {
+					last = p.genSnap
+				}
+				for j, v := range vals {
+					id := first + int64(j)
+					if at, was, wrong := wrongSince(changes, initial, id, v, p.iv.Lo, last); wrong {
+						t.Errorf("put of %q %v still=%v genSnap=%d says account %d = %d, but from %d it was %d", p.key, p.iv, p.still, p.genSnap, id, v, at, was)
+					}
+				}
+				checked++
+			}
+		}
+		if checked == 0 {
+			t.Fatal("vacuous oracle: no put was recorded")
+		}
 	})
+}
+
+// mustPlan compiles the codec MakeCacheable would use for T.
+func mustPlan[T any](t *testing.T) *plan {
+	t.Helper()
+	p, err := planOf(reflect.TypeFor[T]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -10,7 +10,11 @@ import (
 	"time"
 
 	"txcache/internal/cacheserver"
+	"txcache/internal/clock"
+	"txcache/internal/db"
 	"txcache/internal/interval"
+	"txcache/internal/invalidation"
+	"txcache/internal/pincushion"
 )
 
 // TestAddNodeJoinsLiveCluster: a node added to a running client must join
@@ -57,6 +61,64 @@ func TestAddNodeJoinsLiveCluster(t *testing.T) {
 	}
 	if r.client.Stats().NodesAdded.Load() != 1 {
 		t.Fatalf("NodesAdded = %d", r.client.Stats().NodesAdded.Load())
+	}
+}
+
+// TestJoinerPutBeforeItsFirstMessage: a node is in the ring, and takes puts,
+// before the database's stream reaches it (a txcached the database has not
+// dialled yet). A commit in between never reaches it, so when its first
+// message arrives it cannot keep what it holds open.
+func TestJoinerPutBeforeItsFirstMessage(t *testing.T) {
+	clk := &clock.Virtual{}
+	bus := invalidation.NewBus(false) // a late subscriber gets no replay
+	engine := db.New(db.Options{Clock: clk, Bus: bus})
+	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Retention: time.Minute})
+	// No Config.Bus: AddNode subscribes nothing, the test does.
+	r := &rig{clk: clk, engine: engine, bus: bus, pc: pc,
+		client: NewClient(Config{DB: EngineDB{engine}, Pincushion: pc, Clock: clk})}
+	setupAccounts(t, r, 2, 100)
+	get := getBalanceFn(r)
+
+	n := cacheserver.New(cacheserver.Config{Clock: clk})
+	r.client.AddNode("joiner", n)
+	tx := beginRO(r.client, WithStaleness(time.Minute))
+	if v, err := get(tx, int64(0)); err != nil || v != 100 {
+		t.Fatalf("get(0) = %d, %v", v, err)
+	}
+	tx.Commit()
+	if n.Stats().Puts != 1 {
+		t.Fatalf("the joiner took %d puts, want 1", n.Stats().Puts)
+	}
+	r.exec(t, "UPDATE accounts SET balance = 1 WHERE id = 0") // the node never hears of it
+
+	sub := bus.Subscribe()
+	t.Cleanup(sub.Close)
+	go n.ConsumeStream(sub)
+	r.nodes = append(r.nodes, n)
+	first := r.exec(t, "UPDATE accounts SET balance = 2 WHERE id = 1") // unrelated; waits for the node
+
+	if got := n.Lookup(context.Background(), CacheKey("getBalance", int64(0)), first, first, 0, interval.Infinity); got.Found {
+		t.Errorf("served at the node's first message %d, past an invalidation it never saw: %v still=%v", first, got.Validity, got.Still)
+	}
+	// Every pin ages out, one reader pins the present, the next one looks the
+	// entry up there.
+	clk.Advance(2 * time.Minute)
+	tx = beginRO(r.client, WithStaleness(30*time.Second))
+	if _, err := tx.Query("SELECT balance FROM accounts WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	tx = beginRO(r.client, WithStaleness(30*time.Second))
+	v, err := get(tx, int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tx.Query("SELECT balance FROM accounts WHERE id = 0")
+	if err != nil || res.Rows[0][0].(int64) != v {
+		t.Fatalf("%v: getBalance(0) = %d but the database says %v (%v)", tx, v, res.Rows, err)
+	}
+	if at, _ := tx.Commit(); at != first {
+		t.Fatalf("the reader ran at %d, want the new pin %d", at, first)
 	}
 }
 

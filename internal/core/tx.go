@@ -69,35 +69,26 @@ type Tx struct {
 	prefetched map[string]cacheserver.LookupResult
 }
 
-// frame accumulates the validity interval and invalidation tags of one
-// in-flight cacheable function (paper §6.1, §6.3). Tags are TagIDs,
-// so merging a dependency is an integer map insert; the map itself is
-// allocated on the first tag.
+// frame accumulates what one in-flight cacheable function depends on (paper
+// §6.1, §6.3) in the shape every dependency arrives in: proven is the
+// interval over which everything the function saw was checked — by the
+// database at the transaction's snapshot, or by a cache node against its
+// invalidation stream — and open says that nothing seen had ended there: past
+// proven.Hi-1 the result holds until an invalidation matches one of tags.
+// Tags are TagIDs, so merging a dependency is an integer map insert; the map
+// itself is allocated on the first tag. A frame starts with nothing seen:
+// proven everywhere, open.
 type frame struct {
-	validity interval.Interval
-	tags     map[invalidation.TagID]struct{}
-	// through is the newest timestamp every still-valid cache hit the frame
-	// used is known valid through: the smallest horizon among the nodes that
-	// served them (Infinity with no such hit). No invalidation at or below it
-	// matches any tag inherited from a hit, which is what lets put offer the
-	// composed result still-valid (DESIGN.md "Still-valid composition").
-	through interval.Timestamp
+	proven interval.Interval
+	open   bool
+	tags   map[invalidation.TagID]struct{}
 }
 
-func newFrame() *frame {
-	return &frame{validity: interval.All, through: interval.Infinity}
-}
-
-// absorb merges one observed dependency into the frame: a database result
-// with its true validity interval, or a cache hit with its effective one.
-// A still-valid hit (still set; iv.Hi is the serving node's horizon + 1)
-// bounds the frame only from below — its upper bound is the tags' job.
-func (f *frame) absorb(iv interval.Interval, tags []invalidation.TagID, still bool) {
-	if still {
-		f.through = min(f.through, iv.Hi-1)
-		iv.Hi = interval.Infinity
-	}
-	f.validity = f.validity.Intersect(iv)
+// absorb merges one observed dependency into the frame: the result is proven
+// only where every dependency was, and stays open only while all of them are.
+func (f *frame) absorb(iv interval.Interval, tags []invalidation.TagID, open bool) {
+	f.proven = f.proven.Intersect(iv)
+	f.open = f.open && open
 	f.addTags(tags)
 }
 
@@ -281,7 +272,14 @@ func (tx *Tx) Query(src string, args ...sql.Value) (*db.Result, error) {
 		return nil, err
 	}
 	if !tx.rw {
-		tx.observe(r.Validity, r.Tags, false)
+		// The database says when the result began and, if it has ended,
+		// when; while it has not, all the transaction knows is that it held
+		// at the snapshot the query ran at.
+		iv, open := r.Validity, r.Validity.Unbounded()
+		if open {
+			iv.Hi = tx.dbSnap + 1
+		}
+		tx.observe(iv, r.Tags, open)
 	}
 	return r, nil
 }
@@ -368,12 +366,12 @@ func (tx *Tx) insertPin(p pincushion.Pin) {
 
 // observe narrows the transaction's pin set to the timestamps consistent
 // with a value it just saw (invariant 1 of §6.2.1), removes ★ once any data
-// has been observed, and merges the value's validity and tags into every
-// open cacheable-function frame (§6.3). still marks a still-valid cache hit,
-// whose iv is the effective interval [Lo, horizon+1): the pin set narrows by
-// exactly that — the transaction has proof of nothing later — while frames
-// keep the result open-ended under the hit's tags (frame.absorb).
-func (tx *Tx) observe(iv interval.Interval, tags []invalidation.TagID, still bool) {
+// has been observed, and merges the value's dependency into every open
+// cacheable-function frame (§6.3). iv is the bounded interval the value was
+// proven on — a database result up to the transaction's snapshot, a cache hit
+// up to its node's horizon — so the pin set narrows by exactly what was
+// checked; open says the value had not ended there (frame.absorb).
+func (tx *Tx) observe(iv interval.Interval, tags []invalidation.TagID, open bool) {
 	// In the §8.3 no-consistency comparator the pin set is left alone;
 	// frames still accumulate so entries carry honest intervals.
 	if !tx.c.noCon {
@@ -387,7 +385,7 @@ func (tx *Tx) observe(iv interval.Interval, tags []invalidation.TagID, still boo
 		tx.star = false
 	}
 	for _, f := range tx.frames {
-		f.absorb(iv, tags, still)
+		f.absorb(iv, tags, open)
 	}
 }
 

@@ -49,11 +49,16 @@ benchmark-test:
 # Then the one-interval guard: a dependency is proven on one bounded interval
 # and is open or closed there (DESIGN.md "Still-valid composition"), and a
 # cache node derives what it can vouch for from the stream it has seen
-# (DESIGN.md "Node join/leave"). A second "how far was this checked" variable
+# (DESIGN.md "Crossing a gap"). A second "how far was this checked" variable
 # in internal/core, put-time arithmetic that patches one in, an
 # operator-seeded node horizon, and a message handed to a node around its
 # stream (ApplyInvalidation called from outside internal/cacheserver) are
 # refused by name: each is a way to serve a value nobody checked.
+# Then the no-announcement guard: a node finds a gap in its stream by looking
+# at it (DESIGN.md "Crossing a gap"), so whoever owns the stream owes it
+# nothing at a restart. The call that announced one, and its opcode, are
+# refused by name: with it back, a node is safe only against the restarts
+# somebody remembered to announce.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
 	@out="$$(grep -rnE '\bnet\.Dial(Timeout)?\(|\.Set(Read|Write)?Deadline\(|wire\.NewFrameReader\(|\.Accept\(\)' \
@@ -85,13 +90,18 @@ lint:
 		grep -rnE '\.through\b|genSnap = min\(' --include='*.go' --exclude='*_test.go' internal/core; } || true)"; if [ -n "$$out" ]; then \
 		echo "a second statement of how far a value is proven is back; a frame carries one proven interval and an open flag (put derives genSnap from it), and a node's floor and horizon come from the stream it has seen (ConsumeStream, the TCP push), never from a caller:"; \
 		echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'WarmBoot\(|opWarmBoot' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
+		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
+		echo "a restart announcement is back; a cache node crosses a gap when its stream shows one (Server.apply: m.TS != horizon+1), and needs no call from whoever restarted the database:"; \
+		echo "$$out"; exit 1; fi
 
 # Kill-9 crash-recovery property test: build the real txcache-dbd, drive
 # writers over the wire, SIGKILL it repeatedly, and check on every reboot
 # that acked commits survived, surviving rows are a contiguous per-worker
-# prefix, the counters oracle matches, and the cache node's horizon was
-# warm-booted past the recovered timestamp. Bounded: a wedged recovery is
-# a failure, not a hung pipeline.
+# prefix, the counters oracle matches, and the cache node — told nothing but
+# what its stream carries — serves no entry across the messages the crash
+# lost (the canary of crash_test.go). Bounded: a wedged recovery is a
+# failure, not a hung pipeline.
 crash-smoke:
 	timeout 120 $(GO) test -race -run TestCrashRecovery -count=3 .
 	timeout 120 $(GO) test -race -run TestReplayEquivalence ./internal/db
@@ -138,9 +148,11 @@ race:
 # The cache node's put-vs-invalidation ordering argument (server.go,
 # ApplyInvalidation) is checked by the oracle model tests and by nothing
 # else, so CI runs them more than once: five -race passes of the concurrent
-# pipelined model and the sequential one. Bounded: a hang is a failure.
+# pipelined model and the sequential one — and of TestStreamGap, whose
+# concurrent flow is the same argument for a put racing a gap.
+# Bounded: a hang is a failure.
 model-soak:
-	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel' ./internal/cacheserver
+	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap' ./internal/cacheserver
 
 # The transactional guarantee under concurrency has one gate too: writers,
 # composing readers and the put oracle of TestStillValidComposition's

@@ -6,11 +6,12 @@
 //
 // With -data-dir the engine is durable: commits are group-committed to a
 // write-ahead log before they become visible, checkpoints bound the log, and
-// a restart replays to the last committed timestamp. After a crash recovery
-// the daemon warm-boots every cache node (pushes the recovered horizon so no
-// node extends a cached entry across the lost invalidation gap) before the
-// stream resumes. SIGTERM/SIGINT shut down cleanly: a final checkpoint and a
-// clean-shutdown marker make the next boot skip replay entirely.
+// a restart replays to the last committed timestamp. Invalidations a crash
+// left undelivered need no announcement: the stream resumes at the recovered
+// timestamp plus one, and a cache node that finds a gap before that message
+// closes what it cannot vouch for (cacheserver.Server). SIGTERM/SIGINT shut
+// down cleanly: a final checkpoint and a clean-shutdown marker make the next
+// boot skip replay entirely.
 //
 // Usage:
 //
@@ -127,10 +128,7 @@ func main() {
 
 	// Invalidation fan-out to cache nodes: the paper's reliable
 	// application-level multicast, realized as one ordered TCP push stream
-	// per node. On a durable boot each node is warm-booted FIRST — the
-	// recovered horizon closes every cached entry that could otherwise be
-	// extended across the crash's lost-invalidation gap — and only then does
-	// the node see new stream traffic.
+	// per node.
 	for _, addr := range strings.Split(*caches, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
@@ -139,21 +137,6 @@ func main() {
 		cl, err := cacheserver.Dial(addr, 1)
 		if err != nil {
 			log.Fatalf("txcache-dbd: dial cache %s: %v", addr, err)
-		}
-		if durable {
-			for attempt := 0; ; attempt++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				err := cl.WarmBoot(ctx, info.RecoveredTS, time.Now())
-				cancel()
-				if err == nil {
-					break
-				}
-				if attempt == 0 {
-					log.Printf("txcache-dbd: warm boot of %s failed (retrying): %v", addr, err)
-				}
-				time.Sleep(50 * time.Millisecond)
-			}
-			log.Printf("txcache-dbd: cache %s warm-booted to ts %d", addr, info.RecoveredTS)
 		}
 		sub := bus.Subscribe()
 		// The stream must be gapless and ordered: PushStream retries every

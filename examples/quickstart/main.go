@@ -25,7 +25,7 @@ func main() {
 	// 1. The substrate: database, invalidation stream, one cache node on a
 	//    real socket (so the client's asynchronous put queue and transport
 	//    counters are live), and the pincushion.
-	bus := txcache.NewBus(true)
+	bus := txcache.NewBus(false)
 	engine := txcache.NewEngine(txcache.EngineOptions{Bus: bus})
 	node := txcache.NewCacheServer(txcache.CacheConfig{})
 	go node.ConsumeStream(bus.Subscribe())
@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("alice's karma = %d (computed, %d call)\n", k, calls)
 
 	// Second call: served from the cache, no database work.
-	tx, err = client.Begin(ctx) // Config.DefaultStaleness (30s) applies
+	tx, err = client.Begin(ctx) // the default staleness limit (30s) applies
 	must(err)
 	k, err = getKarma(tx, int64(1))
 	must(err)

@@ -34,7 +34,7 @@ type site struct {
 }
 
 func main() {
-	bus := txcache.NewBus(true)
+	bus := txcache.NewBus(false)
 	engine := txcache.NewEngine(txcache.EngineOptions{Bus: bus})
 	node := txcache.NewCacheServer(txcache.CacheConfig{})
 	go node.ConsumeStream(bus.Subscribe())

@@ -184,7 +184,7 @@ const firstSightBytesCeiling = 16 << 10
 func TestAllocBudgetFirstSightTag(t *testing.T) {
 	const n = 256
 	s := New(Config{})
-	s.WarmBoot(1, time.Unix(0, 0))
+	streamTo(s, 2, time.Unix(0, 0)) // a fresh node joins at the first commit
 	tags, keys := freshTags(n), freshKeys(n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -1,6 +1,7 @@
 package cacheserver
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -35,13 +36,29 @@ func fuzzSeedFrames() [][]byte {
 	stats.U32(4).Bool(false)
 	reset := wire.NewBuffer(opStats)
 	reset.U32(5).Bool(true)
-	msg := invalidation.Message{TS: 9, WallTime: time.Unix(1, 0), Tags: tags}
-	raw := msg.Encode(opInval)
-	inval := append([]byte{raw[0], 0, 0, 0, 0}, raw[1:]...)
+	// Stream messages as a node fresh from New meets them: a gap (0 -> 9),
+	// the horizon's successor (0 -> 1), and one at its horizon (a duplicate).
+	inval := func(ts interval.Timestamp) []byte {
+		e := wire.NewBuffer(opInval).U32(6)
+		invalidation.Message{TS: ts, WallTime: time.Unix(1, 0), Tags: tags}.AppendTo(e)
+		return e.Bytes()
+	}
+	// The opcode the database once announced a restart with.
+	retired := wire.NewBuffer(12).U32(7).U64(50).I64(1)
 	return [][]byte{
-		lookup.Bytes(), batch.Bytes(), put.Bytes(), stats.Bytes(), reset.Bytes(), inval,
+		lookup.Bytes(), batch.Bytes(), put.Bytes(), stats.Bytes(), reset.Bytes(),
+		inval(9), inval(1), inval(0), retired.Bytes(),
 		putZeroTag.Bytes(), putHugeCount.Bytes(),
 		{}, {opLookup}, {opPut, 1, 0, 0, 0}, {opLookupBatch, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+	}
+}
+
+// TestRetiredOpcodeRefused: opcode 12 was the database announcing a restart.
+// A stream owner from an older build that still sends it is told the node
+// does not know it, rather than acked for something the node did not do.
+func TestRetiredOpcodeRefused(t *testing.T) {
+	if _, err := New(Config{}).handle(12, nil); err == nil || !strings.Contains(err.Error(), "unknown opcode 12") {
+		t.Fatalf("opcode 12: err = %v, want unknown opcode", err)
 	}
 }
 

@@ -56,7 +56,6 @@ const (
 	opInval           byte = 7
 	opLookupBatch     byte = 10
 	opLookupBatchResp byte = 11
-	opWarmBoot        byte = 12
 )
 
 // MaxBatchLookup bounds the probes of one batched lookup so a corrupt
@@ -156,14 +155,6 @@ func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
 		e.I64(st.BytesUsed).I64(int64(st.Versions)).I64(int64(st.Keys))
 		e.U64(uint64(st.Horizon))
 		return e, nil
-	case opWarmBoot:
-		ts := interval.Timestamp(d.U64())
-		wallNano := d.I64()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		s.WarmBoot(ts, time.Unix(0, wallNano))
-		return nil, nil
 	case opInval:
 		m, err := invalidation.DecodeMessage(d)
 		if err != nil {
@@ -504,16 +495,6 @@ func (c *Client) Stats() Stats {
 	return st
 }
 
-// WarmBoot implements the crash-recovery horizon push over TCP: the
-// database daemon calls it on every cache node after recovering, before
-// resuming the invalidation stream (see Server.WarmBoot for why a plain
-// horizon seed is not enough after a crash). Acked like an invalidation
-// push — a nil return means the node applied it.
-func (c *Client) WarmBoot(ctx context.Context, ts interval.Timestamp, wall time.Time) error {
-	_, _, err := c.rpc.Call(ctx, rpc.NewFrame(opWarmBoot).U64(uint64(ts)).I64(wall.UnixNano()))
-	return err
-}
-
 // ResetStats implements Node over TCP. Failures are counted in
 // ClientStats.CallErrors rather than silently discarded.
 func (c *Client) ResetStats() {
@@ -535,7 +516,9 @@ func (c *Client) ResetStats() {
 // caller is expected to be a single goroutine per node, which preserves
 // send order.
 func (c *Client) PushInvalidation(ctx context.Context, m invalidation.Message) error {
-	_, _, err := c.rpc.Conn(0).Call(ctx, rpc.NewFrame(opInval).Raw(m.Encode(opInval)[1:]))
+	e := rpc.NewFrame(opInval)
+	m.AppendTo(e)
+	_, _, err := c.rpc.Conn(0).Call(ctx, e)
 	return err
 }
 

@@ -18,6 +18,7 @@ package cacheserver
 import (
 	"container/list"
 	"context"
+	"log"
 	"runtime"
 	"sort"
 	"sync"
@@ -121,9 +122,11 @@ type Config struct {
 // still-valid entry is served through it and no further; its history floor
 // is where that stretch begins, and a still-valid insert generated below it
 // is kept only as far as its own transaction proved it. Both come from the
-// stream itself — the first message it delivers puts the floor just below
-// that message (apply), a warm boot moves both across a gap — so a node needs
-// no seeding to be safe.
+// stream itself, which carries one message per commit timestamp: a message
+// that is not the successor of the horizon says the node missed some, and
+// the node crosses that gap before applying it (apply, crossGapLocked). So a
+// node needs no seeding and no announcement — not when it joins, not when
+// the database restarts — to be safe.
 //
 // Synchronization layers, from hottest to coldest:
 //
@@ -134,8 +137,8 @@ type Config struct {
 //     still-valid Puts replaying their ordering window.
 //   - lastInval, used, per-shard stat counters: atomics. Lookups read the
 //     horizon with one load; Stats()/ResetStats() never touch a lock.
-//   - streamMu: serializes ApplyInvalidation/WarmBoot so stream
-//     messages apply in timestamp order across shard visits.
+//   - streamMu: serializes apply so stream messages (and the gaps between
+//     them) apply in timestamp order across shard visits.
 //
 // Lock order: streamMu → hist.mu, and shard.mu → hist.mu (a Put replays
 // history while holding its shard). Nothing acquires a shard lock while
@@ -151,18 +154,17 @@ type Server struct {
 	used atomic.Int64
 
 	// lastInval is the node's consistency horizon: the timestamp of the
-	// newest stream message fully applied (or the timestamp a warm boot
-	// brought the node to).
+	// newest stream message fully applied (or the far side of a gap the node
+	// is crossing, just below the message that revealed it).
 	// It is advanced only after every shard has been visited, so a lookup
 	// that reads it can never extend a still-valid entry past an
 	// invalidation its shard has not yet absorbed.
 	lastInval atomic.Uint64
 
-	// streamMu serializes ordered stream application (ApplyInvalidation,
-	// WarmBoot) and guards the stream-side state below.
-	streamMu      sync.Mutex
-	lastInvalWall time.Time
-	msgCount      uint64
+	// streamMu serializes ordered stream application (apply) and guards the
+	// stream-side state below.
+	streamMu sync.Mutex
+	msgCount uint64
 
 	invalidations atomic.Uint64 // stream messages processed
 
@@ -189,8 +191,7 @@ type Stats struct {
 	Versions        int
 	Keys            int
 	// Horizon is the node's consistency horizon (LastInvalidation): the
-	// newest timestamp it can serve still-valid entries through. After a
-	// database warm boot it must be at least the recovered timestamp.
+	// newest timestamp it can serve still-valid entries through.
 	Horizon interval.Timestamp
 }
 
@@ -453,8 +454,8 @@ func (s *Server) enforceBudget(home *shard, except *version) {
 }
 
 // eachShard runs f on every shard in turn, under that shard's lock and no
-// other shard's: the one walk the stream (ApplyInvalidation, WarmBoot) and
-// the staleness sweep share.
+// other shard's: the one walk the stream (a message, a gap) and the
+// staleness sweep share.
 func (s *Server) eachShard(f func(sh *shard)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -478,11 +479,13 @@ func (s *Server) eachShard(f func(sh *shard)) {
 func (s *Server) ApplyInvalidation(m invalidation.Message) { s.apply(m, false) }
 
 // apply is ApplyInvalidation for a message that may have arrived on the
-// node's stream (fromStream: ConsumeStream, the TCP push). A node joins its
-// stream wherever the first delivery finds it and holds nothing that says
-// what happened below that message, so the first one it is delivered brings
-// it there the way a warm boot would, and only then is applied. The join
-// needs no other step, and none from an operator.
+// node's stream (fromStream: ConsumeStream, the TCP push). The stream carries
+// one message per commit timestamp, so one that is not the successor of the
+// horizon means the node was not delivered what lies between: it had not
+// joined yet (old == 0), the database crashed with messages undelivered, the
+// node was removed and added back, or something between the two lost them.
+// Whichever it was, the node crosses the gap first and only then applies m.
+// The join needs no other step, and none from an operator or the database.
 func (s *Server) apply(m invalidation.Message, fromStream bool) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
@@ -490,8 +493,8 @@ func (s *Server) apply(m invalidation.Message, fromStream bool) {
 	if m.TS <= old {
 		return
 	}
-	if fromStream && old == 0 {
-		s.warmBootLocked(m.TS-1, m.WallTime)
+	if fromStream && m.TS != old+1 {
+		s.crossGapLocked(old, m.TS-1, m.WallTime)
 	}
 	s.invalidations.Add(1)
 
@@ -506,7 +509,6 @@ func (s *Server) apply(m invalidation.Message, fromStream bool) {
 	s.eachShard(func(sh *shard) { sh.applyLocked(s, m) })
 
 	s.lastInval.Store(uint64(m.TS))
-	s.lastInvalWall = m.WallTime
 
 	// Periodic eager staleness sweep (§4.1).
 	s.msgCount++
@@ -522,49 +524,37 @@ func (s *Server) SweepStale() {
 	s.eachShard(func(sh *shard) { sh.sweepStaleLocked(s, cutoff) })
 }
 
-// WarmBoot transitions the node across a database crash-recovery gap: the
-// database recovered to ts (its replayed WAL watermark) and is about to
-// resume publishing invalidations from there. The cached data itself is
-// fine — every entry the node holds was computed from commits the WAL made
-// durable before they became visible — but invalidation messages that were
-// published and not yet delivered when the daemon died are gone forever,
-// so a still-valid entry must NOT be carried across the gap: the next
-// message to arrive would advance the horizon and silently extend entries
-// whose invalidation fell into the gap.
-func (s *Server) WarmBoot(ts interval.Timestamp, wall time.Time) {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	s.warmBootLocked(ts, wall)
-}
-
-// warmBootLocked moves the node's horizon to ts across a stretch of the
-// stream it will never see: the crash-recovery gap (WarmBoot), or everything
-// before the first message of a node that joined the stream late (apply). It
-// closes every tag-registered still-valid version at the old horizon L —
-// bounding it at L+1, exactly the effective validity (effHi) it already
-// served, so no lookup result changes — then raises the history floor and the
-// horizon to ts, so a still-valid insert generated at an older snapshot is
-// closed at genSnap+1 (Put's floor path) rather than served through a horizon
-// the node cannot vouch for. Tagless still-valid entries (pure functions of
-// their arguments) have no database dependencies and survive open. Bounded
-// versions keep serving reads at pinned past snapshots throughout: the node
-// loses freshness, never the cache. Caller holds streamMu.
-func (s *Server) warmBootLocked(ts interval.Timestamp, wall time.Time) {
-	old := interval.Timestamp(s.lastInval.Load())
-	if ts <= old {
-		// No gap to bridge: the node is already at or past ts (e.g. recovery
-		// replayed everything the node ever saw).
-		return
-	}
+// crossGapLocked moves the node's horizon from old to ts (old < ts) across
+// a stretch of the stream it will never see. The cached data itself is fine —
+// every entry was computed from commits that were durable before they were
+// visible — but a message in the gap may have named a still-valid entry, and
+// the next one to arrive would otherwise advance the horizon and extend it.
+// So every tag-registered still-valid version is closed at old+1, exactly the
+// effective validity (effHi) it already served — no lookup result changes —
+// and the history floor rises to ts, so a still-valid insert generated at an
+// older snapshot is closed at genSnap+1 (Put's floor path) rather than served
+// through a horizon the node cannot vouch for. Tagless still-valid entries
+// (pure functions of their arguments) have no database dependencies and
+// survive open. Bounded versions keep serving reads at pinned past snapshots
+// throughout: the node loses freshness, never the cache. Caller holds
+// streamMu.
+func (s *Server) crossGapLocked(old, ts interval.Timestamp, wall time.Time) {
 	// Floor before the shard sweep, sweep before the horizon store: a Put
 	// racing this call either replays against the raised floor (closed
 	// conservatively at its genSnap) or lands in a shard before the sweep
-	// visits it (closed at L+1). Either way nothing stays open across the
+	// visits it (closed at old+1). Either way nothing stays open across the
 	// gap before the horizon rises.
 	s.hist.raiseFloor(ts)
-	s.eachShard(func(sh *shard) { sh.closeStillLocked(s, old, wall) })
+	closed := 0
+	s.eachShard(func(sh *shard) { closed += sh.closeStillLocked(s, old, wall) })
 	s.lastInval.Store(uint64(ts))
-	s.lastInvalWall = wall
+	// A node that had a horizon was on the stream, and the stream lost
+	// something: the one event here an operator needs to hear about. A
+	// fresh node's first message is how it joins, and says nothing.
+	if old != 0 {
+		log.Printf("cacheserver: invalidation stream gap: at %d, next message %d; closed %d still-valid version(s) at %d, history floor raised to %d",
+			old, ts+1, closed, old+1, ts)
+	}
 }
 
 // LastInvalidation returns the timestamp of the newest stream message
@@ -630,9 +620,9 @@ type histIndex struct {
 	mu     sync.RWMutex
 	maxLen int
 	msgs   []invalidation.Message
-	// floor is the newest timestamp dropped from the ring (or the one a warm
-	// boot brought the node to): inserts generated at snapshots older than
-	// it cannot be checked and are closed conservatively.
+	// floor is the newest timestamp dropped from the ring (or the far side of
+	// the last gap the node crossed): inserts generated at snapshots older
+	// than it cannot be checked and are closed conservatively.
 	floor interval.Timestamp
 
 	// Posting lists are ascending timestamps (messages arrive in order),
@@ -693,7 +683,7 @@ func (h *histIndex) firstMatch(tags []invalidation.TagID, genSnap interval.Times
 	return best, wall, false
 }
 
-// raiseFloor lifts the history floor to ts (warmBootLocked).
+// raiseFloor lifts the history floor to ts (crossGapLocked).
 func (h *histIndex) raiseFloor(ts interval.Timestamp) {
 	h.mu.Lock()
 	if ts > h.floor {

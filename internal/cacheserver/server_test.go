@@ -18,6 +18,13 @@ func advanceTo(s *Server, ts interval.Timestamp) {
 	s.ApplyInvalidation(invalidation.Message{TS: ts, WallTime: time.Unix(int64(ts), 0)})
 }
 
+// streamTo delivers message ts as the node's stream does. Unlike advanceTo,
+// nobody vouches for what lies between the horizon and ts: the node is at ts
+// afterwards, having crossed a gap unless ts was the horizon's successor.
+func streamTo(s *Server, ts interval.Timestamp, wall time.Time) {
+	s.apply(invalidation.Message{TS: ts, WallTime: wall}, true)
+}
+
 func TestLookupMissCompulsory(t *testing.T) {
 	s := New(Config{})
 	r := s.Lookup(context.Background(), "nope", 0, 100, 0, 100)
@@ -290,7 +297,7 @@ func TestServeOverTCP(t *testing.T) {
 		t.Fatalf("r = %+v", r)
 	}
 
-	if err := c.PushInvalidation(context.Background(), invalidation.Message{TS: 20, WallTime: time.Now(),
+	if err := c.PushInvalidation(context.Background(), invalidation.Message{TS: 11, WallTime: time.Now(),
 		Tags: ids([]invalidation.Tag{invalidation.KeyTag("users", "id", "1")})}); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +308,7 @@ func TestServeOverTCP(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if r.Still || r.Validity.Hi != 20 {
+	if r.Still || r.Validity.Hi != 11 {
 		t.Fatalf("after invalidation: %+v", r)
 	}
 
@@ -363,37 +370,65 @@ func TestLateInsertAfterMatchingInvalidation(t *testing.T) {
 	}
 }
 
-// streams are the two ways an invalidation stream reaches a node: an
-// in-process subscription, and the database's acked push over TCP. Each
-// starts a node on its own stream and returns how to deliver one message to
-// it, applied on return.
-var streams = map[string]func(t *testing.T) (*Server, func(invalidation.Message)){
-	"ConsumeStream": func(t *testing.T) (*Server, func(invalidation.Message)) {
+// nodeStream is a node on one of the two seams an invalidation stream reaches
+// it by.
+type nodeStream struct {
+	s    *Server
+	node Node // s as its clients reach it on this seam
+	// deliver sends one message down the stream; it is applied (or dropped
+	// as a duplicate) on return.
+	deliver func(invalidation.Message)
+	// lose has the stream's owner publish ms while the node is not listening:
+	// it never receives them, and nobody tells it so.
+	lose func(ms ...invalidation.Message)
+}
+
+// streams are the two seams: an in-process subscription, and the database's
+// acked push over TCP. Each starts a fresh node on its own stream.
+var streams = map[string]func(t *testing.T) nodeStream{
+	"ConsumeStream": func(t *testing.T) nodeStream {
 		s := New(Config{})
 		bus := invalidation.NewBus(false)
-		sub := bus.Subscribe()
-		t.Cleanup(sub.Close)
-		go s.ConsumeStream(sub)
-		return s, func(m invalidation.Message) {
-			bus.Publish(m)
-			for deadline := time.Now().Add(5 * time.Second); s.LastInvalidation() < m.TS; time.Sleep(50 * time.Microsecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("message %d never applied (at %d)", m.TS, s.LastInvalidation())
+		var sub *invalidation.Subscription
+		join := func() {
+			sub = bus.Subscribe()
+			go s.ConsumeStream(sub)
+		}
+		join()
+		t.Cleanup(func() { sub.Close() })
+		return nodeStream{s: s, node: s,
+			deliver: func(m invalidation.Message) {
+				bus.Publish(m)
+				for deadline := time.Now().Add(5 * time.Second); s.LastInvalidation() < m.TS; time.Sleep(50 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("message %d never applied (at %d)", m.TS, s.LastInvalidation())
+					}
 				}
-			}
+			},
+			// The node is removed and added back: its new subscription
+			// starts wherever the bus is by then.
+			lose: func(ms ...invalidation.Message) {
+				sub.Close()
+				bus.PublishBatch(ms)
+				join()
+			},
 		}
 	},
-	"TCPPush": func(t *testing.T) (*Server, func(invalidation.Message)) {
+	"TCPPush": func(t *testing.T) nodeStream {
 		s, addr := startServer(t)
 		c, err := Dial(addr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		return s, func(m invalidation.Message) {
-			if err := c.PushInvalidation(context.Background(), m); err != nil {
-				t.Fatal(err)
-			}
+		return nodeStream{s: s, node: c,
+			deliver: func(m invalidation.Message) {
+				if err := c.PushInvalidation(context.Background(), m); err != nil {
+					t.Fatal(err)
+				}
+			},
+			// The stream's owner died with these unsent, or never sent them.
+			lose: func(...invalidation.Message) {},
 		}
 	},
 }
@@ -406,7 +441,8 @@ var streams = map[string]func(t *testing.T) (*Server, func(invalidation.Message)
 func TestFreshNodeMidStream(t *testing.T) {
 	for name, start := range streams {
 		t.Run(name, func(t *testing.T) {
-			s, deliver := start(t)
+			ns := start(t)
+			s, deliver := ns.s, ns.deliver
 			tags := ids([]invalidation.Tag{invalidation.KeyTag("t", "id", "1")})
 			s.Put("early", []byte("v"), iv(10, interval.Infinity), true, 20, tags)
 			deliver(invalidation.Message{TS: 50, WallTime: time.Unix(50, 0)})
@@ -434,7 +470,8 @@ func TestFreshNodeMidStream(t *testing.T) {
 // cannot be proven uninvalidated and must be conservatively closed at
 // genSnap+1 — never served as valid through the node's horizon.
 func TestFirstMessageBoundsUncheckableInserts(t *testing.T) {
-	s, deliver := streams["ConsumeStream"](t)
+	ns := streams["ConsumeStream"](t)
+	s, deliver := ns.s, ns.deliver
 	deliver(invalidation.Message{TS: 20, WallTime: time.Unix(20, 0)}) // the joining node's first message
 	tag := invalidation.KeyTag("t", "id", "1")
 	s.Put("k", []byte("v"), iv(5, interval.Infinity), true, 5, ids([]invalidation.Tag{tag}))

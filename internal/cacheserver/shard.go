@@ -233,7 +233,7 @@ func (sh *shard) enlistLocked(s *Server, v *version) {
 
 // widenLocked handles a put whose Lo equals stored version v's: when the
 // offer proves v valid for longer than v says — v was closed conservatively
-// (history floor, WarmBoot) or installed bounded — v's bound moves out in
+// (history floor, a stream gap) or installed bounded — v's bound moves out in
 // place. A still-valid offer goes through the same registration and history
 // replay as a fresh insert, so one generated before an invalidation the
 // node has processed still ends at that invalidation. The payload is not
@@ -309,16 +309,18 @@ func (sh *shard) applyLocked(s *Server, m invalidation.Message) {
 
 // closeStillLocked bounds every tag-registered still-valid version of this
 // shard at hi+1 — its current effective validity under horizon hi — so it
-// cannot be extended past a crash-recovery gap (Server.WarmBoot). Tagless
-// still-valid versions are untouched: nothing in the database can ever
-// invalidate them. Caller holds sh.mu.
-func (sh *shard) closeStillLocked(s *Server, hi interval.Timestamp, wall time.Time) {
+// cannot be extended past a gap in the stream (Server.crossGapLocked), and
+// reports how many there were. Tagless still-valid versions are untouched:
+// nothing in the database can ever invalidate them. Caller holds sh.mu.
+func (sh *shard) closeStillLocked(s *Server, hi interval.Timestamp, wall time.Time) int {
 	for _, set := range sh.tableDeps {
 		for v := range set {
 			sh.affected[v] = struct{}{}
 		}
 	}
+	n := len(sh.affected)
 	sh.closeAffectedLocked(s, hi+1, wall)
+	return n
 }
 
 // closeAffectedLocked ends every version collected in sh.affected at hi and

@@ -69,7 +69,7 @@ func TestEqualLoPutWidens(t *testing.T) {
 		{
 			name: "ClosedAtTheHistoryFloorThenReprovedAboveIt",
 			setup: func(s *Server) {
-				s.WarmBoot(70, time.Unix(70, 0))
+				streamTo(s, 70, time.Unix(70, 0))
 				s.Put("k", []byte("v"), iv(2, inf), true, 20, tag) // below the floor: closed at 21
 				advanceTo(s, 80)
 			},
@@ -79,7 +79,7 @@ func TestEqualLoPutWidens(t *testing.T) {
 		{
 			name: "StillBelowTheFloorWidensOnlyToItsOwnSnapshot",
 			setup: func(s *Server) {
-				s.WarmBoot(70, time.Unix(70, 0))
+				streamTo(s, 70, time.Unix(70, 0))
 				s.Put("k", []byte("v"), iv(2, inf), true, 20, tag)
 				advanceTo(s, 80)
 			},
@@ -87,11 +87,11 @@ func TestEqualLoPutWidens(t *testing.T) {
 			want:  iv(2, 31),
 		},
 		{
-			name: "ClosedByWarmBootThenRecomputed",
+			name: "ClosedByAStreamGapThenRecomputed",
 			setup: func(s *Server) {
 				advanceTo(s, 20)
 				s.Put("k", []byte("v"), iv(2, inf), true, 20, tag)
-				s.WarmBoot(70, time.Unix(70, 0)) // closed at 21
+				streamTo(s, 70, time.Unix(70, 0)) // a gap: closed at 21
 				advanceTo(s, 80)
 			},
 			offer: offer{hi: inf, still: true, genSnap: 72, tagged: true},
@@ -192,7 +192,7 @@ func TestWidenedVersionAndTheStalenessSweep(t *testing.T) {
 	tag := ids([]invalidation.Tag{invalidation.KeyTag("accounts", "id", "1")})
 	advanceTo(s, 20)
 	s.Put("k", []byte("v"), iv(2, interval.Infinity), true, 20, tag)
-	s.WarmBoot(70, clk.Now()) // closed at 21 and queued for the sweep
+	streamTo(s, 70, clk.Now()) // a gap: closed at 21 and queued for the sweep
 	s.Put("k", []byte("v"), iv(2, interval.Infinity), true, 70, tag)
 
 	clk.Advance(time.Minute)

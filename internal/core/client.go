@@ -70,14 +70,6 @@ type Config struct {
 	// newest fresh pin is older than this and ★ is available, the library
 	// runs in the present and pins a new snapshot. Defaults to 5s.
 	FreshPinThreshold time.Duration
-	// DefaultStaleness is the staleness limit Begin applies when no
-	// WithStaleness option is given. Defaults to 30s (the paper's standard
-	// setting).
-	DefaultStaleness time.Duration
-	// RWRetries bounds how many times Client.ReadWrite re-runs its closure
-	// after a serialization conflict before giving up and returning
-	// ErrSerialization. Defaults to 5; negative disables retries.
-	RWRetries int
 	// NoConsistency reproduces the paper's §8.3 comparator: cache reads
 	// accept any version within the staleness window and never constrain
 	// the pin set, abandoning transactional consistency.
@@ -90,15 +82,13 @@ type Config struct {
 // consistent-hash ring, connections, and stream subscriptions while
 // transactions are running.
 type Client struct {
-	db        DB
-	pc        pincushion.Service
-	clk       clock.Clock
-	ring      *consistent.Ring
-	bus       *invalidation.Bus
-	fresh     time.Duration
-	defStale  time.Duration
-	rwRetries int
-	noCon     bool
+	db    DB
+	pc    pincushion.Service
+	clk   clock.Clock
+	ring  *consistent.Ring
+	bus   *invalidation.Bus
+	fresh time.Duration
+	noCon bool
 
 	mu    sync.RWMutex
 	nodes map[string]cacheserver.Node
@@ -208,15 +198,6 @@ func NewClient(cfg Config) *Client {
 	if cfg.FreshPinThreshold <= 0 {
 		cfg.FreshPinThreshold = 5 * time.Second
 	}
-	if cfg.DefaultStaleness <= 0 {
-		cfg.DefaultStaleness = 30 * time.Second
-	}
-	switch {
-	case cfg.RWRetries == 0:
-		cfg.RWRetries = 5
-	case cfg.RWRetries < 0:
-		cfg.RWRetries = 0
-	}
 	c := &Client{
 		db:        cfg.DB,
 		pc:        cfg.Pincushion,
@@ -227,8 +208,6 @@ func NewClient(cfg Config) *Client {
 		subs:      make(map[string]*invalidation.Subscription),
 		fresh:     cfg.FreshPinThreshold,
 		leaseTerm: cfg.FreshPinThreshold / leaseTermDivisor,
-		defStale:  cfg.DefaultStaleness,
-		rwRetries: cfg.RWRetries,
 		noCon:     cfg.NoConsistency,
 	}
 	// Initial nodes are assumed to be wired to the invalidation stream

@@ -284,7 +284,6 @@ func TestReadWriteRetryBoundExhausted(t *testing.T) {
 	r := newRig(t, 1, func(cfg *Config) {
 		cdb = &conflictDB{DB: cfg.DB}
 		cfg.DB = cdb
-		cfg.RWRetries = 2
 	})
 	setupAccounts(t, r, 1, 100)
 
@@ -298,8 +297,8 @@ func TestReadWriteRetryBoundExhausted(t *testing.T) {
 	if !errors.Is(err, ErrSerialization) {
 		t.Fatalf("ReadWrite = %v, want ErrSerialization after retries exhausted", err)
 	}
-	if runs != 3 {
-		t.Fatalf("closure ran %d times, want 3 (initial + 2 retries)", runs)
+	if runs != 1+rwRetries {
+		t.Fatalf("closure ran %d times, want %d (initial + %d retries)", runs, 1+rwRetries, rwRetries)
 	}
 }
 

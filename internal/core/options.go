@@ -21,10 +21,14 @@ type txOptions struct {
 	noCache   bool
 }
 
+// defaultStaleness is the staleness limit Begin applies when no
+// WithStaleness option is given: the paper's standard setting.
+const defaultStaleness = 30 * time.Second
+
 // WithStaleness bounds how stale the read-only transaction's snapshot may
-// be (paper §2.2's BEGIN-RO staleness argument). Without this option the
-// client's Config.DefaultStaleness applies. Read/write transactions always
-// run on the latest state; the option is ignored for them.
+// be (paper §2.2's BEGIN-RO staleness argument). Without this option
+// defaultStaleness applies. Read/write transactions always run on the
+// latest state; the option is ignored for them.
 func WithStaleness(d time.Duration) TxOption {
 	return func(o *txOptions) { o.staleness = d }
 }

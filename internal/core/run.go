@@ -19,13 +19,17 @@ func (c *Client) ReadOnly(ctx context.Context, fn func(*Tx) error, opts ...TxOpt
 	return c.runTx(ctx, fn, append(cloneOpts(opts), withReadOnly()))
 }
 
+// rwRetries bounds how many times ReadWrite re-runs its closure after a
+// serialization conflict before giving up and returning ErrSerialization.
+const rwRetries = 5
+
 // ReadWrite begins a read/write transaction, runs fn inside it, and
 // commits, returning the new commit timestamp (which applications thread
 // into a later transaction's WithMinTimestamp for session causality). Like
 // ReadOnly it finishes the transaction on every exit path. When Commit
 // fails with a serialization conflict the whole closure is re-run — fn must
-// therefore be safe to execute more than once — up to Config.RWRetries
-// times with a short growing backoff, the standard client idiom under
+// therefore be safe to execute more than once — up to rwRetries times with a
+// short growing backoff, the standard client idiom under
 // snapshot isolation; conflicts beyond the bound surface as
 // ErrSerialization.
 func (c *Client) ReadWrite(ctx context.Context, fn func(*Tx) error, opts ...TxOption) (interval.Timestamp, error) {
@@ -35,7 +39,7 @@ func (c *Client) ReadWrite(ctx context.Context, fn func(*Tx) error, opts ...TxOp
 	all := append(cloneOpts(opts), WithReadWrite())
 	for attempt := 0; ; attempt++ {
 		ts, err := c.runTx(ctx, fn, all)
-		if err == nil || !errors.Is(err, ErrSerialization) || attempt >= c.rwRetries {
+		if err == nil || !errors.Is(err, ErrSerialization) || attempt >= rwRetries {
 			return ts, err
 		}
 		select {

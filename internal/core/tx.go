@@ -123,7 +123,7 @@ func (c *Client) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := txOptions{staleness: c.defStale}
+	o := txOptions{staleness: defaultStaleness}
 	for _, opt := range opts {
 		opt(&o)
 	}

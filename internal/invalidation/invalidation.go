@@ -53,13 +53,11 @@ type Message struct {
 	Tags     []TagID
 }
 
-// Encode serializes the message for the wire using the given opcode.
-func (m Message) Encode(op byte) []byte {
-	e := wire.NewBuffer(op)
+// AppendTo writes the message to e: what DecodeMessage reads.
+func (m Message) AppendTo(e *wire.Buffer) {
 	e.U64(uint64(m.TS))
 	e.I64(m.WallTime.UnixNano())
 	AppendTags(e, m.Tags)
-	return e.Bytes()
 }
 
 // AppendTags writes tags as a count and eight bytes each: the one encoding

@@ -28,8 +28,9 @@ func TestMessageEncodeDecode(t *testing.T) {
 			Intern(Tag{}),
 		},
 	}
-	b := m.Encode(0x10)
-	d := wire.NewDecoder(b)
+	e := wire.NewBuffer(0x10)
+	m.AppendTo(e)
+	d := wire.NewDecoder(e.Bytes())
 	if op := d.Op(); op != 0x10 {
 		t.Fatalf("op = %#x", op)
 	}
@@ -49,7 +50,9 @@ func TestMessageEncodeDecode(t *testing.T) {
 
 func TestMessageDecodeTruncated(t *testing.T) {
 	m := Message{TS: 1, Tags: []TagID{Intern(KeyTag("t", "c", "v"))}}
-	b := m.Encode(1)
+	e := wire.NewBuffer(1)
+	m.AppendTo(e)
+	b := e.Bytes()
 	d := wire.NewDecoder(b[:len(b)-3])
 	d.Op()
 	if _, err := DecodeMessage(d); err == nil {

@@ -105,7 +105,7 @@ type Tx = core.Tx
 type TxOption = core.TxOption
 
 // WithStaleness bounds how stale the read-only transaction's snapshot may
-// be; without it Config.DefaultStaleness (30s) applies.
+// be; without it 30s, the paper's standard setting, applies.
 func WithStaleness(d time.Duration) TxOption { return core.WithStaleness(d) }
 
 // WithMinTimestamp guarantees the snapshot is no older than ts; thread a

@@ -46,6 +46,10 @@ benchmark-test:
 # sequencer may not name the table lock or call a flush, and internal/mvcc
 # may not import sync, so neither a second critical section nor a second lock
 # can grow back.
+# The same arm guards the shape of what that lock covers: a table's rows are
+# found by position in mvcc.Store's paged directory (DESIGN.md "Row
+# directory"), so nothing under internal/mvcc or internal/db maps a RowID to
+# anything; a map keyed by row is the 107 bytes a row the directory replaced.
 # Then the one-interval guard: a dependency is proven on one bounded interval
 # and is open or closed there (DESIGN.md "Still-valid composition"), and a
 # cache node derives what it can vouch for from the stream it has seen
@@ -84,6 +88,9 @@ lint:
 		grep -nE 'Table\.mu|\.flush[A-Za-z]*\(' internal/db/sequencer.go; \
 		grep -n '"sync' --exclude='*_test.go' internal/mvcc/*.go; } || true)"; if [ -n "$$out" ]; then \
 		echo "a second critical section or a second lock over a table's data is back; a commit installs its index entries at apply, under Table.mu, and mvcc.Store relies on that lock:"; \
+		echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'map\[(mvcc\.)?RowID\]' --include='*.go' --exclude='*_test.go' internal/mvcc internal/db || true)"; if [ -n "$$out" ]; then \
+		echo "a map keyed by RowID is back; row ids are dense and never reused, so a row is found by position in mvcc.Store's row directory (40 B a row where the map and its per-row chain cost 107), and what must be kept per row belongs in its slot or in a slice indexed the same way:"; \
 		echo "$$out"; exit 1; fi
 	@out="$$( { grep -rn 'SetHorizon' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd examples internal *.go; \
 		grep -rn '\.ApplyInvalidation(' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=cacheserver cmd examples internal *.go; \
@@ -197,16 +204,20 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkCacheLookupTCP -benchtime=2s ./internal/cacheserver
 	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver
 	$(GO) test -run xxx -bench 'BenchmarkGet|BenchmarkApplyBatch|BenchmarkInsert' -benchtime=2s -benchmem ./internal/btree
+	$(GO) test -run xxx -bench 'BenchmarkStoreInsert|BenchmarkStoreVisibleAt' -benchtime=2s -benchmem ./internal/mvcc
 
 # Allocation-budget regression: the hot paths (point select, cacheable hit,
 # leased Begin+Commit, invalidation apply, single-row commit, vacuum pass)
 # must stay under their pinned allocs/op ceilings, and a cache node's first sight of a tag under
 # its bytes ceiling. An index entry must stay under its bytes ceiling too
-# (TestBytesPerEntry: live heap per key in four build orders), and an insert
-# that finds room in its leaf must not allocate.
+# (TestBytesPerEntry: live heap per key in four build orders), an insert
+# that finds room in its leaf must not allocate, and a row must stay under
+# its own (TestBytesPerRow: live heap per row with one version, with two,
+# and vacuumed back to one).
 alloc-regression:
 	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core ./internal/cacheserver
 	$(GO) test -run 'TestBytesPerEntry|TestInsertAllocs' ./internal/btree
+	$(GO) test -run 'TestBytesPerRow' ./internal/mvcc
 
 # In-process cache-node contention sweep: mixed lookup/put/invalidate/stats
 # against one Server from parallel goroutines, across -cpu counts. On a

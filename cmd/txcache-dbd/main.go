@@ -56,6 +56,10 @@ type status struct {
 	// versions retained for the staleness window cost in index memory.
 	IndexEntries int `json:"indexEntries"`
 	IndexBytes   int `json:"indexBytes"`
+	// Rows and RowBytes are db.Stats' row account: the rows those versions
+	// belong to, and what the version stores' row directories hold for them.
+	Rows     int `json:"rows"`
+	RowBytes int `json:"rowBytes"`
 }
 
 // writeStatus publishes one status snapshot. Plain JSON (no WAL framing):
@@ -223,6 +227,8 @@ func main() {
 			Durability:   engine.DurabilityStats(),
 			IndexEntries: st.IndexEntries,
 			IndexBytes:   st.IndexBytes,
+			Rows:         st.Rows,
+			RowBytes:     st.RowBytes,
 		}
 	}
 	if *statusFile != "" {

@@ -205,14 +205,14 @@ func (t *Tree) seek(key []byte, forInsert bool) cursor {
 	var lo, hi []byte
 	if forInsert && t.root.full() {
 		t.root = &inner{kids: []*inner{t.root}}
-		t.root.splitKid(0)
+		t.root.splitKid(0, key, true)
 	}
 	n := t.root
 	for {
 		i := childIndex(n.keys, key)
 		if forInsert {
 			if n.leaves == nil && n.kids[i].full() {
-				n.splitKid(i)
+				n.splitKid(i, key, hi == nil && i == len(n.keys))
 				i = childIndex(n.keys, key)
 			} else if n.leaves != nil {
 				c := n.leaves[i]
@@ -525,11 +525,18 @@ func (l *leaf) ascend(lo, hi []byte, fn func(key []byte, posts []uint64) bool) b
 
 func (n *inner) full() bool { return len(n.keys) >= degree }
 
-// splitKid splits the full internal child at index i, hoisting its median
-// key.
-func (n *inner) splitKid(i int) {
+// splitKid splits the full internal child at index i, on the path of an
+// insert of key, hoisting its median key — or its last, when the child is on
+// the tree's rightmost spine and key goes past everything in it: the rule
+// splitLeaf has, one level up, so keys arriving in order leave full internal
+// nodes behind too. The new right node then starts with the one child the
+// insert descends into.
+func (n *inner) splitKid(i int, key []byte, rightmost bool) {
 	c := n.kids[i]
 	mid := len(c.keys) / 2
+	if rightmost && bytes.Compare(key, c.keys[len(c.keys)-1]) >= 0 {
+		mid = len(c.keys) - 1
+	}
 	sep := c.keys[mid]
 	right := &inner{keys: slices.Clone(c.keys[mid+1:])}
 	clear(c.keys[mid:])

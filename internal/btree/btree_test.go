@@ -535,7 +535,7 @@ var buildOrders = []struct {
 	ceiling float64 // TestBytesPerEntry's, bytes of live heap per entry
 	build   func(n int) *Tree
 }{
-	{"InsertInOrder", 28, func(n int) *Tree {
+	{"InsertInOrder", 24, func(n int) *Tree {
 		tr := New()
 		var buf []byte
 		for i := 0; i < n; i++ {
@@ -544,7 +544,7 @@ var buildOrders = []struct {
 		}
 		return tr
 	}},
-	{"ApplyBatchInOrder", 28, func(n int) *Tree {
+	{"ApplyBatchInOrder", 24, func(n int) *Tree {
 		tr := New()
 		ops := make([]Op, 64)
 		for i := range ops {
@@ -608,7 +608,8 @@ func TestBytesPerEntry(t *testing.T) {
 }
 
 // TestTailSplitFill: keys arriving in order split the rightmost leaf at the
-// insertion point, so the leaves they leave behind are full.
+// insertion point and the internal nodes above it at their end, so the nodes
+// they leave behind are full.
 func TestTailSplitFill(t *testing.T) {
 	for _, order := range buildOrders[:2] {
 		tr := order.build(100_000)
@@ -616,6 +617,20 @@ func TestTailSplitFill(t *testing.T) {
 		st := tr.Stats()
 		if fill := float64(st.Entries) / float64(st.Leaves*degree); fill < 0.9 {
 			t.Errorf("%s: mean leaf fill %.2f after in-order inserts, want >= 0.90", order.name, fill)
+		}
+		// The same one level up: an internal node off the rightmost spine
+		// was cut at its end, not in its middle.
+		var nodes, keys int
+		var walk func(n *inner)
+		walk = func(n *inner) {
+			nodes, keys = nodes+1, keys+len(n.keys)
+			for _, k := range n.kids {
+				walk(k)
+			}
+		}
+		walk(tr.root)
+		if fill := float64(keys) / float64(nodes*degree); fill < 0.9 {
+			t.Errorf("%s: mean internal fill %.2f (%d nodes) after in-order inserts, want >= 0.90", order.name, fill, nodes)
 		}
 	}
 }

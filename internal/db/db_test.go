@@ -486,13 +486,15 @@ func TestVacuumRespectsPins(t *testing.T) {
 }
 
 // TestIndexShrinksAfterVacuum: an index entry goes when vacuum reclaims the
-// last version carrying its key, and the leaf goes with its last entry, so a
-// table emptied behind the horizon costs what an empty table costs.
+// last version carrying its key, and the leaf goes with its last entry — and
+// a row's slot and its page go the same way — so a table emptied behind the
+// horizon costs what an empty table costs.
 func TestIndexShrinksAfterVacuum(t *testing.T) {
 	e := newTestEngine(t)
 	base := e.Stats()
-	if base.IndexEntries != 0 || base.IndexBytes <= 0 {
-		t.Fatalf("empty engine: %d index entries, %d index bytes", base.IndexEntries, base.IndexBytes)
+	if base.IndexEntries != 0 || base.IndexBytes <= 0 || base.Rows != 0 || base.RowBytes != 0 {
+		t.Fatalf("empty engine: %d index entries, %d index bytes, %d rows, %d row bytes",
+			base.IndexEntries, base.IndexBytes, base.Rows, base.RowBytes)
 	}
 	const rows = 3000
 	var last interval.Timestamp
@@ -506,21 +508,25 @@ func TestIndexShrinksAfterVacuum(t *testing.T) {
 		t.Fatalf("loaded: %d index entries (want %d), %d index bytes (empty: %d)",
 			full.IndexEntries, want, full.IndexBytes, base.IndexBytes)
 	}
+	if full.Rows != rows || full.RowBytes < 40*rows || full.RowBytes > 64*rows {
+		t.Fatalf("loaded: %d rows in %d row-directory bytes, want %d rows at 40 to 64 B", full.Rows, full.RowBytes, rows)
+	}
 	if err := e.Pin(last); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, e, "DELETE FROM items WHERE id >= 0")
 	e.Vacuum()
-	if got := e.Stats(); got.IndexEntries != full.IndexEntries {
-		t.Fatalf("a pinned snapshot still reads the rows: %d index entries, want %d", got.IndexEntries, full.IndexEntries)
+	if got := e.Stats(); got.IndexEntries != full.IndexEntries || got.Rows != rows || got.RowBytes != full.RowBytes {
+		t.Fatalf("a pinned snapshot still reads the rows: %d index entries (want %d), %d rows in %d B (want %d in %d)",
+			got.IndexEntries, full.IndexEntries, got.Rows, got.RowBytes, rows, full.RowBytes)
 	}
 	e.Unpin(last) // the horizon advances past the deletes
 	if n := e.Vacuum(); n != rows {
 		t.Fatalf("vacuumed %d versions, want %d", n, rows)
 	}
-	if got := e.Stats(); got.IndexEntries != 0 || got.IndexBytes != base.IndexBytes || got.TotalVersions != 0 {
-		t.Fatalf("after vacuum: %d index entries, %d index bytes (empty: %d), %d versions",
-			got.IndexEntries, got.IndexBytes, base.IndexBytes, got.TotalVersions)
+	if got := e.Stats(); got.IndexEntries != 0 || got.IndexBytes != base.IndexBytes || got.TotalVersions != 0 || got.Rows != 0 || got.RowBytes != 0 {
+		t.Fatalf("after vacuum: %d index entries, %d index bytes (empty: %d), %d versions, %d rows in %d B",
+			got.IndexEntries, got.IndexBytes, base.IndexBytes, got.TotalVersions, got.Rows, got.RowBytes)
 	}
 	// The emptied trees still work.
 	mustExec(t, e, "INSERT INTO items (id, seller, price, category) VALUES (1, 2, 1.0, 3)")

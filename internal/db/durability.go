@@ -185,10 +185,8 @@ type durState struct {
 	lastCkptErr string
 
 	// Checkpoint-encoder scratch, reused across passes (serialized by
-	// ckptMu): the staging buffer for one lock-hold batch and the row-id
-	// snapshot of the table being serialized.
+	// ckptMu): the staging buffer for one lock-hold batch.
 	ckptBuf []byte
-	ckptIDs []mvcc.RowID
 }
 
 // noteCkptErr records a failed checkpoint pass for the stats surfaces.
@@ -439,9 +437,11 @@ func (e *Engine) writeSnapshot(path string, ts interval.Timestamp) error {
 // byte length. The table lock is taken per batch: schema plus the first
 // ~ckptBatchBytes of rows under the first hold, then released and
 // re-acquired per batch while the staged bytes are flushed to the file.
-// The row set is fixed up front as an id snapshot (see mvcc.AppendIDs);
-// each id's visible-at-ts version is resolved under whichever hold reaches
-// it, which is sound because ts is pinned and ids are never reused.
+// The row set is the ids below the allocator value read under the first
+// hold, walked in ascending order from a cursor that outlives the unlocked
+// writes (see mvcc.Store.ScanFrom); each row's visible-at-ts version is
+// resolved under whichever hold reaches it, which is sound because ts is
+// pinned and ids are never reused.
 func (e *Engine) writeTableSection(fw *wal.FileWriter, t *Table, ts interval.Timestamp) (int64, error) {
 	start := fw.Count()
 	b := e.dur.ckptBuf[:0]
@@ -479,19 +479,23 @@ func (e *Engine) writeTableSection(fw *wal.FileWriter, t *Table, ts interval.Tim
 		nIdx++
 	}
 	binary.LittleEndian.PutUint32(b[fixIdx:fixIdx+4], uint32(nIdx))
-	b = binary.LittleEndian.AppendUint64(b, uint64(t.store.NextID()))
-	ids := t.store.AppendIDs(e.dur.ckptIDs[:0])
-	e.dur.ckptIDs = ids
-	i := 0
-	for {
-		for i < len(ids) && len(b) < ckptBatchBytes {
-			if v, ok := t.store.VisibleAt(ids[i], ts); ok {
-				b = binary.LittleEndian.AppendUint64(b, uint64(ids[i]))
+	end := t.store.NextID()
+	b = binary.LittleEndian.AppendUint64(b, uint64(end))
+	for next, more := mvcc.RowID(0), true; more; {
+		more = false
+		t.store.ScanFrom(next, func(id mvcc.RowID, _ []mvcc.Version) bool {
+			if id >= end {
+				return false
+			}
+			if v, ok := t.store.VisibleAt(id, ts); ok {
+				b = binary.LittleEndian.AppendUint64(b, uint64(id))
 				b = binary.LittleEndian.AppendUint64(b, uint64(v.Created))
 				b = appendRow(b, v.Data.([]sql.Value))
 			}
-			i++
-		}
+			next = id + 1
+			more = len(b) >= ckptBatchBytes
+			return !more
+		})
 		t.mu.RUnlock()
 		_, err := fw.Write(b)
 		b = b[:0]
@@ -499,10 +503,9 @@ func (e *Engine) writeTableSection(fw *wal.FileWriter, t *Table, ts interval.Tim
 			e.dur.ckptBuf = b
 			return 0, err
 		}
-		if i >= len(ids) {
-			break
+		if more {
+			t.mu.RLock()
 		}
-		t.mu.RLock()
 	}
 	e.dur.ckptBuf = b
 	return fw.Count() - start, nil

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 
 	"txcache/internal/sql"
 	"txcache/internal/wal"
+	"txcache/internal/wire"
 )
 
 // Engine-level durability coverage: commit → kill (drop the engine without
@@ -152,6 +154,91 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	// The index must answer point lookups for checkpointed rows too.
 	if got := queryInts(t, e2, "SELECT qty FROM items WHERE id = ?", int64(42)); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("indexed lookup after checkpoint restore: %v", got)
+	}
+}
+
+// TestCheckpointWalksRowsInIDOrder: a table section lists its rows by
+// ascending id, across as many lock holds as the table takes and past the
+// holes vacuum left, so the same state always writes the same file — and
+// one version per row, the one the snapshot timestamp sees.
+func TestCheckpointWalksRowsInIDOrder(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := openDurable(t, dir)
+	mustDDL(t, e, durSchema)
+	const rows = 6000 // three batches' worth
+	for lo := int64(1); lo <= rows; lo += 500 {
+		tx, err := e.BeginTx(context.Background(), false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := lo; i < lo+500; i++ {
+			if _, err := tx.Exec("INSERT INTO items (id, name, qty) VALUES (?, ?, ?)", i, "a row of some length", i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, e, "DELETE FROM items WHERE id > 1000 AND id <= 3000")
+	e.Vacuum()
+	mustExec(t, e, "UPDATE items SET qty = 0 WHERE id > 5000")
+
+	snapshot := func() []byte {
+		t.Helper()
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wal.ReadFileChecked(filepath.Join(dir, ckptName(e.LastCommit())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	first := snapshot()
+	if second := snapshot(); !bytes.Equal(first, second) {
+		t.Fatal("two checkpoints of one state differ")
+	}
+	_, secs, err := splitSnapshot(first)
+	if err != nil || len(secs) != 1 {
+		t.Fatalf("splitSnapshot: %d sections, %v", len(secs), err)
+	}
+	if len(secs[0]) < 2*ckptBatchBytes {
+		t.Fatalf("the section is %d B: the walk never resumed", len(secs[0]))
+	}
+	d := wire.NewDecoder(secs[0])
+	d.Str()
+	for c := d.U32(); c > 0; c-- {
+		d.Str()
+		d.U16() // type, flags
+	}
+	if nIdx := d.U32(); nIdx != 0 {
+		t.Fatalf("%d secondary indexes", nIdx)
+	}
+	if next := d.U64(); next != rows+1 {
+		t.Fatalf("allocator = %d, want %d", next, rows+1)
+	}
+	var prev uint64
+	n := 0
+	for d.Err() == nil && d.Len() > 0 {
+		id := d.U64()
+		d.U64()
+		row := decodeRow(d)
+		if d.Err() != nil {
+			break
+		}
+		if id <= prev || row[0] != int64(id) || (id > 5000) != (row[2] == int64(0)) {
+			t.Fatalf("row %d after row %d: %v", id, prev, row)
+		}
+		prev = id
+		n++
+	}
+	if d.Err() != nil || n != rows-2000 {
+		t.Fatalf("section holds %d rows (%v), want %d", n, d.Err(), rows-2000)
+	}
+	e2, _ := openDurable(t, dir)
+	if got := queryInts(t, e2, "SELECT id FROM items"); len(got) != rows-2000 {
+		t.Fatalf("recovered %d rows, want %d", len(got), rows-2000)
 	}
 }
 

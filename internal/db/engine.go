@@ -444,6 +444,12 @@ type Stats struct {
 	// window cost in index memory.
 	IndexEntries int
 	IndexBytes   int
+	// Rows and RowBytes are the version stores' own account of their row
+	// directories (mvcc.Store.Len, Bytes): rows not yet vacuumed away, and
+	// the heap their pages and spilled chains hold — the payloads are not
+	// counted.
+	Rows     int
+	RowBytes int
 }
 
 // Stats returns current engine counters.
@@ -463,6 +469,8 @@ func (e *Engine) Stats() Stats {
 	for _, t := range e.tables {
 		t.mu.RLock()
 		s.TotalVersions += t.store.VersionCount()
+		s.Rows += t.store.Len()
+		s.RowBytes += t.store.Bytes()
 		for _, idx := range t.idxList {
 			is := idx.tree.Stats()
 			s.IndexEntries += is.Entries

@@ -2,11 +2,17 @@ package db
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"txcache/internal/interval"
+	"txcache/internal/mvcc"
+	"txcache/internal/sql"
 	"txcache/internal/wal"
+	"txcache/internal/wire"
 )
 
 // The two decoders recovery runs over bytes it found on disk. A CRC frames
@@ -78,6 +84,105 @@ func seedCorpus(f *testing.F) (sections, records [][]byte) {
 	return sections, records
 }
 
+// hostileIDs are row ids no run of this program hands out in this order:
+// descending, then far apart, then the top of the id space. A snapshot
+// written before ids were walked in order holds them shuffled, and a
+// CRC-valid file can hold anything; the row directory must cost by the rows
+// either way.
+var hostileIDs = []mvcc.RowID{900, 899, 3, 2, 1, 1 << 60, 1 << 40, 1<<64 - 2}
+
+// hostileIDSeeds returns a snapshot section of fuzzSchema's table and a
+// commit-group record against it that carry hostileIDs: the section one row
+// per id, the record an insert per id and then an update and a delete of
+// the far ones.
+func hostileIDSeeds() (section, record []byte) {
+	row := func(id mvcc.RowID) []sql.Value {
+		return []sql.Value{int64(id >> 1), "far", 0.5, true, nil}
+	}
+	sec := wire.AppendStr(nil, "kinds")
+	sec = binary.LittleEndian.AppendUint32(sec, 5)
+	for i, c := range []struct {
+		name string
+		typ  sql.ColType
+	}{{"id", sql.TInt}, {"name", sql.TString}, {"score", sql.TFloat}, {"ok", sql.TBool}, {"n", sql.TInt}} {
+		sec = append(wire.AppendStr(sec, c.name), byte(c.typ))
+		if i == 0 {
+			sec = append(sec, 1) // PRIMARY KEY
+		} else {
+			sec = append(sec, 0)
+		}
+	}
+	sec = binary.LittleEndian.AppendUint32(sec, 0) // no secondary index
+	sec = binary.LittleEndian.AppendUint64(sec, 1<<64-1)
+	for _, id := range hostileIDs {
+		sec = binary.LittleEndian.AppendUint64(sec, uint64(id))
+		sec = binary.LittleEndian.AppendUint64(sec, 2)
+		sec = appendRow(sec, row(id))
+	}
+
+	body, fix := walSectionStart(nil, "kinds")
+	for _, id := range hostileIDs {
+		body = walOp(body, walOpInsert, id, row(id))
+	}
+	body = walOp(body, walOpUpdate, 1<<60, row(7))
+	body = walOp(body, walOpDelete, 1<<40, nil)
+	body = walSectionEnd(body, fix, len(hostileIDs)+2)
+	rec := binary.LittleEndian.AppendUint32([]byte{recCommitGroup}, 1)
+	rec = binary.LittleEndian.AppendUint64(rec, 9)
+	rec = append(binary.LittleEndian.AppendUint32(rec, uint32(len(body))), body...)
+	return sec, rec
+}
+
+// TestRestoreHostileIDs: both decoders restore hostileIDs' rows, and the
+// stores they restore into cost a page or so a row, not what the largest id
+// would index.
+func TestRestoreHostileIDs(t *testing.T) {
+	sec, rec := hostileIDSeeds()
+	check := func(from string, tab *Table, versions int) {
+		t.Helper()
+		if got := tab.store.Len(); got != len(hostileIDs) || tab.store.VersionCount() != versions {
+			t.Fatalf("%s: %d rows, %d versions, want %d and %d", from, got, tab.store.VersionCount(), len(hostileIDs), versions)
+		}
+		prev := mvcc.RowID(0)
+		tab.store.Scan(func(id mvcc.RowID, chain []mvcc.Version) bool {
+			if id <= prev || chain[0].Data.([]sql.Value)[1] != "far" {
+				t.Fatalf("%s: row %d after row %d, %v", from, id, prev, chain)
+			}
+			prev = id
+			return true
+		})
+		if got := tab.store.Bytes(); got > 1<<20 {
+			t.Fatalf("%s: row directory holds %d B for %d rows", from, got, len(hostileIDs))
+		}
+	}
+
+	tab, err := decodeTableSection(sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("snapshot section", tab, len(hostileIDs))
+	twice := binary.LittleEndian.AppendUint64(bytes.Clone(sec), 1<<60)
+	twice = appendRow(binary.LittleEndian.AppendUint64(twice, 3), []sql.Value{int64(1), "far", 0.5, true, nil})
+	if _, err := decodeTableSection(twice); err == nil || !strings.Contains(err.Error(), "duplicated") {
+		t.Fatalf("a section naming row 1<<60 twice: %v, want it refused as duplicated", err)
+	}
+
+	e := New(Options{VacuumEvery: -1})
+	mustDDL(t, e, fuzzSchema)
+	rp := newWALReplayer(e, 0, 1)
+	ts, commits, _, err := rp.replayRecord(rec)
+	if err != nil || ts != 9 || commits != 1 {
+		t.Fatalf("replayRecord = ts %d, %d commits, %v", ts, commits, err)
+	}
+	if err := rp.close(); err != nil {
+		t.Fatal(err)
+	}
+	check("log record", e.tables["kinds"], len(hostileIDs)+1)
+	if v, ok := e.tables["kinds"].store.Latest(1 << 40); !ok || v.Deleted != interval.Timestamp(9) {
+		t.Fatalf("row 1<<40 after its logged delete: %v, %v", v, ok)
+	}
+}
+
 // addMangled seeds f with each input whole, cut short, and with a byte
 // flipped in the middle.
 func addMangled(f *testing.F, inputs [][]byte) {
@@ -96,7 +201,8 @@ func addMangled(f *testing.F, inputs [][]byte) {
 // decoder.
 func FuzzSnapshotSection(f *testing.F) {
 	sections, _ := seedCorpus(f)
-	addMangled(f, sections)
+	hostile, _ := hostileIDSeeds()
+	addMangled(f, append(sections, hostile))
 	f.Fuzz(func(t *testing.T, sec []byte) {
 		tab, err := decodeTableSection(sec)
 		if (tab == nil) == (err == nil) {
@@ -109,7 +215,8 @@ func FuzzSnapshotSection(f *testing.F) {
 // payload, against an engine that has the seed records' table.
 func FuzzReplayRecord(f *testing.F) {
 	_, records := seedCorpus(f)
-	addMangled(f, records)
+	_, hostile := hostileIDSeeds()
+	addMangled(f, append(records, hostile))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		e := New(Options{VacuumEvery: -1})
 		if err := e.DDL(fuzzSchema); err != nil {

@@ -28,6 +28,8 @@ package mvcc
 
 import (
 	"fmt"
+	"math/bits"
+	"unsafe"
 
 	"txcache/internal/interval"
 )
@@ -163,18 +165,192 @@ func (q *deadQueue) reclaimableBelow(horizon interval.Timestamp) bool {
 	return q.head < len(s.entries) && s.entries[q.head].Ver.Deleted <= horizon
 }
 
+// The row directory. Row IDs are dense — the store hands them out in order
+// and never reuses one — so a row is found by position, not by hashing: id's
+// high bits name a page, its low pageBits the slot in it. Pages hang off a
+// radix tree over page numbers, fanout children a node, which grows a level
+// at the root when an id beyond its reach arrives and loses every node left
+// without a child. So the directory costs what the rows cost (a page and at
+// most one node per level for a row alone in its page), whatever the
+// largest id named by a snapshot or a log record: 1<<60 is seven nodes and
+// a page, not a 2^52-entry slice.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits // slots in a page
+	fanBits  = 8
+	fanout   = 1 << fanBits // children of a directory node
+)
+
+// slot is one row. A row with a single version — nearly every row — keeps
+// it inline; the second version moves the chain to the heap (spill), and a
+// vacuum that leaves one version moves it back and frees the spill.
+type slot struct {
+	one   [1]Version // the only version, while spill is nil
+	spill *[]Version // every version, ordered by Created ascending, once there are two
+}
+
+// chain returns the slot's versions, oldest first, as a view.
+func (sl *slot) chain() []Version {
+	if sl.spill != nil {
+		return *sl.spill
+	}
+	return sl.one[:]
+}
+
+// page is pageSize consecutive row IDs' slots; bit i of used says slots[i]
+// holds a row. A page with no bit set is dropped from the directory.
+type page struct {
+	used  [pageSize / 64]uint64
+	slots [pageSize]slot
+}
+
+func (p *page) has(i uint) bool { return p.used[i/64]&(1<<(i%64)) != 0 }
+
+// dirNode is an interior node of the directory. Exactly one of kids and
+// pages is non-nil: pages at level 1, the bottom, and kids above it.
+type dirNode struct {
+	live  int // children present
+	kids  *[fanout]*dirNode
+	pages *[fanout]*page
+}
+
+// What the directory's pieces hold of the heap, for Bytes.
+const (
+	pageBytes    = int(unsafe.Sizeof(page{}))
+	nodeBytes    = int(unsafe.Sizeof(dirNode{}) + unsafe.Sizeof([fanout]*page{}))
+	versionBytes = int(unsafe.Sizeof(Version{}))
+	spillBytes   = int(unsafe.Sizeof([]Version{})) // the spilled slice's header
+)
+
 // Store holds the version chains of one table. It is not safe for
 // concurrent use without the caller's lock (see the package doc).
 type Store struct {
 	nextID RowID
-	rows   map[RowID][]Version // chains ordered by Created ascending
-	nVers  int                 // versions across all chains
-	dead   deadQueue           // versions awaiting reclamation, by death ts
+	root   *dirNode  // nil while the store holds no row
+	height int       // levels under root; it reaches page numbers below fanout^height
+	nRows  int       // slots in use
+	nVers  int       // versions across all chains
+	bytes  int       // pages, directory nodes and spilled chains, see Bytes
+	dead   deadQueue // versions awaiting reclamation, by death ts
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{nextID: 1, rows: make(map[RowID][]Version)}
+	return &Store{nextID: 1}
+}
+
+// childIndex returns which child of a node at level holds page pn.
+func childIndex(pn uint64, level int) uint64 {
+	return pn >> (fanBits * (level - 1)) & (fanout - 1)
+}
+
+// page returns page pn, or nil when no row lives in it.
+func (s *Store) page(pn uint64) *page {
+	n := s.root
+	if n == nil || pn>>(fanBits*s.height) != 0 {
+		return nil
+	}
+	for level := s.height; level > 1; level-- {
+		if n = n.kids[childIndex(pn, level)]; n == nil {
+			return nil
+		}
+	}
+	return n.pages[childIndex(pn, 1)]
+}
+
+func (s *Store) newNode(level int) *dirNode {
+	s.bytes += nodeBytes
+	if level == 1 {
+		return &dirNode{pages: new([fanout]*page)}
+	}
+	return &dirNode{kids: new([fanout]*dirNode)}
+}
+
+// ensurePage returns page pn, creating it and the path to it as needed.
+func (s *Store) ensurePage(pn uint64) *page {
+	need := max(1, (bits.Len64(pn)+fanBits-1)/fanBits) // levels that reach pn
+	if s.root == nil {
+		s.root, s.height = s.newNode(need), need
+	}
+	for s.height < need {
+		s.height++
+		r := s.newNode(s.height)
+		r.kids[0], r.live = s.root, 1
+		s.root = r
+	}
+	n := s.root
+	for level := s.height; level > 1; level-- {
+		kid := &n.kids[childIndex(pn, level)]
+		if *kid == nil {
+			*kid = s.newNode(level - 1)
+			n.live++
+		}
+		n = *kid
+	}
+	p := &n.pages[childIndex(pn, 1)]
+	if *p == nil {
+		*p = new(page)
+		n.live++
+		s.bytes += pageBytes
+	}
+	return *p
+}
+
+// dropPage removes the emptied page pn and every node that loses its last
+// child with it, and then the levels the root no longer needs.
+func (s *Store) dropPage(pn uint64) {
+	if s.root.drop(s, pn, s.height) {
+		s.root, s.height = nil, 0
+		s.bytes -= nodeBytes
+		return
+	}
+	for s.height > 1 && s.root.live == 1 && s.root.kids[0] != nil {
+		s.root, s.height = s.root.kids[0], s.height-1
+		s.bytes -= nodeBytes
+	}
+}
+
+// drop removes page pn from the subtree of n, a node at level, and reports
+// whether n is left with no child.
+func (n *dirNode) drop(s *Store, pn uint64, level int) bool {
+	i := childIndex(pn, level)
+	if level == 1 {
+		n.pages[i] = nil
+		s.bytes -= pageBytes
+	} else {
+		if !n.kids[i].drop(s, pn, level-1) {
+			return false
+		}
+		n.kids[i] = nil
+		s.bytes -= nodeBytes
+	}
+	n.live--
+	return n.live == 0
+}
+
+// locate splits id into its page number and its slot's index in that page.
+func locate(id RowID) (pn uint64, i uint) {
+	return uint64(id) >> pageBits, uint(id & (pageSize - 1))
+}
+
+// slot returns id's slot, or nil when the store holds no such row.
+func (s *Store) slot(id RowID) *slot {
+	pn, i := locate(id)
+	p := s.page(pn)
+	if p == nil || !p.has(i) {
+		return nil
+	}
+	return &p.slots[i]
+}
+
+// put installs a new row with one unbounded version created at ts.
+func (s *Store) put(id RowID, data any, ts interval.Timestamp) {
+	pn, i := locate(id)
+	p := s.ensurePage(pn)
+	p.used[i/64] |= 1 << (i % 64)
+	p.slots[i].one[0] = Version{Created: ts, Deleted: interval.Infinity, Data: data}
+	s.nRows++
+	s.nVers++
 }
 
 // Insert creates a new row whose first version is valid from ts, returning
@@ -182,41 +358,50 @@ func NewStore() *Store {
 func (s *Store) Insert(data any, ts interval.Timestamp) RowID {
 	id := s.nextID
 	s.nextID++
-	s.rows[id] = []Version{{Created: ts, Deleted: interval.Infinity, Data: data}}
-	s.nVers++
+	s.put(id, data, ts)
 	return id
 }
 
-// Update supersedes the current version of id at ts with data. It panics if
-// the row does not exist or its latest version is already deleted: the
+// bound terminates the current version of id at ts and queues it for
+// reclamation, returning the row's slot. op names the caller in the panic
+// for a row that is missing or whose latest version is already deleted: the
 // engine validates writes before applying them.
-func (s *Store) Update(id RowID, data any, ts interval.Timestamp) {
-	chain := s.rows[id]
-	if len(chain) == 0 {
-		panic(fmt.Sprintf("mvcc: update of missing row %d", id))
+func (s *Store) bound(op string, id RowID, ts interval.Timestamp) *slot {
+	sl := s.slot(id)
+	if sl == nil {
+		panic(fmt.Sprintf("mvcc: %s of missing row %d", op, id))
 	}
+	chain := sl.chain()
 	last := &chain[len(chain)-1]
 	if last.Deleted != interval.Infinity {
-		panic(fmt.Sprintf("mvcc: update of deleted row %d", id))
+		panic(fmt.Sprintf("mvcc: %s of deleted row %d", op, id))
 	}
 	last.Deleted = ts
 	s.dead.push(id, *last)
-	s.rows[id] = append(chain, Version{Created: ts, Deleted: interval.Infinity, Data: data})
+	return sl
+}
+
+// Update supersedes the current version of id at ts with data. It panics if
+// the row does not exist or its latest version is already deleted.
+func (s *Store) Update(id RowID, data any, ts interval.Timestamp) {
+	sl := s.bound("update", id, ts)
+	v := Version{Created: ts, Deleted: interval.Infinity, Data: data}
+	if sl.spill == nil {
+		chain := []Version{sl.one[0], v}
+		sl.one[0] = Version{} // the chain holds the Data reference now
+		sl.spill = &chain
+		s.bytes += spillBytes + versionBytes*cap(chain)
+	} else {
+		s.bytes -= versionBytes * cap(*sl.spill)
+		*sl.spill = append(*sl.spill, v)
+		s.bytes += versionBytes * cap(*sl.spill)
+	}
 	s.nVers++
 }
 
-// Delete terminates the current version of id at ts.
+// Delete terminates the current version of id at ts, with Update's panics.
 func (s *Store) Delete(id RowID, ts interval.Timestamp) {
-	chain := s.rows[id]
-	if len(chain) == 0 {
-		panic(fmt.Sprintf("mvcc: delete of missing row %d", id))
-	}
-	last := &chain[len(chain)-1]
-	if last.Deleted != interval.Infinity {
-		panic(fmt.Sprintf("mvcc: delete of deleted row %d", id))
-	}
-	last.Deleted = ts
-	s.dead.push(id, *last)
+	s.bound("delete", id, ts)
 }
 
 // RestoreInsert installs a row under an explicit id with a single unbounded
@@ -224,13 +409,14 @@ func (s *Store) Delete(id RowID, ts interval.Timestamp) {
 // restore and WAL replay must reproduce the row ids the original run
 // assigned (index postings and later log records reference them), so the id
 // comes from the log, and nextID is raised past it so post-recovery inserts
-// never collide. Returns false if the id is already present (corrupt log).
+// never collide. Ids may arrive in any order and be any value: the
+// directory grows by the rows, not by the ids. Returns false if the id is
+// already present (corrupt log).
 func (s *Store) RestoreInsert(id RowID, data any, ts interval.Timestamp) bool {
-	if _, dup := s.rows[id]; dup {
+	if s.slot(id) != nil {
 		return false
 	}
-	s.rows[id] = []Version{{Created: ts, Deleted: interval.Infinity, Data: data}}
-	s.nVers++
+	s.put(id, data, ts)
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
@@ -255,7 +441,7 @@ func (s *Store) NextID() RowID {
 // Latest returns the newest version of id and whether the row exists (it may
 // still be a deleted version).
 func (s *Store) Latest(id RowID) (Version, bool) {
-	chain := s.rows[id]
+	chain := s.Chain(id)
 	if len(chain) == 0 {
 		return Version{}, false
 	}
@@ -264,7 +450,7 @@ func (s *Store) Latest(id RowID) (Version, bool) {
 
 // VisibleAt returns the version of id visible to snapshot ts.
 func (s *Store) VisibleAt(id RowID, ts interval.Timestamp) (Version, bool) {
-	chain := s.rows[id]
+	chain := s.Chain(id)
 	// Chains are short (bounded by vacuum); linear scan from the newest end.
 	for i := len(chain) - 1; i >= 0; i-- {
 		if chain[i].VisibleAt(ts) {
@@ -278,39 +464,78 @@ func (s *Store) VisibleAt(id RowID, ts interval.Timestamp) (Version, bool) {
 // own memory, valid until the next mutation of the store and not to be
 // modified. A row that never existed or was vacuumed away has none.
 func (s *Store) Chain(id RowID) []Version {
-	return s.rows[id]
+	sl := s.slot(id)
+	if sl == nil {
+		return nil
+	}
+	return sl.chain()
 }
 
-// Scan calls fn with every row's chain. Iteration order is unspecified.
-// fn must not retain the chain slice. Scan is for bulk operations (index
-// backfill, debugging); the steady-state reclamation path never uses it.
+// Scan calls fn with every row's chain, in ascending id order. fn must not
+// retain the chain slice or mutate the store. Scan is for bulk operations
+// (full-table reads, index backfill); the steady-state reclamation path
+// never uses it.
 func (s *Store) Scan(fn func(id RowID, chain []Version) bool) {
-	for id, chain := range s.rows {
-		if !fn(id, chain) {
-			return
+	s.ScanFrom(0, fn)
+}
+
+// ScanFrom is Scan over the rows whose id is at least from. It is the
+// resumable walk of a streaming checkpoint, which visits a batch of rows
+// per lock hold and picks up after the last id it saw: ids are never
+// reused, so a row inserted meanwhile lies past every id a pinned snapshot
+// can see, and a row vacuumed away meanwhile is simply no longer met. Pages
+// and subtrees without rows are skipped, so a pass costs by the rows.
+func (s *Store) ScanFrom(from RowID, fn func(id RowID, chain []Version) bool) {
+	if s.root != nil {
+		s.root.scan(0, s.height, from, fn)
+	}
+}
+
+// scan visits the rows under n, a node at level whose first page is number
+// base, and reports whether the scan should go on past it.
+func (n *dirNode) scan(base uint64, level int, from RowID, fn func(id RowID, chain []Version) bool) bool {
+	span := uint64(1) << (fanBits * (level - 1)) // pages under one child
+	i := uint64(0)
+	if first := uint64(from) >> pageBits; first > base {
+		i = (first - base) / span // earlier children end below from
+	}
+	for ; i < fanout; i++ {
+		if level > 1 {
+			if k := n.kids[i]; k != nil && !k.scan(base+i*span, level-1, from, fn) {
+				return false
+			}
+		} else if p := n.pages[i]; p != nil && !p.scan(RowID(base+i)<<pageBits, from, fn) {
+			return false
 		}
 	}
+	return true
 }
 
-// AppendIDs appends every current row ID to buf and returns the extended
-// slice, in unspecified order. It is the resumable-scan primitive for
-// streaming checkpoints: the caller snapshots the ID set cheaply (8 bytes
-// per row, no chain copies) under one short lock hold, then revisits rows
-// in bounded batches via VisibleAt with the lock released in between — IDs
-// are never reused, a row inserted later is invisible at the pinned
-// snapshot by construction, and a row vacuumed away simply resolves to no
-// visible version.
-func (s *Store) AppendIDs(buf []RowID) []RowID {
-	for id := range s.rows {
-		buf = append(buf, id)
+// scan visits the page's rows; first is the id of slots[0].
+func (p *page) scan(first, from RowID, fn func(id RowID, chain []Version) bool) bool {
+	for w, word := range p.used {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			if id := first + RowID(i); id >= from && !fn(id, p.slots[i].chain()) {
+				return false
+			}
+		}
 	}
-	return buf
+	return true
 }
 
 // Len returns the number of logical rows (including fully-deleted rows not
 // yet vacuumed).
 func (s *Store) Len() int {
-	return len(s.rows)
+	return s.nRows
+}
+
+// Bytes returns the heap the row directory holds: pages, directory nodes
+// and spilled chains by capacity — not the row payloads, which the store
+// does not own. Like VersionCount it is kept as the store changes, so a
+// stats scrape costs the same on any table size.
+func (s *Store) Bytes() int {
+	return s.bytes
 }
 
 // VersionCount returns the total number of stored versions, for vacuum
@@ -350,21 +575,42 @@ func (s *Store) Vacuum(horizon interval.Timestamp, buf []Reclaimed) []Reclaimed 
 
 // unlink removes the reclaimed version from its row's chain. Versions are
 // identified by their (Created, Deleted) interval, which is unique within a
-// chain up to identical duplicates.
+// chain up to identical duplicates. A chain left with one version moves
+// back into its slot; a row left with none gives up its slot, and the
+// page's last row the page.
 func (s *Store) unlink(id RowID, v Version) {
-	chain := s.rows[id]
-	for i := range chain {
-		if chain[i].Created == v.Created && chain[i].Deleted == v.Deleted {
-			copy(chain[i:], chain[i+1:])
-			chain[len(chain)-1] = Version{} // drop the trailing Data reference
-			chain = chain[:len(chain)-1]
-			s.nVers--
-			if len(chain) == 0 {
-				delete(s.rows, id)
-			} else {
-				s.rows[id] = chain
-			}
-			return
+	pn, i := locate(id)
+	p := s.page(pn)
+	if p == nil || !p.has(i) {
+		return
+	}
+	sl := &p.slots[i]
+	chain := sl.chain()
+	at := 0
+	for at < len(chain) && (chain[at].Created != v.Created || chain[at].Deleted != v.Deleted) {
+		at++
+	}
+	if at == len(chain) {
+		return
+	}
+	s.nVers--
+	if sl.spill == nil {
+		*sl = slot{}
+		s.nRows--
+		p.used[i/64] &^= 1 << (i % 64)
+		if p.used == [len(p.used)]uint64{} {
+			s.dropPage(pn)
 		}
+		return
+	}
+	copy(chain[at:], chain[at+1:])
+	chain[len(chain)-1] = Version{} // drop the trailing Data reference
+	chain = chain[:len(chain)-1]
+	if len(chain) == 1 {
+		sl.one[0] = chain[0]
+		sl.spill = nil
+		s.bytes -= spillBytes + versionBytes*cap(chain)
+	} else {
+		*sl.spill = chain
 	}
 }

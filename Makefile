@@ -32,7 +32,9 @@ benchmark-test:
 # integers and uvarints out of a byte slice) happen in wire.Decoder — and in
 # the three packages below it that frame bytes themselves — and nothing
 # imports encoding/gob, so a fifth hand-written reader or a second encoding
-# of a value cannot grow back either.
+# of a value cannot grow back either. (A sql.Row's accessors are not such a
+# reader: they index, off a string, bytes sql.DecodeRow ran through a
+# wire.Decoder first.)
 # Then the no-routing-table guard: an invalidation visits every shard of a
 # cache node (DESIGN.md "Cache-node sharding"); the per-TagID table that said
 # which shards to skip was measured as no gain and is refused by name.
@@ -63,6 +65,12 @@ benchmark-test:
 # nothing at a restart. The call that announced one, and its opcode, are
 # refused by name: with it back, a node is safe only against the restarts
 # somebody remembered to announce.
+# Then the one-row guard: a stored row is a sql.Row — the bytes the WAL and
+# the snapshot carry, read through its accessors (DESIGN.md "Row format") —
+# from the statement that stages it to the executor that reads it back. A
+# type assertion to []sql.Value under internal/db is a version's payload being
+# taken for a slice of boxed values again: a second representation of a row,
+# and three times the heap of the first.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
 	@out="$$(grep -rnE '\bnet\.Dial(Timeout)?\(|\.Set(Read|Write)?Deadline\(|wire\.NewFrameReader\(|\.Accept\(\)' \
@@ -74,7 +82,7 @@ lint:
 		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
 		--exclude-dir=wire --exclude-dir=wal --exclude-dir=rpc --exclude-dir=ordenc \
 		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
-		echo "unchecked byte reads or gob outside internal/wire; decode through wire.Decoder (sql.DecodeValue for a value):"; \
+		echo "unchecked byte reads or gob outside internal/wire; decode through wire.Decoder (sql.DecodeValue for a value, sql.DecodeRow for a row):"; \
 		echo "$$out"; exit 1; fi
 	@out="$$(grep -rn 'depCounts' --include='*.go' --exclude='*_test.go' internal || true)"; if [ -n "$$out" ]; then \
 		echo "depCounts is back; ApplyInvalidation walks every shard and skips none:"; \
@@ -96,6 +104,9 @@ lint:
 		grep -rn '\.ApplyInvalidation(' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=cacheserver cmd examples internal *.go; \
 		grep -rnE '\.through\b|genSnap = min\(' --include='*.go' --exclude='*_test.go' internal/core; } || true)"; if [ -n "$$out" ]; then \
 		echo "a second statement of how far a value is proven is back; a frame carries one proven interval and an open flag (put derives genSnap from it), and a node's floor and horizon come from the stream it has seen (ConsumeStream, the TCP push), never from a caller:"; \
+		echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE '\.\(\[\]sql\.Value\)' --include='*.go' --exclude='*_test.go' internal/db || true)"; if [ -n "$$out" ]; then \
+		echo "a boxed row is back; a version's payload is a sql.Row (v.Data.(sql.Row)), read with At and AppendDatums and never decoded into a []sql.Value the store keeps:"; \
 		echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'WarmBoot\(|opWarmBoot' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
 		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
@@ -176,7 +187,10 @@ compose-soak:
 # Short fuzz passes over the wire codec, the opcode handlers of all three
 # wire services, the WAL record framing, what recovery decodes inside it
 # (snapshot sections, log records), the cached-payload decoder and the SQL
-# lexer and parser: malformed input must error, never panic. FuzzTreeOps is the odd one out: its input is
+# lexer and parser: malformed input must error, never panic. The two recovery
+# targets go on to rebuild the indexes of whatever they accepted and to read
+# every column of every row, and FuzzRow holds the packed row's decoder to a
+# u16 and that many DecodeValues. FuzzTreeOps is the odd one out: its input is
 # a run of index operations, and the tree must agree with a map after them.
 # (`go test -fuzz` accepts one target per
 # invocation, hence one run each; FuzzDecodeCacheable decodes every input as
@@ -196,13 +210,15 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run xxx -fuzz FuzzDecodeCacheable -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/btree -run xxx -fuzz FuzzTreeOps -fuzztime=10s
 	$(GO) test ./internal/sql -run xxx -fuzz FuzzParse -fuzztime=10s
+	$(GO) test ./internal/sql -run xxx -fuzz FuzzRow -fuzztime=10s
 
 # Concurrent-engine and cache-wire benchmarks (the CHANGES.md perf
 # trajectory).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallelCommit|BenchmarkReadersDuringCommits' -benchtime=2s .
 	$(GO) test -run xxx -bench BenchmarkCacheLookupTCP -benchtime=2s ./internal/cacheserver
-	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver
+	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkFilteredScan|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver
+	$(GO) test -run xxx -bench BenchmarkRowCol -benchtime=2s -benchmem ./internal/sql
 	$(GO) test -run xxx -bench 'BenchmarkGet|BenchmarkApplyBatch|BenchmarkInsert' -benchtime=2s -benchmem ./internal/btree
 	$(GO) test -run xxx -bench 'BenchmarkStoreInsert|BenchmarkStoreVisibleAt' -benchtime=2s -benchmem ./internal/mvcc
 
@@ -213,11 +229,14 @@ bench:
 # (TestBytesPerEntry: live heap per key in four build orders), an insert
 # that finds room in its leaf must not allocate, and a row must stay under
 # its own (TestBytesPerRow: live heap per row with one version, with two,
-# and vacuumed back to one).
+# and vacuumed back to one). And the three together — rows as packed bytes,
+# their directory, their indexes — must stay under the dataset's ceiling
+# (TestDatasetBytes: live heap of the benchmark's dataset in a bare engine).
 alloc-regression:
 	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core ./internal/cacheserver
 	$(GO) test -run 'TestBytesPerEntry|TestInsertAllocs' ./internal/btree
 	$(GO) test -run 'TestBytesPerRow' ./internal/mvcc
+	$(GO) test -run 'TestDatasetBytes' ./internal/rubis
 
 # In-process cache-node contention sweep: mixed lookup/put/invalidate/stats
 # against one Server from parallel goroutines, across -cpu counts. On a

@@ -57,7 +57,8 @@ type status struct {
 	IndexEntries int `json:"indexEntries"`
 	IndexBytes   int `json:"indexBytes"`
 	// Rows and RowBytes are db.Stats' row account: the rows those versions
-	// belong to, and what the version stores' row directories hold for them.
+	// belong to, and what they hold — the version stores' row directories
+	// and every version's packed row.
 	Rows     int `json:"rows"`
 	RowBytes int `json:"rowBytes"`
 }

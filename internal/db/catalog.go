@@ -52,7 +52,21 @@ type Table struct {
 	// rowCount tracks live (latest-version-not-deleted) rows, maintained at
 	// commit time; used for wildcard-tag aggregation and planner stats.
 	rowCount int
+
+	// payload is the heap the store's versions hold outside its row
+	// directory: each one's packed row and the string header that boxes it
+	// behind mvcc's `any`. mvcc never looks inside a payload, so the table
+	// keeps the sum, where versions come (a commit's apply stage; recovery
+	// counts what it restored in rebuildDerived) and go (vacuum).
+	payload int
 }
+
+// rowBoxBytes is what a version's payload costs beyond the row's own bytes:
+// the string header a sql.Row boxes into.
+const rowBoxBytes = 16
+
+// rowCost is what one version's payload adds to Table.payload.
+func rowCost(row sql.Row) int { return len(row) + rowBoxBytes }
 
 // Index is a single-column secondary index. Its tree is guarded by the
 // owning table's lock: scans hold Table.mu shared, mutations (a commit's
@@ -71,7 +85,8 @@ type Index struct {
 // flushing; a vacuum pass queues the versions it reclaimed. The flush is one
 // sorted ApplyBatch per index, so a multi-row commit pays one leaf descent
 // per run of neighbouring keys instead of one per row. The buffers are
-// retained across flushes: steady-state batching allocates nothing.
+// retained across flushes (up to pendKeepRows): steady-state batching
+// allocates nothing.
 type indexPending struct {
 	rows  []pendRow  // queued versions
 	arena []byte     // their encoded keys on the index being flushed
@@ -82,13 +97,13 @@ type indexPending struct {
 // for a version vacuum reclaimed (del), dropped.
 type pendRow struct {
 	id  mvcc.RowID
-	row []sql.Value
+	row sql.Row
 	del bool
 }
 
 // queueIndexOps queues a version of row id for the next flush. Called with
 // t.mu held exclusively, by a caller that flushes before it unlocks.
-func (t *Table) queueIndexOps(id mvcc.RowID, row []sql.Value, del bool) {
+func (t *Table) queueIndexOps(id mvcc.RowID, row sql.Row, del bool) {
 	t.pend.rows = append(t.pend.rows, pendRow{id, row, del})
 }
 
@@ -103,7 +118,7 @@ func (t *Table) flushIndexOpsLocked() {
 	for _, idx := range t.idxList {
 		arena, batch := p.arena[:0], p.batch[:0]
 		for _, r := range p.rows {
-			v := r.row[idx.colPos]
+			v := r.row.At(idx.colPos)
 			// Postings are per row: a reclaimed version's goes only when no
 			// surviving version of the row still carries the key.
 			if r.del && chainCarries(t.store.Chain(r.id), idx.colPos, v) {
@@ -112,7 +127,7 @@ func (t *Table) flushIndexOpsLocked() {
 			// A key stays where it was encoded: when append outgrows the
 			// arena it copies, and the bytes behind earlier keys stay put.
 			off := len(arena)
-			arena = sql.EncodeKey(arena, v)
+			arena = v.AppendKey(arena)
 			batch = append(batch, btree.Op{Key: arena[off:], ID: uint64(r.id), Del: r.del})
 		}
 		slices.SortFunc(batch, func(a, b btree.Op) int { return bytes.Compare(a.Key, b.Key) })
@@ -121,12 +136,21 @@ func (t *Table) flushIndexOpsLocked() {
 	}
 	clear(p.rows) // the scratch must not keep reclaimed rows alive
 	p.rows = p.rows[:0]
+	if cap(p.rows) > pendKeepRows {
+		*p = indexPending{}
+	}
 }
 
+// pendKeepRows is the largest batch whose buffers a table keeps for the next
+// flush. A steady-state commit queues a handful of versions; a bulk load's
+// batch of hundreds would otherwise leave every table it touched tens of
+// kilobytes of scratch, resident for the life of the process.
+const pendKeepRows = 64
+
 // chainCarries reports whether any version in chain has v in column pos.
-func chainCarries(chain []mvcc.Version, pos int, v sql.Value) bool {
+func chainCarries(chain []mvcc.Version, pos int, v sql.Datum) bool {
 	for _, sv := range chain {
-		if sql.Equal(sv.Data.([]sql.Value)[pos], v) {
+		if sv.Data.(sql.Row).At(pos).Equal(v) {
 			return true
 		}
 	}
@@ -228,31 +252,32 @@ func (t *Table) buildIndexTree(pos int) *btree.Tree {
 	var pairs []keyPair
 	t.store.Scan(func(id mvcc.RowID, chain []mvcc.Version) bool {
 		for _, v := range chain {
-			row := v.Data.([]sql.Value)
-			pairs = append(pairs, keyPair{key: sql.EncodeKey(nil, row[pos]), id: uint64(id)})
+			pairs = append(pairs, keyPair{key: v.Data.(sql.Row).At(pos).AppendKey(nil), id: uint64(id)})
 		}
 		return true
 	})
 	return bulkLoadPairs(pairs)
 }
 
-// rebuildDerived regenerates the table's derived state — every index tree
-// and the live-row count — in a single pass over the version store, where
+// rebuildDerived regenerates the table's derived state — every index tree,
+// the live-row count and the payload account — in a single pass over the
+// version store, where
 // the pre-fusion recovery path made one Scan per index plus one more for
 // the count. Recovery-only: runs before the engine serves traffic (tables
 // are partitioned across the recovery worker pool, one worker per table),
 // so no lock is taken.
 func (t *Table) rebuildDerived() {
 	staged := make([][]keyPair, len(t.idxList))
-	live := 0
+	live, payload := 0, 0
 	t.store.Scan(func(id mvcc.RowID, chain []mvcc.Version) bool {
 		if chain[len(chain)-1].Deleted == interval.Infinity {
 			live++
 		}
 		for _, v := range chain {
-			row := v.Data.([]sql.Value)
+			row := v.Data.(sql.Row)
+			payload += rowCost(row)
 			for i, idx := range t.idxList {
-				staged[i] = append(staged[i], keyPair{key: sql.EncodeKey(nil, row[idx.colPos]), id: uint64(id)})
+				staged[i] = append(staged[i], keyPair{key: row.At(idx.colPos).AppendKey(nil), id: uint64(id)})
 			}
 		}
 		return true
@@ -260,53 +285,36 @@ func (t *Table) rebuildDerived() {
 	for i, idx := range t.idxList {
 		idx.tree = bulkLoadPairs(staged[i])
 	}
-	t.rowCount = live
+	t.rowCount, t.payload = live, payload
 }
 
-// checkRow validates arity and column types against the schema.
-func (t *Table) checkRow(row []sql.Value) error {
-	if len(row) != len(t.cols) {
-		return fmt.Errorf("db: table %q expects %d columns, got %d", t.name, len(t.cols), len(row))
+// coerce returns v as column i stores it (sql.ColType.Coerce), or the
+// reason the column cannot hold it.
+func (t *Table) coerce(i int, v sql.Datum) (sql.Datum, error) {
+	c := t.cols[i]
+	if v.IsNull() && c.NotNull {
+		return v, fmt.Errorf("db: column %s.%s is NOT NULL", t.name, c.Name)
 	}
-	for i, v := range row {
-		c := t.cols[i]
-		if v == nil {
-			if c.NotNull {
-				return fmt.Errorf("db: column %s.%s is NOT NULL", t.name, c.Name)
-			}
-			continue
-		}
-		ok := false
-		switch c.Type {
-		case sql.TInt:
-			_, ok = v.(int64)
-		case sql.TFloat:
-			switch v.(type) {
-			case float64:
-				ok = true
-			case int64: // integer literals widen to float columns
-				ok = true
-			}
-		case sql.TString:
-			_, ok = v.(string)
-		case sql.TBool:
-			_, ok = v.(bool)
-		}
-		if !ok {
-			return fmt.Errorf("db: column %s.%s (%s) cannot hold %T", t.name, c.Name, c.Type, v)
+	v, ok := c.Type.Coerce(v)
+	if !ok {
+		return v, fmt.Errorf("db: column %s.%s (%s) cannot hold %T", t.name, c.Name, c.Type, v.Value())
+	}
+	return v, nil
+}
+
+// checkStored is what recovery asks of a row it decoded before the row goes
+// into the store, where the executor will index it by the schema's column
+// positions without a second look: the table's arity, and in every column a
+// value coerce would have let through unchanged.
+func (t *Table) checkStored(id mvcc.RowID, row sql.Row) error {
+	if row.Len() != len(t.cols) {
+		return fmt.Errorf("db: row %d of %q has %d columns, the table %d", id, t.name, row.Len(), len(t.cols))
+	}
+	var buf [16]sql.Datum // most tables fit; a wider one allocates
+	for i, v := range row.AppendDatums(buf[:0]) {
+		if c := t.cols[i]; !c.Type.Holds(v) || v.IsNull() && c.NotNull {
+			return fmt.Errorf("db: row %d of %q: column %s (%s) cannot hold %s", id, t.name, c.Name, c.Type, v.AppendFormat(nil))
 		}
 	}
 	return nil
-}
-
-// normalizeRow widens int literals destined for float columns so stored
-// values have the schema type.
-func (t *Table) normalizeRow(row []sql.Value) {
-	for i, v := range row {
-		if t.cols[i].Type == sql.TFloat {
-			if iv, ok := v.(int64); ok {
-				row[i] = float64(iv)
-			}
-		}
-	}
 }

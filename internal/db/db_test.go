@@ -487,8 +487,10 @@ func TestVacuumRespectsPins(t *testing.T) {
 
 // TestIndexShrinksAfterVacuum: an index entry goes when vacuum reclaims the
 // last version carrying its key, and the leaf goes with its last entry — and
-// a row's slot and its page go the same way — so a table emptied behind the
-// horizon costs what an empty table costs.
+// a row's slot, its page and its packed payload go the same way — so a table
+// emptied behind the horizon costs what an empty table costs. RowBytes rises
+// by the directory and the payload on insert and falls to 0 on delete +
+// vacuum.
 func TestIndexShrinksAfterVacuum(t *testing.T) {
 	e := newTestEngine(t)
 	base := e.Stats()
@@ -508,8 +510,12 @@ func TestIndexShrinksAfterVacuum(t *testing.T) {
 		t.Fatalf("loaded: %d index entries (want %d), %d index bytes (empty: %d)",
 			full.IndexEntries, want, full.IndexBytes, base.IndexBytes)
 	}
-	if full.Rows != rows || full.RowBytes < 40*rows || full.RowBytes > 64*rows {
-		t.Fatalf("loaded: %d rows in %d row-directory bytes, want %d rows at 40 to 64 B", full.Rows, full.RowBytes, rows)
+	// RowBytes is the row directory plus the payload, and the payload is
+	// exact: a row here is four fixed-width columns, 2 + 4×9 bytes packed,
+	// behind a 16-byte string header.
+	const payload = rows * (2 + 4*9 + 16)
+	if dir := full.RowBytes - payload; full.Rows != rows || dir < 40*rows || dir > 64*rows {
+		t.Fatalf("loaded: %d rows in %d B, %d of them row directory: want %d rows at 40 to 64 B", full.Rows, full.RowBytes, dir, rows)
 	}
 	if err := e.Pin(last); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 func (tx *Tx) runInsert(ins *sql.Insert, t *Table, args []sql.Value) (int, error) {
 	x := tx.newExecCtx(args)
 	// Map the column list to schema positions.
-	positions := make([]int, 0, len(ins.Cols))
+	positions := x.sc.posBuf[:0]
 	if len(ins.Cols) == 0 {
 		for i := range t.cols {
 			positions = append(positions, i)
@@ -25,27 +25,46 @@ func (tx *Tx) runInsert(ins *sql.Insert, t *Table, args []sql.Value) (int, error
 			positions = append(positions, pos)
 		}
 	}
+	x.sc.posBuf = positions
 	count := 0
 	for _, exprRow := range ins.Rows {
 		if len(exprRow) != len(positions) {
 			return 0, fmt.Errorf("db: INSERT into %s expects %d values, got %d", t.name, len(positions), len(exprRow))
 		}
-		row := make([]sql.Value, len(t.cols))
+		vals := x.sc.valBuf[:0]
+		for range t.cols {
+			vals = append(vals, sql.Datum{}) // a column the statement does not name is NULL
+		}
+		x.sc.valBuf = vals
 		for i, e := range exprRow {
 			v, err := x.resolve(e)
 			if err != nil {
 				return 0, err
 			}
-			row[positions[i]] = v
+			vals[positions[i]] = v
 		}
-		t.normalizeRow(row)
-		if err := t.checkRow(row); err != nil {
+		row, err := x.packRow(t, vals)
+		if err != nil {
 			return 0, err
 		}
 		tx.stageInsert(t.name, row)
 		count++
 	}
 	return count, nil
+}
+
+// packRow is where a row becomes bytes: every column coerced to its schema
+// type, then encoded, once. The sql.Row it returns is the value the write
+// set, the WAL record, the version store and a checkpoint all carry.
+func (x *execCtx) packRow(t *Table, vals []sql.Datum) (sql.Row, error) {
+	for i, v := range vals {
+		var err error
+		if vals[i], err = t.coerce(i, v); err != nil {
+			return "", err
+		}
+	}
+	x.sc.rowEnc = sql.AppendRow(x.sc.rowEnc[:0], vals)
+	return sql.Row(x.sc.rowEnc), nil
 }
 
 // runUpdate finds target rows at the transaction's snapshot (with its own
@@ -62,12 +81,7 @@ func (tx *Tx) runUpdate(u *sql.Update, t *Table, args []sql.Value) (int, error) 
 		return 0, fmt.Errorf("db: UPDATE WHERE must reference only %s", u.Table)
 	}
 	// Pre-resolve assignments.
-	type boundAssign struct {
-		pos    int
-		val    sql.Value
-		srcCol int // >= 0: copy from another column of the old row
-	}
-	assigns := make([]boundAssign, 0, len(u.Set))
+	assigns := x.sc.assignBuf[:0]
 	for _, a := range u.Set {
 		pos, ok := t.colPos[a.Column]
 		if !ok {
@@ -89,21 +103,24 @@ func (tx *Tx) runUpdate(u *sql.Update, t *Table, args []sql.Value) (int, error) 
 		}
 		assigns = append(assigns, ba)
 	}
+	x.sc.assignBuf = assigns
 
 	count := 0
 	x.sc.rowBuf = x.scanTableInto(x.sc.rowBuf[:0], t, local)
 	for _, sr := range x.sc.rowBuf {
-		newData := make([]sql.Value, len(sr.data))
-		copy(newData, sr.data)
+		// The new version is a whole row of its own: columns the statement
+		// leaves alone are copied, not shared with the old version.
+		vals := sr.data.AppendDatums(x.sc.valBuf[:0])
+		x.sc.valBuf = vals
 		for _, a := range assigns {
 			if a.srcCol >= 0 {
-				newData[a.pos] = sr.data[a.srcCol]
+				vals[a.pos] = sr.data.At(a.srcCol)
 			} else {
-				newData[a.pos] = a.val
+				vals[a.pos] = a.val
 			}
 		}
-		t.normalizeRow(newData)
-		if err := t.checkRow(newData); err != nil {
+		newData, err := x.packRow(t, vals)
+		if err != nil {
 			return 0, err
 		}
 		if sr.id&syntheticBit != 0 {
@@ -120,6 +137,13 @@ func (tx *Tx) runUpdate(u *sql.Update, t *Table, args []sql.Value) (int, error) 
 		count++
 	}
 	return count, nil
+}
+
+// boundAssign is one SET clause bound to column positions.
+type boundAssign struct {
+	pos    int
+	val    sql.Datum
+	srcCol int // >= 0: copy from another column of the old row
 }
 
 // runDelete finds target rows and buffers deletions. Caller holds t's
@@ -175,7 +199,7 @@ func (tx *Tx) write(table string, id uint64, w rowWrite) {
 
 // stageInsert buffers one insert, reusing a parked per-table slice when
 // one is available.
-func (tx *Tx) stageInsert(table string, row []sql.Value) {
+func (tx *Tx) stageInsert(table string, row sql.Row) {
 	sc := tx.sc
 	if sc.inserted == nil {
 		sc.inserted = make(map[string][]insertedRow)

@@ -220,38 +220,9 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 
 // ---------------------------------------------------------------------------
 // Payload encoding. Little-endian and append-based; wire.Decoder reads it
-// back, sql.AppendValue / sql.DecodeValue spell the values (DESIGN.md
-// "Encodings").
+// back. A row is a sql.Row, which is already its own encoding (DESIGN.md
+// "Row format"): the log and the snapshot carry its bytes as they are.
 // ---------------------------------------------------------------------------
-
-// appendRow appends a row as [u16 n][n values], in commit payloads and
-// snapshot sections alike.
-func appendRow(b []byte, row []sql.Value) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(row)))
-	for _, v := range row {
-		var err error
-		if b, err = sql.AppendValue(b, v); err != nil {
-			// The executor coerced every stored value to its column's type.
-			panic(fmt.Sprintf("db: unloggable row: %v", err))
-		}
-	}
-	return b
-}
-
-// decodeRow reads a row appendRow wrote. The count is bounded by the bytes
-// that remain — a value is at least its tag — before the row is allocated.
-func decodeRow(d *wire.Decoder) []sql.Value {
-	n := int(d.U16())
-	if n > d.Len() {
-		d.Fail(wire.ErrTruncated)
-		return nil
-	}
-	row := make([]sql.Value, n)
-	for i := range row {
-		row[i] = sql.DecodeValue(d)
-	}
-	return row
-}
 
 // walSectionStart opens a per-table section in the transaction's commit
 // payload (called from Tx.Commit's apply loop), reserving the byte-length
@@ -271,13 +242,10 @@ func walSectionEnd(b []byte, fix int, n int) []byte {
 }
 
 // walOp appends one op of a section: its kind, the row id and, unless it is
-// a delete, the row.
-func walOp(b []byte, op byte, id mvcc.RowID, row []sql.Value) []byte {
+// a delete (whose row is empty), the row.
+func walOp(b []byte, op byte, id mvcc.RowID, row sql.Row) []byte {
 	b = binary.LittleEndian.AppendUint64(append(b, op), uint64(id))
-	if op != walOpDelete {
-		b = appendRow(b, row)
-	}
-	return b
+	return append(b, row...)
 }
 
 // walAppendGroup appends one commit-group record (assembled by the head
@@ -490,7 +458,7 @@ func (e *Engine) writeTableSection(fw *wal.FileWriter, t *Table, ts interval.Tim
 			if v, ok := t.store.VisibleAt(id, ts); ok {
 				b = binary.LittleEndian.AppendUint64(b, uint64(id))
 				b = binary.LittleEndian.AppendUint64(b, uint64(v.Created))
-				b = appendRow(b, v.Data.([]sql.Value))
+				b = append(b, v.Data.(sql.Row)...)
 			}
 			next = id + 1
 			more = len(b) >= ckptBatchBytes
@@ -620,9 +588,12 @@ func decodeTableSection(sec []byte) (*Table, error) {
 	for d.Err() == nil && d.Len() > 0 {
 		id := mvcc.RowID(d.U64())
 		created := interval.Timestamp(d.U64())
-		row := decodeRow(d)
+		row := sql.DecodeRow(d)
 		if d.Err() != nil {
 			break
+		}
+		if err := t.checkStored(id, row); err != nil {
+			return nil, err
 		}
 		if !t.store.RestoreInsert(id, row, created) {
 			return nil, fmt.Errorf("db: snapshot row %d of %q duplicated", id, ct.Name)
@@ -1012,12 +983,17 @@ func applyTableOps(t *Table, ops []byte, nOps int, ts interval.Timestamp) error 
 	for i := 0; i < nOps; i++ {
 		op := d.U8()
 		id := mvcc.RowID(d.U64())
-		var row []sql.Value
+		var row sql.Row
 		if op != walOpDelete {
-			row = decodeRow(d)
+			row = sql.DecodeRow(d)
 		}
 		if d.Err() != nil {
 			return d.Err()
+		}
+		if op != walOpDelete {
+			if err := t.checkStored(id, row); err != nil {
+				return err
+			}
 		}
 		switch op {
 		case walOpInsert:

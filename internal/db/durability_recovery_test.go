@@ -259,6 +259,136 @@ func TestRecoverRejectsEmptyWALRecord(t *testing.T) {
 	}
 }
 
+// TestRecoveryChecksRows: recovery slices packed rows out of a snapshot
+// section and a log record without boxing a value (valid flow), and refuses
+// — with an error that names the table and the row, at db.Open, never with a
+// panic in the index rebuild or at the first query — a CRC-valid row that is
+// not a row of its table (rejection flow).
+func TestRecoveryChecksRows(t *testing.T) {
+	row := func(id mvcc.RowID) sql.Row { return rowOf(int64(id), "a name", 0.5, true, int64(300+id)) }
+	ids := func(n int) []mvcc.RowID {
+		out := make([]mvcc.RowID, n)
+		for i := range out {
+			out[i] = mvcc.RowID(i + 1)
+		}
+		return out
+	}
+	inserts := func(n int) []byte {
+		var ops []byte
+		for _, id := range ids(n) {
+			ops = walOp(ops, walOpInsert, id, row(id))
+		}
+		return ops
+	}
+
+	t.Run("ValidFlow", func(t *testing.T) {
+		const n = 512
+		tab, err := decodeTableSection(kindsSection(ids(n), row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.rebuildDerived()
+		if tab.rowCount != n || tab.payload != n*rowCost(row(1)) {
+			t.Fatalf("restored %d rows, %d payload bytes; want %d and %d", tab.rowCount, tab.payload, n, n*rowCost(row(1)))
+		}
+		e := New(Options{VacuumEvery: -1})
+		mustDDL(t, e, fuzzSchema)
+		rp := newWALReplayer(e, 0, 1)
+		if _, commits, _, err := rp.replayRecord(kindsRecord(inserts(n), n)); err != nil || commits != 1 {
+			t.Fatalf("replayRecord = %d commits, %v", commits, err)
+		}
+		e.rebuildDerivedAll(1)
+		if v, ok := e.tables["kinds"].store.Latest(7); !ok || v.Data.(sql.Row) != row(7) || e.tables["kinds"].rowCount != n {
+			t.Fatalf("row 7 after replay: %v, %v; %d rows", v, ok, e.tables["kinds"].rowCount)
+		}
+
+		// What a row costs to restore: its bytes and the header that boxes
+		// them. A row here has five columns, an integer above 255, a float and
+		// a string among them: boxed values would be four objects more.
+		perRow := func(restore func(n int)) float64 {
+			small := testing.AllocsPerRun(20, func() { restore(n) })
+			large := testing.AllocsPerRun(20, func() { restore(2 * n) })
+			return (large - small) / n
+		}
+		sec1, sec2 := kindsSection(ids(n), row), kindsSection(ids(2*n), row)
+		if got := perRow(func(k int) {
+			sec := sec1
+			if k > n {
+				sec = sec2
+			}
+			if _, err := decodeTableSection(sec); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 2.1 {
+			t.Fatalf("decodeTableSection allocates %.2f objects a row, want 2 (the row, its box) and a share of a directory page", got)
+		}
+		ops1, ops2 := inserts(n), inserts(2*n)
+		if got := perRow(func(k int) {
+			ops := ops1
+			if k > n {
+				ops = ops2
+			}
+			fresh, err := newTable(&sql.CreateTable{Name: "kinds", Cols: e.tables["kinds"].cols})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := applyTableOps(fresh, ops, k, 9); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 2.1 {
+			t.Fatalf("applyTableOps allocates %.2f objects an op, want 2 and a share of a directory page", got)
+		}
+	})
+
+	t.Run("RejectionFlow", func(t *testing.T) {
+		for _, m := range misshapenRows {
+			want := []string{`row 7 of "kinds"`, m.want}
+			refused := func(from string, err error) {
+				t.Helper()
+				for _, w := range want {
+					if err == nil || !strings.Contains(err.Error(), w) {
+						t.Errorf("%s, %s: %v; want an error naming %q", m.name, from, err, w)
+					}
+				}
+			}
+			_, err := decodeTableSection(kindsSection([]mvcc.RowID{7}, func(mvcc.RowID) sql.Row { return m.row }))
+			refused("in a snapshot section", err)
+
+			// In the log, behind a good row, of a data directory db.Open reads.
+			dir := t.TempDir()
+			e, _ := openDurable(t, dir)
+			mustDDL(t, e, fuzzSchema)
+			ops := walOp(walOp(nil, walOpInsert, 1, row(1)), walOpInsert, 7, m.row)
+			if err := e.dur.w.Append(kindsRecord(ops, 2), 9); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.dur.w.Close(); err != nil { // a crash: the log tail stays
+				t.Fatal(err)
+			}
+			_, _, err = Open(Options{VacuumEvery: -1, Durability: durOpts(dir)})
+			refused("in a log record at Open", err)
+
+			// As an update's replacement row.
+			e2 := New(Options{VacuumEvery: -1})
+			mustDDL(t, e2, fuzzSchema)
+			rp := newWALReplayer(e2, 0, 1)
+			_, _, _, err = rp.replayRecord(kindsRecord(walOp(walOp(nil, walOpInsert, 7, row(7)), walOpUpdate, 7, m.row), 2))
+			refused("as a logged update", err)
+			if err := rp.close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// NOT NULL is the table's to check too.
+		e := New(Options{VacuumEvery: -1})
+		mustDDL(t, e, durSchema)
+		err := applyTableOps(e.tables["items"], walOp(nil, walOpInsert, 3, rowOf(int64(3), nil, int64(1))), 1, 9)
+		if err == nil || !strings.Contains(err.Error(), `row 3 of "items": column name (TEXT) cannot hold NULL`) {
+			t.Fatalf("a NULL in a NOT NULL column: %v", err)
+		}
+	})
+}
+
 // TestCheckpointErrorSurfacesInStats verifies a failing checkpoint pass is
 // visible in DurabilityStats rather than only on stderr.
 func TestCheckpointErrorSurfacesInStats(t *testing.T) {
@@ -346,11 +476,12 @@ func TestCheckpointCommitLatency(t *testing.T) {
 
 // durableCommitAllocCeiling is the allocation budget for one warmed-up
 // single-row durable UPDATE commit (SyncNone): the replacement row, the
-// boxed statement arguments, and the commit-path escapes (currently 5
-// measured; one of headroom). The WAL payload encode, group-record
-// assembly, and the write-set containers are all pooled and contribute
-// zero — see EXPERIMENTS.md "Fast durability".
-const durableCommitAllocCeiling = 6
+// boxed statement arguments, and the commit-path escapes (4 measured, 5
+// before rows were packed; one of headroom). The WAL payload encode — now an
+// append of the row's own bytes — group-record assembly, and the write-set
+// containers are all pooled and contribute zero — see EXPERIMENTS.md "Fast
+// durability".
+const durableCommitAllocCeiling = 5
 
 func TestAllocBudgetDurableCommit(t *testing.T) {
 	if raceAllocSlack > 0 {

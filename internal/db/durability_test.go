@@ -223,12 +223,12 @@ func TestCheckpointWalksRowsInIDOrder(t *testing.T) {
 	for d.Err() == nil && d.Len() > 0 {
 		id := d.U64()
 		d.U64()
-		row := decodeRow(d)
+		row := sql.DecodeRow(d)
 		if d.Err() != nil {
 			break
 		}
-		if id <= prev || row[0] != int64(id) || (id > 5000) != (row[2] == int64(0)) {
-			t.Fatalf("row %d after row %d: %v", id, prev, row)
+		if id <= prev || row.At(0).Value() != int64(id) || (id > 5000) != (row.At(2).Value() == int64(0)) {
+			t.Fatalf("row %d after row %d: %q", id, prev, row)
 		}
 		prev = id
 		n++

@@ -367,7 +367,9 @@ func (e *Engine) Vacuum() int {
 		t.mu.Lock()
 		buf := t.store.Vacuum(horizon, e.vacBuf[:0])
 		for _, r := range buf {
-			t.queueIndexOps(r.ID, r.Ver.Data.([]sql.Value), true)
+			row := r.Ver.Data.(sql.Row)
+			t.payload -= rowCost(row)
+			t.queueIndexOps(r.ID, row, true)
 		}
 		t.flushIndexOpsLocked()
 		total += len(buf)
@@ -444,10 +446,11 @@ type Stats struct {
 	// window cost in index memory.
 	IndexEntries int
 	IndexBytes   int
-	// Rows and RowBytes are the version stores' own account of their row
-	// directories (mvcc.Store.Len, Bytes): rows not yet vacuumed away, and
-	// the heap their pages and spilled chains hold — the payloads are not
-	// counted.
+	// Rows and RowBytes say what the retained rows cost: rows not yet
+	// vacuumed away (mvcc.Store.Len), and the heap they hold — the row
+	// directories' pages and spilled chains (mvcc.Store.Bytes) plus every
+	// version's packed row with the header that boxes it (Table.payload),
+	// before the allocator rounds a row up to its size class.
 	Rows     int
 	RowBytes int
 }
@@ -470,7 +473,7 @@ func (e *Engine) Stats() Stats {
 		t.mu.RLock()
 		s.TotalVersions += t.store.VersionCount()
 		s.Rows += t.store.Len()
-		s.RowBytes += t.store.Bytes()
+		s.RowBytes += t.store.Bytes() + t.payload
 		for _, idx := range t.idxList {
 			is := idx.tree.Stats()
 			s.IndexEntries += is.Entries

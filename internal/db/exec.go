@@ -2,7 +2,7 @@ package db
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"txcache/internal/interval"
@@ -72,18 +72,19 @@ func (x *execCtx) finish(r *Result) {
 }
 
 // resolve evaluates a scalar expression that must be a literal or
-// parameter.
-func (x *execCtx) resolve(e sql.Expr) (sql.Value, error) {
+// parameter. This is where a statement's values are unboxed: from here to
+// projectRows the executor computes on sql.Datum.
+func (x *execCtx) resolve(e sql.Expr) (sql.Datum, error) {
 	switch e.Kind {
 	case sql.ELit:
-		return e.Lit, nil
+		return sql.DatumOf(e.Lit)
 	case sql.EParam:
 		if e.Param >= len(x.args) {
-			return nil, fmt.Errorf("db: statement requires at least %d parameters, got %d", e.Param+1, len(x.args))
+			return sql.Datum{}, fmt.Errorf("db: statement requires at least %d parameters, got %d", e.Param+1, len(x.args))
 		}
-		return x.args[e.Param], nil
+		return sql.DatumOf(x.args[e.Param])
 	default:
-		return nil, fmt.Errorf("db: expected literal or parameter")
+		return sql.Datum{}, fmt.Errorf("db: expected literal or parameter")
 	}
 }
 
@@ -91,29 +92,29 @@ func (x *execCtx) resolve(e sql.Expr) (sql.Value, error) {
 type localCond struct {
 	colPos    int
 	op        sql.CompareOp
-	val       sql.Value
+	val       sql.Datum
 	valCol    int // >= 0: compare against another column of the same row
-	in        []sql.Value
+	in        []sql.Datum
 	isNull    bool
 	isNotNull bool
 }
 
-func evalLocal(conds []localCond, row []sql.Value) bool {
+func evalLocal(conds []localCond, row sql.Row) bool {
 	for _, c := range conds {
-		v := row[c.colPos]
+		v := row.At(c.colPos)
 		switch {
 		case c.isNull:
-			if v != nil {
+			if !v.IsNull() {
 				return false
 			}
 		case c.isNotNull:
-			if v == nil {
+			if v.IsNull() {
 				return false
 			}
 		case len(c.in) > 0:
 			ok := false
 			for _, cand := range c.in {
-				if sql.Equal(v, cand) {
+				if v.Equal(cand) {
 					ok = true
 					break
 				}
@@ -124,33 +125,38 @@ func evalLocal(conds []localCond, row []sql.Value) bool {
 		default:
 			rhs := c.val
 			if c.valCol >= 0 {
-				rhs = row[c.valCol]
+				rhs = row.At(c.valCol)
 			}
-			if v == nil || rhs == nil {
-				return false
-			}
-			cmp := sql.Compare(v, rhs)
-			var ok bool
-			switch c.op {
-			case sql.OpEq:
-				ok = cmp == 0
-			case sql.OpNe:
-				ok = cmp != 0
-			case sql.OpLt:
-				ok = cmp < 0
-			case sql.OpLe:
-				ok = cmp <= 0
-			case sql.OpGt:
-				ok = cmp > 0
-			case sql.OpGe:
-				ok = cmp >= 0
-			}
-			if !ok {
+			if !compareHolds(c.op, v, rhs) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// compareHolds reports whether `l op r` holds; a comparison with NULL on
+// either side does not.
+func compareHolds(op sql.CompareOp, l, r sql.Datum) bool {
+	if l.IsNull() || r.IsNull() {
+		return false
+	}
+	cmp := l.Compare(r)
+	switch op {
+	case sql.OpEq:
+		return cmp == 0
+	case sql.OpNe:
+		return cmp != 0
+	case sql.OpLt:
+		return cmp < 0
+	case sql.OpLe:
+		return cmp <= 0
+	case sql.OpGt:
+		return cmp > 0
+	case sql.OpGe:
+		return cmp >= 0
+	}
+	return false
 }
 
 // bindLocal converts sql.Conds that reference only table t (under alias) to
@@ -180,6 +186,7 @@ func (x *execCtx) bindLocal(dst []localCond, t *Table, alias string, conds []sql
 				if err != nil {
 					return nil, nil, err
 				}
+				v, _ = t.cols[pos].Type.Coerce(v)
 				lc.in = append(lc.in, v)
 			}
 		case c.Right.Kind == sql.ECol:
@@ -197,7 +204,9 @@ func (x *execCtx) bindLocal(dst []localCond, t *Table, alias string, conds []sql
 			if err != nil {
 				return nil, nil, err
 			}
-			lc.val = v
+			// As the column would store it, where it can: an integer bound to
+			// a DOUBLE column compares the same widened, and then has a key.
+			lc.val, _ = t.cols[pos].Type.Coerce(v)
 		}
 		local = append(local, lc)
 	}
@@ -216,7 +225,7 @@ func colBelongs(c sql.ColRef, t *Table, alias string) bool {
 // denote rows from the transaction's own uncommitted inserts.
 type scanRow struct {
 	id   uint64
-	data []sql.Value
+	data sql.Row
 }
 
 // scanTableInto appends the rows of t matching conds to dst, visible at
@@ -233,35 +242,49 @@ func (x *execCtx) scanTableInto(dst []scanRow, t *Table, conds []localCond) []sc
 	// Plan: pick an index-equality access if possible, then an index range,
 	// otherwise a sequential scan.
 	var eqIdx *Index
-	var eqVals []sql.Value
-	var eqOne [1]sql.Value
+	var eqVals []sql.Datum
+	var eqOne [1]sql.Datum
 	var rangeIdx *Index
 	var rangeLo, rangeHi []byte
 	for _, c := range conds {
 		if c.valCol >= 0 || c.isNull || c.isNotNull {
 			continue
 		}
-		col := t.cols[c.colPos].Name
-		idx := t.indexes[col]
+		col := t.cols[c.colPos]
+		idx := t.indexes[col.Name]
 		if idx == nil {
 			continue
 		}
-		if c.op == sql.OpEq && c.in == nil && c.val != nil {
+		// An index finds a value by its key, and keys are spelled by type: a
+		// bound value the column could not store as it is (bindLocal already
+		// widened an integer bound to a DOUBLE column) has no key there, and
+		// is left to the scan's comparison.
+		if len(c.in) > 0 {
+			if !slices.ContainsFunc(c.in, func(v sql.Datum) bool { return !col.Type.Holds(v) }) {
+				eqIdx, eqVals = idx, c.in
+				break
+			}
+			continue
+		}
+		if c.val.IsNull() || !col.Type.Holds(c.val) {
+			continue
+		}
+		if c.op == sql.OpEq {
 			eqOne[0] = c.val
 			eqIdx, eqVals = idx, eqOne[:]
 			break // equality is always the best choice
 		}
-		if len(c.in) > 0 {
-			eqIdx, eqVals = idx, c.in
-			break
-		}
-		if rangeIdx == nil && (c.op == sql.OpLt || c.op == sql.OpLe || c.op == sql.OpGt || c.op == sql.OpGe) {
+		if rangeIdx == nil && c.op != sql.OpNe {
 			rangeIdx = idx
 			switch c.op {
 			case sql.OpGt, sql.OpGe:
-				rangeLo = sql.EncodeKey(nil, c.val)
-			case sql.OpLt, sql.OpLe:
-				rangeHi = sql.EncodeKey(nil, c.val)
+				rangeLo = c.val.AppendKey(nil)
+			case sql.OpLt:
+				rangeHi = c.val.AppendKey(nil)
+			case sql.OpLe:
+				// AscendRange stops before hi: the bound that lets the value's
+				// own key through is its successor, the key and a zero byte.
+				rangeHi = append(c.val.AppendKey(nil), 0)
 			}
 		}
 	}
@@ -272,13 +295,13 @@ func (x *execCtx) scanTableInto(dst []scanRow, t *Table, conds []localCond) []sc
 	case eqIdx != nil:
 		x.sc.seen.reset()
 		for _, v := range eqVals {
-			if v == nil {
+			if v.IsNull() {
 				continue
 			}
 			if x.track {
 				x.tags.addKey(t, eqIdx.column, v)
 			}
-			x.sc.keyBuf = sql.EncodeKey(x.sc.keyBuf[:0], v)
+			x.sc.keyBuf = v.AppendKey(x.sc.keyBuf[:0])
 			ids := eqIdx.tree.Get(x.sc.keyBuf)
 			for _, id := range ids {
 				if x.sc.seen.insert(id) {
@@ -350,17 +373,18 @@ func (x *execCtx) emit(id uint64, chain []mvcc.Version) {
 				x.observeInvisible(v.Interval())
 				continue
 			}
-			if evalLocal(conds, v.Data.([]sql.Value)) {
-				x.emitDst = append(x.emitDst, scanRow{id, v.Data.([]sql.Value)})
+			if row := v.Data.(sql.Row); evalLocal(conds, row) {
+				x.emitDst = append(x.emitDst, scanRow{id, row})
 				x.observeVisible(v.Interval())
 			}
 			continue
 		}
-		if !evalLocal(conds, v.Data.([]sql.Value)) {
+		row := v.Data.(sql.Row)
+		if !evalLocal(conds, row) {
 			continue // predicate first (§5.2)
 		}
 		if v.VisibleAt(x.tx.snap) {
-			x.emitDst = append(x.emitDst, scanRow{id, v.Data.([]sql.Value)})
+			x.emitDst = append(x.emitDst, scanRow{id, row})
 			x.observeVisible(v.Interval())
 		} else {
 			x.observeInvisible(v.Interval())
@@ -381,9 +405,9 @@ type binding struct {
 
 func (b binding) matches(c sql.ColRef) bool { return colBelongs(c, b.t, b.alias) }
 
-// jrow is a joined row: one value slice per binding.
+// jrow is a joined row: one stored row per binding.
 type jrow struct {
-	vals [][]sql.Value
+	vals []sql.Row
 }
 
 // runSelect executes a parsed SELECT. Caller holds the statement's table
@@ -434,7 +458,7 @@ func (tx *Tx) runSelect(sel *sql.Select, ls tableLockSet, args []sql.Value) (*Re
 	rows := x.sc.rows[:0]
 	arena := x.sc.arena[:0]
 	if cap(arena) < len(srs) {
-		arena = make([][]sql.Value, 0, len(srs))
+		arena = make([]sql.Row, 0, len(srs))
 	}
 	for _, sr := range srs {
 		arena = append(arena, sr.data)
@@ -468,17 +492,17 @@ func (tx *Tx) runSelect(sel *sql.Select, ls tableLockSet, args []sql.Value) (*Re
 
 		var next []jrow
 		for _, r := range rows {
-			v := r.vals[outerBind][outerPos]
-			if v == nil {
+			v := r.vals[outerBind].At(outerPos)
+			if v.IsNull() {
 				continue
 			}
 			// scanTableInto plans each probe: an equality index on the
 			// inner join column when one exists, a sequential scan
 			// otherwise.
-			probe[0].val = v
+			probe[0].val, _ = inner.t.cols[innerPos].Type.Coerce(v)
 			x.sc.joinBuf = x.scanTableInto(x.sc.joinBuf[:0], inner.t, probe)
 			for _, m := range x.sc.joinBuf {
-				nv := make([][]sql.Value, len(r.vals)+1)
+				nv := make([]sql.Row, len(r.vals)+1)
 				copy(nv, r.vals)
 				nv[len(r.vals)] = m.data
 				next = append(next, jrow{vals: nv})
@@ -554,14 +578,14 @@ func evalCross(bindings []binding, conds []sql.Cond, r jrow, x *execCtx) (bool, 
 		if err != nil {
 			return false, err
 		}
-		lv := r.vals[lb][lp]
-		var rv sql.Value
+		lv := r.vals[lb].At(lp)
+		var rv sql.Datum
 		if c.Right.Kind == sql.ECol {
 			rb, rp, err := resolveCol(bindings, c.Right.Col)
 			if err != nil {
 				return false, err
 			}
-			rv = r.vals[rb][rp]
+			rv = r.vals[rb].At(rp)
 		} else {
 			rv, err = x.resolve(c.Right)
 			if err != nil {
@@ -570,12 +594,12 @@ func evalCross(bindings []binding, conds []sql.Cond, r jrow, x *execCtx) (bool, 
 		}
 		switch {
 		case c.IsNull:
-			if lv != nil {
+			if !lv.IsNull() {
 				return false, nil
 			}
 			continue
 		case c.IsNotNull:
-			if lv == nil {
+			if lv.IsNull() {
 				return false, nil
 			}
 			continue
@@ -586,7 +610,7 @@ func evalCross(bindings []binding, conds []sql.Cond, r jrow, x *execCtx) (bool, 
 				if err != nil {
 					return false, err
 				}
-				if sql.Equal(lv, v) {
+				if lv.Equal(v) {
 					ok = true
 					break
 				}
@@ -596,26 +620,7 @@ func evalCross(bindings []binding, conds []sql.Cond, r jrow, x *execCtx) (bool, 
 			}
 			continue
 		}
-		if lv == nil || rv == nil {
-			return false, nil
-		}
-		cmp := sql.Compare(lv, rv)
-		var ok bool
-		switch c.Op {
-		case sql.OpEq:
-			ok = cmp == 0
-		case sql.OpNe:
-			ok = cmp != 0
-		case sql.OpLt:
-			ok = cmp < 0
-		case sql.OpLe:
-			ok = cmp <= 0
-		case sql.OpGt:
-			ok = cmp > 0
-		case sql.OpGe:
-			ok = cmp >= 0
-		}
-		if !ok {
+		if !compareHolds(c.Op, lv, rv) {
 			return false, nil
 		}
 	}
@@ -650,34 +655,33 @@ func projectAggregates(sel *sql.Select, bindings []binding, rows []jrow, res *Re
 		if err != nil {
 			return err
 		}
-		var acc sql.Value
+		var acc sql.Datum
 		var sum float64
 		var allInt = true
 		n := 0
 		for _, r := range rows {
-			v := r.vals[bi][pos]
-			if v == nil {
+			v := r.vals[bi].At(pos)
+			if v.IsNull() {
 				continue
 			}
 			n++
 			switch se.Agg {
 			case sql.AggCount:
 			case sql.AggMax:
-				if acc == nil || sql.Compare(v, acc) > 0 {
+				if acc.IsNull() || v.Compare(acc) > 0 {
 					acc = v
 				}
 			case sql.AggMin:
-				if acc == nil || sql.Compare(v, acc) < 0 {
+				if acc.IsNull() || v.Compare(acc) < 0 {
 					acc = v
 				}
 			case sql.AggSum, sql.AggAvg:
-				switch num := v.(type) {
-				case int64:
+				if num, ok := v.Int(); ok {
 					sum += float64(num)
-				case float64:
+				} else if num, ok := v.Float(); ok {
 					sum += num
 					allInt = false
-				default:
+				} else {
 					return fmt.Errorf("db: SUM/AVG over non-numeric column %s", se.Col)
 				}
 			}
@@ -686,7 +690,7 @@ func projectAggregates(sel *sql.Select, bindings []binding, rows []jrow, res *Re
 		case sql.AggCount:
 			out[i] = int64(n)
 		case sql.AggMax, sql.AggMin:
-			out[i] = acc // nil when no rows
+			out[i] = acc.Value() // nil when no rows
 		case sql.AggSum:
 			if n == 0 {
 				out[i] = nil
@@ -772,59 +776,94 @@ func (x *execCtx) projectRows(sel *sql.Select, bindings []binding, rows []jrow, 
 	projs := plan.projs
 	res.Cols = plan.cols
 
-	// ORDER BY before projection so sort keys need not be selected.
-	if len(plan.orderKeys) > 0 {
-		keys := plan.orderKeys
-		sort.SliceStable(rows, func(a, b int) bool {
-			for i, k := range keys {
-				cmp := sql.Compare(rows[a].vals[k.bi][k.pos], rows[b].vals[k.bi][k.pos])
-				if cmp == 0 {
-					continue
-				}
-				if sel.OrderBy[i].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
+	// ORDER BY before projection so sort keys need not be selected. The keys
+	// are read off the rows once, not once a comparison.
+	if nk := len(plan.orderKeys); nk > 0 {
+		keyed := x.sc.keyed[:0]
+		keys := x.sc.sortKeys[:0]
+		for _, r := range rows {
+			for _, k := range plan.orderKeys {
+				keys = append(keys, r.vals[k.bi].At(k.pos))
 			}
-			return false
+		}
+		for i, r := range rows {
+			keyed = append(keyed, keyedRow{r, keys[i*nk : (i+1)*nk]})
+		}
+		slices.SortStableFunc(keyed, func(a, b keyedRow) int {
+			for i := range a.keys {
+				if cmp := a.keys[i].Compare(b.keys[i]); cmp != 0 {
+					if sel.OrderBy[i].Desc {
+						return -cmp
+					}
+					return cmp
+				}
+			}
+			return 0
 		})
+		for i, kr := range keyed {
+			rows[i] = kr.r
+		}
+		clear(keys) // the scratch must not keep a result's rows alive
+		clear(keyed)
+		x.sc.keyed, x.sc.sortKeys = keyed, keys
 	}
 
-	// Project.
+	// OFFSET / LIMIT before projection, so only the rows a statement returns
+	// have their values boxed. DISTINCT counts rows after duplicates are
+	// dropped, which only projection finds: it cuts below.
+	if !sel.Distinct {
+		rows = cutRows(rows, sel.Offset, sel.Limit)
+	}
+
+	// Project: the one place a stored column becomes a sql.Value again. The
+	// output rows are carved out of one allocation.
 	outRows := make([][]sql.Value, 0, len(rows))
+	flat := make([]sql.Value, len(rows)*len(projs))
 	var seen map[string]bool
 	if sel.Distinct {
 		seen = map[string]bool{}
 	}
 	for _, r := range rows {
-		out := make([]sql.Value, len(projs))
-		for i, p := range projs {
-			out[i] = r.vals[p.bi][p.pos]
-		}
 		if sel.Distinct {
 			var kb []byte
-			for _, v := range out {
-				kb = sql.EncodeKey(kb, v)
+			for _, p := range projs {
+				kb = r.vals[p.bi].At(p.pos).AppendKey(kb)
 			}
 			if seen[string(kb)] {
 				continue
 			}
 			seen[string(kb)] = true
 		}
+		out := flat[:len(projs):len(projs)]
+		flat = flat[len(projs):]
+		for i, p := range projs {
+			out[i] = r.vals[p.bi].At(p.pos).Value()
+		}
 		outRows = append(outRows, out)
 	}
-
-	// OFFSET / LIMIT.
-	if sel.Offset > 0 {
-		if sel.Offset >= len(outRows) {
-			outRows = nil
-		} else {
-			outRows = outRows[sel.Offset:]
-		}
-	}
-	if sel.Limit >= 0 && sel.Limit < len(outRows) {
-		outRows = outRows[:sel.Limit]
+	if sel.Distinct {
+		outRows = cutRows(outRows, sel.Offset, sel.Limit)
 	}
 	res.Rows = outRows
 	return nil
+}
+
+// keyedRow is a row with its ORDER BY keys beside it.
+type keyedRow struct {
+	r    jrow
+	keys []sql.Datum
+}
+
+// cutRows applies OFFSET and LIMIT (negative: none) to rows.
+func cutRows[T any](rows []T, offset, limit int) []T {
+	if offset > 0 {
+		if offset >= len(rows) {
+			return nil
+		}
+		rows = rows[offset:]
+	}
+	if limit >= 0 && limit < len(rows) {
+		rows = rows[:limit]
+	}
+	return rows
 }

@@ -84,6 +84,24 @@ func seedCorpus(f *testing.F) (sections, records [][]byte) {
 	return sections, records
 }
 
+// datumOf unboxes a value the test wrote itself.
+func datumOf(v sql.Value) sql.Datum {
+	d, err := sql.DatumOf(v)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// rowOf packs vals as a stored row, unchecked against any table.
+func rowOf(vals ...sql.Value) sql.Row {
+	cols := make([]sql.Datum, len(vals))
+	for i, v := range vals {
+		cols[i] = datumOf(v)
+	}
+	return sql.Row(sql.AppendRow(nil, cols))
+}
+
 // hostileIDs are row ids no run of this program hands out in this order:
 // descending, then far apart, then the top of the id space. A snapshot
 // written before ids were walked in order holds them shuffled, and a
@@ -91,14 +109,9 @@ func seedCorpus(f *testing.F) (sections, records [][]byte) {
 // either way.
 var hostileIDs = []mvcc.RowID{900, 899, 3, 2, 1, 1 << 60, 1 << 40, 1<<64 - 2}
 
-// hostileIDSeeds returns a snapshot section of fuzzSchema's table and a
-// commit-group record against it that carry hostileIDs: the section one row
-// per id, the record an insert per id and then an update and a delete of
-// the far ones.
-func hostileIDSeeds() (section, record []byte) {
-	row := func(id mvcc.RowID) []sql.Value {
-		return []sql.Value{int64(id >> 1), "far", 0.5, true, nil}
-	}
+// kindsSection returns a snapshot section of fuzzSchema's table with row(id)
+// under each of ids, created at timestamp 2.
+func kindsSection(ids []mvcc.RowID, row func(mvcc.RowID) sql.Row) []byte {
 	sec := wire.AppendStr(nil, "kinds")
 	sec = binary.LittleEndian.AppendUint32(sec, 5)
 	for i, c := range []struct {
@@ -114,23 +127,55 @@ func hostileIDSeeds() (section, record []byte) {
 	}
 	sec = binary.LittleEndian.AppendUint32(sec, 0) // no secondary index
 	sec = binary.LittleEndian.AppendUint64(sec, 1<<64-1)
-	for _, id := range hostileIDs {
+	for _, id := range ids {
 		sec = binary.LittleEndian.AppendUint64(sec, uint64(id))
 		sec = binary.LittleEndian.AppendUint64(sec, 2)
-		sec = appendRow(sec, row(id))
+		sec = append(sec, row(id)...)
 	}
+	return sec
+}
 
+// kindsRecord returns a commit-group record holding one commit, at timestamp
+// 9, of nOps ops (walOp's output, back to back) against fuzzSchema's table.
+func kindsRecord(ops []byte, nOps int) []byte {
 	body, fix := walSectionStart(nil, "kinds")
-	for _, id := range hostileIDs {
-		body = walOp(body, walOpInsert, id, row(id))
-	}
-	body = walOp(body, walOpUpdate, 1<<60, row(7))
-	body = walOp(body, walOpDelete, 1<<40, nil)
-	body = walSectionEnd(body, fix, len(hostileIDs)+2)
+	body = walSectionEnd(append(body, ops...), fix, nOps)
 	rec := binary.LittleEndian.AppendUint32([]byte{recCommitGroup}, 1)
 	rec = binary.LittleEndian.AppendUint64(rec, 9)
-	rec = append(binary.LittleEndian.AppendUint32(rec, uint32(len(body))), body...)
-	return sec, rec
+	return append(binary.LittleEndian.AppendUint32(rec, uint32(len(body))), body...)
+}
+
+// hostileIDSeeds returns a snapshot section of fuzzSchema's table and a
+// commit-group record against it that carry hostileIDs: the section one row
+// per id, the record an insert per id and then an update and a delete of
+// the far ones.
+func hostileIDSeeds() (section, record []byte) {
+	row := func(id mvcc.RowID) sql.Row {
+		return rowOf(int64(id>>1), "far", 0.5, true, nil)
+	}
+	var ops []byte
+	for _, id := range hostileIDs {
+		ops = walOp(ops, walOpInsert, id, row(id))
+	}
+	ops = walOp(ops, walOpUpdate, 1<<60, row(7))
+	ops = walOp(ops, walOpDelete, 1<<40, "")
+	return kindsSection(hostileIDs, row), kindsRecord(ops, len(hostileIDs)+2)
+}
+
+// misshapenRows are rows sql.DecodeRow accepts and fuzzSchema's table must
+// not: the executor indexes a stored row by the schema's column positions
+// and trusts what it finds there, so recovery is the last place to look.
+var misshapenRows = []struct {
+	name string
+	row  sql.Row
+	want string // in the error, beside the table and the row id
+}{
+	{"no columns", rowOf(), "has 0 columns"},
+	{"short row", rowOf(int64(1), "a", 0.5, true), "has 4 columns"},
+	{"long row", rowOf(int64(1), "a", 0.5, true, nil, nil), "has 6 columns"},
+	{"string in an integer column", rowOf("one", "a", 0.5, true, nil), "column id (BIGINT) cannot hold one"},
+	{"integer in a DOUBLE column", rowOf(int64(1), "a", int64(2), true, nil), "column score (DOUBLE) cannot hold 2"},
+	{"integer in a BOOLEAN column", rowOf(int64(1), "a", 0.5, int64(1), nil), "column ok (BOOLEAN) cannot hold 1"},
 }
 
 // TestRestoreHostileIDs: both decoders restore hostileIDs' rows, and the
@@ -145,7 +190,7 @@ func TestRestoreHostileIDs(t *testing.T) {
 		}
 		prev := mvcc.RowID(0)
 		tab.store.Scan(func(id mvcc.RowID, chain []mvcc.Version) bool {
-			if id <= prev || chain[0].Data.([]sql.Value)[1] != "far" {
+			if id <= prev || chain[0].Data.(sql.Row).At(1).Value() != "far" {
 				t.Fatalf("%s: row %d after row %d, %v", from, id, prev, chain)
 			}
 			prev = id
@@ -162,7 +207,7 @@ func TestRestoreHostileIDs(t *testing.T) {
 	}
 	check("snapshot section", tab, len(hostileIDs))
 	twice := binary.LittleEndian.AppendUint64(bytes.Clone(sec), 1<<60)
-	twice = appendRow(binary.LittleEndian.AppendUint64(twice, 3), []sql.Value{int64(1), "far", 0.5, true, nil})
+	twice = append(binary.LittleEndian.AppendUint64(twice, 3), rowOf(int64(1), "far", 0.5, true, nil)...)
 	if _, err := decodeTableSection(twice); err == nil || !strings.Contains(err.Error(), "duplicated") {
 		t.Fatalf("a section naming row 1<<60 twice: %v, want it refused as duplicated", err)
 	}
@@ -197,26 +242,64 @@ func addMangled(f *testing.F, inputs [][]byte) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 }
 
+// scanEveryColumn is what the fuzz targets do with a table recovery accepted:
+// rebuild its indexes and row count as the end of recovery does, then run a
+// full scan whose predicate reads every column of every version. A row
+// recovery let through that the executor cannot walk shows here as a panic.
+func scanEveryColumn(t *testing.T, tab *Table) {
+	t.Helper()
+	tab.rebuildDerived()
+	conds := make([]localCond, len(tab.cols))
+	for i := range conds {
+		conds[i] = localCond{colPos: i, valCol: (i + 1) % len(tab.cols), op: sql.OpLe}
+	}
+	versions := 0
+	tab.store.Scan(func(_ mvcc.RowID, chain []mvcc.Version) bool {
+		for _, v := range chain {
+			for i := range conds { // one at a time: a conjunction stops at its first false
+				evalLocal(conds[i:i+1], v.Data.(sql.Row))
+			}
+			versions++
+		}
+		return true
+	})
+	if versions != tab.store.VersionCount() {
+		t.Fatalf("scanned %d versions of %d", versions, tab.store.VersionCount())
+	}
+}
+
 // FuzzSnapshotSection feeds arbitrary bytes to the checkpoint's per-table
-// decoder.
+// decoder, and reads every row of a table it returns.
 func FuzzSnapshotSection(f *testing.F) {
 	sections, _ := seedCorpus(f)
 	hostile, _ := hostileIDSeeds()
-	addMangled(f, append(sections, hostile))
+	seeds := append(sections, hostile)
+	for _, m := range misshapenRows {
+		seeds = append(seeds, kindsSection([]mvcc.RowID{1}, func(mvcc.RowID) sql.Row { return m.row }))
+	}
+	addMangled(f, seeds)
 	f.Fuzz(func(t *testing.T, sec []byte) {
 		tab, err := decodeTableSection(sec)
 		if (tab == nil) == (err == nil) {
 			t.Fatalf("decodeTableSection = %v, %v: want a table or an error", tab, err)
 		}
+		if tab != nil {
+			scanEveryColumn(t, tab)
+		}
 	})
 }
 
 // FuzzReplayRecord feeds arbitrary bytes to log replay as one record's
-// payload, against an engine that has the seed records' table.
+// payload, against an engine that has the seed records' table, and reads
+// every row the record left there.
 func FuzzReplayRecord(f *testing.F) {
 	_, records := seedCorpus(f)
 	_, hostile := hostileIDSeeds()
-	addMangled(f, append(records, hostile))
+	seeds := append(records, hostile)
+	for _, m := range misshapenRows {
+		seeds = append(seeds, kindsRecord(walOp(nil, walOpInsert, 1, m.row), 1))
+	}
+	addMangled(f, seeds)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		e := New(Options{VacuumEvery: -1})
 		if err := e.DDL(fuzzSchema); err != nil {
@@ -226,6 +309,9 @@ func FuzzReplayRecord(f *testing.F) {
 		_, _, _, _ = rp.replayRecord(payload) // an error or not: no panic
 		if err := rp.close(); err != nil {
 			t.Fatal(err)
+		}
+		for _, tab := range e.tables { // a DDL record may have added one
+			scanEveryColumn(t, tab)
 		}
 	})
 }

@@ -33,6 +33,14 @@ type txScratch struct {
 
 	walBuf []byte // commit WAL-payload encoding (durable engines)
 
+	// Staging one row of an INSERT or UPDATE (see packRow): the statement's
+	// column positions and bound SET clauses, the row's columns unboxed, and
+	// its encoding before it is copied into the sql.Row the write set keeps.
+	posBuf    []int
+	assignBuf []boundAssign
+	valBuf    []sql.Datum
+	rowEnc    []byte
+
 	// The transaction write set (see the Tx doc). Outer maps persist for
 	// the scratch's lifetime; inner containers are cleared and parked on
 	// the free lists between transactions (resetWriteSet).
@@ -45,8 +53,11 @@ type txScratch struct {
 	condBuf  []localCond   // base binding's bound WHERE conjuncts
 	localFor [][]localCond // per-binding condition headers
 
-	rows  []jrow        // select working set
-	arena [][]sql.Value // jrow backing for single-binding selects
+	rows  []jrow    // select working set
+	arena []sql.Row // jrow backing for single-binding selects
+
+	keyed    []keyedRow  // ORDER BY: the working set with its sort keys
+	sortKeys []sql.Datum // their backing
 
 	seen idSet
 }

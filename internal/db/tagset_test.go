@@ -70,7 +70,7 @@ func setTags(limit int, adds []refAdd, names map[invalidation.TagID]string) []st
 		if a.column == "" {
 			s.add(a.table.wildTag)
 		} else {
-			s.addKey(a.table, a.column, a.value)
+			s.addKey(a.table, a.column, datumOf(a.value))
 		}
 	}
 	var out []string

@@ -26,14 +26,14 @@ const (
 // rowWrite is a buffered update or delete of an existing row.
 type rowWrite struct {
 	op   writeOp
-	data []sql.Value // opUpdate: the replacement row
+	data sql.Row // opUpdate: the replacement row
 }
 
 // insertedRow is a buffered insert, visible to this transaction's own
 // statements through the overlay.
 type insertedRow struct {
 	tempID  uint64 // synthetic id (high bit set)
-	data    []sql.Value
+	data    sql.Row
 	deleted bool // inserted then deleted within the same transaction
 }
 
@@ -302,10 +302,11 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 		}
 		for id, w := range tx.sc.writes[t.name] {
 			old, _ := t.store.VisibleAt(mvcc.RowID(id), tx.snap)
-			oldRow := old.Data.([]sql.Value)
+			oldRow := old.Data.(sql.Row)
 			switch w.op {
 			case opUpdate:
 				t.store.Update(mvcc.RowID(id), w.data, ts)
+				t.payload += rowCost(w.data)
 				t.queueIndexOps(mvcc.RowID(id), w.data, false)
 				tags.addRow(t, oldRow)
 				tags.addRow(t, w.data)
@@ -318,7 +319,7 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 				t.rowCount--
 				tags.addRow(t, oldRow)
 				if durable {
-					walRec = walOp(walRec, walOpDelete, mvcc.RowID(id), nil)
+					walRec = walOp(walRec, walOpDelete, mvcc.RowID(id), "")
 					nOps++
 				}
 			}
@@ -328,6 +329,7 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 				continue
 			}
 			id := t.store.Insert(ins.data, ts)
+			t.payload += rowCost(ins.data)
 			t.queueIndexOps(id, ins.data, false)
 			t.rowCount++
 			tags.addRow(t, ins.data)
@@ -360,7 +362,7 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 // stagedKey is one staged row's value on the unique index being checked.
 type stagedKey struct {
 	key []byte // encoded, in keyBuf (which only appends, so it stays put)
-	v   sql.Value
+	v   sql.Datum
 }
 
 // checkUnique enforces unique indexes: a staged row (an insert, or an
@@ -409,14 +411,14 @@ func (tx *Tx) checkUnique(ls tableLockSet) error {
 // tree holds under that key. Every applied commit's entries are there,
 // published or not: a commit installs them before it releases the table
 // lock this one now holds.
-func (tx *Tx) checkUniqueRow(t *Table, idx *Index, row []sql.Value, selfID uint64) error {
-	v := row[idx.colPos]
-	if v == nil {
+func (tx *Tx) checkUniqueRow(t *Table, idx *Index, row sql.Row, selfID uint64) error {
+	v := row.At(idx.colPos)
+	if v.IsNull() {
 		return nil // NULLs never collide
 	}
 	sc := tx.sc
 	off := len(sc.keyBuf)
-	sc.keyBuf = sql.EncodeKey(sc.keyBuf, v)
+	sc.keyBuf = v.AppendKey(sc.keyBuf)
 	key := sc.keyBuf[off:]
 	sc.staged = append(sc.staged, stagedKey{key, v})
 	for _, cand := range idx.tree.Get(key) {
@@ -427,13 +429,13 @@ func (tx *Tx) checkUniqueRow(t *Table, idx *Index, row []sql.Value, selfID uint6
 	return nil
 }
 
-func uniqueErr(t *Table, idx *Index, v sql.Value) error {
-	return fmt.Errorf("%w: %s.%s = %s", ErrUnique, t.name, idx.column, sql.FormatValue(v))
+func uniqueErr(t *Table, idx *Index, v sql.Datum) error {
+	return fmt.Errorf("%w: %s.%s = %s", ErrUnique, t.name, idx.column, v.AppendFormat(nil))
 }
 
 // checkUniqueCand tests one candidate row id for a live collision on
 // idx's column value v.
-func (tx *Tx) checkUniqueCand(t *Table, idx *Index, v sql.Value, cand, selfID uint64) error {
+func (tx *Tx) checkUniqueCand(t *Table, idx *Index, v sql.Datum, cand, selfID uint64) error {
 	if cand == selfID {
 		return nil
 	}
@@ -444,11 +446,11 @@ func (tx *Tx) checkUniqueCand(t *Table, idx *Index, v sql.Value, cand, selfID ui
 	}
 	// Superseded by our own write set?
 	if w, wrote := tx.sc.writes[t.name][cand]; wrote {
-		if w.op == opDelete || !sql.Equal(w.data[idx.colPos], v) {
+		if w.op == opDelete || !w.data.At(idx.colPos).Equal(v) {
 			return nil
 		}
 	}
-	if sql.Equal(latest.Data.([]sql.Value)[idx.colPos], v) {
+	if latest.Data.(sql.Row).At(idx.colPos).Equal(v) {
 		return uniqueErr(t, idx, v)
 	}
 	return nil
@@ -478,19 +480,19 @@ func (s *tagSet) reset(limit int) {
 }
 
 // addRow emits one key tag per index of t for the row's indexed values.
-func (s *tagSet) addRow(t *Table, row []sql.Value) {
+func (s *tagSet) addRow(t *Table, row sql.Row) {
 	for _, idx := range t.indexes {
-		s.addKey(t, idx.column, row[idx.colPos])
+		s.addKey(t, idx.column, row.At(idx.colPos))
 	}
 }
 
 // addKey adds the tag table:column=value: the table's wildcard ID with the
 // key's hash in its low half.
-func (s *tagSet) addKey(t *Table, column string, v sql.Value) {
+func (s *tagSet) addKey(t *Table, column string, v sql.Datum) {
 	if _, covered := s.wildcard[t.wildTag]; covered {
 		return
 	}
-	s.vbuf = sql.AppendFormat(s.vbuf[:0], v)
+	s.vbuf = v.AppendFormat(s.vbuf[:0])
 	s.add(t.wildTag | invalidation.KeyHash(column, s.vbuf))
 }
 

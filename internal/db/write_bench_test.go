@@ -153,14 +153,15 @@ func BenchmarkVacuum(b *testing.B) {
 }
 
 // commitAllocCeiling is the allocation budget for one warmed-up single-row
-// UPDATE transaction (Begin + Exec + Commit, two indexes, no bus): the
-// replacement row, the rowWrite, the lazily allocated per-transaction
-// write-set maps, and the boxed/variadic statement arguments. Index
-// maintenance, the version store append, the dead-queue record, and the
-// sequencer hand-off stay on pooled or amortized storage. Measured 10 when
-// last lowered (11 at pinning time); the slack covers map-growth
-// amortization noise.
-const commitAllocCeiling = 12
+// UPDATE transaction (Begin + Exec + Commit, two indexes, no bus): the Tx,
+// the replacement row's bytes and the header that boxes them into the
+// version store, and the boxed/variadic statement arguments. Staging the
+// row (its columns unboxed, its encoding), index maintenance, the version
+// store append, the dead-queue record, and the sequencer hand-off stay on
+// pooled or amortized storage. Measured 5 (6 while the replacement row was a
+// slice of boxed values and the SET clauses a fresh slice a statement; 11 at
+// pinning time); one of headroom.
+const commitAllocCeiling = 6
 
 func TestAllocBudgetCommit(t *testing.T) {
 	e := writeBenchEngine(t, 2, 256)

@@ -1,11 +1,7 @@
-// Benchmarks regenerating the paper's evaluation (§8), one per table or
-// figure. Each benchmark drives the RUBiS bidding mix against a complete
-// in-process deployment and reports throughput (the `req/s` metric, the
-// paper's y-axis) and the cache hit rate where relevant.
-//
-// The full experiment harness with printed paper-style tables is
-// `go run ./cmd/txcache-bench -exp all`; these testing.B entry points run
-// the same code at reduced scale so `go test -bench=.` stays tractable.
+// Benchmarks of single claims and components: two of the paper's side
+// claims (§5.2's scan ordering, §8.1's free validity tracking), the
+// pincushion and cache-node primitives, and the engine's commit concurrency.
+// The paper's figures themselves are `go run ./cmd/txcache-bench -exp all`.
 package txcache_test
 
 import (
@@ -28,9 +24,9 @@ import (
 
 // runMix drives b.N interactions of the bidding mix through the site with
 // parallel workers and reports req/s and hit rate.
-func runMix(b *testing.B, site *bench.Site, stalenessPaperSec float64) {
+func runMix(b *testing.B, site *bench.Site) {
 	b.Helper()
-	staleness := time.Duration(stalenessPaperSec * bench.TimeScale * float64(time.Second))
+	staleness := time.Duration(site.Cfg.StalenessPaperSec * bench.TimeScale * float64(time.Second))
 	// Short warmup so compulsory misses do not dominate tiny runs.
 	rubis.RunEmulator(site.App, rubis.EmulatorConfig{
 		Clients: 8, Staleness: staleness, Duration: 300 * time.Millisecond, Seed: 42,
@@ -71,136 +67,6 @@ func buildSite(b *testing.B, cfg bench.SiteConfig) *bench.Site {
 	return site
 }
 
-// BenchmarkBaseline reproduces §8.1's no-cache baselines (928 req/s
-// in-memory, 136 req/s disk-bound on the authors' testbed; shape only).
-func BenchmarkBaseline(b *testing.B) {
-	b.Run("in-memory", func(b *testing.B) {
-		runMix(b, buildSite(b, bench.SiteConfig{Mode: bench.ModeBaseline}), 30)
-	})
-	b.Run("disk-bound", func(b *testing.B) {
-		runMix(b, buildSite(b, bench.SiteConfig{Mode: bench.ModeBaseline, Pool: bench.DiskPool()}), 30)
-	})
-	b.Run("stock-db", func(b *testing.B) {
-		// §8.1: "no observable difference" between stock and modified DBs.
-		runMix(b, buildSite(b, bench.SiteConfig{Mode: bench.ModeBaseline, DisableValidityTracking: true}), 30)
-	})
-}
-
-// BenchmarkFigure5a: peak throughput vs cache size, in-memory database,
-// for TxCache and the no-consistency comparator (plus BenchmarkBaseline).
-func BenchmarkFigure5a(b *testing.B) {
-	for _, size := range []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20} {
-		for _, mode := range []bench.Mode{bench.ModeTxCache, bench.ModeNoConsistency} {
-			b.Run(fmt.Sprintf("%s/cache=%dKB", mode, size>>10), func(b *testing.B) {
-				runMix(b, buildSite(b, bench.SiteConfig{Mode: mode, CacheBytes: size}), 30)
-			})
-		}
-	}
-}
-
-// BenchmarkFigure5b: peak throughput vs cache size, disk-bound database.
-func BenchmarkFigure5b(b *testing.B) {
-	for _, size := range []int64{512 << 10, 4 << 20, 16 << 20} {
-		b.Run(fmt.Sprintf("cache=%dKB", size>>10), func(b *testing.B) {
-			runMix(b, buildSite(b, bench.SiteConfig{
-				Mode: bench.ModeTxCache, CacheBytes: size, Pool: bench.DiskPool(),
-			}), 30)
-		})
-	}
-}
-
-// BenchmarkFigure6 reports the hit-rate metric across cache sizes (the
-// hit%% metric of each sub-benchmark is the figure's y-axis).
-func BenchmarkFigure6(b *testing.B) {
-	for _, size := range []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20} {
-		b.Run(fmt.Sprintf("cache=%dKB", size>>10), func(b *testing.B) {
-			runMix(b, buildSite(b, bench.SiteConfig{Mode: bench.ModeTxCache, CacheBytes: size}), 30)
-		})
-	}
-}
-
-// BenchmarkFigure7: throughput vs staleness limit (paper seconds).
-func BenchmarkFigure7(b *testing.B) {
-	for _, st := range []float64{1, 10, 30, 120} {
-		b.Run(fmt.Sprintf("staleness=%gs", st), func(b *testing.B) {
-			runMix(b, buildSite(b, bench.SiteConfig{
-				Mode: bench.ModeTxCache, CacheBytes: 4 << 20, StalenessPaperSec: st,
-			}), st)
-		})
-	}
-}
-
-// BenchmarkFigure8 runs the four miss-breakdown configurations and reports
-// the consistency-miss share (the paper's headline: it is the rarest kind).
-func BenchmarkFigure8(b *testing.B) {
-	configs := []struct {
-		name  string
-		bytes int64
-		stale float64
-		pool  *db.PoolConfig
-	}{
-		{"in-mem-2MB-30s", 2 << 20, 30, nil},
-		{"in-mem-2MB-15s", 2 << 20, 15, nil},
-		{"in-mem-256KB-30s", 256 << 10, 30, nil},
-		{"disk-16MB-30s", 16 << 20, 30, bench.DiskPool()},
-	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
-			site := buildSite(b, bench.SiteConfig{
-				Mode: bench.ModeTxCache, CacheBytes: c.bytes,
-				StalenessPaperSec: c.stale, Pool: c.pool,
-			})
-			runMix(b, site, c.stale)
-			cs := site.CacheStats()
-			if m := cs.Misses(); m > 0 {
-				b.ReportMetric(100*float64(cs.MissConsistency)/float64(m), "consistency-miss%")
-				b.ReportMetric(100*float64(cs.MissCompulsory)/float64(m), "compulsory-miss%")
-				b.ReportMetric(100*float64(cs.MissStaleness+cs.MissCapacity)/float64(m), "stale+cap-miss%")
-			}
-		})
-	}
-}
-
-// BenchmarkWriteHeavy drives the update/insert-skewed mix (60% read/write)
-// against the full deployment, with and without extra write-hot secondary
-// indexes — the commit-path counterpart of BenchmarkFigure5a. The
-// experiment-harness form (with commit/vacuum rates) is
-// `txcache-bench -exp writeheavy`.
-func BenchmarkWriteHeavy(b *testing.B) {
-	for _, extra := range []int{0, 3} {
-		b.Run(fmt.Sprintf("extraIdx=%d", extra), func(b *testing.B) {
-			site := buildSite(b, bench.SiteConfig{
-				Mode: bench.ModeTxCache, CacheBytes: 4 << 20,
-				Mix: &rubis.WriteHeavyMix, ExtraWriteIndexes: extra,
-			})
-			staleness := time.Duration(30 * bench.TimeScale * float64(time.Second))
-			rubis.RunEmulator(site.App, rubis.EmulatorConfig{
-				Clients: 8, Staleness: staleness, Duration: 300 * time.Millisecond,
-				Seed: 42, Mix: &rubis.WriteHeavyMix,
-			})
-			site.ResetStats()
-			c0 := site.Engine.Stats().Commits
-			var seed atomic.Int64
-			start := time.Now()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(1000 + seed.Add(1)))
-				user := int64(rng.Intn(site.App.DS.Scale.Users))
-				for pb.Next() {
-					kind := rubis.PickFrom(rng, &rubis.WriteHeavyMix)
-					_ = site.App.DoInteraction(context.Background(), rng, user, kind, staleness)
-				}
-			})
-			b.StopTimer()
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N)/elapsed, "req/s")
-				b.ReportMetric(float64(site.Engine.Stats().Commits-c0)/elapsed, "commits/s")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationVisibilityOrder measures §5.2's design choice of
 // evaluating scan predicates before visibility checks. The eager (stock)
 // ordering pollutes invalidity masks with unrelated dead tuples, shrinking
@@ -214,7 +80,7 @@ func BenchmarkAblationVisibilityOrder(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			runMix(b, buildSite(b, bench.SiteConfig{
 				Mode: bench.ModeTxCache, CacheBytes: 4 << 20, EagerVisibilityCheck: eager,
-			}), 30)
+			}))
 		})
 	}
 }

@@ -1,11 +1,13 @@
 // Command txcache-bench regenerates the paper's evaluation (§8): every
-// figure and table, printed as the same rows/series the paper reports.
+// figure and table, printed as the same rows/series the paper reports and,
+// with -json, written as one machine-readable report.
 //
 // Usage:
 //
-//	txcache-bench -exp all                     # everything (several minutes)
-//	txcache-bench -exp fig5a -measure 5s       # one experiment, longer runs
-//	txcache-bench -exp fig8 -scale test        # quick, reduced dataset
+//	txcache-bench -exp all -json BENCH_paper.json   # everything (several minutes); the committed file
+//	txcache-bench -exp fig5a -measure 5s            # one experiment, longer runs
+//	txcache-bench -exp fig8 -scale test             # quick, reduced dataset
+//	txcache-bench -exp fig5a -cpuprofile cpu.prof   # where a figure's time goes
 //
 // Absolute numbers depend on the machine; the shapes — who wins, by what
 // factor, where the curves flatten — are what reproduce the paper. See
@@ -19,51 +21,68 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"txcache/internal/bench"
-	"txcache/internal/db"
 	"txcache/internal/rubis"
-	"txcache/internal/wal"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: baseline, fig5a, fig5b, fig6a, fig6b, fig7, fig8, concurrency, churn, writeheavy, durability, serve, all")
-	durLogMB := flag.Int("durability-log-mb", 100, "WAL size to generate for -exp durability's recovery measurement")
-	durJSON := flag.String("durability-json", "BENCH_durability.json", "machine-readable output path for -exp durability (empty disables)")
-	rate := flag.Float64("rate", 500, "nominal open-loop arrival rate for -exp serve (req/s)")
-	serveURL := flag.String("serve-url", "", "existing txcache-serve base URL for -exp serve (empty: boot an in-process stack)")
-	serveWorkers := flag.Int("serve-workers", 256, "open-loop worker cap for -exp serve")
-	churnEvery := flag.Int("churn-every", 50, "close a load connection every N requests for -exp serve (0: never)")
-	serveBurst := flag.Bool("serve-burst", false, "square-wave arrivals (2x rate, 50% duty) instead of Poisson for -exp serve")
-	serveSmoke := flag.Bool("serve-smoke", false, "for -exp serve: exit nonzero unless the open-loop run completed requests under -serve-smoke-p99")
-	serveSmokeP99 := flag.Duration("serve-smoke-p99", 2*time.Second, "open-loop intended-p99 bound for -serve-smoke")
-	churnPeriod := flag.Duration("churn-period", 500*time.Millisecond, "cache-node drain+join period for -exp churn")
-	indexes := flag.Int("indexes", 3, "extra write-hot secondary indexes for -exp writeheavy")
+	if err := run(); err != nil {
+		log.Fatalf("txcache-bench: %v", err)
+	}
+}
+
+func run() error {
+	var names []string
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
+	jsonPath := flag.String("json", "", "write every series of the run, its options and a host fingerprint to this file (BENCH_paper.json is -exp all at the default scale)")
 	clients := flag.Int("clients", 2*runtime.GOMAXPROCS(0), "closed-loop client population")
 	warm := flag.Duration("warm", 2*time.Second, "warmup per point")
 	measure := flag.Duration("measure", 3*time.Second, "measurement per point")
-	scale := flag.String("scale", "inmem", "dataset scale: test, inmem, disk")
-	durability := flag.String("durability", "off", "WAL sync mode for the database under test: off (no log; what every perf gate uses), none, fdatasync, odsync")
-	durDir := flag.String("durability-dir", "", "parent directory for WAL data when -durability is not off (default: a temp dir, removed at exit)")
+	scale := flag.String("scale", "paper", "dataset: paper (each configuration at its scaled-down paper size) or test (tiny, for smoke runs)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
 
+	o := bench.Opts{Clients: *clients, Warm: *warm, Measure: *measure, Seed: *seed, Out: os.Stdout}
+	switch *scale {
+	case "paper":
+	case "test":
+		o.Scale = rubis.TestScale
+	default:
+		return fmt.Errorf("unknown scale %q", *scale)
+	}
+	todo := bench.Experiments
+	if *exp != "all" {
+		todo = nil
+		for _, e := range bench.Experiments {
+			if e.Name == *exp {
+				todo = append(todo, e)
+			}
+		}
+		if todo == nil {
+			return fmt.Errorf("unknown experiment %q", *exp)
+		}
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			log.Fatalf("txcache-bench: -cpuprofile: %v", err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("txcache-bench: -cpuprofile: %v", err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
-		// Failures here must not Fatalf: this defer runs before the CPU
-		// profile's Stop defer, and os.Exit would discard that profile too.
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
@@ -78,111 +97,33 @@ func main() {
 		}()
 	}
 
-	o := bench.Opts{
-		Clients: *clients,
-		Warm:    *warm,
-		Measure: *measure,
-		Seed:    *seed,
-		Out:     os.Stdout,
+	report := bench.Report{
+		Host: bench.Fingerprint(),
+		Options: bench.RunOptions{
+			Scale: *scale, Clients: *clients, Seed: *seed,
+			WarmS: warm.Seconds(), MeasureS: measure.Seconds(),
+		},
 	}
-	switch *scale {
-	case "test":
-		o.Scale = rubis.TestScale
-	case "inmem":
-		o.Scale = rubis.InMemoryScale
-	case "disk":
-		o.Scale = rubis.DiskBoundScale
-	default:
-		log.Fatalf("txcache-bench: unknown scale %q", *scale)
-	}
-	if *durability != "off" {
-		mode, err := wal.ParseSyncMode(*durability)
-		if err != nil {
-			log.Fatalf("txcache-bench: -durability: %v", err)
-		}
-		parent := *durDir
-		if parent == "" {
-			tmp, err := os.MkdirTemp("", "txcache-bench-wal-")
-			if err != nil {
-				log.Fatalf("txcache-bench: -durability: %v", err)
-			}
-			defer os.RemoveAll(tmp)
-			parent = tmp
-		}
-		o.Durability = &db.DurabilityOptions{Dir: parent, Sync: mode}
-	}
-
-	run := func(name string, fn func() error) {
-		fmt.Printf("\n=== %s ===\n", name)
+	for _, e := range todo {
+		fmt.Printf("\n=== %s ===\n", e.Name)
 		start := time.Now()
-		if err := fn(); err != nil {
-			log.Fatalf("txcache-bench: %s: %v", name, err)
+		fig, err := e.Run(o)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		fmt.Printf("--- %s done in %v ---\n", name, time.Since(start).Round(time.Second))
-	}
-
-	experiments := map[string]func() error{
-		"baseline": func() error { _, err := bench.Baseline(o); return err },
-		"fig5a":    func() error { _, err := bench.Figure5a(o); return err },
-		"fig5b": func() error {
-			ob := o
-			if *scale == "inmem" {
-				ob.Scale = rubis.DiskBoundScale
-			}
-			_, err := bench.Figure5b(ob)
-			return err
-		},
-		"fig6a": func() error { _, err := bench.Figure6(o, false); return err },
-		"fig6b": func() error {
-			ob := o
-			if *scale == "inmem" {
-				ob.Scale = rubis.Scale{}
-			}
-			_, err := bench.Figure6(ob, true)
-			return err
-		},
-		"fig7":        func() error { _, err := bench.Figure7(o, 2<<20); return err },
-		"fig8":        func() error { _, err := bench.Figure8(o); return err },
-		"concurrency": func() error { _, err := bench.Concurrency(o); return err },
-		"churn":       func() error { _, err := bench.Churn(o, *churnPeriod); return err },
-		"writeheavy":  func() error { _, err := bench.WriteHeavy(o, *indexes); return err },
-		"durability": func() error {
-			_, err := bench.Durability(o, *durLogMB, *durJSON)
-			return err
-		},
-		"serve": func() error {
-			open, _, err := bench.Serve(bench.ServeOpts{
-				Opts:       o,
-				Rate:       *rate,
-				Burst:      *serveBurst,
-				Workers:    *serveWorkers,
-				ChurnEvery: *churnEvery,
-				URL:        *serveURL,
-			})
-			if err != nil {
-				return err
-			}
-			if *serveSmoke {
-				if open.Completed == 0 {
-					return fmt.Errorf("serve-smoke: no requests completed")
-				}
-				if p99 := open.Intended.Quantile(0.99); p99 > *serveSmokeP99 {
-					return fmt.Errorf("serve-smoke: open-loop p99 %v exceeds bound %v", p99, *serveSmokeP99)
+		// A point that served nothing is a broken run, not a measurement.
+		for _, s := range fig.Series {
+			for _, p := range s.Points {
+				if p.ReqPerS <= 0 {
+					return fmt.Errorf("%s: series %q: no throughput at x=%g", e.Name, s.Label, p.X)
 				}
 			}
-			return nil
-		},
-	}
-
-	if *exp == "all" {
-		for _, name := range []string{"baseline", "fig5a", "fig6a", "fig5b", "fig6b", "fig7", "fig8", "concurrency", "churn", "writeheavy", "serve"} {
-			run(name, experiments[name])
 		}
-		return
+		report.Figures = append(report.Figures, fig)
+		fmt.Printf("--- %s done in %v ---\n", e.Name, time.Since(start).Round(time.Second))
 	}
-	fn, ok := experiments[*exp]
-	if !ok {
-		log.Fatalf("txcache-bench: unknown experiment %q", *exp)
+	if *jsonPath != "" {
+		return report.Write(*jsonPath)
 	}
-	run(*exp, fn)
+	return nil
 }

@@ -90,7 +90,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + checkpoints); empty runs in-memory")
 	walSync := flag.String("wal-sync", "fdatasync", "WAL sync discipline: none, fdatasync, fsync, odsync")
 	ckptBytes := flag.Int64("checkpoint-bytes", 16<<20, "checkpoint after this many WAL bytes (negative disables)")
-	recoveryWorkers := flag.Int("recovery-workers", 0, "boot-time replay parallelism (0 = GOMAXPROCS, negative = serial)")
 	statusFile := flag.String("status-file", "", "write a JSON status snapshot here once serving (atomic rename)")
 	flag.Parse()
 
@@ -112,7 +111,7 @@ func main() {
 		}
 		opts.Durability = &db.DurabilityOptions{
 			Dir: *dataDir, Sync: mode,
-			CheckpointBytes: *ckptBytes, RecoveryWorkers: *recoveryWorkers,
+			CheckpointBytes: *ckptBytes,
 		}
 		start := time.Now()
 		engine, info, err = db.Open(opts)

@@ -75,17 +75,18 @@ func TestFigure8Smoke(t *testing.T) {
 	}
 	o := quickOpts()
 	o.Warm, o.Measure = 200*time.Millisecond, 400*time.Millisecond
-	rows, err := Figure8(o)
+	fig, err := Figure8(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 configs, got %d", len(rows))
+	if len(fig.Series) != 4 {
+		t.Fatalf("want 4 configs, got %d", len(fig.Series))
 	}
-	for _, r := range rows {
+	for _, s := range fig.Series {
+		r := s.Points[0].MissPct
 		sum := r.Compulsory + r.StaleCap + r.Consistency
 		if sum > 0 && (sum < 99 || sum > 101) {
-			t.Fatalf("%s: breakdown sums to %.1f%%", r.Label, sum)
+			t.Fatalf("%s: breakdown sums to %.1f%%", s.Label, sum)
 		}
 	}
 }

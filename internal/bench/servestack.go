@@ -39,8 +39,8 @@ type ServeStackConfig struct {
 // ServeStack is the paper's Figure-1 topology with an application server in
 // front, every hop over real loopback TCP: HTTP clients → txcache-serve →
 // {cache nodes, database daemon, pincushion}, plus the daemon's invalidation
-// push streams back to the nodes. Tests and the serve experiment boot one,
-// load it, and tear it down leak-free.
+// push streams back to the nodes. The serve integration tests boot one, load
+// it, and tear it down leak-free.
 type ServeStack struct {
 	Engine *db.Engine
 	Client *core.Client

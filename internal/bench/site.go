@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"txcache/internal/cacheserver"
@@ -56,8 +55,6 @@ type SiteConfig struct {
 	Scale rubis.Scale
 	// CacheBytes is the total cache capacity across nodes; <= 0 unlimited.
 	CacheBytes int64
-	// CacheNodes is the number of cache servers (default 2).
-	CacheNodes int
 	// StalenessPaperSec is the BEGIN-RO staleness limit in paper seconds
 	// (default 30, the paper's standard setting).
 	StalenessPaperSec float64
@@ -72,57 +69,24 @@ type SiteConfig struct {
 	// design choice: masks widen, validity intervals shrink, hit rate
 	// drops.
 	EagerVisibilityCheck bool
-	// Mix selects the emulator's interaction mix; nil = the bidding mix.
-	Mix *rubis.Mix
-	// ExtraWriteIndexes adds up to len(WriteHotIndexes) secondary indexes
-	// on the write-hot tables after load (the writeheavy experiment's
-	// index-count knob; each one multiplies per-commit index maintenance).
-	ExtraWriteIndexes int
-	// Durability, when set, opens the engine with a write-ahead log in
-	// Durability.Dir so experiments can price the fsync tax. Nil — the
-	// default, and what every perf gate uses — keeps the engine purely in
-	// memory so regression comparisons stay like-with-like
-	// (the -durability=off escape hatch).
-	Durability *db.DurabilityOptions
-	Seed       int64
+	Seed                 int64
 }
 
-// WriteHotIndexes are additional secondary indexes on the tables the
-// write-heavy mix hammers; SiteConfig.ExtraWriteIndexes applies a prefix.
-// Range conditions never plan through them (the RUBiS queries probe by
-// equality on the existing indexes), so their only effect is commit-path
-// index maintenance — which is the point.
-var WriteHotIndexes = []string{
-	`CREATE INDEX bids_date ON bids (date)`,
-	`CREATE INDEX bids_qty ON bids (qty)`,
-	`CREATE INDEX comments_item ON comments (item_id)`,
-	`CREATE INDEX comments_rating ON comments (rating)`,
-	`CREATE INDEX buy_now_item ON buy_now (item_id)`,
-	`CREATE INDEX items_end ON items (end_date)`,
-}
+// cacheNodes is the number of cache servers a site's capacity is split
+// across.
+const cacheNodes = 2
 
 // Site is a complete running deployment.
 type Site struct {
 	Cfg    SiteConfig
 	Engine *db.Engine
-	Bus    *invalidation.Bus
 	PC     *pincushion.Pincushion
 	Client *core.Client
 	App    *rubis.App
 
-	mu    sync.Mutex
-	nodes []*cacheserver.Server // all servers ever part of the site (churn keeps retirees for stats)
-	churn int                   // sequence number for churned-in node names
-
-	stop chan struct{}
-}
-
-// Nodes snapshots the site's cache servers (including churned-out ones,
-// whose counters remain part of the site totals).
-func (s *Site) Nodes() []*cacheserver.Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*cacheserver.Server(nil), s.nodes...)
+	nodes []*cacheserver.Server
+	subs  []*invalidation.Subscription // one per node, closed by Close
+	stop  chan struct{}
 }
 
 // BuildSite constructs and loads a deployment.
@@ -130,23 +94,16 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 	if cfg.Scale.Users == 0 {
 		cfg.Scale = rubis.InMemoryScale
 	}
-	if cfg.CacheNodes <= 0 {
-		cfg.CacheNodes = 2
-	}
 	if cfg.StalenessPaperSec == 0 {
 		cfg.StalenessPaperSec = 30
 	}
 	clk := clock.Real{}
 	bus := invalidation.NewBus(false)
-	engine, _, err := db.Open(db.Options{
+	engine := db.New(db.Options{
 		Clock: clk, Bus: bus, Pool: cfg.Pool,
 		DisableValidityTracking: cfg.DisableValidityTracking,
 		EagerVisibilityCheck:    cfg.EagerVisibilityCheck,
-		Durability:              cfg.Durability,
 	})
-	if err != nil {
-		return nil, err
-	}
 	pc := pincushion.New(pincushion.Config{
 		Clock: clk,
 		DB:    engine,
@@ -158,44 +115,32 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 		Staleness: scaled(cfg.StalenessPaperSec + 1),
 	})
 
-	s := &Site{Cfg: cfg, Engine: engine, Bus: bus, PC: pc, stop: make(chan struct{})}
-
-	// The client is created before any data loads so that nodes joined via
-	// AddNode subscribe to the invalidation stream before the first commit.
+	s := &Site{Cfg: cfg, Engine: engine, PC: pc, stop: make(chan struct{})}
 	s.Client = core.NewClient(core.Config{
 		DB:                core.EngineDB{Engine: engine},
 		Pincushion:        pc,
-		Bus:               bus,
 		Clock:             clk,
 		FreshPinThreshold: scaled(5), // the paper's 5-second pin policy
 		NoConsistency:     cfg.Mode == ModeNoConsistency,
 	})
+	// The nodes join, and subscribe, before any data loads: they see the
+	// stream from its first commit.
 	if cfg.Mode != ModeBaseline {
-		for i := 0; i < cfg.CacheNodes; i++ {
-			s.addCacheNode(fmt.Sprintf("cache%d", i))
+		for i := 0; i < cacheNodes; i++ {
+			s.addCacheNode(fmt.Sprintf("cache%d", i), bus)
 		}
 	}
 
 	ds, err := rubis.Load(engine, cfg.Scale, cfg.Seed+1)
 	if err != nil {
+		s.Close()
 		return nil, err
-	}
-	if n := cfg.ExtraWriteIndexes; n > 0 {
-		if n > len(WriteHotIndexes) {
-			n = len(WriteHotIndexes)
-		}
-		// CREATE INDEX after load exercises the bulk-build path.
-		for _, ddl := range WriteHotIndexes[:n] {
-			if err := engine.DDL(ddl); err != nil {
-				return nil, err
-			}
-		}
 	}
 	s.App = rubis.NewApp(s.Client, ds)
 
 	// Background maintenance: the pincushion sweeper (§5.4). Engine vacuum
-	// needs no ticker anymore — the commit sequencer schedules incremental
-	// passes itself from horizon-delta notifications (§5.1).
+	// needs no ticker — the commit sequencer schedules incremental passes
+	// itself from horizon-delta notifications (§5.1).
 	go func() {
 		t := time.NewTicker(scaled(2))
 		defer t.Stop()
@@ -211,66 +156,40 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 	return s, nil
 }
 
-// addCacheNode creates one cache server and joins it to the client's ring;
-// core.Client.AddNode subscribes it to the invalidation stream.
-func (s *Site) addCacheNode(name string) {
+// addCacheNode creates one cache server, gives it the bus's stream — as
+// whoever owns a bus does for an in-process node (§4.2) — and joins it to
+// the client's ring.
+func (s *Site) addCacheNode(name string, bus *invalidation.Bus) {
 	per := s.Cfg.CacheBytes
 	if per > 0 {
-		per /= int64(s.Cfg.CacheNodes)
+		per /= cacheNodes
 	}
 	n := cacheserver.New(cacheserver.Config{
 		CapacityBytes: per,
 		MaxStaleness:  2 * scaled(s.Cfg.StalenessPaperSec+1),
 		Clock:         clock.Real{},
 	})
+	sub := bus.Subscribe()
+	go n.ConsumeStream(sub)
 	s.Client.AddNode(name, n)
-	s.mu.Lock()
 	s.nodes = append(s.nodes, n)
-	s.mu.Unlock()
+	s.subs = append(s.subs, sub)
 }
 
-// StartChurn exercises live membership: every period, the most recently
-// joined cache node is drained out of the ring and a fresh, cold node is
-// joined in its place, while the workload keeps running. The returned stop
-// function blocks until the churn loop exits.
-func (s *Site) StartChurn(period time.Duration) (stop func()) {
-	stopc := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		current := fmt.Sprintf("cache%d", s.Cfg.CacheNodes-1)
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopc:
-				return
-			case <-t.C:
-			}
-			s.Client.RemoveNode(current)
-			s.mu.Lock()
-			s.churn++
-			current = fmt.Sprintf("churn%d", s.churn)
-			s.mu.Unlock()
-			s.addCacheNode(current)
-		}
-	}()
-	return func() { close(stopc); <-done }
-}
-
-// Close stops background maintenance, drains the cache cluster (the
-// client owns every node's stream subscription and closes them), and — on
-// durable sites — flushes the WAL through a final checkpoint.
+// Close stops background maintenance, drains the cache cluster and ends
+// the nodes' streams.
 func (s *Site) Close() {
 	close(s.stop)
 	s.Client.Close()
-	_ = s.Engine.Close() // no-op unless Cfg.Durability was set
+	for _, sub := range s.subs {
+		sub.Close()
+	}
 }
 
 // CacheStats sums the stats across cache nodes.
 func (s *Site) CacheStats() cacheserver.Stats {
 	var total cacheserver.Stats
-	for _, n := range s.Nodes() {
+	for _, n := range s.nodes {
 		st := n.Stats()
 		total.Lookups += st.Lookups
 		total.Hits += st.Hits
@@ -290,56 +209,35 @@ func (s *Site) CacheStats() cacheserver.Stats {
 	return total
 }
 
-// ResetStats clears cache-node and library counters (after warmup).
+// ResetStats clears the cache nodes' counters (after warmup).
 func (s *Site) ResetStats() {
-	for _, n := range s.Nodes() {
+	for _, n := range s.nodes {
 		n.ResetStats()
 	}
 }
 
 // RunResult is one measured point.
 type RunResult struct {
-	Mode       Mode
-	CacheBytes int64
-	Staleness  float64 // paper seconds
 	Throughput float64 // requests/second
-	HitRate    float64 // library-observed cache hit rate
+	HitRate    float64 // cache hit rate, summed over the nodes
 	Emu        rubis.EmulatorResult
 	Cache      cacheserver.Stats
-	// Database-side deltas over the measurement window (the writeheavy
-	// experiment's primary metrics).
-	DBCommits   uint64
-	DBConflicts uint64
-	DBVacuumed  uint64
 }
 
 // Run warms the site, resets counters, and measures for the given duration.
 func (s *Site) Run(clients int, warm, measure time.Duration, seed int64) RunResult {
 	staleness := scaled(s.Cfg.StalenessPaperSec)
 	rubis.RunEmulator(s.App, rubis.EmulatorConfig{
-		Clients: clients, Staleness: staleness, Duration: warm, Seed: seed, Mix: s.Cfg.Mix,
+		Clients: clients, Staleness: staleness, Duration: warm, Seed: seed,
 	})
 	s.ResetStats()
-	db0 := s.Engine.Stats()
 	res := rubis.RunEmulator(s.App, rubis.EmulatorConfig{
-		Clients: clients, Staleness: staleness, Duration: measure, Seed: seed + 1, Mix: s.Cfg.Mix,
+		Clients: clients, Staleness: staleness, Duration: measure, Seed: seed + 1,
 	})
-	db1 := s.Engine.Stats()
 	cs := s.CacheStats()
 	hr := 0.0
 	if l := cs.Lookups; l > 0 {
 		hr = float64(cs.Hits) / float64(l)
 	}
-	return RunResult{
-		Mode:        s.Cfg.Mode,
-		CacheBytes:  s.Cfg.CacheBytes,
-		Staleness:   s.Cfg.StalenessPaperSec,
-		Throughput:  res.Throughput(),
-		HitRate:     hr,
-		Emu:         res,
-		Cache:       cs,
-		DBCommits:   db1.Commits - db0.Commits,
-		DBConflicts: db1.Conflicts - db0.Conflicts,
-		DBVacuumed:  db1.Vacuumed - db0.Vacuumed,
-	}
+	return RunResult{Throughput: res.Throughput(), HitRate: hr, Emu: res, Cache: cs}
 }

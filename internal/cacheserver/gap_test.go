@@ -1,10 +1,14 @@
 package cacheserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"log"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,6 +209,80 @@ func TestStreamGap(t *testing.T) {
 			t.Errorf("and %d more", n-3)
 		}
 	})
+}
+
+// TestStreamGapAfterOverflow: the bus keeps a bounded queue for a node that is
+// not reading and drops what does not fit, telling nobody. The node that
+// comes back applies the prefix the bus kept, sees the hole at the next
+// message, crosses it once, and closes — does not extend — an entry one of
+// the dropped messages named.
+func TestStreamGapAfterOverflow(t *testing.T) {
+	tag := ids([]invalidation.Tag{invalidation.KeyTag("users", "id", "7")})
+	inf := interval.Infinity
+	ctx := context.Background()
+	bus := invalidation.NewBus(false)
+	sub := bus.Subscribe()
+	defer sub.Close()
+
+	// Nobody reads: the stream 2, 3, ... runs until 100 messages have been
+	// dropped, and every dropped one but the first names the tag.
+	last := interval.Timestamp(1)
+	for sub.Dropped() < 100 {
+		last++
+		if last > 1<<20 {
+			t.Fatal("a subscription nobody reads took a million messages and dropped none")
+		}
+		m := invalidation.Message{TS: last, WallTime: time.Unix(int64(last), 0)}
+		if sub.Dropped() > 0 {
+			m.Tags = tag
+		}
+		bus.Publish(m)
+	}
+	kept := last - 100
+
+	s := New(Config{})
+	go s.ConsumeStream(sub)
+	waitFor := func(ts interval.Timestamp) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); s.LastInvalidation() != ts; time.Sleep(100 * time.Microsecond) {
+			if hz := s.LastInvalidation(); hz > ts || time.Now().After(deadline) {
+				t.Fatalf("node's horizon is %d, want %d", hz, ts)
+			}
+		}
+	}
+	waitFor(kept) // the retained prefix, whole, and nothing past it
+	s.Put("dep", []byte("v"), iv(5, inf), true, kept, tag)
+	if r := s.Lookup(ctx, "dep", 5, kept, 0, inf); !r.Found || !r.Still || r.Validity != iv(5, kept+1) {
+		t.Fatalf("before the hole: %+v, want [5,%d) still", r, kept+1)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	bus.Publish(invalidation.Message{TS: last + 1, WallTime: time.Unix(int64(last+1), 0)})
+	waitFor(last + 1)
+	if r := s.Lookup(ctx, "dep", 5, last+1, 0, inf); !r.Found || r.Still || r.Validity != iv(5, kept+1) {
+		t.Fatalf("entry held across the dropped messages (%d, %d]: found=%v validity=%v still=%v, want [5,%d) closed",
+			kept, last, r.Found, r.Validity, r.Still, kept+1)
+	}
+	if r := s.Lookup(ctx, "dep", last+1, last+1, 0, inf); r.Found {
+		t.Fatalf("entry named by a dropped message served at %d: %+v", last+1, r)
+	}
+
+	// One gap: the stream is dense again, and an entry put at its far side
+	// rides the next message.
+	s.Put("post", []byte("v"), iv(last+1, inf), true, last+1, tag)
+	bus.Publish(invalidation.Message{TS: last + 2, WallTime: time.Unix(int64(last+2), 0)})
+	waitFor(last + 2)
+	if r := s.Lookup(ctx, "post", last+2, last+2, 0, inf); !r.Found || !r.Still || r.Validity != iv(last+1, last+3) {
+		t.Fatalf("entry put past the hole, after the next message: %+v", r)
+	}
+	if n := strings.Count(logged.String(), "invalidation stream gap"); n != 1 {
+		t.Fatalf("the node logged %d gaps, want 1:\n%s", n, logged.String())
+	}
+	if d := sub.Dropped(); d != 100 {
+		t.Fatalf("Dropped() = %d once the node was reading again, want 100", d)
+	}
 }
 
 func TestGapClosesStillEntries(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"txcache/internal/consistent"
 	"txcache/internal/db"
 	"txcache/internal/interval"
-	"txcache/internal/invalidation"
 	"txcache/internal/pincushion"
 	"txcache/internal/sql"
 )
@@ -59,11 +58,6 @@ type Config struct {
 	// Pincushion tracks pinned snapshots (required unless Nodes is empty
 	// and all transactions are read/write).
 	Pincushion pincushion.Service
-	// Bus, when set, lets AddNode subscribe in-process cache servers to the
-	// invalidation stream, so nodes joining a running cluster start
-	// receiving invalidations without separate plumbing. Remote nodes get
-	// their stream from the database daemon's fan-out instead.
-	Bus *invalidation.Bus
 	// Clock supplies wall time; defaults to the real clock.
 	Clock clock.Clock
 	// FreshPinThreshold is the pin-creation policy knob of §6.2: when the
@@ -86,13 +80,11 @@ type Client struct {
 	pc    pincushion.Service
 	clk   clock.Clock
 	ring  *consistent.Ring
-	bus   *invalidation.Bus
 	fresh time.Duration
 	noCon bool
 
 	mu    sync.RWMutex
 	nodes map[string]cacheserver.Node
-	subs  map[string]*invalidation.Subscription // subscriptions AddNode created
 
 	// The pin-set lease (lease.go): read-only transactions begin on the
 	// current lease instead of each asking the pincushion.
@@ -102,12 +94,6 @@ type Client struct {
 	fetching  chan struct{} // non-nil while a GetPins is in flight; closed when it returns
 
 	stats ClientStats
-}
-
-// streamConsumer is the interface of nodes that can consume the
-// invalidation bus directly (in-process *cacheserver.Server).
-type streamConsumer interface {
-	ConsumeStream(*invalidation.Subscription)
 }
 
 // closable is the interface of nodes holding network resources
@@ -203,16 +189,11 @@ func NewClient(cfg Config) *Client {
 		pc:        cfg.Pincushion,
 		clk:       cfg.Clock,
 		ring:      consistent.New(0),
-		bus:       cfg.Bus,
 		nodes:     make(map[string]cacheserver.Node, len(cfg.Nodes)),
-		subs:      make(map[string]*invalidation.Subscription),
 		fresh:     cfg.FreshPinThreshold,
 		leaseTerm: cfg.FreshPinThreshold / leaseTermDivisor,
 		noCon:     cfg.NoConsistency,
 	}
-	// Initial nodes are assumed to be wired to the invalidation stream
-	// already (the usual bootstrap order subscribes them before any data is
-	// loaded), so NewClient does not subscribe them even when Bus is set.
 	for name, n := range cfg.Nodes {
 		c.nodes[name] = n
 		c.ring.Add(name)
@@ -249,11 +230,11 @@ func (c *Client) NodeNames() []string { return c.ring.Nodes() }
 
 // AddNode joins a cache node to the running cluster (idempotent): the node
 // is registered before the ring remaps keys onto it, so no lookup can route
-// to an unknown name. When Config.Bus is set and the node consumes the
-// stream in-process, AddNode subscribes it. The join needs no other step: a
-// node serves no still-valid entry before its first stream message, and that
-// message closes whatever it was given earlier (it cannot know what those
-// entries missed), so it is cold until then and exact afterwards.
+// to an unknown name. The join needs no other step, and the node's stream
+// may reach it before or after: a node serves no still-valid entry before
+// its first stream message, and that message closes whatever it was given
+// earlier (it cannot know what those entries missed), so it is cold until
+// then and exact afterwards.
 func (c *Client) AddNode(name string, node cacheserver.Node) {
 	c.mu.Lock()
 	if _, ok := c.nodes[name]; ok {
@@ -261,21 +242,13 @@ func (c *Client) AddNode(name string, node cacheserver.Node) {
 		return
 	}
 	c.nodes[name] = node
-	if c.bus != nil {
-		if sc, ok := node.(streamConsumer); ok {
-			sub := c.bus.Subscribe()
-			c.subs[name] = sub
-			go sc.ConsumeStream(sub)
-		}
-	}
 	c.mu.Unlock()
 	c.ring.Add(name)
 	c.stats.NodesAdded.Add(1)
 }
 
 // RemoveNode drains a cache node out of the running cluster (idempotent):
-// the ring stops routing new lookups to it, its stream subscription (if
-// AddNode created one) is closed, and its connections are torn down once
+// the ring stops routing new lookups to it and its connections are torn down once
 // its queued asynchronous puts have been written or its drain time is up.
 // In-flight lookups against the node degrade to misses. Reports whether
 // the node was a member.
@@ -284,14 +257,9 @@ func (c *Client) RemoveNode(name string) bool {
 	c.mu.Lock()
 	node, ok := c.nodes[name]
 	delete(c.nodes, name)
-	sub := c.subs[name]
-	delete(c.subs, name)
 	c.mu.Unlock()
 	if !ok {
 		return false
-	}
-	if sub != nil {
-		sub.Close()
 	}
 	if cl, ok := node.(closable); ok {
 		cl.Close()
@@ -302,8 +270,7 @@ func (c *Client) RemoveNode(name string) bool {
 
 // Close gives the pin-set lease back to the pincushion (at once, or when the
 // last transaction still running on it ends) and removes every cache node,
-// draining connections and stream subscriptions the client owns. The
-// database handle is not touched.
+// draining its connections. The database handle is not touched.
 func (c *Client) Close() {
 	c.endLease(nil)
 	for _, name := range c.NodeNames() {

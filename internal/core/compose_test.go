@@ -61,7 +61,7 @@ func newHeldRig(t *testing.T, nodeCfgs []cacheserver.Config, cfgMod func(*Config
 		r.subs = append(r.subs, sub)
 		nodeMap[fmt.Sprintf("node%d", i)] = n
 	}
-	cfg := Config{DB: EngineDB{engine}, Nodes: nodeMap, Pincushion: pc, Bus: bus, Clock: clk}
+	cfg := Config{DB: EngineDB{engine}, Nodes: nodeMap, Pincushion: pc, Clock: clk}
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}

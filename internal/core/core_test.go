@@ -49,7 +49,6 @@ func newRig(t *testing.T, numNodes int, cfgMod func(*Config)) *rig {
 		DB:         EngineDB{engine},
 		Nodes:      nodeMap,
 		Pincushion: pc,
-		Bus:        bus,
 		Clock:      clk,
 	}
 	if cfgMod != nil {

@@ -17,9 +17,24 @@ import (
 	"txcache/internal/pincushion"
 )
 
+// join brings a fresh node into the running cluster the way a deployment
+// does: whoever owns the bus gives the node its stream, the client puts it in
+// the ring. leave takes it out again and ends the stream.
+func (r *rig) join(name string) (n *cacheserver.Server, leave func()) {
+	n = cacheserver.New(cacheserver.Config{Clock: r.clk})
+	sub := r.bus.Subscribe()
+	go n.ConsumeStream(sub)
+	r.client.AddNode(name, n)
+	return n, func() {
+		r.client.RemoveNode(name)
+		sub.Close()
+	}
+}
+
 // TestAddNodeJoinsLiveCluster: a node added to a running client must join
-// the ring, subscribe to the invalidation stream, and start absorbing the
-// keys remapped onto it — all without wrong answers during the transition.
+// the ring and start absorbing the keys remapped onto it, and the stream its
+// owner gave it must reach it — all without wrong answers during the
+// transition.
 func TestAddNodeJoinsLiveCluster(t *testing.T) {
 	r := newRig(t, 2, nil)
 	setupAccounts(t, r, 16, 100)
@@ -36,14 +51,13 @@ func TestAddNodeJoinsLiveCluster(t *testing.T) {
 	}
 	warm()
 
-	n2 := cacheserver.New(cacheserver.Config{Clock: r.clk})
-	r.client.AddNode("node2", n2)
+	n2, leave := r.join("node2")
+	t.Cleanup(leave)
 	if got := len(r.client.NodeNames()); got != 3 {
 		t.Fatalf("cluster size = %d, want 3", got)
 	}
 
-	// The join must have subscribed node2: a commit's invalidation message
-	// has to reach it.
+	// A commit's invalidation message has to reach node2.
 	r.exec(t, "UPDATE accounts SET balance = 100 WHERE id = 0")
 	want := r.engine.LastCommit()
 	deadline := time.Now().Add(5 * time.Second)
@@ -73,7 +87,6 @@ func TestJoinerPutBeforeItsFirstMessage(t *testing.T) {
 	bus := invalidation.NewBus(false) // a late subscriber gets no replay
 	engine := db.New(db.Options{Clock: clk, Bus: bus})
 	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Retention: time.Minute})
-	// No Config.Bus: AddNode subscribes nothing, the test does.
 	r := &rig{clk: clk, engine: engine, bus: bus, pc: pc,
 		client: NewClient(Config{DB: EngineDB{engine}, Pincushion: pc, Clock: clk})}
 	setupAccounts(t, r, 2, 100)
@@ -265,10 +278,9 @@ func TestMembershipChurnUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			name := fmt.Sprintf("churn%d", i)
-			r.client.AddNode(name, cacheserver.New(cacheserver.Config{Clock: r.clk}))
+			_, leave := r.join(fmt.Sprintf("churn%d", i))
 			time.Sleep(2 * time.Millisecond)
-			r.client.RemoveNode(name)
+			leave()
 		}
 	}()
 	time.Sleep(300 * time.Millisecond)

@@ -56,12 +56,6 @@ type DurabilityOptions struct {
 	// (16 MiB); negative disables automatic checkpoints (callers then run
 	// Checkpoint themselves, as tests do).
 	CheckpointBytes int64
-	// RecoveryWorkers bounds boot-time replay parallelism: snapshot table
-	// sections decode concurrently, logged commits are partitioned by table
-	// across a worker pool, and the post-replay derived-state rebuild
-	// (index trees + row counts) runs one table per worker. 0 selects
-	// GOMAXPROCS; negative (or 1) forces the serial path.
-	RecoveryWorkers int
 }
 
 const defaultCheckpointBytes = 16 << 20
@@ -613,8 +607,17 @@ func decodeTableSection(sec []byte) (*Table, error) {
 // recovers it from the data directory (newest valid checkpoint plus log
 // replay to the last whole commit group) and opens the log for appending.
 // The returned RecoveryInfo describes what recovery found; it is also
-// retained for DurabilityStats.
+// retained for DurabilityStats. Recovery runs GOMAXPROCS wide: snapshot
+// table sections decode concurrently, logged commits are partitioned by
+// table across a worker pool, and the post-replay derived-state rebuild
+// (index trees + row counts) runs one table per worker.
 func Open(opts Options) (*Engine, RecoveryInfo, error) {
+	return open(opts, runtime.GOMAXPROCS(0))
+}
+
+// open is Open with the recovery parallelism given. One worker is the serial
+// path, the reference TestReplayEquivalence holds the parallel one to.
+func open(opts Options, workers int) (*Engine, RecoveryInfo, error) {
 	dopts := opts.Durability
 	opts.Durability = nil
 	e := New(opts)
@@ -626,13 +629,6 @@ func Open(opts Options) (*Engine, RecoveryInfo, error) {
 	}
 	if err := os.MkdirAll(dopts.Dir, 0o755); err != nil {
 		return nil, RecoveryInfo{}, err
-	}
-	workers := dopts.RecoveryWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	info, segMax, err := e.recover(dopts.Dir, workers)
 	if err != nil {

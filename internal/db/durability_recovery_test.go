@@ -76,11 +76,11 @@ func engineFingerprint(e *Engine) string {
 // run a final checkpoint and change what the next recovery reads).
 func reopenWithWorkers(t *testing.T, dir string, workers int) *Engine {
 	t.Helper()
-	e, _, err := Open(Options{VacuumEvery: -1, Durability: &DurabilityOptions{
-		Dir: dir, Sync: wal.SyncNone, CheckpointBytes: -1, RecoveryWorkers: workers,
-	}})
+	e, _, err := open(Options{VacuumEvery: -1, Durability: &DurabilityOptions{
+		Dir: dir, Sync: wal.SyncNone, CheckpointBytes: -1,
+	}}, workers)
 	if err != nil {
-		t.Fatalf("Open(workers=%d): %v", workers, err)
+		t.Fatalf("open(workers=%d): %v", workers, err)
 	}
 	if err := e.dur.w.Close(); err != nil {
 		t.Fatalf("close WAL writer: %v", err)
@@ -511,8 +511,8 @@ func TestAllocBudgetDurableCommit(t *testing.T) {
 
 // BenchmarkRecovery measures cold-start recovery over a generated log,
 // serial (workers=1) against parallel. The log size defaults to 24 MiB;
-// set RECOVERY_LOG_MB to benchmark bigger logs (the Makefile's
-// bench-durability target uses 100).
+// set RECOVERY_LOG_MB to benchmark bigger logs (EXPERIMENTS.md's recovery
+// figures are at 100).
 func BenchmarkRecovery(b *testing.B) {
 	logMB := 24
 	if s := os.Getenv("RECOVERY_LOG_MB"); s != "" {
@@ -533,9 +533,9 @@ func BenchmarkRecovery(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.SetBytes(logBytes)
 			for i := 0; i < b.N; i++ {
-				e, _, err := Open(Options{VacuumEvery: -1, Durability: &DurabilityOptions{
-					Dir: dir, Sync: wal.SyncNone, CheckpointBytes: -1, RecoveryWorkers: w,
-				}})
+				e, _, err := open(Options{VacuumEvery: -1, Durability: &DurabilityOptions{
+					Dir: dir, Sync: wal.SyncNone, CheckpointBytes: -1,
+				}}, w)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -101,40 +101,56 @@ func DecodeMessage(d *wire.Decoder) (Message, error) {
 	return m, err
 }
 
-// Bus is an ordered, reliable fan-out of the invalidation stream to any
-// number of subscribers — the paper's application-level multicast. Messages
-// are delivered to every subscriber in publish order. Delivery is
-// asynchronous: each subscriber has an unbounded ordered queue so a slow
-// cache node cannot stall the database's commit path.
+// Bus is an ordered fan-out of the invalidation stream to any number of
+// subscribers — the paper's application-level multicast. Messages are
+// delivered to every subscriber in publish order. Delivery is asynchronous:
+// each subscriber has its own ordered queue, so a slow cache node cannot
+// stall the database's commit path — and a bounded one (subscriptionCap), so
+// a dead one cannot grow the database's heap.
 type Bus struct {
 	mu   sync.Mutex
 	subs []*Subscription
-	log  []Message // retained history for late subscribers during tests
+	log  []Message // every message ever published, when keep is set
 	keep bool
 }
 
-// NewBus returns an empty bus. If keepHistory is set, messages are retained
-// and replayed to late subscribers (useful for cache nodes joining late).
+// NewBus returns an empty bus. With keepHistory set it retains every message
+// for the life of the process and replays them to each new subscriber: a
+// convenience for tests that subscribe late, not for a deployment — a node
+// that joins a running system needs no replay (it is cold until its first
+// message, and exact afterwards).
 func NewBus(keepHistory bool) *Bus {
 	return &Bus{keep: keepHistory}
 }
 
+// subscriptionCap bounds the messages a subscription holds for a reader that
+// is not taking them — about 35 s of commits at the benchmark's write_heavy
+// rate, and about a megabyte. A message that does not fit is dropped and
+// counted. That is safe with no further protocol because the stream carries
+// one message per commit timestamp: the reader sees the hole as a message
+// that is not its horizon's successor and crosses the gap itself
+// (cacheserver.Server.apply), paying with freshness what the database no
+// longer pays with memory. A reader that stays exactly cap behind pays it
+// per message; one that far behind is not serving fresh data either way.
+const subscriptionCap = 16 << 10
+
 // Subscription receives stream messages in order via C.
 type Subscription struct {
-	C      <-chan Message
-	c      chan Message
-	mu     sync.Mutex
-	queue  []Message
-	closed bool
-	wake   chan struct{}
-	done   chan struct{} // closed by Close, so a pump whose reader has gone does not wait for it
+	C       <-chan Message
+	c       chan Message // unbuffered: a message leaves queue when the reader has it
+	mu      sync.Mutex
+	queue   []Message // at most subscriptionCap
+	dropped uint64
+	closed  bool
+	wake    chan struct{}
+	done    chan struct{} // closed by Close, so a pump whose reader has gone does not wait for it
 }
 
 // Subscribe registers a new subscriber. Replays history first when the bus
 // keeps it.
 func (b *Bus) Subscribe() *Subscription {
 	s := &Subscription{
-		c:    make(chan Message, 64),
+		c:    make(chan Message),
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
@@ -175,7 +191,7 @@ func (b *Bus) PublishBatch(ms []Message) {
 }
 
 // deliver enqueues ms at every open subscription and forgets the closed
-// ones: a node that left (core.Client.RemoveNode, a PushStream that ended)
+// ones: a node that left (its stream's owner closed it, a PushStream ended)
 // must not keep a queue that every later commit appends to and nothing
 // drains. Caller holds b.mu.
 func (b *Bus) deliver(ms ...Message) {
@@ -189,12 +205,18 @@ func (b *Bus) deliver(ms ...Message) {
 	b.subs = open
 }
 
-// enqueue reports false, and keeps nothing, once s is closed.
+// enqueue reports false, and keeps nothing, once s is closed. While it is
+// open it keeps what fits under subscriptionCap, in order, and counts the
+// rest as dropped.
 func (s *Subscription) enqueue(ms ...Message) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return false
+	}
+	if room := subscriptionCap - len(s.queue); len(ms) > room {
+		s.dropped += uint64(len(ms) - room)
+		ms = ms[:room]
 	}
 	s.queue = append(s.queue, ms...)
 	s.mu.Unlock()
@@ -205,8 +227,15 @@ func (s *Subscription) enqueue(ms ...Message) bool {
 	return true
 }
 
-// pump moves messages from the unbounded queue to the delivery channel,
-// preserving order.
+// Dropped returns how many messages found the queue full and were not kept.
+func (s *Subscription) Dropped() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dropped
+}
+
+// pump hands the queue's messages to the reader in order. A message stays
+// in the queue, and counts against its cap, until the reader has taken it.
 func (s *Subscription) pump() {
 	for range s.wake {
 		for {
@@ -221,10 +250,14 @@ func (s *Subscription) pump() {
 				break
 			}
 			m := s.queue[0]
-			s.queue = s.queue[1:]
 			s.mu.Unlock()
 			select {
 			case s.c <- m:
+				s.mu.Lock()
+				if !s.closed { // Close has let the queue go
+					s.queue = s.queue[1:]
+				}
+				s.mu.Unlock()
 			case <-s.done:
 			}
 		}

@@ -117,6 +117,57 @@ func TestBusForgetsClosedSubscription(t *testing.T) {
 	}
 }
 
+// TestSubscriptionBounded: a subscription nobody reads holds the first
+// subscriptionCap messages and counts the rest; a reader that comes back gets
+// the retained prefix in order, and then whatever is published next — across
+// the hole, which it can see (the stream is dense) and the bus need not say.
+func TestSubscriptionBounded(t *testing.T) {
+	bus := NewBus(false)
+	sub := bus.Subscribe()
+	defer sub.Close()
+	const over = 100
+	for i := 1; i <= subscriptionCap+over; i++ {
+		if i%3 == 0 {
+			bus.PublishBatch([]Message{{TS: interval.Timestamp(i)}})
+		} else {
+			bus.Publish(Message{TS: interval.Timestamp(i)})
+		}
+	}
+	sub.mu.Lock()
+	queued := len(sub.queue)
+	sub.mu.Unlock()
+	if queued > subscriptionCap {
+		t.Fatalf("an unread subscription holds %d messages, cap %d", queued, subscriptionCap)
+	}
+	if got := sub.Dropped(); got != over {
+		t.Fatalf("Dropped() = %d after %d messages past the cap, want %d", got, over, over)
+	}
+	// A batch that straddles the cap keeps the part that fits.
+	<-sub.C
+	<-sub.C
+	bus.PublishBatch([]Message{{TS: 20_001}, {TS: 20_002}, {TS: 20_003}})
+	if got := sub.Dropped(); got != over+1 && got != over+2 {
+		// The pump may not have popped the second message taken yet.
+		t.Fatalf("Dropped() = %d after a batch of 3 into room for 1 or 2, want %d or %d", got, over+1, over+2)
+	}
+	want := interval.Timestamp(3)
+	for m := range sub.C {
+		if m.TS > subscriptionCap {
+			if m.TS != 20_001 {
+				t.Fatalf("first message past the hole is ts %d, want 20001", m.TS)
+			}
+			break
+		}
+		if m.TS != want {
+			t.Fatalf("retained prefix out of order: got ts %d, want %d", m.TS, want)
+		}
+		want++
+	}
+	if want != subscriptionCap+1 {
+		t.Fatalf("retained prefix ended at ts %d, want %d", want-1, subscriptionCap)
+	}
+}
+
 func TestBusOrderedDelivery(t *testing.T) {
 	bus := NewBus(false)
 	sub := bus.Subscribe()

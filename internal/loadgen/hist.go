@@ -11,8 +11,8 @@
 //
 // The package is transport-agnostic: a Target executes one request; the
 // HTTP target in http.go drives a txcache-serve front end over real TCP
-// sockets. RunClosed implements the closed-loop comparator so experiments
-// can print both views of the same system side by side.
+// sockets. A run's Service histogram is the closed-loop view of the same
+// requests, so both are read off one run.
 package loadgen
 
 import (

@@ -201,99 +201,3 @@ dispatch:
 	}
 	return res
 }
-
-// ClosedConfig drives the closed-loop comparator.
-type ClosedConfig struct {
-	// Clients is the fixed worker population; each issues its next request
-	// only after the previous reply arrives (plus think time).
-	Clients int
-	// Think is the mean of the exponentially distributed pause between a
-	// reply and the next request. Clients/Think approximates the nominal
-	// offered rate while the system is healthy — and silently collapses
-	// the moment it is not, which is the whole problem being demonstrated.
-	Think time.Duration
-	// Duration and Warmup bound the run as in Config.
-	Duration, Warmup time.Duration
-	// Timeout bounds each request (default 5s).
-	Timeout time.Duration
-	Seed    int64
-	Ctx     context.Context
-}
-
-// RunClosed drives the same target with a classic closed-loop worker pool
-// and records latency from actual send time. Its percentiles suffer
-// coordinated omission *by construction* — the driver exists so experiments
-// can print the flattering number next to the honest one.
-func RunClosed(target Target, cfg ClosedConfig) *Result {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 16
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	nominal := 0.0
-	if cfg.Think > 0 {
-		nominal = float64(cfg.Clients) / cfg.Think.Seconds()
-	}
-	res := &Result{Nominal: nominal}
-	var sent, completed, errs, sheds, timeouts atomic.Uint64
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	deadline := start.Add(cfg.Duration)
-	for w := 0; w < cfg.Clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + 7919*int64(w) + 1))
-			for time.Now().Before(deadline) && ctx.Err() == nil {
-				record := time.Since(start) >= cfg.Warmup
-				if record {
-					sent.Add(1)
-				}
-				sendAt := time.Now()
-				rctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
-				err := target.Do(rctx, rng, w)
-				cancel()
-				if record {
-					lat := time.Since(sendAt)
-					res.Intended.Record(lat) // closed loop: intended == actual send
-					res.Service.Record(lat)
-					switch {
-					case err == nil:
-						completed.Add(1)
-					case errors.Is(err, ErrShed):
-						sheds.Add(1)
-					case errors.Is(err, context.DeadlineExceeded):
-						timeouts.Add(1)
-					default:
-						errs.Add(1)
-					}
-				}
-				if cfg.Think > 0 {
-					pause := time.Duration(rng.ExpFloat64() * float64(cfg.Think))
-					select {
-					case <-time.After(pause):
-					case <-ctx.Done():
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	res.Sent = sent.Load()
-	res.Completed = completed.Load()
-	res.Errors = errs.Load()
-	res.Sheds = sheds.Load()
-	res.Timeouts = timeouts.Load()
-	res.Elapsed = time.Since(start) - cfg.Warmup
-	if res.Elapsed < 0 {
-		res.Elapsed = 0
-	}
-	return res
-}

@@ -85,31 +85,6 @@ func TestOpenLoopSeesStall(t *testing.T) {
 	}
 }
 
-// TestClosedLoopHidesStall runs the SAME synthetic hiccup through the
-// closed-loop comparator and asserts it reports a clean p90 — documenting,
-// as an executable fact, why the repo publishes open-loop numbers.
-func TestClosedLoopHidesStall(t *testing.T) {
-	target := &stallTarget{stallAt: 100, stall: 400 * time.Millisecond}
-	res := RunClosed(target, ClosedConfig{
-		Clients:  1,
-		Think:    time.Millisecond,
-		Duration: time.Second,
-		Timeout:  5 * time.Second,
-		Seed:     42,
-	})
-	s := res.Intended.Summarize()
-	t.Logf("closed-loop: %v", s)
-	if s.Count < 50 {
-		t.Fatalf("closed loop completed %d requests, want enough to measure", s.Count)
-	}
-	if s.P90 > 20*time.Millisecond {
-		t.Errorf("closed-loop p90 = %v; the single worker waited out the stall, so p90 should stay small (coordinated omission)", s.P90)
-	}
-	if s.Max < 300*time.Millisecond {
-		t.Errorf("closed-loop max = %v, want ≥300ms: the one stalled request is still in the data", s.Max)
-	}
-}
-
 // TestRunWarmupFilter checks that observations scheduled before the warmup
 // offset are excluded from the histograms and counters.
 func TestRunWarmupFilter(t *testing.T) {

@@ -49,29 +49,8 @@ var BiddingMix = Mix{
 	IAboutMe:                  10,
 }
 
-// WriteHeavyMix skews the bidding mix hard toward the store interactions:
-// 60% of interactions are read/write (vs the bidding mix's 15%), dominated
-// by StoreBid (updates items.nb_of_bids/max_bid and inserts a bid) and
-// RegisterItem/StoreComment/RegisterUser (pure inserts). It is the
-// commit-path stressor behind the `writeheavy` experiment, not a standard
-// RUBiS mix.
-var WriteHeavyMix = Mix{
-	IHome:                  30,
-	IBrowseCategories:      60,
-	ISearchItemsInCategory: 120,
-	IViewItem:              120,
-	IViewUserInfo:          40,
-	IViewBidHistory:        30,
-	IStoreBid:              280, // RW
-	IStoreBuyNow:           60,  // RW
-	IStoreComment:          120, // RW
-	IRegisterItem:          100, // RW
-	IRegisterUser:          40,  // RW
-}
-
 func init() {
 	checkMix("BiddingMix", &BiddingMix, 150)
-	checkMix("WriteHeavyMix", &WriteHeavyMix, 600)
 }
 
 func checkMix(name string, mix *Mix, wantRW int) {
@@ -107,8 +86,6 @@ type EmulatorConfig struct {
 	Duration time.Duration
 	// Seed makes runs repeatable.
 	Seed int64
-	// Mix defaults to BiddingMix.
-	Mix *[numInteractions]int
 }
 
 // EmulatorResult summarizes a run.
@@ -145,10 +122,6 @@ func RunEmulator(app *App, cfg EmulatorConfig) EmulatorResult {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
 	}
-	mix := cfg.Mix
-	if mix == nil {
-		mix = &BiddingMix
-	}
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -183,7 +156,7 @@ func RunEmulator(app *App, cfg EmulatorConfig) EmulatorResult {
 					return
 				default:
 				}
-				kind := pick(rng, mix)
+				kind := pick(rng, &BiddingMix)
 				err := s.run(kind, cfg.Staleness)
 				requests.Add(1)
 				byKind[kind].Add(1)
@@ -243,10 +216,6 @@ func (a *App) DoInteraction(ctx context.Context, rng *rand.Rand, user int64, kin
 	s := &session{app: a, ctx: ctx, rng: rng, user: user, now: func() int64 { return time.Now().Unix() }}
 	return s.run(kind, staleness)
 }
-
-// PickFrom draws one interaction from mix, for external load loops driving
-// a non-default mix through DoInteraction.
-func PickFrom(rng *rand.Rand, mix *Mix) int { return pick(rng, mix) }
 
 func pick(rng *rand.Rand, mix *[numInteractions]int) int {
 	n := rng.Intn(1000)

@@ -17,7 +17,6 @@ import (
 	"txcache/internal/clock"
 	"txcache/internal/core"
 	"txcache/internal/db"
-	"txcache/internal/invalidation"
 	"txcache/internal/pincushion"
 	"txcache/internal/rubis"
 )
@@ -33,10 +32,9 @@ type fixture struct {
 func startFixture(t *testing.T, mutate func(*Config)) *fixture {
 	t.Helper()
 	clk := clock.Real{}
-	bus := invalidation.NewBus(false)
-	engine := db.New(db.Options{Clock: clk, Bus: bus})
+	engine := db.New(db.Options{Clock: clk})
 	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Retention: 5 * time.Second})
-	client := core.NewClient(core.Config{DB: core.EngineDB{Engine: engine}, Pincushion: pc, Bus: bus, Clock: clk})
+	client := core.NewClient(core.Config{DB: core.EngineDB{Engine: engine}, Pincushion: pc, Clock: clk})
 	ds, err := rubis.Load(engine, rubis.TestScale, 11)
 	if err != nil {
 		t.Fatal(err)

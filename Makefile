@@ -22,23 +22,11 @@ benchmark-test:
 	cd benchmark && $(GO) vet . && $(GO) test -race .
 
 # Repo-invariant static analysis (cmd/txcache-lint): lock order, context
-# threading, deterministic time, bounded dials/writes, atomic-field
-# discipline, pool hygiene. Suppressions are //lint:allow <analyzer>
-# <reason>; an undocumented or unused suppression is itself a finding.
-# Then the one-transport guard: dialing, accepting, reading frames off a
-# connection and setting its deadlines happen in internal/rpc and nowhere
-# else in non-test code, so a fourth transport cannot grow back beside it.
-# Then the one-decoder guard: the reads that need a bounds check (fixed-width
-# integers and uvarints out of a byte slice) happen in wire.Decoder — and in
-# the three packages below it that frame bytes themselves — and nothing
-# imports encoding/gob, so a fifth hand-written reader or a second encoding
-# of a value cannot grow back either. (A sql.Row's accessors are not such a
-# reader: they index, off a string, bytes sql.DecodeRow ran through a
-# wire.Decoder first.)
-# Then the no-tag-table guard: a TagID is a hash of its tag (DESIGN.md "Memory
-# discipline" item 2), so nothing maps a tag's name to its ID or an ID back
-# to its name; the table that did, its cap and its reverse lookup are refused
-# by name and by shape, so one cannot grow back beside the hash.
+# threading, deterministic time, bounded dials/writes and one transport
+# (outside internal/rpc nothing dials, accepts, reads frames off a
+# connection or sets its deadlines), atomic-field discipline, pool hygiene.
+# Suppressions are //lint:allow <analyzer> <reason>; an undocumented or
+# unused suppression is itself a finding.
 # Then the one-lock guard: Table.mu is the only lock over a table's data, and
 # a commit writes that data in one critical section (DESIGN.md "The pipelined
 # commit path"). The publish-stage index flush is refused by name, the
@@ -70,22 +58,6 @@ benchmark-test:
 # and three times the heap of the first.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
-	@out="$$(grep -rnE '\bnet\.Dial(Timeout)?\(|\.Set(Read|Write)?Deadline\(|wire\.NewFrameReader\(|\.Accept\(\)' \
-		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=rpc \
-		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
-		echo "connection handling outside internal/rpc; go through rpc.Dial, Call, Send and Serve:"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rnE 'binary\.[A-Za-z]*Endian\.Uint(16|32|64)\(|binary\.Uvarint\(|"encoding/gob"' \
-		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
-		--exclude-dir=wire --exclude-dir=wal --exclude-dir=rpc --exclude-dir=ordenc \
-		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
-		echo "unchecked byte reads or gob outside internal/wire; decode through wire.Decoder (sql.DecodeValue for a value, sql.DecodeRow for a row):"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rnE 'TagOf\(|SetInternLimit|map\[string\](invalidation\.)?TagID' \
-		--include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
-		cmd internal *.go || true)"; if [ -n "$$out" ]; then \
-		echo "a tag table is back; a TagID is computed from its tag (invalidation.Intern), never looked up:"; \
-		echo "$$out"; exit 1; fi
 	@out="$$( { grep -rnE 'flushIndexOps\(\)|containsTable|tabBuf' --include='*.go' --exclude='*_test.go' internal/db; \
 		grep -nE 'Table\.mu|\.flush[A-Za-z]*\(' internal/db/sequencer.go; \
 		grep -n '"sync' --exclude='*_test.go' internal/mvcc/*.go; } || true)"; if [ -n "$$out" ]; then \

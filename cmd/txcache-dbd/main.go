@@ -61,6 +61,32 @@ type status struct {
 	// and every version's packed row.
 	Rows     int `json:"rows"`
 	RowBytes int `json:"rowBytes"`
+	// Versions, DeadVersions, PinnedSnapshots and Vacuumed say what vacuum
+	// is doing: the versions the stores hold, how many of them are dead and
+	// wait on a pinned snapshot that can see them (or on the next pass), how
+	// many snapshots are pinned, and how many versions vacuum has reclaimed
+	// since boot.
+	Versions        int    `json:"versions"`
+	DeadVersions    int    `json:"deadVersions"`
+	PinnedSnapshots int    `json:"pinnedSnapshots"`
+	Vacuumed        uint64 `json:"vacuumed"`
+}
+
+// engineStatus is the part of a status snapshot the engine reports.
+func engineStatus(engine *db.Engine) status {
+	st := engine.Stats()
+	return status{
+		LastCommit:      uint64(st.LastCommitTS),
+		Durability:      engine.DurabilityStats(),
+		IndexEntries:    st.IndexEntries,
+		IndexBytes:      st.IndexBytes,
+		Rows:            st.Rows,
+		RowBytes:        st.RowBytes,
+		Versions:        st.TotalVersions,
+		DeadVersions:    st.DeadVersions,
+		PinnedSnapshots: st.PinnedSnaps,
+		Vacuumed:        st.Vacuumed,
+	}
 }
 
 // writeStatus publishes one status snapshot. Plain JSON (no WAL framing):
@@ -198,10 +224,11 @@ func main() {
 		log.Printf("txcache-dbd: data directory already populated; skipping schema/dataset bootstrap")
 	}
 
-	// The engine schedules its own incremental vacuum passes from the
-	// commit sequencer's horizon-delta notifications; this slow ticker is
-	// only a fallback for idle periods (a pass with nothing reclaimable is
-	// a no-op peek) and an operator-visible progress log.
+	// The engine starts its own incremental vacuum passes, from the commit
+	// sequencer every few hundred commits and whenever a snapshot is fully
+	// unpinned; this slow ticker is only a fallback for idle periods (a pass
+	// with nothing reclaimable is a read under shared locks) and an
+	// operator-visible progress log.
 	go func() {
 		last := uint64(0)
 		for range time.Tick(*vacuumEvery) {
@@ -220,16 +247,9 @@ func main() {
 	log.Printf("txcache-dbd: serving on %s (durable=%v)", l.Addr(), durable)
 
 	statusSnap := func() status {
-		st := engine.Stats()
-		return status{
-			PID: os.Getpid(), Addr: l.Addr().String(), Durable: durable,
-			Recovery: info, LastCommit: uint64(st.LastCommitTS),
-			Durability:   engine.DurabilityStats(),
-			IndexEntries: st.IndexEntries,
-			IndexBytes:   st.IndexBytes,
-			Rows:         st.Rows,
-			RowBytes:     st.RowBytes,
-		}
+		st := engineStatus(engine)
+		st.PID, st.Addr, st.Durable, st.Recovery = os.Getpid(), l.Addr().String(), durable, info
+		return st
 	}
 	if *statusFile != "" {
 		if err := writeStatus(*statusFile, statusSnap()); err != nil {

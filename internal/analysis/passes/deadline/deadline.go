@@ -13,6 +13,11 @@
 //     SetDeadline/SetWriteDeadline call. Functions
 //     that write on connections whose deadline a caller already set carry
 //     a //lint:allow deadline directive naming that caller.
+//  3. Outside internal/rpc, nothing dials (net.Dial*, a net.Dialer),
+//     accepts (a listener's Accept), sets a connection's deadlines or reads
+//     frames off one (wire.NewFrameReader): the three wire services share
+//     one transport (DESIGN.md "internal/rpc"), and a fourth cannot grow
+//     back beside it. Rules 1 and 2 are what hold inside it.
 //
 // Clamping the deadline to the caller's context remains a review concern
 // (it is not generally decidable syntactically); rule 2 guarantees the
@@ -22,6 +27,7 @@ package deadline
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"txcache/internal/analysis"
 )
@@ -29,10 +35,15 @@ import (
 // Analyzer is the deadline pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "deadline",
-	Doc: "every dial is bounded (DialTimeout/DialContext) and every conn write " +
-		"is preceded by a write deadline in the same function",
+	Doc: "every dial is bounded (DialTimeout/DialContext), every conn write " +
+		"is preceded by a write deadline in the same function, and only " +
+		"internal/rpc handles connections",
 	Run: run,
 }
+
+// rpcPkg is the transport's package; it and the packages under it may
+// handle connections.
+const rpcPkg = "txcache/internal/rpc"
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -65,10 +76,42 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, walk)
 }
 
+// transport says what rule 3's call does to a connection, or returns "" for
+// any other call.
+func transport(pass *analysis.Pass, call *ast.CallExpr, fn *types.Func) string {
+	name := fn.Name()
+	switch {
+	case fn.Pkg() != nil && fn.Pkg().Path() == "net" && strings.HasPrefix(name, "Dial"):
+		return "a dial"
+	case analysis.IsPkgFunc(fn, "txcache/internal/wire", "NewFrameReader"):
+		return "a frame reader"
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	recv := pass.TypesInfo.TypeOf(sel.X)
+	switch {
+	case strings.HasPrefix(name, "Accept") && analysis.HasMethod(recv, "Addr") && analysis.HasMethod(recv, "Close"):
+		return "an accept"
+	case (name == "SetDeadline" || name == "SetReadDeadline" || name == "SetWriteDeadline") && isConnType(recv):
+		return "a connection deadline"
+	}
+	return ""
+}
+
 func checkCall(pass *analysis.Pass, call *ast.CallExpr, sawDeadline *bool) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return
+	}
+	// Rule 3: no connection handling outside the transport.
+	if pass.PkgPath != rpcPkg && !strings.HasPrefix(pass.PkgPath, rpcPkg+"/") {
+		if what := transport(pass, call, fn); what != "" {
+			pass.Reportf(call.Pos(),
+				"%s outside internal/rpc; connections are handled there alone — go through rpc.Dial, Call, Send and Serve", what)
+			return
+		}
 	}
 	// Rule 1: unbounded dials.
 	if analysis.IsPkgFunc(fn, "net", "Dial") {

@@ -8,5 +8,5 @@ import (
 )
 
 func TestDeadline(t *testing.T) {
-	analysistest.Run(t, deadline.Analyzer, "txcache/internal/dlfix")
+	analysistest.Run(t, deadline.Analyzer, "txcache/internal/wire", "txcache/internal/rpc/dlfix", "txcache/internal/transportfix")
 }

@@ -110,7 +110,7 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 		// Retain pins for twice the staleness window (paper-scaled), but
 		// let the sweeper trim unused pins as soon as they age past the
 		// staleness bound itself — nothing can be handed such a pin again,
-		// and holding it only drags the vacuum horizon.
+		// and holding it only keeps the versions it alone can see.
 		Retention: 2 * scaled(cfg.StalenessPaperSec+1),
 		Staleness: scaled(cfg.StalenessPaperSec + 1),
 	})
@@ -139,8 +139,8 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 	s.App = rubis.NewApp(s.Client, ds)
 
 	// Background maintenance: the pincushion sweeper (§5.4). Engine vacuum
-	// needs no ticker — the commit sequencer schedules incremental passes
-	// itself from horizon-delta notifications (§5.1).
+	// needs no ticker — the commit sequencer and the sweeper's unpins start
+	// incremental passes (§5.1).
 	go func() {
 		t := time.NewTicker(scaled(2))
 		defer t.Stop()

@@ -750,7 +750,6 @@ func (e *Engine) recover(dir string, workers int) (RecoveryInfo, map[uint64]uint
 	e.seq.init(uint64(recovered))
 	e.lastCommit.Store(uint64(recovered))
 	e.vacGate.Store(uint64(recovered))
-	e.vacHGate.Store(uint64(recovered))
 	e.rebuildDerivedAll(workers)
 	info.RecoveredTS = recovered
 	info.CleanBoot = markerSeen && markerTS == recovered && !info.TornTail

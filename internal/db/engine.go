@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,10 +69,10 @@ type Options struct {
 	// (§5.2) evaluates the predicate first, tightening the mask; this
 	// option exists to measure that design choice (an ablation).
 	EagerVisibilityCheck bool
-	// VacuumEvery is the horizon delta (in commit timestamps) between
-	// automatic vacuum passes: the commit sequencer (and pin release)
-	// notifies a background pass whenever the watermark or the vacuum
-	// horizon has advanced that far past the last trigger. 0 selects the
+	// VacuumEvery is the watermark delta (in commit timestamps) between
+	// automatic vacuum passes: the commit sequencer starts a background pass
+	// whenever the watermark has advanced that far past the last trigger,
+	// and a full Unpin of a snapshot below it starts one too. 0 selects the
 	// default (256); negative disables automatic vacuum (callers then run
 	// Vacuum themselves, as tests do).
 	VacuumEvery int
@@ -81,7 +82,7 @@ type Options struct {
 	Durability *DurabilityOptions
 }
 
-// defaultVacuumEvery is the auto-vacuum horizon delta when unset.
+// defaultVacuumEvery is the auto-vacuum watermark delta when unset.
 const defaultVacuumEvery = 256
 
 // Engine is the multiversion database server. All methods are safe for
@@ -118,21 +119,23 @@ type Engine struct {
 
 	lastCommit atomic.Uint64 // interval.Timestamp of the newest published commit
 
-	// pinMu guards pins and serializes pin acquisition against vacuum
-	// horizon computation.
+	// pinMu guards pins and serializes pin acquisition against a vacuum
+	// pass reading the pin set.
 	pinMu sync.Mutex
 	pins  map[interval.Timestamp]int // snapshot id -> refcount
 
 	// Vacuum scheduling and scratch. vacMu serializes passes so their
-	// reusable buffers are safe; the gates throttle auto-vacuum triggers
-	// (from the sequencer on watermark advance, from Unpin on horizon
-	// advance) to one spawned pass per vacEvery timestamps.
+	// reusable buffers are safe. vacGate throttles the sequencer's trigger
+	// to one spawned pass per vacEvery timestamps; vacKick is set while a
+	// pass that Unpin started has not yet read the pin set, so a burst of
+	// unpins spawns one.
 	vacEvery uint64 // 0 = automatic vacuum disabled
 	vacGate  atomic.Uint64
-	vacHGate atomic.Uint64
+	vacKick  atomic.Bool
 	vacMu    sync.Mutex
 	vacBuf   []mvcc.Reclaimed
 	vacTabs  []*Table
+	vacPins  []interval.Timestamp
 
 	// Statistics.
 	statQueries  atomic.Uint64
@@ -172,7 +175,6 @@ func New(opts Options) *Engine {
 	e.lastCommit.Store(1)
 	e.seq.init(1)
 	e.vacGate.Store(1)
-	e.vacHGate.Store(1)
 	return e
 }
 
@@ -261,28 +263,29 @@ func (e *Engine) Pin(ts interval.Timestamp) error {
 }
 
 // Unpin releases one reference to a pinned snapshot (paper §5.1's UNPIN).
-// Fully releasing a snapshot can advance the vacuum horizon past versions
-// the sequencer's watermark-delta trigger already gave up on, so it also
-// nudges the horizon-side auto-vacuum gate.
+// Fully releasing a snapshot below the latest commit may free versions only
+// it could see, which no sequencer trigger is waiting for, so it starts a
+// background pass; one that finds nothing to reclaim takes no table's lock
+// exclusively.
 func (e *Engine) Unpin(ts interval.Timestamp) {
+	if e.unpin(ts) && e.vacEvery != 0 && e.vacKick.CompareAndSwap(false, true) {
+		go e.Vacuum()
+	}
+}
+
+// unpin releases one reference to ts and reports whether that released the
+// snapshot below the latest commit. A transaction ending calls it directly:
+// its snapshot held versions only while it ran, and the sequencer's next
+// trigger reclaims them without a goroutine per commit.
+func (e *Engine) unpin(ts interval.Timestamp) bool {
 	e.pinMu.Lock()
+	defer e.pinMu.Unlock()
 	if n := e.pins[ts]; n > 1 {
 		e.pins[ts] = n - 1
-		e.pinMu.Unlock()
-		return
+		return false
 	}
 	delete(e.pins, ts)
-	var horizon interval.Timestamp
-	if e.vacEvery != 0 {
-		horizon = e.horizonLocked()
-	}
-	e.pinMu.Unlock()
-	if e.vacEvery != 0 {
-		g := e.vacHGate.Load()
-		if uint64(horizon)-g >= e.vacEvery && e.vacHGate.CompareAndSwap(g, uint64(horizon)) {
-			go e.Vacuum()
-		}
-	}
+	return ts < e.LastCommit()
 }
 
 // PinnedCount returns the number of distinct pinned snapshots.
@@ -292,24 +295,24 @@ func (e *Engine) PinnedCount() int {
 	return len(e.pins)
 }
 
-// vacuumHorizon computes the oldest snapshot any current or future reader
-// may use: the minimum pinned snapshot, or the latest commit when nothing
-// is pinned.
-func (e *Engine) vacuumHorizon() interval.Timestamp {
+// pinSet reads what a pass must keep (paper §5.1): the latest commit and
+// the distinct pinned snapshots below it, ascending, in e.vacPins. A
+// snapshot pinned after it returns is at or above that commit — PinLatest
+// and BeginTx take the latest commit, Pin only a snapshot already pinned —
+// so it sees no version that died by then. Caller holds vacMu.
+func (e *Engine) pinSet() (interval.Timestamp, []interval.Timestamp) {
 	e.pinMu.Lock()
-	defer e.pinMu.Unlock()
-	return e.horizonLocked()
-}
-
-// horizonLocked is vacuumHorizon with pinMu already held.
-func (e *Engine) horizonLocked() interval.Timestamp {
-	h := e.LastCommit()
+	last := e.LastCommit()
+	pins := e.vacPins[:0]
 	for ts := range e.pins {
-		if ts < h {
-			h = ts
+		if ts < last {
+			pins = append(pins, ts)
 		}
 	}
-	return h
+	e.pinMu.Unlock()
+	slices.Sort(pins)
+	e.vacPins = pins
+	return last, pins
 }
 
 // maybeAutoVacuum spawns a background vacuum pass when the published
@@ -329,24 +332,27 @@ func (e *Engine) maybeAutoVacuum() {
 	go e.Vacuum()
 }
 
-// Vacuum reclaims row versions invisible to every pinned snapshot,
-// returning the number of versions removed. It mirrors Postgres's
-// asynchronous vacuum cleaner (paper §5.1), but scheduling is driven by
-// the commit sequencer's horizon-delta notifications rather than a
-// periodic timer, and each pass is incremental: the store pops its
-// death-ordered dead queue (no full Scan), so the cost is proportional to
-// the versions reclaimed, with a shared reusable buffer instead of a
-// per-call result map. Index postings whose keys no longer appear among a
-// row's surviving versions are dropped in the same critical section, as one
-// sorted delete batch per index (the batch path commits use:
-// flushIndexOpsLocked). Tables are vacuumed one at a time under their own
-// locks, so a pass never freezes the engine: readers and commits on other
-// tables proceed throughout. The horizon is computed once up front; commits
-// that stamp later only create versions above it, so it stays conservative.
+// Vacuum reclaims the row versions no pinned snapshot can see, returning
+// the number removed. It mirrors Postgres's asynchronous vacuum cleaner
+// (paper §5.1) with §5.1's retention rule: a version that died by the
+// latest commit goes unless its [Created, Deleted) contains a pinned
+// snapshot, so a version between two pins goes however old the oldest pin
+// is. Passes are started by the commit sequencer every VacuumEvery
+// timestamps and by a full Unpin; each is incremental: a store reads its
+// death-ordered dead queue (no full Scan), skips what its bounds prove
+// held, and reuses a shared buffer instead of a per-call result map. Index
+// postings whose keys no longer appear among a row's surviving versions are
+// dropped in the same critical section, as one sorted delete batch per
+// index (the batch path commits use: flushIndexOpsLocked). Tables are
+// vacuumed one at a time under their own locks, so a pass never freezes the
+// engine: readers and commits on other tables proceed throughout. The pin
+// set is read once up front; commits that stamp later only kill versions
+// after its latest commit, which the pass leaves alone.
 func (e *Engine) Vacuum() int {
 	e.vacMu.Lock()
 	defer e.vacMu.Unlock()
-	horizon := e.vacuumHorizon()
+	e.vacKick.Store(false)
+	last, pins := e.pinSet()
 	e.catMu.RLock()
 	tabs := e.vacTabs[:0]
 	for _, t := range e.tables {
@@ -356,16 +362,16 @@ func (e *Engine) Vacuum() int {
 	e.catMu.RUnlock()
 	total := 0
 	for _, t := range tabs {
-		// Shared-lock peek: skip tables with nothing reclaimable, so an
-		// idle pass takes no exclusive lock and stalls no reader.
+		// Shared-lock peek, exact: a table whose dead versions are all held
+		// by pins takes no exclusive lock and stalls no reader.
 		t.mu.RLock()
-		reclaimable := t.store.ReclaimableBelow(horizon)
+		reclaimable := t.store.Reclaimable(last, pins)
 		t.mu.RUnlock()
 		if !reclaimable {
 			continue
 		}
 		t.mu.Lock()
-		buf := t.store.Vacuum(horizon, e.vacBuf[:0])
+		buf := t.store.VacuumPinned(last, pins, e.vacBuf[:0])
 		for _, r := range buf {
 			row := r.Ver.Data.(sql.Row)
 			t.payload -= rowCost(row)
@@ -380,7 +386,6 @@ func (e *Engine) Vacuum() int {
 	if total > 0 {
 		e.statVacuumed.Add(uint64(total))
 	}
-	e.vacHGate.Store(uint64(horizon))
 	return total
 }
 
@@ -440,6 +445,10 @@ type Stats struct {
 	PinnedSnaps   int
 	LastCommitTS  interval.Timestamp
 	TotalVersions int
+	// DeadVersions is how many of TotalVersions are dead and not yet
+	// reclaimed (mvcc.Store.DeadCount): versions a pinned snapshot could
+	// still see at the last vacuum pass, and those that died since.
+	DeadVersions int
 	// IndexEntries and IndexBytes sum every index tree's own account of its
 	// leaf level (btree.Stats): distinct keys, and the heap they hold. With
 	// TotalVersions they say what the retained versions of the staleness
@@ -472,6 +481,7 @@ func (e *Engine) Stats() Stats {
 	for _, t := range e.tables {
 		t.mu.RLock()
 		s.TotalVersions += t.store.VersionCount()
+		s.DeadVersions += t.store.DeadCount()
 		s.Rows += t.store.Len()
 		s.RowBytes += t.store.Bytes() + t.payload
 		for _, idx := range t.idxList {

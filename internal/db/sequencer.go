@@ -167,7 +167,7 @@ func (e *Engine) finishCommit(ts interval.Timestamp, tags []invalidation.TagID, 
 	s.turn.Broadcast()
 	s.mu.Unlock()
 
-	// Horizon-delta vacuum scheduling: the sequencer, not a wall-clock
+	// Watermark-delta vacuum scheduling: the sequencer, not a wall-clock
 	// ticker, decides when reclamation runs.
 	e.maybeAutoVacuum()
 }

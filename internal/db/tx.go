@@ -199,7 +199,7 @@ func (tx *Tx) Abort() {
 	}
 	tx.done = true
 	tx.release()
-	tx.e.Unpin(tx.snap)
+	tx.e.unpin(tx.snap)
 }
 
 // Commit finishes the transaction. For read/write transactions it locks
@@ -223,7 +223,7 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 	}
 	tx.done = true
 	defer tx.release()
-	defer tx.e.Unpin(tx.snap)
+	defer tx.e.unpin(tx.snap)
 
 	if tx.ro || (len(tx.sc.writes) == 0 && len(tx.sc.inserted) == 0) {
 		return tx.snap, nil

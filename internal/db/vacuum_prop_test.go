@@ -3,6 +3,7 @@ package db
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,9 +17,12 @@ import (
 // test: while writers churn versions, vacuum passes run continuously (both
 // the explicit loop below and the engine's own sequencer-triggered passes,
 // which a tight VacuumEvery makes frequent), and no version visible at any
-// currently pinned snapshot may ever be reclaimed. Each pinner records the
-// full table contents at its pinned snapshot, then re-reads at that same
-// snapshot under churn: any divergence means vacuum pulled a pinned-visible
+// currently pinned snapshot may ever be reclaimed. Each pinner holds two or
+// three pins at once, placed with commits between them, so the versions
+// that die between two of its pins — the ones the pin-set rule reclaims
+// while both readers live — are reclaimed under its feet. It records the
+// full table contents at each pinned snapshot, then re-reads every snapshot
+// it holds under churn: any divergence means vacuum pulled a pinned-visible
 // version (or the index pruning lost a reachable row). Run under -race via
 // `make ci`.
 func TestVacuumNeverReclaimsPinnedVisible(t *testing.T) {
@@ -113,44 +117,67 @@ func TestVacuumNeverReclaimsPinnedVisible(t *testing.T) {
 		}
 		return r.Rows, nil
 	}
+	type held struct {
+		snap interval.Timestamp
+		want [][]sql.Value
+	}
 	for p := 0; p < 3; p++ {
 		wg.Add(1)
-		go func() {
+		go func(keep int) {
 			defer wg.Done()
+			var window []held // oldest first
+			defer func() {
+				for _, h := range window {
+					e.Unpin(h.snap)
+				}
+			}()
 			for {
+				// Let commits land after the newest pin, so versions die
+				// between the pins this reader holds.
+				for n := len(window); n > 0 && e.LastCommit() < window[n-1].snap+4; {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
 				select {
 				case <-stop:
 					return
 				default:
 				}
 				snap, _ := e.PinLatest()
+				window = append(window, held{snap: snap})
 				want, err := readAt(snap)
 				if err != nil {
 					fail("pinned first read: %v", err)
-					e.Unpin(snap)
 					return
 				}
 				if len(want) != rows {
 					fail("pinned snapshot %d sees %d rows, want %d", snap, len(want), rows)
-					e.Unpin(snap)
 					return
 				}
-				for rep := 0; rep < 20; rep++ {
-					got, err := readAt(snap)
-					if err != nil {
-						fail("pinned re-read: %v", err)
-						e.Unpin(snap)
-						return
-					}
-					if !sameRows(want, got) {
-						fail("pinned snapshot %d drifted: first %v, later %v", snap, want, got)
-						e.Unpin(snap)
-						return
+				window[len(window)-1].want = want
+				for rep := 0; rep < 5; rep++ {
+					for _, h := range window {
+						got, err := readAt(h.snap)
+						if err != nil {
+							fail("pinned re-read at %d: %v", h.snap, err)
+							return
+						}
+						if !sameRows(h.want, got) {
+							fail("pinned snapshot %d drifted: first %v, later %v", h.snap, h.want, got)
+							return
+						}
 					}
 				}
-				e.Unpin(snap)
+				if len(window) == keep {
+					e.Unpin(window[0].snap)
+					window = window[1:]
+				}
 			}
-		}()
+		}(2 + p%2)
 	}
 
 	time.Sleep(duration)

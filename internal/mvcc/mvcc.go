@@ -7,16 +7,21 @@
 // A version is visible to a snapshot S iff Created <= S < Deleted. Versions
 // are immutable once committed except that an unbounded version's Deleted
 // field is set exactly once when a later transaction deletes or supersedes
-// it. Old versions are retained until Vacuum removes those invisible to
-// every pinned snapshot, mirroring Postgres's no-overwrite storage manager
-// and asynchronous vacuum cleaner (paper §5.1).
+// it. A dead version is retained only while some pinned snapshot can see
+// it, mirroring Postgres's no-overwrite storage manager and asynchronous
+// vacuum cleaner (paper §5.1): a pass is given the latest commit L and the
+// pinned snapshots below it, and reclaims every version that died at or
+// before L and whose [Created, Deleted) contains none of them — a version
+// between two pins goes however old the oldest pin is.
 //
 // Reclamation is incremental: the moment a version dies (Update or Delete
-// bounds it), it is also recorded in an epoch-sharded dead queue — fixed-
-// size append-only slabs ordered by death timestamp. Vacuum therefore never
-// scans the live store: it pops whole slabs (and the boundary slab's
-// prefix) at or below the horizon and unlinks exactly those versions from
-// their chains, so a pass costs O(reclaimed), not O(rows).
+// bounds it), it is also recorded in the store's dead queue — fixed-size
+// slabs in death order, each summarised by its earliest death and its
+// latest creation. A pass never scans the live store: it skips
+// unread every slab whose summary proves all of it still held, reads the
+// rest, unlinks what they may lose from its chain and keeps what a pin
+// still holds queued, in death order. So a pass costs what it reclaims plus
+// the slabs that straddle a pin, not O(rows), and it rebuilds nothing.
 //
 // A Store has no lock of its own; the caller's lock is the contract. Every
 // mutation (Insert, Update, Delete, Vacuum, the restore calls) excludes
@@ -29,6 +34,7 @@ package mvcc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"txcache/internal/interval"
@@ -61,108 +67,145 @@ type Reclaimed struct {
 	Ver Version
 }
 
-// slabSize is the number of dead versions per slab. Slabs are recycled
-// through a per-store free list, so steady-state death recording and
-// reclamation allocate nothing.
+// slabSize is the number of dead versions a slab of the dead queue holds.
 const slabSize = 256
 
-// deadSlab is one epoch shard of the dead queue: an append-only run of
-// versions in (engine-guaranteed nondecreasing) death-timestamp order.
+// deadEntry names one dead version: its row, and its interval, which is
+// unique within the row's chain.
+type deadEntry struct {
+	id               RowID
+	created, deleted interval.Timestamp
+}
+
+// held reports whether a pass given the latest commit last and the sorted
+// pins below it must keep e: it died after last, or a pin can see it. The
+// only pin that can is the greatest one below its death.
+func (e deadEntry) held(last interval.Timestamp, pins []interval.Timestamp) bool {
+	if e.deleted > last {
+		return true
+	}
+	n := pinsBelow(pins, e.deleted)
+	return n > 0 && pins[n-1] >= e.created
+}
+
+// pinsBelow returns how many of the sorted pins are below ts.
+func pinsBelow(pins []interval.Timestamp, ts interval.Timestamp) int {
+	n, _ := slices.BinarySearch(pins, ts)
+	return n
+}
+
+// deadSlab is a run of the dead queue with the bounds a pass reads to skip
+// it: its entries' earliest death and latest creation.
 type deadSlab struct {
-	entries  []Reclaimed // len <= slabSize; backing array retained on recycle
-	maxDeath interval.Timestamp
+	entries              []deadEntry // len <= slabSize
+	minDeath, maxCreated interval.Timestamp
 }
 
-// deadQueue is the store's reclamation index: a FIFO of slabs ordered by
-// death timestamp. head marks the consumed prefix of the front slab.
-type deadQueue struct {
-	slabs []*deadSlab
-	head  int // consumed entries of slabs[0]
-	free  []*deadSlab
-}
-
-func (q *deadQueue) push(id RowID, v Version) {
-	var s *deadSlab
-	if n := len(q.slabs); n > 0 && len(q.slabs[n-1].entries) < slabSize {
-		s = q.slabs[n-1]
+func (s *deadSlab) add(e deadEntry) {
+	if len(s.entries) == 0 {
+		s.minDeath, s.maxCreated = e.deleted, e.created
 	} else {
-		if n := len(q.free); n > 0 {
-			s = q.free[n-1]
-			q.free = q.free[:n-1]
-		} else {
-			s = &deadSlab{entries: make([]Reclaimed, 0, slabSize)}
-		}
-		q.slabs = append(q.slabs, s)
+		s.minDeath = min(s.minDeath, e.deleted)
+		s.maxCreated = max(s.maxCreated, e.created)
 	}
-	s.entries = append(s.entries, Reclaimed{ID: id, Ver: v})
-	if v.Deleted > s.maxDeath {
-		s.maxDeath = v.Deleted
-	}
+	s.entries = append(s.entries, e)
 }
 
-// popInto appends every queued entry with Deleted <= horizon to buf and
-// returns the extended slice. Whole slabs at or below the horizon are
-// drained in one append and recycled; at most one boundary slab is consumed
-// partially. Entries recorded out of death order (possible only for
-// standalone stores; the engine's per-table commit order is monotone) are
-// reclaimed conservatively late: a blocking entry above the horizon delays
-// everything behind it until the horizon passes.
-func (q *deadQueue) popInto(horizon interval.Timestamp, buf []Reclaimed) []Reclaimed {
-	for len(q.slabs) > 0 {
-		s := q.slabs[0]
-		if q.head == 0 && s.maxDeath <= horizon && len(s.entries) == slabSize {
-			buf = append(buf, s.entries...)
-			q.retireFront(s)
+// allHeld reports, from the bounds alone, that a pass at (last, pins) keeps
+// every entry: none died by last, or some pin lies at or after every
+// creation and before every death, and so sees every entry.
+func (s *deadSlab) allHeld(last interval.Timestamp, pins []interval.Timestamp) bool {
+	if len(s.entries) == 0 || s.minDeath > last {
+		return true
+	}
+	n := pinsBelow(pins, s.minDeath)
+	return n > 0 && pins[n-1] >= s.maxCreated
+}
+
+// deadQueue is the store's reclamation index: every dead version not yet
+// reclaimed, in death order, a slab at a time. The engine's per-table commit
+// order makes deaths monotone; a standalone store may record them in any
+// order, which can cost a pass reads but never exactness. spare is an
+// emptied slab's array, kept for the next new slab, so a steady state of
+// deaths and passes allocates nothing.
+type deadQueue struct {
+	slabs []deadSlab
+	spare []deadEntry
+}
+
+func (q *deadQueue) push(e deadEntry) {
+	n := len(q.slabs)
+	if n == 0 || len(q.slabs[n-1].entries) == slabSize {
+		entries := q.spare
+		if entries == nil {
+			entries = make([]deadEntry, 0, slabSize)
+		}
+		q.spare = nil
+		q.slabs = append(q.slabs, deadSlab{entries: entries})
+		n++
+	}
+	q.slabs[n-1].add(e)
+}
+
+// reclaim removes every entry a pass at (last, pins) may reclaim and appends
+// each to buf, in queue order, as a Reclaimed whose Version has no Data. A
+// slab it reads keeps its held entries in place, in order; a slab that then
+// fits in the slab before it moves into it, so no slab but a lone one is
+// ever empty and the queue never holds more slabs than its entries need
+// twice over.
+func (q *deadQueue) reclaim(last interval.Timestamp, pins []interval.Timestamp, buf []Reclaimed) []Reclaimed {
+	kept := q.slabs[:0]
+	for _, s := range q.slabs {
+		if !s.allHeld(last, pins) {
+			read := s.entries
+			s.entries = read[:0]
+			for _, e := range read {
+				if e.held(last, pins) {
+					s.add(e)
+				} else {
+					buf = append(buf, Reclaimed{ID: e.id, Ver: Version{Created: e.created, Deleted: e.deleted}})
+				}
+			}
+		}
+		if n := len(kept); n > 0 && len(kept[n-1].entries)+len(s.entries) <= slabSize {
+			for _, e := range s.entries {
+				kept[n-1].add(e)
+			}
+			if q.spare == nil {
+				q.spare = s.entries[:0]
+			}
 			continue
 		}
-		e := s.entries
-		i := q.head
-		for i < len(e) && e[i].Ver.Deleted <= horizon {
-			buf = append(buf, e[i])
-			e[i] = Reclaimed{} // release the Data reference now
-			i++
-		}
-		q.head = i
-		if i < len(e) {
-			return buf // boundary entry above the horizon
-		}
-		if len(e) < slabSize {
-			return buf // tail slab, still receiving appends
-		}
-		q.retireFront(s)
+		kept = append(kept, s)
 	}
+	clear(q.slabs[len(kept):])
+	q.slabs = kept
 	return buf
 }
 
-// retireFront recycles the fully-consumed front slab.
-func (q *deadQueue) retireFront(s *deadSlab) {
-	clear(s.entries)
-	s.entries = s.entries[:0]
-	s.maxDeath = 0
-	copy(q.slabs, q.slabs[1:])
-	q.slabs[len(q.slabs)-1] = nil
-	q.slabs = q.slabs[:len(q.slabs)-1]
-	q.head = 0
-	q.free = append(q.free, s)
+// reclaimable reports whether reclaim(last, pins) would reclaim anything.
+func (q *deadQueue) reclaimable(last interval.Timestamp, pins []interval.Timestamp) bool {
+	for i := range q.slabs {
+		s := &q.slabs[i]
+		if s.allHeld(last, pins) {
+			continue
+		}
+		for _, e := range s.entries {
+			if !e.held(last, pins) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // pending returns the number of dead versions awaiting reclamation.
 func (q *deadQueue) pending() int {
-	n := -q.head
+	n := 0
 	for _, s := range q.slabs {
 		n += len(s.entries)
 	}
 	return n
-}
-
-// reclaimableBelow reports whether any queued entry could be reclaimed at
-// horizon, by peeking the front of the queue.
-func (q *deadQueue) reclaimableBelow(horizon interval.Timestamp) bool {
-	if len(q.slabs) == 0 {
-		return false
-	}
-	s := q.slabs[0]
-	return q.head < len(s.entries) && s.entries[q.head].Ver.Deleted <= horizon
 }
 
 // The row directory. Row IDs are dense — the store hands them out in order
@@ -377,7 +420,7 @@ func (s *Store) bound(op string, id RowID, ts interval.Timestamp) *slot {
 		panic(fmt.Sprintf("mvcc: %s of deleted row %d", op, id))
 	}
 	last.Deleted = ts
-	s.dead.push(id, *last)
+	s.dead.push(deadEntry{id: id, created: last.Created, deleted: ts})
 	return sl
 }
 
@@ -545,44 +588,60 @@ func (s *Store) VersionCount() int {
 	return s.nVers
 }
 
-// DeadCount returns the number of dead versions awaiting reclamation.
+// DeadCount returns the number of dead versions awaiting reclamation: those
+// a pin held at the last pass, and those that died since.
 func (s *Store) DeadCount() int {
 	return s.dead.pending()
 }
 
-// ReclaimableBelow reports whether a Vacuum at horizon would reclaim
-// anything. It is a read: a peek at the front of the dead queue.
-func (s *Store) ReclaimableBelow(horizon interval.Timestamp) bool {
-	return s.dead.reclaimableBelow(horizon)
+// Reclaimable reports whether VacuumPinned(last, pins) would reclaim
+// anything. It is a read, so it may run under a lock held shared, and it is
+// exact: false means every queued version died after last or is seen by
+// one of pins, and a pass would change nothing.
+func (s *Store) Reclaimable(last interval.Timestamp, pins []interval.Timestamp) bool {
+	return s.dead.reclaimable(last, pins)
 }
 
 // Vacuum removes versions invisible to every snapshot >= horizon: a version
-// is reclaimed iff Deleted <= horizon. Rows whose every version is reclaimed
-// are removed entirely. Reclaimed versions are appended to buf (a reusable
-// caller-supplied buffer) and returned so the engine can prune index
-// entries; when nothing is reclaimable the pass performs no allocation and
-// returns buf unchanged. The cost is proportional to the number of versions
-// reclaimed: the dead queue is popped by death timestamp, and only the
-// chains of reclaimed rows are touched.
+// is reclaimed iff Deleted <= horizon. It is VacuumPinned with no pin.
 func (s *Store) Vacuum(horizon interval.Timestamp, buf []Reclaimed) []Reclaimed {
-	n0 := len(buf)
-	buf = s.dead.popInto(horizon, buf)
-	for i := n0; i < len(buf); i++ {
-		s.unlink(buf[i].ID, buf[i].Ver)
-	}
-	return buf
+	return s.VacuumPinned(horizon, nil, buf)
 }
 
-// unlink removes the reclaimed version from its row's chain. Versions are
-// identified by their (Created, Deleted) interval, which is unique within a
-// chain up to identical duplicates. A chain left with one version moves
-// back into its slot; a row left with none gives up its slot, and the
-// page's last row the page.
-func (s *Store) unlink(id RowID, v Version) {
+// VacuumPinned removes every version no snapshot that can still be read
+// sees: one that died at or before last — the latest commit, at or below
+// which every later snapshot is taken — and whose [Created, Deleted)
+// contains none of pins, the pinned snapshots below last in ascending
+// order. Rows whose every version is reclaimed are removed entirely.
+// Reclaimed versions are appended to buf (a reusable caller-supplied
+// buffer) and returned so the engine can prune index entries; when nothing
+// is reclaimable the pass performs no allocation and returns buf unchanged.
+// The cost is what is reclaimed plus the dead-queue slabs that straddle a
+// pin: only the chains of reclaimed rows are touched.
+func (s *Store) VacuumPinned(last interval.Timestamp, pins []interval.Timestamp, buf []Reclaimed) []Reclaimed {
+	n0 := len(buf)
+	buf = s.dead.reclaim(last, pins, buf)
+	n := n0
+	for _, r := range buf[n0:] {
+		if v, ok := s.unlink(r.ID, r.Ver); ok {
+			buf[n] = Reclaimed{ID: r.ID, Ver: v}
+			n++
+		}
+	}
+	return buf[:n]
+}
+
+// unlink removes the version of row id with v's interval from its chain
+// and returns it, payload and all. Versions are identified by their
+// (Created, Deleted) interval, which is unique within a chain up to
+// identical duplicates. A chain left with one version moves back into its
+// slot; a row left with none gives up its slot, and the page's last row the
+// page.
+func (s *Store) unlink(id RowID, v Version) (Version, bool) {
 	pn, i := locate(id)
 	p := s.page(pn)
 	if p == nil || !p.has(i) {
-		return
+		return Version{}, false
 	}
 	sl := &p.slots[i]
 	chain := sl.chain()
@@ -591,8 +650,9 @@ func (s *Store) unlink(id RowID, v Version) {
 		at++
 	}
 	if at == len(chain) {
-		return
+		return Version{}, false
 	}
+	v = chain[at]
 	s.nVers--
 	if sl.spill == nil {
 		*sl = slot{}
@@ -601,7 +661,7 @@ func (s *Store) unlink(id RowID, v Version) {
 		if p.used == [len(p.used)]uint64{} {
 			s.dropPage(pn)
 		}
-		return
+		return v, true
 	}
 	copy(chain[at:], chain[at+1:])
 	chain[len(chain)-1] = Version{} // drop the trailing Data reference
@@ -613,4 +673,5 @@ func (s *Store) unlink(id RowID, v Version) {
 	} else {
 		*sl.spill = chain
 	}
+	return v, true
 }

@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"txcache/internal/interval"
@@ -101,8 +102,8 @@ func TestVacuum(t *testing.T) {
 	if s.DeadCount() != 3 {
 		t.Fatalf("DeadCount = %d, want 3", s.DeadCount())
 	}
-	if !s.ReclaimableBelow(20) || s.ReclaimableBelow(19) {
-		t.Fatal("ReclaimableBelow must track the oldest death (20)")
+	if !s.Reclaimable(20, nil) || s.Reclaimable(19, nil) {
+		t.Fatal("Reclaimable must track the oldest death (20)")
 	}
 
 	// Horizon 20: reclaim versions with Deleted <= 20, i.e. id1's "a".
@@ -174,27 +175,262 @@ func TestVacuumSlabRecycling(t *testing.T) {
 	}
 }
 
-// TestVacuumOutOfOrderDeaths covers standalone (non-engine) stores where
-// death timestamps are not recorded monotonically: reclamation may be
-// delayed behind a blocking younger death, but never reclaims above the
-// horizon and catches up once the horizon passes.
-func TestVacuumOutOfOrderDeaths(t *testing.T) {
-	s := NewStore()
-	a := s.Insert("a", 1)
-	b := s.Insert("b", 1)
-	s.Delete(a, 50) // recorded first, dies later
-	s.Delete(b, 10)
+// TestVacuumPinnedExact holds a pass to §5.1's rule exactly: after
+// VacuumPinned(last, pins) a version survives iff it died after last or a
+// pin can see it — a version between two pins goes, whatever the oldest pin
+// is — and the store's own accounts agree with a recount.
+func TestVacuumPinnedExact(t *testing.T) {
+	// One row: a version [created, deleted) and its successor.
+	type oneVersion struct {
+		name             string
+		created, deleted interval.Timestamp
+		pins             []interval.Timestamp
+		last             interval.Timestamp
+	}
+	twoVersions := func(tc oneVersion) (*Store, RowID) {
+		s := NewStore()
+		id := s.Insert("old", tc.created)
+		s.Update(id, "new", tc.deleted)
+		return s, id
+	}
 
+	t.Run("ValidFlow", func(t *testing.T) {
+		for _, tc := range []oneVersion{
+			{"NoPin", 10, 20, nil, 20},
+			{"PinBeforeCreation", 10, 20, []interval.Timestamp{9}, 30},
+			{"PinAtDeath", 10, 20, []interval.Timestamp{20}, 30},
+			{"BetweenTwoPins", 10, 20, []interval.Timestamp{9, 20}, 30},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				s, id := twoVersions(tc)
+				if !s.Reclaimable(tc.last, tc.pins) {
+					t.Fatal("Reclaimable = false for a version no pin sees")
+				}
+				buf := s.VacuumPinned(tc.last, tc.pins, nil)
+				if len(buf) != 1 || buf[0].ID != id || buf[0].Ver.Data != "old" || buf[0].Ver.Interval() != (interval.Interval{Lo: tc.created, Hi: tc.deleted}) {
+					t.Fatalf("reclaimed %v, want the old version", buf)
+				}
+				if c := s.Chain(id); len(c) != 1 || c[0].Data != "new" || s.slot(id).spill != nil {
+					t.Fatalf("chain after the pass: %v", c)
+				}
+			})
+		}
+
+		// A row updated at 10, 20 and 30 with pins at 5 and 25: the middle
+		// version [10,20) goes, the chain keeps a gap, and the version each
+		// pin reads stays.
+		t.Run("MiddleVersionBetweenTwoPins", func(t *testing.T) {
+			s := NewStore()
+			id := s.Insert("a", 1)
+			for i, d := range []any{"b", "c", "d"} {
+				s.Update(id, d, interval.Timestamp(10*(i+1)))
+			}
+			buf := s.VacuumPinned(40, []interval.Timestamp{5, 25}, nil)
+			if len(buf) != 1 || buf[0].Ver.Data != "b" {
+				t.Fatalf("reclaimed %v, want only [10,20)", buf)
+			}
+			for ts, want := range map[interval.Timestamp]any{5: "a", 25: "c", 40: "d"} {
+				if v, ok := s.VisibleAt(id, ts); !ok || v.Data != want {
+					t.Fatalf("at %d: %v, %v; want %v", ts, v.Data, ok, want)
+				}
+			}
+			if _, ok := s.VisibleAt(id, 15); ok {
+				t.Fatal("the reclaimed version is still read at 15")
+			}
+			// The pin at 5 goes: [1,10) goes with it.
+			if buf = s.VacuumPinned(40, []interval.Timestamp{25}, buf[:0]); len(buf) != 1 || buf[0].Ver.Data != "a" {
+				t.Fatalf("reclaimed %v after unpinning 5, want [1,10)", buf)
+			}
+			recount(t, s)
+		})
+
+		// A standalone store may record deaths out of order: each is still
+		// reclaimed at the first pass its rule allows, not held behind a
+		// younger death queued before it.
+		t.Run("OutOfOrderDeaths", func(t *testing.T) {
+			s := NewStore()
+			a := s.Insert("a", 1)
+			b := s.Insert("b", 1)
+			s.Delete(a, 50) // recorded first, dies later
+			s.Delete(b, 10)
+			buf := s.Vacuum(20, nil)
+			if len(buf) != 1 || buf[0].ID != b {
+				t.Fatalf("Vacuum(20) reclaimed %v, want b alone", buf)
+			}
+			if _, ok := s.VisibleAt(a, 40); !ok {
+				t.Fatal("a, dead at 50, did not survive Vacuum(20)")
+			}
+			if buf = s.Vacuum(60, buf[:0]); len(buf) != 1 || buf[0].ID != a || s.Len() != 0 {
+				t.Fatalf("Vacuum(60) reclaimed %v, Len=%d", buf, s.Len())
+			}
+		})
+
+		t.Run("SeededHistories", func(t *testing.T) {
+			for seed := int64(1); seed <= 8; seed++ {
+				runPinnedHistory(t, seed, 4000)
+			}
+		})
+	})
+
+	// What a pass must keep — and must learn it keeps from a read, so the
+	// engine takes no exclusive lock and the pass allocates nothing.
+	t.Run("RejectionFlow", func(t *testing.T) {
+		for _, tc := range []oneVersion{
+			{"PinAtCreation", 10, 20, []interval.Timestamp{10}, 30},
+			{"PinJustBeforeDeath", 10, 20, []interval.Timestamp{19}, 30},
+			{"OnePinOfSeveral", 10, 20, []interval.Timestamp{3, 15, 25}, 30},
+			{"DiedAfterLast", 10, 20, nil, 19},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				s, id := twoVersions(tc)
+				wantNothing(t, s, tc.last, tc.pins)
+				if c := s.Chain(id); len(c) != 2 || c[0].Data != "old" {
+					t.Fatalf("chain after the pass: %v", c)
+				}
+			})
+		}
+
+		// Three slabs of deaths, every one seen by the pin at 5: the slabs
+		// are skipped on their bounds.
+		t.Run("SlabsHeldByOnePin", func(t *testing.T) {
+			s := NewStore()
+			for i := 0; i < 3*slabSize; i++ {
+				s.Update(s.Insert(i, 1), -i, interval.Timestamp(10+i))
+			}
+			wantNothing(t, s, 10+3*slabSize, []interval.Timestamp{5})
+			if s.DeadCount() != 3*slabSize {
+				t.Fatalf("DeadCount = %d, want %d", s.DeadCount(), 3*slabSize)
+			}
+		})
+	})
+}
+
+// wantNothing checks that a pass at (last, pins) is a read: Reclaimable says
+// so, and the pass reclaims nothing and allocates nothing.
+func wantNothing(t *testing.T, s *Store, last interval.Timestamp, pins []interval.Timestamp) {
+	t.Helper()
+	if s.Reclaimable(last, pins) {
+		t.Fatal("Reclaimable = true, but every version is held")
+	}
+	n := s.VersionCount()
+	buf := make([]Reclaimed, 0, 1)
+	if allocs := testing.AllocsPerRun(10, func() { buf = s.VacuumPinned(last, pins, buf[:0]) }); allocs != 0 || len(buf) != 0 {
+		t.Fatalf("a pass that may reclaim nothing reclaimed %v with %.0f allocations", buf, allocs)
+	}
+	if s.VersionCount() != n {
+		t.Fatalf("VersionCount %d, was %d", s.VersionCount(), n)
+	}
+}
+
+// recount checks the store's kept accounts against a walk: Len and
+// VersionCount against a scan, Bytes against the directory, DeadCount
+// against the bounded versions still in chains, and the inline/spill
+// invariant — a spilled chain holds two versions or more, in creation
+// order, and leaves the inline version empty.
+func recount(t *testing.T, s *Store) {
+	t.Helper()
+	rows, vers, dead := 0, 0, 0
+	s.Scan(func(id RowID, chain []Version) bool {
+		rows++
+		vers += len(chain)
+		for i, v := range chain {
+			if v.Deleted != interval.Infinity {
+				dead++
+			}
+			if i > 0 && chain[i-1].Deleted > v.Created {
+				t.Fatalf("row %d: chain out of order: %v", id, chain)
+			}
+		}
+		if sl := s.slot(id); len(chain) == 0 || sl.spill != nil && (len(*sl.spill) < 2 || sl.one[0] != Version{}) {
+			t.Fatalf("row %d: slot %+v breaks the inline/spill invariant", id, sl)
+		}
+		return true
+	})
+	if s.Len() != rows || s.VersionCount() != vers || s.DeadCount() != dead || s.Bytes() != bytesByWalk(s) {
+		t.Fatalf("Len %d VersionCount %d DeadCount %d Bytes %d; a recount finds %d, %d, %d, %d",
+			s.Len(), s.VersionCount(), s.DeadCount(), s.Bytes(), rows, vers, dead, bytesByWalk(s))
+	}
+}
+
+// runPinnedHistory drives a store with one seeded history of inserts,
+// updates (half of them to a hot handful of rows, for long chains) and
+// deletes, pins placed at the latest commit and dropped at random, and
+// passes at a last commit that never moves back. After every pass the
+// store must hold exactly the versions that died after last or that a pin
+// sees. (A pin placed after a pass is at or above its last, so a version
+// reclaimed then is none that any later pin sees: the rule can be checked
+// against the whole history.)
+func runPinnedHistory(t *testing.T, seed int64, ops int) {
+	rng := rand.New(rand.NewSource(seed))
+	s := NewStore()
+	hist := map[RowID][]Version{} // every version ever created, with its final death
+	var live []RowID
+	var pins []interval.Timestamp // ascending
+	ts, last := interval.Timestamp(1), interval.Timestamp(1)
 	var buf []Reclaimed
-	if buf = s.Vacuum(20, buf[:0]); len(buf) != 0 {
-		t.Fatalf("blocked entry must delay reclamation, got %v", buf)
+	bound := func(id RowID) []Version {
+		h := hist[id]
+		h[len(h)-1].Deleted = ts
+		return h
 	}
-	if _, ok := s.VisibleAt(b, 5); !ok {
-		t.Fatal("b must survive the blocked pass")
-	}
-	buf = s.Vacuum(60, buf[:0])
-	if len(buf) != 2 || s.Len() != 0 {
-		t.Fatalf("catch-up pass reclaimed %v, Len=%d", buf, s.Len())
+	for op := 0; op < ops; op++ {
+		ts++
+		switch k := rng.Intn(100); {
+		case k < 20 || len(live) == 0:
+			id := s.Insert(op, ts)
+			hist[id] = []Version{{Created: ts, Deleted: interval.Infinity, Data: op}}
+			live = append(live, id)
+		case k < 65:
+			id := live[rng.Intn(len(live))]
+			if rng.Intn(2) == 0 {
+				id = live[rng.Intn(min(len(live), 6))]
+			}
+			s.Update(id, op, ts)
+			hist[id] = append(bound(id), Version{Created: ts, Deleted: interval.Infinity, Data: op})
+		case k < 75:
+			i := rng.Intn(len(live))
+			s.Delete(live[i], ts)
+			hist[live[i]] = bound(live[i])
+			live = slices.Delete(live, i, i+1)
+		case k < 83:
+			pins = append(pins, ts)
+		case k < 90:
+			if len(pins) > 0 {
+				i := rng.Intn(len(pins))
+				pins = slices.Delete(pins, i, i+1)
+			}
+		default:
+			last = max(last, ts-interval.Timestamp(rng.Intn(12)))
+			below := pins[:pinsBelow(pins, last)]
+			keep := func(v Version) bool {
+				return v.Deleted > last || slices.ContainsFunc(below, v.VisibleAt)
+			}
+			lose := func(v Version) bool { return !keep(v) }
+			before, wantAny := s.VersionCount(), false
+			s.Scan(func(_ RowID, chain []Version) bool {
+				wantAny = wantAny || slices.ContainsFunc(chain, lose)
+				return true
+			})
+			if got := s.Reclaimable(last, below); got != wantAny {
+				t.Fatalf("seed %d op %d: Reclaimable(%d, %v) = %v, want %v", seed, op, last, below, got, wantAny)
+			}
+			buf = s.VacuumPinned(last, below, buf[:0])
+			for _, r := range buf {
+				if keep(r.Ver) || !slices.Contains(hist[r.ID], r.Ver) {
+					t.Fatalf("seed %d op %d: reclaimed %+v of row %d at (%d, %v)", seed, op, r.Ver, r.ID, last, below)
+				}
+			}
+			for id, h := range hist {
+				want := slices.DeleteFunc(slices.Clone(h), lose)
+				if got := s.Chain(id); !slices.Equal(got, want) {
+					t.Fatalf("seed %d op %d: row %d keeps %v at (%d, %v), want %v", seed, op, id, got, last, below, want)
+				}
+			}
+			if len(buf) != before-s.VersionCount() || s.Reclaimable(last, below) {
+				t.Fatalf("seed %d op %d: %d reclaimed, VersionCount %d -> %d, and a second pass would reclaim more", seed, op, len(buf), before, s.VersionCount())
+			}
+			recount(t, s)
+		}
 	}
 }
 

@@ -38,10 +38,9 @@ type Config struct {
 	// Staleness, when set, is an upper bound on the staleness argument any
 	// caller passes to GetPins. It lets Sweep trim unused pins early: a pin
 	// older than this bound can never be handed out again (GetPins filters
-	// by wall age), so keeping it warm until Retention only drags the
-	// database's vacuum horizon — reclamation of the prefix below the
-	// oldest pin that still matters would otherwise lag by up to
-	// Retention ≈ 2× the staleness limit. 0 disables early trimming.
+	// by wall age), so keeping it warm until Retention only keeps the
+	// database from reclaiming the versions that pin alone can see, for up
+	// to Retention ≈ 2× the staleness limit. 0 disables early trimming.
 	Staleness time.Duration
 	// Clock supplies wall time; defaults to the real clock.
 	Clock clock.Clock
@@ -226,7 +225,7 @@ func (p *Pincushion) unpin(victims []pinRef) {
 // SweepAll unpins every tracked snapshot regardless of age or use-count,
 // returning how many were removed. Teardown only: a drained deployment has
 // no transaction left that could use them, and any pin that outlives the
-// daemon would hold the database's vacuum horizon forever.
+// daemon would keep the versions it sees from being reclaimed forever.
 func (p *Pincushion) SweepAll() int {
 	p.mu.Lock()
 	victims := make([]pinRef, 0, len(p.pins))
@@ -241,15 +240,15 @@ func (p *Pincushion) SweepAll() int {
 }
 
 // PinClass partitions the tracked pins by how they interact with the
-// database's vacuum horizon: every pin holds the horizon back to its
-// snapshot, but what the system can do about it differs by class.
+// database's vacuum: every pin keeps the versions its snapshot sees (and
+// that no other pin sees) from being reclaimed, but what the system can do
+// about it differs by class.
 type PinClass int
 
 const (
 	// PinActive pins are flagged in use by at least one running
 	// transaction; the database must retain their snapshots regardless of
-	// age. A heavy tail of old active pins is what makes short-horizon
-	// vacuuming ineffective.
+	// age.
 	PinActive PinClass = iota
 	// PinIdle pins are unused but within retention, kept warm so the next
 	// read-only transaction can share an already-pinned snapshot.
@@ -258,7 +257,7 @@ const (
 	// the tighter Config.Staleness bound): the next Sweep will unpin them.
 	// A persistent PinExpired population means the sweeper is running too
 	// rarely for the configured thresholds — every pin in this class is
-	// pointlessly holding the database's vacuum horizon back.
+	// pointlessly holding versions back from the database's vacuum.
 	PinExpired
 
 	numPinClasses
@@ -294,8 +293,8 @@ type Stats struct {
 	Pins     int    // pins currently tracked
 
 	// Horizon[c][i] counts tracked pins of class c whose age (now minus
-	// the pin's snapshot wall time — exactly how far back the pin holds
-	// the database's vacuum horizon) is within the i'th HorizonBuckets
+	// the pin's snapshot wall time — how stale the versions it holds back
+	// from vacuum may be) is within the i'th HorizonBuckets
 	// edge; the last column is the overflow. Observability only: Stats
 	// takes the same snapshot lock as GetPins but mutates nothing.
 	Horizon [numPinClasses][len(horizonBuckets) + 1]int
@@ -366,8 +365,8 @@ func (p *Pincushion) Newest() (Pin, bool) {
 
 // NextTrim reports when the next currently-unused pin crosses the trim
 // threshold (false if no unused pins are tracked). The sweeper uses it to
-// schedule the pass that reclaims the vacuum-horizon prefix below the
-// oldest pin that still matters, instead of letting expired pins sit until
+// schedule the pass that unpins it — and lets the database reclaim the
+// versions only it could see — instead of letting expired pins sit until
 // the next fixed tick.
 func (p *Pincushion) NextTrim() (time.Time, bool) {
 	p.mu.Lock()

@@ -21,22 +21,17 @@ benchmark-compare:
 benchmark-test:
 	cd benchmark && $(GO) vet . && $(GO) test -race .
 
-# Repo-invariant static analysis (cmd/txcache-lint): lock order, context
-# threading, deterministic time, bounded dials/writes and one transport
-# (outside internal/rpc nothing dials, accepts, reads frames off a
-# connection or sets its deadlines), atomic-field discipline, pool hygiene.
+# Repo-invariant static analysis (cmd/txcache-lint): lock order (and no lock
+# in internal/mvcc, which Table.mu guards alone), context threading,
+# deterministic time, bounded dials/writes and one transport (outside
+# internal/rpc nothing dials, accepts, reads frames off a connection or sets
+# its deadlines), atomic-field discipline, pool hygiene.
 # Suppressions are //lint:allow <analyzer> <reason>; an undocumented or
 # unused suppression is itself a finding.
-# Then the one-lock guard: Table.mu is the only lock over a table's data, and
-# a commit writes that data in one critical section (DESIGN.md "The pipelined
-# commit path"). The publish-stage index flush is refused by name, the
-# sequencer may not name the table lock or call a flush, and internal/mvcc
-# may not import sync, so neither a second critical section nor a second lock
-# can grow back.
-# The same arm guards the shape of what that lock covers: a table's rows are
-# found by position in mvcc.Store's paged directory (DESIGN.md "Row
-# directory"), so nothing under internal/mvcc or internal/db maps a RowID to
-# anything; a map keyed by row is the 107 bytes a row the directory replaced.
+# Then the one-directory guard: a table's rows are found by position in
+# mvcc.Store's paged directory (DESIGN.md "Row directory"), so nothing under
+# internal/mvcc or internal/db maps a RowID to anything; a map keyed by row
+# is the 107 bytes a row the directory replaced.
 # Then the one-interval guard: a dependency is proven on one bounded interval
 # and is open or closed there (DESIGN.md "Still-valid composition"), and a
 # cache node derives what it can vouch for from the stream it has seen
@@ -58,11 +53,6 @@ benchmark-test:
 # and three times the heap of the first.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
-	@out="$$( { grep -rnE 'flushIndexOps\(\)|containsTable|tabBuf' --include='*.go' --exclude='*_test.go' internal/db; \
-		grep -nE 'Table\.mu|\.flush[A-Za-z]*\(' internal/db/sequencer.go; \
-		grep -n '"sync' --exclude='*_test.go' internal/mvcc/*.go; } || true)"; if [ -n "$$out" ]; then \
-		echo "a second critical section or a second lock over a table's data is back; a commit installs its index entries at apply, under Table.mu, and mvcc.Store relies on that lock:"; \
-		echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'map\[(mvcc\.)?RowID\]' --include='*.go' --exclude='*_test.go' internal/mvcc internal/db || true)"; if [ -n "$$out" ]; then \
 		echo "a map keyed by RowID is back; row ids are dense and never reused, so a row is found by position in mvcc.Store's row directory (40 B a row where the map and its per-row chain cost 107), and what must be kept per row belongs in its slot or in a slice indexed the same way:"; \
 		echo "$$out"; exit 1; fi
@@ -132,10 +122,12 @@ race:
 # ApplyInvalidation) is checked by the oracle model tests and by nothing
 # else, so CI runs them more than once: five -race passes of the concurrent
 # pipelined model and the sequential one — and of TestStreamGap, whose
-# concurrent flow is the same argument for a put racing a gap.
+# concurrent flow is the same argument for a put racing a gap, and of
+# TestHistoryMatchesPairwise, which holds the history's replay to the pairwise
+# rule over seeded streams that wrap its ring and cross gaps.
 # Bounded: a hang is a failure.
 model-soak:
-	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap' ./internal/cacheserver
+	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise' ./internal/cacheserver
 
 # The transactional guarantee under concurrency has one gate too: writers,
 # composing readers and the put oracle of TestStillValidComposition's
@@ -182,7 +174,7 @@ fuzz-smoke:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallelCommit|BenchmarkReadersDuringCommits' -benchtime=2s .
 	$(GO) test -run xxx -bench BenchmarkCacheLookupTCP -benchtime=2s ./internal/cacheserver
-	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkFilteredScan|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver
+	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkFilteredScan|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply|BenchmarkHistoryReplay' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver
 	$(GO) test -run xxx -bench BenchmarkRowCol -benchtime=2s -benchmem ./internal/sql
 	$(GO) test -run xxx -bench 'BenchmarkGet|BenchmarkApplyBatch|BenchmarkInsert' -benchtime=2s -benchmem ./internal/btree
 	$(GO) test -run xxx -bench 'BenchmarkStoreInsert|BenchmarkStoreVisibleAt' -benchtime=2s -benchmem ./internal/mvcc
@@ -197,8 +189,11 @@ bench:
 # and vacuumed back to one). And the three together — rows as packed bytes,
 # their directory, their indexes — must stay under the dataset's ceiling
 # (TestDatasetBytes: live heap of the benchmark's dataset in a bare engine).
+# A cache node's invalidation history must stay the same size once full and
+# under its bytes ceiling a retained message (TestHistoryBytes).
 alloc-regression:
-	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core ./internal/cacheserver
+	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core
+	$(GO) test -run 'TestAllocBudget|TestHistoryBytes' ./internal/cacheserver
 	$(GO) test -run 'TestBytesPerEntry|TestInsertAllocs' ./internal/btree
 	$(GO) test -run 'TestBytesPerRow' ./internal/mvcc
 	$(GO) test -run 'TestDatasetBytes' ./internal/rubis

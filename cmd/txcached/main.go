@@ -44,8 +44,8 @@ func main() {
 	go func() {
 		for range time.Tick(10 * time.Second) {
 			st := srv.Stats()
-			log.Printf("txcached: lookups=%d hit%%=%.1f puts=%d inval=%d bytes=%d keys=%d",
-				st.Lookups, 100*st.HitRate(), st.Puts, st.Invalidations, st.BytesUsed, st.Keys)
+			log.Printf("txcached: lookups=%d hit%%=%.1f puts=%d inval=%d floorClosed=%d bytes=%d keys=%d",
+				st.Lookups, 100*st.HitRate(), st.Puts, st.Invalidations, st.FloorClosed, st.BytesUsed, st.Keys)
 		}
 	}()
 	if err := srv.Serve(l); err != nil {

@@ -13,6 +13,12 @@
 //     streamMu, fixing stream before shard). hist.mu is innermost:
 //     acquiring anything while holding it is a finding.
 //
+//   - internal/mvcc has no lock of its own: a table's version store is
+//     guarded by Table.mu alone, and a commit writes it in one critical
+//     section (DESIGN.md "The pipelined commit path"). So the package
+//     imports neither sync nor sync/atomic, and a second lock under the
+//     table's cannot grow back.
+//
 // The scan is intra-procedural and source-ordered: helper functions that
 // acquire a class internally (tableLockSet.lock, histIndex.add,
 // ...) are modelled from the table below, so "holds table, calls something
@@ -24,6 +30,8 @@ package lockorder
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
+	"strings"
 
 	"txcache/internal/analysis"
 )
@@ -32,9 +40,13 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "enforce documented lock orders: db catalog→table (multi-table via tableLockSet only), " +
-		"cacheserver streamMu→shard.mu→hist.mu",
+		"cacheserver streamMu→shard.mu→hist.mu; mvcc takes no lock of its own",
 	Run: run,
 }
+
+// unlockedPkg relies on its caller's lock (Table.mu) and may import nothing
+// that makes one.
+const unlockedPkg = "txcache/internal/mvcc"
 
 // class is a lock class in one of the documented hierarchies.
 type class int
@@ -99,6 +111,12 @@ var helpers = map[[3]string]struct {
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if pass.PkgPath == unlockedPkg && (path == "sync" || strings.HasPrefix(path, "sync/")) {
+				pass.Reportf(imp.Pos(), "internal/mvcc imports %s; its store is guarded by Table.mu alone, and a lock of its own is a second critical section under the table's", path)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:

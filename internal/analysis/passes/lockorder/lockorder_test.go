@@ -11,5 +11,6 @@ func TestLockorder(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer,
 		"txcache/internal/db",
 		"txcache/internal/cacheserver",
+		"txcache/internal/mvcc",
 	)
 }

@@ -200,6 +200,7 @@ func (s *Site) CacheStats() cacheserver.Stats {
 		total.Puts += st.Puts
 		total.Invalidations += st.Invalidations
 		total.Invalidated += st.Invalidated
+		total.FloorClosed += st.FloorClosed
 		total.EvictedCapacity += st.EvictedCapacity
 		total.EvictedStale += st.EvictedStale
 		total.BytesUsed += st.BytesUsed

@@ -3,6 +3,7 @@ package cacheserver
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -73,10 +74,11 @@ func benchInvalidateApply(b *testing.B, shards, nTags int) {
 }
 
 // invalidateAllocCeiling is the budget for applying one invalidation
-// message that truncates one version: the retained-history append, its
-// tag-index posting, and the staleness-queue append — all amortized — so
-// the average must stay below 3.
-const invalidateAllocCeiling = 3
+// message that truncates one version, once the history is full: nothing.
+// The message overwrites the ring's oldest slot, its tag's entry in the
+// history's maps is overwritten in place, and the affected set is shard
+// scratch.
+const invalidateAllocCeiling = 0
 
 // TestAllocBudgetLookup pins the sharded hit path at zero allocations: the
 // shard route is an inline hash, the horizon is one atomic load, and a hit
@@ -134,7 +136,11 @@ func TestAllocBudgetInvalidate(t *testing.T) {
 		s.Put(fmt.Sprintf("key-%d", k), payload,
 			interval.Interval{Lo: ts, Hi: interval.Infinity}, true, ts, tags[k:k+1])
 	}
-	apply()
+	// Fill the history first: from then on a message overwrites the ring's
+	// oldest slot and finds its tag already indexed.
+	for i := 0; i < s.cfg.HistoryLen; i++ {
+		apply()
+	}
 	// The Put (fmt.Sprintf + version struct + history replay) dominates the
 	// measured loop; subtract its budget by measuring it alone first.
 	avg := testing.AllocsPerRun(500, apply)
@@ -143,6 +149,92 @@ func TestAllocBudgetInvalidate(t *testing.T) {
 	const putCost = 5
 	if avg > invalidateAllocCeiling+putCost {
 		t.Fatalf("invalidate+reinstall allocates %.1f objects/op, budget is %d", avg, invalidateAllocCeiling+putCost)
+	}
+}
+
+// historyBytesCeiling bounds the live heap one retained message costs a node
+// fed messages of six key tags each, none repeated: its ring slot, its tag
+// slice, and six entries in the history's tag map. Measured 397.
+const historyBytesCeiling = 440
+
+// feedSixTags applies count messages after ts to s, each naming six random
+// keys of five tables, and returns the newest timestamp.
+func feedSixTags(s *Server, rng *rand.Rand, ts interval.Timestamp, count int) interval.Timestamp {
+	var tables [5]invalidation.TagID
+	for i := range tables {
+		tables[i] = invalidation.InternWildcard(fmt.Sprint("table", i))
+	}
+	for i := 0; i < count; i++ {
+		ts++
+		tags := make([]invalidation.TagID, 6)
+		for j := range tags {
+			tags[j] = tables[rng.Intn(len(tables))] | invalidation.TagID(rng.Uint32()|1)
+		}
+		s.ApplyInvalidation(invalidation.Message{TS: ts, WallTime: time.Unix(0, int64(ts)), Tags: tags})
+	}
+	return ts
+}
+
+// TestHistoryBytes: the history is the same size at any point after it
+// fills. A node fed 10 × HistoryLen messages holds what it held after 2 ×
+// HistoryLen, within 5%, and a retained message stays under its ceiling.
+func TestHistoryBytes(t *testing.T) {
+	s := New(Config{Shards: 1})
+	n := s.cfg.HistoryLen
+	rng := rand.New(rand.NewSource(1))
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	empty := live()
+	ts := feedSixTags(s, rng, 0, 2*n)
+	full := live()
+	feedSixTags(s, rng, ts, 8*n)
+	later := live()
+	per := float64(full-empty) / float64(n)
+	t.Logf("history of %d messages: %.0f B a message; %.2f MiB after %d messages, %.2f MiB after %d",
+		n, per, float64(full)/(1<<20), 2*n, float64(later)/(1<<20), 10*n)
+	if float64(later) > 1.05*float64(full) {
+		t.Errorf("live heap grew from %d to %d bytes between %d and %d messages; a ring holds the same %d messages at both",
+			full, later, 2*n, 10*n, n)
+	}
+	if per > historyBytesCeiling {
+		t.Errorf("a retained message costs %.0f bytes, ceiling %d", per, historyBytesCeiling)
+	}
+	runtime.KeepAlive(s)
+}
+
+// BenchmarkHistoryReplay prices a still-valid put's replay against a full
+// history of six-tag messages, held under the history's read lock: "miss",
+// no retained message after genSnap meets the entry's tag, which the tag maps
+// answer without touching the ring; "worst", genSnap at the floor and the
+// only match the newest message, which scans the whole ring.
+func BenchmarkHistoryReplay(b *testing.B) {
+	s := New(Config{Shards: 1})
+	ts := feedSixTags(s, rand.New(rand.NewSource(1)), 0, s.cfg.HistoryLen)
+	target := invalidation.Intern(invalidation.KeyTag("replay", "id", "1"))
+	ts++
+	s.ApplyInvalidation(invalidation.Message{TS: ts, WallTime: time.Unix(0, int64(ts)), Tags: []invalidation.TagID{target}})
+	floor := s.hist.floor
+	for _, c := range []struct {
+		name string
+		tag  invalidation.TagID
+		want interval.Timestamp
+	}{
+		{"miss", invalidation.Intern(invalidation.KeyTag("replay", "id", "2")), interval.Infinity},
+		{"worst", target, ts},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tags := []invalidation.TagID{c.tag}
+			for b.Loop() {
+				if got, _, below := s.hist.firstMatch(tags, floor); got != c.want || below {
+					b.Fatalf("firstMatch at the floor = %d (below=%v), want %d", got, below, c.want)
+				}
+			}
+		})
 	}
 }
 

@@ -150,7 +150,7 @@ func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
 		e := rpc.NewFrame(opStatsResp)
 		e.U64(st.Lookups).U64(st.Hits)
 		e.U64(st.MissCompulsory).U64(st.MissConsistency).U64(st.MissStaleness).U64(st.MissCapacity)
-		e.U64(st.Puts).U64(st.Invalidations).U64(st.Invalidated)
+		e.U64(st.Puts).U64(st.Invalidations).U64(st.Invalidated).U64(st.FloorClosed)
 		e.U64(st.EvictedCapacity).U64(st.EvictedStale)
 		e.I64(st.BytesUsed).I64(int64(st.Versions)).I64(int64(st.Keys))
 		e.U64(uint64(st.Horizon))
@@ -486,6 +486,7 @@ func (c *Client) Stats() Stats {
 	st.Puts = d.U64()
 	st.Invalidations = d.U64()
 	st.Invalidated = d.U64()
+	st.FloorClosed = d.U64()
 	st.EvictedCapacity = d.U64()
 	st.EvictedStale = d.U64()
 	st.BytesUsed = d.I64()

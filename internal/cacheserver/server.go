@@ -102,9 +102,12 @@ type Config struct {
 	// MaxStaleness lets the server eagerly drop versions invalidated more
 	// than this long ago ("too stale to be useful", §4.1); 0 disables.
 	MaxStaleness time.Duration
-	// HistoryLen bounds the retained invalidation-message ring used to
-	// order late still-valid inserts against already-processed
-	// invalidations. Defaults to 4096 messages.
+	// HistoryLen is how many of the newest invalidation messages the node
+	// retains to order late still-valid inserts against invalidations it
+	// has already processed: exactly the last HistoryLen, in a ring. A
+	// still-valid insert generated before the oldest of them is closed at
+	// its generating snapshot (Stats.FloorClosed counts them). Defaults to
+	// 8192 messages.
 	HistoryLen int
 	// Shards sets the number of lock shards the key space is split
 	// across, rounded up to a power of two; <= 0 means the default
@@ -185,6 +188,9 @@ type Stats struct {
 	Puts            uint64
 	Invalidations   uint64 // stream messages processed
 	Invalidated     uint64 // versions whose intervals were truncated
+	// FloorClosed counts still-valid offers closed at genSnap+1 because the
+	// history no longer reached back to genSnap (HistoryLen, a gap).
+	FloorClosed     uint64
 	EvictedCapacity uint64
 	EvictedStale    uint64
 	BytesUsed       int64
@@ -234,7 +240,7 @@ func New(cfg Config) *Server {
 		cfg.Clock = clock.Real{}
 	}
 	if cfg.HistoryLen <= 0 {
-		cfg.HistoryLen = 4096
+		cfg.HistoryLen = 8192
 	}
 	n := cfg.Shards
 	if n <= 0 {
@@ -577,6 +583,7 @@ func (s *Server) Stats() Stats {
 		st.MissCapacity += c.missCapacity.Load()
 		st.Puts += c.puts.Load()
 		st.Invalidated += c.invalidated.Load()
+		st.FloorClosed += c.floorClosed.Load()
 		st.EvictedCapacity += c.evictedCapacity.Load()
 		st.EvictedStale += c.evictedStale.Load()
 		st.Versions += int(c.versions.Load())
@@ -610,50 +617,67 @@ func (s *Server) ConsumeStream(sub *invalidation.Subscription) {
 // ---------------------------------------------------------------------------
 
 // histIndex is the node-global retained window of invalidation-stream
-// messages, tag-indexed so a still-valid Put's retroactive replay is a few
-// binary searches instead of a pairwise scan over the whole ring. It is
-// read-mostly: every stream message appends once (writer), and only
-// still-valid Puts read it. Shards never hold hist.mu while another lock
-// is being acquired; Puts acquire it under their shard lock (lock order:
-// shard.mu → hist.mu).
+// messages: a ring of the last maxLen, and each tag's newest retained
+// timestamp, so a still-valid Put's retroactive replay first asks whether
+// anything after its genSnap can match at all — one or two map probes a tag
+// — and scans the ring only when something does. It is read-mostly: every
+// stream message appends once (writer), and only still-valid Puts read it.
+// Shards never hold hist.mu while another lock is being acquired; Puts
+// acquire it under their shard lock (lock order: shard.mu → hist.mu).
 type histIndex struct {
 	mu     sync.RWMutex
 	maxLen int
-	msgs   []invalidation.Message
+	// ring holds the retained messages oldest first from head: it grows by
+	// append until it holds maxLen, and each later message overwrites the
+	// oldest.
+	ring []invalidation.Message
+	head int
 	// floor is the newest timestamp dropped from the ring (or the far side of
 	// the last gap the node crossed): inserts generated at snapshots older
 	// than it cannot be checked and are closed conservatively.
 	floor interval.Timestamp
 
-	// Posting lists are ascending timestamps (messages arrive in order),
-	// filed the way meets reads them: byTag posts each message tag under its
-	// own ID, table posts it under its table's wildcard ID.
-	byTag map[invalidation.TagID][]interval.Timestamp
-	table map[invalidation.TagID][]interval.Timestamp
+	// The newest retained timestamp that touched each tag, filed the way
+	// meets reads them: last under the tag's own ID, table under its table's
+	// wildcard ID. A tag leaves with the last retained message that carries it.
+	last  map[invalidation.TagID]interval.Timestamp
+	table map[invalidation.TagID]interval.Timestamp
 }
 
 func (h *histIndex) init(maxLen int) {
 	h.maxLen = maxLen
-	h.byTag = make(map[invalidation.TagID][]interval.Timestamp)
-	h.table = make(map[invalidation.TagID][]interval.Timestamp)
+	h.last = make(map[invalidation.TagID]interval.Timestamp)
+	h.table = make(map[invalidation.TagID]interval.Timestamp)
 }
 
-// add retains m. Compaction is deferred until the slice doubles so its cost
-// (including the index rebuild) amortizes to O(1) per message.
+// at returns the i-th oldest retained message. Caller holds h.mu.
+func (h *histIndex) at(i int) *invalidation.Message {
+	return &h.ring[(h.head+i)%len(h.ring)]
+}
+
+// add retains m, dropping the oldest message once the ring is full.
 func (h *histIndex) add(m invalidation.Message) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.msgs = append(h.msgs, m)
-	h.indexMessage(m)
-	if len(h.msgs) > 2*h.maxLen {
-		drop := len(h.msgs) - h.maxLen
-		h.floor = h.msgs[drop-1].TS
-		h.msgs = append(h.msgs[:0:0], h.msgs[drop:]...)
-		clear(h.byTag)
-		clear(h.table)
-		for _, m := range h.msgs {
-			h.indexMessage(m)
+	if len(h.ring) < h.maxLen {
+		h.ring = append(h.ring, m)
+	} else {
+		old := &h.ring[h.head]
+		h.floor = max(h.floor, old.TS) // a gap may have raised it past old
+		for _, t := range old.Tags {
+			if h.last[t] == old.TS {
+				delete(h.last, t)
+			}
+			if w := invalidation.WildOf(t); h.table[w] == old.TS {
+				delete(h.table, w)
+			}
 		}
+		*old = m
+		h.head = (h.head + 1) % h.maxLen
+	}
+	for _, t := range m.Tags {
+		h.last[t] = m.TS
+		h.table[invalidation.WildOf(t)] = m.TS
 	}
 }
 
@@ -668,19 +692,26 @@ func (h *histIndex) firstMatch(tags []invalidation.TagID, genSnap interval.Times
 	if genSnap < h.floor {
 		return 0, time.Time{}, true
 	}
-	best := interval.Infinity
+	var newest interval.Timestamp
 	for _, vt := range tags {
-		a, b := meets(h.byTag, h.table, vt)
-		best = min(best, firstAfter(a, genSnap), firstAfter(b, genSnap))
+		a, b := meets(h.last, h.table, vt)
+		newest = max(newest, a, b)
 	}
-	if best == interval.Infinity {
+	if newest <= genSnap {
 		return interval.Infinity, time.Time{}, false
 	}
-	i := sort.Search(len(h.msgs), func(i int) bool { return h.msgs[i].TS >= best })
-	if i < len(h.msgs) && h.msgs[i].TS == best {
-		wall = h.msgs[i].WallTime
+	// The message at newest matches, so the scan ends there at the latest.
+	for i := sort.Search(len(h.ring), func(i int) bool { return h.at(i).TS > genSnap }); i < len(h.ring); i++ {
+		m := h.at(i)
+		for _, mt := range m.Tags {
+			for _, vt := range tags {
+				if invalidation.Affects(mt, vt) {
+					return m.TS, m.WallTime, false
+				}
+			}
+		}
 	}
-	return best, wall, false
+	panic("cacheserver: history tag index names a message the ring does not hold")
 }
 
 // raiseFloor lifts the history floor to ts (crossGapLocked).
@@ -690,27 +721,4 @@ func (h *histIndex) raiseFloor(ts interval.Timestamp) {
 		h.floor = ts
 	}
 	h.mu.Unlock()
-}
-
-// indexMessage posts a retained message's tags into the history index.
-// Caller holds h.mu.
-func (h *histIndex) indexMessage(m invalidation.Message) {
-	for _, t := range m.Tags {
-		h.byTag[t] = append(h.byTag[t], m.TS)
-		// Dedup per message: several tags of one table post one entry.
-		w := invalidation.WildOf(t)
-		if tp := h.table[w]; len(tp) == 0 || tp[len(tp)-1] != m.TS {
-			h.table[w] = append(tp, m.TS)
-		}
-	}
-}
-
-// firstAfter returns the first timestamp in the ascending posting list
-// strictly greater than ts, or Infinity.
-func firstAfter(posts []interval.Timestamp, ts interval.Timestamp) interval.Timestamp {
-	i := sort.Search(len(posts), func(i int) bool { return posts[i] > ts })
-	if i == len(posts) {
-		return interval.Infinity
-	}
-	return posts[i]
 }

@@ -494,8 +494,8 @@ func TestFirstMessageBoundsUncheckableInserts(t *testing.T) {
 // TestLateInsertBeyondHistory: when the retained history no longer covers
 // the generating snapshot, the entry is conservatively closed at genSnap+1.
 func TestLateInsertBeyondHistory(t *testing.T) {
-	// Compaction is deferred until the ring doubles (amortized O(1)), so
-	// push more than 2*HistoryLen messages to force a drop.
+	// The ring keeps exactly the last HistoryLen messages: of eleven, 24..30
+	// stay and the floor is 22, the newest one dropped.
 	s := New(Config{HistoryLen: 4})
 	for ts := interval.Timestamp(10); ts <= 30; ts += 2 {
 		advanceTo(s, ts)
@@ -507,9 +507,17 @@ func TestLateInsertBeyondHistory(t *testing.T) {
 	if !r.Found || r.Still || r.Validity != iv(5, 11) {
 		t.Fatalf("uncheckable insert must close at genSnap+1: %+v", r)
 	}
+	// At the floor the ring holds everything after genSnap.
+	s.Put("at-floor", []byte("v"), iv(5, interval.Infinity), true, 22, ids([]invalidation.Tag{tag}))
+	if r := s.Lookup(context.Background(), "at-floor", 5, 30, 5, 50); !r.Found || !r.Still {
+		t.Fatalf("insert generated at the floor should stay still-valid: %+v", r)
+	}
 	// A tagless (pure-function) entry is exempt: nothing can invalidate it.
 	s.Put("pure", []byte("v"), iv(5, interval.Infinity), true, 0, nil)
 	if r := s.Lookup(context.Background(), "pure", 5, 50, 5, 50); !r.Found || !r.Still {
 		t.Fatalf("tagless entry should stay still-valid: %+v", r)
+	}
+	if st := s.Stats(); st.FloorClosed != 1 {
+		t.Fatalf("FloorClosed = %d, want 1: only the insert below the floor", st.FloorClosed)
 	}
 }

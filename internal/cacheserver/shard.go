@@ -57,6 +57,7 @@ type shardCounters struct {
 	missCapacity    atomic.Uint64
 	puts            atomic.Uint64
 	invalidated     atomic.Uint64
+	floorClosed     atomic.Uint64
 	evictedCapacity atomic.Uint64
 	evictedStale    atomic.Uint64
 	versions        atomic.Int64 // gauge: versions resident in this shard
@@ -72,6 +73,7 @@ func (c *shardCounters) reset() {
 	c.missCapacity.Store(0)
 	c.puts.Store(0)
 	c.invalidated.Store(0)
+	c.floorClosed.Store(0)
 	c.evictedCapacity.Store(0)
 	c.evictedStale.Store(0)
 	// versions and keys are gauges, not counters: they track residency.
@@ -209,6 +211,7 @@ func (sh *shard) settleStillLocked(s *Server, tags []invalidation.TagID, genSnap
 		// History cannot prove no invalidation hit it in (genSnap,
 		// lastInval]; close it at the last timestamp the generating
 		// transaction proved it valid.
+		sh.stats.floorClosed.Add(1)
 		return false, genSnap + 1, time.Time{}
 	case ts != interval.Infinity:
 		// Retroactive replay: the earliest retained message after genSnap
@@ -405,14 +408,15 @@ func delDep(m map[invalidation.TagID]map[*version]struct{}, k invalidation.TagID
 
 // meets is dual-granularity matching (paper §4.2), stated once for the two
 // inverted indexes the node keeps: a shard's tag → still-valid versions,
-// probed with a message's tags, and the history's tag → message timestamps,
-// probed with a version's. Both file every tag twice — in byTag under its own
-// TagID (key and wildcard TagIDs are disjoint, so one map holds both kinds)
-// and in table under its table's wildcard TagID — and the rule is the same in
-// either direction: a key tag meets its twin and its table's wildcard, both in
-// byTag; a wildcard meets every tag of its table. The second posting is the
-// zero P for a wildcard probe. invalidation.Affects is the pairwise form of
-// the same rule, kept as the reference the tests compare against.
+// probed with a message's tags, and the history's tag → newest retained
+// timestamp, probed with a version's. Both file every tag twice — under its
+// own TagID (key and wildcard TagIDs are disjoint, so one map holds both
+// kinds) and under its table's wildcard TagID in the second map — and the
+// rule is the same in either direction: a key tag meets its twin and its
+// table's wildcard, both in the first map; a wildcard meets every tag of its
+// table. The second result is the zero P for a wildcard probe; firstMatch
+// scans the ring with invalidation.Affects, the pairwise form of the same
+// rule, once a probe has proven a match exists.
 func meets[P any](byTag, table map[invalidation.TagID]P, t invalidation.TagID) (P, P) {
 	w := invalidation.WildOf(t)
 	if t == w {

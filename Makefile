@@ -40,11 +40,6 @@ benchmark-test:
 # operator-seeded node horizon, and a message handed to a node around its
 # stream (ApplyInvalidation called from outside internal/cacheserver) are
 # refused by name: each is a way to serve a value nobody checked.
-# Then the no-announcement guard: a node finds a gap in its stream by looking
-# at it (DESIGN.md "Crossing a gap"), so whoever owns the stream owes it
-# nothing at a restart. The call that announced one, and its opcode, are
-# refused by name: with it back, a node is safe only against the restarts
-# somebody remembered to announce.
 # Then the one-row guard: a stored row is a sql.Row — the bytes the WAL and
 # the snapshot carry, read through its accessors (DESIGN.md "Row format") —
 # from the statement that stages it to the executor that reads it back. A
@@ -63,10 +58,6 @@ lint:
 		echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE '\.\(\[\]sql\.Value\)' --include='*.go' --exclude='*_test.go' internal/db || true)"; if [ -n "$$out" ]; then \
 		echo "a boxed row is back; a version's payload is a sql.Row (v.Data.(sql.Row)), read with At and AppendDatums and never decoded into a []sql.Value the store keeps:"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rnE 'WarmBoot\(|opWarmBoot' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
-		cmd examples internal *.go || true)"; if [ -n "$$out" ]; then \
-		echo "a restart announcement is back; a cache node crosses a gap when its stream shows one (Server.apply: m.TS != horizon+1), and needs no call from whoever restarted the database:"; \
 		echo "$$out"; exit 1; fi
 
 # Kill-9 crash-recovery property test: build the real txcache-dbd, drive

@@ -1,7 +1,9 @@
 // Command pincushiond runs the pincushion daemon (paper §5.4): the
 // registry of pinned database snapshots. It answers GetPins/Register/
 // Release requests from TxCache libraries and periodically unpins old,
-// unused snapshots on the database daemon.
+// unused snapshots on the database daemon. Its counters are
+// pincushion.Stats, answered on rpc.OpStats; txcache-serve shows them on
+// /statsz.
 //
 // Usage:
 //
@@ -45,18 +47,5 @@ func main() {
 		log.Fatalf("pincushiond: %v", err)
 	}
 	log.Printf("pincushiond: serving on %s (retention %v)", l.Addr(), *retention)
-
-	// Periodic stats line, handy when watching an experiment: a library
-	// holding a pin-set lease asks about twice a second per client, not twice
-	// per transaction, and an expired class that stays populated means the
-	// sweeper runs too rarely.
-	go func() {
-		for range time.Tick(10 * time.Second) {
-			st := pc.Stats()
-			log.Printf("pincushiond: requests=%d pins=%d/%d/%d (active/idle/expired) leaked=%d sweeps=%d",
-				st.Requests, st.InClass(pincushion.PinActive), st.InClass(pincushion.PinIdle),
-				st.InClass(pincushion.PinExpired), st.Leaked, st.Sweeps)
-		}
-	}()
 	log.Fatal(pc.Serve(l))
 }

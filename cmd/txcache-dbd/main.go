@@ -41,52 +41,17 @@ import (
 )
 
 // status is what -status-file publishes once the daemon is serving: the
-// crash harness (and operators) read it to learn what a boot recovered
-// without scraping logs. It is rewritten on the vacuum ticker so the
-// durability counters — checkpoint failures in particular — stay current
-// for the life of the process.
+// crash harness (and operators) read it to learn what a boot recovered —
+// durability.recovery — without scraping logs. Past the process's identity
+// it is the daemon's counters, the same dbnet.ServerStats it answers
+// rpc.OpStats with, and it is rewritten on the vacuum ticker so they —
+// checkpoint failures and what vacuum is holding back in particular — stay
+// current for the life of the process.
 type status struct {
-	PID        int                `json:"pid"`
-	Addr       string             `json:"addr"`
-	Durable    bool               `json:"durable"`
-	Recovery   db.RecoveryInfo    `json:"recovery"`
-	LastCommit uint64             `json:"lastCommit"`
-	Durability db.DurabilityStats `json:"durability"`
-	// IndexEntries and IndexBytes are db.Stats' index account: what the
-	// versions retained for the staleness window cost in index memory.
-	IndexEntries int `json:"indexEntries"`
-	IndexBytes   int `json:"indexBytes"`
-	// Rows and RowBytes are db.Stats' row account: the rows those versions
-	// belong to, and what they hold — the version stores' row directories
-	// and every version's packed row.
-	Rows     int `json:"rows"`
-	RowBytes int `json:"rowBytes"`
-	// Versions, DeadVersions, PinnedSnapshots and Vacuumed say what vacuum
-	// is doing: the versions the stores hold, how many of them are dead and
-	// wait on a pinned snapshot that can see them (or on the next pass), how
-	// many snapshots are pinned, and how many versions vacuum has reclaimed
-	// since boot.
-	Versions        int    `json:"versions"`
-	DeadVersions    int    `json:"deadVersions"`
-	PinnedSnapshots int    `json:"pinnedSnapshots"`
-	Vacuumed        uint64 `json:"vacuumed"`
-}
-
-// engineStatus is the part of a status snapshot the engine reports.
-func engineStatus(engine *db.Engine) status {
-	st := engine.Stats()
-	return status{
-		LastCommit:      uint64(st.LastCommitTS),
-		Durability:      engine.DurabilityStats(),
-		IndexEntries:    st.IndexEntries,
-		IndexBytes:      st.IndexBytes,
-		Rows:            st.Rows,
-		RowBytes:        st.RowBytes,
-		Versions:        st.TotalVersions,
-		DeadVersions:    st.DeadVersions,
-		PinnedSnapshots: st.PinnedSnaps,
-		Vacuumed:        st.Vacuumed,
-	}
+	PID     int    `json:"pid"`
+	Addr    string `json:"addr"`
+	Durable bool   `json:"durable"`
+	dbnet.ServerStats
 }
 
 // writeStatus publishes one status snapshot. Plain JSON (no WAL framing):
@@ -149,7 +114,6 @@ func main() {
 			info.CommitsReplayed, info.DDLReplayed, info.TornTail, info.CleanBoot)
 	} else {
 		engine = db.New(opts)
-		info = db.RecoveryInfo{RecoveredTS: engine.LastCommit()}
 	}
 	// RecoveredTS 1 is the empty database: anything past it means the data
 	// directory already holds a loaded dataset and the bootstrap flags must
@@ -227,16 +191,11 @@ func main() {
 	// The engine starts its own incremental vacuum passes, from the commit
 	// sequencer every few hundred commits and whenever a snapshot is fully
 	// unpinned; this slow ticker is only a fallback for idle periods (a pass
-	// with nothing reclaimable is a read under shared locks) and an
-	// operator-visible progress log.
+	// with nothing reclaimable is a read under shared locks). What vacuum
+	// has done shows in the status file and on /statsz.
 	go func() {
-		last := uint64(0)
 		for range time.Tick(*vacuumEvery) {
 			engine.Vacuum()
-			if n := engine.Stats().Vacuumed; n > last {
-				log.Printf("txcache-dbd: vacuumed %d versions (total)", n)
-				last = n
-			}
 		}
 	}()
 
@@ -246,10 +205,9 @@ func main() {
 	}
 	log.Printf("txcache-dbd: serving on %s (durable=%v)", l.Addr(), durable)
 
+	srv := &dbnet.Server{Engine: engine}
 	statusSnap := func() status {
-		st := engineStatus(engine)
-		st.PID, st.Addr, st.Durable, st.Recovery = os.Getpid(), l.Addr().String(), durable, info
-		return st
+		return status{PID: os.Getpid(), Addr: l.Addr().String(), Durable: durable, ServerStats: srv.Stats()}
 	}
 	if *statusFile != "" {
 		if err := writeStatus(*statusFile, statusSnap()); err != nil {
@@ -267,7 +225,7 @@ func main() {
 	}
 
 	errc := make(chan error, 1)
-	go func() { errc <- (&dbnet.Server{Engine: engine}).Serve(l) }()
+	go func() { errc <- srv.Serve(l) }()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"txcache/internal/db"
+	"txcache/internal/db/dbnet"
 	"txcache/internal/sql"
 )
 
 // TestStatusShowsWhatVacuumHolds reads the status file the way an operator
 // does: a pinned snapshot holds the versions updates killed, and they show
-// as deadVersions until it is unpinned and the vacuum ticker runs a pass.
+// as db.deadVersions until it is unpinned and the vacuum ticker runs a pass.
 func TestStatusShowsWhatVacuumHolds(t *testing.T) {
 	const rows = 10
 	engine := db.New(db.Options{})
@@ -37,22 +38,23 @@ func TestStatusShowsWhatVacuumHolds(t *testing.T) {
 		exec("INSERT INTO t (id, v) VALUES (?, 0)", i)
 	}
 	path := filepath.Join(t.TempDir(), "status.json")
+	srv := &dbnet.Server{Engine: engine}
 	read := func() map[string]float64 {
 		t.Helper()
-		if err := writeStatus(path, engineStatus(engine)); err != nil {
+		if err := writeStatus(path, status{ServerStats: srv.Stats()}); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fields map[string]any
+		var fields struct{ DB map[string]any }
 		if err := json.Unmarshal(blob, &fields); err != nil {
 			t.Fatal(err)
 		}
 		out := map[string]float64{}
 		for _, name := range []string{"versions", "deadVersions", "pinnedSnapshots", "vacuumed"} {
-			v, ok := fields[name].(float64)
+			v, ok := fields.DB[name].(float64)
 			if !ok {
 				t.Fatalf("status file has no %q: %s", name, blob)
 			}

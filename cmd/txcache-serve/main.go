@@ -59,6 +59,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("txcache-serve: dial db %s: %v", *dbAddr, err)
 	}
+	// Every tier's counters show on /statsz, under these names.
+	tiers := map[string]func(context.Context) (json.RawMessage, error){"db": dbClient.StatsJSON}
 	nodes := map[string]cacheserver.Node{}
 	for _, addr := range strings.Split(*caches, ",") {
 		addr = strings.TrimSpace(addr)
@@ -70,6 +72,7 @@ func main() {
 			log.Fatalf("txcache-serve: dial cache %s: %v", addr, err)
 		}
 		nodes[addr] = cn
+		tiers["cache "+addr] = cn.StatsJSON
 	}
 	cfg := core.Config{DB: dbClient, Nodes: nodes, Clock: clock.Real{}}
 	if *pcAddr != "" {
@@ -78,6 +81,7 @@ func main() {
 			log.Fatalf("txcache-serve: dial pincushion %s: %v", *pcAddr, err)
 		}
 		cfg.Pincushion = pc
+		tiers["pincushion"] = pc.StatsJSON
 	}
 	client := core.NewClient(cfg)
 
@@ -107,11 +111,7 @@ func main() {
 		MaxQueue:       *maxQueue,
 		Staleness:      *staleness,
 		Logf:           log.Printf,
-		DBStats: func() (json.RawMessage, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			return dbClient.ServerStats(ctx)
-		},
+		Tiers:          tiers,
 	})
 
 	l, err := net.Listen("tcp", *listen)

@@ -1,6 +1,7 @@
 // Command txcached runs one TxCache cache server node (paper §4). It
-// serves LOOKUP/PUT/STATS requests and applies the invalidation stream
-// pushed by the database daemon.
+// serves LOOKUP/PUT requests and applies the invalidation stream pushed by
+// the database daemon. Its counters are cacheserver.Stats, answered on
+// rpc.OpStats; txcache-serve shows them on /statsz.
 //
 // Usage:
 //
@@ -40,14 +41,6 @@ func main() {
 	}
 	log.Printf("txcached: serving on %s (capacity %s, max staleness %v)", l.Addr(), *capacity, *maxStale)
 
-	// Periodic stats line, handy when watching an experiment.
-	go func() {
-		for range time.Tick(10 * time.Second) {
-			st := srv.Stats()
-			log.Printf("txcached: lookups=%d hit%%=%.1f puts=%d inval=%d floorClosed=%d bytes=%d keys=%d",
-				st.Lookups, 100*st.HitRate(), st.Puts, st.Invalidations, st.FloorClosed, st.BytesUsed, st.Keys)
-		}
-	}()
 	if err := srv.Serve(l); err != nil {
 		fmt.Fprintf(os.Stderr, "txcached: %v\n", err)
 		os.Exit(1)

@@ -59,13 +59,13 @@ import (
 	"txcache/internal/invalidation"
 )
 
-// dbdStatus mirrors the daemon's -status-file payload.
+// dbdStatus mirrors the daemon's -status-file payload: what a boot
+// recovered is Durability.Recovery.
 type dbdStatus struct {
-	PID        int             `json:"pid"`
-	Addr       string          `json:"addr"`
-	Durable    bool            `json:"durable"`
-	Recovery   db.RecoveryInfo `json:"recovery"`
-	LastCommit uint64          `json:"lastCommit"`
+	PID     int    `json:"pid"`
+	Addr    string `json:"addr"`
+	Durable bool   `json:"durable"`
+	dbnet.ServerStats
 }
 
 const crashSchema = `
@@ -264,7 +264,7 @@ func buildDaemon(t *testing.T, dir string) string {
 // rebooted daemon (see the file comment for the property list).
 func verifyRecovered(t *testing.T, cl *dbnet.Client, workers []*crashWorker, st dbdStatus, cycle int) {
 	t.Helper()
-	rec := st.Recovery.RecoveredTS
+	rec := st.Durability.Recovery.RecoveredTS
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	// A read/write transaction always runs at the latest snapshot.
@@ -415,9 +415,9 @@ func TestCrashRecovery(t *testing.T) {
 			t.Fatal("daemon did not open the data directory durably")
 		}
 		if cycle > 0 {
-			if st.Recovery.RecoveredTS < lastStatus.Recovery.RecoveredTS {
+			if st.Durability.Recovery.RecoveredTS < lastStatus.Durability.Recovery.RecoveredTS {
 				t.Fatalf("cycle %d: recovered ts went backward: %d -> %d",
-					cycle, lastStatus.Recovery.RecoveredTS, st.Recovery.RecoveredTS)
+					cycle, lastStatus.Durability.Recovery.RecoveredTS, st.Durability.Recovery.RecoveredTS)
 			}
 		}
 		lastStatus = st
@@ -451,19 +451,19 @@ func TestCrashRecovery(t *testing.T) {
 			verifyRecovered(t, cl, workers, st, cycle)
 		}
 		if pending != nil {
-			checkCanary(t, node, *pending, cl, workers[0], st.Recovery.RecoveredTS, cycle)
+			checkCanary(t, node, *pending, cl, workers[0], st.Durability.Recovery.RecoveredTS, cycle)
 			pending = nil
 		}
 
 		if cycle == cycles {
 			// Final boot is verification-only: prove the previous SIGTERM
 			// left a clean-shutdown marker that skipped replay entirely.
-			if !st.Recovery.CleanBoot {
+			if !st.Durability.Recovery.CleanBoot {
 				d.dumpLog(t)
-				t.Fatalf("final boot after SIGTERM was not clean: %+v", st.Recovery)
+				t.Fatalf("final boot after SIGTERM was not clean: %+v", st.Durability.Recovery)
 			}
-			if st.Recovery.CommitsReplayed != 0 || st.Recovery.DDLReplayed != 0 {
-				t.Fatalf("clean boot still replayed work: %+v", st.Recovery)
+			if st.Durability.Recovery.CommitsReplayed != 0 || st.Durability.Recovery.DDLReplayed != 0 {
+				t.Fatalf("clean boot still replayed work: %+v", st.Durability.Recovery)
 			}
 			cl.Close()
 			d.terminate(t)
@@ -518,7 +518,7 @@ func TestCrashRecovery(t *testing.T) {
 		conflicts += int64(w.conflicts)
 	}
 	t.Logf("crash cycles: %d kills, %d acked ops, %d in-doubt acks proven durable, %d serialization retries, final recovered ts %d",
-		cycles-1, acked, indoubt, conflicts, lastStatus.Recovery.RecoveredTS)
+		cycles-1, acked, indoubt, conflicts, lastStatus.Durability.Recovery.RecoveredTS)
 	if acked == 0 {
 		t.Fatal("no operation was ever acknowledged; the harness exercised nothing")
 	}

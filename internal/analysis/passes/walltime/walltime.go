@@ -1,16 +1,15 @@
 // Package walltime forbids raw wall-clock reads in the repo's seeded,
-// deterministic paths. The RUBiS loader, the wire codecs, and the load
-// schedules must produce identical output for identical seeds — PR 2's
-// rubis.Load flake was exactly a per-call time.Now() in a seeded path that
-// broke same-seed determinism whenever two loads straddled a second
-// boundary. Code in scope reads time through an internal/clock.Clock (or a
-// value threaded from one); genuine wall-clock measurement sites carry a
-// //lint:allow walltime directive saying why wall time is the point.
+// deterministic paths. The RUBiS loader and the wire codecs must produce
+// identical output for identical seeds — an early rubis.Load flake was
+// exactly a per-call time.Now() in a seeded path that broke same-seed
+// determinism whenever two loads straddled a second boundary. Code in scope
+// reads time through an internal/clock.Clock (or a value threaded from one);
+// genuine wall-clock measurement sites carry a //lint:allow walltime
+// directive saying why wall time is the point.
 package walltime
 
 import (
 	"go/ast"
-	"path/filepath"
 	"strings"
 
 	"txcache/internal/analysis"
@@ -24,61 +23,29 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// scope lists the deterministic surfaces. An empty File means the whole
-// package. The data-structure packages (btree, mvcc, interval,
-// invalidation, consistent, sql, wire) are ordered by logical timestamps
-// and must stay wall-clock-free; rubis generates seeded datasets and
-// seeded workloads; loadgen's schedules must replay identically for a
-// given seed (its driver, by contrast, measures real latencies and is out
-// of scope on purpose).
-var scope = []struct {
-	Pkg  string // import path
-	File string // optional basename restriction
-}{
-	{Pkg: "txcache/internal/rubis"},
-	{Pkg: "txcache/internal/wire"},
-	{Pkg: "txcache/internal/btree"},
-	{Pkg: "txcache/internal/mvcc"},
-	{Pkg: "txcache/internal/interval"},
-	{Pkg: "txcache/internal/invalidation"},
-	{Pkg: "txcache/internal/consistent"},
-	{Pkg: "txcache/internal/sql"},
-	{Pkg: "txcache/internal/loadgen", File: "schedule.go"},
+// scope lists the deterministic surfaces. The data-structure packages
+// (btree, mvcc, interval, invalidation, consistent, sql, wire) are ordered by
+// logical timestamps and must stay wall-clock-free; rubis generates seeded
+// datasets and seeded workloads.
+var scope = map[string]bool{
+	"txcache/internal/rubis":        true,
+	"txcache/internal/wire":         true,
+	"txcache/internal/btree":        true,
+	"txcache/internal/mvcc":         true,
+	"txcache/internal/interval":     true,
+	"txcache/internal/invalidation": true,
+	"txcache/internal/consistent":   true,
+	"txcache/internal/sql":          true,
 }
 
 // banned are the raw wall-clock entry points in package time.
 var banned = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 func run(pass *analysis.Pass) error {
-	var files []string // basename restrictions, nil = whole package
-	inScope := false
-	for _, s := range scope {
-		if s.Pkg == pass.PkgPath {
-			inScope = true
-			if s.File != "" {
-				files = append(files, s.File)
-			} else {
-				files = nil
-				break
-			}
-		}
-	}
-	if !inScope {
+	if !scope[pass.PkgPath] {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if len(files) > 0 {
-			base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-			ok := false
-			for _, want := range files {
-				if base == want {
-					ok = true
-				}
-			}
-			if !ok {
-				continue
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

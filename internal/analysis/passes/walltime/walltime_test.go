@@ -10,7 +10,6 @@ import (
 func TestWalltime(t *testing.T) {
 	analysistest.Run(t, walltime.Analyzer,
 		"txcache/internal/rubis",
-		"txcache/internal/loadgen",
 		"txcache/internal/other",
 	)
 }

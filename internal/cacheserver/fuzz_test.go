@@ -1,6 +1,7 @@
 package cacheserver
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -32,10 +33,8 @@ func fuzzSeedFrames() [][]byte {
 	// count the frame cannot hold.
 	putZeroTag := putHead().U32(1).U64(0).Blob([]byte("value"))
 	putHugeCount := putHead().U32(1 << 30).U64(uint64(tags[0])).Blob([]byte("value"))
-	stats := wire.NewBuffer(opStats)
-	stats.U32(4).Bool(false)
-	reset := wire.NewBuffer(opStats)
-	reset.U32(5).Bool(true)
+	stats := wire.NewBuffer(rpc.OpStats).U32(4)
+	reset := wire.NewBuffer(opReset).U32(5)
 	// Stream messages as a node fresh from New meets them: a gap (0 -> 9),
 	// the horizon's successor (0 -> 1), and one at its horizon (a duplicate).
 	inval := func(ts interval.Timestamp) []byte {
@@ -86,7 +85,11 @@ func FuzzHandle(f *testing.F) {
 			t.Fatalf("response frame shorter than its own header: %x", resp)
 		}
 		switch op {
-		case opLookupResp, opLookupBatchResp, opStatsResp, rpc.OpAck, rpc.OpErr:
+		case rpc.OpStats:
+			if err := json.Unmarshal(resp[5:], new(Stats)); err != nil {
+				t.Fatalf("stats reply does not decode: %v", err)
+			}
+		case opLookupResp, opLookupBatchResp, rpc.OpAck, rpc.OpErr:
 		default:
 			t.Fatalf("unknown response opcode %d", op)
 		}

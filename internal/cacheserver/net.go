@@ -2,6 +2,7 @@ package cacheserver
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -44,15 +45,14 @@ type BatchLookup struct {
 }
 
 // Protocol opcodes; the frame header, the request IDs that let a client
-// pipeline many requests over one connection, and the ack and error replies
-// are internal/rpc's. A frame sent one-way (async puts, unacked invalidation
-// pushes) is applied and never answered.
+// pipeline many requests over one connection, the ack and error replies and
+// the stats request are internal/rpc's. A frame sent one-way (async puts,
+// unacked invalidation pushes) is applied and never answered.
 const (
 	opLookup          byte = 1
 	opLookupResp      byte = 2
 	opPut             byte = 3
-	opStats           byte = 5
-	opStatsResp       byte = 6
+	opReset           byte = 5 // ResetStats
 	opInval           byte = 7
 	opLookupBatch     byte = 10
 	opLookupBatchResp byte = 11
@@ -137,24 +137,11 @@ func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
 		// Copy data out of the request buffer before it is reused.
 		s.Put(key, append([]byte(nil), data...), interval.Interval{Lo: lo, Hi: hi}, still, genSnap, tags)
 		return nil, nil
-	case opStats:
-		reset := d.Bool()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if reset {
-			s.ResetStats()
-			return nil, nil
-		}
-		st := s.Stats()
-		e := rpc.NewFrame(opStatsResp)
-		e.U64(st.Lookups).U64(st.Hits)
-		e.U64(st.MissCompulsory).U64(st.MissConsistency).U64(st.MissStaleness).U64(st.MissCapacity)
-		e.U64(st.Puts).U64(st.Invalidations).U64(st.Invalidated).U64(st.FloorClosed)
-		e.U64(st.EvictedCapacity).U64(st.EvictedStale)
-		e.I64(st.BytesUsed).I64(int64(st.Versions)).I64(int64(st.Keys))
-		e.U64(uint64(st.Horizon))
-		return e, nil
+	case rpc.OpStats:
+		return rpc.StatsReply(s.Stats())
+	case opReset:
+		s.ResetStats()
+		return nil, nil
 	case opInval:
 		m, err := invalidation.DecodeMessage(d)
 		if err != nil {
@@ -312,7 +299,7 @@ func (c *Client) CloseContext(ctx context.Context) {
 
 // ClientStats snapshots the transport counters.
 func (c *Client) ClientStats() ClientStats {
-	t := c.rpc.Stats()
+	t := c.rpc.Counters()
 	return ClientStats{
 		Lookups:      c.counters.lookups.Load(),
 		LookupErrors: c.counters.lookupErrors.Load(),
@@ -463,6 +450,11 @@ func (c *Client) putSender() {
 	}
 }
 
+// StatsJSON fetches the node's Stats as the JSON it answered with.
+func (c *Client) StatsJSON(ctx context.Context) (json.RawMessage, error) {
+	return c.rpc.Stats(ctx)
+}
+
 // Stats implements Node over TCP. Transport errors return zero stats and
 // are counted in ClientStats.CallErrors.
 func (c *Client) Stats() Stats {
@@ -470,29 +462,11 @@ func (c *Client) Stats() Stats {
 	// here: a wedged node must not hang a monitoring poll forever.
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
 	defer cancel()
-	op, body, err := c.rpc.Call(ctx, rpc.NewFrame(opStats).Bool(false))
-	if err != nil || op != opStatsResp {
+	var st Stats
+	if blob, err := c.StatsJSON(ctx); err != nil || json.Unmarshal(blob, &st) != nil {
 		c.counters.callErrors.Add(1)
 		return Stats{}
 	}
-	d := wire.NewDecoder(body)
-	var st Stats
-	st.Lookups = d.U64()
-	st.Hits = d.U64()
-	st.MissCompulsory = d.U64()
-	st.MissConsistency = d.U64()
-	st.MissStaleness = d.U64()
-	st.MissCapacity = d.U64()
-	st.Puts = d.U64()
-	st.Invalidations = d.U64()
-	st.Invalidated = d.U64()
-	st.FloorClosed = d.U64()
-	st.EvictedCapacity = d.U64()
-	st.EvictedStale = d.U64()
-	st.BytesUsed = d.I64()
-	st.Versions = int(d.I64())
-	st.Keys = int(d.I64())
-	st.Horizon = interval.Timestamp(d.U64())
 	return st
 }
 
@@ -501,7 +475,7 @@ func (c *Client) Stats() Stats {
 func (c *Client) ResetStats() {
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
 	defer cancel()
-	if _, _, err := c.rpc.Call(ctx, rpc.NewFrame(opStats).Bool(true)); err != nil {
+	if _, _, err := c.rpc.Call(ctx, rpc.NewFrame(opReset)); err != nil {
 		c.counters.callErrors.Add(1)
 	}
 }

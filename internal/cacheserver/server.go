@@ -177,28 +177,28 @@ type Server struct {
 	hist histIndex
 }
 
-// Stats are cumulative cache-node counters.
+// Stats are cumulative cache-node counters, answered on rpc.OpStats.
 type Stats struct {
-	Lookups         uint64
-	Hits            uint64
-	MissCompulsory  uint64
-	MissConsistency uint64
-	MissStaleness   uint64
-	MissCapacity    uint64
-	Puts            uint64
-	Invalidations   uint64 // stream messages processed
-	Invalidated     uint64 // versions whose intervals were truncated
+	Lookups         uint64 `json:"lookups"`
+	Hits            uint64 `json:"hits"`
+	MissCompulsory  uint64 `json:"missCompulsory"`
+	MissConsistency uint64 `json:"missConsistency"`
+	MissStaleness   uint64 `json:"missStaleness"`
+	MissCapacity    uint64 `json:"missCapacity"`
+	Puts            uint64 `json:"puts"`
+	Invalidations   uint64 `json:"invalidations"` // stream messages processed
+	Invalidated     uint64 `json:"invalidated"`   // versions whose intervals were truncated
 	// FloorClosed counts still-valid offers closed at genSnap+1 because the
 	// history no longer reached back to genSnap (HistoryLen, a gap).
-	FloorClosed     uint64
-	EvictedCapacity uint64
-	EvictedStale    uint64
-	BytesUsed       int64
-	Versions        int
-	Keys            int
+	FloorClosed     uint64 `json:"floorClosed"`
+	EvictedCapacity uint64 `json:"evictedCapacity"`
+	EvictedStale    uint64 `json:"evictedStale"`
+	BytesUsed       int64  `json:"bytesUsed"`
+	Versions        int    `json:"versions"`
+	Keys            int    `json:"keys"`
 	// Horizon is the node's consistency horizon (LastInvalidation): the
 	// newest timestamp it can serve still-valid entries through.
-	Horizon interval.Timestamp
+	Horizon interval.Timestamp `json:"horizon"`
 }
 
 // Misses returns the total miss count.

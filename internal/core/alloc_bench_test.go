@@ -320,7 +320,7 @@ func TestCodecErrorsCounted(t *testing.T) {
 
 	for i, payload := range parentPayloads {
 		id := int64(i)
-		srv.Put(CacheKey("bench.page", id), []byte(payload),
+		srv.Put(cacheKey("bench.page", []sql.Value{id}), []byte(payload),
 			interval.Interval{Lo: last(), Hi: interval.Infinity}, true, last(), nil)
 		if got, err := page(tx, id); err != nil || got != "u" {
 			t.Fatalf("page(%d) over parent-format bytes = %q, %v; want the database's %q", id, got, err, "u")

@@ -88,11 +88,6 @@ func MakeCacheable[T any](c *Client, name string, fn Cacheable[T]) Cacheable[T] 
 	}
 }
 
-// CacheKey returns the cache key MakeCacheable derives for a call of the
-// named cacheable function with args. Applications use it to build the key
-// sets handed to Tx.Prefetch.
-func CacheKey(name string, args ...sql.Value) string { return cacheKey(name, args) }
-
 // cacheKey serializes the function name and arguments into the cache key.
 // Argument encoding is the self-delimiting ordenc form, so distinct
 // argument vectors can never collide — the class of bug the paper's §2.1
@@ -109,31 +104,11 @@ func cacheKey(name string, args []sql.Value) string {
 
 // lookup consults the cache and, on a hit, narrows the pin set. It rejects
 // (degrading to a miss) any value whose acceptance would empty the pin set.
-// Results staged by Tx.Prefetch are consumed first, saving the round trip.
 func (tx *Tx) lookup(key string) ([]byte, bool) {
 	lo, hi, ok := tx.bounds()
 	if !ok {
 		tx.c.stats.MissNoPins.Add(1)
 		return nil, false
-	}
-	if r, ok := tx.prefetched[key]; ok {
-		delete(tx.prefetched, key)
-		switch {
-		case !r.Found:
-			// Bounds only narrow after a prefetch, and anything missing the
-			// wider bounds misses every sub-range, so a prefetched miss is
-			// still a miss — no second round trip.
-			tx.countMiss(r.Miss)
-			return nil, false
-		case r.Validity.OverlapsRange(lo, hi):
-			if data, ok := tx.accept(r); ok {
-				tx.c.stats.PrefetchHits.Add(1)
-				return data, ok
-			}
-			return nil, false
-		}
-		// Found, but the pin set narrowed past the prefetched version since
-		// the probe: retry against the live node below.
 	}
 	node := tx.c.node(key)
 	if node == nil {
@@ -168,9 +143,9 @@ func (tx *Tx) accept(r cacheserver.LookupResult) ([]byte, bool) {
 	if !tx.c.noCon {
 		// Once a database snapshot is reified, every accepted value must be
 		// valid at it (paper §6.2: the transaction now runs at a specific
-		// timestamp). Live lookups already send [dbSnap, dbSnap] bounds;
-		// this guards results staged by Prefetch under the wider pre-
-		// selection bounds.
+		// timestamp). The lookup already sent [dbSnap, dbSnap] bounds, but
+		// the reply is a node's word, from outside the process: it is
+		// checked, not trusted.
 		if tx.dbSnap != 0 && !r.Validity.Contains(tx.dbSnap) {
 			tx.c.stats.MissDefensive.Add(1)
 			return nil, false
@@ -195,57 +170,6 @@ func (tx *Tx) accept(r cacheserver.LookupResult) ([]byte, bool) {
 	tx.c.stats.CacheHits.Add(1)
 	tx.observe(r.Validity, r.Tags, r.Still)
 	return r.Data, true
-}
-
-// Prefetch resolves a set of cache keys (built with CacheKey) ahead of the
-// cacheable calls that will consume them: the probes are grouped by
-// responsible node and each group travels as one batched lookup frame, so a
-// transaction's whole pin-set probe costs one round trip per node instead
-// of one per key. Results are staged on the transaction and consumed by the
-// next matching cacheable call; staged hits are re-validated against the
-// pin set at consumption time, so prefetching never weakens consistency.
-// Returns the number of probes that found a candidate version.
-func (tx *Tx) Prefetch(keys ...string) int {
-	if tx == nil || tx.done || !tx.cacheOK() || tx.ctx.Err() != nil {
-		return 0
-	}
-	lo, hi, ok := tx.bounds()
-	if !ok {
-		return 0
-	}
-	groups := make(map[cacheserver.Node][]cacheserver.BatchLookup)
-	for _, key := range keys {
-		if _, dup := tx.prefetched[key]; dup {
-			continue
-		}
-		node := tx.c.node(key)
-		if node == nil {
-			continue
-		}
-		groups[node] = append(groups[node], cacheserver.BatchLookup{
-			Key: key, Lo: lo, Hi: hi, OrigLo: tx.origLo, OrigHi: interval.Infinity,
-		})
-	}
-	found := 0
-	for node, reqs := range groups {
-		if tx.ctx.Err() != nil {
-			// Cancelled mid-prefetch: stop issuing round trips. Anything
-			// already staged stays on this transaction only and is
-			// re-validated (or discarded) at consumption time.
-			return found
-		}
-		tx.c.stats.Prefetches.Add(1)
-		for i, r := range node.LookupBatch(tx.ctx, reqs) {
-			if tx.prefetched == nil {
-				tx.prefetched = make(map[string]cacheserver.LookupResult)
-			}
-			tx.prefetched[reqs[i].Key] = r
-			if r.Found {
-				found++
-			}
-		}
-	}
-	return found
 }
 
 // put installs a computed result as far as it was proven. An open frame —

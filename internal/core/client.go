@@ -145,12 +145,6 @@ type ClientStats struct {
 	EncodeErrors atomic.Uint64
 	DecodeErrors atomic.Uint64
 
-	// Prefetches counts batched multi-key lookup round trips issued by
-	// Tx.Prefetch; PrefetchHits counts prefetched results later consumed as
-	// cache hits without a second round trip.
-	Prefetches   atomic.Uint64
-	PrefetchHits atomic.Uint64
-
 	// NodesAdded / NodesRemoved count live membership changes.
 	NodesAdded   atomic.Uint64
 	NodesRemoved atomic.Uint64

@@ -383,14 +383,11 @@ func TestStillValidComposition(t *testing.T) {
 
 	// compose runs sum in its own transaction and checks it was built from
 	// cache hits alone: no query, one put.
-	compose := func(t *testing.T, r *heldRig, args []sql.Value, prep func(tx *Tx)) {
+	compose := func(t *testing.T, r *heldRig, args []sql.Value) {
 		t.Helper()
 		st := r.client.Stats()
 		q0, p0 := st.DBQueries.Load(), st.CachePuts.Load()
 		r.ro(t, time.Minute, func(tx *Tx) {
-			if prep != nil {
-				prep(tx)
-			}
 			if v, err := r.sum(tx, args...); err != nil || v != 10*composeAccounts {
 				t.Fatalf("sum = %d, %v", v, err)
 			}
@@ -408,7 +405,7 @@ func TestStillValidComposition(t *testing.T) {
 			r := newHeldRig(t, one, nil)
 			r.warm(t)
 			args := r.sumArgs(t, 0)
-			compose(t, r, args, nil)
+			compose(t, r, args)
 			key := cacheKey("sum", args)
 			r.wantStill(t, key, accountTags)
 
@@ -427,25 +424,6 @@ func TestStillValidComposition(t *testing.T) {
 				t.Fatalf("served at %d, want the fresh pin %d", ts, r.engine.LastCommit())
 			}
 			r.wantStill(t, key, accountTags)
-		})
-
-		t.Run("PrefetchedInners", func(t *testing.T) {
-			r := newHeldRig(t, one, nil)
-			r.warm(t)
-			args := r.sumArgs(t, 0)
-			compose(t, r, args, func(tx *Tx) {
-				var keys []string
-				for i := int64(0); i < composeAccounts; i++ {
-					keys = append(keys, CacheKey("bal", i))
-				}
-				if n := tx.Prefetch(keys...); n != composeAccounts {
-					t.Fatalf("prefetch found %d of %d", n, composeAccounts)
-				}
-			})
-			if got := r.client.Stats().PrefetchHits.Load(); got != composeAccounts {
-				t.Fatalf("PrefetchHits = %d, want %d", got, composeAccounts)
-			}
-			r.wantStill(t, cacheKey("sum", args), accountTags)
 		})
 
 		t.Run("OwnQueryPlusHitsUnitesTheTags", func(t *testing.T) {
@@ -472,12 +450,12 @@ func TestStillValidComposition(t *testing.T) {
 			r.warm(t)
 			// The result goes to the node that does not hold bal(0), and only
 			// that node hears of the next two commits.
-			outer := 1 - r.nodeOf(CacheKey("bal", int64(0)))
+			outer := 1 - r.nodeOf(cacheKey("bal", []sql.Value{int64(0)}))
 			args := r.sumArgs(t, outer)
 			r.commit(t, "UPDATE other SET v = 1 WHERE id = 1")
 			r.commit(t, "UPDATE other SET v = 2 WHERE id = 1")
 			r.deliver(t, outer) // the other node stays two commits behind
-			compose(t, r, args, nil)
+			compose(t, r, args)
 			// The outer's node replayed the two commits the inners' node has
 			// not seen against the inherited tags, found nothing, and serves
 			// the result through its own, later horizon.
@@ -488,7 +466,7 @@ func TestStillValidComposition(t *testing.T) {
 			r := newHeldRig(t, one, func(c *Config) { c.NoConsistency = true })
 			r.warm(t)
 			args := r.sumArgs(t, 0)
-			compose(t, r, args, nil)
+			compose(t, r, args)
 			key := cacheKey("sum", args)
 			r.wantStill(t, key, accountTags)
 			upd := r.commit(t, "UPDATE accounts SET balance = 11 WHERE id = 2")
@@ -506,7 +484,7 @@ func TestStillValidComposition(t *testing.T) {
 			// The only fresh pin predates the update, so bal(1) hits its
 			// closed version and the sum is history: bounded, no tags.
 			args := r.sumArgs(t, 0)
-			compose(t, r, args, nil)
+			compose(t, r, args)
 			if got := r.peek(cacheKey("sum", args), pin); !got.Found || got.Still {
 				t.Fatalf("at the old pin %d: found=%v still=%v", pin, got.Found, got.Still)
 			}
@@ -518,14 +496,14 @@ func TestStillValidComposition(t *testing.T) {
 			// bal(0) is held back; the result goes to the other one.
 			r := newHeldRig(t, []cacheserver.Config{{HistoryLen: 1}, {HistoryLen: 1}}, nil)
 			r.warm(t)
-			held := r.nodeOf(CacheKey("bal", int64(0)))
+			held := r.nodeOf(cacheKey("bal", []sql.Value{int64(0)}))
 			behind := r.nodes[held].LastInvalidation()
 			for i := 0; i < 4; i++ {
 				r.commit(t, "UPDATE other SET v = ? WHERE id = 1", int64(i))
 			}
 			r.deliver(t, 1-held)
 			args := r.sumArgs(t, 1-held)
-			compose(t, r, args, nil)
+			compose(t, r, args)
 			// The outer's node cannot prove the inherited tags untouched
 			// since the held node's horizon, so it keeps only what the
 			// transaction proved.
@@ -537,7 +515,7 @@ func TestStillValidComposition(t *testing.T) {
 			r.warm(t)
 			// Update row 0, tell only the node that does NOT hold bal(0),
 			// and put the composed result there.
-			held := r.nodeOf(CacheKey("bal", int64(0)))
+			held := r.nodeOf(cacheKey("bal", []sql.Value{int64(0)}))
 			upd := r.commit(t, "UPDATE accounts SET balance = 99 WHERE id = 0")
 			r.deliver(t, 1-held)
 			args := r.sumArgs(t, 1-held)
@@ -545,7 +523,7 @@ func TestStillValidComposition(t *testing.T) {
 			// correct at the old pin, which is all the transaction can run
 			// at. The outer's node must not let a sum built on it outlive
 			// the update it has itself seen.
-			compose(t, r, args, nil)
+			compose(t, r, args)
 			r.wantClosedAt(t, cacheKey("sum", args), upd)
 		})
 
@@ -647,7 +625,7 @@ func TestStillValidComposition(t *testing.T) {
 							}
 						}
 					}
-					compose(t, r, args, nil)
+					compose(t, r, args)
 					r.hook = nil
 					if !tm.duringCompose {
 						r.wantStill(t, cacheKey("sum", args), accountTags)

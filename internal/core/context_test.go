@@ -47,9 +47,6 @@ func TestTxMisuseAfterCommit(t *testing.T) {
 	if _, err := get(tx, int64(0)); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("cacheable call after Commit = %v, want ErrTxDone", err)
 	}
-	if n := tx.Prefetch(CacheKey("getBalance", int64(0))); n != 0 {
-		t.Fatalf("Prefetch after Commit staged %d results, want 0", n)
-	}
 	tx.Abort() // must be a harmless no-op after Commit
 }
 
@@ -136,62 +133,6 @@ func TestCancelAbortsAndReleasesPins(t *testing.T) {
 	}
 }
 
-// TestPrefetchCancelNoStaleLeak: a prefetch whose transaction is cancelled
-// stages nothing usable — the staged hit dies with the transaction and a
-// later transaction reads the current value, not the prefetched one.
-func TestPrefetchCancelNoStaleLeak(t *testing.T) {
-	r := newRig(t, 1, nil)
-	setupAccounts(t, r, 2, 100)
-	get := getBalanceFn(r)
-
-	// Warm the cache with balance=100.
-	tx, err := r.client.Begin(context.Background(), WithStaleness(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := get(tx, int64(0)); err != nil || v != 100 {
-		t.Fatalf("warm read = %d, %v", v, err)
-	}
-	tx.Commit()
-
-	// Stage a prefetched hit, then cancel before consuming it.
-	ctx, cancel := context.WithCancel(context.Background())
-	tx, err = r.client.Begin(ctx, WithStaleness(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Query("SELECT balance FROM accounts WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if n := tx.Prefetch(CacheKey("getBalance", int64(0))); n != 1 {
-		t.Fatalf("prefetch staged %d, want 1", n)
-	}
-	cancel()
-	if _, err := get(tx, int64(0)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("consume after cancel = %v, want context.Canceled", err)
-	}
-	tx.Abort()
-
-	// A cancelled transaction must also stop prefetching entirely.
-	tx2, err := r.client.Begin(ctx, WithStaleness(time.Minute))
-	if err == nil {
-		tx2.Abort()
-		t.Fatal("Begin on cancelled ctx should fail")
-	}
-
-	// The world moves on; a fresh transaction sees the new value.
-	r.exec(t, "UPDATE accounts SET balance = 200 WHERE id = 0")
-	r.clk.Advance(10 * time.Second) // age the old pins out of the staleness window
-	tx, err = r.client.Begin(context.Background(), WithStaleness(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := get(tx, int64(0)); err != nil || v != 200 {
-		t.Fatalf("post-update read = %d, %v (stale prefetched hit leaked?)", v, err)
-	}
-	tx.Commit()
-}
-
 // --- WithoutCache.
 
 func TestWithoutCacheBypassesCluster(t *testing.T) {
@@ -205,9 +146,6 @@ func TestWithoutCacheBypassesCluster(t *testing.T) {
 	}
 	if v, err := get(tx, int64(0)); err != nil || v != 100 {
 		t.Fatalf("read = %d, %v", v, err)
-	}
-	if n := tx.Prefetch(CacheKey("getBalance", int64(0))); n != 0 {
-		t.Fatalf("WithoutCache prefetch staged %d, want 0", n)
 	}
 	tx.Commit()
 	st := r.client.Stats()
@@ -376,19 +314,20 @@ func TestCancelDuringBatchedWireLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := tx.Query("SELECT balance FROM accounts WHERE id = 0"); err != nil {
-		t.Fatal(err) // pin a snapshot so Prefetch has bounds
+		t.Fatal(err) // pin a snapshot, which the transaction holds until it ends
 	}
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	n := tx.Prefetch(CacheKey("getBalance", int64(0)), CacheKey("getBalance", int64(1)))
-	elapsed := time.Since(start)
-	if n != 0 {
-		t.Fatalf("prefetch against mute node found %d", n)
+	probes := []cacheserver.BatchLookup{{Key: "a", Lo: 1, Hi: 1}, {Key: "b", Lo: 1, Hi: 1}}
+	for _, res := range cn.LookupBatch(tx.ctx, probes) {
+		if res.Found {
+			t.Fatal("a mute node found something")
+		}
 	}
 	// Well under the 2s transport timeout: the cancel, not the timer,
 	// released us.
-	if elapsed > time.Second {
-		t.Fatalf("prefetch returned after %v, want prompt return on cancel", elapsed)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("batched lookup returned after %v, want prompt return on cancel", elapsed)
 	}
 	tx.Abort()
 

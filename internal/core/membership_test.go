@@ -15,6 +15,7 @@ import (
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
 	"txcache/internal/pincushion"
+	"txcache/internal/sql"
 )
 
 // join brings a fresh node into the running cluster the way a deployment
@@ -110,7 +111,7 @@ func TestJoinerPutBeforeItsFirstMessage(t *testing.T) {
 	r.nodes = append(r.nodes, n)
 	first := r.exec(t, "UPDATE accounts SET balance = 2 WHERE id = 1") // unrelated; waits for the node
 
-	if got := n.Lookup(context.Background(), CacheKey("getBalance", int64(0)), first, first, 0, interval.Infinity); got.Found {
+	if got := n.Lookup(context.Background(), cacheKey("getBalance", []sql.Value{int64(0)}), first, first, 0, interval.Infinity); got.Found {
 		t.Errorf("served at the node's first message %d, past an invalidation it never saw: %v still=%v", first, got.Validity, got.Still)
 	}
 	// Every pin ages out, one reader pins the present, the next one looks the
@@ -289,62 +290,5 @@ func TestMembershipChurnUnderLoad(t *testing.T) {
 	if r.client.Stats().NodesAdded.Load() == 0 || r.client.Stats().CacheHits.Load() == 0 {
 		t.Fatalf("vacuous churn run: %d added, %d hits",
 			r.client.Stats().NodesAdded.Load(), r.client.Stats().CacheHits.Load())
-	}
-}
-
-// TestPrefetchBatchesProbes: Tx.Prefetch resolves a key set in batched
-// round trips and the following cacheable calls consume the staged results
-// without touching the database or the nodes again.
-func TestPrefetchBatchesProbes(t *testing.T) {
-	r := newRig(t, 2, nil)
-	setupAccounts(t, r, 6, 100)
-	get := getBalanceFn(r)
-
-	for i := 0; i < 4; i++ {
-		tx := beginRO(r.client, WithStaleness(time.Minute))
-		if _, err := get(tx, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-		tx.Commit()
-	}
-
-	keys := make([]string, 0, 4)
-	for i := 0; i < 4; i++ {
-		keys = append(keys, CacheKey("getBalance", int64(i)))
-	}
-	q0 := r.client.Stats().DBQueries.Load()
-	tx := beginRO(r.client, WithStaleness(time.Minute))
-	if found := tx.Prefetch(keys...); found != 4 {
-		t.Fatalf("Prefetch found %d of 4 warm keys", found)
-	}
-	if got := r.client.Stats().Prefetches.Load(); got == 0 || got > 2 {
-		t.Fatalf("Prefetches = %d, want 1..2 (one per responsible node)", got)
-	}
-	for i := 0; i < 4; i++ {
-		if v, err := get(tx, int64(i)); err != nil || v != 100 {
-			t.Fatalf("get(%d) = %d, %v", i, v, err)
-		}
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.client.Stats().PrefetchHits.Load(); got != 4 {
-		t.Fatalf("PrefetchHits = %d, want 4", got)
-	}
-	if got := r.client.Stats().DBQueries.Load(); got != q0 {
-		t.Fatalf("prefetched reads still queried the database (%d -> %d)", q0, got)
-	}
-
-	// A prefetched miss is consumed as a miss; the call recomputes.
-	tx = beginRO(r.client, WithStaleness(time.Minute))
-	if found := tx.Prefetch(CacheKey("getBalance", int64(5))); found != 0 {
-		t.Fatalf("cold key reported found=%d", found)
-	}
-	if v, err := get(tx, int64(5)); err != nil || v != 100 {
-		t.Fatalf("get(5) = %d, %v", v, err)
-	}
-	tx.Commit()
-	if got := r.client.Stats().DBQueries.Load(); got == q0 {
-		t.Fatal("cold prefetch consumed without recompute")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"txcache/internal/interval"
+	"txcache/internal/sql"
 )
 
 // TestNoSnapshotMixAfterSelection is the deterministic regression test for
@@ -54,7 +55,7 @@ func TestNoSnapshotMixAfterSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.nodes[0].Put(CacheKey("getBalance", int64(1)), data,
+	r.nodes[0].Put(cacheKey("getBalance", []sql.Value{int64(1)}), data,
 		interval.Interval{Lo: ts1, Hi: ts2}, false, 0, nil)
 
 	// Reader: pins {ts1, ts2}.

@@ -32,9 +32,6 @@ type StatsSnapshot struct {
 	LeasedBegins  uint64 `json:"leasedBegins"`
 	PinFetchEmpty uint64 `json:"pinFetchEmpty"`
 
-	Prefetches   uint64 `json:"prefetches"`
-	PrefetchHits uint64 `json:"prefetchHits"`
-
 	NodesAdded   uint64 `json:"nodesAdded"`
 	NodesRemoved uint64 `json:"nodesRemoved"`
 }
@@ -66,9 +63,6 @@ func (s *ClientStats) Snapshot() StatsSnapshot {
 		LeaseFetches:  s.LeaseFetches.Load(),
 		LeasedBegins:  s.LeasedBegins.Load(),
 		PinFetchEmpty: s.PinFetchEmpty.Load(),
-
-		Prefetches:   s.Prefetches.Load(),
-		PrefetchHits: s.PrefetchHits.Load(),
 
 		NodesAdded:   s.NodesAdded.Load(),
 		NodesRemoved: s.NodesRemoved.Load(),

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"txcache/internal/cacheserver"
 	"txcache/internal/db"
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
@@ -17,7 +16,7 @@ import (
 // Tx errors.
 var (
 	// ErrTxDone is returned when using a finished transaction: any Query,
-	// Exec, Prefetch, cacheable call, or second Commit after the
+	// Exec, cacheable call, or second Commit after the
 	// transaction has committed or aborted.
 	ErrTxDone = errors.New("txcache: transaction already finished")
 	// ErrReadOnly is returned when a read-only transaction writes.
@@ -34,8 +33,8 @@ var (
 // consistent with one snapshot within the staleness limit. A Tx is not safe
 // for concurrent use.
 //
-// A Tx carries the context it was begun with: Query, Exec, Prefetch, and
-// cacheable calls observe its cancellation and return the wrapped context
+// A Tx carries the context it was begun with: Query, Exec and cacheable
+// calls observe its cancellation and return the wrapped context
 // error, and Commit on a cancelled context aborts instead of committing.
 // Abort never blocks on the context — a cancelled transaction still
 // releases its pins and database snapshot promptly.
@@ -63,10 +62,6 @@ type Tx struct {
 	dbSnap interval.Timestamp // snapshot the DB transaction runs at
 
 	frames []*frame // cacheable-call stack (innermost last)
-
-	// prefetched stages batched-lookup results keyed by cache key until the
-	// cacheable call that consumes them (Tx.Prefetch).
-	prefetched map[string]cacheserver.LookupResult
 }
 
 // frame accumulates what one in-flight cacheable function depends on (paper
@@ -115,8 +110,8 @@ func (f *frame) addTags(tags []invalidation.TagID) {
 // client clock — so beginning and ending it costs the pincushion nothing
 // while the lease is current.
 //
-// The context governs the whole transaction: every Query, Exec, Prefetch,
-// and cacheable call observes its cancellation, and a deadline bounds the
+// The context governs the whole transaction: every Query, Exec and
+// cacheable call observes its cancellation, and a deadline bounds the
 // network round trips of remote database and cache nodes. A nil ctx is
 // treated as context.Background().
 func (c *Client) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {

@@ -48,13 +48,11 @@ const (
 	opPin        byte = 10
 	opPinResp    byte = 11
 	opUnpin      byte = 12
-	opStats      byte = 15
-	opStatsResp  byte = 16
 	opQueryAt    byte = 17
 )
 
-// ServerStats is the daemon-side counter snapshot carried by opStatsResp,
-// JSON-encoded on the wire so operators (and /statsz) get it verbatim.
+// ServerStats is what the daemon answers rpc.OpStats with, and what
+// txcache-dbd's status file carries.
 type ServerStats struct {
 	DB         db.Stats           `json:"db"`
 	Durability db.DurabilityStats `json:"durability"`
@@ -76,15 +74,20 @@ const opTimeout = 5 * time.Second
 // Serve accepts connections until l closes.
 func (s *Server) Serve(l net.Listener) error {
 	return rpc.Serve(l, func() (rpc.Handler, func()) {
-		ss := &session{engine: s.Engine, txs: make(map[uint64]*db.Tx)}
+		ss := &session{Server: s, txs: make(map[uint64]*db.Tx)}
 		return ss.handle, ss.close
 	})
 }
 
+// Stats snapshots the engine's counters.
+func (s *Server) Stats() ServerStats {
+	return ServerStats{DB: s.Engine.Stats(), Durability: s.Engine.DurabilityStats()}
+}
+
 // session is one connection's server-side state: its open transactions.
 type session struct {
-	engine *db.Engine
-	txs    map[uint64]*db.Tx
+	*Server
+	txs map[uint64]*db.Tx
 }
 
 // close aborts what the dropped connection left open.
@@ -101,7 +104,7 @@ func (ss *session) begin(id uint64, readOnly bool, snap interval.Timestamp) (*db
 	}
 	// The wire protocol carries no context (hence nil): what ends a
 	// transaction its client walked away from is the connection dropping.
-	tx, err := ss.engine.BeginTx(nil, readOnly, snap)
+	tx, err := ss.Engine.BeginTx(nil, readOnly, snap)
 	if err == nil {
 		ss.txs[id] = tx
 	}
@@ -119,23 +122,16 @@ func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
 	d := wire.NewDecoder(body)
 	switch op {
 	case opPin:
-		ts, wall := ss.engine.PinLatest()
+		ts, wall := ss.Engine.PinLatest()
 		return rpc.NewFrame(opPinResp).U64(uint64(ts)).I64(wall.UnixNano()), nil
 	case opUnpin:
 		ts := interval.Timestamp(d.U64())
 		if d.Err() == nil {
-			ss.engine.Unpin(ts)
+			ss.Engine.Unpin(ts)
 		}
 		return nil, d.Err()
-	case opStats:
-		blob, err := json.Marshal(ServerStats{
-			DB:         ss.engine.Stats(),
-			Durability: ss.engine.DurabilityStats(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return rpc.NewFrame(opStatsResp).Str(string(blob)), nil
+	case rpc.OpStats:
+		return rpc.StatsReply(ss.Stats())
 	}
 	// Every other opcode addresses a transaction.
 	id := d.U64()
@@ -272,7 +268,7 @@ func remoteErr(err error) error {
 // deadline is bounded by it. Replies are matched to requests by ID, so a
 // round trip that is abandoned cannot poison the next lease, and the frame
 // that ends a transaction is ordered ahead of the next lease's first
-// request on the same connection. PinLatest, Unpin and ServerStats address
+// request on the same connection. PinLatest, Unpin and StatsJSON address
 // no session and go out on any connection without leasing one.
 type Client struct {
 	rpc    *rpc.Client
@@ -375,16 +371,9 @@ func (cl *Client) PinLatest() (interval.Timestamp, time.Time) {
 	return interval.Timestamp(d.U64()), time.Unix(0, d.I64())
 }
 
-// ServerStats fetches the daemon's engine + durability counters as the
-// JSON the daemon encoded (see the ServerStats type), so callers can embed
-// it in their own status payloads without re-marshalling.
-func (cl *Client) ServerStats(ctx context.Context) (json.RawMessage, error) {
-	d, err := roundTrip(ctx, cl.rpc, rpc.NewFrame(opStats), opStatsResp)
-	if err != nil {
-		return nil, err
-	}
-	blob := d.Str()
-	return json.RawMessage(blob), d.Err()
+// StatsJSON fetches the daemon's ServerStats as the JSON it answered with.
+func (cl *Client) StatsJSON(ctx context.Context) (json.RawMessage, error) {
+	return cl.rpc.Stats(ctx)
 }
 
 // Unpin releases a pinned snapshot on the daemon; the exchange is bounded

@@ -38,7 +38,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
-	ss := &session{engine: engine, txs: make(map[uint64]*db.Tx)}
+	ss := &session{Server: &Server{Engine: engine}, txs: make(map[uint64]*db.Tx)}
 	rc, client, server := rpctest.Pipe(t, ss.handle, 0)
 	cl := newClient(rc, 1)
 	defer cl.Close()
@@ -93,7 +93,7 @@ func TestOneWritePerFrame(t *testing.T) {
 // transaction the server went on to begin, and the session stays usable.
 func TestAbandonedBeginIsAborted(t *testing.T) {
 	engine := db.New(db.Options{})
-	ss := &session{engine: engine, txs: make(map[uint64]*db.Tx)}
+	ss := &session{Server: &Server{Engine: engine}, txs: make(map[uint64]*db.Tx)}
 	slowBegin := func(op byte, body []byte) (*wire.Buffer, error) {
 		if op == opBegin {
 			time.Sleep(50 * time.Millisecond)
@@ -117,7 +117,7 @@ func TestAbandonedBeginIsAborted(t *testing.T) {
 	}
 	tx.Abort()
 	eventuallyUnpinned(t, engine)
-	if st := rc.Stats(); st.LateDrops != 1 || st.Reconnects != 0 {
+	if st := rc.Counters(); st.LateDrops != 1 || st.Reconnects != 0 {
 		t.Fatalf("the abandoned reply should have been dropped on a connection left alone: %+v", st)
 	}
 }

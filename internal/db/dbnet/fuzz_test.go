@@ -1,6 +1,7 @@
 package dbnet
 
 import (
+	"encoding/json"
 	"testing"
 
 	"txcache/internal/db"
@@ -40,7 +41,7 @@ func FuzzDBNetHandle(f *testing.F) {
 	f.Add(wire.NewBuffer(opPin).U32(1).Bytes())
 	f.Add(wire.NewBuffer(opUnpin).U32(1).U64(2).Bytes())
 	f.Add(wire.NewBuffer(opUnpin).U32(1).Bytes()) // truncated
-	f.Add(wire.NewBuffer(opStats).U32(1).Bytes())
+	f.Add(wire.NewBuffer(rpc.OpStats).U32(1).Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 1, 2, 3})
 
@@ -49,7 +50,7 @@ func FuzzDBNetHandle(f *testing.F) {
 		if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
 			t.Fatal(err)
 		}
-		ss := &session{engine: engine, txs: make(map[uint64]*db.Tx)}
+		ss := &session{Server: &Server{Engine: engine}, txs: make(map[uint64]*db.Tx)}
 		// An open transaction for the frame to address, as id 1.
 		if _, err := ss.begin(1, false, 0); err != nil {
 			t.Fatal(err)
@@ -78,7 +79,11 @@ func FuzzDBNetHandle(f *testing.F) {
 				if _, err := decodeResult(d); err != nil {
 					t.Fatalf("query reply does not decode: %v", err)
 				}
-			case rpc.OpAck, opBeginResp, opExecResp, opCommitResp, opPinResp, opStatsResp:
+			case rpc.OpStats:
+				if err := json.Unmarshal(reply.Bytes()[5:], new(ServerStats)); err != nil {
+					t.Fatalf("stats reply does not decode: %v", err)
+				}
+			case rpc.OpAck, opBeginResp, opExecResp, opCommitResp, opPinResp:
 			default:
 				t.Fatalf("opcode %d answered with opcode %d", frame[0], got)
 			}

@@ -434,34 +434,35 @@ func (e *Engine) BeginTx(ctx context.Context, readOnly bool, snap interval.Times
 	}, nil
 }
 
-// Stats is a snapshot of engine counters.
+// Stats is a snapshot of engine counters. The JSON names are those of
+// txcache-dbd's status file and /statsz's "db" section.
 type Stats struct {
-	Queries       uint64
-	Commits       uint64
-	Conflicts     uint64
-	Vacuumed      uint64
-	PoolHits      uint64
-	PoolMisses    uint64
-	PinnedSnaps   int
-	LastCommitTS  interval.Timestamp
-	TotalVersions int
+	Queries       uint64             `json:"queries"`
+	Commits       uint64             `json:"commits"`
+	Conflicts     uint64             `json:"conflicts"`
+	Vacuumed      uint64             `json:"vacuumed"` // versions reclaimed since boot
+	PoolHits      uint64             `json:"poolHits"`
+	PoolMisses    uint64             `json:"poolMisses"`
+	PinnedSnaps   int                `json:"pinnedSnapshots"`
+	LastCommitTS  interval.Timestamp `json:"lastCommit"`
+	TotalVersions int                `json:"versions"`
 	// DeadVersions is how many of TotalVersions are dead and not yet
 	// reclaimed (mvcc.Store.DeadCount): versions a pinned snapshot could
 	// still see at the last vacuum pass, and those that died since.
-	DeadVersions int
+	DeadVersions int `json:"deadVersions"`
 	// IndexEntries and IndexBytes sum every index tree's own account of its
 	// leaf level (btree.Stats): distinct keys, and the heap they hold. With
 	// TotalVersions they say what the retained versions of the staleness
 	// window cost in index memory.
-	IndexEntries int
-	IndexBytes   int
+	IndexEntries int `json:"indexEntries"`
+	IndexBytes   int `json:"indexBytes"`
 	// Rows and RowBytes say what the retained rows cost: rows not yet
 	// vacuumed away (mvcc.Store.Len), and the heap they hold — the row
 	// directories' pages and spilled chains (mvcc.Store.Bytes) plus every
 	// version's packed row with the header that boxes it (Table.payload),
 	// before the allocator rounds a row up to its size class.
-	Rows     int
-	RowBytes int
+	Rows     int `json:"rows"`
+	RowBytes int `json:"rowBytes"`
 }
 
 // Stats returns current engine counters.

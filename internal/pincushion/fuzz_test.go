@@ -1,6 +1,7 @@
 package pincushion
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -14,8 +15,8 @@ import (
 // handler, behind the transport's dispatch: it must never panic, must
 // believe no length prefix beyond the bytes that actually arrived (the
 // opRelease guard; opPins is its mirror in the client), must answer a
-// request with pins, an ack or an error and a one-way frame with nothing,
-// and must leave the registry's use-counts sane.
+// request with pins, an ack, its stats or an error and a one-way frame with
+// nothing, and must leave the registry's use-counts sane.
 func FuzzPincushionHandle(f *testing.F) {
 	now := time.Unix(0, int64(time.Hour))
 	for _, id := range []uint32{0, 7} { // one-way, and as a request
@@ -28,6 +29,7 @@ func FuzzPincushionHandle(f *testing.F) {
 		f.Add(frame(opRelease).U32(0xFFFFFFFF).U64(3).Bytes()) // claims 4Gi timestamps, carries one
 		f.Add(frame(opRelease).Bytes())
 		f.Add(frame(rpc.OpErr).Str("not a request").Bytes())
+		f.Add(frame(rpc.OpStats).Bytes())
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 1, 2, 3})
@@ -59,6 +61,10 @@ func FuzzPincushionHandle(f *testing.F) {
 					t.Fatalf("malformed error reply: %x", reply.Bytes())
 				}
 			case got == rpc.OpAck && (op == opRegister || op == opRelease):
+			case got == rpc.OpStats && op == rpc.OpStats:
+				if err := json.Unmarshal(reply.Bytes()[5:], new(Stats)); err != nil {
+					t.Fatalf("stats reply does not decode: %v", err)
+				}
 			case got == opPins && op == opGetPins:
 				n := d.U32()
 				if int(n) != d.Len()/16 || d.Len()%16 != 0 {

@@ -2,6 +2,7 @@ package pincushion
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -86,6 +87,8 @@ func (p *Pincushion) handle(op byte, body []byte) (*wire.Buffer, error) {
 		}
 		p.Release(tss)
 		return nil, nil
+	case rpc.OpStats:
+		return rpc.StatsReply(p.Stats())
 	default:
 		return nil, fmt.Errorf("pincushion: unknown opcode %d", op)
 	}
@@ -118,6 +121,11 @@ func Dial(addr string, poolSize int) (*Client, error) {
 
 // Close tears down the connections and waits for pending redials to stop.
 func (c *Client) Close() { c.rpc.Close() }
+
+// StatsJSON fetches the daemon's Stats as the JSON it answered with.
+func (c *Client) StatsJSON(ctx context.Context) (json.RawMessage, error) {
+	return c.rpc.Stats(ctx)
+}
 
 // GetPins implements Service over TCP; on error (or a cancelled ctx,
 // whose deadline bounds the round trip) it returns no pins, which the

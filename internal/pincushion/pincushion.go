@@ -287,17 +287,17 @@ func HorizonBuckets() []time.Duration {
 // Stats is a read-only snapshot of the pincushion's counters and of the
 // current pin population's age distribution.
 type Stats struct {
-	Requests uint64 // GetPins calls served
-	Sweeps   uint64 // Sweep passes completed
-	Leaked   uint64 // pins force-swept with a nonzero use-count
-	Pins     int    // pins currently tracked
+	Requests uint64 `json:"requests"` // GetPins calls served
+	Sweeps   uint64 `json:"sweeps"`   // Sweep passes completed
+	Leaked   uint64 `json:"leaked"`   // pins force-swept with a nonzero use-count
+	Pins     int    `json:"pins"`     // pins currently tracked
 
 	// Horizon[c][i] counts tracked pins of class c whose age (now minus
 	// the pin's snapshot wall time — how stale the versions it holds back
 	// from vacuum may be) is within the i'th HorizonBuckets
 	// edge; the last column is the overflow. Observability only: Stats
 	// takes the same snapshot lock as GetPins but mutates nothing.
-	Horizon [numPinClasses][len(horizonBuckets) + 1]int
+	Horizon [numPinClasses][len(horizonBuckets) + 1]int `json:"horizon"`
 }
 
 // InClass returns how many tracked pins are in class c, whatever their age.

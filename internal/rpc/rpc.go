@@ -3,7 +3,7 @@
 // daemon. A service owns its opcodes and what their bodies mean; the frame
 // header, request-ID multiplexing, the mapping of a caller's context onto a
 // per-request timer, redial with backoff, the serve loop with its write
-// deadline, and the error and ack frames are here, once.
+// deadline, the error and ack frames, and the stats opcode are here, once.
 //
 // Every frame payload is [op:1][reqID:4 LE][body]. A request carrying a
 // nonzero reqID receives exactly one reply frame tagged with the same reqID;
@@ -16,6 +16,7 @@ package rpc
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -33,6 +34,9 @@ const (
 	OpErr byte = 0xFF
 	// OpAck answers a request whose handler had nothing to say.
 	OpAck byte = 0xFE
+	// OpStats asks a service for its counters. Every service answers it, with
+	// StatsReply of its Stats() value; Client.Stats sends it.
+	OpStats byte = 0xFD
 )
 
 const (
@@ -114,6 +118,17 @@ func ServeConn(conn net.Conn, h Handler) {
 			}
 		}
 	}
+}
+
+// StatsReply is a handler's answer to OpStats: v, the service's Stats()
+// value, as JSON. A counter added to v is on every stats surface with no
+// codec to extend.
+func StatsReply(v any) (*wire.Buffer, error) {
+	blob, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return NewFrame(OpStats).Raw(blob), nil
 }
 
 // Dispatch applies one request frame and returns the frame to answer it
@@ -233,8 +248,8 @@ func (c *Client) Close() {
 	c.wg.Wait()
 }
 
-// Stats snapshots the transport counters.
-func (c *Client) Stats() Stats {
+// Counters snapshots the transport counters.
+func (c *Client) Counters() Stats {
 	return Stats{
 		Timeouts:   c.timeouts.Load(),
 		Canceled:   c.canceled.Load(),
@@ -498,6 +513,17 @@ func (c *Client) Call(ctx context.Context, frame *wire.Buffer) (op byte, body []
 		}
 	}
 	return op, body, err
+}
+
+// Stats fetches the peer's counters: the JSON its handler answered OpStats
+// with, for the caller to decode into the service's Stats type or pass on
+// as it is.
+func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
+	op, body, err := c.Call(ctx, NewFrame(OpStats))
+	if err == nil && op != OpStats {
+		return nil, fmt.Errorf("rpc: %s: stats answered with opcode %d", c.name, op)
+	}
+	return body, err
 }
 
 // Send writes a one-way frame on the first healthy connection, starting

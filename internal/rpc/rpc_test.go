@@ -226,7 +226,7 @@ func TestRPC(t *testing.T) {
 			if got := svc.noted(); len(got) != 2 || string(got[0]) != "called" || string(got[1]) != "sent" {
 				t.Fatalf("handler noted %q", got)
 			}
-			if st := c.Stats(); st != (Stats{}) {
+			if st := c.Counters(); st != (Stats{}) {
 				t.Fatalf("a quiet run counted %+v", st)
 			}
 		})
@@ -250,10 +250,10 @@ func TestRPC(t *testing.T) {
 					failed++
 					return false
 				}
-				return c.Stats().Reconnects == 2
+				return c.Counters().Reconnects == 2
 			})
 			if failed == 0 {
-				t.Fatalf("the outage left no error trace: %+v", c.Stats())
+				t.Fatalf("the outage left no error trace: %+v", c.Counters())
 			}
 		})
 
@@ -284,7 +284,7 @@ func TestRPC(t *testing.T) {
 			}
 
 			d.restart()
-			eventually(t, "every connection to be redialed", func() bool { return c.Stats().Reconnects == poolSize })
+			eventually(t, "every connection to be redialed", func() bool { return c.Counters().Reconnects == poolSize })
 			var wg sync.WaitGroup
 			for i := 0; i < 2*poolSize; i++ {
 				wg.Add(1)
@@ -365,7 +365,7 @@ func TestRPC(t *testing.T) {
 			case <-time.After(time.Second):
 				t.Fatal("Call did not return promptly on cancel")
 			}
-			if st := c.Stats(); st.Canceled != 1 || st.Timeouts != 0 {
+			if st := c.Counters(); st.Canceled != 1 || st.Timeouts != 0 {
 				t.Fatalf("stats after cancel: %+v", st)
 			}
 			m := c.Conn(0)
@@ -382,7 +382,7 @@ func TestRPC(t *testing.T) {
 			if err := Dispatch((&service{}).handle, h.frame).WriteFrame(h.conn); err != nil {
 				t.Fatal(err)
 			}
-			eventually(t, "the late reply to be counted as dropped", func() bool { return c.Stats().LateDrops == 1 })
+			eventually(t, "the late reply to be counted as dropped", func() bool { return c.Counters().LateDrops == 1 })
 		})
 
 		t.Run("DeadlineMapsToRequestTimer", func(t *testing.T) {
@@ -402,7 +402,7 @@ func TestRPC(t *testing.T) {
 			// The expiry is the context's, not the transport's, and the
 			// connection is still alive: no reconnect happened, and a fresh
 			// request goes out on it.
-			if st := c.Stats(); st.Canceled != 1 || st.Timeouts != 0 || st.Reconnects != 0 {
+			if st := c.Counters(); st.Canceled != 1 || st.Timeouts != 0 || st.Reconnects != 0 {
 				t.Fatalf("stats after a deadline expiry: %+v", st)
 			}
 			go echo(bg, c, "k2")
@@ -555,7 +555,7 @@ func TestRPC(t *testing.T) {
 					if took := time.Since(start); took > 5*time.Second {
 						t.Fatalf("the bound took %v to fire", took)
 					}
-					if st := c.Stats(); st != tc.wantSt {
+					if st := c.Counters(); st != tc.wantSt {
 						t.Fatalf("stats %+v, want %+v", st, tc.wantSt)
 					}
 				})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -508,5 +509,46 @@ func TestStatszRanges(t *testing.T) {
 	_, body = get(t, f.url+"/statsz")
 	if !strings.Contains(body, fmt.Sprintf(`"users":%d`, rubis.TestScale.Users+1)) {
 		t.Errorf("/statsz user range did not grow after register:\n%s", body)
+	}
+}
+
+// TestStatszTiers: each tier's counters sit under its name, as the tier
+// sent them; a tier that does not answer shows its error there instead, and
+// the others are still served.
+func TestStatszTiers(t *testing.T) {
+	f := startFixture(t, func(cfg *Config) {
+		cfg.Tiers = map[string]func(context.Context) (json.RawMessage, error){
+			"db": func(ctx context.Context) (json.RawMessage, error) {
+				if _, ok := ctx.Deadline(); !ok {
+					return nil, errors.New("fetched without a deadline")
+				}
+				return json.RawMessage(`{"db":{"versions":7}}`), nil
+			},
+			"cache 10.0.0.1:7500": func(context.Context) (json.RawMessage, error) {
+				return nil, errors.New("connection refused")
+			},
+		}
+	})
+	_, body := get(t, f.url+"/statsz")
+	var page struct {
+		Serve *StatsSnapshot
+		DB    struct{ DB struct{ Versions int } }
+		Cache struct{ Error string } `json:"cache 10.0.0.1:7500"`
+	}
+	if err := json.Unmarshal([]byte(body), &page); err != nil {
+		t.Fatalf("/statsz: %v\n%s", err, body)
+	}
+	if page.DB.DB.Versions != 7 || page.Cache.Error != "connection refused" || page.Serve == nil {
+		t.Fatalf("/statsz tiers wrong: %+v\n%s", page, body)
+	}
+}
+
+// TestPprofHeap: a heap profile of the running process is one GET away, on
+// the listener the application is served on.
+func TestPprofHeap(t *testing.T) {
+	f := startFixture(t, nil)
+	resp, body := get(t, f.url+"/debug/pprof/heap?debug=1")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "heap profile") {
+		t.Fatalf("/debug/pprof/heap = %d:\n%.200s", resp.StatusCode, body)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -47,12 +48,18 @@ type Config struct {
 	Staleness time.Duration
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
-	// DBStats, when set, is polled by /statsz for the database daemon's own
-	// counters (engine, WAL, recovery) and embedded under "db" — one status
-	// endpoint for the whole stack. The hook must be safe for concurrent
-	// use and bound its own round trip.
-	DBStats func() (json.RawMessage, error)
+	// Tiers are the other processes of the deployment — the database
+	// daemon as "db", the pincushion, each cache node — by name, each with
+	// the call that fetches its counters (a service client's StatsJSON).
+	// /statsz embeds every tier's answer under its name, so it is one page
+	// for the whole stack. Names must not be one of /statsz's own keys
+	// (serve, client, queued, dataset); the calls must be safe for
+	// concurrent use.
+	Tiers map[string]func(context.Context) (json.RawMessage, error)
 }
+
+// tierTimeout bounds /statsz's fetch of one tier's counters.
+const tierTimeout = 2 * time.Second
 
 // Stats counts request outcomes. Shed is incremented where the 503 response
 // is written (the HTTP layer); Canceled where the request's context is
@@ -407,12 +414,18 @@ func commit(w http.ResponseWriter, ts interval.Timestamp, body string) error {
 
 // routes mounts the application surface.
 func (s *Server) routes() {
-	// Introspection endpoints bypass admission control: health checks and
-	// stats scrapes must answer even when the request path is saturated.
+	// Introspection endpoints bypass admission control: health checks, stats
+	// scrapes and profiles must answer even when the request path is
+	// saturated.
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
 	s.mux.HandleFunc("GET /statsz", s.statsz)
+	s.mux.HandleFunc("/debug/pprof/", pprof.Index) // the named profiles: heap, goroutine, allocs, …
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	s.handle("GET /{$}", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 		return s.page(ctx, w, r, s.app.Home)
@@ -633,42 +646,31 @@ func (s *Server) routes() {
 	}
 }
 
-// statsz publishes the server's counters, the library's counters, and the
-// dataset ID ranges load generators sample from.
+// statsz publishes the server's counters, the library's counters, the
+// dataset ID ranges load generators sample from, and each tier's counters
+// under its name (an {"error": …} object for a tier that did not answer).
 func (s *Server) statsz(w http.ResponseWriter, r *http.Request) {
 	users, items, cats, regs := s.app.DS.Ranges()
 	var wikiPages int64
 	if s.cfg.Wiki != nil {
 		wikiPages = s.cfg.Wiki.Pages()
 	}
-	payload := struct {
-		Serve  StatsSnapshot      `json:"serve"`
-		Client core.StatsSnapshot `json:"client"`
-		Queued int64              `json:"queued"`
-		DB     json.RawMessage    `json:"db,omitempty"`
-		Data   struct {
-			Users      int64 `json:"users"`
-			Items      int64 `json:"items"`
-			Categories int64 `json:"categories"`
-			Regions    int64 `json:"regions"`
-			WikiPages  int64 `json:"wikiPages"`
-		} `json:"dataset"`
-	}{
-		Serve:  s.stats.Snapshot(),
-		Client: s.app.C.Stats().Snapshot(),
-		Queued: s.Queued(),
+	payload := map[string]any{
+		"serve":  s.stats.Snapshot(),
+		"client": s.app.C.Stats().Snapshot(),
+		"queued": s.Queued(),
+		"dataset": map[string]int64{
+			"users": users, "items": items, "categories": cats, "regions": regs, "wikiPages": wikiPages,
+		},
 	}
-	payload.Data.Users, payload.Data.Items = users, items
-	payload.Data.Categories, payload.Data.Regions = cats, regs
-	payload.Data.WikiPages = wikiPages
-	if s.cfg.DBStats != nil {
-		blob, err := s.cfg.DBStats()
+	for name, fetch := range s.cfg.Tiers {
+		ctx, cancel := context.WithTimeout(r.Context(), tierTimeout)
+		blob, err := fetch(ctx)
+		cancel()
 		if err != nil {
-			blob, _ = json.Marshal(struct {
-				Error string `json:"error"`
-			}{err.Error()})
+			blob, _ = json.Marshal(map[string]string{"error": err.Error()})
 		}
-		payload.DB = blob
+		payload[name] = blob
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(payload)

@@ -2,17 +2,21 @@ package txcache_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"txcache/internal/bench"
-	"txcache/internal/loadgen"
 	"txcache/internal/rubis"
 )
 
@@ -46,47 +50,36 @@ func TestServeOpenLoopEndToEnd(t *testing.T) {
 		}
 	}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	ranges, err := loadgen.ProbeRanges(ctx, st.URL)
-	cancel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ranges.WikiPages != 5 {
-		t.Fatalf("probed wiki pages = %d, want 5", ranges.WikiPages)
+	ds := probeDataset(t, st.URL)
+	if ds.WikiPages != 5 {
+		t.Fatalf("probed wiki pages = %d, want 5", ds.WikiPages)
 	}
 
-	target := loadgen.NewHTTPTarget(st.URL, ranges, 64, 20)
-	defer target.Close()
-	res := loadgen.Run(target, loadgen.Config{
-		Schedule: loadgen.Burst{Peak: 800, Period: 400 * time.Millisecond, Duty: 200 * time.Millisecond},
-		Duration: 4 * time.Second,
-		Warmup:   500 * time.Millisecond,
-		Workers:  64,
-		Timeout:  10 * time.Second,
-		Seed:     3,
-	})
-	t.Logf("open-loop burst: %v", res)
-	if res.Errors > 0 || res.Timeouts > 0 || res.Dropped > 0 {
-		t.Fatalf("burst run not clean: %v", res)
+	// Bursts of 800/s for 200 ms out of every 400 ms, silent between.
+	res := openLoop(context.Background(), st.URL, ds, loadShape{
+		perSec: 800, period: 400 * time.Millisecond, duty: 200 * time.Millisecond, dur: 4 * time.Second,
+	}, 64, 10*time.Second, 3)
+	t.Logf("open-loop burst: %+v", *res)
+	if res.errors > 0 || res.timeouts > 0 || res.dropped > 0 {
+		t.Fatalf("burst run not clean: %+v", *res)
 	}
-	if res.Completed < 100 {
-		t.Fatalf("too few requests completed: %v", res)
+	if res.completed < 100 {
+		t.Fatalf("too few requests completed: %+v", *res)
 	}
 
 	// The consistency oracle: /check re-reads a random item through the
 	// cache and its bid table around the cache in one snapshot, and fails
 	// the request if the cached aggregates disagree with the ground truth.
-	check := loadgen.NewHTTPTarget(st.URL, ranges, 1, 0)
-	check.CheckOnly = true
-	defer check.Close()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 30; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := check.Do(ctx, rng, 0)
-		cancel()
+		resp, err := http.Get(fmt.Sprintf("%s/check?item=%d", st.URL, rng.Int63n(ds.Items)))
 		if err != nil {
 			t.Fatalf("consistency check %d: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 500 {
+			t.Fatalf("consistency check %d: %s: %s", i, resp.Status, body)
 		}
 	}
 	if v := st.Srv.Stats().Violations.Load(); v > 0 {
@@ -163,31 +156,17 @@ func TestServeDrainUnderFire(t *testing.T) {
 		return err
 	})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	ranges, err := loadgen.ProbeRanges(ctx, st.URL)
-	cancel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := probeDataset(t, st.URL)
 
 	// Open-loop fire hose at ~3000/s nominal. The client-side timeout (8s)
 	// exceeds the server's request timeout (5s), so every response the server
 	// writes — including every shed 503 — is read and accounted by the load
 	// generator, never abandoned first.
-	target := loadgen.NewHTTPTarget(st.URL, ranges, 128, 0)
-	defer target.Close()
 	lctx, lcancel := context.WithCancel(context.Background())
 	defer lcancel()
-	resCh := make(chan *loadgen.Result, 1)
+	resCh := make(chan *loadCounts, 1)
 	go func() {
-		resCh <- loadgen.Run(target, loadgen.Config{
-			Schedule: loadgen.Poisson{PerSec: 3000},
-			Duration: 60 * time.Second, // cut short by lcancel
-			Workers:  128,
-			Timeout:  8 * time.Second,
-			Seed:     7,
-			Ctx:      lctx,
-		})
+		resCh <- openLoop(lctx, st.URL, ds, loadShape{perSec: 3000, dur: time.Minute}, 128, 8*time.Second, 7) // cut short by lcancel
 	}()
 
 	// Let the storm establish itself (and complete some requests) first.
@@ -271,7 +250,7 @@ func TestServeDrainUnderFire(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	lcancel()
 	res := <-resCh
-	t.Logf("load result: %v", res)
+	t.Logf("load result: %+v", *res)
 
 	shed, canceled := stats.Shed.Load(), stats.Canceled.Load()
 	if shed != canceled {
@@ -282,18 +261,138 @@ func TestServeDrainUnderFire(t *testing.T) {
 	// the client — and never as a silent hang: a shed whose client saw
 	// nothing would show up as a timeout (client patience far exceeds every
 	// server bound here).
-	seen := res.Sheds + gateSheds.Load()
-	if res.Sheds == 0 || seen > shed {
+	seen := res.sheds + gateSheds.Load()
+	if res.sheds == 0 || seen > shed {
 		t.Fatalf("shed accounting: server shed %d, clients observed %d", shed, seen)
 	}
-	if lost := shed - seen; lost > res.Errors {
+	if lost := shed - seen; lost > res.errors {
 		t.Fatalf("%d sheds unaccounted for: server shed %d, clients saw %d sheds and %d errors",
-			lost, shed, seen, res.Errors)
+			lost, shed, seen, res.errors)
 	}
-	if res.Timeouts != 0 {
-		t.Fatalf("requests timed out client-side (shed responses went missing): %v", res)
+	if res.timeouts != 0 {
+		t.Fatalf("requests timed out client-side (shed responses went missing): %+v", *res)
 	}
-	if res.Completed == 0 {
-		t.Fatalf("nothing completed before the drain: %v", res)
+	if res.completed == 0 {
+		t.Fatalf("nothing completed before the drain: %+v", *res)
+	}
+}
+
+// dataset is what /statsz says exists, so generated requests hit real rows.
+type dataset struct{ Users, Items, Categories, Regions, WikiPages int64 }
+
+func probeDataset(t *testing.T, base string) dataset {
+	t.Helper()
+	resp, err := http.Get(base + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Dataset dataset }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Dataset.Items == 0 {
+		t.Fatalf("statsz dataset %+v: %v", body.Dataset, err)
+	}
+	return body.Dataset
+}
+
+// request draws one request of a RUBiS-shaped mix: page reads — the /check
+// oracle among them, riding inside the load — and 12% bids. One in twenty
+// arrives on a fresh connection, as new users do.
+func (d dataset) request(ctx context.Context, base string, rng *rand.Rand) *http.Request {
+	id := func(n int64) string { return fmt.Sprint(rng.Int63n(n)) }
+	item := id(d.Items)
+	pages := []string{"/", "/item?id=" + item, "/bids?item=" + item, "/check?item=" + item,
+		"/user?id=" + id(d.Users), "/search/category?page=0&cat=" + id(d.Categories),
+		"/search/region?region=" + id(d.Regions) + "&cat=" + id(d.Categories)}
+	if d.WikiPages > 0 {
+		pages = append(pages, "/wiki?title=page-"+id(d.WikiPages))
+	}
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base+pages[rng.Intn(len(pages))], nil)
+	if rng.Intn(100) < 12 {
+		bid := url.Values{"user": {id(d.Users)}, "item": {item}, "amount": {id(200)}}
+		req, _ = http.NewRequestWithContext(ctx, http.MethodPost, base+"/bid", strings.NewReader(bid.Encode()))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	}
+	req.Close = rng.Intn(20) == 0
+	return req
+}
+
+// loadShape is an arrival process: Poisson at perSec for dur — during the
+// first duty of every period, silent for the rest, when period is set.
+type loadShape struct {
+	perSec            float64
+	period, duty, dur time.Duration
+}
+
+// loadCounts are the outcomes of an open-loop run, added to atomically.
+type loadCounts struct{ completed, errors, sheds, timeouts, dropped uint64 }
+
+// openLoop offers requests on shape's schedule until it ends or ctx does.
+// Arrivals go on a queue that workers take them from, so the schedule never
+// waits for a reply — the load does not slow down when the server does —
+// and one that finds the queue full is dropped and counted.
+func openLoop(ctx context.Context, base string, d dataset, shape loadShape, workers int, timeout time.Duration, seed int64) *loadCounts {
+	var c loadCounts
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+	defer client.CloseIdleConnections()
+	jobs := make(chan struct{}, 1<<12) // the backlog arrivals may wait in: seconds of the fastest schedule
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for range jobs {
+				rctx, cancel := context.WithTimeout(ctx, timeout)
+				c.record(rctx, client, d.request(rctx, base, rng))
+				cancel()
+			}
+		}(rand.New(rand.NewSource(seed + int64(w) + 1)))
+	}
+	rng, start := rand.New(rand.NewSource(seed)), time.Now()
+arrivals:
+	for at := time.Duration(0); ; {
+		at += time.Duration(rng.ExpFloat64() / shape.perSec * float64(time.Second))
+		if shape.period > 0 && at%shape.period >= shape.duty {
+			at += shape.period - at%shape.period
+		}
+		if at >= shape.dur {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			break arrivals
+		case <-time.After(time.Until(start.Add(at))):
+		}
+		select {
+		case jobs <- struct{}{}:
+		default:
+			atomic.AddUint64(&c.dropped, 1)
+		}
+	}
+	close(jobs)
+	wg.Wait()
+	return &c
+}
+
+// record issues req and files its outcome. A 404 or a serialization
+// conflict's 503 is the server answering, not failing.
+func (c *loadCounts) record(ctx context.Context, client *http.Client, req *http.Request) {
+	resp, err := client.Do(req)
+	if err != nil {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			atomic.AddUint64(&c.timeouts, 1)
+		} else {
+			atomic.AddUint64(&c.errors, 1)
+		}
+		return
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	switch {
+	case resp.Header.Get("X-Txcache-Shed") != "":
+		atomic.AddUint64(&c.sheds, 1)
+	case resp.StatusCode < 500 || resp.StatusCode == http.StatusServiceUnavailable:
+		atomic.AddUint64(&c.completed, 1)
+	default:
+		atomic.AddUint64(&c.errors, 1)
 	}
 }

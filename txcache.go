@@ -143,11 +143,6 @@ func MakeCacheable[T any](c *Client, name string, fn core.Cacheable[T]) core.Cac
 	return core.MakeCacheable(c, name, fn)
 }
 
-// CacheKey derives the cache key of one cacheable call; applications build
-// key sets with it for Tx.Prefetch, which resolves them in batched
-// round trips (one per responsible cache node).
-func CacheKey(name string, args ...Value) string { return core.CacheKey(name, args...) }
-
 // Engine is the multiversion database substrate (paper §5).
 type Engine = db.Engine
 

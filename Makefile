@@ -28,10 +28,6 @@ benchmark-test:
 # its deadlines), atomic-field discipline, pool hygiene.
 # Suppressions are //lint:allow <analyzer> <reason>; an undocumented or
 # unused suppression is itself a finding.
-# Then the one-directory guard: a table's rows are found by position in
-# mvcc.Store's paged directory (DESIGN.md "Row directory"), so nothing under
-# internal/mvcc or internal/db maps a RowID to anything; a map keyed by row
-# is the 107 bytes a row the directory replaced.
 # Then the one-interval guard: a dependency is proven on one bounded interval
 # and is open or closed there (DESIGN.md "Still-valid composition"), and a
 # cache node derives what it can vouch for from the stream it has seen
@@ -48,9 +44,6 @@ benchmark-test:
 # and three times the heap of the first.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
-	@out="$$(grep -rnE 'map\[(mvcc\.)?RowID\]' --include='*.go' --exclude='*_test.go' internal/mvcc internal/db || true)"; if [ -n "$$out" ]; then \
-		echo "a map keyed by RowID is back; row ids are dense and never reused, so a row is found by position in mvcc.Store's row directory (40 B a row where the map and its per-row chain cost 107), and what must be kept per row belongs in its slot or in a slice indexed the same way:"; \
-		echo "$$out"; exit 1; fi
 	@out="$$( { grep -rn 'SetHorizon' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd examples internal *.go; \
 		grep -rn '\.ApplyInvalidation(' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=cacheserver cmd examples internal *.go; \
 		grep -rnE '\.through\b|genSnap = min\(' --include='*.go' --exclude='*_test.go' internal/core; } || true)"; if [ -n "$$out" ]; then \

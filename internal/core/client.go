@@ -26,6 +26,10 @@ type DBTx interface {
 	Exec(src string, args ...sql.Value) (int, error)
 	Commit() (interval.Timestamp, error)
 	Abort()
+	// Snapshot is the timestamp the transaction reads at. A transaction
+	// begun at the latest snapshot (snap 0) may not know it yet: the
+	// network client's Begin travels with its first statement, so its
+	// Snapshot is 0 until that statement's reply has arrived.
 	Snapshot() interval.Timestamp
 }
 

@@ -26,18 +26,15 @@ import (
 	"txcache/internal/wire"
 )
 
-// Protocol opcodes. The client numbers its transactions, per connection:
-// whoever sent a Begin can end the transaction whether or not the reply
-// ever arrived. Nothing is owed for opAbort, so the client sends it one-way:
-// releasing a transaction costs its caller a write, not a round trip. It
-// also ends a read-only transaction's Commit with it — a read-only commit
-// publishes nothing and has nothing to report. opQueryAt is opQuery for a
-// read-only transaction whose Begin has not been sent: it carries the
-// snapshot, and the server begins the transaction before running the
-// statement.
+// Protocol opcodes. The client numbers its transactions, per connection,
+// and a transaction's first frame (opQuery, opExec or opCommit, with begins
+// set) carries its Begin — id, read-only flag and snapshot ahead of the
+// statement — so whoever sent it can end the transaction whether or not a
+// reply ever arrived. A begin that fails is the frame's error; the reply to
+// a frame that began a transaction ends with its snapshot. Nothing is owed
+// for opAbort, which the client sends one-way, also to end a read-only
+// transaction's Commit: such a commit publishes nothing.
 const (
-	opBegin      byte = 1
-	opBeginResp  byte = 2
 	opQuery      byte = 3
 	opQueryResp  byte = 4
 	opExec       byte = 5
@@ -48,7 +45,8 @@ const (
 	opPin        byte = 10
 	opPinResp    byte = 11
 	opUnpin      byte = 12
-	opQueryAt    byte = 17
+
+	begins byte = 0x40 // set on the opcode of a transaction's first frame
 )
 
 // ServerStats is what the daemon answers rpc.OpStats with, and what
@@ -133,45 +131,49 @@ func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
 	case rpc.OpStats:
 		return rpc.StatsReply(ss.Stats())
 	}
-	// Every other opcode addresses a transaction.
+	// Every other opcode addresses a transaction, and a transaction's first
+	// frame begins it: a begin that fails (an unpinned snapshot, a read/write
+	// transaction in the past, an id already open) is the frame's error, and
+	// no transaction exists afterwards.
 	id := d.U64()
 	tx := ss.txs[id]
-	if tx == nil && (op == opQuery || op == opExec || op == opCommit) {
-		return nil, fmt.Errorf("dbnet: no transaction %d", id)
+	if op == opAbort {
+		if tx != nil {
+			tx.Abort()
+			delete(ss.txs, id)
+		}
+		return nil, nil
 	}
-	switch op {
-	case opBegin:
-		ro := d.Bool()
-		snap := interval.Timestamp(d.U64())
+	began := op&begins != 0
+	if op &^= begins; op != opQuery && op != opExec && op != opCommit {
+		return nil, fmt.Errorf("dbnet: unknown opcode %d", op)
+	}
+	if began {
+		ro, snap := d.Bool(), interval.Timestamp(d.U64())
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
 		if tx, err = ss.begin(id, ro, snap); err != nil {
 			return nil, err
 		}
-		return rpc.NewFrame(opBeginResp).U64(uint64(tx.Snapshot())), nil
-	case opQuery, opQueryAt:
-		var snap interval.Timestamp
-		if op == opQueryAt {
-			snap = interval.Timestamp(d.U64())
-		}
+	} else if tx == nil {
+		return nil, fmt.Errorf("dbnet: no transaction %d", id)
+	}
+	var resp *wire.Buffer
+	switch op {
+	case opQuery:
 		src := d.Str()
 		args, err := decodeArgs(d)
 		if err != nil {
 			return nil, err
 		}
-		if tx == nil {
-			// The piggybacked Begin: a failure (an unpinned snapshot) is the
-			// statement's error, and no transaction exists afterwards.
-			if tx, err = ss.begin(id, true, snap); err != nil {
-				return nil, err
-			}
-		}
 		r, err := tx.Query(src, args...)
 		if err != nil {
 			return nil, err
 		}
-		return encodeResult(r)
+		if resp, err = encodeResult(r); err != nil {
+			return nil, err
+		}
 	case opExec:
 		src := d.Str()
 		args, err := decodeArgs(d)
@@ -182,23 +184,19 @@ func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
 		if err != nil {
 			return nil, err
 		}
-		return rpc.NewFrame(opExecResp).U64(uint64(n)), nil
+		resp = rpc.NewFrame(opExecResp).U64(uint64(n))
 	case opCommit:
 		delete(ss.txs, id)
 		ts, err := tx.Commit()
 		if err != nil {
 			return nil, err
 		}
-		return rpc.NewFrame(opCommitResp).U64(uint64(ts)), nil
-	case opAbort:
-		if tx != nil {
-			tx.Abort()
-			delete(ss.txs, id)
-		}
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("dbnet: unknown opcode %d", op)
+		resp = rpc.NewFrame(opCommitResp).U64(uint64(ts))
 	}
+	if began {
+		resp.U64(uint64(tx.Snapshot()))
+	}
+	return resp, nil
 }
 
 // decodeArgs reads a statement's arguments. The count is bounded by the
@@ -306,39 +304,22 @@ func newClient(rc *rpc.Client, n int) *Client {
 func (cl *Client) Close() { cl.rpc.Close() }
 
 // Begin starts a remote transaction bound to ctx, leasing a session from
-// the pool until Commit or Abort. ctx's deadline bounds the begin round
-// trip and every later statement of the transaction; waiting for a free
-// session also respects cancellation.
-//
-// A read-only transaction at a given snapshot needs nothing from the
-// server to begin — its snapshot is the one asked for — so its Begin costs
-// no round trip: the first Query carries it (opQueryAt), and a snapshot
-// that turns out not to be pinned is that Query's error. The caller must
-// therefore keep snap pinned until that Query returns, not merely until
-// Begin does.
+// the pool until Commit or Abort; waiting for a free session respects
+// ctx's cancellation, and its deadline bounds every later round trip.
+// Begin itself sends nothing: the transaction's first frame carries it, and
+// a begin that fails (an unpinned snapshot) is that frame's error, so the
+// caller must keep snap pinned until the first statement returns.
 func (cl *Client) Begin(ctx context.Context, readOnly bool, snap interval.Timestamp) (core.DBTx, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t := &clientTx{cl: cl, ctx: ctx, id: cl.lastID.Add(1), snap: snap, ro: readOnly}
+	t := &clientTx{cl: cl, ctx: ctx, id: cl.lastID.Add(1), snap: snap, ro: readOnly, pending: true}
 	select {
 	case t.conn = <-cl.free:
+		return t, nil
 	case <-ctx.Done():
 		return nil, fmt.Errorf("dbnet: begin: %w", ctx.Err())
 	}
-	if readOnly && snap != 0 {
-		t.pending = true
-		return t, nil
-	}
-	d, err := roundTrip(ctx, t.conn, rpc.NewFrame(opBegin).U64(t.id).Bool(readOnly).U64(uint64(snap)), opBeginResp)
-	if err == nil {
-		t.snap, err = interval.Timestamp(d.U64()), d.Err()
-	}
-	if err != nil {
-		t.Abort() // whatever went wrong, the server may have begun the transaction
-		return nil, err
-	}
-	return t, nil
 }
 
 // caller is what a round trip goes out on: the whole pool, for one that
@@ -393,31 +374,58 @@ type clientTx struct {
 	snap interval.Timestamp
 	ro   bool
 	// pending is set while the server has not heard of this transaction:
-	// its Begin travels with the first Query, and until a reply arrives
+	// its Begin travels with the first frame, and until that frame is sent
 	// there is nothing server-side to end.
 	pending bool
 	done    atomic.Bool
 }
 
-// Snapshot returns the transaction's snapshot timestamp.
+// Snapshot returns the transaction's snapshot timestamp: the one Begin was
+// given, or, for a transaction begun at the latest, 0 until the reply to
+// its first frame has arrived.
 func (t *clientTx) Snapshot() interval.Timestamp { return t.snap }
+
+// frame starts the transaction's next request: op for the transaction's id,
+// carrying the Begin if nothing has been sent yet.
+func (t *clientTx) frame(op byte) *wire.Buffer {
+	if !t.pending {
+		return rpc.NewFrame(op).U64(t.id)
+	}
+	return rpc.NewFrame(op | begins).U64(t.id).Bool(t.ro).U64(uint64(t.snap))
+}
+
+// call sends a frame started by frame and waits for a reply of opcode
+// want. Reply or none, the server may have begun the transaction; if it did
+// not there is no transaction to end, and ending one that does not exist is
+// harmless.
+func (t *clientTx) call(e *wire.Buffer, want byte) (wire.Decoder, error) {
+	began := t.pending
+	t.pending = false
+	d, err := roundTrip(t.ctx, t.conn, e, want)
+	if began && err == nil {
+		body := d.Take(d.Len() - 8) // the reply ends with the snapshot
+		t.snap = interval.Timestamp(d.U64())
+		d, err = *wire.NewDecoder(body), d.Err()
+	}
+	return d, err
+}
+
+// statement runs a Query or Exec. A finished transaction sends nothing: its
+// session may be another transaction's by now.
+func (t *clientTx) statement(op, want byte, src string, args []sql.Value) (wire.Decoder, error) {
+	if t.done.Load() {
+		return wire.Decoder{}, db.ErrTxDone
+	}
+	e := t.frame(op).Str(src).U32(uint32(len(args)))
+	if err := appendValues(e, args); err != nil {
+		return wire.Decoder{}, err
+	}
+	return t.call(e, want)
+}
 
 // Query runs a remote SELECT, bounded by the transaction's context.
 func (t *clientTx) Query(src string, args ...sql.Value) (*db.Result, error) {
-	var e *wire.Buffer
-	if t.pending {
-		e = rpc.NewFrame(opQueryAt).U64(t.id).U64(uint64(t.snap))
-	} else {
-		e = rpc.NewFrame(opQuery).U64(t.id)
-	}
-	if err := encodeArgs(e.Str(src), args); err != nil {
-		return nil, err
-	}
-	d, err := roundTrip(t.ctx, t.conn, e, opQueryResp)
-	// Reply or none, the server may have run the Begin. If it did not there
-	// is no transaction to end, and ending one that does not exist is
-	// harmless.
-	t.pending = false
+	d, err := t.statement(opQuery, opQueryResp, src, args)
 	if err != nil {
 		return nil, err
 	}
@@ -427,14 +435,7 @@ func (t *clientTx) Query(src string, args ...sql.Value) (*db.Result, error) {
 // Exec runs a remote INSERT/UPDATE/DELETE, bounded by the transaction's
 // context.
 func (t *clientTx) Exec(src string, args ...sql.Value) (int, error) {
-	if t.pending {
-		return 0, db.ErrReadOnly // only read-only transactions begin lazily
-	}
-	e := rpc.NewFrame(opExec).U64(t.id).Str(src)
-	if err := encodeArgs(e, args); err != nil {
-		return 0, err
-	}
-	d, err := roundTrip(t.ctx, t.conn, e, opExecResp)
+	d, err := t.statement(opExec, opExecResp, src, args)
 	if err != nil {
 		return 0, err
 	}
@@ -459,7 +460,7 @@ func (t *clientTx) Commit() (interval.Timestamp, error) {
 		return t.snap, nil
 	}
 	defer func() { t.cl.free <- t.conn }()
-	d, err := roundTrip(t.ctx, t.conn, rpc.NewFrame(opCommit).U64(t.id), opCommitResp)
+	d, err := t.call(t.frame(opCommit), opCommitResp)
 	if err != nil {
 		return 0, err
 	}
@@ -487,10 +488,6 @@ func (t *clientTx) end() {
 		_ = t.conn.Send(rpc.NewFrame(opAbort).U64(t.id)) // a failed write drops the connection, and the transaction with it
 	}
 	t.cl.free <- t.conn
-}
-
-func encodeArgs(e *wire.Buffer, args []sql.Value) error {
-	return appendValues(e.U32(uint32(len(args))), args)
 }
 
 // decodeResult reads an opQueryResp body. Every count is bounded by the

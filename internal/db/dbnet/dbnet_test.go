@@ -139,12 +139,15 @@ func TestConnectionDropAbortsTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Request 1: begin transaction 1, read/write, at the latest snapshot.
-	if err := wire.WriteFrame(raw, wire.NewBuffer(opBegin).U32(1).U64(1).Bool(false).U64(0).Bytes()); err != nil {
+	// Request 1: transaction 1's first Exec, carrying its Begin (read/write,
+	// at the latest snapshot).
+	first := wire.NewBuffer(opExec | begins).U32(1).U64(1).Bool(false).U64(0).
+		Str("INSERT INTO kv (k, v) VALUES (1, 'one')").U32(0)
+	if err := wire.WriteFrame(raw, first.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrame(raw); err != nil {
-		t.Fatal(err)
+	if reply, err := wire.ReadFrame(raw); err != nil || reply[0] != opExecResp {
+		t.Fatalf("first Exec: %x, %v", reply, err)
 	}
 	if engine.PinnedCount() != 1 {
 		t.Fatalf("expected the open transaction to pin its snapshot")
@@ -158,6 +161,9 @@ func TestConnectionDropAbortsTx(t *testing.T) {
 	}
 	if got := engine.PinnedCount(); got != 0 {
 		t.Fatalf("orphaned transaction still pins %d snapshots", got)
+	}
+	if n := engine.Stats().Commits; n != 0 {
+		t.Fatalf("the orphaned transaction's write was published (%d commits)", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package dbnet
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -10,8 +11,8 @@ import (
 	"txcache/internal/core"
 	"txcache/internal/db"
 	"txcache/internal/interval"
+	"txcache/internal/rpc"
 	"txcache/internal/rpc/rpctest"
-	"txcache/internal/wire"
 )
 
 // eventuallyUnpinned waits for the engine to hold no pins: transactions end
@@ -30,9 +31,9 @@ func eventuallyUnpinned(t *testing.T, engine *db.Engine) {
 
 // TestOneWritePerFrame joins the two dbnet endpoints by a counted pipe:
 // every frame either side sends is one Write, a frame that arrives in one
-// piece is one Read, a one-way opAbort draws no reply, and a read-only
-// transaction at a given snapshot costs one exchange per statement and
-// nothing else.
+// piece is one Read, a one-way opAbort draws no reply, Begin sends nothing,
+// and a transaction costs one exchange per statement plus, if it writes,
+// one for its Commit.
 func TestOneWritePerFrame(t *testing.T) {
 	engine := db.New(db.Options{})
 	if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
@@ -42,14 +43,29 @@ func TestOneWritePerFrame(t *testing.T) {
 	rc, client, server := rpctest.Pipe(t, ss.handle, 0)
 	cl := newClient(rc, 1)
 	defer cl.Close()
+	ctx := context.Background()
 
 	snap, _ := cl.PinLatest()
 	client.Expect(t, "PinLatest", 1, 1)
-	ro, err := cl.Begin(context.Background(), true, snap)
+	// In every mode Begin sends nothing, and a transaction that ends before
+	// its first frame has nothing to end.
+	for _, m := range []struct {
+		ro   bool
+		snap interval.Timestamp
+	}{{true, snap}, {true, 0}, {false, 0}} {
+		tx, err := cl.Begin(ctx, m.ro, m.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.Expect(t, "Begin", 1, 1)
+		tx.Abort()
+		client.Expect(t, "Begin and Abort", 1, 1)
+	}
+
+	ro, err := cl.Begin(ctx, true, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.Expect(t, "a read-only Begin at a snapshot", 1, 1)
 	for i := 0; i < 2; i++ {
 		if _, err := ro.Query("SELECT v FROM kv WHERE k = ?", int64(1)); err != nil {
 			t.Fatal(err)
@@ -61,64 +77,130 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	client.Expect(t, "a read-only Commit", 3, 4)
 
-	rw, err := cl.Begin(context.Background(), false, 0)
+	rw, err := cl.Begin(ctx, false, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := rw.Snapshot(); s != 0 {
+		t.Fatalf("snapshot %d before the daemon has heard of the transaction", s)
 	}
 	if _, err := rw.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", int64(1), "one"); err != nil {
 		t.Fatal(err)
 	}
+	if s := rw.Snapshot(); s != engine.LastCommit() {
+		t.Fatalf("snapshot %d after the first reply, want %d", s, engine.LastCommit())
+	}
 	if _, err := rw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	client.Expect(t, "a read/write Begin, Exec, Commit", 6, 7)
+	client.Expect(t, "a read/write Begin, Exec, Commit", 5, 6)
 
-	rw, err = cl.Begin(context.Background(), false, 0)
+	// A read/write transaction that runs nothing begins with its Commit and
+	// gets back what an empty commit is: its snapshot.
+	rw, err = cl.Begin(ctx, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw.Abort()
-	client.Expect(t, "Begin and Abort", 7, 9)
+	if ts, err := rw.Commit(); err != nil || ts != engine.LastCommit() || ts != rw.Snapshot() {
+		t.Fatalf("empty commit: %d, %v; snapshot %d, latest %d", ts, err, rw.Snapshot(), engine.LastCommit())
+	}
+	client.Expect(t, "a read/write Begin, Commit", 6, 7)
 	cl.Unpin(snap)
-	client.Expect(t, "Unpin", 8, 10)
-	server.Expect(t, "10 frames in, 8 out", 10, 8)
+	client.Expect(t, "Unpin", 7, 8)
+	server.Expect(t, "8 frames in, 7 out", 8, 7)
 	if n := engine.PinnedCount(); n != 0 {
 		t.Fatalf("%d snapshots still pinned", n)
 	}
 }
 
-// TestAbandonedBeginIsAborted: a read/write Begin whose caller gives up
-// before the reply arrives leaves nothing behind. The client chose the
-// transaction's id, so the one-way abort it sends behind the Begin ends the
-// transaction the server went on to begin, and the session stays usable.
+// TestAbandonedBeginIsAborted: a read/write transaction whose first Exec —
+// the frame that carries its Begin — outlives its deadline on a slow TCP
+// link leaves nothing behind. The client chose the transaction's id, so the
+// one-way abort it sends behind the Exec ends the transaction the daemon
+// began, and the session goes on to carry the next transaction.
 func TestAbandonedBeginIsAborted(t *testing.T) {
 	engine := db.New(db.Options{})
-	ss := &session{Server: &Server{Engine: engine}, txs: make(map[uint64]*db.Tx)}
-	slowBegin := func(op byte, body []byte) (*wire.Buffer, error) {
-		if op == opBegin {
-			time.Sleep(50 * time.Millisecond)
+	if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	addr := serve(t, engine)
+	rc, err := rpc.NewClient("dbnet "+addr, 1, 0, func() (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			return nil, err
 		}
-		return ss.handle(op, body)
-	}
-	rc, _, _ := rpctest.Pipe(t, slowBegin, 0)
-	cl := newClient(rc, 1)
-	defer cl.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if tx, err := cl.Begin(ctx, false, 0); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Begin = %v, %v; want the deadline's error", tx, err)
-	}
-	// The next lease of the same session is ordered behind both frames; once
-	// it has ended too, nothing pins the snapshot the two shared.
-	tx, err := cl.Begin(context.Background(), false, 0)
+		return &rpctest.DelayConn{Conn: c, D: 100 * time.Millisecond}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := newClient(rc, 1)
+	defer cl.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	defer cancel()
+	tx, err := cl.Begin(ctx, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", int64(1), "lost"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("first Exec = %v; want the deadline's error", err)
+	}
 	tx.Abort()
+	// The next lease of the same session is ordered behind both frames.
+	tx, err = cl.Begin(context.Background(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", int64(1), "kept"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	eventuallyUnpinned(t, engine)
 	if st := rc.Counters(); st.LateDrops != 1 || st.Reconnects != 0 {
 		t.Fatalf("the abandoned reply should have been dropped on a connection left alone: %+v", st)
+	}
+}
+
+// TestFinishedTxSendsNothing: a statement on a transaction that has ended
+// returns ErrTxDone and sends nothing. Its session is back in the pool, and
+// a frame sent on it would begin a transaction nobody ends, pinning its
+// snapshot until the connection drops.
+func TestFinishedTxSendsNothing(t *testing.T) {
+	engine, cl := startServer(t)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name       string
+		ro, commit bool
+	}{
+		{"read-only, Abort", true, false},
+		{"read-only, Commit", true, true},
+		{"read/write, Abort", false, false},
+		{"read/write, Commit", false, true},
+	} {
+		snap, _ := cl.PinLatest()
+		at := snap
+		if !c.ro {
+			at = 0
+		}
+		tx, err := cl.Begin(ctx, c.ro, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.commit {
+			tx.Abort()
+		} else if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		_, qerr := tx.Query("SELECT v FROM kv WHERE k = ?", int64(1))
+		_, eerr := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", int64(1), "late")
+		cl.Unpin(snap)
+		eventuallyUnpinned(t, engine)
+		if !errors.Is(qerr, db.ErrTxDone) || !errors.Is(eerr, db.ErrTxDone) {
+			t.Fatalf("%s: Query = %v, Exec = %v; want ErrTxDone", c.name, qerr, eerr)
+		}
 	}
 }
 
@@ -171,9 +253,9 @@ func TestOneWayEndKeepsSessionInSync(t *testing.T) {
 	eventuallyUnpinned(t, engine)
 }
 
-// TestPiggybackedBeginFailure: a read-only Begin at a snapshot that is not
-// pinned succeeds locally, and the first statement reports what the Begin
-// would have. The session is none the worse for it.
+// TestPiggybackedBeginFailure: a Begin the daemon would refuse succeeds
+// locally, and the first statement reports what the Begin would have. The
+// session is none the worse for it.
 func TestPiggybackedBeginFailure(t *testing.T) {
 	engine, cl := startServer(t)
 	ctx := context.Background()
@@ -198,6 +280,16 @@ func TestPiggybackedBeginFailure(t *testing.T) {
 	}
 	if _, err := tx.Exec("DELETE FROM kv WHERE k = ?", int64(1)); err == nil {
 		t.Fatal("Exec in a read-only transaction succeeded")
+	}
+	tx.Abort()
+
+	// So is a read/write transaction asked to run in the past.
+	tx, err = cl.Begin(ctx, false, 1)
+	if err != nil {
+		t.Fatalf("lazy Begin reported %v; it has nothing to report yet", err)
+	}
+	if _, err := tx.Exec("DELETE FROM kv WHERE k = ?", int64(1)); err == nil {
+		t.Fatal("a read/write transaction began at a past snapshot")
 	}
 	tx.Abort()
 

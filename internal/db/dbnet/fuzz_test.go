@@ -20,22 +20,37 @@ import (
 func FuzzDBNetHandle(f *testing.F) {
 	stmt := func(op byte, n uint32, args ...sql.Value) []byte {
 		e := wire.NewBuffer(op).U32(1).U64(1)
-		if op == opQueryAt {
-			e.U64(2)
-		}
 		if err := appendValues(e.Str("SELECT v FROM kv WHERE k = ?").U32(n), args); err != nil {
 			f.Fatal(err)
 		}
 		return e.Bytes()
 	}
+	// first is the frame that begins transaction id: op with the Begin, then
+	// src for a statement.
+	first := func(op byte, id uint64, ro bool, snap uint64, src string) []byte {
+		e := wire.NewBuffer(op | begins).U32(1).U64(id).Bool(ro).U64(snap)
+		if op != opCommit {
+			e.Str(src).U32(0)
+		}
+		return e.Bytes()
+	}
+	const sel, ins = "SELECT v FROM kv WHERE k = 1", "INSERT INTO kv (k, v) VALUES (2, 'two')"
 	f.Add(stmt(opExec, 0xFFFFFFFF)) // the frame that killed txcache-dbd
 	f.Add(stmt(opQuery, 0xFFFFFFFF))
-	f.Add(stmt(opQueryAt, 1, int64(1)))
 	f.Add(stmt(opQuery, 1, "one"))
 	f.Add(stmt(opExec, 2, nil, 1.5))
-	f.Add(wire.NewBuffer(opBegin).U32(1).U64(1).Bool(false).U64(0).Bytes())
-	f.Add(wire.NewBuffer(opBegin).U32(1).U64(1).Bool(true).U64(7).Bytes()) // unpinned snapshot
-	f.Add(wire.NewBuffer(opBegin).U32(0).U64(1).Bool(true).U64(0).Bytes()) // one-way: nobody learns the snapshot
+	for _, ro := range []bool{true, false} {
+		f.Add(first(opQuery, 2, ro, 0, sel))
+		f.Add(first(opExec, 2, ro, 0, ins))
+		f.Add(first(opCommit, 2, ro, 0, ""))
+	}
+	f.Add(first(opQuery, 2, true, 7, sel))  // unpinned snapshot
+	f.Add(first(opExec, 2, false, 1, ins))  // a read/write transaction in the past
+	f.Add(first(opQuery, 1, false, 0, sel)) // id 1 is open already
+	oneWay := first(opExec, 2, false, 0, ins)
+	oneWay[1] = 0 // request ID 0: nobody learns the snapshot
+	f.Add(oneWay)
+	f.Add(wire.NewBuffer(opAbort | begins).U32(1).U64(2).Bool(false).U64(0).Bytes()) // opAbort cannot begin
 	f.Add(wire.NewBuffer(opCommit).U32(1).U64(1).Bytes())
 	f.Add(wire.NewBuffer(opAbort).U32(0).U64(1).Bytes())
 	f.Add(wire.NewBuffer(opPin).U32(1).Bytes())
@@ -83,9 +98,17 @@ func FuzzDBNetHandle(f *testing.F) {
 				if err := json.Unmarshal(reply.Bytes()[5:], new(ServerStats)); err != nil {
 					t.Fatalf("stats reply does not decode: %v", err)
 				}
-			case rpc.OpAck, opBeginResp, opExecResp, opCommitResp, opPinResp:
+			case rpc.OpAck, opExecResp, opCommitResp, opPinResp:
 			default:
 				t.Fatalf("opcode %d answered with opcode %d", frame[0], got)
+			}
+			// The reply to a frame that began a transaction ends with its
+			// snapshot: here always the latest, the only one pinned.
+			switch b := reply.Bytes(); frame[0] {
+			case opQuery | begins, opExec | begins, opCommit | begins:
+				if snap := wire.NewDecoder(b[len(b)-8:]).U64(); got != rpc.OpErr && snap != uint64(engine.LastCommit()) {
+					t.Fatalf("reply %x to a frame that began a transaction ends with snapshot %d, not %d", b, snap, engine.LastCommit())
+				}
 			}
 		}
 

@@ -1,6 +1,6 @@
 // Package rpctest holds what the three services' frame I/O tests share: a
 // service's two endpoints joined by a pipe that counts each one's reads and
-// writes.
+// writes, and a connection that delivers what it reads late.
 package rpctest
 
 import (
@@ -43,6 +43,20 @@ func (c *CountingConn) Expect(t testing.TB, after string, reads, writes int64) {
 	if r, w := c.Reads.Load(), c.Writes.Load(); r != reads || w != writes {
 		t.Fatalf("after %s: %d reads and %d writes, want %d and %d", after, r, w, reads, writes)
 	}
+}
+
+// DelayConn hands each Read's data to its caller D after it arrived: on a
+// client's dial func, every reply reaches the caller D late, as over a slow
+// link, while the peer goes on serving at full speed.
+type DelayConn struct {
+	net.Conn
+	D time.Duration
+}
+
+func (c *DelayConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	time.Sleep(c.D)
+	return n, err
 }
 
 // Pipe serves h on one end of a net.Pipe, puts a one-connection rpc.Client

@@ -3,7 +3,7 @@
 // Release requests from TxCache libraries and periodically unpins old,
 // unused snapshots on the database daemon. Its counters are
 // pincushion.Stats, answered on rpc.OpStats; txcache-serve shows them on
-// /statsz.
+// /statsz, and -debug-addr serves them beside pprof (internal/debugz).
 //
 // Usage:
 //
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"txcache/internal/db/dbnet"
+	"txcache/internal/debugz"
 	"txcache/internal/pincushion"
 )
 
@@ -26,6 +27,7 @@ func main() {
 	retention := flag.Duration("retention", 60*time.Second, "keep unused pins this long")
 	staleness := flag.Duration("staleness", 0, "largest staleness bound applications use; lets the sweeper trim unused pins early (0: retention only)")
 	sweepEvery := flag.Duration("sweep-interval", 5*time.Second, "sweep period")
+	debugAddr := flag.String("debug-addr", "", "serve /statsz and /debug/pprof/ here (empty: no debug surface, heap sampling off)")
 	flag.Parse()
 
 	cfg := pincushion.Config{Retention: *retention, Staleness: *staleness}
@@ -37,6 +39,9 @@ func main() {
 		cfg.DB = cl
 	}
 	pc := pincushion.New(cfg)
+	if err := debugz.Start(*debugAddr, func() any { return pc.Stats() }); err != nil {
+		log.Fatalf("pincushiond: -debug-addr: %v", err)
+	}
 
 	stop := make(chan struct{})
 	go pc.RunSweeper(*sweepEvery, stop)

@@ -2,7 +2,9 @@
 // engine with TxCache's modifications (paper §5) served over TCP. It
 // executes DDL from a schema file or pre-loads the RUBiS dataset, fans the
 // invalidation stream out to the configured cache nodes, and vacuums
-// periodically.
+// periodically. Its counters are dbnet.ServerStats, answered on
+// rpc.OpStats, written to -status-file, and served beside pprof on
+// -debug-addr (internal/debugz).
 //
 // With -data-dir the engine is durable: commits are group-committed to a
 // write-ahead log before they become visible, checkpoints bound the log, and
@@ -28,12 +30,14 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"txcache/internal/cacheserver"
 	"txcache/internal/db"
 	"txcache/internal/db/dbnet"
+	"txcache/internal/debugz"
 	"txcache/internal/invalidation"
 	"txcache/internal/rubis"
 	"txcache/internal/serve"
@@ -82,7 +86,20 @@ func main() {
 	walSync := flag.String("wal-sync", "fdatasync", "WAL sync discipline: none, fdatasync, fsync, odsync")
 	ckptBytes := flag.Int64("checkpoint-bytes", 16<<20, "checkpoint after this many WAL bytes (negative disables)")
 	statusFile := flag.String("status-file", "", "write a JSON status snapshot here once serving (atomic rename)")
+	debugAddr := flag.String("debug-addr", "", "serve /statsz and /debug/pprof/ here (empty: no debug surface, heap sampling off)")
 	flag.Parse()
+
+	// The surface starts before recovery and the dataset load, so a slow
+	// one can be profiled; /statsz reads null until the daemon is serving.
+	var serving atomic.Pointer[dbnet.Server]
+	if err := debugz.Start(*debugAddr, func() any {
+		if srv := serving.Load(); srv != nil {
+			return srv.Stats()
+		}
+		return nil
+	}); err != nil {
+		log.Fatalf("txcache-dbd: -debug-addr: %v", err)
+	}
 
 	bus := invalidation.NewBus(false)
 	opts := db.Options{Bus: bus}
@@ -206,6 +223,7 @@ func main() {
 	log.Printf("txcache-dbd: serving on %s (durable=%v)", l.Addr(), durable)
 
 	srv := &dbnet.Server{Engine: engine}
+	serving.Store(srv)
 	statusSnap := func() status {
 		return status{PID: os.Getpid(), Addr: l.Addr().String(), Durable: durable, ServerStats: srv.Stats()}
 	}

@@ -18,6 +18,9 @@
 // are shed with 503s, in-flight requests run to completion until
 // -drain-timeout, then anything still running is hard-cancelled through its
 // transaction context.
+//
+// The application listener serves /healthz and /statsz, every tier's
+// counters on one page; profiles are on -debug-addr (internal/debugz).
 package main
 
 import (
@@ -29,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -36,6 +40,7 @@ import (
 	"txcache/internal/clock"
 	"txcache/internal/core"
 	"txcache/internal/db/dbnet"
+	"txcache/internal/debugz"
 	"txcache/internal/pincushion"
 	"txcache/internal/rubis"
 	"txcache/internal/serve"
@@ -53,7 +58,21 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-drain bound before in-flight work is hard-cancelled")
 	wiki := flag.Bool("wiki", false, "serve the wiki subset (requires txcache-dbd -wiki-pages)")
 	dbPool := flag.Int("db-conns", 8, "database connection pool size")
+	debugAddr := flag.String("debug-addr", "", "serve /statsz and /debug/pprof/ here (empty: no debug surface, heap sampling off)")
 	flag.Parse()
+
+	// The surface starts before the dials and the attach, so a slow start
+	// can be profiled; /statsz reads null until the server exists. The
+	// application listener's own /statsz is the page for the whole stack.
+	var serving atomic.Pointer[serve.Server]
+	if err := debugz.Start(*debugAddr, func() any {
+		if srv := serving.Load(); srv != nil {
+			return srv.Stats().Snapshot()
+		}
+		return nil
+	}); err != nil {
+		log.Fatalf("txcache-serve: -debug-addr: %v", err)
+	}
 
 	dbClient, err := dbnet.Dial(*dbAddr, *dbPool)
 	if err != nil {
@@ -113,6 +132,7 @@ func main() {
 		Logf:           log.Printf,
 		Tiers:          tiers,
 	})
+	serving.Store(srv)
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Command txcached runs one TxCache cache server node (paper §4). It
 // serves LOOKUP/PUT requests and applies the invalidation stream pushed by
 // the database daemon. Its counters are cacheserver.Stats, answered on
-// rpc.OpStats; txcache-serve shows them on /statsz.
+// rpc.OpStats; txcache-serve shows them on /statsz, and -debug-addr serves
+// them beside pprof (internal/debugz).
 //
 // Usage:
 //
@@ -19,12 +20,14 @@ import (
 	"time"
 
 	"txcache/internal/cacheserver"
+	"txcache/internal/debugz"
 )
 
 func main() {
 	listen := flag.String("listen", ":7500", "address to listen on")
 	capacity := flag.String("capacity", "256MB", "cache capacity (e.g. 64MB, 1GB, 0 = unlimited)")
 	maxStale := flag.Duration("max-staleness", 60*time.Second, "eagerly evict entries invalidated longer ago than this (0 = never)")
+	debugAddr := flag.String("debug-addr", "", "serve /statsz and /debug/pprof/ here (empty: no debug surface, heap sampling off)")
 	flag.Parse()
 
 	bytes, err := parseBytes(*capacity)
@@ -35,6 +38,9 @@ func main() {
 		CapacityBytes: bytes,
 		MaxStaleness:  *maxStale,
 	})
+	if err := debugz.Start(*debugAddr, func() any { return srv.Stats() }); err != nil {
+		log.Fatalf("txcached: -debug-addr: %v", err)
+	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("txcached: %v", err)

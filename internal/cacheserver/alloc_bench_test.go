@@ -85,6 +85,9 @@ const invalidateAllocCeiling = 0
 // returns the version's own data and tag slices (zero-copy). Any allocation
 // here is a regression — the pre-shard node was allocation-free too.
 func TestAllocBudgetLookup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are checked without the race detector (make alloc-regression)")
+	}
 	s, _ := benchInvalServer(t, 64, 0)
 	// Advance the horizon so still-valid entries have non-empty effective
 	// intervals (a fresh node serves nothing still-valid).
@@ -124,6 +127,9 @@ func TestAllocBudgetLookup(t *testing.T) {
 }
 
 func TestAllocBudgetInvalidate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are checked without the race detector (make alloc-regression)")
+	}
 	const n = 1024
 	s, tags := benchInvalServer(t, n, 0)
 	payload := make([]byte, 64)
@@ -274,6 +280,9 @@ func freshKeys(n int) []string {
 const firstSightBytesCeiling = 16 << 10
 
 func TestAllocBudgetFirstSightTag(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are checked without the race detector (make alloc-regression)")
+	}
 	const n = 256
 	s := New(Config{})
 	streamTo(s, 2, time.Unix(0, 0)) // a fresh node joins at the first commit

@@ -227,13 +227,13 @@ func TestStreamGapAfterOverflow(t *testing.T) {
 	// Nobody reads: the stream 2, 3, ... runs until 100 messages have been
 	// dropped, and every dropped one but the first names the tag.
 	last := interval.Timestamp(1)
-	for sub.Dropped() < 100 {
+	for bus.Dropped() < 100 {
 		last++
 		if last > 1<<20 {
 			t.Fatal("a subscription nobody reads took a million messages and dropped none")
 		}
 		m := invalidation.Message{TS: last, WallTime: time.Unix(int64(last), 0)}
-		if sub.Dropped() > 0 {
+		if bus.Dropped() > 0 {
 			m.Tags = tag
 		}
 		bus.Publish(m)
@@ -280,7 +280,7 @@ func TestStreamGapAfterOverflow(t *testing.T) {
 	if n := strings.Count(logged.String(), "invalidation stream gap"); n != 1 {
 		t.Fatalf("the node logged %d gaps, want 1:\n%s", n, logged.String())
 	}
-	if d := sub.Dropped(); d != 100 {
+	if d := bus.Dropped(); d != 100 {
 		t.Fatalf("Dropped() = %d once the node was reading again, want 100", d)
 	}
 }

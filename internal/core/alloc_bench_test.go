@@ -139,6 +139,9 @@ func BenchmarkMakeCacheableMiss(b *testing.B) {
 const cacheableHitAllocCeiling = 12
 
 func TestAllocBudgetMakeCacheableHit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are checked without the race detector (make alloc-regression)")
+	}
 	client, _, _ := benchSite(t)
 	user, _ := benchFns(client)
 	call := func() {
@@ -426,6 +429,9 @@ func BenchmarkBeginCommitRO(b *testing.B) {
 const beginLeasedAllocCeiling = 3
 
 func TestAllocBudgetBeginLeased(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are checked without the race detector (make alloc-regression)")
+	}
 	c := beginSite(t, false)
 	defer c.Close()
 	beginCommit(t, c) // fetches the lease

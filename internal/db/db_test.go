@@ -758,6 +758,43 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestStatsStreamDropped: what a subscriber that stopped reading missed shows
+// in the engine's counters, and stays there after it has gone.
+func TestStatsStreamDropped(t *testing.T) {
+	bus := invalidation.NewBus(false)
+	e := New(Options{Bus: bus})
+	if err := e.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT)`); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "INSERT INTO kv (k, v) VALUES (1, 0)")
+	sub := bus.Subscribe() // never read
+	commits := 0
+	commit := func() {
+		commits++
+		mustExec(t, e, "UPDATE kv SET v = ? WHERE k = 1", int64(commits))
+	}
+	// Fill the subscription's queue: the commit that finds it full is the
+	// first dropped, and four more follow it.
+	for e.Stats().StreamDropped == 0 {
+		if commits > 1<<20 {
+			t.Fatal("a subscriber nobody reads took a million messages and dropped none")
+		}
+		commit()
+	}
+	held := commits - 1
+	for range 4 {
+		commit()
+	}
+	if got := e.Stats().StreamDropped; got != 5 {
+		t.Fatalf("StreamDropped = %d after %d commits into a queue that holds %d, want 5", got, commits, held)
+	}
+	sub.Close()
+	commit()
+	if got := e.Stats().StreamDropped; got != 5 {
+		t.Fatalf("StreamDropped = %d after the subscriber closed, want 5", got)
+	}
+}
+
 // TestEagerVisibilityAblation verifies the §5.2 design choice: evaluating
 // the predicate before the visibility check yields validity intervals at
 // least as wide as the stock visibility-first ordering, and strictly wider

@@ -463,6 +463,10 @@ type Stats struct {
 	// before the allocator rounds a row up to its size class.
 	Rows     int `json:"rows"`
 	RowBytes int `json:"rowBytes"`
+	// StreamDropped is how many invalidation messages a subscriber's full
+	// queue did not keep (invalidation.Bus.Dropped), closed subscribers
+	// included: each is a gap the subscribing node crosses.
+	StreamDropped uint64 `json:"streamDropped"`
 }
 
 // Stats returns current engine counters.
@@ -477,6 +481,9 @@ func (e *Engine) Stats() Stats {
 		PoolMisses:   m,
 		PinnedSnaps:  e.PinnedCount(),
 		LastCommitTS: e.LastCommit(),
+	}
+	if e.bus != nil {
+		s.StreamDropped = e.bus.Dropped()
 	}
 	e.catMu.RLock()
 	for _, t := range e.tables {

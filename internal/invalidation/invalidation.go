@@ -108,10 +108,11 @@ func DecodeMessage(d *wire.Decoder) (Message, error) {
 // stall the database's commit path — and a bounded one (subscriptionCap), so
 // a dead one cannot grow the database's heap.
 type Bus struct {
-	mu   sync.Mutex
-	subs []*Subscription
-	log  []Message // every message ever published, when keep is set
-	keep bool
+	mu      sync.Mutex
+	subs    []*Subscription
+	log     []Message // every message ever published, when keep is set
+	keep    bool
+	dropped uint64 // messages a subscription's full queue did not keep
 }
 
 // NewBus returns an empty bus. With keepHistory set it retains every message
@@ -126,8 +127,9 @@ func NewBus(keepHistory bool) *Bus {
 // subscriptionCap bounds the messages a subscription holds for a reader that
 // is not taking them — about 35 s of commits at the benchmark's write_heavy
 // rate, and about a megabyte. A message that does not fit is dropped and
-// counted. That is safe with no further protocol because the stream carries
-// one message per commit timestamp: the reader sees the hole as a message
+// counted (Bus.Dropped, db.Stats.StreamDropped). That is safe with no
+// further protocol because the stream carries one message per commit
+// timestamp: the reader sees the hole as a message
 // that is not its horizon's successor and crosses the gap itself
 // (cacheserver.Server.apply), paying with freshness what the database no
 // longer pays with memory. A reader that stays exactly cap behind pays it
@@ -136,14 +138,13 @@ const subscriptionCap = 16 << 10
 
 // Subscription receives stream messages in order via C.
 type Subscription struct {
-	C       <-chan Message
-	c       chan Message // unbuffered: a message leaves queue when the reader has it
-	mu      sync.Mutex
-	queue   []Message // at most subscriptionCap
-	dropped uint64
-	closed  bool
-	wake    chan struct{}
-	done    chan struct{} // closed by Close, so a pump whose reader has gone does not wait for it
+	C      <-chan Message
+	c      chan Message // unbuffered: a message leaves queue when the reader has it
+	mu     sync.Mutex
+	queue  []Message // at most subscriptionCap
+	closed bool
+	wake   chan struct{}
+	done   chan struct{} // closed by Close, so a pump whose reader has gone does not wait for it
 }
 
 // Subscribe registers a new subscriber. Replays history first when the bus
@@ -159,7 +160,8 @@ func (b *Bus) Subscribe() *Subscription {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.keep {
-		s.enqueue(b.log...)
+		dropped, _ := s.enqueue(b.log...)
+		b.dropped += dropped
 	}
 	b.subs = append(b.subs, s)
 	return s
@@ -197,7 +199,9 @@ func (b *Bus) PublishBatch(ms []Message) {
 func (b *Bus) deliver(ms ...Message) {
 	open := b.subs[:0]
 	for _, s := range b.subs {
-		if s.enqueue(ms...) {
+		dropped, ok := s.enqueue(ms...)
+		b.dropped += dropped
+		if ok {
 			open = append(open, s)
 		}
 	}
@@ -206,16 +210,16 @@ func (b *Bus) deliver(ms ...Message) {
 }
 
 // enqueue reports false, and keeps nothing, once s is closed. While it is
-// open it keeps what fits under subscriptionCap, in order, and counts the
-// rest as dropped.
-func (s *Subscription) enqueue(ms ...Message) bool {
+// open it keeps what fits under subscriptionCap, in order, and returns how
+// many of the rest it dropped.
+func (s *Subscription) enqueue(ms ...Message) (dropped uint64, open bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return false
+		return 0, false
 	}
 	if room := subscriptionCap - len(s.queue); len(ms) > room {
-		s.dropped += uint64(len(ms) - room)
+		dropped = uint64(len(ms) - room)
 		ms = ms[:room]
 	}
 	s.queue = append(s.queue, ms...)
@@ -224,14 +228,16 @@ func (s *Subscription) enqueue(ms ...Message) bool {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	return true
+	return dropped, true
 }
 
-// Dropped returns how many messages found the queue full and were not kept.
-func (s *Subscription) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
+// Dropped returns how many messages found a subscription's queue full and
+// were not kept, summed over every subscription the bus has had, closed ones
+// included.
+func (b *Bus) Dropped() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dropped
 }
 
 // pump hands the queue's messages to the reader in order. A message stays

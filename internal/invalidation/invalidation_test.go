@@ -139,14 +139,14 @@ func TestSubscriptionBounded(t *testing.T) {
 	if queued > subscriptionCap {
 		t.Fatalf("an unread subscription holds %d messages, cap %d", queued, subscriptionCap)
 	}
-	if got := sub.Dropped(); got != over {
+	if got := bus.Dropped(); got != over {
 		t.Fatalf("Dropped() = %d after %d messages past the cap, want %d", got, over, over)
 	}
 	// A batch that straddles the cap keeps the part that fits.
 	<-sub.C
 	<-sub.C
 	bus.PublishBatch([]Message{{TS: 20_001}, {TS: 20_002}, {TS: 20_003}})
-	if got := sub.Dropped(); got != over+1 && got != over+2 {
+	if got := bus.Dropped(); got != over+1 && got != over+2 {
 		// The pump may not have popped the second message taken yet.
 		t.Fatalf("Dropped() = %d after a batch of 3 into room for 1 or 2, want %d or %d", got, over+1, over+2)
 	}
@@ -165,6 +165,13 @@ func TestSubscriptionBounded(t *testing.T) {
 	}
 	if want != subscriptionCap+1 {
 		t.Fatalf("retained prefix ended at ts %d, want %d", want-1, subscriptionCap)
+	}
+	// The bus keeps the count after the subscription has gone.
+	dropped := bus.Dropped()
+	sub.Close()
+	bus.Publish(Message{TS: 20_004})
+	if got := bus.Dropped(); got != dropped || len(bus.subs) != 0 {
+		t.Fatalf("Dropped() = %d with %d subscriptions after the last closed, want %d and none", got, len(bus.subs), dropped)
 	}
 }
 

@@ -543,12 +543,12 @@ func TestStatszTiers(t *testing.T) {
 	}
 }
 
-// TestPprofHeap: a heap profile of the running process is one GET away, on
-// the listener the application is served on.
-func TestPprofHeap(t *testing.T) {
+// TestNoPprofOnAppListener: the application listener serves no profiles.
+// They are a daemon's opt-in -debug-addr (internal/debugz), and a library
+// that linked them would switch on heap sampling in every program built on it.
+func TestNoPprofOnAppListener(t *testing.T) {
 	f := startFixture(t, nil)
-	resp, body := get(t, f.url+"/debug/pprof/heap?debug=1")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "heap profile") {
-		t.Fatalf("/debug/pprof/heap = %d:\n%.200s", resp.StatusCode, body)
+	if resp, body := get(t, f.url+"/debug/pprof/heap?debug=1"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/pprof/heap = %d, want 404:\n%.200s", resp.StatusCode, body)
 	}
 }

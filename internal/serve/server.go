@@ -16,7 +16,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -414,18 +413,12 @@ func commit(w http.ResponseWriter, ts interval.Timestamp, body string) error {
 
 // routes mounts the application surface.
 func (s *Server) routes() {
-	// Introspection endpoints bypass admission control: health checks, stats
-	// scrapes and profiles must answer even when the request path is
-	// saturated.
+	// Introspection endpoints bypass admission control: health checks and
+	// stats scrapes must answer even when the request path is saturated.
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
 	s.mux.HandleFunc("GET /statsz", s.statsz)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index) // the named profiles: heap, goroutine, allocs, …
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	s.handle("GET /{$}", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 		return s.page(ctx, w, r, s.app.Home)

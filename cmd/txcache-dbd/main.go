@@ -22,7 +22,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"log"
@@ -39,6 +38,7 @@ import (
 	"txcache/internal/db/dbnet"
 	"txcache/internal/debugz"
 	"txcache/internal/invalidation"
+	"txcache/internal/rpc"
 	"txcache/internal/rubis"
 	"txcache/internal/serve"
 	"txcache/internal/wal"
@@ -139,25 +139,14 @@ func main() {
 
 	// Invalidation fan-out to cache nodes: the paper's reliable
 	// application-level multicast, realized as one ordered TCP push stream
-	// per node.
-	for _, addr := range strings.Split(*caches, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		cl, err := cacheserver.Dial(addr, 1)
-		if err != nil {
+	// per node. The stream must be gapless and ordered: it retries every
+	// message until the node acks having applied it (at-least-once, in
+	// order), and the node's timestamp dedup makes that exactly-once. It runs
+	// for the life of the process.
+	for _, addr := range strings.Fields(strings.ReplaceAll(*caches, ",", " ")) {
+		if _, err := cacheserver.Feed(rpc.TCP, "db", addr, bus); err != nil {
 			log.Fatalf("txcache-dbd: dial cache %s: %v", addr, err)
 		}
-		sub := bus.Subscribe()
-		// The stream must be gapless and ordered: PushStream retries every
-		// message until the node acks having applied it (at-least-once, in
-		// order), and the node's timestamp dedup makes that exactly-once. It
-		// runs for the life of the process.
-		go func(addr string) {
-			err := cl.PushStream(context.Background(), sub)
-			log.Printf("txcache-dbd: invalidation stream to %s ended: %v", addr, err)
-		}(addr)
 	}
 
 	if *schema != "" && !recovered {

@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"log"
 	"net"
@@ -36,13 +35,8 @@ import (
 	"syscall"
 	"time"
 
-	"txcache/internal/cacheserver"
-	"txcache/internal/clock"
-	"txcache/internal/core"
-	"txcache/internal/db/dbnet"
 	"txcache/internal/debugz"
-	"txcache/internal/pincushion"
-	"txcache/internal/rubis"
+	"txcache/internal/rpc"
 	"txcache/internal/serve"
 )
 
@@ -74,64 +68,20 @@ func main() {
 		log.Fatalf("txcache-serve: -debug-addr: %v", err)
 	}
 
-	dbClient, err := dbnet.Dial(*dbAddr, *dbPool)
-	if err != nil {
-		log.Fatalf("txcache-serve: dial db %s: %v", *dbAddr, err)
-	}
-	// Every tier's counters show on /statsz, under these names.
-	tiers := map[string]func(context.Context) (json.RawMessage, error){"db": dbClient.StatsJSON}
-	nodes := map[string]cacheserver.Node{}
-	for _, addr := range strings.Split(*caches, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		cn, err := cacheserver.Dial(addr, 4)
-		if err != nil {
-			log.Fatalf("txcache-serve: dial cache %s: %v", addr, err)
-		}
-		nodes[addr] = cn
-		tiers["cache "+addr] = cn.StatsJSON
-	}
-	cfg := core.Config{DB: dbClient, Nodes: nodes, Clock: clock.Real{}}
-	if *pcAddr != "" {
-		pc, err := pincushion.Dial(*pcAddr, 4)
-		if err != nil {
-			log.Fatalf("txcache-serve: dial pincushion %s: %v", *pcAddr, err)
-		}
-		cfg.Pincushion = pc
-		tiers["pincushion"] = pc.StatsJSON
-	}
-	client := core.NewClient(cfg)
-
+	d := serve.Deployment{Net: rpc.TCP, DB: *dbAddr, DBConns: *dbPool, Pincushion: *pcAddr, Wiki: *wiki,
+		Caches: strings.Fields(strings.ReplaceAll(*caches, ",", " "))}
 	attachCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	ds, err := rubis.Attach(attachCtx, client)
-	if err != nil {
-		cancel()
-		log.Fatalf("txcache-serve: attach (is the dataset loaded?): %v", err)
-	}
-	app := rubis.NewApp(client, ds)
-	var w *serve.Wiki
-	if *wiki {
-		if w, err = serve.AttachWiki(attachCtx, client); err != nil {
-			cancel()
-			log.Fatalf("txcache-serve: attach wiki (txcache-dbd -wiki-pages?): %v", err)
-		}
-	}
-	cancel()
-	users, items, cats, regs := ds.Ranges()
-	log.Printf("txcache-serve: attached: %d users, %d items, %d categories, %d regions, wiki=%v",
-		users, items, cats, regs, *wiki)
-
-	srv := serve.New(serve.Config{
-		App: app, Wiki: w,
+	srv, closeClients, err := serve.Connect(attachCtx, d, serve.Config{
 		RequestTimeout: *requestTimeout,
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,
 		Staleness:      *staleness,
 		Logf:           log.Printf,
-		Tiers:          tiers,
 	})
+	cancel()
+	if err != nil {
+		log.Fatalf("txcache-serve: %v", err)
+	}
 	serving.Store(srv)
 
 	l, err := net.Listen("tcp", *listen)
@@ -139,7 +89,7 @@ func main() {
 		log.Fatalf("txcache-serve: %v", err)
 	}
 	log.Printf("txcache-serve: serving on %s (%d cache nodes, staleness %v)",
-		l.Addr(), len(nodes), *staleness)
+		l.Addr(), len(d.Caches), *staleness)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
@@ -160,6 +110,6 @@ func main() {
 		st := srv.Stats().Snapshot()
 		log.Printf("txcache-serve: drained in %v: %d requests served, %d shed, %d canceled",
 			time.Since(start).Round(time.Millisecond), st.Requests, st.Shed, st.Canceled)
-		client.Close()
+		closeClients()
 	}
 }

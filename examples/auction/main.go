@@ -14,12 +14,9 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
-	"txcache"
-	"txcache/internal/core"
-	"txcache/internal/db/dbnet"
+	"txcache/internal/bench"
 	"txcache/internal/rubis"
 )
 
@@ -29,90 +26,32 @@ func main() {
 	// example past the deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	// --- Database daemon with the RUBiS dataset.
-	bus := txcache.NewBus(false)
-	engine := txcache.NewEngine(txcache.EngineOptions{Bus: bus})
-
-	// --- Two cache nodes on real sockets.
-	nodeAddrs := make([]string, 2)
-	for i := range nodeAddrs {
-		node := txcache.NewCacheServer(txcache.CacheConfig{CapacityBytes: 8 << 20})
-		go node.ConsumeStream(bus.Subscribe())
-		l := listen()
-		go node.Serve(l)
-		nodeAddrs[i] = l.Addr().String()
-	}
-
-	// --- Database daemon socket.
-	dbL := listen()
-	go (&dbnet.Server{Engine: engine}).Serve(dbL)
-
-	// --- Pincushion daemon socket, unpinning through the db daemon.
-	dbForPC, err := dbnet.Dial(dbL.Addr().String(), 2)
-	must(err)
-	pc := txcache.NewPincushion(txcache.PincushionConfig{DB: dbForPC})
-	pcL := listen()
-	go pc.Serve(pcL)
-	stop := make(chan struct{})
-	go pc.RunSweeper(500*time.Millisecond, stop)
-	defer close(stop)
-
-	// --- Load data (server side), then let invalidations drain.
-	ds, err := rubis.Load(engine, rubis.TestScale, 11)
-	must(err)
-	time.Sleep(20 * time.Millisecond)
-	fmt.Printf("loaded RUBiS: %d users, %d active items (db at commit %d)\n",
-		rubis.TestScale.Users, rubis.TestScale.ActiveItems, engine.LastCommit())
-
-	// --- Application server: everything reached over TCP.
-	dbClient, err := dbnet.Dial(dbL.Addr().String(), 8)
-	must(err)
-	pcClient, err := txcache.DialPincushion(pcL.Addr().String(), 4)
-	must(err)
-	nodes := map[string]txcache.CacheNode{}
-	for i, addr := range nodeAddrs {
-		cn, err := txcache.DialCache(addr, 4)
-		must(err)
-		nodes[fmt.Sprintf("cache%d", i)] = cn
-	}
-	client := core.NewClient(core.Config{
-		DB:         dbClient,
-		Nodes:      nodes,
-		Pincushion: pcClient,
-	})
-	app := rubis.NewApp(client, ds)
-
-	// --- Drive the bidding mix.
-	res := rubis.RunEmulator(app, rubis.EmulatorConfig{
-		Ctx:       ctx,
-		Clients:   8,
-		Staleness: 30 * time.Second,
-		Duration:  2 * time.Second,
-		Seed:      5,
-	})
-	st := client.Stats()
-	fmt.Printf("ran %d interactions in %v (%.0f req/s), %d read-only / %d read-write\n",
-		res.Requests, res.Elapsed.Round(time.Millisecond), res.Throughput(), res.ReadOnly, res.ReadWrite)
-	fmt.Printf("cache: %d hits, %d misses (%.1f%% hit rate) over TCP\n",
-		st.Hits(), st.Misses(), 100*st.HitRate())
-	fmt.Printf("db daemon: %+v\n", engine.Stats())
-	if res.Errors > 0 {
-		log.Fatalf("%d interaction errors", res.Errors)
-	}
-	if st.Hits() == 0 {
-		log.Fatal("expected cache hits over TCP")
-	}
-	fmt.Println("auction OK")
-}
-
-func listen() net.Listener {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	must(err)
-	return l
-}
-
-func must(err error) {
+	// The topology, built by the same functions txcache-dbd and
+	// txcache-serve run, with the RUBiS dataset loaded.
+	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("loaded RUBiS: %d users, %d active items (db at commit %d)\n",
+		rubis.TestScale.Users, rubis.TestScale.ActiveItems, st.Engine.LastCommit())
+
+	// Drive the bidding mix.
+	res := rubis.RunEmulator(st.App, rubis.EmulatorConfig{
+		Ctx: ctx, Clients: 8, Staleness: 30 * time.Second, Duration: 2 * time.Second, Seed: 5,
+	})
+	cs := st.App.C.Stats()
+	fmt.Printf("ran %d interactions in %v (%.0f req/s), %d read-only / %d read-write\n",
+		res.Requests, res.Elapsed.Round(time.Millisecond), res.Throughput(), res.ReadOnly, res.ReadWrite)
+	fmt.Printf("cache: %d hits, %d misses (%.1f%% hit rate) over TCP\n",
+		cs.Hits(), cs.Misses(), 100*cs.HitRate())
+	fmt.Printf("db daemon: %+v\n", st.Engine.Stats())
+	switch err := st.Stop(ctx); {
+	case err != nil:
+		log.Fatal(err)
+	case res.Errors > 0:
+		log.Fatalf("%d interaction errors", res.Errors)
+	case cs.Hits() == 0:
+		log.Fatal("expected cache hits over TCP")
+	}
+	fmt.Println("auction OK")
 }

@@ -4,101 +4,51 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"txcache"
-	"txcache/internal/core"
+	"txcache/internal/bench"
 	"txcache/internal/db"
-	"txcache/internal/db/dbnet"
 	"txcache/internal/rubis"
+	"txcache/internal/serve"
 )
 
 // integration_test.go stands up the complete distributed topology of the
 // paper's Figure 1 — database daemon, two cache nodes, pincushion, all over
-// real TCP — and checks the system's headline guarantee end to end: no
-// read-only transaction ever observes a state that violates an invariant
-// the write transactions preserve.
+// real TCP, built by bench.StartServeStack — and checks the system's
+// headline guarantee end to end: no read-only transaction ever observes a
+// state that violates an invariant the write transactions preserve.
 
-type cluster struct {
-	engine *txcache.Engine
-	client *txcache.Client
-}
-
-func startCluster(t *testing.T) *cluster {
+// startStack boots the topology, RUBiS loaded, with bench.StartServeStack
+// and stops it when the test ends, insisting on no leaked pin.
+func startStack(t *testing.T) *bench.ServeStack {
 	t.Helper()
-	bus := txcache.NewBus(false)
-	engine := txcache.NewEngine(txcache.EngineOptions{Bus: bus})
-
-	listen := func() net.Listener {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 20, Serve: serve.Config{Staleness: 30 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		if err := st.Stop(ctx); err != nil {
+			t.Errorf("teardown: %v", err)
 		}
-		t.Cleanup(func() { l.Close() })
-		return l
-	}
-
-	// Cache nodes.
-	nodes := map[string]txcache.CacheNode{}
-	for i := 0; i < 2; i++ {
-		node := txcache.NewCacheServer(txcache.CacheConfig{CapacityBytes: 4 << 20})
-		sub := bus.Subscribe()
-		go node.ConsumeStream(sub)
-		t.Cleanup(sub.Close)
-		l := listen()
-		go node.Serve(l)
-		cn, err := txcache.DialCache(l.Addr().String(), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cn.Close)
-		nodes[fmt.Sprintf("node%d", i)] = cn
-	}
-
-	// Database daemon.
-	dbL := listen()
-	go (&dbnet.Server{Engine: engine}).Serve(dbL)
-	dbClient, err := dbnet.Dial(dbL.Addr().String(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(dbClient.Close)
-
-	// Pincushion daemon.
-	pcDB, err := dbnet.Dial(dbL.Addr().String(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pcDB.Close)
-	pc := txcache.NewPincushion(txcache.PincushionConfig{DB: pcDB, Retention: 10 * time.Second})
-	pcL := listen()
-	go pc.Serve(pcL)
-	pcClient, err := txcache.DialPincushion(pcL.Addr().String(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pcClient.Close)
-
-	client := core.NewClient(core.Config{
-		DB:         dbClient,
-		Nodes:      nodes,
-		Pincushion: pcClient,
 	})
-	return &cluster{engine: engine, client: client}
+	return st
 }
 
 func TestDistributedConsistencyOverTCP(t *testing.T) {
-	cl := startCluster(t)
+	st := startStack(t)
+	engine, client := st.Engine, st.App.C
 	const nAcct = 8
 	const total = int64(nAcct * 100)
 
-	if err := cl.engine.DDL(`CREATE TABLE accounts (id BIGINT PRIMARY KEY, balance BIGINT)`); err != nil {
+	if err := engine.DDL(`CREATE TABLE accounts (id BIGINT PRIMARY KEY, balance BIGINT)`); err != nil {
 		t.Fatal(err)
 	}
-	rw, err := cl.client.Begin(context.Background(), txcache.WithReadWrite())
+	rw, err := client.Begin(context.Background(), txcache.WithReadWrite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +60,14 @@ func TestDistributedConsistencyOverTCP(t *testing.T) {
 	if _, err := rw.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// The dataset was loaded and attached just before, so the pincushion
+	// already holds pins from before the accounts existed. A reader's bound
+	// is the time since they were seeded: every pin placed since is in
+	// reach, and none of those.
+	seeded := time.Now()
 	time.Sleep(20 * time.Millisecond) // drain the invalidation stream
 
-	getBalance := txcache.MakeCacheable(cl.client, "it.getBalance",
+	getBalance := txcache.MakeCacheable(client, "it.getBalance",
 		func(tx *txcache.Tx, args ...txcache.Value) (int64, error) {
 			r, err := tx.Query("SELECT balance FROM accounts WHERE id = ?", args...)
 			if err != nil || len(r.Rows) == 0 {
@@ -124,6 +79,7 @@ func TestDistributedConsistencyOverTCP(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, 32)
+	loaded := engine.Stats().Commits
 
 	// One writer moving money (conserving the total) over TCP.
 	wg.Add(1)
@@ -142,7 +98,7 @@ func TestDistributedConsistencyOverTCP(t *testing.T) {
 			// The ReadWrite runner owns begin/commit/abort and the
 			// serialization-conflict retry loop the old RetryRW idiom
 			// hand-rolled.
-			_, err := cl.client.ReadWrite(context.Background(), func(rw *txcache.Tx) error {
+			_, err := client.ReadWrite(context.Background(), func(rw *txcache.Tx) error {
 				r, err := rw.Query("SELECT balance FROM accounts WHERE id = ?", from)
 				if err != nil || len(r.Rows) == 0 {
 					return err
@@ -177,7 +133,7 @@ func TestDistributedConsistencyOverTCP(t *testing.T) {
 					return
 				default:
 				}
-				tx, err := cl.client.Begin(context.Background(), txcache.WithStaleness(30*time.Second))
+				tx, err := client.Begin(context.Background(), txcache.WithStaleness(time.Since(seeded)))
 				if err != nil {
 					errs <- err
 					return
@@ -209,25 +165,19 @@ func TestDistributedConsistencyOverTCP(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if cl.client.Stats().Hits() == 0 {
+	if client.Stats().Hits() == 0 {
 		t.Fatal("distributed run never hit the cache")
 	}
-	if cl.engine.Stats().Commits < 10 {
-		t.Fatalf("writer barely ran: %+v", cl.engine.Stats())
+	if engine.Stats().Commits-loaded < 10 {
+		t.Fatalf("writer barely ran: %+v", engine.Stats())
 	}
 }
 
 // TestDistributedRUBiSOverTCP runs a short RUBiS burst against the TCP
-// cluster — the same topology as examples/auction, as a regression test.
+// topology — the one examples/auction runs, as a regression test.
 func TestDistributedRUBiSOverTCP(t *testing.T) {
-	cl := startCluster(t)
-	ds, err := rubis.Load(cl.engine, rubis.TestScale, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	app := rubis.NewApp(cl.client, ds)
-	res := rubis.RunEmulator(app, rubis.EmulatorConfig{
+	st := startStack(t)
+	res := rubis.RunEmulator(st.App, rubis.EmulatorConfig{
 		Clients: 6, Staleness: 30 * time.Second, Duration: time.Second, Seed: 3,
 	})
 	if res.Errors > 0 {
@@ -236,7 +186,7 @@ func TestDistributedRUBiSOverTCP(t *testing.T) {
 	if res.Requests < 100 {
 		t.Fatalf("too slow over loopback TCP: %+v", res)
 	}
-	if cl.client.Stats().Hits() == 0 {
+	if st.App.C.Stats().Hits() == 0 {
 		t.Fatal("no cache hits over TCP")
 	}
 }

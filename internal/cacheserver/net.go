@@ -255,12 +255,16 @@ type putItem struct {
 	ack   chan struct{} // FlushContext marker when non-nil; frame is ignored
 }
 
-// Dial connects to a cache node. poolSize <= 0 selects DefaultPoolSize.
-func Dial(addr string, poolSize int) (*Client, error) {
+// Dial connects to a cache node over TCP. poolSize <= 0 selects
+// DefaultPoolSize.
+func Dial(addr string, poolSize int) (*Client, error) { return DialNet(rpc.TCP, "", addr, poolSize) }
+
+// DialNet is Dial through nw, as the tier from.
+func DialNet(nw rpc.Net, from, addr string, poolSize int) (*Client, error) {
 	if poolSize <= 0 {
 		poolSize = DefaultPoolSize
 	}
-	rc, err := rpc.Dial("cacheserver", addr, poolSize, DefaultCallTimeout)
+	rc, err := rpc.Dial(nw, from, "cacheserver", addr, poolSize, DefaultCallTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -501,15 +505,11 @@ func (c *Client) PushInvalidation(ctx context.Context, m invalidation.Message) e
 // delivers every message of sub in order, retrying each until the node acks
 // it, and returns nil once sub is closed and drained. Each attempt is
 // bounded on its own, so a hung node costs an attempt, not the stream.
-// Waiting and retrying also end when ctx does (its error is returned) or the
-// client is closed — without those exits a message still buffered at
-// teardown would be retried against the closed client forever. A nil ctx is
-// treated as context.Background(). Run one per node.
-func (c *Client) PushStream(ctx context.Context, sub *invalidation.Subscription) error {
+// Waiting and retrying also end when the client is closed — without that
+// exit a message still buffered at teardown would be retried against the
+// closed client forever. Run one per node; Feed does.
+func (c *Client) PushStream(sub *invalidation.Subscription) error {
 	const attemptTimeout, retryDelay = 5 * time.Second, 20 * time.Millisecond
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Exactly one of in and retry is live: in while the last message is
 	// acked, retry while m is waiting for another attempt.
 	in := sub.C
@@ -517,8 +517,6 @@ func (c *Client) PushStream(ctx context.Context, sub *invalidation.Subscription)
 	var m invalidation.Message
 	for {
 		select {
-		case <-ctx.Done():
-			return ctx.Err()
 		case <-c.closed:
 			return errClosed
 		case <-retry:
@@ -528,7 +526,7 @@ func (c *Client) PushStream(ctx context.Context, sub *invalidation.Subscription)
 			}
 			m = msg
 		}
-		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
+		actx, cancel := context.WithTimeout(context.Background(), attemptTimeout)
 		err := c.PushInvalidation(actx, m)
 		cancel()
 		if err == nil {
@@ -537,4 +535,23 @@ func (c *Client) PushStream(ctx context.Context, sub *invalidation.Subscription)
 			in, retry = nil, time.After(retryDelay)
 		}
 	}
+}
+
+// Feed is the database's half of one node's invalidation stream: it dials
+// the node at addr through nw as the tier from, subscribes it to bus and
+// runs PushStream on that connection. stop closes the subscription and the
+// connection, in that order, and waits for the stream to end; a daemon that
+// feeds its nodes for its whole life never calls it.
+func Feed(nw rpc.Net, from, addr string, bus *invalidation.Bus) (stop func(), err error) {
+	c, err := DialNet(nw, from, addr, 1)
+	if err != nil {
+		return nil, err
+	}
+	sub := bus.Subscribe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = c.PushStream(sub) // ends when stop closes sub, or c under what sub still held
+	}()
+	return func() { sub.Close(); c.Close(); <-done }, nil
 }

@@ -137,63 +137,49 @@ func TestPutAfterCloseDropsSafely(t *testing.T) {
 	}
 }
 
-// TestPushStreamEnds pins the three ways a node's invalidation stream ends.
-// The middle one is the teardown the serve stack used to get wrong: the
+// TestPushStreamEnds pins the two ways a node's invalidation stream ends.
+// The first is the teardown the serve stack used to get wrong: the
 // subscription is closed, then the client, with one push unacked and one
 // message still buffered — a loop that only retries until acked spins
 // against the closed client forever.
 func TestPushStreamEnds(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, tc := range []struct {
-		name string
-		end  func(c *Client, sub *invalidation.Subscription, cancel context.CancelFunc)
-		want error
-	}{
-		{"context ended", func(_ *Client, _ *invalidation.Subscription, cancel context.CancelFunc) { cancel() }, context.Canceled},
-		{"client closed, a message buffered", func(c *Client, sub *invalidation.Subscription, _ context.CancelFunc) { sub.Close(); c.Close() }, errClosed},
-	} {
-		addr, held := holdServer(t) // reads pushes, never acks them
-		c, err := Dial(addr, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bus := invalidation.NewBus(false)
-		sub := bus.Subscribe()
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- c.PushStream(ctx, sub) }()
-		bus.Publish(invalidation.Message{TS: 1})
-		bus.Publish(invalidation.Message{TS: 2})
-		select {
-		case <-held: // the first push is in flight, the second waits behind it
-		case <-time.After(2 * time.Second):
-			t.Fatalf("%s: no push reached the node", tc.name)
-		}
-		tc.end(c, sub, cancel)
-		select {
-		case err := <-done:
-			if err != tc.want {
-				t.Errorf("%s: PushStream = %v, want %v", tc.name, err, tc.want)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("%s: PushStream still running a second later", tc.name)
-		}
-		cancel()
-		sub.Close()
-		c.Close()
-	}
-
-	// A closed subscription ends the stream once what it delivered is acked.
-	s, addr := startServer(t)
+	addr, held := holdServer(t) // reads pushes, never acks them
 	c, err := Dial(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	bus := invalidation.NewBus(false)
 	sub := bus.Subscribe()
 	done := make(chan error, 1)
-	go func() { done <- c.PushStream(context.Background(), sub) }()
+	go func() { done <- c.PushStream(sub) }()
+	bus.Publish(invalidation.Message{TS: 1})
+	bus.Publish(invalidation.Message{TS: 2})
+	select {
+	case <-held: // the first push is in flight, the second waits behind it
+	case <-time.After(2 * time.Second):
+		t.Fatal("no push reached the node")
+	}
+	sub.Close()
+	c.Close()
+	select {
+	case err := <-done:
+		if err != errClosed {
+			t.Errorf("PushStream after its client closed = %v, want %v", err, errClosed)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("PushStream still running a second after its client closed")
+	}
+
+	// A closed subscription ends the stream once what it delivered is acked.
+	s, addr := startServer(t)
+	c, err = Dial(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub = bus.Subscribe()
+	go func() { done <- c.PushStream(sub) }()
 	for ts := interval.Timestamp(1); ts <= 3; ts++ {
 		bus.Publish(invalidation.Message{TS: ts, WallTime: time.Now()})
 	}

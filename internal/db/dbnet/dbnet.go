@@ -276,14 +276,17 @@ type Client struct {
 
 var _ core.DB = (*Client)(nil)
 
-// Dial connects to a database daemon with a pool of sessions.
-func Dial(addr string, poolSize int) (*Client, error) {
+// Dial connects to a database daemon over TCP with a pool of sessions.
+func Dial(addr string, poolSize int) (*Client, error) { return DialNet(rpc.TCP, "", addr, poolSize) }
+
+// DialNet is Dial through nw, as the tier from.
+func DialNet(nw rpc.Net, from, addr string, poolSize int) (*Client, error) {
 	if poolSize <= 0 {
 		poolSize = 8
 	}
 	// Statements and commits take as long as they take: a transaction's
 	// round trips are bounded by its context alone.
-	rc, err := rpc.Dial("dbnet", addr, poolSize, 0)
+	rc, err := rpc.Dial(nw, from, "dbnet", addr, poolSize, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package dbnet
 import (
 	"context"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"txcache/internal/core"
 	"txcache/internal/db"
 	"txcache/internal/interval"
-	"txcache/internal/rpc"
 	"txcache/internal/rpc/rpctest"
 )
 
@@ -115,26 +113,27 @@ func TestOneWritePerFrame(t *testing.T) {
 
 // TestAbandonedBeginIsAborted: a read/write transaction whose first Exec —
 // the frame that carries its Begin — outlives its deadline on a slow TCP
-// link leaves nothing behind. The client chose the transaction's id, so the
-// one-way abort it sends behind the Exec ends the transaction the daemon
-// began, and the session goes on to carry the next transaction.
+// link (rpctest.Net's Delay on core → db) leaves nothing behind. The client
+// chose the transaction's id, so the one-way abort it sends behind the Exec
+// ends the transaction the daemon began, and the session goes on to carry
+// the next transaction.
 func TestAbandonedBeginIsAborted(t *testing.T) {
 	engine := db.New(db.Options{})
 	if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
-	addr := serve(t, engine)
-	rc, err := rpc.NewClient("dbnet "+addr, 1, 0, func() (net.Conn, error) {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			return nil, err
-		}
-		return &rpctest.DelayConn{Conn: c, D: 100 * time.Millisecond}, nil
-	})
+	nw := new(rpctest.Net)
+	l, err := nw.Listen("db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := newClient(rc, 1)
+	defer l.Close()
+	go (&Server{Engine: engine}).Serve(l)
+	nw.Delay("core", "db", 100*time.Millisecond)
+	cl, err := DialNet(nw, "core", l.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer cl.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
@@ -159,7 +158,7 @@ func TestAbandonedBeginIsAborted(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventuallyUnpinned(t, engine)
-	if st := rc.Counters(); st.LateDrops != 1 || st.Reconnects != 0 {
+	if st := cl.rpc.Counters(); st.LateDrops != 1 || st.Reconnects != 0 {
 		t.Fatalf("the abandoned reply should have been dropped on a connection left alone: %+v", st)
 	}
 }

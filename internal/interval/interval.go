@@ -65,9 +65,6 @@ func (iv Interval) Intersect(o Interval) Interval {
 	return r
 }
 
-// Overlaps reports whether the two intervals share at least one timestamp.
-func (iv Interval) Overlaps(o Interval) bool { return !iv.Intersect(o).Empty() }
-
 // OverlapsRange reports whether the interval contains any timestamp in the
 // inclusive range [lo, hi]. Cache lookups send pin-set *bounds* as an
 // inclusive range (paper §6.2).
@@ -126,13 +123,6 @@ func (m *Mask) Add(iv Interval) {
 
 // Reset empties the mask, keeping its backing array for reuse.
 func (m *Mask) Reset() { m.ivs = m.ivs[:0] }
-
-// AddMask unions every interval of o into m.
-func (m *Mask) AddMask(o Mask) {
-	for _, iv := range o.ivs {
-		m.Add(iv)
-	}
-}
 
 // Covers reports whether ts lies inside the mask.
 func (m *Mask) Covers(ts Timestamp) bool {

@@ -107,12 +107,15 @@ type Client struct {
 	rpc *rpc.Client
 }
 
-// Dial connects to a pincushion daemon with poolSize connections.
-func Dial(addr string, poolSize int) (*Client, error) {
+// Dial connects to a pincushion daemon over TCP with poolSize connections.
+func Dial(addr string, poolSize int) (*Client, error) { return DialNet(rpc.TCP, "", addr, poolSize) }
+
+// DialNet is Dial through nw, as the tier from.
+func DialNet(nw rpc.Net, from, addr string, poolSize int) (*Client, error) {
 	if poolSize <= 0 {
 		poolSize = 4
 	}
-	rc, err := rpc.Dial("pincushion", addr, poolSize, opTimeout)
+	rc, err := rpc.Dial(nw, from, "pincushion", addr, poolSize, opTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -205,12 +205,32 @@ type Conn struct {
 	live atomic.Pointer[net.Conn]
 }
 
-// Dial connects n times to the service at addr. timeout is the service's
-// default bound on one Call, which a caller's deadline can only tighten.
-func Dial(service, addr string, n int, timeout time.Duration) (*Client, error) {
-	return NewClient(service+" "+addr, n, timeout, func() (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, dialTimeout)
-	})
+// Net is how the tiers of a deployment reach each other: every listener a
+// builder opens and every connection a client makes goes through one. name
+// and from are tier names ("db", "pincushion", "cache0", "core"), so a Net
+// that injects faults can name both ends of a connection; TCP ignores them.
+type Net interface {
+	Listen(name string) (net.Listener, error)
+	Dial(from, addr string) (net.Conn, error)
+}
+
+// TCP is the Net of a real deployment: an ephemeral loopback listener, and a
+// bounded connect that hands back the *net.TCPConn as it is.
+var TCP Net = tcpNet{}
+
+type tcpNet struct{}
+
+func (tcpNet) Listen(string) (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+
+func (tcpNet) Dial(_, addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, dialTimeout)
+}
+
+// Dial connects n times to the service at addr through nw, as the tier
+// from. timeout is the service's default bound on one Call, which a
+// caller's deadline can only tighten.
+func Dial(nw Net, from, service, addr string, n int, timeout time.Duration) (*Client, error) {
+	return NewClient(service+" "+addr, n, timeout, func() (net.Conn, error) { return nw.Dial(from, addr) })
 }
 
 // NewClient is Dial with the connections, first and redialed, made by dial.

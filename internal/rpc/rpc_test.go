@@ -167,7 +167,7 @@ func holdServer(t *testing.T) (addr string, held <-chan heldFrame) {
 
 func dial(t *testing.T, addr string, n int, timeout time.Duration) *Client {
 	t.Helper()
-	c, err := Dial("test", addr, n, timeout)
+	c, err := Dial(TCP, "test", "test", addr, n, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRPC(t *testing.T) {
 			const poolSize = 3
 			svc := &service{}
 			d := startDaemon(t, svc.handle)
-			c, err := Dial("test", d.addr, poolSize, time.Second)
+			c, err := Dial(TCP, "test", "test", d.addr, poolSize, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,7 +474,7 @@ func TestRPC(t *testing.T) {
 		t.Run("DialFailure", func(t *testing.T) {
 			d := startDaemon(t, (&service{}).handle)
 			d.stop()
-			if c, err := Dial("test", d.addr, 2, time.Second); err == nil {
+			if c, err := Dial(TCP, "test", "test", d.addr, 2, time.Second); err == nil {
 				c.Close()
 				t.Fatal("Dial of a dead address succeeded")
 			}

@@ -207,7 +207,7 @@ func TestStats(t *testing.T) {
 	// dial opens a plain transport client on svc's address, as any monitor
 	// would: it speaks OpStats and nothing of the service's own protocol.
 	dial := func(t *testing.T, svc statsService) *rpc.Client {
-		c, err := rpc.Dial("test", svc.addr, 2, 5*time.Second)
+		c, err := rpc.Dial(rpc.TCP, "monitor", "test", svc.addr, 2, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,11 @@ func startFixture(t *testing.T, mutate func(*Config)) *fixture {
 		t.Fatal(err)
 	}
 	app := rubis.NewApp(client, ds)
-	cfg := Config{App: app, Wiki: AttachedWiki(client, 5, 5)}
+	wiki, err := AttachWiki(context.Background(), client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{App: app, Wiki: wiki}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -170,6 +170,9 @@ func New(cfg Config) *Server {
 // Stats exposes the request counters.
 func (s *Server) Stats() *Stats { return &s.stats }
 
+// App is the application the server serves.
+func (s *Server) App() *rubis.App { return s.app }
+
 // Queued reports requests currently waiting for an execution slot.
 func (s *Server) Queued() int64 { return s.queued.Load() }
 

@@ -66,36 +66,6 @@ type Wiki struct {
 	nextRev atomic.Int64
 }
 
-// NewWiki wires the cacheable render against the client.
-func NewWiki(c *core.Client) *Wiki {
-	w := &Wiki{c: c}
-	w.render = core.MakeCacheable(c, "wiki.render", func(tx *core.Tx, args ...sql.Value) (string, error) {
-		r, err := tx.Query(`SELECT id, latest FROM wiki_pages WHERE title = ?`, args...)
-		if err != nil {
-			return "", err
-		}
-		if len(r.Rows) == 0 {
-			return "", rubis.ErrNotFound
-		}
-		latest := r.Rows[0][1]
-		rev, err := tx.Query(`SELECT editor, date, body FROM wiki_revisions WHERE id = ?`, latest)
-		if err != nil {
-			return "", err
-		}
-		if len(rev.Rows) == 0 {
-			// The page names a revision this snapshot doesn't contain — an
-			// edit's two writes observed from different moments in time.
-			return "", fmt.Errorf("%w: page %v latest revision %v missing",
-				rubis.ErrInconsistent, args[0], latest)
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "<html><body><h1>%v</h1><p>%v</p><p><i>rev %v by user %v at %v</i></p></body></html>",
-			args[0], rev.Rows[0][2], latest, rev.Rows[0][0], rev.Rows[0][1])
-		return b.String(), nil
-	})
-	return w
-}
-
 // Pages reports the seeded page count (for load-generator ID ranges).
 func (w *Wiki) Pages() int64 { return w.pages.Load() }
 
@@ -127,11 +97,36 @@ func (w *Wiki) Edit(ctx context.Context, title, body string, editor, now int64) 
 	})
 }
 
-// AttachWiki recovers a Wiki from a database whose schema LoadWiki created
-// elsewhere: the page count and the revision allocator are read back in one
-// uncached read-only transaction, mirroring rubis.Attach.
+// AttachWiki wires the cacheable render against c and recovers the Wiki
+// from a database whose schema LoadWiki created elsewhere: the page count and
+// the revision allocator are read back in one uncached read-only
+// transaction, mirroring rubis.Attach.
 func AttachWiki(ctx context.Context, c *core.Client) (*Wiki, error) {
-	w := NewWiki(c)
+	w := &Wiki{c: c}
+	w.render = core.MakeCacheable(c, "wiki.render", func(tx *core.Tx, args ...sql.Value) (string, error) {
+		r, err := tx.Query(`SELECT id, latest FROM wiki_pages WHERE title = ?`, args...)
+		if err != nil {
+			return "", err
+		}
+		if len(r.Rows) == 0 {
+			return "", rubis.ErrNotFound
+		}
+		latest := r.Rows[0][1]
+		rev, err := tx.Query(`SELECT editor, date, body FROM wiki_revisions WHERE id = ?`, latest)
+		if err != nil {
+			return "", err
+		}
+		if len(rev.Rows) == 0 {
+			// The page names a revision this snapshot doesn't contain — an
+			// edit's two writes observed from different moments in time.
+			return "", fmt.Errorf("%w: page %v latest revision %v missing",
+				rubis.ErrInconsistent, args[0], latest)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "<html><body><h1>%v</h1><p>%v</p><p><i>rev %v by user %v at %v</i></p></body></html>",
+			args[0], rev.Rows[0][2], latest, rev.Rows[0][0], rev.Rows[0][1])
+		return b.String(), nil
+	})
 	_, err := c.ReadOnly(ctx, func(tx *core.Tx) error {
 		r, err := tx.Query(`SELECT id FROM wiki_pages ORDER BY id DESC LIMIT 1`)
 		if err != nil {
@@ -154,13 +149,4 @@ func AttachWiki(ctx context.Context, c *core.Client) (*Wiki, error) {
 		return nil, err
 	}
 	return w, nil
-}
-
-// AttachedWiki builds a Wiki whose counters are already known (the
-// in-process stack, where LoadWiki's caller knows what it seeded).
-func AttachedWiki(c *core.Client, pages, nextRev int64) *Wiki {
-	w := NewWiki(c)
-	w.pages.Store(pages)
-	w.nextRev.Store(nextRev)
-	return w
 }

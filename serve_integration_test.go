@@ -17,7 +17,9 @@ import (
 	"time"
 
 	"txcache/internal/bench"
-	"txcache/internal/rubis"
+	"txcache/internal/interval"
+	"txcache/internal/rpc/rpctest"
+	"txcache/internal/serve"
 )
 
 // serve_integration_test.go drives the full application tier end to end:
@@ -35,9 +37,7 @@ import (
 func TestServeOpenLoopEndToEnd(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	st, err := bench.StartServeStack(bench.ServeStackConfig{
-		Scale: rubis.TestScale, WikiPages: 5, Seed: 3,
-	})
+	st, err := bench.StartServeStack(bench.ServeStackConfig{WikiPages: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +67,121 @@ func TestServeOpenLoopEndToEnd(t *testing.T) {
 		t.Fatalf("too few requests completed: %+v", *res)
 	}
 
-	// The consistency oracle: /check re-reads a random item through the
-	// cache and its bid table around the cache in one snapshot, and fails
-	// the request if the cached aggregates disagree with the ground truth.
+	audit(t, st, ds)
+	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := st.Stop(sctx); err != nil {
+		t.Fatalf("teardown: %v", err)
+	}
+	stopped = true
+	settled(t, before)
+}
+
+// TestServeStackStatsz: the builder's /statsz is the deployment's, as
+// txcache-serve's is — every tier's counters under its name, each fetched
+// over that tier's own connection.
+func TestServeStackStatsz(t *testing.T) {
+	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		if err := st.Stop(ctx); err != nil {
+			t.Errorf("teardown: %v", err)
+		}
+	}()
+	page := statsz(t, st.URL)
+	want := []string{"db", "pincushion"}
+	for _, addr := range st.Deployment.Caches {
+		want = append(want, "cache "+addr)
+	}
+	for _, tier := range want {
+		var body map[string]any
+		if err := json.Unmarshal(page[tier], &body); err != nil || len(body) == 0 || body["error"] != nil {
+			t.Errorf("/statsz %q = %s (%v); want the tier's counters", tier, page[tier], err)
+		}
+	}
+}
+
+// TestServeSurvivesCutPushStream cuts the database's invalidation stream to
+// one node for two seconds under open-loop load, over the whole TCP
+// topology: only that stream breaks — the library's connections to the node
+// stay up — and then it heals. The node serves on with a horizon that stops
+// moving, so the requests must all succeed and the consistency oracle must
+// pass; within three seconds of the heal (a redial's backoff is up to one)
+// the node must have caught up with every commit, and teardown must leak no
+// pin and no goroutine.
+func TestServeSurvivesCutPushStream(t *testing.T) {
+	before := runtime.NumGoroutine()
+	nw := new(rpctest.Net)
+	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 6, Net: nw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := false
+	defer func() {
+		if !stopped {
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			st.Stop(ctx)
+		}
+	}()
+	ds := probeDataset(t, st.URL)
+	// cache0's entry on /statsz is fetched over the library's own connection
+	// to the node, so it also says that core → cache0 is up.
+	horizon := func() interval.Timestamp {
+		var node struct {
+			Horizon interval.Timestamp
+			Error   string
+		}
+		if err := json.Unmarshal(statsz(t, st.URL)["cache "+st.Deployment.Caches[0]], &node); err != nil || node.Error != "" {
+			t.Fatalf("cache0's counters on /statsz: %v %s", err, node.Error)
+		}
+		return node.Horizon
+	}
+
+	resc := make(chan *loadCounts, 1)
+	go func() {
+		resc <- openLoop(context.Background(), st.URL, ds, loadShape{perSec: 400, dur: 4 * time.Second}, 32, 10*time.Second, 6)
+	}()
+	time.Sleep(time.Second)
+	nw.Cut("db", "cache0")
+	time.Sleep(2 * time.Second)
+	if h, last := horizon(), st.Engine.LastCommit(); h >= last {
+		t.Fatalf("cache0's horizon %d kept up with commit %d through the cut", h, last)
+	}
+	nw.Heal("db", "cache0")
+	healed := time.Now()
+	res := <-resc
+	t.Logf("open loop across the cut: %+v", *res)
+	if res.errors > 0 || res.timeouts > 0 || res.dropped > 0 {
+		t.Fatalf("run across the cut not clean: %+v", *res)
+	}
+	for h := horizon(); h != st.Engine.LastCommit(); h = horizon() {
+		if time.Since(healed) > 3*time.Second {
+			t.Fatalf("cache0's horizon %d, 3s after the heal; last commit %d", h, st.Engine.LastCommit())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	audit(t, st, ds)
+
+	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := st.Stop(sctx); err != nil {
+		t.Fatalf("teardown: %v", err)
+	}
+	stopped = true
+	settled(t, before)
+}
+
+// audit is the consistency oracle: /check re-reads a random item through
+// the cache and its bid table around the cache in one snapshot, and fails
+// the request if the cached aggregates disagree with the ground truth. 30
+// calls must pass, and the server must have counted no violation at all.
+func audit(t *testing.T, st *bench.ServeStack, ds dataset) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 30; i++ {
 		resp, err := http.Get(fmt.Sprintf("%s/check?item=%d", st.URL, rng.Int63n(ds.Items)))
@@ -85,23 +197,19 @@ func TestServeOpenLoopEndToEnd(t *testing.T) {
 	if v := st.Srv.Stats().Violations.Load(); v > 0 {
 		t.Fatalf("%d consistency violations under open-loop load", v)
 	}
+}
 
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := st.Stop(sctx); err != nil {
-		t.Fatalf("teardown: %v", err)
-	}
-	stopped = true
-
-	// Everything torn down: the goroutine population must return to (about)
-	// its pre-boot level — a stuck server loop, push stream, or connection
-	// handler would hold it up.
+// settled waits for the goroutine population to return to (about) its
+// pre-boot level once everything is torn down — a stuck server loop, push
+// stream, or connection handler would hold it up.
+func settled(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
 		now := runtime.NumGoroutine()
 		if now <= before+8 {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
@@ -125,13 +233,11 @@ func TestServeOpenLoopEndToEnd(t *testing.T) {
 // but the drain can empty it again.
 func TestServeDrainUnderFire(t *testing.T) {
 	const maxInFlight, maxQueue = 2, 8
-	st, err := bench.StartServeStack(bench.ServeStackConfig{
-		Scale:          rubis.TestScale,
+	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 7, Serve: serve.Config{
 		MaxInFlight:    maxInFlight,
 		MaxQueue:       maxQueue,
 		RequestTimeout: 5 * time.Second,
-		Seed:           7,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,16 +388,26 @@ type dataset struct{ Users, Items, Categories, Regions, WikiPages int64 }
 
 func probeDataset(t *testing.T, base string) dataset {
 	t.Helper()
+	var d dataset
+	if err := json.Unmarshal(statsz(t, base)["dataset"], &d); err != nil || d.Items == 0 {
+		t.Fatalf("statsz dataset %+v: %v", d, err)
+	}
+	return d
+}
+
+// statsz reads /statsz: each of its entries, by name.
+func statsz(t *testing.T, base string) map[string]json.RawMessage {
+	t.Helper()
 	resp, err := http.Get(base + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body struct{ Dataset dataset }
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Dataset.Items == 0 {
-		t.Fatalf("statsz dataset %+v: %v", body.Dataset, err)
+	var page map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		t.Fatal(err)
 	}
-	return body.Dataset
+	return page
 }
 
 // request draws one request of a RUBiS-shaped mix: page reads — the /check

@@ -211,11 +211,6 @@ type PincushionConfig = pincushion.Config
 // NewPincushion creates a pincushion.
 func NewPincushion(cfg PincushionConfig) *Pincushion { return pincushion.New(cfg) }
 
-// DialPincushion connects to a remote pincushion daemon.
-func DialPincushion(addr string, poolSize int) (*pincushion.Client, error) {
-	return pincushion.Dial(addr, poolSize)
-}
-
 // Bus is the ordered invalidation stream fan-out (paper §4.2).
 type Bus = invalidation.Bus
 

@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race model-soak compose-soak bench alloc-regression fuzz-smoke examples paper-smoke crash-smoke benchmark benchmark-compare benchmark-test
+.PHONY: ci fmt vet lint build test race model-soak compose-soak nemesis-smoke bench alloc-regression fuzz-smoke examples paper-smoke crash-smoke benchmark benchmark-compare benchmark-test
 
-ci: fmt vet lint build race model-soak compose-soak benchmark-test examples alloc-regression fuzz-smoke paper-smoke crash-smoke
+ci: fmt vet lint build race model-soak compose-soak nemesis-smoke benchmark-test examples alloc-regression fuzz-smoke paper-smoke crash-smoke
 
 # The end-to-end benchmark every "faster" is judged by (BENCHMARK.json,
 # benchmark/README.md): four workloads through the full serve stack, each
@@ -108,10 +108,12 @@ race:
 # pipelined model and the sequential one — and of TestStreamGap, whose
 # concurrent flow is the same argument for a put racing a gap, and of
 # TestHistoryMatchesPairwise, which holds the history's replay to the pairwise
-# rule over seeded streams that wrap its ring and cross gaps.
+# rule over seeded streams that wrap its ring and cross gaps — and of the
+# bus's lapped-reader flows, TestSubscriptionBounded and TestBusHistoryReplay
+# (TestStreamGapAfterOverflow is the node's side of them).
 # Bounded: a hang is a failure.
 model-soak:
-	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise' ./internal/cacheserver
+	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise|TestSubscriptionBounded|TestBusHistoryReplay' ./internal/cacheserver ./internal/invalidation
 
 # The transactional guarantee under concurrency has one gate too: writers,
 # composing readers and the put oracle of TestStillValidComposition's
@@ -124,6 +126,15 @@ compose-soak:
 		$(GO) test -race -count=40 -run "TestStillValidComposition/ConcurrentFlow" ./internal/core & \
 		pids="$$pids $$!"; done; \
 		rc=0; for p in $$pids; do wait $$p || rc=1; done; exit $$rc'
+
+# The nemesis on the whole TCP topology (bench.StartServeStack on
+# rpctest.Net): the invalidation stream to one node cut for two seconds under
+# load, and cut while more commits go by than the bus's ring holds. Two -race
+# passes each, compiled first so the bound is the tests'. Bounded: a hang is
+# a failure.
+nemesis-smoke:
+	$(GO) test -race -count=1 -run '^$$' .
+	timeout 60 $(GO) test -race -count=2 -run 'TestServeSurvivesCutPushStream|TestServeSurvivesStreamOverflow' .
 
 # Short fuzz passes over the wire codec, the opcode handlers of all three
 # wire services, the WAL record framing, what recovery decodes inside it

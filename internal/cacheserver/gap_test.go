@@ -1,7 +1,6 @@
 package cacheserver
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -211,38 +210,24 @@ func TestStreamGap(t *testing.T) {
 	})
 }
 
-// TestStreamGapAfterOverflow: the bus keeps a bounded queue for a node that is
-// not reading and drops what does not fit, telling nobody. The node that
-// comes back applies the prefix the bus kept, sees the hole at the next
-// message, crosses it once, and closes — does not extend — an entry one of
-// the dropped messages named.
+// TestStreamGapAfterOverflow: the bus holds one ring of messages, and a
+// subscription the writer laps resumes at the newest message, telling nobody.
+// The node sees the hole as a message that is not its horizon's successor,
+// crosses it once, and is current.
 func TestStreamGapAfterOverflow(t *testing.T) {
 	tag := ids([]invalidation.Tag{invalidation.KeyTag("users", "id", "7")})
 	inf := interval.Infinity
 	ctx := context.Background()
-	bus := invalidation.NewBus(false)
-	sub := bus.Subscribe()
-	defer sub.Close()
-
-	// Nobody reads: the stream 2, 3, ... runs until 100 messages have been
-	// dropped, and every dropped one but the first names the tag.
-	last := interval.Timestamp(1)
-	for bus.Dropped() < 100 {
-		last++
-		if last > 1<<20 {
-			t.Fatal("a subscription nobody reads took a million messages and dropped none")
-		}
-		m := invalidation.Message{TS: last, WallTime: time.Unix(int64(last), 0)}
-		if bus.Dropped() > 0 {
-			m.Tags = tag
-		}
-		bus.Publish(m)
+	at := func(ts interval.Timestamp, tags []invalidation.TagID) invalidation.Message {
+		return invalidation.Message{TS: ts, WallTime: time.Unix(int64(ts), 0), Tags: tags}
 	}
-	kept := last - 100
-
-	s := New(Config{})
-	go s.ConsumeStream(sub)
-	waitFor := func(ts interval.Timestamp) {
+	logged := func(t *testing.T) *strings.Builder {
+		var b strings.Builder
+		log.SetOutput(&b)
+		t.Cleanup(func() { log.SetOutput(os.Stderr) })
+		return &b
+	}
+	waitFor := func(t *testing.T, s *Server, ts interval.Timestamp) {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); s.LastInvalidation() != ts; time.Sleep(100 * time.Microsecond) {
 			if hz := s.LastInvalidation(); hz > ts || time.Now().After(deadline) {
@@ -250,39 +235,117 @@ func TestStreamGapAfterOverflow(t *testing.T) {
 			}
 		}
 	}
-	waitFor(kept) // the retained prefix, whole, and nothing past it
-	s.Put("dep", []byte("v"), iv(5, inf), true, kept, tag)
-	if r := s.Lookup(ctx, "dep", 5, kept, 0, inf); !r.Found || !r.Still || r.Validity != iv(5, kept+1) {
-		t.Fatalf("before the hole: %+v, want [5,%d) still", r, kept+1)
-	}
 
-	var logged bytes.Buffer
-	log.SetOutput(&logged)
-	defer log.SetOutput(os.Stderr)
-	bus.Publish(invalidation.Message{TS: last + 1, WallTime: time.Unix(int64(last+1), 0)})
-	waitFor(last + 1)
-	if r := s.Lookup(ctx, "dep", 5, last+1, 0, inf); !r.Found || r.Still || r.Validity != iv(5, kept+1) {
-		t.Fatalf("entry held across the dropped messages (%d, %d]: found=%v validity=%v still=%v, want [5,%d) closed",
-			kept, last, r.Found, r.Validity, r.Still, kept+1)
-	}
-	if r := s.Lookup(ctx, "dep", last+1, last+1, 0, inf); r.Found {
-		t.Fatalf("entry named by a dropped message served at %d: %+v", last+1, r)
-	}
+	// A node that keeps up with a stream twice the ring long is never lapped:
+	// no gap, nothing dropped, and an entry nothing names rides to the end.
+	t.Run("ValidFlow", func(t *testing.T) {
+		out := logged(t)
+		bus := invalidation.NewBus(false)
+		sub := bus.Subscribe()
+		defer sub.Close()
+		s := New(Config{})
+		go s.ConsumeStream(sub)
+		bus.Publish(at(2, nil))
+		waitFor(t, s, 2)
+		s.Put("dep", []byte("v"), iv(1, inf), true, 2, tag)
+		const last = 2*16<<10 + 2
+		for ts := interval.Timestamp(3); ts <= last; ts++ {
+			bus.Publish(at(ts, nil))
+			for s.LastInvalidation()+8<<10 < ts { // half a ring behind at most
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+		waitFor(t, s, last)
+		if r := s.Lookup(ctx, "dep", 1, last, 0, inf); !r.Found || !r.Still || r.Validity != iv(1, last+1) {
+			t.Fatalf("entry after a dense stream to %d: %+v, want [1,%d) still", last, r, last+1)
+		}
+		if d, n := bus.Dropped(), strings.Count(out.String(), "invalidation stream gap"); d != 0 || n != 0 {
+			t.Fatalf("a node that kept up: %d dropped, %d gaps", d, n)
+		}
+	})
 
-	// One gap: the stream is dense again, and an entry put at its far side
-	// rides the next message.
-	s.Put("post", []byte("v"), iv(last+1, inf), true, last+1, tag)
-	bus.Publish(invalidation.Message{TS: last + 2, WallTime: time.Unix(int64(last+2), 0)})
-	waitFor(last + 2)
-	if r := s.Lookup(ctx, "post", last+2, last+2, 0, inf); !r.Found || !r.Still || r.Validity != iv(last+1, last+3) {
-		t.Fatalf("entry put past the hole, after the next message: %+v", r)
-	}
-	if n := strings.Count(logged.String(), "invalidation stream gap"); n != 1 {
-		t.Fatalf("the node logged %d gaps, want 1:\n%s", n, logged.String())
-	}
-	if d := bus.Dropped(); d != 100 {
-		t.Fatalf("Dropped() = %d once the node was reading again, want 100", d)
-	}
+	// Nobody reads while the writer laps the subscription, and every message
+	// it passes over names the entry's tag. The node that comes back takes
+	// what the subscription's pump held (ts 2, if the pump had it), then the
+	// newest message at the lap: it crosses one gap, closes the entry at the
+	// validity it had, and is current.
+	t.Run("RejectionFlow", func(t *testing.T) {
+		bus := invalidation.NewBus(false)
+		sub := bus.Subscribe()
+		defer sub.Close()
+		s := New(Config{})
+		advanceTo(s, 1)
+		s.Put("dep", []byte("v"), iv(1, inf), true, 1, tag)
+		last := interval.Timestamp(1)
+		for bus.Dropped() == 0 {
+			if last++; last > 1<<20 {
+				t.Fatal("a subscription nobody reads took a million messages and dropped none")
+			}
+			m := at(last, tag)
+			if last == 2 {
+				m.Tags = nil
+			}
+			bus.Publish(m)
+		}
+
+		out := logged(t)
+		go s.ConsumeStream(sub)
+		waitFor(t, s, last)
+		took := s.Stats().Invalidations - 1 // the newest, and ts 2 if the pump held it
+		if took != 1 && took != 2 {
+			t.Fatalf("the lapped subscription delivered %d messages, want the newest and at most ts 2 before it", took)
+		}
+		from := interval.Timestamp(took) // the horizon the gap was crossed at
+		if want := fmt.Sprintf("at %d, next message %d;", from, last); !strings.Contains(out.String(), want) {
+			t.Fatalf("want the gap logged %q:\n%s", want, out.String())
+		}
+		if d := bus.Dropped(); d != uint64(last)-1-took {
+			t.Fatalf("Dropped() = %d of %d messages published with %d delivered, want %d", d, last-1, took, uint64(last)-1-took)
+		}
+		if r := s.Lookup(ctx, "dep", 1, last, 0, inf); !r.Found || r.Still || r.Validity != iv(1, from+1) {
+			t.Fatalf("entry held across the lap (%d, %d): found=%v validity=%v still=%v, want [1,%d) closed",
+				from, last, r.Found, r.Validity, r.Still, from+1)
+		}
+		if r := s.Lookup(ctx, "dep", last, last, 0, inf); r.Found {
+			t.Fatalf("entry named by a skipped message served at %d: %+v", last, r)
+		}
+
+		// One gap: the stream is dense again, and an entry put at its far side
+		// rides the next message.
+		s.Put("post", []byte("v"), iv(last, inf), true, last, tag)
+		bus.Publish(at(last+1, nil))
+		waitFor(t, s, last+1)
+		if r := s.Lookup(ctx, "post", last+1, last+1, 0, inf); !r.Found || !r.Still || r.Validity != iv(last, last+2) {
+			t.Fatalf("entry put past the hole, after the next message: %+v", r)
+		}
+		if n := strings.Count(out.String(), "invalidation stream gap"); n != 1 {
+			t.Fatalf("the node logged %d gaps, want 1:\n%s", n, out.String())
+		}
+	})
+
+	// An unpaced writer races a reading node across four rings: whatever it
+	// laps, the node ends current, and every message was either applied or
+	// counted as dropped — never both, never neither.
+	t.Run("ConcurrentFlow", func(t *testing.T) {
+		out := logged(t)
+		bus := invalidation.NewBus(false)
+		sub := bus.Subscribe()
+		defer sub.Close()
+		s := New(Config{})
+		go s.ConsumeStream(sub)
+		ts := interval.Timestamp(2)
+		for ; ts <= 4*16<<10; ts++ {
+			bus.Publish(at(ts, tag))
+		}
+		waitFor(t, s, ts-1)
+		applied, dropped := s.Stats().Invalidations, bus.Dropped()
+		if applied+dropped != uint64(ts-2) {
+			t.Fatalf("%d messages applied and %d dropped of %d published", applied, dropped, ts-2)
+		}
+		if gaps := strings.Count(out.String(), "invalidation stream gap"); (gaps == 0) != (dropped == 0) {
+			t.Fatalf("%d messages dropped and %d gaps crossed", dropped, gaps)
+		}
+	})
 }
 
 func TestGapClosesStillEntries(t *testing.T) {

@@ -409,7 +409,7 @@ var streams = map[string]func(t *testing.T) nodeStream{
 			// starts wherever the bus is by then.
 			lose: func(ms ...invalidation.Message) {
 				sub.Close()
-				bus.PublishBatch(ms)
+				bus.Publish(ms...)
 				join()
 			},
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"txcache/internal/interval"
@@ -758,41 +759,126 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestStatsStreamDropped: what a subscriber that stopped reading missed shows
-// in the engine's counters, and stays there after it has gone.
+// TestStatsStreamDropped: what the invalidation bus lapped a subscriber past
+// shows in the engine's counters, exactly, and stays there after the
+// subscriber has gone.
 func TestStatsStreamDropped(t *testing.T) {
-	bus := invalidation.NewBus(false)
-	e := New(Options{Bus: bus})
-	if err := e.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT)`); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, e, "INSERT INTO kv (k, v) VALUES (1, 0)")
-	sub := bus.Subscribe() // never read
-	commits := 0
-	commit := func() {
-		commits++
-		mustExec(t, e, "UPDATE kv SET v = ? WHERE k = 1", int64(commits))
-	}
-	// Fill the subscription's queue: the commit that finds it full is the
-	// first dropped, and four more follow it.
-	for e.Stats().StreamDropped == 0 {
-		if commits > 1<<20 {
-			t.Fatal("a subscriber nobody reads took a million messages and dropped none")
+	const ring = 16 << 10 // the messages the bus holds for a subscriber
+	start := func(t *testing.T) (*Engine, *invalidation.Bus) {
+		bus := invalidation.NewBus(false)
+		e := New(Options{Bus: bus})
+		if err := e.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT)`); err != nil {
+			t.Fatal(err)
 		}
-		commit()
+		for k := range int64(4) {
+			mustExec(t, e, "INSERT INTO kv (k, v) VALUES (?, 0)", k)
+		}
+		return e, bus
 	}
-	held := commits - 1
-	for range 4 {
-		commit()
+	// drain reads sub up to the engine's last commit and returns how many
+	// messages that took.
+	drain := func(t *testing.T, e *Engine, sub *invalidation.Subscription) (n uint64) {
+		t.Helper()
+		for m := range sub.C {
+			n++
+			if m.TS == e.LastCommit() {
+				return n
+			}
+		}
+		t.Fatal("subscription closed")
+		return 0
 	}
-	if got := e.Stats().StreamDropped; got != 5 {
-		t.Fatalf("StreamDropped = %d after %d commits into a queue that holds %d, want 5", got, commits, held)
-	}
-	sub.Close()
-	commit()
-	if got := e.Stats().StreamDropped; got != 5 {
-		t.Fatalf("StreamDropped = %d after the subscriber closed, want 5", got)
-	}
+
+	// A subscriber that reads misses nothing, however many commits go by.
+	t.Run("ValidFlow", func(t *testing.T) {
+		e, bus := start(t)
+		sub := bus.Subscribe()
+		defer sub.Close()
+		for i := 1; i <= 2*ring; i++ {
+			mustExec(t, e, "UPDATE kv SET v = ? WHERE k = 1", int64(i))
+			if i%1024 == 0 && drain(t, e, sub) != 1024 {
+				t.Fatal("a reading subscriber missed a message")
+			}
+		}
+		if got := e.Stats().StreamDropped; got != 0 {
+			t.Fatalf("StreamDropped = %d with a subscriber that read everything", got)
+		}
+	})
+
+	// A subscriber that never reads is lapped once the writer is a ring ahead
+	// of it, and resumes at the newest message: it is handed that message,
+	// what came after it, and the one its pump held if it held one — five in
+	// all, either way — and the ring's worth between is counted, exactly.
+	// Closing it changes nothing.
+	t.Run("RejectionFlow", func(t *testing.T) {
+		e, bus := start(t)
+		sub := bus.Subscribe()
+		const commits = ring + 5
+		for i := 1; i <= commits; i++ {
+			mustExec(t, e, "UPDATE kv SET v = ? WHERE k = 1", int64(i))
+		}
+		if got := drain(t, e, sub); got != 5 {
+			t.Fatalf("a lapped subscriber was handed %d of %d messages, want 5", got, commits)
+		}
+		if got := e.Stats().StreamDropped; got != ring {
+			t.Fatalf("StreamDropped = %d after %d commits, 5 of them delivered; want %d", got, commits, ring)
+		}
+		sub.Close()
+		mustExec(t, e, "UPDATE kv SET v = 0 WHERE k = 1")
+		if got := e.Stats().StreamDropped; got != ring {
+			t.Fatalf("StreamDropped = %d after the subscriber closed, want %d", got, ring)
+		}
+	})
+
+	// Committers race a reading subscriber and one that reads only at the
+	// end: every message published reaches each of them or is counted as
+	// dropped, exactly once.
+	t.Run("ConcurrentFlow", func(t *testing.T) {
+		e, bus := start(t)
+		from := e.LastCommit()
+		live, late := bus.Subscribe(), bus.Subscribe()
+		defer live.Close()
+		defer late.Close()
+		read := make(chan uint64, 1)
+		go func() {
+			var n uint64
+			for m := range live.C {
+				n++
+				if m.TS == from+4*ring/2 {
+					break
+				}
+			}
+			read <- n
+		}()
+		var wg sync.WaitGroup
+		for k := range int64(4) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 1; i <= ring/2; i++ {
+					tx, err := e.BeginTx(context.Background(), false, 0)
+					if err == nil {
+						_, err = tx.Exec("UPDATE kv SET v = ? WHERE k = ?", int64(i), k)
+					}
+					if err == nil {
+						_, err = tx.Commit()
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		delivered := <-read + drain(t, e, late)
+		if got := e.Stats().StreamDropped; delivered+got != 2*4*ring/2 {
+			t.Fatalf("%d messages delivered and %d dropped of 2 × %d published", delivered, got, 4*ring/2)
+		}
+	})
 }
 
 // TestEagerVisibilityAblation verifies the §5.2 design choice: evaluating

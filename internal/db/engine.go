@@ -463,9 +463,9 @@ type Stats struct {
 	// before the allocator rounds a row up to its size class.
 	Rows     int `json:"rows"`
 	RowBytes int `json:"rowBytes"`
-	// StreamDropped is how many invalidation messages a subscriber's full
-	// queue did not keep (invalidation.Bus.Dropped), closed subscribers
-	// included: each is a gap the subscribing node crosses.
+	// StreamDropped is how many invalidation messages the bus lapped an open
+	// subscriber past (invalidation.Bus.Dropped), closed subscribers included:
+	// each lap is one gap the subscribing node crosses.
 	StreamDropped uint64 `json:"streamDropped"`
 }
 

@@ -158,9 +158,9 @@ func (e *Engine) finishCommit(ts interval.Timestamp, tags []invalidation.TagID, 
 	s.published = w
 	e.lastCommit.Store(w)
 	// Append to the bus before waking successors so its messages stay in
-	// timestamp order; PublishBatch copies, so the buffer is reusable.
+	// timestamp order; Publish copies, so the buffer is reusable.
 	if len(batch) > 0 {
-		e.bus.PublishBatch(batch)
+		e.bus.Publish(batch...)
 	}
 	s.batchBuf = batch[:0]
 	s.walBuf = rec[:0]

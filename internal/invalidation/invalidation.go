@@ -12,6 +12,7 @@ package invalidation
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,185 +103,177 @@ func DecodeMessage(d *wire.Decoder) (Message, error) {
 }
 
 // Bus is an ordered fan-out of the invalidation stream to any number of
-// subscribers — the paper's application-level multicast. Messages are
-// delivered to every subscriber in publish order. Delivery is asynchronous:
-// each subscriber has its own ordered queue, so a slow cache node cannot
-// stall the database's commit path — and a bounded one (subscriptionCap), so
-// a dead one cannot grow the database's heap.
+// subscribers — the paper's application-level multicast — in publish order.
+// It keeps one ring of messages, and a subscription is a cursor into it: a
+// slow cache node cannot stall the commit path, nor a dead one grow the heap
+// past the ring.
 type Bus struct {
-	mu      sync.Mutex
-	subs    []*Subscription
-	log     []Message // every message ever published, when keep is set
-	keep    bool
-	dropped uint64 // messages a subscription's full queue did not keep
+	mu         sync.Mutex
+	ring       []Message // a power of two long, at most ringLen
+	base, head uint64    // the ring holds messages base..head-1
+	subs       []*Subscription
+	keep       bool
+	dropped    uint64 // messages an open subscription was lapped past
 }
 
-// NewBus returns an empty bus. With keepHistory set it retains every message
-// for the life of the process and replays them to each new subscriber: a
-// convenience for tests that subscribe late, not for a deployment — a node
-// that joins a running system needs no replay (it is cold until its first
-// message, and exact afterwards).
-func NewBus(keepHistory bool) *Bus {
-	return &Bus{keep: keepHistory}
-}
+// NewBus returns an empty bus. Without keepHistory it holds only what some
+// open subscription has not read, and a subscription starts at the next
+// message. With it the bus keeps the last ringLen messages and a subscription
+// starts at the oldest: for tests that subscribe late — a node that joins a
+// running system needs no replay (it is cold until its first message, and
+// exact afterwards).
+func NewBus(keepHistory bool) *Bus { return &Bus{keep: keepHistory} }
 
-// subscriptionCap bounds the messages a subscription holds for a reader that
-// is not taking them — about 35 s of commits at the benchmark's write_heavy
-// rate, and about a megabyte. A message that does not fit is dropped and
-// counted (Bus.Dropped, db.Stats.StreamDropped). That is safe with no
-// further protocol because the stream carries one message per commit
-// timestamp: the reader sees the hole as a message
-// that is not its horizon's successor and crosses the gap itself
-// (cacheserver.Server.apply), paying with freshness what the database no
-// longer pays with memory. A reader that stays exactly cap behind pays it
-// per message; one that far behind is not serving fresh data either way.
-const subscriptionCap = 16 << 10
+// ringLen bounds what the bus holds for a subscriber that is not reading: a
+// writer that far ahead laps it, and it resumes at the newest message. What
+// it passed over is counted (Bus.Dropped) and needs no further protocol: the
+// stream carries one message per commit timestamp, so the reader sees the
+// hole as a message that is not its horizon's successor, crosses the gap
+// itself (cacheserver.Server.apply) once, and is current. The ring starts at
+// minRing slots, doubles as readers fall behind and halves as they catch up.
+const ringLen, minRing = 16 << 10, 64
 
 // Subscription receives stream messages in order via C.
 type Subscription struct {
-	C      <-chan Message
-	c      chan Message // unbuffered: a message leaves queue when the reader has it
-	mu     sync.Mutex
-	queue  []Message // at most subscriptionCap
-	closed bool
-	wake   chan struct{}
-	done   chan struct{} // closed by Close, so a pump whose reader has gone does not wait for it
+	C    <-chan Message
+	c    chan Message // unbuffered: the pump holds one message until the reader takes it
+	bus  *Bus
+	next uint64        // the next message to take from the ring; guarded by bus.mu
+	wake chan struct{} // something was published
+	done chan struct{} // closed by Close, so a pump whose reader has gone does not wait for it
 }
 
-// Subscribe registers a new subscriber. Replays history first when the bus
-// keeps it.
+// Subscribe registers a new subscriber, at the ring's oldest message when the
+// bus keeps history and at the next message published otherwise.
 func (b *Bus) Subscribe() *Subscription {
-	s := &Subscription{
-		c:    make(chan Message),
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
-	s.C = s.c
-	go s.pump()
+	c := make(chan Message)
+	s := &Subscription{C: c, c: c, bus: b, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	s.next = b.head
 	if b.keep {
-		dropped, _ := s.enqueue(b.log...)
-		b.dropped += dropped
+		s.next = b.base
 	}
 	b.subs = append(b.subs, s)
+	b.mu.Unlock()
+	go s.pump()
 	return s
 }
 
-// Publish delivers m to all subscribers in order.
-func (b *Bus) Publish(m Message) {
+// Publish writes ms to the ring once, in order, and wakes every subscriber.
+// The caller (the database's commit sequencer) guarantees ms is in timestamp
+// order; the bus copies them, so the slice is the caller's again on return.
+func (b *Bus) Publish(ms ...Message) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.keep {
-		b.log = append(b.log, m)
+	for _, m := range ms {
+		if n := len(b.ring); b.head-b.base == uint64(n) {
+			if n < ringLen {
+				b.resize(max(2*n, minRing))
+			} else {
+				b.forget(b.base + 1)
+			}
+		}
+		*b.slot(b.head) = m
+		b.head++
 	}
-	b.deliver(m)
-}
-
-// PublishBatch delivers ms to all subscribers as one atomic, ordered
-// append: one bus lock acquisition for a whole commit group. The caller
-// (the database's commit sequencer) guarantees ms is in timestamp order.
-func (b *Bus) PublishBatch(ms []Message) {
-	if len(ms) == 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.keep {
-		b.log = append(b.log, ms...)
-	}
-	b.deliver(ms...)
-}
-
-// deliver enqueues ms at every open subscription and forgets the closed
-// ones: a node that left (its stream's owner closed it, a PushStream ended)
-// must not keep a queue that every later commit appends to and nothing
-// drains. Caller holds b.mu.
-func (b *Bus) deliver(ms ...Message) {
-	open := b.subs[:0]
 	for _, s := range b.subs {
-		dropped, ok := s.enqueue(ms...)
-		b.dropped += dropped
-		if ok {
-			open = append(open, s)
+		if s.next < b.base { // lapped: resume at the newest message
+			b.dropped += b.head - 1 - s.next
+			s.next = b.head - 1
+		}
+		select {
+		case s.wake <- struct{}{}:
+		default:
 		}
 	}
-	clear(b.subs[len(open):])
-	b.subs = open
+	b.release()
 }
 
-// enqueue reports false, and keeps nothing, once s is closed. While it is
-// open it keeps what fits under subscriptionCap, in order, and returns how
-// many of the rest it dropped.
-func (s *Subscription) enqueue(ms ...Message) (dropped uint64, open bool) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, false
+func (b *Bus) slot(n uint64) *Message { return &b.ring[n&uint64(len(b.ring)-1)] }
+
+// resize moves the ring's messages to a ring of n slots.
+func (b *Bus) resize(n int) {
+	ring := make([]Message, n)
+	for i := b.base; i < b.head; i++ {
+		ring[i&uint64(n-1)] = *b.slot(i)
 	}
-	if room := subscriptionCap - len(s.queue); len(ms) > room {
-		dropped = uint64(len(ms) - room)
-		ms = ms[:room]
-	}
-	s.queue = append(s.queue, ms...)
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	return dropped, true
+	b.ring = ring
 }
 
-// Dropped returns how many messages found a subscription's queue full and
-// were not kept, summed over every subscription the bus has had, closed ones
-// included.
+// forget lets go of the messages below n.
+func (b *Bus) forget(n uint64) {
+	for ; b.base < n; b.base++ {
+		*b.slot(b.base) = Message{}
+	}
+}
+
+// release lets go of what every open subscription has read, unless the bus
+// keeps history. Caller holds b.mu.
+func (b *Bus) release() {
+	if b.keep {
+		return
+	}
+	low := b.head
+	for _, s := range b.subs {
+		low = min(low, s.next)
+	}
+	b.forget(low)
+	if n := len(b.ring); n > minRing && b.head-b.base <= uint64(n/4) {
+		b.resize(n / 2)
+	}
+}
+
+// take returns s's next message and moves its cursor past it; false when s
+// has read everything published, or is closed and the ring has let go of it.
+func (b *Bus) take(s *Subscription) (m Message, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if ok = b.base <= s.next && s.next < b.head; ok {
+		m = *b.slot(s.next)
+		s.next++
+		b.release()
+	}
+	return m, ok
+}
+
+// Dropped returns how many messages were published while a subscription was
+// open and will never reach it — the ones the writer lapped it past — summed
+// over every subscription the bus has had, closed ones included.
 func (b *Bus) Dropped() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.dropped
 }
 
-// pump hands the queue's messages to the reader in order. A message stays
-// in the queue, and counts against its cap, until the reader has taken it.
+// pump hands the ring's messages to the reader in order, from s's cursor.
 func (s *Subscription) pump() {
-	for range s.wake {
-		for {
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				close(s.c)
-				return
-			}
-			if len(s.queue) == 0 {
-				s.mu.Unlock()
-				break
-			}
-			m := s.queue[0]
-			s.mu.Unlock()
+	defer close(s.c)
+	for {
+		if m, ok := s.bus.take(s); ok {
 			select {
 			case s.c <- m:
-				s.mu.Lock()
-				if !s.closed { // Close has let the queue go
-					s.queue = s.queue[1:]
-				}
-				s.mu.Unlock()
+				continue
 			case <-s.done:
+				return
 			}
+		}
+		select {
+		case <-s.wake:
+		case <-s.done:
+			return
 		}
 	}
 }
 
-// Close stops delivery. Pending messages may be dropped.
+// Close stops delivery and takes the subscription off the bus, which holds
+// nothing for it from then on. Messages not yet taken may be dropped.
 func (s *Subscription) Close() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.queue = nil
+	b := s.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if i := slices.Index(b.subs, s); i >= 0 {
+		b.subs = slices.Delete(b.subs, i, i+1)
 		close(s.done)
-	}
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
+		b.release()
 	}
 }

@@ -2,6 +2,8 @@ package invalidation
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,100 +81,238 @@ func TestDecodeTagsRejects(t *testing.T) {
 	}
 }
 
+// held is what the bus holds: messages, and the slots of its ring.
+func held(b *Bus) (msgs uint64, slots int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.head - b.base, len(b.ring)
+}
+
+// reader drains a subscription until it is closed, failing the test if a
+// message arrives out of order.
+type reader struct {
+	last, n, holes atomic.Uint64 // newest timestamp taken; messages taken; breaks in the timestamps
+	done           chan struct{}
+}
+
+func read(t *testing.T, s *Subscription) *reader {
+	r := &reader{done: make(chan struct{})}
+	go func() {
+		defer close(r.done)
+		for m := range s.C {
+			prev := r.last.Load()
+			if uint64(m.TS) <= prev {
+				t.Errorf("ts %d after %d", m.TS, prev)
+			}
+			if uint64(m.TS) != prev+1 {
+				r.holes.Add(1)
+			}
+			r.n.Add(1)
+			r.last.Store(uint64(m.TS))
+		}
+	}()
+	return r
+}
+
+// readers subscribes n readers to bus; stop closes their subscriptions and
+// waits until each reader has drained.
+func readers(t *testing.T, bus *Bus, n int) (rs []*reader, stop func()) {
+	var subs []*Subscription
+	for range n {
+		subs = append(subs, bus.Subscribe())
+		rs = append(rs, read(t, subs[len(subs)-1]))
+	}
+	return rs, func() {
+		for i, s := range subs {
+			s.Close()
+			<-rs[i].done
+		}
+	}
+}
+
+// reach waits until r has taken ts.
+func (r *reader) reach(ts uint64) {
+	for r.last.Load() < ts {
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
+// publish publishes timestamps from+1..to in batches of 1024, never more
+// than half a ring ahead of the readers.
+func publish(bus *Bus, from, to int, rs ...*reader) {
+	for ts := from + 1; ts <= to; {
+		var batch []Message
+		for ; ts <= to && len(batch) < 1024; ts++ {
+			batch = append(batch, Message{TS: interval.Timestamp(ts)})
+		}
+		bus.Publish(batch...)
+		for _, r := range rs {
+			for r.last.Load()+ringLen/2 < uint64(ts-1) {
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}
+}
+
+// waitTaken waits until s's pump has taken n messages from the ring.
+func waitTaken(b *Bus, s *Subscription, n uint64) {
+	for {
+		b.mu.Lock()
+		next := s.next
+		b.mu.Unlock()
+		if next >= n {
+			return
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
 // TestBusForgetsClosedSubscription: a subscription that was closed (a cache
-// node removed, a push stream that ended) leaves the bus at the next publish
-// and keeps nothing — before, every later commit appended to a queue whose
-// pump had already returned.
+// node removed, a push stream that ended) leaves the bus at once, and the bus
+// holds nothing for it — every later message is released as soon as the
+// subscriptions still open have read it.
 func TestBusForgetsClosedSubscription(t *testing.T) {
 	bus := NewBus(false)
 	sub, live := bus.Subscribe(), bus.Subscribe()
 	bus.Publish(Message{TS: 1})
 	sub.Close()
-	for i := 2; i <= 10_000; i++ {
-		if i%2 == 0 {
-			bus.Publish(Message{TS: interval.Timestamp(i)})
-		} else {
-			bus.PublishBatch([]Message{{TS: interval.Timestamp(i)}})
-		}
-	}
-	if len(bus.subs) != 1 { // every Publish is this goroutine's: no lock needed
+	if len(bus.subs) != 1 {
 		t.Fatalf("%d subscriptions on the bus after one of two closed, want 1", len(bus.subs))
 	}
-	sub.mu.Lock()
-	queued := len(sub.queue)
-	sub.mu.Unlock()
-	if queued != 0 {
-		t.Fatalf("closed subscription holds %d queued messages", queued)
-	}
-	// The open one still gets everything, in order.
-	for i := 1; i <= 10_000; i++ {
-		if m := <-live.C; m.TS != interval.Timestamp(i) {
-			t.Fatalf("live subscriber got ts %d, want %d", m.TS, i)
-		}
+	r := read(t, live)
+	publish(bus, 1, 10_000, r)
+	r.reach(10_000)
+	if msgs, _ := held(bus); msgs != 0 || r.holes.Load() != 0 {
+		t.Fatalf("bus holds %d messages once the open subscription read them all (%d holes), want 0", msgs, r.holes.Load())
 	}
 	live.Close()
-	bus.Publish(Message{TS: 10_001})
+	<-r.done
 	if len(bus.subs) != 0 {
 		t.Fatalf("%d subscriptions left after all closed", len(bus.subs))
 	}
 }
 
-// TestSubscriptionBounded: a subscription nobody reads holds the first
-// subscriptionCap messages and counts the rest; a reader that comes back gets
-// the retained prefix in order, and then whatever is published next — across
-// the hole, which it can see (the stream is dense) and the bus need not say.
+// TestSubscriptionBounded: the bus holds one ring, whatever its subscribers
+// do — what they have all read is released, and a subscriber that does not
+// read is lapped, not kept up with.
 func TestSubscriptionBounded(t *testing.T) {
-	bus := NewBus(false)
-	sub := bus.Subscribe()
-	defer sub.Close()
-	const over = 100
-	for i := 1; i <= subscriptionCap+over; i++ {
-		if i%3 == 0 {
-			bus.PublishBatch([]Message{{TS: interval.Timestamp(i)}})
-		} else {
-			bus.Publish(Message{TS: interval.Timestamp(i)})
-		}
-	}
-	sub.mu.Lock()
-	queued := len(sub.queue)
-	sub.mu.Unlock()
-	if queued > subscriptionCap {
-		t.Fatalf("an unread subscription holds %d messages, cap %d", queued, subscriptionCap)
-	}
-	if got := bus.Dropped(); got != over {
-		t.Fatalf("Dropped() = %d after %d messages past the cap, want %d", got, over, over)
-	}
-	// A batch that straddles the cap keeps the part that fits.
-	<-sub.C
-	<-sub.C
-	bus.PublishBatch([]Message{{TS: 20_001}, {TS: 20_002}, {TS: 20_003}})
-	if got := bus.Dropped(); got != over+1 && got != over+2 {
-		// The pump may not have popped the second message taken yet.
-		t.Fatalf("Dropped() = %d after a batch of 3 into room for 1 or 2, want %d or %d", got, over+1, over+2)
-	}
-	want := interval.Timestamp(3)
-	for m := range sub.C {
-		if m.TS > subscriptionCap {
-			if m.TS != 20_001 {
-				t.Fatalf("first message past the hole is ts %d, want 20001", m.TS)
+	const total = 10 * ringLen
+
+	// Readers that keep up get every message in order, and the bus holds
+	// nothing once they have read it.
+	t.Run("ValidFlow", func(t *testing.T) {
+		bus := NewBus(false)
+		rs, stop := readers(t, bus, 3)
+		publish(bus, 0, total, rs...)
+		for _, r := range rs {
+			r.reach(total)
+			if r.n.Load() != total || r.holes.Load() != 0 {
+				t.Fatalf("a reader took %d of %d messages, %d holes", r.n.Load(), total, r.holes.Load())
 			}
-			break
 		}
-		if m.TS != want {
-			t.Fatalf("retained prefix out of order: got ts %d, want %d", m.TS, want)
+		if msgs, slots := held(bus); msgs != 0 || bus.Dropped() != 0 || slots > ringLen {
+			t.Fatalf("bus holds %d messages in %d slots and dropped %d once every reader has read them", msgs, slots, bus.Dropped())
 		}
-		want++
-	}
-	if want != subscriptionCap+1 {
-		t.Fatalf("retained prefix ended at ts %d, want %d", want-1, subscriptionCap)
-	}
-	// The bus keeps the count after the subscription has gone.
-	dropped := bus.Dropped()
-	sub.Close()
-	bus.Publish(Message{TS: 20_004})
-	if got := bus.Dropped(); got != dropped || len(bus.subs) != 0 {
-		t.Fatalf("Dropped() = %d with %d subscriptions after the last closed, want %d and none", got, len(bus.subs), dropped)
-	}
+		stop()
+	})
+
+	// Four subscribers, one of which never reads: the bus holds at most one
+	// ring throughout, counts exactly what the dead one was lapped past, and
+	// holds nothing once the live three have drained and it is closed.
+	t.Run("RejectionFlow", func(t *testing.T) {
+		bus := NewBus(false)
+		dead := bus.Subscribe()
+		bus.Publish(Message{TS: 1})
+		waitTaken(bus, dead, 1) // its pump holds ts 1 for a reader that never comes
+		rs, stop := readers(t, bus, 3)
+		for from := 1; from < total; from += ringLen / 2 {
+			publish(bus, from, min(from+ringLen/2, total), rs...)
+			if msgs, slots := held(bus); msgs > ringLen || slots > ringLen {
+				t.Fatalf("after ts %d the bus holds %d messages in %d slots, more than one ring (%d)", from, msgs, slots, ringLen)
+			}
+		}
+		for _, r := range rs {
+			r.reach(total)
+			if r.holes.Load() != 1 { // they joined at ts 2
+				t.Fatalf("a live reader crossed %d holes, want only the one before it joined", r.holes.Load())
+			}
+		}
+		bus.mu.Lock()
+		unread := bus.head - dead.next
+		bus.mu.Unlock()
+		if got := bus.Dropped(); got == 0 || got != total-1-unread {
+			t.Fatalf("Dropped() = %d with %d of %d messages unread and one taken, want %d", got, unread, total, total-1-unread)
+		}
+		if msgs, _ := held(bus); msgs != unread {
+			t.Fatalf("bus holds %d messages, the dead subscriber's %d unread", msgs, unread)
+		}
+		dropped := bus.Dropped()
+		dead.Close()
+		if msgs, _ := held(bus); msgs != 0 || bus.Dropped() != dropped {
+			t.Fatalf("after the dead subscriber closed the bus holds %d messages and counts %d dropped, want 0 and %d", msgs, bus.Dropped(), dropped)
+		}
+		stop()
+	})
+
+	// Readers of every speed, and subscribers that come and go, race an
+	// unpaced publisher: each reader's timestamps only rise, the bus never
+	// holds more than a ring, a reader that stays ends current, and nothing
+	// is held once every subscription is closed.
+	t.Run("ConcurrentFlow", func(t *testing.T) {
+		bus := NewBus(false)
+		rs, stopReaders := readers(t, bus, 3)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		slow := bus.Subscribe()
+		wg.Add(2)
+		go func() { // a reader that dawdles
+			defer wg.Done()
+			for range slow.C {
+				time.Sleep(time.Microsecond)
+			}
+		}()
+		go func() { // subscribers that come and go, reading a little
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := bus.Subscribe()
+				for i := 0; i < 10; i++ {
+					select {
+					case <-s.C:
+					case <-time.After(time.Millisecond):
+					}
+				}
+				s.Close()
+			}
+		}()
+		ts := 1
+		for ts <= 4*ringLen {
+			batch := make([]Message, 1+ts%64)
+			for i := range batch {
+				batch[i] = Message{TS: interval.Timestamp(ts)}
+				ts++
+			}
+			bus.Publish(batch...)
+			if msgs, slots := held(bus); msgs > ringLen || slots > ringLen {
+				t.Fatalf("the bus holds %d messages in %d slots, more than one ring (%d)", msgs, slots, ringLen)
+			}
+		}
+		last := uint64(ts - 1)
+		for _, r := range rs {
+			r.reach(last)
+		}
+		close(stop)
+		slow.Close()
+		stopReaders()
+		wg.Wait()
+		if msgs, _ := held(bus); msgs != 0 {
+			t.Fatalf("the bus holds %d messages with every subscription closed", msgs)
+		}
+	})
 }
 
 func TestBusOrderedDelivery(t *testing.T) {
@@ -207,22 +347,49 @@ func TestBusFanOut(t *testing.T) {
 	}
 }
 
+// TestBusHistoryReplay: a bus that keeps history replays its ring to a late
+// subscriber, from the ring's oldest message on.
 func TestBusHistoryReplay(t *testing.T) {
-	bus := NewBus(true)
-	bus.Publish(Message{TS: 1})
-	bus.Publish(Message{TS: 2})
-	sub := bus.Subscribe() // late subscriber
-	bus.Publish(Message{TS: 3})
-	for want := interval.Timestamp(1); want <= 3; want++ {
-		select {
-		case m := <-sub.C:
-			if m.TS != want {
-				t.Fatalf("got ts %d, want %d", m.TS, want)
+	expect := func(t *testing.T, sub *Subscription, from, to interval.Timestamp) {
+		t.Helper()
+		for want := from; want <= to; want++ {
+			select {
+			case m := <-sub.C:
+				if m.TS != want {
+					t.Fatalf("got ts %d, want %d", m.TS, want)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("timed out waiting for ts %d", want)
 			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("timed out waiting for ts %d", want)
 		}
 	}
+	t.Run("WithinTheRing", func(t *testing.T) {
+		bus := NewBus(true)
+		bus.Publish(Message{TS: 1})
+		bus.Publish(Message{TS: 2})
+		sub := bus.Subscribe() // late subscriber
+		defer sub.Close()
+		bus.Publish(Message{TS: 3})
+		expect(t, sub, 1, 3)
+	})
+	// Past the ring the replay starts at its oldest message: one gap, before
+	// the first message the subscriber sees, and a dense stream from there.
+	// What went by before it subscribed is not counted as dropped.
+	t.Run("PastTheRing", func(t *testing.T) {
+		bus := NewBus(true)
+		const over = 100
+		for ts := 1; ts <= ringLen+over; ts++ {
+			bus.Publish(Message{TS: interval.Timestamp(ts)})
+		}
+		sub := bus.Subscribe()
+		defer sub.Close()
+		expect(t, sub, over+1, ringLen+over)
+		bus.Publish(Message{TS: ringLen + over + 1})
+		expect(t, sub, ringLen+over+1, ringLen+over+1)
+		if msgs, _ := held(bus); msgs != ringLen || bus.Dropped() != 0 {
+			t.Fatalf("bus holds %d messages and dropped %d, want %d and 0", msgs, bus.Dropped(), ringLen)
+		}
+	})
 }
 
 func TestBusSlowSubscriberDoesNotBlockPublish(t *testing.T) {

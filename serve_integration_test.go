@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/url"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"txcache/internal/bench"
+	"txcache/internal/cacheserver"
 	"txcache/internal/interval"
 	"txcache/internal/rpc/rpctest"
 	"txcache/internal/serve"
@@ -174,6 +177,158 @@ func TestServeSurvivesCutPushStream(t *testing.T) {
 	}
 	stopped = true
 	settled(t, before)
+}
+
+// TestServeSurvivesStreamOverflow cuts cache0's invalidation stream while more
+// commits go by than the bus keeps for a subscriber (16,384 messages), so the
+// partition outlasts what the database holds for the node. cache1, whose
+// stream stays up, is paced so it never falls that far behind, and crosses no
+// gap. After the heal cache0 crosses exactly one gap and is current within
+// three seconds (a redial's backoff is up to one); every timestamp published
+// since the cut was either applied by cache0 or counted as dropped by the
+// bus; the consistency oracle passes; and teardown leaks no pin and no
+// goroutine. It logs how long cache0 took to be current and its hit ratio
+// over the two seconds of load that follow the heal.
+func TestServeSurvivesStreamOverflow(t *testing.T) {
+	const commits = 16<<10 + 1000
+	before := runtime.NumGoroutine()
+	nw := new(rpctest.Net)
+	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 8, Net: nw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := false
+	defer func() {
+		if !stopped {
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			st.Stop(ctx)
+		}
+	}()
+	ds := probeDataset(t, st.URL)
+	node := func(i int) cacheserver.Stats {
+		var node struct {
+			cacheserver.Stats
+			Error string
+		}
+		if err := json.Unmarshal(statsz(t, st.URL)["cache "+st.Deployment.Caches[i]], &node); err != nil || node.Error != "" {
+			t.Fatalf("cache%d's counters on /statsz: %v %s", i, err, node.Error)
+		}
+		return node.Stats
+	}
+	// current waits until node i has applied every commit, and returns its
+	// counters then.
+	current := func(i int, within time.Duration) cacheserver.Stats {
+		deadline := time.Now().Add(within)
+		for {
+			s := node(i)
+			if s.Horizon == st.Engine.LastCommit() {
+				return s
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cache%d's horizon %d, last commit %d", i, s.Horizon, st.Engine.LastCommit())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	commit := func(src string, v int64) {
+		tx, err := st.Engine.BeginTx(context.Background(), false, 0)
+		if err == nil {
+			_, err = tx.Exec(src, v)
+		}
+		if err == nil {
+			_, err = tx.Commit()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Warm both nodes, then give the partition a table of its own, so what it
+	// commits names nothing the pages cached.
+	if res := openLoop(context.Background(), st.URL, ds, loadShape{perSec: 400, dur: time.Second}, 32, 10*time.Second, 8); res.errors > 0 || res.timeouts > 0 {
+		t.Fatalf("warm-up not clean: %+v", *res)
+	}
+	if err := st.Engine.DDL("CREATE TABLE partition (id BIGINT PRIMARY KEY, v BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	commit("INSERT INTO partition (id, v) VALUES (1, ?)", 0)
+	from, other := current(0, 5*time.Second), current(1, 5*time.Second)
+	cut, dropped := st.Engine.LastCommit(), st.Engine.Stats().StreamDropped
+
+	var logged lockedBuffer
+	log.SetOutput(io.MultiWriter(os.Stderr, &logged))
+	defer log.SetOutput(os.Stderr)
+	nw.Cut("db", "cache0")
+	for i := 1; i <= commits; i++ {
+		commit("UPDATE partition SET v = ? WHERE id = 1", int64(i))
+		for i%256 == 0 && st.Engine.LastCommit()-node(1).Horizon > 4096 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if s := current(1, 5*time.Second); s.Invalidations-other.Invalidations != commits {
+		t.Fatalf("cache1 applied %d of the %d messages published while cache0 was cut", s.Invalidations-other.Invalidations, commits)
+	}
+	if n := strings.Count(logged.String(), "invalidation stream gap"); n != 0 {
+		t.Fatalf("%d gaps crossed before the heal, want none:\n%s", n, logged.String())
+	}
+
+	atHeal, last := node(0), st.Engine.LastCommit()
+	nw.Heal("db", "cache0")
+	healed := time.Now()
+	resc := make(chan *loadCounts, 1)
+	go func() {
+		resc <- openLoop(context.Background(), st.URL, ds, loadShape{perSec: 400, dur: 2 * time.Second}, 32, 10*time.Second, 9)
+	}()
+	for h := node(0).Horizon; h < last; h = node(0).Horizon {
+		if time.Since(healed) > 3*time.Second {
+			t.Fatalf("cache0's horizon %d, 3s after the heal; %d at the heal", h, last)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	caughtUp := time.Since(healed)
+	if res := <-resc; res.errors > 0 || res.timeouts > 0 || res.dropped > 0 {
+		t.Fatalf("run after the heal not clean: %+v", *res)
+	}
+	after := node(0)
+	end := current(0, 3*time.Second-time.Since(healed))
+	applied, skipped := end.Invalidations-from.Invalidations, st.Engine.Stats().StreamDropped-dropped
+	t.Logf("cache0 current %v after the heal; hit ratio %.3f over the 2s after it (%d lookups); since the cut %d messages applied + %d dropped, %d published",
+		caughtUp.Round(time.Millisecond), float64(after.Hits-atHeal.Hits)/float64(after.Lookups-atHeal.Lookups),
+		after.Lookups-atHeal.Lookups, applied, skipped, end.Horizon-cut)
+	if applied+skipped != uint64(end.Horizon-cut) {
+		t.Fatalf("cache0 applied %d and the bus dropped %d of the %d messages published since the cut", applied, skipped, end.Horizon-cut)
+	}
+	if n := strings.Count(logged.String(), "invalidation stream gap"); n != 1 {
+		t.Fatalf("%d gaps crossed, want one:\n%s", n, logged.String())
+	}
+	audit(t, st, ds)
+
+	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := st.Stop(sctx); err != nil {
+		t.Fatalf("teardown: %v", err)
+	}
+	stopped = true
+	settled(t, before)
+}
+
+// lockedBuffer is a log destination a test reads while the stack writes to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // audit is the consistency oracle: /check re-reads a random item through

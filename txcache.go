@@ -226,10 +226,10 @@ type TagID = invalidation.TagID
 // is also how to find a tag you know by name in output that prints IDs.
 func InternTag(t InvalidationTag) TagID { return invalidation.Intern(t) }
 
-// NewBus creates an invalidation bus. Pass false: keepHistory retains every
-// message for the life of the process to replay to late subscribers, which
-// tests use and a deployment must not — a node that joins late needs no
-// replay (it is cold until its first message and exact afterwards).
+// NewBus creates an invalidation bus. Pass false: keepHistory keeps the last
+// 16,384 messages to replay to late subscribers, which tests use and a
+// deployment need not — a node that joins late needs no replay (it is cold
+// until its first message and exact afterwards).
 func NewBus(keepHistory bool) *Bus { return invalidation.NewBus(keepHistory) }
 
 // Clock abstracts wall time (real in production, virtual in tests).

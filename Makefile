@@ -36,21 +36,12 @@ benchmark-test:
 # operator-seeded node horizon, and a message handed to a node around its
 # stream (ApplyInvalidation called from outside internal/cacheserver) are
 # refused by name: each is a way to serve a value nobody checked.
-# Then the one-row guard: a stored row is a sql.Row — the bytes the WAL and
-# the snapshot carry, read through its accessors (DESIGN.md "Row format") —
-# from the statement that stages it to the executor that reads it back. A
-# type assertion to []sql.Value under internal/db is a version's payload being
-# taken for a slice of boxed values again: a second representation of a row,
-# and three times the heap of the first.
 lint:
 	timeout 120 $(GO) run ./cmd/txcache-lint ./...
 	@out="$$( { grep -rn 'SetHorizon' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd examples internal *.go; \
 		grep -rn '\.ApplyInvalidation(' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=cacheserver cmd examples internal *.go; \
 		grep -rnE '\.through\b|genSnap = min\(' --include='*.go' --exclude='*_test.go' internal/core; } || true)"; if [ -n "$$out" ]; then \
 		echo "a second statement of how far a value is proven is back; a frame carries one proven interval and an open flag (put derives genSnap from it), and a node's floor and horizon come from the stream it has seen (ConsumeStream, the TCP push), never from a caller:"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rnE '\.\(\[\]sql\.Value\)' --include='*.go' --exclude='*_test.go' internal/db || true)"; if [ -n "$$out" ]; then \
-		echo "a boxed row is back; a version's payload is a sql.Row (v.Data.(sql.Row)), read with At and AppendDatums and never decoded into a []sql.Value the store keeps:"; \
 		echo "$$out"; exit 1; fi
 
 # Kill-9 crash-recovery property test: build the real txcache-dbd, drive
@@ -129,12 +120,13 @@ compose-soak:
 
 # The nemesis on the whole TCP topology (bench.StartServeStack on
 # rpctest.Net): the invalidation stream to one node cut for two seconds under
-# load, and cut while more commits go by than the bus's ring holds. Two -race
-# passes each, compiled first so the bound is the tests'. Bounded: a hang is
-# a failure.
+# load, and cut while more commits go by than the bus's ring holds; and the
+# library's own links to the pincushion and to the database cut for two
+# seconds under load, leaving no pin behind. Two -race passes each, compiled
+# first so the bound is the tests'. Bounded: a hang is a failure.
 nemesis-smoke:
 	$(GO) test -race -count=1 -run '^$$' .
-	timeout 60 $(GO) test -race -count=2 -run 'TestServeSurvivesCutPushStream|TestServeSurvivesStreamOverflow' .
+	timeout 90 $(GO) test -race -count=2 -run 'TestServeSurvivesCutPushStream|TestServeSurvivesStreamOverflow|TestServeSurvivesCutPincushion' .
 
 # Short fuzz passes over the wire codec, the opcode handlers of all three
 # wire services, the WAL record framing, what recovery decodes inside it

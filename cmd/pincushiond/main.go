@@ -1,7 +1,7 @@
 // Command pincushiond runs the pincushion daemon (paper §5.4): the
 // registry of pinned database snapshots. It answers GetPins/Register/
-// Release requests from TxCache libraries and periodically unpins old,
-// unused snapshots on the database daemon. Its counters are
+// Release requests from TxCache libraries, pins on the database daemon each
+// snapshot it adopts, and unpins old, unused ones there. Its counters are
 // pincushion.Stats, answered on rpc.OpStats; txcache-serve shows them on
 // /statsz, and -debug-addr serves them beside pprof (internal/debugz).
 //
@@ -23,22 +23,21 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7600", "address to listen on")
-	dbAddr := flag.String("db", "", "database daemon address for UNPIN (optional)")
+	dbAddr := flag.String("db", "", "database daemon address, where the pincushion pins the snapshots it tracks (required)")
 	retention := flag.Duration("retention", 60*time.Second, "keep unused pins this long")
 	staleness := flag.Duration("staleness", 0, "largest staleness bound applications use; lets the sweeper trim unused pins early (0: retention only)")
 	sweepEvery := flag.Duration("sweep-interval", 5*time.Second, "sweep period")
 	debugAddr := flag.String("debug-addr", "", "serve /statsz and /debug/pprof/ here (empty: no debug surface, heap sampling off)")
 	flag.Parse()
 
-	cfg := pincushion.Config{Retention: *retention, Staleness: *staleness}
-	if *dbAddr != "" {
-		cl, err := dbnet.Dial(*dbAddr, 2)
-		if err != nil {
-			log.Fatalf("pincushiond: dial db: %v", err)
-		}
-		cfg.DB = cl
+	if *dbAddr == "" {
+		log.Fatal("pincushiond: -db is required: a pincushion that pins nothing hands out snapshots nobody holds")
 	}
-	pc := pincushion.New(cfg)
+	db, err := dbnet.Dial(*dbAddr, 2)
+	if err != nil {
+		log.Fatalf("pincushiond: dial db: %v", err)
+	}
+	pc := pincushion.New(pincushion.Config{Retention: *retention, Staleness: *staleness, DB: db})
 	if err := debugz.Start(*debugAddr, func() any { return pc.Stats() }); err != nil {
 		log.Fatalf("pincushiond: -debug-addr: %v", err)
 	}

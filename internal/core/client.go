@@ -37,7 +37,9 @@ type DBTx interface {
 // in-process (modulo return-type wrapping, see EngineDB), and the dbnet
 // client implements it over TCP. Begin binds the transaction to ctx:
 // in-process transactions observe its cancellation on every statement,
-// remote ones additionally map its deadline onto their round trips.
+// remote ones additionally map its deadline onto their round trips. A
+// read-only Begin at snap 0 is ★: its session pins the latest snapshot.
+// PinLatest and Unpin are for wrappers; the library calls neither.
 type DB interface {
 	Begin(ctx context.Context, readOnly bool, snap interval.Timestamp) (DBTx, error)
 	PinLatest() (interval.Timestamp, time.Time)

@@ -336,21 +336,24 @@ func wrongSince(changes []balanceChange, initial, id, want int64, lo, hi interva
 	return since, cur, cur != want
 }
 
-// pinLog records every snapshot the library pins on the database. In
-// ConcurrentFlow nothing unpins one before the run ends (no sweeper runs),
-// so the log is the set of timestamps any transaction could run at.
+// pinLog records every snapshot a read-only transaction of the library runs
+// in the present (★) on: the pincushion adopts each, and in ConcurrentFlow
+// nothing unpins one before the run ends (no sweeper runs), so the log is the
+// set of timestamps any transaction could run at.
 type pinLog struct {
 	DB
 	mu   sync.Mutex
 	pins []interval.Timestamp
 }
 
-func (l *pinLog) PinLatest() (interval.Timestamp, time.Time) {
-	ts, wall := l.DB.PinLatest()
-	l.mu.Lock()
-	l.pins = append(l.pins, ts)
-	l.mu.Unlock()
-	return ts, wall
+func (l *pinLog) Begin(ctx context.Context, readOnly bool, snap interval.Timestamp) (DBTx, error) {
+	tx, err := l.DB.Begin(ctx, readOnly, snap)
+	if err == nil && readOnly && snap == 0 {
+		l.mu.Lock()
+		l.pins = append(l.pins, tx.Snapshot())
+		l.mu.Unlock()
+	}
+	return tx, err
 }
 
 // richMasks replays the writers' log (in commit order) into the set of

@@ -85,10 +85,13 @@ func (c *Client) acquireLease(ctx context.Context, staleness time.Duration) (*pi
 	}
 }
 
-// dropLease gives back one transaction's reference. The last transaction off
-// a retired lease sends its Release; a long transaction therefore keeps the
-// uses of the lease it began on, not of whichever is current when it ends.
+// dropLease gives back one transaction's reference, if it holds one. The
+// last transaction off a retired lease sends its Release; a long transaction
+// keeps the uses of the lease it began on, not of whichever is current.
 func (c *Client) dropLease(l *pinLease) {
+	if l == nil {
+		return
+	}
 	c.leaseMu.Lock()
 	l.refs--
 	last := l.retired && l.refs == 0
@@ -100,7 +103,7 @@ func (c *Client) dropLease(l *pinLease) {
 
 // endLease retires l — the current lease when l is nil — so the next Begin
 // fetches afresh. Its callers are the idle timer (a quiet client must not
-// hold the vacuum horizon past one term), ensureDBTx after registering a ★
+// hold the vacuum horizon past one term), takeStar after registering a ★
 // pin the lease cannot contain, and Close.
 func (c *Client) endLease(l *pinLease) {
 	c.leaseMu.Lock()

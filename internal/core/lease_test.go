@@ -112,12 +112,11 @@ func (r *leaseRig) write(t *testing.T, id int64) {
 	}
 }
 
-// pin places a pin on the latest snapshot at the current virtual time, the
-// way another application server's ★ transaction would.
+// pin hands the pincushion the latest snapshot at the current virtual time,
+// the way another application server's ★ transaction would.
 func (r *leaseRig) pin() interval.Timestamp {
-	ts, wall := r.engine.PinLatest()
-	r.pc.Register(ts, wall)
-	r.pc.Release([]interval.Timestamp{ts})
+	ts := r.engine.LastCommit()
+	r.pc.Register(ts, r.clk.Now())
 	return ts
 }
 
@@ -207,9 +206,8 @@ func TestPinSetLease(t *testing.T) {
 			if got := r.client.Stats().PinsPlaced.Load(); got != 1 {
 				t.Fatalf("PinsPlaced = %d over %d misses on a stale pin set, want 1", got, n)
 			}
-			// Fetch, ★ pin, fetch again; the ended lease and the transaction's
-			// own registered use went back.
-			r.wantCalls(t, 2, 2)
+			// Fetch, ★ pin, fetch again; the ended lease went back.
+			r.wantCalls(t, 2, 1)
 			if r.svc.registers != 1 {
 				t.Fatalf("%d Registers, want 1", r.svc.registers)
 			}
@@ -565,13 +563,12 @@ func TestPinSetLease(t *testing.T) {
 			r.svc.mu.Lock()
 			gets, rels := r.svc.getPins, len(r.svc.released)
 			r.svc.mu.Unlock()
-			var leases, placed uint64
+			var leases uint64
 			for _, c := range clients {
 				leases += c.Stats().LeaseFetches.Load()
-				placed += c.Stats().PinsPlaced.Load()
 			}
-			if uint64(rels) != leases+placed {
-				t.Fatalf("%d Releases for %d leases and %d registered pins (%d GetPins)", rels, leases, placed, gets)
+			if uint64(rels) != leases {
+				t.Fatalf("%d Releases for %d leases (%d GetPins)", rels, leases, gets)
 			}
 			r.clk.Advance(5 * time.Hour)
 			r.pc.Sweep()
@@ -580,4 +577,60 @@ func TestPinSetLease(t *testing.T) {
 			}
 		})
 	})
+}
+
+// lostRegister is a pincushion whose Registers never arrive.
+type lostRegister struct{ pincushion.Service }
+
+func (lostRegister) Register(interval.Timestamp, time.Time) {}
+
+// TestStarPinIsTheSessions: a transaction that runs in the present (★) holds
+// its snapshot by its own database session and by nothing else. The
+// pincushion adopts the snapshot with a pin of its own, which its sweep
+// removes; with the Register lost, or with no pincushion at all, the
+// database holds no pin once the transaction has ended, committed or
+// aborted.
+func TestStarPinIsTheSessions(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		service func(*pincushion.Pincushion) pincushion.Service
+		adopted int
+	}{
+		{"Adopted", func(p *pincushion.Pincushion) pincushion.Service { return p }, 1},
+		{"LostRegister", func(p *pincushion.Pincushion) pincushion.Service { return lostRegister{p} }, 0},
+		{"NoPincushion", func(*pincushion.Pincushion) pincushion.Service { return nil }, 0},
+	} {
+		for _, commit := range []bool{true, false} {
+			name := tc.name + "/Abort"
+			if commit {
+				name = tc.name + "/Commit"
+			}
+			t.Run(name, func(t *testing.T) {
+				r := newLeaseRig(t, leaseFresh)
+				c := NewClient(Config{DB: EngineDB{r.engine}, Pincushion: tc.service(r.pc), Clock: r.clk})
+				defer c.Close()
+				tx := beginRO(c, WithStaleness(time.Hour))
+				query(t, tx)
+				if tx.HasStar() || tx.dbSnap != r.engine.LastCommit() || c.Stats().PinsPlaced.Load() != 1 {
+					t.Fatalf("%v after its first query; want ★ taken at %d", tx, r.engine.LastCommit())
+				}
+				if n := r.engine.PinnedCount(); n != 1 {
+					t.Fatalf("%d snapshots pinned while the transaction runs, want its own", n)
+				}
+				if commit {
+					if _, err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					tx.Abort()
+				}
+				if n := r.engine.PinnedCount(); n != tc.adopted {
+					t.Fatalf("%d snapshots pinned after the transaction ended, want %d", n, tc.adopted)
+				}
+				if r.pc.SweepAll(); r.engine.PinnedCount() != 0 {
+					t.Fatalf("%d snapshots pinned after the pincushion swept its own", r.engine.PinnedCount())
+				}
+			})
+		}
+	}
 }

@@ -49,14 +49,12 @@ type Tx struct {
 
 	// Lazy timestamp selection state (paper §6.2).
 	pinSet []pincushion.Pin // sorted ascending, timestamps distinct
-	star   bool             // ★: "can still run in the present"
+	// star is ★, "can still run in the present"; with dbtx set, dbtx runs at
+	// the latest snapshot and no reply has named it yet (takeStar).
+	star   bool
 	origLo interval.Timestamp
 
 	lease *pinLease // holds the pin set's snapshots in use at the pincushion; nil when it offered none
-	// starPin is the ★ snapshot this transaction pinned, held to its end: a
-	// use registered at the pincushion, or with no pincushion the database
-	// pin itself. 0 is never a snapshot.
-	starPin interval.Timestamp
 
 	dbtx   DBTx
 	dbSnap interval.Timestamp // snapshot the DB transaction runs at
@@ -199,7 +197,7 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 		return 0, err
 	}
 	tx.done = true
-	defer tx.releasePins()
+	defer tx.c.dropLease(tx.lease)
 	if tx.rw {
 		tx.c.stats.Committed.Add(1)
 		return tx.dbtx.Commit()
@@ -231,21 +229,7 @@ func (tx *Tx) Abort() {
 	if tx.dbtx != nil {
 		tx.dbtx.Abort()
 	}
-	tx.releasePins()
-}
-
-func (tx *Tx) releasePins() {
-	if tx.lease != nil {
-		tx.c.dropLease(tx.lease)
-	}
-	if tx.starPin == 0 {
-		return
-	}
-	if tx.c.pc != nil {
-		tx.c.pc.Release([]interval.Timestamp{tx.starPin})
-	} else {
-		tx.c.db.Unpin(tx.starPin)
-	}
+	tx.c.dropLease(tx.lease)
 }
 
 // Query runs a "bare" SELECT (outside or inside a cacheable function). In a
@@ -258,13 +242,24 @@ func (tx *Tx) Query(src string, args ...sql.Value) (*db.Result, error) {
 	if err := tx.ctxErr(); err != nil {
 		return nil, err
 	}
+	var wall time.Time // a ★ pin's, read before its Begin: no fresher than it is
+	if tx.dbtx == nil {
+		wall = tx.c.clk.Now()
+	}
 	if err := tx.ensureDBTx(); err != nil {
 		return nil, err
 	}
 	tx.c.stats.DBQueries.Add(1)
 	r, err := tx.dbtx.Query(src, args...)
 	if err != nil {
+		if tx.star { // nothing was read at the snapshot it was to name: begin afresh
+			tx.dbtx.Abort()
+			tx.dbtx = nil
+		}
 		return nil, err
+	}
+	if tx.star {
+		tx.takeStar(wall)
 	}
 	if !tx.rw {
 		// The database says when the result began and, if it has ended,
@@ -300,47 +295,46 @@ func (tx *Tx) ensureDBTx() error {
 	if tx.dbtx != nil {
 		return nil
 	}
-	// Policy (paper §6.2): take ★ — pinning a brand-new snapshot — only
-	// when the newest pinned candidate is older than the freshness
-	// threshold; otherwise reuse the newest pin to avoid flooding the
-	// database with pinned snapshots.
-	useStar := tx.star
-	if useStar && len(tx.pinSet) > 0 {
-		newest := tx.pinSet[len(tx.pinSet)-1]
-		if tx.c.clk.Now().Sub(newest.Wall) <= tx.c.fresh {
-			useStar = false
-		}
+	// Policy (paper §6.2): take ★ — run on a brand-new snapshot — only when
+	// the newest pinned candidate is older than the freshness threshold;
+	// otherwise reuse the newest pin to avoid flooding the database with
+	// pinned snapshots.
+	if tx.star && len(tx.pinSet) > 0 && tx.c.clk.Now().Sub(tx.pinSet[len(tx.pinSet)-1].Wall) <= tx.c.fresh {
+		tx.star = false
 	}
-	if useStar {
-		ts, wall := tx.c.db.PinLatest()
-		tx.c.stats.PinsPlaced.Add(1)
-		// The transaction holds the pin to its end — with no pincushion to
-		// track it, the database pin itself: a remote Begin reaches the
-		// database only with the first query, and the snapshot must still be
-		// pinned when it does.
-		tx.starPin = ts
-		if tx.c.pc != nil {
-			tx.c.pc.Register(ts, wall)
-			// The current lease cannot contain this pin. Left in place, every
-			// transaction in the rest of its term would also find its newest
-			// pin too old and place one of its own.
-			tx.c.endLease(nil)
-		}
-		tx.insertPin(pincushion.Pin{TS: ts, Wall: wall})
-		tx.star = false // reified
-		tx.dbSnap = ts
-	} else {
+	if !tx.star {
 		if len(tx.pinSet) == 0 {
 			return fmt.Errorf("txcache: internal: no pinned snapshot to run at")
 		}
 		tx.dbSnap = tx.pinSet[len(tx.pinSet)-1].TS
 	}
+	// ★ begins at the latest snapshot (dbSnap 0), which the transaction's own
+	// session pins from its first statement to its end.
 	dbtx, err := tx.c.db.Begin(tx.ctx, true, tx.dbSnap)
 	if err != nil {
 		return err
 	}
 	tx.dbtx = dbtx
 	return nil
+}
+
+// takeStar reifies ★ from the reply that named the snapshot; wall is the
+// client clock before the transaction began. The session holds the snapshot
+// to the transaction's end; Register, while it does, has the pincushion pin
+// it for the transactions that follow.
+func (tx *Tx) takeStar(wall time.Time) {
+	ts := tx.dbtx.Snapshot()
+	tx.c.stats.PinsPlaced.Add(1)
+	tx.insertPin(pincushion.Pin{TS: ts, Wall: wall})
+	tx.star = false
+	tx.dbSnap = ts
+	if tx.c.pc != nil {
+		tx.c.pc.Register(ts, wall)
+		// The current lease cannot contain this pin. Left in place, every
+		// transaction in the rest of its term would also find its newest
+		// pin too old and place one of its own.
+		tx.c.endLease(nil)
+	}
 }
 
 // insertPin adds a pin to the sorted pin set, deduplicating timestamps.

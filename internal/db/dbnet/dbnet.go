@@ -33,7 +33,9 @@ import (
 // reply ever arrived. A begin that fails is the frame's error; the reply to
 // a frame that began a transaction ends with its snapshot. Nothing is owed
 // for opAbort, which the client sends one-way, also to end a read-only
-// transaction's Commit: such a commit publishes nothing.
+// transaction's Commit: such a commit publishes nothing. opPin carries a
+// timestamp: zero pins the latest snapshot and is answered with opPinResp,
+// any other adds a reference to a snapshot already pinned and is acked.
 const (
 	opQuery      byte = 3
 	opQueryResp  byte = 4
@@ -64,9 +66,9 @@ type Server struct {
 }
 
 // opTimeout bounds round trips that run outside any caller context — the
-// release half of pin bookkeeping (Unpin) and pin acquisition (PinLatest).
-// Without it a wedged daemon would hang those paths forever, exactly when
-// cancelled requests are trying to shed load.
+// release half of pin bookkeeping (Unpin) and pin acquisition (PinLatest,
+// Pin). Without it a wedged daemon would hang those paths forever, exactly
+// when cancelled requests are trying to shed load.
 const opTimeout = 5 * time.Second
 
 // Serve accepts connections until l closes.
@@ -120,6 +122,12 @@ func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
 	d := wire.NewDecoder(body)
 	switch op {
 	case opPin:
+		switch ts := interval.Timestamp(d.U64()); {
+		case d.Err() != nil:
+			return nil, d.Err()
+		case ts != 0:
+			return nil, ss.Engine.Pin(ts)
+		}
 		ts, wall := ss.Engine.PinLatest()
 		return rpc.NewFrame(opPinResp).U64(uint64(ts)).I64(wall.UnixNano()), nil
 	case opUnpin:
@@ -266,8 +274,8 @@ func remoteErr(err error) error {
 // deadline is bounded by it. Replies are matched to requests by ID, so a
 // round trip that is abandoned cannot poison the next lease, and the frame
 // that ends a transaction is ordered ahead of the next lease's first
-// request on the same connection. PinLatest, Unpin and StatsJSON address
-// no session and go out on any connection without leasing one.
+// request on the same connection. PinLatest, Pin, Unpin and StatsJSON
+// address no session and go out on any connection without leasing one.
 type Client struct {
 	rpc    *rpc.Client
 	free   chan *rpc.Conn // the connections, a session each, that no transaction holds
@@ -348,11 +356,20 @@ func roundTrip(ctx context.Context, c caller, req *wire.Buffer, want byte) (wire
 func (cl *Client) PinLatest() (interval.Timestamp, time.Time) {
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	d, err := roundTrip(ctx, cl.rpc, rpc.NewFrame(opPin), opPinResp)
+	d, err := roundTrip(ctx, cl.rpc, rpc.NewFrame(opPin).U64(0), opPinResp)
 	if err != nil {
 		return 0, time.Time{}
 	}
 	return interval.Timestamp(d.U64()), time.Unix(0, d.I64())
+}
+
+// Pin adds a reference to a snapshot already pinned on the daemon, or fails
+// with db.ErrNotPinned's text; bounded by opTimeout.
+func (cl *Client) Pin(ts interval.Timestamp) error {
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+	defer cancel()
+	_, err := roundTrip(ctx, cl.rpc, rpc.NewFrame(opPin).U64(uint64(ts)), rpc.OpAck)
+	return err
 }
 
 // StatsJSON fetches the daemon's ServerStats as the JSON it answered with.

@@ -111,6 +111,59 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 }
 
+// TestPinAtATimestamp: opPin with a timestamp adds a reference to a snapshot
+// already pinned — here by a transaction, and in the past — and is acked; the
+// reference outlives the transaction until its Unpin. A past snapshot nobody
+// holds is refused with the engine's error and pins nothing.
+func TestPinAtATimestamp(t *testing.T) {
+	engine := db.New(db.Options{})
+	if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	ss := &session{Server: &Server{Engine: engine}, txs: make(map[uint64]*db.Tx)}
+	rc, client, server := rpctest.Pipe(t, ss.handle, 0)
+	cl := newClient(rc, 1)
+	defer cl.Close()
+
+	ro, err := cl.Begin(context.Background(), true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ro.Query("SELECT v FROM kv WHERE k = ?", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	held := ro.Snapshot()
+	w, err := engine.BeginTx(context.Background(), false, 0)
+	if err == nil {
+		_, err = w.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", int64(1), "one")
+	}
+	if err == nil {
+		_, err = w.Commit()
+	}
+	if err != nil || engine.LastCommit() <= held {
+		t.Fatalf("commit after the snapshot: %v (latest %d, held %d)", err, engine.LastCommit(), held)
+	}
+
+	if err := cl.Pin(held); err != nil {
+		t.Fatalf("Pin of a snapshot a transaction holds: %v", err)
+	}
+	client.Expect(t, "a query and a Pin", 2, 2)
+	ro.Abort()
+	cl.Unpin(held)
+	client.Expect(t, "Abort and Unpin", 3, 4)
+	if n := engine.PinnedCount(); n != 0 {
+		t.Fatalf("%d snapshots pinned after the transaction and the Pin were both undone", n)
+	}
+	if err := cl.Pin(held); err == nil || !strings.Contains(err.Error(), db.ErrNotPinned.Error()) {
+		t.Fatalf("Pin of a past snapshot nobody holds: %v", err)
+	}
+	client.Expect(t, "a refused Pin", 4, 5)
+	server.Expect(t, "5 frames in, 4 out", 5, 4)
+	if n := engine.PinnedCount(); n != 0 {
+		t.Fatalf("a refused Pin left %d snapshots pinned", n)
+	}
+}
+
 // TestAbandonedBeginIsAborted: a read/write transaction whose first Exec —
 // the frame that carries its Begin — outlives its deadline on a slow TCP
 // link (rpctest.Net's Delay on core → db) leaves nothing behind. The client
@@ -355,10 +408,9 @@ func (d *commitAfterBegin) Begin(ctx context.Context, readOnly bool, snap interv
 }
 
 // TestLibraryWithoutPincushion runs the library over dbnet with nothing
-// tracking its pins: the snapshot a read-only transaction pins for itself
-// must stay pinned until the piggybacked Begin has reached the daemon —
-// later commits notwithstanding — and be released when the transaction
-// ends.
+// tracking its pins: a read-only transaction runs in the present on the
+// snapshot its own session pins when the piggybacked Begin reaches the daemon
+// — later commits notwithstanding — and releases it when it ends.
 func TestLibraryWithoutPincushion(t *testing.T) {
 	engine, cl := startServer(t)
 	client := core.NewClient(core.Config{DB: &commitAfterBegin{Client: cl, t: t, engine: engine}})

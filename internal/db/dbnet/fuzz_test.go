@@ -53,7 +53,10 @@ func FuzzDBNetHandle(f *testing.F) {
 	f.Add(wire.NewBuffer(opAbort | begins).U32(1).U64(2).Bool(false).U64(0).Bytes()) // opAbort cannot begin
 	f.Add(wire.NewBuffer(opCommit).U32(1).U64(1).Bytes())
 	f.Add(wire.NewBuffer(opAbort).U32(0).U64(1).Bytes())
-	f.Add(wire.NewBuffer(opPin).U32(1).Bytes())
+	f.Add(wire.NewBuffer(opPin).U32(1).Bytes()) // truncated
+	f.Add(wire.NewBuffer(opPin).U32(1).U64(0).Bytes())
+	f.Add(wire.NewBuffer(opPin).U32(1).U64(1).Bytes()) // the snapshot transaction 1 holds
+	f.Add(wire.NewBuffer(opPin).U32(1).U64(7).Bytes()) // nobody holds it
 	f.Add(wire.NewBuffer(opUnpin).U32(1).U64(2).Bytes())
 	f.Add(wire.NewBuffer(opUnpin).U32(1).Bytes()) // truncated
 	f.Add(wire.NewBuffer(rpc.OpStats).U32(1).Bytes())

@@ -390,9 +390,11 @@ func (e *Engine) Vacuum() int {
 }
 
 // BeginTx starts a transaction bound to ctx. Read-only transactions run at
-// snapshot snap, which must be pinned (the TxCache library pins via the
-// pincushion before beginning); pass 0 to run on the latest snapshot.
-// Read/write transactions always run on the latest snapshot (pass 0).
+// snapshot snap, which must be pinned (by the pincushion, say) or be the
+// latest; pass 0 to run on the latest snapshot, as the TxCache library does
+// for a transaction that runs in the present (★). Either way the transaction
+// holds a pin of its own on its snapshot until it ends. Read/write
+// transactions always run on the latest snapshot (pass 0).
 //
 // Every statement of the transaction observes ctx's cancellation and
 // returns the wrapped context error; Commit on a cancelled context aborts

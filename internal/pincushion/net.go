@@ -16,10 +16,11 @@ import (
 // pincushion; *Pincushion implements it in-process and *Client over TCP.
 // GetPins — the begin-path call — takes the transaction's context: the TCP
 // client maps its deadline onto the round trip and a cancelled context
-// returns no pins. Register and Release stay context-free: they are the
-// release path of pin bookkeeping and must run even when the transaction's
-// context has already been cancelled. Neither reports anything back, and
-// Release must not retain tss: callers reuse it.
+// returns no pins. Register returns once the pincushion has pinned the
+// snapshot itself, or failed to; the caller holds its own pin until then.
+// Register and Release stay context-free: pin bookkeeping must run even when
+// the transaction's context has already been cancelled. Neither reports
+// anything back, and Release must not retain tss: callers reuse it.
 type Service interface {
 	GetPins(ctx context.Context, staleness time.Duration) []Pin
 	Register(ts interval.Timestamp, wall time.Time)
@@ -31,9 +32,9 @@ var (
 	_ Service = (*Client)(nil)
 )
 
-// Protocol opcodes. GetPins is answered with Pins. Register and Release
-// have nothing to report; the client sends them one-way, so a
-// transaction's bookkeeping costs its caller a write, not a round trip.
+// Protocol opcodes. GetPins is answered with Pins, Register with an ack once
+// the snapshot is adopted. Release has nothing to report; the client sends it
+// one-way, so giving a lease back costs its caller a write, not a round trip.
 const (
 	opGetPins  byte = 1
 	opPins     byte = 2
@@ -42,18 +43,17 @@ const (
 )
 
 // opTimeout bounds a GetPins round trip whose caller set no tighter
-// deadline: on expiry, as on any error, the library pins a fresh snapshot.
+// deadline — on expiry, as on any error, the library runs in the present —
+// and every Register.
 const opTimeout = 5 * time.Second
 
-// Serve accepts connections on l until it is closed. A connection's frames
-// are handled in arrival order, which is what keeps a client's Register
-// ahead of the Release that follows it.
+// Serve accepts connections on l until it is closed.
 func (p *Pincushion) Serve(l net.Listener) error {
 	return rpc.Serve(l, func() (rpc.Handler, func()) { return p.handle, nil })
 }
 
-// handle is the daemon's rpc.Handler. A malformed Register or Release is
-// dropped: sent one-way, nobody is waiting for an error.
+// handle is the daemon's rpc.Handler. A malformed Release is dropped: sent
+// one-way, nobody is waiting for an error.
 func (p *Pincushion) handle(op byte, body []byte) (*wire.Buffer, error) {
 	d := wire.NewDecoder(body)
 	switch op {
@@ -95,14 +95,11 @@ func (p *Pincushion) handle(op byte, body []byte) (*wire.Buffer, error) {
 }
 
 // Client is a TCP client for a pincushion daemon, usable concurrently.
-// GetPins round-trips on any of its connections; Register and Release are
-// written, unanswered, to the first, which carries them in order. Ordering
-// is per connection, so one is all it takes for a transaction's Register to
-// land before its Release; while that connection is down, and for frames
-// already written when it broke, they are lost, and the next frame, sent on
-// its replacement, may overtake stragglers. Either way a use-count leaks at
-// the daemon until Sweep's leak cutoff reclaims it, which is what a Release
-// that failed cost before it was one-way.
+// GetPins and Register round-trip on any of its connections, and a Register
+// that cannot reach the daemon fails at once, leaving the caller's pin the
+// caller's. Release is written, unanswered, to any healthy connection: one
+// lost with its connection leaves a use-count up at the daemon until Sweep's
+// leak cutoff reclaims it.
 type Client struct {
 	rpc *rpc.Client
 }
@@ -150,21 +147,22 @@ func (c *Client) GetPins(ctx context.Context, staleness time.Duration) []Pin {
 	return pins
 }
 
-// Register implements Service over TCP as a one-way frame. Like Release it
-// deliberately ignores the (possibly cancelled) transaction context — pin
-// bookkeeping must survive cancellation — and the transport bounds the
-// write, so a wedged daemon cannot hang the release path either.
+// Register implements Service over TCP as a round trip bounded by opTimeout,
+// answered once the daemon has adopted the pin. Like Release it ignores the
+// (possibly cancelled) transaction context: bookkeeping must survive
+// cancellation.
 func (c *Client) Register(ts interval.Timestamp, wall time.Time) {
-	_ = c.rpc.Conn(0).Send(rpc.NewFrame(opRegister).U64(uint64(ts)).I64(wall.UnixNano())) // a lost frame is a leaked use-count; see Client
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+	defer cancel()
+	_, _, _ = c.rpc.Call(ctx, rpc.NewFrame(opRegister).U64(uint64(ts)).I64(wall.UnixNano())) // unadopted, the pin is still only the caller's
 }
 
-// Release implements Service over TCP as a one-way frame, ordered after
-// any Register the same goroutine sent before it. tss is encoded before
-// Release returns and not retained.
+// Release implements Service over TCP as a one-way frame. tss is encoded
+// before Release returns and not retained.
 func (c *Client) Release(tss []interval.Timestamp) {
 	e := rpc.NewFrame(opRelease).U32(uint32(len(tss)))
 	for _, ts := range tss {
 		e.U64(uint64(ts))
 	}
-	_ = c.rpc.Conn(0).Send(e) // as in Register
+	_ = c.rpc.Send(e) // a lost frame is a leaked use-count; see Client
 }

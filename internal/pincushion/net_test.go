@@ -99,17 +99,18 @@ func TestOverTCP(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Register is one-way: it has landed when the daemon tracks the pin, not
-	// when the call returns.
+	// Register is answered once the daemon has adopted the pin.
 	c.Register(42, clk.Now())
-	eventually(t, "the Register to land", func() bool { return p.Len() == 1 })
+	if p.Stats().Pins != 1 {
+		t.Fatalf("%d pins tracked after Register returned, want 1", p.Stats().Pins)
+	}
 	pins := c.GetPins(context.Background(), time.Minute)
 	if len(pins) != 1 || pins[0].TS != 42 {
 		t.Fatalf("pins = %+v", pins)
 	}
-	c.Release([]interval.Timestamp{42, 42}) // one from Register, one from GetPins
+	c.Release([]interval.Timestamp{42}) // one-way: swept once it has landed
 	clk.Advance(2 * time.Minute)
-	eventually(t, "the released pin to be swept", func() bool { p.Sweep(); return p.Len() == 0 })
+	eventually(t, "the released pin to be swept", func() bool { p.Sweep(); return p.Stats().Pins == 0 })
 	if st := p.Stats(); st.Leaked != 0 {
 		t.Fatalf("pin swept as leaked (%d): the Release was lost", st.Leaked)
 	}
@@ -117,7 +118,8 @@ func TestOverTCP(t *testing.T) {
 
 // TestOneWritePerFrame joins the two pincushion endpoints by a counted
 // pipe: every frame either side sends is one Write, a frame that arrives in
-// one piece is one Read, and the one-way frames draw no reply.
+// one piece is one Read, Register is one exchange and the one-way Release
+// draws no reply.
 func TestOneWritePerFrame(t *testing.T) {
 	p := New(Config{})
 	p.Register(7, time.Now())
@@ -136,53 +138,18 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	client.Expect(t, "3 GetPins", 3, 3)
 	c.Register(9, time.Now())
+	client.Expect(t, "Register", 4, 4)
 	c.Release([]interval.Timestamp{9, 7, 7, 7})
-	client.Expect(t, "Register+Release", 3, 5)
-	getPins(2) // a reply after the one-way frames proves they were consumed first
-	server.Expect(t, "6 frames in, 4 out", 6, 4)
+	client.Expect(t, "Release", 4, 5)
+	getPins(2) // a reply after the one-way frame proves it was consumed first
+	server.Expect(t, "6 frames in, 5 out", 6, 5)
 }
 
-// TestRegisterNeverOvertakenByRelease: whatever the interleaving across
-// goroutines, each transaction's Register reaches the daemon before its
-// Release, so every use-count returns to zero and nothing is swept as
-// leaked. Callers reuse the slice they passed to Release straight away, as
-// core does.
-func TestRegisterNeverOvertakenByRelease(t *testing.T) {
-	clk := &clock.Virtual{}
-	p := New(Config{Clock: clk, Retention: time.Minute})
-	c, err := Dial(startDaemon(t, p).addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			tss := make([]interval.Timestamp, 1)
-			for i := 0; i < 200; i++ {
-				ts := interval.Timestamp(1 + (g*200+i)%37)
-				c.Register(ts, clk.Now())
-				tss[0] = ts
-				c.Release(tss)
-				tss[0] = 1 << 40 // Release must not be looking at this any more
-			}
-		}(g)
-	}
-	wg.Wait()
-	clk.Advance(2 * time.Minute) // past retention, far short of the leak cutoff
-	eventually(t, "every pin to be released and swept", func() bool { p.Sweep(); return p.Len() == 0 })
-	if st := p.Stats(); st.Leaked != 0 {
-		t.Fatalf("%d pins swept as leaked", st.Leaked)
-	}
-}
-
-// TestDroppedOneWayConnection: when the daemon's end of the one-way
-// connection dies, frames written into it are lost without an error. What
-// that leaks is use-counts, which Sweep's leak cutoff reclaims; the client
-// notices on a later write, redials, and is in order again.
+// TestDroppedOneWayConnection: when the daemon's end of a connection dies,
+// a Release written into it is lost without an error. What that leaks is a
+// use-count, which Sweep's leak cutoff reclaims; a Register sent meanwhile
+// fails and adopts nothing, and once the client has redialed both get
+// through again.
 func TestDroppedOneWayConnection(t *testing.T) {
 	clk := &clock.Virtual{}
 	db := &fakeDB{}
@@ -195,28 +162,31 @@ func TestDroppedOneWayConnection(t *testing.T) {
 	defer c.Close()
 
 	c.Register(5, clk.Now())
-	eventually(t, "the Register to land", func() bool { return p.Len() == 1 })
+	c.GetPins(context.Background(), time.Minute) // a use of 5
 	d.dropConns()
 	c.Release([]interval.Timestamp{5}) // written into a dead connection: lost
 
-	// Keep sending until the client has noticed and a pair gets through on
-	// the replacement connection.
-	eventually(t, "the one-way connection to be replaced", func() bool {
+	// Keep registering until the client has noticed and redialed.
+	eventually(t, "the connection to be replaced", func() bool {
 		c.Register(6, clk.Now())
-		c.Release([]interval.Timestamp{6})
-		return p.Len() == 2
+		return p.Stats().Pins == 2
 	})
+	if got := db.holds(); len(got) != 2 || got[5] != 1 || got[6] != 1 {
+		t.Fatalf("placements %v, want one each on 5 and 6", got)
+	}
 
-	// Past retention pin 6 goes, its uses balanced; pin 5 still counts the
-	// use whose Release was lost, until the leak cutoff.
+	// Past retention pin 6 goes, never used; pin 5 still counts the use whose
+	// Release was lost, until the leak cutoff.
 	clk.Advance(2 * time.Minute)
-	eventually(t, "the balanced pin to be swept", func() bool { p.Sweep(); return p.Len() == 1 })
-	if st := p.Stats(); st.Leaked != 0 {
-		t.Fatalf("Leaked = %d before the leak cutoff", st.Leaked)
+	if n := p.Sweep(); n != 1 || p.Stats().Pins != 1 || p.Stats().Leaked != 0 {
+		t.Fatalf("sweep removed %d pins, %d left, Leaked = %d; want the unused one", n, p.Stats().Pins, p.Stats().Leaked)
 	}
 	clk.Advance(leakFactor * time.Minute)
-	if n := p.Sweep(); n != 1 || p.Len() != 0 || p.Stats().Leaked != 1 {
+	if n := p.Sweep(); n != 1 || p.Stats().Pins != 0 || p.Stats().Leaked != 1 {
 		t.Fatalf("leak cutoff swept %d pins, %d left, Leaked = %d; want the one lost Release reclaimed",
-			n, p.Len(), p.Stats().Leaked)
+			n, p.Stats().Pins, p.Stats().Leaked)
+	}
+	if got := db.holds(); len(got) != 0 {
+		t.Fatalf("placements %v left after every pin was swept", got)
 	}
 }

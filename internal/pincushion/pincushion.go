@@ -1,9 +1,11 @@
 // Package pincushion implements the pincushion daemon (paper §5.4): a
-// lightweight registry of the snapshots currently pinned on the database,
+// lightweight registry of the snapshots it holds pinned on the database,
 // their wall-clock times, and how many running transactions might be using
 // each. It answers "which pinned snapshots are fresh enough?" at the start
 // of every read-only transaction and periodically unpins old unused
-// snapshots.
+// snapshots. A pin is removed by whoever placed it: Register adopts a
+// snapshot its caller holds pinned by placing a pin of its own, so every
+// tracked snapshot is one placement of the pincushion's, which Sweep removes.
 package pincushion
 
 import (
@@ -23,9 +25,11 @@ type Pin struct {
 	Wall time.Time
 }
 
-// Unpinner releases pinned snapshots on the database; *db.Engine satisfies
-// it. The pincushion calls it from Sweep for pins that have aged out.
-type Unpinner interface {
+// Pinner is the database the pincushion places and removes its pins on;
+// *db.Engine satisfies it, as does the dbnet client. Pin adds a reference to
+// a snapshot that is already pinned, failing if it is not.
+type Pinner interface {
+	Pin(ts interval.Timestamp) error
 	Unpin(ts interval.Timestamp)
 }
 
@@ -44,20 +48,15 @@ type Config struct {
 	Staleness time.Duration
 	// Clock supplies wall time; defaults to the real clock.
 	Clock clock.Clock
-	// DB, when set, is told to UNPIN swept snapshots.
-	DB Unpinner
+	// DB is where Register pins the snapshots it adopts and Sweep unpins
+	// them. Nil makes the pincushion a plain registry that pins nothing.
+	DB Pinner
 }
 
 type pinState struct {
 	wall    time.Time
-	lastUse time.Time // most recent GetPins/Register/Release touching this pin
+	lastUse time.Time // most recent GetPins/Release touching this pin
 	active  int       // running transactions that may use this snapshot
-	// placed counts PIN placements on the database for this snapshot. Two
-	// clients can race past GetPins and both ★-pin the same latest
-	// timestamp; the database reference-counts those placements, so the
-	// sweeper must issue exactly as many UNPINs as there were PINs or the
-	// snapshot stays pinned forever and silently holds back vacuum.
-	placed int
 }
 
 // Pincushion tracks pinned snapshots. Safe for concurrent use.
@@ -112,31 +111,44 @@ func (p *Pincushion) GetPins(ctx context.Context, staleness time.Duration) []Pin
 	return out
 }
 
-// Register records a snapshot the caller just pinned on the database,
-// marking it in use by the caller's transaction. Re-registering an existing
-// snapshot adds a use and keeps the later wall time: the database handing
-// out the same timestamp again means that snapshot was still the latest
-// then, so it is as fresh as that later moment. (Keeping the first time
-// instead let a deployment with no commits age its only snapshot past the
-// staleness bound, after which no transaction could use the cache again.)
+// Register adopts a snapshot the caller holds pinned: the pincushion pins an
+// untracked one itself (Config.DB.Pin), outside the registry lock, and tracks
+// it only if that succeeded. It adds no use. Re-registering a tracked
+// snapshot places nothing and keeps the later wall time: it was still the
+// latest then. (Keeping the first let a deployment with no commits age its
+// only snapshot past the staleness bound, and the cache with it.)
 func (p *Pincushion) Register(ts interval.Timestamp, wall time.Time) {
+	if p.track(ts, wall, false) {
+		return
+	}
+	if p.cfg.DB != nil && p.cfg.DB.Pin(ts) != nil {
+		return // the caller's pin is gone: there is nothing to adopt
+	}
+	if p.track(ts, wall, true) && p.cfg.DB != nil {
+		p.cfg.DB.Unpin(ts) // a concurrent Register adopted it first
+	}
+}
+
+// track keeps the later wall time of a tracked snapshot and reports true;
+// an untracked one it starts tracking if adopt is set.
+func (p *Pincushion) track(ts interval.Timestamp, wall time.Time, adopt bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := p.pins[ts]
-	if st == nil {
-		st = &pinState{wall: wall}
-		p.pins[ts] = st
-	} else if wall.After(st.wall) {
-		st.wall = wall
+	if st := p.pins[ts]; st != nil {
+		if wall.After(st.wall) {
+			st.wall = wall
+		}
+		return true
 	}
-	st.active++
-	st.placed++
-	st.lastUse = p.clk.Now()
+	if adopt {
+		p.pins[ts] = &pinState{wall: wall}
+	}
+	return false
 }
 
 // Release drops the caller's uses of the given snapshots (the set returned
-// by GetPins plus any snapshot it Registered). Snapshots stay pinned on the
-// database until Sweep ages them out.
+// by GetPins). Snapshots stay pinned on the database until Sweep ages them
+// out.
 func (p *Pincushion) Release(tss []interval.Timestamp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -150,8 +162,8 @@ func (p *Pincushion) Release(tss []interval.Timestamp) {
 }
 
 // leakFactor scales the retention threshold into the leak cutoff: a pin
-// whose use-count has been nonzero with no GetPins/Register/Release
-// activity for leakFactor × Retention is considered leaked (a client
+// whose use-count has been nonzero with no GetPins/Release activity for
+// leakFactor × Retention is considered leaked (a client
 // crashed, or a network fault lost a Release after the daemon had marked
 // uses) and is swept anyway. This is safe for running transactions: once
 // a transaction begins its database snapshot it holds its own engine pin
@@ -179,18 +191,17 @@ func (p *Pincushion) Sweep() int {
 	now := p.clk.Now()
 	cutoff := now.Add(-p.trimAge())
 	leakCutoff := now.Add(-leakFactor * p.cfg.Retention)
-	var victims []pinRef
+	var victims []interval.Timestamp
 	for ts, st := range p.pins {
 		switch {
 		case st.active == 0 && st.wall.Before(cutoff):
-			victims = append(victims, pinRef{ts, st.placed})
 		case st.active > 0 && st.wall.Before(cutoff) && st.lastUse.Before(leakCutoff):
 			p.statLeaked++
-			victims = append(victims, pinRef{ts, st.placed})
+		default:
+			continue
 		}
-	}
-	for _, v := range victims {
-		delete(p.pins, v.ts)
+		victims = append(victims, ts)
+		delete(p.pins, ts)
 	}
 	p.statSweeps++
 	p.mu.Unlock()
@@ -198,27 +209,14 @@ func (p *Pincushion) Sweep() int {
 	return len(victims)
 }
 
-// pinRef pairs a swept timestamp with how many PIN placements it carries.
-type pinRef struct {
-	ts     interval.Timestamp
-	placed int
-}
-
-// unpin releases every placement of each swept pin on the database,
-// outside the registry lock: the database takes its own locks, and it
-// reference-counts placements, so one UNPIN per PIN.
-func (p *Pincushion) unpin(victims []pinRef) {
+// unpin removes the pincushion's pin on each swept snapshot, outside the
+// registry lock: the database takes its own locks.
+func (p *Pincushion) unpin(tss []interval.Timestamp) {
 	if p.cfg.DB == nil {
 		return
 	}
-	for _, v := range victims {
-		n := v.placed
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			p.cfg.DB.Unpin(v.ts)
-		}
+	for _, ts := range tss {
+		p.cfg.DB.Unpin(ts)
 	}
 }
 
@@ -228,11 +226,11 @@ func (p *Pincushion) unpin(victims []pinRef) {
 // daemon would keep the versions it sees from being reclaimed forever.
 func (p *Pincushion) SweepAll() int {
 	p.mu.Lock()
-	victims := make([]pinRef, 0, len(p.pins))
-	for ts, st := range p.pins {
-		victims = append(victims, pinRef{ts, st.placed})
+	victims := make([]interval.Timestamp, 0, len(p.pins))
+	for ts := range p.pins {
+		victims = append(victims, ts)
 	}
-	p.pins = make(map[interval.Timestamp]*pinState)
+	clear(p.pins)
 	p.statSweeps++
 	p.mu.Unlock()
 	p.unpin(victims)
@@ -275,15 +273,6 @@ var horizonBuckets = [...]time.Duration{
 	time.Second, 5 * time.Second, 15 * time.Second, time.Minute, 5 * time.Minute,
 }
 
-// HorizonBuckets returns the histogram's bucket edges (a copy); bucket i of
-// Stats.Horizon counts pins aged at most edge i, and the final bucket
-// collects everything older.
-func HorizonBuckets() []time.Duration {
-	out := make([]time.Duration, len(horizonBuckets))
-	copy(out, horizonBuckets[:])
-	return out
-}
-
 // Stats is a read-only snapshot of the pincushion's counters and of the
 // current pin population's age distribution.
 type Stats struct {
@@ -294,8 +283,8 @@ type Stats struct {
 
 	// Horizon[c][i] counts tracked pins of class c whose age (now minus
 	// the pin's snapshot wall time — how stale the versions it holds back
-	// from vacuum may be) is within the i'th HorizonBuckets
-	// edge; the last column is the overflow. Observability only: Stats
+	// from vacuum may be) is within the i'th edge of 1s, 5s, 15s, 1m and
+	// 5m; the last column is the overflow. Observability only: Stats
 	// takes the same snapshot lock as GetPins but mutates nothing.
 	Horizon [numPinClasses][len(horizonBuckets) + 1]int `json:"horizon"`
 }
@@ -339,13 +328,6 @@ func (p *Pincushion) Stats() Stats {
 		st.Horizon[c][b]++
 	}
 	return st
-}
-
-// Len returns the number of tracked pins.
-func (p *Pincushion) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pins)
 }
 
 // Newest returns the most recent pin and whether one exists.

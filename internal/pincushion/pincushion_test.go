@@ -2,6 +2,10 @@ package pincushion
 
 import (
 	"context"
+	"errors"
+	"maps"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,15 +14,47 @@ import (
 	"txcache/internal/interval"
 )
 
+// fakeDB counts the pincushion's placements: Pin refuses the snapshots in
+// refuse, as a database refuses one nobody holds pinned.
 type fakeDB struct {
 	mu       sync.Mutex
+	refuse   map[interval.Timestamp]bool
+	placed   map[interval.Timestamp]int // Pins less Unpins
 	unpinned []interval.Timestamp
+}
+
+func (f *fakeDB) Pin(ts interval.Timestamp) error {
+	runtime.Gosched() // let concurrent Registers of one snapshot meet here
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.refuse[ts] {
+		return errors.New("fake: snapshot is not pinned")
+	}
+	if f.placed == nil {
+		f.placed = map[interval.Timestamp]int{}
+	}
+	f.placed[ts]++
+	return nil
 }
 
 func (f *fakeDB) Unpin(ts interval.Timestamp) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.placed[ts]--
 	f.unpinned = append(f.unpinned, ts)
+}
+
+// holds returns the pincushion's net placements on each snapshot that has any.
+func (f *fakeDB) holds() map[interval.Timestamp]int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := map[interval.Timestamp]int{}
+	for ts, n := range f.placed {
+		if n != 0 {
+			out[ts] = n
+		}
+	}
+	return out
 }
 
 func TestGetPinsFreshnessFilter(t *testing.T) {
@@ -27,7 +63,6 @@ func TestGetPinsFreshnessFilter(t *testing.T) {
 	base := clk.Now()
 	p.Register(10, base)
 	p.Register(20, base.Add(10*time.Second))
-	p.Release([]interval.Timestamp{10, 20})
 	clk.Advance(30 * time.Second)
 
 	// Staleness 25s: only the pin from 20s ago qualifies.
@@ -47,9 +82,9 @@ func TestSweepRespectsActiveAndRetention(t *testing.T) {
 	db := &fakeDB{}
 	p := New(Config{Clock: clk, Retention: 15 * time.Second, DB: db})
 	base := clk.Now()
-	p.Register(10, base) // active=1
-	p.Register(20, base)
-	p.Release([]interval.Timestamp{20}) // 20 unused, 10 in use
+	p.Register(10, base)
+	p.GetPins(context.Background(), time.Minute) // 10 in use
+	p.Register(20, base)                         // 20 unused
 
 	clk.Advance(30 * time.Second)
 	if n := p.Sweep(); n != 1 {
@@ -58,8 +93,8 @@ func TestSweepRespectsActiveAndRetention(t *testing.T) {
 	if len(db.unpinned) != 1 || db.unpinned[0] != 20 {
 		t.Fatalf("db unpins = %v", db.unpinned)
 	}
-	if p.Len() != 1 {
-		t.Fatalf("len = %d", p.Len())
+	if p.Stats().Pins != 1 {
+		t.Fatalf("len = %d", p.Stats().Pins)
 	}
 	// Release then sweep removes the rest.
 	p.Release([]interval.Timestamp{10})
@@ -72,9 +107,8 @@ func TestGetPinsMarksInUse(t *testing.T) {
 	clk := &clock.Virtual{}
 	p := New(Config{Clock: clk, Retention: time.Second})
 	p.Register(10, clk.Now())
-	p.Release([]interval.Timestamp{10})
 
-	pins := p.GetPins(context.Background(), time.Minute) // marks 10 in use again
+	pins := p.GetPins(context.Background(), time.Minute) // marks 10 in use
 	// Past retention but inside the leak cutoff: an in-use pin survives.
 	// (Beyond leakFactor×retention with no activity it would be treated as
 	// leaked — TestSweepReclaimsLeakedUses covers that.)
@@ -122,15 +156,14 @@ func TestConcurrentUse(t *testing.T) {
 				for _, pin := range pins {
 					tss = append(tss, pin.TS)
 				}
-				tss = append(tss, ts)
 				p.Release(tss)
 			}
 		}(g)
 	}
 	wg.Wait()
-	// All uses balanced: everything sweepable after retention.
-	if p.Len() == 0 {
-		t.Fatal("expected pins to remain before sweep")
+	// All uses balanced: every pin is tracked and none is in use.
+	if st := p.Stats(); st.Pins != 20 || st.InClass(PinActive) != 0 {
+		t.Fatalf("%d pins, %d in use; want 20 and none", st.Pins, st.InClass(PinActive))
 	}
 }
 
@@ -159,7 +192,8 @@ func TestSweepReclaimsLeakedUses(t *testing.T) {
 	clk := &clock.Virtual{}
 	db := &fakeDB{}
 	p := New(Config{Clock: clk, DB: db, Retention: 10 * time.Second})
-	p.Register(10, clk.Now()) // active=1, never released: the leak
+	p.Register(10, clk.Now())
+	p.GetPins(context.Background(), time.Hour) // a use never released: the leak
 
 	// Within the leak cutoff the pin survives every sweep.
 	clk.Advance(2 * leakFactor * time.Second) // past retention, inside cutoff
@@ -197,24 +231,24 @@ func TestStatsHorizonHistogram(t *testing.T) {
 	// Four pins with staggered ages at observation time (clock advances
 	// 20s after the last Register):
 	//   ts=10: 80s old, held active  -> PinActive, 5-minute bucket
-	//   ts=20: 40s old, released     -> PinExpired (past 30s retention)
-	//   ts=30: 25s old, released     -> PinIdle, 60s bucket
+	//   ts=20: 40s old, unused       -> PinExpired (past 30s retention)
+	//   ts=30: 25s old, unused       -> PinIdle, 60s bucket
 	//   ts=40: 20s old, never used   -> PinIdle, 60s bucket
 	p.Register(10, base)
+	p.GetPins(context.Background(), time.Minute)
 	clk.Advance(40 * time.Second)
 	p.Register(20, clk.Now())
 	clk.Advance(15 * time.Second)
 	p.Register(30, clk.Now())
 	clk.Advance(5 * time.Second)
 	p.Register(40, clk.Now())
-	p.Release([]interval.Timestamp{20, 30, 40})
 	clk.Advance(20 * time.Second)
 
 	st := p.Stats()
 	if st.Pins != 4 {
 		t.Fatalf("Pins = %d, want 4", st.Pins)
 	}
-	edges := HorizonBuckets()
+	edges := horizonBuckets
 	sixty := 3   // index of the time.Minute edge
 	fiveMin := 4 // index of the 5*time.Minute edge
 	if edges[sixty] != time.Minute || edges[fiveMin] != 5*time.Minute {
@@ -260,27 +294,99 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestSweepUnpinsEveryPlacement: the database reference-counts PIN
-// placements, and two clients can race past GetPins and both ★-pin the
-// same latest snapshot. The sweeper must then issue one UNPIN per PIN —
-// a single UNPIN would leave the snapshot pinned forever, silently
-// holding back vacuum.
-func TestSweepUnpinsEveryPlacement(t *testing.T) {
-	clk := &clock.Virtual{}
-	db := &fakeDB{}
-	p := New(Config{Clock: clk, Retention: 15 * time.Second, DB: db})
-	base := clk.Now()
-	p.Register(10, base) // two clients raced: both pinned snapshot 10
-	p.Register(10, base)
-	p.Release([]interval.Timestamp{10, 10})
-
-	clk.Advance(30 * time.Second)
-	if n := p.Sweep(); n != 1 {
-		t.Fatalf("sweep removed %d pins, want 1", n)
-	}
-	if len(db.unpinned) != 2 || db.unpinned[0] != 10 || db.unpinned[1] != 10 {
-		t.Fatalf("db unpins = %v, want [10 10]", db.unpinned)
-	}
+// TestAdopt: Register adopts a snapshot its caller holds pinned. The
+// pincushion places one pin of its own on it, tracks the snapshot only if
+// that succeeded, and removes exactly that pin when it sweeps the snapshot,
+// however many times and from however many goroutines it was registered.
+func TestAdopt(t *testing.T) {
+	t.Run("ValidFlow", func(t *testing.T) {
+		t.Run("PinsOnce", func(t *testing.T) {
+			db := &fakeDB{}
+			p := New(Config{DB: db})
+			p.Register(10, time.Now())
+			if got := db.holds(); len(got) != 1 || got[10] != 1 || p.Stats().Pins != 1 {
+				t.Fatalf("placements %v, %d tracked; want one on 10, tracked", got, p.Stats().Pins)
+			}
+			if st := p.Stats(); st.InClass(PinActive) != 0 {
+				t.Fatalf("Register added a use: %+v", st)
+			}
+		})
+		t.Run("ReRegisterKeepsTheLaterWall", func(t *testing.T) {
+			db := &fakeDB{}
+			p := New(Config{DB: db})
+			base := time.Now()
+			p.Register(10, base)
+			p.Register(10, base.Add(time.Second))
+			p.Register(10, base.Add(-time.Second))
+			if got := db.holds(); got[10] != 1 {
+				t.Fatalf("%d placements on 10 after three Registers, want 1", got[10])
+			}
+			if pin, _ := p.Newest(); !pin.Wall.Equal(base.Add(time.Second)) {
+				t.Fatalf("wall %v, want the latest registered %v", pin.Wall, base.Add(time.Second))
+			}
+		})
+		t.Run("SweepUnpinsOncePerPin", func(t *testing.T) {
+			clk := &clock.Virtual{}
+			db := &fakeDB{}
+			p := New(Config{Clock: clk, Retention: 15 * time.Second, DB: db})
+			p.Register(10, clk.Now())
+			p.Register(20, clk.Now())
+			p.Register(20, clk.Now())
+			p.Register(30, clk.Now().Add(time.Minute))
+			clk.Advance(30 * time.Second)
+			if n := p.Sweep(); n != 2 {
+				t.Fatalf("sweep removed %d pins, want 2", n)
+			}
+			if n := p.SweepAll(); n != 1 {
+				t.Fatalf("SweepAll removed %d pins, want 1", n)
+			}
+			slices.Sort(db.unpinned)
+			if got := db.holds(); len(got) != 0 || !slices.Equal(db.unpinned, []interval.Timestamp{10, 20, 30}) {
+				t.Fatalf("unpins %v leave %v placed; want one each of 10, 20, 30 and nothing", db.unpinned, got)
+			}
+		})
+	})
+	t.Run("RejectionFlow", func(t *testing.T) {
+		t.Run("RefusedPinTracksNothing", func(t *testing.T) {
+			db := &fakeDB{refuse: map[interval.Timestamp]bool{10: true}}
+			p := New(Config{DB: db})
+			p.Register(10, time.Now())
+			if pins := p.GetPins(context.Background(), time.Hour); len(pins) != 0 || p.Stats().Pins != 0 {
+				t.Fatalf("a snapshot the database refused is handed out: %v", pins)
+			}
+			if n := p.SweepAll(); n != 0 || len(db.unpinned) != 0 {
+				t.Fatalf("SweepAll removed %d pins, unpinned %v; want nothing", n, db.unpinned)
+			}
+		})
+	})
+	t.Run("ConcurrentFlow", func(t *testing.T) {
+		t.Run("ConcurrentRegistersLeaveOnePlacement", func(t *testing.T) {
+			db := &fakeDB{}
+			p := New(Config{DB: db})
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 16; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					<-start
+					for i := 0; i < 50; i++ {
+						p.Register(interval.Timestamp(1+(g+i)%4), time.Now())
+					}
+				}(g)
+			}
+			close(start)
+			wg.Wait()
+			want := map[interval.Timestamp]int{1: 1, 2: 1, 3: 1, 4: 1}
+			if got := db.holds(); !maps.Equal(got, want) || p.Stats().Pins != 4 {
+				t.Fatalf("placements %v, %d tracked; want one on each of 1..4", got, p.Stats().Pins)
+			}
+			p.SweepAll()
+			if got := db.holds(); len(got) != 0 {
+				t.Fatalf("placements %v left after SweepAll", got)
+			}
+		})
+	})
 }
 
 // TestSweepAllForcesTeardown: SweepAll unpins everything regardless of
@@ -291,18 +397,18 @@ func TestSweepAllForcesTeardown(t *testing.T) {
 	db := &fakeDB{}
 	p := New(Config{Clock: clk, Retention: time.Hour, DB: db})
 	base := clk.Now()
-	p.Register(10, base) // still active, well within retention
+	p.Register(10, base)
+	p.GetPins(context.Background(), time.Hour) // 10 in use, well within retention
 	p.Register(20, base)
-	p.Register(20, base) // double placement
 
 	if n := p.SweepAll(); n != 2 {
 		t.Fatalf("sweepall removed %d pins, want 2", n)
 	}
-	if p.Len() != 0 {
-		t.Fatalf("len = %d after SweepAll", p.Len())
+	if p.Stats().Pins != 0 {
+		t.Fatalf("len = %d after SweepAll", p.Stats().Pins)
 	}
-	if len(db.unpinned) != 3 {
-		t.Fatalf("db unpins = %v, want three (one for 10, two for 20)", db.unpinned)
+	if len(db.unpinned) != 2 || len(db.holds()) != 0 {
+		t.Fatalf("db unpins = %v, want one each for 10 and 20", db.unpinned)
 	}
 }
 
@@ -315,10 +421,10 @@ func TestStalenessEarlyTrim(t *testing.T) {
 	db := &fakeDB{}
 	p := New(Config{Clock: clk, Retention: time.Minute, Staleness: 10 * time.Second, DB: db})
 	base := clk.Now()
+	p.Register(30, base)
+	p.GetPins(context.Background(), time.Hour) // 30 in use: must survive any trim
 	p.Register(10, base)
 	p.Register(20, base)
-	p.Release([]interval.Timestamp{10, 20})
-	p.Register(30, base) // still active: must survive any trim
 
 	// Inside the staleness bound nothing is trimmable.
 	clk.Advance(5 * time.Second)
@@ -338,8 +444,8 @@ func TestStalenessEarlyTrim(t *testing.T) {
 	if len(db.unpinned) != 2 {
 		t.Fatalf("db unpins = %v", db.unpinned)
 	}
-	if p.Len() != 1 {
-		t.Fatalf("len = %d, want the active pin only", p.Len())
+	if p.Stats().Pins != 1 {
+		t.Fatalf("len = %d, want the active pin only", p.Stats().Pins)
 	}
 }
 
@@ -351,7 +457,6 @@ func TestStatsClassifiesByTrimThreshold(t *testing.T) {
 	p := New(Config{Clock: clk, Retention: time.Minute, Staleness: 10 * time.Second})
 	base := clk.Now()
 	p.Register(10, base)
-	p.Release([]interval.Timestamp{10})
 	clk.Advance(15 * time.Second)
 
 	st := p.Stats()

@@ -96,9 +96,9 @@ func Serve(l net.Listener, newSession func() (Handler, func())) error {
 
 // ServeConn processes conn's frames in arrival order until it fails, then
 // closes it. Handling is deliberately serial per connection: one-way frames
-// (an invalidation stream, a Register ahead of its Release, a transaction's
-// end ahead of the next one's begin) must be applied in send order, and
-// handlers only ever hold their service's locks briefly, so per-frame
+// (an invalidation stream, a transaction's end ahead of the next one's
+// begin) must be applied in send order, and handlers only ever hold their
+// service's locks briefly, so per-frame
 // goroutines would buy reordering hazards without concurrency. Pipelining
 // still eliminates round-trip stalls — the client does not wait for a reply
 // before sending the next request — and concurrency comes from serving many

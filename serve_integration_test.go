@@ -63,7 +63,7 @@ func TestServeOpenLoopEndToEnd(t *testing.T) {
 		perSec: 800, period: 400 * time.Millisecond, duty: 200 * time.Millisecond, dur: 4 * time.Second,
 	}, 64, 10*time.Second, 3)
 	t.Logf("open-loop burst: %+v", *res)
-	if res.errors > 0 || res.timeouts > 0 || res.dropped > 0 {
+	if !res.clean() {
 		t.Fatalf("burst run not clean: %+v", *res)
 	}
 	if res.completed < 100 {
@@ -159,7 +159,7 @@ func TestServeSurvivesCutPushStream(t *testing.T) {
 	healed := time.Now()
 	res := <-resc
 	t.Logf("open loop across the cut: %+v", *res)
-	if res.errors > 0 || res.timeouts > 0 || res.dropped > 0 {
+	if !res.clean() {
 		t.Fatalf("run across the cut not clean: %+v", *res)
 	}
 	for h := horizon(); h != st.Engine.LastCommit(); h = horizon() {
@@ -177,6 +177,71 @@ func TestServeSurvivesCutPushStream(t *testing.T) {
 	}
 	stopped = true
 	settled(t, before)
+}
+
+// TestServeSurvivesCutPincushion cuts one of the library's own links for two
+// seconds — four lease terms — under open-loop load, then heals it. With the
+// pincushion out of reach no lease can be fetched, so every read-only
+// transaction that misses runs in the present (★) on a snapshot nobody else
+// has pinned; with the database out of reach only cached pages can be served.
+// Either way no snapshot may stay pinned once the stack is stopped (whoever
+// placed a pin removes it), the consistency oracle must pass, and no goroutine
+// may be left behind. A request may fail only with the database cut, and then
+// only as an error response within its deadline.
+func TestServeSurvivesCutPincushion(t *testing.T) {
+	for _, tc := range []struct {
+		name, to string
+		mayFail  bool
+	}{
+		{"CoreToPincushion", "pincushion", false},
+		{"CoreToDB", "db", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			nw := new(rpctest.Net)
+			st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 10, Net: nw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopped := false
+			defer func() {
+				if !stopped {
+					ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+					defer cancel()
+					st.Stop(ctx)
+				}
+			}()
+			ds := probeDataset(t, st.URL)
+
+			// The load outlasts the heal by two seconds, so every connection the
+			// cut broke has been redialed (a backoff is at most one) before the
+			// oracle runs.
+			resc := make(chan *loadCounts, 1)
+			go func() {
+				resc <- openLoop(context.Background(), st.URL, ds, loadShape{perSec: 400, dur: 5 * time.Second}, 32, 10*time.Second, 10)
+			}()
+			time.Sleep(time.Second)
+			nw.Cut("core", tc.to)
+			time.Sleep(2 * time.Second)
+			nw.Heal("core", tc.to)
+			res := <-resc
+			placed := st.App.C.Stats().PinsPlaced.Load()
+			audit(t, st, ds)
+
+			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			stopErr := st.Stop(sctx)
+			stopped = true
+			t.Logf("core → %s cut for 2s: %+v; pinsPlaced %d; %d snapshots pinned after Stop", tc.to, *res, placed, st.Engine.PinnedCount())
+			if stopErr != nil {
+				t.Fatalf("teardown: %v", stopErr)
+			}
+			if res.errors > 0 || res.timeouts > 0 || res.dropped > 0 || !tc.mayFail && res.failed > 0 {
+				t.Fatalf("run across the cut: %+v", *res)
+			}
+			settled(t, before)
+		})
+	}
 }
 
 // TestServeSurvivesStreamOverflow cuts cache0's invalidation stream while more
@@ -246,7 +311,7 @@ func TestServeSurvivesStreamOverflow(t *testing.T) {
 
 	// Warm both nodes, then give the partition a table of its own, so what it
 	// commits names nothing the pages cached.
-	if res := openLoop(context.Background(), st.URL, ds, loadShape{perSec: 400, dur: time.Second}, 32, 10*time.Second, 8); res.errors > 0 || res.timeouts > 0 {
+	if res := openLoop(context.Background(), st.URL, ds, loadShape{perSec: 400, dur: time.Second}, 32, 10*time.Second, 8); !res.clean() {
 		t.Fatalf("warm-up not clean: %+v", *res)
 	}
 	if err := st.Engine.DDL("CREATE TABLE partition (id BIGINT PRIMARY KEY, v BIGINT)"); err != nil {
@@ -287,7 +352,7 @@ func TestServeSurvivesStreamOverflow(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	caughtUp := time.Since(healed)
-	if res := <-resc; res.errors > 0 || res.timeouts > 0 || res.dropped > 0 {
+	if res := <-resc; !res.clean() {
 		t.Fatalf("run after the heal not clean: %+v", *res)
 	}
 	after := node(0)
@@ -526,9 +591,9 @@ func TestServeDrainUnderFire(t *testing.T) {
 	if res.sheds == 0 || seen > shed {
 		t.Fatalf("shed accounting: server shed %d, clients observed %d", shed, seen)
 	}
-	if lost := shed - seen; lost > res.errors {
+	if lost := shed - seen; lost > res.errors+res.failed {
 		t.Fatalf("%d sheds unaccounted for: server shed %d, clients saw %d sheds and %d errors",
-			lost, shed, seen, res.errors)
+			lost, shed, seen, res.errors+res.failed)
 	}
 	if res.timeouts != 0 {
 		t.Fatalf("requests timed out client-side (shed responses went missing): %+v", *res)
@@ -594,8 +659,14 @@ type loadShape struct {
 	period, duty, dur time.Duration
 }
 
-// loadCounts are the outcomes of an open-loop run, added to atomically.
-type loadCounts struct{ completed, errors, sheds, timeouts, dropped uint64 }
+// loadCounts are the outcomes of an open-loop run, added to atomically:
+// errors are requests that got no response, failed those answered with a
+// server error other than a shed or a conflict's 503.
+type loadCounts struct{ completed, errors, failed, sheds, timeouts, dropped uint64 }
+
+// clean reports a run in which every request was answered, and none with a
+// failure.
+func (c *loadCounts) clean() bool { return c.errors+c.failed+c.timeouts+c.dropped == 0 }
 
 // openLoop offers requests on shape's schedule until it ends or ctx does.
 // Arrivals go on a queue that workers take them from, so the schedule never
@@ -664,6 +735,6 @@ func (c *loadCounts) record(ctx context.Context, client *http.Client, req *http.
 	case resp.StatusCode < 500 || resp.StatusCode == http.StatusServiceUnavailable:
 		atomic.AddUint64(&c.completed, 1)
 	default:
-		atomic.AddUint64(&c.errors, 1)
+		atomic.AddUint64(&c.failed, 1)
 	}
 }

@@ -177,10 +177,11 @@ bench:
 # their directory, their indexes — must stay under the dataset's ceiling
 # (TestDatasetBytes: live heap of the benchmark's dataset in a bare engine).
 # A cache node's invalidation history must stay the same size once full and
-# under its bytes ceiling a retained message (TestHistoryBytes).
+# under its bytes ceiling a retained message (TestHistoryBytes), and a
+# still-valid version's bookkeeping under its own (TestVersionBytes).
 alloc-regression:
 	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core
-	$(GO) test -run 'TestAllocBudget|TestHistoryBytes' ./internal/cacheserver
+	$(GO) test -run 'TestAllocBudget|TestHistoryBytes|TestVersionBytes' ./internal/cacheserver
 	$(GO) test -run 'TestBytesPerEntry|TestInsertAllocs' ./internal/btree
 	$(GO) test -run 'TestBytesPerRow' ./internal/mvcc
 	$(GO) test -run 'TestDatasetBytes' ./internal/rubis

@@ -40,19 +40,23 @@ func benchInvalServer(tb testing.TB, n, shards int) (*Server, []invalidation.Tag
 // tags: a single-row commit carries one; 64 is the most one table
 // contributes before the database collapses them into its wildcard — here one
 // tag with a subscriber and 63 key tags of the same table nobody depends on,
-// so the extra cost is the walk's probes, not extra truncations.
+// so the extra cost is the walk's probes, not extra truncations. All the
+// versions share one table wildcard: shared=65536 (8 shards, one tag) holds
+// sixteen times the 4,096 the others hold under it, and costs what
+// shards=8/tags=1 does unless taking a version off its table's list scans
+// the list.
 func BenchmarkInvalidateApply(b *testing.B) {
 	for _, shards := range []int{8, 64} {
 		for _, nTags := range []int{1, 64} {
 			b.Run(fmt.Sprintf("shards=%d/tags=%d", shards, nTags), func(b *testing.B) {
-				benchInvalidateApply(b, shards, nTags)
+				benchInvalidateApply(b, 4096, shards, nTags)
 			})
 		}
 	}
+	b.Run("shared=65536", func(b *testing.B) { benchInvalidateApply(b, 1<<16, 8, 1) })
 }
 
-func benchInvalidateApply(b *testing.B, shards, nTags int) {
-	const n = 4096
+func benchInvalidateApply(b *testing.B, n, shards, nTags int) {
 	s, tags := benchInvalServer(b, n, shards)
 	msgTags := make([]invalidation.TagID, nTags)
 	for i := 1; i < nTags; i++ {
@@ -147,12 +151,14 @@ func TestAllocBudgetInvalidate(t *testing.T) {
 	for i := 0; i < s.cfg.HistoryLen; i++ {
 		apply()
 	}
-	// The Put (fmt.Sprintf + version struct + history replay) dominates the
-	// measured loop; subtract its budget by measuring it alone first.
+	// The reinstall dominates the measured loop; its count is subtracted.
 	avg := testing.AllocsPerRun(500, apply)
-	// Put allocates the key string, the version, and its LRU element;
-	// everything else is the invalidation path's budget.
-	const putCost = 5
+	t.Logf("invalidate+reinstall: %.1f objects/op", avg)
+	// An in-process Put allocates no key string — the loop's own
+	// fmt.Sprintf does (1). Put allocates the version, its back-positions
+	// and a new list for its key tag, whose emptied list the invalidation
+	// deleted (3). Everything else is the invalidation path's budget.
+	const putCost = 4
 	if avg > invalidateAllocCeiling+putCost {
 		t.Fatalf("invalidate+reinstall allocates %.1f objects/op, budget is %d", avg, invalidateAllocCeiling+putCost)
 	}
@@ -181,6 +187,15 @@ func feedSixTags(s *Server, rng *rand.Rand, ts interval.Timestamp, count int) in
 	return ts
 }
 
+// liveHeap returns the live heap after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestHistoryBytes: the history is the same size at any point after it
 // fills. A node fed 10 × HistoryLen messages holds what it held after 2 ×
 // HistoryLen, within 5%, and a retained message stays under its ceiling.
@@ -188,18 +203,11 @@ func TestHistoryBytes(t *testing.T) {
 	s := New(Config{Shards: 1})
 	n := s.cfg.HistoryLen
 	rng := rand.New(rand.NewSource(1))
-	live := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	empty := live()
+	empty := liveHeap()
 	ts := feedSixTags(s, rng, 0, 2*n)
-	full := live()
+	full := liveHeap()
 	feedSixTags(s, rng, ts, 8*n)
-	later := live()
+	later := liveHeap()
 	per := float64(full-empty) / float64(n)
 	t.Logf("history of %d messages: %.0f B a message; %.2f MiB after %d messages, %.2f MiB after %d",
 		n, per, float64(full)/(1<<20), 2*n, float64(later)/(1<<20), 10*n)
@@ -211,6 +219,52 @@ func TestHistoryBytes(t *testing.T) {
 		t.Errorf("a retained message costs %.0f bytes, ceiling %d", per, historyBytesCeiling)
 	}
 	runtime.KeepAlive(s)
+}
+
+// versionBytesCeiling bounds the live heap one still-valid version costs a
+// node besides its key and payload: the version, its back-positions, its
+// entry and its share of the tag indexes, in browse_hot's shape. Measured
+// 366.
+const versionBytesCeiling = 400
+
+// TestVersionBytes fills a node with 8,192 still-valid versions, one per
+// key, each carrying one or two key tags (60% two) over 20 tables, and
+// holds the node's bookkeeping per version under its ceiling. The keys,
+// payloads and tag slices are built before the first reading and kept
+// alive by the test, so they are not counted.
+func TestVersionBytes(t *testing.T) {
+	const n, tables = 8192, 20
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, n)
+	payloads := make([][]byte, n)
+	tagSets := make([][]invalidation.TagID, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("page-%d", i)
+		payloads[i] = make([]byte, 64)
+		tagSets[i] = []invalidation.TagID{invalidation.Intern(invalidation.KeyTag(fmt.Sprint("table", rng.Intn(tables)), "id", fmt.Sprint(i)))}
+		if rng.Intn(10) < 6 {
+			tagSets[i] = append(tagSets[i], invalidation.Intern(invalidation.KeyTag(fmt.Sprint("table", rng.Intn(tables)), "id", fmt.Sprint(n+i))))
+		}
+	}
+	s := New(Config{})
+	streamTo(s, 2, time.Unix(0, 0))
+	before := liveHeap()
+	for i := range keys {
+		s.Put(keys[i], payloads[i], interval.Interval{Lo: 2, Hi: interval.Infinity}, true, 2, tagSets[i])
+	}
+	after := liveHeap()
+	if st := s.Stats(); st.Versions != n {
+		t.Fatalf("%d versions resident, want %d", st.Versions, n)
+	}
+	per := (float64(after) - float64(before)) / n
+	t.Logf("%d still-valid versions: %.0f B of bookkeeping a version", n, per)
+	if per > versionBytesCeiling {
+		t.Errorf("a still-valid version costs %.0f bytes besides its key and payload, ceiling %d", per, versionBytesCeiling)
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(keys)
+	runtime.KeepAlive(payloads)
+	runtime.KeepAlive(tagSets)
 }
 
 // BenchmarkHistoryReplay prices a still-valid put's replay against a full

@@ -5,7 +5,7 @@
 //
 // The node is sharded for multicore scaling, memcached-style: the key
 // space is split across power-of-two lock shards (shard.go), each owning
-// its own mutex, entry map, LRU list, staleness queue, and inverted tag
+// its own mutex, entry map, LRU ring, staleness queue, and inverted tag
 // indexes, so operations on different keys never contend. What remains
 // global is exactly the state whose semantics are node-wide: the byte
 // budget (one atomic counter), the invalidation horizon (one atomic
@@ -16,7 +16,6 @@
 package cacheserver
 
 import (
-	"container/list"
 	"context"
 	"log"
 	"runtime"
@@ -54,22 +53,48 @@ func (k MissKind) String() string {
 	return [...]string{"hit", "compulsory", "consistency", "staleness", "capacity"}[k]
 }
 
-// perVersionOverhead approximates the bookkeeping bytes charged per cached
-// version on top of key and payload.
+// perVersionOverhead is the fixed charge per cached version on top of its
+// key and payload. It is a budget unit, not a measurement: the bookkeeping
+// a still-valid version really holds (the version, its entry and its share
+// of the tag indexes, TestVersionBytes) measures 366 B, down from 676 B when
+// every TagID had its own Go map and every version a container/list
+// element. DESIGN.md "Cache-node sharding & the global eviction budget"
+// says why the charge stays below it.
 const perVersionOverhead = 128
 
 // version is one cached value version.
 type version struct {
-	key   string
-	iv    interval.Interval
-	still bool // still-valid: subscribed to invalidations
-	tags  []invalidation.TagID
-	data  []byte
-	size  int64
-	lru   *list.Element
-	// hiWall is the wall time at which the version was invalidated
-	// (zero while still valid or unknown).
-	hiWall time.Time
+	ent  *entry // the key's entry, which outlives the version
+	iv   interval.Interval
+	tags []invalidation.TagID
+	data []byte
+	// pos holds the version's back-positions while it is still valid:
+	// pos[2i] is its slot in byTag's list for tags[i], pos[2i+1] in
+	// tableDeps' list for tags[i]'s table. A tag that files under the same
+	// list as an earlier one holds -1 there; nil while not registered.
+	pos []int32
+	// prev and next link the shard's LRU ring; next == nil once evicted.
+	prev, next *version
+	// hiWall is the wall time, in Unix nanoseconds, at which the version
+	// was invalidated; walled says there is one (false while still valid or
+	// unknown).
+	hiWall int64
+	walled bool
+	still  bool // still-valid: subscribed to invalidations
+}
+
+// charge is what the version costs the node's byte budget.
+func (v *version) charge() int64 {
+	return int64(len(v.ent.key)+len(v.data)) + perVersionOverhead
+}
+
+// setWall records the wall time of the message that closed the version; the
+// zero time records none.
+func (v *version) setWall(wall time.Time) {
+	v.hiWall, v.walled = 0, !wall.IsZero()
+	if v.walled {
+		v.hiWall = wall.UnixNano()
+	}
 }
 
 // effHi is the version's effective exclusive upper bound for lookups:
@@ -152,8 +177,8 @@ type Server struct {
 	shards    []shard
 	shardMask uint64
 
-	// used is the node-global byte budget counter (perVersionOverhead +
-	// key + payload per resident version).
+	// used is the node-global byte budget counter: the sum of the resident
+	// versions' charges.
 	used atomic.Int64
 
 	// lastInval is the node's consistency horizon: the timestamp of the
@@ -440,13 +465,9 @@ func (s *Server) enforceBudget(home *shard, except *version) {
 			sh := &s.shards[(home.idx+k)&int(s.shardMask)]
 			sh.mu.Lock()
 			for s.used.Load() > capBytes {
-				back := sh.lruList.Back()
-				if back == nil {
-					break
-				}
-				v := back.Value.(*version)
-				if v == except {
-					break // never evict the version we just inserted
+				v := sh.lru.prev
+				if v == &sh.lru || v == except {
+					break // the ring is empty, or its tail is the version just inserted
 				}
 				sh.evictLocked(s, v, true)
 				evicted = true

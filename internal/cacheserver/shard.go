@@ -1,7 +1,7 @@
 package cacheserver
 
 import (
-	"container/list"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,7 +13,7 @@ import (
 
 // shard is 1/Nth of the cache node: it owns its mutex, its slice of the key
 // space (routed by key hash), and everything whose lifetime follows those
-// keys — the entry map, the LRU list, the staleness queue, and the inverted
+// keys — the entry map, the LRU ring, the staleness queue, and the inverted
 // tag→versions indexes for the still-valid versions it stores. Operations
 // on different shards never contend; the only cross-shard state is the
 // server's global byte budget, invalidation history, and horizon, all of
@@ -23,15 +23,17 @@ type shard struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	lruList *list.List // *version; front = most recently used
+	// lru is the sentinel of the ring of resident versions: lru.next is the
+	// most recently used, lru.prev the eviction candidate.
+	lru version
 
 	// Inverted tag→versions indexes over this shard's still-valid
 	// versions, filed the way meets reads them: byTag holds a version under
 	// each of its tags' own IDs, tableDeps under each tag's table's wildcard
 	// ID. A version appears here iff it is still valid and stored in this
-	// shard.
-	byTag     map[invalidation.TagID]map[*version]struct{}
-	tableDeps map[invalidation.TagID]map[*version]struct{}
+	// shard, at most once in any list.
+	byTag     tagLists
+	tableDeps tagLists
 	affected  map[*version]struct{} // per-message scratch, cleared after use
 
 	// staleQ holds this shard's invalidated versions in (approximate)
@@ -81,10 +83,25 @@ func (c *shardCounters) reset() {
 
 func (sh *shard) init() {
 	sh.entries = make(map[string]*entry)
-	sh.lruList = list.New()
-	sh.byTag = make(map[invalidation.TagID]map[*version]struct{})
-	sh.tableDeps = make(map[invalidation.TagID]map[*version]struct{})
+	sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+	sh.byTag = make(tagLists)
+	sh.tableDeps = make(tagLists)
 	sh.affected = make(map[*version]struct{})
+}
+
+// pushFrontLocked links v into the LRU ring as the most recently used.
+// Caller holds sh.mu.
+func (sh *shard) pushFrontLocked(v *version) {
+	v.prev, v.next = &sh.lru, sh.lru.next
+	v.next.prev = v
+	sh.lru.next = v
+}
+
+// unlinkLocked takes v out of the LRU ring and marks it evicted (next ==
+// nil). Caller holds sh.mu.
+func (sh *shard) unlinkLocked(v *version) {
+	v.prev.next, v.next.prev = v.next, v.prev
+	v.prev, v.next = nil, nil
 }
 
 // lookupLocked resolves one probe against this shard. lastInval is the
@@ -124,7 +141,10 @@ func (sh *shard) lookupLocked(key string, lo, hi, origLo, origHi, lastInval inte
 			return LookupResult{Miss: MissStaleness}
 		}
 	}
-	sh.lruList.MoveToFront(best.lru)
+	if sh.lru.next != best {
+		sh.unlinkLocked(best)
+		sh.pushFrontLocked(best)
+	}
 	sh.stats.hits.Add(1)
 	r := LookupResult{
 		Found:    true,
@@ -169,15 +189,11 @@ func (sh *shard) putLocked(s *Server, key string, data []byte, iv interval.Inter
 		return nil
 	}
 
-	v := &version{
-		key:  key,
-		iv:   iv,
-		tags: tags,
-		data: data,
-		size: int64(len(key)+len(data)) + perVersionOverhead,
-	}
+	v := &version{ent: ent, iv: iv, tags: tags, data: data}
 	if still {
-		v.still, v.iv.Hi, v.hiWall = sh.settleStillLocked(s, tags, genSnap)
+		var wall time.Time
+		v.still, v.iv.Hi, wall = sh.settleStillLocked(s, tags, genSnap)
+		v.setWall(wall)
 		if v.iv.Empty() {
 			return nil
 		}
@@ -186,9 +202,9 @@ func (sh *shard) putLocked(s *Server, key string, data []byte, iv interval.Inter
 	ent.versions = append(ent.versions, nil)
 	copy(ent.versions[pos+1:], ent.versions[pos:])
 	ent.versions[pos] = v
-	v.lru = sh.lruList.PushFront(v)
+	sh.pushFrontLocked(v)
 	sh.stats.versions.Add(1)
-	s.used.Add(v.size)
+	s.used.Add(v.charge())
 	return v
 }
 
@@ -229,7 +245,7 @@ func (sh *shard) enlistLocked(s *Server, v *version) {
 	switch {
 	case v.still:
 		sh.registerTags(v)
-	case !v.hiWall.IsZero() && s.cfg.MaxStaleness > 0:
+	case v.walled && s.cfg.MaxStaleness > 0:
 		sh.staleQ = append(sh.staleQ, v)
 	}
 }
@@ -254,20 +270,20 @@ func (sh *shard) widenLocked(s *Server, v *version, hi interval.Timestamp, still
 		return
 	}
 	// A queued v keeps its place in the staleness queue; the sweep skips it
-	// while hiWall is zero and judges it by the new wall time otherwise.
-	v.still, v.iv.Hi, v.hiWall, v.tags = still, hi, wall, tags
+	// while it has no wall time and judges it by the new one otherwise.
+	v.still, v.iv.Hi, v.tags = still, hi, tags
+	v.setWall(wall)
 	sh.enlistLocked(s, v)
 }
 
 // evictLocked removes a version from this shard; capacity marks the reason.
 // Caller holds sh.mu.
 func (sh *shard) evictLocked(s *Server, v *version, capacity bool) {
-	ent := sh.entries[v.key]
-	for i, cand := range ent.versions {
-		if cand == v {
-			ent.versions = append(ent.versions[:i], ent.versions[i+1:]...)
-			break
-		}
+	ent := v.ent
+	if i := slices.Index(ent.versions, v); i >= 0 {
+		// Delete clears the vacated tail slot: the entry outlives its
+		// versions, and must not keep an evicted one reachable.
+		ent.versions = slices.Delete(ent.versions, i, i+1)
 	}
 	if capacity {
 		ent.capacityE = true
@@ -275,10 +291,9 @@ func (sh *shard) evictLocked(s *Server, v *version, capacity bool) {
 	} else {
 		sh.stats.evictedStale.Add(1)
 	}
-	sh.lruList.Remove(v.lru)
-	v.lru = nil // marks the version dead for the staleness queue
+	sh.unlinkLocked(v) // marks the version dead for the staleness queue
 	sh.stats.versions.Add(-1)
-	s.used.Add(-v.size)
+	s.used.Add(-v.charge())
 	if v.still {
 		sh.unregisterTags(v)
 	}
@@ -300,10 +315,10 @@ func (sh *shard) applyLocked(s *Server, m invalidation.Message) {
 	// processing allocates nothing.
 	for _, t := range m.Tags {
 		a, b := meets(sh.byTag, sh.tableDeps, t)
-		for v := range a {
+		for _, v := range a {
 			sh.affected[v] = struct{}{}
 		}
-		for v := range b {
+		for _, v := range b {
 			sh.affected[v] = struct{}{}
 		}
 	}
@@ -316,8 +331,8 @@ func (sh *shard) applyLocked(s *Server, m invalidation.Message) {
 // reports how many there were. Tagless still-valid versions are untouched:
 // nothing in the database can ever invalidate them. Caller holds sh.mu.
 func (sh *shard) closeStillLocked(s *Server, hi interval.Timestamp, wall time.Time) int {
-	for _, set := range sh.tableDeps {
-		for v := range set {
+	for _, list := range sh.tableDeps {
+		for _, v := range list {
 			sh.affected[v] = struct{}{}
 		}
 	}
@@ -327,13 +342,13 @@ func (sh *shard) closeStillLocked(s *Server, hi interval.Timestamp, wall time.Ti
 }
 
 // closeAffectedLocked ends every version collected in sh.affected at hi and
-// empties the set. (Collected first because unregisterTags mutates the very
-// maps the collecting loops iterate.) Caller holds sh.mu.
+// empties the set. (Collected first because unregisterTags reorders the very
+// lists the collecting loops iterate.) Caller holds sh.mu.
 func (sh *shard) closeAffectedLocked(s *Server, hi interval.Timestamp, wall time.Time) {
 	for v := range sh.affected {
 		v.iv.Hi = hi
 		v.still = false
-		v.hiWall = wall
+		v.setWall(wall)
 		sh.unregisterTags(v)
 		// The staleness queue exists only for the sweep; without a
 		// MaxStaleness bound the sweep never runs and the queue would just
@@ -346,18 +361,21 @@ func (sh *shard) closeAffectedLocked(s *Server, hi interval.Timestamp, wall time
 	clear(sh.affected)
 }
 
+// registerTags files a version that just became still valid in both tag
+// indexes. Caller holds sh.mu.
 func (sh *shard) registerTags(v *version) {
-	for _, t := range v.tags {
-		addDep(sh.byTag, t, v)
-		addDep(sh.tableDeps, invalidation.WildOf(t), v)
-	}
+	v.pos = make([]int32, 2*len(v.tags))
+	sh.byTag.add(v, false)
+	sh.tableDeps.add(v, true)
 }
 
+// unregisterTags takes a version off every list it is on. It never scans a
+// list: each removal is one swap, however many versions share the list.
+// Caller holds sh.mu.
 func (sh *shard) unregisterTags(v *version) {
-	for _, t := range v.tags {
-		delDep(sh.byTag, t, v)
-		delDep(sh.tableDeps, invalidation.WildOf(t), v)
-	}
+	sh.byTag.remove(v, false)
+	sh.tableDeps.remove(v, true)
+	v.pos = nil
 }
 
 // sweepStaleLocked drops this shard's versions invalidated longer than
@@ -370,13 +388,13 @@ func (sh *shard) sweepStaleLocked(s *Server, cutoff time.Time) {
 	i := 0
 	for ; i < len(sh.staleQ); i++ {
 		v := sh.staleQ[i]
-		if v.lru == nil || v.hiWall.IsZero() {
+		if v.next == nil || !v.walled {
 			// Already evicted, or invalidated by a message with no wall
 			// time (the zero time is before every cutoff and must not mean
 			// "instantly stale").
 			continue
 		}
-		if !v.hiWall.Before(cutoff) {
+		if v.hiWall >= cutoff.UnixNano() {
 			break
 		}
 		sh.evictLocked(s, v, false)
@@ -388,20 +406,76 @@ func (sh *shard) sweepStaleLocked(s *Server, cutoff time.Time) {
 	}
 }
 
-func addDep(m map[invalidation.TagID]map[*version]struct{}, k invalidation.TagID, v *version) {
-	set := m[k]
-	if set == nil {
-		set = make(map[*version]struct{})
-		m[k] = set
+// tagLists is one of a shard's two inverted indexes: for each TagID, the
+// still-valid versions filed under it, in no order. byTag files a version
+// under each of its tags, tableDeps under each tag's table wildcard (the
+// table flag the methods take). A version keeps its slot in every list it is
+// on (version.pos), so taking it off is a swap-remove that never scans a
+// list, however many versions share it.
+type tagLists map[invalidation.TagID][]*version
+
+// listKey is the list tag t files a version under.
+func listKey(t invalidation.TagID, table bool) invalidation.TagID {
+	if table {
+		return invalidation.WildOf(t)
 	}
-	set[v] = struct{}{}
+	return t
 }
 
-func delDep(m map[invalidation.TagID]map[*version]struct{}, k invalidation.TagID, v *version) {
-	if set := m[k]; set != nil {
-		delete(set, v)
-		if len(set) == 0 {
+// posIndex is the index in version.pos of tag i's slot in an index.
+func posIndex(i int, table bool) int {
+	if table {
+		return 2*i + 1
+	}
+	return 2 * i
+}
+
+// posOf returns the index in v.pos that records v's slot in the list filed
+// under k: the first of v's tags that files there holds it, and a later one
+// holds -1, so v is on each list once.
+func posOf(v *version, k invalidation.TagID, table bool) int {
+	for i, t := range v.tags {
+		if listKey(t, table) == k {
+			return posIndex(i, table)
+		}
+	}
+	panic("cacheserver: a tag list holds a version none of whose tags files there")
+}
+
+// add appends v to the list of each of its tags and records its slots.
+func (m tagLists) add(v *version, table bool) {
+	for i, t := range v.tags {
+		k, p := listKey(t, table), posIndex(i, table)
+		list := m[k]
+		if n := len(list); n > 0 && list[n-1] == v {
+			v.pos[p] = -1 // an earlier tag put v on this list
+			continue
+		}
+		v.pos[p] = int32(len(list))
+		m[k] = append(list, v)
+	}
+}
+
+// remove takes v off every list add put it on: the list's last version moves
+// into v's slot, its own slot found among its tags, and an emptied list gives
+// up its key.
+func (m tagLists) remove(v *version, table bool) {
+	for i, t := range v.tags {
+		at := v.pos[posIndex(i, table)]
+		if at < 0 {
+			continue
+		}
+		k := listKey(t, table)
+		list := m[k]
+		if last := list[len(list)-1]; last != v {
+			list[at] = last
+			last.pos[posOf(last, k, table)] = at
+		}
+		list[len(list)-1] = nil
+		if list = list[:len(list)-1]; len(list) == 0 {
 			delete(m, k)
+		} else {
+			m[k] = list
 		}
 	}
 }

@@ -175,15 +175,15 @@ func TestGlobalBudgetConcurrentPuts(t *testing.T) {
 	if st.EvictedCapacity == 0 {
 		t.Fatalf("no capacity evictions despite %d puts against a %d-byte budget", workers*puts, budget)
 	}
-	// The accounting invariant: the atomic equals the sum of resident
-	// version sizes (recomputed under all shard locks).
+	// The accounting invariant: the atomic equals the sum of the resident
+	// versions' charges (recomputed under all shard locks).
 	var resident int64
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, ent := range sh.entries {
 			for _, v := range ent.versions {
-				resident += v.size
+				resident += v.charge()
 			}
 		}
 		sh.mu.Unlock()

@@ -49,8 +49,9 @@ lint:
 # that acked commits survived, surviving rows are a contiguous per-worker
 # prefix, the counters oracle matches, and the cache node — told nothing but
 # what its stream carries — serves no entry across the messages the crash
-# lost (the canary of crash_test.go). Bounded: a wedged recovery is a
-# failure, not a hung pipeline.
+# lost (the canary of crash_test.go), and the pincushion the daemon hosts
+# boots with no pin and serves a read-only transaction. Bounded: a wedged
+# recovery is a failure, not a hung pipeline.
 crash-smoke:
 	timeout 120 $(GO) test -race -run TestCrashRecovery -count=3 .
 	timeout 120 $(GO) test -race -run TestReplayEquivalence ./internal/db
@@ -157,8 +158,10 @@ fuzz-smoke:
 	$(GO) test ./internal/sql -run xxx -fuzz FuzzRow -fuzztime=10s
 
 # Concurrent-engine and cache-wire benchmarks (the CHANGES.md perf
-# trajectory).
+# trajectory), and what the rpc transport costs over a raw loopback round
+# trip.
 bench:
+	$(GO) test -run xxx -bench 'BenchmarkCallRoundTrip|BenchmarkRawRoundTrip' -benchtime=2s -benchmem ./internal/rpc
 	$(GO) test -run xxx -bench 'BenchmarkParallelCommit|BenchmarkReadersDuringCommits' -benchtime=2s .
 	$(GO) test -run xxx -bench BenchmarkCacheLookupTCP -benchtime=2s ./internal/cacheserver
 	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkFilteredScan|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply|BenchmarkHistoryReplay' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver

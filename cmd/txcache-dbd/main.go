@@ -2,9 +2,12 @@
 // engine with TxCache's modifications (paper §5) served over TCP. It
 // executes DDL from a schema file or pre-loads the RUBiS dataset, fans the
 // invalidation stream out to the configured cache nodes, and vacuums
-// periodically. Its counters are dbnet.ServerStats, answered on
-// rpc.OpStats, written to -status-file, and served beside pprof on
-// -debug-addr (internal/debugz).
+// periodically. It also hosts the pincushion (paper §5.4) on a port of its
+// own (-pincushion-listen), pinning on the engine directly
+// (pincushion.Start); -staleness is the largest staleness bound the
+// applications use. The counters, dbnet.ServerStats and pincushion.Stats,
+// are answered on rpc.OpStats on each port, written to -status-file, and
+// served beside pprof on -debug-addr (internal/debugz).
 //
 // With -data-dir the engine is durable: commits are group-committed to a
 // write-ahead log before they become visible, checkpoints bound the log, and
@@ -17,7 +20,8 @@
 //
 // Usage:
 //
-//	txcache-dbd -listen :7700 -caches cache1:7500,cache2:7500 \
+//	txcache-dbd -listen :7700 -pincushion-listen :7600 -staleness 10s \
+//	    -caches cache1:7500,cache2:7500 \
 //	    -data-dir /var/lib/txcache -wal-sync fdatasync -load-rubis inmem
 package main
 
@@ -38,24 +42,28 @@ import (
 	"txcache/internal/db/dbnet"
 	"txcache/internal/debugz"
 	"txcache/internal/invalidation"
+	"txcache/internal/pincushion"
 	"txcache/internal/rpc"
 	"txcache/internal/rubis"
 	"txcache/internal/serve"
 	"txcache/internal/wal"
 )
 
-// status is what -status-file publishes once the daemon is serving: the
-// crash harness (and operators) read it to learn what a boot recovered —
-// durability.recovery — without scraping logs. Past the process's identity
-// it is the daemon's counters, the same dbnet.ServerStats it answers
-// rpc.OpStats with, and it is rewritten on the vacuum ticker so they —
-// checkpoint failures and what vacuum is holding back in particular — stay
-// current for the life of the process.
+// status is what -status-file publishes once the daemon is serving, and
+// /statsz answers: the crash harness (and operators) read it to learn what a
+// boot recovered — durability.recovery — without scraping logs. Past the
+// process's identity it is the daemon's counters, the same
+// dbnet.ServerStats it answers rpc.OpStats with, and the pincushion's, and
+// it is rewritten on the vacuum ticker so they — checkpoint failures and
+// what vacuum is holding back in particular — stay current for the life of
+// the process.
 type status struct {
-	PID     int    `json:"pid"`
-	Addr    string `json:"addr"`
-	Durable bool   `json:"durable"`
+	PID            int    `json:"pid"`
+	Addr           string `json:"addr"`
+	PincushionAddr string `json:"pincushionAddr"`
+	Durable        bool   `json:"durable"`
 	dbnet.ServerStats
+	Pincushion pincushion.Stats `json:"pincushion"`
 }
 
 // writeStatus publishes one status snapshot. Plain JSON (no WAL framing):
@@ -75,6 +83,8 @@ func writeStatus(path string, st status) error {
 
 func main() {
 	listen := flag.String("listen", ":7700", "address to listen on")
+	pcListen := flag.String("pincushion-listen", ":7600", "address the pincushion listens on")
+	staleness := flag.Duration("staleness", 10*time.Second, "largest staleness bound the applications use (the pincushion trims unused pins a second past it)")
 	caches := flag.String("caches", "", "comma-separated cache node addresses for the invalidation stream")
 	schema := flag.String("schema", "", "file of semicolon-separated CREATE statements to run at startup")
 	loadRubis := flag.String("load-rubis", "", "pre-load the RUBiS dataset: test, inmem, or disk")
@@ -91,10 +101,10 @@ func main() {
 
 	// The surface starts before recovery and the dataset load, so a slow
 	// one can be profiled; /statsz reads null until the daemon is serving.
-	var serving atomic.Pointer[dbnet.Server]
+	var serving atomic.Pointer[func() status]
 	if err := debugz.Start(*debugAddr, func() any {
-		if srv := serving.Load(); srv != nil {
-			return srv.Stats()
+		if snap := serving.Load(); snap != nil {
+			return (*snap)()
 		}
 		return nil
 	}); err != nil {
@@ -209,13 +219,19 @@ func main() {
 	if err != nil {
 		log.Fatalf("txcache-dbd: %v", err)
 	}
-	log.Printf("txcache-dbd: serving on %s (durable=%v)", l.Addr(), durable)
+	pl, err := net.Listen("tcp", *pcListen)
+	if err != nil {
+		log.Fatalf("txcache-dbd: -pincushion-listen: %v", err)
+	}
+	pc, stopPC := pincushion.Start(pl, engine, *staleness)
+	log.Printf("txcache-dbd: serving on %s, pincushion on %s (durable=%v)", l.Addr(), pl.Addr(), durable)
 
 	srv := &dbnet.Server{Engine: engine}
-	serving.Store(srv)
 	statusSnap := func() status {
-		return status{PID: os.Getpid(), Addr: l.Addr().String(), Durable: durable, ServerStats: srv.Stats()}
+		return status{PID: os.Getpid(), Addr: l.Addr().String(), PincushionAddr: pl.Addr().String(),
+			Durable: durable, ServerStats: srv.Stats(), Pincushion: pc.Stats()}
 	}
+	serving.Store(&statusSnap)
 	if *statusFile != "" {
 		if err := writeStatus(*statusFile, statusSnap()); err != nil {
 			log.Fatalf("txcache-dbd: status file: %v", err)
@@ -240,12 +256,14 @@ func main() {
 	case err := <-errc:
 		log.Fatalf("txcache-dbd: %v", err)
 	case sig := <-sigc:
-		// Graceful shutdown: stop accepting work, flush a final checkpoint,
-		// and leave the clean-shutdown marker so the next boot skips replay.
-		// Engine.Close waits out in-flight commits (they hold the WAL open),
-		// so data already acked to clients is on disk before exit.
+		// Graceful shutdown: stop accepting work, unpin the pincushion's
+		// snapshots, flush a final checkpoint, and leave the clean-shutdown
+		// marker so the next boot skips replay. Engine.Close waits out
+		// in-flight commits (they hold the WAL open), so data already acked
+		// to clients is on disk before exit.
 		log.Printf("txcache-dbd: %v: shutting down", sig)
 		l.Close()
+		stopPC()
 		start := time.Now()
 		if err := engine.Close(); err != nil {
 			log.Fatalf("txcache-dbd: close: %v", err)

@@ -1,14 +1,14 @@
 // Command txcache-serve runs the application server: the RUBiS interactions
 // (and optionally the wiki subset) exposed over HTTP through the TxCache
-// client library, against an already-running txcache-dbd, cache nodes, and
-// pincushion. It is the tier the paper's "application server" boxes in
-// Figure 1 denote — the piece that turns library transactions into
-// production request/response traffic.
+// client library, against an already-running txcache-dbd (whose
+// -pincushion-listen port is -pincushion) and cache nodes. It is the tier
+// the paper's "application server" boxes in Figure 1 denote — the piece
+// that turns library transactions into production request/response traffic.
 //
 // Usage:
 //
 //	txcache-serve -listen :8080 -db db:7700 \
-//	    -caches cache1:7500,cache2:7500 -pincushion pc:7600 -wiki
+//	    -caches cache1:7500,cache2:7500 -pincushion db:7600 -wiki
 //
 // The dataset must already be loaded (txcache-dbd -load-rubis, plus
 // -wiki-pages when -wiki is set); the server recovers ID allocators and
@@ -44,7 +44,7 @@ func main() {
 	listen := flag.String("listen", ":8080", "HTTP address to listen on")
 	dbAddr := flag.String("db", "127.0.0.1:7700", "txcache-dbd address")
 	caches := flag.String("caches", "", "comma-separated cache node addresses")
-	pcAddr := flag.String("pincushion", "", "pincushion daemon address (empty: run uncached reads without pins)")
+	pcAddr := flag.String("pincushion", "", "pincushion address, txcache-dbd's -pincushion-listen (empty: run uncached reads without pins)")
 	staleness := flag.Duration("staleness", 10*time.Second, "page staleness bound")
 	requestTimeout := flag.Duration("request-timeout", 2*time.Second, "per-request deadline")
 	maxInFlight := flag.Int("max-inflight", 256, "concurrent requests admitted into the library")

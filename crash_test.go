@@ -24,7 +24,10 @@ package txcache_test
 //     a canary every lost message would have closed, put into the node
 //     while the daemon is down, is not valid at RecoveredTS once the node
 //     has heard the first commit after it (checkCanary). Nothing tells the
-//     node about the restart but the stream itself.
+//     node about the restart but the stream itself;
+//   - the pincushion the daemon hosts boots empty — no pin outlives the
+//     process that placed it — and serves a read-only transaction, whose
+//     snapshot it then tracks pinned on the engine (checkPincushion).
 //
 // An acknowledgement lost in flight (connection died after the commit
 // record hit the disk) is resolved by retrying the same sequence number:
@@ -53,19 +56,23 @@ import (
 
 	"txcache/internal/cacheserver"
 	"txcache/internal/clock"
+	"txcache/internal/core"
 	"txcache/internal/db"
 	"txcache/internal/db/dbnet"
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
+	"txcache/internal/pincushion"
 )
 
 // dbdStatus mirrors the daemon's -status-file payload: what a boot
 // recovered is Durability.Recovery.
 type dbdStatus struct {
-	PID     int    `json:"pid"`
-	Addr    string `json:"addr"`
-	Durable bool   `json:"durable"`
+	PID            int    `json:"pid"`
+	Addr           string `json:"addr"`
+	PincushionAddr string `json:"pincushionAddr"`
+	Durable        bool   `json:"durable"`
 	dbnet.ServerStats
+	Pincushion pincushion.Stats `json:"pincushion"`
 }
 
 const crashSchema = `
@@ -180,6 +187,7 @@ func startDaemon(t *testing.T, bin, dataDir, statusPath, schemaPath, cacheAddr s
 	}
 	cmd := exec.Command(bin,
 		"-listen", "127.0.0.1:0",
+		"-pincushion-listen", "127.0.0.1:0",
 		"-data-dir", dataDir,
 		"-wal-sync", "fdatasync",
 		"-checkpoint-bytes", "65536", // small, so crashes land on both sides of checkpoints
@@ -371,6 +379,62 @@ func checkCanary(t *testing.T, node *cacheserver.Server, c canary, cl *dbnet.Cli
 	}
 }
 
+// checkPincushion holds a freshly booted daemon's pincushion to what it may
+// know: nothing at boot, since its pins died with the last process, and then
+// the snapshot of one read-only transaction run through it, which it keeps
+// pinned on the engine after the transaction's own session has let go.
+func checkPincushion(t *testing.T, st dbdStatus, cl *dbnet.Client, cycle int) {
+	t.Helper()
+	pcl, err := pincushion.Dial(st.PincushionAddr, 1)
+	if err != nil {
+		t.Fatalf("cycle %d: dial pincushion: %v", cycle, err)
+	}
+	defer pcl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pins := func() int {
+		blob, err := pcl.StatsJSON(ctx)
+		var s pincushion.Stats
+		if err == nil {
+			err = json.Unmarshal(blob, &s)
+		}
+		if err != nil {
+			t.Fatalf("cycle %d: pincushion stats: %v", cycle, err)
+		}
+		return s.Pins
+	}
+	if st.Pincushion.Pins != 0 || pins() != 0 {
+		t.Fatalf("cycle %d: the pincushion tracks %d pins at boot (status file %d), want 0", cycle, pins(), st.Pincushion.Pins)
+	}
+
+	c := core.NewClient(core.Config{DB: cl, Pincushion: pcl})
+	defer c.Close()
+	tx, err := c.Begin(ctx)
+	if err == nil {
+		_, err = tx.Query("SELECT nops FROM counters WHERE worker = 0")
+		if err == nil {
+			_, err = tx.Commit()
+		} else {
+			tx.Abort()
+		}
+	}
+	if err != nil {
+		t.Fatalf("cycle %d: read-only transaction through the pincushion: %v", cycle, err)
+	}
+	blob, err := cl.StatsJSON(ctx)
+	var ds dbnet.ServerStats
+	if err == nil {
+		err = json.Unmarshal(blob, &ds)
+	}
+	if err != nil {
+		t.Fatalf("cycle %d: daemon stats: %v", cycle, err)
+	}
+	if n := pins(); n < 1 || ds.DB.PinnedSnaps < 1 {
+		t.Fatalf("cycle %d: after a read-only transaction the pincushion tracks %d pins and the daemon holds %d pinned snapshots; want at least one each",
+			cycle, n, ds.DB.PinnedSnaps)
+	}
+}
+
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and repeatedly kills a subprocess")
@@ -454,6 +518,7 @@ func TestCrashRecovery(t *testing.T) {
 			checkCanary(t, node, *pending, cl, workers[0], st.Durability.Recovery.RecoveredTS, cycle)
 			pending = nil
 		}
+		checkPincushion(t, st, cl, cycle)
 
 		if cycle == cycles {
 			// Final boot is verification-only: prove the previous SIGTERM

@@ -1,9 +1,10 @@
 // Auction: the RUBiS auction site on a distributed TxCache deployment.
 //
 // This example runs the full component topology of the paper's Figure 1 in
-// one process, but with every hop over real TCP: two cache server nodes, a
-// pincushion daemon, and the database daemon, plus an application server
-// using the TxCache library with consistent hashing across the cache nodes.
+// one process, but with every hop over real TCP: two cache server nodes and
+// the database daemon, which hosts the pincushion on a port of its own, plus
+// an application server using the TxCache library with consistent hashing
+// across the cache nodes.
 // It then drives a short burst of the RUBiS bidding mix and prints the
 // cache behavior.
 //

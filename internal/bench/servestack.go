@@ -35,10 +35,11 @@ type ServeStackConfig struct {
 // ServeStack is the paper's Figure-1 topology with an application server in
 // front, every hop over the configured Net: HTTP clients → txcache-serve →
 // {cache nodes, database daemon, pincushion}, plus the daemon's invalidation
-// push streams back to the nodes. Each half is wired by the function its
-// daemon runs: cacheserver.Feed, as txcache-dbd feeds its nodes, and
-// serve.Connect, as txcache-serve starts. The integration tests and
-// examples/auction boot one, load it, and tear it down leak-free.
+// push streams back to the nodes. Each part is wired by the function its
+// daemon runs: cacheserver.Feed and pincushion.Start, as txcache-dbd feeds
+// its nodes and hosts the pincushion, and serve.Connect, as txcache-serve
+// starts. The integration tests and examples/auction boot one, load it, and
+// tear it down leak-free.
 type ServeStack struct {
 	Engine *db.Engine
 	App    *rubis.App
@@ -48,8 +49,7 @@ type ServeStack struct {
 	// on the Net, cache0's first among the Caches.
 	Deployment serve.Deployment
 
-	pc      *pincushion.Pincushion
-	closers []func() // LIFO teardown: clients, listeners, subscriptions
+	closers []func() // LIFO teardown: clients, pincushion, listeners, subscriptions
 }
 
 // StartServeStack boots the whole topology on cfg.Net.
@@ -98,20 +98,14 @@ func StartServeStack(cfg ServeStackConfig) (st *ServeStack, err error) {
 	if d.DB, err = serveOn("db", (&dbnet.Server{Engine: st.Engine}).Serve); err != nil {
 		return nil, err
 	}
-	// The pincushion daemon is itself a dbnet client, for pin placement.
-	pcDB, err := dbnet.DialNet(cfg.Net, "pincushion", d.DB, 2)
+	// The pincushion runs beside the engine, as txcache-dbd hosts it.
+	pcL, err := cfg.Net.Listen("pincushion")
 	if err != nil {
 		return nil, err
 	}
-	st.closers = append(st.closers, pcDB.Close)
-	st.pc = pincushion.New(pincushion.Config{
-		DB:        pcDB,
-		Retention: 2 * (cfg.Serve.Staleness + time.Second),
-		Staleness: cfg.Serve.Staleness + time.Second,
-	})
-	if d.Pincushion, err = serveOn("pincushion", st.pc.Serve); err != nil {
-		return nil, err
-	}
+	_, stopPC := pincushion.Start(pcL, st.Engine, cfg.Serve.Staleness)
+	st.closers = append(st.closers, stopPC)
+	d.Pincushion = pcL.Addr().String()
 
 	// Load engine-side (dbnet carries no DDL), with the nodes already
 	// subscribed so they replay every load commit.
@@ -143,28 +137,26 @@ func StartServeStack(cfg ServeStackConfig) (st *ServeStack, err error) {
 	return st, nil
 }
 
-// Stop drains the HTTP server, tears every connection and listener down,
-// and then insists the database end up with zero pinned snapshots — a
-// leaked pin would silently block vacuum forever, so teardown treats it as
-// an error, sweeping the pincushion until the pins expire or ctx gives up.
+// Stop drains the HTTP server and tears every connection, listener and the
+// pincushion down — the pincushion unpinning what it placed — and then waits,
+// as long as ctx allows, for the database to hold no pinned snapshot: a
+// session's pin goes when the daemon sees its connection end. A pin left
+// after that is an error, since it would block vacuum forever.
 func (s *ServeStack) Stop(ctx context.Context) error {
 	var firstErr error
 	if err := s.Srv.Drain(ctx); err != nil {
 		firstErr = fmt.Errorf("drain: %w", err)
 	}
-	// Force-unpin while the pincushion's database connection is still open;
-	// after the drain no transaction can be using these snapshots.
-	for s.Engine.Stats().PinnedSnaps > 0 {
+	s.closeAll()
+	for n := s.Engine.PinnedCount(); n > 0; n = s.Engine.PinnedCount() {
 		if ctx.Err() != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("pin leak: %d snapshots still pinned at teardown", s.Engine.Stats().PinnedSnaps)
+				firstErr = fmt.Errorf("pin leak: %d snapshots still pinned at teardown", n)
 			}
 			break
 		}
-		s.pc.SweepAll()
 		time.Sleep(5 * time.Millisecond)
 	}
-	s.closeAll()
 	return firstErr
 }
 

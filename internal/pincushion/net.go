@@ -47,6 +47,39 @@ const (
 // and every Register.
 const opTimeout = 5 * time.Second
 
+// sweepEvery is how often a pincushion that Start runs sweeps at the
+// least; RunSweeper sweeps sooner when an idle pin is about to expire.
+const sweepEvery = 5 * time.Second
+
+// Start runs the pincushion as the database daemon hosts it, beside the
+// database it pins on: txcache-dbd and bench.StartServeStack both call it,
+// with db the engine itself, so no pin or unpin crosses a network. staleness
+// is the largest bound any application passes GetPins; with a second's
+// margin it is the age at which an unused pin is trimmed, and twice that the
+// retention. Start serves the pincushion's protocol on l and runs the
+// sweeper. stop closes l, stops the sweeper and unpins every snapshot the
+// pincushion placed; a Register still arriving on a connection that l's
+// close left open is refused.
+func Start(l net.Listener, db Pinner, staleness time.Duration) (p *Pincushion, stop func()) {
+	bound := staleness + time.Second
+	p = New(Config{DB: db, Retention: 2 * bound, Staleness: bound})
+	quit, swept := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swept)
+		p.RunSweeper(sweepEvery, quit)
+	}()
+	go p.Serve(l)
+	return p, func() {
+		l.Close()
+		close(quit)
+		<-swept
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+		p.SweepAll()
+	}
+}
+
 // Serve accepts connections on l until it is closed.
 func (p *Pincushion) Serve(l net.Listener) error {
 	return rpc.Serve(l, func() (rpc.Handler, func()) { return p.handle, nil })

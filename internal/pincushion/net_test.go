@@ -116,6 +116,40 @@ func TestOverTCP(t *testing.T) {
 	}
 }
 
+// TestStartStop runs the pincushion as the database daemon does: a pin
+// registered over TCP is placed on the database, trimmed at the staleness
+// bound plus a second, and stop removes every placement, closes the
+// listener and places nothing for a Register that arrives after it.
+func TestStartStop(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &fakeDB{}
+	p, stop := Start(l, db, 10*time.Second)
+	if got := p.trimAge(); got != 11*time.Second || p.cfg.Retention != 22*time.Second {
+		t.Fatalf("trim age %v, retention %v; want 11s and 22s", got, p.cfg.Retention)
+	}
+	c, err := Dial(l.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Register(42, time.Now())
+	if got := db.holds(); got[42] != 1 || p.Stats().Pins != 1 {
+		t.Fatalf("placements %v, %d tracked after Register; want one on 42", got, p.Stats().Pins)
+	}
+
+	stop()
+	p.Register(43, time.Now())
+	if got := db.holds(); len(got) != 0 || p.Stats().Pins != 0 {
+		t.Fatalf("placements %v, %d tracked after stop and a late Register; want none", got, p.Stats().Pins)
+	}
+	if _, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
+		t.Fatal("the listener still accepts after stop")
+	}
+}
+
 // TestOneWritePerFrame joins the two pincushion endpoints by a counted
 // pipe: every frame either side sends is one Write, a frame that arrives in
 // one piece is one Read, Register is one exchange and the one-way Release

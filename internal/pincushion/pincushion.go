@@ -64,8 +64,9 @@ type Pincushion struct {
 	cfg Config
 	clk clock.Clock
 
-	mu   sync.Mutex
-	pins map[interval.Timestamp]*pinState
+	mu     sync.Mutex
+	pins   map[interval.Timestamp]*pinState
+	closed bool // Start's stop ran: no sweep is left, so nothing is adopted
 
 	statRequests uint64
 	statSweeps   uint64
@@ -130,10 +131,15 @@ func (p *Pincushion) Register(ts interval.Timestamp, wall time.Time) {
 }
 
 // track keeps the later wall time of a tracked snapshot and reports true;
-// an untracked one it starts tracking if adopt is set.
+// an untracked one it starts tracking if adopt is set. A closed pincushion
+// reports true for any snapshot: what a Register places then is unpinned at
+// once, since no sweep is left to do it.
 func (p *Pincushion) track(ts interval.Timestamp, wall time.Time, adopt bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return true
+	}
 	if st := p.pins[ts]; st != nil {
 		if wall.After(st.wall) {
 			st.wall = wall

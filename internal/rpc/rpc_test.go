@@ -62,7 +62,7 @@ func (s *service) noted() [][]byte {
 // daemon serves a handler on a loopback listener the test can take down and
 // bring back, connections included.
 type daemon struct {
-	t    *testing.T
+	t    testing.TB
 	h    Handler
 	addr string
 
@@ -72,7 +72,7 @@ type daemon struct {
 	conns []net.Conn
 }
 
-func startDaemon(t *testing.T, h Handler) *daemon {
+func startDaemon(t testing.TB, h Handler) *daemon {
 	d := &daemon{t: t, h: h}
 	d.listen("127.0.0.1:0")
 	t.Cleanup(d.stop)
@@ -165,7 +165,7 @@ func holdServer(t *testing.T) (addr string, held <-chan heldFrame) {
 	return ln.Addr().String(), ch
 }
 
-func dial(t *testing.T, addr string, n int, timeout time.Duration) *Client {
+func dial(t testing.TB, addr string, n int, timeout time.Duration) *Client {
 	t.Helper()
 	c, err := Dial(TCP, "test", "test", addr, n, timeout)
 	if err != nil {

@@ -122,8 +122,8 @@ compose-soak:
 # The nemesis on the whole TCP topology (bench.StartServeStack on
 # rpctest.Net): the invalidation stream to one node cut for two seconds under
 # load, and cut while more commits go by than the bus's ring holds; and the
-# library's own links to the pincushion and to the database cut for two
-# seconds under load, leaving no pin behind. Two -race passes each, compiled
+# library's link to the database daemon, which hosts the pincushion, cut for
+# two seconds under load, leaving no pin behind. Two -race passes each, compiled
 # first so the bound is the tests'. Bounded: a hang is a failure.
 nemesis-smoke:
 	$(GO) test -race -count=1 -run '^$$' .

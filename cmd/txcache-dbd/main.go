@@ -2,12 +2,12 @@
 // engine with TxCache's modifications (paper §5) served over TCP. It
 // executes DDL from a schema file or pre-loads the RUBiS dataset, fans the
 // invalidation stream out to the configured cache nodes, and vacuums
-// periodically. It also hosts the pincushion (paper §5.4) on a port of its
-// own (-pincushion-listen), pinning on the engine directly
-// (pincushion.Start); -staleness is the largest staleness bound the
-// applications use. The counters, dbnet.ServerStats and pincushion.Stats,
-// are answered on rpc.OpStats on each port, written to -status-file, and
-// served beside pprof on -debug-addr (internal/debugz).
+// periodically. It also hosts the pincushion (paper §5.4), pinning on the
+// engine directly (pincushion.Start) and answering on the same address as
+// the database; -staleness is the largest staleness bound the applications
+// use. The counters, dbnet.ServerStats with the pincushion's inside, are
+// answered on rpc.OpStats, written to -status-file, and served beside pprof
+// on -debug-addr (internal/debugz).
 //
 // With -data-dir the engine is durable: commits are group-committed to a
 // write-ahead log before they become visible, checkpoints bound the log, and
@@ -20,7 +20,7 @@
 //
 // Usage:
 //
-//	txcache-dbd -listen :7700 -pincushion-listen :7600 -staleness 10s \
+//	txcache-dbd -listen :7700 -staleness 10s \
 //	    -caches cache1:7500,cache2:7500 \
 //	    -data-dir /var/lib/txcache -wal-sync fdatasync -load-rubis inmem
 package main
@@ -53,17 +53,15 @@ import (
 // /statsz answers: the crash harness (and operators) read it to learn what a
 // boot recovered — durability.recovery — without scraping logs. Past the
 // process's identity it is the daemon's counters, the same
-// dbnet.ServerStats it answers rpc.OpStats with, and the pincushion's, and
-// it is rewritten on the vacuum ticker so they — checkpoint failures and
+// dbnet.ServerStats it answers rpc.OpStats with, the pincushion's included,
+// and it is rewritten on the vacuum ticker so they — checkpoint failures and
 // what vacuum is holding back in particular — stay current for the life of
 // the process.
 type status struct {
-	PID            int    `json:"pid"`
-	Addr           string `json:"addr"`
-	PincushionAddr string `json:"pincushionAddr"`
-	Durable        bool   `json:"durable"`
+	PID     int    `json:"pid"`
+	Addr    string `json:"addr"`
+	Durable bool   `json:"durable"`
 	dbnet.ServerStats
-	Pincushion pincushion.Stats `json:"pincushion"`
 }
 
 // writeStatus publishes one status snapshot. Plain JSON (no WAL framing):
@@ -83,7 +81,6 @@ func writeStatus(path string, st status) error {
 
 func main() {
 	listen := flag.String("listen", ":7700", "address to listen on")
-	pcListen := flag.String("pincushion-listen", ":7600", "address the pincushion listens on")
 	staleness := flag.Duration("staleness", 10*time.Second, "largest staleness bound the applications use (the pincushion trims unused pins a second past it)")
 	caches := flag.String("caches", "", "comma-separated cache node addresses for the invalidation stream")
 	schema := flag.String("schema", "", "file of semicolon-separated CREATE statements to run at startup")
@@ -219,17 +216,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("txcache-dbd: %v", err)
 	}
-	pl, err := net.Listen("tcp", *pcListen)
-	if err != nil {
-		log.Fatalf("txcache-dbd: -pincushion-listen: %v", err)
-	}
-	pc, stopPC := pincushion.Start(pl, engine, *staleness)
-	log.Printf("txcache-dbd: serving on %s, pincushion on %s (durable=%v)", l.Addr(), pl.Addr(), durable)
+	pc, stopPC := pincushion.Start(engine, *staleness)
+	log.Printf("txcache-dbd: serving on %s (durable=%v)", l.Addr(), durable)
 
-	srv := &dbnet.Server{Engine: engine}
+	srv := &dbnet.Server{Engine: engine, Pincushion: pc}
 	statusSnap := func() status {
-		return status{PID: os.Getpid(), Addr: l.Addr().String(), PincushionAddr: pl.Addr().String(),
-			Durable: durable, ServerStats: srv.Stats(), Pincushion: pc.Stats()}
+		return status{PID: os.Getpid(), Addr: l.Addr().String(), Durable: durable, ServerStats: srv.Stats()}
 	}
 	serving.Store(&statusSnap)
 	if *statusFile != "" {

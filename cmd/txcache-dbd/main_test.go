@@ -85,24 +85,25 @@ func TestStatusShowsWhatVacuumHolds(t *testing.T) {
 	}
 }
 
-// TestStatusShowsPincushion reads the hosted pincushion off both of the
-// daemon's surfaces, the status file and the debug listener's /statsz: a
-// snapshot registered over the pincushion's port shows as a tracked pin, and
-// as the engine's one pinned snapshot once its registrant has let go; the
+// TestStatusShowsPincushion reads the hosted pincushion off every surface of
+// the daemon — the status file, the debug listener's /statsz and the
+// answer to rpc.OpStats — as part of dbnet.ServerStats: a snapshot
+// registered at the daemon's one address shows as a tracked pin, and as the
+// engine's one pinned snapshot once its registrant has let go; the
 // pincushion's stop removes it.
 func TestStatusShowsPincushion(t *testing.T) {
 	engine := db.New(db.Options{})
-	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	pc, stopPC := pincushion.Start(engine, 10*time.Second)
+	srv := &dbnet.Server{Engine: engine, Pincushion: pc}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, stopPC := pincushion.Start(pl, engine, 10*time.Second)
-	srv := &dbnet.Server{Engine: engine}
-	snap := func() status {
-		return status{PincushionAddr: pl.Addr().String(), ServerStats: srv.Stats(), Pincushion: pc.Stats()}
-	}
+	defer l.Close()
+	go srv.Serve(l)
+	snap := func() status { return status{Addr: l.Addr().String(), ServerStats: srv.Stats()} }
 
-	cl, err := pincushion.Dial(pl.Addr().String(), 1)
+	cl, err := pincushion.Dial(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,21 +138,26 @@ func TestStatusShowsPincushion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dcl, err := dbnet.Dial(l.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dcl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	reply, err := dcl.StatsJSON(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for surface, blob := range map[string][]byte{"status file": file, "/statsz": page} {
-		var got struct {
-			PincushionAddr string `json:"pincushionAddr"`
-			DB             struct {
-				PinnedSnapshots int `json:"pinnedSnapshots"`
-			} `json:"db"`
-			Pincushion pincushion.Stats `json:"pincushion"`
-		}
+	for surface, blob := range map[string][]byte{"status file": file, "/statsz": page, "rpc.OpStats": reply} {
+		var got dbnet.ServerStats
 		if err := json.Unmarshal(blob, &got); err != nil {
 			t.Fatalf("%s: %v: %s", surface, err, blob)
 		}
-		if got.PincushionAddr != pl.Addr().String() || got.Pincushion.Pins != 1 ||
-			got.Pincushion.InClass(pincushion.PinIdle) != 1 || got.DB.PinnedSnapshots != 1 {
-			t.Fatalf("%s after one Register: %s; want pincushionAddr %s, one idle pin tracked and one snapshot pinned", surface, blob, pl.Addr())
+		if got.Pincushion == nil || got.Pincushion.Pins != 1 ||
+			got.Pincushion.InClass(pincushion.PinIdle) != 1 || got.DB.PinnedSnaps != 1 {
+			t.Fatalf("%s after one Register: %s; want one idle pin tracked and one snapshot pinned", surface, blob)
 		}
 	}
 

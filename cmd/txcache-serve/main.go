@@ -1,14 +1,14 @@
 // Command txcache-serve runs the application server: the RUBiS interactions
 // (and optionally the wiki subset) exposed over HTTP through the TxCache
-// client library, against an already-running txcache-dbd (whose
-// -pincushion-listen port is -pincushion) and cache nodes. It is the tier
+// client library, against an already-running txcache-dbd (which hosts the
+// pincushion on its own address) and cache nodes. It is the tier
 // the paper's "application server" boxes in Figure 1 denote — the piece
 // that turns library transactions into production request/response traffic.
 //
 // Usage:
 //
 //	txcache-serve -listen :8080 -db db:7700 \
-//	    -caches cache1:7500,cache2:7500 -pincushion db:7600 -wiki
+//	    -caches cache1:7500,cache2:7500 -wiki
 //
 // The dataset must already be loaded (txcache-dbd -load-rubis, plus
 // -wiki-pages when -wiki is set); the server recovers ID allocators and
@@ -42,9 +42,8 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":8080", "HTTP address to listen on")
-	dbAddr := flag.String("db", "127.0.0.1:7700", "txcache-dbd address")
+	dbAddr := flag.String("db", "127.0.0.1:7700", "txcache-dbd address (the pincushion's too)")
 	caches := flag.String("caches", "", "comma-separated cache node addresses")
-	pcAddr := flag.String("pincushion", "", "pincushion address, txcache-dbd's -pincushion-listen (empty: run uncached reads without pins)")
 	staleness := flag.Duration("staleness", 10*time.Second, "page staleness bound")
 	requestTimeout := flag.Duration("request-timeout", 2*time.Second, "per-request deadline")
 	maxInFlight := flag.Int("max-inflight", 256, "concurrent requests admitted into the library")
@@ -68,7 +67,7 @@ func main() {
 		log.Fatalf("txcache-serve: -debug-addr: %v", err)
 	}
 
-	d := serve.Deployment{Net: rpc.TCP, DB: *dbAddr, DBConns: *dbPool, Pincushion: *pcAddr, Wiki: *wiki,
+	d := serve.Deployment{Net: rpc.TCP, DB: *dbAddr, DBConns: *dbPool, Wiki: *wiki,
 		Caches: strings.Fields(strings.ReplaceAll(*caches, ",", " "))}
 	attachCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	srv, closeClients, err := serve.Connect(attachCtx, d, serve.Config{

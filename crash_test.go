@@ -47,7 +47,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -67,12 +66,10 @@ import (
 // dbdStatus mirrors the daemon's -status-file payload: what a boot
 // recovered is Durability.Recovery.
 type dbdStatus struct {
-	PID            int    `json:"pid"`
-	Addr           string `json:"addr"`
-	PincushionAddr string `json:"pincushionAddr"`
-	Durable        bool   `json:"durable"`
+	PID     int    `json:"pid"`
+	Addr    string `json:"addr"`
+	Durable bool   `json:"durable"`
 	dbnet.ServerStats
-	Pincushion pincushion.Stats `json:"pincushion"`
 }
 
 const crashSchema = `
@@ -187,7 +184,6 @@ func startDaemon(t *testing.T, bin, dataDir, statusPath, schemaPath, cacheAddr s
 	}
 	cmd := exec.Command(bin,
 		"-listen", "127.0.0.1:0",
-		"-pincushion-listen", "127.0.0.1:0",
 		"-data-dir", dataDir,
 		"-wal-sync", "fdatasync",
 		"-checkpoint-bytes", "65536", // small, so crashes land on both sides of checkpoints
@@ -256,12 +252,8 @@ func (d *crashDaemon) terminate(t *testing.T) {
 // buildDaemon compiles the real txcache-dbd binary once per test run.
 func buildDaemon(t *testing.T, dir string) string {
 	t.Helper()
-	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
-	if _, err := os.Stat(goBin); err != nil {
-		goBin = "go"
-	}
 	bin := filepath.Join(dir, "txcache-dbd")
-	cmd := exec.Command(goBin, "build", "-o", bin, "./cmd/txcache-dbd")
+	cmd := exec.Command(goCommand(), "build", "-o", bin, "./cmd/txcache-dbd")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("build txcache-dbd: %v\n%s", err, out)
 	}
@@ -379,32 +371,40 @@ func checkCanary(t *testing.T, node *cacheserver.Server, c canary, cl *dbnet.Cli
 	}
 }
 
-// checkPincushion holds a freshly booted daemon's pincushion to what it may
-// know: nothing at boot, since its pins died with the last process, and then
-// the snapshot of one read-only transaction run through it, which it keeps
-// pinned on the engine after the transaction's own session has let go.
+// checkPincushion holds a freshly booted daemon's pincushion, found at the
+// daemon's one address, to what it may know: nothing at boot, since its pins
+// died with the last process, and then the snapshot of one read-only
+// transaction run through it, which it keeps pinned on the engine after the
+// transaction's own session has let go.
 func checkPincushion(t *testing.T, st dbdStatus, cl *dbnet.Client, cycle int) {
 	t.Helper()
-	pcl, err := pincushion.Dial(st.PincushionAddr, 1)
+	pcl, err := pincushion.Dial(st.Addr, 1)
 	if err != nil {
 		t.Fatalf("cycle %d: dial pincushion: %v", cycle, err)
 	}
 	defer pcl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	pins := func() int {
-		blob, err := pcl.StatsJSON(ctx)
-		var s pincushion.Stats
+	// stats reads the daemon's counters, the pincushion's among them.
+	stats := func() dbnet.ServerStats {
+		blob, err := cl.StatsJSON(ctx)
+		var ds dbnet.ServerStats
 		if err == nil {
-			err = json.Unmarshal(blob, &s)
+			err = json.Unmarshal(blob, &ds)
+		}
+		if err == nil && ds.Pincushion == nil {
+			err = fmt.Errorf("no pincushion in %s", blob)
 		}
 		if err != nil {
-			t.Fatalf("cycle %d: pincushion stats: %v", cycle, err)
+			t.Fatalf("cycle %d: daemon stats: %v", cycle, err)
 		}
-		return s.Pins
+		return ds
 	}
-	if st.Pincushion.Pins != 0 || pins() != 0 {
-		t.Fatalf("cycle %d: the pincushion tracks %d pins at boot (status file %d), want 0", cycle, pins(), st.Pincushion.Pins)
+	if st.Pincushion == nil || st.Pincushion.Pins != 0 {
+		t.Fatalf("cycle %d: the status file shows the pincushion %+v at boot, want it tracking 0 pins", cycle, st.Pincushion)
+	}
+	if n := stats().Pincushion.Pins; n != 0 {
+		t.Fatalf("cycle %d: the pincushion tracks %d pins at boot, want 0", cycle, n)
 	}
 
 	c := core.NewClient(core.Config{DB: cl, Pincushion: pcl})
@@ -421,17 +421,9 @@ func checkPincushion(t *testing.T, st dbdStatus, cl *dbnet.Client, cycle int) {
 	if err != nil {
 		t.Fatalf("cycle %d: read-only transaction through the pincushion: %v", cycle, err)
 	}
-	blob, err := cl.StatsJSON(ctx)
-	var ds dbnet.ServerStats
-	if err == nil {
-		err = json.Unmarshal(blob, &ds)
-	}
-	if err != nil {
-		t.Fatalf("cycle %d: daemon stats: %v", cycle, err)
-	}
-	if n := pins(); n < 1 || ds.DB.PinnedSnaps < 1 {
+	if ds := stats(); ds.Pincushion.Pins < 1 || ds.DB.PinnedSnaps < 1 {
 		t.Fatalf("cycle %d: after a read-only transaction the pincushion tracks %d pins and the daemon holds %d pinned snapshots; want at least one each",
-			cycle, n, ds.DB.PinnedSnaps)
+			cycle, ds.Pincushion.Pins, ds.DB.PinnedSnaps)
 	}
 }
 

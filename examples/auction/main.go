@@ -2,9 +2,9 @@
 //
 // This example runs the full component topology of the paper's Figure 1 in
 // one process, but with every hop over real TCP: two cache server nodes and
-// the database daemon, which hosts the pincushion on a port of its own, plus
-// an application server using the TxCache library with consistent hashing
-// across the cache nodes.
+// the database daemon, which answers for the pincushion on its own address
+// too, plus an application server using the TxCache library with consistent
+// hashing across the cache nodes.
 // It then drives a short burst of the RUBiS bidding mix and prints the
 // cache behavior.
 //

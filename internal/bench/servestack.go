@@ -26,19 +26,19 @@ type ServeStackConfig struct {
 	// Connect's to fill in). Its Staleness, the page staleness bound
 	// (default 10s), also sizes what the nodes and the pincushion retain.
 	Serve serve.Config
-	// Net is what every tier listens and dials on, as "db", "pincushion",
-	// "cache0", "cache1", "core" and "serve" (default rpc.TCP). A test puts
-	// faults between two tiers here.
+	// Net is what every tier listens and dials on, as "db" (the pincushion
+	// too), "cache0", "cache1", "core" and "serve" (default rpc.TCP). A test
+	// puts faults between two tiers here.
 	Net rpc.Net
 }
 
 // ServeStack is the paper's Figure-1 topology with an application server in
 // front, every hop over the configured Net: HTTP clients → txcache-serve →
-// {cache nodes, database daemon, pincushion}, plus the daemon's invalidation
-// push streams back to the nodes. Each part is wired by the function its
-// daemon runs: cacheserver.Feed and pincushion.Start, as txcache-dbd feeds
-// its nodes and hosts the pincushion, and serve.Connect, as txcache-serve
-// starts. The integration tests and examples/auction boot one, load it, and
+// {cache nodes, database daemon and the pincushion it hosts}, plus the
+// daemon's invalidation push streams back to the nodes. Each part is wired by
+// the function its daemon runs: cacheserver.Feed and pincushion.Start, as
+// txcache-dbd feeds its nodes and hosts the pincushion, and serve.Connect, as
+// txcache-serve starts. The integration tests and examples/auction boot one, load it, and
 // tear it down leak-free.
 type ServeStack struct {
 	Engine *db.Engine
@@ -95,17 +95,13 @@ func StartServeStack(cfg ServeStackConfig) (st *ServeStack, err error) {
 		d.Caches = append(d.Caches, addr)
 	}
 
-	if d.DB, err = serveOn("db", (&dbnet.Server{Engine: st.Engine}).Serve); err != nil {
-		return nil, err
-	}
-	// The pincushion runs beside the engine, as txcache-dbd hosts it.
-	pcL, err := cfg.Net.Listen("pincushion")
-	if err != nil {
-		return nil, err
-	}
-	_, stopPC := pincushion.Start(pcL, st.Engine, cfg.Serve.Staleness)
+	// The pincushion runs beside the engine and answers on its address, as
+	// txcache-dbd hosts it.
+	pc, stopPC := pincushion.Start(st.Engine, cfg.Serve.Staleness)
 	st.closers = append(st.closers, stopPC)
-	d.Pincushion = pcL.Addr().String()
+	if d.DB, err = serveOn("db", (&dbnet.Server{Engine: st.Engine, Pincushion: pc}).Serve); err != nil {
+		return nil, err
+	}
 
 	// Load engine-side (dbnet carries no DDL), with the nodes already
 	// subscribed so they replay every load commit.

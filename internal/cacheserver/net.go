@@ -204,8 +204,7 @@ const (
 	// cache is an optimization.
 	DefaultPutQueue = 1024
 	// DefaultDrainTimeout bounds how long Close waits for the async put
-	// queue to drain before tearing connections down; CloseContext lets the
-	// caller pick a different bound.
+	// queue to drain before tearing connections down.
 	DefaultDrainTimeout = time.Second
 )
 
@@ -284,16 +283,9 @@ func newClient(rc *rpc.Client) *Client {
 // whatever the drain deadline left behind. It is the "drain" half of
 // removing a node from a running cluster.
 func (c *Client) Close() {
-	ctx, cancel := context.WithTimeout(context.Background(), DefaultDrainTimeout)
-	defer cancel()
-	c.CloseContext(ctx)
-}
-
-// CloseContext is Close with a caller-controlled drain deadline: queued
-// puts are flushed until ctx expires, then connections come down
-// regardless.
-func (c *Client) CloseContext(ctx context.Context) {
 	c.closeOnce.Do(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), DefaultDrainTimeout)
+		defer cancel()
 		_ = c.FlushContext(ctx) // whatever the deadline leaves behind is discarded
 		close(c.closed)
 	})

@@ -21,6 +21,7 @@ import (
 	"txcache/internal/db"
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
+	"txcache/internal/pincushion"
 	"txcache/internal/rpc"
 	"txcache/internal/sql"
 	"txcache/internal/wire"
@@ -56,6 +57,7 @@ const (
 type ServerStats struct {
 	DB         db.Stats           `json:"db"`
 	Durability db.DurabilityStats `json:"durability"`
+	Pincushion *pincushion.Stats  `json:"pincushion,omitempty"` // the hosted one's, if any
 }
 
 // Server serves one engine. Transactions are scoped to the connection that
@@ -63,6 +65,10 @@ type ServerStats struct {
 // transactions.
 type Server struct {
 	Engine *db.Engine
+	// Pincushion, if set, is the pincushion the daemon hosts: every session
+	// hands it the frames whose opcodes it owns (pincushion.Owns), so its
+	// clients reach it at the daemon's one address.
+	Pincushion *pincushion.Pincushion
 }
 
 // opTimeout bounds round trips that run outside any caller context — the
@@ -79,9 +85,14 @@ func (s *Server) Serve(l net.Listener) error {
 	})
 }
 
-// Stats snapshots the engine's counters.
+// Stats snapshots the engine's counters, and the hosted pincushion's.
 func (s *Server) Stats() ServerStats {
-	return ServerStats{DB: s.Engine.Stats(), Durability: s.Engine.DurabilityStats()}
+	st := ServerStats{DB: s.Engine.Stats(), Durability: s.Engine.DurabilityStats()}
+	if s.Pincushion != nil {
+		pc := s.Pincushion.Stats()
+		st.Pincushion = &pc
+	}
+	return st
 }
 
 // session is one connection's server-side state: its open transactions.
@@ -111,8 +122,12 @@ func (ss *session) begin(id uint64, readOnly bool, snap interval.Timestamp) (*db
 	return tx, err
 }
 
-// handle is the session's rpc.Handler.
+// handle is the session's rpc.Handler. The hosted pincushion's frames are
+// its own, before any transaction logic.
 func (ss *session) handle(op byte, body []byte) (_ *wire.Buffer, err error) {
+	if ss.Pincushion != nil && pincushion.Owns(op) {
+		return ss.Pincushion.Handle(op, body)
+	}
 	defer func() {
 		// Mark retryable conflicts so clients can reconstruct the sentinel.
 		if errors.Is(err, db.ErrSerialization) {

@@ -3,20 +3,24 @@ package dbnet
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"txcache/internal/db"
 	"txcache/internal/invalidation"
+	"txcache/internal/pincushion"
 	"txcache/internal/rpc"
 	"txcache/internal/sql"
 	"txcache/internal/wire"
 )
 
 // FuzzDBNetHandle feeds arbitrary request frames to a session's handler,
-// behind the transport's dispatch: it must never panic, must believe no
-// count prefix beyond the bytes that actually arrived — an argument count of
-// 0xFFFFFFFF used to kill the daemon with an allocation no recover catches —
-// must answer a request with exactly one well-formed frame and a one-way
-// frame with nothing, and must leave nothing open once the connection drops.
+// behind the transport's dispatch, on a server that hosts a pincushion as
+// txcache-dbd does: it must never panic, must believe no count prefix beyond
+// the bytes that actually arrived — an argument count of 0xFFFFFFFF used to
+// kill the daemon with an allocation no recover catches — must answer a
+// request with exactly one well-formed frame and a one-way frame with
+// nothing, must leave the session's transactions alone for a pincushion
+// frame, and must leave nothing open once the connection drops.
 func FuzzDBNetHandle(f *testing.F) {
 	stmt := func(op byte, n uint32, args ...sql.Value) []byte {
 		e := wire.NewBuffer(op).U32(1).U64(1)
@@ -62,15 +66,36 @@ func FuzzDBNetHandle(f *testing.F) {
 	f.Add(wire.NewBuffer(rpc.OpStats).U32(1).Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 1, 2, 3})
+	// The pincushion's frames (opGetPins, opRegister, opRelease; opPins is a
+	// reply): well formed, truncated, and a Release claiming more
+	// timestamps than it carries.
+	const getPins, pins, register, release = 0x20, 0x21, 0x22, 0x23
+	for _, op := range []byte{getPins, pins, register, release} {
+		if !pincushion.Owns(op) {
+			f.Fatalf("opcode %#x is not the pincushion's", op)
+		}
+	}
+	f.Add(wire.NewBuffer(getPins).U32(1).I64(int64(time.Minute)).Bytes())
+	f.Add(wire.NewBuffer(getPins).U32(1).Bytes())
+	f.Add(wire.NewBuffer(register).U32(1).U64(1).I64(1).Bytes()) // the snapshot transaction 1 holds
+	f.Add(wire.NewBuffer(register).U32(1).U64(7).I64(1).Bytes()) // nobody holds it
+	f.Add(wire.NewBuffer(register).U32(1).U64(1).Bytes())
+	f.Add(wire.NewBuffer(release).U32(0).U32(1).U64(1).Bytes())
+	f.Add(wire.NewBuffer(release).U32(0).U32(0xFFFFFFFF).U64(1).Bytes())
+	f.Add(wire.NewBuffer(release).U32(1).U32(2).U64(1).Bytes())
+	f.Add(wire.NewBuffer(pins).U32(1).U32(0).Bytes())
+	f.Add(wire.NewBuffer(getPins | begins).U32(1).U64(2).Bool(true).U64(0).Bytes()) // the begin bit makes it no pincushion frame
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		engine := db.New(db.Options{})
 		if err := engine.DDL(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
 			t.Fatal(err)
 		}
-		ss := &session{Server: &Server{Engine: engine}, txs: make(map[uint64]*db.Tx)}
+		pc := pincushion.New(pincushion.Config{DB: engine})
+		ss := &session{Server: &Server{Engine: engine, Pincushion: pc}, txs: make(map[uint64]*db.Tx)}
 		// An open transaction for the frame to address, as id 1.
-		if _, err := ss.begin(1, false, 0); err != nil {
+		tx, err := ss.begin(1, false, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 
@@ -103,6 +128,9 @@ func FuzzDBNetHandle(f *testing.F) {
 				}
 			case rpc.OpAck, opExecResp, opCommitResp, opPinResp:
 			default:
+				if pincushion.Owns(frame[0]) && pincushion.Owns(got) {
+					break // opPins, which the pincushion's own fuzz target decodes
+				}
 				t.Fatalf("opcode %d answered with opcode %d", frame[0], got)
 			}
 			// The reply to a frame that began a transaction ends with its
@@ -115,10 +143,16 @@ func FuzzDBNetHandle(f *testing.F) {
 			}
 		}
 
+		if len(frame) > 0 && pincushion.Owns(frame[0]) && (len(ss.txs) != 1 || ss.txs[1] != tx) {
+			t.Fatalf("pincushion frame %x touched the session's transactions: %v", frame, ss.txs)
+		}
+
 		// Whatever the frame began, committed or aborted, the dropped
-		// connection leaves no transaction behind. (A snapshot the frame
-		// pinned with opPin is its caller's to unpin.)
+		// connection leaves no transaction behind, and a sweep of the
+		// pincushion none of what it adopted. (A snapshot the frame pinned
+		// with opPin is its caller's to unpin.)
 		ss.close()
+		pc.SweepAll()
 		if n := engine.PinnedCount(); n != 0 && (len(frame) < 5 || frame[0] != opPin) {
 			t.Fatalf("%d snapshots still pinned after the connection dropped", n)
 		}

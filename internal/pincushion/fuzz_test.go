@@ -40,7 +40,7 @@ func FuzzPincushionHandle(f *testing.F) {
 		p.Register(3, clk.Now())
 		p.Register(4, clk.Now())
 
-		reply := rpc.Dispatch(p.handle, frame)
+		reply := rpc.Dispatch(p.Handle, frame)
 
 		oneWay := len(frame) < 5 || frame[1]|frame[2]|frame[3]|frame[4] == 0
 		switch {

@@ -2,7 +2,6 @@ package pincushion
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -35,12 +34,19 @@ var (
 // Protocol opcodes. GetPins is answered with Pins, Register with an ack once
 // the snapshot is adopted. Release has nothing to report; the client sends it
 // one-way, so giving a lease back costs its caller a write, not a round trip.
+// txcache-dbd answers them on its own sessions, so they are numbered apart
+// from dbnet's opcodes, its begin bit (0x40) and rpc's reserved ones.
 const (
-	opGetPins  byte = 1
-	opPins     byte = 2
-	opRegister byte = 3
-	opRelease  byte = 4
+	opGetPins  byte = 0x20
+	opPins     byte = 0x21
+	opRegister byte = 0x22
+	opRelease  byte = 0x23
 )
+
+// Owns reports whether op is one of the pincushion's opcodes: a host that
+// serves another protocol on the same connections hands such a frame to
+// Handle.
+func Owns(op byte) bool { return op >= opGetPins && op <= opRelease }
 
 // opTimeout bounds a GetPins round trip whose caller set no tighter
 // deadline — on expiry, as on any error, the library runs in the present —
@@ -53,14 +59,14 @@ const sweepEvery = 5 * time.Second
 
 // Start runs the pincushion as the database daemon hosts it, beside the
 // database it pins on: txcache-dbd and bench.StartServeStack both call it,
-// with db the engine itself, so no pin or unpin crosses a network. staleness
-// is the largest bound any application passes GetPins; with a second's
-// margin it is the age at which an unused pin is trimmed, and twice that the
-// retention. Start serves the pincushion's protocol on l and runs the
-// sweeper. stop closes l, stops the sweeper and unpins every snapshot the
-// pincushion placed; a Register still arriving on a connection that l's
-// close left open is refused.
-func Start(l net.Listener, db Pinner, staleness time.Duration) (p *Pincushion, stop func()) {
+// with db the engine itself, so no pin or unpin crosses a network, and both
+// answer its protocol on the daemon's own sessions (dbnet.Server.Pincushion).
+// staleness is the largest bound any application passes GetPins; with a
+// second's margin it is the age at which an unused pin is trimmed, and twice
+// that the retention. Start runs the sweeper. stop stops it and unpins every
+// snapshot the pincushion placed; a Register arriving after stop, on a
+// connection still open, is refused.
+func Start(db Pinner, staleness time.Duration) (p *Pincushion, stop func()) {
 	bound := staleness + time.Second
 	p = New(Config{DB: db, Retention: 2 * bound, Staleness: bound})
 	quit, swept := make(chan struct{}), make(chan struct{})
@@ -68,9 +74,7 @@ func Start(l net.Listener, db Pinner, staleness time.Duration) (p *Pincushion, s
 		defer close(swept)
 		p.RunSweeper(sweepEvery, quit)
 	}()
-	go p.Serve(l)
 	return p, func() {
-		l.Close()
 		close(quit)
 		<-swept
 		p.mu.Lock()
@@ -80,14 +84,15 @@ func Start(l net.Listener, db Pinner, staleness time.Duration) (p *Pincushion, s
 	}
 }
 
-// Serve accepts connections on l until it is closed.
+// Serve accepts connections on l until it is closed, answering the
+// pincushion's protocol alone.
 func (p *Pincushion) Serve(l net.Listener) error {
-	return rpc.Serve(l, func() (rpc.Handler, func()) { return p.handle, nil })
+	return rpc.Serve(l, func() (rpc.Handler, func()) { return p.Handle, nil })
 }
 
-// handle is the daemon's rpc.Handler. A malformed Release is dropped: sent
-// one-way, nobody is waiting for an error.
-func (p *Pincushion) handle(op byte, body []byte) (*wire.Buffer, error) {
+// Handle is the pincushion's rpc.Handler. A malformed Release is dropped:
+// sent one-way, nobody is waiting for an error.
+func (p *Pincushion) Handle(op byte, body []byte) (*wire.Buffer, error) {
 	d := wire.NewDecoder(body)
 	switch op {
 	case opGetPins:
@@ -127,17 +132,21 @@ func (p *Pincushion) handle(op byte, body []byte) (*wire.Buffer, error) {
 	}
 }
 
-// Client is a TCP client for a pincushion daemon, usable concurrently.
+// Client is a TCP client for a pincushion, usable concurrently.
 // GetPins and Register round-trip on any of its connections, and a Register
 // that cannot reach the daemon fails at once, leaving the caller's pin the
 // caller's. Release is written, unanswered, to any healthy connection: one
 // lost with its connection leaves a use-count up at the daemon until Sweep's
-// leak cutoff reclaims it.
+// leak cutoff reclaims it. Its connections are its own even where the daemon
+// is txcache-dbd: a server handles one connection's frames one at a time, so
+// a GetPins sharing a dbnet session would wait behind a statement or a
+// commit's WAL sync.
 type Client struct {
 	rpc *rpc.Client
 }
 
-// Dial connects to a pincushion daemon over TCP with poolSize connections.
+// Dial connects to the pincushion at addr — txcache-dbd's one address, or a
+// Serve listener — over TCP with poolSize connections of its own.
 func Dial(addr string, poolSize int) (*Client, error) { return DialNet(rpc.TCP, "", addr, poolSize) }
 
 // DialNet is Dial through nw, as the tier from.
@@ -154,11 +163,6 @@ func DialNet(nw rpc.Net, from, addr string, poolSize int) (*Client, error) {
 
 // Close tears down the connections and waits for pending redials to stop.
 func (c *Client) Close() { c.rpc.Close() }
-
-// StatsJSON fetches the daemon's Stats as the JSON it answered with.
-func (c *Client) StatsJSON(ctx context.Context) (json.RawMessage, error) {
-	return c.rpc.Stats(ctx)
-}
 
 // GetPins implements Service over TCP; on error (or a cancelled ctx,
 // whose deadline bounds the round trip) it returns no pins, which the

@@ -52,7 +52,7 @@ func (d *daemon) listen(addr string) {
 				conn.Close()
 			} else {
 				d.conns = append(d.conns, conn)
-				go rpc.ServeConn(conn, d.p.handle)
+				go rpc.ServeConn(conn, d.p.Handle)
 			}
 			d.mu.Unlock()
 		}
@@ -118,18 +118,20 @@ func TestOverTCP(t *testing.T) {
 
 // TestStartStop runs the pincushion as the database daemon does: a pin
 // registered over TCP is placed on the database, trimmed at the staleness
-// bound plus a second, and stop removes every placement, closes the
-// listener and places nothing for a Register that arrives after it.
+// bound plus a second, and stop removes every placement and places nothing
+// for a Register that arrives after it on a connection still open.
 func TestStartStop(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	db := &fakeDB{}
-	p, stop := Start(l, db, 10*time.Second)
+	p, stop := Start(db, 10*time.Second)
 	if got := p.trimAge(); got != 11*time.Second || p.cfg.Retention != 22*time.Second {
 		t.Fatalf("trim age %v, retention %v; want 11s and 22s", got, p.cfg.Retention)
 	}
+	go p.Serve(l)
 	c, err := Dial(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +143,9 @@ func TestStartStop(t *testing.T) {
 	}
 
 	stop()
-	p.Register(43, time.Now())
+	c.Register(43, time.Now())
 	if got := db.holds(); len(got) != 0 || p.Stats().Pins != 0 {
 		t.Fatalf("placements %v, %d tracked after stop and a late Register; want none", got, p.Stats().Pins)
-	}
-	if _, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
-		t.Fatal("the listener still accepts after stop")
 	}
 }
 
@@ -157,7 +156,7 @@ func TestStartStop(t *testing.T) {
 func TestOneWritePerFrame(t *testing.T) {
 	p := New(Config{})
 	p.Register(7, time.Now())
-	rc, client, server := rpctest.Pipe(t, p.handle, opTimeout)
+	rc, client, server := rpctest.Pipe(t, p.Handle, opTimeout)
 	c := &Client{rpc: rc}
 	defer c.Close()
 

@@ -336,21 +336,6 @@ func (p *Pincushion) Stats() Stats {
 	return st
 }
 
-// Newest returns the most recent pin and whether one exists.
-func (p *Pincushion) Newest() (Pin, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var best Pin
-	found := false
-	for ts, st := range p.pins {
-		if !found || ts > best.TS {
-			best = Pin{TS: ts, Wall: st.wall}
-			found = true
-		}
-	}
-	return best, found
-}
-
 // NextTrim reports when the next currently-unused pin crosses the trim
 // threshold (false if no unused pins are tracked). The sweeper uses it to
 // schedule the pass that unpins it — and lets the database reclaim the

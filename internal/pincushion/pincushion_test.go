@@ -126,21 +126,6 @@ func TestGetPinsMarksInUse(t *testing.T) {
 	}
 }
 
-func TestNewest(t *testing.T) {
-	p := New(Config{})
-	if _, ok := p.Newest(); ok {
-		t.Fatal("empty pincushion has no newest")
-	}
-	now := time.Now()
-	p.Register(5, now)
-	p.Register(9, now)
-	p.Register(7, now)
-	pin, ok := p.Newest()
-	if !ok || pin.TS != 9 {
-		t.Fatalf("newest = %+v", pin)
-	}
-}
-
 func TestConcurrentUse(t *testing.T) {
 	p := New(Config{})
 	var wg sync.WaitGroup
@@ -321,8 +306,8 @@ func TestAdopt(t *testing.T) {
 			if got := db.holds(); got[10] != 1 {
 				t.Fatalf("%d placements on 10 after three Registers, want 1", got[10])
 			}
-			if pin, _ := p.Newest(); !pin.Wall.Equal(base.Add(time.Second)) {
-				t.Fatalf("wall %v, want the latest registered %v", pin.Wall, base.Add(time.Second))
+			if pins := p.GetPins(context.Background(), time.Hour); len(pins) != 1 || !pins[0].Wall.Equal(base.Add(time.Second)) {
+				t.Fatalf("pins %v, want 10 at the latest registered wall %v", pins, base.Add(time.Second))
 			}
 		})
 		t.Run("SweepUnpinsOncePerPin", func(t *testing.T) {

@@ -207,7 +207,7 @@ type Conn struct {
 
 // Net is how the tiers of a deployment reach each other: every listener a
 // builder opens and every connection a client makes goes through one. name
-// and from are tier names ("db", "pincushion", "cache0", "core"), so a Net
+// and from are tier names ("db", "cache0", "core"), so a Net
 // that injects faults can name both ends of a connection; TCP ignores them.
 type Net interface {
 	Listen(name string) (net.Listener, error)

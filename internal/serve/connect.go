@@ -16,19 +16,18 @@ import (
 // Deployment is where an application server finds the other tiers of the
 // paper's Figure 1, and how it reaches them.
 type Deployment struct {
-	Net        rpc.Net  // rpc.TCP, but for a test's
-	DB         string   // the database daemon's address
-	DBConns    int      // its session pool; 0 is dbnet's default
-	Caches     []string // the cache nodes' addresses, each also its ring name
-	Pincushion string   // "" runs uncached reads without pins
-	Wiki       bool     // attach the wiki subset too
+	Net     rpc.Net  // rpc.TCP, but for a test's
+	DB      string   // the database daemon's address, the pincushion's too
+	DBConns int      // its session pool; 0 is dbnet's default
+	Caches  []string // the cache nodes' addresses, each also its ring name
+	Wiki    bool     // attach the wiki subset too
 }
 
 // Connect is an application server's start-up: it dials the database, each
-// cache node and the pincushion through d.Net as the tier "core", builds the
-// library's client on them, recovers the RUBiS dataset (and the wiki) over
-// the wire under ctx, and returns a Server configured by cfg with App, Wiki
-// and Tiers filled in. stop closes the library's client and every
+// cache node and the pincushion the database daemon hosts through d.Net as
+// the tier "core", builds the library's client on them, recovers the RUBiS
+// dataset (and the wiki) over the wire under ctx, and returns a Server
+// configured by cfg with App, Wiki and Tiers filled in. stop closes the library's client and every
 // connection; call it after Drain.
 func Connect(ctx context.Context, d Deployment, cfg Config) (srv *Server, stop func(), err error) {
 	var closers []func()
@@ -48,7 +47,8 @@ func Connect(ctx context.Context, d Deployment, cfg Config) (srv *Server, stop f
 		return nil, nil, fmt.Errorf("serve: dial db %s: %w", d.DB, err)
 	}
 	closers = append(closers, dbc.Close)
-	// Every tier's counters show on /statsz, under these names.
+	// Every tier's counters show on /statsz, under these names; the db's
+	// carry the pincushion's.
 	cfg.Tiers = map[string]func(context.Context) (json.RawMessage, error){"db": dbc.StatsJSON}
 	lib := core.Config{DB: dbc, Nodes: map[string]cacheserver.Node{}}
 	for _, addr := range d.Caches {
@@ -60,15 +60,12 @@ func Connect(ctx context.Context, d Deployment, cfg Config) (srv *Server, stop f
 		lib.Nodes[addr] = cn
 		cfg.Tiers["cache "+addr] = cn.StatsJSON
 	}
-	if d.Pincushion != "" {
-		pc, err := pincushion.DialNet(d.Net, "core", d.Pincushion, 4)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: dial pincushion %s: %w", d.Pincushion, err)
-		}
-		closers = append(closers, pc.Close)
-		lib.Pincushion = pc
-		cfg.Tiers["pincushion"] = pc.StatsJSON
+	pc, err := pincushion.DialNet(d.Net, "core", d.DB, 4)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: dial pincushion %s: %w", d.DB, err)
 	}
+	closers = append(closers, pc.Close)
+	lib.Pincushion = pc
 	client := core.NewClient(lib)
 	closers = append(closers, client.Close)
 

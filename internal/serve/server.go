@@ -48,8 +48,9 @@ type Config struct {
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 	// Tiers are the other processes of the deployment — the database
-	// daemon as "db", the pincushion, each cache node — by name, each with
-	// the call that fetches its counters (a service client's StatsJSON).
+	// daemon, which hosts the pincushion, as "db", each cache node — by
+	// name, each with the call that fetches its counters (a service
+	// client's StatsJSON).
 	// /statsz embeds every tier's answer under its name, so it is one page
 	// for the whole stack. Names must not be one of /statsz's own keys
 	// (serve, client, queued, dataset); the calls must be safe for

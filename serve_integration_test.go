@@ -82,7 +82,7 @@ func TestServeOpenLoopEndToEnd(t *testing.T) {
 
 // TestServeStackStatsz: the builder's /statsz is the deployment's, as
 // txcache-serve's is — every tier's counters under its name, each fetched
-// over that tier's own connection.
+// over that tier's own connection, the hosted pincushion's inside the db's.
 func TestServeStackStatsz(t *testing.T) {
 	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 4})
 	if err != nil {
@@ -96,7 +96,14 @@ func TestServeStackStatsz(t *testing.T) {
 		}
 	}()
 	page := statsz(t, st.URL)
-	want := []string{"db", "pincushion"}
+	if page["pincushion"] != nil {
+		t.Errorf("/statsz has a pincushion tier: %s", page["pincushion"])
+	}
+	var db struct{ Pincushion map[string]any }
+	if err := json.Unmarshal(page["db"], &db); err != nil || len(db.Pincushion) == 0 {
+		t.Errorf("/statsz db = %s (%v); want the hosted pincushion's counters inside", page["db"], err)
+	}
+	want := []string{"db"}
 	for _, addr := range st.Deployment.Caches {
 		want = append(want, "cache "+addr)
 	}
@@ -179,69 +186,65 @@ func TestServeSurvivesCutPushStream(t *testing.T) {
 	settled(t, before)
 }
 
-// TestServeSurvivesCutPincushion cuts one of the library's own links for two
-// seconds — four lease terms — under open-loop load, then heals it. With the
-// pincushion out of reach no lease can be fetched, so every read-only
-// transaction that misses runs in the present (★) on a snapshot nobody else
-// has pinned; with the database out of reach only cached pages can be served.
-// Either way no snapshot may stay pinned once the stack is stopped (whoever
-// placed a pin removes it), the consistency oracle must pass, and no goroutine
-// may be left behind. A request may fail only with the database cut, and then
-// only as an error response within its deadline.
+// TestServeSurvivesCutPincushion cuts the library's link to the database
+// daemon, which hosts the pincushion at the same address, for two seconds —
+// four lease terms — under open-loop load, then heals it. No lease can be
+// fetched across the cut (PinFetchEmpty must rise), and only cached pages
+// can be served. No snapshot may stay pinned once the stack is stopped
+// (whoever placed a pin removes it), the consistency oracle must pass, and
+// no goroutine may be left behind. A request may fail only as an error
+// response within its deadline.
 func TestServeSurvivesCutPincushion(t *testing.T) {
-	for _, tc := range []struct {
-		name, to string
-		mayFail  bool
-	}{
-		{"CoreToPincushion", "pincushion", false},
-		{"CoreToDB", "db", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			nw := new(rpctest.Net)
-			st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 10, Net: nw})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("CoreToDB", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		nw := new(rpctest.Net)
+		st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 10, Net: nw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopped := false
+		defer func() {
+			if !stopped {
+				ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+				defer cancel()
+				st.Stop(ctx)
 			}
-			stopped := false
-			defer func() {
-				if !stopped {
-					ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-					defer cancel()
-					st.Stop(ctx)
-				}
-			}()
-			ds := probeDataset(t, st.URL)
+		}()
+		ds := probeDataset(t, st.URL)
 
-			// The load outlasts the heal by two seconds, so every connection the
-			// cut broke has been redialed (a backoff is at most one) before the
-			// oracle runs.
-			resc := make(chan *loadCounts, 1)
-			go func() {
-				resc <- openLoop(context.Background(), st.URL, ds, loadShape{perSec: 400, dur: 5 * time.Second}, 32, 10*time.Second, 10)
-			}()
-			time.Sleep(time.Second)
-			nw.Cut("core", tc.to)
-			time.Sleep(2 * time.Second)
-			nw.Heal("core", tc.to)
-			res := <-resc
-			placed := st.App.C.Stats().PinsPlaced.Load()
-			audit(t, st, ds)
+		// The load outlasts the heal by two seconds, so every connection the
+		// cut broke has been redialed (a backoff is at most one) before the
+		// oracle runs.
+		resc := make(chan *loadCounts, 1)
+		go func() {
+			resc <- openLoop(context.Background(), st.URL, ds, loadShape{perSec: 400, dur: 5 * time.Second}, 32, 10*time.Second, 10)
+		}()
+		time.Sleep(time.Second)
+		empty := st.App.C.Stats().PinFetchEmpty.Load()
+		nw.Cut("core", "db")
+		time.Sleep(2 * time.Second)
+		nw.Heal("core", "db")
+		empty = st.App.C.Stats().PinFetchEmpty.Load() - empty
+		res := <-resc
+		placed := st.App.C.Stats().PinsPlaced.Load()
+		audit(t, st, ds)
 
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			stopErr := st.Stop(sctx)
-			stopped = true
-			t.Logf("core → %s cut for 2s: %+v; pinsPlaced %d; %d snapshots pinned after Stop", tc.to, *res, placed, st.Engine.PinnedCount())
-			if stopErr != nil {
-				t.Fatalf("teardown: %v", stopErr)
-			}
-			if res.errors > 0 || res.timeouts > 0 || res.dropped > 0 || !tc.mayFail && res.failed > 0 {
-				t.Fatalf("run across the cut: %+v", *res)
-			}
-			settled(t, before)
-		})
-	}
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		stopErr := st.Stop(sctx)
+		stopped = true
+		t.Logf("core → db cut for 2s: %+v; pinFetchEmpty +%d across the cut; pinsPlaced %d; %d snapshots pinned after Stop", *res, empty, placed, st.Engine.PinnedCount())
+		if stopErr != nil {
+			t.Fatalf("teardown: %v", stopErr)
+		}
+		if empty == 0 {
+			t.Fatal("no lease fetch came back empty across the cut: the pincushion was still reachable")
+		}
+		if res.errors > 0 || res.timeouts > 0 || res.dropped > 0 {
+			t.Fatalf("run across the cut: %+v", *res)
+		}
+		settled(t, before)
+	})
 }
 
 // TestServeSurvivesStreamOverflow cuts cache0's invalidation stream while more

@@ -5,7 +5,7 @@
 // periodically. It also hosts the pincushion (paper §5.4), pinning on the
 // engine directly (pincushion.Start) and answering on the same address as
 // the database; -staleness is the largest staleness bound the applications
-// use. The counters, dbnet.ServerStats with the pincushion's inside, are
+// use (the pincushion answers a larger one with no pins). The counters, dbnet.ServerStats with the pincushion's inside, are
 // answered on rpc.OpStats, written to -status-file, and served beside pprof
 // on -debug-addr (internal/debugz).
 //

@@ -107,11 +107,9 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 	pc := pincushion.New(pincushion.Config{
 		Clock: clk,
 		DB:    engine,
-		// Retain pins for twice the staleness window (paper-scaled), but
-		// let the sweeper trim unused pins as soon as they age past the
-		// staleness bound itself — nothing can be handed such a pin again,
-		// and holding it only keeps the versions it alone can see.
-		Retention: 2 * scaled(cfg.StalenessPaperSec+1),
+		// Trim pins as soon as they age past the (paper-scaled) staleness
+		// bound: nothing can be handed such a pin again, and holding it
+		// only keeps the versions it alone can see.
 		Staleness: scaled(cfg.StalenessPaperSec + 1),
 	})
 

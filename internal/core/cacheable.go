@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"time"
 
 	"txcache/internal/cacheserver"
 	"txcache/internal/interval"
@@ -154,10 +155,18 @@ func (tx *Tx) accept(r cacheserver.LookupResult) ([]byte, bool) {
 		// least one serialization point. The paper's proof guarantees this
 		// when the generating snapshot is still pinned and fresh; under
 		// pin-expiry races we reject the value rather than violate
-		// consistency.
+		// consistency. Until a database session pins dbSnap, a candidate
+		// counts only within the staleness bound: past it the pincushion may
+		// have swept it, and vacuum may have reclaimed versions only it could
+		// see, which leaves cached intervals too wide there (DESIGN.md
+		// "Vacuum by the pin set").
+		var oldest time.Time
+		if tx.dbSnap == 0 {
+			oldest = tx.c.clk.Now().Add(-tx.staleness)
+		}
 		any := false
 		for _, p := range tx.pinSet {
-			if r.Validity.Contains(p.TS) {
+			if r.Validity.Contains(p.TS) && !p.Wall.Before(oldest) {
 				any = true
 				break
 			}

@@ -141,6 +141,10 @@ type ClientStats struct {
 	LeaseFetches  atomic.Uint64
 	LeasedBegins  atomic.Uint64
 	PinFetchEmpty atomic.Uint64
+	// SweptRetries counts read-only transactions whose pinned snapshot was
+	// swept before their first statement, which failed with
+	// ErrSerialization; ReadOnly re-runs each.
+	SweptRetries atomic.Uint64
 
 	// EncodeErrors counts cacheable results that could not be serialized
 	// (the result was returned to the caller but never cached);
@@ -268,11 +272,9 @@ func (c *Client) RemoveNode(name string) bool {
 	return true
 }
 
-// Close gives the pin-set lease back to the pincushion (at once, or when the
-// last transaction still running on it ends) and removes every cache node,
-// draining its connections. The database handle is not touched.
+// Close removes every cache node, draining its connections. The database
+// handle and the pincushion are not touched.
 func (c *Client) Close() {
-	c.endLease(nil)
 	for _, name := range c.NodeNames() {
 		c.RemoveNode(name)
 	}

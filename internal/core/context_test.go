@@ -123,8 +123,8 @@ func TestCancelAbortsAndReleasesPins(t *testing.T) {
 		t.Fatalf("Aborted = %d, want 1 (Commit on cancelled ctx aborts)", got)
 	}
 
-	// The transaction's uses are released and Close gives back the lease's;
-	// once retention passes, a sweep unpins everything on the database.
+	// The transaction's session pin went with its abort; once retention
+	// passes, a sweep unpins everything on the database.
 	r.client.Close()
 	r.clk.Advance(5 * time.Minute)
 	r.pc.Sweep()
@@ -235,8 +235,8 @@ func TestReadWriteRetryBoundExhausted(t *testing.T) {
 	if !errors.Is(err, ErrSerialization) {
 		t.Fatalf("ReadWrite = %v, want ErrSerialization after retries exhausted", err)
 	}
-	if runs != 1+rwRetries {
-		t.Fatalf("closure ran %d times, want %d (initial + %d retries)", runs, 1+rwRetries, rwRetries)
+	if runs != 1+maxRetries {
+		t.Fatalf("closure ran %d times, want %d (initial + %d retries)", runs, 1+maxRetries, maxRetries)
 	}
 }
 
@@ -260,7 +260,7 @@ func TestReadOnlyRunnerReleasesOnPanic(t *testing.T) {
 	if got := r.client.Stats().Aborted.Load(); got != 1 {
 		t.Fatalf("Aborted = %d, want 1 (panic path must abort)", got)
 	}
-	r.client.Close() // the transaction's own uses are back; this returns the lease's
+	r.client.Close()
 	r.clk.Advance(5 * time.Minute)
 	r.pc.Sweep()
 	if n := r.engine.PinnedCount(); n != 0 {

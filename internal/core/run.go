@@ -14,32 +14,41 @@ import (
 // finished on every exit path — an fn error, a panic, or a cancelled
 // context all abort it, releasing its pins and database snapshot — so
 // callers can never leak one. fn must use the provided transaction and must
-// not Commit or Abort it itself.
+// not Commit or Abort it itself. When the pinned snapshot the transaction
+// chose was swept before its first statement (db.ErrNotPinned, an
+// ErrSerialization) the whole closure is re-run, as ReadWrite re-runs one
+// after a conflict, so fn must be safe to execute more than once.
 func (c *Client) ReadOnly(ctx context.Context, fn func(*Tx) error, opts ...TxOption) (interval.Timestamp, error) {
-	return c.runTx(ctx, fn, append(cloneOpts(opts), withReadOnly()))
+	return c.retry(ctx, fn, append(cloneOpts(opts), withReadOnly()))
 }
 
-// rwRetries bounds how many times ReadWrite re-runs its closure after a
-// serialization conflict before giving up and returning ErrSerialization.
-const rwRetries = 5
+// maxRetries bounds how many times ReadWrite and ReadOnly re-run their
+// closure after a serialization failure before giving up and returning
+// ErrSerialization.
+const maxRetries = 5
 
 // ReadWrite begins a read/write transaction, runs fn inside it, and
 // commits, returning the new commit timestamp (which applications thread
 // into a later transaction's WithMinTimestamp for session causality). Like
 // ReadOnly it finishes the transaction on every exit path. When Commit
 // fails with a serialization conflict the whole closure is re-run — fn must
-// therefore be safe to execute more than once — up to rwRetries times with a
+// therefore be safe to execute more than once — up to maxRetries times with a
 // short growing backoff, the standard client idiom under
 // snapshot isolation; conflicts beyond the bound surface as
 // ErrSerialization.
 func (c *Client) ReadWrite(ctx context.Context, fn func(*Tx) error, opts ...TxOption) (interval.Timestamp, error) {
+	return c.retry(ctx, fn, append(cloneOpts(opts), WithReadWrite()))
+}
+
+// retry runs runTx until it ends in anything but ErrSerialization, at most
+// maxRetries times more.
+func (c *Client) retry(ctx context.Context, fn func(*Tx) error, opts []TxOption) (interval.Timestamp, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	all := append(cloneOpts(opts), WithReadWrite())
 	for attempt := 0; ; attempt++ {
-		ts, err := c.runTx(ctx, fn, all)
-		if err == nil || !errors.Is(err, ErrSerialization) || attempt >= rwRetries {
+		ts, err := c.runTx(ctx, fn, opts)
+		if err == nil || !errors.Is(err, ErrSerialization) || attempt >= maxRetries {
 			return ts, err
 		}
 		select {

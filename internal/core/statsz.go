@@ -31,6 +31,7 @@ type StatsSnapshot struct {
 	LeaseFetches  uint64 `json:"leaseFetches"`
 	LeasedBegins  uint64 `json:"leasedBegins"`
 	PinFetchEmpty uint64 `json:"pinFetchEmpty"`
+	SweptRetries  uint64 `json:"sweptRetries"`
 
 	NodesAdded   uint64 `json:"nodesAdded"`
 	NodesRemoved uint64 `json:"nodesRemoved"`
@@ -63,6 +64,7 @@ func (s *ClientStats) Snapshot() StatsSnapshot {
 		LeaseFetches:  s.LeaseFetches.Load(),
 		LeasedBegins:  s.LeasedBegins.Load(),
 		PinFetchEmpty: s.PinFetchEmpty.Load(),
+		SweptRetries:  s.SweptRetries.Load(),
 
 		NodesAdded:   s.NodesAdded.Load(),
 		NodesRemoved: s.NodesRemoved.Load(),

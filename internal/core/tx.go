@@ -21,9 +21,10 @@ var (
 	ErrTxDone = errors.New("txcache: transaction already finished")
 	// ErrReadOnly is returned when a read-only transaction writes.
 	ErrReadOnly = errors.New("txcache: read-only transaction cannot write")
-	// ErrSerialization is the retryable first-committer-wins conflict a
-	// read/write Commit can return; Client.ReadWrite retries it
-	// automatically.
+	// ErrSerialization is the retryable serialization failure: the
+	// first-committer-wins conflict a read/write Commit can return, or a
+	// read-only statement at a pinned snapshot swept before it arrived
+	// (db.ErrNotPinned). Client.ReadWrite and Client.ReadOnly retry it.
 	ErrSerialization = db.ErrSerialization
 )
 
@@ -53,8 +54,6 @@ type Tx struct {
 	// the latest snapshot and no reply has named it yet (takeStar).
 	star   bool
 	origLo interval.Timestamp
-
-	lease *pinLease // holds the pin set's snapshots in use at the pincushion; nil when it offered none
 
 	dbtx   DBTx
 	dbSnap interval.Timestamp // snapshot the DB transaction runs at
@@ -105,8 +104,8 @@ func (f *frame) addTags(tags []invalidation.TagID) {
 //
 // A read-only transaction takes its pin set from the client's pin-set lease
 // (lease.go) — the pinned snapshots no older than its staleness bound by the
-// client clock — so beginning and ending it costs the pincushion nothing
-// while the lease is current.
+// client clock — so beginning it costs the pincushion nothing while the
+// lease is current, and ending it never does.
 //
 // The context governs the whole transaction: every Query, Exec and
 // cacheable call observes its cancellation, and a deadline bounds the
@@ -134,13 +133,12 @@ func (c *Client) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 	c.stats.ROBegun.Add(1)
 	tx := &Tx{c: c, ctx: ctx, noCache: o.noCache, staleness: o.staleness, star: true}
 	if c.pc != nil {
-		var now time.Time
-		if tx.lease, now = c.acquireLease(ctx, o.staleness); tx.lease != nil {
+		if l, now := c.acquireLease(ctx, o.staleness); l != nil {
 			// The lease may be up to one term old and fetched with a larger
 			// bound, so the staleness limit is applied here, per transaction.
 			oldest := now.Add(-o.staleness)
-			tx.pinSet = make([]pincushion.Pin, 0, len(tx.lease.pins))
-			for _, p := range tx.lease.pins {
+			tx.pinSet = make([]pincushion.Pin, 0, len(l.pins))
+			for _, p := range l.pins {
 				if !p.Wall.Before(oldest) && (!o.hasMinTS || p.TS >= o.minTS) {
 					tx.pinSet = append(tx.pinSet, p)
 				}
@@ -197,7 +195,6 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 		return 0, err
 	}
 	tx.done = true
-	defer tx.c.dropLease(tx.lease)
 	if tx.rw {
 		tx.c.stats.Committed.Add(1)
 		return tx.dbtx.Commit()
@@ -229,7 +226,6 @@ func (tx *Tx) Abort() {
 	if tx.dbtx != nil {
 		tx.dbtx.Abort()
 	}
-	tx.c.dropLease(tx.lease)
 }
 
 // Query runs a "bare" SELECT (outside or inside a cacheable function). In a
@@ -247,7 +243,7 @@ func (tx *Tx) Query(src string, args ...sql.Value) (*db.Result, error) {
 		wall = tx.c.clk.Now()
 	}
 	if err := tx.ensureDBTx(); err != nil {
-		return nil, err
+		return nil, tx.swept(err)
 	}
 	tx.c.stats.DBQueries.Add(1)
 	r, err := tx.dbtx.Query(src, args...)
@@ -256,7 +252,7 @@ func (tx *Tx) Query(src string, args ...sql.Value) (*db.Result, error) {
 			tx.dbtx.Abort()
 			tx.dbtx = nil
 		}
-		return nil, err
+		return nil, tx.swept(err)
 	}
 	if tx.star {
 		tx.takeStar(wall)
@@ -272,6 +268,18 @@ func (tx *Tx) Query(src string, args ...sql.Value) (*db.Result, error) {
 		tx.observe(iv, r.Tags, open)
 	}
 	return r, nil
+}
+
+// swept passes a statement's error through. A read-only one fails with
+// ErrSerialization only at a pinned snapshot swept after the lease offered it
+// (db.ErrNotPinned): the lease is dropped, so the next Begin asks the
+// pincushion afresh instead of being offered the same snapshot again.
+func (tx *Tx) swept(err error) error {
+	if !tx.rw && errors.Is(err, ErrSerialization) {
+		tx.c.stats.SweptRetries.Add(1)
+		tx.c.endLease()
+	}
+	return err
 }
 
 // Exec runs INSERT/UPDATE/DELETE; read/write transactions only.
@@ -333,7 +341,7 @@ func (tx *Tx) takeStar(wall time.Time) {
 		// The current lease cannot contain this pin. Left in place, every
 		// transaction in the rest of its term would also find its newest
 		// pin too old and place one of its own.
-		tx.c.endLease(nil)
+		tx.c.endLease()
 	}
 }
 

@@ -327,7 +327,9 @@ func TestPiggybackedBeginFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lazy Begin reported %v; it has nothing to report yet", err)
 	}
-	if _, err := tx.Query("SELECT v FROM kv WHERE k = ?", int64(1)); err == nil || !strings.Contains(err.Error(), db.ErrNotPinned.Error()) {
+	// It crosses the wire as the serialization failure it is, which the
+	// library retries on a fresher snapshot.
+	if _, err := tx.Query("SELECT v FROM kv WHERE k = ?", int64(1)); !errors.Is(err, db.ErrSerialization) || !strings.Contains(err.Error(), db.ErrNotPinned.Error()) {
 		t.Fatalf("first statement at an unpinned snapshot: %v", err)
 	}
 	if _, err := tx.Exec("DELETE FROM kv WHERE k = ?", int64(1)); err == nil {

@@ -29,8 +29,9 @@ var (
 	// ErrTxDone is returned when using a committed or aborted transaction.
 	ErrTxDone = errors.New("db: transaction already finished")
 	// ErrNotPinned is returned when beginning a read-only transaction at an
-	// unpinned past snapshot.
-	ErrNotPinned = errors.New("db: snapshot is not pinned")
+	// unpinned past snapshot. It is an ErrSerialization: the snapshot was
+	// swept after the caller chose it, and a retry chooses afresh.
+	ErrNotPinned = fmt.Errorf("db: snapshot is not pinned: %w", ErrSerialization)
 	// ErrClosed is returned by writes arriving after Close began shutting
 	// the durable engine down (reads keep working; durability is a
 	// write-path property).

@@ -17,13 +17,13 @@ import (
 // client maps its deadline onto the round trip and a cancelled context
 // returns no pins. Register returns once the pincushion has pinned the
 // snapshot itself, or failed to; the caller holds its own pin until then.
-// Register and Release stay context-free: pin bookkeeping must run even when
-// the transaction's context has already been cancelled. Neither reports
-// anything back, and Release must not retain tss: callers reuse it.
+// Register stays context-free: pin bookkeeping must run even when the
+// transaction's context has already been cancelled. Release does nothing
+// (see the package comment); the library never calls it.
 type Service interface {
 	GetPins(ctx context.Context, staleness time.Duration) []Pin
 	Register(ts interval.Timestamp, wall time.Time)
-	Release(tss []interval.Timestamp)
+	Release(tss []interval.Timestamp) // kept for benchmark/ (ROADMAP 1)
 }
 
 var (
@@ -32,9 +32,8 @@ var (
 )
 
 // Protocol opcodes. GetPins is answered with Pins, Register with an ack once
-// the snapshot is adopted. Release has nothing to report; the client sends it
-// one-way, so giving a lease back costs its caller a write, not a round trip.
-// txcache-dbd answers them on its own sessions, so they are numbered apart
+// the snapshot is adopted. Release is accepted and ignored; no client sends
+// it. txcache-dbd answers them on its own sessions, so they are numbered apart
 // from dbnet's opcodes, its begin bit (0x40) and rpc's reserved ones.
 const (
 	opGetPins  byte = 0x20
@@ -61,14 +60,15 @@ const sweepEvery = 5 * time.Second
 // database it pins on: txcache-dbd and bench.StartServeStack both call it,
 // with db the engine itself, so no pin or unpin crosses a network, and both
 // answer its protocol on the daemon's own sessions (dbnet.Server.Pincushion).
-// staleness is the largest bound any application passes GetPins; with a
-// second's margin it is the age at which an unused pin is trimmed, and twice
-// that the retention. Start runs the sweeper. stop stops it and unpins every
+// staleness is the largest bound an application should pass GetPins; with a
+// second's margin it is the age at which a pin is trimmed, and the largest
+// bound GetPins answers. The second is how far this daemon's clock may run
+// ahead of an application server's (DESIGN.md "Pin-set lease"). Start runs
+// the sweeper. stop stops it and unpins every
 // snapshot the pincushion placed; a Register arriving after stop, on a
 // connection still open, is refused.
 func Start(db Pinner, staleness time.Duration) (p *Pincushion, stop func()) {
-	bound := staleness + time.Second
-	p = New(Config{DB: db, Retention: 2 * bound, Staleness: bound})
+	p = New(Config{DB: db, Staleness: staleness + time.Second})
 	quit, swept := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(swept)
@@ -90,8 +90,7 @@ func (p *Pincushion) Serve(l net.Listener) error {
 	return rpc.Serve(l, func() (rpc.Handler, func()) { return p.Handle, nil })
 }
 
-// Handle is the pincushion's rpc.Handler. A malformed Release is dropped:
-// sent one-way, nobody is waiting for an error.
+// Handle is the pincushion's rpc.Handler.
 func (p *Pincushion) Handle(op byte, body []byte) (*wire.Buffer, error) {
 	d := wire.NewDecoder(body)
 	switch op {
@@ -114,16 +113,7 @@ func (p *Pincushion) Handle(op byte, body []byte) (*wire.Buffer, error) {
 			p.Register(ts, wall)
 		}
 		return nil, d.Err()
-	case opRelease:
-		n := d.Count(8)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		tss := make([]interval.Timestamp, 0, n)
-		for i := 0; i < n; i++ {
-			tss = append(tss, interval.Timestamp(d.U64()))
-		}
-		p.Release(tss)
+	case opRelease: // kept for benchmark/ (ROADMAP 1)
 		return nil, nil
 	case rpc.OpStats:
 		return rpc.StatsReply(p.Stats())
@@ -135,9 +125,7 @@ func (p *Pincushion) Handle(op byte, body []byte) (*wire.Buffer, error) {
 // Client is a TCP client for a pincushion, usable concurrently.
 // GetPins and Register round-trip on any of its connections, and a Register
 // that cannot reach the daemon fails at once, leaving the caller's pin the
-// caller's. Release is written, unanswered, to any healthy connection: one
-// lost with its connection leaves a use-count up at the daemon until Sweep's
-// leak cutoff reclaims it. Its connections are its own even where the daemon
+// caller's. Its connections are its own even where the daemon
 // is txcache-dbd: a server handles one connection's frames one at a time, so
 // a GetPins sharing a dbnet session would wait behind a statement or a
 // commit's WAL sync.
@@ -185,8 +173,8 @@ func (c *Client) GetPins(ctx context.Context, staleness time.Duration) []Pin {
 }
 
 // Register implements Service over TCP as a round trip bounded by opTimeout,
-// answered once the daemon has adopted the pin. Like Release it ignores the
-// (possibly cancelled) transaction context: bookkeeping must survive
+// answered once the daemon has adopted the pin. It ignores the (possibly
+// cancelled) transaction context: bookkeeping must survive
 // cancellation.
 func (c *Client) Register(ts interval.Timestamp, wall time.Time) {
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
@@ -194,12 +182,5 @@ func (c *Client) Register(ts interval.Timestamp, wall time.Time) {
 	_, _, _ = c.rpc.Call(ctx, rpc.NewFrame(opRegister).U64(uint64(ts)).I64(wall.UnixNano())) // unadopted, the pin is still only the caller's
 }
 
-// Release implements Service over TCP as a one-way frame. tss is encoded
-// before Release returns and not retained.
-func (c *Client) Release(tss []interval.Timestamp) {
-	e := rpc.NewFrame(opRelease).U32(uint32(len(tss)))
-	for _, ts := range tss {
-		e.U64(uint64(ts))
-	}
-	_ = c.rpc.Send(e) // a lost frame is a leaked use-count; see Client
-}
+// Release does nothing and sends nothing: the pincushion counts no uses.
+func (c *Client) Release([]interval.Timestamp) {} // kept for benchmark/ (ROADMAP 1)

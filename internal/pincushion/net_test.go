@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"txcache/internal/clock"
-	"txcache/internal/interval"
 	"txcache/internal/rpc"
 	"txcache/internal/rpc/rpctest"
 )
@@ -108,11 +107,9 @@ func TestOverTCP(t *testing.T) {
 	if len(pins) != 1 || pins[0].TS != 42 {
 		t.Fatalf("pins = %+v", pins)
 	}
-	c.Release([]interval.Timestamp{42}) // one-way: swept once it has landed
 	clk.Advance(2 * time.Minute)
-	eventually(t, "the released pin to be swept", func() bool { p.Sweep(); return p.Stats().Pins == 0 })
-	if st := p.Stats(); st.Leaked != 0 {
-		t.Fatalf("pin swept as leaked (%d): the Release was lost", st.Leaked)
+	if n := p.Sweep(); n != 1 || p.Stats().Pins != 0 {
+		t.Fatalf("sweep past retention removed %d pins, %d left", n, p.Stats().Pins)
 	}
 }
 
@@ -128,8 +125,8 @@ func TestStartStop(t *testing.T) {
 	defer l.Close()
 	db := &fakeDB{}
 	p, stop := Start(db, 10*time.Second)
-	if got := p.trimAge(); got != 11*time.Second || p.cfg.Retention != 22*time.Second {
-		t.Fatalf("trim age %v, retention %v; want 11s and 22s", got, p.cfg.Retention)
+	if got := p.trimAge(); got != 11*time.Second {
+		t.Fatalf("trim age %v, want 11s", got)
 	}
 	go p.Serve(l)
 	c, err := Dial(l.Addr().String(), 1)
@@ -151,8 +148,7 @@ func TestStartStop(t *testing.T) {
 
 // TestOneWritePerFrame joins the two pincushion endpoints by a counted
 // pipe: every frame either side sends is one Write, a frame that arrives in
-// one piece is one Read, Register is one exchange and the one-way Release
-// draws no reply.
+// one piece is one Read, and Register is one exchange.
 func TestOneWritePerFrame(t *testing.T) {
 	p := New(Config{})
 	p.Register(7, time.Now())
@@ -172,17 +168,13 @@ func TestOneWritePerFrame(t *testing.T) {
 	client.Expect(t, "3 GetPins", 3, 3)
 	c.Register(9, time.Now())
 	client.Expect(t, "Register", 4, 4)
-	c.Release([]interval.Timestamp{9, 7, 7, 7})
-	client.Expect(t, "Release", 4, 5)
-	getPins(2) // a reply after the one-way frame proves it was consumed first
-	server.Expect(t, "6 frames in, 5 out", 6, 5)
+	getPins(2)
+	server.Expect(t, "5 frames in, 5 out", 5, 5)
 }
 
 // TestDroppedOneWayConnection: when the daemon's end of a connection dies,
-// a Release written into it is lost without an error. What that leaks is a
-// use-count, which Sweep's leak cutoff reclaims; a Register sent meanwhile
-// fails and adopts nothing, and once the client has redialed both get
-// through again.
+// a Register sent meanwhile fails and adopts nothing, and once the client
+// has redialed it gets through again.
 func TestDroppedOneWayConnection(t *testing.T) {
 	clk := &clock.Virtual{}
 	db := &fakeDB{}
@@ -195,9 +187,7 @@ func TestDroppedOneWayConnection(t *testing.T) {
 	defer c.Close()
 
 	c.Register(5, clk.Now())
-	c.GetPins(context.Background(), time.Minute) // a use of 5
 	d.dropConns()
-	c.Release([]interval.Timestamp{5}) // written into a dead connection: lost
 
 	// Keep registering until the client has noticed and redialed.
 	eventually(t, "the connection to be replaced", func() bool {
@@ -208,16 +198,9 @@ func TestDroppedOneWayConnection(t *testing.T) {
 		t.Fatalf("placements %v, want one each on 5 and 6", got)
 	}
 
-	// Past retention pin 6 goes, never used; pin 5 still counts the use whose
-	// Release was lost, until the leak cutoff.
 	clk.Advance(2 * time.Minute)
-	if n := p.Sweep(); n != 1 || p.Stats().Pins != 1 || p.Stats().Leaked != 0 {
-		t.Fatalf("sweep removed %d pins, %d left, Leaked = %d; want the unused one", n, p.Stats().Pins, p.Stats().Leaked)
-	}
-	clk.Advance(leakFactor * time.Minute)
-	if n := p.Sweep(); n != 1 || p.Stats().Pins != 0 || p.Stats().Leaked != 1 {
-		t.Fatalf("leak cutoff swept %d pins, %d left, Leaked = %d; want the one lost Release reclaimed",
-			n, p.Stats().Pins, p.Stats().Leaked)
+	if n := p.Sweep(); n != 2 || p.Stats().Pins != 0 {
+		t.Fatalf("sweep past retention removed %d pins, %d left; want both", n, p.Stats().Pins)
 	}
 	if got := db.holds(); len(got) != 0 {
 		t.Fatalf("placements %v left after every pin was swept", got)

@@ -1,11 +1,17 @@
 // Package pincushion implements the pincushion daemon (paper §5.4): a
-// lightweight registry of the snapshots it holds pinned on the database,
-// their wall-clock times, and how many running transactions might be using
-// each. It answers "which pinned snapshots are fresh enough?" at the start
-// of every read-only transaction and periodically unpins old unused
-// snapshots. A pin is removed by whoever placed it: Register adopts a
-// snapshot its caller holds pinned by placing a pin of its own, so every
-// tracked snapshot is one placement of the pincushion's, which Sweep removes.
+// lightweight registry of the snapshots it holds pinned on the database and
+// their wall-clock times. It answers "which pinned snapshots are fresh
+// enough?" at the start of every read-only transaction and unpins snapshots
+// once they are too old to be handed out again. A pin is removed by whoever
+// placed it: Register adopts a snapshot its caller holds pinned by placing a
+// pin of its own, so every tracked snapshot is one placement of the
+// pincushion's, which Sweep removes.
+//
+// Unlike the paper's, this pincushion counts no uses. A transaction's
+// database session pins the snapshot it runs at from its first statement to
+// its end, so only the gap between GetPins and that statement is unguarded:
+// a snapshot swept inside it fails the statement with db.ErrNotPinned, a
+// serialization failure the library retries.
 package pincushion
 
 import (
@@ -35,16 +41,12 @@ type Pinner interface {
 
 // Config configures a Pincushion.
 type Config struct {
-	// Retention is how long an unused pin is kept before Sweep unpins it on
-	// the database. It should be at least the largest staleness limit any
-	// application uses. Defaults to 60s.
-	Retention time.Duration
-	// Staleness, when set, is an upper bound on the staleness argument any
-	// caller passes to GetPins. It lets Sweep trim unused pins early: a pin
-	// older than this bound can never be handed out again (GetPins filters
-	// by wall age), so keeping it warm until Retention only keeps the
-	// database from reclaiming the versions that pin alone can see, for up
-	// to Retention ≈ 2× the staleness limit. 0 disables early trimming.
+	// Retention is how long a pin is kept before Sweep unpins it on the
+	// database, used only when Staleness is 0. Defaults to 60s.
+	Retention time.Duration // kept for benchmark/ (ROADMAP 1)
+	// Staleness, when set, is the largest staleness argument GetPins
+	// answers, and the age at which Sweep unpins a pin: one older than this
+	// bound can never be handed out again (GetPins filters by wall age).
 	Staleness time.Duration
 	// Clock supplies wall time; defaults to the real clock.
 	Clock clock.Clock
@@ -53,24 +55,17 @@ type Config struct {
 	DB Pinner
 }
 
-type pinState struct {
-	wall    time.Time
-	lastUse time.Time // most recent GetPins/Release touching this pin
-	active  int       // running transactions that may use this snapshot
-}
-
 // Pincushion tracks pinned snapshots. Safe for concurrent use.
 type Pincushion struct {
 	cfg Config
 	clk clock.Clock
 
 	mu     sync.Mutex
-	pins   map[interval.Timestamp]*pinState
-	closed bool // Start's stop ran: no sweep is left, so nothing is adopted
+	pins   map[interval.Timestamp]time.Time // each tracked snapshot's wall time
+	closed bool                             // Start's stop ran: no sweep is left, so nothing is adopted
 
 	statRequests uint64
 	statSweeps   uint64
-	statLeaked   uint64 // pins force-swept with a nonzero use-count
 }
 
 // New creates a Pincushion.
@@ -81,16 +76,15 @@ func New(cfg Config) *Pincushion {
 	if cfg.Retention <= 0 {
 		cfg.Retention = 60 * time.Second
 	}
-	return &Pincushion{cfg: cfg, clk: cfg.Clock, pins: make(map[interval.Timestamp]*pinState)}
+	return &Pincushion{cfg: cfg, clk: cfg.Clock, pins: make(map[interval.Timestamp]time.Time)}
 }
 
 // GetPins returns every pinned snapshot at most staleness old, sorted by
-// timestamp ascending, and flags each as possibly in use by the caller's
-// transaction. The caller must Release the same set when its transaction
-// ends. A cancelled ctx returns no pins (and flags nothing in use), which
-// the library treats the same as an empty pincushion; in-process the call
-// never blocks, so the check only stops cancelled transactions from
-// acquiring uses they would immediately release.
+// timestamp ascending. A cancelled ctx, or a staleness past the trim age,
+// returns no pins, which the library treats the same as an empty pincushion.
+// The library counts a pin for a cache hit as long as it is within the
+// caller's bound by the caller's clock, so a bound past the trim age would
+// let it count a pin Sweep has already removed.
 func (p *Pincushion) GetPins(ctx context.Context, staleness time.Duration) []Pin {
 	if ctx != nil && ctx.Err() != nil {
 		return nil
@@ -98,14 +92,14 @@ func (p *Pincushion) GetPins(ctx context.Context, staleness time.Duration) []Pin
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.statRequests++
-	now := p.clk.Now()
-	cutoff := now.Add(-staleness)
+	if staleness > p.trimAge() {
+		return nil
+	}
+	cutoff := p.clk.Now().Add(-staleness)
 	var out []Pin
-	for ts, st := range p.pins {
-		if !st.wall.Before(cutoff) {
-			st.active++
-			st.lastUse = now
-			out = append(out, Pin{TS: ts, Wall: st.wall})
+	for ts, wall := range p.pins {
+		if !wall.Before(cutoff) {
+			out = append(out, Pin{TS: ts, Wall: wall})
 		}
 	}
 	slices.SortFunc(out, func(a, b Pin) int { return cmp.Compare(a.TS, b.TS) })
@@ -114,9 +108,8 @@ func (p *Pincushion) GetPins(ctx context.Context, staleness time.Duration) []Pin
 
 // Register adopts a snapshot the caller holds pinned: the pincushion pins an
 // untracked one itself (Config.DB.Pin), outside the registry lock, and tracks
-// it only if that succeeded. It adds no use. Re-registering a tracked
-// snapshot places nothing and keeps the later wall time: it was still the
-// latest then. (Keeping the first let a deployment with no commits age its
+// it only if that succeeded. Re-registering a tracked snapshot places nothing
+// and keeps the later wall time: it was still the latest then. (Keeping the first let a deployment with no commits age its
 // only snapshot past the staleness bound, and the cache with it.)
 func (p *Pincushion) Register(ts interval.Timestamp, wall time.Time) {
 	if p.track(ts, wall, false) {
@@ -140,74 +133,43 @@ func (p *Pincushion) track(ts interval.Timestamp, wall time.Time, adopt bool) bo
 	if p.closed {
 		return true
 	}
-	if st := p.pins[ts]; st != nil {
-		if wall.After(st.wall) {
-			st.wall = wall
+	if old, ok := p.pins[ts]; ok {
+		if wall.After(old) {
+			p.pins[ts] = wall
 		}
 		return true
 	}
 	if adopt {
-		p.pins[ts] = &pinState{wall: wall}
+		p.pins[ts] = wall
 	}
 	return false
 }
 
-// Release drops the caller's uses of the given snapshots (the set returned
-// by GetPins). Snapshots stay pinned on the database until Sweep ages them
-// out.
-func (p *Pincushion) Release(tss []interval.Timestamp) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	now := p.clk.Now()
-	for _, ts := range tss {
-		if st := p.pins[ts]; st != nil && st.active > 0 {
-			st.active--
-			st.lastUse = now
-		}
-	}
-}
+// Release does nothing: the pincushion counts no uses (see the package
+// comment), and a snapshot stays pinned until Sweep ages it out.
+func (p *Pincushion) Release([]interval.Timestamp) {} // kept for benchmark/ (ROADMAP 1)
 
-// leakFactor scales the retention threshold into the leak cutoff: a pin
-// whose use-count has been nonzero with no GetPins/Release activity for
-// leakFactor × Retention is considered leaked (a client
-// crashed, or a network fault lost a Release after the daemon had marked
-// uses) and is swept anyway. This is safe for running transactions: once
-// a transaction begins its database snapshot it holds its own engine pin
-// (db.BeginTx pins, Abort/Commit unpin), so the pincushion reference only
-// protects the short window between GetPins and the first query — far
-// shorter than the leak cutoff.
-const leakFactor = 4
-
-// trimAge is the age past which an unused pin is reclaimed: Retention,
-// tightened to the staleness bound when Config.Staleness promises that no
-// GetPins call can ever return a pin that old again.
+// trimAge is the age past which Sweep unpins a pin: the staleness bound, past
+// which no GetPins call can return it again, or Retention without one.
 func (p *Pincushion) trimAge() time.Duration {
-	if p.cfg.Staleness > 0 && p.cfg.Staleness < p.cfg.Retention {
+	if p.cfg.Staleness > 0 {
 		return p.cfg.Staleness
 	}
 	return p.cfg.Retention
 }
 
-// Sweep unpins snapshots that are unused and older than the trim threshold
-// (Retention, or the tighter Config.Staleness bound) — plus pins whose
-// use-counts have leaked (see leakFactor) — returning how many were
-// removed. Run it periodically.
+// Sweep unpins snapshots older than the trim age (Config.Staleness, or
+// Retention without it), returning how many were removed. Run it
+// periodically.
 func (p *Pincushion) Sweep() int {
 	p.mu.Lock()
-	now := p.clk.Now()
-	cutoff := now.Add(-p.trimAge())
-	leakCutoff := now.Add(-leakFactor * p.cfg.Retention)
+	cutoff := p.clk.Now().Add(-p.trimAge())
 	var victims []interval.Timestamp
-	for ts, st := range p.pins {
-		switch {
-		case st.active == 0 && st.wall.Before(cutoff):
-		case st.active > 0 && st.wall.Before(cutoff) && st.lastUse.Before(leakCutoff):
-			p.statLeaked++
-		default:
-			continue
+	for ts, wall := range p.pins {
+		if wall.Before(cutoff) {
+			victims = append(victims, ts)
+			delete(p.pins, ts)
 		}
-		victims = append(victims, ts)
-		delete(p.pins, ts)
 	}
 	p.statSweeps++
 	p.mu.Unlock()
@@ -226,7 +188,7 @@ func (p *Pincushion) unpin(tss []interval.Timestamp) {
 	}
 }
 
-// SweepAll unpins every tracked snapshot regardless of age or use-count,
+// SweepAll unpins every tracked snapshot regardless of age,
 // returning how many were removed. Teardown only: a drained deployment has
 // no transaction left that could use them, and any pin that outlives the
 // daemon would keep the versions it sees from being reclaimed forever.
@@ -250,25 +212,20 @@ func (p *Pincushion) SweepAll() int {
 type PinClass int
 
 const (
-	// PinActive pins are flagged in use by at least one running
-	// transaction; the database must retain their snapshots regardless of
-	// age.
-	PinActive PinClass = iota
-	// PinIdle pins are unused but within retention, kept warm so the next
+	// PinIdle pins are within the trim age, kept warm so the next
 	// read-only transaction can share an already-pinned snapshot.
-	PinIdle
-	// PinExpired pins are unused and past the trim threshold (Retention, or
-	// the tighter Config.Staleness bound): the next Sweep will unpin them.
-	// A persistent PinExpired population means the sweeper is running too
-	// rarely for the configured thresholds — every pin in this class is
-	// pointlessly holding versions back from the database's vacuum.
+	PinIdle PinClass = iota
+	// PinExpired pins are past the trim age: the next Sweep will unpin
+	// them. A persistent PinExpired population means the sweeper is running
+	// too rarely — every pin in this class is pointlessly holding versions
+	// back from the database's vacuum.
 	PinExpired
 
 	numPinClasses
 )
 
 func (c PinClass) String() string {
-	return [...]string{"active", "idle", "expired"}[c]
+	return [...]string{"idle", "expired"}[c]
 }
 
 // horizonBuckets are the inclusive upper edges of the Stats age histogram;
@@ -284,7 +241,6 @@ var horizonBuckets = [...]time.Duration{
 type Stats struct {
 	Requests uint64 `json:"requests"` // GetPins calls served
 	Sweeps   uint64 `json:"sweeps"`   // Sweep passes completed
-	Leaked   uint64 `json:"leaked"`   // pins force-swept with a nonzero use-count
 	Pins     int    `json:"pins"`     // pins currently tracked
 
 	// Horizon[c][i] counts tracked pins of class c whose age (now minus
@@ -311,22 +267,16 @@ func (p *Pincushion) Stats() Stats {
 	st := Stats{
 		Requests: p.statRequests,
 		Sweeps:   p.statSweeps,
-		Leaked:   p.statLeaked,
 		Pins:     len(p.pins),
 	}
 	now := p.clk.Now()
 	cutoff := now.Add(-p.trimAge())
-	for _, ps := range p.pins {
-		var c PinClass
-		switch {
-		case ps.active > 0:
-			c = PinActive
-		case ps.wall.Before(cutoff):
+	for _, wall := range p.pins {
+		c := PinIdle
+		if wall.Before(cutoff) {
 			c = PinExpired
-		default:
-			c = PinIdle
 		}
-		age := now.Sub(ps.wall)
+		age := now.Sub(wall)
 		b := 0
 		for b < len(horizonBuckets) && age > horizonBuckets[b] {
 			b++
@@ -336,8 +286,8 @@ func (p *Pincushion) Stats() Stats {
 	return st
 }
 
-// NextTrim reports when the next currently-unused pin crosses the trim
-// threshold (false if no unused pins are tracked). The sweeper uses it to
+// NextTrim reports when the next pin crosses the trim age (false if no
+// pins are tracked). The sweeper uses it to
 // schedule the pass that unpins it — and lets the database reclaim the
 // versions only it could see — instead of letting expired pins sit until
 // the next fixed tick.
@@ -346,11 +296,8 @@ func (p *Pincushion) NextTrim() (time.Time, bool) {
 	defer p.mu.Unlock()
 	var at time.Time
 	found := false
-	for _, st := range p.pins {
-		if st.active > 0 {
-			continue
-		}
-		t := st.wall.Add(p.trimAge())
+	for _, wall := range p.pins {
+		t := wall.Add(p.trimAge())
 		if !found || t.Before(at) {
 			at = t
 			found = true
@@ -360,7 +307,7 @@ func (p *Pincushion) NextTrim() (time.Time, bool) {
 }
 
 // RunSweeper sweeps until stop is closed: at least every interval, and
-// sooner when NextTrim says an idle pin is about to become reclaimable —
+// sooner when NextTrim says a pin is about to become reclaimable —
 // the per-class horizon histogram in Stats shows the payoff as an empty
 // expired class.
 func (p *Pincushion) RunSweeper(every time.Duration, stop <-chan struct{}) {

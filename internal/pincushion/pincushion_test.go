@@ -77,52 +77,50 @@ func TestGetPinsFreshnessFilter(t *testing.T) {
 	}
 }
 
-func TestSweepRespectsActiveAndRetention(t *testing.T) {
+// TestGetPinsRefusesBoundPastTrimAge: a caller may count a pin within its
+// bound at any time, so a bound past the trim age, Staleness or else
+// Retention, is answered with no pins rather than with ones Sweep can remove
+// while the caller still counts them.
+func TestGetPinsRefusesBoundPastTrimAge(t *testing.T) {
+	for _, cfg := range []Config{{Staleness: 10 * time.Second}, {Retention: 10 * time.Second}} {
+		cfg.Clock = &clock.Virtual{}
+		p := New(cfg)
+		p.Register(10, cfg.Clock.Now())
+		if pins := p.GetPins(context.Background(), 10*time.Second); len(pins) != 1 {
+			t.Fatalf("%+v: a bound at the trim age got %v, want the pin", cfg, pins)
+		}
+		if pins := p.GetPins(context.Background(), 10*time.Second+time.Nanosecond); len(pins) != 0 {
+			t.Fatalf("%+v: a bound past the trim age got %v, want none", cfg, pins)
+		}
+		if st := p.Stats(); st.Requests != 2 {
+			t.Fatalf("%+v: %d requests counted, want 2", cfg, st.Requests)
+		}
+	}
+}
+
+// TestSweepRespectsRetention: Sweep keeps a pin until it is older than the
+// retention and then unpins it, whether or not GetPins has handed it out:
+// the pincushion counts no uses.
+func TestSweepRespectsRetention(t *testing.T) {
 	clk := &clock.Virtual{}
 	db := &fakeDB{}
 	p := New(Config{Clock: clk, Retention: 15 * time.Second, DB: db})
 	base := clk.Now()
 	p.Register(10, base)
-	p.GetPins(context.Background(), time.Minute) // 10 in use
-	p.Register(20, base)                         // 20 unused
+	p.GetPins(context.Background(), time.Minute) // 10 handed out
+	p.Register(20, base.Add(10*time.Second))
 
-	clk.Advance(30 * time.Second)
-	if n := p.Sweep(); n != 1 {
-		t.Fatalf("sweep removed %d, want 1", n)
-	}
-	if len(db.unpinned) != 1 || db.unpinned[0] != 20 {
-		t.Fatalf("db unpins = %v", db.unpinned)
-	}
-	if p.Stats().Pins != 1 {
-		t.Fatalf("len = %d", p.Stats().Pins)
-	}
-	// Release then sweep removes the rest.
-	p.Release([]interval.Timestamp{10})
-	if n := p.Sweep(); n != 1 {
-		t.Fatalf("second sweep removed %d", n)
-	}
-}
-
-func TestGetPinsMarksInUse(t *testing.T) {
-	clk := &clock.Virtual{}
-	p := New(Config{Clock: clk, Retention: time.Second})
-	p.Register(10, clk.Now())
-
-	pins := p.GetPins(context.Background(), time.Minute) // marks 10 in use
-	// Past retention but inside the leak cutoff: an in-use pin survives.
-	// (Beyond leakFactor×retention with no activity it would be treated as
-	// leaked — TestSweepReclaimsLeakedUses covers that.)
-	clk.Advance(2 * time.Second)
+	clk.Advance(15 * time.Second)
 	if n := p.Sweep(); n != 0 {
-		t.Fatal("in-use pin must not be swept")
+		t.Fatalf("sweep inside retention removed %d", n)
 	}
-	var tss []interval.Timestamp
-	for _, pin := range pins {
-		tss = append(tss, pin.TS)
+	clk.Advance(time.Second)
+	if n := p.Sweep(); n != 1 || len(db.unpinned) != 1 || db.unpinned[0] != 10 {
+		t.Fatalf("sweep removed %d, db unpins = %v; want the handed-out 10", n, db.unpinned)
 	}
-	p.Release(tss)
-	if n := p.Sweep(); n != 1 {
-		t.Fatalf("released pin should sweep, got %d", n)
+	clk.Advance(10 * time.Second)
+	if n := p.Sweep(); n != 1 || p.Stats().Pins != 0 {
+		t.Fatalf("second sweep removed %d, %d left", n, p.Stats().Pins)
 	}
 }
 
@@ -136,19 +134,16 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				ts := interval.Timestamp(i % 20)
 				p.Register(ts, time.Now())
-				pins := p.GetPins(context.Background(), time.Minute)
-				var tss []interval.Timestamp
-				for _, pin := range pins {
-					tss = append(tss, pin.TS)
+				if pins := p.GetPins(context.Background(), time.Minute); len(pins) == 0 {
+					t.Errorf("no pins right after registering %d", ts)
+					return
 				}
-				p.Release(tss)
 			}
 		}(g)
 	}
 	wg.Wait()
-	// All uses balanced: every pin is tracked and none is in use.
-	if st := p.Stats(); st.Pins != 20 || st.InClass(PinActive) != 0 {
-		t.Fatalf("%d pins, %d in use; want 20 and none", st.Pins, st.InClass(PinActive))
+	if st := p.Stats(); st.Pins != 20 || st.Requests != 8*200 {
+		t.Fatalf("%d pins after %d GetPins; want 20 after %d", st.Pins, st.Requests, 8*200)
 	}
 }
 
@@ -160,51 +155,7 @@ func BenchmarkGetPins(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pins := p.GetPins(context.Background(), time.Minute)
-		tss := make([]interval.Timestamp, len(pins))
-		for j, pin := range pins {
-			tss[j] = pin.TS
-		}
-		p.Release(tss)
-	}
-}
-
-// TestSweepReclaimsLeakedUses: a use-count that is never released (client
-// crash, or a Release lost after the daemon marked uses) must not pin the
-// snapshot forever — after the leak cutoff (leakFactor × retention) Sweep
-// force-unpins it. A pin with recent activity survives even while in use.
-func TestSweepReclaimsLeakedUses(t *testing.T) {
-	clk := &clock.Virtual{}
-	db := &fakeDB{}
-	p := New(Config{Clock: clk, DB: db, Retention: 10 * time.Second})
-	p.Register(10, clk.Now())
-	p.GetPins(context.Background(), time.Hour) // a use never released: the leak
-
-	// Within the leak cutoff the pin survives every sweep.
-	clk.Advance(2 * leakFactor * time.Second) // past retention, inside cutoff
-	if n := p.Sweep(); n != 0 {
-		t.Fatalf("sweep inside leak cutoff removed %d", n)
-	}
-
-	// Recent activity (another transaction marking the pin) resets the
-	// leak clock.
-	if pins := p.GetPins(context.Background(), time.Hour); len(pins) != 1 {
-		t.Fatalf("pins = %+v", pins)
-	}
-	clk.Advance(3 * 10 * time.Second) // < leakFactor×retention since GetPins
-	if n := p.Sweep(); n != 0 {
-		t.Fatalf("recently-used pin swept (%d)", n)
-	}
-
-	// No activity past the cutoff: force-swept despite active > 0.
-	clk.Advance(2 * leakFactor * 10 * time.Second)
-	if n := p.Sweep(); n != 1 {
-		t.Fatalf("leaked pin not swept (removed %d)", n)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if len(db.unpinned) != 1 || db.unpinned[0] != 10 {
-		t.Fatalf("db unpins = %v, want [10]", db.unpinned)
+		p.GetPins(context.Background(), time.Minute)
 	}
 }
 
@@ -215,10 +166,10 @@ func TestStatsHorizonHistogram(t *testing.T) {
 
 	// Four pins with staggered ages at observation time (clock advances
 	// 20s after the last Register):
-	//   ts=10: 80s old, held active  -> PinActive, 5-minute bucket
-	//   ts=20: 40s old, unused       -> PinExpired (past 30s retention)
-	//   ts=30: 25s old, unused       -> PinIdle, 60s bucket
-	//   ts=40: 20s old, never used   -> PinIdle, 60s bucket
+	//   ts=10: 80s old, handed out -> PinExpired, 5-minute bucket
+	//   ts=20: 40s old             -> PinExpired (past 30s retention), 60s bucket
+	//   ts=30: 25s old             -> PinIdle, 60s bucket
+	//   ts=40: 20s old             -> PinIdle, 60s bucket
 	p.Register(10, base)
 	p.GetPins(context.Background(), time.Minute)
 	clk.Advance(40 * time.Second)
@@ -242,24 +193,24 @@ func TestStatsHorizonHistogram(t *testing.T) {
 	var want Stats
 	want.Pins = 4
 	want.Requests = st.Requests
-	want.Horizon[PinActive][fiveMin] = 1
+	want.Horizon[PinExpired][fiveMin] = 1
 	want.Horizon[PinExpired][sixty] = 1
 	want.Horizon[PinIdle][sixty] = 2
 	if st.Horizon != want.Horizon {
 		t.Fatalf("Horizon = %v, want %v", st.Horizon, want.Horizon)
 	}
-	if a, i, e := st.InClass(PinActive), st.InClass(PinIdle), st.InClass(PinExpired); a != 1 || i != 2 || e != 1 {
-		t.Fatalf("InClass active/idle/expired = %d/%d/%d, want 1/2/1", a, i, e)
+	if i, e := st.InClass(PinIdle), st.InClass(PinExpired); i != 2 || e != 2 {
+		t.Fatalf("InClass idle/expired = %d/%d, want 2/2", i, e)
 	}
 
 	// Stats observes, never mutates: a sweep after polling behaves exactly
-	// as if Stats had not been called (expired pin unpinned, active kept).
+	// as if Stats had not been called (the expired pins unpinned).
 	p.cfg.DB = nil
-	if n := p.Sweep(); n != 1 {
-		t.Fatalf("Sweep removed %d pins, want 1 (the expired one)", n)
+	if n := p.Sweep(); n != 2 {
+		t.Fatalf("Sweep removed %d pins, want 2 (the expired ones)", n)
 	}
 	st = p.Stats()
-	if st.Sweeps != 1 || st.Pins != 3 || st.Horizon[PinExpired] != [len(horizonBuckets) + 1]int{} {
+	if st.Sweeps != 1 || st.Pins != 2 || st.Horizon[PinExpired] != [len(horizonBuckets) + 1]int{} {
 		t.Fatalf("after sweep: %+v", st)
 	}
 }
@@ -270,11 +221,10 @@ func TestStatsCounters(t *testing.T) {
 	p.Register(1, clk.Now())
 	p.GetPins(context.Background(), time.Minute)
 	p.GetPins(context.Background(), time.Minute)
-	// Age the pin far past the leak cutoff with its use-count still held.
 	clk.Advance(time.Hour)
 	p.Sweep()
 	st := p.Stats()
-	if st.Requests != 2 || st.Sweeps != 1 || st.Leaked != 1 || st.Pins != 0 {
+	if st.Requests != 2 || st.Sweeps != 1 || st.Pins != 0 {
 		t.Fatalf("counters: %+v", st)
 	}
 }
@@ -292,8 +242,8 @@ func TestAdopt(t *testing.T) {
 			if got := db.holds(); len(got) != 1 || got[10] != 1 || p.Stats().Pins != 1 {
 				t.Fatalf("placements %v, %d tracked; want one on 10, tracked", got, p.Stats().Pins)
 			}
-			if st := p.Stats(); st.InClass(PinActive) != 0 {
-				t.Fatalf("Register added a use: %+v", st)
+			if st := p.Stats(); st.InClass(PinIdle) != 1 {
+				t.Fatalf("a fresh Register is not idle: %+v", st)
 			}
 		})
 		t.Run("ReRegisterKeepsTheLaterWall", func(t *testing.T) {
@@ -306,7 +256,7 @@ func TestAdopt(t *testing.T) {
 			if got := db.holds(); got[10] != 1 {
 				t.Fatalf("%d placements on 10 after three Registers, want 1", got[10])
 			}
-			if pins := p.GetPins(context.Background(), time.Hour); len(pins) != 1 || !pins[0].Wall.Equal(base.Add(time.Second)) {
+			if pins := p.GetPins(context.Background(), time.Minute); len(pins) != 1 || !pins[0].Wall.Equal(base.Add(time.Second)) {
 				t.Fatalf("pins %v, want 10 at the latest registered wall %v", pins, base.Add(time.Second))
 			}
 		})
@@ -375,16 +325,15 @@ func TestAdopt(t *testing.T) {
 }
 
 // TestSweepAllForcesTeardown: SweepAll unpins everything regardless of
-// age or use-count — the clean-shutdown path, where nothing can still be
-// using the pins and anything left would leak an engine reference.
+// age — the clean-shutdown path, where nothing can still be using the pins
+// and anything left would leak an engine reference.
 func TestSweepAllForcesTeardown(t *testing.T) {
 	clk := &clock.Virtual{}
 	db := &fakeDB{}
 	p := New(Config{Clock: clk, Retention: time.Hour, DB: db})
 	base := clk.Now()
 	p.Register(10, base)
-	p.GetPins(context.Background(), time.Hour) // 10 in use, well within retention
-	p.Register(20, base)
+	p.Register(20, base) // both well within retention
 
 	if n := p.SweepAll(); n != 2 {
 		t.Fatalf("sweepall removed %d pins, want 2", n)
@@ -397,28 +346,30 @@ func TestSweepAllForcesTeardown(t *testing.T) {
 	}
 }
 
-// TestStalenessEarlyTrim: with Config.Staleness set, an unused pin older
-// than the staleness bound — one GetPins can never hand out again — is
-// reclaimed without waiting out the (much longer) retention, so the
-// database's vacuum horizon advances as soon as the pin stops mattering.
+// TestStalenessEarlyTrim: with Config.Staleness set, a pin older than the
+// staleness bound — one GetPins can never hand out again — is reclaimed
+// without waiting out the (much longer) retention, so the database's vacuum
+// horizon advances as soon as the pin stops mattering.
 func TestStalenessEarlyTrim(t *testing.T) {
 	clk := &clock.Virtual{}
 	db := &fakeDB{}
 	p := New(Config{Clock: clk, Retention: time.Minute, Staleness: 10 * time.Second, DB: db})
 	base := clk.Now()
-	p.Register(30, base)
-	p.GetPins(context.Background(), time.Hour) // 30 in use: must survive any trim
 	p.Register(10, base)
+	p.GetPins(context.Background(), 10*time.Second) // 10 handed out: trimmed all the same
 	p.Register(20, base)
+	p.Register(30, base.Add(10*time.Second))
 
 	// Inside the staleness bound nothing is trimmable.
 	clk.Advance(5 * time.Second)
+	if at, ok := p.NextTrim(); !ok || !at.Equal(base.Add(10*time.Second)) {
+		t.Fatalf("NextTrim = %v ok=%v, want the first pins' trim at %v", at, ok, base.Add(10*time.Second))
+	}
 	if n := p.Sweep(); n != 0 {
 		t.Fatalf("sweep inside staleness removed %d", n)
 	}
 
-	// Past staleness but far inside retention: both idle pins go; the
-	// active one stays regardless of age.
+	// Past staleness but far inside retention: both older pins go.
 	clk.Advance(10 * time.Second)
 	if at, ok := p.NextTrim(); !ok || clk.Now().Before(at) {
 		t.Fatalf("NextTrim = %v ok=%v, want a due time", at, ok)
@@ -430,7 +381,7 @@ func TestStalenessEarlyTrim(t *testing.T) {
 		t.Fatalf("db unpins = %v", db.unpinned)
 	}
 	if p.Stats().Pins != 1 {
-		t.Fatalf("len = %d, want the active pin only", p.Stats().Pins)
+		t.Fatalf("len = %d, want the newest pin only", p.Stats().Pins)
 	}
 }
 

@@ -179,17 +179,14 @@ func startPincushion(t *testing.T) statsService {
 		addr: addr,
 		check: func(t *testing.T, blob json.RawMessage) {
 			st := sameStats(t, blob, p.Stats())
-			if st.Pins != 2 || st.Requests == 0 || st.InClass(pincushion.PinActive) != 2 {
-				t.Fatalf("pincushion stats %+v: want two active pins and a request", st)
+			if st.Pins != 2 || st.Requests == 0 {
+				t.Fatalf("pincushion stats %+v: want two pins and a request", st)
 			}
 		},
 		work: func(t *testing.T) {
-			pins := cl.GetPins(context.Background(), time.Minute)
-			tss := make([]interval.Timestamp, len(pins))
-			for i, pin := range pins {
-				tss[i] = pin.TS
+			if pins := cl.GetPins(context.Background(), time.Minute); len(pins) != 2 {
+				t.Errorf("GetPins over TCP returned %v, want two pins", pins)
 			}
-			cl.Release(tss)
 		},
 	}
 }

@@ -34,7 +34,9 @@ func startFixture(t *testing.T, mutate func(*Config)) *fixture {
 	t.Helper()
 	clk := clock.Real{}
 	engine := db.New(db.Options{Clock: clk})
-	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Retention: 5 * time.Second})
+	// The pages run at core's default bound, 30 s; a pincushion trimming
+	// sooner would answer them with no pins at all.
+	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Staleness: 30 * time.Second})
 	client := core.NewClient(core.Config{DB: core.EngineDB{Engine: engine}, Pincushion: pc, Clock: clk})
 	ds, err := rubis.Load(engine, rubis.TestScale, 11)
 	if err != nil {

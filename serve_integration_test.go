@@ -226,14 +226,15 @@ func TestServeSurvivesCutPincushion(t *testing.T) {
 		nw.Heal("core", "db")
 		empty = st.App.C.Stats().PinFetchEmpty.Load() - empty
 		res := <-resc
-		placed := st.App.C.Stats().PinsPlaced.Load()
+		placed, swept := st.App.C.Stats().PinsPlaced.Load(), st.App.C.Stats().SweptRetries.Load()
 		audit(t, st, ds)
 
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		stopErr := st.Stop(sctx)
 		stopped = true
-		t.Logf("core → db cut for 2s: %+v; pinFetchEmpty +%d across the cut; pinsPlaced %d; %d snapshots pinned after Stop", *res, empty, placed, st.Engine.PinnedCount())
+		t.Logf("core → db cut for 2s: %+v; pinFetchEmpty +%d across the cut; pinsPlaced %d; sweptRetries %d; %d snapshots pinned after Stop",
+			*res, empty, placed, swept, st.Engine.PinnedCount())
 		if stopErr != nil {
 			t.Fatalf("teardown: %v", stopErr)
 		}

@@ -47,7 +47,8 @@
 //	ts, err := tx.Commit()
 //
 // Or, with the closure runners (which begin, commit, release pins on every
-// exit path, and retry read/write serialization conflicts):
+// exit path, and retry serialization failures: a read/write conflict, or a
+// read-only transaction's snapshot swept before its first statement):
 //
 //	var name string
 //	ts, err := client.ReadOnly(ctx, func(tx *txcache.Tx) error {
@@ -164,7 +165,9 @@ func NewEngine(opts EngineOptions) *Engine { return db.New(opts) }
 // WrapEngine adapts an *Engine to the Client's DB interface.
 func WrapEngine(e *Engine) core.DB { return core.EngineDB{Engine: e} }
 
-// ErrSerialization is the retryable first-committer-wins conflict error.
+// ErrSerialization is the retryable serialization failure: a
+// first-committer-wins conflict, or a read-only transaction's pinned
+// snapshot swept before its first statement.
 var ErrSerialization = db.ErrSerialization
 
 // CacheServer is one versioned cache node (paper §4).

@@ -100,12 +100,12 @@ race:
 # pipelined model and the sequential one — and of TestStreamGap, whose
 # concurrent flow is the same argument for a put racing a gap, and of
 # TestHistoryMatchesPairwise, which holds the history's replay to the pairwise
-# rule over seeded streams that wrap its ring and cross gaps — and of the
-# bus's lapped-reader flows, TestSubscriptionBounded and TestBusHistoryReplay
+# rule over seeded streams that wrap its ring and its tag arena and cross
+# gaps — and of the bus's lapped-reader flows, TestSubscriptionBounded
 # (TestStreamGapAfterOverflow is the node's side of them).
 # Bounded: a hang is a failure.
 model-soak:
-	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise|TestSubscriptionBounded|TestBusHistoryReplay' ./internal/cacheserver ./internal/invalidation
+	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise|TestSubscriptionBounded' ./internal/cacheserver ./internal/invalidation
 
 # The transactional guarantee under concurrency has one gate too: writers,
 # composing readers and the put oracle of TestStillValidComposition's
@@ -180,8 +180,10 @@ bench:
 # their directory, their indexes — must stay under the dataset's ceiling
 # (TestDatasetBytes: live heap of the benchmark's dataset in a bare engine).
 # A cache node's invalidation history must stay the same size once full and
-# under its bytes ceiling a retained message (TestHistoryBytes), and a
-# still-valid version's bookkeeping under its own (TestVersionBytes).
+# under its bytes ceiling a retained message (TestHistoryBytes), a message
+# pushed over TCP must allocate nothing (TestAllocBudgetPush), and a
+# still-valid version's bookkeeping must stay under its own ceiling
+# (TestVersionBytes).
 alloc-regression:
 	$(GO) test -run 'TestAllocBudget' ./internal/db ./internal/core
 	$(GO) test -run 'TestAllocBudget|TestHistoryBytes|TestVersionBytes' ./internal/cacheserver

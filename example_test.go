@@ -13,7 +13,7 @@ import (
 // describes and seeds one table. Shared by the Example functions so each
 // can stay focused on the API it documents.
 func exampleSite() (*txcache.Client, *txcache.Engine, *txcache.CacheServer) {
-	bus := txcache.NewBus(true)
+	bus := txcache.NewBus(false)
 	engine := txcache.NewEngine(txcache.EngineOptions{Bus: bus})
 	node := txcache.NewCacheServer(txcache.CacheConfig{})
 	go node.ConsumeStream(bus.Subscribe())

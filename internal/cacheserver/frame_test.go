@@ -16,7 +16,7 @@ import (
 // one-way frame draws no reply.
 func TestOneWritePerFrame(t *testing.T) {
 	s := New(Config{})
-	rc, client, server := rpctest.Pipe(t, s.handle, DefaultCallTimeout)
+	rc, client, server := rpctest.Pipe(t, s.handler(), DefaultCallTimeout)
 	c := newClient(rc)
 	defer c.Close()
 

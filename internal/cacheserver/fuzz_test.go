@@ -56,7 +56,7 @@ func fuzzSeedFrames() [][]byte {
 // A stream owner from an older build that still sends it is told the node
 // does not know it, rather than acked for something the node did not do.
 func TestRetiredOpcodeRefused(t *testing.T) {
-	if _, err := New(Config{}).handle(12, nil); err == nil || !strings.Contains(err.Error(), "unknown opcode 12") {
+	if _, err := New(Config{}).handler()(12, nil); err == nil || !strings.Contains(err.Error(), "unknown opcode 12") {
 		t.Fatalf("opcode 12: err = %v, want unknown opcode", err)
 	}
 }
@@ -73,7 +73,7 @@ func FuzzHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		s := New(Config{HistoryLen: 8})
 		s.Put("seeded", []byte("v"), interval.Interval{Lo: 2, Hi: 5}, false, 0, nil)
-		reply := rpc.Dispatch(s.handle, frame)
+		reply := rpc.Dispatch(s.handler(), frame)
 		if reply == nil {
 			return
 		}
@@ -126,7 +126,7 @@ func FuzzShardRouting(f *testing.F) {
 		if got != b.shardIndex(key) || got != a.shardIndex(key) {
 			t.Fatalf("routing of %q not deterministic", key)
 		}
-		if int(got) >= a.ShardCount() {
+		if int(got) >= len(a.shards) {
 			t.Fatalf("shard %d out of range for %q", got, key)
 		}
 		// Reference FNV-1a 64 with high-half fold.

@@ -91,6 +91,74 @@ func (p tagPool) draw(rng *rand.Rand, lo, hi int) []invalidation.TagID {
 	return tags
 }
 
+// probe asks h and ref the same question and reports where they differ.
+func probe(h *histIndex, ref *refHistory, tags []invalidation.TagID, genSnap interval.Timestamp) error {
+	gotTS, gotWall, gotBelow := h.firstMatch(tags, genSnap)
+	wantTS, wantWall, wantBelow := ref.firstMatch(tags, genSnap)
+	if gotTS != wantTS || !gotWall.Equal(wantWall) || gotBelow != wantBelow {
+		return fmt.Errorf("firstMatch(%v, %d) = (%d, %v, below=%v), want (%d, %v, below=%v)",
+			tags, genSnap, gotTS, gotWall.UnixNano(), gotBelow, wantTS, wantWall.UnixNano(), wantBelow)
+	}
+	return nil
+}
+
+// sweep probes h with each of probes at every genSnap from below ref's floor
+// to past its newest message: every distance a replay can start at.
+func sweep(h *histIndex, ref *refHistory, probes [][]invalidation.TagID) error {
+	newest := ref.msgs[len(ref.msgs)-1].TS
+	for genSnap := max(1, ref.floor) - 1; genSnap <= newest+1; genSnap++ {
+		for _, tags := range probes {
+			if err := probe(h, ref, tags, genSnap); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkMaps reports whether h's tag maps hold exactly the tags and tables
+// the retained messages carry.
+func checkMaps(h *histIndex, ref *refHistory) error {
+	keys, tables := map[invalidation.TagID]bool{}, map[invalidation.TagID]bool{}
+	for _, m := range ref.retained() {
+		for _, tg := range m.Tags {
+			keys[tg], tables[invalidation.WildOf(tg)] = true, true
+		}
+	}
+	if len(h.last) != len(keys) || len(h.table) != len(tables) {
+		return fmt.Errorf("%d tags and %d tables indexed, the %d retained messages carry %d and %d",
+			len(h.last), len(h.table), len(ref.retained()), len(keys), len(tables))
+	}
+	return nil
+}
+
+// heavyPool is write_heavy's shape: three tables of a thousand keys, drawn
+// with a skew, so a few thousand tags repeat across the history at every
+// distance.
+type heavyPool [3]invalidation.TagID
+
+func newHeavyPool() heavyPool {
+	var p heavyPool
+	for i, table := range []string{"items", "bids", "users"} {
+		p[i] = invalidation.InternWildcard(table)
+	}
+	return p
+}
+
+// draw returns n tags, each a wildcard one time in 64.
+func (p heavyPool) draw(rng *rand.Rand, n int) []invalidation.TagID {
+	tags := make([]invalidation.TagID, n)
+	for i := range tags {
+		w := p[rng.Intn(len(p))]
+		if rng.Intn(64) == 0 {
+			tags[i] = w
+		} else {
+			tags[i] = w | invalidation.TagID(1+rng.Intn(1+rng.Intn(1000)))
+		}
+	}
+	return tags
+}
+
 func TestHistoryMatchesPairwise(t *testing.T) {
 	pool := newTagPool()
 	msgAt := func(ts interval.Timestamp, tags []invalidation.TagID) invalidation.Message {
@@ -124,27 +192,68 @@ func TestHistoryMatchesPairwise(t *testing.T) {
 						for p := 0; p < 8; p++ {
 							tags := pool.draw(rng, 1, 3)
 							genSnap := max(0, ref.floor-2) + interval.Timestamp(rng.Intn(int(ts-ref.floor)+4))
-							gotTS, gotWall, gotBelow := h.firstMatch(tags, genSnap)
-							wantTS, wantWall, wantBelow := ref.firstMatch(tags, genSnap)
-							if gotTS != wantTS || !gotWall.Equal(wantWall) || gotBelow != wantBelow {
-								t.Fatalf("after message %d, firstMatch(%v, %d) = (%d, %v, below=%v), want (%d, %v, below=%v)",
-									ts, tags, genSnap, gotTS, gotWall.UnixNano(), gotBelow, wantTS, wantWall.UnixNano(), wantBelow)
+							if err := probe(&h, &ref, tags, genSnap); err != nil {
+								t.Fatalf("after message %d: %v", ts, err)
 							}
 						}
-
-						keys, tables := map[invalidation.TagID]bool{}, map[invalidation.TagID]bool{}
-						for _, m := range ref.retained() {
-							for _, tg := range m.Tags {
-								keys[tg], tables[invalidation.WildOf(tg)] = true, true
-							}
-						}
-						if len(h.last) != len(keys) || len(h.table) != len(tables) {
-							t.Fatalf("after message %d: %d tags and %d tables indexed, the %d retained messages carry %d and %d",
-								ts, len(h.last), len(h.table), len(ref.retained()), len(keys), len(tables))
+						if err := checkMaps(&h, &ref); err != nil {
+							t.Fatalf("after message %d: %v", ts, err)
 						}
 					}
 				})
 			}
+		}
+	})
+
+	// write_heavy's shape: one- to three-tag messages over a few thousand
+	// repeated tags, with gaps, and a few 2,000-tag messages among them (a
+	// data load's batches) that force the arena to grow and, once they have
+	// left the ring, to shrink. Every 128 messages each probe is asked at every
+	// distance back to the floor.
+	t.Run("WriteHeavyFlow", func(t *testing.T) {
+		const n = 512
+		pool := newHeavyPool()
+		rng := rand.New(rand.NewSource(1))
+		var h histIndex
+		h.init(n)
+		ref := refHistory{maxLen: n}
+		ts, grown := interval.Timestamp(0), 0
+		for i := 1; i <= 6*n; i++ {
+			ts++
+			if rng.Intn(256) == 0 {
+				ts += interval.Timestamp(1 + rng.Intn(5))
+				h.raiseFloor(ts - 1)
+				ref.crossGap(ts - 1)
+			}
+			size := 1 + rng.Intn(3)
+			if i == 700 || i == 705 || i == 1500 {
+				size = 2000
+			}
+			m := msgAt(ts, pool.draw(rng, size))
+			h.add(m)
+			ref.add(m)
+			grown = max(grown, len(h.tags))
+			if err := probe(&h, &ref, pool.draw(rng, 1+rng.Intn(2)), ref.floor+interval.Timestamp(rng.Intn(n))); err != nil {
+				t.Fatalf("after message %d: %v", ts, err)
+			}
+			if i%128 != 0 {
+				continue
+			}
+			probes := [][]invalidation.TagID{pool.draw(rng, 1), pool.draw(rng, 1), pool.draw(rng, 2), {pool[0]}}
+			if err := sweep(&h, &ref, probes); err != nil {
+				t.Fatalf("after message %d: %v", ts, err)
+			}
+			if err := checkMaps(&h, &ref); err != nil {
+				t.Fatalf("after message %d: %v", ts, err)
+			}
+		}
+		live := int(h.end - h.start)
+		t.Logf("arena: %d tags at most, %d holding %d at the end", grown, len(h.tags), live)
+		if grown < 4096 {
+			t.Errorf("the arena never held more than %d tags: two 2,000-tag messages did not make it grow", grown)
+		}
+		if len(h.tags) > minArena && len(h.tags) >= 4*live {
+			t.Errorf("the arena is %d tags for %d retained ones: it did not shrink once the large messages left", len(h.tags), live)
 		}
 	})
 
@@ -178,6 +287,31 @@ func TestHistoryMatchesPairwise(t *testing.T) {
 		}
 		if r := s.Lookup(context.Background(), "k3", 19, 23, 0, interval.Infinity); !r.Found || r.Still || r.Validity != iv(19, 20) {
 			t.Fatalf("put at the floor, named at 20: %+v, want [19,20) closed", r)
+		}
+
+		// A message whose arena span starts one tag late gives its first tag to
+		// the message before it, and the sweep must say so.
+		pool := newHeavyPool()
+		var h histIndex
+		h.init(64)
+		ref := refHistory{maxLen: 64}
+		rng := rand.New(rand.NewSource(2))
+		for ts := interval.Timestamp(1); ts <= 100; ts++ {
+			m := msgAt(ts, pool.draw(rng, 1+rng.Intn(3)))
+			h.add(m)
+			ref.add(m)
+		}
+		victim := h.at(40)
+		first := ref.retained()[40].Tags[0]
+		probes := [][]invalidation.TagID{{first}}
+		if err := sweep(&h, &ref, probes); err != nil {
+			t.Fatalf("before the plant: %v", err)
+		}
+		victim.off++
+		if err := sweep(&h, &ref, probes); err == nil {
+			t.Fatalf("message %d's span starts one tag late, and every answer still matched", victim.ts)
+		} else {
+			t.Logf("planted off-by-one caught: %v", err)
 		}
 	})
 

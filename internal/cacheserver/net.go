@@ -68,12 +68,21 @@ const MaxBatchLookup = 4096
 // carrying invalidation messages (opInval) is the stream from the database,
 // applied in send order; any connection may mix request types.
 func (s *Server) Serve(l net.Listener) error {
-	return rpc.Serve(l, func() (rpc.Handler, func()) { return s.handle, nil })
+	return rpc.Serve(l, func() (rpc.Handler, func()) { return s.handler(), nil })
 }
 
-// handle is the node's rpc.Handler: it processes one request, returning the
-// response frame, or nil for a bare ack.
-func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
+// handler returns the node's rpc.Handler for one connection, with the buffer
+// the connection's pushed messages are decoded into: apply copies a
+// message's tags into the history and keeps no slice of them, so a push
+// allocates nothing once the buffer fits the widest message.
+func (s *Server) handler() rpc.Handler {
+	var tags []invalidation.TagID
+	return func(op byte, body []byte) (*wire.Buffer, error) { return s.handle(op, body, &tags) }
+}
+
+// handle processes one request, returning the response frame, or nil for a
+// bare ack. tags is the connection's buffer for a pushed message's tags.
+func (s *Server) handle(op byte, body []byte, tags *[]invalidation.TagID) (*wire.Buffer, error) {
 	d := wire.NewDecoder(body)
 	//lint:allow ctxflow the wire protocol carries no context, and one made by the serve loop could only end after the handler it was passed to had returned; lookups are in-memory and non-blocking
 	ctx := context.Background()
@@ -143,10 +152,11 @@ func (s *Server) handle(op byte, body []byte) (*wire.Buffer, error) {
 		s.ResetStats()
 		return nil, nil
 	case opInval:
-		m, err := invalidation.DecodeMessage(d)
+		m, err := invalidation.DecodeMessage(d, *tags)
 		if err != nil {
 			return nil, err
 		}
+		*tags = m.Tags
 		// Sent as a request, the push is acked: the stream owner retries until
 		// it sees the ack, which is what makes its at-least-once delivery
 		// gapless (duplicates are deduplicated here by timestamp). Sent

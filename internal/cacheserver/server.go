@@ -18,6 +18,7 @@ package cacheserver
 import (
 	"context"
 	"log"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -132,7 +133,10 @@ type Config struct {
 	// has already processed: exactly the last HistoryLen, in a ring. A
 	// still-valid insert generated before the oldest of them is closed at
 	// its generating snapshot (Stats.FloorClosed counts them). Defaults to
-	// 8192 messages.
+	// 8192 messages. A retained message costs 24 B, 8 B a tag in the
+	// history's tag arena (which is one to four times what it retains), and
+	// an entry in the history's tag maps for each tag no newer message
+	// carries.
 	HistoryLen int
 	// Shards sets the number of lock shards the key space is split
 	// across, rounded up to a power of two; <= 0 means the default
@@ -284,9 +288,6 @@ func New(cfg Config) *Server {
 	s.hist.init(cfg.HistoryLen)
 	return s
 }
-
-// ShardCount returns the number of lock shards the node was built with.
-func (s *Server) ShardCount() int { return len(s.shards) }
 
 // shardIndex routes a key to its shard: FNV-1a over the key bytes, high
 // half folded in so the power-of-two mask sees the whole hash. The routing
@@ -645,14 +646,23 @@ func (s *Server) ConsumeStream(sub *invalidation.Subscription) {
 // stream message appends once (writer), and only still-valid Puts read it.
 // Shards never hold hist.mu while another lock is being acquired; Puts
 // acquire it under their shard lock (lock order: shard.mu → hist.mu).
+//
+// A retained message is bytes, not objects: a pointer-free histEntry in the
+// ring and its tags in one arena, neither of which the collector scans.
 type histIndex struct {
 	mu     sync.RWMutex
 	maxLen int
 	// ring holds the retained messages oldest first from head: it grows by
 	// append until it holds maxLen, and each later message overwrites the
 	// oldest.
-	ring []invalidation.Message
+	ring []histEntry
 	head int
+	// tags is the arena: the retained messages' tags in stream order, a
+	// power of two long and addressed by absolute offset (offset o is
+	// tags[o&(len-1)]). They run from start to end; a message's run from its
+	// off to the next message's, or to end for the newest.
+	tags       []invalidation.TagID
+	start, end uint64
 	// floor is the newest timestamp dropped from the ring (or the far side of
 	// the last gap the node crossed): inserts generated at snapshots older
 	// than it cannot be checked and are closed conservatively.
@@ -665,6 +675,28 @@ type histIndex struct {
 	table map[invalidation.TagID]interval.Timestamp
 }
 
+// histEntry is one retained message: its timestamp, its wall time in Unix
+// nanoseconds (noWall for none) and the arena offset of its first tag.
+type histEntry struct {
+	ts   interval.Timestamp
+	wall int64
+	off  uint64
+}
+
+// noWall is the wall of a message that carried no wall time.
+const noWall = math.MinInt64
+
+// wallTime returns the wall time the message carried.
+func (e *histEntry) wallTime() time.Time {
+	if e.wall == noWall {
+		return time.Time{}
+	}
+	return time.Unix(0, e.wall)
+}
+
+// minArena is the fewest tags the arena shrinks to.
+const minArena = 64
+
 func (h *histIndex) init(maxLen int) {
 	h.maxLen = maxLen
 	h.last = make(map[invalidation.TagID]interval.Timestamp)
@@ -672,33 +704,90 @@ func (h *histIndex) init(maxLen int) {
 }
 
 // at returns the i-th oldest retained message. Caller holds h.mu.
-func (h *histIndex) at(i int) *invalidation.Message {
+func (h *histIndex) at(i int) *histEntry {
 	return &h.ring[(h.head+i)%len(h.ring)]
 }
 
-// add retains m, dropping the oldest message once the ring is full.
+// span returns the arena's tags at offsets lo..hi-1 as at most two
+// contiguous runs. Caller holds h.mu.
+func (h *histIndex) span(lo, hi uint64) (a, b []invalidation.TagID) {
+	if lo == hi {
+		return nil, nil
+	}
+	n := uint64(len(h.tags))
+	i := lo & (n - 1)
+	j := i + hi - lo
+	if j > n {
+		return h.tags[i:], h.tags[:j-n]
+	}
+	return h.tags[i:j], nil
+}
+
+// write copies src into the arena from offset off.
+func (h *histIndex) write(off uint64, src []invalidation.TagID) {
+	a, b := h.span(off, off+uint64(len(src)))
+	copy(b, src[copy(a, src):])
+}
+
+// resize moves the retained tags to an arena of n tags, a power of two.
+func (h *histIndex) resize(n int) {
+	a, b := h.span(h.start, h.end)
+	h.tags = make([]invalidation.TagID, n)
+	h.write(h.start, a)
+	h.write(h.start+uint64(len(a)), b)
+}
+
+// add retains m, dropping the oldest message once the ring is full. The
+// arena doubles to fit m's tags, and halves once what it retains falls to a
+// quarter of it, as the bus's ring does.
 func (h *histIndex) add(m invalidation.Message) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.ring) < h.maxLen {
-		h.ring = append(h.ring, m)
-	} else {
-		old := &h.ring[h.head]
-		h.floor = max(h.floor, old.TS) // a gap may have raised it past old
-		for _, t := range old.Tags {
-			if h.last[t] == old.TS {
-				delete(h.last, t)
-			}
-			if w := invalidation.WildOf(t); h.table[w] == old.TS {
-				delete(h.table, w)
-			}
+	full := len(h.ring) == h.maxLen
+	if full {
+		old := h.at(0)
+		h.floor = max(h.floor, old.ts) // a gap may have raised it past old
+		h.start = h.end
+		if h.maxLen > 1 {
+			h.start = h.at(1).off
 		}
-		*old = m
-		h.head = (h.head + 1) % h.maxLen
+		a, b := h.span(old.off, h.start)
+		h.forget(old.ts, a)
+		h.forget(old.ts, b)
 	}
+	if n, live := len(h.tags), h.end-h.start+uint64(len(m.Tags)); live > uint64(n) {
+		h.resize(max(ceilPow2(int(live)), minArena))
+	} else if n > minArena && live <= uint64(n/4) {
+		h.resize(n / 2)
+	}
+	e := histEntry{ts: m.TS, wall: noWall, off: h.end}
+	if !m.WallTime.IsZero() {
+		e.wall = m.WallTime.UnixNano()
+	}
+	h.write(h.end, m.Tags)
+	h.end += uint64(len(m.Tags))
 	for _, t := range m.Tags {
 		h.last[t] = m.TS
 		h.table[invalidation.WildOf(t)] = m.TS
+	}
+	if full {
+		h.ring[h.head] = e
+		h.head = (h.head + 1) % h.maxLen
+	} else {
+		h.ring = append(h.ring, e)
+	}
+}
+
+// forget drops the tags of the message at ts that it was the newest retained
+// message to carry.
+func (h *histIndex) forget(ts interval.Timestamp, tags []invalidation.TagID) {
+	for _, t := range tags {
+		if h.last[t] == ts {
+			delete(h.last, t)
+		}
+		if w := invalidation.WildOf(t); h.table[w] == ts {
+			delete(h.table, w)
+		}
 	}
 }
 
@@ -722,17 +811,38 @@ func (h *histIndex) firstMatch(tags []invalidation.TagID, genSnap interval.Times
 		return interval.Infinity, time.Time{}, false
 	}
 	// The message at newest matches, so the scan ends there at the latest.
-	for i := sort.Search(len(h.ring), func(i int) bool { return h.at(i).TS > genSnap }); i < len(h.ring); i++ {
-		m := h.at(i)
-		for _, mt := range m.Tags {
-			for _, vt := range tags {
-				if invalidation.Affects(mt, vt) {
-					return m.TS, m.WallTime, false
-				}
+	// It reads the arena from the first message after genSnap, in at most
+	// two contiguous runs; the first tag that meets the entry's is the first
+	// match's, whose message is the last to start at or before it.
+	n := len(h.ring)
+	i := sort.Search(n, func(i int) bool { return h.at(i).ts > genSnap })
+	from := h.at(i).off
+	a, b := h.span(from, h.end)
+	k := firstAffecting(a, tags)
+	if k < 0 {
+		if k = firstAffecting(b, tags); k >= 0 {
+			k += len(a)
+		}
+	}
+	if k < 0 {
+		panic("cacheserver: history tag index names a message the ring does not hold")
+	}
+	o := from + uint64(k)
+	e := h.at(i + sort.Search(n-i, func(j int) bool { return h.at(i+j).off > o }) - 1)
+	return e.ts, e.wallTime(), false
+}
+
+// firstAffecting returns the index of the first of msgTags that affects an
+// entry carrying tags, or -1.
+func firstAffecting(msgTags, tags []invalidation.TagID) int {
+	for k, mt := range msgTags {
+		for _, vt := range tags {
+			if invalidation.Affects(mt, vt) {
+				return k
 			}
 		}
 	}
-	panic("cacheserver: history tag index names a message the ring does not hold")
+	return -1
 }
 
 // raiseFloor lifts the history floor to ts (crossGapLocked).

@@ -21,8 +21,8 @@ import (
 func TestShardRoutingStable(t *testing.T) {
 	a := New(Config{Shards: 16})
 	b := New(Config{Shards: 16})
-	if a.ShardCount() != 16 || b.ShardCount() != 16 {
-		t.Fatalf("shard count: got %d/%d, want 16", a.ShardCount(), b.ShardCount())
+	if len(a.shards) != 16 || len(b.shards) != 16 {
+		t.Fatalf("shard count: got %d/%d, want 16", len(a.shards), len(b.shards))
 	}
 	seen := map[uint32]bool{}
 	for i := 0; i < 4096; i++ {
@@ -31,7 +31,7 @@ func TestShardRoutingStable(t *testing.T) {
 		if sa != b.shardIndex(key) || sa != a.shardIndex(key) {
 			t.Fatalf("routing of %q not stable", key)
 		}
-		if int(sa) >= a.ShardCount() {
+		if int(sa) >= len(a.shards) {
 			t.Fatalf("shard %d out of range for %q", sa, key)
 		}
 		seen[sa] = true
@@ -46,13 +46,13 @@ func TestShardRoutingStable(t *testing.T) {
 // TestShardDefaults pins the default shard count policy: power of two, at
 // least 8, and Config.Shards rounded up.
 func TestShardDefaults(t *testing.T) {
-	if n := New(Config{}).ShardCount(); n < 8 || n&(n-1) != 0 {
+	if n := len(New(Config{}).shards); n < 8 || n&(n-1) != 0 {
 		t.Fatalf("default shard count %d: want power of two >= 8", n)
 	}
-	if n := New(Config{Shards: 5}).ShardCount(); n != 8 {
+	if n := len(New(Config{Shards: 5}).shards); n != 8 {
 		t.Fatalf("Shards: 5 rounded to %d, want 8", n)
 	}
-	if n := New(Config{Shards: 1}).ShardCount(); n != 1 {
+	if n := len(New(Config{Shards: 1}).shards); n != 1 {
 		t.Fatalf("Shards: 1 gave %d shards", n)
 	}
 }

@@ -48,7 +48,7 @@ const composeAccounts = 3
 func newHeldRig(t *testing.T, nodeCfgs []cacheserver.Config, cfgMod func(*Config)) *heldRig {
 	t.Helper()
 	clk := &clock.Virtual{}
-	bus := invalidation.NewBus(true)
+	bus := invalidation.NewBus(false)
 	engine := db.New(db.Options{Clock: clk, Bus: bus})
 	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Retention: time.Minute})
 	r := &heldRig{rig: rig{clk: clk, engine: engine, bus: bus, pc: pc}}

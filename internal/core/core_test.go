@@ -32,7 +32,7 @@ type rig struct {
 func newRig(t *testing.T, numNodes int, cfgMod func(*Config)) *rig {
 	t.Helper()
 	clk := &clock.Virtual{}
-	bus := invalidation.NewBus(true)
+	bus := invalidation.NewBus(false)
 	engine := db.New(db.Options{Clock: clk, Bus: bus})
 	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Retention: time.Minute})
 

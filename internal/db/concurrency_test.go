@@ -37,9 +37,11 @@ func TestParallelCommitsDisjointTables(t *testing.T) {
 		workers = 8
 		perW    = 50
 	)
-	bus := invalidation.NewBus(true)
+	bus := invalidation.NewBus(false)
 	e := newShardedEngine(t, workers, bus)
 	base := e.LastCommit()
+	sub := bus.Subscribe()
+	defer sub.Close()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -97,8 +99,6 @@ func TestParallelCommitsDisjointTables(t *testing.T) {
 
 	// The invalidation stream must carry exactly one message per commit,
 	// strictly ordered by timestamp with no gaps.
-	sub := bus.Subscribe() // history replays: bus was created with keepHistory
-	defer sub.Close()
 	for ts := base + 1; ts <= want; ts++ {
 		m := <-sub.C
 		if m.TS != ts {
@@ -422,9 +422,11 @@ func TestCreateIndexDuringTraffic(t *testing.T) {
 // when commit groups batch.
 func TestSequencerGroupsUnderBurst(t *testing.T) {
 	const workers = 16
-	bus := invalidation.NewBus(true)
+	bus := invalidation.NewBus(false)
 	e := newShardedEngine(t, workers, bus)
 	base := e.LastCommit()
+	sub := bus.Subscribe()
+	defer sub.Close()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -455,8 +457,6 @@ func TestSequencerGroupsUnderBurst(t *testing.T) {
 	if got := e.LastCommit(); got != want {
 		t.Fatalf("watermark = %d, want %d", got, want)
 	}
-	sub := bus.Subscribe()
-	defer sub.Close()
 	var prev interval.Timestamp
 	var prevWall time.Time
 	for ts := base + 1; ts <= want; ts++ {

@@ -674,7 +674,7 @@ func TestValidityOracle(t *testing.T) {
 // changes, the invalidating commit's message must carry at least one tag
 // matching the query's dependency tags.
 func TestTagSoundness(t *testing.T) {
-	bus := invalidation.NewBus(true)
+	bus := invalidation.NewBus(false)
 	e := New(Options{Bus: bus})
 	for _, d := range []string{
 		`CREATE TABLE items (id BIGINT PRIMARY KEY, seller BIGINT, price DOUBLE, category BIGINT)`,

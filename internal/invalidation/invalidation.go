@@ -75,12 +75,15 @@ func AppendTags(e *wire.Buffer, tags []TagID) {
 // DecodeTags reads what AppendTags wrote. An ID without a table half — the
 // zero ID above all — is one no Intern produces, and would register a
 // dependency under "no tag": it fails the decoder.
-func DecodeTags(d *wire.Decoder) ([]TagID, error) {
+func DecodeTags(d *wire.Decoder) ([]TagID, error) { return decodeTags(d, nil) }
+
+// decodeTags is DecodeTags into buf's storage, grown when it is too short.
+func decodeTags(d *wire.Decoder, buf []TagID) ([]TagID, error) {
 	n := d.Count(8)
 	if n == 0 {
-		return nil, d.Err()
+		return buf[:0], d.Err()
 	}
-	tags := make([]TagID, n)
+	tags := slices.Grow(buf[:0], n)[:n]
 	for i := range tags {
 		tags[i] = TagID(d.U64())
 		if WildOf(tags[i]) == 0 {
@@ -92,13 +95,16 @@ func DecodeTags(d *wire.Decoder) ([]TagID, error) {
 
 var errBadTag = errors.New("invalidation: tag ID without a table half")
 
-// DecodeMessage parses a message payload positioned after the opcode.
-func DecodeMessage(d *wire.Decoder) (Message, error) {
+// DecodeMessage parses a message payload positioned after the opcode. Its
+// tags are decoded into buf's storage (nil: a new slice), grown when it is
+// too short, so a reader that is done with each message before the next can
+// decode every one into the same buffer.
+func DecodeMessage(d *wire.Decoder, buf []TagID) (Message, error) {
 	var m Message
 	m.TS = interval.Timestamp(d.U64())
 	m.WallTime = time.Unix(0, d.I64())
 	var err error
-	m.Tags, err = DecodeTags(d)
+	m.Tags, err = decodeTags(d, buf)
 	return m, err
 }
 
@@ -112,17 +118,14 @@ type Bus struct {
 	ring       []Message // a power of two long, at most ringLen
 	base, head uint64    // the ring holds messages base..head-1
 	subs       []*Subscription
-	keep       bool
 	dropped    uint64 // messages an open subscription was lapped past
 }
 
-// NewBus returns an empty bus. Without keepHistory it holds only what some
-// open subscription has not read, and a subscription starts at the next
-// message. With it the bus keeps the last ringLen messages and a subscription
-// starts at the oldest: for tests that subscribe late — a node that joins a
-// running system needs no replay (it is cold until its first message, and
-// exact afterwards).
-func NewBus(keepHistory bool) *Bus { return &Bus{keep: keepHistory} }
+// NewBus returns an empty bus. It holds only what some open subscription has
+// not read, and a subscription starts at the next message: a node that joins
+// a running system needs no replay (it is cold until its first message, and
+// exact afterwards). The argument is ignored.
+func NewBus(bool) *Bus { return &Bus{} } // kept for benchmark/ (ROADMAP 1)
 
 // ringLen bounds what the bus holds for a subscriber that is not reading: a
 // writer that far ahead laps it, and it resumes at the newest message. What
@@ -143,16 +146,12 @@ type Subscription struct {
 	done chan struct{} // closed by Close, so a pump whose reader has gone does not wait for it
 }
 
-// Subscribe registers a new subscriber, at the ring's oldest message when the
-// bus keeps history and at the next message published otherwise.
+// Subscribe registers a new subscriber, at the next message published.
 func (b *Bus) Subscribe() *Subscription {
 	c := make(chan Message)
 	s := &Subscription{C: c, c: c, bus: b, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	b.mu.Lock()
 	s.next = b.head
-	if b.keep {
-		s.next = b.base
-	}
 	b.subs = append(b.subs, s)
 	b.mu.Unlock()
 	go s.pump()
@@ -207,12 +206,9 @@ func (b *Bus) forget(n uint64) {
 	}
 }
 
-// release lets go of what every open subscription has read, unless the bus
-// keeps history. Caller holds b.mu.
+// release lets go of what every open subscription has read. Caller holds
+// b.mu.
 func (b *Bus) release() {
-	if b.keep {
-		return
-	}
 	low := b.head
 	for _, s := range b.subs {
 		low = min(low, s.next)

@@ -36,7 +36,7 @@ func TestMessageEncodeDecode(t *testing.T) {
 	if op := d.Op(); op != 0x10 {
 		t.Fatalf("op = %#x", op)
 	}
-	got, err := DecodeMessage(d)
+	got, err := DecodeMessage(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMessageDecodeTruncated(t *testing.T) {
 	b := e.Bytes()
 	d := wire.NewDecoder(b[:len(b)-3])
 	d.Op()
-	if _, err := DecodeMessage(d); err == nil {
+	if _, err := DecodeMessage(d, nil); err == nil {
 		t.Fatal("want error on truncated message")
 	}
 }
@@ -345,51 +345,6 @@ func TestBusFanOut(t *testing.T) {
 			t.Fatalf("sub %d timed out", i)
 		}
 	}
-}
-
-// TestBusHistoryReplay: a bus that keeps history replays its ring to a late
-// subscriber, from the ring's oldest message on.
-func TestBusHistoryReplay(t *testing.T) {
-	expect := func(t *testing.T, sub *Subscription, from, to interval.Timestamp) {
-		t.Helper()
-		for want := from; want <= to; want++ {
-			select {
-			case m := <-sub.C:
-				if m.TS != want {
-					t.Fatalf("got ts %d, want %d", m.TS, want)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatalf("timed out waiting for ts %d", want)
-			}
-		}
-	}
-	t.Run("WithinTheRing", func(t *testing.T) {
-		bus := NewBus(true)
-		bus.Publish(Message{TS: 1})
-		bus.Publish(Message{TS: 2})
-		sub := bus.Subscribe() // late subscriber
-		defer sub.Close()
-		bus.Publish(Message{TS: 3})
-		expect(t, sub, 1, 3)
-	})
-	// Past the ring the replay starts at its oldest message: one gap, before
-	// the first message the subscriber sees, and a dense stream from there.
-	// What went by before it subscribed is not counted as dropped.
-	t.Run("PastTheRing", func(t *testing.T) {
-		bus := NewBus(true)
-		const over = 100
-		for ts := 1; ts <= ringLen+over; ts++ {
-			bus.Publish(Message{TS: interval.Timestamp(ts)})
-		}
-		sub := bus.Subscribe()
-		defer sub.Close()
-		expect(t, sub, over+1, ringLen+over)
-		bus.Publish(Message{TS: ringLen + over + 1})
-		expect(t, sub, ringLen+over+1, ringLen+over+1)
-		if msgs, _ := held(bus); msgs != ringLen || bus.Dropped() != 0 {
-			t.Fatalf("bus holds %d messages and dropped %d, want %d and 0", msgs, bus.Dropped(), ringLen)
-		}
-	})
 }
 
 func TestBusSlowSubscriberDoesNotBlockPublish(t *testing.T) {

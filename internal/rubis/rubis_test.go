@@ -19,14 +19,10 @@ import (
 func testSite(t testing.TB, withCache bool) (*App, *db.Engine, *clock.Virtual) {
 	t.Helper()
 	clk := &clock.Virtual{}
-	bus := invalidation.NewBus(true)
+	bus := invalidation.NewBus(false)
 	engine := db.New(db.Options{Clock: clk, Bus: bus})
 	pc := pincushion.New(pincushion.Config{Clock: clk, DB: engine, Retention: time.Minute})
 
-	ds, err := Load(engine, TestScale, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nodes := map[string]cacheserver.Node{}
 	if withCache {
 		for i := 0; i < 2; i++ {
@@ -36,6 +32,10 @@ func testSite(t testing.TB, withCache bool) (*App, *db.Engine, *clock.Virtual) {
 			t.Cleanup(sub.Close)
 			nodes[fmt.Sprintf("cache%d", i)] = n
 		}
+	}
+	ds, err := Load(engine, TestScale, 42)
+	if err != nil {
+		t.Fatal(err)
 	}
 	client := core.NewClient(core.Config{
 		DB: core.EngineDB{Engine: engine}, Nodes: nodes, Pincushion: pc, Clock: clk,

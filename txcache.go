@@ -229,11 +229,10 @@ type TagID = invalidation.TagID
 // is also how to find a tag you know by name in output that prints IDs.
 func InternTag(t InvalidationTag) TagID { return invalidation.Intern(t) }
 
-// NewBus creates an invalidation bus. Pass false: keepHistory keeps the last
-// 16,384 messages to replay to late subscribers, which tests use and a
-// deployment need not — a node that joins late needs no replay (it is cold
-// until its first message and exact afterwards).
-func NewBus(keepHistory bool) *Bus { return invalidation.NewBus(keepHistory) }
+// NewBus creates an invalidation bus. A subscription starts at the next
+// message: a node that joins late needs no replay (it is cold until its first
+// message and exact afterwards). The argument is ignored.
+func NewBus(bool) *Bus { return invalidation.NewBus(false) }
 
 // Clock abstracts wall time (real in production, virtual in tests).
 type Clock = clock.Clock

@@ -13,7 +13,7 @@ import (
 // invalidation, causality — all through the context-first Begin API.
 func TestFacadeEndToEnd(t *testing.T) {
 	ctx := context.Background()
-	bus := txcache.NewBus(true)
+	bus := txcache.NewBus(false)
 	engine := txcache.NewEngine(txcache.EngineOptions{Bus: bus})
 	node := txcache.NewCacheServer(txcache.CacheConfig{})
 	go node.ConsumeStream(bus.Subscribe())

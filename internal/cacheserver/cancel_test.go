@@ -43,9 +43,10 @@ func holdServer(t *testing.T) (addr string, held <-chan []byte) {
 }
 
 // TestLookupBatchCancelDegradesToMisses: cancelling a context while a
-// batched lookup is in flight returns promptly with a compulsory miss per
-// probe, counted once as an error and once as cancelled. (What the transport
-// does with the abandoned request is internal/rpc's test.)
+// LookupBatch is in flight returns promptly with a compulsory miss per
+// probe, counted once as an error and once as cancelled: the probes after
+// the cancelled one send nothing. (What the transport does with the
+// abandoned request is internal/rpc's test.)
 func TestLookupBatchCancelDegradesToMisses(t *testing.T) {
 	addr, held := holdServer(t)
 	c, err := Dial(addr, 1)

@@ -34,10 +34,6 @@ func TestOneWritePerFrame(t *testing.T) {
 			t.Fatalf("lookup %d = %+v", i, r)
 		}
 	}
-	rs := c.LookupBatch(ctx, []BatchLookup{{Key: "k", Lo: 2, Hi: 9, OrigHi: interval.Infinity}, {Key: "nope", Lo: 2, Hi: 9, OrigHi: interval.Infinity}})
-	if len(rs) != 2 || !rs[0].Found || rs[1].Found {
-		t.Fatalf("batch = %+v", rs)
-	}
 	msg := invalidation.Message{TS: 5, WallTime: time.Unix(1, 0), Tags: []invalidation.TagID{invalidation.Intern(invalidation.KeyTag("t", "id", "1"))}}
 	if err := c.PushInvalidation(ctx, msg); err != nil {
 		t.Fatal(err)
@@ -45,6 +41,6 @@ func TestOneWritePerFrame(t *testing.T) {
 	if got := s.Stats().Horizon; got != 5 {
 		t.Fatalf("node horizon %d after the push, want 5", got)
 	}
-	client.Expect(t, "put + 3 lookups + batch + push", 5, 6)
-	server.Expect(t, "6 frames in, 5 out", 6, 5)
+	client.Expect(t, "put + 3 lookups + push", 4, 5)
+	server.Expect(t, "5 frames in, 4 out", 5, 4)
 }

@@ -2,6 +2,8 @@ package cacheserver
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,10 +21,13 @@ func fuzzSeedFrames() [][]byte {
 	tags := []invalidation.TagID{invalidation.Intern(invalidation.KeyTag("users", "id", "7"))}
 	lookup := wire.NewBuffer(opLookup)
 	lookup.U32(1).Str("k").U64(1).U64(10).U64(0).U64(100)
-	batch := wire.NewBuffer(opLookupBatch)
+	// A batched lookup (10) and its reply (11), opcodes the node no longer
+	// knows.
+	batch := wire.NewBuffer(10)
 	batch.U32(2).U32(2)
 	batch.Str("a").U64(1).U64(10).U64(0).U64(100)
 	batch.Str("b").U64(2).U64(20).U64(0).U64(100)
+	batchResp := wire.NewBuffer(11).U32(8).U32(0)
 	putHead := func() *wire.Buffer {
 		return wire.NewBuffer(opPut).U32(3).Str("k").U64(1).U64(uint64(interval.Infinity)).Bool(true).U64(1)
 	}
@@ -45,19 +50,25 @@ func fuzzSeedFrames() [][]byte {
 	// The opcode the database once announced a restart with.
 	retired := wire.NewBuffer(12).U32(7).U64(50).I64(1)
 	return [][]byte{
-		lookup.Bytes(), batch.Bytes(), put.Bytes(), stats.Bytes(), reset.Bytes(),
+		lookup.Bytes(), batch.Bytes(), batchResp.Bytes(), put.Bytes(), stats.Bytes(), reset.Bytes(),
 		inval(9), inval(1), inval(0), retired.Bytes(),
 		putZeroTag.Bytes(), putHugeCount.Bytes(),
-		{}, {opLookup}, {opPut, 1, 0, 0, 0}, {opLookupBatch, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		{}, {opLookup}, {opPut, 1, 0, 0, 0}, {10, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
 	}
 }
 
-// TestRetiredOpcodeRefused: opcode 12 was the database announcing a restart.
-// A stream owner from an older build that still sends it is told the node
-// does not know it, rather than acked for something the node did not do.
+// retiredOps are opcodes the node once answered: 10 and 11 a batched
+// lookup and its reply, 12 the database announcing a restart.
+var retiredOps = []byte{10, 11, 12}
+
+// TestRetiredOpcodeRefused: a peer from an older build that still sends a
+// retired opcode is told the node does not know it, rather than acked for
+// something the node did not do.
 func TestRetiredOpcodeRefused(t *testing.T) {
-	if _, err := New(Config{}).handler()(12, nil); err == nil || !strings.Contains(err.Error(), "unknown opcode 12") {
-		t.Fatalf("opcode 12: err = %v, want unknown opcode", err)
+	for _, op := range retiredOps {
+		if _, err := New(Config{}).handler()(op, nil); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown opcode %d", op)) {
+			t.Fatalf("opcode %d: err = %v, want unknown opcode", op, err)
+		}
 	}
 }
 
@@ -89,9 +100,12 @@ func FuzzHandle(f *testing.F) {
 			if err := json.Unmarshal(resp[5:], new(Stats)); err != nil {
 				t.Fatalf("stats reply does not decode: %v", err)
 			}
-		case opLookupResp, opLookupBatchResp, rpc.OpAck, rpc.OpErr:
+		case opLookupResp, rpc.OpAck, rpc.OpErr:
 		default:
 			t.Fatalf("unknown response opcode %d", op)
+		}
+		if len(frame) > 0 && slices.Contains(retiredOps, frame[0]) && op != rpc.OpErr {
+			t.Fatalf("retired opcode %d answered with opcode %d", frame[0], op)
 		}
 		if len(frame) >= 5 {
 			reqID := uint32(frame[1]) | uint32(frame[2])<<8 | uint32(frame[3])<<16 | uint32(frame[4])<<24

@@ -218,7 +218,7 @@ func TestServerMatchesModel(t *testing.T) {
 // Concurrent pipelined model test.
 //
 // TestConcurrentPipelinedModel drives a 3-node TCP cluster with concurrent
-// pipelined lookups, asynchronous puts, batched lookups, an ordered
+// pipelined lookups, asynchronous puts, LookupBatch calls, an ordered
 // invalidation stream, and live node churn (clients torn down and redialed,
 // ring membership cycling), all against a fact oracle.
 //
@@ -559,8 +559,8 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 		}(w)
 	}
 
-	// Lookup workers: pipelined single lookups and batched multi-key
-	// lookups, each answer validated against the oracle.
+	// Lookup workers: pipelined lookups, some through LookupBatch, each
+	// answer validated against the oracle.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -571,7 +571,7 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 				reqLo := interval.Timestamp(rng.Int63n(int64(now)) + 1)
 				reqHi := reqLo + interval.Timestamp(rng.Intn(8))
 				if rng.Intn(4) == 0 {
-					// Batched probe: group a few keys by their ring owner.
+					// A LookupBatch of a few keys, sent to the first key's ring owner.
 					key := keys[rng.Intn(keyCount)]
 					c := set.pick(key)
 					if c == nil {
@@ -653,7 +653,7 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 		}
 	}
 
-	// Full sweep over fresh connections using batched lookups: probe every
+	// Full sweep over fresh connections using LookupBatch: probe every
 	// fact's generating timestamp on every node and validate whatever is
 	// returned. Nodes may have dropped puts; they may not invent versions
 	// or misreport validity.
@@ -671,17 +671,10 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for start := 0; start < len(probes); start += MaxBatchLookup {
-			end := start + MaxBatchLookup
-			if end > len(probes) {
-				end = len(probes)
-			}
-			chunk := probes[start:end]
-			for j, r := range c.LookupBatch(context.Background(), chunk) {
-				if r.Found {
-					swept++
-					o.checkFound(t, chunk[j].Key, chunk[j].Lo, chunk[j].Hi, r, true)
-				}
+		for j, r := range c.LookupBatch(context.Background(), probes) {
+			if r.Found {
+				swept++
+				o.checkFound(t, probes[j].Key, probes[j].Lo, probes[j].Hi, r, true)
 			}
 		}
 		c.Close()

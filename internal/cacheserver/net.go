@@ -26,7 +26,7 @@ import (
 // optimization; callers never wait on an install).
 type Node interface {
 	Lookup(ctx context.Context, key string, lo, hi, origLo, origHi interval.Timestamp) LookupResult
-	LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupResult
+	LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupResult // kept for benchmark/ (ROADMAP 1)
 	Put(key string, data []byte, iv interval.Interval, still bool, genSnap interval.Timestamp, tags []invalidation.TagID)
 	Stats() Stats
 	ResetStats()
@@ -37,11 +37,25 @@ var (
 	_ Node = (*Client)(nil)
 )
 
-// BatchLookup is one probe of a multi-key lookup: the same parameters as
-// Lookup, resolved for a whole set of keys in one round trip.
-type BatchLookup struct {
+// BatchLookup is one probe of LookupBatch: the same parameters as Lookup.
+type BatchLookup struct { // kept for benchmark/ (ROADMAP 1)
 	Key                    string
 	Lo, Hi, OrigLo, OrigHi interval.Timestamp
+}
+
+// lookupEach is LookupBatch on any node: one Lookup per probe, in order.
+// Once ctx is done the remaining probes are compulsory misses, and nothing
+// more is asked of n.
+func lookupEach(ctx context.Context, n Node, reqs []BatchLookup) []LookupResult {
+	out := make([]LookupResult, len(reqs))
+	for i, q := range reqs {
+		if ctx.Err() != nil {
+			out[i] = LookupResult{Miss: MissCompulsory}
+			continue
+		}
+		out[i] = n.Lookup(ctx, q.Key, q.Lo, q.Hi, q.OrigLo, q.OrigHi)
+	}
+	return out
 }
 
 // Protocol opcodes; the frame header, the request IDs that let a client
@@ -49,20 +63,12 @@ type BatchLookup struct {
 // the stats request are internal/rpc's. A frame sent one-way (async puts,
 // unacked invalidation pushes) is applied and never answered.
 const (
-	opLookup          byte = 1
-	opLookupResp      byte = 2
-	opPut             byte = 3
-	opReset           byte = 5 // ResetStats
-	opInval           byte = 7
-	opLookupBatch     byte = 10
-	opLookupBatchResp byte = 11
+	opLookup     byte = 1
+	opLookupResp byte = 2
+	opPut        byte = 3
+	opReset      byte = 5 // ResetStats
+	opInval      byte = 7
 )
-
-// MaxBatchLookup bounds the probes of one batched lookup so a corrupt
-// count prefix cannot cause a huge allocation. The response frame is
-// bounded separately: hits that would overflow the frame budget degrade to
-// capacity misses.
-const MaxBatchLookup = 4096
 
 // Serve accepts request connections on l until l is closed. A connection
 // carrying invalidation messages (opInval) is the stream from the database,
@@ -99,39 +105,6 @@ func (s *Server) handle(op byte, body []byte, tags *[]invalidation.TagID) (*wire
 		e := rpc.NewFrame(opLookupResp)
 		encodeLookupResult(e, s.Lookup(ctx, key, lo, hi, origLo, origHi))
 		return e, nil
-	case opLookupBatch:
-		// Each probe is at least a 4-byte key length plus four timestamps.
-		n := d.Count(4 + 32)
-		if n > MaxBatchLookup {
-			return nil, fmt.Errorf("cacheserver: unreasonable batch size %d", n)
-		}
-		reqs := make([]BatchLookup, 0, n)
-		for i := 0; i < n; i++ {
-			reqs = append(reqs, BatchLookup{
-				Key:    d.Str(),
-				Lo:     interval.Timestamp(d.U64()),
-				Hi:     interval.Timestamp(d.U64()),
-				OrigLo: interval.Timestamp(d.U64()),
-				OrigHi: interval.Timestamp(d.U64()),
-			})
-		}
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		rs := s.LookupBatch(ctx, reqs)
-		e := rpc.NewFrame(opLookupBatchResp).U32(uint32(len(rs)))
-		// The response must stay under MaxFrame no matter how large the hit
-		// payloads are; results that would overflow the budget degrade to
-		// capacity misses (always safe — the caller just recomputes).
-		budget := wire.MaxFrame / 2
-		for _, r := range rs {
-			if len(e.Bytes())+encodedResultSize(r) > budget {
-				encodeLookupResult(e, LookupResult{Miss: MissCapacity})
-				continue
-			}
-			encodeLookupResult(e, r)
-		}
-		return e, nil
 	case opPut:
 		key := d.Str()
 		lo := interval.Timestamp(d.U64())
@@ -166,11 +139,6 @@ func (s *Server) handle(op byte, body []byte, tags *[]invalidation.TagID) (*wire
 	default:
 		return nil, fmt.Errorf("cacheserver: unknown opcode %d", op)
 	}
-}
-
-// encodedResultSize bounds encodeLookupResult's output for r.
-func encodedResultSize(r LookupResult) int {
-	return 2 + 8 + 8 + 1 + 4 + 8*len(r.Tags) + 4 + len(r.Data)
 }
 
 func encodeLookupResult(e *wire.Buffer, r LookupResult) {
@@ -221,10 +189,8 @@ const (
 // ClientStats are client-side transport counters: how the multiplexed
 // protocol is behaving, as opposed to Stats (the remote node's counters).
 type ClientStats struct {
-	Lookups      uint64 // single-key lookup requests sent
+	Lookups      uint64 // lookup requests sent
 	LookupErrors uint64 // lookups degraded to misses by transport errors
-	BatchLookups uint64 // batched lookup requests sent
-	BatchKeys    uint64 // total probes carried by batched lookups
 	PutsQueued   uint64 // puts accepted into the async queue
 	PutsSent     uint64 // puts written to a connection
 	PutsDropped  uint64 // puts dropped because the queue was full
@@ -239,9 +205,9 @@ type ClientStats struct {
 // clientCounters is the atomic backing store for the counters of
 // ClientStats that the transport does not keep itself.
 type clientCounters struct {
-	lookups, lookupErrors, batchLookups, batchKeys atomic.Uint64
-	putsQueued, putsSent, putsDropped, putErrors   atomic.Uint64
-	callErrors                                     atomic.Uint64
+	lookups, lookupErrors                        atomic.Uint64
+	putsQueued, putsSent, putsDropped, putErrors atomic.Uint64
+	callErrors                                   atomic.Uint64
 }
 
 // Client is a TCP client for a cache node. It is safe for concurrent use:
@@ -309,8 +275,6 @@ func (c *Client) ClientStats() ClientStats {
 	return ClientStats{
 		Lookups:      c.counters.lookups.Load(),
 		LookupErrors: c.counters.lookupErrors.Load(),
-		BatchLookups: c.counters.batchLookups.Load(),
-		BatchKeys:    c.counters.batchKeys.Load(),
 		PutsQueued:   c.counters.putsQueued.Load(),
 		PutsSent:     c.counters.putsSent.Load(),
 		PutsDropped:  c.counters.putsDropped.Load(),
@@ -339,57 +303,9 @@ func (c *Client) Lookup(ctx context.Context, key string, lo, hi, origLo, origHi 
 	return LookupResult{Miss: MissCompulsory}
 }
 
-// LookupBatch implements Node over TCP: all probes travel in one frame and
-// return in one frame, preserving order. Transport errors degrade every
-// probe to a compulsory miss.
+// LookupBatch implements Node over TCP as one Lookup per probe, in order.
 func (c *Client) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupResult {
-	if len(reqs) == 0 {
-		return nil
-	}
-	if len(reqs) > MaxBatchLookup {
-		out := make([]LookupResult, 0, len(reqs))
-		for len(reqs) > 0 {
-			n := len(reqs)
-			if n > MaxBatchLookup {
-				n = MaxBatchLookup
-			}
-			out = append(out, c.LookupBatch(ctx, reqs[:n])...)
-			reqs = reqs[n:]
-		}
-		return out
-	}
-	c.counters.batchLookups.Add(1)
-	c.counters.batchKeys.Add(uint64(len(reqs)))
-	e := rpc.NewFrame(opLookupBatch).U32(uint32(len(reqs)))
-	for _, q := range reqs {
-		e.Str(q.Key).U64(uint64(q.Lo)).U64(uint64(q.Hi)).U64(uint64(q.OrigLo)).U64(uint64(q.OrigHi))
-	}
-	miss := func() []LookupResult {
-		c.counters.lookupErrors.Add(1)
-		out := make([]LookupResult, len(reqs))
-		for i := range out {
-			out[i] = LookupResult{Miss: MissCompulsory}
-		}
-		return out
-	}
-	op, body, err := c.rpc.Call(ctx, e)
-	if err != nil || op != opLookupBatchResp {
-		return miss()
-	}
-	d := wire.NewDecoder(body)
-	n := d.U32()
-	if d.Err() != nil || int(n) != len(reqs) {
-		return miss()
-	}
-	out := make([]LookupResult, 0, n)
-	for i := uint32(0); i < n; i++ {
-		r, err := decodeLookupResult(d)
-		if err != nil {
-			return miss()
-		}
-		out = append(out, r)
-	}
-	return out
+	return lookupEach(ctx, c, reqs)
 }
 
 // Put implements Node over TCP. The put is asynchronous: the frame enters a

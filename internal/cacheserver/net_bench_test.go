@@ -37,8 +37,7 @@ func benchRig(b *testing.B, keys int) (*Client, func()) {
 }
 
 // BenchmarkCacheLookupTCP measures cache lookups over TCP: sequential
-// lookups on one goroutine, pipelined lookups from parallel goroutines,
-// and (once the protocol supports it) batched multi-key lookups.
+// lookups on one goroutine and pipelined lookups from parallel goroutines.
 func BenchmarkCacheLookupTCP(b *testing.B) {
 	const keys = 4096
 	b.Run("single", func(b *testing.B) {
@@ -66,25 +65,5 @@ func BenchmarkCacheLookupTCP(b *testing.B) {
 				i++
 			}
 		})
-	})
-	// batch16 resolves 16 probes per frame; ns/op is still per probe, so
-	// the batched/single ratio is the round-trip amortization.
-	b.Run("batch16", func(b *testing.B) {
-		c, stop := benchRig(b, keys)
-		defer stop()
-		const batch = 16
-		reqs := make([]BatchLookup, batch)
-		b.ResetTimer()
-		for i := 0; i < b.N; i += batch {
-			for j := range reqs {
-				reqs[j] = BatchLookup{Key: fmt.Sprintf("key-%d", (i+j)%keys),
-					Lo: 1 << 19, Hi: 1 << 21, OrigLo: 0, OrigHi: interval.Infinity}
-			}
-			for _, r := range c.LookupBatch(context.Background(), reqs) {
-				if !r.Found {
-					b.Fatalf("miss at %d", i)
-				}
-			}
-		}
 	})
 }

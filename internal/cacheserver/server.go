@@ -348,80 +348,9 @@ func (s *Server) Lookup(ctx context.Context, key string, lo, hi, origLo, origHi 
 	return r
 }
 
-// LookupBatch resolves many probes, grouping them by shard so each shard's
-// lock is taken exactly once per batch (remote clients send the whole
-// batch in one frame, so a transaction's pin-set probes cost one round
-// trip and at most one lock acquisition per shard touched). If ctx is
-// cancelled partway through a large batch, the remaining probes degrade to
-// compulsory misses rather than holding locks to completion.
+// LookupBatch is one Lookup per probe, in order.
 func (s *Server) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupResult {
-	out := make([]LookupResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if ctx != nil && ctx.Err() != nil {
-		for i := range out {
-			out[i] = LookupResult{Miss: MissCompulsory}
-		}
-		return out
-	}
-	if len(reqs) == 1 {
-		out[0] = s.Lookup(ctx, reqs[0].Key, reqs[0].Lo, reqs[0].Hi, reqs[0].OrigLo, reqs[0].OrigHi)
-		return out
-	}
-
-	// Counting sort of probe indexes by shard: one pass to route, one to
-	// place, then the probes run in shard-grouped order.
-	n := len(s.shards)
-	sids := make([]uint32, len(reqs))
-	counts := make([]uint32, n+1)
-	for i := range reqs {
-		sid := s.shardIndex(reqs[i].Key)
-		sids[i] = sid
-		counts[sid+1]++
-	}
-	for i := 1; i <= n; i++ {
-		counts[i] += counts[i-1]
-	}
-	order := make([]uint32, len(reqs))
-	for i := range reqs {
-		order[counts[sids[i]]] = uint32(i)
-		counts[sids[i]]++
-	}
-
-	cur := uint32(0)
-	var sh *shard
-	var last interval.Timestamp
-	cancelled := false
-	for k, oi := range order {
-		i := int(oi)
-		if !cancelled && k&63 == 63 && ctx != nil && ctx.Err() != nil {
-			cancelled = true
-			if sh != nil {
-				sh.mu.Unlock()
-				sh = nil
-			}
-		}
-		if cancelled {
-			out[i] = LookupResult{Miss: MissCompulsory}
-			continue
-		}
-		if sh == nil || sids[i] != cur {
-			if sh != nil {
-				sh.mu.Unlock()
-			}
-			cur = sids[i]
-			sh = &s.shards[cur]
-			sh.mu.Lock()
-			last = interval.Timestamp(s.lastInval.Load())
-		}
-		q := &reqs[i]
-		out[i] = sh.lookupLocked(q.Key, q.Lo, q.Hi, q.OrigLo, q.OrigHi, last)
-	}
-	if sh != nil {
-		sh.mu.Unlock()
-	}
-	return out
+	return lookupEach(ctx, s, reqs)
 }
 
 // Put stores a version of key valid over iv. If still is set, the entry
@@ -504,7 +433,7 @@ func (s *Server) eachShard(f func(sh *shard)) {
 // It takes the caller's word that the node has missed no message below m,
 // which code that builds a node's history by hand can give (tests,
 // benchmark/probes.go). A stream cannot, and delivers through apply.
-func (s *Server) ApplyInvalidation(m invalidation.Message) { s.apply(m, false) }
+func (s *Server) ApplyInvalidation(m invalidation.Message) { s.apply(m, false) } // kept for benchmark/ (ROADMAP 1)
 
 // apply is ApplyInvalidation for a message that may have arrived on the
 // node's stream (fromStream: ConsumeStream, the TCP push). The stream carries

@@ -11,8 +11,8 @@ import (
 )
 
 // Sharding-specific coverage: routing stability, cross-shard invalidation
-// fan-out, the global byte budget under concurrent puts, and shard-grouped
-// batch lookups. The oracle model tests (model_test.go) remain the broad
+// fan-out, the global byte budget under concurrent puts, and batch lookups
+// across shards. The oracle model tests (model_test.go) remain the broad
 // soundness gate; these tests pin the sharding machinery itself.
 
 // TestShardRoutingStable pins that key routing is a pure function of the
@@ -194,22 +194,26 @@ func TestGlobalBudgetConcurrentPuts(t *testing.T) {
 }
 
 // TestCrossShardLookupBatch issues one batch spanning every shard and
-// checks each probe gets exactly the answer an individual Lookup gives —
-// the shard-grouped execution must not reorder, drop, or cross-wire
-// results (out[i] must answer reqs[i] even though probes execute in
-// shard order).
+// checks each probe gets exactly the answer an individual Lookup gives:
+// out[i] must answer reqs[i], with no probe reordered, dropped or
+// cross-wired to another shard's entry.
 func TestCrossShardLookupBatch(t *testing.T) {
 	s := New(Config{Shards: 8})
 	const n = 64
 	reqs := make([]BatchLookup, 0, 2*n)
+	shards := map[uint32]bool{}
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("batch-%d", i)
+		shards[s.shardIndex(key)] = true
 		// Distinct payload and validity per key so cross-wiring is visible.
 		lo := interval.Timestamp(10 + i)
 		s.Put(key, []byte(key), interval.Interval{Lo: lo, Hi: lo + 5}, false, 0, nil)
 		reqs = append(reqs, BatchLookup{Key: key, Lo: lo, Hi: lo, OrigLo: 0, OrigHi: interval.Infinity})
 		// And a guaranteed miss for the same key outside its validity.
 		reqs = append(reqs, BatchLookup{Key: key, Lo: lo + 100, Hi: lo + 100, OrigLo: 0, OrigHi: interval.Infinity})
+	}
+	if len(shards) != len(s.shards) {
+		t.Fatalf("probes touch %d of %d shards", len(shards), len(s.shards))
 	}
 	out := s.LookupBatch(context.Background(), reqs)
 	if len(out) != len(reqs) {

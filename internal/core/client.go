@@ -42,8 +42,8 @@ type DBTx interface {
 // PinLatest and Unpin are for wrappers; the library calls neither.
 type DB interface {
 	Begin(ctx context.Context, readOnly bool, snap interval.Timestamp) (DBTx, error)
-	PinLatest() (interval.Timestamp, time.Time)
-	Unpin(ts interval.Timestamp)
+	PinLatest() (interval.Timestamp, time.Time) // kept for benchmark/ (ROADMAP 1)
+	Unpin(ts interval.Timestamp)                // kept for benchmark/ (ROADMAP 1)
 }
 
 // EngineDB adapts *db.Engine to the DB interface.

@@ -269,7 +269,7 @@ func TestReadOnlyRunnerReleasesOnPanic(t *testing.T) {
 }
 
 // --- End-to-end wire cancellation: a context cancelled while the
-// multiplexed client awaits a batched lookup returns within the deadline,
+// multiplexed client awaits a LookupBatch returns within the deadline,
 // leaks no pins and no goroutines. (The pending-table reclamation detail is
 // asserted in package cacheserver, which can see the table.)
 
@@ -327,7 +327,7 @@ func TestCancelDuringBatchedWireLookup(t *testing.T) {
 	// Well under the 2s transport timeout: the cancel, not the timer,
 	// released us.
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("batched lookup returned after %v, want prompt return on cancel", elapsed)
+		t.Fatalf("LookupBatch returned after %v, want prompt return on cancel", elapsed)
 	}
 	tx.Abort()
 

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
 	"txcache/internal/interval"
 )
@@ -32,16 +30,17 @@ const maxRetries = 5
 // into a later transaction's WithMinTimestamp for session causality). Like
 // ReadOnly it finishes the transaction on every exit path. When Commit
 // fails with a serialization conflict the whole closure is re-run — fn must
-// therefore be safe to execute more than once — up to maxRetries times with a
-// short growing backoff, the standard client idiom under
-// snapshot isolation; conflicts beyond the bound surface as
-// ErrSerialization.
+// therefore be safe to execute more than once — up to maxRetries times,
+// the standard client idiom under snapshot isolation; conflicts beyond the
+// bound surface as ErrSerialization.
 func (c *Client) ReadWrite(ctx context.Context, fn func(*Tx) error, opts ...TxOption) (interval.Timestamp, error) {
 	return c.retry(ctx, fn, append(cloneOpts(opts), WithReadWrite()))
 }
 
 // retry runs runTx until it ends in anything but ErrSerialization, at most
-// maxRetries times more.
+// maxRetries times more. It retries at once: the database returns a
+// conflict only once the winning commit is visible, so the next attempt
+// begins past it, and a cancelled ctx ends the next Begin.
 func (c *Client) retry(ctx context.Context, fn func(*Tx) error, opts []TxOption) (interval.Timestamp, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -50,11 +49,6 @@ func (c *Client) retry(ctx context.Context, fn func(*Tx) error, opts []TxOption)
 		ts, err := c.runTx(ctx, fn, opts)
 		if err == nil || !errors.Is(err, ErrSerialization) || attempt >= maxRetries {
 			return ts, err
-		}
-		select {
-		case <-time.After(time.Duration(attempt+1) * 100 * time.Microsecond):
-		case <-ctx.Done():
-			return 0, fmt.Errorf("txcache: %w", ctx.Err())
 		}
 	}
 }

@@ -578,3 +578,62 @@ func TestUniqueUnderConcurrentCommits(t *testing.T) {
 		}
 	}
 }
+
+// TestConflictReturnsOnceWinnerVisible: a commit that loses to a commit
+// still in the pipeline (applied, its group not yet published) returns its
+// ErrSerialization only once the winner is visible. A retry begun at once
+// then starts above the winner and commits; returning earlier would send
+// it back to the same snapshot to lose again, as often as the caller
+// retries within one WAL sync.
+func TestConflictReturnsOnceWinnerVisible(t *testing.T) {
+	e := newShardedEngine(t, 1, nil)
+	mustExec(t, e, "INSERT INTO shard0 (id, v) VALUES (1, 0)")
+	update := func(v int64) (*Tx, error) {
+		tx, err := e.BeginTx(context.Background(), false, 0)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := tx.Exec("UPDATE shard0 SET v = ? WHERE id = 1", v); err != nil {
+			tx.Abort()
+			return nil, err
+		}
+		return tx, nil
+	}
+
+	// A stamped commit that has not reached the sequencer holds every later
+	// commit back from publishing, as a group's WAL sync does.
+	hole := e.seq.allocate()
+	winner, err := update(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	winnerDone := make(chan error, 1)
+	go func() { _, err := winner.Commit(); winnerDone <- err }()
+	for parked := false; !parked; time.Sleep(time.Millisecond) {
+		e.seq.mu.Lock()
+		_, parked = e.seq.ready[uint64(hole)+1]
+		e.seq.mu.Unlock()
+	}
+
+	loser, err := update(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(20*time.Millisecond, func() { e.finishCommit(hole, nil, nil) })
+	if _, err := loser.Commit(); !errors.Is(err, ErrSerialization) {
+		t.Fatalf("the loser's commit = %v, want ErrSerialization", err)
+	}
+	retry, err := update(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := retry.Commit(); err != nil {
+		t.Fatalf("a retry begun once the loser returned: %v (snapshot %d, winner's commit %d)", err, retry.snap, hole+1)
+	}
+	if err := <-winnerDone; err != nil {
+		t.Fatal(err)
+	}
+	if r := queryAt(t, e, 0, "SELECT v FROM shard0 WHERE id = 1"); r.Rows[0][0] != int64(3) {
+		t.Fatalf("v = %v, want the retry's 3", r.Rows[0][0])
+	}
+}

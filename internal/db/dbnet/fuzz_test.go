@@ -66,14 +66,18 @@ func FuzzDBNetHandle(f *testing.F) {
 	f.Add(wire.NewBuffer(rpc.OpStats).U32(1).Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 1, 2, 3})
-	// The pincushion's frames (opGetPins, opRegister, opRelease; opPins is a
-	// reply): well formed, truncated, and a Release claiming more
+	// The pincushion's frames (opGetPins, opRegister; opPins is a reply):
+	// well formed and truncated. 0x23 was its Release; no longer the
+	// pincushion's, it must be refused as unknown, even one claiming more
 	// timestamps than it carries.
 	const getPins, pins, register, release = 0x20, 0x21, 0x22, 0x23
-	for _, op := range []byte{getPins, pins, register, release} {
+	for _, op := range []byte{getPins, pins, register} {
 		if !pincushion.Owns(op) {
 			f.Fatalf("opcode %#x is not the pincushion's", op)
 		}
+	}
+	if pincushion.Owns(release) {
+		f.Fatalf("retired opcode %#x is still the pincushion's", release)
 	}
 	f.Add(wire.NewBuffer(getPins).U32(1).I64(int64(time.Minute)).Bytes())
 	f.Add(wire.NewBuffer(getPins).U32(1).Bytes())
@@ -113,6 +117,9 @@ func FuzzDBNetHandle(f *testing.F) {
 			d := wire.NewDecoder(reply.Bytes())
 			got := d.Op()
 			d.U32() // the request ID
+			if frame[0] == release && got != rpc.OpErr {
+				t.Fatalf("retired opcode %#x answered with opcode %d", release, got)
+			}
 			switch got {
 			case rpc.OpErr:
 				if d.Str(); d.Err() != nil {

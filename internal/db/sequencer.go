@@ -80,6 +80,17 @@ func (s *commitSequencer) allocate() interval.Timestamp {
 	return interval.Timestamp(s.last.Add(1))
 }
 
+// waitStamped returns once every commit stamped so far is visible; each one
+// reaches publish, so the wait ends.
+func (s *commitSequencer) waitStamped() {
+	ts := s.last.Load()
+	s.mu.Lock()
+	for s.published < ts {
+		s.turn.Wait()
+	}
+	s.mu.Unlock()
+}
+
 // finishCommit hands an applied commit to the sequencer and blocks until
 // it is visible. The committer that finds itself at the head of the
 // pipeline publishes every consecutive applied commit as one group: the

@@ -269,6 +269,10 @@ func (tx *Tx) Commit() (interval.Timestamp, error) {
 			if latest.Created > tx.snap || latest.Deleted != interval.Infinity {
 				ls.unlock()
 				e.statConflict.Add(1)
+				// The winner may be applied but not yet published (its
+				// group's WAL record is syncing). A retry begun before it
+				// is visible would lose to it again, so return once it is.
+				e.seq.waitStamped()
 				return 0, ErrSerialization
 			}
 		}

@@ -12,11 +12,15 @@ import (
 	"txcache/internal/wire"
 )
 
+// retiredRelease is the opcode Release was sent with. No client sends it
+// any more, and the daemon refuses it as unknown.
+const retiredRelease byte = 0x23
+
 // FuzzPincushionHandle feeds arbitrary request frames to the daemon's
 // handler, behind the transport's dispatch: it must never panic, must answer
 // a request with pins, an ack, its stats or an error and a one-way frame
-// with nothing, and no frame but a well-formed Register may change the
-// registry.
+// with nothing, must refuse a retired Release, and no frame but a
+// well-formed Register may change the registry.
 func FuzzPincushionHandle(f *testing.F) {
 	now := time.Unix(0, int64(time.Hour))
 	for _, id := range []uint32{0, 7} { // one-way, and as a request
@@ -25,9 +29,9 @@ func FuzzPincushionHandle(f *testing.F) {
 		f.Add(frame(opGetPins).Bytes()) // truncated
 		f.Add(frame(opRegister).U64(9).I64(now.UnixNano()).Bytes())
 		f.Add(frame(opRegister).U64(9).Bytes()) // truncated
-		f.Add(frame(opRelease).U32(2).U64(3).U64(4).Bytes())
-		f.Add(frame(opRelease).U32(0xFFFFFFFF).U64(3).Bytes()) // claims 4Gi timestamps, carries one
-		f.Add(frame(opRelease).Bytes())
+		f.Add(frame(retiredRelease).U32(2).U64(3).U64(4).Bytes())
+		f.Add(frame(retiredRelease).U32(0xFFFFFFFF).U64(3).Bytes()) // claims 4Gi timestamps, carries one
+		f.Add(frame(retiredRelease).Bytes())
 		f.Add(frame(rpc.OpErr).Str("not a request").Bytes())
 		f.Add(frame(rpc.OpStats).Bytes())
 	}
@@ -57,11 +61,13 @@ func FuzzPincushionHandle(f *testing.F) {
 			got := d.Op()
 			d.U32() // the request ID
 			switch {
+			case op == retiredRelease && got != rpc.OpErr:
+				t.Fatalf("retired Release %x answered with opcode %d", frame, got)
 			case got == rpc.OpErr:
 				if d.Str(); d.Err() != nil {
 					t.Fatalf("malformed error reply: %x", reply.Bytes())
 				}
-			case got == rpc.OpAck && (op == opRegister || op == opRelease):
+			case got == rpc.OpAck && op == opRegister:
 			case got == rpc.OpStats && op == rpc.OpStats:
 				if err := json.Unmarshal(reply.Bytes()[5:], new(Stats)); err != nil {
 					t.Fatalf("stats reply does not decode: %v", err)

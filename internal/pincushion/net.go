@@ -32,20 +32,19 @@ var (
 )
 
 // Protocol opcodes. GetPins is answered with Pins, Register with an ack once
-// the snapshot is adopted. Release is accepted and ignored; no client sends
-// it. txcache-dbd answers them on its own sessions, so they are numbered apart
-// from dbnet's opcodes, its begin bit (0x40) and rpc's reserved ones.
+// the snapshot is adopted. txcache-dbd answers them on its own sessions, so
+// they are numbered apart from dbnet's opcodes, its begin bit (0x40) and
+// rpc's reserved ones. 0x23 was Release, which no client sends any more.
 const (
 	opGetPins  byte = 0x20
 	opPins     byte = 0x21
 	opRegister byte = 0x22
-	opRelease  byte = 0x23
 )
 
 // Owns reports whether op is one of the pincushion's opcodes: a host that
 // serves another protocol on the same connections hands such a frame to
 // Handle.
-func Owns(op byte) bool { return op >= opGetPins && op <= opRelease }
+func Owns(op byte) bool { return op >= opGetPins && op <= opRegister }
 
 // opTimeout bounds a GetPins round trip whose caller set no tighter
 // deadline — on expiry, as on any error, the library runs in the present —
@@ -86,7 +85,7 @@ func Start(db Pinner, staleness time.Duration) (p *Pincushion, stop func()) {
 
 // Serve accepts connections on l until it is closed, answering the
 // pincushion's protocol alone.
-func (p *Pincushion) Serve(l net.Listener) error {
+func (p *Pincushion) Serve(l net.Listener) error { // kept for benchmark/ (ROADMAP 1)
 	return rpc.Serve(l, func() (rpc.Handler, func()) { return p.Handle, nil })
 }
 
@@ -113,8 +112,6 @@ func (p *Pincushion) Handle(op byte, body []byte) (*wire.Buffer, error) {
 			p.Register(ts, wall)
 		}
 		return nil, d.Err()
-	case opRelease: // kept for benchmark/ (ROADMAP 1)
-		return nil, nil
 	case rpc.OpStats:
 		return rpc.StatsReply(p.Stats())
 	default:
@@ -135,7 +132,7 @@ type Client struct {
 
 // Dial connects to the pincushion at addr — txcache-dbd's one address, or a
 // Serve listener — over TCP with poolSize connections of its own.
-func Dial(addr string, poolSize int) (*Client, error) { return DialNet(rpc.TCP, "", addr, poolSize) }
+func Dial(addr string, poolSize int) (*Client, error) { return DialNet(rpc.TCP, "", addr, poolSize) } // kept for benchmark/ (ROADMAP 1)
 
 // DialNet is Dial through nw, as the tier from.
 func DialNet(nw rpc.Net, from, addr string, poolSize int) (*Client, error) {

@@ -183,16 +183,13 @@ type CacheNode = cacheserver.Node
 type CacheStats = cacheserver.Stats
 
 // CacheClient is the multiplexed TCP client for a remote cache node:
-// pipelined tagged requests over a small connection pool, asynchronous
-// puts, and batched multi-key lookups.
+// pipelined tagged requests over a small connection pool and asynchronous
+// puts.
 type CacheClient = cacheserver.Client
 
 // CacheClientStats are client-side transport counters (put drops/errors,
 // reconnects, timeouts), as opposed to the remote node's CacheStats.
 type CacheClientStats = cacheserver.ClientStats
-
-// CacheBatchLookup is one probe of a batched multi-key lookup.
-type CacheBatchLookup = cacheserver.BatchLookup
 
 // CacheLookupResult is the reply to a cache lookup.
 type CacheLookupResult = cacheserver.LookupResult

@@ -114,20 +114,22 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 	})
 
 	s := &Site{Cfg: cfg, Engine: engine, PC: pc, stop: make(chan struct{})}
+	// The nodes subscribe before any data loads: they see the stream from
+	// its first commit.
+	nodes := make(map[string]cacheserver.Node, cacheNodes)
+	if cfg.Mode != ModeBaseline {
+		for i := 0; i < cacheNodes; i++ {
+			nodes[fmt.Sprintf("cache%d", i)] = s.newCacheNode(bus)
+		}
+	}
 	s.Client = core.NewClient(core.Config{
 		DB:                core.EngineDB{Engine: engine},
+		Nodes:             nodes,
 		Pincushion:        pc,
 		Clock:             clk,
 		FreshPinThreshold: scaled(5), // the paper's 5-second pin policy
 		NoConsistency:     cfg.Mode == ModeNoConsistency,
 	})
-	// The nodes join, and subscribe, before any data loads: they see the
-	// stream from its first commit.
-	if cfg.Mode != ModeBaseline {
-		for i := 0; i < cacheNodes; i++ {
-			s.addCacheNode(fmt.Sprintf("cache%d", i), bus)
-		}
-	}
 
 	ds, err := rubis.Load(engine, cfg.Scale, cfg.Seed+1)
 	if err != nil {
@@ -154,10 +156,9 @@ func BuildSite(cfg SiteConfig) (*Site, error) {
 	return s, nil
 }
 
-// addCacheNode creates one cache server, gives it the bus's stream — as
-// whoever owns a bus does for an in-process node (§4.2) — and joins it to
-// the client's ring.
-func (s *Site) addCacheNode(name string, bus *invalidation.Bus) {
+// newCacheNode creates one cache server and gives it the bus's stream, as
+// whoever owns a bus does for an in-process node (§4.2).
+func (s *Site) newCacheNode(bus *invalidation.Bus) *cacheserver.Server {
 	per := s.Cfg.CacheBytes
 	if per > 0 {
 		per /= cacheNodes
@@ -169,9 +170,9 @@ func (s *Site) addCacheNode(name string, bus *invalidation.Bus) {
 	})
 	sub := bus.Subscribe()
 	go n.ConsumeStream(sub)
-	s.Client.AddNode(name, n)
 	s.nodes = append(s.nodes, n)
 	s.subs = append(s.subs, sub)
+	return n
 }
 
 // Close stops background maintenance, drains the cache cluster and ends

@@ -394,9 +394,10 @@ func (o *coracle) checkFound(t *testing.T, key string, reqLo, reqHi interval.Tim
 	}
 }
 
-// churnSet is the live cluster view: ring membership plus one client per
-// member. The churner swaps members out (closing their client mid-use) and
-// back in with fresh connections.
+// churnSet is the live cluster view: a ring over the current members plus
+// one client per member. The churner swaps members out (closing their client
+// mid-use) and back in with fresh connections; a ring is only ever built,
+// so each swap rebuilds it from the members left.
 type churnSet struct {
 	mu   sync.RWMutex
 	ring *consistent.Ring
@@ -410,20 +411,26 @@ func (cs *churnSet) pick(key string) *Client {
 }
 
 func (cs *churnSet) remove(name string) *Client {
-	cs.ring.Remove(name)
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	c := cs.m[name]
 	delete(cs.m, name)
-	cs.mu.Unlock()
+	cs.ring = consistent.New(churnReplicas)
+	for n := range cs.m {
+		cs.ring.Add(n)
+	}
 	return c
 }
 
 func (cs *churnSet) add(name string, c *Client) {
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	cs.m[name] = c
-	cs.mu.Unlock()
 	cs.ring.Add(name)
 }
+
+// churnReplicas keeps the churned rings small: each swap rebuilds one.
+const churnReplicas = 64
 
 func TestConcurrentPipelinedModel(t *testing.T) {
 	const (
@@ -445,7 +452,7 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 	addrs := make([]string, nodes)
 	pushers := make([]*Client, nodes) // dedicated, never churned: the stream must be reliable and ordered
 	listeners := make([]net.Listener, nodes)
-	set := &churnSet{ring: consistent.New(64), m: make(map[string]*Client)}
+	set := &churnSet{ring: consistent.New(churnReplicas), m: make(map[string]*Client)}
 	// Shard-count diversity: node 0 is the default sharded node, node 1 the
 	// single-lock degenerate case (plus the byte budget), node 2 heavily
 	// sharded so most shards hold at most one key and a wildcard invalidation

@@ -1,27 +1,25 @@
 // Package consistent implements a consistent-hashing ring with virtual
 // nodes. The TxCache library uses it to map cache keys to cache servers
-// (paper §4): every application node maintains the complete server list, so
-// a key maps to its responsible node with no lookup round trip, and adding
-// or removing a node only remaps a 1/n fraction of keys.
+// (paper §4): every application node holds the complete server list, so a
+// key maps to its responsible node with no lookup round trip, and adding a
+// node to n others moves only about a 1/(n+1) fraction of keys, all onto it.
 package consistent
 
 import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 )
 
-// DefaultReplicas is the number of virtual nodes per server. 128 keeps the
+// DefaultReplicas is the number of virtual nodes per server. 256 keeps the
 // load spread within a few percent for small clusters.
 const DefaultReplicas = 256
 
-// Ring is a consistent-hashing ring. It is safe for concurrent use.
+// Ring is a consistent-hashing ring, built by Add and then read by Get.
+// Get is safe for concurrent use, but must not run concurrently with Add.
 type Ring struct {
-	mu       sync.RWMutex
 	replicas int
 	points   []point // sorted by hash
-	nodes    map[string]bool
 }
 
 type point struct {
@@ -35,7 +33,7 @@ func New(replicas int) *Ring {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
-	return &Ring{replicas: replicas, nodes: make(map[string]bool)}
+	return &Ring{replicas: replicas}
 }
 
 func hashKey(s string) uint64 {
@@ -49,41 +47,17 @@ func hashKey(s string) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Add inserts a node (idempotent).
+// Add inserts a node. Each name is added once: a second Add of the same
+// name would give it twice the share of keys.
 func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes[node] {
-		return
-	}
-	r.nodes[node] = true
 	for i := 0; i < r.replicas; i++ {
 		r.points = append(r.points, point{hashKey(fmt.Sprintf("%s#%d", node, i)), node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a node (idempotent).
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Get returns the node responsible for key, or "" if the ring is empty.
 func (r *Ring) Get(key string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return ""
 	}
@@ -93,22 +67,4 @@ func (r *Ring) Get(key string) string {
 		i = 0
 	}
 	return r.points[i].node
-}
-
-// Nodes returns the current node set in unspecified order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Len returns the number of nodes.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
 }

@@ -111,12 +111,7 @@ func (tx *Tx) lookup(key string) ([]byte, bool) {
 		tx.c.stats.MissNoPins.Add(1)
 		return nil, false
 	}
-	node := tx.c.node(key)
-	if node == nil {
-		tx.c.stats.MissCompulsory.Add(1)
-		return nil, false
-	}
-	r := node.Lookup(tx.ctx, key, lo, hi, tx.origLo, interval.Infinity)
+	r := tx.c.node(key).Lookup(tx.ctx, key, lo, hi, tx.origLo, interval.Infinity)
 	if !r.Found {
 		tx.countMiss(r.Miss)
 		return nil, false
@@ -190,15 +185,9 @@ func (tx *Tx) accept(r cacheserver.LookupResult) ([]byte, bool) {
 // after it. A frame that is not open is history exactly on proven — a
 // dependency that had ended bounds it, and so does the last timestamp any
 // other dependency was checked at — and history needs no tags.
-// The responsible node is resolved at install time, not lookup time, so
-// after a membership change the entry lands on the key's current owner.
 func (tx *Tx) put(key string, data []byte, f *frame) {
 	if f.proven.Empty() {
 		return // conservative tracking produced nothing usable
-	}
-	node := tx.c.node(key)
-	if node == nil {
-		return // cluster emptied while we computed
 	}
 	iv := f.proven
 	var tags []invalidation.TagID
@@ -210,7 +199,7 @@ func (tx *Tx) put(key string, data []byte, f *frame) {
 		}
 	}
 	tx.c.stats.CachePuts.Add(1)
-	node.Put(key, data, iv, f.open, f.proven.Hi-1, tags)
+	tx.c.node(key).Put(key, data, iv, f.open, f.proven.Hi-1, tags)
 }
 
 // String renders a human-readable description of the transaction state for

@@ -58,8 +58,10 @@ func (e EngineDB) Begin(ctx context.Context, readOnly bool, snap interval.Timest
 type Config struct {
 	// DB is the backing database (required).
 	DB DB
-	// Nodes maps cache node names to connections. Keys are ring positions;
-	// an empty map disables caching (the no-cache baseline).
+	// Nodes maps cache node names to connections. NewClient reads it once:
+	// the names place the nodes on the hash ring, the set is fixed for the
+	// client's life, and Client.Close closes them. An empty map disables
+	// caching (the no-cache baseline).
 	Nodes map[string]cacheserver.Node
 	// Pincushion tracks pinned snapshots (required unless Nodes is empty
 	// and all transactions are read/write).
@@ -77,20 +79,18 @@ type Config struct {
 }
 
 // Client is the per-application-server TxCache library instance. It is safe
-// for concurrent use; each goroutine runs its own transactions. The cache
-// cluster membership is dynamic: AddNode and RemoveNode reconfigure the
-// consistent-hash ring, connections, and stream subscriptions while
-// transactions are running.
+// for concurrent use; each goroutine runs its own transactions. Its cache
+// nodes are the Config.Nodes it was built with, and a key's node is fixed
+// for the client's life (paper §4: every application server holds the full
+// server list).
 type Client struct {
 	db    DB
 	pc    pincushion.Service
 	clk   clock.Clock
-	ring  *consistent.Ring
+	ring  *consistent.Ring // built by NewClient, read-only after
+	nodes map[string]cacheserver.Node
 	fresh time.Duration
 	noCon bool
-
-	mu    sync.RWMutex
-	nodes map[string]cacheserver.Node
 
 	// The pin-set lease (lease.go): read-only transactions begin on the
 	// current lease instead of each asking the pincushion.
@@ -154,10 +154,6 @@ type ClientStats struct {
 	// cache.
 	EncodeErrors atomic.Uint64
 	DecodeErrors atomic.Uint64
-
-	// NodesAdded / NodesRemoved count live membership changes.
-	NodesAdded   atomic.Uint64
-	NodesRemoved atomic.Uint64
 }
 
 // Hits returns total cache hits.
@@ -209,73 +205,20 @@ func NewClient(cfg Config) *Client {
 func (c *Client) Stats() *ClientStats { return &c.stats }
 
 // CacheEnabled reports whether any cache nodes are configured.
-func (c *Client) CacheEnabled() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.nodes) > 0
-}
+func (c *Client) CacheEnabled() bool { return len(c.nodes) > 0 }
 
-// node returns the cache node responsible for key under consistent hashing,
-// or nil when no node is responsible (empty cluster, or the ring briefly
-// naming a node that has just been removed). Callers treat nil as a
-// compulsory miss.
-func (c *Client) node(key string) cacheserver.Node {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.nodes) == 0 {
-		return nil
-	}
-	return c.nodes[c.ring.Get(key)]
-}
+// node returns the cache node responsible for key under consistent hashing.
+// Only a client with cache nodes calls it.
+func (c *Client) node(key string) cacheserver.Node { return c.nodes[c.ring.Get(key)] }
 
-// NodeNames returns the current cache cluster membership in unspecified
-// order.
-func (c *Client) NodeNames() []string { return c.ring.Nodes() }
-
-// AddNode joins a cache node to the running cluster (idempotent): the node
-// is registered before the ring remaps keys onto it, so no lookup can route
-// to an unknown name. The join needs no other step, and the node's stream
-// may reach it before or after: a node serves no still-valid entry before
-// its first stream message, and that message closes whatever it was given
-// earlier (it cannot know what those entries missed), so it is cold until
-// then and exact afterwards.
-func (c *Client) AddNode(name string, node cacheserver.Node) {
-	c.mu.Lock()
-	if _, ok := c.nodes[name]; ok {
-		c.mu.Unlock()
-		return
-	}
-	c.nodes[name] = node
-	c.mu.Unlock()
-	c.ring.Add(name)
-	c.stats.NodesAdded.Add(1)
-}
-
-// RemoveNode drains a cache node out of the running cluster (idempotent):
-// the ring stops routing new lookups to it and its connections are torn down once
-// its queued asynchronous puts have been written or its drain time is up.
-// In-flight lookups against the node degrade to misses. Reports whether
-// the node was a member.
-func (c *Client) RemoveNode(name string) bool {
-	c.ring.Remove(name)
-	c.mu.Lock()
-	node, ok := c.nodes[name]
-	delete(c.nodes, name)
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if cl, ok := node.(closable); ok {
-		cl.Close()
-	}
-	c.stats.NodesRemoved.Add(1)
-	return true
-}
-
-// Close removes every cache node, draining its connections. The database
+// Close closes every cache node that holds network resources, draining its
+// queued puts for a bounded time. A second Close returns at once, and a
+// cacheable call after Close misses on every closed node. The database
 // handle and the pincushion are not touched.
 func (c *Client) Close() {
-	for _, name := range c.NodeNames() {
-		c.RemoveNode(name)
+	for _, n := range c.nodes {
+		if cl, ok := n.(closable); ok {
+			cl.Close()
+		}
 	}
 }

@@ -268,15 +268,12 @@ func TestReadOnlyRunnerReleasesOnPanic(t *testing.T) {
 	}
 }
 
-// --- End-to-end wire cancellation: a context cancelled while the
-// multiplexed client awaits a LookupBatch returns within the deadline,
-// leaks no pins and no goroutines. (The pending-table reclamation detail is
-// asserted in package cacheserver, which can see the table.)
+// --- End-to-end wire cancellation: a context cancelled while a cacheable
+// call awaits its lookup on the multiplexed client returns within the
+// deadline, leaks no pins and no goroutines. (The pending-table reclamation
+// detail is asserted in package cacheserver, which can see the table.)
 
-func TestCancelDuringBatchedWireLookup(t *testing.T) {
-	r := newRig(t, 0, nil)
-	setupAccounts(t, r, 2, 100)
-
+func TestCancelDuringWireLookup(t *testing.T) {
 	// A stub cache node that accepts the protocol but never responds —
 	// the worst-case slow node.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -306,7 +303,9 @@ func TestCancelDuringBatchedWireLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.client.AddNode("slow", cn)
+	r := newRig(t, 0, func(cfg *Config) { cfg.Nodes = map[string]cacheserver.Node{"slow": cn} })
+	setupAccounts(t, r, 2, 100)
+	get := getBalanceFn(r)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	tx, err := r.client.Begin(ctx, WithStaleness(time.Minute))
@@ -318,16 +317,13 @@ func TestCancelDuringBatchedWireLookup(t *testing.T) {
 	}
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	probes := []cacheserver.BatchLookup{{Key: "a", Lo: 1, Hi: 1}, {Key: "b", Lo: 1, Hi: 1}}
-	for _, res := range cn.LookupBatch(tx.ctx, probes) {
-		if res.Found {
-			t.Fatal("a mute node found something")
-		}
+	if _, err := get(tx, int64(1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cacheable call on a mute node after cancel = %v, want context.Canceled", err)
 	}
-	// Well under the 2s transport timeout: the cancel, not the timer,
+	// Well under the transport's call timeout: the cancel, not the timer,
 	// released us.
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("LookupBatch returned after %v, want prompt return on cancel", elapsed)
+	if elapsed := time.Since(start); elapsed > cacheserver.DefaultCallTimeout/2 {
+		t.Fatalf("cacheable call returned after %v, want prompt return on cancel", elapsed)
 	}
 	tx.Abort()
 
@@ -335,8 +331,8 @@ func TestCancelDuringBatchedWireLookup(t *testing.T) {
 		t.Fatal("transport never counted the cancelled request")
 	}
 
-	// Close gives the lease back and tears the slow node down. No pins
-	// survive it (after the retention sweep)...
+	// Close tears the slow node down. No pins survive it (after the
+	// retention sweep)...
 	r.client.Close()
 	r.clk.Advance(5 * time.Minute)
 	r.pc.Sweep()

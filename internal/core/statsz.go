@@ -32,9 +32,6 @@ type StatsSnapshot struct {
 	LeasedBegins  uint64 `json:"leasedBegins"`
 	PinFetchEmpty uint64 `json:"pinFetchEmpty"`
 	SweptRetries  uint64 `json:"sweptRetries"`
-
-	NodesAdded   uint64 `json:"nodesAdded"`
-	NodesRemoved uint64 `json:"nodesRemoved"`
 }
 
 // Snapshot copies the counters into a plain value.
@@ -65,8 +62,5 @@ func (s *ClientStats) Snapshot() StatsSnapshot {
 		LeasedBegins:  s.LeasedBegins.Load(),
 		PinFetchEmpty: s.PinFetchEmpty.Load(),
 		SweptRetries:  s.SweptRetries.Load(),
-
-		NodesAdded:   s.NodesAdded.Load(),
-		NodesRemoved: s.NodesRemoved.Load(),
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"txcache/internal/pincushion"
 	"txcache/internal/rpc"
 	"txcache/internal/rubis"
-	"txcache/internal/serve"
 	"txcache/internal/wal"
 )
 
@@ -85,7 +84,6 @@ func main() {
 	caches := flag.String("caches", "", "comma-separated cache node addresses for the invalidation stream")
 	schema := flag.String("schema", "", "file of semicolon-separated CREATE statements to run at startup")
 	loadRubis := flag.String("load-rubis", "", "pre-load the RUBiS dataset: test, inmem, or disk")
-	wikiPages := flag.Int("wiki-pages", 0, "pre-load the wiki schema with this many pages (for txcache-serve -wiki)")
 	vacuumEvery := flag.Duration("vacuum-interval", 2*time.Second, "vacuum period")
 	diskPages := flag.Int("disk-pages", 0, "bound the buffer cache to this many pages (0 = in-memory)")
 	diskPenalty := flag.Duration("disk-penalty", 400*time.Microsecond, "simulated disk latency per buffer-cache miss")
@@ -191,12 +189,6 @@ func main() {
 			*loadRubis, time.Since(start).Round(time.Millisecond), engine.LastCommit())
 	}
 
-	if *wikiPages > 0 && !recovered {
-		if err := serve.LoadWiki(engine, *wikiPages, time.Now().Unix()); err != nil {
-			log.Fatalf("txcache-dbd: load wiki: %v", err)
-		}
-		log.Printf("txcache-dbd: wiki loaded with %d pages", *wikiPages)
-	}
 	if recovered {
 		log.Printf("txcache-dbd: data directory already populated; skipping schema/dataset bootstrap")
 	}

@@ -1,18 +1,17 @@
 // Command txcache-serve runs the application server: the RUBiS interactions
-// (and optionally the wiki subset) exposed over HTTP through the TxCache
-// client library, against an already-running txcache-dbd (which hosts the
-// pincushion on its own address) and cache nodes. It is the tier
-// the paper's "application server" boxes in Figure 1 denote — the piece
-// that turns library transactions into production request/response traffic.
+// exposed over HTTP through the TxCache client library, against an
+// already-running txcache-dbd (which hosts the pincushion on its own
+// address) and cache nodes. It is the tier the paper's "application server"
+// boxes in Figure 1 denote — the piece that turns library transactions into
+// production request/response traffic.
 //
 // Usage:
 //
 //	txcache-serve -listen :8080 -db db:7700 \
-//	    -caches cache1:7500,cache2:7500 -wiki
+//	    -caches cache1:7500,cache2:7500
 //
-// The dataset must already be loaded (txcache-dbd -load-rubis, plus
-// -wiki-pages when -wiki is set); the server recovers ID allocators and
-// dataset ranges from the database at startup.
+// The dataset must already be loaded (txcache-dbd -load-rubis); the server
+// recovers ID allocators and dataset ranges from the database at startup.
 //
 // On SIGTERM/SIGINT the server drains: the listener closes, queued requests
 // are shed with 503s, in-flight requests run to completion until
@@ -49,7 +48,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 256, "concurrent requests admitted into the library")
 	maxQueue := flag.Int("max-queue", 1024, "queued requests beyond which arrivals are shed")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-drain bound before in-flight work is hard-cancelled")
-	wiki := flag.Bool("wiki", false, "serve the wiki subset (requires txcache-dbd -wiki-pages)")
 	dbPool := flag.Int("db-conns", 8, "database connection pool size")
 	debugAddr := flag.String("debug-addr", "", "serve /statsz and /debug/pprof/ here (empty: no debug surface, heap sampling off)")
 	flag.Parse()
@@ -67,7 +65,7 @@ func main() {
 		log.Fatalf("txcache-serve: -debug-addr: %v", err)
 	}
 
-	d := serve.Deployment{Net: rpc.TCP, DB: *dbAddr, DBConns: *dbPool, Wiki: *wiki,
+	d := serve.Deployment{Net: rpc.TCP, DB: *dbAddr, DBConns: *dbPool,
 		Caches: strings.Fields(strings.ReplaceAll(*caches, ",", " "))}
 	attachCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	srv, closeClients, err := serve.Connect(attachCtx, d, serve.Config{

@@ -19,10 +19,8 @@ import (
 // ServeStackConfig sizes a deployment of two unbounded cache nodes over the
 // RUBiS test-scale dataset, with an HTTP front end.
 type ServeStackConfig struct {
-	// WikiPages seeds the wiki subset; 0 disables it.
-	WikiPages int
-	Seed      int64
-	// Serve configures the application server (App, Wiki and Tiers are
+	Seed int64
+	// Serve configures the application server (App and Tiers are
 	// Connect's to fill in). Its Staleness, the page staleness bound
 	// (default 10s), also sizes what the nodes and the pincushion retain.
 	Serve serve.Config
@@ -107,12 +105,6 @@ func StartServeStack(cfg ServeStackConfig) (st *ServeStack, err error) {
 	// subscribed so they replay every load commit.
 	if _, err := rubis.Load(st.Engine, rubis.TestScale, cfg.Seed+1); err != nil {
 		return nil, err
-	}
-	if cfg.WikiPages > 0 {
-		if err := serve.LoadWiki(st.Engine, cfg.WikiPages, time.Now().Unix()); err != nil {
-			return nil, err
-		}
-		d.Wiki = true
 	}
 
 	// The application server recovers its dataset over the wire, exactly as

@@ -20,14 +20,13 @@ type Deployment struct {
 	DB      string   // the database daemon's address, the pincushion's too
 	DBConns int      // its session pool; 0 is dbnet's default
 	Caches  []string // the cache nodes' addresses, each also its ring name
-	Wiki    bool     // attach the wiki subset too
 }
 
 // Connect is an application server's start-up: it dials the database, each
 // cache node and the pincushion the database daemon hosts through d.Net as
 // the tier "core", builds the library's client on them, recovers the RUBiS
-// dataset (and the wiki) over the wire under ctx, and returns a Server
-// configured by cfg with App, Wiki and Tiers filled in. stop closes the library's client and every
+// dataset over the wire under ctx, and returns a Server configured by cfg
+// with App and Tiers filled in. stop closes the library's client and every
 // connection; call it after Drain.
 func Connect(ctx context.Context, d Deployment, cfg Config) (srv *Server, stop func(), err error) {
 	var closers []func()
@@ -74,13 +73,8 @@ func Connect(ctx context.Context, d Deployment, cfg Config) (srv *Server, stop f
 		return nil, nil, fmt.Errorf("serve: attach (is the dataset loaded?): %w", err)
 	}
 	cfg.App = rubis.NewApp(client, ds)
-	if d.Wiki {
-		if cfg.Wiki, err = AttachWiki(ctx, client); err != nil {
-			return nil, nil, fmt.Errorf("serve: attach wiki (is it loaded?): %w", err)
-		}
-	}
 	srv = New(cfg)
 	users, items, cats, regs := ds.Ranges()
-	srv.logf("serve: attached: %d users, %d items, %d categories, %d regions, wiki=%v", users, items, cats, regs, d.Wiki)
+	srv.logf("serve: attached: %d users, %d items, %d categories, %d regions", users, items, cats, regs)
 	return srv, closeAll, nil
 }

@@ -22,7 +22,10 @@ import (
 	"txcache/internal/rubis"
 )
 
-// fixture is an in-process site behind a real HTTP listener.
+// fixture is an in-process site behind a real HTTP listener. Its library
+// client has no cache node, so every page runs against the database: the
+// package's tests check HTTP status mapping, admission and drain, and cache
+// behaviour over HTTP is tested in the root package, on a bench.ServeStack.
 type fixture struct {
 	srv  *Server
 	url  string
@@ -42,15 +45,8 @@ func startFixture(t *testing.T, mutate func(*Config)) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadWiki(engine, 5, time.Now().Unix()); err != nil {
-		t.Fatal(err)
-	}
 	app := rubis.NewApp(client, ds)
-	wiki, err := AttachWiki(context.Background(), client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{App: app, Wiki: wiki}
+	cfg := Config{App: app}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -102,7 +98,7 @@ func TestRoutes(t *testing.T) {
 		"/search/category?cat=0&page=0", "/search/region?region=0&cat=0",
 		"/item?id=0", "/user?id=0", "/bids?item=0", "/about?user=0",
 		"/auth?nick=user0&pass=password0&item=0", "/check?item=0",
-		"/wiki?title=page-0", "/healthz", "/statsz",
+		"/healthz", "/statsz",
 	} {
 		resp, body := get(t, f.url+path)
 		if resp.StatusCode != http.StatusOK {
@@ -113,9 +109,6 @@ func TestRoutes(t *testing.T) {
 	// Vanished entities are 404s, not errors.
 	if resp, _ := get(t, f.url+"/item?id=99999999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET missing item = %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := get(t, f.url+"/wiki?title=nope"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET missing wiki page = %d, want 404", resp.StatusCode)
 	}
 	// Unparsable parameters are 400s.
 	if resp, _ := get(t, f.url+"/item?id=banana"); resp.StatusCode != http.StatusBadRequest {
@@ -154,32 +147,6 @@ func TestRoutes(t *testing.T) {
 	}
 	if st.Errors != 0 {
 		t.Fatalf("server errors recorded: %+v", st)
-	}
-}
-
-// TestWikiEditInvalidatesRender checks the cross-table invalidation the wiki
-// exists to exercise: after an edit, a causally-later read of the cached
-// render shows the new body.
-func TestWikiEditInvalidatesRender(t *testing.T) {
-	f := startFixture(t, nil)
-
-	// Warm the cached render.
-	if resp, _ := get(t, f.url+"/wiki?title=page-1"); resp.StatusCode != http.StatusOK {
-		t.Fatal("warm read failed")
-	}
-	resp, body := post(t, f.url+"/wiki", url.Values{
-		"title": {"page-1"}, "body": {"EDITED-BODY-42"}, "editor": {"3"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /wiki = %d (%s)", resp.StatusCode, body)
-	}
-	ts := resp.Header.Get("X-Txcache-Commit")
-	resp, body = get(t, f.url+"/wiki?title=page-1&min_ts="+ts)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /wiki after edit = %d", resp.StatusCode)
-	}
-	if !strings.Contains(body, "EDITED-BODY-42") {
-		t.Errorf("cached render survived the edit:\n%s", body)
 	}
 }
 
@@ -504,7 +471,6 @@ func TestStatszRanges(t *testing.T) {
 		fmt.Sprintf(`"users":%d`, rubis.TestScale.Users),
 		fmt.Sprintf(`"items":%d`, rubis.TestScale.ActiveItems+rubis.TestScale.OldItems),
 		fmt.Sprintf(`"categories":%d`, rubis.TestScale.Categories),
-		`"wikiPages":5`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/statsz missing %s:\n%s", want, body)

@@ -1,6 +1,6 @@
 // Package serve is the HTTP application-server tier: the RUBiS interactions
-// (and a small wiki) exposed as request handlers over the TxCache library's
-// context-first session API. Every request runs under its own deadline;
+// exposed as request handlers over the TxCache library's context-first
+// session API. Every request runs under its own deadline;
 // admission control bounds in-flight work and queue depth, shedding excess
 // load with 503s instead of letting queues collapse; Drain implements
 // graceful shutdown — in-flight requests finish, queued ones are shed, and
@@ -30,8 +30,6 @@ import (
 type Config struct {
 	// App is the RUBiS application (required).
 	App *rubis.App
-	// Wiki, when set, mounts the wiki subset at /wiki.
-	Wiki *Wiki
 	// RequestTimeout bounds each request end to end, queue wait included
 	// (default 2s). The deadline travels down the library into the database
 	// and cache round trips.
@@ -613,34 +611,6 @@ func (s *Server) routes() {
 		}
 		return commit(w, ts, fmt.Sprintf("<html><body>user %d registered</body></html>", id))
 	})
-
-	if s.cfg.Wiki != nil {
-		wk := s.cfg.Wiki
-		s.handle("GET /wiki", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-			title := r.FormValue("title")
-			if title == "" {
-				return fmt.Errorf("%w: missing title", errBadRequest)
-			}
-			return s.page(ctx, w, r, func(tx *core.Tx) (string, error) {
-				return wk.Render(tx, title)
-			})
-		})
-		s.handle("POST /wiki", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-			title := r.FormValue("title")
-			if title == "" {
-				return fmt.Errorf("%w: missing title", errBadRequest)
-			}
-			editor, err := qint(r, "editor")
-			if err != nil {
-				return err
-			}
-			ts, err := wk.Edit(ctx, title, r.FormValue("body"), editor, time.Now().Unix())
-			if err != nil {
-				return err
-			}
-			return commit(w, ts, "<html><body>revision saved</body></html>")
-		})
-	}
 }
 
 // statsz publishes the server's counters, the library's counters, the
@@ -648,16 +618,12 @@ func (s *Server) routes() {
 // under its name (an {"error": …} object for a tier that did not answer).
 func (s *Server) statsz(w http.ResponseWriter, r *http.Request) {
 	users, items, cats, regs := s.app.DS.Ranges()
-	var wikiPages int64
-	if s.cfg.Wiki != nil {
-		wikiPages = s.cfg.Wiki.Pages()
-	}
 	payload := map[string]any{
 		"serve":  s.stats.Snapshot(),
 		"client": s.app.C.Stats().Snapshot(),
 		"queued": s.Queued(),
 		"dataset": map[string]int64{
-			"users": users, "items": items, "categories": cats, "regions": regs, "wikiPages": wikiPages,
+			"users": users, "items": items, "categories": cats, "regions": regs,
 		},
 	}
 	for name, fetch := range s.cfg.Tiers {

@@ -40,7 +40,7 @@ import (
 func TestServeOpenLoopEndToEnd(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	st, err := bench.StartServeStack(bench.ServeStackConfig{WikiPages: 5, Seed: 3})
+	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +54,6 @@ func TestServeOpenLoopEndToEnd(t *testing.T) {
 	}()
 
 	ds := probeDataset(t, st.URL)
-	if ds.WikiPages != 5 {
-		t.Fatalf("probed wiki pages = %d, want 5", ds.WikiPages)
-	}
 
 	// Bursts of 800/s for 200 ms out of every 400 ms, silent between.
 	res := openLoop(context.Background(), st.URL, ds, loadShape{
@@ -112,6 +109,76 @@ func TestServeStackStatsz(t *testing.T) {
 		if err := json.Unmarshal(page[tier], &body); err != nil || len(body) == 0 || body["error"] != nil {
 			t.Errorf("/statsz %q = %s (%v); want the tier's counters", tier, page[tier], err)
 		}
+	}
+}
+
+// TestBidReachesCachedBidHistory checks, over HTTP and with real cache
+// nodes, that a write reaches a page the cache already holds: once a bid
+// history page is served from the cache, a bid on that item must show on
+// the page read at the bid's commit timestamp. A node that let the bid's
+// invalidation pass by would keep serving the cached page without it.
+func TestBidReachesCachedBidHistory(t *testing.T) {
+	st, err := bench.StartServeStack(bench.ServeStackConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		if err := st.Stop(ctx); err != nil {
+			t.Errorf("teardown: %v", err)
+		}
+	}()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(st.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %s (%s)", path, resp.Status, body)
+		}
+		return string(body)
+	}
+	hits := func() uint64 {
+		t.Helper()
+		var c struct{ CacheHits uint64 }
+		if err := json.Unmarshal(statsz(t, st.URL)["client"], &c); err != nil {
+			t.Fatal(err)
+		}
+		return c.CacheHits
+	}
+
+	// Read the page until the cache serves it.
+	const amount = "98765.43"
+	before := hits()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if page := get("/bids?item=1"); strings.Contains(page, amount) {
+			t.Fatalf("bid history already shows %s:\n%s", amount, page)
+		}
+		if hits() > before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no cache hit in 5s of reading /bids?item=1")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	resp, err := http.PostForm(st.URL+"/bid", url.Values{"user": {"2"}, "item": {"1"}, "amount": {amount}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	ts := resp.Header.Get("X-Txcache-Commit")
+	if resp.StatusCode != http.StatusOK || ts == "" {
+		t.Fatalf("POST /bid = %s, commit %q (%s)", resp.Status, ts, body)
+	}
+	if page := get("/bids?item=1&min_ts=" + ts); !strings.Contains(page, amount) {
+		t.Fatalf("bid history read at the bid's commit %s does not show %s:\n%s", ts, amount, page)
 	}
 }
 
@@ -608,7 +675,7 @@ func TestServeDrainUnderFire(t *testing.T) {
 }
 
 // dataset is what /statsz says exists, so generated requests hit real rows.
-type dataset struct{ Users, Items, Categories, Regions, WikiPages int64 }
+type dataset struct{ Users, Items, Categories, Regions int64 }
 
 func probeDataset(t *testing.T, base string) dataset {
 	t.Helper()
@@ -643,9 +710,6 @@ func (d dataset) request(ctx context.Context, base string, rng *rand.Rand) *http
 	pages := []string{"/", "/item?id=" + item, "/bids?item=" + item, "/check?item=" + item,
 		"/user?id=" + id(d.Users), "/search/category?page=0&cat=" + id(d.Categories),
 		"/search/region?region=" + id(d.Regions) + "&cat=" + id(d.Categories)}
-	if d.WikiPages > 0 {
-		pages = append(pages, "/wiki?title=page-"+id(d.WikiPages))
-	}
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base+pages[rng.Intn(len(pages))], nil)
 	if rng.Intn(100) < 12 {
 		bid := url.Values{"user": {id(d.Users)}, "item": {item}, "amount": {id(200)}}

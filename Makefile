@@ -102,10 +102,12 @@ race:
 # TestHistoryMatchesPairwise, which holds the history's replay to the pairwise
 # rule over seeded streams that wrap its ring and its tag arena and cross
 # gaps — and of the bus's lapped-reader flows, TestSubscriptionBounded
-# (TestStreamGapAfterOverflow is the node's side of them).
+# (TestStreamGapAfterOverflow is the node's side of them) — and of
+# TestGoldenTrace, whose committed counters are worth having only if five
+# passes read them the same.
 # Bounded: a hang is a failure.
 model-soak:
-	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise|TestSubscriptionBounded' ./internal/cacheserver ./internal/invalidation
+	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise|TestSubscriptionBounded|TestGoldenTrace' ./internal/cacheserver ./internal/invalidation ./internal/bench
 
 # The transactional guarantee under concurrency has one gate too: writers,
 # composing readers and the put oracle of TestStillValidComposition's

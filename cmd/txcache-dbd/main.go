@@ -10,7 +10,8 @@
 // on -debug-addr (internal/debugz).
 //
 // With -data-dir the engine is durable: commits are group-committed to a
-// write-ahead log before they become visible, checkpoints bound the log, and
+// write-ahead log, one fdatasync per commit group, before they become
+// visible; checkpoints bound the log, and
 // a restart replays to the last committed timestamp. Invalidations a crash
 // left undelivered need no announcement: the stream resumes at the recovered
 // timestamp plus one, and a cache node that finds a gap before that message
@@ -22,7 +23,7 @@
 //
 //	txcache-dbd -listen :7700 -staleness 10s \
 //	    -caches cache1:7500,cache2:7500 \
-//	    -data-dir /var/lib/txcache -wal-sync fdatasync -load-rubis inmem
+//	    -data-dir /var/lib/txcache -load-rubis inmem
 package main
 
 import (
@@ -85,10 +86,7 @@ func main() {
 	schema := flag.String("schema", "", "file of semicolon-separated CREATE statements to run at startup")
 	loadRubis := flag.String("load-rubis", "", "pre-load the RUBiS dataset: test, inmem, or disk")
 	vacuumEvery := flag.Duration("vacuum-interval", 2*time.Second, "vacuum period")
-	diskPages := flag.Int("disk-pages", 0, "bound the buffer cache to this many pages (0 = in-memory)")
-	diskPenalty := flag.Duration("disk-penalty", 400*time.Microsecond, "simulated disk latency per buffer-cache miss")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + checkpoints); empty runs in-memory")
-	walSync := flag.String("wal-sync", "fdatasync", "WAL sync discipline: none, fdatasync, fsync, odsync")
 	ckptBytes := flag.Int64("checkpoint-bytes", 16<<20, "checkpoint after this many WAL bytes (negative disables)")
 	statusFile := flag.String("status-file", "", "write a JSON status snapshot here once serving (atomic rename)")
 	debugAddr := flag.String("debug-addr", "", "serve /statsz and /debug/pprof/ here (empty: no debug surface, heap sampling off)")
@@ -108,9 +106,6 @@ func main() {
 
 	bus := invalidation.NewBus(false)
 	opts := db.Options{Bus: bus}
-	if *diskPages > 0 {
-		opts.Pool = &db.PoolConfig{CapacityPages: *diskPages, MissPenalty: *diskPenalty}
-	}
 
 	var (
 		engine *db.Engine
@@ -118,15 +113,9 @@ func main() {
 	)
 	durable := *dataDir != ""
 	if durable {
-		mode, err := wal.ParseSyncMode(*walSync)
-		if err != nil {
-			log.Fatalf("txcache-dbd: %v", err)
-		}
-		opts.Durability = &db.DurabilityOptions{
-			Dir: *dataDir, Sync: mode,
-			CheckpointBytes: *ckptBytes,
-		}
+		opts.Durability = &db.DurabilityOptions{Dir: *dataDir, Sync: wal.SyncFdatasync, CheckpointBytes: *ckptBytes}
 		start := time.Now()
+		var err error
 		engine, info, err = db.Open(opts)
 		if err != nil {
 			log.Fatalf("txcache-dbd: open %s: %v", *dataDir, err)

@@ -185,7 +185,6 @@ func startDaemon(t *testing.T, bin, dataDir, statusPath, schemaPath, cacheAddr s
 	cmd := exec.Command(bin,
 		"-listen", "127.0.0.1:0",
 		"-data-dir", dataDir,
-		"-wal-sync", "fdatasync",
 		"-checkpoint-bytes", "65536", // small, so crashes land on both sides of checkpoints
 		"-schema", schemaPath,
 		"-status-file", statusPath,
@@ -334,7 +333,7 @@ type canary struct {
 func putCanary(node *cacheserver.Server, cycle int) canary {
 	c := canary{key: fmt.Sprintf("canary-%d", cycle), horizon: node.Stats().Horizon}
 	node.Put(c.key, []byte("v"), interval.Interval{Lo: c.horizon, Hi: interval.Infinity}, true, c.horizon,
-		[]invalidation.TagID{invalidation.Intern(invalidation.WildcardTag("ops"))})
+		[]invalidation.TagID{invalidation.Intern(invalidation.Tag{Table: "ops", Wildcard: true})})
 	return c
 }
 

@@ -485,11 +485,6 @@ func (t *Tree) AscendRange(lo, hi []byte, fn func(key []byte, posts []uint64) bo
 	t.root.ascend(lo, hi, fn)
 }
 
-// Ascend calls fn for every key in ascending order.
-func (t *Tree) Ascend(fn func(key []byte, posts []uint64) bool) {
-	t.AscendRange(nil, nil, fn)
-}
-
 // ascend walks n's subtree from lo and reports whether the scan should go
 // on past it.
 func (n *inner) ascend(lo, hi []byte, fn func(key []byte, posts []uint64) bool) bool {

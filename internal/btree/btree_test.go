@@ -23,9 +23,9 @@ func TestEmptyTree(t *testing.T) {
 		t.Fatalf("Get on empty tree = %v", got)
 	}
 	calls := 0
-	tr.Ascend(func([]byte, []uint64) bool { calls++; return true })
+	tr.AscendRange(nil, nil, func([]byte, []uint64) bool { calls++; return true })
 	if calls != 0 {
-		t.Fatal("Ascend on empty tree should not call fn")
+		t.Fatal("AscendRange on empty tree should not call fn")
 	}
 }
 
@@ -90,7 +90,7 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("Len after deleting all = %d", tr.Len())
 	}
 	// Emptied keys must be invisible to scans.
-	tr.Ascend(func(k []byte, _ []uint64) bool {
+	tr.AscendRange(nil, nil, func(k []byte, _ []uint64) bool {
 		t.Fatalf("scan visited emptied key %q", k)
 		return false
 	})
@@ -112,7 +112,7 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tr.Ascend(func([]byte, []uint64) bool { n++; return n < 5 })
+	tr.AscendRange(nil, nil, func([]byte, []uint64) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -248,7 +248,7 @@ func TestLargeSequentialInsert(t *testing.T) {
 	}
 	prev := []byte(nil)
 	count := 0
-	tr.Ascend(func(k []byte, posts []uint64) bool {
+	tr.AscendRange(nil, nil, func(k []byte, posts []uint64) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("scan out of order at %q", k)
 		}
@@ -365,7 +365,7 @@ func checkAgainst(t *testing.T, tr *Tree, ref reference) {
 	}
 	wantKeys := slices.Sorted(maps.Keys(ref))
 	i := 0
-	tr.Ascend(func(k []byte, posts []uint64) bool {
+	tr.AscendRange(nil, nil, func(k []byte, posts []uint64) bool {
 		if i >= len(wantKeys) || string(k) != wantKeys[i] {
 			t.Fatalf("scan position %d: got %.16q, want %.16q", i, k, wantKeys[i])
 		}

@@ -22,7 +22,7 @@ import (
 // with still-valid versions, one per key tag.
 func benchInvalServer(tb testing.TB, n, shards int) (*Server, []invalidation.TagID) {
 	tb.Helper()
-	s := New(Config{Shards: shards})
+	s := newSharded(Config{}, shards)
 	payload := make([]byte, 256)
 	tags := make([]invalidation.TagID, n)
 	for i := 0; i < n; i++ {
@@ -269,7 +269,7 @@ func TestHistoryBytes(t *testing.T) {
 		{"RepeatedTags", feedRepeated, repeatedBytesCeiling},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s := New(Config{Shards: 1})
+			s := newSharded(Config{}, 1)
 			n := s.cfg.HistoryLen
 			rng := rand.New(rand.NewSource(1))
 			empty := liveHeap()
@@ -344,7 +344,7 @@ func TestVersionBytes(t *testing.T) {
 // answer without touching the ring; "worst", genSnap at the floor and the
 // only match the newest message, which scans the whole ring.
 func BenchmarkHistoryReplay(b *testing.B) {
-	s := New(Config{Shards: 1})
+	s := newSharded(Config{}, 1)
 	ts := feedSixTags(s, rand.New(rand.NewSource(1)), 0, s.cfg.HistoryLen)
 	target := invalidation.Intern(invalidation.KeyTag("replay", "id", "1"))
 	ts++

@@ -131,10 +131,10 @@ func FuzzShardRouting(f *testing.F) {
 	f.Add("user:1234:profile")
 	f.Add("wide-63")
 	f.Add(string([]byte{0, 255, 0, 255}))
-	a := New(Config{Shards: 8})
-	b := New(Config{Shards: 8})
-	big := New(Config{Shards: 64})
-	one := New(Config{Shards: 1})
+	a := newSharded(Config{}, 8)
+	b := newSharded(Config{}, 8)
+	big := newSharded(Config{}, 64)
+	one := newSharded(Config{}, 1)
 	f.Fuzz(func(t *testing.T, key string) {
 		got := a.shardIndex(key)
 		if got != b.shardIndex(key) || got != a.shardIndex(key) {

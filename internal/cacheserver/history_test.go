@@ -70,7 +70,7 @@ type tagPool struct{ wild, key []invalidation.TagID }
 func newTagPool() tagPool {
 	var p tagPool
 	for _, table := range []string{"users", "items", "bids"} {
-		p.wild = append(p.wild, invalidation.Intern(invalidation.WildcardTag(table)))
+		p.wild = append(p.wild, invalidation.Intern(invalidation.Tag{Table: table, Wildcard: true}))
 		for k := 0; k < 6; k++ {
 			p.key = append(p.key, invalidation.Intern(invalidation.KeyTag(table, "id", fmt.Sprint(k))))
 		}
@@ -265,7 +265,7 @@ func TestHistoryMatchesPairwise(t *testing.T) {
 	t.Run("RejectionFlow", func(t *testing.T) {
 		tag := ids([]invalidation.Tag{invalidation.KeyTag("users", "id", "7")})
 		other := ids([]invalidation.Tag{invalidation.KeyTag("users", "id", "8")})
-		s := New(Config{HistoryLen: 4, Shards: 1})
+		s := newSharded(Config{HistoryLen: 4}, 1)
 		for ts := interval.Timestamp(2); ts <= 6; ts++ {
 			s.apply(msgAt(ts, other), true)
 		}
@@ -334,7 +334,7 @@ func TestHistoryMatchesPairwise(t *testing.T) {
 			}
 			return interval.Infinity
 		}
-		s := New(Config{HistoryLen: n, Shards: 1})
+		s := newSharded(Config{HistoryLen: n}, 1)
 		var wg sync.WaitGroup
 		errs := make(chan error, 4)
 		for g := int64(0); g < 4; g++ {

@@ -142,13 +142,12 @@ type indexMix struct {
 
 func newIndexNode() (*Server, *clock.Virtual) {
 	clk := &clock.Virtual{}
-	return New(Config{
+	return newSharded(Config{
 		CapacityBytes: 64 * (perVersionOverhead + 24),
 		MaxStaleness:  2 * time.Second,
 		HistoryLen:    32,
-		Shards:        2,
 		Clock:         clk,
-	}), clk
+	}, 2), clk
 }
 
 // tags returns up to most tags over four tables of 16 keys each; one in
@@ -257,7 +256,7 @@ func TestTagIndexMatchesVersions(t *testing.T) {
 	})
 
 	t.Run("RejectionFlow", func(t *testing.T) {
-		s := New(Config{Shards: 1})
+		s := newSharded(Config{}, 1)
 		streamTo(s, 2, time.Unix(2, 0))
 		for i := 0; i < 3; i++ {
 			tag := invalidation.Intern(invalidation.KeyTag("t", "id", fmt.Sprint(i)))

@@ -143,7 +143,7 @@ func TestServerMatchesModel(t *testing.T) {
 		for i := 0; i < n; i++ {
 			table := tables[rng.Intn(len(tables))]
 			if rng.Intn(5) == 0 {
-				tags = append(tags, invalidation.WildcardTag(table))
+				tags = append(tags, invalidation.Tag{Table: table, Wildcard: true})
 			} else {
 				tags = append(tags, invalidation.KeyTag(table, "k", fmt.Sprint(rng.Intn(4))))
 			}
@@ -459,14 +459,14 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 	// finds its versions one per shard, node 3 with four shards per key, so
 	// most of every walk visits shards with nothing to match. The oracle
 	// holds all four to the same facts.
-	cfgs := [nodes]Config{
-		{},
-		{Shards: 1, CapacityBytes: budgetBytes},
-		{Shards: 32},
-		{Shards: 64},
-	}
+	cfgs := [nodes]Config{1: {CapacityBytes: budgetBytes}}
+	shards := [nodes]int{1: 1, 2: 32, 3: 64} // 0: New's default
 	for i := 0; i < nodes; i++ {
-		servers[i] = New(cfgs[i])
+		if shards[i] > 0 {
+			servers[i] = newSharded(cfgs[i], shards[i])
+		} else {
+			servers[i] = New(cfgs[i])
+		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -514,7 +514,7 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 			ts, m := o.record(tags, wild)
 			msg := invalidation.Message{TS: ts, WallTime: time.Unix(int64(ts), 0)}
 			if m.wild {
-				msg.Tags = []invalidation.TagID{invalidation.Intern(invalidation.WildcardTag("t"))}
+				msg.Tags = []invalidation.TagID{invalidation.Intern(invalidation.Tag{Table: "t", Wildcard: true})}
 			} else {
 				for k := range m.keys {
 					msg.Tags = append(msg.Tags, invalidation.Intern(invalidation.KeyTag("t", "k", k)))

@@ -86,7 +86,7 @@ func TestAsyncPutFlushAndStats(t *testing.T) {
 // probes touch every shard and are hits (still valid and bounded), misses
 // of keys never stored, and stale probes past a bounded version.
 func TestLookupBatchMatchesLookup(t *testing.T) {
-	s := New(Config{Shards: 8})
+	s := newSharded(Config{}, 8)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

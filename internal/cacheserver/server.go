@@ -138,11 +138,6 @@ type Config struct {
 	// an entry in the history's tag maps for each tag no newer message
 	// carries.
 	HistoryLen int
-	// Shards sets the number of lock shards the key space is split
-	// across, rounded up to a power of two; <= 0 means the default
-	// max(8, 4×GOMAXPROCS). Shards: 1 restores the pre-shard single-lock
-	// node (exact global LRU order; useful in tests).
-	Shards int
 	// Clock supplies wall time; defaults to the real clock.
 	Clock clock.Clock
 }
@@ -243,17 +238,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// defaultShards is the shard count for Config.Shards <= 0: enough shards
-// that every core can run a lookup with a comfortably low collision
-// probability, floored so small-GOMAXPROCS processes still spread hot keys.
-func defaultShards() int {
-	n := 4 * runtime.GOMAXPROCS(0)
-	if n < 8 {
-		n = 8
-	}
-	return n
-}
-
 // ceilPow2 rounds n up to the next power of two (n >= 1).
 func ceilPow2(n int) int {
 	p := 1
@@ -263,17 +247,23 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// New creates a cache node.
+// New creates a cache node. Its key space is split across max(8,
+// 4×GOMAXPROCS) lock shards, rounded up to a power of two: enough that
+// every core can run a lookup with a comfortably low collision probability,
+// floored so small-GOMAXPROCS processes still spread hot keys.
 func New(cfg Config) *Server {
+	return newSharded(cfg, max(8, 4*runtime.GOMAXPROCS(0)))
+}
+
+// newSharded creates a cache node with n lock shards, rounded up to a power
+// of two. One shard is the single-lock node, whose LRU order is exact and
+// global.
+func newSharded(cfg Config, n int) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
 	if cfg.HistoryLen <= 0 {
 		cfg.HistoryLen = 8192
-	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = defaultShards()
 	}
 	n = ceilPow2(n)
 	s := &Server{

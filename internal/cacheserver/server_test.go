@@ -130,14 +130,14 @@ func TestWildcardInvalidationBothDirections(t *testing.T) {
 	// Entry tagged with a wildcard (it depends on a scan) is hit by any
 	// key invalidation on the table.
 	s.Put("b", []byte("b"), iv(5, interval.Infinity), true, 10,
-		ids([]invalidation.Tag{invalidation.WildcardTag("items")}))
+		ids([]invalidation.Tag{invalidation.Tag{Table: "items", Wildcard: true}}))
 
-	s.ApplyInvalidation(invalidation.Message{TS: 20, Tags: ids([]invalidation.Tag{invalidation.WildcardTag("items")})})
+	s.ApplyInvalidation(invalidation.Message{TS: 20, Tags: ids([]invalidation.Tag{invalidation.Tag{Table: "items", Wildcard: true}})})
 	if r := s.Lookup(context.Background(), "a", 5, 50, 5, 50); r.Still || r.Validity.Hi != 20 {
 		t.Fatalf("wildcard msg must invalidate key-tagged entry: %+v", r)
 	}
 	s.Put("c", []byte("c"), iv(20, interval.Infinity), true, 20,
-		ids([]invalidation.Tag{invalidation.WildcardTag("items")}))
+		ids([]invalidation.Tag{invalidation.Tag{Table: "items", Wildcard: true}}))
 	s.ApplyInvalidation(invalidation.Message{TS: 30, Tags: ids([]invalidation.Tag{invalidation.KeyTag("items", "id", "9")})})
 	if r := s.Lookup(context.Background(), "c", 20, 50, 5, 50); r.Still || r.Validity.Hi != 30 {
 		t.Fatalf("key msg must invalidate scan-tagged entry: %+v", r)
@@ -181,10 +181,10 @@ func TestOutOfOrderInvalidationIgnored(t *testing.T) {
 
 func TestCapacityEvictionLRU(t *testing.T) {
 	// Each version charges len(key)=2 + len(data)=9 + overhead bytes.
-	// Shards: 1 makes the LRU order exact and global; with several shards
+	// One shard makes the LRU order exact and global; with several shards
 	// eviction under the global budget is LRU per shard, so the victim
 	// would depend on key routing.
-	s := New(Config{CapacityBytes: 3 * (perVersionOverhead + 11), Shards: 1})
+	s := newSharded(Config{CapacityBytes: 3 * (perVersionOverhead + 11)}, 1)
 	payload := make([]byte, 9)
 	for i := 0; i < 3; i++ {
 		s.Put(fmt.Sprintf("k%d", i), payload, iv(10, 20), false, 0, nil)
@@ -281,7 +281,7 @@ func TestServeOverTCP(t *testing.T) {
 	if err := c.PushInvalidation(context.Background(), invalidation.Message{TS: 10, WallTime: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	tags := ids([]invalidation.Tag{invalidation.KeyTag("users", "id", "1"), invalidation.WildcardTag("extra")})
+	tags := ids([]invalidation.Tag{invalidation.KeyTag("users", "id", "1"), invalidation.Tag{Table: "extra", Wildcard: true}})
 	c.Put("k", []byte("hello"), iv(5, interval.Infinity), true, 10, tags)
 
 	deadline := time.Now().Add(2 * time.Second)

@@ -19,8 +19,8 @@ import (
 // key and the shard count: equal across server instances, stable across
 // calls, and in range. FuzzShardRouting extends this over arbitrary keys.
 func TestShardRoutingStable(t *testing.T) {
-	a := New(Config{Shards: 16})
-	b := New(Config{Shards: 16})
+	a := newSharded(Config{}, 16)
+	b := newSharded(Config{}, 16)
 	if len(a.shards) != 16 || len(b.shards) != 16 {
 		t.Fatalf("shard count: got %d/%d, want 16", len(a.shards), len(b.shards))
 	}
@@ -44,16 +44,16 @@ func TestShardRoutingStable(t *testing.T) {
 }
 
 // TestShardDefaults pins the default shard count policy: power of two, at
-// least 8, and Config.Shards rounded up.
+// least 8, and newSharded's count rounded up.
 func TestShardDefaults(t *testing.T) {
 	if n := len(New(Config{}).shards); n < 8 || n&(n-1) != 0 {
 		t.Fatalf("default shard count %d: want power of two >= 8", n)
 	}
-	if n := len(New(Config{Shards: 5}).shards); n != 8 {
-		t.Fatalf("Shards: 5 rounded to %d, want 8", n)
+	if n := len(newSharded(Config{}, 5).shards); n != 8 {
+		t.Fatalf("5 shards rounded to %d, want 8", n)
 	}
-	if n := len(New(Config{Shards: 1}).shards); n != 1 {
-		t.Fatalf("Shards: 1 gave %d shards", n)
+	if n := len(newSharded(Config{}, 1).shards); n != 1 {
+		t.Fatalf("1 shard gave %d shards", n)
 	}
 }
 
@@ -68,7 +68,7 @@ var crossShardCounts = []int{8, 64}
 // wherever they live.
 func TestCrossShardWildcardInvalidation(t *testing.T) {
 	for _, shards := range crossShardCounts {
-		s := New(Config{Shards: shards})
+		s := newSharded(Config{}, shards)
 		n := 16 * shards // that many hashed keys cover every shard with overwhelming probability
 		keys := make([]string, n)
 		for i := range keys {
@@ -85,7 +85,7 @@ func TestCrossShardWildcardInvalidation(t *testing.T) {
 		}
 
 		s.ApplyInvalidation(invalidation.Message{TS: 50,
-			Tags: []invalidation.TagID{invalidation.Intern(invalidation.WildcardTag("wide"))}})
+			Tags: []invalidation.TagID{invalidation.Intern(invalidation.Tag{Table: "wide", Wildcard: true})}})
 
 		for _, k := range keys {
 			r := s.Lookup(context.Background(), k, 10, 100, 0, interval.Infinity)
@@ -104,7 +104,7 @@ func TestCrossShardWildcardInvalidation(t *testing.T) {
 // versions alone, though the walk visits them all.
 func TestCrossShardExactInvalidation(t *testing.T) {
 	for _, shards := range crossShardCounts {
-		s := New(Config{Shards: shards})
+		s := newSharded(Config{}, shards)
 		const n = 64
 		keys := make([]string, n)
 		tags := make([]invalidation.TagID, n)
@@ -148,7 +148,7 @@ func TestGlobalBudgetConcurrentPuts(t *testing.T) {
 		workers = 8
 		puts    = 2000
 	)
-	s := New(Config{CapacityBytes: budget, Shards: 8})
+	s := newSharded(Config{CapacityBytes: budget}, 8)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -198,7 +198,7 @@ func TestGlobalBudgetConcurrentPuts(t *testing.T) {
 // out[i] must answer reqs[i], with no probe reordered, dropped or
 // cross-wired to another shard's entry.
 func TestCrossShardLookupBatch(t *testing.T) {
-	s := New(Config{Shards: 8})
+	s := newSharded(Config{}, 8)
 	const n = 64
 	reqs := make([]BatchLookup, 0, 2*n)
 	shards := map[uint32]bool{}
@@ -234,7 +234,7 @@ func TestCrossShardLookupBatch(t *testing.T) {
 // under -race this pins that monitoring never touches a data-path lock and
 // the snapshot arithmetic races with nothing.
 func TestStatsDuringLoad(t *testing.T) {
-	s := New(Config{Shards: 4})
+	s := newSharded(Config{}, 4)
 	tag := []invalidation.TagID{invalidation.Intern(invalidation.KeyTag("sdl", "id", "1"))}
 	// Seed synchronously so the post-reset gauge check is meaningful even if
 	// the scheduler never runs the load goroutine (GOMAXPROCS=1).

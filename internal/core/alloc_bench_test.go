@@ -398,8 +398,8 @@ func beginCommit(tb testing.TB, c *Client) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if tx.PinSetSize() != benchPins {
-		tb.Fatalf("pin set holds %d pins, want %d", tx.PinSetSize(), benchPins)
+	if len(tx.pinSet) != benchPins {
+		tb.Fatalf("pin set holds %d pins, want %d", len(tx.pinSet), benchPins)
 	}
 	if _, err := tx.Commit(); err != nil {
 		tb.Fatal(err)

@@ -436,7 +436,7 @@ func TestPinSetInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Invariant 2: the pin set never empties once data is observed.
-			if tx.PinSetSize() == 0 && !tx.HasStar() {
+			if len(tx.pinSet) == 0 && !tx.star {
 				t.Fatalf("round %d read %d: pin set emptied: %s", round, i, tx.String())
 			}
 		}
@@ -642,7 +642,7 @@ func TestWriteFreeDeploymentKeepsItsCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if step > 0 && tx.PinSetSize() == 0 {
+		if step > 0 && len(tx.pinSet) == 0 {
 			t.Fatalf("%ds after the last commit no pinned snapshot is fresh", step)
 		}
 		if _, err := tx.Query("SELECT balance FROM accounts WHERE id = ?", int64(0)); err != nil {

@@ -317,8 +317,8 @@ func TestPinSetLease(t *testing.T) {
 			r := newLeaseRig(t, leaseFresh)
 			for i := 1; i <= 3; i++ {
 				tx := beginRO(r.client, WithStaleness(hour))
-				if tx.PinSetSize() != 0 || !tx.HasStar() {
-					t.Fatalf("pin set %v star=%v on an empty pincushion", pinTimestamps(tx), tx.HasStar())
+				if len(tx.pinSet) != 0 || !tx.star {
+					t.Fatalf("pin set %v star=%v on an empty pincushion", pinTimestamps(tx), tx.star)
 				}
 				tx.Commit()
 				r.wantCalls(t, i, 0) // asked again every time, nothing to give back
@@ -380,13 +380,13 @@ func TestPinSetLease(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
 			tx, err := r.client.Begin(ctx, WithStaleness(hour))
-			if err != nil || tx.PinSetSize() != 0 {
+			if err != nil || len(tx.pinSet) != 0 {
 				t.Fatalf("waiter: %v, pin set %v; want a transaction with no pins", err, pinTimestamps(tx))
 			}
 			tx.Abort()
 			r.wantCalls(t, 1, 0) // it waited for the fetch in flight instead of making its own
 			close(r.svc.gate)
-			if tx := <-fetcher; tx.PinSetSize() != 1 {
+			if tx := <-fetcher; len(tx.pinSet) != 1 {
 				t.Fatalf("fetcher's pin set %v", pinTimestamps(tx))
 			} else {
 				tx.Commit()
@@ -423,8 +423,8 @@ func TestPinSetLease(t *testing.T) {
 			p1 := r.pin()
 			tx := beginRO(r.client, WithStaleness(2*hour+time.Nanosecond)) // the rig trims at 2 h
 			defer tx.Abort()
-			if tx.PinSetSize() != 0 || !tx.HasStar() {
-				t.Fatalf("pin set %v star=%v for a bound past the trim age", pinTimestamps(tx), tx.HasStar())
+			if len(tx.pinSet) != 0 || !tx.star {
+				t.Fatalf("pin set %v star=%v for a bound past the trim age", pinTimestamps(tx), tx.star)
 			}
 			hit := cacheserver.LookupResult{Found: true, Validity: interval.Interval{Lo: p1, Hi: p1 + 1}}
 			if _, ok := tx.accept(hit); ok {
@@ -570,8 +570,8 @@ func TestPinSetLease(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					tx, err := r.client.Begin(context.Background(), WithStaleness(time.Hour))
-					if err != nil || tx.PinSetSize() != 1 {
-						t.Errorf("begin: %v, %d pins", err, tx.PinSetSize())
+					if err != nil || len(tx.pinSet) != 1 {
+						t.Errorf("begin: %v, %d pins", err, len(tx.pinSet))
 						return
 					}
 					if _, err := tx.Query("SELECT v FROM kv WHERE id = 0"); err != nil {
@@ -706,7 +706,7 @@ func TestStarPinIsTheSessions(t *testing.T) {
 				defer c.Close()
 				tx := beginRO(c, WithStaleness(time.Hour))
 				query(t, tx)
-				if tx.HasStar() || tx.dbSnap != r.engine.LastCommit() || c.Stats().PinsPlaced.Load() != 1 {
+				if tx.star || tx.dbSnap != r.engine.LastCommit() || c.Stats().PinsPlaced.Load() != 1 {
 					t.Fatalf("%v after its first query; want ★ taken at %d", tx, r.engine.LastCommit())
 				}
 				if n := r.engine.PinnedCount(); n != 1 {

@@ -32,17 +32,17 @@ func TestNoConsistencyNeverNarrowsPinSet(t *testing.T) {
 	// A no-consistency transaction reads both cached values and keeps its
 	// full pin set: nothing constrains it.
 	tx = beginRO(r.client, WithStaleness(time.Minute))
-	sizeBefore := tx.PinSetSize()
+	sizeBefore := len(tx.pinSet)
 	if _, err := get(tx, int64(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := get(tx, int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := tx.PinSetSize(); got != sizeBefore {
+	if got := len(tx.pinSet); got != sizeBefore {
 		t.Fatalf("no-consistency mode narrowed the pin set: %d -> %d", sizeBefore, got)
 	}
-	if !tx.HasStar() {
+	if !tx.star {
 		t.Fatal("no-consistency mode should keep ★")
 	}
 	tx.Commit()

@@ -73,8 +73,8 @@ func TestNoSnapshotMixAfterSelection(t *testing.T) {
 	if tx.dbSnap != ts2 {
 		t.Fatalf("expected db snapshot %v (newest pin), got %v", ts2, tx.dbSnap)
 	}
-	if tx.PinSetSize() != 2 {
-		t.Fatalf("account 0 is untouched; both pins must survive, have %d", tx.PinSetSize())
+	if len(tx.pinSet) != 2 {
+		t.Fatalf("account 0 is untouched; both pins must survive, have %d", len(tx.pinSet))
 	}
 	v1, err := get(tx, int64(1))
 	if err != nil {

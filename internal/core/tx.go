@@ -174,13 +174,6 @@ func (tx *Tx) cacheOK() bool { return !tx.rw && !tx.noCache && tx.c.CacheEnabled
 // ReadOnly reports whether this is a read-only transaction.
 func (tx *Tx) ReadOnly() bool { return !tx.rw }
 
-// PinSetSize returns the number of candidate timestamps (excluding ★);
-// exposed for tests of invariants 1 and 2.
-func (tx *Tx) PinSetSize() int { return len(tx.pinSet) }
-
-// HasStar reports whether ★ is still in the pin set.
-func (tx *Tx) HasStar() bool { return tx.star }
-
 // Commit finishes the transaction and returns the timestamp it ran at
 // (paper §2.2): applications can thread this into the staleness bound of a
 // later transaction to enforce causality ("never see time move backwards").

@@ -226,7 +226,7 @@ func TestSnapshotAtomicAcrossTables(t *testing.T) {
 				readerDone <- err
 				return
 			}
-			if len(r.Rows) != 1 || !sql.Equal(r.Rows[0][0], r.Rows[0][1]) {
+			if len(r.Rows) != 1 || !valuesEqual(r.Rows[0][0], r.Rows[0][1]) {
 				readerDone <- fmt.Errorf("torn snapshot: %v", r.Rows)
 				return
 			}

@@ -424,7 +424,8 @@ func TestInvalidationMessages(t *testing.T) {
 
 func TestWildcardAggregation(t *testing.T) {
 	bus := invalidation.NewBus(false)
-	e := New(Options{Bus: bus, WildcardTagLimit: 4})
+	e := New(Options{Bus: bus})
+	e.wcLim = 4
 	if err := e.DDL(`CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)`); err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func FuzzDBNetHandle(f *testing.F) {
 // under it) or claims more tags than it has bytes is refused, not believed.
 func TestDecodeResultRejectsBadTags(t *testing.T) {
 	head := func() *wire.Buffer { return wire.NewBuffer(opQueryResp).U32(0).U32(0).U64(1).U64(2) }
-	good := head().U32(1).U64(uint64(invalidation.Intern(invalidation.WildcardTag("kv"))))
+	good := head().U32(1).U64(uint64(invalidation.Intern(invalidation.Tag{Table: "kv", Wildcard: true})))
 	for name, c := range map[string]struct {
 		reply *wire.Buffer
 		ok    bool

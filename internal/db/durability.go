@@ -48,8 +48,9 @@ type DurabilityOptions struct {
 	// Dir is the data directory holding log segments, checkpoint
 	// snapshots, and the clean-shutdown marker. Required.
 	Dir string
-	// Sync selects the group-commit sync discipline (default fdatasync;
-	// wal.SyncNone is the -durability=off escape hatch).
+	// Sync is how each commit group's log append is made durable. Every
+	// deployment runs the zero value, wal.SyncFdatasync: one fdatasync per
+	// group. Tests set wal.SyncNone to skip the flush.
 	Sync wal.SyncMode
 	// CheckpointBytes triggers an automatic checkpoint once that many log
 	// bytes have been appended since the last one. 0 selects the default

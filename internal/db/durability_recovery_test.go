@@ -62,7 +62,7 @@ func engineFingerprint(e *Engine) string {
 		}
 		for _, idx := range tab.idxList {
 			fmt.Fprintf(&sb, " index %s on %s unique=%v len=%d\n", idx.name, idx.column, idx.unique, idx.tree.Len())
-			idx.tree.Ascend(func(key []byte, posts []uint64) bool {
+			idx.tree.AscendRange(nil, nil, func(key []byte, posts []uint64) bool {
 				fmt.Fprintf(&sb, "  %x %v\n", key, posts)
 				return true
 			})

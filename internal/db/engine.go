@@ -59,10 +59,6 @@ type Options struct {
 	// computation, emulating a stock DBMS; used to measure the overhead of
 	// the paper's database modifications (§8.1).
 	DisableValidityTracking bool
-	// WildcardTagLimit caps the number of distinct key tags one commit or
-	// one query may emit per table before collapsing them into a table
-	// wildcard (paper §5.3). Defaults to 64.
-	WildcardTagLimit int
 	// EagerVisibilityCheck reverts to stock-Postgres scan ordering: the
 	// (cheap) visibility check runs before the predicate, so every
 	// snapshot-invisible tuple scanned pollutes the invalidity mask
@@ -82,6 +78,11 @@ type Options struct {
 	// ignores it and builds the in-memory configuration.
 	Durability *DurabilityOptions
 }
+
+// wildcardTagLimit caps the number of distinct key tags one commit or one
+// query may emit per table before collapsing them into a table wildcard
+// (paper §5.3).
+const wildcardTagLimit = 64
 
 // defaultVacuumEvery is the auto-vacuum watermark delta when unset.
 const defaultVacuumEvery = 256
@@ -150,9 +151,6 @@ func New(opts Options) *Engine {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
-	if opts.WildcardTagLimit <= 0 {
-		opts.WildcardTagLimit = 64
-	}
 	vacEvery := uint64(defaultVacuumEvery)
 	switch {
 	case opts.VacuumEvery > 0:
@@ -165,7 +163,7 @@ func New(opts Options) *Engine {
 		bus:      opts.Bus,
 		pool:     newBufferPool(opts.Pool),
 		track:    !opts.DisableValidityTracking,
-		wcLim:    opts.WildcardTagLimit,
+		wcLim:    wildcardTagLimit,
 		eagerVis: opts.EagerVisibilityCheck,
 		vacEvery: vacEvery,
 		tables:   make(map[string]*Table),

@@ -206,7 +206,8 @@ func TestDeleteThenInsertSameKey(t *testing.T) {
 }
 
 func TestTagLimitCollapsesQueryTags(t *testing.T) {
-	e := New(Options{WildcardTagLimit: 3})
+	e := New(Options{})
+	e.wcLim = 3
 	for _, d := range []string{
 		`CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)`,
 	} {

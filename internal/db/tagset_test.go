@@ -31,7 +31,7 @@ func referenceTags(limit int, adds []refAdd, names map[invalidation.TagID]string
 	for _, a := range adds {
 		name := a.table.name
 		key := a.column + "=" + sql.FormatValue(a.value)
-		names[invalidation.Intern(invalidation.WildcardTag(name))] = name + ":?"
+		names[invalidation.Intern(invalidation.Tag{Table: name, Wildcard: true})] = name + ":?"
 		names[invalidation.Intern(invalidation.Tag{Table: name, Key: key})] = name + ":" + key
 		switch {
 		case wild[name]:

@@ -198,10 +198,18 @@ func sameRows(a, b [][]sql.Value) bool {
 			return false
 		}
 		for j := range a[i] {
-			if !sql.Equal(a[i][j], b[i][j]) {
+			if !valuesEqual(a[i][j], b[i][j]) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// valuesEqual reports whether two values compare equal as Datum.Equal does
+// (NULL equals nothing, an integer equals the same DOUBLE).
+func valuesEqual(a, b sql.Value) bool {
+	x, errA := sql.DatumOf(a)
+	y, errB := sql.DatumOf(b)
+	return errA == nil && errB == nil && x.Equal(y)
 }

@@ -136,13 +136,6 @@ func (m *Mask) Empty() bool { return len(m.ivs) == 0 }
 // Len returns the number of disjoint intervals in the mask.
 func (m *Mask) Len() int { return len(m.ivs) }
 
-// Intervals returns a copy of the mask's disjoint intervals in order.
-func (m *Mask) Intervals() []Interval {
-	out := make([]Interval, len(m.ivs))
-	copy(out, m.ivs)
-	return out
-}
-
 // Subtract returns the maximal sub-interval of iv that contains ts and
 // excludes every timestamp in the mask. This implements the paper's final
 // step: "the invalidity mask is subtracted from the result tuple validity to

@@ -100,7 +100,7 @@ func TestMaskAddCoalesce(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("want coalesced single interval, got %v", m.String())
 	}
-	if got := m.Intervals()[0]; got != iv(10, 40) {
+	if got := m.ivs[0]; got != iv(10, 40) {
 		t.Fatalf("want [10,40), got %v", got)
 	}
 	m.Add(iv(0, 5))
@@ -214,7 +214,7 @@ func TestMaskCoversProperty(t *testing.T) {
 			}
 		}
 		// Disjointness/sortedness invariant.
-		ivs := m.Intervals()
+		ivs := m.ivs
 		for i := 1; i < len(ivs); i++ {
 			if ivs[i-1].Hi >= ivs[i].Lo {
 				return false

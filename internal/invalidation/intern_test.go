@@ -25,7 +25,7 @@ func stringMatch(mt, vt Tag) bool {
 func randTag(rng *rand.Rand) Tag {
 	table := fmt.Sprintf("t%d", rng.Intn(4))
 	if rng.Intn(4) == 0 {
-		return WildcardTag(table)
+		return Tag{Table: table, Wildcard: true}
 	}
 	col := fmt.Sprintf("c%d", rng.Intn(3))
 	return KeyTag(table, col, fmt.Sprint(rng.Intn(6)))
@@ -42,7 +42,7 @@ func TestGoldenIDs(t *testing.T) {
 	}{
 		{KeyTag("users", "name", "alice"), 0x20a4b7421d88cdea, "20a4b742:1d88cdea"},
 		{KeyTag("items", "id", "42"), 0x7139a8d0b7de47fd, "7139a8d0:b7de47fd"},
-		{WildcardTag("items"), 0x7139a8d000000000, "7139a8d0:?"},
+		{Tag{Table: "items", Wildcard: true}, 0x7139a8d000000000, "7139a8d0:?"},
 	} {
 		if got := Intern(c.tag); got != c.id {
 			t.Errorf("Intern(%v) = %#016x, pinned %#016x", c.tag, uint64(got), uint64(c.id))
@@ -90,7 +90,7 @@ func TestKeyHashIsInternOfKeyTag(t *testing.T) {
 // zero ID matches nothing.
 func TestHalves(t *testing.T) {
 	k := Intern(KeyTag("orders", "id", "1"))
-	w := Intern(WildcardTag("orders"))
+	w := Intern(Tag{Table: "orders", Wildcard: true})
 	if WildOf(k) != w || k == w {
 		t.Fatalf("WildOf(key %v) = %v, want %v", k, WildOf(k), w)
 	}
@@ -100,7 +100,7 @@ func TestHalves(t *testing.T) {
 	if Intern(Tag{Table: "orders", Key: "ignored", Wildcard: true}) != w {
 		t.Fatal("a wildcard's Key must not reach its ID")
 	}
-	if Intern(WildcardTag("users2")) == w {
+	if Intern(Tag{Table: "users2", Wildcard: true}) == w {
 		t.Fatal("distinct tables share a wildcard ID")
 	}
 	if e := Intern(Tag{}); e == 0 || WildOf(e) == 0 || IsWildcard(e) {

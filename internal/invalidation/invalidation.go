@@ -28,12 +28,9 @@ type Tag struct {
 }
 
 // KeyTag returns a two-part tag for an index equality lookup.
-func KeyTag(table, column string, value string) Tag {
+func KeyTag(table, column string, value string) Tag { // kept for benchmark/ (ROADMAP 1)
 	return Tag{Table: table, Key: column + "=" + value}
 }
-
-// WildcardTag returns a table-granularity tag for scans.
-func WildcardTag(table string) Tag { return Tag{Table: table, Wildcard: true} }
 
 // String renders the paper's "TABLE:KEY" / "TABLE:?" form.
 func (t Tag) String() string {

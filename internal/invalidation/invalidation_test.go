@@ -15,8 +15,8 @@ func TestTagString(t *testing.T) {
 	if got := KeyTag("users", "name", "alice").String(); got != "users:name=alice" {
 		t.Errorf("KeyTag = %q", got)
 	}
-	if got := WildcardTag("users").String(); got != "users:?" {
-		t.Errorf("WildcardTag = %q", got)
+	if got := (Tag{Table: "users", Wildcard: true}).String(); got != "users:?" {
+		t.Errorf("wildcard tag = %q", got)
 	}
 }
 
@@ -26,7 +26,7 @@ func TestMessageEncodeDecode(t *testing.T) {
 		WallTime: time.Unix(100, 250),
 		Tags: []TagID{
 			Intern(KeyTag("users", "id", "7")),
-			Intern(WildcardTag("items")),
+			Intern(Tag{Table: "items", Wildcard: true}),
 			Intern(Tag{}),
 		},
 	}

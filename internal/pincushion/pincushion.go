@@ -251,15 +251,6 @@ type Stats struct {
 	Horizon [numPinClasses][len(horizonBuckets) + 1]int `json:"horizon"`
 }
 
-// InClass returns how many tracked pins are in class c, whatever their age.
-func (s Stats) InClass(c PinClass) int {
-	n := 0
-	for _, b := range s.Horizon[c] {
-		n += b
-	}
-	return n
-}
-
 // Stats returns a snapshot of counters and the per-class horizon histogram.
 func (p *Pincushion) Stats() Stats {
 	p.mu.Lock()

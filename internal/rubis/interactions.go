@@ -42,16 +42,6 @@ const (
 	numInteractions
 )
 
-// InteractionName maps an interaction index to its RUBiS script name.
-var InteractionName = [numInteractions]string{
-	"Home", "RegisterForm", "RegisterUser", "Browse", "BrowseCategories",
-	"SearchItemsInCategory", "BrowseRegions", "BrowseCategoriesInRegion",
-	"SearchItemsInRegion", "ViewItem", "ViewUserInfo", "ViewBidHistory",
-	"BuyNowAuth", "BuyNow", "StoreBuyNow", "PutBidAuth", "PutBid", "StoreBid",
-	"PutCommentAuth", "PutComment", "StoreComment", "Sell",
-	"SelectCategoryToSell", "SellItemForm", "RegisterItem", "AboutMe",
-}
-
 // IsReadWrite reports whether the interaction updates the database.
 func IsReadWrite(i int) bool {
 	switch i {

@@ -276,14 +276,3 @@ func TestEmulatorBaselineNoCache(t *testing.T) {
 		t.Fatal("baseline must not touch the cache")
 	}
 }
-
-func TestInteractionNamesComplete(t *testing.T) {
-	if numInteractions != 26 {
-		t.Fatalf("RUBiS defines 26 interactions, got %d", numInteractions)
-	}
-	for i, n := range InteractionName {
-		if n == "" {
-			t.Fatalf("interaction %d unnamed", i)
-		}
-	}
-}

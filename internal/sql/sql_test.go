@@ -212,17 +212,18 @@ func TestCompare(t *testing.T) {
 		{int64(5), "5", -1}, // numeric ranks below string
 	}
 	for _, c := range cases {
-		if got := Compare(c.a, c.b); got != c.want {
+		if got := mustDatum(c.a).Compare(mustDatum(c.b)); got != c.want {
 			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestEqualNullSemantics(t *testing.T) {
-	if Equal(nil, nil) || Equal(nil, int64(1)) || Equal("x", nil) {
+	eq := func(a, b Value) bool { return mustDatum(a).Equal(mustDatum(b)) }
+	if eq(nil, nil) || eq(nil, int64(1)) || eq("x", nil) {
 		t.Fatal("NULL must not equal anything")
 	}
-	if !Equal(int64(2), 2.0) {
+	if !eq(int64(2), 2.0) {
 		t.Fatal("cross-numeric equality should hold")
 	}
 }

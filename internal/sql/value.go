@@ -205,12 +205,6 @@ func (t ColType) Coerce(d Datum) (Datum, bool) {
 	return d, t.Holds(d)
 }
 
-// Compare orders two values as Datum.Compare does.
-func Compare(a, b Value) int { return mustDatum(a).Compare(mustDatum(b)) }
-
-// Equal reports whether two values compare equal, as Datum.Equal does.
-func Equal(a, b Value) bool { return mustDatum(a).Equal(mustDatum(b)) }
-
 // FormatValue renders a value as Datum.AppendFormat does.
 func FormatValue(v Value) string { return string(mustDatum(v).AppendFormat(nil)) }
 

@@ -2,14 +2,7 @@
 
 package wal
 
-// Portable fallbacks: O_DSYNC and fdatasync degrade to full fsync where
-// the platform-specific fast paths are unavailable.
-const odsyncFlag = 0
-
-// odsyncReal is false here: SyncODsync falls back to an explicit fsync per
-// append (see Writer.syncLocked).
-const odsyncReal = false
-
+// fdatasync degrades to a full fsync where the platform has no fdatasync.
 func fdatasync(f segmentFile) error {
 	return f.Sync()
 }

@@ -7,9 +7,9 @@
 // The package deals only in opaque record payloads; the db layer owns the
 // payload encoding (commit groups, DDL). What wal guarantees:
 //
-//   - Append durability: after Append with a syncing mode returns, the
-//     record survives kill -9 (fdatasync/fsync per append, or O_DSYNC on
-//     the segment file descriptor).
+//   - Append durability: after Append returns, the record survives kill -9
+//     (one fdatasync per append, which the engine makes one per commit
+//     group).
 //   - Prefix semantics on read: a Reader yields records in append order
 //     and stops at the first frame that fails its length or CRC check — a
 //     torn tail from a mid-append crash truncates the log, it never
@@ -36,40 +36,14 @@ import (
 type SyncMode int
 
 const (
-	// SyncFdatasync issues fdatasync(2) once per Sync call (per commit
-	// group). The zero value, hence the default: data plus the file size
-	// reach the platter, file metadata (timestamps) may not.
+	// SyncFdatasync issues one fdatasync(2) per append (per commit group).
+	// The zero value, hence the default: data plus the file size reach the
+	// platter, file metadata (timestamps) may not.
 	SyncFdatasync SyncMode = iota
 	// SyncNone performs no explicit sync: appends are durable only on a
-	// clean close. The -durability=off escape hatch for benchmarks that
-	// must compare like with like against the in-memory engine.
+	// clean close. Tests use it to skip the flush cost.
 	SyncNone
-	// SyncFsync issues a full fsync(2) per Sync call.
-	SyncFsync
-	// SyncODsync opens segments with O_DSYNC so every write is
-	// synchronously durable; Sync is then a no-op. Trades per-group sync
-	// latency for per-write latency (see EXPERIMENTS.md).
-	SyncODsync
 )
-
-// ParseSyncMode maps the flag spellings to a SyncMode.
-func ParseSyncMode(s string) (SyncMode, error) {
-	switch s {
-	case "none", "off":
-		return SyncNone, nil
-	case "fdatasync", "":
-		return SyncFdatasync, nil
-	case "fsync":
-		return SyncFsync, nil
-	case "odsync", "o_dsync":
-		return SyncODsync, nil
-	}
-	return 0, fmt.Errorf("wal: unknown sync mode %q", s)
-}
-
-func (m SyncMode) String() string {
-	return [...]string{"fdatasync", "none", "fsync", "odsync"}[m]
-}
 
 // Record framing: a fixed header then the payload.
 //
@@ -218,11 +192,7 @@ func OpenWriter(dir string, mode SyncMode, sealedMax map[uint64]uint64) (*Writer
 
 // openSegment creates segment seq and makes its directory entry durable.
 func (w *Writer) openSegment(seq uint64) error {
-	flags := os.O_CREATE | os.O_EXCL | os.O_WRONLY
-	if w.mode == SyncODsync {
-		flags |= odsyncFlag
-	}
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(seq)), flags, 0o644)
+	f, err := os.OpenFile(filepath.Join(w.dir, segName(seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
@@ -249,8 +219,7 @@ func (w *Writer) Append(payload []byte, ts uint64) error {
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
-	// Header and payload go out in one write: one syscall before the sync,
-	// and under a real O_DSYNC one synchronous write instead of two.
+	// Header and payload go out in one write: one syscall before the sync.
 	frame := binary.LittleEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
 	frame = append(frame, payload...)
@@ -272,22 +241,11 @@ func (w *Writer) Append(payload []byte, ts uint64) error {
 
 // syncLocked makes appended bytes durable per the writer's mode.
 func (w *Writer) syncLocked() error {
-	switch w.mode {
-	case SyncNone:
+	if w.mode == SyncNone {
 		return nil
-	case SyncODsync:
-		if odsyncReal {
-			return nil // every write was synchronous already
-		}
-		w.statSyncs++
-		return w.f.Sync()
-	case SyncFdatasync:
-		w.statSyncs++
-		return fdatasync(w.f)
-	default:
-		w.statSyncs++
-		return w.f.Sync()
 	}
+	w.statSyncs++
+	return fdatasync(w.f)
 }
 
 // Rotate seals the current segment and starts the next one. Records

@@ -378,9 +378,8 @@ func (c *countingFile) Write(p []byte) (int, error) {
 }
 
 // TestOneWritePerRecord: Append hands header and payload to the file in one
-// write — one syscall ahead of the sync, and under O_DSYNC one synchronous
-// write, not two — from a buffer it reuses, whatever the sizes of the
-// records before it, and the records read back intact.
+// write — one syscall ahead of the sync — from a buffer it reuses, whatever
+// the sizes of the records before it, and the records read back intact.
 func TestOneWritePerRecord(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWriter(dir, SyncFdatasync, nil)
@@ -418,5 +417,31 @@ func TestOneWritePerRecord(t *testing.T) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("record %d mismatch", i)
 		}
+	}
+}
+
+// TestSyncNoneSkipsSync: a SyncNone writer appends and counts its records
+// but issues no sync, and what it wrote reads back after a clean close.
+func TestSyncNoneSkipsSync(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWriter(dir, SyncNone, nil)
+	if err != nil {
+		t.Fatalf("OpenWriter: %v", err)
+	}
+	for i := 1; i <= 3; i++ {
+		if err := w.Append([]byte("rec"), uint64(i)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if st := w.Stats(); st.Records != 3 || st.Syncs != 0 {
+		t.Fatalf("stats %+v, want 3 records and no sync", st)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	got, r := readAll(t, dir)
+	defer r.Close()
+	if len(got) != 3 {
+		t.Fatalf("read back %d of 3 records", len(got))
 	}
 }

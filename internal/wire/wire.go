@@ -36,7 +36,7 @@ var ErrTruncated = errors.New("wire: truncated message")
 // WriteFrame writes one length-prefixed frame whose payload was built
 // elsewhere, as two writes. Connection endpoints build their messages in a
 // Buffer and send them with Buffer.WriteFrame, which is one.
-func WriteFrame(w io.Writer, payload []byte) error {
+func WriteFrame(w io.Writer, payload []byte) error { // kept for benchmark/ (ROADMAP 1)
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
 	}
@@ -51,7 +51,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads one length-prefixed frame with two reads of r; see
 // FrameReader for connections.
-func ReadFrame(r io.Reader) ([]byte, error) {
+func ReadFrame(r io.Reader) ([]byte, error) { // kept for benchmark/ (ROADMAP 1)
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err

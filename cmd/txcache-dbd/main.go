@@ -11,13 +11,13 @@
 //
 // With -data-dir the engine is durable: commits are group-committed to a
 // write-ahead log, one fdatasync per commit group, before they become
-// visible; checkpoints bound the log, and
-// a restart replays to the last committed timestamp. Invalidations a crash
-// left undelivered need no announcement: the stream resumes at the recovered
-// timestamp plus one, and a cache node that finds a gap before that message
-// closes what it cannot vouch for (cacheserver.Server). SIGTERM/SIGINT shut
-// down cleanly: a final checkpoint and a clean-shutdown marker make the next
-// boot skip replay entirely.
+// visible; checkpoints bound the log, and a restart replays to the last
+// committed timestamp. Invalidations a crash left undelivered need no
+// announcement: the stream resumes at the recovered timestamp plus one, and
+// a cache node that finds a gap before that message closes what it cannot
+// vouch for (cacheserver.Server). SIGTERM/SIGINT shut down cleanly: a final
+// checkpoint and a clean-shutdown marker make the next boot skip replay
+// entirely.
 //
 // Usage:
 //

@@ -91,10 +91,11 @@ type runTrace struct {
 
 // TestGoldenTrace runs the whole in-process library on one virtual clock,
 // from one seeded goroutine, and compares what every tier counted with the
-// committed golden file. Nothing in the run reads the wall clock's progress
-// or races another goroutine for an outcome: after each interaction both
-// nodes have applied every commit, and pins age, leases expire and sweeps
-// happen on the virtual clock alone. So the counters are a function of the
+// committed golden file. No outcome in the run depends on the wall clock or
+// on another goroutine's timing: after each interaction both nodes have
+// applied every commit, and pins age, leases expire and sweeps happen on the
+// virtual clock alone (the wall clock reaches only the dates rubis writes
+// into rows, which no counter reads). So the counters are a function of the
 // code, and a change that claims to keep behaviour must leave the file as it
 // is. go test -run TestGoldenTrace -update rewrites it.
 func TestGoldenTrace(t *testing.T) {

@@ -130,14 +130,14 @@ func TestWildcardInvalidationBothDirections(t *testing.T) {
 	// Entry tagged with a wildcard (it depends on a scan) is hit by any
 	// key invalidation on the table.
 	s.Put("b", []byte("b"), iv(5, interval.Infinity), true, 10,
-		ids([]invalidation.Tag{invalidation.Tag{Table: "items", Wildcard: true}}))
+		ids([]invalidation.Tag{{Table: "items", Wildcard: true}}))
 
-	s.ApplyInvalidation(invalidation.Message{TS: 20, Tags: ids([]invalidation.Tag{invalidation.Tag{Table: "items", Wildcard: true}})})
+	s.ApplyInvalidation(invalidation.Message{TS: 20, Tags: ids([]invalidation.Tag{{Table: "items", Wildcard: true}})})
 	if r := s.Lookup(context.Background(), "a", 5, 50, 5, 50); r.Still || r.Validity.Hi != 20 {
 		t.Fatalf("wildcard msg must invalidate key-tagged entry: %+v", r)
 	}
 	s.Put("c", []byte("c"), iv(20, interval.Infinity), true, 20,
-		ids([]invalidation.Tag{invalidation.Tag{Table: "items", Wildcard: true}}))
+		ids([]invalidation.Tag{{Table: "items", Wildcard: true}}))
 	s.ApplyInvalidation(invalidation.Message{TS: 30, Tags: ids([]invalidation.Tag{invalidation.KeyTag("items", "id", "9")})})
 	if r := s.Lookup(context.Background(), "c", 20, 50, 5, 50); r.Still || r.Validity.Hi != 30 {
 		t.Fatalf("key msg must invalidate scan-tagged entry: %+v", r)

@@ -379,69 +379,52 @@ func (c *countingFile) Write(p []byte) (int, error) {
 
 // TestOneWritePerRecord: Append hands header and payload to the file in one
 // write — one syscall ahead of the sync — from a buffer it reuses, whatever
-// the sizes of the records before it, and the records read back intact.
+// the sizes of the records before it, and the records read back intact. A
+// SyncFdatasync writer counts one sync per record, a SyncNone writer none.
 func TestOneWritePerRecord(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWriter(dir, SyncFdatasync, nil)
-	if err != nil {
-		t.Fatalf("OpenWriter: %v", err)
-	}
-	cf := &countingFile{File: w.f.(*os.File)}
-	w.f = cf
-	var want [][]byte
-	for i, n := range []int{0, 1, 7, 4096, frameKeep + 1, 300, 0, 65536, 12} {
-		p := bytes.Repeat([]byte{byte('a' + i)}, n)
-		want = append(want, p)
-		if err := w.Append(p, uint64(i+1)); err != nil {
-			t.Fatalf("Append of %d bytes: %v", n, err)
-		}
-		if cf.writes != i+1 {
-			t.Fatalf("record %d (%d bytes) took %d writes, want 1", i, n, cf.writes-i)
-		}
-		if cap(w.frame) > frameKeep {
-			t.Fatalf("writer kept a %d-byte buffer after a %d-byte record", cap(w.frame), n)
-		}
-	}
-	if st := w.Stats(); st.Records != uint64(len(want)) || st.Syncs != uint64(len(want)) {
-		t.Fatalf("stats %+v, want %d records and as many syncs", st, len(want))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	got, r := readAll(t, dir)
-	defer r.Close()
-	if _, _, torn := r.Torn(); torn || r.Err() != nil || len(got) != len(want) {
-		t.Fatalf("read back %d of %d records (torn=%v, err=%v)", len(got), len(want), torn, r.Err())
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-// TestSyncNoneSkipsSync: a SyncNone writer appends and counts its records
-// but issues no sync, and what it wrote reads back after a clean close.
-func TestSyncNoneSkipsSync(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWriter(dir, SyncNone, nil)
-	if err != nil {
-		t.Fatalf("OpenWriter: %v", err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := w.Append([]byte("rec"), uint64(i)); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if st := w.Stats(); st.Records != 3 || st.Syncs != 0 {
-		t.Fatalf("stats %+v, want 3 records and no sync", st)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	got, r := readAll(t, dir)
-	defer r.Close()
-	if len(got) != 3 {
-		t.Fatalf("read back %d of 3 records", len(got))
+	for _, c := range []struct {
+		name      string
+		mode      SyncMode
+		syncEvery uint64
+	}{{"fdatasync", SyncFdatasync, 1}, {"none", SyncNone, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := OpenWriter(dir, c.mode, nil)
+			if err != nil {
+				t.Fatalf("OpenWriter: %v", err)
+			}
+			cf := &countingFile{File: w.f.(*os.File)}
+			w.f = cf
+			var want [][]byte
+			for i, n := range []int{0, 1, 7, 4096, frameKeep + 1, 300, 0, 65536, 12} {
+				p := bytes.Repeat([]byte{byte('a' + i)}, n)
+				want = append(want, p)
+				if err := w.Append(p, uint64(i+1)); err != nil {
+					t.Fatalf("Append of %d bytes: %v", n, err)
+				}
+				if cf.writes != i+1 {
+					t.Fatalf("record %d (%d bytes) took %d writes, want 1", i, n, cf.writes-i)
+				}
+				if cap(w.frame) > frameKeep {
+					t.Fatalf("writer kept a %d-byte buffer after a %d-byte record", cap(w.frame), n)
+				}
+			}
+			if st := w.Stats(); st.Records != uint64(len(want)) || st.Syncs != c.syncEvery*uint64(len(want)) {
+				t.Fatalf("stats %+v, want %d records and %d syncs each", st, len(want), c.syncEvery)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			got, r := readAll(t, dir)
+			defer r.Close()
+			if _, _, torn := r.Torn(); torn || r.Err() != nil || len(got) != len(want) {
+				t.Fatalf("read back %d of %d records (torn=%v, err=%v)", len(got), len(want), torn, r.Err())
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("record %d mismatch", i)
+				}
+			}
+		})
 	}
 }

@@ -84,7 +84,7 @@ func main() {
 	staleness := flag.Duration("staleness", 10*time.Second, "largest staleness bound the applications use (the pincushion trims unused pins a second past it)")
 	caches := flag.String("caches", "", "comma-separated cache node addresses for the invalidation stream")
 	schema := flag.String("schema", "", "file of semicolon-separated CREATE statements to run at startup")
-	loadRubis := flag.String("load-rubis", "", "pre-load the RUBiS dataset: test, inmem, or disk")
+	loadRubis := flag.String("load-rubis", "", "pre-load the RUBiS dataset: test or inmem")
 	vacuumEvery := flag.Duration("vacuum-interval", 2*time.Second, "vacuum period")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + checkpoints); empty runs in-memory")
 	ckptBytes := flag.Int64("checkpoint-bytes", 16<<20, "checkpoint after this many WAL bytes (negative disables)")
@@ -165,8 +165,6 @@ func main() {
 			sc = rubis.TestScale
 		case "inmem":
 			sc = rubis.InMemoryScale
-		case "disk":
-			sc = rubis.DiskBoundScale
 		default:
 			log.Fatalf("txcache-dbd: unknown RUBiS scale %q", *loadRubis)
 		}

@@ -88,3 +88,20 @@ func sendFramedBounded(conn net.Conn, e *Buffer) error {
 func encodeFramed(w io.Writer, e *Buffer) error {
 	return e.WriteFrame(w)
 }
+
+// Clean: the deadline is re-armed only when less than half of it is left,
+// in the same function as the write; a deadline armed earlier still bounds
+// a write that skips the re-arm.
+type leased struct {
+	c       net.Conn
+	writeBy time.Time
+}
+
+func (l *leased) send(e *Buffer) error {
+	const bound = 2 * time.Second
+	if now := time.Now(); l.writeBy.Sub(now) < bound/2 {
+		l.writeBy = now.Add(bound)
+		_ = l.c.SetWriteDeadline(l.writeBy)
+	}
+	return e.WriteFrame(l.c)
+}

@@ -58,9 +58,8 @@ func lookupEach(ctx context.Context, n Node, reqs []BatchLookup) []LookupResult 
 	return out
 }
 
-// Protocol opcodes; the frame header, the request IDs that let a client
-// pipeline many requests over one connection, the ack and error replies and
-// the stats request are internal/rpc's. A frame sent one-way (async puts,
+// Protocol opcodes; the frame header, its request IDs, the ack and error
+// replies and the stats request are internal/rpc's. A frame sent one-way (async puts,
 // unacked invalidation pushes) is applied and never answered.
 const (
 	opLookup     byte = 1
@@ -170,9 +169,8 @@ var errClosed = errors.New("cacheserver: client closed")
 
 // Client defaults.
 const (
-	// DefaultPoolSize is the number of TCP connections a Client keeps per
-	// node. Requests are multiplexed — many in flight per connection — so
-	// the pool exists for send-side parallelism, not one-slot-per-request.
+	// DefaultPoolSize is the number of TCP connections a Client dials to
+	// its node up front; a lookup that finds none idle dials another.
 	DefaultPoolSize = 4
 	// DefaultCallTimeout bounds one request/response exchange. Lookups that
 	// time out degrade to compulsory misses.
@@ -186,8 +184,8 @@ const (
 	DefaultDrainTimeout = time.Second
 )
 
-// ClientStats are client-side transport counters: how the multiplexed
-// protocol is behaving, as opposed to Stats (the remote node's counters).
+// ClientStats are client-side transport counters, as opposed to Stats (the
+// remote node's counters).
 type ClientStats struct {
 	Lookups      uint64 // lookup requests sent
 	LookupErrors uint64 // lookups degraded to misses by transport errors
@@ -198,8 +196,8 @@ type ClientStats struct {
 	CallErrors   uint64 // Stats/ResetStats round trips that failed
 	Timeouts     uint64 // requests abandoned after DefaultCallTimeout
 	Canceled     uint64 // requests abandoned because the caller's context ended
-	LateDrops    uint64 // response frames for abandoned request IDs, dropped
-	Reconnects   uint64 // connections re-established after a failure
+	LateDrops    uint64 // replies owed to abandoned requests, skipped
+	Reconnects   uint64 // connections dialed to replace ones lost to a failure
 }
 
 // clientCounters is the atomic backing store for the counters of
@@ -210,9 +208,8 @@ type clientCounters struct {
 	callErrors                                   atomic.Uint64
 }
 
-// Client is a TCP client for a cache node. It is safe for concurrent use:
-// requests are multiplexed over a small pool of connections (internal/rpc),
-// so any number of lookups can be in flight at once, and puts are queued and
+// Client is a TCP client for a cache node, safe for concurrent use: a lookup
+// leases a connection of its own (internal/rpc), and puts are queued and
 // written asynchronously.
 type Client struct {
 	rpc *rpc.Client
@@ -409,13 +406,14 @@ func (c *Client) ResetStats() {
 // assumed lost — the stream owner retries it until acked; the node
 // deduplicates by timestamp, so at-least-once in-order delivery is exactly
 // the stream contract, and PushStream is that owner. ctx bounds one
-// delivery attempt. Pushes always use the first pool connection and the
-// caller is expected to be a single goroutine per node, which preserves
-// send order.
+// delivery attempt. The caller is expected to be a single goroutine per
+// node, which preserves send order: each push waits for its ack, and a
+// retry of one abandoned at its deadline goes out on the connection
+// released last — the one the abandoned push still holds a place on.
 func (c *Client) PushInvalidation(ctx context.Context, m invalidation.Message) error {
 	e := rpc.NewFrame(opInval)
 	m.AppendTo(e)
-	_, _, err := c.rpc.Conn(0).Call(ctx, e)
+	_, _, err := c.rpc.Call(ctx, e)
 	return err
 }
 

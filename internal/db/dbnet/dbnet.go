@@ -280,26 +280,27 @@ func remoteErr(err error) error {
 }
 
 // Client implements core.DB over TCP. Each database transaction leases one
-// connection exclusively for its lifetime, and not only because the
-// protocol is stateful per connection, like PostgreSQL sessions: a serve
-// loop handles a connection's frames serially and a commit sits in the
-// WAL's fdatasync, so two transactions sharing a connection would serialise
-// their commits and shrink the commit group. The transaction's context maps
-// onto a per-request timer: every round trip of a transaction begun with a
-// deadline is bounded by it. Replies are matched to requests by ID, so a
-// round trip that is abandoned cannot poison the next lease, and the frame
+// connection for its lifetime, and not only because the protocol is
+// stateful per connection, like PostgreSQL sessions: a serve loop handles a
+// connection's frames serially and a commit sits in the WAL's fdatasync, so
+// two transactions sharing a connection would serialise their commits and
+// shrink the commit group. The pool starts with the sessions dialed up front
+// and dials another whenever every one is leased, so it caps nothing: what
+// bounds concurrent transactions is the caller (serve's MaxInFlight). Every
+// round trip of a transaction is bounded by its context, and the frame
 // that ends a transaction is ordered ahead of the next lease's first
 // request on the same connection. PinLatest, Pin, Unpin and StatsJSON
-// address no session and go out on any connection without leasing one.
+// address no session and go out on any idle connection, or a new one,
+// without waiting for a transaction to end.
 type Client struct {
 	rpc    *rpc.Client
-	free   chan *rpc.Conn // the connections, a session each, that no transaction holds
-	lastID atomic.Uint64  // of a transaction
+	lastID atomic.Uint64 // of a transaction
 }
 
 var _ core.DB = (*Client)(nil)
 
-// Dial connects to a database daemon over TCP with a pool of sessions.
+// Dial connects to a database daemon over TCP, with poolSize sessions
+// dialed up front.
 func Dial(addr string, poolSize int) (*Client, error) { return DialNet(rpc.TCP, "", addr, poolSize) }
 
 // DialNet is Dial through nw, as the tier from.
@@ -313,15 +314,7 @@ func DialNet(nw rpc.Net, from, addr string, poolSize int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newClient(rc, poolSize), nil
-}
-
-func newClient(rc *rpc.Client, n int) *Client {
-	cl := &Client{rpc: rc, free: make(chan *rpc.Conn, n)}
-	for i := 0; i < n; i++ {
-		cl.free <- rc.Conn(i)
-	}
-	return cl
+	return &Client{rpc: rc}, nil
 }
 
 // Close tears down every session, leased ones included: a transaction still
@@ -329,23 +322,23 @@ func newClient(rc *rpc.Client, n int) *Client {
 // connection.
 func (cl *Client) Close() { cl.rpc.Close() }
 
-// Begin starts a remote transaction bound to ctx, leasing a session from
-// the pool until Commit or Abort; waiting for a free session respects
-// ctx's cancellation, and its deadline bounds every later round trip.
-// Begin itself sends nothing: the transaction's first frame carries it, and
-// a begin that fails (an unpinned snapshot) is that frame's error, so the
+// Begin starts a remote transaction bound to ctx, leasing a session until
+// Commit or Abort; ctx's deadline bounds every later round trip. Begin
+// itself sends nothing: the transaction's first frame carries it, and a
+// begin that fails (an unpinned snapshot) is that frame's error, so the
 // caller must keep snap pinned until the first statement returns.
 func (cl *Client) Begin(ctx context.Context, readOnly bool, snap interval.Timestamp) (core.DBTx, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t := &clientTx{cl: cl, ctx: ctx, id: cl.lastID.Add(1), snap: snap, ro: readOnly, pending: true}
-	select {
-	case t.conn = <-cl.free:
-		return t, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("dbnet: begin: %w", ctx.Err())
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("dbnet: begin: %w", err)
 	}
+	conn, err := cl.rpc.Lease()
+	if err != nil {
+		return nil, fmt.Errorf("dbnet: begin: %w", err)
+	}
+	return &clientTx{cl: cl, conn: conn, ctx: ctx, id: cl.lastID.Add(1), snap: snap, ro: readOnly, pending: true}, nil
 }
 
 // caller is what a round trip goes out on: the whole pool, for one that
@@ -367,7 +360,7 @@ func roundTrip(ctx context.Context, c caller, req *wire.Buffer, want byte) (wire
 	return *wire.NewDecoder(body), err
 }
 
-// PinLatest pins the latest snapshot on the daemon.
+// PinLatest pins the latest snapshot on the daemon, bounded by opTimeout.
 func (cl *Client) PinLatest() (interval.Timestamp, time.Time) {
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
@@ -494,7 +487,7 @@ func (t *clientTx) Commit() (interval.Timestamp, error) {
 		t.end()
 		return t.snap, nil
 	}
-	defer func() { t.cl.free <- t.conn }()
+	defer t.cl.rpc.Release(t.conn)
 	d, err := t.call(t.frame(opCommit), opCommitResp)
 	if err != nil {
 		return 0, err
@@ -522,7 +515,7 @@ func (t *clientTx) end() {
 	if !t.pending {
 		_ = t.conn.Send(rpc.NewFrame(opAbort).U64(t.id)) // a failed write drops the connection, and the transaction with it
 	}
-	t.cl.free <- t.conn
+	t.cl.rpc.Release(t.conn)
 }
 
 // decodeResult reads an opQueryResp body. Every count is bounded by the

@@ -39,7 +39,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	ss := &session{Server: &Server{Engine: engine}, txs: make(map[uint64]*db.Tx)}
 	rc, client, server := rpctest.Pipe(t, ss.handle, 0)
-	cl := newClient(rc, 1)
+	cl := &Client{rpc: rc}
 	defer cl.Close()
 	ctx := context.Background()
 
@@ -122,7 +122,7 @@ func TestPinAtATimestamp(t *testing.T) {
 	}
 	ss := &session{Server: &Server{Engine: engine}, txs: make(map[uint64]*db.Tx)}
 	rc, client, server := rpctest.Pipe(t, ss.handle, 0)
-	cl := newClient(rc, 1)
+	cl := &Client{rpc: rc}
 	defer cl.Close()
 
 	ro, err := cl.Begin(context.Background(), true, 0)

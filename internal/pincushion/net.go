@@ -146,7 +146,7 @@ func DialNet(nw rpc.Net, from, addr string, poolSize int) (*Client, error) {
 	return &Client{rpc: rc}, nil
 }
 
-// Close tears down the connections and waits for pending redials to stop.
+// Close tears down the connections.
 func (c *Client) Close() { c.rpc.Close() }
 
 // GetPins implements Service over TCP; on error (or a cancelled ctx,

@@ -1,16 +1,17 @@
 // Package rpc is the one transport under the three wire services below the
 // HTTP tier: library → cache node, library → pincushion, library → database
 // daemon. A service owns its opcodes and what their bodies mean; the frame
-// header, request-ID multiplexing, the mapping of a caller's context onto a
-// per-request timer, redial with backoff, the serve loop with its write
+// header, the connection pool and its leases, the mapping of a caller's
+// context onto the wait for a reply, the serve loop with its write
 // deadline, the error and ack frames, and the stats opcode are here, once.
 //
 // Every frame payload is [op:1][reqID:4 LE][body]. A request carrying a
 // nonzero reqID receives exactly one reply frame tagged with the same reqID;
 // reqID 0 marks one-way frames, which are applied in arrival order and never
-// answered. Replies may be interleaved arbitrarily with other requests'
-// replies, which is what lets a client pipeline many requests over one
-// connection.
+// answered. A connection carries one exchange at a time: a call leases it,
+// writes its request and reads its own reply, so replies arrive in the order
+// their requests went out, and the ID tells the reply a call is waiting for
+// from one owed to a call that gave up on the connection before it.
 package rpc
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,9 +44,9 @@ const (
 const (
 	headerLen = 5 // opcode and request ID
 
-	// dialTimeout bounds connection establishment (the initial dials and
-	// every redial). A blackholed host must fail fast, not hold the dialer
-	// for the kernel's multi-minute connect timeout.
+	// dialTimeout bounds every dial, up front or a lease's. A blackholed
+	// host must fail fast, not hold the dialer for the kernel's
+	// multi-minute connect timeout.
 	dialTimeout = 5 * time.Second
 	// writeTimeout bounds one request-frame write. One-way frames run
 	// outside any caller context — pin and transaction bookkeeping must
@@ -55,11 +57,6 @@ const (
 	// client that stops reading wedges only its own connection goroutine, and
 	// only this long.
 	serverWriteTimeout = 10 * time.Second
-	// Redial backoff bounds: a peer that is down is retried from a few
-	// milliseconds apart up to once a second, until it is back or the client
-	// closes, so an outage costs the client no connection for good.
-	redialMin = 10 * time.Millisecond
-	redialMax = time.Second
 )
 
 // NewFrame starts a frame — a request or a handler's reply — with a
@@ -71,7 +68,8 @@ func NewFrame(op byte) *wire.Buffer { return wire.NewBuffer(op).U32(0) }
 // — the serve loop then acks a request and, as always, answers a one-way
 // frame with nothing — or an error, which travels back as the error frame.
 // It must never panic on malformed input: every decode is checked and every
-// count prefix is bounded by the bytes that actually remain in body.
+// count prefix is bounded by the bytes that actually remain in body, which
+// is the handler's only until it returns.
 type Handler func(op byte, body []byte) (*wire.Buffer, error)
 
 // Serve accepts connections on l until l is closed. newSession is called
@@ -97,19 +95,19 @@ func Serve(l net.Listener, newSession func() (Handler, func())) error {
 // ServeConn processes conn's frames in arrival order until it fails, then
 // closes it. Handling is deliberately serial per connection: one-way frames
 // (an invalidation stream, a transaction's end ahead of the next one's
-// begin) must be applied in send order, and handlers only ever hold their
-// service's locks briefly, so per-frame
-// goroutines would buy reordering hazards without concurrency. Pipelining
-// still eliminates round-trip stalls — the client does not wait for a reply
-// before sending the next request — and concurrency comes from serving many
-// connections.
+// begin) must be applied in send order, and a client holds a connection for
+// one exchange at a time, so concurrency comes from serving many.
 func ServeConn(conn net.Conn, h Handler) {
 	defer conn.Close()
 	fr := wire.NewFrameReader(conn)
+	var buf []byte // the last request's storage, kept for the next unless large
 	for {
-		req, err := fr.ReadFrame()
+		req, err := fr.ReadFrameInto(buf)
 		if err != nil {
 			return
+		}
+		if cap(req) <= 4096 {
+			buf = req
 		}
 		if resp := Dispatch(h, req); resp != nil {
 			_ = conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
@@ -161,48 +159,50 @@ var (
 	errNotConnected = errors.New("rpc: not connected") // the frame was not sent
 	errConnLost     = errors.New("rpc: connection lost")
 	errTimeout      = errors.New("rpc: request timed out")
+	errClosed       = errors.New("rpc: client closed")
+	aLongTimeAgo    = time.Unix(1, 0) // a deadline that ends a blocked read or write at once
 )
 
 // Stats are a Client's transport counters.
 type Stats struct {
 	Timeouts   uint64 // calls abandoned after the client's default bound
 	Canceled   uint64 // calls abandoned because the caller's context ended
-	LateDrops  uint64 // reply frames for abandoned request IDs, dropped
-	Reconnects uint64 // connections re-established after a failure
+	LateDrops  uint64 // reply frames owed to abandoned calls, skipped by the next holder
+	Reconnects uint64 // connections dialed to replace ones lost to a failure
 }
 
-// Client is a fixed set of connections to one peer, safe for concurrent
-// use. Requests are multiplexed — many in flight per connection — so the set
-// exists for send-side parallelism and failover, not one slot per request.
+// Client is a pool of connections to one peer, safe for concurrent use. A
+// call leases a connection no other call holds, writes its request, reads
+// its own reply there and releases it. The pool starts with the connections
+// dialed up front and keeps every healthy one it has dialed since, so it
+// holds as many as calls have ever been in flight at once; nothing runs in
+// the background.
 type Client struct {
 	name    string        // service and peer, for the log
 	timeout time.Duration // default bound of one Call; 0 leaves it to the caller's context
 	dial    func() (net.Conn, error)
 
-	conns []*Conn
-	rr    atomic.Uint32 // round-robin connection cursor
-
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	mu     sync.Mutex
+	idle   []*Conn            // the connections no call holds, the last released on top
+	live   map[*Conn]struct{} // every open connection, held or idle
+	lost   int                // connections lost to a failure and not yet replaced
+	closed bool
 
 	timeouts, canceled, lateDrops, reconnects atomic.Uint64
 }
 
-// Conn is one multiplexed connection: a writer-side mutex, a pending table
-// mapping request IDs to reply channels, and a reader goroutine that
-// dispatches replies and redials after failures. Frames written to one Conn
-// reach the peer's handler in the order they were written.
+// Conn is one connection, held by one lease at a time. Frames its holder
+// writes reach the peer's handler in the order they were written, behind
+// whatever earlier holders wrote.
 type Conn struct {
-	cl      *Client
-	mu      sync.Mutex // guards conn, pending, nextID, and frame writes
-	conn    net.Conn   // nil while disconnected
-	pending map[uint32]chan []byte
-	nextID  uint32
-	// live mirrors conn for Close alone: a write to a peer that stopped
-	// reading holds mu until its deadline, and Close must be able to fail
-	// that write rather than queue behind it.
-	live atomic.Pointer[net.Conn]
+	cl              *Client
+	nc              net.Conn
+	fr              *wire.FrameReader
+	lastID          uint32
+	writeBy, readBy time.Time     // the deadlines armed on nc; a zero readBy is none
+	used            bool          // a frame has gone out on it
+	broken          bool          // closed after a failure; Release forgets it
+	interrupted     chan struct{} // receives once interrupt has moved the deadlines
 }
 
 // Net is how the tiers of a deployment reach each other: every listener a
@@ -233,39 +233,56 @@ func Dial(nw Net, from, service, addr string, n int, timeout time.Duration) (*Cl
 	return NewClient(service+" "+addr, n, timeout, func() (net.Conn, error) { return nw.Dial(from, addr) })
 }
 
-// NewClient is Dial with the connections, first and redialed, made by dial.
+// NewClient is Dial with the connections, up front and later, made by dial.
 func NewClient(name string, n int, timeout time.Duration, dial func() (net.Conn, error)) (*Client, error) {
-	c := &Client{name: name, timeout: timeout, dial: dial, closed: make(chan struct{})}
+	c := &Client{name: name, timeout: timeout, dial: dial, live: make(map[*Conn]struct{})}
 	for i := 0; i < n; i++ {
-		conn, err := dial()
+		m, err := c.Lease() // dials: none is idle
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		m := &Conn{cl: c, conn: conn, pending: make(map[uint32]chan []byte)}
-		m.live.Store(&conn)
-		c.conns = append(c.conns, m)
-	}
-	for _, m := range c.conns {
-		c.wg.Add(1)
-		go m.run()
+		defer c.Release(m)
 	}
 	return c, nil
 }
 
-// Close tears the connections down, failing all in-flight calls, and waits
-// for the readers (and any redial in progress) to stop.
+// add puts a connection just dialed into the pool's count, unless the
+// client has closed meanwhile.
+func (c *Client) add(nc net.Conn) (*Conn, error) {
+	m := &Conn{cl: c, nc: nc, fr: wire.NewFrameReader(nc), interrupted: make(chan struct{}, 1)}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		nc.Close()
+		return nil, errClosed
+	}
+	c.live[m] = struct{}{}
+	replaces := c.lost > 0
+	if replaces {
+		c.lost--
+	}
+	c.mu.Unlock()
+	if replaces {
+		c.reconnects.Add(1)
+		log.Printf("rpc: %s: reconnected", c.name)
+	}
+	return m, nil
+}
+
+// Close closes every connection, leased ones included: a call blocked on
+// one fails, and a lease released afterwards is closed with the rest.
 func (c *Client) Close() {
-	c.closeOnce.Do(func() {
-		close(c.closed)
-		for _, m := range c.conns {
-			if nc := m.live.Load(); nc != nil {
-				(*nc).Close()
-			}
-			m.drop()
-		}
-	})
-	c.wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	c.closed = true
+	for m := range c.live {
+		m.nc.Close()
+	}
+	c.live, c.idle = nil, nil
 }
 
 // Counters snapshots the transport counters.
@@ -278,261 +295,229 @@ func (c *Client) Counters() Stats {
 	}
 }
 
-// Conn returns the i'th connection, for traffic that must stay ordered
-// (Send after Send) or own a server-side session.
-func (c *Client) Conn(i int) *Conn { return c.conns[i] }
+// Lease takes a connection no other call holds — the one released last, or
+// a new one when none is idle — and never waits for one to come free. Its
+// holder may Call and Send on it in any order, the peer handling its frames
+// in that order, and must Release it: traffic that must stay ordered (a
+// transaction's statements and its end) holds one lease.
+func (c *Client) Lease() (*Conn, error) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errClosed
+	}
+	if k := len(c.idle); k > 0 {
+		m := c.idle[k-1]
+		c.idle = c.idle[:k-1]
+		c.mu.Unlock()
+		return m, nil
+	}
+	c.mu.Unlock()
+	nc, err := c.dial()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errNotConnected, err)
+	}
+	return c.add(nc)
+}
 
-// run is the per-connection reader: it dispatches reply frames to the
-// pending table and owns redialing after a failure.
-func (m *Conn) run() {
-	defer m.cl.wg.Done()
-	backoff := redialMin
-	var fr *wire.FrameReader // on frConn; replaced when a redial replaces the connection
-	var frConn net.Conn
-	for {
-		m.mu.Lock()
-		conn := m.conn
-		m.mu.Unlock()
-		if conn == nil {
-			select {
-			case <-m.cl.closed:
-				return
-			case <-time.After(backoff):
-			}
-			nc, err := m.cl.dial()
-			if err != nil {
-				backoff = min(2*backoff, redialMax)
-				continue
-			}
-			m.mu.Lock()
-			select {
-			case <-m.cl.closed:
-				// Close ran while we were dialing; installing the new
-				// connection now would leak it and block this reader (and
-				// Close's wg.Wait) forever.
-				m.mu.Unlock()
-				nc.Close()
-				return
-			default:
-			}
-			m.conn = nc
-			m.live.Store(&nc)
-			m.mu.Unlock()
-			m.cl.reconnects.Add(1)
-			log.Printf("rpc: %s: reconnected", m.cl.name)
-			backoff = redialMin
-			continue
-		}
-		if conn != frConn {
-			fr, frConn = wire.NewFrameReader(conn), conn
-		}
-		payload, err := fr.ReadFrame()
-		if err != nil {
-			select {
-			case <-m.cl.closed:
-				return
-			default:
-			}
-			// Logged once per event, not once per affected request.
-			m.drop()
-			log.Printf("rpc: %s: connection lost: %v", m.cl.name, err)
-			continue
-		}
-		if len(payload) >= headerLen {
-			id := binary.LittleEndian.Uint32(payload[1:headerLen])
-			m.mu.Lock()
-			ch := m.pending[id]
-			delete(m.pending, id)
-			m.mu.Unlock()
-			if ch != nil {
-				ch <- payload
-			} else if id != 0 {
-				// A reply for a request nobody is waiting on: the caller
-				// timed out or its context was cancelled and the pending
-				// entry was reclaimed. Count it and drop it — delivering it
-				// to a reused ID would cross-wire two requests.
-				m.cl.lateDrops.Add(1)
-			}
-		}
+// Release hands a leased connection back to the pool. One that failed is
+// already closed and forgotten, and after Close there is no pool.
+func (c *Client) Release(m *Conn) {
+	c.mu.Lock()
+	if !m.broken && !c.closed {
+		c.idle = append(c.idle, m)
+	}
+	c.mu.Unlock()
+}
+
+// fail closes a connection that can carry nothing more and forgets it: the
+// next lease that finds no idle connection dials its replacement. Loss is
+// logged once per connection, not per call, and not when Close caused it.
+func (m *Conn) fail(err error) {
+	m.broken = true
+	m.nc.Close()
+	c := m.cl
+	c.mu.Lock()
+	closing := c.closed
+	if !closing {
+		delete(c.live, m)
+		c.lost++
+	}
+	c.mu.Unlock()
+	if !closing {
+		log.Printf("rpc: %s: connection lost: %v", c.name, err)
 	}
 }
 
-// drop closes the connection, if there is one, and fails every request
-// pending on it; unless the client is closing, the reader loop will redial.
-func (m *Conn) drop() {
-	m.mu.Lock()
-	if m.conn != nil {
-		m.conn.Close()
-		m.conn = nil
-		m.live.Store(nil)
-	}
-	for id, ch := range m.pending {
-		delete(m.pending, id)
-		close(ch)
-	}
-	m.mu.Unlock()
-}
-
-// timerPool recycles timeout timers: one per in-flight call would
-// otherwise be the hot path's only steady allocation besides frames.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
-// Call sends one request frame on this connection and waits for its tagged
-// reply, returned as its opcode and body; an error frame comes back as a
-// RemoteError. The caller's context is honored with per-request
-// granularity: its deadline tightens the request timer (never the
-// connection — other requests multiplexed on it are unaffected), and on
-// cancellation the pending-table entry is reclaimed immediately so the
-// request ID can never be answered late into someone else's hands (a late
-// frame is counted in Stats.LateDrops by the reader and dropped).
-func (m *Conn) Call(ctx context.Context, frame *wire.Buffer) (byte, []byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// bound is how long a call on ctx may wait for its reply: the client's
+// default or, when it is nearer, ctx's deadline (ctxBound); 0 leaves the
+// wait to ctx's cancellation alone. A ctx already done is counted and fails
+// the call before anything is sent.
+func (c *Client) bound(ctx context.Context) (wait time.Duration, ctxBound bool, err error) {
 	if err := ctx.Err(); err != nil {
-		m.cl.canceled.Add(1)
-		return 0, nil, err
+		c.canceled.Add(1)
+		return 0, false, err
 	}
-	wait, ctxBound := m.cl.timeout, false
+	wait = c.timeout
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl)
 		if rem <= 0 {
-			m.cl.canceled.Add(1)
-			return 0, nil, context.DeadlineExceeded
+			c.canceled.Add(1)
+			return 0, false, context.DeadlineExceeded
 		}
 		if wait == 0 || rem < wait {
 			wait, ctxBound = rem, true
 		}
 	}
-	m.mu.Lock()
-	conn := m.conn
-	if conn == nil {
-		m.mu.Unlock()
-		return 0, nil, errNotConnected
-	}
-	m.nextID++
-	if m.nextID == 0 {
-		m.nextID = 1
-	}
-	id := m.nextID
-	ch := make(chan []byte, 1)
-	m.pending[id] = ch
-	binary.LittleEndian.PutUint32(frame.Bytes()[1:headerLen], id)
-	// The write happens under m.mu, so it must be bounded: without a
-	// deadline, a peer that stops reading while the TCP window fills would
-	// wedge every request on this connection with no timeout (the call
-	// timer is only armed after the write). The bound is the effective
-	// timeout — clamped by the caller's deadline — so a short-deadline
-	// request cannot block the connection (and the writers queued behind
-	// it) for the full transport timeout.
-	write := writeTimeout
-	if wait > 0 && wait < write {
-		write = wait
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(write))
-	if err := frame.WriteFrame(conn); err != nil {
-		delete(m.pending, id)
-		m.mu.Unlock()
-		conn.Close() // reader notices and redials
-		return 0, nil, fmt.Errorf("%w: %v", errNotConnected, err)
-	}
-	m.mu.Unlock()
-
-	var expired <-chan time.Time // never, when nothing bounds the wait
-	if wait > 0 {
-		t := getTimer(wait)
-		defer putTimer(t)
-		expired = t.C
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return 0, nil, errConnLost
-		}
-		if resp[0] == OpErr {
-			return 0, nil, RemoteError(wire.NewDecoder(resp[headerLen:]).Str())
-		}
-		return resp[0], resp[headerLen:], nil
-	case <-expired:
-		m.reclaim(id)
-		// When the caller's deadline tightened the timer, this is the
-		// context's expiry, not the transport's: attribute it to the
-		// context so Canceled counts it and errors.Is(err,
-		// context.DeadlineExceeded) holds for the caller. (Checked via
-		// ctxBound, not ctx.Err(): the pooled timer can fire a beat
-		// before the context's own deadline timer flips Err.)
-		if ctxBound {
-			m.cl.canceled.Add(1)
-			return 0, nil, context.DeadlineExceeded
-		}
-		m.cl.timeouts.Add(1)
-		return 0, nil, errTimeout
-	case <-ctx.Done():
-		m.reclaim(id)
-		m.cl.canceled.Add(1)
-		return 0, nil, ctx.Err()
-	}
+	return wait, ctxBound, nil
 }
 
-// reclaim forgets an abandoned request.
-func (m *Conn) reclaim(id uint32) {
-	m.mu.Lock()
-	delete(m.pending, id)
-	m.mu.Unlock()
-}
-
-// Send writes one one-way frame on this connection. A frame is lost only
-// with its connection: one written while the connection is down, or into a
-// connection whose far end had already gone, is not resent.
-func (m *Conn) Send(frame *wire.Buffer) error {
-	m.mu.Lock()
-	conn := m.conn
-	if conn == nil {
-		m.mu.Unlock()
+// write sends one frame under a write deadline of writeTimeout, or of wait
+// when that is tighter. The deadline is re-armed only when less than half
+// of that is left on it, so back-to-back exchanges do not each pay for it;
+// a caller's context that ends meanwhile cuts the write short through
+// interrupt. A write that fails closes the connection: part of the frame
+// may have gone out.
+func (m *Conn) write(frame *wire.Buffer, wait time.Duration) error {
+	if m.broken {
 		return errNotConnected
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	err := frame.WriteFrame(conn)
-	m.mu.Unlock()
-	if err != nil {
-		conn.Close() // reader notices and redials
+	bound := writeTimeout
+	if wait > 0 && wait < bound {
+		bound = wait
 	}
-	return err
+	if now := time.Now(); m.writeBy.Sub(now) < bound/2 {
+		m.writeBy = now.Add(bound)
+		_ = m.nc.SetWriteDeadline(m.writeBy)
+	}
+	if err := frame.WriteFrame(m.nc); err != nil {
+		m.fail(err)
+		return fmt.Errorf("%w: %v", errNotConnected, err)
+	}
+	m.used = true
+	return nil
 }
 
-// Call issues the request on a connection chosen round-robin, moving on to
-// the next, each once, only while the request cannot be sent. Once it is
-// written, whatever comes of it is final — a reply (an error frame
-// included), a timeout, the end of the caller's context, the connection's
-// loss — because the peer may have applied it, and not every request can
-// safely be applied twice.
+// interrupt ends the holder's blocked read or write at once; ctx's
+// cancellation runs it.
+func (m *Conn) interrupt() {
+	_ = m.nc.SetDeadline(aLongTimeAgo)
+	m.interrupted <- struct{}{}
+}
+
+// Call writes one request frame on the leased connection and reads its
+// reply, returned as its opcode and body; an error frame comes back as a
+// RemoteError. The wait is bounded by the tighter of the client's default
+// and ctx's deadline, and ends when ctx does. An abandoned call costs the
+// connection nothing: it stays in the pool owing the reply, which the next
+// holder skips by its request ID (Stats.LateDrops). Only a failed write, or
+// a read cut short inside a frame, closes it.
+func (m *Conn) Call(ctx context.Context, frame *wire.Buffer) (byte, []byte, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	wait, ctxBound, err := m.cl.bound(ctx)
+	if err != nil {
+		return 0, nil, err
+	}
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, m.interrupt)
+	}
+	m.lastID++
+	if m.lastID == 0 {
+		m.lastID = 1
+	}
+	binary.LittleEndian.PutUint32(frame.Bytes()[1:headerLen], m.lastID)
+	err = m.write(frame, wait)
+	var resp []byte
+	if err == nil {
+		// The client's default is the read deadline; a nearer deadline of
+		// ctx's ends the wait through interrupt instead.
+		var by time.Time
+		if wait > 0 && !ctxBound {
+			by = time.Now().Add(wait)
+		}
+		if by != m.readBy {
+			m.readBy = by
+			_ = m.nc.SetReadDeadline(by)
+		}
+		resp, err = m.await()
+	}
+	if stop != nil && !stop() {
+		// interrupt ran, or is running: wait it out, and leave the next
+		// exchange to re-arm the deadlines it moved.
+		<-m.interrupted
+		m.writeBy, m.readBy = time.Time{}, aLongTimeAgo
+	}
+	switch {
+	case err == nil && resp[0] == OpErr:
+		return 0, nil, RemoteError(wire.NewDecoder(resp[headerLen:]).Str())
+	case err == nil:
+		return resp[0], resp[headerLen:], nil
+	case !m.broken && (!errors.Is(err, os.ErrDeadlineExceeded) || m.fr.Torn()):
+		m.fail(err)
+		err = errConnLost
+	}
+	// A deadline between frames leaves the connection in step, owing the
+	// reply; the caller's context, if it has ended, is what ended the call.
+	switch {
+	case ctx.Err() != nil:
+		m.cl.canceled.Add(1)
+		return 0, nil, ctx.Err()
+	case m.broken:
+		return 0, nil, err
+	}
+	m.cl.timeouts.Add(1)
+	return 0, nil, errTimeout
+}
+
+// await reads up to the reply to the request just written, skipping the
+// replies owed to calls that gave up on this connection before it.
+func (m *Conn) await() ([]byte, error) {
+	for {
+		resp, err := m.fr.ReadFrame()
+		if err != nil {
+			return nil, err
+		}
+		if len(resp) >= headerLen && binary.LittleEndian.Uint32(resp[1:headerLen]) == m.lastID {
+			return resp, nil
+		}
+		m.cl.lateDrops.Add(1)
+	}
+}
+
+// Send writes one one-way frame on the leased connection. A frame is lost
+// only with its connection: one written into a connection whose far end
+// had already gone is not resent.
+func (m *Conn) Send(frame *wire.Buffer) error { return m.write(frame, 0) }
+
+// Call issues the request on a leased connection. It moves to another only
+// while the request cannot be sent on a connection that had carried frames
+// before — one the peer may have dropped while it sat idle. Once written,
+// whatever comes of it is final — a reply (an error frame included), a
+// timeout, the end of the caller's context, the connection's loss —
+// because the peer may have applied it, and not every request can safely
+// be applied twice.
 func (c *Client) Call(ctx context.Context, frame *wire.Buffer) (op byte, body []byte, err error) {
-	start, err := int(c.rr.Add(1)), errNotConnected
-	for i := range c.conns {
-		op, body, err = c.conns[(start+i)%len(c.conns)].Call(ctx, frame)
-		if !errors.Is(err, errNotConnected) {
-			break
+	return c.each(func(m *Conn) (byte, []byte, error) { return m.Call(ctx, frame) })
+}
+
+// each runs one exchange on a lease, and again on the next lease while the
+// frame could not be written on a connection that had been used before.
+func (c *Client) each(exchange func(*Conn) (byte, []byte, error)) (op byte, body []byte, err error) {
+	for {
+		m, err := c.Lease()
+		if err != nil {
+			return 0, nil, err
+		}
+		reused := m.used
+		op, body, err = exchange(m)
+		c.Release(m)
+		if !reused || !errors.Is(err, errNotConnected) {
+			return op, body, err
 		}
 	}
-	return op, body, err
 }
 
 // Stats fetches the peer's counters: the JSON its handler answered OpStats
@@ -546,14 +531,9 @@ func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
 	return body, err
 }
 
-// Send writes a one-way frame on the first healthy connection, starting
-// from one chosen round-robin.
-func (c *Client) Send(frame *wire.Buffer) (err error) {
-	start, err := int(c.rr.Add(1)), errNotConnected
-	for i := range c.conns {
-		if err = c.conns[(start+i)%len(c.conns)].Send(frame); err == nil {
-			break
-		}
-	}
+// Send writes a one-way frame on a leased connection, moving on as Call
+// does.
+func (c *Client) Send(frame *wire.Buffer) error {
+	_, _, err := c.each(func(m *Conn) (byte, []byte, error) { return 0, nil, m.Send(frame) })
 	return err
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,9 +18,10 @@ import (
 )
 
 // rpc_test.go covers the transport under all three wire services (DESIGN.md
-// "internal/rpc"): what a Call, a Send and the serve loop do with a frame,
-// with a connection that breaks, and with a caller that gives up. What each
-// service makes of a reply or a failure is tested in its own package.
+// "internal/rpc"): what a Call, a Send, a lease and the serve loop do with a
+// frame, with a connection that breaks, and with a caller that gives up.
+// What each service makes of a reply or a failure is tested in its own
+// package.
 
 // Opcodes of the test service.
 const (
@@ -45,7 +47,7 @@ func (s *service) handle(op byte, body []byte) (*wire.Buffer, error) {
 		return nil, errors.New("no: " + string(body))
 	case opNote:
 		s.mu.Lock()
-		s.notes = append(s.notes, body)
+		s.notes = append(s.notes, append([]byte(nil), body...)) // body is the serve loop's again once this returns
 		s.mu.Unlock()
 		return nil, nil
 	default:
@@ -201,6 +203,46 @@ func echo(ctx context.Context, c interface {
 	return nil
 }
 
+// lease takes a connection off c.
+func lease(t testing.TB, c *Client) *Conn {
+	t.Helper()
+	m, err := c.Lease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// pooled counts c's idle and open connections.
+func pooled(c *Client) (idle, live int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.idle), len(c.live)
+}
+
+// clientGoroutines returns the stack of every goroutine that is running a
+// Client's or a Conn's code.
+func clientGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "rpc.(*Conn).") || strings.Contains(g, "rpc.(*Client).") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// answer replies to a request a holdServer parked, as the test service.
+func answer(t testing.TB, h heldFrame) {
+	t.Helper()
+	_ = h.conn.SetWriteDeadline(time.Now().Add(time.Second))
+	if err := Dispatch((&service{}).handle, h.frame).WriteFrame(h.conn); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRPC(t *testing.T) {
 	bg := context.Background()
 
@@ -215,14 +257,16 @@ func TestRPC(t *testing.T) {
 			if op, body, err := c.Call(bg, NewFrame(opNote).Raw([]byte("called"))); err != nil || op != OpAck || len(body) != 0 {
 				t.Fatalf("Call of a silent opcode = %d, %q, %v; want a bare ack", op, body, err)
 			}
-			if err := c.Conn(0).Send(NewFrame(opNote).Raw([]byte("sent"))); err != nil {
+			m := lease(t, c)
+			if err := m.Send(NewFrame(opNote).Raw([]byte("sent"))); err != nil {
 				t.Fatal(err)
 			}
 			// A reply on the same connection proves the one-way frame was
 			// consumed first, and that nothing came back for it.
-			if err := echo(bg, c.Conn(0), "after"); err != nil {
+			if err := echo(bg, m, "after"); err != nil {
 				t.Fatal(err)
 			}
+			c.Release(m)
 			if got := svc.noted(); len(got) != 2 || string(got[0]) != "called" || string(got[1]) != "sent" {
 				t.Fatalf("handler noted %q", got)
 			}
@@ -239,8 +283,9 @@ func TestRPC(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.dropConns()
-			// Until the connections are redialed calls and sends fail —
-			// promptly, never blocking — and then they work again.
+			// A call on a connection the peer dropped fails — promptly,
+			// never blocking — and closes it; once none is left the next
+			// lease dials, and calls work again.
 			var failed int
 			eventually(t, "the client to recover", func() bool {
 				if c.Send(NewFrame(opNote)) != nil {
@@ -250,7 +295,7 @@ func TestRPC(t *testing.T) {
 					failed++
 					return false
 				}
-				return c.Counters().Reconnects == 2
+				return c.Counters().Reconnects >= 1
 			})
 			if failed == 0 {
 				t.Fatalf("the outage left no error trace: %+v", c.Counters())
@@ -276,15 +321,17 @@ func TestRPC(t *testing.T) {
 				}
 			}
 			failAll()
-			// Every connection is out being redialed, and the redials are
-			// failing: a call fails at once, whatever its deadline.
+			// Every connection is closed, and a lease's dial fails: a call
+			// fails at once, whatever its deadline.
 			start := time.Now()
 			if err := echo(bg, c, "x"); err == nil || time.Since(start) > time.Second {
 				t.Fatalf("call with the daemon down: %v after %v", err, time.Since(start))
 			}
 
 			d.restart()
-			eventually(t, "every connection to be redialed", func() bool { return c.Counters().Reconnects == poolSize })
+			if err := echo(bg, c, "back"); err != nil {
+				t.Fatalf("first call after the outage: %v", err)
+			}
 			var wg sync.WaitGroup
 			for i := 0; i < 2*poolSize; i++ {
 				wg.Add(1)
@@ -296,13 +343,18 @@ func TestRPC(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+			// The dials replaced what was lost and no more: a dial beyond
+			// that is the pool growing, which is no reconnect.
+			if r := c.Counters().Reconnects; r < 1 || r > poolSize {
+				t.Fatalf("%d reconnects for %d lost connections", r, poolSize)
+			}
 
-			// Second outage, and Close while the redials are still failing.
+			// Second outage, and Close with the daemon still down.
 			failAll()
 			start = time.Now()
 			c.Close()
 			if took := time.Since(start); took > 2*time.Second {
-				t.Fatalf("Close took %v with redials pending", took)
+				t.Fatalf("Close took %v with the daemon down", took)
 			}
 			eventually(t, "goroutines to exit after Close", func() bool { return runtime.NumGoroutine() <= before })
 		})
@@ -368,21 +420,21 @@ func TestRPC(t *testing.T) {
 			if st := c.Counters(); st.Canceled != 1 || st.Timeouts != 0 {
 				t.Fatalf("stats after cancel: %+v", st)
 			}
-			m := c.Conn(0)
-			m.mu.Lock()
-			pending := len(m.pending)
-			m.mu.Unlock()
-			if pending != 0 {
-				t.Fatalf("pending table still holds %d entries after cancel", pending)
+			if idle, live := pooled(c); idle != 1 || live != 1 {
+				t.Fatalf("after cancel: %d idle of %d connections, want the one back in the pool", idle, live)
 			}
 
-			// The answer arrives late, for the abandoned request ID. It must
-			// be dropped and counted, not delivered.
-			_ = h.conn.SetWriteDeadline(time.Now().Add(time.Second))
-			if err := Dispatch((&service{}).handle, h.frame).WriteFrame(h.conn); err != nil {
+			// The answer arrives late, for the abandoned request ID. The
+			// next call on the connection must drop and count it, and get
+			// its own.
+			answer(t, h)
+			go func() { answer(t, <-held) }()
+			if err := echo(bg, c, "next"); err != nil {
 				t.Fatal(err)
 			}
-			eventually(t, "the late reply to be counted as dropped", func() bool { return c.Counters().LateDrops == 1 })
+			if st := c.Counters(); st.LateDrops != 1 || st.Reconnects != 0 {
+				t.Fatalf("stats after the late reply: %+v", st)
+			}
 		})
 
 		t.Run("DeadlineMapsToRequestTimer", func(t *testing.T) {
@@ -424,6 +476,51 @@ func TestRPC(t *testing.T) {
 			}
 		})
 
+		t.Run("AbandonedAtDeadlineKeepsItsConnection", func(t *testing.T) {
+			// The client's default bound ends a call the peer is slow to
+			// answer. The connection goes back to the pool owing the reply,
+			// and the next call on it skips that reply for its own.
+			slow := func(op byte, body []byte) (*wire.Buffer, error) {
+				if string(body) == "slow" {
+					time.Sleep(100 * time.Millisecond)
+				}
+				return (&service{}).handle(op, body)
+			}
+			c := dial(t, startDaemon(t, slow).addr, 1, 20*time.Millisecond)
+			if err := echo(bg, c, "slow"); !errors.Is(err, errTimeout) {
+				t.Fatalf("Call = %v, want the client's timeout", err)
+			}
+			if idle, live := pooled(c); idle != 1 || live != 1 {
+				t.Fatalf("after the timeout: %d idle of %d connections", idle, live)
+			}
+			time.Sleep(150 * time.Millisecond) // the late reply is in
+			ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+			defer cancel()
+			if err := echo(ctx, c, "next"); err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Counters(); st != (Stats{Timeouts: 1, LateDrops: 1}) {
+				t.Fatalf("stats %+v, want one timeout and one late drop", st)
+			}
+		})
+
+		t.Run("CloseFailsABlockedRead", func(t *testing.T) {
+			addr, held := holdServer(t)
+			c := dial(t, addr, 1, 0)
+			done := make(chan error, 1)
+			go func() { done <- echo(bg, c, "x") }()
+			<-held
+			c.Close()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("a call outlived Close with a reply")
+				}
+			case <-time.After(time.Second):
+				t.Fatal("a call blocked in its read outlived Close")
+			}
+		})
+
 		t.Run("AfterClose", func(t *testing.T) {
 			svc := &service{}
 			c := dial(t, startDaemon(t, svc.handle).addr, 2, time.Second)
@@ -435,8 +532,8 @@ func TestRPC(t *testing.T) {
 			if err := c.Send(NewFrame(opNote)); err == nil {
 				t.Fatal("Send on a closed client succeeded")
 			}
-			if err := c.Conn(0).Send(NewFrame(opNote)); err == nil {
-				t.Fatal("Send on a closed client's connection succeeded")
+			if m, err := c.Lease(); err == nil {
+				t.Fatalf("Lease on a closed client returned %p", m)
 			}
 		})
 
@@ -581,29 +678,68 @@ func TestRPC(t *testing.T) {
 	})
 
 	t.Run("ConcurrentFlow", func(t *testing.T) {
-		t.Run("PipelinedCallsShareAConnection", func(t *testing.T) {
+		t.Run("ConcurrentCallsLeaseTheirOwn", func(t *testing.T) {
+			// 64 calls at once on a client dialed with four connections:
+			// each leases one of its own, dialed when none is idle, and the
+			// client runs no goroutine for any of them.
 			svc := &service{}
-			c := dial(t, startDaemon(t, svc.handle).addr, 1, 5*time.Second)
+			d := startDaemon(t, svc.handle)
+			c := dial(t, d.addr, 4, 5*time.Second)
 			var wg sync.WaitGroup
-			for g := 0; g < 16; g++ {
+			start := make(chan struct{})
+			for g := 0; g < 64; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for i := 0; i < 200; i++ {
+					<-start
+					for i := 0; i < 20; i++ {
 						if err := echo(bg, c, fmt.Sprintf("g%d i%d", g, i)); err != nil {
-							t.Error(err) // a reply crossed over to another request
+							t.Error(err) // a reply crossed over to another call
 							return
 						}
 					}
 				}()
 			}
+			close(start)
 			wg.Wait()
+			idle, live := pooled(c)
+			if live < 4 || live > 64 || idle != live {
+				t.Fatalf("%d connections, %d idle: want 4 to 64, all back in the pool", live, idle)
+			}
+			if g := clientGoroutines(); len(g) != 0 {
+				t.Fatalf("the client left goroutines running:\n%s", strings.Join(g, "\n\n"))
+			}
+			if st := c.Counters(); st != (Stats{}) {
+				t.Fatalf("a quiet run counted %+v", st)
+			}
+		})
+
+		t.Run("ClientRunsNoGoroutine", func(t *testing.T) {
+			// A client with four connections, one of them waiting for a
+			// reply: the one goroutine in the client's code is the caller.
+			addr, held := holdServer(t)
+			c := dial(t, addr, 4, 0)
+			ctx, cancel := context.WithCancel(bg)
+			done := make(chan error, 1)
+			go func() { done <- echo(ctx, c, "x") }()
+			<-held
+			var g []string
+			deadline := time.Now().Add(time.Second)
+			for g = clientGoroutines(); len(g) != 1 || !strings.Contains(g[0], "rpc.(*Conn).await"); g = clientGoroutines() {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines in the client's code:\n%s", strings.Join(g, "\n\n"))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			<-done
 		})
 
 		t.Run("SendOnOneConnectionIsNeverOvertaken", func(t *testing.T) {
-			// Each goroutine sends a numbered sequence one-way on connection
-			// 0 while calls go round-robin over all three: the handler must
-			// see every goroutine's notes in the order they were sent.
+			// Each goroutine leases a connection and sends a numbered
+			// sequence one-way on it, with calls on the same lease and on
+			// the pool in between: the handler must see every goroutine's
+			// notes in the order they were sent.
 			const senders, each = 8, 200
 			svc := &service{}
 			c := dial(t, startDaemon(t, svc.handle).addr, 3, 5*time.Second)
@@ -612,8 +748,10 @@ func TestRPC(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					m := lease(t, c)
+					defer c.Release(m)
 					for i := 0; i < each; i++ {
-						if err := c.Conn(0).Send(NewFrame(opNote).U32(uint32(g)).U32(uint32(i))); err != nil {
+						if err := m.Send(NewFrame(opNote).U32(uint32(g)).U32(uint32(i))); err != nil {
 							t.Error(err)
 							return
 						}
@@ -623,12 +761,12 @@ func TestRPC(t *testing.T) {
 							}
 						}
 					}
+					if err := echo(bg, m, "flush"); err != nil { // behind every note of this lease
+						t.Error(err)
+					}
 				}()
 			}
 			wg.Wait()
-			if err := echo(bg, c.Conn(0), "flush"); err != nil { // behind every note on connection 0
-				t.Fatal(err)
-			}
 			next := make([]uint32, senders)
 			for _, n := range svc.noted() {
 				g, i := binary.LittleEndian.Uint32(n), binary.LittleEndian.Uint32(n[4:])
@@ -641,6 +779,34 @@ func TestRPC(t *testing.T) {
 				if n != each {
 					t.Fatalf("sender %d: %d of %d notes arrived", g, n, each)
 				}
+			}
+		})
+
+		t.Run("CancelAfterReplyLeavesNoPastDeadline", func(t *testing.T) {
+			// The handler cancels the caller's context as it answers, so
+			// the cancellation races the reply; whichever wins, the next
+			// call on the one connection — nothing bounds it — must not
+			// meet a deadline the cancellation left behind.
+			var cancelNext atomic.Pointer[context.CancelFunc]
+			h := func(op byte, body []byte) (*wire.Buffer, error) {
+				if f := cancelNext.Swap(nil); f != nil {
+					(*f)()
+				}
+				return (&service{}).handle(op, body)
+			}
+			c := dial(t, startDaemon(t, h).addr, 1, 0)
+			for i := 0; i < 200; i++ {
+				ctx, cancel := context.WithCancel(bg)
+				cancelNext.Store(&cancel)
+				if err := echo(ctx, c, "racing"); err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("race %d: %v", i, err)
+				}
+				if err := echo(bg, c, "after"); err != nil {
+					t.Fatalf("the call after race %d: %v", i, err)
+				}
+			}
+			if st := c.Counters(); st.Timeouts != 0 || st.Reconnects != 0 {
+				t.Fatalf("stats %+v", st)
 			}
 		})
 

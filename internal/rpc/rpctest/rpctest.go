@@ -4,9 +4,9 @@
 package rpctest
 
 import (
-	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,11 +17,15 @@ import (
 
 // CountingConn counts the Write calls made on a connection and the Read
 // calls that returned data: what the endpoint would have paid in write(2)
-// and read(2) on a socket.
+// and read(2) on a socket. Pipe shares one count among every connection an
+// endpoint has.
 type CountingConn struct {
 	net.Conn
-	Reads, Writes atomic.Int64
+	*Counts
 }
+
+// Counts are a CountingConn's reads and writes.
+type Counts struct{ Reads, Writes atomic.Int64 }
 
 func (c *CountingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
@@ -40,7 +44,7 @@ func (c *CountingConn) Write(p []byte) (int, error) {
 // Expect fails the test unless the endpoint has made exactly reads and
 // writes so far. The serving end counts a frame's read before it handles the
 // frame, so its counts are settled once a reply to a later request is in.
-func (c *CountingConn) Expect(t testing.TB, after string, reads, writes int64) {
+func (c *Counts) Expect(t testing.TB, after string, reads, writes int64) {
 	t.Helper()
 	if r, w := c.Reads.Load(), c.Writes.Load(); r != reads || w != writes {
 		t.Fatalf("after %s: %d reads and %d writes, want %d and %d", after, r, w, reads, writes)
@@ -123,19 +127,48 @@ func (n *Net) locked(f func()) {
 	f()
 }
 
-// conn is one connection the Net dialed, at the dialing end.
+// conn is one connection the Net dialed, at the dialing end. What a Delay
+// holds back waits here, and a read deadline ends the wait as it would a
+// read of the socket, the bytes kept for the next read.
 type conn struct {
 	net.Conn
 	n *Net
 	link
+	deadline atomic.Pointer[time.Time] // the read deadline
+	held     []byte                    // read off the socket, not yet handed over
+	due      time.Time                 // when held may be
+	buf      [64 << 10]byte
 }
 
 func (c *conn) Read(p []byte) (int, error) {
-	k, err := c.Conn.Read(p)
-	var d time.Duration
-	c.n.locked(func() { d = c.n.delay[c.link] })
-	time.Sleep(d)
-	return k, err
+	if len(c.held) == 0 {
+		k, err := c.Conn.Read(c.buf[:])
+		if k == 0 {
+			return 0, err
+		}
+		var d time.Duration
+		c.n.locked(func() { d = c.n.delay[c.link] })
+		c.held, c.due = c.buf[:k], time.Now().Add(d)
+	}
+	for now := time.Now(); now.Before(c.due); now = time.Now() {
+		if dl := c.deadline.Load(); dl != nil && !dl.IsZero() && !now.Before(*dl) {
+			return 0, os.ErrDeadlineExceeded
+		}
+		time.Sleep(time.Millisecond)
+	}
+	k := copy(p, c.held)
+	c.held = c.held[k:]
+	return k, nil
+}
+
+func (c *conn) SetReadDeadline(t time.Time) error {
+	c.deadline.Store(&t)
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *conn) SetDeadline(t time.Time) error {
+	c.deadline.Store(&t)
+	return c.Conn.SetDeadline(t)
 }
 
 func (c *conn) Close() error {
@@ -143,22 +176,18 @@ func (c *conn) Close() error {
 	return c.Conn.Close()
 }
 
-// Pipe serves h on one end of a net.Pipe, puts a one-connection rpc.Client
-// on the other and returns the client with both ends, counted. A pipe hands
-// each Write to the reader whole (up to the reader's buffer), so one Write
-// models one segment. The caller closes the client, through the service
-// client it builds on it; that ends the serve loop too.
-func Pipe(t testing.TB, h rpc.Handler, timeout time.Duration) (rc *rpc.Client, client, server *CountingConn) {
-	a, b := net.Pipe()
-	client, server = &CountingConn{Conn: a}, &CountingConn{Conn: b}
-	go rpc.ServeConn(server, h)
-	dialed := false
+// Pipe serves h on one end of a net.Pipe per dial, puts an rpc.Client on
+// the other ends — one connection up front — and returns the client with
+// the counts of both ends, each totalled over the pipes. A pipe hands each
+// Write to the reader whole (up to the reader's buffer), so one Write models
+// one segment. The caller closes the client, through the service client it
+// builds on it; that ends the serve loops too.
+func Pipe(t testing.TB, h rpc.Handler, timeout time.Duration) (rc *rpc.Client, client, server *Counts) {
+	client, server = new(Counts), new(Counts)
 	rc, err := rpc.NewClient("pipe", 1, timeout, func() (net.Conn, error) {
-		if dialed {
-			return nil, errors.New("rpctest: a pipe cannot be redialed")
-		}
-		dialed = true
-		return client, nil
+		a, b := net.Pipe()
+		go rpc.ServeConn(&CountingConn{Conn: b, Counts: server}, h)
+		return &CountingConn{Conn: a, Counts: client}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"testing"
 	"testing/iotest"
 )
@@ -113,6 +115,67 @@ func TestFrameReaderEveryBoundary(t *testing.T) {
 	for end := 0; end < len(stream); end += 97 {
 		sameDecode(t, stream[:end], bytes.NewReader(stream[:end]), "truncated")
 	}
+	// Interrupted anywhere by a deadline, the reader has handed over every
+	// frame that ended before it and is torn inside a payload; elsewhere it
+	// reads on to the end of the stream.
+	ref := bytes.NewReader(stream)
+	want, _ := readAll(func() ([]byte, error) { return ReadFrame(ref) })
+	for at := 0; at <= len(stream); at++ {
+		fr := NewFrameReader(&timeoutAt{b: stream, at: at})
+		got, err := readAll(fr.ReadFrame)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("deadline at %d: the stream ended with %v", at, err)
+		}
+		before, torn := 0, false
+		for start := 0; start < len(stream); before++ {
+			end := start + frameHeader + int(binary.BigEndian.Uint32(stream[start:]))
+			if end > at {
+				torn = at >= start+frameHeader
+				break
+			}
+			start = end
+		}
+		if len(got) != before || fr.Torn() != torn {
+			t.Fatalf("deadline at %d: %d frames and torn %v, want %d and %v", at, len(got), fr.Torn(), before, torn)
+		}
+		if torn {
+			continue
+		}
+		rest, err := readAll(fr.ReadFrame)
+		if got = append(got, rest...); err != io.EOF || len(got) != len(want) {
+			t.Fatalf("deadline at %d: read on to %d frames, then %v; want %d, then EOF", at, len(got), err, len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("deadline at %d: frame %d differs", at, i)
+			}
+		}
+	}
+}
+
+// timeoutAt reads b, failing once with a deadline's error when it reaches
+// offset at.
+type timeoutAt struct {
+	b        []byte
+	off, at  int
+	timedOut bool
+}
+
+func (r *timeoutAt) Read(p []byte) (int, error) {
+	limit := len(r.b)
+	if !r.timedOut {
+		limit = r.at
+		if r.off == limit {
+			r.timedOut = true
+			return 0, os.ErrDeadlineExceeded
+		}
+	}
+	if r.off == len(r.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b[r.off:limit])
+	r.off += n
+	return n, nil
 }
 
 // TestFrameReaderCoalescedIsOneRead: frames that arrived together, header

@@ -77,7 +77,8 @@ const readBufSize = 4096
 // frames that arrived together cost one between them. A payload larger than
 // the buffer is read straight into its own slice.
 type FrameReader struct {
-	br *bufio.Reader
+	br   *bufio.Reader
+	torn bool
 }
 
 // NewFrameReader returns a FrameReader on r.
@@ -87,8 +88,16 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // ReadFrame reads one frame; the payload is the caller's to keep. Errors
 // are ReadFrame's: io.EOF only between frames, ErrFrameTooLarge before any
-// allocation, a wrapped io.ErrUnexpectedEOF for a short body.
-func (fr *FrameReader) ReadFrame() ([]byte, error) {
+// allocation, a wrapped io.ErrUnexpectedEOF for a short body. A read that
+// fails before the header is whole (a deadline, say) consumes nothing, and
+// reading again resumes the stream; one that fails in the payload leaves
+// the reader Torn.
+func (fr *FrameReader) ReadFrame() ([]byte, error) { return fr.ReadFrameInto(nil) }
+
+// ReadFrameInto is ReadFrame into buf's storage when it has room: a serve
+// loop done with each request before it reads the next reads them all into
+// one.
+func (fr *FrameReader) ReadFrameInto(buf []byte) ([]byte, error) {
 	hdr, err := fr.br.Peek(frameHeader)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -101,12 +110,21 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		return nil, ErrFrameTooLarge
 	}
 	_, _ = fr.br.Discard(frameHeader) // cannot fail: Peek just buffered these bytes
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if cap(payload) < int(n) {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(fr.br, payload); err != nil {
+		fr.torn = true
 		return nil, fmt.Errorf("wire: short frame body: %w", err)
 	}
 	return payload, nil
 }
+
+// Torn reports whether a failed ReadFrame had consumed part of a frame: the
+// stream is out of step, and nothing more can be read from it.
+func (fr *FrameReader) Torn() bool { return fr.torn }
 
 // frameHeader is the length prefix every Buffer reserves ahead of its
 // payload.
@@ -115,14 +133,16 @@ const frameHeader = 4
 // Buffer builds a message payload behind a reserved frame header, so that
 // sending the message never copies it or writes the header on its own.
 type Buffer struct {
-	b []byte // b[:frameHeader] is the header, stamped by WriteFrame
+	b     []byte // b[:frameHeader] is the header, stamped by WriteFrame
+	small [64]byte
 }
 
-// NewBuffer returns a Buffer whose first payload byte is the opcode.
+// NewBuffer returns a Buffer whose first payload byte is the opcode. A
+// message that fits its first 64 bytes costs one allocation, not two.
 func NewBuffer(op byte) *Buffer {
-	b := make([]byte, frameHeader+1, 64)
-	b[frameHeader] = op
-	return &Buffer{b: b}
+	e := new(Buffer)
+	e.b = append(e.small[:frameHeader], op)
+	return e
 }
 
 // Bytes returns the encoded payload.

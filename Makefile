@@ -161,25 +161,24 @@ fuzz-smoke:
 
 # Concurrent-engine and cache-wire benchmarks (the CHANGES.md perf
 # trajectory), and what the rpc transport costs over a raw loopback round
-# trip. BENCH_COUNT runs each that many times.
-BENCH_COUNT ?= 1
-BENCH_RUN = $(GO) test -run xxx -benchtime=2s -benchmem -count $(BENCH_COUNT)
+# trip.
 bench:
-	$(BENCH_RUN) -bench 'BenchmarkCallRoundTrip|BenchmarkRawRoundTrip' ./internal/rpc
-	$(BENCH_RUN) -bench 'BenchmarkParallelCommit|BenchmarkReadersDuringCommits' .
-	$(BENCH_RUN) -bench BenchmarkCacheLookupTCP ./internal/cacheserver
-	$(BENCH_RUN) -bench 'BenchmarkQueryPointSelect|BenchmarkFilteredScan|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply|BenchmarkHistoryReplay' ./internal/db ./internal/core ./internal/cacheserver
-	$(BENCH_RUN) -bench BenchmarkRowCol ./internal/sql
-	$(BENCH_RUN) -bench 'BenchmarkGet|BenchmarkApplyBatch|BenchmarkInsert' ./internal/btree
-	$(BENCH_RUN) -bench 'BenchmarkStoreInsert|BenchmarkStoreVisibleAt' ./internal/mvcc
+	$(GO) test -run xxx -bench 'BenchmarkCallRoundTrip|BenchmarkRawRoundTrip' -benchtime=2s -benchmem ./internal/rpc
+	$(GO) test -run xxx -bench 'BenchmarkParallelCommit|BenchmarkReadersDuringCommits' -benchtime=2s -benchmem .
+	$(GO) test -run xxx -bench BenchmarkCacheLookupTCP -benchtime=2s -benchmem ./internal/cacheserver
+	$(GO) test -run xxx -bench 'BenchmarkQueryPointSelect|BenchmarkFilteredScan|BenchmarkMakeCacheable|BenchmarkBeginCommitRO|BenchmarkInvalidateApply|BenchmarkHistoryReplay' -benchtime=2s -benchmem ./internal/db ./internal/core ./internal/cacheserver
+	$(GO) test -run xxx -bench BenchmarkRowCol -benchtime=2s -benchmem ./internal/sql
+	$(GO) test -run xxx -bench 'BenchmarkGet|BenchmarkApplyBatch|BenchmarkInsert' -benchtime=2s -benchmem ./internal/btree
+	$(GO) test -run xxx -bench 'BenchmarkStoreInsert|BenchmarkStoreVisibleAt' -benchtime=2s -benchmem ./internal/mvcc
 
-# BENCH_layers.json, the per-layer file: `make bench` five times over, as the
-# median, min and max of each benchmark's ns/op, B/op and allocs/op with the
-# host's fingerprint (go test ./internal/bench -run TestLayersFile holds the
-# file to that). Commit it with the change it measures, so that
+# BENCH_layers.json, the per-layer file: `make bench` five times over
+# (GOFLAGS reaches go test alone), as the median, min and max of each
+# benchmark's ns/op, B/op and allocs/op with the host's fingerprint
+# (go test ./internal/bench -run TestLayersFile holds the file to that).
+# Commit it with the change it measures, so that
 # `git log -p BENCH_layers.json` is each layer's before and after.
 bench-json:
-	$(MAKE) --no-print-directory bench BENCH_COUNT=5 > .bench_layers.txt
+	GOFLAGS=-count=5 $(MAKE) --no-print-directory bench > .bench_layers.txt
 	$(GO) run ./internal/bench/layers .bench_layers.txt BENCH_layers.json
 
 # Allocation-budget regression: the hot paths (point select, cacheable hit,

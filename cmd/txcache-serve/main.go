@@ -48,7 +48,7 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 256, "concurrent requests admitted into the library")
 	maxQueue := flag.Int("max-queue", 1024, "queued requests beyond which arrivals are shed")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-drain bound before in-flight work is hard-cancelled")
-	dbPool := flag.Int("db-conns", 8, "database connection pool size")
+	dbPool := flag.Int("db-conns", 8, "database sessions dialed up front (more are dialed while all are leased)")
 	debugAddr := flag.String("debug-addr", "", "serve /statsz and /debug/pprof/ here (empty: no debug surface, heap sampling off)")
 	flag.Parse()
 

@@ -44,7 +44,9 @@ func makeBench(t *testing.T) []benchPattern {
 		}
 		var pkgs []string
 		for _, dir := range strings.Fields(m[2]) {
-			pkgs = append(pkgs, "txcache"+strings.TrimPrefix(dir, "."))
+			if strings.HasPrefix(dir, ".") {
+				pkgs = append(pkgs, "txcache"+strings.TrimPrefix(dir, "."))
+			}
 		}
 		for _, name := range strings.Split(m[1], "|") {
 			want = append(want, benchPattern{name, pkgs})

@@ -360,7 +360,7 @@ func roundTrip(ctx context.Context, c caller, req *wire.Buffer, want byte) (wire
 	return *wire.NewDecoder(body), err
 }
 
-// PinLatest pins the latest snapshot on the daemon, bounded by opTimeout.
+// PinLatest pins the latest snapshot on the daemon.
 func (cl *Client) PinLatest() (interval.Timestamp, time.Time) {
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()

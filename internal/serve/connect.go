@@ -18,7 +18,7 @@ import (
 type Deployment struct {
 	Net     rpc.Net  // rpc.TCP, but for a test's
 	DB      string   // the database daemon's address, the pincushion's too
-	DBConns int      // its session pool; 0 is dbnet's default
+	DBConns int      // sessions dialed up front, not a cap; 0 is dbnet's default
 	Caches  []string // the cache nodes' addresses, each also its ring name
 }
 

@@ -13,9 +13,8 @@ import (
 var echoBody = []byte("round trip")
 
 // BenchmarkCallRoundTrip is one echo through Client.Call over loopback TCP:
-// encode, the pending-call table, the per-request timer, the reader
-// goroutine's hand-off and the serve loop. BenchmarkRawRoundTrip is the
-// floor beneath it.
+// encode, the lease, the write, the caller's own read of the reply and the
+// serve loop. BenchmarkRawRoundTrip is the floor beneath it.
 func BenchmarkCallRoundTrip(b *testing.B) {
 	c := dial(b, startDaemon(b, new(service).handle).addr, 1, 5*time.Second)
 	ctx := context.Background()

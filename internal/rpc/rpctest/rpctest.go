@@ -115,7 +115,8 @@ func (n *Net) Cut(from, to string) {
 	})
 }
 
-// Heal lets from dial to again: its next redial reconnects.
+// Heal lets from dial to again: the next lease that finds no idle
+// connection reconnects.
 func (n *Net) Heal(from, to string) { n.locked(func() { delete(n.cut, link{from, to}) }) }
 
 func (n *Net) locked(f func()) {

@@ -21,13 +21,15 @@ benchmark-compare:
 benchmark-test:
 	cd benchmark && $(GO) vet . && $(GO) test -race .
 
-# Repo-invariant static analysis (cmd/txcache-lint): lock order (and no lock
+# Repo-invariant static analysis, the root package's TestLint over one typed
+# load of both modules (this one and benchmark/): lock order (and no lock
 # in internal/mvcc, which Table.mu guards alone), context threading,
 # deterministic time, bounded dials/writes and one transport (outside
 # internal/rpc nothing dials, accepts, reads frames off a connection or sets
 # its deadlines), atomic-field discipline, pool hygiene.
 # Suppressions are //lint:allow <analyzer> <reason>; an undocumented or
-# unused suppression is itself a finding.
+# unused suppression is itself a finding, and `go test -v -run '^TestLint$$' .`
+# lists the findings they excuse.
 # Then the one-interval guard: a dependency is proven on one bounded interval
 # and is open or closed there (DESIGN.md "Still-valid composition"), and a
 # cache node derives what it can vouch for from the stream it has seen
@@ -36,13 +38,9 @@ benchmark-test:
 # operator-seeded node horizon, and a message handed to a node around its
 # stream (ApplyInvalidation called from outside internal/cacheserver) are
 # refused by name: each is a way to serve a value nobody checked.
+# TestLint is part of `go test ./...` too; this target runs it alone.
 lint:
-	timeout 120 $(GO) run ./cmd/txcache-lint ./...
-	@out="$$( { grep -rn 'SetHorizon' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd examples internal *.go; \
-		grep -rn '\.ApplyInvalidation(' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=cacheserver cmd examples internal *.go; \
-		grep -rnE '\.through\b|genSnap = min\(' --include='*.go' --exclude='*_test.go' internal/core; } || true)"; if [ -n "$$out" ]; then \
-		echo "a second statement of how far a value is proven is back; a frame carries one proven interval and an open flag (put derives genSnap from it), and a node's floor and horizon come from the stream it has seen (ConsumeStream, the TCP push), never from a caller:"; \
-		echo "$$out"; exit 1; fi
+	timeout 120 $(GO) test -count=1 -run '^TestLint$$' .
 
 # Kill-9 crash-recovery property test: build the real txcache-dbd, drive
 # writers over the wire, SIGKILL it repeatedly, and check on every reboot

@@ -3,18 +3,18 @@ package txcache_test
 import (
 	"context"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
 	"os/exec"
-	"path"
 	"path/filepath"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"txcache/internal/analysis/load"
 )
 
 // goCommand is the go command of the toolchain running the tests.
@@ -53,101 +53,52 @@ const keptMarker = "kept for benchmark/"
 // TestKeptForBenchmarkIsUsed holds the kept list to what it claims: every
 // marker in a non-test file outside benchmark/ sits on a declaration (a
 // func, a method, an interface method, a struct field or a type), on its
-// first line or in its doc comment, and the name it declares appears as an
-// identifier in benchmark/. A marker on anything else, or on a name the
-// benchmark no longer uses, keeps code for nobody.
+// first line or in its doc comment, and benchmark/ uses what it declares.
+// A marker on anything else, or on a declaration the benchmark no longer
+// uses, keeps code for nobody.
 func TestKeptForBenchmarkIsUsed(t *testing.T) {
-	used := benchIdents(t)
-	fset := token.NewFileSet()
-	markers := 0
-	for _, sf := range sourceFiles(t, fset) {
-		for _, m := range keptMarks(fset, sf.f) {
-			markers++
-			switch {
-			case m.name == "":
-				t.Errorf("%s: marker sits on no func, method, field or type", fset.Position(m.pos))
-			case !used[m.name]:
-				t.Errorf("%s: %s is kept for benchmark/, which never names it", fset.Position(m.pos), m.name)
-			}
+	prog := tree(t)
+	bench := usesOf(prog, true)
+	marks := keptMarks(prog)
+	for _, m := range marks {
+		switch {
+		case m.obj == nil:
+			t.Errorf("%s: marker sits on no func, method, field or type", rel(prog.Fset.Position(m.pos)))
+		case !bench.has(m.obj):
+			t.Errorf("%s: %s is kept for benchmark/, which never uses it", rel(prog.Fset.Position(m.pos)), m.obj.Name())
 		}
 	}
-	if markers == 0 {
+	if len(marks) == 0 {
 		t.Fatal("no marker found: the walk looked in the wrong place")
 	}
 }
 
-// benchIdents returns every identifier benchmark/'s sources name.
-func benchIdents(t *testing.T) map[string]bool {
-	t.Helper()
-	used := map[string]bool{}
-	bench, err := filepath.Glob(filepath.Join("benchmark", "*.go"))
-	if err != nil || len(bench) == 0 {
-		t.Fatalf("no benchmark sources: %v", err)
-	}
-	fset := token.NewFileSet()
-	for _, path := range bench {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				used[id.Name] = true
-			}
-			return true
-		})
-	}
-	return used
+// keptMark is one kept marker: where it is, and what the declaration it
+// sits on declares (nil if none).
+type keptMark struct {
+	pos token.Pos
+	obj types.Object
 }
 
-// srcFile is one parsed non-test Go file of the module outside benchmark/.
-type srcFile struct {
-	path string // slash-separated, relative to the module root
-	f    *ast.File
-}
-
-// sourceFiles parses, with their comments, the module's non-test Go files
-// outside benchmark/, testdata and dot directories.
-func sourceFiles(t *testing.T, fset *token.FileSet) []srcFile {
-	t.Helper()
-	var out []srcFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+// keptMarks returns the kept markers of the loaded non-test files outside
+// benchmark/.
+func keptMarks(prog *load.Program) []keptMark {
+	var out []keptMark
+	for _, pkg := range prog.Packages {
+		if !pkg.Root || pkg.ImportPath == benchPkg {
+			continue
 		}
-		if d.IsDir() {
-			if path == "benchmark" || d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
+		for _, f := range pkg.Files {
+			out = append(out, fileKeptMarks(prog.Fset, pkg.Info, f)...)
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		out = append(out, srcFile{filepath.ToSlash(path), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return out
 }
 
-// keptMark is one kept marker: where it is, and the name and position of
-// the declaration it sits on (name "" if none).
-type keptMark struct {
-	pos  token.Pos
-	name string
-	at   token.Pos
-}
-
-// keptMarks finds f's kept markers and the declaration each sits on: the
-// first one that starts on the marker's line or whose doc comment holds it.
-func keptMarks(fset *token.FileSet, f *ast.File) []keptMark {
+// fileKeptMarks finds f's kept markers and the declaration each sits on:
+// the first one that starts on the marker's line or whose doc comment holds
+// it.
+func fileKeptMarks(fset *token.FileSet, info *types.Info, f *ast.File) []keptMark {
 	var out []keptMark
 	decls := keptCandidates(f)
 	for _, g := range f.Comments {
@@ -155,13 +106,17 @@ func keptMarks(fset *token.FileSet, f *ast.File) []keptMark {
 			if !strings.Contains(c.Text, keptMarker) {
 				continue
 			}
-			m := keptMark{pos: c.Pos()}
+			var on *keptCandidate
 			line := fset.Position(c.Pos()).Line
-			for _, d := range decls {
+			for i, d := range decls {
 				onLine := fset.Position(d.pos).Line == line
-				if (onLine || d.doc == g) && (m.name == "" || d.pos < m.at) {
-					m.name, m.at = d.name, d.pos
+				if (onLine || d.doc == g) && (on == nil || d.pos < on.pos) {
+					on = &decls[i]
 				}
+			}
+			m := keptMark{pos: c.Pos()}
+			if on != nil {
+				m.obj = info.Defs[on.name]
 			}
 			out = append(out, m)
 		}
@@ -172,7 +127,7 @@ func keptMarks(fset *token.FileSet, f *ast.File) []keptMark {
 // keptCandidate is a declaration a marker may sit on: the name it declares,
 // where it starts and its doc comment.
 type keptCandidate struct {
-	name string
+	name *ast.Ident
 	pos  token.Pos
 	doc  *ast.CommentGroup
 }
@@ -184,14 +139,14 @@ func keptCandidates(f *ast.File) []keptCandidate {
 	fields := func(l *ast.FieldList) {
 		for _, fd := range l.List {
 			for _, n := range fd.Names {
-				out = append(out, keptCandidate{n.Name, fd.Pos(), fd.Doc})
+				out = append(out, keptCandidate{n, fd.Pos(), fd.Doc})
 			}
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
-			out = append(out, keptCandidate{n.Name.Name, n.Pos(), n.Doc})
+			out = append(out, keptCandidate{n.Name, n.Pos(), n.Doc})
 		case *ast.GenDecl:
 			for _, s := range n.Specs {
 				if ts, ok := s.(*ast.TypeSpec); ok {
@@ -199,7 +154,7 @@ func keptCandidates(f *ast.File) []keptCandidate {
 					if n.Lparen == token.NoPos { // type T ..., not a group
 						doc = n.Doc
 					}
-					out = append(out, keptCandidate{ts.Name.Name, ts.Pos(), doc})
+					out = append(out, keptCandidate{ts.Name, ts.Pos(), doc})
 				}
 			}
 		case *ast.StructType:
@@ -212,8 +167,95 @@ func keptCandidates(f *ast.File) []keptCandidate {
 	return out
 }
 
+// uses is what a set of files refers to: every object one of their
+// identifiers or selectors resolves to, with the interface methods among
+// them kept apart.
+type uses struct {
+	objs   map[types.Object]bool
+	ifaces []*types.Func
+}
+
+// usesOf collects what the loaded non-test files refer to: benchmark/'s if
+// bench, else those of every other package the load checked.
+func usesOf(prog *load.Program, bench bool) *uses {
+	u := &uses{objs: map[types.Object]bool{}}
+	for _, pkg := range prog.Packages {
+		if !pkg.Root || (pkg.ImportPath == benchPkg) != bench {
+			continue
+		}
+		for _, obj := range pkg.Info.Uses {
+			u.add(obj)
+		}
+		for _, sel := range pkg.Info.Selections {
+			u.add(sel.Obj())
+		}
+	}
+	return u
+}
+
+// add records obj, the generic declaration for an instantiated one.
+func (u *uses) add(obj types.Object) {
+	switch o := obj.(type) {
+	case *types.Func:
+		obj = o.Origin()
+	case *types.Var:
+		obj = o.Origin()
+	}
+	if u.objs[obj] {
+		return
+	}
+	u.objs[obj] = true
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			u.ifaces = append(u.ifaces, fn)
+		}
+	}
+}
+
+// has reports whether u refers to obj: to obj itself, or, for a concrete
+// method, to an interface method its type implements with it.
+func (u *uses) has(obj types.Object) bool {
+	if u.objs[obj] {
+		return true
+	}
+	m, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	typ := recvType(m)
+	if typ == nil || types.IsInterface(typ) {
+		return false
+	}
+	for _, im := range u.ifaces {
+		if im.Name() != m.Name() {
+			continue
+		}
+		iface := im.Signature().Recv().Type().Underlying().(*types.Interface)
+		if !types.Implements(typ, iface) && !types.Implements(types.NewPointer(typ), iface) {
+			continue
+		}
+		if got, _, _ := types.LookupFieldOrMethod(typ, true, m.Pkg(), m.Name()); got == m {
+			return true
+		}
+	}
+	return false
+}
+
+// recvType is m's receiver type, the element type of a pointer receiver, or
+// nil if m is a function.
+func recvType(m *types.Func) types.Type {
+	recv := m.Signature().Recv()
+	if recv == nil {
+		return nil
+	}
+	if p, ok := recv.Type().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return recv.Type()
+}
+
 // exportAllow lists the exported declarations under internal/ that no
-// non-test code names, each with the reason it stays. It may only shrink:
+// non-test code uses, each with the reason it stays. It may only shrink:
 // TestExportsHaveCallers fails on an entry that has gained a caller or is
 // gone.
 var exportAllow = map[string]string{
@@ -224,89 +266,55 @@ var exportAllow = map[string]string{
 
 // TestExportsHaveCallers holds every exported declaration in a non-test file
 // under internal/ (internal/analysis and internal/rpc/rpctest aside, which
-// serve the linter and tests) to a non-test caller. A package-level name is
-// used if it appears bare in its own package's non-test files, or as
-// pkg.Name in any non-test file outside benchmark/; a method is used if any
-// non-test selector or interface method has its name. A name only
-// benchmark/ uses carries the kept marker, and anything else is on
-// exportAllow with its reason. An export only tests call is surface nobody
-// runs: delete it, or give it a caller.
+// serve the linter and tests) to a non-test use outside benchmark/: an
+// identifier or selector that resolves to it, or, for a concrete method, to
+// an interface method its type implements with it (fmt.Stringer's String
+// and error's Error are always used). A declaration only benchmark/ uses
+// carries the kept marker, or is a method implementing a marked interface
+// method; anything else is on exportAllow with its reason. An export only
+// tests call is surface nobody runs: delete it, or give it a caller.
 func TestExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	files := sourceFiles(t, fset)
-
-	pkgName := map[string]string{} // package dir → declared name
-	for _, sf := range files {
-		pkgName[path.Dir(sf.path)] = sf.f.Name.Name
+	prog := tree(t)
+	in, bench := usesOf(prog, false), usesOf(prog, true)
+	for _, iface := range []types.Object{
+		types.Universe.Lookup("error"),
+		prog.ByPath["fmt"].Types.Scope().Lookup("Stringer"),
+	} {
+		in.add(iface.Type().Underlying().(*types.Interface).Method(0))
 	}
-	in, bench := newUses(), newUses()
-	marked := map[token.Pos]bool{} // declarations carrying the kept marker
-	for _, sf := range files {
-		in.add(sf, pkgName)
-		for _, m := range keptMarks(fset, sf.f) {
-			marked[m.at] = true
+	marked := &uses{objs: map[types.Object]bool{}}
+	for _, m := range keptMarks(prog) {
+		if m.obj != nil {
+			marked.add(m.obj)
 		}
-	}
-	benchFiles, err := filepath.Glob(filepath.Join("benchmark", "*.go"))
-	if err != nil || len(benchFiles) == 0 {
-		t.Fatalf("no benchmark sources: %v", err)
-	}
-	for _, p := range benchFiles {
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bench.add(srcFile{filepath.ToSlash(p), f}, pkgName)
 	}
 
 	seen := map[string]bool{}
-	check := func(name, key string, used, benchUsed bool, at token.Pos) {
-		if !ast.IsExported(name) {
-			return
-		}
-		seen[key] = true
-		_, allowed := exportAllow[key]
-		switch {
-		case used && allowed:
-			t.Errorf("%s: %s has a caller now; take it off exportAllow", fset.Position(at), key)
-		case used || allowed:
-		case benchUsed && marked[at]:
-		case benchUsed:
-			t.Errorf("%s: %s is used only by benchmark/ and tests; mark it %q", fset.Position(at), key, "// "+keptMarker+" (ROADMAP 1)")
-		default:
-			t.Errorf("%s: %s has no caller outside tests", fset.Position(at), key)
-		}
-	}
-	for _, sf := range files {
-		dir := path.Dir(sf.path)
-		if !strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "internal/analysis") || dir == "internal/rpc/rpctest" {
+	for _, pkg := range prog.Packages {
+		short, ok := strings.CutPrefix(pkg.ImportPath, "txcache/internal/")
+		if !pkg.Root || !ok || strings.HasPrefix(short, "analysis") || short == "rpc/rpctest" {
 			continue
 		}
-		short := strings.TrimPrefix(dir, "internal/")
-		pkgUsed := func(u uses, name string) bool { return u.bare[dir][name] || u.qualified[dir+"."+name] }
-		for _, d := range sf.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					check(d.Name.Name, short+"."+d.Name.Name, pkgUsed(in, d.Name.Name), pkgUsed(bench, d.Name.Name), d.Pos())
-					continue
+		for _, f := range pkg.Files {
+			for _, id := range exportedDecls(f) {
+				obj := pkg.Info.Defs[id]
+				key := short + "." + id.Name
+				if fn, ok := obj.(*types.Func); ok && recvType(fn) != nil {
+					key = short + "." + recvType(fn).(*types.Named).Obj().Name() + "." + id.Name
 				}
-				recv := d.Recv.List[0].Type
-				if s, ok := recv.(*ast.StarExpr); ok {
-					recv = s.X
-				}
-				typ := recv.(*ast.Ident).Name // no receiver under internal/ is generic
-				check(d.Name.Name, short+"."+typ+"."+d.Name.Name, in.selected[d.Name.Name], bench.selected[d.Name.Name], d.Pos())
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						check(s.Name.Name, short+"."+s.Name.Name, pkgUsed(in, s.Name.Name), pkgUsed(bench, s.Name.Name), s.Pos())
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							check(n.Name, short+"."+n.Name, pkgUsed(in, n.Name), pkgUsed(bench, n.Name), n.Pos())
-						}
-					}
+				seen[key] = true
+				_, allowed := exportAllow[key]
+				used, benchUsed := in.has(obj), bench.has(obj)
+				at := rel(prog.Fset.Position(id.Pos()))
+				switch {
+				case used && allowed:
+					t.Errorf("%s: %s has a caller now; take it off exportAllow", at, key)
+				case used || allowed:
+				case benchUsed && marked.has(obj):
+				case benchUsed:
+					t.Errorf("%s: %s is used only by benchmark/ and tests; mark it %q", at, key, "// "+keptMarker+" (ROADMAP 1)")
+				default:
+					t.Errorf("%s: %s has no caller outside tests", at, key)
 				}
 			}
 		}
@@ -318,80 +326,24 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// uses is what a set of files names: each package's bare identifiers, every
-// pkg.Name by the package's directory, and every selector and
-// interface-method name.
-type uses struct {
-	bare      map[string]map[string]bool // package dir → identifiers used bare
-	qualified map[string]bool            // "dir.Name" for each pkg.Name
-	selected  map[string]bool
-}
-
-func newUses() uses {
-	return uses{map[string]map[string]bool{}, map[string]bool{}, map[string]bool{}}
-}
-
-// add records what sf names. pkgName maps a package directory to its
-// declared name, the local name of an import without one of its own.
-func (u uses) add(sf srcFile, pkgName map[string]string) {
-	dir := path.Dir(sf.path)
-	if u.bare[dir] == nil {
-		u.bare[dir] = map[string]bool{}
-	}
-	imports := map[string]string{} // local name → package dir
-	for _, im := range sf.f.Imports {
-		p, _ := strconv.Unquote(im.Path.Value)
-		d, ok := strings.CutPrefix(p, "txcache/")
-		if !ok {
-			continue
-		}
-		name := pkgName[d]
-		if im.Name != nil {
-			name = im.Name.Name
-		}
-		imports[name] = d
-	}
-	skip := map[*ast.Ident]bool{} // declared names, fields and selected names
-	for _, d := range sf.f.Decls {
+// exportedDecls returns the exported names f declares at package level:
+// funcs, methods, types, vars and consts.
+func exportedDecls(f *ast.File) []*ast.Ident {
+	var out []*ast.Ident
+	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			skip[d.Name] = true
+			out = append(out, d.Name)
 		case *ast.GenDecl:
 			for _, s := range d.Specs {
 				switch s := s.(type) {
 				case *ast.TypeSpec:
-					skip[s.Name] = true
+					out = append(out, s.Name)
 				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						skip[n] = true
-					}
+					out = append(out, s.Names...)
 				}
 			}
 		}
 	}
-	ast.Inspect(sf.f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			skip[n.Sel] = true
-			u.selected[n.Sel.Name] = true
-			if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				u.qualified[imports[x.Name]+"."+n.Sel.Name] = true
-			}
-		case *ast.InterfaceType:
-			for _, m := range n.Methods.List {
-				for _, id := range m.Names {
-					u.selected[id.Name] = true
-				}
-			}
-		case *ast.Field:
-			for _, id := range n.Names {
-				skip[id] = true
-			}
-		case *ast.Ident:
-			if !skip[n] {
-				u.bare[dir][n.Name] = true
-			}
-		}
-		return true
-	})
+	return slices.DeleteFunc(out, func(id *ast.Ident) bool { return !id.IsExported() })
 }

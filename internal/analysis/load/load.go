@@ -1,10 +1,13 @@
-// Package load builds type-checked packages for the lint driver using only
-// the standard library: `go list -deps -json` enumerates the module's
-// packages and their (standard-library) dependencies in topological order,
-// and go/parser + go/types check everything from source. No export data, no
-// network, no golang.org/x/tools — the same offline constraint the rest of
-// CI runs under. The whole tree (~200 packages including the stdlib slice
-// it uses) checks in about two seconds.
+// Package load builds type-checked packages using only the standard
+// library: `go list -deps -json` enumerates the named packages and their
+// dependencies in topological order, and go/parser + go/types check
+// everything from source. No export data, no network, no
+// golang.org/x/tools — the same offline constraint the rest of CI runs
+// under. The root package's tests load the root module and the benchmark
+// with it once, and both the analyzers (TestLint) and the export ratchet
+// (TestExportsHaveCallers) read that one load; the whole tree (~200
+// packages including the stdlib slice it uses) checks in about two
+// seconds.
 package load
 
 import (

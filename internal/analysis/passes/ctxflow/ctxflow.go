@@ -1,17 +1,16 @@
 // Package ctxflow enforces the context-first API discipline from PR 5: a
 // function that receives a context.Context threads it to its callees, and
 // library code under internal/ never mints fresh root contexts that detach
-// work from its caller. The historical motivator is the cacheserver
-// client's Stats/ResetStats round-tripping on a bare context.Background()
-// with no deadline — a wedged node could hang a monitoring poll forever.
+// work from its caller: a round trip on a bare context.Background() with
+// no deadline lets a wedged peer hang its caller forever.
 //
 // Two idioms are recognized as fine without a directive:
 //
 //   - nil-defaulting at API boundaries:  if ctx == nil { ctx = context.Background() }
 //   - bounded detachment in context-free functions:
 //     context.WithTimeout(context.Background(), opTimeout)
-//     (the dbnet/pincushion release paths: deliberately detached from a
-//     possibly-cancelled caller, but never unbounded)
+//     (dbnet's PinLatest/Pin/Unpin, the pincushion's Register: deliberately
+//     detached from a possibly-cancelled caller, but never unbounded)
 //
 // Everything else — a bare Background/TODO in library code, or any
 // Background/TODO (even a bounded one) inside a function that was handed a

@@ -92,9 +92,6 @@ func (t *Tree) setOver(l *leaf, over [][]uint64) {
 	l.over = over
 }
 
-// Len returns the number of distinct keys in the tree.
-func (t *Tree) Len() int { return t.size }
-
 // Stats is the tree's running account of its leaf level, kept as it mutates.
 type Stats struct {
 	Entries int // distinct keys
@@ -121,21 +118,6 @@ func (t *Tree) Get(key []byte) []uint64 {
 		return nil
 	}
 	return l.postings(i)
-}
-
-// Insert adds id to key's posting list. Duplicate (key, id) pairs are
-// coalesced; inserting an existing pair is a no-op.
-func (t *Tree) Insert(key []byte, id uint64) {
-	var c cursor
-	t.insert(&c, key, id)
-}
-
-// Delete removes id from key's posting list and reports whether the pair
-// was present. A key leaves its leaf with its last posting, and a leaf
-// leaves the tree with its last key; underfull nodes are not merged.
-func (t *Tree) Delete(key []byte, id uint64) bool {
-	var c cursor
-	return t.delete(&c, key, id)
 }
 
 // Op is one batched index mutation: insertion (default) or deletion of a
@@ -179,6 +161,8 @@ func (t *Tree) seekCursor(c *cursor, key []byte) {
 	}
 }
 
+// insert adds id to key's posting list, starting from c's leaf. Duplicate
+// (key, id) pairs are coalesced; inserting an existing pair is a no-op.
 func (t *Tree) insert(c *cursor, key []byte, id uint64) {
 	t.seekCursor(c, key)
 	if !t.insertInLeaf(c.l, key, id) {
@@ -187,6 +171,10 @@ func (t *Tree) insert(c *cursor, key []byte, id uint64) {
 	}
 }
 
+// delete removes id from key's posting list, starting from c's leaf, and
+// reports whether the pair was present. A key leaves its leaf with its last
+// posting, and a leaf leaves the tree with its last key; underfull nodes are
+// not merged.
 func (t *Tree) delete(c *cursor, key []byte, id uint64) bool {
 	t.seekCursor(c, key)
 	ok := t.deleteInLeaf(c.l, key, id)
@@ -416,7 +404,7 @@ const bulkFill = degree * 3 / 4
 
 // BulkLoad builds a tree from items sorted by strictly ascending key,
 // packing leaves left to right and constructing the internal levels
-// bottom-up — the index (re)build path, replacing one Insert descent per
+// bottom-up — the index (re)build path, replacing one insert descent per
 // row version. Keys and posting lists are copied; an item without postings
 // is skipped.
 func BulkLoad(items []Item) *Tree {

@@ -16,7 +16,7 @@ import (
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
-	if tr.Len() != 0 {
+	if tr.size != 0 {
 		t.Fatal("new tree should be empty")
 	}
 	if got := tr.Get([]byte("x")); got != nil {
@@ -31,14 +31,14 @@ func TestEmptyTree(t *testing.T) {
 
 func TestInsertGet(t *testing.T) {
 	tr := New()
-	tr.Insert([]byte("b"), 2)
-	tr.Insert([]byte("a"), 1)
-	tr.Insert([]byte("c"), 3)
-	tr.Insert([]byte("a"), 10)
-	tr.Insert([]byte("a"), 1) // duplicate pair: no-op
+	insertOne(tr, []byte("b"), 2)
+	insertOne(tr, []byte("a"), 1)
+	insertOne(tr, []byte("c"), 3)
+	insertOne(tr, []byte("a"), 10)
+	insertOne(tr, []byte("a"), 1) // duplicate pair: no-op
 
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
+	if tr.size != 3 {
+		t.Fatalf("Len = %d, want 3", tr.size)
 	}
 	got := tr.Get([]byte("a"))
 	want := map[uint64]bool{1: true, 10: true}
@@ -58,7 +58,7 @@ func TestKeyAliasing(t *testing.T) {
 	const n = 4000
 	for i := 0; i < n; i++ {
 		buf = fmt.Appendf(buf[:0], "key-%05d", i*2654435761%n)
-		tr.Insert(buf, uint64(i))
+		insertOne(tr, buf, uint64(i))
 		buf[0] = 'X' // caller reuses its buffer
 	}
 	check(t, tr)
@@ -71,23 +71,23 @@ func TestKeyAliasing(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	tr := New()
-	tr.Insert([]byte("k"), 1)
-	tr.Insert([]byte("k"), 2)
-	if !tr.Delete([]byte("k"), 1) {
+	insertOne(tr, []byte("k"), 1)
+	insertOne(tr, []byte("k"), 2)
+	if !deleteOne(tr, []byte("k"), 1) {
 		t.Fatal("Delete existing pair should return true")
 	}
-	if tr.Delete([]byte("k"), 99) {
+	if deleteOne(tr, []byte("k"), 99) {
 		t.Fatal("Delete missing id should return false")
 	}
-	if tr.Delete([]byte("nope"), 1) {
+	if deleteOne(tr, []byte("nope"), 1) {
 		t.Fatal("Delete missing key should return false")
 	}
 	if got := tr.Get([]byte("k")); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("Get after delete = %v", got)
 	}
-	tr.Delete([]byte("k"), 2)
-	if tr.Len() != 0 {
-		t.Fatalf("Len after deleting all = %d", tr.Len())
+	deleteOne(tr, []byte("k"), 2)
+	if tr.size != 0 {
+		t.Fatalf("Len after deleting all = %d", tr.size)
 	}
 	// Emptied keys must be invisible to scans.
 	tr.AscendRange(nil, nil, func(k []byte, _ []uint64) bool {
@@ -100,7 +100,7 @@ func TestDelete(t *testing.T) {
 func TestAscendRange(t *testing.T) {
 	tr := New()
 	for i := 0; i < 100; i++ {
-		tr.Insert([]byte(fmt.Sprintf("k%03d", i)), uint64(i))
+		insertOne(tr, []byte(fmt.Sprintf("k%03d", i)), uint64(i))
 	}
 	var got []string
 	tr.AscendRange([]byte("k010"), []byte("k020"), func(k []byte, _ []uint64) bool {
@@ -161,6 +161,20 @@ func refID(rng *rand.Rand) uint64 {
 	return uint64(rng.Intn(5)) | uint64(rng.Intn(2))<<63
 }
 
+// insertOne adds id to key's posting list as a batch of one op does: a
+// fresh cursor, so a root descent. Inserting an existing pair is a no-op.
+func insertOne(t *Tree, key []byte, id uint64) {
+	var c cursor
+	t.insert(&c, key, id)
+}
+
+// deleteOne removes id from key's posting list as a batch of one op does,
+// and reports whether the pair was present.
+func deleteOne(t *Tree, key []byte, id uint64) bool {
+	var c cursor
+	return t.delete(&c, key, id)
+}
+
 type reference map[string]map[uint64]bool
 
 func (ref reference) insert(key []byte, id uint64) {
@@ -193,16 +207,16 @@ func TestAgainstReference(t *testing.T) {
 		id := refID(rng)
 		switch rng.Intn(20) {
 		default:
-			tr.Insert(key, id)
+			insertOne(tr, key, id)
 			ref.insert(key, id)
 		case 0, 1, 2, 3, 4, 5:
-			if got, want := tr.Delete(key, id), ref.delete(key, id); got != want {
+			if got, want := deleteOne(tr, key, id), ref.delete(key, id); got != want {
 				t.Fatalf("op %d: Delete(%.16q,%d) = %v, want %v", op, key, id, got, want)
 			}
 		case 6:
 			// Delete to empty, then bring the same key back.
 			for id := range ref[string(key)] {
-				if !tr.Delete(key, id) {
+				if !deleteOne(tr, key, id) {
 					t.Fatalf("op %d: Delete(%.16q,%d) of a present pair = false", op, key, id)
 				}
 			}
@@ -210,7 +224,7 @@ func TestAgainstReference(t *testing.T) {
 			if got := tr.Get(key); got != nil {
 				t.Fatalf("op %d: Get(%.16q) after deleting every posting = %v", op, key, got)
 			}
-			tr.Insert(key, id)
+			insertOne(tr, key, id)
 			ref.insert(key, id)
 		}
 		if op%1000 == 0 {
@@ -241,10 +255,10 @@ func TestLargeSequentialInsert(t *testing.T) {
 	tr := New()
 	const n = 20000
 	for i := 0; i < n; i++ {
-		tr.Insert([]byte(fmt.Sprintf("%08d", i)), uint64(i))
+		insertOne(tr, []byte(fmt.Sprintf("%08d", i)), uint64(i))
 	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	if tr.size != n {
+		t.Fatalf("Len = %d, want %d", tr.size, n)
 	}
 	prev := []byte(nil)
 	count := 0
@@ -289,10 +303,10 @@ func TestApplyBatchAgainstReference(t *testing.T) {
 		tr.ApplyBatch(ops)
 		for _, op := range ops {
 			if op.Del {
-				twin.Delete(op.Key, op.ID)
+				deleteOne(twin, op.Key, op.ID)
 				ref.delete(op.Key, op.ID)
 			} else {
-				twin.Insert(op.Key, op.ID)
+				insertOne(twin, op.Key, op.ID)
 				ref.insert(op.Key, op.ID)
 			}
 		}
@@ -315,7 +329,7 @@ func TestApplyBatchUnsorted(t *testing.T) {
 	// Multi-leaf tree first.
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("k%03d", i)
-		tr.Insert([]byte(key), uint64(i))
+		insertOne(tr, []byte(key), uint64(i))
 		ref[key] = map[uint64]bool{uint64(i): true}
 	}
 	// Descending inserts into a populated tree: every op is below the
@@ -345,8 +359,8 @@ func TestApplyBatchUnsorted(t *testing.T) {
 func checkAgainst(t *testing.T, tr *Tree, ref reference) {
 	t.Helper()
 	check(t, tr)
-	if tr.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(ref))
+	if tr.size != len(ref) {
+		t.Fatalf("Len = %d, want %d", tr.size, len(ref))
 	}
 	samePosts := func(key string, got []uint64) {
 		t.Helper()
@@ -479,7 +493,7 @@ func TestBulkLoad(t *testing.T) {
 			continue
 		}
 		// The loaded tree accepts further mutations.
-		tr.Insert([]byte("zzz"), 1)
+		insertOne(tr, []byte("zzz"), 1)
 		ref["zzz"] = map[uint64]bool{1: true}
 		tr.ApplyBatch([]Op{
 			{Key: []byte("%%%"), ID: 9},
@@ -507,7 +521,7 @@ func TestBulkLoadAliasing(t *testing.T) {
 		it.Posts[0] = 99
 	}
 	for i := 0; i < n; i++ {
-		tr.Insert(fmt.Appendf(nil, "key-%05d+", i), 1)
+		insertOne(tr, fmt.Appendf(nil, "key-%05d+", i), 1)
 	}
 	check(t, tr)
 	for i := 0; i < n; i++ {
@@ -528,7 +542,7 @@ func intKey(buf []byte, i int) []byte {
 }
 
 // buildOrders are the four ways an index comes to hold n integer keys: in
-// key order through Insert (a primary key) and through ApplyBatch (the
+// key order one op at a time (a primary key) and through ApplyBatch (the
 // commit path), in random order, and by BulkLoad (recovery, CREATE INDEX).
 var buildOrders = []struct {
 	name    string
@@ -540,7 +554,7 @@ var buildOrders = []struct {
 		var buf []byte
 		for i := 0; i < n; i++ {
 			buf = intKey(buf, i)
-			tr.Insert(buf, uint64(i))
+			insertOne(tr, buf, uint64(i))
 		}
 		return tr
 	}},
@@ -564,7 +578,7 @@ var buildOrders = []struct {
 		var buf []byte
 		for i := 0; i < n; i++ {
 			buf = intKey(buf, i*2654435761%n) // n is not a multiple of the odd prime multiplier: a permutation
-			tr.Insert(buf, uint64(i))
+			insertOne(tr, buf, uint64(i))
 		}
 		return tr
 	}},
@@ -598,8 +612,8 @@ func TestBytesPerEntry(t *testing.T) {
 		st := tr.Stats()
 		t.Logf("%-18s %5.1f B/entry (%d leaves, %.0f%% full, Stats().Bytes %.1f B/entry)",
 			order.name, per, st.Leaves, 100*float64(st.Entries)/float64(st.Leaves*degree), float64(st.Bytes)/n)
-		if tr.Len() != n {
-			t.Fatalf("%s: Len = %d, want %d", order.name, tr.Len(), n)
+		if tr.size != n {
+			t.Fatalf("%s: Len = %d, want %d", order.name, tr.size, n)
 		}
 		if per > order.ceiling {
 			t.Errorf("%s: %.1f B/entry, ceiling %.0f", order.name, per, order.ceiling)
@@ -643,7 +657,7 @@ func TestInsertAllocs(t *testing.T) {
 	i := 0
 	if avg := testing.AllocsPerRun(1000, func() {
 		buf = append(intKey(buf, i*7), '+') // between two loaded keys, three or four to a leaf
-		tr.Insert(buf, 1)
+		insertOne(tr, buf, 1)
 		i++
 	}); avg != 0 {
 		t.Fatalf("Insert into a leaf with room: %.1f allocs/op, want 0", avg)
@@ -662,11 +676,11 @@ func TestDeleteReleasesMemory(t *testing.T) {
 	round := func(r int) {
 		for i := r * n; i < (r+1)*n; i++ {
 			buf = intKey(buf, i)
-			tr.Insert(buf, uint64(i))
+			insertOne(tr, buf, uint64(i))
 		}
 		for i := r * n; i < (r+1)*n; i++ {
 			buf = intKey(buf, i)
-			if !tr.Delete(buf, uint64(i)) {
+			if !deleteOne(tr, buf, uint64(i)) {
 				t.Fatalf("Delete(%d) = false", i)
 			}
 		}
@@ -674,8 +688,8 @@ func TestDeleteReleasesMemory(t *testing.T) {
 	}
 	round(0)
 	one, oneStats := heapAlloc(), tr.Stats()
-	if tr.Len() != 0 || oneStats != New().Stats() {
-		t.Fatalf("after deleting every key: Len = %d, Stats = %+v", tr.Len(), oneStats)
+	if tr.size != 0 || oneStats != New().Stats() {
+		t.Fatalf("after deleting every key: Len = %d, Stats = %+v", tr.size, oneStats)
 	}
 	if float64(one) > 1.1*float64(empty) {
 		t.Errorf("HeapAlloc %d after insert-all/delete-all, %d with the empty tree", one, empty)
@@ -704,10 +718,10 @@ func FuzzTreeOps(f *testing.F) {
 			id := uint64(data[3]&3) | uint64(data[3]>>7)<<63
 			switch data[0] % 4 {
 			case 0:
-				tr.Insert(key, id)
+				insertOne(tr, key, id)
 				ref.insert(key, id)
 			case 1:
-				if got, want := tr.Delete(key, id), ref.delete(key, id); got != want {
+				if got, want := deleteOne(tr, key, id), ref.delete(key, id); got != want {
 					t.Fatalf("Delete(%.8q/%d, %d) = %v, want %v", key, len(key), id, got, want)
 				}
 			case 2:
@@ -740,7 +754,7 @@ func BenchmarkInsert(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Insert(keys[i&(1<<16-1)], uint64(i))
+		insertOne(tr, keys[i&(1<<16-1)], uint64(i))
 	}
 }
 
@@ -770,7 +784,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 func BenchmarkGet(b *testing.B) {
 	tr := New()
 	for i := 0; i < 100000; i++ {
-		tr.Insert([]byte(fmt.Sprintf("%08d", i)), uint64(i))
+		insertOne(tr, []byte(fmt.Sprintf("%08d", i)), uint64(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -90,7 +90,7 @@ func FuzzHandle(f *testing.F) {
 		}
 		resp := reply.Bytes()
 		d := wire.NewDecoder(resp)
-		op := d.Op()
+		op := d.U8()
 		id := d.U32()
 		if d.Err() != nil {
 			t.Fatalf("response frame shorter than its own header: %x", resp)

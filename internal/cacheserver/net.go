@@ -28,8 +28,8 @@ type Node interface {
 	Lookup(ctx context.Context, key string, lo, hi, origLo, origHi interval.Timestamp) LookupResult
 	LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupResult // kept for benchmark/ (ROADMAP 1)
 	Put(key string, data []byte, iv interval.Interval, still bool, genSnap interval.Timestamp, tags []invalidation.TagID)
-	Stats() Stats
-	ResetStats()
+	Stats() Stats // kept for benchmark/ (ROADMAP 1)
+	ResetStats()  // kept for benchmark/ (ROADMAP 1)
 }
 
 var (

@@ -230,14 +230,6 @@ func (s Stats) Misses() uint64 {
 	return s.MissCompulsory + s.MissConsistency + s.MissStaleness + s.MissCapacity
 }
 
-// HitRate returns hits / lookups, or 0 with no lookups.
-func (s Stats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Lookups)
-}
-
 // ceilPow2 rounds n up to the next power of two (n >= 1).
 func ceilPow2(n int) int {
 	p := 1

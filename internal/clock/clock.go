@@ -54,17 +54,3 @@ func (v *Virtual) Advance(d time.Duration) time.Time {
 	}
 	return time.Unix(0, v.ns.Add(int64(d)))
 }
-
-// Set jumps the clock to t if t is later than the current virtual time.
-func (v *Virtual) Set(t time.Time) {
-	v.init()
-	for {
-		cur := v.ns.Load()
-		if t.UnixNano() <= cur {
-			return
-		}
-		if v.ns.CompareAndSwap(cur, t.UnixNano()) {
-			return
-		}
-	}
-}

@@ -28,16 +28,6 @@ func TestVirtualAdvance(t *testing.T) {
 	}
 }
 
-func TestVirtualSetNeverBackwards(t *testing.T) {
-	var v Virtual
-	base := v.Now()
-	v.Set(base.Add(10 * time.Second))
-	v.Set(base.Add(3 * time.Second)) // earlier: ignored
-	if got := v.Now().Sub(base); got != 10*time.Second {
-		t.Fatalf("Set went backwards: %v", got)
-	}
-}
-
 func TestVirtualZeroValueSafeForStaleness(t *testing.T) {
 	var v Virtual
 	if v.Now().Add(-30 * time.Second).Before(time.Unix(0, 0)) {

@@ -156,9 +156,6 @@ func (c *Client) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 	return tx, nil
 }
 
-// Context returns the context the transaction was begun with.
-func (tx *Tx) Context() context.Context { return tx.ctx }
-
 // ctxErr reports the transaction's context cancellation, wrapped so
 // callers can errors.Is against context.Canceled / DeadlineExceeded.
 func (tx *Tx) ctxErr() error {
@@ -170,9 +167,6 @@ func (tx *Tx) ctxErr() error {
 
 // cacheOK reports whether this transaction reads through the cache.
 func (tx *Tx) cacheOK() bool { return !tx.rw && !tx.noCache && tx.c.CacheEnabled() }
-
-// ReadOnly reports whether this is a read-only transaction.
-func (tx *Tx) ReadOnly() bool { return !tx.rw }
 
 // Commit finishes the transaction and returns the timestamp it ran at
 // (paper §2.2): applications can thread this into the staleness bound of a

@@ -115,7 +115,7 @@ func FuzzDBNetHandle(f *testing.F) {
 			t.Fatalf("request %x got no reply", frame)
 		default:
 			d := wire.NewDecoder(reply.Bytes())
-			got := d.Op()
+			got := d.U8()
 			d.U32() // the request ID
 			if frame[0] == release && got != rpc.OpErr {
 				t.Fatalf("retired opcode %#x answered with opcode %d", release, got)
@@ -182,7 +182,7 @@ func TestDecodeResultRejectsBadTags(t *testing.T) {
 		"huge count":  {head().U32(1 << 30).U64(1 << 40), false},
 	} {
 		d := wire.NewDecoder(c.reply.Bytes())
-		d.Op()
+		d.U8()
 		if r, err := decodeResult(d); (err == nil) != c.ok {
 			t.Errorf("%s: decodeResult = %+v, %v", name, r, err)
 		}

@@ -61,7 +61,7 @@ func engineFingerprint(e *Engine) string {
 			fmt.Fprintf(&sb, " row %d %s\n", r.id, r.s)
 		}
 		for _, idx := range tab.idxList {
-			fmt.Fprintf(&sb, " index %s on %s unique=%v len=%d\n", idx.name, idx.column, idx.unique, idx.tree.Len())
+			fmt.Fprintf(&sb, " index %s on %s unique=%v len=%d\n", idx.name, idx.column, idx.unique, idx.tree.Stats().Entries)
 			idx.tree.AscendRange(nil, nil, func(key []byte, posts []uint64) bool {
 				fmt.Fprintf(&sb, "  %x %v\n", key, posts)
 				return true

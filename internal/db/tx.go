@@ -111,9 +111,6 @@ func (tx *Tx) release() {
 // Snapshot returns the transaction's snapshot timestamp.
 func (tx *Tx) Snapshot() interval.Timestamp { return tx.snap }
 
-// ReadOnly reports whether the transaction is read-only.
-func (tx *Tx) ReadOnly() bool { return tx.ro }
-
 // Query runs a SELECT with the given parameter values.
 func (tx *Tx) Query(src string, args ...sql.Value) (*Result, error) {
 	if tx.done {

@@ -130,12 +130,6 @@ func (m *Mask) Covers(ts Timestamp) bool {
 	return i < len(m.ivs) && m.ivs[i].Contains(ts)
 }
 
-// Empty reports whether the mask contains no timestamps.
-func (m *Mask) Empty() bool { return len(m.ivs) == 0 }
-
-// Len returns the number of disjoint intervals in the mask.
-func (m *Mask) Len() int { return len(m.ivs) }
-
 // Subtract returns the maximal sub-interval of iv that contains ts and
 // excludes every timestamp in the mask. This implements the paper's final
 // step: "the invalidity mask is subtracted from the result tuple validity to

@@ -93,11 +93,11 @@ func TestMaskAddCoalesce(t *testing.T) {
 	var m Mask
 	m.Add(iv(10, 20))
 	m.Add(iv(30, 40))
-	if m.Len() != 2 {
+	if len(m.ivs) != 2 {
 		t.Fatalf("want 2 intervals, got %v", m.String())
 	}
 	m.Add(iv(20, 30)) // touches both => coalesce to one
-	if m.Len() != 1 {
+	if len(m.ivs) != 1 {
 		t.Fatalf("want coalesced single interval, got %v", m.String())
 	}
 	if got := m.ivs[0]; got != iv(10, 40) {
@@ -105,7 +105,7 @@ func TestMaskAddCoalesce(t *testing.T) {
 	}
 	m.Add(iv(0, 5))
 	m.Add(iv(50, Infinity))
-	if m.Len() != 3 {
+	if len(m.ivs) != 3 {
 		t.Fatalf("want 3 intervals, got %v", m.String())
 	}
 	if m.Covers(45) {

@@ -33,7 +33,7 @@ func TestMessageEncodeDecode(t *testing.T) {
 	e := wire.NewBuffer(0x10)
 	m.AppendTo(e)
 	d := wire.NewDecoder(e.Bytes())
-	if op := d.Op(); op != 0x10 {
+	if op := d.U8(); op != 0x10 {
 		t.Fatalf("op = %#x", op)
 	}
 	got, err := DecodeMessage(d, nil)
@@ -56,7 +56,7 @@ func TestMessageDecodeTruncated(t *testing.T) {
 	m.AppendTo(e)
 	b := e.Bytes()
 	d := wire.NewDecoder(b[:len(b)-3])
-	d.Op()
+	d.U8()
 	if _, err := DecodeMessage(d, nil); err == nil {
 		t.Fatal("want error on truncated message")
 	}
@@ -74,7 +74,7 @@ func TestDecodeTagsRejects(t *testing.T) {
 		"short last tag": wire.NewBuffer(1).U32(2).U64(uint64(good)).U32(1),
 	} {
 		d := wire.NewDecoder(body.Bytes())
-		d.Op()
+		d.U8()
 		if tags, err := DecodeTags(d); err == nil {
 			t.Errorf("%s: decoded %v, want an error", name, tags)
 		}

@@ -604,7 +604,7 @@ func (s *Store) Reclaimable(last interval.Timestamp, pins []interval.Timestamp) 
 
 // Vacuum removes versions invisible to every snapshot >= horizon: a version
 // is reclaimed iff Deleted <= horizon. It is VacuumPinned with no pin.
-func (s *Store) Vacuum(horizon interval.Timestamp, buf []Reclaimed) []Reclaimed {
+func (s *Store) Vacuum(horizon interval.Timestamp, buf []Reclaimed) []Reclaimed { // kept for benchmark/ (ROADMAP 1)
 	return s.VacuumPinned(horizon, nil, buf)
 }
 

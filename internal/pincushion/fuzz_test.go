@@ -58,7 +58,7 @@ func FuzzPincushionHandle(f *testing.F) {
 		default:
 			op := frame[0]
 			d := wire.NewDecoder(reply.Bytes())
-			got := d.Op()
+			got := d.U8()
 			d.U32() // the request ID
 			switch {
 			case op == retiredRelease && got != rpc.OpErr:

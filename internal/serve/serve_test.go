@@ -164,7 +164,7 @@ func TestDrainShedsQueuedKeepsInFlight(t *testing.T) {
 	})
 	// Safe to mount here: the fixture has served no request yet, so nothing
 	// reads the mux concurrently with this registration.
-	f.srv.HandleFunc("GET /slow", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	f.srv.handle("GET /slow", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -262,7 +262,7 @@ func TestDrainDeadlineHardCancels(t *testing.T) {
 		cfg.MaxInFlight = 1
 		cfg.RequestTimeout = time.Minute
 	})
-	f.srv.HandleFunc("GET /stuck", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	f.srv.handle("GET /stuck", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 		started <- struct{}{}
 		<-ctx.Done() // released only by cancellation
 		return ctx.Err()
@@ -302,7 +302,7 @@ func TestDrainClosesUnusedConnections(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	f := startFixture(t, nil)
-	f.srv.HandleFunc("GET /held", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	f.srv.handle("GET /held", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 		close(started)
 		<-release
 		_, err := io.WriteString(w, "done")
@@ -372,7 +372,7 @@ func TestBacklogShedding(t *testing.T) {
 		cfg.MaxQueue = 2
 		cfg.RequestTimeout = 10 * time.Second
 	})
-	f.srv.HandleFunc("GET /slow", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	f.srv.handle("GET /slow", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 		started <- struct{}{}
 		select {
 		case <-release:

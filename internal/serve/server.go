@@ -246,11 +246,6 @@ func (s *Server) closeFresh() {
 	clear(s.fresh)
 }
 
-// HandleFunc mounts an extra handler behind the same admission control as
-// the application routes. Tests use it to inject controllable handlers;
-// the mux synchronizes registration, so a serving Server may be extended.
-func (s *Server) HandleFunc(pattern string, h Handler) { s.handle(pattern, h) }
-
 // logf logs through the configured sink.
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {

@@ -223,11 +223,9 @@ type Decoder struct {
 }
 
 // NewDecoder wraps payload. The opcode (first byte) should already have been
-// examined by the caller; pass the payload starting after it, or use Op.
+// examined by the caller; pass the payload starting after it, or read it
+// with U8.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
-
-// Op consumes and returns the opcode byte.
-func (d *Decoder) Op() byte { return d.U8() }
 
 // Err returns the first decoding error encountered, if any.
 func (d *Decoder) Err() error { return d.err }

@@ -57,7 +57,7 @@ func TestBufferDecoderRoundTrip(t *testing.T) {
 		U32(12345).U64(math.MaxUint64).I64(-99).
 		Str("héllo").Blob([]byte{0, 1, 2}).Str("")
 	d := NewDecoder(e.Bytes())
-	if op := d.Op(); op != 0x42 {
+	if op := d.U8(); op != 0x42 {
 		t.Fatalf("op = %#x", op)
 	}
 	if v := d.U8(); v != 7 {
@@ -98,7 +98,7 @@ func TestDecoderTruncatedBlob(t *testing.T) {
 	e.b = binary.LittleEndian.AppendUint32(e.b, 100) // claims 100 bytes
 	e.b = append(e.b, 1, 2, 3)
 	d := NewDecoder(e.Bytes())
-	d.Op()
+	d.U8()
 	if b := d.Blob(); b != nil || d.Err() == nil {
 		t.Fatalf("truncated blob: %v, err %v", b, d.Err())
 	}
@@ -152,7 +152,7 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(a uint64, b int64, s string, blob []byte, flag bool) bool {
 		e := NewBuffer(9).U64(a).I64(b).Str(s).Blob(blob).Bool(flag)
 		d := NewDecoder(e.Bytes())
-		d.Op()
+		d.U8()
 		return d.U64() == a && d.I64() == b && d.Str() == s &&
 			bytes.Equal(d.Blob(), blob) && d.Bool() == flag && d.Err() == nil
 	}

@@ -9,6 +9,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
+	"net/http/httptrace"
 	"net/url"
 	"os"
 	"runtime"
@@ -540,18 +541,29 @@ func TestServeDrainUnderFire(t *testing.T) {
 		}
 	}()
 
+	// A gate is a POST /bid that expects 100-continue and has no body to
+	// send until release. The server asks for a body only from inside a
+	// handler, so its 100 Continue says the gate holds a slot. Released, the
+	// gate's form names no user and it is answered 400.
 	entered := make(chan struct{}, maxInFlight)
 	release := make(chan struct{})
-	st.Srv.HandleFunc("/gate", func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-		entered <- struct{}{}
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return ctx.Err()
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	defer open() // a failed test must not leave the gates holding the drain
+	gateClient := &http.Client{Transport: &http.Transport{ExpectContinueTimeout: time.Minute}}
+	defer gateClient.CloseIdleConnections()
+	gate := func() (*http.Response, error) {
+		const form = "gate=1"
+		req, err := http.NewRequest("POST", st.URL+"/bid", gateBody{release, strings.NewReader(form)})
+		if err != nil {
+			return nil, err
 		}
-		_, err := io.WriteString(w, "ok")
-		return err
-	})
+		req.ContentLength = int64(len(form))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		req.Header.Set("Expect", "100-continue")
+		trace := &httptrace.ClientTrace{Got100Continue: func() { entered <- struct{}{} }}
+		return gateClient.Do(req.WithContext(httptrace.WithClientTrace(req.Context(), trace)))
+	}
 
 	ds := probeDataset(t, st.URL)
 
@@ -586,7 +598,7 @@ func TestServeDrainUnderFire(t *testing.T) {
 		go func() {
 			defer gates.Done()
 			for {
-				resp, err := http.Get(st.URL + "/gate")
+				resp, err := gate()
 				if err != nil {
 					t.Errorf("gate request: %v", err)
 					return
@@ -631,7 +643,7 @@ func TestServeDrainUnderFire(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(release)
+	open()
 	if err := <-drained; err != nil {
 		t.Fatalf("drain under fire: %v", err)
 	}
@@ -672,6 +684,17 @@ func TestServeDrainUnderFire(t *testing.T) {
 	if res.completed == 0 {
 		t.Fatalf("nothing completed before the drain: %+v", *res)
 	}
+}
+
+// gateBody is a request body with nothing to read until release is closed.
+type gateBody struct {
+	release <-chan struct{}
+	r       io.Reader
+}
+
+func (g gateBody) Read(p []byte) (int, error) {
+	<-g.release
+	return g.r.Read(p)
 }
 
 // dataset is what /statsz says exists, so generated requests hit real rows.

@@ -101,11 +101,12 @@ race:
 # rule over seeded streams that wrap its ring and its tag arena and cross
 # gaps — and of the bus's lapped-reader flows, TestSubscriptionBounded
 # (TestStreamGapAfterOverflow is the node's side of them) — and of
-# TestGoldenTrace, whose committed counters are worth having only if five
-# passes read them the same.
+# TestPutThenLookupInOrder, a put over TCP reaching its node ahead of the
+# same goroutine's next lookup — and of TestGoldenTrace, whose committed
+# counters are worth having only if five passes read them the same.
 # Bounded: a hang is a failure.
 model-soak:
-	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise|TestSubscriptionBounded|TestGoldenTrace' ./internal/cacheserver ./internal/invalidation ./internal/bench
+	timeout 300 $(GO) test -race -count=5 -run 'TestConcurrentPipelinedModel|TestServerMatchesModel|TestStreamGap|TestHistoryMatchesPairwise|TestPutThenLookupInOrder|TestSubscriptionBounded|TestGoldenTrace' ./internal/cacheserver ./internal/invalidation ./internal/bench
 
 # The transactional guarantee under concurrency has one gate too: writers,
 # composing readers and the put oracle of TestStillValidComposition's

@@ -23,8 +23,7 @@ func main() {
 	ctx := context.Background()
 
 	// 1. The substrate: database, invalidation stream, one cache node on a
-	//    real socket (so the client's asynchronous put queue and transport
-	//    counters are live), and the pincushion.
+	//    real socket, and the pincushion.
 	bus := txcache.NewBus(false)
 	engine := txcache.NewEngine(txcache.EngineOptions{Bus: bus})
 	node := txcache.NewCacheServer(txcache.CacheConfig{})
@@ -32,11 +31,11 @@ func main() {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	must(err)
 	go node.Serve(l)
-	// Pool size 1 keeps this demo deterministic: the async put and the next
-	// lookup travel the same connection in order.
+	// A put is written before it returns, on the connection this goroutine's
+	// next lookup leases, so the node has applied it by then.
 	cn, err := txcache.DialCache(l.Addr().String(), 1)
 	must(err)
-	defer cn.Close() // drains queued puts (bounded), then tears down
+	defer cn.Close()
 	pc := txcache.NewPincushion(txcache.PincushionConfig{DB: engine})
 
 	client := txcache.NewClient(txcache.Config{
@@ -68,15 +67,13 @@ func main() {
 			return r.Rows[0][0].(int64), nil
 		})
 
-	// First call: miss, computed from the database and installed (the
-	// install is an async put; FlushContext bounds the wait for it).
+	// First call: miss, computed from the database and installed.
 	tx, err := client.Begin(ctx, txcache.WithStaleness(30*time.Second))
 	must(err)
 	k, err := getKarma(tx, int64(1))
 	must(err)
 	_, err = tx.Commit()
 	must(err)
-	must(cn.FlushContext(ctx))
 	fmt.Printf("alice's karma = %d (computed, %d call)\n", k, calls)
 
 	// Second call: served from the cache, no database work.
@@ -125,19 +122,13 @@ func main() {
 	must(err)
 	fmt.Printf("consistent snapshot @%v: alice=%d bob=%d\n", ts, a, b)
 
-	// 6. Final stats: the library counters plus the cache transport's
-	//    put-queue health (drops and errors are silent data-quality loss if
-	//    nobody surfaces them).
+	// 6. Final stats: the library's counters and the cache transport's.
 	st, cs := client.Stats(), cn.ClientStats()
 	fmt.Printf("library stats: hits=%d misses=%d puts=%d hit-rate=%.0f%%\n",
 		st.Hits(), st.Misses(), st.CachePuts.Load(), 100*st.HitRate())
-	fmt.Printf("put queue: queued=%d sent=%d dropped=%d errors=%d\n",
-		cs.PutsQueued, cs.PutsSent, cs.PutsDropped, cs.PutErrors)
+	fmt.Printf("cache transport: puts sent=%d failed=%d\n", cs.PutsSent, cs.PutErrors)
 	if calls != 2 {
 		log.Fatalf("expected exactly 2 computations, got %d", calls)
-	}
-	if cs.PutsDropped != 0 || cs.PutErrors != 0 {
-		log.Fatalf("put queue lost installs: %+v", cs)
 	}
 	fmt.Println("quickstart OK")
 }

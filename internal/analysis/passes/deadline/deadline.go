@@ -2,8 +2,8 @@
 // second review pass, which found an unbounded net.Dial held under a
 // session mutex (a blackholed host could wedge the abort path for the
 // kernel's ~2-minute connect timeout) and an unclamped frame-write
-// deadline (a short-deadline request could hold a multiplexed connection's
-// write lock for the full transport timeout). Mechanized rules:
+// deadline (a short-deadline request could hold a shared connection for
+// the full transport timeout). Mechanized rules:
 //
 //  1. net.Dial is forbidden: connect through net.DialTimeout or
 //     (*net.Dialer).DialContext so a dead host fails fast.

@@ -175,7 +175,7 @@ func (s *Site) newCacheNode(bus *invalidation.Bus) *cacheserver.Server {
 	return n
 }
 
-// Close stops background maintenance, drains the cache cluster and ends
+// Close stops background maintenance, closes the library's client and ends
 // the nodes' streams.
 func (s *Site) Close() {
 	close(s.stop)

@@ -10,23 +10,20 @@ import (
 	"txcache/internal/rpc/rpctest"
 )
 
-// TestOneWritePerFrame joins the node's handler and the client (its request
-// path and its async put sender) by a counted pipe: every frame either side
+// TestOneWritePerFrame joins the node's handler and the client (its requests
+// and its one-way puts) by a counted pipe: every frame either side
 // sends is one Write, a frame that arrives in one piece is one Read, and a
 // one-way frame draws no reply.
 func TestOneWritePerFrame(t *testing.T) {
 	s := New(Config{})
 	rc, client, server := rpctest.Pipe(t, s.handler(), DefaultCallTimeout)
-	c := newClient(rc)
+	c := &Client{rpc: rc}
 	defer c.Close()
 
 	ctx := context.Background()
 	iv := interval.Interval{Lo: 2, Hi: 100} // closed: visible whatever the node's horizon
 	c.Put("k", []byte("value"), iv, false, 2, nil)
-	if err := c.FlushContext(ctx); err != nil {
-		t.Fatal(err)
-	}
-	client.Expect(t, "an async put", 0, 1)
+	client.Expect(t, "a put", 0, 1)
 	// The put and the lookups share the connection, so the node sees them
 	// in order.
 	for i := 0; i < 3; i++ {

@@ -218,7 +218,7 @@ func TestServerMatchesModel(t *testing.T) {
 // Concurrent pipelined model test.
 //
 // TestConcurrentPipelinedModel drives a 3-node TCP cluster with concurrent
-// pipelined lookups, asynchronous puts, LookupBatch calls, an ordered
+// lookups, one-way puts, LookupBatch calls, an ordered
 // invalidation stream, and live node churn (clients torn down and redialed,
 // ring membership cycling), all against a fact oracle.
 //
@@ -226,11 +226,11 @@ func TestServerMatchesModel(t *testing.T) {
 // history, a still-valid insert's final upper bound is the timestamp of the
 // FIRST matching invalidation after its generating snapshot, regardless of
 // the arrival interleaving of puts and stream messages (§4.2's ordering
-// machinery). Puts may be dropped (async queue overflow, churned
-// connections) — the cache is allowed to forget — so the invariant checked
-// is soundness: any version any node ever RETURNS must be a recorded fact
-// with exactly its deterministic validity interval. Completeness is checked
-// only in aggregate (the run must produce hits).
+// machinery). Puts may be lost (a churned connection) — the cache is
+// allowed to forget — so the invariant checked is soundness: any version
+// any node ever RETURNS must be a recorded fact with exactly its
+// deterministic validity interval. Completeness is checked only in
+// aggregate (the run must produce hits).
 // ---------------------------------------------------------------------------
 
 // cfact is one oracle fact: a put that was recorded before its frame was
@@ -338,7 +338,7 @@ func (o *coracle) expectedHiLocked(f cfact) (interval.Timestamp, bool) {
 }
 
 // cdata is the payload every put carries: derived from (key, lo), so a
-// multiplexing bug that cross-wires responses is caught by a data mismatch.
+// transport bug that cross-wires replies is caught by a data mismatch.
 func cdata(key string, lo interval.Timestamp) string {
 	return fmt.Sprintf("%s@%d", key, uint64(lo))
 }
@@ -609,8 +609,8 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 		}(w)
 	}
 
-	// Churner: cycles nodes out of the ring (draining and closing their
-	// client mid-workload) and back in on a fresh connection.
+	// Churner: cycles nodes out of the ring (closing their client
+	// mid-workload) and back in on a fresh connection.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -620,7 +620,6 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 			i := rng.Intn(nodes)
 			name := fmt.Sprintf("n%d", i)
 			if c := set.remove(name); c != nil {
-				_ = c.FlushContext(context.Background())
 				c.Close()
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -635,11 +634,10 @@ func TestConcurrentPipelinedModel(t *testing.T) {
 
 	wg.Wait()
 
-	// Quiesce: flush async puts, then advance every node's horizon to a
+	// Quiesce: close every client, then advance every node's horizon to a
 	// final sentinel timestamp so still-valid bounds are deterministic.
 	set.mu.Lock()
 	for _, c := range set.m {
-		_ = c.FlushContext(context.Background())
 		c.Close()
 	}
 	set.mu.Unlock()

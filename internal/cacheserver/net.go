@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,7 +58,7 @@ func lookupEach(ctx context.Context, n Node, reqs []BatchLookup) []LookupResult 
 }
 
 // Protocol opcodes; the frame header, its request IDs, the ack and error
-// replies and the stats request are internal/rpc's. A frame sent one-way (async puts,
+// replies and the stats request are internal/rpc's. A frame sent one-way (puts,
 // unacked invalidation pushes) is applied and never answered.
 const (
 	opLookup     byte = 1
@@ -163,25 +162,14 @@ func decodeLookupResult(d *wire.Decoder) (LookupResult, error) {
 	return r, d.Err()
 }
 
-// errClosed is what a flush of a closed client's put queue, or a stream
-// pushed through one, reports.
-var errClosed = errors.New("cacheserver: client closed")
-
 // Client defaults.
 const (
 	// DefaultPoolSize is the number of TCP connections a Client dials to
-	// its node up front; a lookup that finds none idle dials another.
+	// its node up front; a request or put that finds none idle dials another.
 	DefaultPoolSize = 4
-	// DefaultCallTimeout bounds one request/response exchange. Lookups that
-	// time out degrade to compulsory misses.
+	// DefaultCallTimeout bounds one request/response exchange, and one put's
+	// write. Lookups that time out degrade to compulsory misses.
 	DefaultCallTimeout = 2 * time.Second
-	// DefaultPutQueue is the bound of the asynchronous put queue. When the
-	// queue is full, puts are dropped (and counted), never blocked on: the
-	// cache is an optimization.
-	DefaultPutQueue = 1024
-	// DefaultDrainTimeout bounds how long Close waits for the async put
-	// queue to drain before tearing connections down.
-	DefaultDrainTimeout = time.Second
 )
 
 // ClientStats are client-side transport counters, as opposed to Stats (the
@@ -189,10 +177,8 @@ const (
 type ClientStats struct {
 	Lookups      uint64 // lookup requests sent
 	LookupErrors uint64 // lookups degraded to misses by transport errors
-	PutsQueued   uint64 // puts accepted into the async queue
 	PutsSent     uint64 // puts written to a connection
-	PutsDropped  uint64 // puts dropped because the queue was full
-	PutErrors    uint64 // puts that failed on every connection
+	PutErrors    uint64 // puts that could not be written
 	CallErrors   uint64 // Stats/ResetStats round trips that failed
 	Timeouts     uint64 // requests abandoned after DefaultCallTimeout
 	Canceled     uint64 // requests abandoned because the caller's context ended
@@ -203,28 +189,15 @@ type ClientStats struct {
 // clientCounters is the atomic backing store for the counters of
 // ClientStats that the transport does not keep itself.
 type clientCounters struct {
-	lookups, lookupErrors                        atomic.Uint64
-	putsQueued, putsSent, putsDropped, putErrors atomic.Uint64
-	callErrors                                   atomic.Uint64
+	lookups, lookupErrors, putsSent, putErrors, callErrors atomic.Uint64
 }
 
-// Client is a TCP client for a cache node, safe for concurrent use: a lookup
-// leases a connection of its own (internal/rpc), and puts are queued and
-// written asynchronously.
+// Client is a TCP client for a cache node, safe for concurrent use: every
+// request and every put leases a connection of its own (internal/rpc) and
+// goes out in its caller's goroutine.
 type Client struct {
-	rpc *rpc.Client
-
-	putq      chan putItem
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup // the put sender
-
+	rpc      *rpc.Client
 	counters clientCounters
-}
-
-type putItem struct {
-	frame *wire.Buffer
-	ack   chan struct{} // FlushContext marker when non-nil; frame is ignored
 }
 
 // Dial connects to a cache node over TCP. poolSize <= 0 selects
@@ -240,31 +213,13 @@ func DialNet(nw rpc.Net, from, addr string, poolSize int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newClient(rc), nil
+	return &Client{rpc: rc}, nil
 }
 
-// newClient starts the put sender of a client on rc.
-func newClient(rc *rpc.Client) *Client {
-	c := &Client{rpc: rc, putq: make(chan putItem, DefaultPutQueue), closed: make(chan struct{})}
-	c.wg.Add(1)
-	go c.putSender()
-	return c
-}
-
-// Close drains queued puts for up to DefaultDrainTimeout, then tears down
-// the connection pool, failing all in-flight requests and discarding
-// whatever the drain deadline left behind. It is the "drain" half of
-// removing a node from a running cluster.
-func (c *Client) Close() {
-	c.closeOnce.Do(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), DefaultDrainTimeout)
-		defer cancel()
-		_ = c.FlushContext(ctx) // whatever the deadline leaves behind is discarded
-		close(c.closed)
-	})
-	c.rpc.Close()
-	c.wg.Wait()
-}
+// Close tears down the connection pool, failing every request and put in
+// flight; a put after Close fails at once. It is how a node leaves a
+// running cluster.
+func (c *Client) Close() { c.rpc.Close() }
 
 // ClientStats snapshots the transport counters.
 func (c *Client) ClientStats() ClientStats {
@@ -272,9 +227,7 @@ func (c *Client) ClientStats() ClientStats {
 	return ClientStats{
 		Lookups:      c.counters.lookups.Load(),
 		LookupErrors: c.counters.lookupErrors.Load(),
-		PutsQueued:   c.counters.putsQueued.Load(),
 		PutsSent:     c.counters.putsSent.Load(),
-		PutsDropped:  c.counters.putsDropped.Load(),
 		PutErrors:    c.counters.putErrors.Load(),
 		CallErrors:   c.counters.callErrors.Load(),
 		Timeouts:     t.Timeouts,
@@ -305,67 +258,21 @@ func (c *Client) LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupRe
 	return lookupEach(ctx, c, reqs)
 }
 
-// Put implements Node over TCP. The put is asynchronous: the frame enters a
-// bounded queue drained by a background sender, so the caller never blocks
-// on the network. Queue overflow drops the put (PutsDropped); write
-// failures on every connection count as PutErrors. Use FlushContext to wait
-// for the queue to drain.
+// Put implements Node over TCP. The frame goes out one-way in the caller's
+// goroutine, and Put returns once it is written (PutsSent) or has failed
+// (PutErrors); the write is bounded by DefaultCallTimeout, as a lookup is.
+// A lookup that follows from the same goroutine, with no other caller in
+// between, leases the connection the put went out on, so the node applies
+// the put first.
 func (c *Client) Put(key string, data []byte, iv interval.Interval, still bool, genSnap interval.Timestamp, tags []invalidation.TagID) {
 	e := rpc.NewFrame(opPut)
 	e.Str(key).U64(uint64(iv.Lo)).U64(uint64(iv.Hi)).Bool(still).U64(uint64(genSnap))
 	invalidation.AppendTags(e, tags)
 	e.Blob(data)
-	select {
-	case c.putq <- putItem{frame: e}:
-		c.counters.putsQueued.Add(1)
-	default:
-		c.counters.putsDropped.Add(1)
-	}
-}
-
-// FlushContext blocks until every put queued before the call has been
-// written (or failed and been counted), the client is closed, or ctx ends —
-// returning the context error if the deadline cut the drain short (queued
-// puts are not discarded — the sender keeps working; the caller just stops
-// waiting).
-func (c *Client) FlushContext(ctx context.Context) error {
-	ack := make(chan struct{})
-	select {
-	case c.putq <- putItem{ack: ack}:
-	case <-c.closed:
-		return errClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case <-ack:
-		return nil
-	case <-c.closed:
-		return errClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// putSender drains the async put queue in order, sending each put one-way
-// on the first healthy connection.
-func (c *Client) putSender() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.closed:
-			return
-		case it := <-c.putq:
-			if it.ack != nil {
-				close(it.ack)
-				continue
-			}
-			if err := c.rpc.Send(it.frame); err != nil {
-				c.counters.putErrors.Add(1)
-			} else {
-				c.counters.putsSent.Add(1)
-			}
-		}
+	if err := c.rpc.Send(e); err != nil {
+		c.counters.putErrors.Add(1)
+	} else {
+		c.counters.putsSent.Add(1)
 	}
 }
 
@@ -420,37 +327,27 @@ func (c *Client) PushInvalidation(ctx context.Context, m invalidation.Message) e
 // PushStream is the database side of one node's invalidation stream: it
 // delivers every message of sub in order, retrying each until the node acks
 // it, and returns nil once sub is closed and drained. Each attempt is
-// bounded on its own, so a hung node costs an attempt, not the stream.
-// Waiting and retrying also end when the client is closed — without that
-// exit a message still buffered at teardown would be retried against the
-// closed client forever. Run one per node; Feed does.
+// bounded on its own, so a hung node costs an attempt, not the stream. An
+// attempt on a closed client ends the stream with rpc.ErrClosed — without
+// that exit a message still buffered at teardown would be retried against
+// the closed client forever. Run one per node; Feed does.
 func (c *Client) PushStream(sub *invalidation.Subscription) error {
 	const attemptTimeout, retryDelay = 5 * time.Second, 20 * time.Millisecond
-	// Exactly one of in and retry is live: in while the last message is
-	// acked, retry while m is waiting for another attempt.
-	in := sub.C
-	var retry <-chan time.Time
-	var m invalidation.Message
-	for {
-		select {
-		case <-c.closed:
-			return errClosed
-		case <-retry:
-		case msg, ok := <-in:
-			if !ok {
-				return nil
+	for m := range sub.C {
+		for {
+			actx, cancel := context.WithTimeout(context.Background(), attemptTimeout)
+			err := c.PushInvalidation(actx, m)
+			cancel()
+			if err == nil {
+				break
 			}
-			m = msg
-		}
-		actx, cancel := context.WithTimeout(context.Background(), attemptTimeout)
-		err := c.PushInvalidation(actx, m)
-		cancel()
-		if err == nil {
-			in, retry = sub.C, nil
-		} else {
-			in, retry = nil, time.After(retryDelay)
+			if errors.Is(err, rpc.ErrClosed) {
+				return err
+			}
+			time.Sleep(retryDelay)
 		}
 	}
+	return nil
 }
 
 // Feed is the database's half of one node's invalidation stream: it dials

@@ -2,6 +2,7 @@ package cacheserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"txcache/internal/interval"
 	"txcache/internal/invalidation"
+	"txcache/internal/rpc"
 )
 
 func startServer(t *testing.T) (*Server, string) {
@@ -53,32 +55,33 @@ func TestPushInvalidationAcked(t *testing.T) {
 	}
 }
 
-func TestAsyncPutFlushAndStats(t *testing.T) {
+// TestPutThenLookupInOrder: a put is written in its caller's goroutine, on
+// the connection that goroutine's next lookup leases, so the node has
+// applied it when the lookup arrives — with no flush and no poll.
+func TestPutThenLookupInOrder(t *testing.T) {
 	s, addr := startServer(t)
 	s.ApplyInvalidation(invalidation.Message{TS: 10, WallTime: time.Now()})
-	c, err := Dial(addr, 2)
+	c, err := Dial(addr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	c.Put("k", []byte("v"), iv(5, interval.Infinity), true, 10, nil)
-	if err := c.FlushContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st := c.ClientStats()
-	if st.PutsQueued != 1 || st.PutsSent != 1 || st.PutsDropped != 0 {
-		t.Fatalf("put stats after flush: %+v", st)
-	}
-	// Flush guarantees the frame was written, not yet applied; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if r := c.Lookup(context.Background(), "k", 5, 50, 5, 50); r.Found {
-			return
+	const n = 2000
+	missed := 0
+	for i := 0; i < n; i++ {
+		k := fmt.Sprint("k", i)
+		c.Put(k, []byte("v"), iv(5, interval.Infinity), true, 10, nil)
+		if r := c.Lookup(context.Background(), k, 5, 50, 5, 50); !r.Found {
+			missed++
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatal("flushed put never became visible")
+	if missed != 0 {
+		t.Fatalf("%d of %d lookups missed the put just before them", missed, n)
+	}
+	if st := c.ClientStats(); st.PutsSent != n || st.PutErrors != 0 {
+		t.Fatalf("put stats: %+v", st)
+	}
 }
 
 // TestLookupBatchMatchesLookup: LookupBatch answers each probe exactly as
@@ -178,8 +181,8 @@ func TestBatchLookupTCP(t *testing.T) {
 	}
 }
 
-// TestPutAfterCloseDropsSafely: puts against a closed client must neither
-// block nor panic, and must surface as drops once the queue fills.
+// TestPutAfterCloseDropsSafely: puts against a closed client neither block
+// nor panic, and each counts as an error.
 func TestPutAfterCloseDropsSafely(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(addr, 1)
@@ -187,15 +190,15 @@ func TestPutAfterCloseDropsSafely(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	for i := 0; i < DefaultPutQueue+10; i++ {
+	start := time.Now()
+	for i := 0; i < 10; i++ {
 		c.Put("k", []byte("v"), iv(1, 2), false, 0, nil)
 	}
-	if st := c.ClientStats(); st.PutsDropped == 0 {
-		t.Fatalf("expected drops after close: %+v", st)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("10 puts on a closed client took %v", took)
 	}
-	// A flush of a closed client must return at once, saying so.
-	if err := c.FlushContext(context.Background()); err != errClosed {
-		t.Fatalf("FlushContext on a closed client = %v, want %v", err, errClosed)
+	if st := c.ClientStats(); st.PutErrors != 10 || st.PutsSent != 0 {
+		t.Fatalf("after close: %+v, want 10 put errors", st)
 	}
 }
 
@@ -226,8 +229,8 @@ func TestPushStreamEnds(t *testing.T) {
 	c.Close()
 	select {
 	case err := <-done:
-		if err != errClosed {
-			t.Errorf("PushStream after its client closed = %v, want %v", err, errClosed)
+		if !errors.Is(err, rpc.ErrClosed) {
+			t.Errorf("PushStream after its client closed = %v, want %v", err, rpc.ErrClosed)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("PushStream still running a second after its client closed")

@@ -103,8 +103,7 @@ type Client struct {
 }
 
 // closable is the interface of nodes holding network resources
-// (*cacheserver.Client's connection pool, whose Close first drains its
-// queue of asynchronous puts, for a bounded time).
+// (*cacheserver.Client's connection pool).
 type closable interface{ Close() }
 
 // ClientStats aggregates library-side counters across transactions.
@@ -211,9 +210,9 @@ func (c *Client) CacheEnabled() bool { return len(c.nodes) > 0 }
 // Only a client with cache nodes calls it.
 func (c *Client) node(key string) cacheserver.Node { return c.nodes[c.ring.Get(key)] }
 
-// Close closes every cache node that holds network resources, draining its
-// queued puts for a bounded time. A second Close returns at once, and a
-// cacheable call after Close misses on every closed node. The database
+// Close closes every cache node that holds network resources. A second
+// Close returns at once, and a cacheable call after Close misses on every
+// closed node. The database
 // handle and the pincushion are not touched.
 func (c *Client) Close() {
 	for _, n := range c.nodes {

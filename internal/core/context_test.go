@@ -269,9 +269,9 @@ func TestReadOnlyRunnerReleasesOnPanic(t *testing.T) {
 }
 
 // --- End-to-end wire cancellation: a context cancelled while a cacheable
-// call awaits its lookup on the multiplexed client returns within the
-// deadline, leaks no pins and no goroutines. (The pending-table reclamation
-// detail is asserted in package cacheserver, which can see the table.)
+// call awaits its lookup on the TCP client returns within the deadline,
+// leaks no pins and no goroutines. (What the transport does with the
+// abandoned request is asserted in package rpc.)
 
 func TestCancelDuringWireLookup(t *testing.T) {
 	// A stub cache node that accepts the protocol but never responds —

@@ -300,7 +300,7 @@ type Client struct {
 var _ core.DB = (*Client)(nil)
 
 // Dial connects to a database daemon over TCP, with poolSize sessions
-// dialed up front.
+// dialed up front; poolSize <= 0 selects 8.
 func Dial(addr string, poolSize int) (*Client, error) { return DialNet(rpc.TCP, "", addr, poolSize) }
 
 // DialNet is Dial through nw, as the tier from.

@@ -48,10 +48,11 @@ const (
 	// host must fail fast, not hold the dialer for the kernel's
 	// multi-minute connect timeout.
 	dialTimeout = 5 * time.Second
-	// writeTimeout bounds one request-frame write. One-way frames run
-	// outside any caller context — pin and transaction bookkeeping must
-	// survive cancellation — but a wedged peer must not hang the release
-	// path forever either.
+	// writeTimeout bounds one frame's write, and a tighter bound of the
+	// call's or the client's bounds it further. Conn.Send's one-way frames
+	// run outside any caller context — transaction bookkeeping must survive
+	// cancellation — but a wedged peer must not hang the release path
+	// forever either.
 	writeTimeout = 5 * time.Second
 	// serverWriteTimeout bounds one reply-frame write in the serve loop. A
 	// client that stops reading wedges only its own connection goroutine, and
@@ -159,9 +160,12 @@ var (
 	errNotConnected = errors.New("rpc: not connected") // the frame was not sent
 	errConnLost     = errors.New("rpc: connection lost")
 	errTimeout      = errors.New("rpc: request timed out")
-	errClosed       = errors.New("rpc: client closed")
 	aLongTimeAgo    = time.Unix(1, 0) // a deadline that ends a blocked read or write at once
 )
+
+// ErrClosed is what a Call or Send on a closed client returns: nothing was
+// sent, and nothing more will be.
+var ErrClosed = errors.New("rpc: client closed")
 
 // Stats are a Client's transport counters.
 type Stats struct {
@@ -255,7 +259,7 @@ func (c *Client) add(nc net.Conn) (*Conn, error) {
 	if c.closed {
 		c.mu.Unlock()
 		nc.Close()
-		return nil, errClosed
+		return nil, ErrClosed
 	}
 	c.live[m] = struct{}{}
 	replaces := c.lost > 0
@@ -304,7 +308,7 @@ func (c *Client) Lease() (*Conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, errClosed
+		return nil, ErrClosed
 	}
 	if k := len(c.idle); k > 0 {
 		m := c.idle[k-1]
@@ -372,30 +376,49 @@ func (c *Client) bound(ctx context.Context) (wait time.Duration, ctxBound bool, 
 	return wait, ctxBound, nil
 }
 
-// write sends one frame under a write deadline of writeTimeout, or of wait
-// when that is tighter. The deadline is re-armed only when less than half
-// of that is left on it, so back-to-back exchanges do not each pay for it;
-// a caller's context that ends meanwhile cuts the write short through
-// interrupt. A write that fails closes the connection: part of the frame
-// may have gone out.
-func (m *Conn) write(frame *wire.Buffer, wait time.Duration) error {
-	if m.broken {
-		return errNotConnected
-	}
+// rearm reports whether a frame written now under wait needs the write
+// deadline moved, to writeBy as it returns it: writeTimeout from now, or
+// wait when that is tighter. The deadline moves only when less than half of
+// that is left on it, so back-to-back exchanges do not each pay for it.
+func (m *Conn) rearm(wait time.Duration) bool {
 	bound := writeTimeout
 	if wait > 0 && wait < bound {
 		bound = wait
 	}
-	if now := time.Now(); m.writeBy.Sub(now) < bound/2 {
-		m.writeBy = now.Add(bound)
+	now := time.Now()
+	if m.writeBy.Sub(now) >= bound/2 {
+		return false
+	}
+	m.writeBy = now.Add(bound)
+	return true
+}
+
+// wrote is what a frame's write came to. A write that failed closes the
+// connection: part of the frame may have gone out. One that ran out of time
+// is a timeout, which no other connection is asked to repeat: the peer is
+// there but not reading, and would cost the next one the same wait.
+func (m *Conn) wrote(err error) error {
+	if err == nil {
+		m.used = true
+		return nil
+	}
+	m.fail(err)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return errTimeout
+	}
+	return fmt.Errorf("%w: %v", errNotConnected, err)
+}
+
+// send writes one one-way frame under a write deadline of writeTimeout, or
+// of wait when that is tighter (rearm).
+func (m *Conn) send(frame *wire.Buffer, wait time.Duration) error {
+	if m.broken {
+		return errNotConnected
+	}
+	if m.rearm(wait) {
 		_ = m.nc.SetWriteDeadline(m.writeBy)
 	}
-	if err := frame.WriteFrame(m.nc); err != nil {
-		m.fail(err)
-		return fmt.Errorf("%w: %v", errNotConnected, err)
-	}
-	m.used = true
-	return nil
+	return m.wrote(frame.WriteFrame(m.nc))
 }
 
 // interrupt ends the holder's blocked read or write at once; ctx's
@@ -407,11 +430,11 @@ func (m *Conn) interrupt() {
 
 // Call writes one request frame on the leased connection and reads its
 // reply, returned as its opcode and body; an error frame comes back as a
-// RemoteError. The wait is bounded by the tighter of the client's default
-// and ctx's deadline, and ends when ctx does. An abandoned call costs the
-// connection nothing: it stays in the pool owing the reply, which the next
-// holder skips by its request ID (Stats.LateDrops). Only a failed write, or
-// a read cut short inside a frame, closes it.
+// RemoteError. The exchange is bounded by the tighter of the client's
+// default and ctx's deadline, and ends when ctx does. An abandoned call
+// costs the connection nothing: it stays in the pool owing the reply, which
+// the next holder skips by its request ID (Stats.LateDrops). Only a failed
+// write, or a read cut short inside a frame, closes it.
 func (m *Conn) Call(ctx context.Context, frame *wire.Buffer) (byte, []byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -419,6 +442,23 @@ func (m *Conn) Call(ctx context.Context, frame *wire.Buffer) (byte, []byte, erro
 	wait, ctxBound, err := m.cl.bound(ctx)
 	if err != nil {
 		return 0, nil, err
+	}
+	if m.broken {
+		return 0, nil, errNotConnected
+	}
+	// Both deadlines are armed before ctx's hook can move them: the client's
+	// default is the read deadline, and a nearer deadline of ctx's ends the
+	// exchange through interrupt instead.
+	if m.rearm(wait) {
+		_ = m.nc.SetWriteDeadline(m.writeBy)
+	}
+	var by time.Time
+	if wait > 0 && !ctxBound {
+		by = time.Now().Add(wait)
+	}
+	if by != m.readBy {
+		m.readBy = by
+		_ = m.nc.SetReadDeadline(by)
 	}
 	var stop func() bool
 	if ctx.Done() != nil {
@@ -429,19 +469,9 @@ func (m *Conn) Call(ctx context.Context, frame *wire.Buffer) (byte, []byte, erro
 		m.lastID = 1
 	}
 	binary.LittleEndian.PutUint32(frame.Bytes()[1:headerLen], m.lastID)
-	err = m.write(frame, wait)
+	err = m.wrote(frame.WriteFrame(m.nc))
 	var resp []byte
 	if err == nil {
-		// The client's default is the read deadline; a nearer deadline of
-		// ctx's ends the wait through interrupt instead.
-		var by time.Time
-		if wait > 0 && !ctxBound {
-			by = time.Now().Add(wait)
-		}
-		if by != m.readBy {
-			m.readBy = by
-			_ = m.nc.SetReadDeadline(by)
-		}
 		resp, err = m.await()
 	}
 	if stop != nil && !stop() {
@@ -465,7 +495,7 @@ func (m *Conn) Call(ctx context.Context, frame *wire.Buffer) (byte, []byte, erro
 	case ctx.Err() != nil:
 		m.cl.canceled.Add(1)
 		return 0, nil, ctx.Err()
-	case m.broken:
+	case m.broken && err != errTimeout:
 		return 0, nil, err
 	}
 	m.cl.timeouts.Add(1)
@@ -490,7 +520,7 @@ func (m *Conn) await() ([]byte, error) {
 // Send writes one one-way frame on the leased connection. A frame is lost
 // only with its connection: one written into a connection whose far end
 // had already gone is not resent.
-func (m *Conn) Send(frame *wire.Buffer) error { return m.write(frame, 0) }
+func (m *Conn) Send(frame *wire.Buffer) error { return m.send(frame, 0) }
 
 // Call issues the request on a leased connection. It moves to another only
 // while the request cannot be sent on a connection that had carried frames
@@ -532,8 +562,8 @@ func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
 }
 
 // Send writes a one-way frame on a leased connection, moving on as Call
-// does.
+// does. The write is bounded as a Call's is by the client's default.
 func (c *Client) Send(frame *wire.Buffer) error {
-	_, _, err := c.each(func(m *Conn) (byte, []byte, error) { return 0, nil, m.Send(frame) })
+	_, _, err := c.each(func(m *Conn) (byte, []byte, error) { return 0, nil, m.send(frame, c.timeout) })
 	return err
 }

@@ -118,6 +118,13 @@ func (d *daemon) dropConns() {
 	d.conns = nil
 }
 
+// held counts the connections the daemon has accepted and not dropped.
+func (d *daemon) held() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.conns)
+}
+
 // stop closes the listener and every connection; restart undoes it.
 func (d *daemon) stop() {
 	d.mu.Lock()
@@ -234,6 +241,19 @@ func clientGoroutines() []string {
 	return out
 }
 
+// slowWriteConn returns from each Write a while after the bytes went out,
+// as a write into a nearly full socket buffer does.
+type slowWriteConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c slowWriteConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	time.Sleep(c.delay)
+	return n, err
+}
+
 // answer replies to a request a holdServer parked, as the test service.
 func answer(t testing.TB, h heldFrame) {
 	t.Helper()
@@ -282,6 +302,10 @@ func TestRPC(t *testing.T) {
 			if err := echo(bg, c, "warm"); err != nil {
 				t.Fatal(err)
 			}
+			// Dial returns once both connections are made, which may be
+			// before the daemon has taken the second: one it drops must be
+			// all there are.
+			eventually(t, "the daemon to hold both connections", func() bool { return d.held() == 2 })
 			d.dropConns()
 			// A call on a connection the peer dropped fails — promptly,
 			// never blocking — and closes it; once none is left the next
@@ -437,6 +461,57 @@ func TestRPC(t *testing.T) {
 			}
 		})
 
+		t.Run("CancelDuringTheWriteEndsTheCall", func(t *testing.T) {
+			// The caller's context ends while the request is being written.
+			// The call must end as the write does, not wait out the
+			// client's default on a read deadline armed after the cancel.
+			addr, _ := holdServer(t)
+			c, err := NewClient("test", 1, 2*time.Second, func() (net.Conn, error) {
+				nc, err := TCP.Dial("test", addr)
+				return slowWriteConn{nc, 50 * time.Millisecond}, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			ctx, cancel := context.WithCancel(bg)
+			defer time.AfterFunc(10*time.Millisecond, cancel).Stop()
+			start := time.Now()
+			if err := echo(ctx, c, "x"); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Call = %v, want the context's error", err)
+			}
+			if took := time.Since(start); took > 500*time.Millisecond {
+				t.Fatalf("a call cancelled during its write returned after %v", took)
+			}
+		})
+
+		t.Run("SendIsBoundedByTheDefault", func(t *testing.T) {
+			// A peer that stopped reading costs a one-way frame the client's
+			// default, and the frame is not sent again on another connection.
+			addr, _ := holdServer(t) // parks sixteen frames, then reads no more
+			c := dial(t, addr, 1, 200*time.Millisecond)
+			big := make([]byte, 1<<20)
+			for i := 0; ; i++ {
+				if i == 64 {
+					t.Fatal("64 MiB went out to a peer that reads none of it")
+				}
+				start := time.Now()
+				err := c.Send(NewFrame(opNote).Raw(big))
+				if took := time.Since(start); took > time.Second {
+					t.Fatalf("Send took %v with a 200ms default", took)
+				}
+				if err != nil {
+					if !errors.Is(err, errTimeout) {
+						t.Fatalf("Send = %v, want the client's timeout", err)
+					}
+					break
+				}
+			}
+			if idle, live := pooled(c); idle != 0 || live != 0 {
+				t.Fatalf("after the timeout: %d idle of %d connections, want the one closed and none dialed", idle, live)
+			}
+		})
+
 		t.Run("DeadlineMapsToRequestTimer", func(t *testing.T) {
 			addr, held := holdServer(t)
 			c := dial(t, addr, 1, time.Minute)
@@ -539,7 +614,7 @@ func TestRPC(t *testing.T) {
 
 		t.Run("CloseFailsAWriteToAPeerThatStoppedReading", func(t *testing.T) {
 			addr, _ := holdServer(t) // parks sixteen frames, then reads no more
-			c := dial(t, addr, 1, time.Second)
+			c := dial(t, addr, 1, 0) // no default: only writeTimeout bounds a Send
 			var sends atomic.Int64
 			stopped := make(chan error, 1)
 			go func() {

@@ -16,10 +16,9 @@ import (
 // Deployment is where an application server finds the other tiers of the
 // paper's Figure 1, and how it reaches them.
 type Deployment struct {
-	Net     rpc.Net  // rpc.TCP, but for a test's
-	DB      string   // the database daemon's address, the pincushion's too
-	DBConns int      // sessions dialed up front, not a cap; 0 is dbnet's default
-	Caches  []string // the cache nodes' addresses, each also its ring name
+	Net    rpc.Net  // rpc.TCP, but for a test's
+	DB     string   // the database daemon's address, the pincushion's too
+	Caches []string // the cache nodes' addresses, each also its ring name
 }
 
 // Connect is an application server's start-up: it dials the database, each
@@ -41,7 +40,7 @@ func Connect(ctx context.Context, d Deployment, cfg Config) (srv *Server, stop f
 		}
 	}()
 
-	dbc, err := dbnet.DialNet(d.Net, "core", d.DB, d.DBConns)
+	dbc, err := dbnet.DialNet(d.Net, "core", d.DB, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: dial db %s: %w", d.DB, err)
 	}

@@ -182,13 +182,13 @@ type CacheNode = cacheserver.Node
 // CacheStats are cache-node counters, including the Figure 8 miss taxonomy.
 type CacheStats = cacheserver.Stats
 
-// CacheClient is the multiplexed TCP client for a remote cache node:
-// pipelined tagged requests over a small connection pool and asynchronous
-// puts.
+// CacheClient is the TCP client for a remote cache node: each lookup and
+// each put leases a connection of its pool and goes out in its caller's
+// goroutine, a put as a one-way frame.
 type CacheClient = cacheserver.Client
 
-// CacheClientStats are client-side transport counters (put drops/errors,
-// reconnects, timeouts), as opposed to the remote node's CacheStats.
+// CacheClientStats are client-side transport counters (puts sent and
+// failed, reconnects, timeouts), as opposed to the remote node's CacheStats.
 type CacheClientStats = cacheserver.ClientStats
 
 // CacheLookupResult is the reply to a cache lookup.

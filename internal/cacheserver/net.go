@@ -18,11 +18,12 @@ import (
 // Node is the interface the TxCache library uses to talk to one cache
 // server; *Server implements it directly (in-process deployments, tests)
 // and *Client implements it over TCP. The read-path methods take the
-// requesting transaction's context: the TCP client maps its deadline onto
-// a per-request timer and abandons the request on cancellation; the
-// in-process server degrades cancelled probes to misses. Put stays
-// context-free — it is fire-and-forget by design (the cache is an
-// optimization; callers never wait on an install).
+// requesting transaction's context: the TCP client ends its wait at the
+// context's deadline or cancellation; the in-process server degrades
+// cancelled probes to misses. Put stays
+// context-free: an install is a hint the node may drop, so a caller waits
+// for no reply, only for the TCP client's write, which DefaultCallTimeout
+// bounds.
 type Node interface {
 	Lookup(ctx context.Context, key string, lo, hi, origLo, origHi interval.Timestamp) LookupResult
 	LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupResult // kept for benchmark/ (ROADMAP 1)

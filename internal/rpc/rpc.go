@@ -495,7 +495,7 @@ func (m *Conn) Call(ctx context.Context, frame *wire.Buffer) (byte, []byte, erro
 	case ctx.Err() != nil:
 		m.cl.canceled.Add(1)
 		return 0, nil, ctx.Err()
-	case m.broken && err != errTimeout:
+	case m.broken && !errors.Is(err, errTimeout):
 		return 0, nil, err
 	}
 	m.cl.timeouts.Add(1)

@@ -20,10 +20,9 @@ import (
 // and *Client implements it over TCP. The read-path methods take the
 // requesting transaction's context: the TCP client ends its wait at the
 // context's deadline or cancellation; the in-process server degrades
-// cancelled probes to misses. Put stays
-// context-free: an install is a hint the node may drop, so a caller waits
-// for no reply, only for the TCP client's write, which DefaultCallTimeout
-// bounds.
+// cancelled probes to misses. Put stays context-free: an install is a hint
+// the node may drop, so a caller waits for no reply, only for the TCP
+// client's write, which DefaultCallTimeout bounds.
 type Node interface {
 	Lookup(ctx context.Context, key string, lo, hi, origLo, origHi interval.Timestamp) LookupResult
 	LookupBatch(ctx context.Context, reqs []BatchLookup) []LookupResult // kept for benchmark/ (ROADMAP 1)
